@@ -15,7 +15,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use vrr_core::attackers::AttackerKind;
 use vrr_core::regular::{HistoryRetention, RegularTuning};
 use vrr_core::StorageConfig;
-use vrr_runtime::{NoDelay, ProtocolKind, ReaderTuning, StorageCluster};
+use vrr_runtime::{NoDelay, ProtocolKind, ProtocolSpec, StorageCluster};
 
 fn bench_protocol_variants(c: &mut Criterion) {
     let mut group = c.benchmark_group("latency/variant");
@@ -59,15 +59,17 @@ fn bench_protocol_variants(c: &mut Criterion) {
     // unreachable confirmation threshold makes every read arm the fast
     // path, fail it, and complete through the two-round protocol — the
     // adversarial worst case, bounded near the plain two-round read.
-    let storage: StorageCluster<u64> = StorageCluster::deploy_with_reader_tuning(
+    let storage: StorageCluster<u64> = StorageCluster::deploy(
         cfg,
-        ProtocolKind::RegularOptimized,
+        ProtocolSpec::Regular {
+            optimized: true,
+            retention: HistoryRetention::KeepAll,
+            tuning: RegularTuning {
+                fast_threshold: Some(usize::MAX),
+                ..RegularTuning::default()
+            },
+        },
         Box::new(NoDelay),
-        HistoryRetention::KeepAll,
-        ReaderTuning::Regular(RegularTuning {
-            fast_threshold: Some(usize::MAX),
-            ..RegularTuning::default()
-        }),
     );
     storage.write(1);
     assert!(

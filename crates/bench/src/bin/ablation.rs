@@ -23,7 +23,7 @@ use vrr_core::attackers::AttackerKind;
 use vrr_core::regular::{HistoryRetention, RegularObject};
 use vrr_core::safe::SafeTuning;
 use vrr_core::{
-    corrupt_object, run_read, run_write, MutantSafeProtocol, RegisterProtocol, RegularProtocol,
+    corrupt_object, run_read, run_write, ProtocolSpec, RegisterProtocol, RegularProtocol,
     SafeProtocol, StorageConfig,
 };
 use vrr_sim::World;
@@ -31,7 +31,7 @@ use vrr_sim::World;
 /// One write + one read under `attacked`; reports (value ok?, rounds).
 fn probe_mutant(tuning: SafeTuning, attacked: bool) -> (bool, u32, bool) {
     let cfg = StorageConfig::optimal(2, 2, 1); // S = 7
-    let protocol = MutantSafeProtocol(tuning);
+    let protocol = ProtocolSpec::Safe(tuning);
     let mut world: World<vrr_core::Msg<u64>> = World::new(21);
     let dep = RegisterProtocol::<u64>::deploy(&protocol, cfg, &mut world);
     world.start();

@@ -12,11 +12,8 @@
 //! Run with `cargo run --release -p vrr-bench --bin prop2_rounds`.
 
 use vrr_bench::{f2, Table};
-use vrr_core::{RegularProtocol, SafeProtocol, StorageConfig};
-use vrr_workload::{
-    generate, grid, regular_corruptor, run_schedule, safe_corruptor, FaultPlan, LatencyKind,
-    ScheduleParams,
-};
+use vrr_core::{ProtocolKind, RegisterProtocol, StorageConfig};
+use vrr_workload::{grid, FaultPlan, LatencyKind, ScheduleParams, SimCase};
 
 fn main() {
     let seeds = 0..25u64;
@@ -45,36 +42,21 @@ fn main() {
     type AggKey = (usize, usize, String);
     type AggStats = (u64, u64, u32, u64, u32, u64);
 
-    for protocol_name in ["safe", "regular"] {
+    for protocol in [ProtocolKind::Safe, ProtocolKind::Regular] {
+        let protocol_name = RegisterProtocol::<u64>::name(&protocol);
         use std::collections::BTreeMap;
         let mut agg: BTreeMap<AggKey, AggStats> = BTreeMap::new();
         for p in &points {
             let cfg = StorageConfig::optimal(p.t, p.b, 2);
-            let schedule = generate(ScheduleParams::contended(6, 6, 2, p.seed));
             let faults = match p.attacker {
                 None => FaultPlan::none(),
                 Some(kind) => FaultPlan::maximal(&cfg, kind, vrr_sim::SimTime::from_ticks(30)),
             };
-            let out = match protocol_name {
-                "safe" => run_schedule(
-                    &SafeProtocol,
-                    cfg,
-                    &schedule,
-                    &faults,
-                    LatencyKind::Uniform(1, 8),
-                    p.seed,
-                    &safe_corruptor,
-                ),
-                _ => run_schedule(
-                    &RegularProtocol::full(),
-                    cfg,
-                    &schedule,
-                    &faults,
-                    LatencyKind::Uniform(1, 8),
-                    p.seed,
-                    &regular_corruptor,
-                ),
-            };
+            let out = SimCase::new(&protocol, cfg)
+                .schedule(ScheduleParams::contended(6, 6, 2, p.seed))
+                .faults(faults)
+                .latency(LatencyKind::Uniform(1, 8))
+                .run();
             let key = (
                 p.t,
                 p.b,

@@ -16,10 +16,8 @@
 use vrr_bench::Table;
 use vrr_checker::check_safety;
 use vrr_core::safe::SafeTuning;
-use vrr_core::{MutantSafeProtocol, SafeProtocol, StorageConfig};
-use vrr_workload::{
-    generate, grid, run_schedule, safe_corruptor, FaultPlan, LatencyKind, ScheduleParams,
-};
+use vrr_core::{ProtocolSpec, SafeProtocol, StorageConfig};
+use vrr_workload::{grid, FaultPlan, LatencyKind, ScheduleParams, SimCase};
 
 fn main() {
     // ---- Part 1: the real protocol under the sweep.
@@ -30,20 +28,15 @@ fn main() {
     let mut stalls = 0u64;
     for p in &points {
         let cfg = StorageConfig::optimal(p.t, p.b, 2);
-        let schedule = generate(ScheduleParams::contended(6, 8, 2, p.seed));
         let faults = match p.attacker {
             None => FaultPlan::random(&cfg, 300, p.seed),
             Some(kind) => FaultPlan::maximal(&cfg, kind, vrr_sim::SimTime::from_ticks(50)),
         };
-        let out = run_schedule(
-            &SafeProtocol,
-            cfg,
-            &schedule,
-            &faults,
-            LatencyKind::LongTail,
-            p.seed,
-            &safe_corruptor,
-        );
+        let out = SimCase::new(&SafeProtocol, cfg)
+            .schedule(ScheduleParams::contended(6, 8, 2, p.seed))
+            .faults(faults)
+            .latency(LatencyKind::LongTail)
+            .run();
         runs += 1;
         reads += out.read_rounds.len() as u64;
         stalls += out.stalled_ops as u64;
@@ -147,17 +140,12 @@ fn main() {
         'hunt: for kind in vrr_core::attackers::AttackerKind::ALL {
             for seed in 0..60u64 {
                 let cfg = StorageConfig::optimal(2, 2, 2);
-                let schedule = generate(ScheduleParams::contended(6, 8, 2, seed));
                 let faults = FaultPlan::maximal(&cfg, kind, vrr_sim::SimTime::from_ticks(50));
-                let out = run_schedule(
-                    &MutantSafeProtocol(tuning),
-                    cfg,
-                    &schedule,
-                    &faults,
-                    LatencyKind::LongTail,
-                    seed,
-                    &safe_corruptor,
-                );
+                let out = SimCase::new(&ProtocolSpec::Safe(tuning), cfg)
+                    .schedule(ScheduleParams::contended(6, 8, 2, seed))
+                    .faults(faults)
+                    .latency(LatencyKind::LongTail)
+                    .run();
                 if let Err(vs) = check_safety(&out.history) {
                     caught = Some((
                         "safety checker".into(),

@@ -22,12 +22,12 @@ use std::collections::{BTreeSet, HashMap};
 use vrr_sim::{Automaton, Context, ProcessId, World};
 
 use crate::config::StorageConfig;
-use crate::harness::{Deployment, ReadReport, RegisterProtocol, WriteReport};
+use crate::group::{spawn_group, Deployment, GroupRole, ProtocolKind};
+use crate::harness::{ReadReport, RegisterProtocol, WriteReport};
 use crate::msg::Msg;
-use crate::regular::{RegularObject, RegularReader};
+use crate::regular::RegularReader;
 use crate::safe::{ReadId, ReadOutcome};
 use crate::types::{Timestamp, TsVal, Value, WTuple};
-use crate::writer::Writer;
 
 #[derive(Clone, Debug)]
 enum AtomicPhase<V> {
@@ -208,30 +208,21 @@ impl<V: Value> RegisterProtocol<V> for AtomicProtocol {
     }
 
     fn deploy(&self, cfg: StorageConfig, world: &mut World<Msg<V>>) -> Deployment {
-        let objects: Vec<ProcessId> = (0..cfg.s)
-            .map(|i| world.spawn_named(format!("s{i}"), Box::new(RegularObject::<V>::new())))
-            .collect();
-        let writer = world.spawn_named("writer", Box::new(Writer::<V>::new(cfg, objects.clone())));
-        let readers: Vec<ProcessId> = (0..cfg.readers)
-            .map(|j| {
-                world.spawn_named(
-                    format!("r{j}"),
-                    Box::new(AtomicReader::<V>::new(cfg, j, objects.clone())),
-                )
-            })
-            .collect();
-        Deployment {
+        spawn_group(
             cfg,
-            objects,
-            writer,
-            readers,
-        }
+            ProtocolKind::Regular.into(),
+            |role, automaton| world.spawn_named(role.to_string(), automaton),
+            |role, objects| match role {
+                GroupRole::Reader(j) => {
+                    Some(Box::new(AtomicReader::<V>::new(cfg, j, objects.to_vec())))
+                }
+                GroupRole::Object(_) | GroupRole::Writer => None,
+            },
+        )
     }
 
     fn invoke_write(&self, dep: &Deployment, world: &mut World<Msg<V>>, value: V) -> u64 {
-        world.with_automaton_mut(dep.writer, |w: &mut Writer<V>, ctx| {
-            w.invoke_write(value, ctx).0
-        })
+        RegisterProtocol::<V>::invoke_write(&ProtocolKind::Regular, dep, world, value)
     }
 
     fn write_outcome(
@@ -240,12 +231,7 @@ impl<V: Value> RegisterProtocol<V> for AtomicProtocol {
         world: &World<Msg<V>>,
         op: u64,
     ) -> Option<WriteReport> {
-        world.inspect(dep.writer, |w: &Writer<V>| {
-            w.outcome(crate::WriteId(op)).map(|o| WriteReport {
-                ts: o.ts,
-                rounds: o.rounds,
-            })
-        })
+        RegisterProtocol::<V>::write_outcome(&ProtocolKind::Regular, dep, world, op)
     }
 
     fn invoke_read(&self, dep: &Deployment, world: &mut World<Msg<V>>, reader: usize) -> u64 {

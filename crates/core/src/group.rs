@@ -1,0 +1,336 @@
+//! One description of a register group, and the one routine that spawns it.
+//!
+//! The paper studies a single object: a SWMR register emulated by
+//! `S = 2t + b + 1` base objects, one writer and `R` readers. *Which*
+//! automata make up such a group — protocol variant, object-side history
+//! retention, reader tuning — is a [`ProtocolSpec`]; *in which order* they
+//! come to life is [`spawn_group`]. Every harness consumes these two: the
+//! simulator's [`RegisterProtocol`](crate::RegisterProtocol) impl,
+//! `vrr-runtime`'s `StorageCluster` / `ShardedStore`, and `vrr-net`'s
+//! `NetNode` in both hosting modes. Nothing else knows what a register
+//! group consists of.
+
+use std::fmt;
+
+use vrr_sim::{Automaton, ProcessId};
+
+use crate::attackers::AttackerKind;
+use crate::config::StorageConfig;
+use crate::msg::Msg;
+use crate::regular::{HistoryRetention, RegularObject, RegularReader, RegularTuning};
+use crate::safe::{SafeObject, SafeReader, SafeTuning};
+use crate::types::Value;
+use crate::writer::Writer;
+
+/// Which of the paper's protocols a register group runs, at the paper's
+/// defaults. Converts into the [`ProtocolSpec`] every deploy entry point
+/// takes.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ProtocolKind {
+    /// §4 safe storage (Figures 2–4).
+    Safe,
+    /// §5 regular storage, full histories (Figures 2, 5, 6).
+    Regular,
+    /// §5.1 optimized regular storage (suffix histories + reader cache).
+    RegularOptimized,
+}
+
+/// Everything that decides which automata make up a register group:
+/// the protocol variant, the history retention of regular objects, and the
+/// reader tuning — each knob living on the variant it applies to, so a
+/// regular tuning cannot be paired with the safe protocol.
+///
+/// `ProtocolKind::X.into()` is the paper-faithful default of each variant
+/// (keep-all histories, default tunings — which already enable the
+/// one-round fast path wherever [`StorageConfig::fast_read_quorum`] arms
+/// it). Deviating tunings are for mutation experiments and for steering
+/// the fast path in benchmarks (an unreachable `fast_threshold` forces the
+/// fallback deterministically).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ProtocolSpec {
+    /// §4 safe storage; every reader runs this tuning.
+    Safe(SafeTuning),
+    /// §5 regular storage.
+    Regular {
+        /// Run the §5.1 optimization (suffix histories + reader cache).
+        optimized: bool,
+        /// Object-side history retention (extension; the paper keeps all).
+        /// `ProtocolKind::RegularOptimized` with
+        /// `HistoryRetention::reader_ack(cfg.readers)` is the bounded-memory
+        /// production configuration: suffix transfers bound message size,
+        /// reader-ack GC bounds object memory.
+        retention: HistoryRetention,
+        /// Every reader runs this tuning.
+        tuning: RegularTuning,
+    },
+}
+
+impl From<ProtocolKind> for ProtocolSpec {
+    fn from(kind: ProtocolKind) -> Self {
+        match kind {
+            ProtocolKind::Safe => ProtocolSpec::Safe(SafeTuning::default()),
+            ProtocolKind::Regular | ProtocolKind::RegularOptimized => ProtocolSpec::Regular {
+                optimized: kind == ProtocolKind::RegularOptimized,
+                retention: HistoryRetention::KeepAll,
+                tuning: RegularTuning::default(),
+            },
+        }
+    }
+}
+
+impl ProtocolSpec {
+    /// The protocol variant this spec deploys.
+    pub fn kind(&self) -> ProtocolKind {
+        match self {
+            ProtocolSpec::Safe(_) => ProtocolKind::Safe,
+            ProtocolSpec::Regular {
+                optimized: false, ..
+            } => ProtocolKind::Regular,
+            ProtocolSpec::Regular {
+                optimized: true, ..
+            } => ProtocolKind::RegularOptimized,
+        }
+    }
+
+    /// Short display name (`"safe"`, `"regular"`, `"regular-opt"`).
+    pub fn name(&self) -> &'static str {
+        match self.kind() {
+            ProtocolKind::Safe => "safe",
+            ProtocolKind::Regular => "regular",
+            ProtocolKind::RegularOptimized => "regular-opt",
+        }
+    }
+
+    /// This spec with regular objects running `retention`. Safe objects
+    /// keep no history, so on [`ProtocolSpec::Safe`] this changes nothing.
+    #[must_use]
+    pub fn with_retention(mut self, retention: HistoryRetention) -> Self {
+        if let ProtocolSpec::Regular { retention: r, .. } = &mut self {
+            *r = retention;
+        }
+        self
+    }
+
+    /// Attacker `kind` from the catalogue, speaking this protocol's
+    /// dialect and forging `forged` where the attack calls for a fake
+    /// value.
+    pub fn attacker<V: Value>(
+        &self,
+        kind: AttackerKind,
+        cfg: StorageConfig,
+        forged: V,
+    ) -> Box<dyn Automaton<Msg<V>>> {
+        match self {
+            ProtocolSpec::Safe(_) => kind.build_safe(cfg, forged),
+            ProtocolSpec::Regular { .. } => kind.build_regular(cfg, forged),
+        }
+    }
+}
+
+/// One member slot of a register group, in the canonical spawn order every
+/// deployment uses: objects `0..cfg.s`, then the writer, then readers
+/// `0..cfg.readers`. Hosts hand out dense ids in spawn order, so this
+/// fixes the pid layout of a group — which is what lets independently
+/// started OS processes (`vrr-net` nodes) agree on a global pid space by
+/// replaying the same spawn sequence.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum GroupRole {
+    /// Base object `s_i`.
+    Object(usize),
+    /// The single writer.
+    Writer,
+    /// Reader `r_j`.
+    Reader(usize),
+}
+
+impl GroupRole {
+    /// Position of this member in the spawn order of its group (the
+    /// inverse of [`group_member`]).
+    pub fn index(self, cfg: StorageConfig) -> usize {
+        match self {
+            GroupRole::Object(i) => i,
+            GroupRole::Writer => cfg.s,
+            GroupRole::Reader(j) => cfg.s + 1 + j,
+        }
+    }
+}
+
+/// The process name of the member (`s3`, `writer`, `r0`) — what simulator
+/// traces and panics call it.
+impl fmt::Display for GroupRole {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            GroupRole::Object(i) => write!(f, "s{i}"),
+            GroupRole::Writer => write!(f, "writer"),
+            GroupRole::Reader(j) => write!(f, "r{j}"),
+        }
+    }
+}
+
+/// Number of processes one register group occupies: `cfg.s` objects, one
+/// writer, `cfg.readers` readers.
+pub fn group_span(cfg: StorageConfig) -> usize {
+    cfg.s + 1 + cfg.readers
+}
+
+/// The [`GroupRole`] of the `idx`-th spawned member of a group.
+///
+/// # Panics
+///
+/// Panics if `idx >= group_span(cfg)`.
+pub fn group_member(cfg: StorageConfig, idx: usize) -> GroupRole {
+    if idx < cfg.s {
+        GroupRole::Object(idx)
+    } else if idx == cfg.s {
+        GroupRole::Writer
+    } else if idx < group_span(cfg) {
+        GroupRole::Reader(idx - cfg.s - 1)
+    } else {
+        panic!(
+            "member index {idx} out of range for a group of {}",
+            group_span(cfg)
+        )
+    }
+}
+
+/// Process ids of one spawned register group.
+#[derive(Clone, Debug)]
+pub struct Deployment {
+    /// The sizing this group was built with.
+    pub cfg: StorageConfig,
+    /// The `S` base objects, in index order.
+    pub objects: Vec<ProcessId>,
+    /// The single writer.
+    pub writer: ProcessId,
+    /// The `R` readers, in index order.
+    pub readers: Vec<ProcessId>,
+}
+
+/// Spawns the automata of one register group in the canonical order
+/// ([`GroupRole`]): each member is handed to `spawn`, the host's way of
+/// bringing an automaton to life (a simulator world, a worker-pool
+/// cluster), which returns the id it got.
+///
+/// `substitute` may replace the automaton of any member — the hook for
+/// Byzantine objects, for `vrr-net`'s relay stand-ins when a member lives
+/// in a different OS process, and for protocol extensions that swap one
+/// role (the atomic extension's readers). It sees the object ids spawned
+/// so far (all `S` of them by the time the writer and readers come up);
+/// returning `None` deploys the honest automaton `spec` calls for.
+///
+/// # Panics
+///
+/// Panics if a [`HistoryRetention::ReaderAck`] policy covers fewer readers
+/// than the group has.
+pub fn spawn_group<V: Value>(
+    cfg: StorageConfig,
+    spec: ProtocolSpec,
+    mut spawn: impl FnMut(GroupRole, Box<dyn Automaton<Msg<V>>>) -> ProcessId,
+    mut substitute: impl FnMut(GroupRole, &[ProcessId]) -> Option<Box<dyn Automaton<Msg<V>>>>,
+) -> Deployment {
+    if let ProtocolSpec::Regular {
+        retention: HistoryRetention::ReaderAck { readers, .. },
+        ..
+    } = spec
+    {
+        // A policy covering fewer readers than are deployed would let the
+        // covered readers' acks truncate entries the un-gated readers
+        // still need — exactly the hole the min(acks) floor closes.
+        assert!(
+            readers >= cfg.readers,
+            "ReaderAck must gate on every deployed reader: policy covers \
+             {readers}, deployment has {}",
+            cfg.readers
+        );
+    }
+    let mut objects = Vec::with_capacity(cfg.s);
+    for i in 0..cfg.s {
+        let role = GroupRole::Object(i);
+        let automaton = substitute(role, &objects).unwrap_or_else(|| match spec {
+            ProtocolSpec::Safe(_) => Box::new(SafeObject::<V>::new()),
+            ProtocolSpec::Regular { retention, .. } => {
+                Box::new(RegularObject::<V>::with_retention(retention))
+            }
+        });
+        objects.push(spawn(role, automaton));
+    }
+    let automaton = substitute(GroupRole::Writer, &objects)
+        .unwrap_or_else(|| Box::new(Writer::<V>::new(cfg, objects.clone())));
+    let writer = spawn(GroupRole::Writer, automaton);
+    let readers = (0..cfg.readers)
+        .map(|j| {
+            let role = GroupRole::Reader(j);
+            let automaton = substitute(role, &objects).unwrap_or_else(|| match spec {
+                ProtocolSpec::Safe(tuning) => Box::new(SafeReader::<V>::with_tuning(
+                    cfg,
+                    j,
+                    objects.clone(),
+                    tuning,
+                )),
+                ProtocolSpec::Regular {
+                    optimized, tuning, ..
+                } => Box::new(RegularReader::<V>::with_tuning(
+                    cfg,
+                    j,
+                    objects.clone(),
+                    optimized,
+                    tuning,
+                )),
+            });
+            spawn(role, automaton)
+        })
+        .collect();
+    Deployment {
+        cfg,
+        objects,
+        writer,
+        readers,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn kinds_round_trip_through_the_spec() {
+        for kind in [
+            ProtocolKind::Safe,
+            ProtocolKind::Regular,
+            ProtocolKind::RegularOptimized,
+        ] {
+            assert_eq!(ProtocolSpec::from(kind).kind(), kind);
+        }
+    }
+
+    #[test]
+    fn roles_enumerate_the_spawn_order() {
+        let cfg = StorageConfig::optimal(1, 1, 2);
+        let names: Vec<String> = (0..group_span(cfg))
+            .map(|idx| {
+                let role = group_member(cfg, idx);
+                assert_eq!(role.index(cfg), idx);
+                role.to_string()
+            })
+            .collect();
+        assert_eq!(names, ["s0", "s1", "s2", "s3", "writer", "r0", "r1"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ReaderAck must gate on every deployed reader")]
+    fn reader_ack_must_cover_every_reader() {
+        let cfg = StorageConfig::optimal(1, 1, 2);
+        let spec = ProtocolSpec::from(ProtocolKind::RegularOptimized)
+            .with_retention(HistoryRetention::reader_ack(1));
+        let mut next = 0;
+        spawn_group::<u64>(
+            cfg,
+            spec,
+            |_role, _automaton| {
+                next += 1;
+                ProcessId(next - 1)
+            },
+            |_role, _objects| None,
+        );
+    }
+}

@@ -6,28 +6,16 @@
 //! and the ABD / masking-quorum / passive-reader baselines in
 //! `vrr-baselines`.
 
-use vrr_sim::{Automaton, ProcessId, SimMessage, World};
+use vrr_sim::{Automaton, SimMessage, World};
 
 use crate::attackers::AttackerKind;
 use crate::config::StorageConfig;
+use crate::group::{spawn_group, Deployment, ProtocolKind, ProtocolSpec};
 use crate::msg::Msg;
 use crate::regular::{HistoryRetention, RegularObject, RegularReader, RegularTuning};
-use crate::safe::{FastPathStats, SafeObject, SafeReader, SafeTuning};
+use crate::safe::{FastPathStats, ReadId, ReadOutcome, SafeReader};
 use crate::types::{Timestamp, Value};
 use crate::writer::{WriteId, Writer};
-
-/// Process ids of one deployed storage system.
-#[derive(Clone, Debug)]
-pub struct Deployment {
-    /// The sizing this deployment was built with.
-    pub cfg: StorageConfig,
-    /// The `S` base objects, in index order.
-    pub objects: Vec<ProcessId>,
-    /// The single writer.
-    pub writer: ProcessId,
-    /// The `R` readers, in index order.
-    pub readers: Vec<ProcessId>,
-}
 
 /// Report for a completed WRITE.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -119,102 +107,17 @@ pub trait RegisterProtocol<V: Value> {
     }
 }
 
-/// The paper's safe storage (§4) as a [`RegisterProtocol`].
+/// The paper's safe storage (§4) at its defaults.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SafeProtocol;
 
-impl<V: Value> RegisterProtocol<V> for SafeProtocol {
-    type Msg = Msg<V>;
-
-    fn name(&self) -> &'static str {
-        "safe"
-    }
-
-    fn deploy(&self, cfg: StorageConfig, world: &mut World<Msg<V>>) -> Deployment {
-        let objects: Vec<ProcessId> = (0..cfg.s)
-            .map(|i| world.spawn_named(format!("s{i}"), Box::new(SafeObject::<V>::new())))
-            .collect();
-        let writer = world.spawn_named("writer", Box::new(Writer::<V>::new(cfg, objects.clone())));
-        let readers: Vec<ProcessId> = (0..cfg.readers)
-            .map(|j| {
-                world.spawn_named(
-                    format!("r{j}"),
-                    Box::new(SafeReader::<V>::new(cfg, j, objects.clone())),
-                )
-            })
-            .collect();
-        Deployment {
-            cfg,
-            objects,
-            writer,
-            readers,
-        }
-    }
-
-    fn invoke_write(&self, dep: &Deployment, world: &mut World<Msg<V>>, value: V) -> u64 {
-        world.with_automaton_mut(dep.writer, |w: &mut Writer<V>, ctx| {
-            w.invoke_write(value, ctx).0
-        })
-    }
-
-    fn write_outcome(
-        &self,
-        dep: &Deployment,
-        world: &World<Msg<V>>,
-        op: u64,
-    ) -> Option<WriteReport> {
-        world.inspect(dep.writer, |w: &Writer<V>| {
-            w.outcome(WriteId(op)).map(|o| WriteReport {
-                ts: o.ts,
-                rounds: o.rounds,
-            })
-        })
-    }
-
-    fn invoke_read(&self, dep: &Deployment, world: &mut World<Msg<V>>, reader: usize) -> u64 {
-        world.with_automaton_mut(dep.readers[reader], |r: &mut SafeReader<V>, ctx| {
-            r.invoke_read(ctx).0
-        })
-    }
-
-    fn read_outcome(
-        &self,
-        dep: &Deployment,
-        world: &World<Msg<V>>,
-        reader: usize,
-        op: u64,
-    ) -> Option<ReadReport<V>> {
-        world.inspect(dep.readers[reader], |r: &SafeReader<V>| {
-            r.outcome(crate::safe::ReadId(op)).map(|o| ReadReport {
-                value: o.value.clone(),
-                ts: o.ts,
-                rounds: o.rounds,
-                fast: o.fast,
-            })
-        })
-    }
-
-    fn fast_path_stats(&self, dep: &Deployment, world: &World<Msg<V>>) -> Option<FastPathStats> {
-        let mut total = FastPathStats::default();
-        for &pid in &dep.readers {
-            let s = world.inspect(pid, |r: &SafeReader<V>| r.fast_stats());
-            total.hits += s.hits;
-            total.fallbacks += s.fallbacks;
-        }
-        Some(total)
-    }
-
-    fn corruptor(
-        &self,
-        kind: AttackerKind,
-        cfg: StorageConfig,
-        forged: V,
-    ) -> Option<Box<dyn Automaton<Msg<V>>>> {
-        Some(kind.build_safe(cfg, forged))
+impl From<SafeProtocol> for ProtocolSpec {
+    fn from(_: SafeProtocol) -> Self {
+        ProtocolKind::Safe.into()
     }
 }
 
-/// The paper's regular storage (§5) as a [`RegisterProtocol`].
+/// The paper's regular storage (§5) with default reader tuning.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RegularProtocol {
     /// Run the §5.1 optimization (suffix histories + reader cache).
@@ -261,56 +164,45 @@ impl RegularProtocol {
     }
 }
 
-impl<V: Value> RegisterProtocol<V> for RegularProtocol {
+impl From<RegularProtocol> for ProtocolSpec {
+    fn from(p: RegularProtocol) -> Self {
+        ProtocolSpec::Regular {
+            optimized: p.optimized,
+            retention: p.retention,
+            tuning: RegularTuning::default(),
+        }
+    }
+}
+
+fn read_report<V: Value>(o: &ReadOutcome<V>) -> ReadReport<V> {
+    ReadReport {
+        value: o.value.clone(),
+        ts: o.ts,
+        rounds: o.rounds,
+        fast: o.fast,
+    }
+}
+
+/// Everything that names a [`ProtocolSpec`] is a simulated register
+/// protocol: the spec itself (mutation experiments deploy one with a
+/// deliberately broken tuning, and the consistency checkers must catch
+/// the resulting violations — validating that green experiment results are
+/// meaningful), a bare [`ProtocolKind`], and the [`SafeProtocol`] /
+/// [`RegularProtocol`] shorthands.
+impl<V: Value, P: Copy + Into<ProtocolSpec>> RegisterProtocol<V> for P {
     type Msg = Msg<V>;
 
     fn name(&self) -> &'static str {
-        if self.optimized {
-            "regular-opt"
-        } else {
-            "regular"
-        }
+        (*self).into().name()
     }
 
     fn deploy(&self, cfg: StorageConfig, world: &mut World<Msg<V>>) -> Deployment {
-        let retention = self.retention;
-        if let HistoryRetention::ReaderAck { readers, .. } = retention {
-            // A policy covering fewer readers than are deployed would let
-            // the covered readers' acks truncate entries the un-gated
-            // readers still need — exactly the hole the min(acks) floor
-            // exists to close.
-            assert!(
-                readers >= cfg.readers,
-                "ReaderAck must gate on every deployed reader: policy covers \
-                 {readers}, deployment has {}",
-                cfg.readers
-            );
-        }
-        let objects: Vec<ProcessId> = (0..cfg.s)
-            .map(|i| {
-                world.spawn_named(
-                    format!("s{i}"),
-                    Box::new(RegularObject::<V>::with_retention(retention)),
-                )
-            })
-            .collect();
-        let writer = world.spawn_named("writer", Box::new(Writer::<V>::new(cfg, objects.clone())));
-        let readers: Vec<ProcessId> = (0..cfg.readers)
-            .map(|j| {
-                let r = if self.optimized {
-                    RegularReader::<V>::new_optimized(cfg, j, objects.clone())
-                } else {
-                    RegularReader::<V>::new(cfg, j, objects.clone())
-                };
-                world.spawn_named(format!("r{j}"), Box::new(r))
-            })
-            .collect();
-        Deployment {
+        spawn_group(
             cfg,
-            objects,
-            writer,
-            readers,
-        }
+            (*self).into(),
+            |role, automaton| world.spawn_named(role.to_string(), automaton),
+            |_role, _objects| None,
+        )
     }
 
     fn invoke_write(&self, dep: &Deployment, world: &mut World<Msg<V>>, value: V) -> u64 {
@@ -334,9 +226,15 @@ impl<V: Value> RegisterProtocol<V> for RegularProtocol {
     }
 
     fn invoke_read(&self, dep: &Deployment, world: &mut World<Msg<V>>, reader: usize) -> u64 {
-        world.with_automaton_mut(dep.readers[reader], |r: &mut RegularReader<V>, ctx| {
-            r.invoke_read(ctx).0
-        })
+        let pid = dep.readers[reader];
+        match (*self).into() {
+            ProtocolSpec::Safe(_) => {
+                world.with_automaton_mut(pid, |r: &mut SafeReader<V>, ctx| r.invoke_read(ctx).0)
+            }
+            ProtocolSpec::Regular { .. } => {
+                world.with_automaton_mut(pid, |r: &mut RegularReader<V>, ctx| r.invoke_read(ctx).0)
+            }
+        }
     }
 
     fn read_outcome(
@@ -346,20 +244,27 @@ impl<V: Value> RegisterProtocol<V> for RegularProtocol {
         reader: usize,
         op: u64,
     ) -> Option<ReadReport<V>> {
-        world.inspect(dep.readers[reader], |r: &RegularReader<V>| {
-            r.outcome(crate::safe::ReadId(op)).map(|o| ReadReport {
-                value: o.value.clone(),
-                ts: o.ts,
-                rounds: o.rounds,
-                fast: o.fast,
-            })
-        })
+        let (pid, id) = (dep.readers[reader], ReadId(op));
+        match (*self).into() {
+            ProtocolSpec::Safe(_) => {
+                world.inspect(pid, |r: &SafeReader<V>| r.outcome(id).map(read_report))
+            }
+            ProtocolSpec::Regular { .. } => {
+                world.inspect(pid, |r: &RegularReader<V>| r.outcome(id).map(read_report))
+            }
+        }
     }
 
     fn fast_path_stats(&self, dep: &Deployment, world: &World<Msg<V>>) -> Option<FastPathStats> {
+        let spec: ProtocolSpec = (*self).into();
         let mut total = FastPathStats::default();
         for &pid in &dep.readers {
-            let s = world.inspect(pid, |r: &RegularReader<V>| r.fast_stats());
+            let s = match spec {
+                ProtocolSpec::Safe(_) => world.inspect(pid, |r: &SafeReader<V>| r.fast_stats()),
+                ProtocolSpec::Regular { .. } => {
+                    world.inspect(pid, |r: &RegularReader<V>| r.fast_stats())
+                }
+            };
             total.hits += s.hits;
             total.fallbacks += s.fallbacks;
         }
@@ -367,12 +272,17 @@ impl<V: Value> RegisterProtocol<V> for RegularProtocol {
     }
 
     fn history_lens(&self, dep: &Deployment, world: &World<Msg<V>>) -> Option<Vec<usize>> {
-        Some(
-            dep.objects
-                .iter()
-                .filter_map(|&pid| world.try_inspect(pid, |o: &RegularObject<V>| o.history().len()))
-                .collect(),
-        )
+        match (*self).into() {
+            ProtocolSpec::Safe(_) => None,
+            ProtocolSpec::Regular { .. } => Some(
+                dep.objects
+                    .iter()
+                    .filter_map(|&pid| {
+                        world.try_inspect(pid, |o: &RegularObject<V>| o.history().len())
+                    })
+                    .collect(),
+            ),
+        }
     }
 
     fn corruptor(
@@ -381,149 +291,7 @@ impl<V: Value> RegisterProtocol<V> for RegularProtocol {
         cfg: StorageConfig,
         forged: V,
     ) -> Option<Box<dyn Automaton<Msg<V>>>> {
-        Some(kind.build_regular(cfg, forged))
-    }
-}
-
-/// A deliberately broken safe protocol for mutation experiments: deploys
-/// readers with non-default [`SafeTuning`]. The consistency checkers must
-/// catch the resulting violations — validating that green experiment
-/// results are meaningful.
-#[derive(Clone, Copy, Debug)]
-pub struct MutantSafeProtocol(pub SafeTuning);
-
-impl<V: Value> RegisterProtocol<V> for MutantSafeProtocol {
-    type Msg = Msg<V>;
-
-    fn name(&self) -> &'static str {
-        "safe-mutant"
-    }
-
-    fn deploy(&self, cfg: StorageConfig, world: &mut World<Msg<V>>) -> Deployment {
-        let tuning = self.0;
-        let objects: Vec<ProcessId> = (0..cfg.s)
-            .map(|i| world.spawn_named(format!("s{i}"), Box::new(SafeObject::<V>::new())))
-            .collect();
-        let writer = world.spawn_named("writer", Box::new(Writer::<V>::new(cfg, objects.clone())));
-        let readers: Vec<ProcessId> = (0..cfg.readers)
-            .map(|j| {
-                world.spawn_named(
-                    format!("r{j}"),
-                    Box::new(SafeReader::<V>::with_tuning(
-                        cfg,
-                        j,
-                        objects.clone(),
-                        tuning,
-                    )),
-                )
-            })
-            .collect();
-        Deployment {
-            cfg,
-            objects,
-            writer,
-            readers,
-        }
-    }
-
-    fn invoke_write(&self, dep: &Deployment, world: &mut World<Msg<V>>, value: V) -> u64 {
-        RegisterProtocol::<V>::invoke_write(&SafeProtocol, dep, world, value)
-    }
-
-    fn write_outcome(
-        &self,
-        dep: &Deployment,
-        world: &World<Msg<V>>,
-        op: u64,
-    ) -> Option<WriteReport> {
-        RegisterProtocol::<V>::write_outcome(&SafeProtocol, dep, world, op)
-    }
-
-    fn invoke_read(&self, dep: &Deployment, world: &mut World<Msg<V>>, reader: usize) -> u64 {
-        RegisterProtocol::<V>::invoke_read(&SafeProtocol, dep, world, reader)
-    }
-
-    fn read_outcome(
-        &self,
-        dep: &Deployment,
-        world: &World<Msg<V>>,
-        reader: usize,
-        op: u64,
-    ) -> Option<ReadReport<V>> {
-        RegisterProtocol::<V>::read_outcome(&SafeProtocol, dep, world, reader, op)
-    }
-}
-
-/// A deliberately broken regular protocol for mutation experiments
-/// (see [`MutantSafeProtocol`]).
-#[derive(Clone, Copy, Debug)]
-pub struct MutantRegularProtocol {
-    /// The broken knobs.
-    pub tuning: RegularTuning,
-    /// Deploy §5.1-optimized readers.
-    pub optimized: bool,
-}
-
-impl<V: Value> RegisterProtocol<V> for MutantRegularProtocol {
-    type Msg = Msg<V>;
-
-    fn name(&self) -> &'static str {
-        "regular-mutant"
-    }
-
-    fn deploy(&self, cfg: StorageConfig, world: &mut World<Msg<V>>) -> Deployment {
-        let objects: Vec<ProcessId> = (0..cfg.s)
-            .map(|i| world.spawn_named(format!("s{i}"), Box::new(RegularObject::<V>::new())))
-            .collect();
-        let writer = world.spawn_named("writer", Box::new(Writer::<V>::new(cfg, objects.clone())));
-        let (tuning, optimized) = (self.tuning, self.optimized);
-        let readers: Vec<ProcessId> = (0..cfg.readers)
-            .map(|j| {
-                world.spawn_named(
-                    format!("r{j}"),
-                    Box::new(RegularReader::<V>::with_tuning(
-                        cfg,
-                        j,
-                        objects.clone(),
-                        optimized,
-                        tuning,
-                    )),
-                )
-            })
-            .collect();
-        Deployment {
-            cfg,
-            objects,
-            writer,
-            readers,
-        }
-    }
-
-    fn invoke_write(&self, dep: &Deployment, world: &mut World<Msg<V>>, value: V) -> u64 {
-        RegisterProtocol::<V>::invoke_write(&RegularProtocol::full(), dep, world, value)
-    }
-
-    fn write_outcome(
-        &self,
-        dep: &Deployment,
-        world: &World<Msg<V>>,
-        op: u64,
-    ) -> Option<WriteReport> {
-        RegisterProtocol::<V>::write_outcome(&RegularProtocol::full(), dep, world, op)
-    }
-
-    fn invoke_read(&self, dep: &Deployment, world: &mut World<Msg<V>>, reader: usize) -> u64 {
-        RegisterProtocol::<V>::invoke_read(&RegularProtocol::full(), dep, world, reader)
-    }
-
-    fn read_outcome(
-        &self,
-        dep: &Deployment,
-        world: &World<Msg<V>>,
-        reader: usize,
-        op: u64,
-    ) -> Option<ReadReport<V>> {
-        RegisterProtocol::<V>::read_outcome(&RegularProtocol::full(), dep, world, reader, op)
+        Some((*self).into().attacker(kind, cfg, forged))
     }
 }
 

@@ -49,6 +49,7 @@
 pub mod atomic;
 pub mod attackers;
 mod config;
+mod group;
 mod harness;
 pub mod metrics;
 mod mis;
@@ -62,9 +63,12 @@ pub mod wire;
 mod writer;
 
 pub use config::StorageConfig;
+pub use group::{
+    group_member, group_span, spawn_group, Deployment, GroupRole, ProtocolKind, ProtocolSpec,
+};
 pub use harness::{
-    corrupt_object, run_read, run_write, Deployment, MutantRegularProtocol, MutantSafeProtocol,
-    ReadReport, RegisterProtocol, RegularProtocol, SafeProtocol, WriteReport, OP_STEP_LIMIT,
+    corrupt_object, run_read, run_write, ReadReport, RegisterProtocol, RegularProtocol,
+    SafeProtocol, WriteReport, OP_STEP_LIMIT,
 };
 pub use mis::{conflict_free_of_size, max_conflict_free};
 pub use msg::{Msg, ReadRound};

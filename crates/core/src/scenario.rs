@@ -36,7 +36,8 @@ use vrr_sim::{Automaton, LatencyModel, ProcessId, Quiescence, RuleId, Scenario, 
 
 use crate::attackers::AttackerKind;
 use crate::config::StorageConfig;
-use crate::harness::{Deployment, ReadReport, RegisterProtocol, WriteReport, OP_STEP_LIMIT};
+use crate::group::Deployment;
+use crate::harness::{ReadReport, RegisterProtocol, WriteReport, OP_STEP_LIMIT};
 use crate::metrics::{self, MetricsSink, Registry};
 use crate::safe::FastPathStats;
 use crate::types::Value;

@@ -94,111 +94,44 @@ mod tests {
     use vrr_sim::{Action, World};
 
     use super::*;
-    use crate::harness::{run_read, run_write, Deployment, RegisterProtocol};
+    use crate::group::{spawn_group, Deployment, GroupRole, ProtocolKind};
+    use crate::harness::{run_read, run_write, SafeProtocol};
     use crate::regular::RegularObject;
-    use crate::safe::{SafeObject, SafeReader};
-    use crate::writer::Writer;
+    use crate::safe::SafeObject;
     use crate::StorageConfig;
 
-    /// Deploys safe storage with relay-wrapped objects.
+    /// Deploys safe storage with relay-wrapped objects; the writer and
+    /// readers are the plain safe protocol's, so [`SafeProtocol`] drives it.
     fn deploy_relayed(cfg: StorageConfig, world: &mut World<Msg<u64>>) -> Deployment {
-        // Spawn placeholder ids first so every relay knows all peers.
-        let objects: Vec<ProcessId> = (0..cfg.s).map(ProcessId).collect();
-        let spawned: Vec<ProcessId> = (0..cfg.s)
-            .map(|i| {
-                world.spawn_named(
-                    format!("srv{i}"),
-                    Box::new(RelayObject::new(SafeObject::<u64>::new(), objects.clone())),
-                )
-            })
-            .collect();
-        assert_eq!(objects, spawned, "objects must be spawned first, densely");
-        let writer =
-            world.spawn_named("writer", Box::new(Writer::<u64>::new(cfg, objects.clone())));
-        let readers: Vec<ProcessId> = (0..cfg.readers)
-            .map(|j| {
-                world.spawn_named(
-                    format!("r{j}"),
-                    Box::new(SafeReader::<u64>::new(cfg, j, objects.clone())),
-                )
-            })
-            .collect();
-        Deployment {
+        // Ids are dense in spawn order, so every relay can know all peers
+        // before they exist.
+        let peers: Vec<ProcessId> = (0..cfg.s).map(ProcessId).collect();
+        let dep = spawn_group(
             cfg,
-            objects,
-            writer,
-            readers,
-        }
-    }
-
-    struct RelayedSafe;
-
-    impl RegisterProtocol<u64> for RelayedSafe {
-        type Msg = Msg<u64>;
-
-        fn name(&self) -> &'static str {
-            "safe-relayed"
-        }
-
-        fn deploy(&self, cfg: StorageConfig, world: &mut World<Msg<u64>>) -> Deployment {
-            deploy_relayed(cfg, world)
-        }
-
-        fn invoke_write(&self, dep: &Deployment, world: &mut World<Msg<u64>>, value: u64) -> u64 {
-            world.with_automaton_mut(dep.writer, |w: &mut Writer<u64>, ctx| {
-                w.invoke_write(value, ctx).0
-            })
-        }
-
-        fn write_outcome(
-            &self,
-            dep: &Deployment,
-            world: &World<Msg<u64>>,
-            op: u64,
-        ) -> Option<crate::WriteReport> {
-            world.inspect(dep.writer, |w: &Writer<u64>| {
-                w.outcome(crate::WriteId(op)).map(|o| crate::WriteReport {
-                    ts: o.ts,
-                    rounds: o.rounds,
-                })
-            })
-        }
-
-        fn invoke_read(&self, dep: &Deployment, world: &mut World<Msg<u64>>, reader: usize) -> u64 {
-            world.with_automaton_mut(dep.readers[reader], |r: &mut SafeReader<u64>, ctx| {
-                r.invoke_read(ctx).0
-            })
-        }
-
-        fn read_outcome(
-            &self,
-            dep: &Deployment,
-            world: &World<Msg<u64>>,
-            reader: usize,
-            op: u64,
-        ) -> Option<crate::ReadReport<u64>> {
-            world.inspect(dep.readers[reader], |r: &SafeReader<u64>| {
-                r.outcome(crate::safe::ReadId(op))
-                    .map(|o| crate::ReadReport {
-                        value: o.value,
-                        ts: o.ts,
-                        rounds: o.rounds,
-                        fast: o.fast,
-                    })
-            })
-        }
+            ProtocolKind::Safe.into(),
+            |role, automaton| world.spawn_named(role.to_string(), automaton),
+            |role, _objects| match role {
+                GroupRole::Object(_) => Some(Box::new(RelayObject::new(
+                    SafeObject::<u64>::new(),
+                    peers.clone(),
+                ))),
+                GroupRole::Writer | GroupRole::Reader(_) => None,
+            },
+        );
+        assert_eq!(dep.objects, peers, "objects must be spawned first, densely");
+        dep
     }
 
     #[test]
     fn relayed_storage_behaves_like_plain_storage() {
         let cfg = StorageConfig::optimal(1, 1, 1);
         let mut world: World<Msg<u64>> = World::new(2);
-        let dep = RelayedSafe.deploy(cfg, &mut world);
+        let dep = deploy_relayed(cfg, &mut world);
         world.start();
         for k in 1..=4u64 {
-            let w = run_write(&RelayedSafe, &dep, &mut world, k * 5);
+            let w = run_write(&SafeProtocol, &dep, &mut world, k * 5);
             assert_eq!(w.rounds, 2);
-            let r = run_read::<u64, _>(&RelayedSafe, &dep, &mut world, 0);
+            let r = run_read::<u64, _>(&SafeProtocol, &dep, &mut world, 0);
             assert_eq!(r.value, Some(k * 5));
             assert_eq!(r.rounds, 2, "relaying must not change client round counts");
         }
@@ -211,7 +144,7 @@ mod tests {
         // its peers forward the write.
         let cfg = StorageConfig::optimal(1, 1, 1); // S = 4
         let mut world: World<Msg<u64>> = World::new(2);
-        let dep = RelayedSafe.deploy(cfg, &mut world);
+        let dep = deploy_relayed(cfg, &mut world);
         world.start();
         let laggard = dep.objects[3];
         let writer = dep.writer;
@@ -219,7 +152,7 @@ mod tests {
             (e.from == writer && e.to == laggard).then_some(Action::Drop)
         });
 
-        run_write(&RelayedSafe, &dep, &mut world, 77u64);
+        run_write(&SafeProtocol, &dep, &mut world, 77u64);
         world.run_to_quiescence(100_000).expect_drained();
 
         world.inspect(laggard, |o: &RelayObject<SafeObject<u64>>| {
@@ -235,9 +168,9 @@ mod tests {
         // copies per round. Measure actual traffic for one write.
         let cfg = StorageConfig::optimal(1, 1, 1); // S = 4
         let mut world: World<Msg<u64>> = World::new(2);
-        let dep = RelayedSafe.deploy(cfg, &mut world);
+        let dep = deploy_relayed(cfg, &mut world);
         world.start();
-        run_write(&RelayedSafe, &dep, &mut world, 9u64);
+        run_write(&SafeProtocol, &dep, &mut world, 9u64);
         let q = world.run_to_quiescence(100_000);
         assert!(q.drained, "gossip must terminate (per-round dedup)");
         // Upper bound: writer sends 2 rounds × 4 + each of 4 servers

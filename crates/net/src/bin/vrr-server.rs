@@ -18,8 +18,9 @@
 //! With `--store CAPACITY` the node additionally hosts a
 //! `ShardedStore<Vec<u8>, u64>` of that many register shards, served to
 //! remote `StoreRouter`s through `vrr_net::RemoteCluster` (router-member
-//! mode); `--store-byzantine` substitutes an attacker for the named
-//! object of **every** store shard. With `--metrics-addr` the process
+//! mode); `--kind` and `--retention` apply to its shards as they do to
+//! the slot groups, and `--store-byzantine` substitutes an attacker for
+//! the named object of **every** store shard. With `--metrics-addr` the process
 //! serves its Prometheus snapshot at `GET /metrics`, and prints
 //! `METRICS <addr>` after the `READY` banner.
 
@@ -28,11 +29,10 @@ use std::process::exit;
 
 use vrr_core::attackers::AttackerKind;
 use vrr_core::regular::HistoryRetention;
-use vrr_core::StorageConfig;
+use vrr_core::{ProtocolKind, ProtocolSpec, StorageConfig};
 use vrr_net::{
     ByzSpec, GroupPlacement, NetNode, NetNodeConfig, NodeTopology, StoreByzSpec, StoreSpec,
 };
-use vrr_runtime::ProtocolKind;
 
 fn usage(err: &str) -> ! {
     eprintln!("vrr-server: {err}");
@@ -221,13 +221,14 @@ fn main() {
         placement,
         slots,
     };
-    let mut ncfg = NetNodeConfig::<u64>::new(cfg, kind);
+    let mut spec = ProtocolSpec::from(kind);
+    if retention_reader_ack {
+        spec = spec.with_retention(HistoryRetention::reader_ack(cfg.readers));
+    }
+    let mut ncfg = NetNodeConfig::<u64>::new(cfg, spec);
     ncfg.epoch = epoch;
     ncfg.workers = workers;
     ncfg.byzantine = byzantine;
-    if retention_reader_ack {
-        ncfg.retention = HistoryRetention::reader_ack(cfg.readers);
-    }
     if !store_byzantine.is_empty() && store_capacity.is_none() {
         usage("--store-byzantine needs --store");
     }

@@ -2,14 +2,14 @@
 //! [`crate::frame`] protocol, no reactor involved.
 //!
 //! A [`NetClient`] holds one connection to one server and issues
-//! request/response pairs ([`Op`] → [`Rsp`]) with correlation ids.
-//! [`NetStore`] layers `ShardedStore`-style key→slot binding on top: one
-//! write client at the writer-hosting node plus read clients at
-//! reader-hosting nodes, with keys bound to register slots on first write.
+//! request/response pairs ([`Op`] → [`Rsp`]) with correlation ids. The
+//! slot-addressed helpers ([`NetClient::write_slot`] /
+//! [`NetClient::read_slot`]) are the client path to a paper-model
+//! deployment whose base objects, writer and readers live in different OS
+//! processes; callers keep their own key→slot table. Keyed operations
+//! against a hosted store go through [`crate::RemoteCluster`].
 
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::Hash;
 use std::io::{self, Read, Write as IoWrite};
 use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
@@ -322,183 +322,110 @@ impl<V: Wire> NetClient<V> {
         }
     }
 
+    /// Sends `op` and unwraps the one response variant it expects: `pick`
+    /// returns the payload of that variant and `None` for anything else.
+    /// How a mismatch is reported is decided here, once — a server-side
+    /// [`Rsp::Err`] is [`ClientError::Server`], any other variant is
+    /// [`ClientError::Unexpected`]`(wanted)`.
+    fn expect<T>(
+        &mut self,
+        op: Op<V>,
+        wanted: &'static str,
+        pick: impl FnOnce(Rsp<V>) -> Option<T>,
+    ) -> Result<T, ClientError> {
+        match self.request(op)? {
+            Rsp::Err { what } => Err(ClientError::Server(what)),
+            rsp => pick(rsp).ok_or(ClientError::Unexpected(wanted)),
+        }
+    }
+
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        match self.request(Op::Ping)? {
-            Rsp::Pong => Ok(()),
-            Rsp::Err { what } => Err(ClientError::Server(what)),
-            _ => Err(ClientError::Unexpected("wanted Pong")),
-        }
+        self.expect(Op::Ping, "wanted Pong", |rsp| {
+            matches!(rsp, Rsp::Pong).then_some(())
+        })
     }
 
     /// Blocking `WRITE(value)` on register slot `slot`.
     pub fn write_slot(&mut self, slot: u32, value: V) -> Result<WriteReport, ClientError> {
-        match self.request(Op::WriteSlot { slot, value })? {
-            Rsp::Wrote { ts, rounds } => Ok(WriteReport { ts, rounds }),
-            Rsp::Err { what } => Err(ClientError::Server(what)),
-            _ => Err(ClientError::Unexpected("wanted Wrote")),
-        }
+        self.expect(
+            Op::WriteSlot { slot, value },
+            "wanted Wrote",
+            |rsp| match rsp {
+                Rsp::Wrote { ts, rounds } => Some(WriteReport { ts, rounds }),
+                _ => None,
+            },
+        )
     }
 
     /// Blocking `READ()` at reader `reader` of slot `slot`.
     pub fn read_slot(&mut self, slot: u32, reader: u32) -> Result<ReadReport<V>, ClientError> {
-        match self.request(Op::ReadSlot { slot, reader })? {
-            Rsp::ReadOk {
-                value,
-                ts,
-                rounds,
-                fast,
-            } => Ok(ReadReport {
-                value,
-                ts,
-                rounds,
-                fast,
-            }),
-            Rsp::Err { what } => Err(ClientError::Server(what)),
-            _ => Err(ClientError::Unexpected("wanted ReadOk")),
-        }
+        self.expect(
+            Op::ReadSlot { slot, reader },
+            "wanted ReadOk",
+            |rsp| match rsp {
+                Rsp::ReadOk {
+                    value,
+                    ts,
+                    rounds,
+                    fast,
+                } => Some(ReadReport {
+                    value,
+                    ts,
+                    rounds,
+                    fast,
+                }),
+                _ => None,
+            },
+        )
     }
 
     /// Fetches the server's metrics snapshot (Prometheus text encoding).
     pub fn metrics(&mut self) -> Result<String, ClientError> {
-        match self.request(Op::Metrics)? {
-            Rsp::MetricsText { text } => Ok(text),
-            Rsp::Err { what } => Err(ClientError::Server(what)),
-            _ => Err(ClientError::Unexpected("wanted MetricsText")),
-        }
+        self.expect(Op::Metrics, "wanted MetricsText", |rsp| match rsp {
+            Rsp::MetricsText { text } => Some(text),
+            _ => None,
+        })
     }
 
     /// Crashes a server-hosted global pid (fault injection).
     pub fn crash_pid(&mut self, pid: u64) -> Result<(), ClientError> {
-        match self.request(Op::CrashPid { pid })? {
-            Rsp::Crashed => Ok(()),
-            Rsp::Err { what } => Err(ClientError::Server(what)),
-            _ => Err(ClientError::Unexpected("wanted Crashed")),
-        }
+        self.expect(Op::CrashPid { pid }, "wanted Crashed", |rsp| {
+            matches!(rsp, Rsp::Crashed).then_some(())
+        })
     }
 
     /// Asks the server to close every connection it holds to peer `node`
     /// (fault injection: connection reset mid-protocol).
     pub fn reset_peer(&mut self, node: u32) -> Result<u32, ClientError> {
-        match self.request(Op::ResetPeer { node })? {
-            Rsp::PeerReset { closed } => Ok(closed),
-            Rsp::Err { what } => Err(ClientError::Server(what)),
-            _ => Err(ClientError::Unexpected("wanted PeerReset")),
-        }
+        self.expect(
+            Op::ResetPeer { node },
+            "wanted PeerReset",
+            |rsp| match rsp {
+                Rsp::PeerReset { closed } => Some(closed),
+                _ => None,
+            },
+        )
     }
 
     /// Round-trips a protocol history through the server (the trace
     /// serialization probe: the history crosses the wire both ways).
     pub fn echo_history(&mut self, history: History<V>) -> Result<History<V>, ClientError> {
-        match self.request(Op::EchoHistory { history })? {
-            Rsp::History { history } => Ok(history),
-            Rsp::Err { what } => Err(ClientError::Server(what)),
-            _ => Err(ClientError::Unexpected("wanted History")),
-        }
+        self.expect(
+            Op::EchoHistory { history },
+            "wanted History",
+            |rsp| match rsp {
+                Rsp::History { history } => Some(history),
+                _ => None,
+            },
+        )
     }
 
     /// Asks the server process to exit.
     pub fn shutdown_server(&mut self) -> Result<(), ClientError> {
-        match self.request(Op::Shutdown)? {
-            Rsp::ShuttingDown => Ok(()),
-            Rsp::Err { what } => Err(ClientError::Server(what)),
-            _ => Err(ClientError::Unexpected("wanted ShuttingDown")),
-        }
-    }
-}
-
-/// A key-value store error at the client.
-#[derive(Debug)]
-pub enum StoreError {
-    /// Every register slot is already bound to some other key.
-    OverCapacity {
-        /// Slots available in the deployment.
-        capacity: u32,
-    },
-    /// Reading a key never written (no slot bound).
-    UnknownKey,
-    /// The underlying request failed.
-    Client(ClientError),
-}
-
-impl fmt::Display for StoreError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StoreError::OverCapacity { capacity } => {
-                write!(f, "all {capacity} register slots bound")
-            }
-            StoreError::UnknownKey => write!(f, "key was never written"),
-            StoreError::Client(e) => write!(f, "{e}"),
-        }
-    }
-}
-
-impl std::error::Error for StoreError {}
-
-impl From<ClientError> for StoreError {
-    fn from(e: ClientError) -> Self {
-        StoreError::Client(e)
-    }
-}
-
-/// `ShardedStore`'s key→slot discipline over the thin client: key `k` is
-/// bound to the next free register slot on first `put`, and every later
-/// `put`/`get` of `k` uses that slot. One writer connection (to the node
-/// hosting the writers) and any number of reader connections.
-pub struct NetStore<K, V> {
-    writer: NetClient<V>,
-    readers: Vec<NetClient<V>>,
-    slots: HashMap<K, u32>,
-    capacity: u32,
-}
-
-impl<K: Hash + Eq + Clone, V: Wire + Clone> NetStore<K, V> {
-    /// Connects the writer client to `writer_addr` and one reader client
-    /// per entry of `reader_addrs` (index = reader index in the group).
-    /// `capacity` is the deployment's slot count.
-    pub fn connect(
-        writer_addr: SocketAddr,
-        reader_addrs: &[SocketAddr],
-        capacity: u32,
-    ) -> Result<Self, ClientError> {
-        Ok(NetStore {
-            writer: NetClient::connect(writer_addr)?,
-            readers: reader_addrs
-                .iter()
-                .map(|&a| NetClient::connect(a))
-                .collect::<Result<_, _>>()?,
-            slots: HashMap::new(),
-            capacity,
+        self.expect(Op::Shutdown, "wanted ShuttingDown", |rsp| {
+            matches!(rsp, Rsp::ShuttingDown).then_some(())
         })
-    }
-
-    /// The slot a key is bound to, if any.
-    pub fn slot_of(&self, key: &K) -> Option<u32> {
-        self.slots.get(key).copied()
-    }
-
-    /// Writes `value` under `key`, binding a slot on first use.
-    pub fn put(&mut self, key: K, value: V) -> Result<WriteReport, StoreError> {
-        let slot = match self.slots.get(&key) {
-            Some(&s) => s,
-            None => {
-                let next = self.slots.len() as u32;
-                if next >= self.capacity {
-                    return Err(StoreError::OverCapacity {
-                        capacity: self.capacity,
-                    });
-                }
-                self.slots.insert(key, next);
-                next
-            }
-        };
-        Ok(self.writer.write_slot(slot, value)?)
-    }
-
-    /// Reads `key` at reader `reader` (an index into the reader clients).
-    pub fn get(&mut self, key: &K, reader: usize) -> Result<ReadReport<V>, StoreError> {
-        let slot = *self.slots.get(key).ok_or(StoreError::UnknownKey)?;
-        Ok(self.readers[reader].read_slot(slot, reader as u32)?)
     }
 }
 

@@ -11,17 +11,18 @@
 //! - [`reactor`] — a single-threaded epoll event loop (via the vendored
 //!   `mio` shim) owning every socket: non-blocking accept/connect/read/
 //!   write, per-connection write queues, incremental frame extraction.
-//! - [`transport`] — the [`transport::Transport`] trait with
-//!   [`transport::InProc`] (loopback, for differential tests) and
-//!   [`transport::TcpTransport`] (peer table, `Hello` handshakes,
-//!   reconnect-on-demand, lossy-on-reset delivery).
+//! - [`transport`] — [`transport::TcpTransport`]: peer table, `Hello`
+//!   handshakes, reconnect-on-demand, lossy-on-reset delivery.
 //! - [`node`] — [`node::NetNode`]: one OS process of a deployment. Spawns
-//!   the full global pid space ([`vrr_runtime::spawn_group_with`]) with
+//!   the full global pid space ([`vrr_core::spawn_group`], driven by the
+//!   one [`vrr_core::ProtocolSpec`] in [`node::NetNodeConfig`]) with
 //!   [`node::Relay`] stand-ins for remote pids, so `StorageCluster`-style
-//!   workloads run unchanged whether members share a process or not.
-//! - [`client`] — [`client::NetClient`] / [`client::NetStore`]: a blocking
-//!   thin client (write/read/metrics/fault-injection ops) and a
-//!   `ShardedStore`-style key→slot facade over it.
+//!   workloads run unchanged whether members share a process or not. The
+//!   same spec builds the shards of a hosted store (router-member mode).
+//! - [`client`] — [`client::NetClient`]: a blocking thin client
+//!   (slot-addressed write/read, metrics and fault-injection ops).
+//! - [`remote`] — [`remote::RemoteCluster`]: the keyed client side of a
+//!   hosted store, a `ClusterBackend` a `StoreRouter` can put on its ring.
 //!
 //! The `vrr-server` binary wraps [`node::NetNode`] behind a CLI so
 //! objects, writer and readers can live in separate OS processes; see
@@ -29,21 +30,20 @@
 //! tests for the two ways to drive it.
 //!
 //! Against a running deployment (say `vrr-server --node … --addrs
-//! 127.0.0.1:7100,127.0.0.1:7101,127.0.0.1:7102 …` with the writer and
-//! reader 0 on node 0 and reader 1 on node 2), a thin client is three
-//! calls:
+//! 127.0.0.1:7100,127.0.0.1:7101,127.0.0.1:7102 --slots 4 …` with the
+//! writer and reader 0 on node 0 and reader 1 on node 2), a thin client
+//! addresses register slots directly and keeps its own key→slot table:
 //!
 //! ```no_run
-//! use vrr_net::NetStore;
+//! use vrr_net::NetClient;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! let mut store = NetStore::<&str, u64>::connect(
-//!     "127.0.0.1:7100".parse()?,                          // writer node
-//!     &["127.0.0.1:7100".parse()?, "127.0.0.1:7102".parse()?], // readers
-//!     4,                                                  // register slots
-//! )?;
-//! store.put("alpha", 7)?;
-//! assert_eq!(store.get(&"alpha", 0)?.value, Some(7));
+//! const ALPHA: u32 = 0; // this client's name for register slot 0
+//! let mut node0 = NetClient::<u64>::connect("127.0.0.1:7100".parse()?)?;
+//! let mut node2 = NetClient::<u64>::connect("127.0.0.1:7102".parse()?)?;
+//! node0.write_slot(ALPHA, 7)?;
+//! assert_eq!(node0.read_slot(ALPHA, 0)?.value, Some(7));
+//! assert_eq!(node2.read_slot(ALPHA, 1)?.value, Some(7));
 //! # Ok(())
 //! # }
 //! ```
@@ -69,7 +69,7 @@ pub mod reactor;
 pub mod remote;
 pub mod transport;
 
-pub use client::{ClientError, NetClient, NetStore, RetryPolicy};
+pub use client::{ClientError, NetClient, RetryPolicy};
 pub use frame::{Ctl, Envelope, FrameError, FrameReader, Op, Payload, Rsp, MAX_FRAME_LEN};
 pub use node::{
     free_addrs, ByzSpec, GroupPlacement, NetNode, NetNodeConfig, NodeTopology, Relay, StoreByzSpec,
@@ -77,4 +77,4 @@ pub use node::{
 };
 pub use reactor::{ConnId, NetCounters, NetEvent, ReactorHandle};
 pub use remote::{RemoteCluster, RemoteClusterConfig};
-pub use transport::{InProc, Inbound, TcpTransport, Transport};
+pub use transport::{Inbound, TcpTransport};

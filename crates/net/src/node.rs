@@ -2,7 +2,7 @@
 //!
 //! Closures and automata cannot cross process boundaries, so every node
 //! spawns the **full global pid space** in the canonical order
-//! ([`vrr_runtime::spawn_group_with`] over each slot): real automata for
+//! ([`vrr_core::spawn_group`] over each slot): real automata for
 //! the pids the node hosts, a [`Relay`] stand-in for every pid hosted
 //! elsewhere. Because pids are dense in spawn order, replaying the same
 //! spawn sequence makes local pid = global pid on every node — a writer
@@ -28,34 +28,33 @@ use parking_lot::Mutex;
 
 use vrr_core::attackers::AttackerKind;
 use vrr_core::metrics::{names, MetricsSink, Registry};
-use vrr_core::regular::HistoryRetention;
 use vrr_core::wire::Wire;
-use vrr_core::{Msg, ReadReport, StorageConfig, Value, WriteReport};
-use vrr_runtime::{
-    blocking_read, blocking_write, group_span, spawn_group_with, Cluster, GroupPids, GroupRole,
-    NoDelay, ProtocolKind, ReaderTuning, ShardedStore, StoreError,
+use vrr_core::{
+    group_member, group_span, spawn_group, Deployment, GroupRole, Msg, ProtocolKind, ProtocolSpec,
+    ReadReport, StorageConfig, Value, WriteReport,
 };
+use vrr_runtime::{blocking_read, blocking_write, Cluster, NoDelay, ShardedStore, StoreError};
 use vrr_sim::{Automaton, Context, ProcessId};
 
 use crate::frame::{Ctl, Op, Rsp};
 use crate::reactor::{self, NetEvent};
-use crate::transport::{Inbound, TcpTransport, Transport};
+use crate::transport::{Inbound, TcpTransport};
 
 /// Stand-in automaton for a pid hosted by another OS process: anything
 /// delivered to it locally is forwarded over the transport instead.
 pub struct Relay<V> {
     me: ProcessId,
-    transport: Arc<dyn Transport<V>>,
+    transport: Arc<TcpTransport<V>>,
 }
 
 impl<V> Relay<V> {
     /// A relay occupying global pid `me`, forwarding over `transport`.
-    pub fn new(me: ProcessId, transport: Arc<dyn Transport<V>>) -> Self {
+    pub fn new(me: ProcessId, transport: Arc<TcpTransport<V>>) -> Self {
         Relay { me, transport }
     }
 }
 
-impl<V: Value> Automaton<Msg<V>> for Relay<V> {
+impl<V: Value + Wire> Automaton<Msg<V>> for Relay<V> {
     fn on_message(&mut self, from: ProcessId, msg: Msg<V>, _ctx: &mut Context<'_, Msg<V>>) {
         self.transport.forward(from, self.me, msg);
     }
@@ -116,10 +115,7 @@ impl NodeTopology {
     pub fn pid_node(&self, cfg: StorageConfig) -> Vec<u32> {
         let span = group_span(cfg);
         (0..self.slots * span)
-            .map(|pid| {
-                self.placement
-                    .node_of(vrr_runtime::group_member(cfg, pid % span))
-            })
+            .map(|pid| self.placement.node_of(group_member(cfg, pid % span)))
             .collect()
     }
 }
@@ -179,12 +175,9 @@ impl<V> StoreSpec<V> {
 pub struct NetNodeConfig<V> {
     /// Register sizing.
     pub cfg: StorageConfig,
-    /// Protocol variant.
-    pub kind: ProtocolKind,
-    /// History retention for regular objects.
-    pub retention: HistoryRetention,
-    /// Optional reader tuning override.
-    pub tuning: Option<ReaderTuning>,
+    /// Protocol variant, history retention and reader tuning — of the slot
+    /// groups and of every shard of a hosted store alike.
+    pub spec: ProtocolSpec,
     /// This process's incarnation (bump on restart).
     pub epoch: u32,
     /// Worker threads for the local cluster.
@@ -200,14 +193,13 @@ pub struct NetNodeConfig<V> {
 }
 
 impl<V> NetNodeConfig<V> {
-    /// Defaults: keep-all retention, default tuning, epoch 0, one worker,
-    /// no Byzantine objects, no hosted store, no metrics endpoint.
-    pub fn new(cfg: StorageConfig, kind: ProtocolKind) -> Self {
+    /// Defaults: epoch 0, one worker, no Byzantine objects, no hosted
+    /// store, no metrics endpoint. A bare [`ProtocolKind`] is the
+    /// paper-faithful spec (keep-all retention, default tuning).
+    pub fn new(cfg: StorageConfig, spec: impl Into<ProtocolSpec>) -> Self {
         NetNodeConfig {
             cfg,
-            kind,
-            retention: HistoryRetention::KeepAll,
-            tuning: None,
+            spec: spec.into(),
             epoch: 0,
             workers: 1,
             byzantine: Vec::new(),
@@ -226,7 +218,7 @@ struct ServerCtx<V: Value + Wire> {
     cfg: StorageConfig,
     kind: ProtocolKind,
     cluster: Arc<Cluster<Msg<V>>>,
-    groups: Vec<GroupPids>,
+    groups: Vec<Deployment>,
     placement: GroupPlacement,
     pid_node: Vec<u32>,
     transport: Arc<TcpTransport<V>>,
@@ -268,60 +260,38 @@ impl<V: Value + Wire> NetNode<V> {
             Cluster::with_workers(Box::new(NoDelay), ncfg.workers.max(1));
         let mut groups = Vec::with_capacity(topo.slots);
         for slot in 0..topo.slots {
-            let pids = spawn_group_with(
-                &mut cluster,
+            groups.push(spawn_group(
                 ncfg.cfg,
-                ncfg.kind,
-                ncfg.retention,
-                ncfg.tuning,
-                |role| {
-                    let member = member_index(ncfg.cfg, role);
+                ncfg.spec,
+                |_role, automaton| cluster.spawn(automaton),
+                |role, _objects| {
                     if topo.placement.node_of(role) != node {
-                        let dyn_transport: Arc<dyn Transport<V>> = transport.clone();
-                        return Some(Box::new(Relay::new(
-                            ProcessId(slot * span + member),
-                            dyn_transport,
-                        )));
+                        let pid = ProcessId(slot * span + role.index(ncfg.cfg));
+                        return Some(Box::new(Relay::new(pid, transport.clone())));
                     }
-                    if let GroupRole::Object(i) = role {
-                        if let Some(spec) = ncfg
-                            .byzantine
-                            .iter()
-                            .find(|s| s.slot == slot && s.object == i)
-                        {
-                            return Some(match ncfg.kind {
-                                ProtocolKind::Safe => {
-                                    spec.kind.build_safe(ncfg.cfg, spec.forged.clone())
-                                }
-                                ProtocolKind::Regular | ProtocolKind::RegularOptimized => {
-                                    spec.kind.build_regular(ncfg.cfg, spec.forged.clone())
-                                }
-                            });
-                        }
-                    }
-                    None
+                    let GroupRole::Object(i) = role else {
+                        return None;
+                    };
+                    ncfg.byzantine
+                        .iter()
+                        .find(|s| s.slot == slot && s.object == i)
+                        .map(|s| ncfg.spec.attacker(s.kind, ncfg.cfg, s.forged.clone()))
                 },
-            );
-            groups.push(pids);
+            ));
         }
         cluster.seal();
 
         let store = ncfg.store.as_ref().map(|spec| {
             ShardedStore::deploy_with_objects(
                 ncfg.cfg,
-                ncfg.kind,
+                ncfg.spec,
                 Box::new(NoDelay),
                 spec.capacity,
                 |_shard, i| {
                     spec.byzantine
                         .iter()
                         .find(|b| b.object == i)
-                        .map(|b| match ncfg.kind {
-                            ProtocolKind::Safe => b.kind.build_safe(ncfg.cfg, b.forged.clone()),
-                            ProtocolKind::Regular | ProtocolKind::RegularOptimized => {
-                                b.kind.build_regular(ncfg.cfg, b.forged.clone())
-                            }
-                        })
+                        .map(|b| ncfg.spec.attacker(b.kind, ncfg.cfg, b.forged.clone()))
                 },
             )
         });
@@ -329,7 +299,7 @@ impl<V: Value + Wire> NetNode<V> {
         let ctx = Arc::new(ServerCtx {
             node,
             cfg: ncfg.cfg,
-            kind: ncfg.kind,
+            kind: ncfg.spec.kind(),
             cluster: Arc::new(cluster),
             groups,
             placement: topo.placement.clone(),
@@ -373,7 +343,7 @@ impl<V: Value + Wire> NetNode<V> {
     }
 
     /// The spawned register groups, slot by slot.
-    pub fn groups(&self) -> &[GroupPids] {
+    pub fn groups(&self) -> &[Deployment] {
         &self.ctx.groups
     }
 
@@ -451,14 +421,6 @@ impl<V: Value + Wire> Drop for NetNode<V> {
         if let Some(t) = self.event_thread.take() {
             let _ = t.join();
         }
-    }
-}
-
-fn member_index(cfg: StorageConfig, role: GroupRole) -> usize {
-    match role {
-        GroupRole::Object(i) => i,
-        GroupRole::Writer => cfg.s,
-        GroupRole::Reader(j) => cfg.s + 1 + j,
     }
 }
 

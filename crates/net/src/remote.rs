@@ -143,6 +143,13 @@ impl<K, V: Value + Wire> RemoteCluster<K, V> {
             Err(e) => panic!("remote cluster {}: {what}: {e}", self.addr),
         }
     }
+
+    /// How a response of the wrong variant is reported on the paths
+    /// [`RemoteCluster::demand`] serves: the server broke the protocol, so
+    /// panic like the wedged-operation cases do.
+    fn unexpected(&self, rsp: Rsp<V>) -> ! {
+        panic!("remote cluster {}: unexpected {rsp:?}", self.addr)
+    }
 }
 
 fn key_bytes<K: Wire>(key: &K) -> Vec<u8> {
@@ -193,7 +200,7 @@ where
                 fast,
             }),
             Rsp::NoKey => None,
-            other => panic!("remote cluster {}: unexpected {other:?}", self.addr),
+            other => self.unexpected(other),
         }
     }
 
@@ -202,7 +209,7 @@ where
             key: key_bytes(key),
         }) {
             Rsp::Released { slot } => slot.map(|s| s as usize),
-            other => panic!("remote cluster {}: unexpected {other:?}", self.addr),
+            other => self.unexpected(other),
         }
     }
 
@@ -212,14 +219,14 @@ where
                 .iter()
                 .map(|bytes| decode_exact::<K>(bytes).expect("server echoes our own key encoding"))
                 .collect(),
-            other => panic!("remote cluster {}: unexpected {other:?}", self.addr),
+            other => self.unexpected(other),
         }
     }
 
     fn len(&self) -> usize {
         match self.demand(Op::StoreInfo) {
             Rsp::StoreInfo { keys, .. } => keys as usize,
-            other => panic!("remote cluster {}: unexpected {other:?}", self.addr),
+            other => self.unexpected(other),
         }
     }
 
@@ -233,21 +240,21 @@ where
         }) {
             Rsp::Slot { slot } => Some(slot as usize),
             Rsp::NoKey => None,
-            other => panic!("remote cluster {}: unexpected {other:?}", self.addr),
+            other => self.unexpected(other),
         }
     }
 
     fn capacity(&self) -> usize {
         match self.demand(Op::StoreInfo) {
             Rsp::StoreInfo { capacity, .. } => capacity as usize,
-            other => panic!("remote cluster {}: unexpected {other:?}", self.addr),
+            other => self.unexpected(other),
         }
     }
 
     fn free_slots(&self) -> usize {
         match self.demand(Op::StoreInfo) {
             Rsp::StoreInfo { free_slots, .. } => free_slots as usize,
-            other => panic!("remote cluster {}: unexpected {other:?}", self.addr),
+            other => self.unexpected(other),
         }
     }
 
@@ -257,14 +264,14 @@ where
             object: object as u32,
         }) {
             Rsp::Crashed => {}
-            other => panic!("remote cluster {}: unexpected {other:?}", self.addr),
+            other => self.unexpected(other),
         }
     }
 
     fn history_lens(&self, slot: usize) -> Vec<usize> {
         match self.demand(Op::ShardHistoryLens { slot: slot as u32 }) {
             Rsp::Lens { lens } => lens.into_iter().map(|l| l as usize).collect(),
-            other => panic!("remote cluster {}: unexpected {other:?}", self.addr),
+            other => self.unexpected(other),
         }
     }
 
@@ -273,7 +280,7 @@ where
             cluster: cluster.map(|c| c as u32),
         }) {
             Rsp::StoreMetrics { registry } => registry,
-            other => panic!("remote cluster {}: unexpected {other:?}", self.addr),
+            other => self.unexpected(other),
         };
         // The server cannot see client-side wire retries; fold the pool's
         // cumulative count into the snapshot here.

@@ -291,7 +291,7 @@ fn distributed_rebalance_with_drained_remote_cluster_stays_regular() {
 /// rounds with a mid-schedule add+drain rebalance — and returns the
 /// per-key histories. Identical inputs must yield identical histories on
 /// any conforming backend.
-fn run_schedule(router: &StoreRouter<u64, u64>) -> Vec<OpHistory<u64>> {
+fn run_rebalance_schedule(router: &StoreRouter<u64, u64>) -> Vec<OpHistory<u64>> {
     const DKEYS: u64 = 8;
     let mut clock = 0u64;
     let mut tick = || {
@@ -348,8 +348,8 @@ fn in_proc_and_distributed_traces_are_byte_identical() {
         .collect();
     let remote = router_over(servers.iter().map(|s| s.backend()).collect());
 
-    let local_traces = run_schedule(&local);
-    let remote_traces = run_schedule(&remote);
+    let local_traces = run_rebalance_schedule(&local);
+    let remote_traces = run_rebalance_schedule(&remote);
     assert_eq!(local_traces.len(), remote_traces.len());
     for (key, (l, r)) in local_traces.iter().zip(&remote_traces).enumerate() {
         // Byte-identical histories AND byte-identical checker reports:

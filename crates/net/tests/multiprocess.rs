@@ -10,7 +10,7 @@ use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
 
 use vrr_checker::{check_regularity, OpHistory};
-use vrr_net::{free_addrs, NetClient, NetStore};
+use vrr_net::{free_addrs, NetClient};
 
 const SLOTS: usize = 3;
 /// Group span for `optimal(2, 1, 2)`: 6 objects + writer + 2 readers.
@@ -110,9 +110,14 @@ fn sharded_store_across_three_processes_stays_regular() {
 
     // Writer client at node 0; reader 0 lives on node 0, reader 1 on
     // node 2 — three processes, none of which hosts a full group.
-    let mut store = NetStore::<&str, u64>::connect(addrs[0], &[addrs[0], addrs[2]], SLOTS as u32)
-        .expect("connect store");
+    let mut writer = NetClient::<u64>::connect(addrs[0]).expect("connect writer");
+    let mut readers: Vec<NetClient<u64>> = [addrs[0], addrs[2]]
+        .iter()
+        .map(|&a| NetClient::connect(a).expect("connect reader"))
+        .collect();
+    // The fixed key → slot table: key `i` lives in register slot `i`.
     let keys = ["alpha", "beta", "gamma"];
+    assert_eq!(keys.len(), SLOTS);
 
     // Per-slot histories with a shared logical clock: each slot is an
     // independent register, checked independently.
@@ -120,12 +125,9 @@ fn sharded_store_across_three_processes_stays_regular() {
     let mut seqs = [0u64; SLOTS];
     let mut clock = 0u64;
 
-    // Bind each key (its first write) so reads never hit an unbound slot.
-    for &key in &keys {
-        let slot = {
-            store.put(key, 1).expect("binding write");
-            store.slot_of(&key).expect("bound") as usize
-        };
+    // Write each key once so every read has a value to find.
+    for slot in 0..SLOTS {
+        writer.write_slot(slot as u32, 1).expect("first write");
         seqs[slot] = 1;
         histories[slot].push_write(1, 1, clock, Some(clock + 1));
         clock += 2;
@@ -134,16 +136,18 @@ fn sharded_store_across_three_processes_stays_regular() {
     let mut g = Gen(0x5EED_CA5E);
     let mut crash_done = false;
     for i in 0..60 {
-        let key = keys[g.next() as usize % keys.len()];
-        let slot = store.slot_of(&key).expect("bound") as usize;
+        let slot = g.next() as usize % keys.len();
         if g.next().is_multiple_of(2) {
             seqs[slot] += 1;
             let seq = seqs[slot];
-            store.put(key, seq).expect("write");
+            writer.write_slot(slot as u32, seq).expect("write");
             histories[slot].push_write(seq, seq, clock, Some(clock + 1));
         } else {
             let reader = g.next() as usize % 2;
-            let value = store.get(&key, reader).expect("read").value;
+            let value = readers[reader]
+                .read_slot(slot as u32, reader as u32)
+                .expect("read")
+                .value;
             histories[slot].push_read(reader, value.unwrap_or(0), value, clock, Some(clock + 1));
         }
         clock += 2;

@@ -160,8 +160,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::router::NoDelay;
-    use crate::storage::ProtocolKind;
+    use crate::link::NoDelay;
+    use crate::ProtocolKind;
     use vrr_core::StorageConfig;
 
     #[test]

@@ -24,14 +24,18 @@
 //! store hosted by a `vrr-server` in another OS process — one ring spans
 //! heterogeneous backends.
 //!
-//! Long-running regular deployments should pair the §5.1 suffix transfers
-//! with reader-ack history GC —
-//! [`StorageCluster::deploy_with_retention`] /
-//! [`ShardedStore::deploy_with_retention`] with
-//! [`vrr_core::regular::HistoryRetention::reader_ack`] — so object memory
-//! is bounded by reader concurrency instead of run length; the safety
-//! argument lives in the [`vrr_core::regular`] module docs, and
-//! `history_lens` exposes the observable both deployments are tested on.
+//! Every deploy entry point takes a [`ProtocolSpec`] (a bare
+//! [`ProtocolKind`] converts into the paper-faithful one) and spawns its
+//! register groups through [`vrr_core::spawn_group`]. Long-running regular
+//! deployments should pair the §5.1 suffix transfers with reader-ack
+//! history GC —
+//! `ProtocolSpec::from(ProtocolKind::RegularOptimized).with_retention(HistoryRetention::reader_ack(cfg.readers))`,
+//! see [`ProtocolSpec::with_retention`] and
+//! [`vrr_core::regular::HistoryRetention::reader_ack`]
+//! — so object memory is bounded by reader concurrency instead of run
+//! length; the safety argument lives in the [`vrr_core::regular`] module
+//! docs, and `history_lens` exposes the observable both deployments are
+//! tested on.
 //!
 //! Use the simulator for correctness experiments (replayable adversarial
 //! schedules) and this runtime for wall-clock benchmarks and the networked
@@ -53,20 +57,22 @@
 mod backend;
 mod cluster;
 mod executor;
+mod link;
 mod ring;
-mod router;
 mod scaleout;
 mod shard;
 mod storage;
 
+// `executor.rs` and `cluster.rs` still import the link policies under the
+// module's old name; they are fenced off from this change.
+use link as router;
+
 pub use backend::ClusterBackend;
 pub use cluster::{Cluster, NodeGone};
 pub use executor::ExecutorStats;
+pub use link::{FixedDelay, LinkAction, LinkPolicy, NoDelay};
 pub use ring::{stable_hash_64, RingTable, StableHasher};
-pub use router::{FixedDelay, LinkAction, LinkPolicy, NoDelay};
 pub use scaleout::{RouterConfig, StoreRouter};
 pub use shard::{ShardedStore, StoreError};
-pub use storage::{
-    blocking_read, blocking_write, group_member, group_span, spawn_group_with, GroupPids,
-    GroupRole, ProtocolKind, ReaderTuning, StorageCluster,
-};
+pub use storage::{blocking_read, blocking_write, StorageCluster};
+pub use vrr_core::{ProtocolKind, ProtocolSpec};

@@ -2,11 +2,10 @@
 //!
 //! The runtime twin of the simulator's latency model + adversary. Every
 //! message crossing a link is submitted to the cluster's [`LinkPolicy`],
-//! which decides its fate; delayed messages park in the owning worker's
-//! timer wheel (see `executor.rs`) until due. The seed design ran these
-//! decisions on a dedicated router thread that moved one message per
-//! channel op and polled every 50 ms — both jobs folded into the worker
-//! pool's sweep/flush cycle.
+//! which decides its fate as part of the sending worker's sweep/flush
+//! cycle; delayed messages park in the owning worker's timer wheel (see
+//! `executor.rs`) until due. There is no routing thread — this module
+//! holds only the policy types.
 
 use std::time::Duration;
 

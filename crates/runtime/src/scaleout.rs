@@ -44,13 +44,12 @@ use std::time::Instant;
 use parking_lot::{Mutex, RwLock};
 
 use vrr_core::metrics::{names, MetricsSink, Registry};
-use vrr_core::{ReadReport, StorageConfig, Value, WriteReport};
+use vrr_core::{ProtocolSpec, ReadReport, StorageConfig, Value, WriteReport};
 
 use crate::backend::ClusterBackend;
+use crate::link::NoDelay;
 use crate::ring::RingTable;
-use crate::router::NoDelay;
 use crate::shard::{ShardedStore, StoreError};
-use crate::storage::ProtocolKind;
 
 /// Sizing and seeding of a [`StoreRouter`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -151,41 +150,31 @@ where
     V: Value,
 {
     /// Deploys `rc.clusters` shard-clusters, each a [`ShardedStore`] of
-    /// `rc.capacity_per_cluster` register shards running `kind` under
+    /// `rc.capacity_per_cluster` register shards running `spec` under
     /// `cfg`, with no artificial link delay.
     ///
     /// # Panics
     ///
     /// Panics if any of `rc.clusters`, `rc.capacity_per_cluster` or
     /// `rc.ring_slots` is zero.
-    pub fn deploy(cfg: StorageConfig, kind: ProtocolKind, rc: RouterConfig) -> Self {
-        Self::deploy_with_stores(rc, move |_cluster| {
-            ShardedStore::deploy(cfg, kind, Box::new(NoDelay), rc.capacity_per_cluster)
-        })
-    }
-
-    /// Like [`StoreRouter::deploy`], but every shard-cluster is built by
-    /// `factory(cluster_index)` — the hook for per-cluster link policies,
-    /// history retention, or Byzantine object substitution in fault
-    /// drills. The factory is retained and reused by
-    /// [`StoreRouter::add_cluster`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rc.clusters` or `rc.ring_slots` is zero.
-    pub fn deploy_with_stores(
-        rc: RouterConfig,
-        mut factory: impl FnMut(usize) -> ShardedStore<K, V> + Send + 'static,
-    ) -> Self {
-        Self::deploy_with_backends(rc, move |cluster| {
-            Arc::new(factory(cluster)) as Arc<dyn ClusterBackend<K, V>>
+    pub fn deploy(cfg: StorageConfig, spec: impl Into<ProtocolSpec>, rc: RouterConfig) -> Self {
+        let spec = spec.into();
+        Self::deploy_with_backends(rc, move |_cluster| {
+            Arc::new(ShardedStore::deploy(
+                cfg,
+                spec,
+                Box::new(NoDelay),
+                rc.capacity_per_cluster,
+            ))
         })
     }
 
     /// The fully general deployment: every cluster is whatever
     /// [`ClusterBackend`] `factory(cluster_index)` returns — in-process
-    /// stores, `RemoteCluster`s speaking to other OS processes, or a mix.
-    /// The factory is retained and reused by [`StoreRouter::add_cluster`].
+    /// stores (the hook for per-cluster link policies, history retention,
+    /// or Byzantine object substitution in fault drills), `RemoteCluster`s
+    /// speaking to other OS processes, or a mix. The factory is retained
+    /// and reused by [`StoreRouter::add_cluster`].
     ///
     /// # Panics
     ///
@@ -475,6 +464,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ProtocolKind;
 
     fn tiny_router(clusters: usize) -> StoreRouter<String, u64> {
         let cfg = StorageConfig::optimal(1, 1, 1);

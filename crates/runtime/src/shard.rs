@@ -21,20 +21,24 @@ use parking_lot::{Mutex, RwLock};
 use vrr_sim::{Automaton, ProcessId};
 
 use vrr_core::metrics::{self, Registry};
-use vrr_core::regular::HistoryRetention;
-use vrr_core::{FastPathStats, Msg, ReadReport, StorageConfig, Value, WriteReport};
+use vrr_core::{
+    Deployment, FastPathStats, Msg, ProtocolKind, ProtocolSpec, ReadReport, StorageConfig, Value,
+    WriteReport,
+};
 
 use crate::cluster::Cluster;
-use crate::router::LinkPolicy;
+use crate::link::LinkPolicy;
 use crate::storage::{
     blocking_read, blocking_write, record_executor_stats, record_read, record_write,
-    spawn_register_group, try_history_lens, ProtocolKind, ReaderTuning, RegisterGroup,
+    spawn_register_group, try_history_lens,
 };
 
 /// One register shard plus the client-side locks that keep its automata
 /// single-invocation (SWMR writer; one outstanding read per reader).
 struct Shard {
-    group: RegisterGroup,
+    group: Deployment,
+    /// Object indices the deploy factory substituted.
+    byzantine: Vec<usize>,
     write_lock: Mutex<()>,
     reader_locks: Vec<Mutex<()>>,
 }
@@ -141,70 +145,22 @@ pub struct ShardedStore<K: Eq + Hash, V: Value> {
 
 impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
     /// Deploys `capacity` register shards — each `cfg.s` objects, one
-    /// writer and `cfg.readers` readers running `kind` — over one shared
-    /// cluster with one worker per available CPU.
-    pub fn deploy(
-        cfg: StorageConfig,
-        kind: ProtocolKind,
-        policy: Box<dyn LinkPolicy<Msg<V>>>,
-        capacity: usize,
-    ) -> Self {
-        Self::deploy_with_objects(cfg, kind, policy, capacity, |_shard, _i| None)
-    }
-
-    /// Like [`ShardedStore::deploy`], but every shard's regular objects
-    /// run `retention` instead of the paper-faithful
-    /// [`HistoryRetention::KeepAll`] — the bounded-memory configuration
-    /// for long-running multi-key deployments.
+    /// writer and `cfg.readers` readers running `spec` — over one shared
+    /// cluster with one worker per available CPU. As with
+    /// [`crate::StorageCluster::deploy`], a bare [`ProtocolKind`] is the
+    /// paper-faithful spec; long-running multi-key deployments pass a
+    /// [`ProtocolSpec`] with reader-ack retention to bound object memory.
     ///
     /// # Panics
     ///
     /// Panics if `capacity == 0`.
-    pub fn deploy_with_retention(
+    pub fn deploy(
         cfg: StorageConfig,
-        kind: ProtocolKind,
+        spec: impl Into<ProtocolSpec>,
         policy: Box<dyn LinkPolicy<Msg<V>>>,
         capacity: usize,
-        retention: HistoryRetention,
     ) -> Self {
-        Self::deploy_inner(
-            cfg,
-            kind,
-            policy,
-            capacity,
-            retention,
-            None,
-            |_shard, _i| None,
-        )
-    }
-
-    /// Like [`ShardedStore::deploy_with_retention`], but every reader of
-    /// every shard runs `tuning` — the multi-key counterpart of
-    /// [`crate::StorageCluster::deploy_with_reader_tuning`].
-    /// Over-provision with [`StorageConfig::fast`] to arm the one-round
-    /// fast path on every shard.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0` or the [`ReaderTuning`] variant does not
-    /// match `kind`.
-    pub fn deploy_with_reader_tuning(
-        cfg: StorageConfig,
-        kind: ProtocolKind,
-        policy: Box<dyn LinkPolicy<Msg<V>>>,
-        capacity: usize,
-        retention: HistoryRetention,
-        tuning: ReaderTuning,
-    ) -> Self {
-        Self::deploy_inner(
-            cfg,
-            kind,
-            policy,
-            capacity,
-            retention,
-            Some(tuning),
-            |_shard, _i| None,
-        )
+        Self::deploy_with_objects(cfg, spec, policy, capacity, |_shard, _i| None)
     }
 
     /// Like [`ShardedStore::deploy`], but `factory(shard, i)` may
@@ -216,40 +172,21 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
     /// Panics if `capacity == 0`.
     pub fn deploy_with_objects(
         cfg: StorageConfig,
-        kind: ProtocolKind,
+        spec: impl Into<ProtocolSpec>,
         policy: Box<dyn LinkPolicy<Msg<V>>>,
         capacity: usize,
-        factory: impl FnMut(usize, usize) -> Option<Box<dyn Automaton<Msg<V>>>>,
-    ) -> Self {
-        Self::deploy_inner(
-            cfg,
-            kind,
-            policy,
-            capacity,
-            HistoryRetention::KeepAll,
-            None,
-            factory,
-        )
-    }
-
-    fn deploy_inner(
-        cfg: StorageConfig,
-        kind: ProtocolKind,
-        policy: Box<dyn LinkPolicy<Msg<V>>>,
-        capacity: usize,
-        retention: HistoryRetention,
-        tuning: Option<ReaderTuning>,
         mut factory: impl FnMut(usize, usize) -> Option<Box<dyn Automaton<Msg<V>>>>,
     ) -> Self {
         assert!(capacity > 0, "a sharded store needs at least one shard");
+        let spec = spec.into();
         let mut cluster: Cluster<Msg<V>> = Cluster::new(policy);
         let shards: Vec<Shard> = (0..capacity)
             .map(|s| {
-                let group = spawn_register_group(&mut cluster, cfg, kind, retention, tuning, |i| {
-                    factory(s, i)
-                });
+                let (group, byzantine) =
+                    spawn_register_group(&mut cluster, cfg, spec, |i| factory(s, i));
                 Shard {
                     group,
+                    byzantine,
                     write_lock: Mutex::new(()),
                     reader_locks: (0..cfg.readers).map(|_| Mutex::new(())).collect(),
                 }
@@ -258,7 +195,7 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
         cluster.seal();
         ShardedStore {
             cluster,
-            kind,
+            kind: spec.kind(),
             cfg,
             shards,
             index: RwLock::new(KeyIndex {
@@ -473,7 +410,12 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
         metrics::record_fast_path(&mut reg, &self.fast_path_stats());
         if self.kind != ProtocolKind::Safe {
             for (slot, shard) in self.shards.iter().enumerate() {
-                let lens = try_history_lens(&self.cluster, self.kind, &shard.group);
+                let lens = try_history_lens(
+                    &self.cluster,
+                    self.kind,
+                    &shard.group.objects,
+                    &shard.byzantine,
+                );
                 metrics::record_history_lens_at(&mut reg, cluster, Some(slot), &lens);
             }
         }
@@ -499,8 +441,10 @@ impl<K: Eq + Hash, V: Value> std::fmt::Debug for ShardedStore<K, V> {
 
 #[cfg(test)]
 mod tests {
+    use vrr_core::regular::HistoryRetention;
+
     use super::*;
-    use crate::router::NoDelay;
+    use crate::link::NoDelay;
 
     #[test]
     fn distinct_keys_use_distinct_shards() {
@@ -548,12 +492,12 @@ mod tests {
     #[test]
     fn reader_ack_gc_bounds_history_per_shard() {
         let cfg = StorageConfig::optimal(1, 1, 1);
-        let store: ShardedStore<&'static str, u64> = ShardedStore::deploy_with_retention(
+        let store: ShardedStore<&'static str, u64> = ShardedStore::deploy(
             cfg,
-            ProtocolKind::RegularOptimized,
+            ProtocolSpec::from(ProtocolKind::RegularOptimized)
+                .with_retention(HistoryRetention::reader_ack(1)),
             Box::new(NoDelay),
             2,
-            HistoryRetention::reader_ack(1),
         );
         for k in 1..=60u64 {
             store.write("hot", k);

@@ -9,43 +9,16 @@ use parking_lot::Mutex;
 use vrr_sim::{Automaton, ProcessId};
 
 use vrr_core::metrics::{self, MetricsSink, Registry};
-use vrr_core::regular::{HistoryRetention, RegularObject, RegularReader, RegularTuning};
-use vrr_core::safe::{SafeObject, SafeReader, SafeTuning};
-use vrr_core::{FastPathStats, Msg, ReadReport, StorageConfig, Value, WriteReport, Writer};
+use vrr_core::regular::{RegularObject, RegularReader};
+use vrr_core::safe::SafeReader;
+use vrr_core::{
+    spawn_group, Deployment, FastPathStats, GroupRole, Msg, ProtocolKind, ProtocolSpec, ReadReport,
+    StorageConfig, Value, WriteReport, Writer,
+};
 
 use crate::cluster::Cluster;
 use crate::executor::ExecutorStats;
-use crate::router::LinkPolicy;
-
-/// Which of the paper's protocols a [`StorageCluster`] runs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ProtocolKind {
-    /// §4 safe storage (Figures 2–4).
-    Safe,
-    /// §5 regular storage, full histories (Figures 2, 5, 6).
-    Regular,
-    /// §5.1 optimized regular storage (suffix histories + reader cache).
-    RegularOptimized,
-}
-
-/// A reader-tuning override for a whole deployment, applied to every
-/// reader spawned by [`StorageCluster::deploy_with_reader_tuning`] (and
-/// its [`crate::ShardedStore`] counterpart). The variant must match the
-/// deployment's [`ProtocolKind`].
-///
-/// The headline use is steering the one-round fast path: the default
-/// tunings already enable it (it self-arms only at `S ≥ 2t + 2b + 1`,
-/// per [`StorageConfig::fast_read_quorum`]), so this override is for
-/// disabling it, or for forcing the fallback path deterministically in
-/// benchmarks via an unreachable `fast_threshold`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReaderTuning {
-    /// Tuning for [`ProtocolKind::Safe`] readers.
-    Safe(SafeTuning),
-    /// Tuning for [`ProtocolKind::Regular`] /
-    /// [`ProtocolKind::RegularOptimized`] readers.
-    Regular(RegularTuning),
-}
+use crate::link::LinkPolicy;
 
 /// How long a blocking operation may take before the cluster is declared
 /// wedged. Generous: operations take milliseconds even under delay
@@ -57,7 +30,7 @@ const OP_TIMEOUT: Duration = Duration::from_secs(30);
 /// the write, then await its outcome via a watcher.
 ///
 /// `writer` must host a [`Writer`] automaton spawned on `cluster` (e.g. by
-/// [`spawn_group_with`]).
+/// [`vrr_core::spawn_group`]).
 ///
 /// # Panics
 ///
@@ -85,7 +58,7 @@ pub fn blocking_write<V: Value>(
 /// [`crate::ShardedStore`] and external hosts (`vrr-net` servers).
 ///
 /// `reader` must host the reader automaton matching `kind` (e.g. spawned
-/// by [`spawn_group_with`]).
+/// by [`vrr_core::spawn_group`]).
 ///
 /// # Panics
 ///
@@ -125,198 +98,35 @@ pub fn blocking_read<V: Value>(
     }
 }
 
-/// One member slot of a register group, in the canonical spawn order every
-/// deployment uses: objects `0..cfg.s`, then the writer, then readers
-/// `0..cfg.readers`. Because ids are dense in spawn order
-/// ([`Cluster::spawn`]), this fixes the pid layout of a group — which is
-/// what lets independently started OS processes (`vrr-net` nodes) agree on
-/// a global pid space by replaying the same spawn sequence.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum GroupRole {
-    /// Base object `s_i`.
-    Object(usize),
-    /// The single writer.
-    Writer,
-    /// Reader `r_j`.
-    Reader(usize),
-}
-
-/// Number of processes one register group occupies: `cfg.s` objects, one
-/// writer, `cfg.readers` readers.
-pub fn group_span(cfg: StorageConfig) -> usize {
-    cfg.s + 1 + cfg.readers
-}
-
-/// The [`GroupRole`] of the `idx`-th spawned member of a group.
-///
-/// # Panics
-///
-/// Panics if `idx >= group_span(cfg)`.
-pub fn group_member(cfg: StorageConfig, idx: usize) -> GroupRole {
-    if idx < cfg.s {
-        GroupRole::Object(idx)
-    } else if idx == cfg.s {
-        GroupRole::Writer
-    } else if idx < group_span(cfg) {
-        GroupRole::Reader(idx - cfg.s - 1)
-    } else {
-        panic!(
-            "member index {idx} out of range for a group of {}",
-            group_span(cfg)
-        )
-    }
-}
-
-/// Process ids of one register group spawned by [`spawn_group_with`].
-#[derive(Clone, Debug)]
-pub struct GroupPids {
-    /// The `cfg.s` base objects, in index order.
-    pub objects: Vec<ProcessId>,
-    /// The writer.
-    pub writer: ProcessId,
-    /// The `cfg.readers` readers, in index order.
-    pub readers: Vec<ProcessId>,
-}
-
-/// Spawns the automata of one register group onto `cluster` in the
-/// canonical order ([`group_member`]), letting `substitute` replace the
-/// automaton of any member — the hook for Byzantine objects *and* for
-/// `vrr-net`'s relay stand-ins when a member lives in a different OS
-/// process. Returning `None` deploys the honest automaton for the role.
-/// Regular objects are deployed with `retention` (ignored by the safe
-/// protocol).
-///
-/// # Panics
-///
-/// Panics if `tuning` does not match `kind`, or if a
-/// [`HistoryRetention::ReaderAck`] policy covers fewer readers than the
-/// deployment has.
-pub fn spawn_group_with<V: Value>(
-    cluster: &mut Cluster<Msg<V>>,
-    cfg: StorageConfig,
-    kind: ProtocolKind,
-    retention: HistoryRetention,
-    tuning: Option<ReaderTuning>,
-    mut substitute: impl FnMut(GroupRole) -> Option<Box<dyn Automaton<Msg<V>>>>,
-) -> GroupPids {
-    let safe_tuning = match (kind, tuning) {
-        (ProtocolKind::Safe, Some(ReaderTuning::Safe(t))) => t,
-        (ProtocolKind::Safe, None) => SafeTuning::default(),
-        (ProtocolKind::Safe, Some(other)) => {
-            panic!("reader tuning {other:?} does not fit ProtocolKind::Safe")
-        }
-        _ => SafeTuning::default(),
-    };
-    let regular_tuning = match (kind, tuning) {
-        (
-            ProtocolKind::Regular | ProtocolKind::RegularOptimized,
-            Some(ReaderTuning::Regular(t)),
-        ) => t,
-        (ProtocolKind::Regular | ProtocolKind::RegularOptimized, Some(other)) => {
-            panic!("reader tuning {other:?} does not fit {kind:?}")
-        }
-        _ => RegularTuning::default(),
-    };
-    if let HistoryRetention::ReaderAck { readers, .. } = retention {
-        // A policy covering fewer readers than are deployed would let the
-        // covered readers' acks truncate entries the un-gated readers
-        // still need — exactly the hole the min(acks) floor closes.
-        assert!(
-            readers >= cfg.readers,
-            "ReaderAck must gate on every deployed reader: policy covers \
-             {readers}, deployment has {}",
-            cfg.readers
-        );
-    }
-    let objects: Vec<ProcessId> = (0..cfg.s)
-        .map(|i| -> ProcessId {
-            let automaton: Box<dyn Automaton<Msg<V>>> = substitute(GroupRole::Object(i))
-                .unwrap_or_else(|| match kind {
-                    ProtocolKind::Safe => Box::new(SafeObject::<V>::new()),
-                    ProtocolKind::Regular | ProtocolKind::RegularOptimized => {
-                        Box::new(RegularObject::<V>::with_retention(retention))
-                    }
-                });
-            cluster.spawn(automaton)
-        })
-        .collect();
-    let writer_automaton = substitute(GroupRole::Writer)
-        .unwrap_or_else(|| Box::new(Writer::<V>::new(cfg, objects.clone())));
-    let writer = cluster.spawn(writer_automaton);
-    let readers: Vec<ProcessId> = (0..cfg.readers)
-        .map(|j| {
-            let automaton: Box<dyn Automaton<Msg<V>>> = substitute(GroupRole::Reader(j))
-                .unwrap_or_else(|| match kind {
-                    ProtocolKind::Safe => Box::new(SafeReader::<V>::with_tuning(
-                        cfg,
-                        j,
-                        objects.clone(),
-                        safe_tuning,
-                    )),
-                    ProtocolKind::Regular => Box::new(RegularReader::<V>::with_tuning(
-                        cfg,
-                        j,
-                        objects.clone(),
-                        false,
-                        regular_tuning,
-                    )),
-                    ProtocolKind::RegularOptimized => Box::new(RegularReader::<V>::with_tuning(
-                        cfg,
-                        j,
-                        objects.clone(),
-                        true,
-                        regular_tuning,
-                    )),
-                });
-            cluster.spawn(automaton)
-        })
-        .collect();
-    GroupPids {
-        objects,
-        writer,
-        readers,
-    }
-}
-
-/// Spawns one register group, consulting `factory` for Byzantine *object*
-/// substitutions only (the historical deploy hook of [`StorageCluster`]
-/// and [`crate::ShardedStore`]); tracks which indexes were substituted.
+/// Spawns one register group onto `cluster` through the canonical
+/// routine, consulting `factory` for Byzantine *object* substitutions only
+/// (the deploy hook of [`StorageCluster`] and [`crate::ShardedStore`]).
+/// Returns the group and the object indices `factory` substituted —
+/// skipped by the tolerant history inspection below (a downcast mismatch
+/// inside an invoke would poison the process).
 pub(crate) fn spawn_register_group<V: Value>(
     cluster: &mut Cluster<Msg<V>>,
     cfg: StorageConfig,
-    kind: ProtocolKind,
-    retention: HistoryRetention,
-    tuning: Option<ReaderTuning>,
+    spec: ProtocolSpec,
     mut factory: impl FnMut(usize) -> Option<Box<dyn Automaton<Msg<V>>>>,
-) -> RegisterGroup {
+) -> (Deployment, Vec<usize>) {
     let mut byzantine = Vec::new();
-    let pids = spawn_group_with(cluster, cfg, kind, retention, tuning, |role| match role {
-        GroupRole::Object(i) => {
-            let substituted = factory(i);
-            if substituted.is_some() {
-                byzantine.push(i);
+    let group = spawn_group(
+        cfg,
+        spec,
+        |_role, automaton| cluster.spawn(automaton),
+        |role, _objects| match role {
+            GroupRole::Object(i) => {
+                let substituted = factory(i);
+                if substituted.is_some() {
+                    byzantine.push(i);
+                }
+                substituted
             }
-            substituted
-        }
-        GroupRole::Writer | GroupRole::Reader(_) => None,
-    });
-    RegisterGroup {
-        objects: pids.objects,
-        writer: pids.writer,
-        readers: pids.readers,
-        byzantine,
-    }
-}
-
-/// Process ids of one spawned register group.
-pub(crate) struct RegisterGroup {
-    pub(crate) objects: Vec<ProcessId>,
-    pub(crate) writer: ProcessId,
-    pub(crate) readers: Vec<ProcessId>,
-    /// Object indices whose automaton the deploy factory substituted —
-    /// skipped by the tolerant history inspection below (a downcast
-    /// mismatch inside an invoke would poison the process).
-    pub(crate) byzantine: Vec<usize>,
+            GroupRole::Writer | GroupRole::Reader(_) => None,
+        },
+    );
+    (group, byzantine)
 }
 
 /// History length of every regular object in `objects`, shared by
@@ -367,16 +177,16 @@ pub(crate) fn fast_path_stats<V: Value>(
 pub(crate) fn try_history_lens<V: Value>(
     cluster: &Cluster<Msg<V>>,
     kind: ProtocolKind,
-    group: &RegisterGroup,
+    objects: &[ProcessId],
+    byzantine: &[usize],
 ) -> Vec<usize> {
     if kind == ProtocolKind::Safe {
         return Vec::new();
     }
-    group
-        .objects
+    objects
         .iter()
         .enumerate()
-        .filter(|(i, _)| !group.byzantine.contains(i))
+        .filter(|(i, _)| !byzantine.contains(i))
         .filter_map(|(_, &pid)| {
             cluster
                 .try_invoke(pid, |o: &mut RegularObject<V>, _ctx| o.history().len())
@@ -429,59 +239,30 @@ pub(crate) fn record_read(ops: &Mutex<Registry>, rounds: u32, started: Instant) 
 pub struct StorageCluster<V: Value> {
     cluster: Cluster<Msg<V>>,
     kind: ProtocolKind,
-    cfg: StorageConfig,
-    group: RegisterGroup,
+    group: Deployment,
+    /// Object indices the deploy factory substituted.
+    byzantine: Vec<usize>,
     /// Client-side operation metrics (rounds and latency histograms),
     /// folded into [`StorageCluster::metrics_snapshot`].
     ops: Mutex<Registry>,
 }
 
 impl<V: Value> StorageCluster<V> {
-    /// Deploys `cfg.s` object threads, one writer thread and `cfg.readers`
-    /// reader threads running the chosen protocol, connected through a
-    /// router with the given link policy.
+    /// Deploys `cfg.s` object processes, one writer and `cfg.readers`
+    /// readers running `spec` on a worker pool whose links obey `policy`.
+    /// A bare [`ProtocolKind`] is the paper-faithful spec; a
+    /// [`ProtocolSpec`] additionally carries history retention
+    /// (`ProtocolKind::RegularOptimized` with
+    /// `HistoryRetention::reader_ack(cfg.readers)` is the bounded-memory
+    /// production configuration) and reader tuning (e.g. an unreachable
+    /// `fast_threshold` to measure the pure fallback path; over-provision
+    /// with [`StorageConfig::fast`] to make the default fast path fire).
     pub fn deploy(
         cfg: StorageConfig,
-        kind: ProtocolKind,
+        spec: impl Into<ProtocolSpec>,
         policy: Box<dyn LinkPolicy<Msg<V>>>,
     ) -> Self {
-        Self::deploy_with_objects(cfg, kind, policy, |_i| None)
-    }
-
-    /// Like [`StorageCluster::deploy`], but every reader runs `tuning`
-    /// instead of the default. The sanctioned use is steering the
-    /// one-round fast path — e.g. disabling it for a two-round control
-    /// deployment, or setting an unreachable
-    /// [`vrr_core::safe::SafeTuning::fast_threshold`] to measure the pure
-    /// fallback path. Over-provision with [`StorageConfig::fast`] to make
-    /// the default fast path actually fire.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the [`ReaderTuning`] variant does not match `kind`.
-    pub fn deploy_with_reader_tuning(
-        cfg: StorageConfig,
-        kind: ProtocolKind,
-        policy: Box<dyn LinkPolicy<Msg<V>>>,
-        retention: HistoryRetention,
-        tuning: ReaderTuning,
-    ) -> Self {
-        Self::deploy_full(cfg, kind, policy, retention, Some(tuning), |_i| None)
-    }
-
-    /// Like [`StorageCluster::deploy`], but regular objects run `retention`
-    /// instead of the paper-faithful
-    /// [`HistoryRetention::KeepAll`]. Deploying
-    /// `ProtocolKind::RegularOptimized` with
-    /// `HistoryRetention::reader_ack(cfg.readers)` is the bounded-memory
-    /// production configuration (suffix transfers + reader-ack GC).
-    pub fn deploy_with_retention(
-        cfg: StorageConfig,
-        kind: ProtocolKind,
-        policy: Box<dyn LinkPolicy<Msg<V>>>,
-        retention: HistoryRetention,
-    ) -> Self {
-        Self::deploy_inner(cfg, kind, policy, retention, |_i| None)
+        Self::deploy_with_objects(cfg, spec, policy, |_i| None)
     }
 
     /// Like [`StorageCluster::deploy`], but `factory` may substitute the
@@ -490,61 +271,26 @@ impl<V: Value> StorageCluster<V> {
     /// Returning `None` deploys the honest object for the protocol.
     pub fn deploy_with_objects(
         cfg: StorageConfig,
-        kind: ProtocolKind,
+        spec: impl Into<ProtocolSpec>,
         policy: Box<dyn LinkPolicy<Msg<V>>>,
         factory: impl FnMut(usize) -> Option<Box<dyn Automaton<Msg<V>>>>,
     ) -> Self {
-        Self::deploy_inner(cfg, kind, policy, HistoryRetention::KeepAll, factory)
-    }
-
-    /// The fault-injection soak constructor: combines
-    /// [`StorageCluster::deploy_with_retention`] (bounded-memory GC) with
-    /// [`StorageCluster::deploy_with_objects`] (Byzantine substitution), so
-    /// a single deployment can run GC *and* liars at once — the
-    /// combined-fault configuration the workspace soak drives.
-    pub fn deploy_with_retention_and_objects(
-        cfg: StorageConfig,
-        kind: ProtocolKind,
-        policy: Box<dyn LinkPolicy<Msg<V>>>,
-        retention: HistoryRetention,
-        factory: impl FnMut(usize) -> Option<Box<dyn Automaton<Msg<V>>>>,
-    ) -> Self {
-        Self::deploy_inner(cfg, kind, policy, retention, factory)
-    }
-
-    fn deploy_inner(
-        cfg: StorageConfig,
-        kind: ProtocolKind,
-        policy: Box<dyn LinkPolicy<Msg<V>>>,
-        retention: HistoryRetention,
-        factory: impl FnMut(usize) -> Option<Box<dyn Automaton<Msg<V>>>>,
-    ) -> Self {
-        Self::deploy_full(cfg, kind, policy, retention, None, factory)
-    }
-
-    fn deploy_full(
-        cfg: StorageConfig,
-        kind: ProtocolKind,
-        policy: Box<dyn LinkPolicy<Msg<V>>>,
-        retention: HistoryRetention,
-        tuning: Option<ReaderTuning>,
-        factory: impl FnMut(usize) -> Option<Box<dyn Automaton<Msg<V>>>>,
-    ) -> Self {
+        let spec = spec.into();
         let mut cluster: Cluster<Msg<V>> = Cluster::new(policy);
-        let group = spawn_register_group(&mut cluster, cfg, kind, retention, tuning, factory);
+        let (group, byzantine) = spawn_register_group(&mut cluster, cfg, spec, factory);
         cluster.seal();
         StorageCluster {
             cluster,
-            kind,
-            cfg,
+            kind: spec.kind(),
             group,
+            byzantine,
             ops: Mutex::new(Registry::new()),
         }
     }
 
     /// The deployment sizing.
     pub fn config(&self) -> StorageConfig {
-        self.cfg
+        self.group.cfg
     }
 
     /// The protocol variant.
@@ -626,7 +372,12 @@ impl<V: Value> StorageCluster<V> {
         record_executor_stats(&mut reg, &self.cluster.stats());
         metrics::record_fast_path(&mut reg, &self.fast_path_stats());
         if self.kind != ProtocolKind::Safe {
-            let lens = try_history_lens(&self.cluster, self.kind, &self.group);
+            let lens = try_history_lens(
+                &self.cluster,
+                self.kind,
+                &self.group.objects,
+                &self.byzantine,
+            );
             metrics::record_history_lens(&mut reg, None, &lens);
         }
         reg
@@ -642,7 +393,7 @@ impl<V: Value> std::fmt::Debug for StorageCluster<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StorageCluster")
             .field("kind", &self.kind)
-            .field("cfg", &self.cfg)
+            .field("cfg", &self.group.cfg)
             .finish()
     }
 }
@@ -651,8 +402,10 @@ impl<V: Value> std::fmt::Debug for StorageCluster<V> {
 mod tests {
     use std::time::Duration;
 
+    use vrr_core::regular::{HistoryRetention, RegularTuning};
+
     use super::*;
-    use crate::router::{FixedDelay, NoDelay};
+    use crate::link::{FixedDelay, NoDelay};
 
     #[test]
     fn safe_storage_round_trip_on_threads() {
@@ -696,11 +449,11 @@ mod tests {
     #[test]
     fn reader_ack_gc_bounds_history_on_threads() {
         let cfg = StorageConfig::optimal(1, 1, 1);
-        let storage: StorageCluster<u64> = StorageCluster::deploy_with_retention(
+        let storage: StorageCluster<u64> = StorageCluster::deploy(
             cfg,
-            ProtocolKind::RegularOptimized,
+            ProtocolSpec::from(ProtocolKind::RegularOptimized)
+                .with_retention(HistoryRetention::reader_ack(1)),
             Box::new(NoDelay),
-            HistoryRetention::reader_ack(1),
         );
         for k in 1..=100u64 {
             storage.write(k);
@@ -772,15 +525,17 @@ mod tests {
         // threshold no quorum can meet, so every read arms the fast path
         // and then completes through the two-round protocol.
         let cfg = StorageConfig::fast(1, 1, 1);
-        let storage: StorageCluster<u64> = StorageCluster::deploy_with_reader_tuning(
+        let storage: StorageCluster<u64> = StorageCluster::deploy(
             cfg,
-            ProtocolKind::RegularOptimized,
+            ProtocolSpec::Regular {
+                optimized: true,
+                retention: HistoryRetention::KeepAll,
+                tuning: RegularTuning {
+                    fast_threshold: Some(usize::MAX),
+                    ..RegularTuning::default()
+                },
+            },
             Box::new(NoDelay),
-            HistoryRetention::KeepAll,
-            ReaderTuning::Regular(RegularTuning {
-                fast_threshold: Some(usize::MAX),
-                ..RegularTuning::default()
-            }),
         );
         for k in 1..=4u64 {
             storage.write(k);
@@ -795,28 +550,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "does not fit")]
-    fn mismatched_reader_tuning_panics() {
-        let cfg = StorageConfig::fast(1, 1, 1);
-        let _storage: StorageCluster<u64> = StorageCluster::deploy_with_reader_tuning(
-            cfg,
-            ProtocolKind::Safe,
-            Box::new(NoDelay),
-            HistoryRetention::KeepAll,
-            ReaderTuning::Regular(RegularTuning::default()),
-        );
-    }
-
-    #[test]
     fn metrics_snapshot_reflects_operations() {
         use vrr_core::metrics::names;
 
         let cfg = StorageConfig::fast(1, 1, 2);
-        let storage: StorageCluster<u64> = StorageCluster::deploy_with_retention(
+        let storage: StorageCluster<u64> = StorageCluster::deploy(
             cfg,
-            ProtocolKind::RegularOptimized,
+            ProtocolSpec::from(ProtocolKind::RegularOptimized)
+                .with_retention(HistoryRetention::reader_ack(2)),
             Box::new(NoDelay),
-            HistoryRetention::reader_ack(2),
         );
         for k in 1..=4u64 {
             storage.write(k);

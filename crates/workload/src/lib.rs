@@ -6,19 +6,19 @@
 //!   reads, deterministic per seed — [`generate`]);
 //! * a [`FaultPlan`] assigning crashes and Byzantine behaviours within the
 //!   `(t, b)` budget;
-//! * a runner ([`run_schedule`]) that executes the schedule against any
+//! * a runner ([`SimCase`]) that executes the schedule against any
 //!   [`vrr_core::RegisterProtocol`] in the deterministic simulator and
 //!   produces a [`vrr_checker::OpHistory`] plus round-count statistics.
 //!
 //! ```
 //! use vrr_core::{SafeProtocol, StorageConfig};
-//! use vrr_workload::{generate, run_schedule, safe_corruptor, FaultPlan,
-//!                    LatencyKind, ScheduleParams};
+//! use vrr_workload::{FaultPlan, LatencyKind, ScheduleParams, SimCase};
 //!
-//! let cfg = StorageConfig::optimal(1, 1, 1);
-//! let schedule = generate(ScheduleParams::sequential(3, 3, 1, 42));
-//! let out = run_schedule(&SafeProtocol, cfg, &schedule, &FaultPlan::none(),
-//!                        LatencyKind::Unit, 42, &safe_corruptor);
+//! let out = SimCase::new(&SafeProtocol, StorageConfig::optimal(1, 1, 1))
+//!     .schedule(ScheduleParams::sequential(3, 3, 1, 42))
+//!     .faults(FaultPlan::none())
+//!     .latency(LatencyKind::Unit)
+//!     .run();
 //! assert!(out.all_live());
 //! assert!(vrr_checker::check_safety(&out.history).is_ok());
 //! ```
@@ -36,8 +36,6 @@ mod sweep;
 pub use faults::FaultPlan;
 pub use keys::ZipfianKeys;
 pub use monitor::{run_monitored, safe_object_monotonicity, InvariantMonitor, MonitorViolation};
-pub use runner::{
-    regular_corruptor, run_schedule, safe_corruptor, Corruptor, LatencyKind, RunOutcome, SimCase,
-};
+pub use runner::{LatencyKind, RunOutcome, SimCase};
 pub use schedule::{generate, ClientPlan, PlannedOp, Schedule, ScheduleParams};
 pub use sweep::{grid, SweepPoint};

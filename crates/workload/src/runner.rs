@@ -2,17 +2,15 @@
 //! protocol under a [`FaultPlan`], producing a checkable operation history,
 //! round-count statistics and a metrics snapshot.
 //!
-//! The entry points are [`SimCase`] — a builder that owns the recurring
+//! The entry point is [`SimCase`] — a builder that owns the recurring
 //! test shape (sizing + schedule + faults + latency + optional scripted
-//! partitions) — and the original [`run_schedule`] function, now a thin
-//! wrapper over it. Both compile down to [`vrr_sim::Scenario`], so scripted
+//! partitions). It compiles down to [`vrr_sim::Scenario`], so scripted
 //! partitions and heals fire while operations are in flight.
 
 use vrr_checker::OpHistory;
-use vrr_core::attackers::AttackerKind;
 use vrr_core::metrics::{self, MetricsSink, Registry};
-use vrr_core::{Msg, RegisterProtocol, StorageConfig};
-use vrr_sim::{Automaton, LongTail, NetStats, Scenario, SimTime, Uniform};
+use vrr_core::{RegisterProtocol, StorageConfig};
+use vrr_sim::{LongTail, NetStats, Scenario, SimTime, Uniform};
 
 use crate::faults::FaultPlan;
 use crate::schedule::{generate, PlannedOp, Schedule, ScheduleParams};
@@ -77,29 +75,6 @@ impl RunOutcome {
     }
 }
 
-/// Builds an attacker automaton for a protocol's message type.
-pub type Corruptor<M> = dyn Fn(usize, AttackerKind, StorageConfig) -> Box<dyn Automaton<M>>;
-
-/// The standard corruptor for the paper's safe protocol.
-pub fn safe_corruptor(
-    idx: usize,
-    kind: AttackerKind,
-    cfg: StorageConfig,
-) -> Box<dyn Automaton<Msg<u64>>> {
-    let _ = idx;
-    kind.build_safe(cfg, FORGED_VALUE)
-}
-
-/// The standard corruptor for the paper's regular protocols.
-pub fn regular_corruptor(
-    idx: usize,
-    kind: AttackerKind,
-    cfg: StorageConfig,
-) -> Box<dyn Automaton<Msg<u64>>> {
-    let _ = idx;
-    kind.build_regular(cfg, FORGED_VALUE)
-}
-
 /// The value attackers forge: recognizably absent from any schedule
 /// ([`Schedule::value_of_write`] yields small values).
 const FORGED_VALUE: u64 = 0xDEAD;
@@ -134,8 +109,8 @@ enum CaseEvent {
 /// assert!(vrr_checker::check_safety(&out.history).is_ok());
 /// ```
 ///
-/// Defaults: empty fault plan, unit latency, seed = the schedule's seed,
-/// attackers built from the protocol's own catalogue
+/// Defaults: empty fault plan, unit latency, seed = the schedule's seed.
+/// Attackers are built from the protocol's own catalogue
 /// ([`RegisterProtocol::corruptor`]).
 pub struct SimCase<'a, P: RegisterProtocol<u64>> {
     protocol: &'a P,
@@ -144,7 +119,6 @@ pub struct SimCase<'a, P: RegisterProtocol<u64>> {
     faults: FaultPlan,
     latency: LatencyKind,
     seed: u64,
-    corrupt: Option<&'a Corruptor<P::Msg>>,
     events: Vec<(SimTime, CaseEvent)>,
 }
 
@@ -177,7 +151,6 @@ impl<'a, P: RegisterProtocol<u64>> SimCase<'a, P> {
             faults: FaultPlan::none(),
             latency: LatencyKind::Unit,
             seed: 0,
-            corrupt: None,
             events: Vec::new(),
         }
     }
@@ -219,14 +192,6 @@ impl<'a, P: RegisterProtocol<u64>> SimCase<'a, P> {
         self
     }
 
-    /// Overrides the attacker factory (default: the protocol's own
-    /// catalogue via [`RegisterProtocol::corruptor`]).
-    #[must_use]
-    pub fn corruptor(mut self, corrupt: &'a Corruptor<P::Msg>) -> Self {
-        self.corrupt = Some(corrupt);
-        self
-    }
-
     /// Scripts a partition of the given base objects (away from everything
     /// else) at time `at`.
     #[must_use]
@@ -248,8 +213,8 @@ impl<'a, P: RegisterProtocol<u64>> SimCase<'a, P> {
     ///
     /// Panics if the fault plan exceeds the `(t, b)` budget, the schedule's
     /// reader count mismatches the sizing, an attacker is requested from a
-    /// protocol without a catalogue and no [`SimCase::corruptor`] override
-    /// was given, or the run exceeds the internal step limit.
+    /// protocol without a catalogue, or the run exceeds the internal step
+    /// limit.
     pub fn run(self) -> RunOutcome {
         let SimCase {
             protocol,
@@ -258,7 +223,6 @@ impl<'a, P: RegisterProtocol<u64>> SimCase<'a, P> {
             faults,
             latency,
             seed,
-            corrupt,
             events,
         } = self;
 
@@ -278,12 +242,9 @@ impl<'a, P: RegisterProtocol<u64>> SimCase<'a, P> {
         scenario.start();
 
         for &(idx, kind) in &faults.byzantine {
-            let automaton = match corrupt {
-                Some(c) => c(idx, kind, cfg),
-                None => protocol
-                    .corruptor(kind, cfg, FORGED_VALUE)
-                    .expect("protocol has no attacker catalogue; provide SimCase::corruptor"),
-            };
+            let automaton = protocol
+                .corruptor(kind, cfg, FORGED_VALUE)
+                .expect("protocol has no attacker catalogue");
             scenario.byzantine(dep.objects[idx], automaton);
         }
         for &(idx, at) in &faults.crashes {
@@ -508,57 +469,21 @@ struct ActiveOp {
     is_write: bool,
 }
 
-/// Runs `schedule` against `protocol` under `faults`.
-///
-/// Clients invoke each planned operation at its target time or as soon as
-/// their previous operation completes, whichever is later. Returns the
-/// recorded history and statistics. Equivalent to a [`SimCase`] with an
-/// explicit corruptor and no scripted network events.
-///
-/// # Panics
-///
-/// Panics if the fault plan exceeds the configuration's budget, or the run
-/// exceeds the internal step limit.
-pub fn run_schedule<P: RegisterProtocol<u64>>(
-    protocol: &P,
-    cfg: StorageConfig,
-    schedule: &Schedule,
-    faults: &FaultPlan,
-    latency: LatencyKind,
-    seed: u64,
-    corrupt: &Corruptor<P::Msg>,
-) -> RunOutcome {
-    SimCase::new(protocol, cfg)
-        .with_schedule(schedule.clone())
-        .faults(faults.clone())
-        .latency(latency)
-        .seed(seed)
-        .corruptor(corrupt)
-        .run()
-}
-
 #[cfg(test)]
 mod tests {
     use vrr_checker::{check_regularity, check_safety};
+    use vrr_core::attackers::AttackerKind;
     use vrr_core::metrics::names;
     use vrr_core::{RegularProtocol, SafeProtocol};
 
     use super::*;
-    use crate::schedule::{generate, ScheduleParams};
 
     #[test]
     fn sequential_run_is_safe_and_live() {
         let cfg = StorageConfig::optimal(1, 1, 2);
-        let schedule = generate(ScheduleParams::sequential(5, 5, 2, 3));
-        let out = run_schedule(
-            &SafeProtocol,
-            cfg,
-            &schedule,
-            &FaultPlan::none(),
-            LatencyKind::Unit,
-            3,
-            &safe_corruptor,
-        );
+        let out = SimCase::new(&SafeProtocol, cfg)
+            .schedule(ScheduleParams::sequential(5, 5, 2, 3))
+            .run();
         assert!(out.all_live());
         assert_eq!(out.write_rounds.len(), 5);
         assert_eq!(out.read_rounds.len(), 10);
@@ -569,17 +494,12 @@ mod tests {
     #[test]
     fn contended_run_with_max_faults_is_regular() {
         let cfg = StorageConfig::optimal(2, 1, 2);
-        let schedule = generate(ScheduleParams::contended(8, 8, 2, 11));
         let faults = FaultPlan::maximal(&cfg, AttackerKind::Inflator, SimTime::from_ticks(40));
-        let out = run_schedule(
-            &RegularProtocol::full(),
-            cfg,
-            &schedule,
-            &faults,
-            LatencyKind::Uniform(1, 10),
-            11,
-            &regular_corruptor,
-        );
+        let out = SimCase::new(&RegularProtocol::full(), cfg)
+            .schedule(ScheduleParams::contended(8, 8, 2, 11))
+            .faults(faults)
+            .latency(LatencyKind::Uniform(1, 10))
+            .run();
         assert!(out.all_live(), "stalled: {}", out.stalled_ops);
         assert!(check_regularity(&out.history).is_ok());
         assert_eq!(out.max_read_rounds(), 2);
@@ -590,17 +510,11 @@ mod tests {
     fn random_fault_sweep_stays_consistent() {
         for seed in 0..10 {
             let cfg = StorageConfig::optimal(2, 2, 1);
-            let schedule = generate(ScheduleParams::contended(4, 6, 1, seed));
-            let faults = FaultPlan::random(&cfg, 200, seed);
-            let out = run_schedule(
-                &SafeProtocol,
-                cfg,
-                &schedule,
-                &faults,
-                LatencyKind::LongTail,
-                seed,
-                &safe_corruptor,
-            );
+            let out = SimCase::new(&SafeProtocol, cfg)
+                .schedule(ScheduleParams::contended(4, 6, 1, seed))
+                .faults(FaultPlan::random(&cfg, 200, seed))
+                .latency(LatencyKind::LongTail)
+                .run();
             assert!(out.all_live(), "seed {seed} stalled {}", out.stalled_ops);
             assert!(
                 check_safety(&out.history).is_ok(),
@@ -608,38 +522,6 @@ mod tests {
                 check_safety(&out.history)
             );
         }
-    }
-
-    #[test]
-    fn sim_case_defaults_match_run_schedule() {
-        let cfg = StorageConfig::optimal(1, 1, 2);
-        let params = ScheduleParams::contended(6, 4, 2, 17);
-        let faults = FaultPlan::maximal(&cfg, AttackerKind::Stale, SimTime::from_ticks(20));
-        let via_case = SimCase::new(&RegularProtocol::optimized(), cfg)
-            .schedule(params)
-            .faults(faults.clone())
-            .latency(LatencyKind::Uniform(1, 5))
-            .run();
-        let via_fn = run_schedule(
-            &RegularProtocol::optimized(),
-            cfg,
-            &generate(params),
-            &faults,
-            LatencyKind::Uniform(1, 5),
-            17,
-            &regular_corruptor,
-        );
-        // The protocol's own catalogue and the explicit corruptor build the
-        // same attackers, so the runs are identical.
-        assert_eq!(
-            format!("{:?}", via_case.history),
-            format!("{:?}", via_fn.history)
-        );
-        assert_eq!(via_case.read_rounds, via_fn.read_rounds);
-        assert_eq!(
-            via_case.metrics.to_prometheus(),
-            via_fn.metrics.to_prometheus()
-        );
     }
 
     #[test]

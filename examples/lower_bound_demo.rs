@@ -13,7 +13,7 @@ use vrr::lowerbound::{
 use vrr_core::regular::HistoryRetention;
 use vrr_core::regular::RegularTuning;
 use vrr_core::StorageConfig;
-use vrr_runtime::{NoDelay, ProtocolKind, ReaderTuning, StorageCluster};
+use vrr_runtime::{NoDelay, ProtocolKind, ProtocolSpec, StorageCluster};
 
 fn main() {
     let (t, b) = (1usize, 1usize);
@@ -92,15 +92,17 @@ fn main() {
     let boundary = StorageConfig::with_objects(s, t, b, 1); // S = 2t+2b
     assert_eq!(boundary.fast_read_quorum(), None);
 
-    let mutant: StorageCluster<u64> = StorageCluster::deploy_with_reader_tuning(
+    let mutant: StorageCluster<u64> = StorageCluster::deploy(
         boundary,
-        ProtocolKind::Regular,
+        ProtocolSpec::Regular {
+            optimized: false,
+            retention: HistoryRetention::KeepAll,
+            tuning: RegularTuning {
+                skip_round2: true,
+                ..RegularTuning::default()
+            },
+        },
         Box::new(NoDelay),
-        HistoryRetention::KeepAll,
-        ReaderTuning::Regular(RegularTuning {
-            skip_round2: true,
-            ..RegularTuning::default()
-        }),
     );
     mutant.write(42);
     let r = mutant.read(0);

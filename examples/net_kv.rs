@@ -27,7 +27,7 @@ use std::path::PathBuf;
 use std::process::{exit, Child, Command, Stdio};
 
 use vrr::checker::{check_regularity, OpHistory};
-use vrr::net::{free_addrs, NetClient, NetStore};
+use vrr::net::{free_addrs, NetClient};
 
 const SLOTS: usize = 4;
 /// Group span for `optimal(2, 1, 2)`: 6 objects + writer + 2 readers.
@@ -114,27 +114,29 @@ fn main() {
         children.push(child);
     }
 
-    let mut store = NetStore::<&str, u64>::connect(addrs[0], &[addrs[0], addrs[2]], SLOTS as u32)
-        .expect("connect thin clients");
+    // Thin clients: one at the writer's node, one per reader's node. The
+    // key → slot table is ours to keep: key `i` lives in register slot `i`.
+    let mut writer = NetClient::<u64>::connect(addrs[0]).expect("connect writer client");
+    let mut readers: Vec<NetClient<u64>> = [addrs[0], addrs[2]]
+        .iter()
+        .map(|&a| NetClient::connect(a).expect("connect reader client"))
+        .collect();
     let keys = ["alpha", "beta", "gamma", "delta"];
+    assert_eq!(keys.len(), SLOTS);
 
     // Shared logical clock, one history per register slot.
     let mut histories = vec![OpHistory::<u64>::new(); SLOTS];
     let mut seqs = [0u64; SLOTS];
     let mut clock = 0u64;
-    let record_write = |histories: &mut Vec<OpHistory<u64>>,
-                        store: &mut NetStore<&str, u64>,
-                        key: &'static str,
-                        seq: u64,
-                        clock: &mut u64| {
-        store.put(key, seq).expect("write");
-        let slot = store.slot_of(&key).expect("bound") as usize;
-        histories[slot].push_write(seq, seq, *clock, Some(*clock + 1));
-        *clock += 2;
-    };
+    let mut record_write =
+        |histories: &mut Vec<OpHistory<u64>>, slot: usize, seq: u64, clock: &mut u64| {
+            writer.write_slot(slot as u32, seq).expect("write");
+            histories[slot].push_write(seq, seq, *clock, Some(*clock + 1));
+            *clock += 2;
+        };
 
-    for &key in &keys {
-        record_write(&mut histories, &mut store, key, 1, &mut clock);
+    for slot in 0..SLOTS {
+        record_write(&mut histories, slot, 1, &mut clock);
     }
     seqs.fill(1);
 
@@ -147,15 +149,17 @@ fn main() {
     };
     for round in 0..2 {
         for _ in 0..40 {
-            let key = keys[rng() as usize % keys.len()];
-            let slot = store.slot_of(&key).expect("bound") as usize;
+            let slot = rng() as usize % keys.len();
             if rng().is_multiple_of(2) {
                 seqs[slot] += 1;
-                record_write(&mut histories, &mut store, key, seqs[slot], &mut clock);
+                record_write(&mut histories, slot, seqs[slot], &mut clock);
                 writes += 1;
             } else {
                 let reader = rng() as usize % 2;
-                let value = store.get(&key, reader).expect("read").value;
+                let value = readers[reader]
+                    .read_slot(slot as u32, reader as u32)
+                    .expect("read")
+                    .value;
                 histories[slot].push_read(
                     reader,
                     value.unwrap_or(0),
@@ -183,7 +187,11 @@ fn main() {
         history.validate().expect("well-formed history");
         let result = check_regularity(history);
         if result.is_ok() {
-            println!("slot {slot}: regular ({} ops)", history.ops().len());
+            println!(
+                "slot {slot} ({}): regular ({} ops)",
+                keys[slot],
+                history.ops().len()
+            );
         } else {
             eprintln!("slot {slot}: VIOLATION: {result:?}");
             violations += 1;

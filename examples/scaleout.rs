@@ -36,8 +36,8 @@ fn main() {
     let cfg = StorageConfig::optimal(1, 1, 1);
     let rc = RouterConfig::new(2, KEYS as usize).with_seed(2006);
     let router: Arc<StoreRouter<u64, u64>> =
-        Arc::new(StoreRouter::deploy_with_stores(rc, move |cluster| {
-            if cluster == 0 {
+        Arc::new(StoreRouter::deploy_with_backends(rc, move |cluster| {
+            Arc::new(if cluster == 0 {
                 // Cluster 0 is compromised: every register group hosts a
                 // suffix liar in its last object slot (within b = 1).
                 ShardedStore::deploy_with_objects(
@@ -56,7 +56,7 @@ fn main() {
                     Box::new(NoDelay),
                     KEYS as usize,
                 )
-            }
+            })
         }));
     println!(
         "router: {} clusters x {} register shards, {} ring slots, seed {}",

@@ -26,7 +26,7 @@ use vrr_core::attackers::AttackerKind;
 use vrr_core::metrics::{names, MetricsSink};
 use vrr_core::regular::HistoryRetention;
 use vrr_core::{Msg, StorageConfig};
-use vrr_runtime::{LinkAction, LinkPolicy, ProtocolKind, StorageCluster};
+use vrr_runtime::{LinkAction, LinkPolicy, ProtocolKind, ProtocolSpec, StorageCluster};
 use vrr_sim::ProcessId;
 pub use vrr_workload::soak::{
     check_metrics_relations, run_sim_soak, MetricsExpectations, SoakParams, SoakReport,
@@ -71,11 +71,10 @@ pub fn run_runtime_soak(params: SoakParams) -> SoakReport {
     // whole fault budget (t = b = 1), so no additional crash is injected.
     let cfg = StorageConfig::fast(1, 1, 2);
     let retention = HistoryRetention::reader_ack_capped(cfg.readers, params.cap);
-    let storage: StorageCluster<u64> = StorageCluster::deploy_with_retention_and_objects(
+    let storage: StorageCluster<u64> = StorageCluster::deploy_with_objects(
         cfg,
-        ProtocolKind::RegularOptimized,
+        ProtocolSpec::from(ProtocolKind::RegularOptimized).with_retention(retention),
         Box::new(SoakJitter { state: params.seed }),
-        retention,
         |i| (i == cfg.s - 1).then(|| AttackerKind::Truncator.build_regular(cfg, FORGED)),
     );
 

@@ -30,8 +30,8 @@ use std::collections::BTreeMap;
 
 use vrr::core::safe::SafeTuning;
 use vrr::core::{
-    Msg, MutantSafeProtocol, ReadRound, RegisterProtocol, SafeProtocol, StorageConfig, Timestamp,
-    TsVal, TsrMatrix, WTuple,
+    Msg, ProtocolSpec, ReadRound, RegisterProtocol, SafeProtocol, StorageConfig, Timestamp, TsVal,
+    TsrMatrix, WTuple,
 };
 use vrr::sim::{from_fn, Action, Context, World};
 
@@ -186,7 +186,7 @@ where
 
 #[test]
 fn without_conflict_check_the_omniscient_attack_blocks_the_read() {
-    let mutant = MutantSafeProtocol(SafeTuning {
+    let mutant = ProtocolSpec::Safe(SafeTuning {
         conflict_check: false,
         ..SafeTuning::default()
     });
@@ -218,7 +218,7 @@ fn with_conflict_check_the_same_strategy_terminates() {
 /// unsafe candidate.
 #[test]
 fn the_blocked_state_matches_lemma3_arithmetic() {
-    let mutant = MutantSafeProtocol(SafeTuning {
+    let mutant = ProtocolSpec::Safe(SafeTuning {
         conflict_check: false,
         ..SafeTuning::default()
     });

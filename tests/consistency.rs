@@ -3,7 +3,7 @@
 
 use vrr::checker::{check_regularity, check_safety};
 use vrr::core::safe::SafeTuning;
-use vrr::core::{MutantSafeProtocol, RegularProtocol, SafeProtocol, StorageConfig};
+use vrr::core::{ProtocolSpec, RegularProtocol, SafeProtocol, StorageConfig};
 use vrr::sim::SimTime;
 use vrr::workload::{FaultPlan, LatencyKind, ScheduleParams, SimCase};
 
@@ -128,7 +128,7 @@ fn mutated_reader_is_caught_by_the_checker() {
     let mut caught = false;
     'outer: for seed in 0..40u64 {
         let cfg = StorageConfig::optimal(2, 2, 2);
-        let mutant = MutantSafeProtocol(tuning);
+        let mutant = ProtocolSpec::Safe(tuning);
         let out = SimCase::new(&mutant, cfg)
             .schedule(ScheduleParams::contended(5, 6, 2, seed))
             .faults(FaultPlan::maximal(
@@ -137,7 +137,6 @@ fn mutated_reader_is_caught_by_the_checker() {
                 SimTime::from_ticks(40),
             ))
             .latency(LatencyKind::LongTail)
-            .corruptor(&vrr::workload::safe_corruptor)
             .run();
         if check_safety(&out.history).is_err() {
             caught = true;

@@ -11,7 +11,7 @@ use vrr::core::attackers::AttackerKind;
 use vrr::core::metrics::names;
 use vrr::core::regular::{HistoryRetention, RegularReader};
 use vrr::core::{RegularProtocol, StorageConfig, StorageScenario, Timestamp};
-use vrr::runtime::{NoDelay, ProtocolKind, ShardedStore, StorageCluster};
+use vrr::runtime::{NoDelay, ProtocolKind, ProtocolSpec, ShardedStore, StorageCluster};
 
 #[test]
 fn steady_state_memory_is_flat_in_run_length() {
@@ -187,12 +187,9 @@ fn runtime_cluster_and_sharded_store_run_bounded_memory() {
     // observable both through the direct accessor and the same
     // metrics-snapshot gauges the simulator exports.
     let cfg = StorageConfig::optimal(1, 1, 1);
-    let storage: StorageCluster<u64> = StorageCluster::deploy_with_retention(
-        cfg,
-        ProtocolKind::RegularOptimized,
-        Box::new(NoDelay),
-        HistoryRetention::reader_ack(1),
-    );
+    let spec = ProtocolSpec::from(ProtocolKind::RegularOptimized)
+        .with_retention(HistoryRetention::reader_ack(1));
+    let storage: StorageCluster<u64> = StorageCluster::deploy(cfg, spec, Box::new(NoDelay));
     for k in 1..=64u64 {
         storage.write(k);
         assert_eq!(storage.read(0).value, Some(k));
@@ -208,13 +205,8 @@ fn runtime_cluster_and_sharded_store_run_bounded_memory() {
         64
     );
 
-    let store: ShardedStore<&'static str, u64> = ShardedStore::deploy_with_retention(
-        cfg,
-        ProtocolKind::RegularOptimized,
-        Box::new(NoDelay),
-        2,
-        HistoryRetention::reader_ack(1),
-    );
+    let store: ShardedStore<&'static str, u64> =
+        ShardedStore::deploy(cfg, spec, Box::new(NoDelay), 2);
     for k in 1..=32u64 {
         store.write("a", k);
         store.write("b", k * 2);

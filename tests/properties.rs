@@ -10,10 +10,7 @@ use proptest::prelude::*;
 use vrr::checker::{check_atomicity, check_regularity, check_safety, OpHistory};
 use vrr::core::{RegularProtocol, SafeProtocol, StorageConfig};
 use vrr::lowerbound::{execute_prop1, LitePairSpec, ReadRule};
-use vrr::workload::{
-    generate, regular_corruptor, run_schedule, safe_corruptor, FaultPlan, LatencyKind,
-    ScheduleParams,
-};
+use vrr::workload::{FaultPlan, LatencyKind, ScheduleParams, SimCase};
 
 // ---------------------------------------------------------------------------
 // Family 1: protocol properties under generated scenarios.
@@ -43,13 +40,13 @@ proptest! {
         let b = (b_rel % t.max(1)) + 1;
         let b = b.min(t);
         let cfg = StorageConfig::optimal(t, b, 2);
-        let schedule = generate(ScheduleParams {
-            writes, reads_per_reader: reads, readers: 2, mean_gap: gap, seed,
-        });
-        let faults = FaultPlan::random(&cfg, 200, seed);
-        let out = run_schedule(
-            &SafeProtocol, cfg, &schedule, &faults, latency, seed, &safe_corruptor,
-        );
+        let out = SimCase::new(&SafeProtocol, cfg)
+            .schedule(ScheduleParams {
+                writes, reads_per_reader: reads, readers: 2, mean_gap: gap, seed,
+            })
+            .faults(FaultPlan::random(&cfg, 200, seed))
+            .latency(latency)
+            .run();
         prop_assert!(out.all_live(), "stalled {}", out.stalled_ops);
         prop_assert!(check_safety(&out.history).is_ok());
         prop_assert!(out.max_read_rounds() <= 2);
@@ -73,13 +70,13 @@ proptest! {
         } else {
             RegularProtocol::full()
         };
-        let schedule = generate(ScheduleParams {
-            writes, reads_per_reader: reads, readers: 2, mean_gap: gap, seed,
-        });
-        let faults = FaultPlan::random(&cfg, 200, seed);
-        let out = run_schedule(
-            &protocol, cfg, &schedule, &faults, latency, seed, &regular_corruptor,
-        );
+        let out = SimCase::new(&protocol, cfg)
+            .schedule(ScheduleParams {
+                writes, reads_per_reader: reads, readers: 2, mean_gap: gap, seed,
+            })
+            .faults(FaultPlan::random(&cfg, 200, seed))
+            .latency(latency)
+            .run();
         prop_assert!(out.all_live());
         prop_assert!(check_regularity(&out.history).is_ok());
         prop_assert!(out.max_read_rounds() <= 2);

@@ -115,10 +115,10 @@ fn rebalance_under_crash_and_byzantine_faults_stays_regular() {
     // Per-group budget (t, b) = (2, 1): S = 6 objects tolerate one
     // Byzantine liar plus one crash.
     let cfg = StorageConfig::optimal(2, 1, 1);
-    let router: Arc<StoreRouter<u64, u64>> = Arc::new(StoreRouter::deploy_with_stores(
+    let router: Arc<StoreRouter<u64, u64>> = Arc::new(StoreRouter::deploy_with_backends(
         RouterConfig::new(2, 40).with_ring_slots(16).with_seed(2006),
         move |cluster| {
-            if cluster == 0 {
+            Arc::new(if cluster == 0 {
                 // Every register group of cluster 0 hosts a Truncator (a
                 // suffix liar forging FORGED) in its last object slot.
                 ShardedStore::deploy_with_objects(
@@ -132,7 +132,7 @@ fn rebalance_under_crash_and_byzantine_faults_stays_regular() {
                 )
             } else {
                 ShardedStore::deploy(cfg, ProtocolKind::RegularOptimized, Box::new(NoDelay), 40)
-            }
+            })
         },
     ));
 
