@@ -233,6 +233,19 @@ impl<V: Value> SafeReader<V> {
         self.outcomes.get(&id)
     }
 
+    /// Removes and returns the outcome of read `id`, if complete — what a
+    /// long-running host polls with, so outcomes (one cloned value each)
+    /// do not accumulate. `outcome` leaves them in place for the simulator
+    /// harness, which inspects them after the run.
+    pub fn take_outcome(&mut self, id: ReadId) -> Option<ReadOutcome<V>> {
+        self.outcomes.remove(&id)
+    }
+
+    /// Completed outcomes not yet taken.
+    pub fn retained_outcomes(&self) -> usize {
+        self.outcomes.len()
+    }
+
     /// Whether no READ is in progress.
     pub fn is_idle(&self) -> bool {
         self.op.is_none()

@@ -119,6 +119,19 @@ impl<V: Value> Writer<V> {
         self.outcomes.get(&id)
     }
 
+    /// Removes and returns the outcome of write `id`, if complete — what
+    /// a long-running host polls with, so outcomes do not accumulate
+    /// ([`Writer::outcome`] leaves them in place for the simulator
+    /// harness, which inspects them after the run).
+    pub fn take_outcome(&mut self, id: WriteId) -> Option<WriteOutcome> {
+        self.outcomes.remove(&id)
+    }
+
+    /// Completed outcomes not yet taken.
+    pub fn retained_outcomes(&self) -> usize {
+        self.outcomes.len()
+    }
+
     /// Whether no WRITE is in progress.
     pub fn is_idle(&self) -> bool {
         matches!(self.phase, Phase::Idle)

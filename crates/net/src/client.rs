@@ -25,6 +25,9 @@ use crate::frame::{
 /// server-side blocking-operation timeout with headroom.
 const REQUEST_TIMEOUT: Duration = Duration::from_secs(40);
 
+/// Bytes read from the socket per `read` call.
+const READ_BUF: usize = 64 * 1024;
+
 /// Bounded retry with exponential backoff and seeded jitter — the policy
 /// [`NetClient::request_with_retry`] and `RemoteCluster` apply when a
 /// connection drops mid-rebalance. The jitter stream is a pure function of
@@ -160,6 +163,8 @@ pub struct NetClient<V> {
     addr: SocketAddr,
     stream: TcpStream,
     reader: FrameReader,
+    /// The one socket read buffer, reused by every request.
+    read_buf: Vec<u8>,
     next_id: u64,
     seq: u64,
     /// Requests re-sent after a connection failure (the
@@ -176,6 +181,7 @@ impl<V: Wire> NetClient<V> {
             addr,
             stream,
             reader: FrameReader::new(),
+            read_buf: vec![0; READ_BUF],
             next_id: 1,
             seq: 0,
             retries: 0,
@@ -254,7 +260,6 @@ impl<V: Wire> NetClient<V> {
         self.next_id += 1;
         self.send(Payload::Ctl(Ctl::Request { id, op }))?;
         let deadline = Instant::now() + REQUEST_TIMEOUT;
-        let mut buf = [0u8; 64 * 1024];
         loop {
             // Drain complete frames already buffered before reading more.
             while let Some(body) = self.reader.next_frame()? {
@@ -268,9 +273,9 @@ impl<V: Wire> NetClient<V> {
             if Instant::now() >= deadline {
                 return Err(ClientError::Timeout);
             }
-            match self.stream.read(&mut buf) {
+            match self.stream.read(&mut self.read_buf) {
                 Ok(0) => return Err(ClientError::Io(io::ErrorKind::UnexpectedEof.into())),
-                Ok(n) => self.reader.extend(&buf[..n]),
+                Ok(n) => self.reader.extend(&self.read_buf[..n]),
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut => {}

@@ -11,6 +11,8 @@
 //! - [`reactor`] — a single-threaded epoll event loop (via the vendored
 //!   `mio` shim) owning every socket: non-blocking accept/connect/read/
 //!   write, per-connection write queues, incremental frame extraction.
+//!   Events go, on the reactor thread, to the [`reactor::Handler`] it was
+//!   started with.
 //! - [`transport`] — [`transport::TcpTransport`]: peer table, `Hello`
 //!   handshakes, reconnect-on-demand, lossy-on-reset delivery.
 //! - [`node`] — [`node::NetNode`]: one OS process of a deployment. Spawns
@@ -19,6 +21,9 @@
 //!   [`node::Relay`] stand-ins for remote pids, so `StorageCluster`-style
 //!   workloads run unchanged whether members share a process or not. The
 //!   same spec builds the shards of a hosted store (router-member mode).
+//!   Its request path is completion-driven: the reactor thread starts an
+//!   operation ([`vrr_runtime::Cluster::submit`]) and the worker that
+//!   observes the outcome writes the response — no thread per request.
 //! - [`client`] — [`client::NetClient`]: a blocking thin client
 //!   (slot-addressed write/read, metrics and fault-injection ops).
 //! - [`remote`] — [`remote::RemoteCluster`]: the keyed client side of a
@@ -75,6 +80,6 @@ pub use node::{
     free_addrs, ByzSpec, GroupPlacement, NetNode, NetNodeConfig, NodeTopology, Relay, StoreByzSpec,
     StoreSpec,
 };
-pub use reactor::{ConnId, NetCounters, NetEvent, ReactorHandle};
+pub use reactor::{BoundReactor, ConnId, Handler, NetCounters, NetEvent, ReactorHandle};
 pub use remote::{RemoteCluster, RemoteClusterConfig};
 pub use transport::{Inbound, TcpTransport};

@@ -10,20 +10,49 @@
 //! ships the message over the transport, and node 1 injects it into *its*
 //! pid 3, where the real object lives.
 //!
-//! [`NetNode`] owns the reactor event loop thread: inbound
-//! [`Inbound::Peer`] envelopes are injected via `send_external`, thin
-//! client [`Inbound::Request`]s are served on short-lived threads (a
-//! blocking `READ` must not stall the ingress path its own quorum
-//! messages arrive on), and `Down` peers are redialed on a periodic tick.
+//! # Where a request runs
+//!
+//! [`NetNode`] hands the reactor a handler, so everything below happens
+//! **on the reactor thread** (decode → classify → act; no event channel,
+//! no thread per request), and nothing on it ever waits:
+//!
+//! - **inline** — [`Inbound::Peer`] envelopes are injected with
+//!   `send_external`; the O(1) ops (`Ping`, `ReleaseKey`, `SlotOfKey`,
+//!   `StoreInfo`, `StoreKeys`, `CrashPid`, `CrashShard`, `ResetPeer`,
+//!   `EchoHistory`, `Shutdown`) and every validation error are answered on
+//!   the spot.
+//! - **by completion** — `ReadKey` / `WriteKey` / `ReadSlot` / `WriteSlot`
+//!   are *started* ([`vrr_runtime::Cluster::submit`], through
+//!   `ShardedStore::{read_with, try_write_with}` / `submit_*`) and the
+//!   worker thread that observes the outcome writes the `Response`. The
+//!   completion holds the transport, the connection and the request id —
+//!   never the node — so an in-flight operation cannot keep a dropped node
+//!   alive. Two requests for one reader (or writer) queue in the
+//!   executor, in arrival order.
+//! - **inspection thread** — `Metrics`, `StoreMetrics`, `ShardHistoryLens`
+//!   and HTTP `GET /metrics` do blocking `invoke`s over many automata
+//!   (thousands on a large store); they go, by channel, to one long-lived
+//!   thread.
+//!
+//! An operation that outlives [`vrr_runtime::OP_TIMEOUT`] — more than `t`
+//! objects of its group are gone — is answered with a typed `Rsp::Err` by a
+//! deadline sweep on the reactor tick: the timeout is a constant, so
+//! deadlines are monotone in arrival order and a FIFO is the whole timer
+//! wheel. Completion and sweep race on one flag; exactly one of them
+//! answers. (The wedged operation itself, and those queued behind it on the
+//! same automaton, stay parked in the executor: each costs its closure, no
+//! thread.) The same tick redials `Down` peers.
 
+use std::collections::VecDeque;
 use std::io;
 use std::net::SocketAddr;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, RecvTimeoutError};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use vrr_core::attackers::AttackerKind;
@@ -33,11 +62,14 @@ use vrr_core::{
     group_member, group_span, spawn_group, Deployment, GroupRole, Msg, ProtocolKind, ProtocolSpec,
     ReadReport, StorageConfig, Value, WriteReport,
 };
-use vrr_runtime::{blocking_read, blocking_write, Cluster, NoDelay, ShardedStore, StoreError};
+use vrr_runtime::{
+    op_channel, submit_read, submit_write, Cluster, NoDelay, NodeGone, ShardedStore, StoreError,
+    OP_TIMEOUT,
+};
 use vrr_sim::{Automaton, Context, ProcessId};
 
 use crate::frame::{Ctl, Op, Rsp};
-use crate::reactor::{self, NetEvent};
+use crate::reactor::{self, ConnId, Handler, NetEvent};
 use crate::transport::{Inbound, TcpTransport};
 
 /// Stand-in automaton for a pid hosted by another OS process: anything
@@ -209,50 +241,53 @@ impl<V> NetNodeConfig<V> {
     }
 }
 
-/// How often the event loop redials `Down` peers (traffic also dials on
-/// demand; this tick only covers peers that restarted while idle).
+/// How often the reactor tick redials `Down` peers (traffic also dials on
+/// demand; this only covers peers that restarted while idle).
 const REDIAL_EVERY: Duration = Duration::from_millis(200);
 
 struct ServerCtx<V: Value + Wire> {
     node: u32,
     cfg: StorageConfig,
     kind: ProtocolKind,
-    cluster: Arc<Cluster<Msg<V>>>,
+    cluster: Cluster<Msg<V>>,
     groups: Vec<Deployment>,
     placement: GroupPlacement,
     pid_node: Vec<u32>,
     transport: Arc<TcpTransport<V>>,
     /// Hosted key-value store (router-member mode), if any.
     store: Option<ShardedStore<Vec<u8>, V>>,
-    /// Client-op rounds/latency histograms for the metrics snapshot.
-    ops: Mutex<Registry>,
+    /// Slot-op rounds/latency histograms for the metrics snapshot; shared
+    /// with the in-flight operations' completions, which record into it.
+    ops: Arc<Mutex<Registry>>,
     shutdown: AtomicBool,
 }
 
-/// One running node: a local cluster (real automata + relays), a reactor,
-/// and the event loop wiring them together.
+/// One running node: a local cluster (real automata + relays), the reactor
+/// thread serving it, and the inspection thread.
 pub struct NetNode<V: Value + Wire> {
     ctx: Arc<ServerCtx<V>>,
     addr: SocketAddr,
     metrics_addr: Option<SocketAddr>,
-    event_thread: Option<std::thread::JoinHandle<()>>,
+    reactor_thread: Option<JoinHandle<()>>,
+    inspection_thread: Option<JoinHandle<()>>,
 }
 
 impl<V: Value + Wire> NetNode<V> {
     /// Starts node `node` of `topo`, binding its listen address (a port-0
     /// address works — see [`NetNode::addr`] for what was actually bound),
-    /// spawning the full global pid space, and launching the event loop.
+    /// spawning the full global pid space, and starting the reactor with
+    /// this node's request handler.
     pub fn start(node: u32, topo: &NodeTopology, ncfg: NetNodeConfig<V>) -> io::Result<Self> {
-        let (handle, ev_rx, bound, metrics_addr) =
-            reactor::spawn_with_http(Some(topo.addrs[node as usize]), ncfg.metrics_addr)?;
-        let addr = bound.expect("listening reactor reports its address");
+        let bound = reactor::bind(Some(topo.addrs[node as usize]), ncfg.metrics_addr)?;
+        let addr = bound.addr().expect("listening reactor reports its address");
+        let metrics_addr = bound.http_addr();
         let pid_node = topo.pid_node(ncfg.cfg);
         let transport = TcpTransport::<V>::new(
             node,
             ncfg.epoch,
             topo.addrs.clone(),
             pid_node.clone(),
-            handle,
+            bound.handle(),
         );
 
         let span = group_span(ncfg.cfg);
@@ -300,24 +335,32 @@ impl<V: Value + Wire> NetNode<V> {
             node,
             cfg: ncfg.cfg,
             kind: ncfg.spec.kind(),
-            cluster: Arc::new(cluster),
+            cluster,
             groups,
             placement: topo.placement.clone(),
             pid_node,
             transport,
             store,
-            ops: Mutex::new(Registry::new()),
+            ops: Arc::new(Mutex::new(Registry::new())),
             shutdown: AtomicBool::new(false),
         });
-        let loop_ctx = ctx.clone();
-        let event_thread = std::thread::Builder::new()
-            .name(format!("vrr-net-node-{node}"))
-            .spawn(move || event_loop(loop_ctx, ev_rx))?;
+        let (inspect_tx, inspect_rx) = unbounded();
+        let inspection_ctx = ctx.clone();
+        let inspection_thread = std::thread::Builder::new()
+            .name(format!("vrr-net-inspect-{node}"))
+            .spawn(move || inspection_loop(inspection_ctx, inspect_rx))?;
+        let reactor_thread = bound.run(NodeHandler {
+            ctx: ctx.clone(),
+            pending: VecDeque::new(),
+            inspect_tx,
+            last_redial: Instant::now(),
+        })?;
         Ok(NetNode {
             ctx,
             addr,
             metrics_addr,
-            event_thread: Some(event_thread),
+            reactor_thread: Some(reactor_thread),
+            inspection_thread: Some(inspection_thread),
         })
     }
 
@@ -365,7 +408,9 @@ impl<V: Value + Wire> NetNode<V> {
     /// range, or the write times out.
     pub fn write_slot(&self, slot: usize, value: V) -> WriteReport {
         assert_eq!(self.ctx.placement.writer, self.ctx.node, "writer not local");
-        self.ctx.do_write(slot, value)
+        let (done, waiter) = op_channel();
+        self.ctx.start_write(slot, value, done);
+        waiter.wait()
     }
 
     /// Blocking `READ()` at local reader `reader` of slot `slot`.
@@ -379,7 +424,9 @@ impl<V: Value + Wire> NetNode<V> {
             self.ctx.placement.readers[reader], self.ctx.node,
             "reader not local"
         );
-        self.ctx.do_read(slot, reader)
+        let (done, waiter) = op_channel();
+        self.ctx.start_read(slot, reader, done);
+        waiter.wait()
     }
 
     /// Crashes a locally hosted global pid (fault injection).
@@ -415,79 +462,435 @@ impl<V: Value + Wire> NetNode<V> {
 }
 
 impl<V: Value + Wire> Drop for NetNode<V> {
+    /// Joins the reactor and inspection threads; the worker pools join as
+    /// the last reference to the node's state drops right after. Operations
+    /// still in flight complete with `NodeGone` into a closed reactor.
     fn drop(&mut self) {
         self.ctx.shutdown.store(true, Ordering::SeqCst);
         self.ctx.transport.handle().shutdown();
-        if let Some(t) = self.event_thread.take() {
-            let _ = t.join();
+        // The reactor thread owns the handler, the handler the inspection
+        // thread's only sender: the second join follows from the first.
+        let threads = [self.reactor_thread.take(), self.inspection_thread.take()];
+        for thread in threads.into_iter().flatten() {
+            let _ = thread.join();
         }
     }
 }
 
-fn event_loop<V: Value + Wire>(ctx: Arc<ServerCtx<V>>, ev_rx: Receiver<NetEvent>) {
-    let mut last_redial = Instant::now();
-    loop {
-        if ctx.shutdown.load(Ordering::SeqCst) {
-            return;
+/// The one-shot right to answer request `id` on `conn`. The operation's
+/// completion (on a worker thread) and the deadline sweep (on the reactor
+/// tick) race on `answered`; whoever flips it sends the response, the other
+/// stands down. Holds the transport, never the node.
+struct Reply<V> {
+    transport: Arc<TcpTransport<V>>,
+    conn: ConnId,
+    id: u64,
+    answered: Arc<AtomicBool>,
+}
+
+impl<V: Wire> Reply<V> {
+    fn send(self, rsp: Rsp<V>) {
+        if !self.answered.swap(true, Ordering::SeqCst) {
+            self.transport
+                .send_ctl_on(self.conn, Ctl::Response { id: self.id, rsp });
         }
-        match ev_rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(NetEvent::HttpRequest { conn, head }) => {
-                let rsp = ctx.http_response(&head);
+    }
+}
+
+/// The deadline sweep's view of one started operation.
+struct Pending {
+    conn: ConnId,
+    id: u64,
+    answered: Arc<AtomicBool>,
+    deadline: Instant,
+}
+
+/// The two ends of one operation about to start: the reply right its
+/// completion takes, and the entry that puts it under the deadline sweep
+/// once it did start.
+fn reply_for<V>(transport: &Arc<TcpTransport<V>>, conn: ConnId, id: u64) -> (Reply<V>, Pending) {
+    let answered = Arc::new(AtomicBool::new(false));
+    let reply = Reply {
+        transport: transport.clone(),
+        conn,
+        id,
+        answered: answered.clone(),
+    };
+    let pending = Pending {
+        conn,
+        id,
+        answered,
+        deadline: Instant::now() + OP_TIMEOUT,
+    };
+    (reply, pending)
+}
+
+/// Pops every operation at the front of `queue` that is answered or whose
+/// deadline has passed at `now`, and returns the `(conn, id)` of those the
+/// sweep must answer (it won their `answered` race). The timeout is one
+/// constant, so `queue` — arrival order — is deadline order.
+fn expire(queue: &mut VecDeque<Pending>, now: Instant) -> Vec<(ConnId, u64)> {
+    let mut timed_out = Vec::new();
+    while let Some(front) = queue.front() {
+        if front.deadline > now && !front.answered.load(Ordering::SeqCst) {
+            break;
+        }
+        let front = queue.pop_front().expect("front exists");
+        if !front.answered.swap(true, Ordering::SeqCst) {
+            timed_out.push((front.conn, front.id));
+        }
+    }
+    timed_out
+}
+
+/// What the inspection thread is asked to do.
+enum Inspection {
+    /// `Op::Metrics`.
+    Metrics,
+    /// `Op::StoreMetrics`.
+    StoreMetrics { cluster: Option<u32> },
+    /// `Op::ShardHistoryLens`.
+    ShardHistoryLens { slot: u32 },
+}
+
+enum InspectionJob {
+    /// Answer frame request `id` on `conn`.
+    Request {
+        conn: ConnId,
+        id: u64,
+        what: Inspection,
+    },
+    /// Answer `GET /metrics` on HTTP connection `conn`.
+    HttpMetrics { conn: ConnId },
+}
+
+/// The reactor's [`Handler`] for one node: classifies every inbound
+/// envelope and acts on it without waiting (see the module docs).
+struct NodeHandler<V: Value + Wire> {
+    ctx: Arc<ServerCtx<V>>,
+    /// Started client operations not yet known to be answered, in arrival
+    /// (= deadline) order.
+    pending: VecDeque<Pending>,
+    inspect_tx: Sender<InspectionJob>,
+    last_redial: Instant,
+}
+
+impl<V: Value + Wire> Handler for NodeHandler<V> {
+    fn on_event(&mut self, ev: NetEvent) {
+        if let NetEvent::HttpRequest { conn, head } = &ev {
+            return self.on_http(*conn, head);
+        }
+        match self.ctx.transport.handle_event(ev) {
+            Some(Inbound::Peer { from, to, msg }) => {
+                // Only inject at pids this node really hosts; a confused
+                // or hostile peer must not bounce traffic off a relay.
+                let ctx = &self.ctx;
+                if to.0 < ctx.pid_node.len() && ctx.pid_node[to.0] == ctx.node {
+                    ctx.cluster.send_external(from, to, msg);
+                }
+            }
+            Some(Inbound::Request { conn, id, op }) => self.on_request(conn, id, op),
+            Some(Inbound::Response { .. }) | None => {}
+        }
+    }
+
+    fn on_tick(&mut self) {
+        let now = Instant::now();
+        for (conn, id) in expire(&mut self.pending, now) {
+            let rsp = Rsp::Err {
+                what: format!(
+                    "operation timed out after {OP_TIMEOUT:?} (more than t objects of its group unreachable?)"
+                ),
+            };
+            self.ctx
+                .transport
+                .send_ctl_on(conn, Ctl::Response { id, rsp });
+        }
+        if now.duration_since(self.last_redial) >= REDIAL_EVERY {
+            self.ctx.transport.redial_down_peers();
+            self.last_redial = now;
+        }
+    }
+}
+
+fn wrote<V>(result: Result<WriteReport, NodeGone>) -> Rsp<V> {
+    match result {
+        Ok(report) => Rsp::Wrote {
+            ts: report.ts,
+            rounds: report.rounds,
+        },
+        Err(gone) => Rsp::Err {
+            what: gone.to_string(),
+        },
+    }
+}
+
+fn read_ok<V>(result: Result<ReadReport<V>, NodeGone>) -> Rsp<V> {
+    match result {
+        Ok(report) => Rsp::ReadOk {
+            value: report.value,
+            ts: report.ts,
+            rounds: report.rounds,
+            fast: report.fast,
+        },
+        Err(gone) => Rsp::Err {
+            what: gone.to_string(),
+        },
+    }
+}
+
+impl<V: Value + Wire> NodeHandler<V> {
+    /// Serves one thin-client request: answered here, or started here and
+    /// answered by its completion, or handed to the inspection thread.
+    fn on_request(&mut self, conn: ConnId, id: u64, op: Op<V>) {
+        let ctx = &*self.ctx;
+        let pending = &mut self.pending;
+        let inspect = |what| {
+            let job = InspectionJob::Request { conn, id, what };
+            let _ = self.inspect_tx.send(job);
+            None
+        };
+        // `Some`: answered here and now. `None`: a completion, the deadline
+        // sweep or the inspection thread answers.
+        let now: Option<Rsp<V>> = match op {
+            Op::Ping => Some(Rsp::Pong),
+            Op::WriteSlot { slot, value } => {
+                let slot = slot as usize;
+                if ctx.placement.writer != ctx.node {
+                    Some(Rsp::Err {
+                        what: format!("writer lives on node {}", ctx.placement.writer),
+                    })
+                } else if slot >= ctx.groups.len() {
+                    Some(Rsp::Err {
+                        what: format!("slot {slot} out of range"),
+                    })
+                } else {
+                    let (reply, entry) = reply_for(&ctx.transport, conn, id);
+                    ctx.start_write(slot, value, move |result| reply.send(wrote(result)));
+                    pending.push_back(entry);
+                    None
+                }
+            }
+            Op::ReadSlot { slot, reader } => {
+                let (slot, reader) = (slot as usize, reader as usize);
+                if slot >= ctx.groups.len() || reader >= ctx.cfg.readers {
+                    Some(Rsp::Err {
+                        what: format!("slot {slot} / reader {reader} out of range"),
+                    })
+                } else if ctx.placement.readers[reader] != ctx.node {
+                    Some(Rsp::Err {
+                        what: format!(
+                            "reader {reader} lives on node {}",
+                            ctx.placement.readers[reader]
+                        ),
+                    })
+                } else {
+                    let (reply, entry) = reply_for(&ctx.transport, conn, id);
+                    ctx.start_read(slot, reader, move |result| reply.send(read_ok(result)));
+                    pending.push_back(entry);
+                    None
+                }
+            }
+            Op::CrashPid { pid } => {
+                let pid = pid as usize;
+                Some(
+                    if pid >= ctx.pid_node.len() || ctx.pid_node[pid] != ctx.node {
+                        Rsp::Err {
+                            what: format!("pid {pid} is not hosted here"),
+                        }
+                    } else {
+                        ctx.cluster.crash(ProcessId(pid));
+                        Rsp::Crashed
+                    },
+                )
+            }
+            Op::ResetPeer { node } => Some(Rsp::PeerReset {
+                closed: ctx.transport.reset_peer(node),
+            }),
+            Op::EchoHistory { history } => Some(Rsp::History { history }),
+            Op::Shutdown => {
+                ctx.shutdown.store(true, Ordering::SeqCst);
+                Some(Rsp::ShuttingDown)
+            }
+            Op::WriteKey { key, value } => ctx.with_store(|s| {
+                let (reply, entry) = reply_for(&ctx.transport, conn, id);
+                match s.try_write_with(key, value, move |result| reply.send(wrote(result))) {
+                    Ok(()) => {
+                        pending.push_back(entry);
+                        None
+                    }
+                    Err(StoreError::OverCapacity { capacity }) => Some(Rsp::OverCapacity {
+                        capacity: capacity as u32,
+                    }),
+                    Err(e) => Some(Rsp::Err {
+                        what: e.to_string(),
+                    }),
+                }
+            }),
+            Op::ReadKey { key, reader } => ctx.with_store(|s| {
+                if reader as usize >= s.config().readers {
+                    return Some(Rsp::Err {
+                        what: format!("reader {reader} out of range"),
+                    });
+                }
+                let (reply, entry) = reply_for(&ctx.transport, conn, id);
+                let done = move |result| reply.send(read_ok(result));
+                if s.read_with(&key, reader as usize, done) {
+                    pending.push_back(entry);
+                    None
+                } else {
+                    Some(Rsp::NoKey)
+                }
+            }),
+            Op::ReleaseKey { key } => ctx.with_store(|s| {
+                Some(Rsp::Released {
+                    slot: s.release(&key).map(|slot| slot as u32),
+                })
+            }),
+            Op::StoreKeys => ctx.with_store(|s| Some(Rsp::StoreKeys { keys: s.keys() })),
+            Op::SlotOfKey { key } => ctx.with_store(|s| {
+                Some(match s.shard_of(&key) {
+                    Some(slot) => Rsp::Slot { slot: slot as u32 },
+                    None => Rsp::NoKey,
+                })
+            }),
+            Op::CrashShard { slot, object } => ctx.with_store(|s| {
+                let (slot, object) = (slot as usize, object as usize);
+                Some(if slot >= s.capacity() || object >= s.config().s {
+                    Rsp::Err {
+                        what: format!("shard {slot} / object {object} out of range"),
+                    }
+                } else {
+                    s.crash_object(slot, object);
+                    Rsp::Crashed
+                })
+            }),
+            Op::StoreInfo => ctx.with_store(|s| {
+                Some(Rsp::StoreInfo {
+                    capacity: s.capacity() as u32,
+                    keys: s.len() as u32,
+                    free_slots: s.free_slots() as u32,
+                })
+            }),
+            Op::Metrics => inspect(Inspection::Metrics),
+            Op::StoreMetrics { cluster } => inspect(Inspection::StoreMetrics { cluster }),
+            Op::ShardHistoryLens { slot } => inspect(Inspection::ShardHistoryLens { slot }),
+        };
+        if let Some(rsp) = now {
+            ctx.transport.send_ctl_on(conn, Ctl::Response { id, rsp });
+        }
+    }
+
+    /// Answers one HTTP request head: `GET /metrics` gets the Prometheus
+    /// snapshot (from the inspection thread), anything else a 404.
+    fn on_http(&self, conn: ConnId, head: &[u8]) {
+        let line = head.split(|&b| b == b'\r').next().unwrap_or(b"");
+        if line.starts_with(b"GET /metrics") {
+            let _ = self.inspect_tx.send(InspectionJob::HttpMetrics { conn });
+        } else {
+            let rsp = http_response("404 Not Found", "try GET /metrics\n");
+            self.ctx.transport.handle().finish(conn, rsp);
+        }
+    }
+}
+
+/// One HTTP response, always `Connection: close` — the reactor drops the
+/// connection after the flush.
+fn http_response(status: &str, body: &str) -> Vec<u8> {
+    format!(
+        "HTTP/1.1 {status}\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+        body.len(),
+    )
+    .into_bytes()
+}
+
+/// The inspection thread: serves, one at a time, the requests whose answer
+/// takes blocking `invoke`s over many automata. Ends when the reactor
+/// thread — owner of the only sender — does.
+fn inspection_loop<V: Value + Wire>(ctx: Arc<ServerCtx<V>>, jobs: Receiver<InspectionJob>) {
+    // Inspecting a crashed or Byzantine-substituted process panics (it is a
+    // caller error in-process); over the wire it is an error response.
+    fn contain<T>(f: impl FnOnce() -> T) -> Result<T, String> {
+        std::panic::catch_unwind(AssertUnwindSafe(f)).map_err(|_| {
+            "inspection failed: it targeted a crashed or substituted process".to_string()
+        })
+    }
+    for job in jobs.iter() {
+        match job {
+            InspectionJob::Request { conn, id, what } => {
+                let rsp = contain(|| ctx.inspect(what)).unwrap_or_else(|what| Rsp::Err { what });
+                ctx.transport.send_ctl_on(conn, Ctl::Response { id, rsp });
+            }
+            InspectionJob::HttpMetrics { conn } => {
+                let rsp = match contain(|| ctx.metrics().to_prometheus()) {
+                    Ok(text) => http_response("200 OK", &text),
+                    Err(what) => http_response("500 Internal Server Error", &what),
+                };
                 ctx.transport.handle().finish(conn, rsp);
             }
-            Ok(ev) => match ctx.transport.handle_event(ev) {
-                Some(Inbound::Peer { from, to, msg }) => {
-                    // Only inject at pids this node really hosts; a confused
-                    // or hostile peer must not bounce traffic off a relay.
-                    if to.0 < ctx.pid_node.len() && ctx.pid_node[to.0] == ctx.node {
-                        ctx.cluster.send_external(from, to, msg);
-                    }
-                }
-                Some(Inbound::Request { conn, id, op }) => {
-                    // Blocking ops wait on quorum messages that arrive on
-                    // THIS loop — serve off-thread.
-                    let serve_ctx = ctx.clone();
-                    let _ = std::thread::Builder::new()
-                        .name("vrr-net-serve".into())
-                        .spawn(move || serve_ctx.serve(conn, id, op));
-                }
-                Some(Inbound::Response { .. }) | None => {}
-            },
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-        if last_redial.elapsed() >= REDIAL_EVERY {
-            ctx.transport.redial_down_peers();
-            last_redial = Instant::now();
         }
     }
 }
 
 impl<V: Value + Wire> ServerCtx<V> {
-    fn do_write(&self, slot: usize, value: V) -> WriteReport {
+    /// Starts `WRITE(value)` on slot `slot`; `done` fires on a worker
+    /// thread. The one write path of [`NetNode::write_slot`] and
+    /// `Op::WriteSlot`.
+    fn start_write(
+        &self,
+        slot: usize,
+        value: V,
+        done: impl FnOnce(Result<WriteReport, NodeGone>) + Send + 'static,
+    ) {
+        let ops = self.ops.clone();
         let started = Instant::now();
-        let report = blocking_write(&self.cluster, self.groups[slot].writer, value);
-        let mut ops = self.ops.lock();
-        ops.observe(names::WRITER_ROUNDS, &[], u64::from(report.rounds));
-        ops.observe(
-            names::WRITE_LATENCY,
-            &[],
-            started.elapsed().as_micros() as u64,
+        submit_write(
+            &self.cluster,
+            self.groups[slot].writer,
+            value,
+            move |result| {
+                if let Ok(report) = &result {
+                    let mut ops = ops.lock();
+                    ops.observe(names::WRITER_ROUNDS, &[], u64::from(report.rounds));
+                    ops.observe(
+                        names::WRITE_LATENCY,
+                        &[],
+                        started.elapsed().as_micros() as u64,
+                    );
+                }
+                done(result);
+            },
         );
-        report
     }
 
-    fn do_read(&self, slot: usize, reader: usize) -> ReadReport<V> {
+    /// Starts `READ()` at reader `reader` of slot `slot`; `done` fires on a
+    /// worker thread. The one read path of [`NetNode::read_slot`] and
+    /// `Op::ReadSlot`.
+    fn start_read(
+        &self,
+        slot: usize,
+        reader: usize,
+        done: impl FnOnce(Result<ReadReport<V>, NodeGone>) + Send + 'static,
+    ) {
+        let ops = self.ops.clone();
         let started = Instant::now();
-        let report = blocking_read(&self.cluster, self.kind, self.groups[slot].readers[reader]);
-        let mut ops = self.ops.lock();
-        ops.observe(names::READER_ROUNDS, &[], u64::from(report.rounds));
-        ops.observe(
-            names::READ_LATENCY,
-            &[],
-            started.elapsed().as_micros() as u64,
+        submit_read(
+            &self.cluster,
+            self.kind,
+            self.groups[slot].readers[reader],
+            move |result| {
+                if let Ok(report) = &result {
+                    let mut ops = ops.lock();
+                    ops.observe(names::READER_ROUNDS, &[], u64::from(report.rounds));
+                    ops.observe(
+                        names::READ_LATENCY,
+                        &[],
+                        started.elapsed().as_micros() as u64,
+                    );
+                }
+                done(result);
+            },
         );
-        report
     }
 
     fn metrics(&self) -> Registry {
@@ -503,175 +906,50 @@ impl<V: Value + Wire> ServerCtx<V> {
         reg
     }
 
-    /// Answers one HTTP request head: `GET /metrics` gets the Prometheus
-    /// snapshot, anything else a 404. Always `Connection: close` — the
-    /// reactor drops the connection after the flush.
-    fn http_response(&self, head: &[u8]) -> Vec<u8> {
-        let line = head.split(|&b| b == b'\r').next().unwrap_or(b"");
-        let (status, body) = if line.starts_with(b"GET /metrics") {
-            ("200 OK", self.metrics().to_prometheus())
-        } else {
-            ("404 Not Found", "try GET /metrics\n".to_string())
-        };
-        format!(
-            "HTTP/1.1 {status}\r\nContent-Type: text/plain; version=0.0.4\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
-            body.len(),
-        )
-        .into_bytes()
-    }
-
-    fn serve(self: Arc<Self>, conn: crate::reactor::ConnId, id: u64, op: Op<V>) {
-        let rsp =
-            std::panic::catch_unwind(AssertUnwindSafe(|| self.execute(op))).unwrap_or_else(|_| {
-                Rsp::Err {
-                    what: "operation panicked (timed out or targeted a dead process)".into(),
-                }
-            });
-        self.transport.send_ctl_on(conn, Ctl::Response { id, rsp });
-    }
-
-    fn execute(&self, op: Op<V>) -> Rsp<V> {
-        match op {
-            Op::Ping => Rsp::Pong,
-            Op::WriteSlot { slot, value } => {
-                let slot = slot as usize;
-                if self.placement.writer != self.node {
-                    return Rsp::Err {
-                        what: format!("writer lives on node {}", self.placement.writer),
-                    };
-                }
-                if slot >= self.groups.len() {
-                    return Rsp::Err {
-                        what: format!("slot {slot} out of range"),
-                    };
-                }
-                let report = self.do_write(slot, value);
-                Rsp::Wrote {
-                    ts: report.ts,
-                    rounds: report.rounds,
-                }
-            }
-            Op::ReadSlot { slot, reader } => {
-                let (slot, reader) = (slot as usize, reader as usize);
-                if slot >= self.groups.len() || reader >= self.cfg.readers {
-                    return Rsp::Err {
-                        what: format!("slot {slot} / reader {reader} out of range"),
-                    };
-                }
-                if self.placement.readers[reader] != self.node {
-                    return Rsp::Err {
-                        what: format!(
-                            "reader {reader} lives on node {}",
-                            self.placement.readers[reader]
-                        ),
-                    };
-                }
-                let report = self.do_read(slot, reader);
-                Rsp::ReadOk {
-                    value: report.value,
-                    ts: report.ts,
-                    rounds: report.rounds,
-                    fast: report.fast,
-                }
-            }
-            Op::CrashPid { pid } => {
-                let pid = pid as usize;
-                if pid >= self.pid_node.len() || self.pid_node[pid] != self.node {
-                    return Rsp::Err {
-                        what: format!("pid {pid} is not hosted here"),
-                    };
-                }
-                self.cluster.crash(ProcessId(pid));
-                Rsp::Crashed
-            }
-            Op::Metrics => Rsp::MetricsText {
+    /// Runs one inspection (on the inspection thread: blocking `invoke`s).
+    fn inspect(&self, what: Inspection) -> Rsp<V> {
+        match what {
+            Inspection::Metrics => Rsp::MetricsText {
                 text: self.metrics().to_prometheus(),
             },
-            Op::ResetPeer { node } => Rsp::PeerReset {
-                closed: self.transport.reset_peer(node),
+            Inspection::StoreMetrics { cluster } => match &self.store {
+                Some(s) => Rsp::StoreMetrics {
+                    registry: s.metrics_snapshot_labelled(cluster.map(|c| c as usize)),
+                },
+                None => no_store(),
             },
-            Op::EchoHistory { history } => Rsp::History { history },
-            Op::Shutdown => {
-                self.shutdown.store(true, Ordering::SeqCst);
-                Rsp::ShuttingDown
-            }
-            Op::WriteKey { key, value } => self.with_store(|s| match s.try_write(key, value) {
-                Ok(report) => Rsp::Wrote {
-                    ts: report.ts,
-                    rounds: report.rounds,
+            Inspection::ShardHistoryLens { slot } => match &self.store {
+                Some(s) if slot as usize >= s.capacity() => Rsp::Err {
+                    what: format!("shard {slot} out of range"),
                 },
-                Err(StoreError::OverCapacity { capacity }) => Rsp::OverCapacity {
-                    capacity: capacity as u32,
+                Some(s) => Rsp::Lens {
+                    lens: s
+                        .history_lens(slot as usize)
+                        .into_iter()
+                        .map(|l| l as u64)
+                        .collect(),
                 },
-                Err(e) => Rsp::Err {
-                    what: e.to_string(),
-                },
-            }),
-            Op::ReadKey { key, reader } => self.with_store(|s| {
-                if reader as usize >= s.config().readers {
-                    return Rsp::Err {
-                        what: format!("reader {reader} out of range"),
-                    };
-                }
-                match s.read(&key, reader as usize) {
-                    Some(report) => Rsp::ReadOk {
-                        value: report.value,
-                        ts: report.ts,
-                        rounds: report.rounds,
-                        fast: report.fast,
-                    },
-                    None => Rsp::NoKey,
-                }
-            }),
-            Op::ReleaseKey { key } => self.with_store(|s| Rsp::Released {
-                slot: s.release(&key).map(|slot| slot as u32),
-            }),
-            Op::StoreKeys => self.with_store(|s| Rsp::StoreKeys { keys: s.keys() }),
-            Op::SlotOfKey { key } => self.with_store(|s| match s.shard_of(&key) {
-                Some(slot) => Rsp::Slot { slot: slot as u32 },
-                None => Rsp::NoKey,
-            }),
-            Op::CrashShard { slot, object } => self.with_store(|s| {
-                let (slot, object) = (slot as usize, object as usize);
-                if slot >= s.capacity() || object >= s.config().s {
-                    return Rsp::Err {
-                        what: format!("shard {slot} / object {object} out of range"),
-                    };
-                }
-                s.crash_object(slot, object);
-                Rsp::Crashed
-            }),
-            Op::ShardHistoryLens { slot } => self.with_store(|s| {
-                let slot = slot as usize;
-                if slot >= s.capacity() {
-                    return Rsp::Err {
-                        what: format!("shard {slot} out of range"),
-                    };
-                }
-                Rsp::Lens {
-                    lens: s.history_lens(slot).into_iter().map(|l| l as u64).collect(),
-                }
-            }),
-            Op::StoreInfo => self.with_store(|s| Rsp::StoreInfo {
-                capacity: s.capacity() as u32,
-                keys: s.len() as u32,
-                free_slots: s.free_slots() as u32,
-            }),
-            Op::StoreMetrics { cluster } => self.with_store(|s| Rsp::StoreMetrics {
-                registry: s.metrics_snapshot_labelled(cluster.map(|c| c as usize)),
-            }),
+                None => no_store(),
+            },
         }
     }
 
     /// Runs `f` against the hosted store, or answers the typed "no store"
     /// error when this node was started without one.
-    fn with_store(&self, f: impl FnOnce(&ShardedStore<Vec<u8>, V>) -> Rsp<V>) -> Rsp<V> {
+    fn with_store(
+        &self,
+        f: impl FnOnce(&ShardedStore<Vec<u8>, V>) -> Option<Rsp<V>>,
+    ) -> Option<Rsp<V>> {
         match &self.store {
             Some(store) => f(store),
-            None => Rsp::Err {
-                what: "no store hosted here (start the node with a store spec)".into(),
-            },
+            None => Some(no_store()),
         }
+    }
+}
+
+fn no_store<V>() -> Rsp<V> {
+    Rsp::Err {
+        what: "no store hosted here (start the node with a store spec)".into(),
     }
 }
 
@@ -683,4 +961,72 @@ pub fn free_addrs(n: usize) -> io::Result<Vec<SocketAddr>> {
         .map(|_| std::net::TcpListener::bind("127.0.0.1:0"))
         .collect::<io::Result<_>>()?;
     listeners.iter().map(|l| l.local_addr()).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn entry(id: u64, deadline: Instant) -> (Pending, Arc<AtomicBool>) {
+        let answered = Arc::new(AtomicBool::new(false));
+        let pending = Pending {
+            conn: 7,
+            id,
+            answered: answered.clone(),
+            deadline,
+        };
+        (pending, answered)
+    }
+
+    /// The sweep is a function of `(queue, now)`: drive it with a made-up
+    /// clock instead of waiting out real timeouts.
+    #[test]
+    fn sweep_times_out_exactly_the_overdue_unanswered_front() {
+        let t0 = Instant::now();
+        let at = |ms: u64| t0 + Duration::from_millis(ms);
+        let mut queue = VecDeque::new();
+        let mut flags = Vec::new();
+        for id in 0..5u64 {
+            let (pending, answered) = entry(id, at(100 + id * 10));
+            queue.push_back(pending);
+            flags.push(answered);
+        }
+
+        assert!(expire(&mut queue, at(99)).is_empty(), "nothing is due yet");
+        assert_eq!(queue.len(), 5);
+
+        // Op 1 completed in the meantime; at t=115 ops 0 and 1 are overdue.
+        flags[1].store(true, Ordering::SeqCst);
+        assert_eq!(expire(&mut queue, at(115)), vec![(7, 0)]);
+        assert_eq!(queue.len(), 3, "the answered op left the queue silently");
+        assert!(
+            flags[0].load(Ordering::SeqCst),
+            "the sweep took op 0's reply right"
+        );
+
+        // An answered op at the front leaves before its deadline; the
+        // unanswered one behind it stays until its own.
+        flags[2].store(true, Ordering::SeqCst);
+        assert!(expire(&mut queue, at(116)).is_empty());
+        assert_eq!(queue.front().map(|p| p.id), Some(3));
+
+        // An op answered behind an unanswered front waits there (harmless:
+        // it is popped when it reaches the front).
+        flags[4].store(true, Ordering::SeqCst);
+        assert!(expire(&mut queue, at(129)).is_empty());
+        assert_eq!(queue.len(), 2);
+        assert_eq!(expire(&mut queue, at(130)), vec![(7, 3)]);
+        assert!(queue.is_empty());
+    }
+
+    /// Completion and sweep race on one flag: whoever loses stays silent.
+    #[test]
+    fn a_swept_operation_cannot_be_answered_twice() {
+        let t0 = Instant::now();
+        let (pending, answered) = entry(1, t0);
+        let mut queue = VecDeque::from([pending]);
+        assert_eq!(expire(&mut queue, t0), vec![(7, 1)]);
+        // What `Reply::send` checks before writing its response.
+        assert!(answered.swap(true, Ordering::SeqCst), "the completion lost");
+    }
 }

@@ -3,9 +3,15 @@
 //!
 //! The reactor is deliberately body-agnostic — it moves opaque frame
 //! bodies (`Vec<u8>`) in and out; envelope decoding happens in the
-//! transport layer. Other threads talk to it through a command channel
-//! (woken by a [`mio::Waker`]) and receive [`NetEvent`]s on a crossbeam
-//! channel.
+//! transport layer. What happens on a socket is handed, **on the reactor
+//! thread**, to the [`Handler`] the reactor was started with: no event
+//! channel, no second thread between a frame and whoever acts on it. A
+//! handler must therefore never block; work that may (inspection over many
+//! automata) is the handler's to hand off. Other threads talk to the
+//! reactor through a command channel, woken by a [`mio::Waker`] — the
+//! handler's own commands skip the wake, they are drained in the same loop
+//! iteration. Once per iteration, and at least every [`TICK`], the handler
+//! also gets [`Handler::on_tick`]: the one periodic timer in the crate.
 //!
 //! Written to the *edge-triggered* discipline even though the vendored
 //! shim is level-triggered: reads drain to `WouldBlock`, writes go through
@@ -14,11 +20,13 @@
 //! both trigger modes, so flipping the workspace back to crates.io mio
 //! changes nothing here.
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -35,6 +43,22 @@ const WAKER: Token = Token(0);
 const LISTENER: Token = Token(1);
 const HTTP_LISTENER: Token = Token(2);
 const CONN_BASE: usize = 3;
+
+/// Upper bound on the time between two [`Handler::on_tick`] calls: how
+/// long the reactor sleeps in `poll` when no socket or command wakes it.
+pub const TICK: Duration = Duration::from_millis(200);
+
+/// Bytes read from a socket per `read` call (one buffer per reactor).
+const READ_BUF: usize = 64 * 1024;
+
+/// Distinguishes reactors within one process, so a handle can tell whether
+/// it is being used from its own reactor's thread.
+static NEXT_REACTOR: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// The id of the reactor running on this thread (0 on other threads).
+    static ON_REACTOR: Cell<u64> = const { Cell::new(0) };
+}
 
 /// Largest HTTP request head the metrics listener buffers before giving
 /// up on the connection (a `GET /metrics` fits in a fraction of this).
@@ -58,7 +82,8 @@ pub struct NetCounters {
     pub decode_errors: AtomicU64,
 }
 
-/// Something that happened on a socket, reported to the reactor's consumer.
+/// Something that happened on a socket, reported to the reactor's
+/// [`Handler`].
 #[derive(Debug)]
 pub enum NetEvent {
     /// An inbound connection was accepted.
@@ -103,7 +128,7 @@ pub enum NetEvent {
     },
     /// A complete HTTP request head arrived on the metrics listener.
     /// HTTP connections are invisible to the frame protocol: they emit
-    /// only this event, and the consumer answers with
+    /// only this event, and the handler answers with
     /// [`ReactorHandle::finish`].
     HttpRequest {
         /// The connection it arrived on.
@@ -111,6 +136,16 @@ pub enum NetEvent {
         /// Raw head bytes up to and including the blank line.
         head: Vec<u8>,
     },
+}
+
+/// The consumer of a reactor's events, run on the reactor thread.
+pub trait Handler: Send + 'static {
+    /// One socket event. Must not block: every other connection waits.
+    fn on_event(&mut self, ev: NetEvent);
+
+    /// Called once per loop iteration after the iteration's events, at
+    /// least every [`TICK`] — for periodic work (redials, deadlines).
+    fn on_tick(&mut self) {}
 }
 
 enum Cmd {
@@ -124,6 +159,8 @@ enum Cmd {
 /// Thread-safe handle for talking to a running reactor.
 #[derive(Clone)]
 pub struct ReactorHandle {
+    /// Which reactor this handle talks to (see `ON_REACTOR`).
+    id: u64,
     cmd_tx: Sender<Cmd>,
     waker: Arc<Waker>,
     next_conn: Arc<AtomicU64>,
@@ -169,7 +206,9 @@ impl ReactorHandle {
     }
 
     fn push(&self, cmd: Cmd) {
-        if self.cmd_tx.send(cmd).is_ok() {
+        // The reactor drains commands after the handler calls of the same
+        // iteration: from its own thread the wake is a wasted syscall pair.
+        if self.cmd_tx.send(cmd).is_ok() && ON_REACTOR.with(Cell::get) != self.id {
             let _ = self.waker.wake();
         }
     }
@@ -212,41 +251,36 @@ impl Conn {
     }
 }
 
-/// Spawns a reactor thread. With `listen = Some(addr)` the reactor also
-/// accepts inbound connections; the actually-bound address (useful with
-/// port 0) is returned.
-pub fn spawn(
-    listen: Option<SocketAddr>,
-) -> io::Result<(ReactorHandle, Receiver<NetEvent>, Option<SocketAddr>)> {
-    let (handle, ev_rx, bound, _) = spawn_with_http(listen, None)?;
-    Ok((handle, ev_rx, bound))
+/// A reactor whose listeners are bound but whose thread is not running
+/// yet: the gap in which the caller builds the [`Handler`] — which usually
+/// needs the [`ReactorHandle`] — before [`BoundReactor::run`].
+pub struct BoundReactor {
+    poll: Poll,
+    listener: Option<TcpListener>,
+    http_listener: Option<TcpListener>,
+    cmd_rx: Receiver<Cmd>,
+    handle: ReactorHandle,
+    addr: Option<SocketAddr>,
+    http_addr: Option<SocketAddr>,
 }
 
-/// Everything [`spawn_with_http`] hands back: the command handle, the
-/// event stream, and the actually-bound frame and HTTP listener addresses
-/// (in that order; `None` where no listener was requested).
-pub type SpawnedReactor = (
-    ReactorHandle,
-    Receiver<NetEvent>,
-    Option<SocketAddr>,
-    Option<SocketAddr>,
-);
-
-/// Like [`spawn`], but additionally binds `http_listen` as a raw-byte HTTP
-/// listener on the same epoll loop: connections accepted there emit
-/// [`NetEvent::HttpRequest`] instead of frames, and are answered with
-/// [`ReactorHandle::finish`]. Returns both actually-bound addresses.
-pub fn spawn_with_http(
+/// Binds a reactor. With `listen = Some(addr)` it accepts inbound frame
+/// connections; `http_listen` additionally binds a raw-byte HTTP listener
+/// on the same epoll loop, whose connections emit
+/// [`NetEvent::HttpRequest`] instead of frames and are answered with
+/// [`ReactorHandle::finish`]. Port-0 addresses work: see
+/// [`BoundReactor::addr`] / [`BoundReactor::http_addr`].
+pub fn bind(
     listen: Option<SocketAddr>,
     http_listen: Option<SocketAddr>,
-) -> io::Result<SpawnedReactor> {
+) -> io::Result<BoundReactor> {
     let poll = Poll::new()?;
     let waker = Arc::new(Waker::new(poll.registry(), WAKER)?);
     let mut listener = match listen {
         Some(addr) => Some(TcpListener::bind(addr)?),
         None => None,
     };
-    let bound = match &listener {
+    let addr = match &listener {
         Some(l) => Some(l.local_addr()?),
         None => None,
     };
@@ -257,7 +291,7 @@ pub fn spawn_with_http(
         Some(addr) => Some(TcpListener::bind(addr)?),
         None => None,
     };
-    let http_bound = match &http_listener {
+    let http_addr = match &http_listener {
         Some(l) => Some(l.local_addr()?),
         None => None,
     };
@@ -267,55 +301,88 @@ pub fn spawn_with_http(
     }
 
     let (cmd_tx, cmd_rx) = unbounded();
-    let (ev_tx, ev_rx) = unbounded();
-    let counters = Arc::new(NetCounters::default());
     let handle = ReactorHandle {
+        id: NEXT_REACTOR.fetch_add(1, Ordering::Relaxed),
         cmd_tx,
-        waker: waker.clone(),
-        next_conn: Arc::new(AtomicU64::new(0)),
-        counters: counters.clone(),
-    };
-    let reactor = Reactor {
-        poll,
         waker,
+        next_conn: Arc::new(AtomicU64::new(0)),
+        counters: Arc::new(NetCounters::default()),
+    };
+    Ok(BoundReactor {
+        poll,
         listener,
         http_listener,
-        conns: HashMap::new(),
         cmd_rx,
-        ev_tx,
-        next_conn: handle.next_conn.clone(),
-        counters,
-    };
-    std::thread::Builder::new()
-        .name("vrr-net-reactor".into())
-        .spawn(move || reactor.run())?;
-    Ok((handle, ev_rx, bound, http_bound))
+        handle,
+        addr,
+        http_addr,
+    })
 }
 
-struct Reactor {
+impl BoundReactor {
+    /// The handle other threads (and the handler) command the reactor by.
+    pub fn handle(&self) -> ReactorHandle {
+        self.handle.clone()
+    }
+
+    /// The actually-bound frame listener address, if one was requested.
+    pub fn addr(&self) -> Option<SocketAddr> {
+        self.addr
+    }
+
+    /// The actually-bound HTTP listener address, if one was requested.
+    pub fn http_addr(&self) -> Option<SocketAddr> {
+        self.http_addr
+    }
+
+    /// Starts the reactor thread, handing every event to `handler` on it.
+    /// The thread ends — dropping `handler` — on
+    /// [`ReactorHandle::shutdown`]; join the returned handle to wait for
+    /// that.
+    pub fn run<H: Handler>(self, handler: H) -> io::Result<JoinHandle<()>> {
+        let reactor = Reactor {
+            id: self.handle.id,
+            poll: self.poll,
+            waker: self.handle.waker,
+            listener: self.listener,
+            http_listener: self.http_listener,
+            conns: HashMap::new(),
+            cmd_rx: self.cmd_rx,
+            next_conn: self.handle.next_conn,
+            counters: self.handle.counters,
+            read_buf: vec![0; READ_BUF],
+            handler,
+        };
+        std::thread::Builder::new()
+            .name("vrr-net-reactor".into())
+            .spawn(move || reactor.run())
+    }
+}
+
+struct Reactor<H> {
+    id: u64,
     poll: Poll,
     waker: Arc<Waker>,
     listener: Option<TcpListener>,
     http_listener: Option<TcpListener>,
     conns: HashMap<ConnId, Conn>,
     cmd_rx: Receiver<Cmd>,
-    ev_tx: Sender<NetEvent>,
     next_conn: Arc<AtomicU64>,
     counters: Arc<NetCounters>,
+    /// The one socket read buffer, reused by every readable event.
+    read_buf: Vec<u8>,
+    handler: H,
 }
 
-impl Reactor {
+impl<H: Handler> Reactor<H> {
     fn run(mut self) {
+        ON_REACTOR.with(|id| id.set(self.id));
         let mut events = Events::with_capacity(128);
+        let mut ready: Vec<(ConnId, bool, bool)> = Vec::new();
         loop {
-            if self
-                .poll
-                .poll(&mut events, Some(Duration::from_millis(500)))
-                .is_err()
-            {
+            if self.poll.poll(&mut events, Some(TICK)).is_err() {
                 return;
             }
-            let mut ready = Vec::new();
             for ev in &events {
                 match ev.token() {
                     WAKER => self.waker.drain(),
@@ -328,7 +395,7 @@ impl Reactor {
                     )),
                 }
             }
-            for (conn, readable, writable) in ready {
+            for (conn, readable, writable) in ready.drain(..) {
                 if writable {
                     self.on_writable(conn);
                 }
@@ -336,8 +403,10 @@ impl Reactor {
                     self.on_readable(conn);
                 }
             }
+            self.handler.on_tick();
             // Commands last: sends see connections already marked up by
-            // this tick's writable events.
+            // this tick's writable events, and everything the handler
+            // queued above goes out before the next sleep.
             while let Ok(cmd) = self.cmd_rx.try_recv() {
                 match cmd {
                     Cmd::Connect { conn, addr } => self.start_connect(conn, addr),
@@ -355,8 +424,8 @@ impl Reactor {
         }
     }
 
-    fn emit(&self, ev: NetEvent) {
-        let _ = self.ev_tx.send(ev);
+    fn emit(&mut self, ev: NetEvent) {
+        self.handler.on_event(ev);
     }
 
     fn accept_all(&mut self, http: bool) {
@@ -529,14 +598,14 @@ impl Reactor {
     }
 
     fn on_readable(&mut self, conn: ConnId) {
-        let mut buf = [0u8; 64 * 1024];
+        let buf = &mut self.read_buf[..];
         let mut peer_gone = false;
         loop {
             let c = match self.conns.get_mut(&conn) {
                 Some(c) => c,
                 None => return,
             };
-            match c.stream.read(&mut buf) {
+            match c.stream.read(buf) {
                 Ok(0) => {
                     peer_gone = true;
                     break;
@@ -628,6 +697,26 @@ impl Reactor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A handler that only forwards: the tests below observe the reactor's
+    /// events from their own thread.
+    struct Forward(Sender<NetEvent>);
+
+    impl Handler for Forward {
+        fn on_event(&mut self, ev: NetEvent) {
+            let _ = self.0.send(ev);
+        }
+    }
+
+    fn spawn(
+        listen: Option<SocketAddr>,
+    ) -> io::Result<(ReactorHandle, Receiver<NetEvent>, Option<SocketAddr>)> {
+        let bound = bind(listen, None)?;
+        let (ev_tx, ev_rx) = unbounded();
+        let (handle, addr) = (bound.handle(), bound.addr());
+        bound.run(Forward(ev_tx))?;
+        Ok((handle, ev_rx, addr))
+    }
 
     /// Two reactors exchange a frame over localhost and tear down cleanly.
     #[test]

@@ -49,7 +49,7 @@ struct PeerTable {
     conn_node: HashMap<ConnId, u32>,
 }
 
-/// A decoded inbound envelope, classified for the node's event loop.
+/// A decoded inbound envelope, classified for the node's handler.
 #[derive(Debug)]
 pub enum Inbound<V> {
     /// A relayed protocol message: inject into the local cluster.
@@ -205,7 +205,7 @@ impl<V: Wire> TcpTransport<V> {
         self.handle.send(conn, frame);
     }
 
-    /// Redials every peer currently `Down` (periodic liveness tick; new
+    /// Redials every peer currently `Down` (the node's reactor tick; new
     /// traffic also dials on demand).
     pub fn redial_down_peers(&self) {
         let mut peers = self.peers.lock();
@@ -248,8 +248,8 @@ impl<V: Wire> TcpTransport<V> {
     }
 
     /// Feeds one reactor event through the transport's connection
-    /// bookkeeping; envelopes the node's event loop must act on come back
-    /// as [`Inbound`].
+    /// bookkeeping (on the reactor thread); envelopes the node's handler
+    /// must act on come back as [`Inbound`].
     pub fn handle_event(&self, ev: NetEvent) -> Option<Inbound<V>> {
         match ev {
             NetEvent::Accepted { conn, .. } => {
@@ -295,7 +295,7 @@ impl<V: Wire> TcpTransport<V> {
                 None
             }
             // HTTP requests are the node's business (metrics endpoint),
-            // not the frame transport's; the event loop intercepts them
+            // not the frame transport's; its handler intercepts them
             // before this point.
             NetEvent::HttpRequest { .. } => None,
             NetEvent::Closed { conn } | NetEvent::FrameError { conn, .. } => {

@@ -7,18 +7,20 @@
 //! batches per sweep; see [`crate::executor`] internals for the sweep /
 //! flush / timer-wheel mechanics.
 
+use std::any::Any;
 use std::fmt;
+use std::marker::PhantomData;
 
 use crossbeam::channel::{bounded, Receiver};
 
 use vrr_sim::{Automaton, Context, ProcessId};
 
-use crate::executor::{Executor, ExecutorStats, InvokeFn, NodeCmd, WatchFn};
-use crate::router::LinkPolicy;
+use crate::executor::{ClientOp, Executor, ExecutorStats, InvokeFn, NodeCmd, WatchFn};
+use crate::link::LinkPolicy;
 
-/// Error returned by [`Cluster::try_invoke`] when the target process can no
-/// longer execute closures — it was crashed (fault injection) or the
-/// cluster is shutting down.
+/// Error returned by [`Cluster::try_invoke`] and [`Cluster::submit`] when
+/// the target process can no longer execute closures — it was crashed
+/// (fault injection) or the cluster is shutting down.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct NodeGone(pub ProcessId);
 
@@ -34,8 +36,9 @@ impl std::error::Error for NodeGone {}
 ///
 /// Spawn processes with [`Cluster::spawn`], connect the mailboxes by
 /// calling [`Cluster::seal`] once all processes exist, then drive clients
-/// with [`Cluster::invoke`] / [`Cluster::watch`]. Dropping the cluster
-/// shuts every worker down.
+/// with [`Cluster::submit`] — the one operation primitive; `invoke` /
+/// `watch` remain for inspection and tests. Dropping the cluster shuts
+/// every worker down.
 ///
 /// # Examples
 ///
@@ -152,10 +155,7 @@ impl<M: Send + 'static> Cluster<M> {
         assert!(pid.index() < self.len(), "invoke on unspawned {pid}");
         let (tx, rx) = bounded(1);
         let boxed: InvokeFn<M> = Box::new(move |any, ctx| {
-            let a = any
-                .downcast_mut::<A>()
-                .unwrap_or_else(|| panic!("node is not a {}", std::any::type_name::<A>()));
-            let _ = tx.send(f(a, ctx));
+            let _ = tx.send(f(downcast(any), ctx));
         });
         self.executor.enqueue(pid, NodeCmd::Invoke(boxed));
         // A crashed node drops the closure, and with it the only sender.
@@ -192,8 +192,54 @@ impl<M: Send + 'static> Cluster<M> {
         rx
     }
 
-    /// Crashes `pid`: it stops processing deliveries and invokes (watchers
-    /// may still inspect its frozen state).
+    /// Submits one client operation on `pid` and returns immediately — the
+    /// completion-driven primitive every blocking read/write is a shim
+    /// over. One mailbox command carries the whole operation: the worker
+    /// runs `start` (the invocation event, e.g. `invoke_read`; its sends go
+    /// through the link policy), calls `poll` with what `start` returned
+    /// after each later step of the automaton, and hands the first
+    /// `Some(r)` to `done` (the response event) **on the worker thread** —
+    /// `done` must neither block nor panic.
+    ///
+    /// A process runs one operation at a time: an operation submitted
+    /// while another is in progress starts when every operation submitted
+    /// before it has completed, so the model's well-formedness (§2.2, "a
+    /// client invokes one operation at a time") holds whatever the
+    /// callers do. `done` fires exactly once; it receives [`NodeGone`]
+    /// if `pid` is crashed, gets crashed or poisoned (a panic in `start`
+    /// or `poll`, including an `A` downcast mismatch) before the
+    /// operation completes, or the cluster is dropped first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pid` was never spawned.
+    pub fn submit<A, I, R>(
+        &self,
+        pid: ProcessId,
+        start: impl FnOnce(&mut A, &mut Context<'_, M>) -> I + Send + 'static,
+        poll: impl FnMut(&mut A, &I) -> Option<R> + Send + 'static,
+        done: impl FnOnce(Result<R, NodeGone>) + Send + 'static,
+    ) where
+        A: Automaton<M>,
+        I: Send + 'static,
+        R: 'static,
+    {
+        assert!(pid.index() < self.len(), "submit on unspawned {pid}");
+        let op = Submitted {
+            pid,
+            start: Some(start),
+            id: None,
+            poll,
+            done: Some(done),
+            _automaton: PhantomData::<fn(&mut A) -> R>,
+        };
+        self.executor.enqueue(pid, NodeCmd::Op(Box::new(op)));
+    }
+
+    /// Crashes `pid`: it stops processing deliveries, invokes and
+    /// operations — the one in progress and those deferred behind it
+    /// complete with [`NodeGone`] (watchers may still inspect its frozen
+    /// state).
     ///
     /// # Panics
     ///
@@ -207,6 +253,62 @@ impl<M: Send + 'static> Cluster<M> {
     /// (external stimulus, like the simulator's `send_external`).
     pub fn send_external(&self, from: ProcessId, to: ProcessId, msg: M) {
         self.executor.route(from, to, msg);
+    }
+}
+
+/// The typed state of one [`Cluster::submit`] call behind the mailbox's
+/// `dyn ClientOp`.
+struct Submitted<A, I, R, S, P, D: FnOnce(Result<R, NodeGone>)> {
+    pid: ProcessId,
+    start: Option<S>,
+    /// What `start` returned (the invocation id `poll` looks up).
+    id: Option<I>,
+    poll: P,
+    /// Taken by whichever of `poll` and `drop` fires it.
+    done: Option<D>,
+    _automaton: PhantomData<fn(&mut A) -> R>,
+}
+
+fn downcast<A: 'static>(automaton: &mut dyn Any) -> &mut A {
+    automaton
+        .downcast_mut::<A>()
+        .unwrap_or_else(|| panic!("node is not a {}", std::any::type_name::<A>()))
+}
+
+impl<M, A, I, R, S, P, D> ClientOp<M> for Submitted<A, I, R, S, P, D>
+where
+    A: 'static,
+    I: Send,
+    S: FnOnce(&mut A, &mut Context<'_, M>) -> I + Send,
+    P: FnMut(&mut A, &I) -> Option<R> + Send,
+    D: FnOnce(Result<R, NodeGone>) + Send,
+{
+    fn start(&mut self, automaton: &mut dyn Any, ctx: &mut Context<'_, M>) {
+        let start = self.start.take().expect("an operation starts once");
+        self.id = Some(start(downcast(automaton), ctx));
+    }
+
+    fn poll(&mut self, automaton: &mut dyn Any) -> bool {
+        let id = self.id.as_ref().expect("polled after start");
+        match (self.poll)(downcast(automaton), id) {
+            Some(r) => {
+                if let Some(done) = self.done.take() {
+                    done(Ok(r));
+                }
+                true
+            }
+            None => false,
+        }
+    }
+}
+
+impl<A, I, R, S, P, D: FnOnce(Result<R, NodeGone>)> Drop for Submitted<A, I, R, S, P, D> {
+    /// Dropped before completing — the process crashed, was poisoned, or
+    /// the cluster is going away: the caller hears `NodeGone`.
+    fn drop(&mut self) {
+        if let Some(done) = self.done.take() {
+            done(Err(NodeGone(self.pid)));
+        }
     }
 }
 
@@ -232,7 +334,7 @@ mod tests {
     use vrr_sim::from_fn;
 
     use super::*;
-    use crate::router::{FixedDelay, NoDelay};
+    use crate::link::{FixedDelay, NoDelay};
 
     /// Counts the values it receives.
     struct Counter {
@@ -358,6 +460,218 @@ mod tests {
         );
     }
 
+    /// A client automaton whose operations take one self-addressed message
+    /// to complete, and which — like the paper's reader and writer —
+    /// refuses a second invocation while one is in progress.
+    #[derive(Default)]
+    struct OneAtATime {
+        busy: Option<u64>,
+        begun: Vec<u64>,
+        finished: Vec<u64>,
+    }
+
+    impl OneAtATime {
+        fn begin(&mut self, tag: u64, ctx: &mut Context<'_, u64>) -> u64 {
+            assert!(self.busy.is_none(), "well-formed client: one op at a time");
+            self.busy = Some(tag);
+            self.begun.push(tag);
+            ctx.send(ctx.me(), tag);
+            tag
+        }
+
+        fn take_finished(&mut self, tag: u64) -> Option<u64> {
+            let at = self.finished.iter().position(|&t| t == tag)?;
+            Some(self.finished.remove(at))
+        }
+    }
+
+    impl Automaton<u64> for OneAtATime {
+        fn on_message(&mut self, _from: ProcessId, tag: u64, _ctx: &mut Context<'_, u64>) {
+            if self.busy == Some(tag) {
+                self.busy = None;
+                self.finished.push(tag);
+            }
+        }
+    }
+
+    /// Submits one `OneAtATime` operation tagged `tag`.
+    fn submit_tagged(
+        cluster: &Cluster<u64>,
+        pid: ProcessId,
+        tag: u64,
+        done: impl FnOnce(Result<u64, NodeGone>) + Send + 'static,
+    ) {
+        cluster.submit(
+            pid,
+            move |a: &mut OneAtATime, ctx| a.begin(tag, ctx),
+            |a: &mut OneAtATime, &tag| a.take_finished(tag),
+            done,
+        );
+    }
+
+    #[test]
+    fn submitted_ops_run_in_submission_order_and_never_overlap() {
+        use std::sync::{Arc, Mutex};
+        const THREADS: u64 = 8;
+        const PER_THREAD: u64 = 200;
+
+        let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), 2);
+        let client = cluster.spawn(Box::new(OneAtATime::default()));
+        cluster.seal();
+        let cluster = Arc::new(cluster);
+        let completed = Arc::new(Mutex::new(Vec::new()));
+        let (all_done_tx, all_done_rx) = bounded(1);
+
+        let start = Arc::new(std::sync::Barrier::new(THREADS as usize));
+        let submitters: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (cluster, completed) = (cluster.clone(), completed.clone());
+                let (start, all_done_tx) = (start.clone(), all_done_tx.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    for seq in 0..PER_THREAD {
+                        let (completed, all_done_tx) = (completed.clone(), all_done_tx.clone());
+                        submit_tagged(&cluster, client, t * PER_THREAD + seq, move |result| {
+                            let mut completed = completed.lock().unwrap();
+                            completed.push(result.expect("an overlap would poison the client"));
+                            if completed.len() as u64 == THREADS * PER_THREAD {
+                                let _ = all_done_tx.send(());
+                            }
+                        });
+                    }
+                })
+            })
+            .collect();
+        for s in submitters {
+            s.join().unwrap();
+        }
+        all_done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("every submitted op completes");
+
+        let completed = completed.lock().unwrap().clone();
+        let begun = cluster.invoke(client, |a: &mut OneAtATime, _ctx| a.begun.clone());
+        assert_eq!(completed, begun, "ops complete in the order they started");
+        for t in 0..THREADS {
+            let of_thread: Vec<u64> = begun
+                .iter()
+                .copied()
+                .filter(|tag| tag / PER_THREAD == t)
+                .collect();
+            let submitted: Vec<u64> = (t * PER_THREAD..(t + 1) * PER_THREAD).collect();
+            assert_eq!(
+                of_thread, submitted,
+                "thread {t}'s ops started out of order"
+            );
+        }
+    }
+
+    /// Counts how often a completion fires and with what.
+    fn counting_done(
+        fired: &std::sync::Arc<std::sync::Mutex<Vec<Result<u64, NodeGone>>>>,
+    ) -> impl FnOnce(Result<u64, NodeGone>) + Send + 'static {
+        let fired = fired.clone();
+        // Runs on the worker, also from a drop: never panic in here.
+        move |result| fired.lock().unwrap_or_else(|e| e.into_inner()).push(result)
+    }
+
+    #[test]
+    fn done_fires_exactly_once_on_completion_crash_and_teardown() {
+        use std::sync::{Arc, Mutex};
+        let fired = Arc::new(Mutex::new(Vec::new()));
+        let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), 1);
+        let client = cluster.spawn(Box::new(OneAtATime::default()));
+        let stuck = cluster.spawn(Box::new(OneAtATime::default()));
+        cluster.seal();
+
+        // Completion.
+        let (completed_tx, completed_rx) = bounded(1);
+        let count = counting_done(&fired);
+        submit_tagged(&cluster, client, 1, move |result| {
+            count(result);
+            let _ = completed_tx.send(());
+        });
+        completed_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("op 1 completes");
+        // An op that never completes (its poll looks for a tag that never
+        // finishes) goes active on `stuck`; a second one is deferred
+        // behind it. The invoke is a barrier: commands are FIFO.
+        for tag in [2, 3] {
+            cluster.submit(
+                stuck,
+                move |a: &mut OneAtATime, ctx| a.begin(tag, ctx),
+                |a: &mut OneAtATime, _| a.take_finished(u64::MAX),
+                counting_done(&fired),
+            );
+        }
+        let begun = cluster.invoke(stuck, |a: &mut OneAtATime, _ctx| a.begun.clone());
+        assert_eq!(begun, vec![2], "the second op is deferred, not started");
+        assert_eq!(*fired.lock().unwrap(), vec![Ok(1)]);
+
+        // Crash while active / while deferred: both hear NodeGone, once.
+        cluster.crash(stuck);
+        assert_eq!(
+            cluster.try_invoke(stuck, |_a: &mut OneAtATime, _ctx| ()),
+            Err(NodeGone(stuck)),
+            "barrier: the crash was processed"
+        );
+        assert_eq!(
+            *fired.lock().unwrap(),
+            vec![Ok(1), Err(NodeGone(stuck)), Err(NodeGone(stuck))]
+        );
+        // A submit to the crashed process completes immediately.
+        submit_tagged(&cluster, stuck, 4, counting_done(&fired));
+        let _ = cluster.try_invoke(stuck, |_a: &mut OneAtATime, _ctx| ());
+        assert_eq!(fired.lock().unwrap().len(), 4);
+        assert_eq!(fired.lock().unwrap()[3], Err(NodeGone(stuck)));
+
+        // Teardown with an op in flight: the drop completes it.
+        cluster.submit(
+            client,
+            |a: &mut OneAtATime, ctx| a.begin(5, ctx),
+            |a: &mut OneAtATime, _| a.take_finished(u64::MAX),
+            counting_done(&fired),
+        );
+        drop(cluster);
+        let fired = fired.lock().unwrap();
+        assert_eq!(fired.len(), 5, "each completion fired exactly once");
+        assert_eq!(fired[4], Err(NodeGone(client)));
+    }
+
+    #[test]
+    fn panic_inside_start_poisons_only_its_process() {
+        use std::sync::{Arc, Mutex};
+        let fired = Arc::new(Mutex::new(Vec::new()));
+        // One worker: the victim and the healthy process share it.
+        let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), 1);
+        let victim = cluster.spawn(Box::new(OneAtATime::default()));
+        let healthy = cluster.spawn(Box::new(OneAtATime::default()));
+        cluster.seal();
+
+        cluster.submit(
+            victim,
+            |_a: &mut OneAtATime, _ctx| -> u64 { panic!("start blew up") },
+            |a: &mut OneAtATime, &tag| a.take_finished(tag),
+            counting_done(&fired),
+        );
+        // Deferred behind nothing — it arrives after the poisoning.
+        submit_tagged(&cluster, victim, 7, counting_done(&fired));
+        let (done, waiter) = bounded(1);
+        submit_tagged(&cluster, healthy, 8, move |result| {
+            let _ = done.send(result);
+        });
+        assert_eq!(
+            waiter.recv_timeout(Duration::from_secs(5)).unwrap(),
+            Ok(8),
+            "the worker survived and its other process keeps running"
+        );
+        assert_eq!(
+            *fired.lock().unwrap(),
+            vec![Err(NodeGone(victim)), Err(NodeGone(victim))]
+        );
+    }
+
     #[test]
     #[should_panic(expected = "watch on unspawned")]
     fn watch_on_unspawned_pid_panics() {
@@ -413,7 +727,7 @@ mod tests {
 
     #[test]
     fn dropping_policy_loses_messages() {
-        use crate::router::{LinkAction, LinkPolicy};
+        use crate::link::{LinkAction, LinkPolicy};
         struct DropAll;
         impl LinkPolicy<u64> for DropAll {
             fn action(&mut self, _: ProcessId, _: ProcessId, _: &u64) -> LinkAction {

@@ -21,12 +21,26 @@ use std::time::Instant;
 
 use vrr_sim::{Automaton, Context, ProcessId};
 
-use crate::router::{LinkAction, LinkPolicy};
+use crate::link::{LinkAction, LinkPolicy};
 
 /// A closure run against the concrete automaton inside its worker.
 pub(crate) type InvokeFn<M> = Box<dyn FnOnce(&mut dyn Any, &mut Context<'_, M>) + Send>;
 /// A watcher predicate; returns `true` once it has fired and can be dropped.
 pub(crate) type WatchFn = Box<dyn FnMut(&dyn Any) -> bool + Send>;
+
+/// One client operation on one automaton, type-erased for the mailbox
+/// (built by [`crate::Cluster::submit`]). The implementor owns the
+/// completion callback and fires it exactly once: from `poll` with the
+/// outcome, or from its `Drop` with `NodeGone` when the process is crashed,
+/// poisoned or torn down before the operation completes.
+pub(crate) trait ClientOp<M>: Send {
+    /// Invokes the operation on the automaton (the paper's invocation
+    /// event); its sends go through `ctx`.
+    fn start(&mut self, automaton: &mut dyn Any, ctx: &mut Context<'_, M>);
+    /// Checks for the outcome; on completion fires the callback (the
+    /// response event) and returns `true`.
+    fn poll(&mut self, automaton: &mut dyn Any) -> bool;
+}
 
 /// Commands queued in a process mailbox.
 pub(crate) enum NodeCmd<M> {
@@ -44,6 +58,9 @@ pub(crate) enum NodeCmd<M> {
     Invoke(InvokeFn<M>),
     /// Install a watcher.
     Watch(WatchFn),
+    /// Run a client operation to completion: start it now if the process
+    /// is idle, else after the operations submitted before it.
+    Op(Box<dyn ClientOp<M>>),
     /// Stop processing deliveries/invokes (introspection keeps working).
     Crash,
 }
@@ -96,7 +113,8 @@ struct Shard<M> {
     sweeps: AtomicU64,
     /// Returns from `wait`/`wait_timeout`, productive or not.
     wakeups: AtomicU64,
-    /// Commands processed (deliveries, invokes, watches, crashes).
+    /// Commands processed (deliveries, invokes, watches, operations,
+    /// crashes).
     commands: AtomicU64,
 }
 
@@ -150,7 +168,8 @@ pub struct ExecutorStats {
     pub sweeps: u64,
     /// Times any worker woke from its condvar (including timer deadlines).
     pub wakeups: u64,
-    /// Total commands processed (deliveries, invokes, watches, crashes).
+    /// Total commands processed (deliveries, invokes, watches, operations,
+    /// crashes).
     pub commands: u64,
 }
 
@@ -158,7 +177,23 @@ pub struct ExecutorStats {
 struct Cell<M> {
     automaton: Box<dyn Automaton<M>>,
     watchers: Vec<WatchFn>,
+    /// The one client operation in progress — §2.2 well-formedness ("a
+    /// client invokes one operation at a time") is enforced here, where
+    /// the automaton lives, not by locks around every caller.
+    active: Option<Box<dyn ClientOp<M>>>,
+    /// Operations submitted while `active` was busy, in arrival order.
+    deferred: VecDeque<Box<dyn ClientOp<M>>>,
     crashed: bool,
+}
+
+impl<M> Cell<M> {
+    /// Stops processing: the active and deferred operations are dropped,
+    /// which completes each of them with `NodeGone`.
+    fn crash(&mut self) {
+        self.crashed = true;
+        self.active = None;
+        self.deferred.clear();
+    }
 }
 
 pub(crate) struct Executor<M: Send + 'static> {
@@ -219,7 +254,7 @@ impl<M: Send + 'static> Executor<M> {
         pid
     }
 
-    /// Queues a control command (invoke/watch/crash) for `pid`.
+    /// Queues a control command (invoke/watch/operation/crash) for `pid`.
     pub(crate) fn enqueue(&self, pid: ProcessId, cmd: NodeCmd<M>) {
         let shard = &self.shards[pid.index() % self.shards.len()];
         {
@@ -364,7 +399,8 @@ fn worker_main<M: Send + 'static>(
                 // the worker: every other process on this shard would
                 // silently freeze and pending invokes would block forever.
                 // Contain it to the offending process: poison it like a
-                // crash (deliveries skipped, invokes answer NodeGone).
+                // crash (deliveries skipped, invokes and operations answer
+                // NodeGone).
                 let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     step(from, local, &mut cells, cmd, &mut step_outbox);
                 }));
@@ -372,7 +408,7 @@ fn worker_main<M: Send + 'static>(
                     eprintln!("vrr-worker-{me}: process {from} panicked; poisoning it");
                     step_outbox.clear();
                     if let Some(cell) = cells[local].as_mut() {
-                        cell.crashed = true;
+                        cell.crash();
                     }
                     continue;
                 }
@@ -406,6 +442,8 @@ fn step<M: Send + 'static>(
             cells[local] = Some(Cell {
                 automaton,
                 watchers: Vec::new(),
+                active: None,
+                deferred: VecDeque::new(),
                 crashed: false,
             });
         }
@@ -420,7 +458,7 @@ fn step<M: Send + 'static>(
                 let mut ctx = Context::new(pid, outbox);
                 cell.automaton.on_message(from, msg, &mut ctx);
             }
-            run_watchers(cell);
+            after_step(pid, cell, outbox);
         }
         NodeCmd::Invoke(f) => {
             let Some(cell) = cells[local].as_mut() else {
@@ -434,7 +472,19 @@ fn step<M: Send + 'static>(
                 let any: &mut dyn Any = &mut *cell.automaton;
                 f(any, &mut ctx);
             }
-            run_watchers(cell);
+            after_step(pid, cell, outbox);
+        }
+        NodeCmd::Op(op) => {
+            let Some(cell) = cells[local].as_mut() else {
+                return;
+            };
+            if cell.crashed {
+                return; // dropping the operation completes it with NodeGone
+            }
+            cell.deferred.push_back(op);
+            if cell.active.is_none() {
+                after_step(pid, cell, outbox);
+            }
         }
         NodeCmd::Watch(mut w) => {
             // Crash stops *processing*, not introspection.
@@ -448,15 +498,35 @@ fn step<M: Send + 'static>(
         }
         NodeCmd::Crash => {
             if let Some(cell) = cells[local].as_mut() {
-                cell.crashed = true;
+                cell.crash();
             }
         }
     }
 }
 
-fn run_watchers<M>(cell: &mut Cell<M>) {
-    let any: &dyn Any = &*cell.automaton;
-    cell.watchers.retain_mut(|w| !w(any));
+/// Runs after every step of a process: polls the active operation, starts
+/// deferred ones as the process becomes idle, then runs the watchers.
+fn after_step<M>(pid: ProcessId, cell: &mut Cell<M>, outbox: &mut Vec<(ProcessId, M)>) {
+    loop {
+        if let Some(op) = cell.active.as_mut() {
+            if !op.poll(&mut *cell.automaton) {
+                break;
+            }
+            cell.active = None;
+        }
+        // The operation sits in `active` while it starts, so a panic in
+        // `start` leaves it where the poisoning path finds and fails it.
+        cell.active = cell.deferred.pop_front();
+        let Some(op) = cell.active.as_mut() else {
+            break;
+        };
+        let mut ctx = Context::new(pid, outbox);
+        op.start(&mut *cell.automaton, &mut ctx);
+    }
+    if !cell.watchers.is_empty() {
+        let any: &dyn Any = &*cell.automaton;
+        cell.watchers.retain_mut(|w| !w(any));
+    }
 }
 
 /// Destination-shard bucket entry: an immediate or delayed delivery.

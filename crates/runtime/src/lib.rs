@@ -11,6 +11,16 @@
 //! shard's timer wheel, so an idle cluster blocks on condvars — zero
 //! wakeups — instead of polling.
 //!
+//! A client operation is one mailbox command ([`Cluster::submit`]): the
+//! worker invokes it, polls for the outcome after each step of that
+//! automaton, and fires the caller's completion on the worker thread —
+//! an invocation event, message deliveries and a response event, never a
+//! parked thread. A process runs one operation at a time, in submission
+//! order. [`submit_read`] / [`submit_write`] and
+//! [`ShardedStore::read_with`] / [`ShardedStore::try_write_with`] start
+//! operations; every blocking `read`/`write` below is a channel-wait shim
+//! ([`op_channel`]) over them.
+//!
 //! On top of the single-register [`StorageCluster`], [`ShardedStore`] maps
 //! keys onto independent register shards (each with its own writer, base
 //! objects and readers) over one shared [`Cluster`], giving key-value
@@ -63,10 +73,6 @@ mod scaleout;
 mod shard;
 mod storage;
 
-// `executor.rs` and `cluster.rs` still import the link policies under the
-// module's old name; they are fenced off from this change.
-use link as router;
-
 pub use backend::ClusterBackend;
 pub use cluster::{Cluster, NodeGone};
 pub use executor::ExecutorStats;
@@ -74,5 +80,8 @@ pub use link::{FixedDelay, LinkAction, LinkPolicy, NoDelay};
 pub use ring::{stable_hash_64, RingTable, StableHasher};
 pub use scaleout::{RouterConfig, StoreRouter};
 pub use shard::{ShardedStore, StoreError};
-pub use storage::{blocking_read, blocking_write, StorageCluster};
+pub use storage::{
+    blocking_read, blocking_write, op_channel, submit_read, submit_write, OpWaiter, StorageCluster,
+    OP_TIMEOUT,
+};
 pub use vrr_core::{ProtocolKind, ProtocolSpec};

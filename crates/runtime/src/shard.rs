@@ -9,11 +9,13 @@
 //! distinct key its own shard on first write. Operations on different keys
 //! run through disjoint automata and proceed in parallel across the worker
 //! pool; operations on one key keep the paper's SWMR semantics (the
-//! per-shard write lock *is* the single writer).
+//! executor runs one operation at a time per writer and per reader
+//! automaton, in submission order — see [`Cluster::submit`]).
 
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
+use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
@@ -26,21 +28,18 @@ use vrr_core::{
     WriteReport,
 };
 
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, NodeGone};
 use crate::link::LinkPolicy;
 use crate::storage::{
-    blocking_read, blocking_write, record_executor_stats, record_read, record_write,
-    spawn_register_group, try_history_lens,
+    op_channel, record_executor_stats, record_read, record_write, spawn_register_group,
+    submit_read, submit_write, try_history_lens,
 };
 
-/// One register shard plus the client-side locks that keep its automata
-/// single-invocation (SWMR writer; one outstanding read per reader).
+/// One register shard.
 struct Shard {
     group: Deployment,
     /// Object indices the deploy factory substituted.
     byzantine: Vec<usize>,
-    write_lock: Mutex<()>,
-    reader_locks: Vec<Mutex<()>>,
 }
 
 /// A typed error from the non-panicking store operations.
@@ -139,8 +138,9 @@ pub struct ShardedStore<K: Eq + Hash, V: Value> {
     /// distinct keys never serializes.
     index: RwLock<KeyIndex<K>>,
     /// Store-wide operation metrics (rounds and latency histograms),
-    /// folded into [`ShardedStore::metrics_snapshot`].
-    ops: Mutex<Registry>,
+    /// folded into [`ShardedStore::metrics_snapshot`]; shared with the
+    /// in-flight operations' completions, which record into it.
+    ops: Arc<Mutex<Registry>>,
 }
 
 impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
@@ -184,12 +184,7 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
             .map(|s| {
                 let (group, byzantine) =
                     spawn_register_group(&mut cluster, cfg, spec, |i| factory(s, i));
-                Shard {
-                    group,
-                    byzantine,
-                    write_lock: Mutex::new(()),
-                    reader_locks: (0..cfg.readers).map(|_| Mutex::new(())).collect(),
-                }
+                Shard { group, byzantine }
             })
             .collect();
         cluster.seal();
@@ -203,7 +198,7 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
                 next_slot: 0,
                 retired: 0,
             }),
-            ops: Mutex::new(Registry::new()),
+            ops: Arc::new(Mutex::new(Registry::new())),
         }
     }
 
@@ -271,11 +266,8 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
     }
 
     /// Like [`ShardedStore::write`], but reports capacity exhaustion as
-    /// [`StoreError::OverCapacity`] instead of panicking.
-    ///
-    /// The routing step is read-mostly: an already-bound key takes only
-    /// the shared side of the index lock; binding a new key takes the
-    /// exclusive side once in the key's lifetime.
+    /// [`StoreError::OverCapacity`] instead of panicking: a blocking shim
+    /// over [`ShardedStore::try_write_with`].
     ///
     /// # Panics
     ///
@@ -283,6 +275,25 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
     /// timeout — with at most `t` faults per group that is a wait-freedom
     /// violation, not a recoverable condition.
     pub fn try_write(&self, key: K, value: V) -> Result<WriteReport, StoreError> {
+        let (done, waiter) = op_channel();
+        self.try_write_with(key, value, done)?;
+        Ok(waiter.wait())
+    }
+
+    /// Starts `WRITE(key, value)` and returns immediately; `done` fires on
+    /// a worker thread with the report (or [`NodeGone`] if the shard's
+    /// writer is crashed). Capacity exhaustion is reported here, as
+    /// `Err`, and `done` is then never called.
+    ///
+    /// The routing step is read-mostly: an already-bound key takes only
+    /// the shared side of the index lock; binding a new key takes the
+    /// exclusive side once in the key's lifetime.
+    pub fn try_write_with(
+        &self,
+        key: K,
+        value: V,
+        done: impl FnOnce(Result<WriteReport, NodeGone>) + Send + 'static,
+    ) -> Result<(), StoreError> {
         let slot = self.index.read().map.get(&key).copied();
         let slot = match slot {
             Some(slot) => slot,
@@ -306,12 +317,20 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
                 }
             }
         };
-        let shard = &self.shards[slot];
-        let _writing = shard.write_lock.lock();
+        let ops = self.ops.clone();
         let started = Instant::now();
-        let report = blocking_write(&self.cluster, shard.group.writer, value);
-        record_write(&self.ops, report.rounds, started);
-        Ok(report)
+        submit_write(
+            &self.cluster,
+            self.shards[slot].group.writer,
+            value,
+            move |result| {
+                if let Ok(report) = &result {
+                    record_write(&ops, report.rounds, started);
+                }
+                done(result);
+            },
+        );
+        Ok(())
     }
 
     /// Unbinds `key`, retiring its shard slot (the slot is *not* recycled
@@ -330,20 +349,49 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
     }
 
     /// Blocking `READ(key)` at reader index `j` of the key's shard, or
-    /// `None` if `key` was never written.
+    /// `None` if `key` was never written: a blocking shim over
+    /// [`ShardedStore::read_with`].
     ///
     /// # Panics
     ///
     /// Panics if `j >= cfg.readers` or the read does not complete within
     /// the operation timeout.
     pub fn read(&self, key: &K, j: usize) -> Option<ReadReport<V>> {
-        let slot = self.shard_of(key)?;
-        let shard = &self.shards[slot];
-        let _reading = shard.reader_locks[j].lock();
+        let (done, waiter) = op_channel();
+        self.read_with(key, j, done).then(|| waiter.wait())
+    }
+
+    /// Starts `READ(key)` at reader index `j` of the key's shard and
+    /// returns immediately; `done` fires on a worker thread with the
+    /// report (or [`NodeGone`] if that reader is crashed). Returns `false`
+    /// — and never calls `done` — if `key` is not bound.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `j >= cfg.readers`.
+    pub fn read_with(
+        &self,
+        key: &K,
+        j: usize,
+        done: impl FnOnce(Result<ReadReport<V>, NodeGone>) + Send + 'static,
+    ) -> bool {
+        let Some(slot) = self.shard_of(key) else {
+            return false;
+        };
+        let ops = self.ops.clone();
         let started = Instant::now();
-        let report = blocking_read(&self.cluster, self.kind, shard.group.readers[j]);
-        record_read(&self.ops, report.rounds, started);
-        Some(report)
+        submit_read(
+            &self.cluster,
+            self.kind,
+            self.shards[slot].group.readers[j],
+            move |result| {
+                if let Ok(report) = &result {
+                    record_read(&ops, report.rounds, started);
+                }
+                done(result);
+            },
+        );
+        true
     }
 
     /// Crashes object `idx` of shard `slot` (fault injection).

@@ -1,9 +1,12 @@
-//! A blocking client API for the paper's storage protocols on the thread
-//! runtime: deploy a cluster of base-object threads, then `write`/`read`
-//! synchronously from test or benchmark code.
+//! The client API for the paper's storage protocols on the thread runtime:
+//! [`submit_read`] / [`submit_write`] start an operation and complete it
+//! through a callback; [`StorageCluster`] deploys a register group and
+//! `write`s/`read`s it synchronously — a channel wait over the same calls —
+//! from test or benchmark code.
 
 use std::time::{Duration, Instant};
 
+use crossbeam::channel::{bounded, Receiver};
 use parking_lot::Mutex;
 
 use vrr_sim::{Automaton, ProcessId};
@@ -16,86 +19,142 @@ use vrr_core::{
     StorageConfig, Value, WriteReport, Writer,
 };
 
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, NodeGone};
 use crate::executor::ExecutorStats;
 use crate::link::LinkPolicy;
 
-/// How long a blocking operation may take before the cluster is declared
-/// wedged. Generous: operations take milliseconds even under delay
-/// policies.
-const OP_TIMEOUT: Duration = Duration::from_secs(30);
+/// How long an operation may take before the cluster is declared wedged.
+/// Generous: operations take milliseconds even under delay policies. The
+/// blocking shims panic past it ([`OpWaiter::wait`]); a completion-driven
+/// host (`vrr-net`'s node) answers a typed error past it instead.
+pub const OP_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Blocking `WRITE(value)` against `writer`, shared by [`StorageCluster`],
-/// [`crate::ShardedStore`] and external hosts (`vrr-net` servers): invoke
-/// the write, then await its outcome via a watcher.
+fn read_report<V>(o: vrr_core::safe::ReadOutcome<V>) -> ReadReport<V> {
+    ReadReport {
+        value: o.value,
+        ts: o.ts,
+        rounds: o.rounds,
+        fast: o.fast,
+    }
+}
+
+/// Submits `WRITE(value)` at `writer` and returns immediately; `done`
+/// fires on the worker thread with the report, or with [`NodeGone`] if the
+/// writer is crashed (see [`Cluster::submit`] for the full contract).
 ///
 /// `writer` must host a [`Writer`] automaton spawned on `cluster` (e.g. by
 /// [`vrr_core::spawn_group`]).
+pub fn submit_write<V: Value>(
+    cluster: &Cluster<Msg<V>>,
+    writer: ProcessId,
+    value: V,
+    done: impl FnOnce(Result<WriteReport, NodeGone>) + Send + 'static,
+) {
+    cluster.submit(
+        writer,
+        move |w: &mut Writer<V>, ctx| w.invoke_write(value, ctx),
+        |w: &mut Writer<V>, &id| {
+            w.take_outcome(id).map(|o| WriteReport {
+                ts: o.ts,
+                rounds: o.rounds,
+            })
+        },
+        done,
+    );
+}
+
+/// Submits `READ()` at `reader` and returns immediately; `done` fires on
+/// the worker thread with the report, or with [`NodeGone`] if the reader is
+/// crashed (see [`Cluster::submit`] for the full contract).
+///
+/// `reader` must host the reader automaton matching `kind` (e.g. spawned
+/// by [`vrr_core::spawn_group`]).
+pub fn submit_read<V: Value>(
+    cluster: &Cluster<Msg<V>>,
+    kind: ProtocolKind,
+    reader: ProcessId,
+    done: impl FnOnce(Result<ReadReport<V>, NodeGone>) + Send + 'static,
+) {
+    match kind {
+        ProtocolKind::Safe => cluster.submit(
+            reader,
+            |r: &mut SafeReader<V>, ctx| r.invoke_read(ctx),
+            |r: &mut SafeReader<V>, &id| r.take_outcome(id).map(read_report),
+            done,
+        ),
+        ProtocolKind::Regular | ProtocolKind::RegularOptimized => cluster.submit(
+            reader,
+            |r: &mut RegularReader<V>, ctx| r.invoke_read(ctx),
+            |r: &mut RegularReader<V>, &id| r.take_outcome(id).map(read_report),
+            done,
+        ),
+    }
+}
+
+/// The waiting half of [`op_channel`]: where a blocking caller parks until
+/// its operation's completion fires.
+pub struct OpWaiter<R>(Receiver<Result<R, NodeGone>>);
+
+/// A completion callback for [`submit_read`] / [`submit_write`] /
+/// [`Cluster::submit`] paired with the [`OpWaiter`] it wakes — how every
+/// blocking read and write in the workspace waits.
+pub fn op_channel<R: Send + 'static>() -> (
+    impl FnOnce(Result<R, NodeGone>) + Send + 'static,
+    OpWaiter<R>,
+) {
+    let (tx, rx) = bounded(1);
+    (
+        move |result| {
+            let _ = tx.send(result);
+        },
+        OpWaiter(rx),
+    )
+}
+
+impl<R> OpWaiter<R> {
+    /// Blocks for the operation's outcome.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operation does not complete within [`OP_TIMEOUT`] —
+    /// with at most `t` faulty objects that is a wait-freedom violation —
+    /// or its client process is crashed or gone.
+    pub fn wait(self) -> R {
+        self.0
+            .recv_timeout(OP_TIMEOUT)
+            .expect("operation must complete (wait-freedom)")
+            .unwrap_or_else(|gone| panic!("operation failed: {gone}"))
+    }
+}
+
+/// Blocking `WRITE(value)` against `writer`: [`submit_write`], then wait.
 ///
 /// # Panics
 ///
-/// Panics if the write does not complete within the operation timeout —
-/// with at most `t` faulty objects that is a wait-freedom violation.
+/// As [`OpWaiter::wait`].
 pub fn blocking_write<V: Value>(
     cluster: &Cluster<Msg<V>>,
     writer: ProcessId,
     value: V,
 ) -> WriteReport {
-    let id = cluster.invoke(writer, move |w: &mut Writer<V>, ctx| {
-        w.invoke_write(value, ctx)
-    });
-    let rx = cluster.watch(writer, move |w: &Writer<V>| {
-        w.outcome(id).map(|o| WriteReport {
-            ts: o.ts,
-            rounds: o.rounds,
-        })
-    });
-    rx.recv_timeout(OP_TIMEOUT)
-        .expect("WRITE must complete (wait-freedom)")
+    let (done, waiter) = op_channel();
+    submit_write(cluster, writer, value, done);
+    waiter.wait()
 }
 
-/// Blocking `READ()` against `reader`, shared by [`StorageCluster`],
-/// [`crate::ShardedStore`] and external hosts (`vrr-net` servers).
-///
-/// `reader` must host the reader automaton matching `kind` (e.g. spawned
-/// by [`vrr_core::spawn_group`]).
+/// Blocking `READ()` against `reader`: [`submit_read`], then wait.
 ///
 /// # Panics
 ///
-/// Panics if the read does not complete within the operation timeout.
+/// As [`OpWaiter::wait`].
 pub fn blocking_read<V: Value>(
     cluster: &Cluster<Msg<V>>,
     kind: ProtocolKind,
     reader: ProcessId,
 ) -> ReadReport<V> {
-    match kind {
-        ProtocolKind::Safe => {
-            let id = cluster.invoke(reader, |r: &mut SafeReader<V>, ctx| r.invoke_read(ctx));
-            let rx = cluster.watch(reader, move |r: &SafeReader<V>| {
-                r.outcome(id).map(|o| ReadReport {
-                    value: o.value.clone(),
-                    ts: o.ts,
-                    rounds: o.rounds,
-                    fast: o.fast,
-                })
-            });
-            rx.recv_timeout(OP_TIMEOUT)
-                .expect("READ must complete (wait-freedom)")
-        }
-        ProtocolKind::Regular | ProtocolKind::RegularOptimized => {
-            let id = cluster.invoke(reader, |r: &mut RegularReader<V>, ctx| r.invoke_read(ctx));
-            let rx = cluster.watch(reader, move |r: &RegularReader<V>| {
-                r.outcome(id).map(|o| ReadReport {
-                    value: o.value.clone(),
-                    ts: o.ts,
-                    rounds: o.rounds,
-                    fast: o.fast,
-                })
-            });
-            rx.recv_timeout(OP_TIMEOUT)
-                .expect("READ must complete (wait-freedom)")
-        }
-    }
+    let (done, waiter) = op_channel();
+    submit_read(cluster, kind, reader, done);
+    waiter.wait()
 }
 
 /// Spawns one register group onto `cluster` through the canonical
@@ -605,6 +664,125 @@ mod tests {
         let snap = storage.metrics_snapshot();
         // 5 objects - 1 Byzantine - 1 crashed = 3 inspectable histories.
         assert_eq!(snap.gauge_values(names::OBJECT_HISTORY_LEN).len(), 3);
+    }
+
+    /// Drains every message a finished READ may still have in flight, then
+    /// returns the counters. Two no-op invokes per object: the first is
+    /// queued behind the READ messages the object already holds, the second
+    /// runs in a later sweep — after the sweep that answered them flushed
+    /// its replies — and the invoke on the reader queues behind those.
+    /// Always the same number of commands, so differences stay exact. (A
+    /// worker publishes a sweep's command count after the sweep, i.e. after
+    /// the last invoke already returned: wait for the counter to stand.)
+    fn settled_stats(storage: &StorageCluster<u64>) -> ExecutorStats {
+        let cluster = storage.cluster();
+        for _ in 0..2 {
+            for &object in storage.objects() {
+                cluster.invoke(object, |_o: &mut RegularObject<u64>, _ctx| ());
+            }
+        }
+        cluster.invoke(
+            storage.group.readers[0],
+            |_r: &mut RegularReader<u64>, _ctx| (),
+        );
+        let mut last = cluster.stats();
+        loop {
+            std::thread::sleep(Duration::from_millis(10));
+            let now = cluster.stats();
+            if now == last {
+                return now;
+            }
+            last = now;
+        }
+    }
+
+    #[test]
+    fn concurrent_reads_at_one_reader_queue_instead_of_poisoning_it() {
+        // Two callers sharing reader 0: the automaton admits one READ at a
+        // time, so the executor must serialize them — under the old
+        // invoke-then-watch path the second invoke tripped the reader's
+        // well-formedness assertion and poisoned it for good.
+        let cfg = StorageConfig::optimal(1, 1, 1);
+        let storage: StorageCluster<u64> =
+            StorageCluster::deploy(cfg, ProtocolKind::RegularOptimized, Box::new(NoDelay));
+        storage.write(9);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for _ in 0..500 {
+                        assert_eq!(storage.read(0).value, Some(9));
+                    }
+                });
+            }
+        });
+        assert_eq!(storage.read(0).value, Some(9), "the reader is still alive");
+    }
+
+    #[test]
+    fn client_automata_retain_no_outcomes() {
+        // One cloned value per READ ever served is a leak in a long-running
+        // server: the runtime takes each outcome as it reports it.
+        for kind in [ProtocolKind::Safe, ProtocolKind::RegularOptimized] {
+            let cfg = StorageConfig::optimal(1, 1, 1);
+            let storage: StorageCluster<u64> = StorageCluster::deploy(cfg, kind, Box::new(NoDelay));
+            for k in 0..5_000u64 {
+                storage.write(k);
+                assert_eq!(storage.read(0).value, Some(k));
+            }
+            let cluster = storage.cluster();
+            let written = cluster.invoke(storage.group.writer, |w: &mut Writer<u64>, _ctx| {
+                w.retained_outcomes()
+            });
+            let reader = storage.group.readers[0];
+            let read = match kind {
+                ProtocolKind::Safe => cluster.invoke(reader, |r: &mut SafeReader<u64>, _ctx| {
+                    r.retained_outcomes()
+                }),
+                _ => cluster.invoke(reader, |r: &mut RegularReader<u64>, _ctx| {
+                    r.retained_outcomes()
+                }),
+            };
+            assert_eq!((written, read), (0, 0), "{kind:?} after 10 000 operations");
+        }
+    }
+
+    #[test]
+    fn a_blocking_read_is_one_command_cheaper_than_invoke_plus_watch() {
+        let cfg = StorageConfig::optimal(1, 1, 1);
+        let storage: StorageCluster<u64> =
+            StorageCluster::deploy(cfg, ProtocolKind::RegularOptimized, Box::new(NoDelay));
+        storage.write(1);
+        let reader = storage.group.readers[0];
+
+        let before = settled_stats(&storage);
+        assert_eq!(storage.read(0).value, Some(1));
+        let after_submit = settled_stats(&storage);
+
+        // The same READ the way it used to be issued: two mailbox commands.
+        let cluster = storage.cluster();
+        let id = cluster.invoke(reader, |r: &mut RegularReader<u64>, ctx| r.invoke_read(ctx));
+        let rx = cluster.watch(reader, move |r: &RegularReader<u64>| {
+            r.outcome(id).map(|o| o.value)
+        });
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), Some(1));
+        let after_invoke_watch = settled_stats(&storage);
+
+        let submitted = after_submit.commands - before.commands;
+        let invoked = after_invoke_watch.commands - after_submit.commands;
+        assert_eq!(
+            submitted + 1,
+            invoked,
+            "same deliveries, one command instead of two"
+        );
+
+        // And once the operations are done the pool parks: no polling.
+        std::thread::sleep(Duration::from_millis(300));
+        let idle = storage.cluster().stats();
+        assert!(
+            idle.wakeups - after_invoke_watch.wakeups <= 2,
+            "an idle cluster must not poll: {after_invoke_watch:?} -> {idle:?}"
+        );
+        assert_eq!(idle.sweeps, after_invoke_watch.sweeps, "and must not sweep");
     }
 
     #[test]
