@@ -353,63 +353,57 @@ impl<V: Value> RegisterProtocol<V> for AbdProtocol {
 
 #[cfg(test)]
 mod tests {
-    use vrr_core::{run_read, run_write};
+    use vrr_core::StorageScenario;
     use vrr_sim::Tamper;
 
     use super::*;
 
-    fn deploy(atomic: bool) -> (World<LiteMsg<u64>>, AbdProtocol, Deployment) {
-        let mut w = World::new(5);
-        let p = AbdProtocol { atomic };
+    fn deploy(atomic: bool) -> StorageScenario<u64, AbdProtocol> {
         let cfg = StorageConfig::crash_only(1, 2); // S = 3
-        let dep = RegisterProtocol::<u64>::deploy(&p, cfg, &mut w);
-        w.start();
-        (w, p, dep)
+        StorageScenario::deploy(AbdProtocol { atomic }, cfg, 5)
     }
 
     #[test]
     fn abd_regular_round_counts() {
-        let (mut w, p, dep) = deploy(false);
-        let wr = run_write(&p, &dep, &mut w, 42u64);
+        let mut sc = deploy(false);
+        let wr = sc.write(42);
         assert_eq!(wr.rounds, 1, "ABD writes are one round");
-        let rd = run_read::<u64, _>(&p, &dep, &mut w, 0);
+        let rd = sc.read(0);
         assert_eq!(rd.value, Some(42));
         assert_eq!(rd.rounds, 1, "ABD regular reads are one round");
     }
 
     #[test]
     fn abd_atomic_uses_write_back() {
-        let (mut w, p, dep) = deploy(true);
-        run_write(&p, &dep, &mut w, 42u64);
-        let rd = run_read::<u64, _>(&p, &dep, &mut w, 0);
+        let mut sc = deploy(true);
+        sc.write(42);
+        let rd = sc.read(0);
         assert_eq!(rd.value, Some(42));
         assert_eq!(rd.rounds, 2, "atomic reads add the write-back round");
     }
 
     #[test]
     fn abd_atomic_read_of_bottom_is_one_round() {
-        let (mut w, p, dep) = deploy(true);
-        let rd = run_read::<u64, _>(&p, &dep, &mut w, 0);
+        let rd = deploy(true).read(0);
         assert_eq!(rd.value, None);
         assert_eq!(rd.rounds, 1, "nothing to write back");
     }
 
     #[test]
     fn abd_tolerates_crashes() {
-        let (mut w, p, dep) = deploy(false);
-        w.crash(dep.objects[1]);
-        run_write(&p, &dep, &mut w, 7u64);
-        let rd = run_read::<u64, _>(&p, &dep, &mut w, 0);
-        assert_eq!(rd.value, Some(7));
+        let mut sc = deploy(false);
+        sc.crash_object(1);
+        sc.write(7);
+        assert_eq!(sc.read(0).value, Some(7));
     }
 
     #[test]
     fn abd_is_defenseless_against_byzantine() {
         // Sanity check of the baseline's stated limitation: one inflating
         // liar makes the reader return a phantom value.
-        let (mut w, p, dep) = deploy(false);
-        w.set_byzantine(
-            dep.objects[0],
+        let mut sc = deploy(false);
+        sc.byzantine_object(
+            0,
             Box::new(Tamper::new(LiteObject::<u64>::new(), |to, msg| {
                 let msg = match msg {
                     LiteMsg::ReadAck { nonce, pw, .. } => LiteMsg::ReadAck {
@@ -422,10 +416,9 @@ mod tests {
                 vec![(to, msg)]
             })),
         );
-        run_write(&p, &dep, &mut w, 7u64);
-        let rd = run_read::<u64, _>(&p, &dep, &mut w, 0);
+        sc.write(7);
         assert_eq!(
-            rd.value,
+            sc.read(0).value,
             Some(666),
             "ABD believes the liar — by design it may not"
         );

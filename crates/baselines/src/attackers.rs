@@ -81,36 +81,31 @@ pub fn denier<V: Value>() -> Box<dyn Automaton<LiteMsg<V>>> {
 
 #[cfg(test)]
 mod tests {
-    use vrr_core::{run_read, run_write, Deployment, RegisterProtocol, StorageConfig};
-    use vrr_sim::World;
+    use vrr_core::{StorageConfig, StorageScenario};
 
     use super::*;
     use crate::passive::PassiveProtocol;
 
-    fn deploy() -> (World<LiteMsg<u64>>, PassiveProtocol, Deployment) {
-        let mut w = World::new(1);
+    fn deploy() -> StorageScenario<u64, PassiveProtocol> {
         let cfg = StorageConfig::optimal(2, 2, 1); // S = 7
-        let dep = RegisterProtocol::<u64>::deploy(&PassiveProtocol, cfg, &mut w);
-        w.start();
-        (w, PassiveProtocol, dep)
+        StorageScenario::deploy(PassiveProtocol, cfg, 1)
     }
 
     #[test]
     fn denier_cannot_erase_a_write() {
-        let (mut w, p, dep) = deploy();
-        w.set_byzantine(dep.objects[0], denier::<u64>());
-        w.set_byzantine(dep.objects[1], denier::<u64>());
-        run_write(&p, &dep, &mut w, 5u64);
-        let rd = run_read::<u64, _>(&p, &dep, &mut w, 0);
-        assert_eq!(rd.value, Some(5));
+        let mut sc = deploy();
+        sc.byzantine_object(0, denier::<u64>());
+        sc.byzantine_object(1, denier::<u64>());
+        sc.write(5);
+        assert_eq!(sc.read(0).value, Some(5));
     }
 
     #[test]
     fn restless_forger_claims_never_confirm() {
-        let (mut w, p, dep) = deploy();
-        w.set_byzantine(dep.objects[0], restless_forger(666u64));
-        run_write(&p, &dep, &mut w, 5u64);
-        let rd = run_read::<u64, _>(&p, &dep, &mut w, 0);
+        let mut sc = deploy();
+        sc.byzantine_object(0, restless_forger(666u64));
+        sc.write(5);
+        let rd = sc.read(0);
         assert_eq!(
             rd.value,
             Some(5),

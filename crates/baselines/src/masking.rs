@@ -311,17 +311,14 @@ impl<V: Value> RegisterProtocol<V> for MaskingProtocol {
 
 #[cfg(test)]
 mod tests {
-    use vrr_core::{run_read, run_write};
+    use vrr_core::StorageScenario;
     use vrr_sim::Tamper;
 
     use super::*;
 
-    fn deploy(t: usize, b: usize) -> (World<LiteMsg<u64>>, MaskingProtocol, Deployment) {
-        let mut w = World::new(9);
+    fn deploy(t: usize, b: usize) -> StorageScenario<u64, MaskingProtocol> {
         let cfg = StorageConfig::with_objects(masking_object_count(t, b), t, b, 1);
-        let dep = RegisterProtocol::<u64>::deploy(&MaskingProtocol, cfg, &mut w);
-        w.start();
-        (w, MaskingProtocol, dep)
+        StorageScenario::deploy(MaskingProtocol, cfg, 9)
     }
 
     fn inflator() -> Box<dyn Automaton<LiteMsg<u64>>> {
@@ -340,40 +337,36 @@ mod tests {
 
     #[test]
     fn both_operations_are_single_round() {
-        let (mut w, p, dep) = deploy(1, 1); // S = 5
-        let wr = run_write(&p, &dep, &mut w, 42u64);
+        let mut sc = deploy(1, 1); // S = 5
+        let wr = sc.write(42);
         assert_eq!(wr.rounds, 1);
-        let rd = run_read::<u64, _>(&p, &dep, &mut w, 0);
+        let rd = sc.read(0);
         assert_eq!(rd.value, Some(42));
         assert_eq!(rd.rounds, 1, "fast read above 2t + 2b objects");
     }
 
     #[test]
     fn fresh_read_returns_bottom() {
-        let (mut w, p, dep) = deploy(1, 1);
-        let rd = run_read::<u64, _>(&p, &dep, &mut w, 0);
-        assert_eq!(rd.value, None);
+        assert_eq!(deploy(1, 1).read(0).value, None);
     }
 
     #[test]
     fn b_inflators_cannot_forge_a_value() {
-        let (mut w, p, dep) = deploy(2, 2); // S = 9, b = 2
-        w.set_byzantine(dep.objects[0], inflator());
-        w.set_byzantine(dep.objects[4], inflator());
-        run_write(&p, &dep, &mut w, 7u64);
-        let rd = run_read::<u64, _>(&p, &dep, &mut w, 0);
+        let mut sc = deploy(2, 2); // S = 9, b = 2
+        sc.byzantine_object(0, inflator());
+        sc.byzantine_object(4, inflator());
+        sc.write(7);
+        let rd = sc.read(0);
         assert_eq!(rd.value, Some(7), "b liars < b+1 corroboration");
         assert_eq!(rd.rounds, 1);
     }
 
     #[test]
     fn survives_t_crashes() {
-        let (mut w, p, dep) = deploy(2, 1); // S = 7
-        w.crash(dep.objects[1]);
-        w.crash(dep.objects[5]);
-        run_write(&p, &dep, &mut w, 3u64);
-        let rd = run_read::<u64, _>(&p, &dep, &mut w, 0);
-        assert_eq!(rd.value, Some(3));
+        let mut sc = deploy(2, 1); // S = 7
+        sc.crash_object(1).crash_object(5);
+        sc.write(3);
+        assert_eq!(sc.read(0).value, Some(3));
     }
 
     #[test]

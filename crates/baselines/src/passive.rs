@@ -463,36 +463,31 @@ impl<V: Value> RegisterProtocol<V> for PassiveProtocol {
 
 #[cfg(test)]
 mod tests {
-    use vrr_core::{run_read, run_write};
+    use vrr_core::StorageScenario;
 
     use super::*;
     use crate::attackers::serial_forger;
 
-    fn deploy(t: usize, b: usize) -> (World<LiteMsg<u64>>, PassiveProtocol, Deployment) {
-        let mut w = World::new(13);
-        let cfg = StorageConfig::optimal(t, b, 1);
-        let dep = RegisterProtocol::<u64>::deploy(&PassiveProtocol, cfg, &mut w);
-        w.start();
-        (w, PassiveProtocol, dep)
+    fn deploy(t: usize, b: usize) -> StorageScenario<u64, PassiveProtocol> {
+        StorageScenario::deploy(PassiveProtocol, StorageConfig::optimal(t, b, 1), 13)
     }
 
     #[test]
     fn failure_free_read_is_one_round() {
-        let (mut w, p, dep) = deploy(1, 1);
-        let wr = run_write(&p, &dep, &mut w, 42u64);
+        let mut sc = deploy(1, 1);
+        let wr = sc.write(42);
         assert_eq!(
             wr.rounds, 2,
             "passive writes are two-phase at optimal resilience"
         );
-        let rd = run_read::<u64, _>(&p, &dep, &mut w, 0);
+        let rd = sc.read(0);
         assert_eq!(rd.value, Some(42));
         assert_eq!(rd.rounds, 1, "no liars: first round confirms");
     }
 
     #[test]
     fn fresh_read_returns_bottom_in_one_round() {
-        let (mut w, p, dep) = deploy(2, 1);
-        let rd = run_read::<u64, _>(&p, &dep, &mut w, 0);
+        let rd = deploy(2, 1).read(0);
         assert_eq!(rd.value, None);
         assert_eq!(rd.rounds, 1);
     }
@@ -501,17 +496,14 @@ mod tests {
     fn serial_forgers_force_b_plus_1_rounds() {
         for b in 1..=3usize {
             let t = b;
-            let (mut w, p, dep) = deploy(t, b);
+            let mut sc = deploy(t, b);
             // Forger ranked r starts lying at nonce r (= read round r for
             // the single read below).
             for rank in 1..=b {
-                w.set_byzantine(
-                    dep.objects[rank - 1],
-                    serial_forger(rank as u64, 900 + rank as u64),
-                );
+                sc.byzantine_object(rank - 1, serial_forger(rank as u64, 900 + rank as u64));
             }
-            run_write(&p, &dep, &mut w, 7u64);
-            let rd = run_read::<u64, _>(&p, &dep, &mut w, 0);
+            sc.write(7);
+            let rd = sc.read(0);
             assert_eq!(rd.value, Some(7), "b={b}: forgers must not win");
             assert_eq!(
                 rd.rounds,
@@ -524,24 +516,23 @@ mod tests {
     #[test]
     fn simultaneous_forgers_cost_only_one_extra_round() {
         let b = 3;
-        let (mut w, p, dep) = deploy(b, b);
+        let mut sc = deploy(b, b);
         for rank in 1..=b {
             // All start lying from round 1.
-            w.set_byzantine(dep.objects[rank - 1], serial_forger(1, 900 + rank as u64));
+            sc.byzantine_object(rank - 1, serial_forger(1, 900 + rank as u64));
         }
-        run_write(&p, &dep, &mut w, 7u64);
-        let rd = run_read::<u64, _>(&p, &dep, &mut w, 0);
+        sc.write(7);
+        let rd = sc.read(0);
         assert_eq!(rd.value, Some(7));
         assert_eq!(rd.rounds, 2, "all fakes challenged in parallel");
     }
 
     #[test]
     fn crashes_do_not_add_rounds() {
-        let (mut w, p, dep) = deploy(2, 1); // S = 6
-        w.crash(dep.objects[0]);
-        w.crash(dep.objects[5]);
-        run_write(&p, &dep, &mut w, 3u64);
-        let rd = run_read::<u64, _>(&p, &dep, &mut w, 0);
+        let mut sc = deploy(2, 1); // S = 6
+        sc.crash_object(0).crash_object(5);
+        sc.write(3);
+        let rd = sc.read(0);
         assert_eq!(rd.value, Some(3));
         assert_eq!(rd.rounds, 1);
     }

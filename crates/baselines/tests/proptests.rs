@@ -3,8 +3,7 @@
 use proptest::prelude::*;
 
 use vrr_baselines::{serial_forger, AbdProtocol, MaskingProtocol, PassiveProtocol};
-use vrr_core::{corrupt_object, run_read, run_write, RegisterProtocol, StorageConfig};
-use vrr_sim::World;
+use vrr_core::{StorageConfig, StorageScenario};
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 40, .. ProptestConfig::default() })]
@@ -19,15 +18,13 @@ proptest! {
     ) {
         let t = b;
         let cfg = StorageConfig::optimal(t, b, 1);
-        let mut world = World::new(seed);
-        let dep = RegisterProtocol::<u64>::deploy(&PassiveProtocol, cfg, &mut world);
-        world.start();
+        let mut sc = StorageScenario::deploy(PassiveProtocol, cfg, seed);
         // Activate at most b forgers with the drawn ranks.
         for (i, rank) in ranks.iter().take(b).enumerate() {
-            corrupt_object(&dep, &mut world, i, serial_forger(*rank, 900 + *rank));
+            sc.byzantine_object(i, serial_forger(*rank, 900 + *rank));
         }
-        run_write(&PassiveProtocol, &dep, &mut world, 7u64);
-        let rep = run_read::<u64, _>(&PassiveProtocol, &dep, &mut world, 0);
+        sc.write(7u64);
+        let rep = sc.read(0);
         prop_assert_eq!(rep.value, Some(7));
         prop_assert!(
             rep.rounds as usize <= b + 1,
@@ -46,19 +43,17 @@ proptest! {
         let b = b.min(t);
         let s = 2 * t + 2 * b + 1;
         let cfg = StorageConfig::with_objects(s, t, b, 1);
-        let mut world = World::new(seed);
-        let dep = RegisterProtocol::<u64>::deploy(&MaskingProtocol, cfg, &mut world);
-        world.start();
+        let mut sc = StorageScenario::deploy(MaskingProtocol, cfg, seed);
         // Crash up to t objects chosen by the mask.
         let mut crashed = 0;
         for i in 0..s {
             if crashed < t && crash_mask & (1 << (i % 8)) != 0 {
-                world.crash(dep.objects[i]);
+                sc.crash_object(i);
                 crashed += 1;
             }
         }
-        run_write(&MaskingProtocol, &dep, &mut world, 9u64);
-        let rep = run_read::<u64, _>(&MaskingProtocol, &dep, &mut world, 0);
+        sc.write(9u64);
+        let rep = sc.read(0);
         prop_assert_eq!(rep.value, Some(9));
         prop_assert_eq!(rep.rounds, 1);
     }
@@ -74,16 +69,13 @@ proptest! {
         seed in 0u64..500,
     ) {
         let cfg = StorageConfig::crash_only(t, 1);
-        let p = AbdProtocol { atomic };
-        let mut world = World::new(seed);
-        let dep = RegisterProtocol::<u64>::deploy(&p, cfg, &mut world);
-        world.start();
+        let mut sc = StorageScenario::deploy(AbdProtocol { atomic }, cfg, seed);
         if let Some(c) = crash {
-            world.crash(dep.objects[c % cfg.s]);
+            sc.crash_object(c % cfg.s);
         }
-        let w = run_write(&p, &dep, &mut world, 3u64);
+        let w = sc.write(3u64);
         prop_assert_eq!(w.rounds, 1);
-        let r = run_read::<u64, _>(&p, &dep, &mut world, 0);
+        let r = sc.read(0);
         prop_assert_eq!(r.value, Some(3));
         prop_assert_eq!(r.rounds, if atomic { 2 } else { 1 });
     }

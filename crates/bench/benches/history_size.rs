@@ -21,8 +21,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use vrr_core::regular::HistoryRetention;
-use vrr_core::{run_read, run_write, RegisterProtocol, RegularProtocol, StorageConfig};
-use vrr_sim::World;
+use vrr_core::{RegularProtocol, StorageConfig, StorageScenario};
 
 /// Steady-state read cadence for the GC variant (one read per N writes).
 const READ_EVERY: u64 = 8;
@@ -42,25 +41,22 @@ fn bench_history_growth(c: &mut Criterion) {
             ),
         ] {
             let cfg = StorageConfig::optimal(1, 1, 1);
-            let mut world: World<vrr_core::Msg<u64>> = World::new(9);
-            let dep = RegisterProtocol::<u64>::deploy(&protocol, cfg, &mut world);
-            world.start();
+            let mut sc = StorageScenario::deploy(protocol, cfg, 9);
             for k in 1..=writes {
-                run_write(&protocol, &dep, &mut world, k);
+                sc.write(k);
                 // Steady-state load for the GC variant: interleaved reads
                 // keep the ack floor advancing so histories stay short.
                 if label == "gcfull" && k % READ_EVERY == 0 {
-                    run_read::<u64, _>(&protocol, &dep, &mut world, 0);
+                    sc.read(0);
                 }
             }
             // Warm the cache so the optimized variant ships short suffixes
             // (and, for gcfull, advertise the final ack to the objects).
-            run_read::<u64, _>(&protocol, &dep, &mut world, 0);
+            sc.read(0);
 
             group.bench_function(BenchmarkId::new(label, writes), |bch| {
                 bch.iter(|| {
-                    let rep = run_read::<u64, _>(&protocol, &dep, &mut world, 0);
-                    assert_eq!(rep.value, Some(writes));
+                    assert_eq!(sc.read(0).value, Some(writes));
                 });
             });
         }

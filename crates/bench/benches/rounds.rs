@@ -11,18 +11,12 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use vrr_baselines::{masking_object_count, AbdProtocol, MaskingProtocol, PassiveProtocol};
-use vrr_core::{
-    run_read, run_write, RegisterProtocol, RegularProtocol, SafeProtocol, StorageConfig, Value,
-};
-use vrr_sim::World;
+use vrr_core::{RegisterProtocol, RegularProtocol, SafeProtocol, StorageConfig, StorageScenario};
 
-fn cycle<V: Value + From<u64>, P: RegisterProtocol<V>>(protocol: &P, cfg: StorageConfig) {
-    let mut world: World<P::Msg> = World::new(5);
-    let dep = protocol.deploy(cfg, &mut world);
-    world.start();
-    run_write(protocol, &dep, &mut world, V::from(7u64));
-    let rep = run_read::<V, _>(protocol, &dep, &mut world, 0);
-    assert_eq!(rep.value, Some(V::from(7u64)));
+fn cycle<P: RegisterProtocol<u64>>(protocol: P, cfg: StorageConfig) {
+    let mut sc = StorageScenario::deploy(protocol, cfg, 5);
+    sc.write(7u64);
+    assert_eq!(sc.read(0).value, Some(7));
 }
 
 fn bench_write_read_cycle(c: &mut Criterion) {
@@ -34,31 +28,31 @@ fn bench_write_read_cycle(c: &mut Criterion) {
     let opt = StorageConfig::optimal(t, b, 1);
 
     group.bench_function(BenchmarkId::new("protocol", "safe"), |bch| {
-        bch.iter(|| cycle::<u64, _>(&SafeProtocol, opt));
+        bch.iter(|| cycle(SafeProtocol, opt));
     });
     group.bench_function(BenchmarkId::new("protocol", "regular"), |bch| {
-        bch.iter(|| cycle::<u64, _>(&RegularProtocol::full(), opt));
+        bch.iter(|| cycle(RegularProtocol::full(), opt));
     });
     group.bench_function(BenchmarkId::new("protocol", "regular-opt"), |bch| {
-        bch.iter(|| cycle::<u64, _>(&RegularProtocol::optimized(), opt));
+        bch.iter(|| cycle(RegularProtocol::optimized(), opt));
     });
     group.bench_function(BenchmarkId::new("protocol", "passive"), |bch| {
-        bch.iter(|| cycle::<u64, _>(&PassiveProtocol, opt));
+        bch.iter(|| cycle(PassiveProtocol, opt));
     });
     let mcfg = StorageConfig::with_objects(masking_object_count(t, b), t, b, 1);
     group.bench_function(BenchmarkId::new("protocol", "masking"), |bch| {
-        bch.iter(|| cycle::<u64, _>(&MaskingProtocol, mcfg));
+        bch.iter(|| cycle(MaskingProtocol, mcfg));
     });
     let acfg = StorageConfig::crash_only(t, 1);
     group.bench_function(BenchmarkId::new("protocol", "abd"), |bch| {
-        bch.iter(|| cycle::<u64, _>(&AbdProtocol::default(), acfg));
+        bch.iter(|| cycle(AbdProtocol::default(), acfg));
     });
     // Over-provisioned regular storage (S = 2t+2b+1): the read half of the
     // cycle completes in one round, trading two extra object automata for
     // a whole round of read messages.
     let fcfg = StorageConfig::fast(t, b, 1);
     group.bench_function(BenchmarkId::new("protocol", "regular-fast"), |bch| {
-        bch.iter(|| cycle::<u64, _>(&RegularProtocol::optimized(), fcfg));
+        bch.iter(|| cycle(RegularProtocol::optimized(), fcfg));
     });
     group.finish();
 }
@@ -71,7 +65,7 @@ fn bench_scaling(c: &mut Criterion) {
     for t in [1usize, 2, 4, 8] {
         let cfg = StorageConfig::optimal(t, 1, 1);
         group.bench_function(BenchmarkId::new("safe-S", cfg.s), |bch| {
-            bch.iter(|| cycle::<u64, _>(&SafeProtocol, cfg));
+            bch.iter(|| cycle(SafeProtocol, cfg));
         });
     }
     group.finish();

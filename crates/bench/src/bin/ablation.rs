@@ -20,42 +20,29 @@
 
 use vrr_bench::Table;
 use vrr_core::attackers::AttackerKind;
-use vrr_core::regular::{HistoryRetention, RegularObject};
+use vrr_core::regular::HistoryRetention;
 use vrr_core::safe::SafeTuning;
 use vrr_core::{
-    corrupt_object, run_read, run_write, ProtocolSpec, RegisterProtocol, RegularProtocol,
-    SafeProtocol, StorageConfig,
+    ProtocolSpec, RegisterProtocol, RegularProtocol, SafeProtocol, StorageConfig, StorageScenario,
 };
-use vrr_sim::World;
 
 /// One write + one read under `attacked`; reports (value ok?, rounds).
 fn probe_mutant(tuning: SafeTuning, attacked: bool) -> (bool, u32, bool) {
     let cfg = StorageConfig::optimal(2, 2, 1); // S = 7
-    let protocol = ProtocolSpec::Safe(tuning);
-    let mut world: World<vrr_core::Msg<u64>> = World::new(21);
-    let dep = RegisterProtocol::<u64>::deploy(&protocol, cfg, &mut world);
-    world.start();
+    let mut sc = StorageScenario::deploy(ProtocolSpec::Safe(tuning), cfg, 21);
     if attacked {
         for i in 0..cfg.b {
-            corrupt_object(
-                &dep,
-                &mut world,
-                i,
-                AttackerKind::Inflator.build_safe(cfg, 0xBAD),
-            );
+            sc.attack_object(i, AttackerKind::Inflator, 0xBAD);
         }
     }
-    run_write(&protocol, &dep, &mut world, 5u64);
-    let op = protocol.invoke_read(&dep, &mut world, 0);
-    let done = world.run_until(
-        |w| RegisterProtocol::<u64>::read_outcome(&protocol, &dep, w, 0, op).is_some(),
-        vrr_core::OP_STEP_LIMIT,
-    );
-    if !done {
-        return (false, 0, false);
+    sc.write(5u64);
+    // A mutant may block: drive until nothing is left in flight, then ask.
+    let mut op = sc.start_read(0);
+    sc.run_until_idle(200_000);
+    match sc.poll_read(&mut op) {
+        Some(rep) => (rep.value == Some(5), rep.rounds, true),
+        None => (false, 0, false),
     }
-    let rep = RegisterProtocol::<u64>::read_outcome(&protocol, &dep, &world, 0, op).expect("done");
-    (rep.value == Some(5), rep.rounds, true)
 }
 
 fn fmt_probe(p: (bool, u32, bool)) -> String {
@@ -64,6 +51,19 @@ fn fmt_probe(p: (bool, u32, bool)) -> String {
         (true, rounds, _) => format!("correct, {rounds} rd"),
         (false, rounds, _) => format!("WRONG VALUE, {rounds} rd"),
     }
+}
+
+/// Messages and bytes one failure-free read costs, after one write.
+fn read_cost<P: RegisterProtocol<u64>>(protocol: P, cfg: StorageConfig) -> (u64, u64) {
+    let mut sc = StorageScenario::deploy(protocol, cfg, 3);
+    sc.write(1u64);
+    let before = sc.world().stats();
+    sc.read(0);
+    let after = sc.world().stats();
+    (
+        after.sent - before.sent,
+        after.bytes_sent - before.bytes_sent,
+    )
 }
 
 fn main() {
@@ -122,54 +122,30 @@ fn main() {
 
     // ---- Part B: message cost per read (failure-free, S for t=b=1).
     let mut b = Table::new(&["protocol", "S", "msgs per read", "bytes per read"]);
-    {
-        let cfg = StorageConfig::optimal(1, 1, 1);
-        let mut world: World<vrr_core::Msg<u64>> = World::new(3);
-        let dep = RegisterProtocol::<u64>::deploy(&SafeProtocol, cfg, &mut world);
-        world.start();
-        run_write(&SafeProtocol, &dep, &mut world, 1u64);
-        let before = world.stats();
-        run_read::<u64, _>(&SafeProtocol, &dep, &mut world, 0);
-        let after = world.stats();
+    let optimal = StorageConfig::optimal(1, 1, 1);
+    let masking = StorageConfig::with_objects(5, 1, 1, 1);
+    for (name, cfg, (msgs, bytes)) in [
+        (
+            "safe (2 rounds, reader writes tsr)",
+            optimal,
+            read_cost(SafeProtocol, optimal),
+        ),
+        (
+            "masking (1 round, +b objects)",
+            masking,
+            read_cost(vrr_baselines::MaskingProtocol, masking),
+        ),
+        (
+            "passive (1 round benign)",
+            optimal,
+            read_cost(vrr_baselines::PassiveProtocol, optimal),
+        ),
+    ] {
         b.row_owned(vec![
-            "safe (2 rounds, reader writes tsr)".into(),
+            name.into(),
             cfg.s.to_string(),
-            (after.sent - before.sent).to_string(),
-            (after.bytes_sent - before.bytes_sent).to_string(),
-        ]);
-    }
-    {
-        let cfg = StorageConfig::with_objects(5, 1, 1, 1);
-        let mut world: World<vrr_baselines::LiteMsg<u64>> = World::new(3);
-        let p = vrr_baselines::MaskingProtocol;
-        let dep = RegisterProtocol::<u64>::deploy(&p, cfg, &mut world);
-        world.start();
-        run_write(&p, &dep, &mut world, 1u64);
-        let before = world.stats();
-        run_read::<u64, _>(&p, &dep, &mut world, 0);
-        let after = world.stats();
-        b.row_owned(vec![
-            "masking (1 round, +b objects)".into(),
-            cfg.s.to_string(),
-            (after.sent - before.sent).to_string(),
-            (after.bytes_sent - before.bytes_sent).to_string(),
-        ]);
-    }
-    {
-        let cfg = StorageConfig::optimal(1, 1, 1);
-        let mut world: World<vrr_baselines::LiteMsg<u64>> = World::new(3);
-        let p = vrr_baselines::PassiveProtocol;
-        let dep = RegisterProtocol::<u64>::deploy(&p, cfg, &mut world);
-        world.start();
-        run_write(&p, &dep, &mut world, 1u64);
-        let before = world.stats();
-        run_read::<u64, _>(&p, &dep, &mut world, 0);
-        let after = world.stats();
-        b.row_owned(vec![
-            "passive (1 round benign)".into(),
-            cfg.s.to_string(),
-            (after.sent - before.sent).to_string(),
-            (after.bytes_sent - before.bytes_sent).to_string(),
+            msgs.to_string(),
+            bytes.to_string(),
         ]);
     }
     b.print("Ablation B: the price of active 2-round reads in messages");
@@ -194,20 +170,18 @@ fn main() {
             retention,
         };
         let cfg = StorageConfig::optimal(1, 1, 1);
-        let mut world: World<vrr_core::Msg<u64>> = World::new(5);
-        let dep = RegisterProtocol::<u64>::deploy(&protocol, cfg, &mut world);
-        world.start();
+        let mut sc = StorageScenario::deploy(protocol, cfg, 5);
         let writes = 200u64;
         for k in 1..=writes {
-            run_write(&protocol, &dep, &mut world, k);
+            sc.write(k);
             // Periodic reads keep the ReaderAck floor advancing (and change
             // nothing for the other policies).
             if k % 25 == 0 {
-                run_read::<u64, _>(&protocol, &dep, &mut world, 0);
+                sc.read(0);
             }
         }
-        let rep = run_read::<u64, _>(&protocol, &dep, &mut world, 0);
-        let hist_len = world.inspect(dep.objects[0], |o: &RegularObject<u64>| o.history().len());
+        let rep = sc.read(0);
+        let hist_len = sc.history_lens().expect("regular objects keep histories")[0];
         c.row_owned(vec![
             format!("{retention:?}"),
             writes.to_string(),

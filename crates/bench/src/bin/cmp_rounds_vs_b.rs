@@ -15,77 +15,57 @@
 //! `cargo run --release -p vrr-bench --bin cmp_rounds_vs_b`.
 
 use vrr_baselines::{
-    masking_object_count, serial_forger, AbdProtocol, LiteMsg, MaskingProtocol, PassiveProtocol,
+    masking_object_count, serial_forger, AbdProtocol, MaskingProtocol, PassiveProtocol,
 };
 use vrr_bench::Table;
 use vrr_core::attackers::AttackerKind;
-use vrr_core::{
-    corrupt_object, run_read, run_write, RegisterProtocol, SafeProtocol, StorageConfig, Value,
-};
-use vrr_sim::{SimMessage, World};
+use vrr_core::{RegisterProtocol, SafeProtocol, StorageConfig, StorageScenario};
 
 /// One write, one read; returns the read's round count.
-fn measure<V, P>(
-    protocol: &P,
+fn measure<P: RegisterProtocol<u64>>(
+    protocol: P,
     cfg: StorageConfig,
-    attack: impl Fn(&vrr_core::Deployment, &mut World<P::Msg>),
-) -> u32
-where
-    V: Value + From<u64>,
-    P: RegisterProtocol<V>,
-{
-    let mut world: World<P::Msg> = World::new(11);
-    let dep = protocol.deploy(cfg, &mut world);
-    world.start();
-    attack(&dep, &mut world);
-    run_write(protocol, &dep, &mut world, V::from(7u64));
-    let rep = run_read::<V, _>(protocol, &dep, &mut world, 0);
-    assert_eq!(
-        rep.value,
-        Some(V::from(7u64)),
-        "{}: wrong value",
-        protocol.name()
-    );
+    attack: impl Fn(&mut StorageScenario<u64, P>),
+) -> u32 {
+    let name = protocol.name();
+    let mut sc = StorageScenario::deploy(protocol, cfg, 11);
+    attack(&mut sc);
+    sc.write(7u64);
+    let rep = sc.read(0);
+    assert_eq!(rep.value, Some(7), "{name}: wrong value");
     rep.rounds
 }
 
-fn lite_serial_attack(b: usize) -> impl Fn(&vrr_core::Deployment, &mut World<LiteMsg<u64>>) {
-    move |dep, world| {
+fn lite_serial_attack<P: RegisterProtocol<u64, Msg = vrr_baselines::LiteMsg<u64>>>(
+    b: usize,
+) -> impl Fn(&mut StorageScenario<u64, P>) {
+    move |sc| {
         for rank in 1..=b {
-            corrupt_object(
-                dep,
-                world,
-                rank - 1,
-                serial_forger(rank as u64, 900 + rank as u64),
-            );
+            sc.byzantine_object(rank - 1, serial_forger(rank as u64, 900 + rank as u64));
         }
     }
 }
 
-fn safe_inflator_attack(
-    cfg: StorageConfig,
-) -> impl Fn(&vrr_core::Deployment, &mut World<vrr_core::Msg<u64>>) {
-    move |dep, world| {
-        for i in 0..cfg.b {
-            corrupt_object(
-                dep,
-                world,
-                i,
-                AttackerKind::Inflator.build_safe(cfg, 0xDEADu64),
-            );
+/// `b` Inflators from the protocol's own catalogue.
+fn inflator_attack<P: RegisterProtocol<u64>>(b: usize) -> impl Fn(&mut StorageScenario<u64, P>) {
+    move |sc| {
+        for i in 0..b {
+            sc.attack_object(i, AttackerKind::Inflator, 0xDEADu64);
         }
     }
 }
 
-fn no_attack<M: SimMessage>() -> impl Fn(&vrr_core::Deployment, &mut World<M>) {
-    |_dep, _world| {}
+fn no_attack<P: RegisterProtocol<u64>>() -> impl Fn(&mut StorageScenario<u64, P>) {
+    |_sc| {}
 }
 
-fn lite_inflator_attack(b: usize) -> impl Fn(&vrr_core::Deployment, &mut World<LiteMsg<u64>>) {
-    move |dep, world| {
+fn lite_inflator_attack<P: RegisterProtocol<u64, Msg = vrr_baselines::LiteMsg<u64>>>(
+    b: usize,
+) -> impl Fn(&mut StorageScenario<u64, P>) {
+    move |sc| {
         for i in 0..b {
             // Stable forgers active from the first nonce.
-            corrupt_object(dep, world, i, serial_forger(1, 600 + i as u64));
+            sc.byzantine_object(i, serial_forger(1, 600 + i as u64));
         }
     }
 }
@@ -106,7 +86,7 @@ fn main() {
         // ABD, crash-only ancestor (no Byzantine column: b is meaningless).
         if b == 1 {
             let cfg = StorageConfig::crash_only(t, 1);
-            let quiet = measure::<u64, _>(&AbdProtocol::default(), cfg, no_attack());
+            let quiet = measure(AbdProtocol::default(), cfg, no_attack());
             table.row_owned(vec![
                 "0 (crash-only)".into(),
                 "ABD [ABD95]".into(),
@@ -119,8 +99,8 @@ fn main() {
 
         // The paper's safe storage at optimal resilience.
         let cfg = StorageConfig::optimal(t, b, 1);
-        let quiet = measure::<u64, _>(&SafeProtocol, cfg, no_attack());
-        let attacked = measure::<u64, _>(&SafeProtocol, cfg, safe_inflator_attack(cfg));
+        let quiet = measure(SafeProtocol, cfg, no_attack());
+        let attacked = measure(SafeProtocol, cfg, inflator_attack(cfg.b));
         table.row_owned(vec![
             b.to_string(),
             "paper §4 (active reader)".into(),
@@ -133,8 +113,8 @@ fn main() {
         assert_eq!(attacked, 2, "the paper's bound: always exactly 2");
 
         // Passive b+1-round baseline at optimal resilience.
-        let quiet = measure::<u64, _>(&PassiveProtocol, cfg, no_attack());
-        let attacked = measure::<u64, _>(&PassiveProtocol, cfg, lite_serial_attack(b));
+        let quiet = measure(PassiveProtocol, cfg, no_attack());
+        let attacked = measure(PassiveProtocol, cfg, lite_serial_attack(b));
         table.row_owned(vec![
             b.to_string(),
             "passive reader [ACKM04]".into(),
@@ -151,8 +131,8 @@ fn main() {
         // attacker achieves is the two-round fallback — unlike the masking
         // baseline below, nothing is given up when the fast check fails.
         let fcfg = StorageConfig::fast(t, b, 1);
-        let quiet = measure::<u64, _>(&SafeProtocol, fcfg, no_attack());
-        let attacked = measure::<u64, _>(&SafeProtocol, fcfg, safe_inflator_attack(fcfg));
+        let quiet = measure(SafeProtocol, fcfg, no_attack());
+        let attacked = measure(SafeProtocol, fcfg, inflator_attack(fcfg.b));
         table.row_owned(vec![
             b.to_string(),
             "paper §4 + fast path (S = 2t+2b+1)".into(),
@@ -166,8 +146,8 @@ fn main() {
 
         // Masking fast read with b extra objects.
         let mcfg = StorageConfig::with_objects(masking_object_count(t, b), t, b, 1);
-        let quiet = measure::<u64, _>(&MaskingProtocol, mcfg, no_attack());
-        let attacked = measure::<u64, _>(&MaskingProtocol, mcfg, lite_inflator_attack(b));
+        let quiet = measure(MaskingProtocol, mcfg, no_attack());
+        let attacked = measure(MaskingProtocol, mcfg, lite_inflator_attack(b));
         table.row_owned(vec![
             b.to_string(),
             "masking fast read [MR98]".into(),
@@ -180,21 +160,12 @@ fn main() {
         assert_eq!(attacked, 1);
 
         // The atomic extension: stronger semantics, one more round.
-        let quiet = measure::<u64, _>(&vrr_core::atomic::AtomicProtocol, cfg, no_attack());
-        let attacked = measure::<u64, _>(
-            &vrr_core::atomic::AtomicProtocol,
-            cfg,
-            |dep, world: &mut World<vrr_core::Msg<u64>>| {
-                for i in 0..cfg.b {
-                    corrupt_object(
-                        dep,
-                        world,
-                        i,
-                        AttackerKind::Inflator.build_regular(cfg, 0xDEADu64),
-                    );
-                }
-            },
-        );
+        let quiet = measure(vrr_core::atomic::AtomicProtocol, cfg, no_attack());
+        let attacked = measure(vrr_core::atomic::AtomicProtocol, cfg, |sc| {
+            for i in 0..cfg.b {
+                sc.byzantine_object(i, AttackerKind::Inflator.build_regular(cfg, 0xDEADu64));
+            }
+        });
         table.row_owned(vec![
             b.to_string(),
             "atomic write-back (extension)".into(),

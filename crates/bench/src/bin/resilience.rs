@@ -28,8 +28,8 @@
 use vrr_bench::Table;
 use vrr_checker::check_regularity;
 use vrr_core::attackers::{stale_safe_object, AttackerKind};
-use vrr_core::{Msg, RegisterProtocol, RegularProtocol, SafeProtocol, StorageConfig};
-use vrr_sim::{SimTime, World};
+use vrr_core::{RegularProtocol, SafeProtocol, StorageConfig, StorageScenario};
+use vrr_sim::SimTime;
 use vrr_workload::{FaultPlan, LatencyKind, ScheduleParams, SimCase};
 
 struct Outcome {
@@ -40,34 +40,32 @@ struct Outcome {
 
 fn run_boundary_attack(s: usize, t: usize, b: usize) -> Outcome {
     let cfg = StorageConfig::with_objects(s, t, b, 1);
-    let mut world: World<Msg<u64>> = World::new(3);
-    let dep = RegisterProtocol::<u64>::deploy(&SafeProtocol, cfg, &mut world);
-    world.start();
+    let mut sc = StorageScenario::deploy(SafeProtocol, cfg, 3);
 
     // Deniers: objects 0..b. They ack writes but report σ0 to readers.
     for i in 0..b {
-        world.set_byzantine(dep.objects[i], stale_safe_object::<u64>());
+        sc.byzantine_object(i, stale_safe_object::<u64>());
     }
     // Set B: the t correct objects the write reaches but the reader won't.
-    let set_b: Vec<_> = (b..b + t).map(|i| dep.objects[i]).collect();
+    let set_b: Vec<_> = (b..b + t).map(|i| sc.object(i)).collect();
     // Set A: the t correct objects the write never reaches (yet).
-    let set_a: Vec<_> = (s - t..s).map(|i| dep.objects[i]).collect();
+    let set_a: Vec<_> = (s - t..s).map(|i| sc.object(i)).collect();
 
     // Hold the writer's traffic to A, complete WRITE(7).
-    let writer = dep.writer;
+    let writer = sc.writer();
     for &a in &set_a {
-        world.adversary_mut().hold_link(writer, a);
+        sc.hold_link(writer, a);
     }
-    let w = vrr_core::run_write(&SafeProtocol, &dep, &mut world, 7u64);
+    let w = sc.write(7u64);
     assert_eq!(w.rounds, 2);
 
     // Hold the reader's traffic to B, run the READ as far as it can go.
-    let reader = dep.readers[0];
+    let reader = sc.reader(0);
     for &bb in &set_b {
-        world.adversary_mut().hold_link(reader, bb);
+        sc.hold_link(reader, bb);
     }
-    let op = RegisterProtocol::<u64>::invoke_read(&SafeProtocol, &dep, &mut world, 0);
-    world.run_to_quiescence(500_000);
+    let mut op = sc.start_read(0);
+    sc.run_until_idle(500_000);
     let fmt = |rep: Option<vrr_core::ReadReport<u64>>| match rep {
         None => "blocked".to_string(),
         Some(r) => match r.value {
@@ -75,15 +73,15 @@ fn run_boundary_attack(s: usize, t: usize, b: usize) -> Outcome {
             Some(v) => format!("returned {v}"),
         },
     };
-    let before = RegisterProtocol::<u64>::read_outcome(&SafeProtocol, &dep, &world, 0, op);
+    let before = sc.poll_read(&mut op);
     let violated_before = matches!(&before, Some(r) if r.value != Some(7));
-    let before_release = fmt(before.clone());
+    let before_release = fmt(before);
 
     // Asynchrony ends: everything in transit arrives.
-    world.adversary_mut().clear();
-    world.release_all();
-    world.run_to_quiescence(500_000);
-    let after = RegisterProtocol::<u64>::read_outcome(&SafeProtocol, &dep, &world, 0, op);
+    sc.world_mut().adversary_mut().clear();
+    sc.release_all();
+    sc.run_until_idle(500_000);
+    let after = sc.poll_read(&mut op);
     let violated_after = matches!(&after, Some(r) if r.value != Some(7));
     let stalled = after.is_none();
     let after_release = fmt(after);
@@ -120,14 +118,12 @@ fn run_fast_sweep_point(s: usize, t: usize, b: usize) -> SweepPoint {
     let protocol = RegularProtocol::optimized();
 
     // Fault-free rounds + ticks in the simulator.
-    let mut world: World<Msg<u64>> = World::new(7);
-    world.set_latency(vrr_sim::Fixed::UNIT);
-    let dep = RegisterProtocol::<u64>::deploy(&protocol, cfg, &mut world);
-    world.start();
-    vrr_core::run_write(&protocol, &dep, &mut world, 7u64);
-    let before = world.stats().sent;
-    let rep = vrr_core::run_read::<u64, _>(&protocol, &dep, &mut world, 0);
-    let msgs = world.stats().sent - before;
+    let mut sc = StorageScenario::deploy(protocol, cfg, 7);
+    sc.latency(vrr_sim::Fixed::UNIT);
+    sc.write(7u64);
+    let before = sc.world().stats().sent;
+    let rep = sc.read(0);
+    let msgs = sc.world().stats().sent - before;
     assert_eq!(rep.value, Some(7), "S={s}: wrong value");
 
     // Fallback rate of a contended run against b Inflators under long-tail

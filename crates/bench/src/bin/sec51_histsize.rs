@@ -21,9 +21,8 @@
 //! `cargo run --release -p vrr-bench --bin sec51_histsize`.
 
 use vrr_bench::{f2, Table};
-use vrr_core::regular::{HistoryRetention, RegularObject};
-use vrr_core::{Msg, RegisterProtocol, RegularProtocol, StorageConfig};
-use vrr_sim::World;
+use vrr_core::regular::HistoryRetention;
+use vrr_core::{RegularProtocol, StorageConfig, StorageScenario};
 
 struct Probe {
     rounds: u32,
@@ -40,33 +39,21 @@ fn probe(optimized: bool, writes: u64) -> Probe {
         RegularProtocol::full()
     };
     let cfg = StorageConfig::optimal(1, 1, 1); // S = 4
-    let mut world: World<Msg<u64>> = World::new(7);
-    let dep = RegisterProtocol::<u64>::deploy(&protocol, cfg, &mut world);
-    world.start();
+    let mut sc = StorageScenario::deploy(protocol, cfg, 7);
 
     for k in 1..=writes {
-        vrr_core::run_write(&protocol, &dep, &mut world, k);
+        sc.write(k);
     }
     // Warm the reader cache (relevant only when optimized).
-    vrr_core::run_read::<u64, _>(&protocol, &dep, &mut world, 0);
+    sc.read(0);
 
     // One more write so the measured read has something new to fetch.
-    vrr_core::run_write(&protocol, &dep, &mut world, writes + 1);
+    sc.write(writes + 1);
 
-    let before = world.stats();
-    let rep = vrr_core::run_read::<u64, _>(&protocol, &dep, &mut world, 0);
+    let before = sc.world().stats();
+    let rep = sc.read(0);
     assert_eq!(rep.value, Some(writes + 1));
-    let after = world.stats();
-
-    let max_history_len = dep
-        .objects
-        .iter()
-        .map(|&o| {
-            // Byzantine-free run: every object is a RegularObject.
-            world.inspect(o, |obj: &RegularObject<u64>| obj.history().len())
-        })
-        .max()
-        .unwrap_or(0);
+    let after = sc.world().stats();
 
     Probe {
         rounds: rep.rounds,
@@ -74,7 +61,7 @@ fn probe(optimized: bool, writes: u64) -> Probe {
         // Each round the reader sends S requests and objects ack; count
         // delivered messages during the read.
         read_acks: after.delivered - before.delivered,
-        max_history_len,
+        max_history_len: sc.max_history_len(),
     }
 }
 
@@ -88,26 +75,18 @@ const READ_EVERY: u64 = 8;
 fn probe_steady(retention: HistoryRetention, writes: u64) -> usize {
     let protocol = RegularProtocol::optimized().with_retention(retention);
     let cfg = StorageConfig::optimal(1, 1, 1); // S = 4, R = 1
-    let mut world: World<Msg<u64>> = World::new(13);
-    let dep = RegisterProtocol::<u64>::deploy(&protocol, cfg, &mut world);
-    world.start();
+    let mut sc = StorageScenario::deploy(protocol, cfg, 13);
 
     for k in 1..=writes {
-        vrr_core::run_write(&protocol, &dep, &mut world, k);
+        sc.write(k);
         if k % READ_EVERY == 0 {
-            let rep = vrr_core::run_read::<u64, _>(&protocol, &dep, &mut world, 0);
+            let rep = sc.read(0);
             assert_eq!(rep.value, Some(k), "steady-state read must see the tip");
             assert_eq!(rep.rounds, 2, "GC must not cost rounds");
         }
     }
-    let rep = vrr_core::run_read::<u64, _>(&protocol, &dep, &mut world, 0);
-    assert_eq!(rep.value, Some(writes));
-
-    dep.objects
-        .iter()
-        .map(|&o| world.inspect(o, |obj: &RegularObject<u64>| obj.history().len()))
-        .max()
-        .unwrap_or(0)
+    assert_eq!(sc.read(0).value, Some(writes));
+    sc.max_history_len()
 }
 
 fn main() {

@@ -16,8 +16,8 @@
 
 use vrr_bench::Table;
 use vrr_core::attackers::AttackerKind;
-use vrr_core::{RegisterProtocol, SafeProtocol, StorageConfig};
-use vrr_sim::{SimTime, World};
+use vrr_core::{SafeProtocol, StorageConfig, StorageScenario};
+use vrr_sim::SimTime;
 use vrr_workload::{generate, grid, FaultPlan, LatencyKind, ScheduleParams, SimCase};
 
 /// Scenario 2: the writer crashes while its WRITE is in flight; a reader
@@ -25,33 +25,28 @@ use vrr_workload::{generate, grid, FaultPlan, LatencyKind, ScheduleParams, SimCa
 /// crashed write is concurrent, so both are allowed).
 fn writer_crash_scenario(t: usize, b: usize, seed: u64, crash_after_steps: u64) -> (bool, u32) {
     let cfg = StorageConfig::optimal(t, b, 1);
-    let mut world: World<vrr_core::Msg<u64>> = World::new(seed);
-    let dep = RegisterProtocol::<u64>::deploy(&SafeProtocol, cfg, &mut world);
-    world.start();
+    let mut sc = StorageScenario::deploy(SafeProtocol, cfg, seed);
 
     // A completed write so the register holds 10.
-    vrr_core::run_write(&SafeProtocol, &dep, &mut world, 10u64);
+    sc.write(10u64);
 
     // Start a second write and kill the writer mid-flight.
-    let _op = RegisterProtocol::<u64>::invoke_write(&SafeProtocol, &dep, &mut world, 20u64);
+    sc.start_write(20u64);
     for _ in 0..crash_after_steps {
-        world.step();
+        sc.scenario_mut().step();
     }
-    world.crash(dep.writer);
+    let writer = sc.writer();
+    sc.scenario_mut().crash_now(writer);
 
-    // The reader must complete regardless.
-    let op = RegisterProtocol::<u64>::invoke_read(&SafeProtocol, &dep, &mut world, 0);
-    let done = world.run_until(
-        |w| RegisterProtocol::<u64>::read_outcome(&SafeProtocol, &dep, w, 0, op).is_some(),
-        vrr_core::OP_STEP_LIMIT,
-    );
-    if !done {
+    // The reader must complete regardless: once nothing is left in
+    // flight, a read still pending would never return.
+    let mut op = sc.start_read(0);
+    sc.run_until_idle(200_000);
+    let Some(rep) = sc.poll_read(&mut op) else {
         return (false, 0);
-    }
-    let rep = RegisterProtocol::<u64>::read_outcome(&SafeProtocol, &dep, &world, 0, op)
-        .expect("completed");
+    };
     let value_ok = rep.value == Some(10) || rep.value == Some(20);
-    (done && value_ok, rep.rounds)
+    (value_ok, rep.rounds)
 }
 
 fn main() {

@@ -261,16 +261,15 @@ impl<V: Value> RegisterProtocol<V> for AtomicProtocol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_read, run_write};
+    use crate::attackers::AttackerKind;
+    use crate::scenario::StorageScenario;
 
     #[test]
     fn atomic_reads_cost_three_rounds() {
         let cfg = StorageConfig::optimal(1, 1, 2);
-        let mut world: World<Msg<u64>> = World::new(6);
-        let dep = RegisterProtocol::<u64>::deploy(&AtomicProtocol, cfg, &mut world);
-        world.start();
-        run_write(&AtomicProtocol, &dep, &mut world, 42u64);
-        let r = run_read::<u64, _>(&AtomicProtocol, &dep, &mut world, 0);
+        let mut sc = StorageScenario::deploy(AtomicProtocol, cfg, 6);
+        sc.write(42u64);
+        let r = sc.read(0);
         assert_eq!(r.value, Some(42));
         assert_eq!(r.rounds, 3, "regular's 2 rounds + write-back");
     }
@@ -278,10 +277,8 @@ mod tests {
     #[test]
     fn bottom_reads_skip_the_write_back() {
         let cfg = StorageConfig::optimal(1, 1, 1);
-        let mut world: World<Msg<u64>> = World::new(6);
-        let dep = RegisterProtocol::<u64>::deploy(&AtomicProtocol, cfg, &mut world);
-        world.start();
-        let r = run_read::<u64, _>(&AtomicProtocol, &dep, &mut world, 0);
+        let mut sc = StorageScenario::<u64, _>::deploy(AtomicProtocol, cfg, 6);
+        let r = sc.read(0);
         assert_eq!(r.value, None);
         assert_eq!(r.rounds, 2, "nothing to write back");
     }
@@ -289,20 +286,12 @@ mod tests {
     #[test]
     fn atomic_reader_tolerates_byzantine_objects() {
         let cfg = StorageConfig::optimal(2, 2, 1);
-        let mut world: World<Msg<u64>> = World::new(6);
-        let dep = RegisterProtocol::<u64>::deploy(&AtomicProtocol, cfg, &mut world);
-        world.start();
+        let mut sc = StorageScenario::deploy(AtomicProtocol, cfg, 6);
         for i in 0..cfg.b {
-            crate::harness::corrupt_object(
-                &dep,
-                &mut world,
-                i,
-                crate::attackers::AttackerKind::Inflator.build_regular(cfg, 0xBAD),
-            );
+            sc.byzantine_object(i, AttackerKind::Inflator.build_regular(cfg, 0xBAD));
         }
-        run_write(&AtomicProtocol, &dep, &mut world, 7u64);
-        let r = run_read::<u64, _>(&AtomicProtocol, &dep, &mut world, 0);
-        assert_eq!(r.value, Some(7));
+        sc.write(7u64);
+        assert_eq!(sc.read(0).value, Some(7));
     }
 
     /// The deterministic inversion scenario that the regular protocol
@@ -312,48 +301,44 @@ mod tests {
     #[test]
     fn write_back_prevents_the_new_old_inversion() {
         let cfg = StorageConfig::optimal(1, 1, 2); // S = 4
-        let mut world: World<Msg<u64>> = World::new(4);
-        let dep = RegisterProtocol::<u64>::deploy(&AtomicProtocol, cfg, &mut world);
-        world.start();
-        run_write(&AtomicProtocol, &dep, &mut world, 10u64);
+        let mut sc = StorageScenario::deploy(AtomicProtocol, cfg, 4);
+        sc.write(10u64);
 
         // Write 2: PW reaches everyone, W only object 0 (held for the rest).
-        let w2 = RegisterProtocol::<u64>::invoke_write(&AtomicProtocol, &dep, &mut world, 20u64);
-        let (writer, o1, o2, o3) = (dep.writer, dep.objects[1], dep.objects[2], dep.objects[3]);
-        world.adversary_mut().install("hold W to 1..3", move |e| {
-            (e.from == writer
-                && matches!(
-                    e.msg,
-                    Msg::W {
-                        ts: Timestamp(2),
-                        ..
-                    }
-                )
-                && (e.to == o1 || e.to == o2 || e.to == o3))
-                .then_some(vrr_sim::Action::Hold)
-        });
-        world.run_to_quiescence(100_000);
+        let mut w2 = sc.start_write(20u64);
+        let (writer, o1, o2, o3) = (sc.writer(), sc.object(1), sc.object(2), sc.object(3));
+        sc.world_mut()
+            .adversary_mut()
+            .install("hold W to 1..3", move |e| {
+                (e.from == writer
+                    && matches!(
+                        e.msg,
+                        Msg::W {
+                            ts: Timestamp(2),
+                            ..
+                        }
+                    )
+                    && (e.to == o1 || e.to == o2 || e.to == o3))
+                    .then_some(vrr_sim::Action::Hold)
+            });
+        sc.run_until_idle(100_000);
         assert!(
-            RegisterProtocol::<u64>::write_outcome(&AtomicProtocol, &dep, &world, w2).is_none(),
+            sc.poll_write(&mut w2).is_none(),
             "write 2 must be in flight"
         );
 
         // Read 1 (reader 0): quorum {0,1,2}; sees the in-flight 20 and
         // WRITES IT BACK before returning.
-        world
-            .adversary_mut()
-            .hold_link(dep.readers[0], dep.objects[3]);
-        let r1 = run_read::<u64, _>(&AtomicProtocol, &dep, &mut world, 0);
+        sc.hold_link(sc.reader(0), sc.object(3));
+        let r1 = sc.read(0);
         assert_eq!(r1.value, Some(20));
         assert_eq!(r1.rounds, 3);
 
         // Read 2 (reader 1): quorum {1,2,3} — object 0 unreachable. In the
         // regular protocol this read returned 10; here the write-back has
         // already planted 20 on the quorum.
-        world
-            .adversary_mut()
-            .hold_link(dep.readers[1], dep.objects[0]);
-        let r2 = run_read::<u64, _>(&AtomicProtocol, &dep, &mut world, 1);
+        sc.hold_link(sc.reader(1), sc.object(0));
+        let r2 = sc.read(1);
         assert_eq!(r2.value, Some(20), "no new/old inversion with write-back");
     }
 }

@@ -322,12 +322,9 @@ pub fn equivocating_regular_object<V: Value>(forged: V) -> Box<dyn Automaton<Msg
 
 #[cfg(test)]
 mod tests {
-    use vrr_sim::World;
-
     use super::*;
-    use crate::harness::{
-        corrupt_object, run_read, run_write, RegisterProtocol, RegularProtocol, SafeProtocol,
-    };
+    use crate::harness::{RegisterProtocol, RegularProtocol, SafeProtocol};
+    use crate::scenario::StorageScenario;
 
     const FORGED: u64 = 0xDEAD;
 
@@ -336,15 +333,13 @@ mod tests {
     #[test]
     fn single_attacker_cannot_break_safe_protocol() {
         for kind in AttackerKind::ALL {
-            let mut w: World<Msg<u64>> = World::new(3);
             let cfg = StorageConfig::optimal(1, 1, 1);
-            let dep = RegisterProtocol::<u64>::deploy(&SafeProtocol, cfg, &mut w);
-            w.start();
-            corrupt_object(&dep, &mut w, 1, kind.build_safe(cfg, FORGED));
+            let mut sc = StorageScenario::deploy(SafeProtocol, cfg, 3);
+            sc.attack_object(1, kind, FORGED);
 
             for k in 1..=3u64 {
-                run_write(&SafeProtocol, &dep, &mut w, k * 7);
-                let rd = run_read::<u64, _>(&SafeProtocol, &dep, &mut w, 0);
+                sc.write(k * 7);
+                let rd = sc.read(0);
                 assert_eq!(rd.value, Some(k * 7), "attacker {kind:?} corrupted a read");
                 assert_eq!(rd.rounds, 2, "attacker {kind:?} inflated round count");
             }
@@ -355,17 +350,14 @@ mod tests {
     fn single_attacker_cannot_break_regular_protocol() {
         for kind in AttackerKind::ALL {
             for protocol in [RegularProtocol::full(), RegularProtocol::optimized()] {
-                let mut w: World<Msg<u64>> = World::new(5);
                 let cfg = StorageConfig::optimal(1, 1, 1);
-                let dep = RegisterProtocol::<u64>::deploy(&protocol, cfg, &mut w);
-                w.start();
-                corrupt_object(&dep, &mut w, 0, kind.build_regular(cfg, FORGED));
+                let mut sc = StorageScenario::deploy(protocol, cfg, 5);
+                sc.attack_object(0, kind, FORGED);
 
                 for k in 1..=3u64 {
-                    run_write(&protocol, &dep, &mut w, k * 7);
-                    let rd = run_read::<u64, _>(&protocol, &dep, &mut w, 0);
+                    sc.write(k * 7);
                     assert_eq!(
-                        rd.value,
+                        sc.read(0).value,
                         Some(k * 7),
                         "attacker {kind:?} corrupted a {} read",
                         RegisterProtocol::<u64>::name(&protocol),
@@ -378,24 +370,11 @@ mod tests {
     #[test]
     fn attacker_with_larger_b_budget_also_fails() {
         // t = b = 2: two inflators at once.
-        let mut w: World<Msg<u64>> = World::new(11);
         let cfg = StorageConfig::optimal(2, 2, 1); // S = 7
-        let dep = RegisterProtocol::<u64>::deploy(&SafeProtocol, cfg, &mut w);
-        w.start();
-        corrupt_object(
-            &dep,
-            &mut w,
-            2,
-            AttackerKind::Inflator.build_safe(cfg, FORGED),
-        );
-        corrupt_object(
-            &dep,
-            &mut w,
-            5,
-            AttackerKind::Conflicter.build_safe(cfg, FORGED),
-        );
-        run_write(&SafeProtocol, &dep, &mut w, 99u64);
-        let rd = run_read::<u64, _>(&SafeProtocol, &dep, &mut w, 0);
-        assert_eq!(rd.value, Some(99));
+        let mut sc = StorageScenario::deploy(SafeProtocol, cfg, 11);
+        sc.attack_object(2, AttackerKind::Inflator, FORGED);
+        sc.attack_object(5, AttackerKind::Conflicter, FORGED);
+        sc.write(99u64);
+        assert_eq!(sc.read(0).value, Some(99));
     }
 }

@@ -5,7 +5,8 @@
 //! automata make up such a group — protocol variant, object-side history
 //! retention, reader tuning — is a [`ProtocolSpec`]; *in which order* they
 //! come to life is [`spawn_group`]. Every harness consumes these two: the
-//! simulator's [`RegisterProtocol`](crate::RegisterProtocol) impl,
+//! simulator's [`RegisterProtocol`](crate::RegisterProtocol) impl (which
+//! only [`StorageScenario`](crate::StorageScenario) drives),
 //! `vrr-runtime`'s `StorageCluster` / `ShardedStore`, and `vrr-net`'s
 //! `NetNode` in both hosting modes. Nothing else knows what a register
 //! group consists of.

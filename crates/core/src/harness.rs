@@ -1,10 +1,13 @@
-//! A uniform driver interface over register protocols.
+//! What a simulated register protocol is: the [`RegisterProtocol`] trait,
+//! the two operation reports, the [`SafeProtocol`] / [`RegularProtocol`]
+//! shorthands and the blanket impl for everything that names a
+//! [`ProtocolSpec`].
 //!
-//! Experiments (correctness sweeps, round counting, comparisons against the
-//! baselines crate) are written once against [`RegisterProtocol`] and run
-//! against any implementation: the paper's safe and regular protocols here,
-//! and the ABD / masking-quorum / passive-reader baselines in
-//! `vrr-baselines`.
+//! Nothing here drives a world. Operations enter a simulation through
+//! [`crate::StorageScenario`] only, which is written once against the trait
+//! and so runs any implementation: the paper's safe and regular protocols
+//! here, [`crate::AtomicProtocol`], and the ABD / masking-quorum /
+//! passive-reader baselines in `vrr-baselines`.
 
 use vrr_sim::{Automaton, SimMessage, World};
 
@@ -84,11 +87,16 @@ pub trait RegisterProtocol<V: Value> {
         None
     }
 
-    /// Per-object stored history lengths, or `None` for protocols whose
-    /// objects keep no history (e.g. safe storage). Objects whose automaton
-    /// was replaced (Byzantine) are skipped — a liar's "history" is
-    /// meaningless.
-    fn history_lens(&self, dep: &Deployment, world: &World<Self::Msg>) -> Option<Vec<usize>> {
+    /// `(object index, stored history length)` per object, or `None` for
+    /// protocols whose objects keep no history (e.g. safe storage). Objects
+    /// whose automaton was replaced (Byzantine) or crashed are skipped — a
+    /// liar's "history" is meaningless — which is why the index travels
+    /// with the length.
+    fn history_lens(
+        &self,
+        dep: &Deployment,
+        world: &World<Self::Msg>,
+    ) -> Option<Vec<(usize, usize)>> {
         let _ = (dep, world);
         None
     }
@@ -271,14 +279,16 @@ impl<V: Value, P: Copy + Into<ProtocolSpec>> RegisterProtocol<V> for P {
         Some(total)
     }
 
-    fn history_lens(&self, dep: &Deployment, world: &World<Msg<V>>) -> Option<Vec<usize>> {
+    fn history_lens(&self, dep: &Deployment, world: &World<Msg<V>>) -> Option<Vec<(usize, usize)>> {
         match (*self).into() {
             ProtocolSpec::Safe(_) => None,
             ProtocolSpec::Regular { .. } => Some(
                 dep.objects
                     .iter()
-                    .filter_map(|&pid| {
-                        world.try_inspect(pid, |o: &RegularObject<V>| o.history().len())
+                    .enumerate()
+                    .filter_map(|(i, &pid)| {
+                        let len = world.try_inspect(pid, |o: &RegularObject<V>| o.history().len());
+                        len.map(|len| (i, len))
                     })
                     .collect(),
             ),
@@ -292,147 +302,5 @@ impl<V: Value, P: Copy + Into<ProtocolSpec>> RegisterProtocol<V> for P {
         forged: V,
     ) -> Option<Box<dyn Automaton<Msg<V>>>> {
         Some((*self).into().attacker(kind, cfg, forged))
-    }
-}
-
-/// Step limit generous enough for any single operation in these protocols.
-pub const OP_STEP_LIMIT: u64 = 200_000;
-
-/// Invokes a write and drives the world until it completes.
-///
-/// # Panics
-///
-/// Panics if the write does not complete within [`OP_STEP_LIMIT`] simulator
-/// events — a wait-freedom violation in these protocols.
-pub fn run_write<V: Value, P: RegisterProtocol<V>>(
-    protocol: &P,
-    dep: &Deployment,
-    world: &mut World<P::Msg>,
-    value: V,
-) -> WriteReport {
-    let op = protocol.invoke_write(dep, world, value);
-    let done = world.run_until(
-        |w| protocol.write_outcome(dep, w, op).is_some(),
-        OP_STEP_LIMIT,
-    );
-    assert!(done, "WRITE failed to complete (wait-freedom violation?)");
-    protocol
-        .write_outcome(dep, world, op)
-        .expect("just completed")
-}
-
-/// Invokes a read at `reader` and drives the world until it completes.
-///
-/// # Panics
-///
-/// Panics if the read does not complete within [`OP_STEP_LIMIT`] simulator
-/// events.
-pub fn run_read<V: Value, P: RegisterProtocol<V>>(
-    protocol: &P,
-    dep: &Deployment,
-    world: &mut World<P::Msg>,
-    reader: usize,
-) -> ReadReport<V> {
-    let op = protocol.invoke_read(dep, world, reader);
-    let done = world.run_until(
-        |w| protocol.read_outcome(dep, w, reader, op).is_some(),
-        OP_STEP_LIMIT,
-    );
-    assert!(done, "READ failed to complete (wait-freedom violation?)");
-    protocol
-        .read_outcome(dep, world, reader, op)
-        .expect("just completed")
-}
-
-/// Replaces object `idx` of the deployment with a Byzantine automaton.
-pub fn corrupt_object<M: SimMessage>(
-    dep: &Deployment,
-    world: &mut World<M>,
-    idx: usize,
-    automaton: Box<dyn Automaton<M>>,
-) {
-    world.set_byzantine(dep.objects[idx], automaton);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn world() -> World<Msg<u64>> {
-        World::new(7)
-    }
-
-    #[test]
-    fn safe_protocol_end_to_end() {
-        let mut w = world();
-        let cfg = StorageConfig::optimal(1, 1, 2);
-        let dep = RegisterProtocol::<u64>::deploy(&SafeProtocol, cfg, &mut w);
-        w.start();
-
-        let wr = run_write(&SafeProtocol, &dep, &mut w, 42u64);
-        assert_eq!(wr.ts, Timestamp(1));
-        assert_eq!(wr.rounds, 2);
-
-        let rd = run_read::<u64, _>(&SafeProtocol, &dep, &mut w, 0);
-        assert_eq!(rd.value, Some(42));
-        assert_eq!(rd.rounds, 2);
-
-        // The second reader sees it too.
-        let rd = run_read::<u64, _>(&SafeProtocol, &dep, &mut w, 1);
-        assert_eq!(rd.value, Some(42));
-    }
-
-    #[test]
-    fn safe_protocol_reads_bottom_initially() {
-        let mut w = world();
-        let cfg = StorageConfig::optimal(2, 1, 1);
-        let dep = RegisterProtocol::<u64>::deploy(&SafeProtocol, cfg, &mut w);
-        w.start();
-        let rd = run_read::<u64, _>(&SafeProtocol, &dep, &mut w, 0);
-        assert_eq!(rd.value, None);
-    }
-
-    #[test]
-    fn regular_protocol_end_to_end() {
-        for protocol in [RegularProtocol::full(), RegularProtocol::optimized()] {
-            let mut w = world();
-            let cfg = StorageConfig::optimal(1, 1, 1);
-            let dep = RegisterProtocol::<u64>::deploy(&protocol, cfg, &mut w);
-            w.start();
-            for k in 1..=5u64 {
-                let wr = run_write(&protocol, &dep, &mut w, k * 11);
-                assert_eq!(wr.ts, Timestamp(k));
-                let rd = run_read::<u64, _>(&protocol, &dep, &mut w, 0);
-                assert_eq!(rd.value, Some(k * 11), "{}", protocol.optimized);
-                assert_eq!(rd.rounds, 2);
-            }
-        }
-    }
-
-    #[test]
-    fn safe_protocol_survives_crashes_up_to_t() {
-        let mut w = world();
-        let cfg = StorageConfig::optimal(2, 1, 1); // S = 6, t = 2
-        let dep = RegisterProtocol::<u64>::deploy(&SafeProtocol, cfg, &mut w);
-        w.start();
-        w.crash(dep.objects[0]);
-        w.crash(dep.objects[3]);
-        let wr = run_write(&SafeProtocol, &dep, &mut w, 9u64);
-        assert_eq!(wr.rounds, 2);
-        let rd = run_read::<u64, _>(&SafeProtocol, &dep, &mut w, 0);
-        assert_eq!(rd.value, Some(9));
-    }
-
-    #[test]
-    fn regular_protocol_survives_mute_byzantine_object() {
-        let protocol = RegularProtocol::full();
-        let mut w = world();
-        let cfg = StorageConfig::optimal(1, 1, 1);
-        let dep = RegisterProtocol::<u64>::deploy(&protocol, cfg, &mut w);
-        w.start();
-        corrupt_object(&dep, &mut w, 2, Box::new(vrr_sim::Mute));
-        run_write(&protocol, &dep, &mut w, 5u64);
-        let rd = run_read::<u64, _>(&protocol, &dep, &mut w, 0);
-        assert_eq!(rd.value, Some(5));
     }
 }

@@ -29,17 +29,14 @@
 //! ## Quick example (simulated)
 //!
 //! ```
-//! use vrr_core::{StorageConfig, SafeProtocol, RegisterProtocol, run_read, run_write};
-//! use vrr_sim::World;
+//! use vrr_core::{SafeProtocol, StorageConfig, StorageScenario};
 //!
 //! let cfg = StorageConfig::optimal(1, 1, 1); // t = 1 fault, b = 1 Byzantine: S = 4
-//! let mut world = World::new(42);
-//! let dep = RegisterProtocol::<u64>::deploy(&SafeProtocol, cfg, &mut world);
-//! world.start();
+//! let mut sc = StorageScenario::deploy(SafeProtocol, cfg, 42);
 //!
-//! let w = run_write(&SafeProtocol, &dep, &mut world, 7u64);
+//! let w = sc.write(7u64);
 //! assert_eq!(w.rounds, 2);
-//! let r = run_read::<u64, _>(&SafeProtocol, &dep, &mut world, 0);
+//! let r = sc.read(0);
 //! assert_eq!(r.value, Some(7));
 //! assert_eq!(r.rounds, 2);
 //! ```
@@ -66,14 +63,11 @@ pub use config::StorageConfig;
 pub use group::{
     group_member, group_span, spawn_group, Deployment, GroupRole, ProtocolKind, ProtocolSpec,
 };
-pub use harness::{
-    corrupt_object, run_read, run_write, ReadReport, RegisterProtocol, RegularProtocol,
-    SafeProtocol, WriteReport, OP_STEP_LIMIT,
-};
+pub use harness::{ReadReport, RegisterProtocol, RegularProtocol, SafeProtocol, WriteReport};
 pub use mis::{conflict_free_of_size, max_conflict_free};
 pub use msg::{Msg, ReadRound};
 pub use safe::FastPathStats;
-pub use scenario::StorageScenario;
+pub use scenario::{ReadOp, StorageScenario, WriteOp};
 pub use types::{
     HistEntry, History, ObjectIndex, ReaderIndex, Timestamp, TsVal, TsrMatrix, Value, WTuple,
 };

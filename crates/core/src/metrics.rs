@@ -741,9 +741,15 @@ pub fn record_fast_path(sink: &mut dyn MetricsSink, stats: &FastPathStats) {
     sink.counter_add(names::READER_FAST_FALLBACKS, &[], stats.fallbacks);
 }
 
-/// Records per-object history lengths as [`names::OBJECT_HISTORY_LEN`]
-/// gauges, labelled `object` (and `shard` when given).
-pub fn record_history_lens(sink: &mut dyn MetricsSink, shard: Option<usize>, lens: &[usize]) {
+/// Records `(object index, history length)` pairs as
+/// [`names::OBJECT_HISTORY_LEN`] gauges, labelled `object` with the index
+/// (and `shard` when given). Producers skip Byzantine and crashed objects,
+/// so the index is carried rather than counted here.
+pub fn record_history_lens(
+    sink: &mut dyn MetricsSink,
+    shard: Option<usize>,
+    lens: &[(usize, usize)],
+) {
     record_history_lens_at(sink, None, shard, lens);
 }
 
@@ -755,11 +761,11 @@ pub fn record_history_lens_at(
     sink: &mut dyn MetricsSink,
     cluster: Option<usize>,
     shard: Option<usize>,
-    lens: &[usize],
+    lens: &[(usize, usize)],
 ) {
     let cluster = cluster.map(|c| c.to_string());
     let shard = shard.map(|s| s.to_string());
-    for (i, &len) in lens.iter().enumerate() {
+    for &(i, len) in lens {
         let object = i.to_string();
         let len = len as u64;
         let mut labels: Vec<(&str, &str)> = vec![("object", &object)];

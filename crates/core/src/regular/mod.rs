@@ -54,29 +54,23 @@
 //! a function of reader concurrency, not run length.
 //!
 //! ```
-//! use vrr_core::regular::{HistoryRetention, RegularObject};
-//! use vrr_core::{run_read, run_write, Msg, RegisterProtocol, RegularProtocol, StorageConfig};
-//! use vrr_sim::World;
+//! use vrr_core::{RegularProtocol, StorageConfig, StorageScenario};
 //!
 //! // §5.1 transfers + reader-ack GC: the bounded-memory configuration.
 //! let protocol = RegularProtocol::optimized_gc(1);
 //! let cfg = StorageConfig::optimal(1, 1, 1); // S = 4, R = 1
-//! let mut world: World<Msg<u64>> = World::new(7);
-//! let dep = RegisterProtocol::<u64>::deploy(&protocol, cfg, &mut world);
-//! world.start();
+//! let mut sc = StorageScenario::deploy(protocol, cfg, 7);
 //!
 //! // A long run: 100 writes, reading (and thereby acking) every 10th.
 //! for k in 1..=100u64 {
-//!     run_write(&protocol, &dep, &mut world, k);
+//!     sc.write(k);
 //!     if k % 10 == 0 {
-//!         assert_eq!(run_read::<u64, _>(&protocol, &dep, &mut world, 0).value, Some(k));
+//!         assert_eq!(sc.read(0).value, Some(k));
 //!     }
 //! }
 //! // Histories are bounded by the read cadence, not by the run length.
-//! for &obj in &dep.objects {
-//!     let len = world.inspect(obj, |o: &RegularObject<u64>| o.history().len());
-//!     assert!(len <= 12, "bounded by reader concurrency, got {len}");
-//! }
+//! let len = sc.max_history_len();
+//! assert!(len <= 12, "bounded by reader concurrency, got {len}");
 //! ```
 mod object;
 mod reader;

@@ -9,8 +9,14 @@
 //! * a [`metrics::Registry`] that records every operation's rounds and
 //!   latency under the canonical `vrr_*` names.
 //!
-//! Tests that used to hand-wire a `World`, deploy, corrupt an object,
-//! install hold rules and drive `run_read` now say what they mean:
+//! It is the one way an operation enters a simulated world. The primitive
+//! is non-blocking — [`StorageScenario::start_write`] /
+//! [`StorageScenario::start_read`] return a handle,
+//! [`StorageScenario::poll_write`] / [`StorageScenario::poll_read`] return
+//! the report once the operation completed (recording its rounds and latency
+//! exactly once) — and [`StorageScenario::write`] / [`StorageScenario::read`]
+//! are the blocking shims over it. Schedule runners (`vrr-workload`'s
+//! `SimCase`) keep several handles in flight; tests say what they mean:
 //!
 //! ```
 //! use vrr_core::{RegularProtocol, StorageConfig, StorageScenario};
@@ -37,18 +43,64 @@ use vrr_sim::{Automaton, LatencyModel, ProcessId, Quiescence, RuleId, Scenario, 
 use crate::attackers::AttackerKind;
 use crate::config::StorageConfig;
 use crate::group::Deployment;
-use crate::harness::{ReadReport, RegisterProtocol, WriteReport, OP_STEP_LIMIT};
-use crate::metrics::{self, MetricsSink, Registry};
-use crate::safe::FastPathStats;
+use crate::harness::{ReadReport, RegisterProtocol, WriteReport};
+use crate::metrics::{self, names, MetricsSink, Registry};
 use crate::types::Value;
+
+/// Scenario steps a blocking [`StorageScenario::write`] / [`read`] drives
+/// before giving up — generous for any single operation in these protocols.
+///
+/// [`read`]: StorageScenario::read
+const BLOCKING_STEP_LIMIT: u64 = 200_000;
+
+/// A WRITE in flight, from [`StorageScenario::start_write`].
+#[derive(Debug)]
+pub struct WriteOp {
+    token: u64,
+    invoked_at: SimTime,
+    recorded: bool,
+}
+
+impl WriteOp {
+    /// When the WRITE was invoked.
+    pub fn invoked_at(&self) -> SimTime {
+        self.invoked_at
+    }
+}
+
+/// A READ in flight, from [`StorageScenario::start_read`].
+#[derive(Debug)]
+pub struct ReadOp {
+    reader: usize,
+    token: u64,
+    invoked_at: SimTime,
+    recorded: bool,
+}
+
+impl ReadOp {
+    /// The reader the READ was invoked at.
+    pub fn reader(&self) -> usize {
+        self.reader
+    }
+
+    /// When the READ was invoked.
+    pub fn invoked_at(&self) -> SimTime {
+        self.invoked_at
+    }
+}
 
 /// A deployed register protocol under a scripted, seeded fault scenario.
 ///
 /// See the module-level docs above for the layering. All fault-script methods
-/// chain (`&mut self -> &mut Self`); operations ([`write`], [`read`]) drive
-/// the scenario until the operation completes, firing any scripted events
-/// that come due on the way.
+/// chain (`&mut self -> &mut Self`). Operations are started and polled
+/// ([`start_write`], [`poll_write`], [`start_read`], [`poll_read`]); the
+/// blocking [`write`] and [`read`] drive the scenario until the operation
+/// completes, firing any scripted events that come due on the way.
 ///
+/// [`start_write`]: StorageScenario::start_write
+/// [`poll_write`]: StorageScenario::poll_write
+/// [`start_read`]: StorageScenario::start_read
+/// [`poll_read`]: StorageScenario::poll_read
 /// [`write`]: StorageScenario::write
 /// [`read`]: StorageScenario::read
 #[derive(Debug)]
@@ -87,16 +139,6 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
     /// The deployment (object/writer/reader process ids).
     pub fn dep(&self) -> &Deployment {
         &self.dep
-    }
-
-    /// The sizing this scenario was deployed with.
-    pub fn cfg(&self) -> StorageConfig {
-        self.dep.cfg
-    }
-
-    /// The protocol under test.
-    pub fn protocol(&self) -> &P {
-        &self.protocol
     }
 
     /// Process id of base object `idx`.
@@ -160,13 +202,6 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
     /// Schedules a heal for time `at` (see [`Scenario::heal_at`]).
     pub fn heal_at(&mut self, at: SimTime) -> &mut Self {
         self.scenario.heal_at(at);
-        self
-    }
-
-    /// Makes the directed link `from → to` lossy (see
-    /// [`Scenario::drop_rate`] for the soundness caveat).
-    pub fn drop_rate(&mut self, from: ProcessId, to: ProcessId, p: f64) -> &mut Self {
-        self.scenario.drop_rate(from, to, p);
         self
     }
 
@@ -256,82 +291,119 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
         self.scenario.run_until_idle(limit)
     }
 
-    /// Invokes `WRITE(value)` and drives the scenario until it completes,
-    /// recording rounds and latency metrics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the write does not complete within [`OP_STEP_LIMIT`]
-    /// scenario steps — a wait-freedom violation unless the fault script
-    /// cut the writer off from a quorum.
-    pub fn write(&mut self, value: V) -> WriteReport {
-        let invoked = self.scenario.now().ticks();
-        let op = self
+    /// Invokes `WRITE(value)` at the writer without driving the scenario.
+    pub fn start_write(&mut self, value: V) -> WriteOp {
+        let invoked_at = self.scenario.now();
+        let token = self
             .protocol
             .invoke_write(&self.dep, self.scenario.world_mut(), value);
-        let (protocol, dep) = (&self.protocol, &self.dep);
-        let done = self.scenario.run_until(
-            |w| protocol.write_outcome(dep, w, op).is_some(),
-            OP_STEP_LIMIT,
-        );
-        assert!(done, "WRITE failed to complete (wait-freedom violation?)");
-        let report = self
-            .protocol
-            .write_outcome(&self.dep, self.scenario.world(), op)
-            .expect("just completed");
-        self.ops
-            .observe(metrics::names::WRITER_ROUNDS, &[], u64::from(report.rounds));
-        self.ops.observe(
-            metrics::names::WRITE_LATENCY,
-            &[],
-            self.scenario.now().ticks() - invoked,
-        );
-        report
+        WriteOp {
+            token,
+            invoked_at,
+            recorded: false,
+        }
     }
 
-    /// Invokes `READ()` at reader `j` and drives the scenario until it
-    /// completes, recording rounds and latency metrics.
+    /// The WRITE's report once it completed, `None` while it is in flight.
+    /// The first completed poll records its rounds and latency (invocation
+    /// to now); later polls return the report again and record nothing.
+    pub fn poll_write(&mut self, op: &mut WriteOp) -> Option<WriteReport> {
+        let report = self
+            .protocol
+            .write_outcome(&self.dep, self.scenario.world(), op.token)?;
+        if !std::mem::replace(&mut op.recorded, true) {
+            let names = (names::WRITER_ROUNDS, names::WRITE_LATENCY);
+            self.observe_completion(names, report.rounds, op.invoked_at);
+        }
+        Some(report)
+    }
+
+    /// Invokes `READ()` at reader `j` without driving the scenario.
+    pub fn start_read(&mut self, j: usize) -> ReadOp {
+        let invoked_at = self.scenario.now();
+        let token = self
+            .protocol
+            .invoke_read(&self.dep, self.scenario.world_mut(), j);
+        ReadOp {
+            reader: j,
+            token,
+            invoked_at,
+            recorded: false,
+        }
+    }
+
+    /// The READ's report once it completed, `None` while it is in flight;
+    /// records exactly once, like [`StorageScenario::poll_write`].
+    pub fn poll_read(&mut self, op: &mut ReadOp) -> Option<ReadReport<V>> {
+        let report =
+            self.protocol
+                .read_outcome(&self.dep, self.scenario.world(), op.reader, op.token)?;
+        if !std::mem::replace(&mut op.recorded, true) {
+            let names = (names::READER_ROUNDS, names::READ_LATENCY);
+            self.observe_completion(names, report.rounds, op.invoked_at);
+        }
+        Some(report)
+    }
+
+    /// Records an operation completing now under the `(rounds, latency)`
+    /// histogram names.
+    fn observe_completion(
+        &mut self,
+        names: (&'static str, &'static str),
+        rounds: u32,
+        invoked_at: SimTime,
+    ) {
+        let latency = self.scenario.now().ticks() - invoked_at.ticks();
+        self.ops.observe(names.0, &[], u64::from(rounds));
+        self.ops.observe(names.1, &[], latency);
+    }
+
+    /// Starts `WRITE(value)` and drives the scenario until it completes.
     ///
     /// # Panics
     ///
-    /// Panics if the read does not complete within [`OP_STEP_LIMIT`]
-    /// scenario steps (see [`StorageScenario::write`]).
-    pub fn read(&mut self, j: usize) -> ReadReport<V> {
-        let invoked = self.scenario.now().ticks();
-        let op = self
-            .protocol
-            .invoke_read(&self.dep, self.scenario.world_mut(), j);
+    /// Panics if the write does not complete within 200 000 scenario steps
+    /// — a wait-freedom violation unless the fault script cut the writer off
+    /// from a quorum.
+    pub fn write(&mut self, value: V) -> WriteReport {
+        let mut op = self.start_write(value);
         let (protocol, dep) = (&self.protocol, &self.dep);
         let done = self.scenario.run_until(
-            |w| protocol.read_outcome(dep, w, j, op).is_some(),
-            OP_STEP_LIMIT,
+            |w| protocol.write_outcome(dep, w, op.token).is_some(),
+            BLOCKING_STEP_LIMIT,
+        );
+        assert!(done, "WRITE failed to complete (wait-freedom violation?)");
+        self.poll_write(&mut op).expect("just completed")
+    }
+
+    /// Starts `READ()` at reader `j` and drives the scenario until it
+    /// completes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the read does not complete within 200 000 scenario steps
+    /// (see [`StorageScenario::write`]).
+    pub fn read(&mut self, j: usize) -> ReadReport<V> {
+        let mut op = self.start_read(j);
+        let (protocol, dep) = (&self.protocol, &self.dep);
+        let done = self.scenario.run_until(
+            |w| protocol.read_outcome(dep, w, j, op.token).is_some(),
+            BLOCKING_STEP_LIMIT,
         );
         assert!(done, "READ failed to complete (wait-freedom violation?)");
-        let report = self
-            .protocol
-            .read_outcome(&self.dep, self.scenario.world(), j, op)
-            .expect("just completed");
-        self.ops
-            .observe(metrics::names::READER_ROUNDS, &[], u64::from(report.rounds));
-        self.ops.observe(
-            metrics::names::READ_LATENCY,
-            &[],
-            self.scenario.now().ticks() - invoked,
-        );
-        report
+        self.poll_read(&mut op).expect("just completed")
     }
 
     // ---- observability -------------------------------------------------------
 
-    /// Aggregated fast-path counters, if the protocol has a fast path.
-    pub fn fast_path_stats(&self) -> Option<FastPathStats> {
-        self.protocol
-            .fast_path_stats(&self.dep, self.scenario.world())
+    /// Per-object stored history lengths, if the protocol keeps histories
+    /// (Byzantine-replaced and crashed objects are skipped).
+    pub fn history_lens(&self) -> Option<Vec<usize>> {
+        let lens = self.indexed_history_lens()?;
+        Some(lens.into_iter().map(|(_, len)| len).collect())
     }
 
-    /// Per-object stored history lengths, if the protocol keeps histories
-    /// (Byzantine-replaced objects are skipped).
-    pub fn history_lens(&self) -> Option<Vec<usize>> {
+    fn indexed_history_lens(&self) -> Option<Vec<(usize, usize)>> {
         self.protocol.history_lens(&self.dep, self.scenario.world())
     }
 
@@ -351,20 +423,19 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
         let mut reg = self.ops.clone();
         metrics::record_net_stats(&mut reg, &self.scenario.net_stats());
         metrics::record_scenario_stats(&mut reg, &self.scenario.stats());
+        reg.gauge_set(names::SCENARIO_TIME, &[], self.scenario.now().ticks());
         reg.gauge_set(
-            metrics::names::SCENARIO_TIME,
-            &[],
-            self.scenario.now().ticks(),
-        );
-        reg.gauge_set(
-            metrics::names::SCENARIO_HELD_MSGS,
+            names::SCENARIO_HELD_MSGS,
             &[],
             self.scenario.world().held().len() as u64,
         );
-        if let Some(stats) = self.fast_path_stats() {
+        if let Some(stats) = self
+            .protocol
+            .fast_path_stats(&self.dep, self.scenario.world())
+        {
             metrics::record_fast_path(&mut reg, &stats);
         }
-        if let Some(lens) = self.history_lens() {
+        if let Some(lens) = self.indexed_history_lens() {
             metrics::record_history_lens(&mut reg, None, &lens);
         }
         reg
@@ -375,16 +446,24 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
 mod tests {
     use super::*;
     use crate::harness::{RegularProtocol, SafeProtocol};
-    use crate::metrics::names;
+    use crate::regular::RegularObject;
+    use crate::types::Timestamp;
+
+    fn reader_rounds_count(sc: &StorageScenario<u64, RegularProtocol>) -> u64 {
+        let snap = sc.metrics_snapshot();
+        snap.histogram(names::READER_ROUNDS, &[])
+            .map_or(0, |h| h.count())
+    }
 
     #[test]
     fn deploy_write_read_records_metrics() {
         let cfg = StorageConfig::optimal(1, 1, 2);
         let mut sc = StorageScenario::deploy(RegularProtocol::optimized(), cfg, 7);
-        sc.write(11u64);
+        let w = sc.write(11u64);
+        assert_eq!((w.ts, w.rounds), (Timestamp(1), 2));
         sc.write(22u64);
         let r = sc.read(0);
-        assert_eq!(r.value, Some(22));
+        assert_eq!((r.value, r.rounds), (Some(22), 2));
         let snap = sc.metrics_snapshot();
         assert_eq!(
             snap.histogram(names::WRITER_ROUNDS, &[]).unwrap().count(),
@@ -450,5 +529,80 @@ mod tests {
                 .cumulative_le(1),
             1
         );
+    }
+
+    #[test]
+    fn a_cut_off_read_polls_none_then_records_exactly_once() {
+        // Fast sizing S = 5: with two objects partitioned away the read
+        // cannot gather S - t = 4 replies.
+        let cfg = StorageConfig::fast(1, 1, 1);
+        let mut sc = StorageScenario::deploy(RegularProtocol::optimized(), cfg, 9);
+        sc.write(1u64);
+        sc.partition_objects(&[0, 1]);
+        let mut op = sc.start_read(0);
+        sc.run_until_idle(100_000);
+        assert!(sc.poll_read(&mut op).is_none(), "no quorum, no report");
+        assert_eq!(
+            reader_rounds_count(&sc),
+            0,
+            "a pending read records nothing"
+        );
+
+        sc.heal_now();
+        sc.run_until_idle(100_000);
+        assert_eq!(sc.poll_read(&mut op).unwrap().value, Some(1));
+        assert_eq!(reader_rounds_count(&sc), 1);
+        assert_eq!(sc.poll_read(&mut op).unwrap().value, Some(1));
+        assert_eq!(reader_rounds_count(&sc), 1, "a second poll records nothing");
+    }
+
+    #[test]
+    fn a_write_and_a_read_in_flight_together_both_complete() {
+        // S = 6 (t = 2, b = 1) with the whole fault budget spent: one
+        // crashed object and one mute Byzantine one.
+        let cfg = StorageConfig::optimal(2, 1, 2);
+        let mut sc = StorageScenario::deploy(RegularProtocol::full(), cfg, 7);
+        assert_eq!(sc.read(1).value, None, "a fresh register reads ⊥");
+        sc.crash_object(0)
+            .byzantine_object(3, Box::new(vrr_sim::Mute));
+
+        let mut w = sc.start_write(5u64);
+        let mut r = sc.start_read(0);
+        sc.run_until_idle(100_000);
+        assert_eq!(sc.poll_write(&mut w).unwrap().rounds, 2);
+        let concurrent = sc.poll_read(&mut r).unwrap().value;
+        assert!(concurrent.is_none() || concurrent == Some(5));
+        assert_eq!(sc.read(0).value, Some(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "READ failed to complete (wait-freedom violation?)")]
+    fn a_blocking_read_on_a_cut_off_reader_panics() {
+        let cfg = StorageConfig::fast(1, 1, 1);
+        let mut sc = StorageScenario::<u64, _>::deploy(RegularProtocol::optimized(), cfg, 9);
+        sc.partition_objects(&[0, 1]);
+        sc.read(0);
+    }
+
+    #[test]
+    fn history_len_gauges_are_labelled_by_object_index() {
+        let cfg = StorageConfig::optimal(1, 1, 1); // S = 4
+        let mut sc = StorageScenario::deploy(RegularProtocol::optimized(), cfg, 3);
+        for k in 1..=3u64 {
+            sc.write(k);
+        }
+        sc.attack_object(0, AttackerKind::Truncator, 0xBAD_u64);
+        sc.write(4);
+        assert_eq!(sc.read(0).value, Some(4));
+
+        let snap = sc.metrics_snapshot();
+        let gauge = |i: usize| snap.gauge(names::OBJECT_HISTORY_LEN, &[("object", &i.to_string())]);
+        assert_eq!(gauge(0), None, "the liar's history is not reported");
+        for i in 1..cfg.s {
+            let len = sc
+                .world()
+                .inspect(sc.object(i), |o: &RegularObject<u64>| o.history().len());
+            assert_eq!(gauge(i), Some(len as u64), "object {i}");
+        }
     }
 }

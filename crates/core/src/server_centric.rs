@@ -94,44 +94,31 @@ mod tests {
     use vrr_sim::{Action, World};
 
     use super::*;
-    use crate::group::{spawn_group, Deployment, GroupRole, ProtocolKind};
-    use crate::harness::{run_read, run_write, SafeProtocol};
+    use crate::harness::SafeProtocol;
     use crate::regular::RegularObject;
     use crate::safe::SafeObject;
+    use crate::scenario::StorageScenario;
     use crate::StorageConfig;
 
-    /// Deploys safe storage with relay-wrapped objects; the writer and
-    /// readers are the plain safe protocol's, so [`SafeProtocol`] drives it.
-    fn deploy_relayed(cfg: StorageConfig, world: &mut World<Msg<u64>>) -> Deployment {
-        // Ids are dense in spawn order, so every relay can know all peers
-        // before they exist.
-        let peers: Vec<ProcessId> = (0..cfg.s).map(ProcessId).collect();
-        let dep = spawn_group(
-            cfg,
-            ProtocolKind::Safe.into(),
-            |role, automaton| world.spawn_named(role.to_string(), automaton),
-            |role, _objects| match role {
-                GroupRole::Object(_) => Some(Box::new(RelayObject::new(
-                    SafeObject::<u64>::new(),
-                    peers.clone(),
-                ))),
-                GroupRole::Writer | GroupRole::Reader(_) => None,
-            },
-        );
-        assert_eq!(dep.objects, peers, "objects must be spawned first, densely");
-        dep
+    /// Safe storage whose objects are relay-wrapped, substituted before any
+    /// message flows; the writer and readers are the plain safe protocol's.
+    fn deploy_relayed(cfg: StorageConfig) -> StorageScenario<u64, SafeProtocol> {
+        let mut sc = StorageScenario::deploy(SafeProtocol, cfg, 2);
+        let peers = sc.dep().objects.clone();
+        for i in 0..cfg.s {
+            let relay = RelayObject::new(SafeObject::<u64>::new(), peers.clone());
+            sc.byzantine_object(i, Box::new(relay));
+        }
+        sc
     }
 
     #[test]
     fn relayed_storage_behaves_like_plain_storage() {
-        let cfg = StorageConfig::optimal(1, 1, 1);
-        let mut world: World<Msg<u64>> = World::new(2);
-        let dep = deploy_relayed(cfg, &mut world);
-        world.start();
+        let mut sc = deploy_relayed(StorageConfig::optimal(1, 1, 1));
         for k in 1..=4u64 {
-            let w = run_write(&SafeProtocol, &dep, &mut world, k * 5);
+            let w = sc.write(k * 5);
             assert_eq!(w.rounds, 2);
-            let r = run_read::<u64, _>(&SafeProtocol, &dep, &mut world, 0);
+            let r = sc.read(0);
             assert_eq!(r.value, Some(k * 5));
             assert_eq!(r.rounds, 2, "relaying must not change client round counts");
         }
@@ -142,23 +129,22 @@ mod tests {
         // The writer's messages to object 3 are dropped entirely; in the
         // data-centric model it would stay ignorant forever. With relays,
         // its peers forward the write.
-        let cfg = StorageConfig::optimal(1, 1, 1); // S = 4
-        let mut world: World<Msg<u64>> = World::new(2);
-        let dep = deploy_relayed(cfg, &mut world);
-        world.start();
-        let laggard = dep.objects[3];
-        let writer = dep.writer;
-        world.adversary_mut().install("drop writer->s3", move |e| {
-            (e.from == writer && e.to == laggard).then_some(Action::Drop)
-        });
+        let mut sc = deploy_relayed(StorageConfig::optimal(1, 1, 1)); // S = 4
+        let (laggard, writer) = (sc.object(3), sc.writer());
+        sc.world_mut()
+            .adversary_mut()
+            .install("drop writer->s3", move |e| {
+                (e.from == writer && e.to == laggard).then_some(Action::Drop)
+            });
 
-        run_write(&SafeProtocol, &dep, &mut world, 77u64);
-        world.run_to_quiescence(100_000).expect_drained();
+        sc.write(77u64);
+        sc.run_until_idle(100_000).expect_drained();
 
-        world.inspect(laggard, |o: &RelayObject<SafeObject<u64>>| {
-            assert_eq!(o.inner().ts(), crate::Timestamp(1), "caught up via gossip");
-            assert_eq!(o.inner().pw().value, Some(77));
-        });
+        sc.world()
+            .inspect(laggard, |o: &RelayObject<SafeObject<u64>>| {
+                assert_eq!(o.inner().ts(), crate::Timestamp(1), "caught up via gossip");
+                assert_eq!(o.inner().pw().value, Some(77));
+            });
     }
 
     #[test]
@@ -166,21 +152,15 @@ mod tests {
         // Without dedup, S servers re-forwarding each other's forwards
         // would ring forever; with it, each server sends at most S−2
         // copies per round. Measure actual traffic for one write.
-        let cfg = StorageConfig::optimal(1, 1, 1); // S = 4
-        let mut world: World<Msg<u64>> = World::new(2);
-        let dep = deploy_relayed(cfg, &mut world);
-        world.start();
-        run_write(&SafeProtocol, &dep, &mut world, 9u64);
-        let q = world.run_to_quiescence(100_000);
+        let mut sc = deploy_relayed(StorageConfig::optimal(1, 1, 1)); // S = 4
+        sc.write(9u64);
+        let q = sc.run_until_idle(100_000);
         assert!(q.drained, "gossip must terminate (per-round dedup)");
         // Upper bound: writer sends 2 rounds × 4 + each of 4 servers
         // relays each round to ≤ 3 peers (once) + acks. Just assert the
         // global message count is small and the run drained.
-        assert!(
-            world.stats().sent < 120,
-            "relay traffic exploded: {}",
-            world.stats().sent
-        );
+        let sent = sc.world().stats().sent;
+        assert!(sent < 120, "relay traffic exploded: {sent}");
     }
 
     #[test]

@@ -6,11 +6,10 @@ use proptest::prelude::*;
 use vrr_core::regular::{HistoryRetention, RegularObject};
 use vrr_core::safe::SafeObject;
 use vrr_core::{
-    conflict_free_of_size, max_conflict_free, run_read, run_write, HistEntry, History, Msg,
-    ReadRound, RegisterProtocol, RegularProtocol, StorageConfig, Timestamp, TsVal, TsrMatrix,
-    WTuple,
+    conflict_free_of_size, max_conflict_free, HistEntry, History, Msg, ReadRound, RegularProtocol,
+    StorageConfig, StorageScenario, Timestamp, TsVal, TsrMatrix, WTuple,
 };
-use vrr_sim::{Automaton, Context, ProcessId, World};
+use vrr_sim::{Automaton, Context, ProcessId};
 
 // ---------------------------------------------------------------------------
 // History
@@ -285,19 +284,17 @@ proptest! {
             retention,
         };
         let cfg = StorageConfig::optimal(1, 1, 2); // S = 4, R = 2
-        let mut world: World<Msg<u64>> = World::new(seed);
-        let dep = RegisterProtocol::<u64>::deploy(&protocol, cfg, &mut world);
-        world.start();
+        let mut sc = StorageScenario::deploy(protocol, cfg, seed);
 
         let mut written: u64 = 0;
         for op in &ops {
             match op {
                 GcOp::Write => {
                     written += 1;
-                    run_write(&protocol, &dep, &mut world, written);
+                    sc.write(written);
                 }
                 GcOp::Read(j) => {
-                    let rep = run_read::<u64, _>(&protocol, &dep, &mut world, *j);
+                    let rep = sc.read(*j);
                     // Sequential harness: the read is concurrent with
                     // nothing, so regularity demands exactly the latest
                     // completed write (or ⊥ before the first write).
@@ -317,17 +314,16 @@ proptest! {
         // first advances acked, the second advertises it to the objects).
         for _ in 0..2 {
             for j in 0..2 {
-                let rep = run_read::<u64, _>(&protocol, &dep, &mut world, j);
+                let rep = sc.read(j);
                 let expect = (written > 0).then_some(written);
                 prop_assert_eq!(rep.value, expect);
             }
         }
         // Deliver any READ broadcasts still in flight to the slowest
         // object before inspecting histories.
-        world.run_to_quiescence(200_000);
+        sc.run_until_idle(200_000);
         let bound = (window as usize + 1).min(cap.unwrap_or(usize::MAX));
-        for &obj in &dep.objects {
-            let len = world.inspect(obj, |o: &RegularObject<u64>| o.history().len());
+        for len in sc.history_lens().expect("regular objects keep histories") {
             prop_assert!(
                 len <= bound,
                 "history len {} exceeds bound {} after full acks (window {}, cap {:?})",

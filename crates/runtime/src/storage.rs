@@ -230,15 +230,15 @@ pub(crate) fn fast_path_stats<V: Value>(
     total
 }
 
-/// Like [`history_lens`], but for metrics snapshots: skips
-/// Byzantine-substituted and crashed objects instead of panicking, and
-/// returns nothing for the history-less safe protocol.
+/// Like [`history_lens`], but for metrics snapshots: `(object index,
+/// length)` pairs that skip Byzantine-substituted and crashed objects
+/// instead of panicking, and nothing for the history-less safe protocol.
 pub(crate) fn try_history_lens<V: Value>(
     cluster: &Cluster<Msg<V>>,
     kind: ProtocolKind,
     objects: &[ProcessId],
     byzantine: &[usize],
-) -> Vec<usize> {
+) -> Vec<(usize, usize)> {
     if kind == ProtocolKind::Safe {
         return Vec::new();
     }
@@ -246,10 +246,9 @@ pub(crate) fn try_history_lens<V: Value>(
         .iter()
         .enumerate()
         .filter(|(i, _)| !byzantine.contains(i))
-        .filter_map(|(_, &pid)| {
-            cluster
-                .try_invoke(pid, |o: &mut RegularObject<V>, _ctx| o.history().len())
-                .ok()
+        .filter_map(|(i, &pid)| {
+            let len = cluster.try_invoke(pid, |o: &mut RegularObject<V>, _ctx| o.history().len());
+            len.ok().map(|len| (i, len))
         })
         .collect()
 }
@@ -656,14 +655,26 @@ mod tests {
             cfg,
             ProtocolKind::RegularOptimized,
             Box::new(NoDelay),
-            |i| (i == 4).then(|| AttackerKind::Inflator.build_regular(cfg, 0xBAD)),
+            |i| (i == 0).then(|| AttackerKind::Inflator.build_regular(cfg, 0xBAD)),
         );
         storage.write(1);
         assert_eq!(storage.read(0).value, Some(1));
-        storage.crash_object(0);
+        storage.crash_object(2);
         let snap = storage.metrics_snapshot();
-        // 5 objects - 1 Byzantine - 1 crashed = 3 inspectable histories.
+        // 5 objects - 1 Byzantine - 1 crashed = 3 inspectable histories,
+        // each labelled with the index of the object it was read from.
         assert_eq!(snap.gauge_values(names::OBJECT_HISTORY_LEN).len(), 3);
+        for (i, &pid) in storage.objects().iter().enumerate() {
+            let gauge = snap.gauge(names::OBJECT_HISTORY_LEN, &[("object", &i.to_string())]);
+            if i == 0 || i == 2 {
+                assert_eq!(gauge, None, "object {i} is not inspectable");
+                continue;
+            }
+            let len = storage
+                .cluster()
+                .invoke(pid, |o: &mut RegularObject<u64>, _ctx| o.history().len());
+            assert_eq!(gauge, Some(len as u64), "object {i}");
+        }
     }
 
     /// Drains every message a finished READ may still have in flight, then

@@ -9,6 +9,11 @@
 //! * a runner ([`SimCase`]) that executes the schedule against any
 //!   [`vrr_core::RegisterProtocol`] in the deterministic simulator and
 //!   produces a [`vrr_checker::OpHistory`] plus round-count statistics.
+//!   It runs on a [`vrr_core::StorageScenario`] — the one way an
+//!   operation enters a simulated world — keeping one started operation
+//!   per client in flight and polling after every event; a test that
+//!   drives a `StorageScenario` by hand through the same operations sees
+//!   the same metrics and network counters.
 //!
 //! ```
 //! use vrr_core::{SafeProtocol, StorageConfig};

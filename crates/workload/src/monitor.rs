@@ -157,7 +157,7 @@ pub fn safe_object_monotonicity<V: Value>(
 
 #[cfg(test)]
 mod tests {
-    use vrr_core::{RegisterProtocol, SafeProtocol, StorageConfig};
+    use vrr_core::{SafeProtocol, StorageConfig, StorageScenario};
     use vrr_sim::{from_fn, Context};
 
     use super::*;
@@ -165,38 +165,29 @@ mod tests {
     #[test]
     fn clean_protocol_run_breaks_no_invariant() {
         let cfg = StorageConfig::optimal(1, 1, 2);
-        let mut world: World<Msg<u64>> = World::new(9);
-        let dep = RegisterProtocol::<u64>::deploy(&SafeProtocol, cfg, &mut world);
-        world.start();
+        let mut sc = StorageScenario::deploy(SafeProtocol, cfg, 9);
 
         let mut monitor = InvariantMonitor::new();
         monitor.add(
             "object monotonicity",
-            safe_object_monotonicity::<u64>(dep.objects.clone(), cfg.readers),
+            safe_object_monotonicity::<u64>(sc.dep().objects.clone(), cfg.readers),
         );
 
-        let w = RegisterProtocol::<u64>::invoke_write(&SafeProtocol, &dep, &mut world, 5u64);
-        run_monitored(&mut world, &mut monitor, 100_000).expect("no violation");
-        let r = RegisterProtocol::<u64>::invoke_read(&SafeProtocol, &dep, &mut world, 0);
-        run_monitored(&mut world, &mut monitor, 100_000).expect("no violation");
-        assert!(RegisterProtocol::<u64>::write_outcome(&SafeProtocol, &dep, &world, w).is_some());
-        assert_eq!(
-            RegisterProtocol::<u64>::read_outcome(&SafeProtocol, &dep, &world, 0, r)
-                .unwrap()
-                .value,
-            Some(5)
-        );
+        let mut w = sc.start_write(5u64);
+        run_monitored(sc.world_mut(), &mut monitor, 100_000).expect("no violation");
+        let mut r = sc.start_read(0);
+        run_monitored(sc.world_mut(), &mut monitor, 100_000).expect("no violation");
+        assert!(sc.poll_write(&mut w).is_some());
+        assert_eq!(sc.poll_read(&mut r).unwrap().value, Some(5));
     }
 
     #[test]
     fn a_regressing_object_is_caught_in_the_act() {
         // A broken "object" that resets its state when poked — the monitor
         // must pinpoint the regression.
-        let mut world: World<Msg<u64>> = World::new(9);
         let cfg = StorageConfig::optimal(1, 1, 1);
-        let dep = RegisterProtocol::<u64>::deploy(&SafeProtocol, cfg, &mut world);
-        world.start();
-        let victim = dep.objects[0];
+        let mut sc = StorageScenario::deploy(SafeProtocol, cfg, 9);
+        let victim = sc.object(0);
 
         let mut monitor = InvariantMonitor::new();
         monitor.add(
@@ -205,15 +196,16 @@ mod tests {
         );
 
         // Drive a legitimate write through, monitored.
-        let _ = RegisterProtocol::<u64>::invoke_write(&SafeProtocol, &dep, &mut world, 5u64);
-        run_monitored(&mut world, &mut monitor, 100_000).expect("clean so far");
+        sc.start_write(5u64);
+        let world = sc.world_mut();
+        run_monitored(world, &mut monitor, 100_000).expect("clean so far");
 
         // Maliciously reset the object's state in place (simulating a bug).
         world.with_automaton_mut(victim, |o: &mut SafeObject<u64>, _ctx| {
             let fresh = SafeObject::<u64>::new();
             o.restore(fresh.snapshot());
         });
-        let err = run_monitored(&mut world, &mut monitor, 10).expect_err("must catch");
+        let err = run_monitored(world, &mut monitor, 10).expect_err("must catch");
         assert!(err.detail.contains("regressed"), "{err}");
     }
 

@@ -4,16 +4,18 @@
 //!
 //! The entry point is [`SimCase`] — a builder that owns the recurring
 //! test shape (sizing + schedule + faults + latency + optional scripted
-//! partitions). It compiles down to [`vrr_sim::Scenario`], so scripted
-//! partitions and heals fire while operations are in flight.
+//! partitions). It runs on a [`StorageScenario`]: deployment, faults,
+//! operation start/poll and the metrics snapshot are the scenario's; what
+//! lives here is the schedule, the per-client due/active bookkeeping, the
+//! [`OpHistory`] and stall accounting.
 
 use vrr_checker::OpHistory;
-use vrr_core::metrics::{self, MetricsSink, Registry};
-use vrr_core::{RegisterProtocol, StorageConfig};
-use vrr_sim::{LongTail, NetStats, Scenario, SimTime, Uniform};
+use vrr_core::metrics::Registry;
+use vrr_core::{ReadOp, RegisterProtocol, StorageConfig, StorageScenario, WriteOp};
+use vrr_sim::{LongTail, NetStats, SimTime, Uniform};
 
 use crate::faults::FaultPlan;
-use crate::schedule::{generate, PlannedOp, Schedule, ScheduleParams};
+use crate::schedule::{generate, ClientPlan, PlannedOp, Schedule, ScheduleParams};
 
 /// Which latency model a run uses.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -27,11 +29,11 @@ pub enum LatencyKind {
 }
 
 impl LatencyKind {
-    fn install<M: vrr_sim::SimMessage>(self, scenario: &mut Scenario<M>) {
+    fn install<P: RegisterProtocol<u64>>(self, sc: &mut StorageScenario<u64, P>) {
         match self {
-            LatencyKind::Unit => scenario.latency(vrr_sim::Fixed::UNIT),
-            LatencyKind::Uniform(min, max) => scenario.latency(Uniform::new(min, max)),
-            LatencyKind::LongTail => scenario.latency(LongTail::new(1, 0.2, 50)),
+            LatencyKind::Unit => sc.latency(vrr_sim::Fixed::UNIT),
+            LatencyKind::Uniform(min, max) => sc.latency(Uniform::new(min, max)),
+            LatencyKind::LongTail => sc.latency(LongTail::new(1, 0.2, 50)),
         };
     }
 }
@@ -135,7 +137,7 @@ impl<P: RegisterProtocol<u64>> std::fmt::Debug for SimCase<'_, P> {
     }
 }
 
-impl<'a, P: RegisterProtocol<u64>> SimCase<'a, P> {
+impl<'a, P: RegisterProtocol<u64> + Clone> SimCase<'a, P> {
     /// A case with an empty schedule, no faults, unit latency, seed 0.
     pub fn new(protocol: &'a P, cfg: StorageConfig) -> Self {
         SimCase {
@@ -236,39 +238,31 @@ impl<'a, P: RegisterProtocol<u64>> SimCase<'a, P> {
             "schedule/readers mismatch"
         );
 
-        let mut scenario: Scenario<P::Msg> = Scenario::seed(seed);
-        latency.install(&mut scenario);
-        let dep = protocol.deploy(cfg, scenario.world_mut());
-        scenario.start();
-
+        let mut sc = StorageScenario::deploy(protocol.clone(), cfg, seed);
+        latency.install(&mut sc);
         for &(idx, kind) in &faults.byzantine {
-            let automaton = protocol
-                .corruptor(kind, cfg, FORGED_VALUE)
-                .expect("protocol has no attacker catalogue");
-            scenario.byzantine(dep.objects[idx], automaton);
+            sc.attack_object(idx, kind, FORGED_VALUE);
         }
         for &(idx, at) in &faults.crashes {
-            scenario.crash(dep.objects[idx], at);
+            sc.crash_object_at(idx, at);
         }
         for (at, event) in events {
             match event {
-                CaseEvent::Partition(idxs) => {
-                    let group = idxs.iter().map(|&i| dep.objects[i]).collect();
-                    scenario.partition_at(at, vec![group]);
-                }
-                CaseEvent::Heal => {
-                    scenario.heal_at(at);
-                }
-            }
+                CaseEvent::Partition(idxs) => sc.partition_objects_at(at, &idxs),
+                CaseEvent::Heal => sc.heal_at(at),
+            };
         }
 
         let mut history: OpHistory<u64> = OpHistory::new();
         let mut write_rounds = Vec::new();
         let mut read_rounds = Vec::new();
-        let mut ops = Registry::new();
 
         // Client index 0 = writer, 1.. = readers.
-        let mut clients: Vec<ClientState> = (0..=cfg.readers)
+        let plans: Vec<&ClientPlan> = std::iter::once(&schedule.writer)
+            .chain(&schedule.readers)
+            .collect();
+        let mut clients: Vec<ClientState> = plans
+            .iter()
             .map(|_| ClientState {
                 next: 0,
                 active: None,
@@ -279,66 +273,40 @@ impl<'a, P: RegisterProtocol<u64>> SimCase<'a, P> {
 
         loop {
             // Poll completions first (a step may have completed several ops).
-            let now_ticks = scenario.now().ticks();
+            let now = sc.now();
             for client in clients.iter_mut() {
-                let Some(active) = client.active.take() else {
-                    continue;
+                let done = match &mut client.active {
+                    None => continue,
+                    Some(ActiveOp::Write { op, seq }) => sc.poll_write(op).map(|rep| {
+                        write_rounds.push(rep.rounds);
+                        history.push_write(
+                            *seq,
+                            Schedule::value_of_write(*seq),
+                            op.invoked_at().ticks(),
+                            Some(now.ticks()),
+                        );
+                    }),
+                    Some(ActiveOp::Read(op)) => sc.poll_read(op).map(|rep| {
+                        read_rounds.push(rep.rounds);
+                        history.push_read(
+                            op.reader(),
+                            rep.ts.0,
+                            rep.value,
+                            op.invoked_at().ticks(),
+                            Some(now.ticks()),
+                        );
+                    }),
                 };
-                let done = if active.is_write {
-                    protocol
-                        .write_outcome(&dep, scenario.world(), active.token)
-                        .map(|rep| {
-                            write_rounds.push(rep.rounds);
-                            ops.observe(metrics::names::WRITER_ROUNDS, &[], u64::from(rep.rounds));
-                            ops.observe(
-                                metrics::names::WRITE_LATENCY,
-                                &[],
-                                now_ticks - active.invoked_at,
-                            );
-                            history.push_write(
-                                active.seq_or_reader,
-                                Schedule::value_of_write(active.seq_or_reader),
-                                active.invoked_at,
-                                Some(now_ticks),
-                            );
-                        })
-                } else {
-                    let reader = active.seq_or_reader as usize;
-                    protocol
-                        .read_outcome(&dep, scenario.world(), reader, active.token)
-                        .map(|rep| {
-                            read_rounds.push(rep.rounds);
-                            ops.observe(metrics::names::READER_ROUNDS, &[], u64::from(rep.rounds));
-                            ops.observe(
-                                metrics::names::READ_LATENCY,
-                                &[],
-                                now_ticks - active.invoked_at,
-                            );
-                            history.push_read(
-                                reader,
-                                rep.ts.0,
-                                rep.value,
-                                active.invoked_at,
-                                Some(now_ticks),
-                            );
-                        })
-                };
-                if done.is_none() {
-                    client.active = Some(active);
+                if done.is_some() {
+                    client.active = None;
                 }
             }
 
             // Invoke due operations on idle clients.
-            let now = scenario.now();
-            for (c, client) in clients.iter_mut().enumerate() {
+            for (client, plan) in clients.iter_mut().zip(&plans) {
                 if client.active.is_some() {
                     continue;
                 }
-                let plan = if c == 0 {
-                    &schedule.writer
-                } else {
-                    &schedule.readers[c - 1]
-                };
                 let Some(&(due, op)) = plan.ops.get(client.next) else {
                     continue;
                 };
@@ -346,44 +314,25 @@ impl<'a, P: RegisterProtocol<u64>> SimCase<'a, P> {
                     continue;
                 }
                 client.next += 1;
-                let active = match op {
+                client.active = Some(match op {
                     PlannedOp::Write { value } => {
                         write_seq += 1;
                         debug_assert_eq!(value, Schedule::value_of_write(write_seq));
-                        let token = protocol.invoke_write(&dep, scenario.world_mut(), value);
-                        ActiveOp {
-                            token,
-                            invoked_at: now.ticks(),
-                            seq_or_reader: write_seq,
-                            is_write: true,
+                        ActiveOp::Write {
+                            op: sc.start_write(value),
+                            seq: write_seq,
                         }
                     }
-                    PlannedOp::Read { reader } => {
-                        let token = protocol.invoke_read(&dep, scenario.world_mut(), reader);
-                        ActiveOp {
-                            token,
-                            invoked_at: now.ticks(),
-                            seq_or_reader: reader as u64,
-                            is_write: false,
-                        }
-                    }
-                };
-                client.active = Some(active);
+                    PlannedOp::Read { reader } => ActiveOp::Read(sc.start_read(reader)),
+                });
             }
 
             let any_active = clients.iter().any(|c| c.active.is_some());
             let next_due: Option<SimTime> = clients
                 .iter()
-                .enumerate()
-                .filter(|(_, c)| c.active.is_none())
-                .filter_map(|(c, client)| {
-                    let plan = if c == 0 {
-                        &schedule.writer
-                    } else {
-                        &schedule.readers[c - 1]
-                    };
-                    plan.ops.get(client.next).map(|&(due, _)| due)
-                })
+                .zip(&plans)
+                .filter(|(c, _)| c.active.is_none())
+                .filter_map(|(c, plan)| plan.ops.get(c.next).map(|&(due, _)| due))
                 .min();
 
             if any_active {
@@ -391,7 +340,7 @@ impl<'a, P: RegisterProtocol<u64>> SimCase<'a, P> {
                 // still active, they are stalled (liveness violation) — unless
                 // a future planned op could unblock... it cannot: clients are
                 // independent. Record and stop.
-                if !scenario.step() {
+                if !sc.scenario_mut().step() {
                     break;
                 }
                 steps_used += 1;
@@ -400,8 +349,8 @@ impl<'a, P: RegisterProtocol<u64>> SimCase<'a, P> {
                     "runaway run: step limit exceeded"
                 );
             } else if let Some(due) = next_due {
-                let delta = due.ticks().saturating_sub(scenario.now().ticks());
-                scenario.fast_forward(delta);
+                let delta = due.ticks().saturating_sub(sc.now().ticks());
+                sc.fast_forward(delta);
             } else {
                 break; // no active ops, nothing left to invoke
             }
@@ -409,38 +358,20 @@ impl<'a, P: RegisterProtocol<u64>> SimCase<'a, P> {
 
         // Anything still active is stalled; record as incomplete.
         let mut stalled_ops = 0;
-        for (c, client) in clients.iter_mut().enumerate() {
-            if let Some(active) = client.active.take() {
-                stalled_ops += 1;
-                if active.is_write {
-                    history.push_write(
-                        active.seq_or_reader,
-                        Schedule::value_of_write(active.seq_or_reader),
-                        active.invoked_at,
-                        None,
-                    );
-                } else {
-                    history.push_read(c - 1, 0, None, active.invoked_at, None);
+        for client in clients {
+            match client.active {
+                None => continue,
+                Some(ActiveOp::Write { op, seq }) => history.push_write(
+                    seq,
+                    Schedule::value_of_write(seq),
+                    op.invoked_at().ticks(),
+                    None,
+                ),
+                Some(ActiveOp::Read(op)) => {
+                    history.push_read(op.reader(), 0, None, op.invoked_at().ticks(), None)
                 }
             }
-        }
-
-        // Close out the snapshot: network + fault-script counters and the
-        // protocol's own observables, all under the canonical names.
-        let net = scenario.net_stats();
-        metrics::record_net_stats(&mut ops, &net);
-        metrics::record_scenario_stats(&mut ops, &scenario.stats());
-        ops.gauge_set(metrics::names::SCENARIO_TIME, &[], scenario.now().ticks());
-        ops.gauge_set(
-            metrics::names::SCENARIO_HELD_MSGS,
-            &[],
-            scenario.world().held().len() as u64,
-        );
-        if let Some(stats) = protocol.fast_path_stats(&dep, scenario.world()) {
-            metrics::record_fast_path(&mut ops, &stats);
-        }
-        if let Some(lens) = protocol.history_lens(&dep, scenario.world()) {
-            metrics::record_history_lens(&mut ops, None, &lens);
+            stalled_ops += 1;
         }
 
         RunOutcome {
@@ -448,8 +379,8 @@ impl<'a, P: RegisterProtocol<u64>> SimCase<'a, P> {
             write_rounds,
             read_rounds,
             stalled_ops,
-            net,
-            metrics: ops,
+            net: sc.world().stats(),
+            metrics: sc.metrics_snapshot(),
         }
     }
 }
@@ -461,12 +392,13 @@ struct ClientState {
 }
 
 #[derive(Debug)]
-struct ActiveOp {
-    token: u64,
-    invoked_at: u64,
-    /// Write sequence number for writes; reader index for reads.
-    seq_or_reader: u64,
-    is_write: bool,
+enum ActiveOp {
+    /// A WRITE and its sequence number.
+    Write {
+        op: WriteOp,
+        seq: u64,
+    },
+    Read(ReadOp),
 }
 
 #[cfg(test)]
@@ -567,5 +499,66 @@ mod tests {
         assert_eq!(out.metrics.counter(names::SCENARIO_HEALS, &[]), 1);
         // Something actually waited: the run outlived the heal time.
         assert!(out.metrics.gauge(names::SCENARIO_TIME, &[]).unwrap() >= 400);
+    }
+
+    /// The two remaining entry points are one driver: a `SimCase` whose
+    /// operations never overlap and a `StorageScenario` driven by hand
+    /// through the same op order observe the same run.
+    #[test]
+    fn sim_case_and_a_hand_driven_scenario_observe_the_same_run() {
+        let cfg = StorageConfig::optimal(2, 1, 2); // S = 6
+        let protocol = RegularProtocol::optimized();
+        let faults = FaultPlan::maximal(&cfg, AttackerKind::Inflator, SimTime::from_ticks(450));
+        // With object 0 Byzantine and object 1 crashed, cutting object 3 off
+        // stalls the write invoked at tick 1300 until the heal.
+        let (cut, healed) = (SimTime::from_ticks(1_290), SimTime::from_ticks(1_340));
+
+        // Writer and readers take turns, 100 ticks apart.
+        let mut schedule = generate(ScheduleParams::sequential(0, 0, cfg.readers, 0));
+        for i in 0..8u64 {
+            let value = Schedule::value_of_write(i + 1);
+            let reader = (i % 2) as usize;
+            let at = SimTime::from_ticks(200 * i + 100);
+            schedule.writer.ops.push((at, PlannedOp::Write { value }));
+            schedule.readers[reader]
+                .ops
+                .push((at + 100, PlannedOp::Read { reader }));
+        }
+
+        let out = SimCase::new(&protocol, cfg)
+            .with_schedule(schedule.clone())
+            .seed(21)
+            .faults(faults.clone())
+            .latency(LatencyKind::Uniform(1, 10))
+            .partition_objects_at(cut, vec![3])
+            .heal_at(healed)
+            .run();
+        assert!(out.all_live());
+
+        let mut sc = StorageScenario::deploy(protocol, cfg, 21);
+        sc.latency(Uniform::new(1, 10));
+        for &(idx, kind) in &faults.byzantine {
+            sc.attack_object(idx, kind, FORGED_VALUE);
+        }
+        for &(idx, at) in &faults.crashes {
+            sc.crash_object_at(idx, at);
+        }
+        sc.partition_objects_at(cut, &[3]).heal_at(healed);
+        let mut ops: Vec<(SimTime, PlannedOp)> = schedule.writer.ops.clone();
+        ops.extend(schedule.readers.iter().flat_map(|r| r.ops.iter().copied()));
+        ops.sort_by_key(|&(at, _)| at);
+        for (at, op) in ops {
+            sc.fast_forward(at.ticks() - sc.now().ticks());
+            match op {
+                PlannedOp::Write { value } => drop(sc.write(value)),
+                PlannedOp::Read { reader } => drop(sc.read(reader)),
+            }
+        }
+
+        assert_eq!(
+            out.metrics.to_prometheus(),
+            sc.metrics_snapshot().to_prometheus()
+        );
+        assert_eq!(out.net, sc.world().stats());
     }
 }

@@ -34,9 +34,10 @@ use vrr_core::metrics::{names, Registry};
 use vrr_core::regular::HistoryRetention;
 use vrr_core::{RegularProtocol, StorageConfig, StorageScenario};
 
-/// Value forged by the soak's Byzantine object. Never written, so any
-/// read returning it is a regularity violation the checker will flag.
-const SOAK_FORGED: u64 = 0xBAD_F00D;
+/// Value forged by the soak's Byzantine object, on both harnesses. Never
+/// written, so any read returning it is a regularity violation the checker
+/// will flag.
+pub const FORGED: u64 = 0xBAD_F00D;
 
 /// Knobs of the combined-fault soak. All behaviour is a pure function of
 /// these parameters — same params, same seed, same run.
@@ -90,6 +91,36 @@ pub struct SoakReport {
 }
 
 impl SoakReport {
+    /// Closes a soak half, whichever harness drove it: checks the recorded
+    /// `history` for regularity and the final `metrics` snapshot against
+    /// what the driver knows it did (`expect`, whose `history_cap` is the
+    /// "histories stayed flat" check), appending to the `violations` the
+    /// driver found on the way.
+    pub fn close(
+        params: SoakParams,
+        history: OpHistory<u64>,
+        metrics: Registry,
+        mut violations: Vec<String>,
+        expect: MetricsExpectations,
+    ) -> Self {
+        if let Err(e) = check_regularity(&history) {
+            violations.push(format!("regularity violated: {e:?}"));
+        }
+        check_metrics_relations(&metrics, &mut violations, expect);
+        let max_history_len = metrics
+            .gauge_values(names::OBJECT_HISTORY_LEN)
+            .into_iter()
+            .max()
+            .unwrap_or(0) as usize;
+        SoakReport {
+            params,
+            history,
+            metrics,
+            max_history_len,
+            violations,
+        }
+    }
+
     /// `true` when no invariant was violated.
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
@@ -109,8 +140,8 @@ pub fn run_sim_soak(params: SoakParams) -> SoakReport {
     let mut sc = StorageScenario::deploy(protocol, cfg, params.seed);
 
     // The b = 1 Byzantine budget: object 4 lies by truncating history
-    // suffixes and forging SOAK_FORGED.
-    sc.attack_object(4, AttackerKind::Truncator, SOAK_FORGED);
+    // suffixes and forging FORGED.
+    sc.attack_object(4, AttackerKind::Truncator, FORGED);
 
     // Hot links get probabilistic reordering for the whole run.
     let writer = sc.writer();
@@ -189,22 +220,11 @@ pub fn run_sim_soak(params: SoakParams) -> SoakReport {
     }
     sc.run_until_idle(200_000);
 
-    if let Err(e) = check_regularity(&history) {
-        violations.push(format!("regularity violated: {e:?}"));
-    }
-
-    let max_history_len = sc.max_history_len();
-    if max_history_len > params.cap {
-        violations.push(format!(
-            "history not flat: max len {max_history_len} exceeds cap {}",
-            params.cap
-        ));
-    }
-
-    let metrics = sc.metrics_snapshot();
-    check_metrics_relations(
-        &metrics,
-        &mut violations,
+    SoakReport::close(
+        params,
+        history,
+        sc.metrics_snapshot(),
+        violations,
         MetricsExpectations {
             writes,
             reads,
@@ -214,15 +234,7 @@ pub fn run_sim_soak(params: SoakParams) -> SoakReport {
             byzantine: 1,
             history_cap: Some(params.cap as u64),
         },
-    );
-
-    SoakReport {
-        params,
-        history,
-        metrics,
-        max_history_len,
-        violations,
-    }
+    )
 }
 
 /// What the fault script injected, for cross-checking the snapshot.

@@ -6,9 +6,8 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use vrr::core::{run_read, run_write, RegisterProtocol, SafeProtocol, StorageConfig};
+use vrr::core::{SafeProtocol, StorageConfig, StorageScenario};
 use vrr::runtime::{NoDelay, ProtocolKind, StorageCluster};
-use vrr::sim::World;
 
 fn main() {
     // Budget: tolerate t = 2 faulty base objects, of which b = 1 may be
@@ -17,17 +16,15 @@ fn main() {
     println!("deploying safe storage: {cfg:?}");
 
     // ---- In the simulator ----------------------------------------------
-    let mut world = World::new(42);
-    let dep = RegisterProtocol::<String>::deploy(&SafeProtocol, cfg, &mut world);
-    world.start();
+    let mut sc = StorageScenario::deploy(SafeProtocol, cfg, 42);
 
-    let w = run_write(&SafeProtocol, &dep, &mut world, "hello".to_string());
+    let w = sc.write("hello".to_string());
     println!(
         "[sim]    WRITE(\"hello\")  -> ts {:?}, {} rounds",
         w.ts, w.rounds
     );
 
-    let r = run_read::<String, _>(&SafeProtocol, &dep, &mut world, 0);
+    let r = sc.read(0);
     println!(
         "[sim]    READ()          -> {:?}, {} rounds",
         r.value, r.rounds
@@ -36,9 +33,9 @@ fn main() {
     assert_eq!(r.rounds, 2, "reads always take exactly two round-trips");
 
     // A crash within budget changes nothing observable.
-    world.crash(dep.objects[0]);
-    let w = run_write(&SafeProtocol, &dep, &mut world, "world".to_string());
-    let r = run_read::<String, _>(&SafeProtocol, &dep, &mut world, 0);
+    sc.crash_object(0);
+    let w = sc.write("world".to_string());
+    let r = sc.read(0);
     println!(
         "[sim]    after one object crash: WRITE/READ -> {:?} ({} + {} rounds)",
         r.value, w.rounds, r.rounds

@@ -25,17 +25,14 @@
 //! ## Five-minute tour
 //!
 //! ```
-//! use vrr::core::{SafeProtocol, RegisterProtocol, StorageConfig, run_read, run_write};
-//! use vrr::sim::World;
+//! use vrr::core::{SafeProtocol, StorageConfig, StorageScenario};
 //!
 //! // Tolerate t = 1 faulty object, of which b = 1 Byzantine: S = 4 objects.
 //! let cfg = StorageConfig::optimal(1, 1, 1);
-//! let mut world = World::new(42);
-//! let dep = RegisterProtocol::<u64>::deploy(&SafeProtocol, cfg, &mut world);
-//! world.start();
+//! let mut sc = StorageScenario::deploy(SafeProtocol, cfg, 42);
 //!
-//! run_write(&SafeProtocol, &dep, &mut world, 7u64);
-//! let read = run_read::<u64, _>(&SafeProtocol, &dep, &mut world, 0);
+//! sc.write(7u64);
+//! let read = sc.read(0);
 //! assert_eq!(read.value, Some(7));
 //! assert_eq!(read.rounds, 2); // the optimal worst case — never more
 //! ```

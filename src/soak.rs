@@ -21,20 +21,17 @@
 
 use std::time::Duration;
 
-use vrr_checker::{check_regularity, OpHistory};
+use vrr_checker::OpHistory;
 use vrr_core::attackers::AttackerKind;
 use vrr_core::metrics::{names, MetricsSink};
 use vrr_core::regular::HistoryRetention;
 use vrr_core::{Msg, StorageConfig};
 use vrr_runtime::{LinkAction, LinkPolicy, ProtocolKind, ProtocolSpec, StorageCluster};
 use vrr_sim::ProcessId;
+use vrr_workload::soak::FORGED;
 pub use vrr_workload::soak::{
     check_metrics_relations, run_sim_soak, MetricsExpectations, SoakParams, SoakReport,
 };
-
-/// Value forged by the runtime soak's Byzantine object — never written, so
-/// any read returning it is a violation the checker flags.
-const FORGED: u64 = 0xBAD_F00D;
 
 /// Deterministic link jitter: delays every fourth message (by LCG coin) by
 /// 200µs, enough to reorder deliveries across the runtime's worker threads
@@ -100,33 +97,18 @@ pub fn run_runtime_soak(params: SoakParams) -> SoakReport {
         }
     }
 
-    if let Err(e) = check_regularity(&history) {
-        violations.push(format!("runtime regularity violated: {e:?}"));
-    }
-
-    // The runtime snapshot carries op/executor/fast-path/history metrics;
-    // the fault script is the driver's knowledge, so the driver folds its
-    // own script counters in — exactly what the sim scenario does.
+    // The runtime snapshot carries op/executor/fast-path/history metrics
+    // (the history gauges skip the Byzantine index, so every reported
+    // length is an honest object bound by the GC cap); the fault script is
+    // the driver's knowledge, so the driver folds its own script counters
+    // in — exactly what the sim scenario does.
     let mut metrics = storage.metrics_snapshot();
-
-    // The snapshot's history gauges skip the Byzantine index, so every
-    // reported length is an honest object bound by the GC cap. (The strict
-    // `history_lens()` accessor would probe the liar and panic.)
-    let max_history_len = metrics
-        .gauge_values(names::OBJECT_HISTORY_LEN)
-        .into_iter()
-        .max()
-        .unwrap_or(0) as usize;
-    if max_history_len > params.cap {
-        violations.push(format!(
-            "runtime history not flat: max len {max_history_len} exceeds cap {}",
-            params.cap
-        ));
-    }
     metrics.counter_add(names::SCENARIO_BYZANTINE, &[], 1);
-    check_metrics_relations(
-        &metrics,
-        &mut violations,
+    SoakReport::close(
+        params,
+        history,
+        metrics,
+        violations,
         MetricsExpectations {
             writes: params.iters,
             reads: params.iters,
@@ -136,15 +118,7 @@ pub fn run_runtime_soak(params: SoakParams) -> SoakReport {
             byzantine: 1,
             history_cap: Some(params.cap as u64),
         },
-    );
-
-    SoakReport {
-        params,
-        history,
-        metrics,
-        max_history_len,
-        violations,
-    }
+    )
 }
 
 #[cfg(test)]

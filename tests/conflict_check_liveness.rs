@@ -30,10 +30,10 @@ use std::collections::BTreeMap;
 
 use vrr::core::safe::SafeTuning;
 use vrr::core::{
-    Msg, ProtocolSpec, ReadRound, RegisterProtocol, SafeProtocol, StorageConfig, Timestamp, TsVal,
-    TsrMatrix, WTuple,
+    Msg, ProtocolSpec, ReadRound, RegisterProtocol, SafeProtocol, StorageConfig, StorageScenario,
+    Timestamp, TsVal, TsrMatrix, WTuple,
 };
-use vrr::sim::{from_fn, Action, Context, World};
+use vrr::sim::{from_fn, Action, Context, Envelope};
 
 const V: u64 = 4242;
 
@@ -101,62 +101,34 @@ fn m2() -> Box<dyn vrr::sim::Automaton<Msg<u64>>> {
     )
 }
 
-/// Runs the orchestrated schedule against `protocol`; returns the read's
-/// value if it completed.
-fn run_attack<P>(protocol: &P) -> Option<Option<u64>>
+/// Deploys `protocol` with the cast above and the attack's holds in place:
+/// everything reader→s2 (both rounds); PW to the bystanders; W to everyone
+/// except s2 and the malicious pair.
+fn stage<P>(protocol: P) -> StorageScenario<u64, P>
 where
     P: RegisterProtocol<u64, Msg = Msg<u64>>,
 {
     let cfg = StorageConfig::optimal(2, 2, 1); // S = 7
-    let mut world: World<Msg<u64>> = World::new(1);
-    let dep = protocol.deploy(cfg, &mut world);
-    world.start();
-    world.set_byzantine(dep.objects[0], m1());
-    world.set_byzantine(dep.objects[1], m2());
+    let mut sc = StorageScenario::deploy(protocol, cfg, 1);
+    sc.byzantine_object(0, m1());
+    sc.byzantine_object(1, m2());
 
-    let reader = dep.readers[0];
-    let s2 = dep.objects[2];
-    let (s3, s4, s5, s6) = (
-        dep.objects[3],
-        dep.objects[4],
-        dep.objects[5],
-        dep.objects[6],
-    );
-
-    // Holds: everything reader→s2 (both rounds); PW to the bystanders;
-    // W to everyone except s2 and the malicious pair.
-    world.adversary_mut().hold_link(reader, s2);
-    world
-        .adversary_mut()
-        .install("hold PW to bystanders", move |e| {
-            (matches!(e.msg, Msg::Pw { .. }) && (e.to == s5 || e.to == s6)).then_some(Action::Hold)
-        });
-    world.adversary_mut().install("hold W to s3..s6", move |e| {
+    let (s3, s4, s5, s6) = (sc.object(3), sc.object(4), sc.object(5), sc.object(6));
+    sc.hold_link(sc.reader(0), sc.object(2));
+    let adversary = sc.world_mut().adversary_mut();
+    adversary.install("hold PW to bystanders", move |e| {
+        (matches!(e.msg, Msg::Pw { .. }) && (e.to == s5 || e.to == s6)).then_some(Action::Hold)
+    });
+    adversary.install("hold W to s3..s6", move |e| {
         (matches!(e.msg, Msg::W { .. }) && (e.to == s3 || e.to == s4 || e.to == s5 || e.to == s6))
             .then_some(Action::Hold)
     });
+    sc
+}
 
-    // Step 1: the read begins. m1 answers round 1 with the prediction;
-    // s3..s6 answer honestly. Without the conflict check the read advances
-    // to round 2 and s3, s4, s5, s6 bump their reader timestamps to 2;
-    // with the check, round 1 stalls (the predicted tuple accuses s3, s4).
-    let rd = protocol.invoke_read(&dep, &mut world, 0);
-    world.run_to_quiescence(200_000);
-
-    // Step 2: the concurrent write. PW reaches m1, m2, s2 (rows: empty)
-    // and s3, s4 (rows: whatever their tsr is — 2 in the mutant run,
-    // 1 in the real run). The writer assembles its tuple from exactly
-    // those five acks and sends W, which only s2 receives.
-    let wr = protocol.invoke_write(&dep, &mut world, V);
-    world.run_to_quiescence(200_000);
-
-    // Step 3: s2 — now holding the genuine tuple — finally hears from the
-    // reader. In the mutant run that is the round-2 message (its round-1
-    // message arrives later, stale); s2's reply makes it the lone
-    // supporter of the predicted tuple. In the real run no round-2
-    // message exists yet; s2 answers round 1 with the genuine tuple,
-    // which eliminates the prediction and unblocks the quorum.
-    world.release_held(|e| {
+/// A held round-2 READ addressed to `s2`.
+fn is_read2_to(s2: vrr::sim::ProcessId) -> impl Fn(&Envelope<Msg<u64>>) -> bool {
+    move |e| {
         e.to == s2
             && matches!(
                 e.msg,
@@ -165,23 +137,55 @@ where
                     ..
                 }
             )
-    });
-    world.run_to_quiescence(200_000);
-    world.release_held(|e| e.to == s2);
-    world.run_to_quiescence(200_000);
+    }
+}
+
+/// Runs the orchestrated schedule against `protocol`; returns the read's
+/// value if it completed.
+fn run_attack<P>(protocol: P) -> Option<Option<u64>>
+where
+    P: RegisterProtocol<u64, Msg = Msg<u64>>,
+{
+    let mut sc = stage(protocol);
+    let s2 = sc.object(2);
+
+    // Step 1: the read begins. m1 answers round 1 with the prediction;
+    // s3..s6 answer honestly. Without the conflict check the read advances
+    // to round 2 and s3, s4, s5, s6 bump their reader timestamps to 2;
+    // with the check, round 1 stalls (the predicted tuple accuses s3, s4).
+    let mut rd = sc.start_read(0);
+    sc.run_until_idle(200_000);
+
+    // Step 2: the concurrent write. PW reaches m1, m2, s2 (rows: empty)
+    // and s3, s4 (rows: whatever their tsr is — 2 in the mutant run,
+    // 1 in the real run). The writer assembles its tuple from exactly
+    // those five acks and sends W, which only s2 receives.
+    let mut wr = sc.start_write(V);
+    sc.run_until_idle(200_000);
+
+    // Step 3: s2 — now holding the genuine tuple — finally hears from the
+    // reader. In the mutant run that is the round-2 message (its round-1
+    // message arrives later, stale); s2's reply makes it the lone
+    // supporter of the predicted tuple. In the real run no round-2
+    // message exists yet; s2 answers round 1 with the genuine tuple,
+    // which eliminates the prediction and unblocks the quorum.
+    sc.world_mut().release_held(is_read2_to(s2));
+    sc.run_until_idle(200_000);
+    sc.world_mut().release_held(|e| e.to == s2);
+    sc.run_until_idle(200_000);
 
     // Step 4: asynchrony ends — every held message arrives (late PWs, the
     // W round to the rest). The write completes; nothing here re-answers
     // the reader's old requests.
-    world.adversary_mut().clear();
-    world.release_all();
-    world.run_to_quiescence(200_000);
+    sc.world_mut().adversary_mut().clear();
+    sc.release_all();
+    sc.run_until_idle(200_000);
 
     assert!(
-        protocol.write_outcome(&dep, &world, wr).is_some(),
+        sc.poll_write(&mut wr).is_some(),
         "the write must complete once messages flow"
     );
-    protocol.read_outcome(&dep, &world, 0, rd).map(|r| r.value)
+    sc.poll_read(&mut rd).map(|r| r.value)
 }
 
 #[test]
@@ -190,7 +194,7 @@ fn without_conflict_check_the_omniscient_attack_blocks_the_read() {
         conflict_check: false,
         ..SafeTuning::default()
     });
-    let outcome = run_attack(&mutant);
+    let outcome = run_attack(mutant);
     assert_eq!(
         outcome, None,
         "no conflict check: the predicted tuple must wedge the read \
@@ -200,7 +204,7 @@ fn without_conflict_check_the_omniscient_attack_blocks_the_read() {
 
 #[test]
 fn with_conflict_check_the_same_strategy_terminates() {
-    let outcome = run_attack(&SafeProtocol);
+    let outcome = run_attack(SafeProtocol);
     let value = outcome.expect("the real protocol must terminate under the same strategy");
     // The stalled round 1 keeps READ2 unsent, so s3/s4 never report reader
     // timestamp 2, the genuine tuple is born unpoisoned, the prediction
@@ -222,62 +226,35 @@ fn the_blocked_state_matches_lemma3_arithmetic() {
         conflict_check: false,
         ..SafeTuning::default()
     });
-    let cfg = StorageConfig::optimal(2, 2, 1);
-    let mut world: World<Msg<u64>> = World::new(1);
-    let dep = RegisterProtocol::<u64>::deploy(&mutant, cfg, &mut world);
-    world.start();
-    world.set_byzantine(dep.objects[0], m1());
-    world.set_byzantine(dep.objects[1], m2());
-    let (reader, s2) = (dep.readers[0], dep.objects[2]);
-    let (s3, s4, s5, s6) = (
-        dep.objects[3],
-        dep.objects[4],
-        dep.objects[5],
-        dep.objects[6],
-    );
-    world.adversary_mut().hold_link(reader, s2);
-    world
-        .adversary_mut()
-        .install("hold PW to bystanders", move |e| {
-            (matches!(e.msg, Msg::Pw { .. }) && (e.to == s5 || e.to == s6)).then_some(Action::Hold)
-        });
-    world.adversary_mut().install("hold W to s3..s6", move |e| {
-        (matches!(e.msg, Msg::W { .. }) && (e.to == s3 || e.to == s4 || e.to == s5 || e.to == s6))
-            .then_some(Action::Hold)
-    });
+    let mut sc = stage(mutant);
+    let (reader, s2) = (sc.reader(0), sc.object(2));
 
-    let _rd = RegisterProtocol::<u64>::invoke_read(&mutant, &dep, &mut world, 0);
-    world.run_to_quiescence(200_000);
-    let _wr = RegisterProtocol::<u64>::invoke_write(&mutant, &dep, &mut world, V);
-    world.run_to_quiescence(200_000);
+    sc.start_read(0);
+    sc.run_until_idle(200_000);
+    sc.start_write(V);
+    sc.run_until_idle(200_000);
 
     // The writer assembled exactly the predicted tuple.
-    world.inspect(dep.writer, |w: &vrr::core::Writer<u64>| {
-        assert_eq!(w.current_ts(), Timestamp(1));
-    });
+    sc.world()
+        .inspect(sc.writer(), |w: &vrr::core::Writer<u64>| {
+            assert_eq!(w.current_ts(), Timestamp(1));
+        });
     // s2 received the genuine W round and holds the predicted tuple.
-    world.release_held(|e| {
-        e.to == s2
-            && matches!(
-                e.msg,
-                Msg::Read {
-                    round: ReadRound::R2,
-                    ..
-                }
-            )
-    });
-    world.run_to_quiescence(200_000);
-    world.inspect(s2, |o: &vrr::core::safe::SafeObject<u64>| {
-        assert_eq!(*o.w(), predicted_tuple(), "the prediction came true");
-    });
+    sc.world_mut().release_held(is_read2_to(s2));
+    sc.run_until_idle(200_000);
+    sc.world()
+        .inspect(s2, |o: &vrr::core::safe::SafeObject<u64>| {
+            assert_eq!(*o.w(), predicted_tuple(), "the prediction came true");
+        });
     // The reader is stuck with one live candidate it can neither confirm
     // nor eliminate.
-    world.inspect(reader, |r: &vrr::core::safe::SafeReader<u64>| {
-        assert!(!r.is_idle(), "the read must still be in flight");
-        assert_eq!(
-            r.candidate_count(),
-            2,
-            "the prediction and w0 are both live"
-        );
-    });
+    sc.world()
+        .inspect(reader, |r: &vrr::core::safe::SafeReader<u64>| {
+            assert!(!r.is_idle(), "the read must still be in flight");
+            assert_eq!(
+                r.candidate_count(),
+                2,
+                "the prediction and w0 are both live"
+            );
+        });
 }

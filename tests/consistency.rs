@@ -3,7 +3,7 @@
 
 use vrr::checker::{check_regularity, check_safety};
 use vrr::core::safe::SafeTuning;
-use vrr::core::{ProtocolSpec, RegularProtocol, SafeProtocol, StorageConfig};
+use vrr::core::{ProtocolSpec, RegularProtocol, SafeProtocol, StorageConfig, StorageScenario};
 use vrr::sim::SimTime;
 use vrr::workload::{FaultPlan, LatencyKind, ScheduleParams, SimCase};
 
@@ -14,25 +14,23 @@ fn contended_run_holds_state_invariants_online() {
     use vrr::workload::{run_monitored, safe_object_monotonicity, InvariantMonitor};
 
     let cfg = StorageConfig::optimal(2, 1, 2);
-    let mut world: vrr::sim::World<vrr::core::Msg<u64>> = vrr::sim::World::new(31);
-    let dep = vrr::core::RegisterProtocol::<u64>::deploy(&SafeProtocol, cfg, &mut world);
-    world.start();
+    let mut sc = StorageScenario::deploy(SafeProtocol, cfg, 31);
 
     let mut monitor = InvariantMonitor::new();
     monitor.add(
         "safe-object monotonicity",
-        safe_object_monotonicity::<u64>(dep.objects.clone(), cfg.readers),
+        safe_object_monotonicity::<u64>(sc.dep().objects.clone(), cfg.readers),
     );
 
-    use vrr::core::RegisterProtocol as RP;
     for k in 1..=5u64 {
-        let w = RP::<u64>::invoke_write(&SafeProtocol, &dep, &mut world, k);
-        let r0 = RP::<u64>::invoke_read(&SafeProtocol, &dep, &mut world, 0);
-        let r1 = RP::<u64>::invoke_read(&SafeProtocol, &dep, &mut world, 1);
-        run_monitored(&mut world, &mut monitor, 200_000).unwrap_or_else(|v| panic!("k={k}: {v}"));
-        assert!(RP::<u64>::write_outcome(&SafeProtocol, &dep, &world, w).is_some());
-        assert!(RP::<u64>::read_outcome(&SafeProtocol, &dep, &world, 0, r0).is_some());
-        assert!(RP::<u64>::read_outcome(&SafeProtocol, &dep, &world, 1, r1).is_some());
+        let mut w = sc.start_write(k);
+        let mut r0 = sc.start_read(0);
+        let mut r1 = sc.start_read(1);
+        run_monitored(sc.world_mut(), &mut monitor, 200_000)
+            .unwrap_or_else(|v| panic!("k={k}: {v}"));
+        assert!(sc.poll_write(&mut w).is_some());
+        assert!(sc.poll_read(&mut r0).is_some());
+        assert!(sc.poll_read(&mut r1).is_some());
     }
 }
 
@@ -160,30 +158,26 @@ fn mutated_reader_is_caught_by_the_checker() {
 /// the previous value — new, then old.
 #[test]
 fn regular_storage_admits_new_old_inversions() {
-    use vrr::core::{Msg, RegisterProtocol, Writer};
-    use vrr::sim::World;
+    use vrr::core::Writer;
 
     let cfg = StorageConfig::optimal(1, 1, 2); // S = 4
-    let protocol = RegularProtocol::full();
-    let mut world: World<Msg<u64>> = World::new(4);
-    let dep = RegisterProtocol::<u64>::deploy(&protocol, cfg, &mut world);
-    world.start();
+    let mut sc = StorageScenario::deploy(RegularProtocol::full(), cfg, 4);
 
     // Write 1 completes everywhere.
-    vrr::core::run_write(&protocol, &dep, &mut world, 10u64);
-    world.run_to_quiescence(100_000);
+    sc.write(10u64);
+    sc.run_until_idle(100_000);
 
     // Write 2: the PW broadcast is already in flight when we install the
     // holds, so PW reaches everyone; the W round (sent later, when the PW
     // acks arrive) reaches only object 0.
-    let w2 = RegisterProtocol::<u64>::invoke_write(&protocol, &dep, &mut world, 20u64);
+    let mut w2 = sc.start_write(20u64);
     for i in 1..4 {
-        world.adversary_mut().hold_link(dep.writer, dep.objects[i]);
+        sc.hold_link(sc.writer(), sc.object(i));
     }
-    world.run_to_quiescence(100_000);
+    sc.run_until_idle(100_000);
     assert!(
-        world.inspect(
-            dep.objects[0],
+        sc.world().inspect(
+            sc.object(0),
             |o: &vrr::core::regular::RegularObject<u64>| {
                 o.history()
                     .get(vrr::core::Timestamp(2))
@@ -193,8 +187,9 @@ fn regular_storage_admits_new_old_inversions() {
         "object 0 must hold write 2's w-tuple"
     );
     assert!(
-        world.inspect(dep.writer, |w: &Writer<u64>| !w.is_idle())
-            && RegisterProtocol::<u64>::write_outcome(&protocol, &dep, &world, w2).is_none(),
+        sc.world()
+            .inspect(sc.writer(), |w: &Writer<u64>| !w.is_idle())
+            && sc.poll_write(&mut w2).is_none(),
         "write 2 must still be in flight"
     );
 
@@ -202,19 +197,15 @@ fn regular_storage_admits_new_old_inversions() {
     // Object 0 nominates w2; objects 1 and 2 corroborate via their pw
     // fields (they saw the PW round): safe(w2) holds, and with only two
     // non-confirmers invalid(w2) never fires — r1 returns 20.
-    world
-        .adversary_mut()
-        .hold_link(dep.readers[0], dep.objects[3]);
-    let r1 = vrr::core::run_read::<u64, _>(&protocol, &dep, &mut world, 0);
+    sc.hold_link(sc.reader(0), sc.object(3));
+    let r1 = sc.read(0);
     assert_eq!(r1.value, Some(20), "r1 must observe the in-flight write");
 
     // Read 2 (reader 1): quorum {1, 2, 3} (the link to object 0 is slow).
     // Nobody in the quorum has w2 in a w field — write 2 is not even a
     // candidate — so the highest candidate is w1: r2 returns 10.
-    world
-        .adversary_mut()
-        .hold_link(dep.readers[1], dep.objects[0]);
-    let r2 = vrr::core::run_read::<u64, _>(&protocol, &dep, &mut world, 1);
+    sc.hold_link(sc.reader(1), sc.object(0));
+    let r2 = sc.read(1);
     assert_eq!(
         r2.value,
         Some(10),

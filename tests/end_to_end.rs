@@ -2,39 +2,28 @@
 //! same workloads through the shared driver interface.
 
 use vrr::baselines::{masking_object_count, AbdProtocol, MaskingProtocol, PassiveProtocol};
-use vrr::core::{
-    run_read, run_write, RegisterProtocol, RegularProtocol, SafeProtocol, StorageConfig, Value,
-};
-use vrr::sim::World;
+use vrr::core::{RegisterProtocol, RegularProtocol, SafeProtocol, StorageConfig, StorageScenario};
 
 /// Writes 1..=n and reads after each write; checks freshness and rounds.
-fn write_read_cycle<V, P>(protocol: &P, cfg: StorageConfig, max_read_rounds: u32)
-where
-    V: Value + From<u64>,
-    P: RegisterProtocol<V>,
-{
-    let mut world: World<P::Msg> = World::new(99);
-    let dep = protocol.deploy(cfg, &mut world);
-    world.start();
+fn write_read_cycle<P: RegisterProtocol<u64>>(
+    protocol: P,
+    cfg: StorageConfig,
+    max_read_rounds: u32,
+) {
+    let name = protocol.name();
+    let mut sc = StorageScenario::deploy(protocol, cfg, 99);
 
     // Fresh register reads ⊥.
-    let r = run_read::<V, _>(protocol, &dep, &mut world, 0);
-    assert_eq!(
-        r.value,
-        None,
-        "{}: fresh register must read ⊥",
-        protocol.name()
-    );
+    assert_eq!(sc.read(0).value, None, "{name}: fresh register must read ⊥");
 
     for k in 1..=5u64 {
-        run_write(protocol, &dep, &mut world, V::from(k));
+        sc.write(k);
         for reader in 0..cfg.readers {
-            let r = run_read::<V, _>(protocol, &dep, &mut world, reader);
-            assert_eq!(r.value, Some(V::from(k)), "{}: stale read", protocol.name());
+            let r = sc.read(reader);
+            assert_eq!(r.value, Some(k), "{name}: stale read");
             assert!(
                 r.rounds <= max_read_rounds,
-                "{}: read took {} rounds (cap {max_read_rounds})",
-                protocol.name(),
+                "{name}: read took {} rounds (cap {max_read_rounds})",
                 r.rounds
             );
         }
@@ -44,7 +33,7 @@ where
 #[test]
 fn safe_protocol_cycles() {
     for (t, b) in [(1, 1), (2, 1), (2, 2), (3, 3)] {
-        write_read_cycle::<u64, _>(&SafeProtocol, StorageConfig::optimal(t, b, 2), 2);
+        write_read_cycle(SafeProtocol, StorageConfig::optimal(t, b, 2), 2);
     }
 }
 
@@ -52,7 +41,7 @@ fn safe_protocol_cycles() {
 fn regular_protocol_cycles() {
     for protocol in [RegularProtocol::full(), RegularProtocol::optimized()] {
         for (t, b) in [(1, 1), (2, 2)] {
-            write_read_cycle::<u64, _>(&protocol, StorageConfig::optimal(t, b, 2), 2);
+            write_read_cycle(protocol, StorageConfig::optimal(t, b, 2), 2);
         }
     }
 }
@@ -60,9 +49,9 @@ fn regular_protocol_cycles() {
 #[test]
 fn abd_cycles() {
     for t in [1, 2, 3] {
-        write_read_cycle::<u64, _>(&AbdProtocol::default(), StorageConfig::crash_only(t, 2), 1);
-        write_read_cycle::<u64, _>(
-            &AbdProtocol { atomic: true },
+        write_read_cycle(AbdProtocol::default(), StorageConfig::crash_only(t, 2), 1);
+        write_read_cycle(
+            AbdProtocol { atomic: true },
             StorageConfig::crash_only(t, 2),
             2,
         );
@@ -73,15 +62,15 @@ fn abd_cycles() {
 fn masking_cycles() {
     for (t, b) in [(1, 1), (2, 2)] {
         let cfg = StorageConfig::with_objects(masking_object_count(t, b), t, b, 2);
-        write_read_cycle::<u64, _>(&MaskingProtocol, cfg, 1);
+        write_read_cycle(MaskingProtocol, cfg, 1);
     }
 }
 
 #[test]
 fn passive_cycles() {
     for (t, b) in [(1, 1), (2, 1), (2, 2)] {
-        write_read_cycle::<u64, _>(
-            &PassiveProtocol,
+        write_read_cycle(
+            PassiveProtocol,
             StorageConfig::optimal(t, b, 2),
             (b + 1) as u32,
         );
@@ -92,48 +81,25 @@ fn passive_cycles() {
 fn string_values_work_end_to_end() {
     // The register is generic over value types; strings exercise owned data.
     let cfg = StorageConfig::optimal(1, 1, 1);
-    let mut world: World<vrr::core::Msg<String>> = World::new(3);
-    let dep = RegisterProtocol::<String>::deploy(&RegularProtocol::optimized(), cfg, &mut world);
-    world.start();
-    run_write(
-        &RegularProtocol::optimized(),
-        &dep,
-        &mut world,
-        "αβγ".to_string(),
-    );
-    let r = run_read::<String, _>(&RegularProtocol::optimized(), &dep, &mut world, 0);
-    assert_eq!(r.value.as_deref(), Some("αβγ"));
+    let mut sc = StorageScenario::deploy(RegularProtocol::optimized(), cfg, 3);
+    sc.write("αβγ".to_string());
+    assert_eq!(sc.read(0).value.as_deref(), Some("αβγ"));
 }
 
 #[test]
 fn crash_budget_is_honoured_by_all_byzantine_tolerant_protocols() {
     // Crash exactly t objects; every protocol must stay live and fresh.
-    let (t, b) = (2usize, 1usize);
-    let cfg = StorageConfig::optimal(t, b, 1);
-
-    let mut world: World<vrr::core::Msg<u64>> = World::new(5);
-    let dep = RegisterProtocol::<u64>::deploy(&SafeProtocol, cfg, &mut world);
-    world.start();
-    for i in 0..t {
-        world.crash(dep.objects[i]);
+    fn crashed_cycle<P: RegisterProtocol<u64>>(protocol: P, cfg: StorageConfig) {
+        let mut sc = StorageScenario::deploy(protocol, cfg, 5);
+        for i in 0..cfg.t {
+            sc.crash_object(i);
+        }
+        sc.write(11u64);
+        assert_eq!(sc.read(0).value, Some(11));
     }
-    run_write(&SafeProtocol, &dep, &mut world, 11u64);
-    assert_eq!(
-        run_read::<u64, _>(&SafeProtocol, &dep, &mut world, 0).value,
-        Some(11)
-    );
-
-    let mut world: World<vrr::baselines::LiteMsg<u64>> = World::new(5);
-    let dep = RegisterProtocol::<u64>::deploy(&PassiveProtocol, cfg, &mut world);
-    world.start();
-    for i in 0..t {
-        world.crash(dep.objects[i]);
-    }
-    run_write(&PassiveProtocol, &dep, &mut world, 11u64);
-    assert_eq!(
-        run_read::<u64, _>(&PassiveProtocol, &dep, &mut world, 0).value,
-        Some(11)
-    );
+    let cfg = StorageConfig::optimal(2, 1, 1);
+    crashed_cycle(SafeProtocol, cfg);
+    crashed_cycle(PassiveProtocol, cfg);
 }
 
 #[test]
@@ -141,15 +107,12 @@ fn interleaved_readers_observe_monotone_timestamps() {
     // Reads by different readers, interleaved with writes, must never see
     // the register "go backwards" when each read is isolated from writes.
     let cfg = StorageConfig::optimal(2, 1, 3);
-    let mut world: World<vrr::core::Msg<u64>> = World::new(8);
-    let dep = RegisterProtocol::<u64>::deploy(&RegularProtocol::full(), cfg, &mut world);
-    world.start();
+    let mut sc = StorageScenario::deploy(RegularProtocol::full(), cfg, 8);
 
     let mut last_ts = vrr::core::Timestamp::ZERO;
     for k in 1..=6u64 {
-        run_write(&RegularProtocol::full(), &dep, &mut world, k);
-        let reader = (k % 3) as usize;
-        let r = run_read::<u64, _>(&RegularProtocol::full(), &dep, &mut world, reader);
+        sc.write(k);
+        let r = sc.read((k % 3) as usize);
         assert!(
             r.ts >= last_ts,
             "timestamp regressed: {:?} < {last_ts:?}",

@@ -19,7 +19,7 @@
 
 use vrr::baselines::{AbdProtocol, LiteMsg, LiteObject, PassiveProtocol};
 use vrr::checker::{check_safety, OpHistory};
-use vrr::core::{RegisterProtocol, SafeProtocol, StorageConfig, StorageScenario, Timestamp, TsVal};
+use vrr::core::{SafeProtocol, StorageConfig, StorageScenario, Timestamp, TsVal};
 use vrr::sim::Tamper;
 
 /// `B2` (object 3) forges σ2: replies as if write #1 of 42 had completed.
@@ -76,11 +76,10 @@ fn the_same_schedule_cannot_fool_the_papers_two_round_read() {
     // While T2's replies are in transit the reader cannot tell the liar's
     // candidate from a concurrent write it missed — so it REFUSES TO
     // ANSWER rather than guess (contrast ABD above, which guessed wrong).
-    let dep = sc.dep().clone();
-    let op = RegisterProtocol::<u64>::invoke_read(&SafeProtocol, &dep, sc.world_mut(), 0);
+    let mut op = sc.start_read(0);
     sc.run_until_idle(200_000);
     assert!(
-        RegisterProtocol::<u64>::read_outcome(&SafeProtocol, &dep, sc.world(), 0, op).is_none(),
+        sc.poll_read(&mut op).is_none(),
         "the safe reader must wait, not guess"
     );
 
@@ -89,8 +88,7 @@ fn the_same_schedule_cannot_fool_the_papers_two_round_read() {
     sc.remove_rule(slow);
     sc.release_all();
     sc.run_until_idle(200_000);
-    let rep = RegisterProtocol::<u64>::read_outcome(&SafeProtocol, &dep, sc.world(), 0, op)
-        .expect("completes once messages flow");
+    let rep = sc.poll_read(&mut op).expect("completes once messages flow");
     assert_eq!(
         rep.value, None,
         "the forged candidate never reaches b+1 support"

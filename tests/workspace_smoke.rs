@@ -4,10 +4,7 @@
 //! fault-free world. Runs in milliseconds; if this file stops compiling,
 //! a re-export in `src/lib.rs` or a crate manifest broke.
 
-use vrr::core::{
-    run_read, run_write, RegisterProtocol, RegularProtocol, SafeProtocol, StorageConfig,
-};
-use vrr::sim::World;
+use vrr::core::{RegularProtocol, SafeProtocol, StorageConfig, StorageScenario};
 
 #[test]
 fn optimal_config_is_2t_plus_b_plus_1() {
@@ -26,11 +23,9 @@ fn optimal_config_is_2t_plus_b_plus_1() {
 fn safe_read_completes_in_two_rounds_fault_free() {
     for (t, b) in [(1, 1), (2, 1), (2, 2)] {
         let cfg = StorageConfig::optimal(t, b, 1);
-        let mut world = World::new(7);
-        let dep = RegisterProtocol::<u64>::deploy(&SafeProtocol, cfg, &mut world);
-        world.start();
-        run_write(&SafeProtocol, &dep, &mut world, 42u64);
-        let r = run_read::<u64, _>(&SafeProtocol, &dep, &mut world, 0);
+        let mut sc = StorageScenario::deploy(SafeProtocol, cfg, 7);
+        sc.write(42u64);
+        let r = sc.read(0);
         assert_eq!(r.value, Some(42), "safe read must return the written value");
         assert!(
             r.rounds <= 2,
@@ -45,11 +40,9 @@ fn regular_read_completes_in_two_rounds_fault_free() {
     for protocol in [RegularProtocol::full(), RegularProtocol::optimized()] {
         for (t, b) in [(1, 1), (2, 2)] {
             let cfg = StorageConfig::optimal(t, b, 1);
-            let mut world = World::new(11);
-            let dep = protocol.deploy(cfg, &mut world);
-            world.start();
-            run_write(&protocol, &dep, &mut world, 7u64);
-            let r = run_read::<u64, _>(&protocol, &dep, &mut world, 0);
+            let mut sc = StorageScenario::deploy(protocol, cfg, 11);
+            sc.write(7u64);
+            let r = sc.read(0);
             assert_eq!(
                 r.value,
                 Some(7),
