@@ -48,34 +48,28 @@ pub fn serial_forger<V: Value>(lie_from_nonce: u64, fake: V) -> Box<dyn Automato
 /// per-reply *fresh* timestamp, never repeating a claim.
 pub fn restless_forger<V: Value>(fake: V) -> Box<dyn Automaton<LiteMsg<V>>> {
     let mut counter = 0u64;
-    Box::new(Tamper::new(LiteObject::<V>::new(), move |to, msg| {
-        let msg = match msg {
+    Box::new(Tamper::rewriting(
+        LiteObject::<V>::new(),
+        move |msg| match msg {
             LiteMsg::ReadAck { nonce, pw, .. } => {
                 counter += 1;
-                LiteMsg::ReadAck {
-                    nonce,
-                    pw,
-                    w: TsVal::new(Timestamp(FORGE_BASE + counter), fake.clone()),
-                }
+                let w = TsVal::new(Timestamp(FORGE_BASE + counter), fake.clone());
+                LiteMsg::ReadAck { nonce, pw, w }
             }
             other => other,
-        };
-        vec![(to, msg)]
-    }))
+        },
+    ))
 }
 
 /// An object that denies all writes, always reporting `⟨0, ⊥⟩`.
 pub fn denier<V: Value>() -> Box<dyn Automaton<LiteMsg<V>>> {
-    Box::new(Tamper::new(LiteObject::<V>::new(), move |to, msg| {
-        let msg = match msg {
-            LiteMsg::ReadAck { nonce, .. } => LiteMsg::ReadAck {
-                nonce,
-                pw: TsVal::bottom(),
-                w: TsVal::bottom(),
-            },
-            other => other,
-        };
-        vec![(to, msg)]
+    Box::new(Tamper::rewriting(LiteObject::<V>::new(), |msg| match msg {
+        LiteMsg::ReadAck { nonce, .. } => LiteMsg::ReadAck {
+            nonce,
+            pw: TsVal::bottom(),
+            w: TsVal::bottom(),
+        },
+        other => other,
     }))
 }
 

@@ -13,8 +13,8 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use vrr_core::attackers::AttackerKind;
-use vrr_core::regular::{HistoryRetention, RegularTuning};
-use vrr_core::StorageConfig;
+use vrr_core::regular::HistoryRetention;
+use vrr_core::{ReaderTuning, StorageConfig};
 use vrr_runtime::{NoDelay, ProtocolKind, ProtocolSpec, StorageCluster};
 
 fn bench_protocol_variants(c: &mut Criterion) {
@@ -64,9 +64,9 @@ fn bench_protocol_variants(c: &mut Criterion) {
         ProtocolSpec::Regular {
             optimized: true,
             retention: HistoryRetention::KeepAll,
-            tuning: RegularTuning {
+            tuning: ReaderTuning {
                 fast_threshold: Some(usize::MAX),
-                ..RegularTuning::default()
+                ..ReaderTuning::default()
             },
         },
         Box::new(NoDelay),

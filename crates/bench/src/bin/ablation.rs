@@ -21,13 +21,13 @@
 use vrr_bench::Table;
 use vrr_core::attackers::AttackerKind;
 use vrr_core::regular::HistoryRetention;
-use vrr_core::safe::SafeTuning;
 use vrr_core::{
-    ProtocolSpec, RegisterProtocol, RegularProtocol, SafeProtocol, StorageConfig, StorageScenario,
+    ProtocolSpec, ReaderTuning, RegisterProtocol, RegularProtocol, SafeProtocol, StorageConfig,
+    StorageScenario,
 };
 
 /// One write + one read under `attacked`; reports (value ok?, rounds).
-fn probe_mutant(tuning: SafeTuning, attacked: bool) -> (bool, u32, bool) {
+fn probe_mutant(tuning: ReaderTuning, attacked: bool) -> (bool, u32, bool) {
     let cfg = StorageConfig::optimal(2, 2, 1); // S = 7
     let mut sc = StorageScenario::deploy(ProtocolSpec::Safe(tuning), cfg, 21);
     if attacked {
@@ -68,34 +68,34 @@ fn read_cost<P: RegisterProtocol<u64>>(protocol: P, cfg: StorageConfig) -> (u64,
 
 fn main() {
     // ---- Part A: one mechanism at a time.
-    let cases: Vec<(&str, SafeTuning)> = vec![
-        ("full protocol (Figure 4)", SafeTuning::default()),
+    let cases: Vec<(&str, ReaderTuning)> = vec![
+        ("full protocol (Figure 4)", ReaderTuning::default()),
         (
             "no second round",
-            SafeTuning {
+            ReaderTuning {
                 skip_round2: true,
-                ..SafeTuning::default()
+                ..ReaderTuning::default()
             },
         ),
         (
             "safe(c) at 1 confirmation",
-            SafeTuning {
+            ReaderTuning {
                 safe_threshold: Some(1),
-                ..SafeTuning::default()
+                ..ReaderTuning::default()
             },
         ),
         (
             "eliminate at 2 reports",
-            SafeTuning {
+            ReaderTuning {
                 elim_threshold: Some(2),
-                ..SafeTuning::default()
+                ..ReaderTuning::default()
             },
         ),
         (
             "no conflict filter",
-            SafeTuning {
+            ReaderTuning {
                 conflict_check: false,
-                ..SafeTuning::default()
+                ..ReaderTuning::default()
             },
         ),
     ];

@@ -27,7 +27,7 @@
 
 use vrr_bench::Table;
 use vrr_checker::check_regularity;
-use vrr_core::attackers::{stale_safe_object, AttackerKind};
+use vrr_core::attackers::AttackerKind;
 use vrr_core::{RegularProtocol, SafeProtocol, StorageConfig, StorageScenario};
 use vrr_sim::SimTime;
 use vrr_workload::{FaultPlan, LatencyKind, ScheduleParams, SimCase};
@@ -44,7 +44,7 @@ fn run_boundary_attack(s: usize, t: usize, b: usize) -> Outcome {
 
     // Deniers: objects 0..b. They ack writes but report σ0 to readers.
     for i in 0..b {
-        sc.byzantine_object(i, stale_safe_object::<u64>());
+        sc.attack_object(i, AttackerKind::Stale, 0);
     }
     // Set B: the t correct objects the write reaches but the reader won't.
     let set_b: Vec<_> = (b..b + t).map(|i| sc.object(i)).collect();

@@ -15,8 +15,7 @@
 
 use vrr_bench::Table;
 use vrr_checker::check_safety;
-use vrr_core::safe::SafeTuning;
-use vrr_core::{ProtocolSpec, SafeProtocol, StorageConfig};
+use vrr_core::{ProtocolSpec, ReaderTuning, SafeProtocol, StorageConfig};
 use vrr_workload::{grid, FaultPlan, LatencyKind, ScheduleParams, SimCase};
 
 fn main() {
@@ -80,54 +79,54 @@ fn main() {
     // *about to* assemble — the adversary needs hindsight no reactive
     // attacker has. Its row documents the expectation instead of asserting
     // a catch; every safety-relevant mutation must be caught.
-    let mutations: Vec<(&str, SafeTuning, bool)> = vec![
+    let mutations: Vec<(&str, ReaderTuning, bool)> = vec![
         (
             "safe threshold b (not b+1)",
-            SafeTuning {
+            ReaderTuning {
                 safe_threshold: Some(1),
-                ..SafeTuning::default()
+                ..ReaderTuning::default()
             },
             true,
         ),
         (
             "eliminate at b+1 (not t+b+1)",
-            SafeTuning {
+            ReaderTuning {
                 elim_threshold: Some(2),
-                ..SafeTuning::default()
+                ..ReaderTuning::default()
             },
             true,
         ),
         (
             "skip round 2 (fast read)",
-            SafeTuning {
+            ReaderTuning {
                 skip_round2: true,
-                ..SafeTuning::default()
+                ..ReaderTuning::default()
             },
             true,
         ),
         (
             "no conflict check (liveness-only; Lemma 3 case 2.b)",
-            SafeTuning {
+            ReaderTuning {
                 conflict_check: false,
-                ..SafeTuning::default()
+                ..ReaderTuning::default()
             },
             false,
         ),
         (
             "no conflict check + weak safe",
-            SafeTuning {
+            ReaderTuning {
                 conflict_check: false,
                 safe_threshold: Some(1),
-                ..SafeTuning::default()
+                ..ReaderTuning::default()
             },
             true,
         ),
         (
             "fast read + weak safe",
-            SafeTuning {
+            ReaderTuning {
                 skip_round2: true,
                 safe_threshold: Some(1),
-                ..SafeTuning::default()
+                ..ReaderTuning::default()
             },
             true,
         ),

@@ -13,8 +13,8 @@
 
 use vrr_bench::Table;
 use vrr_checker::{check_atomicity, check_regularity};
-use vrr_core::regular::{HistoryRetention, RegularTuning};
-use vrr_core::{ProtocolSpec, RegularProtocol, StorageConfig};
+use vrr_core::regular::HistoryRetention;
+use vrr_core::{ProtocolSpec, ReaderTuning, RegularProtocol, StorageConfig};
 use vrr_workload::{grid, FaultPlan, LatencyKind, ScheduleParams, SimCase};
 
 fn main() {
@@ -84,34 +84,34 @@ fn main() {
     );
 
     // ---- Mutation tests for the regular reader.
-    let mutations: Vec<(&str, RegularTuning)> = vec![
+    let mutations: Vec<(&str, ReaderTuning)> = vec![
         (
             "safe threshold 1 (not b+1)",
-            RegularTuning {
+            ReaderTuning {
                 safe_threshold: Some(1),
-                ..RegularTuning::default()
+                ..ReaderTuning::default()
             },
         ),
         (
             "invalidate at 2 (not t+b+1)",
-            RegularTuning {
-                invalid_threshold: Some(2),
-                ..RegularTuning::default()
+            ReaderTuning {
+                elim_threshold: Some(2),
+                ..ReaderTuning::default()
             },
         ),
         (
             "skip round 2 (fast read)",
-            RegularTuning {
+            ReaderTuning {
                 skip_round2: true,
-                ..RegularTuning::default()
+                ..ReaderTuning::default()
             },
         ),
         (
             "fast read + weak safe",
-            RegularTuning {
+            ReaderTuning {
                 skip_round2: true,
                 safe_threshold: Some(1),
-                ..RegularTuning::default()
+                ..ReaderTuning::default()
             },
         ),
     ];

@@ -23,11 +23,12 @@ use vrr_sim::{Automaton, Context, ProcessId, World};
 
 use crate::config::StorageConfig;
 use crate::group::{spawn_group, Deployment, GroupRole, ProtocolKind};
-use crate::harness::{ReadReport, RegisterProtocol, WriteReport};
+use crate::harness::RegisterProtocol;
 use crate::msg::Msg;
+use crate::reader::{ReadId, ReadReport};
 use crate::regular::RegularReader;
-use crate::safe::{ReadId, ReadOutcome};
 use crate::types::{Timestamp, TsVal, Value, WTuple};
+use crate::writer::WriteReport;
 
 #[derive(Clone, Debug)]
 enum AtomicPhase<V> {
@@ -45,13 +46,13 @@ enum AtomicPhase<V> {
 /// A reader providing atomic (linearizable) semantics: the §5 regular read
 /// plus a write-back round (extension; see the module docs).
 #[derive(Clone, Debug)]
-pub struct AtomicReader<V> {
+pub struct AtomicReader<V: Value> {
     cfg: StorageConfig,
     objects: Vec<ProcessId>,
     object_index: HashMap<ProcessId, usize>,
     inner: RegularReader<V>,
     op: Option<(ReadId, AtomicPhase<V>)>,
-    outcomes: HashMap<ReadId, ReadOutcome<V>>,
+    outcomes: HashMap<ReadId, ReadReport<V>>,
     next_id: u64,
 }
 
@@ -89,7 +90,7 @@ impl<V: Value> AtomicReader<V> {
     }
 
     /// The outcome of read `id`, if complete.
-    pub fn outcome(&self, id: ReadId) -> Option<&ReadOutcome<V>> {
+    pub fn outcome(&self, id: ReadId) -> Option<&ReadReport<V>> {
         self.outcomes.get(&id)
     }
 
@@ -110,15 +111,7 @@ impl<V: Value> AtomicReader<V> {
         if inner_outcome.ts == Timestamp::ZERO {
             // Nothing written yet: ⊥ needs no write-back (it is the initial
             // state of every correct object already).
-            self.outcomes.insert(
-                id,
-                ReadOutcome {
-                    value: None,
-                    ts: Timestamp::ZERO,
-                    rounds: inner_outcome.rounds,
-                    fast: inner_outcome.fast,
-                },
-            );
+            self.outcomes.insert(id, inner_outcome);
             self.op = None;
             return;
         }
@@ -172,7 +165,7 @@ impl<V: Value> Automaton<Msg<V>> for AtomicReader<V> {
                     let rounds = *base_rounds + 1; // regular rounds + write-back
                     self.outcomes.insert(
                         id,
-                        ReadOutcome {
+                        ReadReport {
                             value: chosen.tsval.value.clone(),
                             ts: chosen.ts(),
                             rounds,
@@ -248,12 +241,7 @@ impl<V: Value> RegisterProtocol<V> for AtomicProtocol {
         op: u64,
     ) -> Option<ReadReport<V>> {
         world.inspect(dep.readers[reader], |r: &AtomicReader<V>| {
-            r.outcome(ReadId(op)).map(|o| ReadReport {
-                value: o.value.clone(),
-                ts: o.ts,
-                rounds: o.rounds,
-                fast: o.fast,
-            })
+            r.outcome(ReadId(op)).cloned()
         })
     }
 }

@@ -1,12 +1,13 @@
 //! Protocol-aware Byzantine object behaviours.
 //!
 //! The paper's malicious objects "can perform arbitrary actions" (§2.1).
-//! These constructors realize the attack strategies its proofs reason
-//! about: inflating timestamps to fabricate phantom writes, forging
-//! `tsrarray` entries to provoke reader-side conflicts, replaying stale
-//! state, and equivocating between answers. Each attacker passes writer
-//! traffic through an honest object underneath, so the system's liveness
-//! assumptions (`≤ b` malicious) stay analyzable.
+//! The catalogue realizes the attack strategies its proofs reason about:
+//! inflating timestamps to fabricate phantom writes, forging `tsrarray`
+//! entries to provoke reader-side conflicts, replaying stale state, and
+//! equivocating between answers. Every attacker is an honest object whose
+//! *read replies* are rewritten ([`Tamper::rewriting`]): writer traffic
+//! passes through untouched, so the system's liveness assumptions
+//! (`≤ b` malicious) stay analyzable.
 
 use std::collections::BTreeMap;
 
@@ -16,7 +17,7 @@ use crate::config::StorageConfig;
 use crate::msg::Msg;
 use crate::regular::RegularObject;
 use crate::safe::SafeObject;
-use crate::types::{HistEntry, Timestamp, TsVal, TsrMatrix, Value, WTuple};
+use crate::types::{HistEntry, History, Timestamp, TsVal, TsrMatrix, Value, WTuple};
 
 /// A forged timestamp far above anything the writer will issue in an
 /// experiment.
@@ -27,18 +28,32 @@ const FORGED_TS: Timestamp = Timestamp(u64::MAX / 2);
 pub enum AttackerKind {
     /// Receives everything, replies to nothing.
     Mute,
-    /// Answers reads with a phantom value at an enormous timestamp.
+    /// Answers reads with a phantom value at an enormous timestamp (safe:
+    /// as its `pw`/`w` state; regular: spliced into every reported
+    /// history). The reader's `safe(c)` starves the phantom of the `b + 1`
+    /// confirmations it would need and elimination eventually removes it —
+    /// the read stays correct and 2-round.
     Inflator,
-    /// Forges `tsrarray` entries accusing every object of future reader
-    /// timestamps, provoking `conflict` in the readers' first round.
+    /// The [`AttackerKind::Inflator`]'s phantom with a `tsrarray` accusing
+    /// every object of future reader timestamps, provoking `conflict` in
+    /// the readers' first round. Lemma 1 says correct objects never
+    /// conflict; the conflict graph isolates this attacker, and its
+    /// candidate dies by elimination — at the cost of a short delay in
+    /// round 1, never of correctness.
     Conflicter,
-    /// Always replies with the initial state `σ0`, denying every write.
+    /// Always replies with the initial state `σ0`, denying every write
+    /// (the run5 move of Figure 1 in reverse).
     Stale,
-    /// Alternates between a phantom value and honest answers.
+    /// Alternates between a phantom value and honest answers, trying to
+    /// feed the two read rounds inconsistent views.
     Equivocator,
     /// Lies about history suffixes: answers every read with an *empty*
     /// history, as if garbage collection had already discarded everything
-    /// the reader asked for. (Against the safe protocol, which has no
+    /// the reader asked for (including entries the reader's own acks can
+    /// not possibly have released). An object reporting no entry at a
+    /// candidate's position merely counts toward `invalid(c)`, never
+    /// toward `safe(c)`, so it can neither confirm phantoms nor starve a
+    /// genuine candidate. (Against the safe protocol, which has no
     /// histories, this degenerates to [`AttackerKind::Stale`].)
     Truncator,
 }
@@ -58,10 +73,26 @@ impl AttackerKind {
     pub fn build_safe<V: Value>(self, cfg: StorageConfig, forged: V) -> Box<dyn Automaton<Msg<V>>> {
         match self {
             AttackerKind::Mute => Box::new(vrr_sim::Mute),
-            AttackerKind::Inflator => inflating_safe_object(forged),
-            AttackerKind::Conflicter => conflicting_safe_object(cfg, forged),
-            AttackerKind::Stale | AttackerKind::Truncator => stale_safe_object(),
-            AttackerKind::Equivocator => equivocating_safe_object(forged),
+            AttackerKind::Inflator => {
+                lying_safe_object(move |_, _| phantom(&forged, TsrMatrix::empty()))
+            }
+            AttackerKind::Conflicter => {
+                lying_safe_object(move |_, _| phantom(&forged, accusing_matrix(cfg)))
+            }
+            AttackerKind::Stale | AttackerKind::Truncator => {
+                lying_safe_object(|_, _| (TsVal::bottom(), WTuple::initial()))
+            }
+            AttackerKind::Equivocator => {
+                let mut flip = false;
+                lying_safe_object(move |pw, w| {
+                    flip = !flip;
+                    if flip {
+                        phantom(&forged, TsrMatrix::empty())
+                    } else {
+                        (pw, w)
+                    }
+                })
+            }
         }
     }
 
@@ -73,17 +104,73 @@ impl AttackerKind {
     ) -> Box<dyn Automaton<Msg<V>>> {
         match self {
             AttackerKind::Mute => Box::new(vrr_sim::Mute),
-            AttackerKind::Inflator => inflating_regular_object(forged),
-            AttackerKind::Conflicter => conflicting_regular_object(cfg, forged),
-            AttackerKind::Stale => stale_regular_object(),
-            AttackerKind::Equivocator => equivocating_regular_object(forged),
-            AttackerKind::Truncator => truncating_regular_object(),
+            AttackerKind::Inflator => {
+                lying_regular_object(move |h| splice(h, &forged, TsrMatrix::empty()))
+            }
+            AttackerKind::Conflicter => {
+                lying_regular_object(move |h| splice(h, &forged, accusing_matrix(cfg)))
+            }
+            AttackerKind::Stale => lying_regular_object(|_| History::initial()),
+            AttackerKind::Truncator => lying_regular_object(|_| History::empty()),
+            AttackerKind::Equivocator => {
+                let mut flip = false;
+                lying_regular_object(move |h| {
+                    flip = !flip;
+                    if flip {
+                        splice(h, &forged, TsrMatrix::empty())
+                    } else {
+                        h
+                    }
+                })
+            }
         }
     }
 }
 
-fn forged_tsval<V: Value>(forged: V) -> TsVal<V> {
-    TsVal::new(FORGED_TS, forged)
+/// An honest safe object whose every `READk_ACK` reports `lie(pw, w)`.
+fn lying_safe_object<V: Value>(
+    mut lie: impl FnMut(TsVal<V>, WTuple<V>) -> (TsVal<V>, WTuple<V>) + Send + 'static,
+) -> Box<dyn Automaton<Msg<V>>> {
+    let object = SafeObject::<V>::new();
+    Box::new(Tamper::rewriting(object, move |msg| match msg {
+        Msg::ReadAckSafe { round, tsr, pw, w } => {
+            let (pw, w) = lie(pw, w);
+            Msg::ReadAckSafe { round, tsr, pw, w }
+        }
+        other => other,
+    }))
+}
+
+/// An honest regular object whose every `READk_ACK` reports `lie(history)`.
+fn lying_regular_object<V: Value>(
+    mut lie: impl FnMut(History<V>) -> History<V> + Send + 'static,
+) -> Box<dyn Automaton<Msg<V>>> {
+    let object = RegularObject::<V>::new();
+    Box::new(Tamper::rewriting(object, move |msg| match msg {
+        Msg::ReadAckRegular {
+            round,
+            tsr,
+            history,
+        } => Msg::ReadAckRegular {
+            round,
+            tsr,
+            history: lie(history),
+        },
+        other => other,
+    }))
+}
+
+/// The `⟨pw, w⟩` state of a phantom write of `forged` at [`FORGED_TS`].
+fn phantom<V: Value>(forged: &V, matrix: TsrMatrix) -> (TsVal<V>, WTuple<V>) {
+    let tsval = TsVal::new(FORGED_TS, forged.clone());
+    (tsval.clone(), WTuple::new(tsval, matrix))
+}
+
+/// `history` with the phantom write spliced in.
+fn splice<V: Value>(mut history: History<V>, forged: &V, matrix: TsrMatrix) -> History<V> {
+    let (pw, w) = phantom(forged, matrix);
+    history.insert(FORGED_TS, HistEntry { pw, w: Some(w) });
+    history
 }
 
 /// A matrix accusing every object of having reported reader timestamps far
@@ -95,229 +182,6 @@ fn accusing_matrix(cfg: StorageConfig) -> TsrMatrix {
         m.set_row(i, row);
     }
     m
-}
-
-/// Safe-protocol attacker: read replies carry a phantom high-timestamp pair.
-///
-/// The reader's `safe(c)` predicate starves it of the `b + 1` confirmations
-/// it would need, and `RespondedWO` eventually eliminates it (Figure 4
-/// lines 27–28) — the read stays correct and 2-round.
-pub fn inflating_safe_object<V: Value>(forged: V) -> Box<dyn Automaton<Msg<V>>> {
-    Box::new(Tamper::new(SafeObject::<V>::new(), move |to, msg| {
-        let msg = match msg {
-            Msg::ReadAckSafe { round, tsr, .. } => Msg::ReadAckSafe {
-                round,
-                tsr,
-                pw: forged_tsval(forged.clone()),
-                w: WTuple::new(forged_tsval(forged.clone()), TsrMatrix::empty()),
-            },
-            other => other,
-        };
-        vec![(to, msg)]
-    }))
-}
-
-/// Safe-protocol attacker: phantom candidate whose matrix accuses every
-/// object of future reader timestamps, provoking round-1 conflicts.
-///
-/// Lemma 1 says correct objects never conflict; the conflict graph isolates
-/// this attacker, and its candidate dies by elimination — at the cost of a
-/// short delay in round 1, never of correctness.
-pub fn conflicting_safe_object<V: Value>(
-    cfg: StorageConfig,
-    forged: V,
-) -> Box<dyn Automaton<Msg<V>>> {
-    Box::new(Tamper::new(SafeObject::<V>::new(), move |to, msg| {
-        let msg = match msg {
-            Msg::ReadAckSafe { round, tsr, .. } => Msg::ReadAckSafe {
-                round,
-                tsr,
-                pw: forged_tsval(forged.clone()),
-                w: WTuple::new(forged_tsval(forged.clone()), accusing_matrix(cfg)),
-            },
-            other => other,
-        };
-        vec![(to, msg)]
-    }))
-}
-
-/// Safe-protocol attacker: answers every read with the initial state `σ0`,
-/// pretending no write ever happened (the run5 move of Figure 1 in
-/// reverse).
-pub fn stale_safe_object<V: Value>() -> Box<dyn Automaton<Msg<V>>> {
-    Box::new(Tamper::new(SafeObject::<V>::new(), move |to, msg| {
-        let msg = match msg {
-            Msg::ReadAckSafe { round, tsr, .. } => Msg::ReadAckSafe {
-                round,
-                tsr,
-                pw: TsVal::bottom(),
-                w: WTuple::initial(),
-            },
-            other => other,
-        };
-        vec![(to, msg)]
-    }))
-}
-
-/// Safe-protocol attacker: alternates phantom and honest answers, trying to
-/// feed the two read rounds inconsistent views.
-pub fn equivocating_safe_object<V: Value>(forged: V) -> Box<dyn Automaton<Msg<V>>> {
-    let mut flip = false;
-    Box::new(Tamper::new(SafeObject::<V>::new(), move |to, msg| {
-        let msg = match msg {
-            Msg::ReadAckSafe { round, tsr, pw, w } => {
-                flip = !flip;
-                if flip {
-                    Msg::ReadAckSafe {
-                        round,
-                        tsr,
-                        pw: forged_tsval(forged.clone()),
-                        w: WTuple::new(forged_tsval(forged.clone()), TsrMatrix::empty()),
-                    }
-                } else {
-                    Msg::ReadAckSafe { round, tsr, pw, w }
-                }
-            }
-            other => other,
-        };
-        vec![(to, msg)]
-    }))
-}
-
-fn forged_history_entry<V: Value>(forged: V) -> (Timestamp, HistEntry<V>) {
-    let tsval = forged_tsval(forged);
-    (
-        FORGED_TS,
-        HistEntry {
-            pw: tsval.clone(),
-            w: Some(WTuple::new(tsval, TsrMatrix::empty())),
-        },
-    )
-}
-
-/// Regular-protocol attacker: splices a phantom entry at an enormous
-/// timestamp into every reported history.
-pub fn inflating_regular_object<V: Value>(forged: V) -> Box<dyn Automaton<Msg<V>>> {
-    Box::new(Tamper::new(RegularObject::<V>::new(), move |to, msg| {
-        let msg = match msg {
-            Msg::ReadAckRegular {
-                round,
-                tsr,
-                mut history,
-            } => {
-                let (ts, e) = forged_history_entry(forged.clone());
-                history.insert(ts, e);
-                Msg::ReadAckRegular {
-                    round,
-                    tsr,
-                    history,
-                }
-            }
-            other => other,
-        };
-        vec![(to, msg)]
-    }))
-}
-
-/// Regular-protocol attacker: phantom entry with an accusing matrix
-/// (the regular-protocol twin of [`conflicting_safe_object`]).
-pub fn conflicting_regular_object<V: Value>(
-    cfg: StorageConfig,
-    forged: V,
-) -> Box<dyn Automaton<Msg<V>>> {
-    Box::new(Tamper::new(RegularObject::<V>::new(), move |to, msg| {
-        let msg = match msg {
-            Msg::ReadAckRegular {
-                round,
-                tsr,
-                mut history,
-            } => {
-                let tsval = forged_tsval(forged.clone());
-                history.insert(
-                    FORGED_TS,
-                    HistEntry {
-                        pw: tsval.clone(),
-                        w: Some(WTuple::new(tsval, accusing_matrix(cfg))),
-                    },
-                );
-                Msg::ReadAckRegular {
-                    round,
-                    tsr,
-                    history,
-                }
-            }
-            other => other,
-        };
-        vec![(to, msg)]
-    }))
-}
-
-/// Regular-protocol attacker: lies about suffixes — every read ACK claims
-/// an *empty* history, as if ack-driven GC had already truncated every
-/// entry the reader asked about (including entries the reader's own acks
-/// can not possibly have released).
-///
-/// Correct readers absorb this: an object reporting no entry at a
-/// candidate's position merely counts toward `invalid(c)`, never toward
-/// `safe(c)`, so the attacker can neither confirm phantoms nor starve a
-/// genuine candidate of its `b + 1` confirmations from correct objects
-/// (which retain everything at or above the true ack floor minus the
-/// window).
-pub fn truncating_regular_object<V: Value>() -> Box<dyn Automaton<Msg<V>>> {
-    Box::new(Tamper::new(RegularObject::<V>::new(), move |to, msg| {
-        let msg = match msg {
-            Msg::ReadAckRegular { round, tsr, .. } => Msg::ReadAckRegular {
-                round,
-                tsr,
-                history: crate::types::History::empty(),
-            },
-            other => other,
-        };
-        vec![(to, msg)]
-    }))
-}
-
-/// Regular-protocol attacker: reports the pristine initial history forever.
-pub fn stale_regular_object<V: Value>() -> Box<dyn Automaton<Msg<V>>> {
-    Box::new(Tamper::new(RegularObject::<V>::new(), move |to, msg| {
-        let msg = match msg {
-            Msg::ReadAckRegular { round, tsr, .. } => Msg::ReadAckRegular {
-                round,
-                tsr,
-                history: crate::types::History::initial(),
-            },
-            other => other,
-        };
-        vec![(to, msg)]
-    }))
-}
-
-/// Regular-protocol attacker: alternates phantom-spliced and honest
-/// histories.
-pub fn equivocating_regular_object<V: Value>(forged: V) -> Box<dyn Automaton<Msg<V>>> {
-    let mut flip = false;
-    Box::new(Tamper::new(RegularObject::<V>::new(), move |to, msg| {
-        let msg = match msg {
-            Msg::ReadAckRegular {
-                round,
-                tsr,
-                mut history,
-            } => {
-                flip = !flip;
-                if flip {
-                    let (ts, e) = forged_history_entry(forged.clone());
-                    history.insert(ts, e);
-                }
-                Msg::ReadAckRegular {
-                    round,
-                    tsr,
-                    history,
-                }
-            }
-            other => other,
-        };
-        vec![(to, msg)]
-    }))
 }
 
 #[cfg(test)]

@@ -18,8 +18,9 @@ use vrr_sim::{Automaton, ProcessId};
 use crate::attackers::AttackerKind;
 use crate::config::StorageConfig;
 use crate::msg::Msg;
-use crate::regular::{HistoryRetention, RegularObject, RegularReader, RegularTuning};
-use crate::safe::{SafeObject, SafeReader, SafeTuning};
+use crate::reader::ReaderTuning;
+use crate::regular::{HistoryRetention, RegularObject, RegularReader};
+use crate::safe::{SafeObject, SafeReader};
 use crate::types::Value;
 use crate::writer::Writer;
 
@@ -37,9 +38,9 @@ pub enum ProtocolKind {
 }
 
 /// Everything that decides which automata make up a register group:
-/// the protocol variant, the history retention of regular objects, and the
-/// reader tuning — each knob living on the variant it applies to, so a
-/// regular tuning cannot be paired with the safe protocol.
+/// the protocol variant, the history retention of regular objects (living
+/// on the variant it applies to), and the one [`ReaderTuning`] both
+/// variants' readers run.
 ///
 /// `ProtocolKind::X.into()` is the paper-faithful default of each variant
 /// (keep-all histories, default tunings — which already enable the
@@ -50,7 +51,7 @@ pub enum ProtocolKind {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ProtocolSpec {
     /// §4 safe storage; every reader runs this tuning.
-    Safe(SafeTuning),
+    Safe(ReaderTuning),
     /// §5 regular storage.
     Regular {
         /// Run the §5.1 optimization (suffix histories + reader cache).
@@ -62,18 +63,18 @@ pub enum ProtocolSpec {
         /// reader-ack GC bounds object memory.
         retention: HistoryRetention,
         /// Every reader runs this tuning.
-        tuning: RegularTuning,
+        tuning: ReaderTuning,
     },
 }
 
 impl From<ProtocolKind> for ProtocolSpec {
     fn from(kind: ProtocolKind) -> Self {
         match kind {
-            ProtocolKind::Safe => ProtocolSpec::Safe(SafeTuning::default()),
+            ProtocolKind::Safe => ProtocolSpec::Safe(ReaderTuning::default()),
             ProtocolKind::Regular | ProtocolKind::RegularOptimized => ProtocolSpec::Regular {
                 optimized: kind == ProtocolKind::RegularOptimized,
                 retention: HistoryRetention::KeepAll,
-                tuning: RegularTuning::default(),
+                tuning: ReaderTuning::default(),
             },
         }
     }

@@ -1,7 +1,8 @@
 //! What a simulated register protocol is: the [`RegisterProtocol`] trait,
-//! the two operation reports, the [`SafeProtocol`] / [`RegularProtocol`]
-//! shorthands and the blanket impl for everything that names a
-//! [`ProtocolSpec`].
+//! the [`SafeProtocol`] / [`RegularProtocol`] shorthands and the blanket
+//! impl for everything that names a [`ProtocolSpec`]. (The two operation
+//! reports are what the automata themselves produce: [`ReadReport`],
+//! [`WriteReport`].)
 //!
 //! Nothing here drives a world. Operations enter a simulation through
 //! [`crate::StorageScenario`] only, which is written once against the trait
@@ -15,36 +16,11 @@ use crate::attackers::AttackerKind;
 use crate::config::StorageConfig;
 use crate::group::{spawn_group, Deployment, ProtocolKind, ProtocolSpec};
 use crate::msg::Msg;
-use crate::regular::{HistoryRetention, RegularObject, RegularReader, RegularTuning};
-use crate::safe::{FastPathStats, ReadId, ReadOutcome, SafeReader};
-use crate::types::{Timestamp, Value};
-use crate::writer::{WriteId, Writer};
-
-/// Report for a completed WRITE.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct WriteReport {
-    /// Timestamp the write got.
-    pub ts: Timestamp,
-    /// Communication round-trips used.
-    pub rounds: u32,
-}
-
-/// Report for a completed READ.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ReadReport<V> {
-    /// Returned value (`None` = the initial value `⊥`).
-    pub value: Option<V>,
-    /// Timestamp of the returned value.
-    pub ts: Timestamp,
-    /// Communication round-trips used.
-    pub rounds: u32,
-    /// Completed in a single round-trip via a *sound* one-round rule —
-    /// the paper protocols' fast path (`S ≥ 2t + 2b + 1`; see
-    /// [`StorageConfig::fast_read_quorum`]), or a baseline whose read is
-    /// single-round by design. Mutants that skip round 2 unsoundly report
-    /// `rounds == 1` with `fast == false`.
-    pub fast: bool,
-}
+use crate::reader::{FastPathStats, ReadId, ReadReport, ReaderTuning};
+use crate::regular::{HistoryRetention, RegularObject, RegularReader};
+use crate::safe::SafeReader;
+use crate::types::Value;
+use crate::writer::{WriteId, WriteReport, Writer};
 
 /// A simulated register protocol: how to deploy it and drive operations.
 pub trait RegisterProtocol<V: Value> {
@@ -177,17 +153,8 @@ impl From<RegularProtocol> for ProtocolSpec {
         ProtocolSpec::Regular {
             optimized: p.optimized,
             retention: p.retention,
-            tuning: RegularTuning::default(),
+            tuning: ReaderTuning::default(),
         }
-    }
-}
-
-fn read_report<V: Value>(o: &ReadOutcome<V>) -> ReadReport<V> {
-    ReadReport {
-        value: o.value.clone(),
-        ts: o.ts,
-        rounds: o.rounds,
-        fast: o.fast,
     }
 }
 
@@ -225,12 +192,7 @@ impl<V: Value, P: Copy + Into<ProtocolSpec>> RegisterProtocol<V> for P {
         world: &World<Msg<V>>,
         op: u64,
     ) -> Option<WriteReport> {
-        world.inspect(dep.writer, |w: &Writer<V>| {
-            w.outcome(WriteId(op)).map(|o| WriteReport {
-                ts: o.ts,
-                rounds: o.rounds,
-            })
-        })
+        world.inspect(dep.writer, |w: &Writer<V>| w.outcome(WriteId(op)).copied())
     }
 
     fn invoke_read(&self, dep: &Deployment, world: &mut World<Msg<V>>, reader: usize) -> u64 {
@@ -254,11 +216,9 @@ impl<V: Value, P: Copy + Into<ProtocolSpec>> RegisterProtocol<V> for P {
     ) -> Option<ReadReport<V>> {
         let (pid, id) = (dep.readers[reader], ReadId(op));
         match (*self).into() {
-            ProtocolSpec::Safe(_) => {
-                world.inspect(pid, |r: &SafeReader<V>| r.outcome(id).map(read_report))
-            }
+            ProtocolSpec::Safe(_) => world.inspect(pid, |r: &SafeReader<V>| r.outcome(id).cloned()),
             ProtocolSpec::Regular { .. } => {
-                world.inspect(pid, |r: &RegularReader<V>| r.outcome(id).map(read_report))
+                world.inspect(pid, |r: &RegularReader<V>| r.outcome(id).cloned())
             }
         }
     }

@@ -22,6 +22,10 @@
 //!   object-side memory — the safety argument is in the [`regular`] module
 //!   docs.
 //!
+//! Both share one writer (Figure 2) and one two-round reader automaton —
+//! [`reader::Reader`], which Figure 4 and Figure 6 instantiate through an
+//! [`reader::Evidence`] each.
+//!
 //! The automata are transport-agnostic ([`vrr_sim::Automaton`]) and run both
 //! under the deterministic simulator (`vrr-sim`) and the thread runtime
 //! (`vrr-runtime`).
@@ -51,6 +55,7 @@ mod harness;
 pub mod metrics;
 mod mis;
 mod msg;
+pub mod reader;
 pub mod regular;
 pub mod safe;
 mod scenario;
@@ -63,12 +68,12 @@ pub use config::StorageConfig;
 pub use group::{
     group_member, group_span, spawn_group, Deployment, GroupRole, ProtocolKind, ProtocolSpec,
 };
-pub use harness::{ReadReport, RegisterProtocol, RegularProtocol, SafeProtocol, WriteReport};
+pub use harness::{RegisterProtocol, RegularProtocol, SafeProtocol};
 pub use mis::{conflict_free_of_size, max_conflict_free};
 pub use msg::{Msg, ReadRound};
-pub use safe::FastPathStats;
+pub use reader::{FastPathStats, ReadReport, ReaderTuning};
 pub use scenario::{ReadOp, StorageScenario, WriteOp};
 pub use types::{
     HistEntry, History, ObjectIndex, ReaderIndex, Timestamp, TsVal, TsrMatrix, Value, WTuple,
 };
-pub use writer::{WriteId, WriteOutcome, Writer};
+pub use writer::{WriteId, WriteReport, Writer};

@@ -33,7 +33,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
-use crate::safe::FastPathStats;
+use crate::reader::FastPathStats;
 use crate::wire::{Wire, WireError};
 
 /// Canonical metric names — the single `vrr_<subsystem>_<name>` vocabulary

@@ -5,7 +5,10 @@
 //! guarantee from safety to regularity: reads never return phantom values,
 //! and a read succeeding a write returns it or something newer. The §5.1
 //! optimization (suffix histories + reader-side cache) is available through
-//! [`RegularReader::new_optimized`].
+//! [`RegularReader::new_optimized`]. The reader automaton is the one
+//! two-round [`crate::reader::Reader`] shared with the safe protocol; this
+//! module contributes the object (Figure 5) and [`RegularEvidence`],
+//! Figure 6's way of reading one object's history reply.
 //!
 //! # History growth and reader-ack garbage collection
 //!
@@ -76,4 +79,4 @@ mod object;
 mod reader;
 
 pub use object::{HistoryRetention, RegularObject};
-pub use reader::{RegularReader, RegularTuning};
+pub use reader::{RegularEvidence, RegularReader};

@@ -43,9 +43,11 @@ use vrr_sim::{Automaton, LatencyModel, ProcessId, Quiescence, RuleId, Scenario, 
 use crate::attackers::AttackerKind;
 use crate::config::StorageConfig;
 use crate::group::Deployment;
-use crate::harness::{ReadReport, RegisterProtocol, WriteReport};
+use crate::harness::RegisterProtocol;
 use crate::metrics::{self, names, MetricsSink, Registry};
+use crate::reader::ReadReport;
 use crate::types::Value;
+use crate::writer::WriteReport;
 
 /// Scenario steps a blocking [`StorageScenario::write`] / [`read`] drives
 /// before giving up — generous for any single operation in these protocols.

@@ -23,10 +23,10 @@ use crate::types::{Timestamp, TsVal, TsrMatrix, Value, WTuple};
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct WriteId(pub u64);
 
-/// The result of a completed WRITE.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WriteOutcome {
-    /// The timestamp assigned to the write.
+/// Report for a completed WRITE.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WriteReport {
+    /// Timestamp the write got.
     pub ts: Timestamp,
     /// Communication round-trips used (always 2 in this protocol).
     pub rounds: u32,
@@ -56,7 +56,7 @@ pub struct Writer<V> {
     current_tsr: TsrMatrix,
     phase: Phase,
     next_id: u64,
-    outcomes: HashMap<WriteId, WriteOutcome>,
+    outcomes: HashMap<WriteId, WriteReport>,
 }
 
 impl<V: Value> Writer<V> {
@@ -115,7 +115,7 @@ impl<V: Value> Writer<V> {
     }
 
     /// The outcome of write `id`, if complete.
-    pub fn outcome(&self, id: WriteId) -> Option<&WriteOutcome> {
+    pub fn outcome(&self, id: WriteId) -> Option<&WriteReport> {
         self.outcomes.get(&id)
     }
 
@@ -123,7 +123,7 @@ impl<V: Value> Writer<V> {
     /// a long-running host polls with, so outcomes do not accumulate
     /// ([`Writer::outcome`] leaves them in place for the simulator
     /// harness, which inspects them after the run).
-    pub fn take_outcome(&mut self, id: WriteId) -> Option<WriteOutcome> {
+    pub fn take_outcome(&mut self, id: WriteId) -> Option<WriteReport> {
         self.outcomes.remove(&id)
     }
 
@@ -188,7 +188,7 @@ impl<V: Value> Automaton<Msg<V>> for Writer<V> {
                 if acks.len() >= self.cfg.quorum() {
                     self.outcomes.insert(
                         id,
-                        WriteOutcome {
+                        WriteReport {
                             ts: self.ts,
                             rounds: 2,
                         },

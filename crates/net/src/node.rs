@@ -30,9 +30,11 @@
 //!   alive. Two requests for one reader (or writer) queue in the
 //!   executor, in arrival order.
 //! - **inspection thread** — `Metrics`, `StoreMetrics`, `ShardHistoryLens`
-//!   and HTTP `GET /metrics` do blocking `invoke`s over many automata
+//!   and HTTP `GET /metrics` do blocking `try_invoke`s over many automata
 //!   (thousands on a large store); they go, by channel, to one long-lived
-//!   thread.
+//!   thread. Inspection is tolerant — crashed and Byzantine-substituted
+//!   processes are skipped — so it neither panics nor alters the fault
+//!   schedule of what it looks at.
 //!
 //! An operation that outlives [`vrr_runtime::OP_TIMEOUT`] — more than `t`
 //! objects of its group are gone — is answered with a typed `Rsp::Err` by a
@@ -46,25 +48,23 @@
 use std::collections::VecDeque;
 use std::io;
 use std::net::SocketAddr;
-use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
 
 use vrr_core::attackers::AttackerKind;
-use vrr_core::metrics::{names, MetricsSink, Registry};
+use vrr_core::metrics::Registry;
 use vrr_core::wire::Wire;
 use vrr_core::{
     group_member, group_span, spawn_group, Deployment, GroupRole, Msg, ProtocolKind, ProtocolSpec,
     ReadReport, StorageConfig, Value, WriteReport,
 };
 use vrr_runtime::{
-    op_channel, submit_read, submit_write, Cluster, NoDelay, NodeGone, ShardedStore, StoreError,
-    OP_TIMEOUT,
+    op_channel, submit_read, submit_write, Cluster, NoDelay, NodeGone, OpMeter, ShardedStore,
+    StoreError, OP_TIMEOUT,
 };
 use vrr_sim::{Automaton, Context, ProcessId};
 
@@ -256,9 +256,8 @@ struct ServerCtx<V: Value + Wire> {
     transport: Arc<TcpTransport<V>>,
     /// Hosted key-value store (router-member mode), if any.
     store: Option<ShardedStore<Vec<u8>, V>>,
-    /// Slot-op rounds/latency histograms for the metrics snapshot; shared
-    /// with the in-flight operations' completions, which record into it.
-    ops: Arc<Mutex<Registry>>,
+    /// Slot-op rounds/latency histograms for the metrics snapshot.
+    ops: OpMeter,
     shutdown: AtomicBool,
 }
 
@@ -341,7 +340,7 @@ impl<V: Value + Wire> NetNode<V> {
             pid_node,
             transport,
             store,
-            ops: Arc::new(Mutex::new(Registry::new())),
+            ops: OpMeter::default(),
             shutdown: AtomicBool::new(false),
         });
         let (inspect_tx, inspect_rx) = unbounded();
@@ -805,27 +804,17 @@ fn http_response(status: &str, body: &str) -> Vec<u8> {
 }
 
 /// The inspection thread: serves, one at a time, the requests whose answer
-/// takes blocking `invoke`s over many automata. Ends when the reactor
+/// takes blocking `try_invoke`s over many automata. Ends when the reactor
 /// thread — owner of the only sender — does.
 fn inspection_loop<V: Value + Wire>(ctx: Arc<ServerCtx<V>>, jobs: Receiver<InspectionJob>) {
-    // Inspecting a crashed or Byzantine-substituted process panics (it is a
-    // caller error in-process); over the wire it is an error response.
-    fn contain<T>(f: impl FnOnce() -> T) -> Result<T, String> {
-        std::panic::catch_unwind(AssertUnwindSafe(f)).map_err(|_| {
-            "inspection failed: it targeted a crashed or substituted process".to_string()
-        })
-    }
     for job in jobs.iter() {
         match job {
             InspectionJob::Request { conn, id, what } => {
-                let rsp = contain(|| ctx.inspect(what)).unwrap_or_else(|what| Rsp::Err { what });
+                let rsp = ctx.inspect(what);
                 ctx.transport.send_ctl_on(conn, Ctl::Response { id, rsp });
             }
             InspectionJob::HttpMetrics { conn } => {
-                let rsp = match contain(|| ctx.metrics().to_prometheus()) {
-                    Ok(text) => http_response("200 OK", &text),
-                    Err(what) => http_response("500 Internal Server Error", &what),
-                };
+                let rsp = http_response("200 OK", &ctx.metrics().to_prometheus());
                 ctx.transport.handle().finish(conn, rsp);
             }
         }
@@ -842,25 +831,8 @@ impl<V: Value + Wire> ServerCtx<V> {
         value: V,
         done: impl FnOnce(Result<WriteReport, NodeGone>) + Send + 'static,
     ) {
-        let ops = self.ops.clone();
-        let started = Instant::now();
-        submit_write(
-            &self.cluster,
-            self.groups[slot].writer,
-            value,
-            move |result| {
-                if let Ok(report) = &result {
-                    let mut ops = ops.lock();
-                    ops.observe(names::WRITER_ROUNDS, &[], u64::from(report.rounds));
-                    ops.observe(
-                        names::WRITE_LATENCY,
-                        &[],
-                        started.elapsed().as_micros() as u64,
-                    );
-                }
-                done(result);
-            },
-        );
+        let writer = self.groups[slot].writer;
+        submit_write(&self.cluster, writer, value, self.ops.write(done));
     }
 
     /// Starts `READ()` at reader `reader` of slot `slot`; `done` fires on a
@@ -872,33 +844,12 @@ impl<V: Value + Wire> ServerCtx<V> {
         reader: usize,
         done: impl FnOnce(Result<ReadReport<V>, NodeGone>) + Send + 'static,
     ) {
-        let ops = self.ops.clone();
-        let started = Instant::now();
-        submit_read(
-            &self.cluster,
-            self.kind,
-            self.groups[slot].readers[reader],
-            move |result| {
-                if let Ok(report) = &result {
-                    let mut ops = ops.lock();
-                    ops.observe(names::READER_ROUNDS, &[], u64::from(report.rounds));
-                    ops.observe(
-                        names::READ_LATENCY,
-                        &[],
-                        started.elapsed().as_micros() as u64,
-                    );
-                }
-                done(result);
-            },
-        );
+        let reader = self.groups[slot].readers[reader];
+        submit_read(&self.cluster, self.kind, reader, self.ops.read(done));
     }
 
     fn metrics(&self) -> Registry {
-        let mut reg = self.ops.lock().clone();
-        let stats = self.cluster.stats();
-        reg.counter_add(names::EXECUTOR_SWEEPS, &[], stats.sweeps);
-        reg.counter_add(names::EXECUTOR_WAKEUPS, &[], stats.wakeups);
-        reg.counter_add(names::EXECUTOR_COMMANDS, &[], stats.commands);
+        let mut reg = self.ops.snapshot(self.cluster.stats());
         self.transport.record_metrics(&mut reg);
         if let Some(store) = &self.store {
             reg.merge(&store.metrics_snapshot());
@@ -906,7 +857,7 @@ impl<V: Value + Wire> ServerCtx<V> {
         reg
     }
 
-    /// Runs one inspection (on the inspection thread: blocking `invoke`s).
+    /// Runs one inspection (on the inspection thread: blocking `try_invoke`s).
     fn inspect(&self, what: Inspection) -> Rsp<V> {
         match what {
             Inspection::Metrics => Rsp::MetricsText {

@@ -72,8 +72,9 @@ pub trait ClusterBackend<K, V: Value>: Send + Sync {
     /// injection).
     fn crash_object(&self, slot: usize, object: usize);
 
-    /// The stored history length of every regular object in slot `slot` —
-    /// the memory-bound observable of the reader-ack GC experiments.
+    /// The stored history length of every honest, live regular object in
+    /// slot `slot` (Byzantine-substituted and crashed objects are skipped)
+    /// — the memory-bound observable of the reader-ack GC experiments.
     fn history_lens(&self, slot: usize) -> Vec<usize>;
 
     /// One snapshot of everything observable about the cluster, with every

@@ -11,11 +11,11 @@ use std::any::Any;
 use std::fmt;
 use std::marker::PhantomData;
 
-use crossbeam::channel::{bounded, Receiver};
+use crossbeam::channel::bounded;
 
 use vrr_sim::{Automaton, Context, ProcessId};
 
-use crate::executor::{ClientOp, Executor, ExecutorStats, InvokeFn, NodeCmd, WatchFn};
+use crate::executor::{ClientOp, Executor, ExecutorStats, InvokeFn, NodeCmd};
 use crate::link::LinkPolicy;
 
 /// Error returned by [`Cluster::try_invoke`] and [`Cluster::submit`] when
@@ -37,8 +37,8 @@ impl std::error::Error for NodeGone {}
 /// Spawn processes with [`Cluster::spawn`], connect the mailboxes by
 /// calling [`Cluster::seal`] once all processes exist, then drive clients
 /// with [`Cluster::submit`] — the one operation primitive; `invoke` /
-/// `watch` remain for inspection and tests. Dropping the cluster shuts
-/// every worker down.
+/// `try_invoke` remain for inspection. Dropping the cluster shuts every
+/// worker down.
 ///
 /// # Examples
 ///
@@ -162,36 +162,6 @@ impl<M: Send + 'static> Cluster<M> {
         rx.recv().map_err(|_| NodeGone(pid))
     }
 
-    /// Registers a watcher on `pid`: after every step, `check` runs against
-    /// the automaton; the first `Some(r)` is delivered on the returned
-    /// channel. Used to await operation completion without polling.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pid` was never spawned.
-    pub fn watch<A: Automaton<M>, R: Send + 'static>(
-        &self,
-        pid: ProcessId,
-        mut check: impl FnMut(&A) -> Option<R> + Send + 'static,
-    ) -> Receiver<R> {
-        assert!(pid.index() < self.len(), "watch on unspawned {pid}");
-        let (tx, rx) = bounded(1);
-        let boxed: WatchFn = Box::new(move |any| {
-            let a = any
-                .downcast_ref::<A>()
-                .unwrap_or_else(|| panic!("node is not a {}", std::any::type_name::<A>()));
-            match check(a) {
-                Some(r) => {
-                    let _ = tx.send(r);
-                    true
-                }
-                None => false,
-            }
-        });
-        self.executor.enqueue(pid, NodeCmd::Watch(boxed));
-        rx
-    }
-
     /// Submits one client operation on `pid` and returns immediately — the
     /// completion-driven primitive every blocking read/write is a shim
     /// over. One mailbox command carries the whole operation: the worker
@@ -238,8 +208,7 @@ impl<M: Send + 'static> Cluster<M> {
 
     /// Crashes `pid`: it stops processing deliveries, invokes and
     /// operations — the one in progress and those deferred behind it
-    /// complete with [`NodeGone`] (watchers may still inspect its frozen
-    /// state).
+    /// complete with [`NodeGone`].
     ///
     /// # Panics
     ///
@@ -331,6 +300,7 @@ impl<M: Send + 'static> fmt::Debug for Cluster<M> {
 mod tests {
     use std::time::Duration;
 
+    use crossbeam::channel::Receiver;
     use vrr_sim::from_fn;
 
     use super::*;
@@ -349,8 +319,28 @@ mod tests {
         }
     }
 
+    /// The counter's total once it has seen `seen` values, awaited the way
+    /// every operation is: a submitted op whose start does nothing and
+    /// whose poll is the predicate.
+    fn total_after(cluster: &Cluster<u64>, counter: ProcessId, seen: u32) -> Receiver<u64> {
+        let (tx, rx) = bounded(1);
+        cluster.submit(
+            counter,
+            |_c: &mut Counter, _ctx| (),
+            move |c: &mut Counter, _| (c.seen >= seen).then_some(c.total),
+            move |total| {
+                let _ = tx.send(total.expect("the counter is alive"));
+            },
+        );
+        rx
+    }
+
+    fn seen(cluster: &Cluster<u64>, counter: ProcessId) -> u32 {
+        cluster.invoke(counter, |c: &mut Counter, _ctx| c.seen)
+    }
+
     #[test]
-    fn deliver_and_watch() {
+    fn deliver_and_await() {
         let mut cluster: Cluster<u64> = Cluster::new(Box::new(NoDelay));
         let counter = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
         let doubler = cluster.spawn(from_fn(move |from, n: u64, ctx: &mut Context<'_, u64>| {
@@ -358,13 +348,13 @@ mod tests {
         }));
         cluster.seal();
 
-        let done = cluster.watch(counter, |c: &Counter| (c.seen >= 3).then_some(c.total));
+        let done = total_after(&cluster, counter, 3);
         for i in 1..=3u64 {
             cluster.send_external(counter, doubler, i);
         }
         let total = done
             .recv_timeout(Duration::from_secs(5))
-            .expect("watch fires");
+            .expect("the op completes");
         assert_eq!(total, 12, "2 + 4 + 6");
     }
 
@@ -388,7 +378,7 @@ mod tests {
         }));
         cluster.seal();
 
-        let done = cluster.watch(counter, |c: &Counter| (c.seen >= 1).then_some(c.total));
+        let done = total_after(&cluster, counter, 1);
         let sent_count = cluster.invoke(pinger, |p: &mut Pinger, ctx| {
             ctx.send(p.target, 41);
             p.sent += 1;
@@ -402,14 +392,18 @@ mod tests {
     fn crash_stops_processing() {
         let mut cluster: Cluster<u64> = Cluster::new(Box::new(NoDelay));
         let counter = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
+        let forwarder = cluster.spawn(from_fn(move |_from, n: u64, ctx: &mut Context<'_, u64>| {
+            ctx.send(counter, n);
+        }));
         cluster.seal();
-        cluster.crash(counter);
-        cluster.send_external(counter, counter, 5);
+        cluster.crash(forwarder);
+        cluster.send_external(counter, forwarder, 5);
         std::thread::sleep(Duration::from_millis(50));
-        // The watcher registered after the crash still inspects state
-        // (crash stops *processing*, not introspection).
-        let rx = cluster.watch(counter, |c: &Counter| Some(c.seen));
-        assert_eq!(rx.recv_timeout(Duration::from_secs(1)).unwrap(), 0);
+        assert_eq!(
+            seen(&cluster, counter),
+            0,
+            "a crashed process forwards nothing"
+        );
     }
 
     #[test]
@@ -446,7 +440,7 @@ mod tests {
 
         // The worker survived: its other process still delivers and
         // answers invokes; the poisoned one behaves like a crashed node.
-        let done = cluster.watch(healthy, |c: &Counter| (c.seen >= 1).then_some(c.total));
+        let done = total_after(&cluster, healthy, 1);
         cluster.send_external(healthy, healthy, 9);
         assert_eq!(done.recv_timeout(Duration::from_secs(5)).unwrap(), 9);
         assert_eq!(
@@ -673,12 +667,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "watch on unspawned")]
-    fn watch_on_unspawned_pid_panics() {
+    #[should_panic(expected = "submit on unspawned")]
+    fn submit_on_unspawned_pid_panics() {
         let mut cluster: Cluster<u64> = Cluster::new(Box::new(NoDelay));
         let _ = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
         cluster.seal();
-        let _ = cluster.watch(ProcessId(99), |c: &Counter| Some(c.seen));
+        let _ = total_after(&cluster, ProcessId(99), 0);
     }
 
     #[test]
@@ -693,13 +687,13 @@ mod tests {
             })
             .collect();
         cluster.seal();
-        let done = cluster.watch(counter, |c: &Counter| (c.seen >= 32).then_some(c.total));
+        let done = total_after(&cluster, counter, 32);
         for (i, e) in echoes.iter().enumerate() {
             cluster.send_external(counter, *e, i as u64);
         }
         let total = done
             .recv_timeout(Duration::from_secs(5))
-            .expect("watch fires");
+            .expect("the op completes");
         assert_eq!(total, (0..32).sum::<u64>());
     }
 
@@ -711,13 +705,8 @@ mod tests {
         cluster.seal();
         cluster.send_external(counter, counter, 7);
         std::thread::sleep(Duration::from_millis(5));
-        let rx = cluster.watch(counter, |c: &Counter| Some(c.seen));
-        assert_eq!(
-            rx.recv_timeout(Duration::from_secs(1)).unwrap(),
-            0,
-            "not yet due"
-        );
-        let rx = cluster.watch(counter, |c: &Counter| (c.seen >= 1).then_some(c.total));
+        assert_eq!(seen(&cluster, counter), 0, "not yet due");
+        let rx = total_after(&cluster, counter, 1);
         assert_eq!(
             rx.recv_timeout(Duration::from_secs(2)).unwrap(),
             7,
@@ -739,7 +728,6 @@ mod tests {
         cluster.seal();
         cluster.send_external(counter, counter, 1);
         std::thread::sleep(Duration::from_millis(30));
-        let rx = cluster.watch(counter, |c: &Counter| Some(c.seen));
-        assert_eq!(rx.recv_timeout(Duration::from_secs(1)).unwrap(), 0);
+        assert_eq!(seen(&cluster, counter), 0);
     }
 }

@@ -25,8 +25,6 @@ use crate::link::{LinkAction, LinkPolicy};
 
 /// A closure run against the concrete automaton inside its worker.
 pub(crate) type InvokeFn<M> = Box<dyn FnOnce(&mut dyn Any, &mut Context<'_, M>) + Send>;
-/// A watcher predicate; returns `true` once it has fired and can be dropped.
-pub(crate) type WatchFn = Box<dyn FnMut(&dyn Any) -> bool + Send>;
 
 /// One client operation on one automaton, type-erased for the mailbox
 /// (built by [`crate::Cluster::submit`]). The implementor owns the
@@ -56,12 +54,11 @@ pub(crate) enum NodeCmd<M> {
     },
     /// Run a closure against the automaton.
     Invoke(InvokeFn<M>),
-    /// Install a watcher.
-    Watch(WatchFn),
     /// Run a client operation to completion: start it now if the process
     /// is idle, else after the operations submitted before it.
     Op(Box<dyn ClientOp<M>>),
-    /// Stop processing deliveries/invokes (introspection keeps working).
+    /// Stop processing: deliveries are skipped, invokes and operations
+    /// answer `NodeGone`.
     Crash,
 }
 
@@ -113,8 +110,7 @@ struct Shard<M> {
     sweeps: AtomicU64,
     /// Returns from `wait`/`wait_timeout`, productive or not.
     wakeups: AtomicU64,
-    /// Commands processed (deliveries, invokes, watches, operations,
-    /// crashes).
+    /// Commands processed (deliveries, invokes, operations, crashes).
     commands: AtomicU64,
 }
 
@@ -168,7 +164,7 @@ pub struct ExecutorStats {
     pub sweeps: u64,
     /// Times any worker woke from its condvar (including timer deadlines).
     pub wakeups: u64,
-    /// Total commands processed (deliveries, invokes, watches, operations,
+    /// Total commands processed (deliveries, invokes, operations,
     /// crashes).
     pub commands: u64,
 }
@@ -176,7 +172,6 @@ pub struct ExecutorStats {
 /// Worker-local state of one registered process.
 struct Cell<M> {
     automaton: Box<dyn Automaton<M>>,
-    watchers: Vec<WatchFn>,
     /// The one client operation in progress — §2.2 well-formedness ("a
     /// client invokes one operation at a time") is enforced here, where
     /// the automaton lives, not by locks around every caller.
@@ -254,7 +249,7 @@ impl<M: Send + 'static> Executor<M> {
         pid
     }
 
-    /// Queues a control command (invoke/watch/operation/crash) for `pid`.
+    /// Queues a control command (invoke/operation/crash) for `pid`.
     pub(crate) fn enqueue(&self, pid: ProcessId, cmd: NodeCmd<M>) {
         let shard = &self.shards[pid.index() % self.shards.len()];
         {
@@ -395,7 +390,7 @@ fn worker_main<M: Send + 'static>(
             let from = ProcessId(local * nshards + me);
             for cmd in cmds {
                 commands += 1;
-                // A panic in automaton/watcher/invoke code must not kill
+                // A panic in automaton/invoke/operation code must not kill
                 // the worker: every other process on this shard would
                 // silently freeze and pending invokes would block forever.
                 // Contain it to the offending process: poison it like a
@@ -441,7 +436,6 @@ fn step<M: Send + 'static>(
             }
             cells[local] = Some(Cell {
                 automaton,
-                watchers: Vec::new(),
                 active: None,
                 deferred: VecDeque::new(),
                 crashed: false,
@@ -486,16 +480,6 @@ fn step<M: Send + 'static>(
                 after_step(pid, cell, outbox);
             }
         }
-        NodeCmd::Watch(mut w) => {
-            // Crash stops *processing*, not introspection.
-            let Some(cell) = cells[local].as_mut() else {
-                return;
-            };
-            let any: &dyn Any = &*cell.automaton;
-            if !w(any) {
-                cell.watchers.push(w);
-            }
-        }
         NodeCmd::Crash => {
             if let Some(cell) = cells[local].as_mut() {
                 cell.crash();
@@ -504,8 +488,8 @@ fn step<M: Send + 'static>(
     }
 }
 
-/// Runs after every step of a process: polls the active operation, starts
-/// deferred ones as the process becomes idle, then runs the watchers.
+/// Runs after every step of a process: polls the active operation and
+/// starts deferred ones as the process becomes idle.
 fn after_step<M>(pid: ProcessId, cell: &mut Cell<M>, outbox: &mut Vec<(ProcessId, M)>) {
     loop {
         if let Some(op) = cell.active.as_mut() {
@@ -522,10 +506,6 @@ fn after_step<M>(pid: ProcessId, cell: &mut Cell<M>, outbox: &mut Vec<(ProcessId
         };
         let mut ctx = Context::new(pid, outbox);
         op.start(&mut *cell.automaton, &mut ctx);
-    }
-    if !cell.watchers.is_empty() {
-        let any: &dyn Any = &*cell.automaton;
-        cell.watchers.retain_mut(|w| !w(any));
     }
 }
 

@@ -81,7 +81,6 @@ pub use ring::{stable_hash_64, RingTable, StableHasher};
 pub use scaleout::{RouterConfig, StoreRouter};
 pub use shard::{ShardedStore, StoreError};
 pub use storage::{
-    blocking_read, blocking_write, op_channel, submit_read, submit_write, OpWaiter, StorageCluster,
-    OP_TIMEOUT,
+    op_channel, submit_read, submit_write, OpMeter, OpWaiter, StorageCluster, OP_TIMEOUT,
 };
 pub use vrr_core::{ProtocolKind, ProtocolSpec};

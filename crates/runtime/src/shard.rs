@@ -12,13 +12,10 @@
 //! executor runs one operation at a time per writer and per reader
 //! automaton, in submission order — see [`Cluster::submit`]).
 
+use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
-use std::sync::Arc;
-use std::time::Instant;
-
-use parking_lot::{Mutex, RwLock};
 
 use vrr_sim::{Automaton, ProcessId};
 
@@ -31,8 +28,8 @@ use vrr_core::{
 use crate::cluster::{Cluster, NodeGone};
 use crate::link::LinkPolicy;
 use crate::storage::{
-    op_channel, record_executor_stats, record_read, record_write, spawn_register_group,
-    submit_read, submit_write, try_history_lens,
+    fast_path_stats, history_lens, op_channel, spawn_register_group, submit_read, submit_write,
+    OpMeter,
 };
 
 /// One register shard.
@@ -137,10 +134,9 @@ pub struct ShardedStore<K: Eq + Hash, V: Value> {
     /// the exclusive side, so the routing step of concurrent operations on
     /// distinct keys never serializes.
     index: RwLock<KeyIndex<K>>,
-    /// Store-wide operation metrics (rounds and latency histograms),
-    /// folded into [`ShardedStore::metrics_snapshot`]; shared with the
-    /// in-flight operations' completions, which record into it.
-    ops: Arc<Mutex<Registry>>,
+    /// Store-wide operation metrics, folded into
+    /// [`ShardedStore::metrics_snapshot`].
+    ops: OpMeter,
 }
 
 impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
@@ -198,7 +194,7 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
                 next_slot: 0,
                 retired: 0,
             }),
-            ops: Arc::new(Mutex::new(Registry::new())),
+            ops: OpMeter::default(),
         }
     }
 
@@ -317,19 +313,8 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
                 }
             }
         };
-        let ops = self.ops.clone();
-        let started = Instant::now();
-        submit_write(
-            &self.cluster,
-            self.shards[slot].group.writer,
-            value,
-            move |result| {
-                if let Ok(report) = &result {
-                    record_write(&ops, report.rounds, started);
-                }
-                done(result);
-            },
-        );
+        let writer = self.shards[slot].group.writer;
+        submit_write(&self.cluster, writer, value, self.ops.write(done));
         Ok(())
     }
 
@@ -378,19 +363,8 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
         let Some(slot) = self.shard_of(key) else {
             return false;
         };
-        let ops = self.ops.clone();
-        let started = Instant::now();
-        submit_read(
-            &self.cluster,
-            self.kind,
-            self.shards[slot].group.readers[j],
-            move |result| {
-                if let Ok(report) = &result {
-                    record_read(&ops, report.rounds, started);
-                }
-                done(result);
-            },
-        );
+        let reader = self.shards[slot].group.readers[j];
+        submit_read(&self.cluster, self.kind, reader, self.ops.read(done));
         true
     }
 
@@ -408,27 +382,37 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
         &self.shards[slot].group.objects
     }
 
-    /// The current history length of every regular object in shard
-    /// `slot` — the memory-bound observable of the reader-ack GC
-    /// experiments.
+    /// The current history length of every honest, live regular object in
+    /// shard `slot`, in object order — the memory-bound observable of the
+    /// reader-ack GC experiments. Byzantine-substituted and crashed objects
+    /// are skipped (inspecting a shard never changes its fault schedule); a
+    /// `ProtocolKind::Safe` store (no histories) reports nothing.
     ///
     /// # Panics
     ///
-    /// Panics if `slot` is out of range, the store runs
-    /// `ProtocolKind::Safe`, or an inspected object is not a live honest
-    /// [`vrr_core::regular::RegularObject`] (crashed or
-    /// Byzantine-substituted).
+    /// Panics if `slot` is out of range.
     pub fn history_lens(&self, slot: usize) -> Vec<usize> {
-        crate::storage::history_lens(&self.cluster, self.kind, &self.shards[slot].group.objects)
+        let lens = self.indexed_history_lens(slot);
+        lens.into_iter().map(|(_, len)| len).collect()
     }
 
-    /// Sum of the one-round fast-path counters over every reader of every
-    /// shard (hits = reads finished in round 1, fallbacks = reads that
+    fn indexed_history_lens(&self, slot: usize) -> Vec<(usize, usize)> {
+        let shard = &self.shards[slot];
+        history_lens(
+            &self.cluster,
+            self.kind,
+            &shard.group.objects,
+            &shard.byzantine,
+        )
+    }
+
+    /// Sum of the one-round fast-path counters over every live reader of
+    /// every shard (hits = reads finished in round 1, fallbacks = reads that
     /// armed the fast path but completed through the two-round protocol).
     pub fn fast_path_stats(&self) -> FastPathStats {
         let mut total = FastPathStats::default();
         for shard in &self.shards {
-            let s = crate::storage::fast_path_stats(&self.cluster, self.kind, &shard.group.readers);
+            let s = fast_path_stats(&self.cluster, self.kind, &shard.group.readers);
             total.hits += s.hits;
             total.fallbacks += s.fallbacks;
         }
@@ -453,19 +437,11 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
     /// hosting a router member) so snapshots of different clusters merge
     /// without colliding on identical `{object, shard}` label sets.
     pub fn metrics_snapshot_labelled(&self, cluster: Option<usize>) -> Registry {
-        let mut reg = self.ops.lock().clone();
-        record_executor_stats(&mut reg, &self.cluster.stats());
+        let mut reg = self.ops.snapshot(self.cluster.stats());
         metrics::record_fast_path(&mut reg, &self.fast_path_stats());
-        if self.kind != ProtocolKind::Safe {
-            for (slot, shard) in self.shards.iter().enumerate() {
-                let lens = try_history_lens(
-                    &self.cluster,
-                    self.kind,
-                    &shard.group.objects,
-                    &shard.byzantine,
-                );
-                metrics::record_history_lens_at(&mut reg, cluster, Some(slot), &lens);
-            }
+        for slot in 0..self.shards.len() {
+            let lens = self.indexed_history_lens(slot);
+            metrics::record_history_lens_at(&mut reg, cluster, Some(slot), &lens);
         }
         reg
     }

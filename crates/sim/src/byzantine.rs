@@ -114,6 +114,15 @@ impl<M: SimMessage, A: Automaton<M>> Tamper<M, A> {
         }
     }
 
+    /// Wraps `inner`, passing every outgoing message through `rewrite` on
+    /// its way to the same destination — one message out per message in,
+    /// the shape of every catalogue attacker in `vrr-core` and
+    /// `vrr-baselines`: an object that tracks the protocol honestly and
+    /// lies in its replies.
+    pub fn rewriting(inner: A, mut rewrite: impl FnMut(M) -> M + Send + 'static) -> Self {
+        Self::new(inner, move |to, msg| vec![(to, rewrite(msg))])
+    }
+
     /// The wrapped automaton.
     pub fn inner(&self) -> &A {
         &self.inner
@@ -196,7 +205,7 @@ mod tests {
         let sink = w.spawn_named("sink", Box::new(Collect(Vec::new())));
         let liar = w.spawn_named(
             "liar",
-            Box::new(Tamper::new(Inc, |to, msg: N| vec![(to, N(msg.0 * 100))])),
+            Box::new(Tamper::rewriting(Inc, |msg: N| N(msg.0 * 100))),
         );
         w.start();
         w.send_external(sink, liar, N(1));

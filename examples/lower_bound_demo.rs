@@ -11,8 +11,7 @@ use vrr::lowerbound::{
     execute_control, execute_prop1, render_all, BlockPartition, LitePairSpec, ReadRule, Verdict,
 };
 use vrr_core::regular::HistoryRetention;
-use vrr_core::regular::RegularTuning;
-use vrr_core::StorageConfig;
+use vrr_core::{ReaderTuning, StorageConfig};
 use vrr_runtime::{NoDelay, ProtocolKind, ProtocolSpec, StorageCluster};
 
 fn main() {
@@ -97,9 +96,9 @@ fn main() {
         ProtocolSpec::Regular {
             optimized: false,
             retention: HistoryRetention::KeepAll,
-            tuning: RegularTuning {
+            tuning: ReaderTuning {
                 skip_round2: true,
-                ..RegularTuning::default()
+                ..ReaderTuning::default()
             },
         },
         Box::new(NoDelay),

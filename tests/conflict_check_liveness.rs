@@ -28,10 +28,9 @@
 
 use std::collections::BTreeMap;
 
-use vrr::core::safe::SafeTuning;
 use vrr::core::{
-    Msg, ProtocolSpec, ReadRound, RegisterProtocol, SafeProtocol, StorageConfig, StorageScenario,
-    Timestamp, TsVal, TsrMatrix, WTuple,
+    Msg, ProtocolSpec, ReadRound, ReaderTuning, RegisterProtocol, SafeProtocol, StorageConfig,
+    StorageScenario, Timestamp, TsVal, TsrMatrix, WTuple,
 };
 use vrr::sim::{from_fn, Action, Context, Envelope};
 
@@ -190,9 +189,9 @@ where
 
 #[test]
 fn without_conflict_check_the_omniscient_attack_blocks_the_read() {
-    let mutant = ProtocolSpec::Safe(SafeTuning {
+    let mutant = ProtocolSpec::Safe(ReaderTuning {
         conflict_check: false,
-        ..SafeTuning::default()
+        ..ReaderTuning::default()
     });
     let outcome = run_attack(mutant);
     assert_eq!(
@@ -222,9 +221,9 @@ fn with_conflict_check_the_same_strategy_terminates() {
 /// unsafe candidate.
 #[test]
 fn the_blocked_state_matches_lemma3_arithmetic() {
-    let mutant = ProtocolSpec::Safe(SafeTuning {
+    let mutant = ProtocolSpec::Safe(ReaderTuning {
         conflict_check: false,
-        ..SafeTuning::default()
+        ..ReaderTuning::default()
     });
     let mut sc = stage(mutant);
     let (reader, s2) = (sc.reader(0), sc.object(2));

@@ -2,8 +2,9 @@
 //! regression tests (the binaries run the full-size sweeps).
 
 use vrr::checker::{check_regularity, check_safety};
-use vrr::core::safe::SafeTuning;
-use vrr::core::{ProtocolSpec, RegularProtocol, SafeProtocol, StorageConfig, StorageScenario};
+use vrr::core::{
+    ProtocolSpec, ReaderTuning, RegularProtocol, SafeProtocol, StorageConfig, StorageScenario,
+};
 use vrr::sim::SimTime;
 use vrr::workload::{FaultPlan, LatencyKind, ScheduleParams, SimCase};
 
@@ -119,9 +120,9 @@ fn random_fault_plans_cannot_break_safety() {
 /// The oracle-validation regression: a known-broken reader must be caught.
 #[test]
 fn mutated_reader_is_caught_by_the_checker() {
-    let tuning = SafeTuning {
+    let tuning = ReaderTuning {
         safe_threshold: Some(1),
-        ..SafeTuning::default()
+        ..ReaderTuning::default()
     };
     let mut caught = false;
     'outer: for seed in 0..40u64 {
