@@ -2,9 +2,7 @@
 //!
 //! Reads the JSON-lines files the vendored criterion shim emits under
 //! `CRITERION_JSON` (`BENCH_rounds.json`, `BENCH_latency.json`,
-//! `BENCH_histsize.json`, `BENCH_throughput.json`, `BENCH_scaleout.json`,
-//! `BENCH_net.json`)
-//! and checks the *shape* of the results, never absolute numbers — those
+//! `BENCH_histsize.json`) and checks the *shape* of the results, never absolute numbers — those
 //! are machine-dependent, but the paper's claims are relational:
 //!
 //! - reads cost about the same as writes (both are two round-trips); the
@@ -15,21 +13,15 @@
 //! - the 2-round protocols process more events than the 1-round
 //!   baselines,
 //! - full-history reads grow with the number of past writes while §5.1
-//!   suffix reads stay far below them,
-//! - the batched worker pool out-throughputs the seed's thread-per-process
-//!   architecture at scale, and multi-key cost stays at most linear in key
-//!   count,
-//! - aggregate Zipfian throughput through the multi-cluster router is
-//!   monotonically non-decreasing in cluster count, the router's routing
-//!   step costs ≤ 15% over direct single-cluster access, and a
-//!   socket-backed remote cluster only ever adds on top of the in-proc
-//!   router — but no more than 3x,
-//! - real sockets only *add* latency over in-process channels, and over
-//!   TCP a two-round read stays commensurate with a two-round write.
+//!   suffix reads stay far below them, and reader-ack GC keeps even
+//!   full-history reads flat in run length.
 //!
-//! Usage: `bench_shape [rounds.json latency.json histsize.json
-//! throughput.json scaleout.json net.json]`. Exits non-zero listing every
-//! violated relation.
+//! These are the paper's shapes. How fast the *system* is — executor
+//! scale, multi-key parallelism, router and socket overhead — is measured
+//! under sustained load by `benchmark/` (`BENCHMARK.json`), not here.
+//!
+//! Usage: `bench_shape [rounds.json latency.json histsize.json]`. Exits
+//! non-zero listing every violated relation.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -132,23 +124,12 @@ impl Checker {
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let paths: Vec<String> = match args.as_slice() {
-        [] => [
-            "BENCH_rounds.json",
-            "BENCH_latency.json",
-            "BENCH_histsize.json",
-            "BENCH_throughput.json",
-            "BENCH_scaleout.json",
-            "BENCH_net.json",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect(),
-        files @ [_, _, _] | files @ [_, _, _, _, _] | files @ [_, _, _, _, _, _] => files.to_vec(),
+        [] => ["rounds", "latency", "histsize"]
+            .map(|bench| format!("BENCH_{bench}.json"))
+            .to_vec(),
+        files @ [_, _, _] => files.to_vec(),
         _ => {
-            eprintln!(
-                "usage: bench_shape [rounds.json latency.json histsize.json \
-                 [throughput.json scaleout.json [net.json]]]"
-            );
+            eprintln!("usage: bench_shape [rounds.json latency.json histsize.json]");
             return ExitCode::from(2);
         }
     };
@@ -157,8 +138,6 @@ fn main() -> ExitCode {
     for path in &paths {
         results.extend(load(path));
     }
-    let throughput_loaded = paths.len() >= 5;
-    let net_loaded = paths.len() >= 6;
     let mut c = Checker::new(results);
 
     println!("shape: reads =~ writes (both two round-trips)");
@@ -274,116 +253,6 @@ fn main() -> ExitCode {
         0.35,
         "ack-GC far below keep-all at 500 writes",
     );
-
-    if throughput_loaded {
-        println!("shape: worker pool beats thread-per-process at scale");
-        // At N >= 256 ring automata the batched pool must win outright
-        // against the seed's one-thread-per-process + router-thread
-        // architecture (B-THR).
-        for n in [256, 512] {
-            c.le(
-                &format!("throughput/ring/pool/{n}"),
-                &format!("throughput/ring/thread-per-process/{n}"),
-                1.0,
-                "batched pool wins at scale",
-            );
-        }
-
-        println!("shape: multi-key cost at most linear in key count");
-        c.monotone(
-            &[
-                "throughput/sharded-kv/write-read-all-keys/1",
-                "throughput/sharded-kv/write-read-all-keys/16",
-                "throughput/sharded-kv/write-read-all-keys/64",
-            ],
-            0.85,
-            4.0,
-            "more keys cost more in total",
-        );
-        // 64 keys' worth of write+read cycles must not blow past linear
-        // scaling of the single-key cycle (no superlinear degradation from
-        // sharing one pool).
-        c.le(
-            "throughput/sharded-kv/write-read-all-keys/64",
-            "throughput/sharded-kv/write-read-all-keys/1",
-            80.0,
-            "64-key cost within ~linear of 1-key cost",
-        );
-
-        println!("shape: Zipfian throughput non-decreasing in cluster count");
-        // Per-iteration cost (same op count) must not increase when the
-        // key space spreads over more independent clusters; 10% slack for
-        // scheduler noise on small hosts.
-        c.le(
-            "scaleout/zipfian/clusters/2",
-            "scaleout/zipfian/clusters/1",
-            1.10,
-            "2 clusters no slower than 1",
-        );
-        c.le(
-            "scaleout/zipfian/clusters/4",
-            "scaleout/zipfian/clusters/2",
-            1.10,
-            "4 clusters no slower than 2",
-        );
-
-        println!("shape: router overhead within 15% of direct access");
-        c.le(
-            "scaleout/router-overhead/routed/1",
-            "scaleout/router-overhead/direct/1",
-            1.15,
-            "hash+atomic routing step is cheap",
-        );
-
-        println!("shape: socket-backed router costs more than in-proc");
-        // A RemoteCluster pays framing, two syscalls and a reactor hop per
-        // operation on top of the identical routing step — TCP may only
-        // ever add over the in-proc cluster backend.
-        c.le(
-            "scaleout/router-overhead/routed/1",
-            "scaleout/router-overhead/remote/1",
-            1.0,
-            "in-proc router below the socket-backed router",
-        );
-        // ...and boundedly so: with requests served by completion on the
-        // reactor thread the socket hop is a fraction of the in-proc
-        // operation, not the 4.1x that a thread spawn plus four thread
-        // hand-offs per request used to cost.
-        c.le(
-            "scaleout/router-overhead/remote/1",
-            "scaleout/router-overhead/routed/1",
-            3.0,
-            "socket-backed router within 3x of the in-proc router",
-        );
-    }
-
-    if net_loaded {
-        println!("shape: real sockets cost more than channels, boundedly");
-        // The socket transport adds framing, two syscalls and a reactor
-        // hop per message on top of the channel path — it may only add.
-        for op in ["write", "read"] {
-            c.le(
-                &format!("net/{op}/inproc"),
-                &format!("net/{op}/tcp"),
-                1.0,
-                "channel path below the socket path",
-            );
-        }
-        // Over TCP both operations pay the same two round-trips of frame
-        // + socket crossings, so they stay commensurate (noise allowing).
-        c.le(
-            "net/read/tcp",
-            "net/write/tcp",
-            3.0,
-            "2-round TCP read =~ 2-round TCP write",
-        );
-        c.le(
-            "net/write/tcp",
-            "net/read/tcp",
-            3.0,
-            "2-round TCP write =~ 2-round TCP read",
-        );
-    }
 
     if c.failures.is_empty() {
         println!("bench shape: all {} relations hold", c.checks);

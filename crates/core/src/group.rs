@@ -4,12 +4,13 @@
 //! `S = 2t + b + 1` base objects, one writer and `R` readers. *Which*
 //! automata make up such a group — protocol variant, object-side history
 //! retention, reader tuning — is a [`ProtocolSpec`]; *in which order* they
-//! come to life is [`spawn_group`]. Every harness consumes these two: the
-//! simulator's [`RegisterProtocol`](crate::RegisterProtocol) impl (which
-//! only [`StorageScenario`](crate::StorageScenario) drives),
-//! `vrr-runtime`'s `StorageCluster` / `ShardedStore`, and `vrr-net`'s
-//! `NetNode` in both hosting modes. Nothing else knows what a register
-//! group consists of.
+//! come to life is [`spawn_group`]. Two harnesses consume these: the
+//! simulator's [`RegisterProtocol`](crate::RegisterProtocol) impls (which
+//! only [`StorageScenario`](crate::StorageScenario) drives), and
+//! `vrr-runtime`'s `RegisterHost::spawn` — the one host that
+//! `StorageCluster`, `ShardedStore` and `vrr-net`'s `NetNode` (both
+//! hosting modes) are views of. Nothing else knows what a register group
+//! consists of.
 
 use std::fmt;
 

@@ -242,6 +242,8 @@ fn main() {
 
     let server = match NetNode::start(node, &topo, ncfg) {
         Ok(s) => s,
+        // A Byzantine spec naming no object of this deployment.
+        Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => usage(&e.to_string()),
         Err(e) => {
             eprintln!("vrr-server: failed to start node {node}: {e}");
             exit(1);

@@ -16,8 +16,8 @@
 //! - [`transport`] — [`transport::TcpTransport`]: peer table, `Hello`
 //!   handshakes, reconnect-on-demand, lossy-on-reset delivery.
 //! - [`node`] — [`node::NetNode`]: one OS process of a deployment. Spawns
-//!   the full global pid space ([`vrr_core::spawn_group`], driven by the
-//!   one [`vrr_core::ProtocolSpec`] in [`node::NetNodeConfig`]) with
+//!   the full global pid space (a [`vrr_runtime::RegisterHost`], driven by
+//!   the one [`vrr_core::ProtocolSpec`] in [`node::NetNodeConfig`]) with
 //!   [`node::Relay`] stand-ins for remote pids, so `StorageCluster`-style
 //!   workloads run unchanged whether members share a process or not. The
 //!   same spec builds the shards of a hosted store (router-member mode).
@@ -31,8 +31,9 @@
 //!
 //! The `vrr-server` binary wraps [`node::NetNode`] behind a CLI so
 //! objects, writer and readers can live in separate OS processes; see
-//! `examples/net_kv.rs` at the workspace root and the crate's integration
-//! tests for the two ways to drive it.
+//! `tests/multiprocess.rs` (slot-addressed thin clients) and
+//! `examples/dist_scaleout.rs` at the workspace root (a keyed store behind
+//! a router) for the two ways to drive it.
 //!
 //! Against a running deployment (say `vrr-server --node … --addrs
 //! 127.0.0.1:7100,127.0.0.1:7101,127.0.0.1:7102 --slots 4 …` with the

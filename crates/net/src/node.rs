@@ -1,8 +1,8 @@
 //! One node of a multi-OS-process deployment.
 //!
 //! Closures and automata cannot cross process boundaries, so every node
-//! spawns the **full global pid space** in the canonical order
-//! ([`vrr_core::spawn_group`] over each slot): real automata for
+//! spawns the **full global pid space** in the canonical order (one
+//! [`vrr_runtime::RegisterHost`] over all slots): real automata for
 //! the pids the node hosts, a [`Relay`] stand-in for every pid hosted
 //! elsewhere. Because pids are dense in spawn order, replaying the same
 //! spawn sequence makes local pid = global pid on every node — a writer
@@ -23,7 +23,8 @@
 //!   the spot.
 //! - **by completion** — `ReadKey` / `WriteKey` / `ReadSlot` / `WriteSlot`
 //!   are *started* ([`vrr_runtime::Cluster::submit`], through
-//!   `ShardedStore::{read_with, try_write_with}` / `submit_*`) and the
+//!   `ShardedStore::{read_with, try_write_with}` and
+//!   `RegisterHost::{read_with, write_with}`) and the
 //!   worker thread that observes the outcome writes the `Response`. The
 //!   completion holds the transport, the connection and the request id —
 //!   never the node — so an in-flight operation cannot keep a dropped node
@@ -32,9 +33,9 @@
 //! - **inspection thread** — `Metrics`, `StoreMetrics`, `ShardHistoryLens`
 //!   and HTTP `GET /metrics` do blocking `try_invoke`s over many automata
 //!   (thousands on a large store); they go, by channel, to one long-lived
-//!   thread. Inspection is tolerant — crashed and Byzantine-substituted
-//!   processes are skipped — so it neither panics nor alters the fault
-//!   schedule of what it looks at.
+//!   thread. Inspection is tolerant — crashed processes, Byzantine
+//!   substitutes and relays are skipped — so it neither panics nor alters
+//!   the fault schedule of what it looks at.
 //!
 //! An operation that outlives [`vrr_runtime::OP_TIMEOUT`] — more than `t`
 //! objects of its group are gone — is answered with a typed `Rsp::Err` by a
@@ -59,13 +60,10 @@ use vrr_core::attackers::AttackerKind;
 use vrr_core::metrics::Registry;
 use vrr_core::wire::Wire;
 use vrr_core::{
-    group_member, group_span, spawn_group, Deployment, GroupRole, Msg, ProtocolKind, ProtocolSpec,
-    ReadReport, StorageConfig, Value, WriteReport,
+    group_member, group_span, Deployment, GroupRole, Msg, ProtocolSpec, ReadReport, StorageConfig,
+    Value, WriteReport,
 };
-use vrr_runtime::{
-    op_channel, submit_read, submit_write, Cluster, NoDelay, NodeGone, OpMeter, ShardedStore,
-    StoreError, OP_TIMEOUT,
-};
+use vrr_runtime::{Cluster, NoDelay, NodeGone, RegisterHost, ShardedStore, StoreError, OP_TIMEOUT};
 use vrr_sim::{Automaton, Context, ProcessId};
 
 use crate::frame::{Ctl, Op, Rsp};
@@ -226,7 +224,7 @@ pub struct NetNodeConfig<V> {
 
 impl<V> NetNodeConfig<V> {
     /// Defaults: epoch 0, one worker, no Byzantine objects, no hosted
-    /// store, no metrics endpoint. A bare [`ProtocolKind`] is the
+    /// store, no metrics endpoint. A bare [`vrr_core::ProtocolKind`] is the
     /// paper-faithful spec (keep-all retention, default tuning).
     pub fn new(cfg: StorageConfig, spec: impl Into<ProtocolSpec>) -> Self {
         NetNodeConfig {
@@ -247,22 +245,19 @@ const REDIAL_EVERY: Duration = Duration::from_millis(200);
 
 struct ServerCtx<V: Value + Wire> {
     node: u32,
-    cfg: StorageConfig,
-    kind: ProtocolKind,
-    cluster: Cluster<Msg<V>>,
-    groups: Vec<Deployment>,
+    /// The slot groups over the full global pid space: real automata for
+    /// the members placed here, relays for the rest.
+    host: RegisterHost<V>,
     placement: GroupPlacement,
     pid_node: Vec<u32>,
     transport: Arc<TcpTransport<V>>,
     /// Hosted key-value store (router-member mode), if any.
     store: Option<ShardedStore<Vec<u8>, V>>,
-    /// Slot-op rounds/latency histograms for the metrics snapshot.
-    ops: OpMeter,
     shutdown: AtomicBool,
 }
 
-/// One running node: a local cluster (real automata + relays), the reactor
-/// thread serving it, and the inspection thread.
+/// One running node: a local register host (real automata + relays), the
+/// reactor thread serving it, and the inspection thread.
 pub struct NetNode<V: Value + Wire> {
     ctx: Arc<ServerCtx<V>>,
     addr: SocketAddr,
@@ -276,7 +271,15 @@ impl<V: Value + Wire> NetNode<V> {
     /// address works — see [`NetNode::addr`] for what was actually bound),
     /// spawning the full global pid space, and starting the reactor with
     /// this node's request handler.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidInput`] if a Byzantine spec names a slot or
+    /// an object the deployment does not have (it would match nothing and
+    /// the node would silently come up honest); otherwise whatever binding
+    /// the listeners or spawning the threads reports.
     pub fn start(node: u32, topo: &NodeTopology, ncfg: NetNodeConfig<V>) -> io::Result<Self> {
+        check_byzantine(topo, &ncfg)?;
         let bound = reactor::bind(Some(topo.addrs[node as usize]), ncfg.metrics_addr)?;
         let addr = bound.addr().expect("listening reactor reports its address");
         let metrics_addr = bound.http_addr();
@@ -290,30 +293,25 @@ impl<V: Value + Wire> NetNode<V> {
         );
 
         let span = group_span(ncfg.cfg);
-        let mut cluster: Cluster<Msg<V>> =
-            Cluster::with_workers(Box::new(NoDelay), ncfg.workers.max(1));
-        let mut groups = Vec::with_capacity(topo.slots);
-        for slot in 0..topo.slots {
-            groups.push(spawn_group(
-                ncfg.cfg,
-                ncfg.spec,
-                |_role, automaton| cluster.spawn(automaton),
-                |role, _objects| {
-                    if topo.placement.node_of(role) != node {
-                        let pid = ProcessId(slot * span + role.index(ncfg.cfg));
-                        return Some(Box::new(Relay::new(pid, transport.clone())));
-                    }
-                    let GroupRole::Object(i) = role else {
-                        return None;
-                    };
-                    ncfg.byzantine
-                        .iter()
-                        .find(|s| s.slot == slot && s.object == i)
-                        .map(|s| ncfg.spec.attacker(s.kind, ncfg.cfg, s.forged.clone()))
-                },
-            ));
-        }
-        cluster.seal();
+        let host = RegisterHost::spawn(
+            Cluster::with_workers(Box::new(NoDelay), ncfg.workers.max(1)),
+            ncfg.cfg,
+            ncfg.spec,
+            topo.slots,
+            |slot, role| -> Option<Box<dyn Automaton<Msg<V>>>> {
+                if topo.placement.node_of(role) != node {
+                    let pid = ProcessId(slot * span + role.index(ncfg.cfg));
+                    return Some(Box::new(Relay::new(pid, transport.clone())));
+                }
+                let GroupRole::Object(i) = role else {
+                    return None;
+                };
+                ncfg.byzantine
+                    .iter()
+                    .find(|s| s.slot == slot && s.object == i)
+                    .map(|s| ncfg.spec.attacker(s.kind, ncfg.cfg, s.forged.clone()))
+            },
+        );
 
         let store = ncfg.store.as_ref().map(|spec| {
             ShardedStore::deploy_with_objects(
@@ -332,15 +330,11 @@ impl<V: Value + Wire> NetNode<V> {
 
         let ctx = Arc::new(ServerCtx {
             node,
-            cfg: ncfg.cfg,
-            kind: ncfg.spec.kind(),
-            cluster,
-            groups,
+            host,
             placement: topo.placement.clone(),
             pid_node,
             transport,
             store,
-            ops: OpMeter::default(),
             shutdown: AtomicBool::new(false),
         });
         let (inspect_tx, inspect_rx) = unbounded();
@@ -386,12 +380,13 @@ impl<V: Value + Wire> NetNode<V> {
 
     /// The spawned register groups, slot by slot.
     pub fn groups(&self) -> &[Deployment] {
-        &self.ctx.groups
+        self.ctx.host.groups()
     }
 
-    /// The local cluster (all global pids; remote ones are relays).
-    pub fn cluster(&self) -> &Cluster<Msg<V>> {
-        &self.ctx.cluster
+    /// The host of the slot groups (all global pids; remote ones are
+    /// relays, which inspection skips).
+    pub fn host(&self) -> &RegisterHost<V> {
+        &self.ctx.host
     }
 
     /// The node's transport.
@@ -407,9 +402,7 @@ impl<V: Value + Wire> NetNode<V> {
     /// range, or the write times out.
     pub fn write_slot(&self, slot: usize, value: V) -> WriteReport {
         assert_eq!(self.ctx.placement.writer, self.ctx.node, "writer not local");
-        let (done, waiter) = op_channel();
-        self.ctx.start_write(slot, value, done);
-        waiter.wait()
+        self.ctx.host.write(slot, value)
     }
 
     /// Blocking `READ()` at local reader `reader` of slot `slot`.
@@ -423,9 +416,7 @@ impl<V: Value + Wire> NetNode<V> {
             self.ctx.placement.readers[reader], self.ctx.node,
             "reader not local"
         );
-        let (done, waiter) = op_channel();
-        self.ctx.start_read(slot, reader, done);
-        waiter.wait()
+        self.ctx.host.read(slot, reader)
     }
 
     /// Crashes a locally hosted global pid (fault injection).
@@ -435,7 +426,7 @@ impl<V: Value + Wire> NetNode<V> {
     /// Panics if the pid is not hosted by this node.
     pub fn crash_pid(&self, pid: ProcessId) {
         assert_eq!(self.ctx.pid_node[pid.0], self.ctx.node, "pid not local");
-        self.ctx.cluster.crash(pid);
+        self.ctx.host.cluster().crash(pid);
     }
 
     /// This node's metrics snapshot: client-op histograms, executor
@@ -585,7 +576,7 @@ impl<V: Value + Wire> Handler for NodeHandler<V> {
                 // or hostile peer must not bounce traffic off a relay.
                 let ctx = &self.ctx;
                 if to.0 < ctx.pid_node.len() && ctx.pid_node[to.0] == ctx.node {
-                    ctx.cluster.send_external(from, to, msg);
+                    ctx.host.cluster().send_external(from, to, msg);
                 }
             }
             Some(Inbound::Request { conn, id, op }) => self.on_request(conn, id, op),
@@ -659,20 +650,21 @@ impl<V: Value + Wire> NodeHandler<V> {
                     Some(Rsp::Err {
                         what: format!("writer lives on node {}", ctx.placement.writer),
                     })
-                } else if slot >= ctx.groups.len() {
+                } else if slot >= ctx.host.groups().len() {
                     Some(Rsp::Err {
                         what: format!("slot {slot} out of range"),
                     })
                 } else {
                     let (reply, entry) = reply_for(&ctx.transport, conn, id);
-                    ctx.start_write(slot, value, move |result| reply.send(wrote(result)));
+                    ctx.host
+                        .write_with(slot, value, move |result| reply.send(wrote(result)));
                     pending.push_back(entry);
                     None
                 }
             }
             Op::ReadSlot { slot, reader } => {
                 let (slot, reader) = (slot as usize, reader as usize);
-                if slot >= ctx.groups.len() || reader >= ctx.cfg.readers {
+                if slot >= ctx.host.groups().len() || reader >= ctx.host.config().readers {
                     Some(Rsp::Err {
                         what: format!("slot {slot} / reader {reader} out of range"),
                     })
@@ -685,7 +677,8 @@ impl<V: Value + Wire> NodeHandler<V> {
                     })
                 } else {
                     let (reply, entry) = reply_for(&ctx.transport, conn, id);
-                    ctx.start_read(slot, reader, move |result| reply.send(read_ok(result)));
+                    ctx.host
+                        .read_with(slot, reader, move |result| reply.send(read_ok(result)));
                     pending.push_back(entry);
                     None
                 }
@@ -698,7 +691,7 @@ impl<V: Value + Wire> NodeHandler<V> {
                             what: format!("pid {pid} is not hosted here"),
                         }
                     } else {
-                        ctx.cluster.crash(ProcessId(pid));
+                        ctx.host.cluster().crash(ProcessId(pid));
                         Rsp::Crashed
                     },
                 )
@@ -822,34 +815,8 @@ fn inspection_loop<V: Value + Wire>(ctx: Arc<ServerCtx<V>>, jobs: Receiver<Inspe
 }
 
 impl<V: Value + Wire> ServerCtx<V> {
-    /// Starts `WRITE(value)` on slot `slot`; `done` fires on a worker
-    /// thread. The one write path of [`NetNode::write_slot`] and
-    /// `Op::WriteSlot`.
-    fn start_write(
-        &self,
-        slot: usize,
-        value: V,
-        done: impl FnOnce(Result<WriteReport, NodeGone>) + Send + 'static,
-    ) {
-        let writer = self.groups[slot].writer;
-        submit_write(&self.cluster, writer, value, self.ops.write(done));
-    }
-
-    /// Starts `READ()` at reader `reader` of slot `slot`; `done` fires on a
-    /// worker thread. The one read path of [`NetNode::read_slot`] and
-    /// `Op::ReadSlot`.
-    fn start_read(
-        &self,
-        slot: usize,
-        reader: usize,
-        done: impl FnOnce(Result<ReadReport<V>, NodeGone>) + Send + 'static,
-    ) {
-        let reader = self.groups[slot].readers[reader];
-        submit_read(&self.cluster, self.kind, reader, self.ops.read(done));
-    }
-
     fn metrics(&self) -> Registry {
-        let mut reg = self.ops.snapshot(self.cluster.stats());
+        let mut reg = self.host.op_metrics();
         self.transport.record_metrics(&mut reg);
         if let Some(store) = &self.store {
             reg.merge(&store.metrics_snapshot());
@@ -902,6 +869,31 @@ fn no_store<V>() -> Rsp<V> {
     Rsp::Err {
         what: "no store hosted here (start the node with a store spec)".into(),
     }
+}
+
+/// Rejects a Byzantine spec that names a slot or an object the deployment
+/// does not have: applied as given it would match no member, and a fault
+/// drill against the node would run all-honest and pass.
+fn check_byzantine<V>(topo: &NodeTopology, ncfg: &NetNodeConfig<V>) -> io::Result<()> {
+    let objects = ncfg.cfg.s;
+    let invalid = |what: String| Err(io::Error::new(io::ErrorKind::InvalidInput, what));
+    for spec in &ncfg.byzantine {
+        if spec.slot >= topo.slots || spec.object >= objects {
+            return invalid(format!(
+                "byzantine spec {}:{} names no object: the deployment has {} slot(s) of {objects} objects",
+                spec.slot, spec.object, topo.slots
+            ));
+        }
+    }
+    for spec in ncfg.store.iter().flat_map(|store| &store.byzantine) {
+        if spec.object >= objects {
+            return invalid(format!(
+                "store-byzantine spec {} names no object: every shard has {objects} objects",
+                spec.object
+            ));
+        }
+    }
+    Ok(())
 }
 
 /// Reserves `n` distinct localhost addresses by briefly binding port-0

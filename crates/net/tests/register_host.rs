@@ -1,0 +1,130 @@
+//! The node as a view of `vrr_runtime::RegisterHost`: a Byzantine spec
+//! either lands on the object it names or is rejected, and host inspection
+//! on a node that holds relays for half its group reports the other half
+//! without disturbing the relays.
+
+use std::io::ErrorKind;
+
+use vrr_core::attackers::AttackerKind;
+use vrr_core::regular::RegularObject;
+use vrr_core::{ProtocolKind, StorageConfig};
+use vrr_net::{
+    free_addrs, ByzSpec, GroupPlacement, NetNode, NetNodeConfig, NodeTopology, StoreByzSpec,
+    StoreSpec,
+};
+use vrr_runtime::{Cluster, InvokeError};
+use vrr_sim::ProcessId;
+
+const KIND: ProtocolKind = ProtocolKind::RegularOptimized;
+
+fn mute(slot: usize, object: usize) -> ByzSpec<u64> {
+    ByzSpec {
+        slot,
+        object,
+        kind: AttackerKind::Mute,
+        forged: 0,
+    }
+}
+
+fn is_honest_object(cluster: &Cluster<vrr_core::Msg<u64>>, pid: ProcessId) -> bool {
+    match cluster.try_invoke(pid, |_o: &mut RegularObject<u64>, _ctx| ()) {
+        Ok(()) => true,
+        Err(InvokeError::WrongType { .. }) => false,
+        Err(gone) => panic!("inspection must not poison {pid}: {gone}"),
+    }
+}
+
+/// `--byzantine 0:9:mute:0` at `S = 4` used to match no object: the node
+/// came up all-honest and a fault drill against it passed vacuously.
+#[test]
+fn a_byzantine_spec_names_an_existing_object_or_the_node_refuses_to_start() {
+    let cfg = StorageConfig::optimal(1, 1, 1); // S = 4
+    let topo = NodeTopology {
+        addrs: free_addrs(1).expect("reserve port"),
+        placement: GroupPlacement::single(0, cfg),
+        slots: 2,
+    };
+
+    for (slot, object) in [(0, cfg.s), (2, 0)] {
+        let mut ncfg = NetNodeConfig::<u64>::new(cfg, KIND);
+        ncfg.byzantine = vec![mute(slot, object)];
+        let err = NetNode::start(0, &topo, ncfg).err().expect("out of range");
+        assert_eq!(
+            err.kind(),
+            ErrorKind::InvalidInput,
+            "{slot}:{object}: {err}"
+        );
+        assert!(err.to_string().contains(&format!("{slot}:{object}")));
+    }
+    let mut ncfg = NetNodeConfig::<u64>::new(cfg, KIND);
+    ncfg.store = Some(StoreSpec {
+        capacity: 2,
+        byzantine: vec![StoreByzSpec {
+            object: cfg.s,
+            kind: AttackerKind::Mute,
+            forged: 0,
+        }],
+    });
+    let err = NetNode::start(0, &topo, ncfg).err().expect("out of range");
+    assert_eq!(err.kind(), ErrorKind::InvalidInput, "store spec: {err}");
+
+    // In range, both kinds land exactly where they point.
+    let mut ncfg = NetNodeConfig::<u64>::new(cfg, KIND);
+    ncfg.byzantine = vec![mute(1, 3)];
+    ncfg.store = Some(StoreSpec {
+        capacity: 2,
+        byzantine: vec![StoreByzSpec {
+            object: 2,
+            kind: AttackerKind::Mute,
+            forged: 0,
+        }],
+    });
+    let node = NetNode::start(0, &topo, ncfg).expect("in-range specs");
+    let store = node.store().expect("store mode");
+    for slot in 0..2 {
+        for i in 0..cfg.s {
+            let pid = node.groups()[slot].objects[i];
+            let honest = is_honest_object(node.host().cluster(), pid);
+            assert_eq!(honest, (slot, i) != (1, 3), "slot {slot} object {i}");
+            let honest = is_honest_object(store.cluster(), store.objects(slot)[i]);
+            assert_eq!(honest, i != 2, "shard {slot} object {i}");
+        }
+    }
+}
+
+/// Objects 1 and 3 live on node 1, so on node 0 their pids hold relays:
+/// host inspection there reports objects 0 and 2 only — and asking a relay
+/// whether it is a `RegularObject` leaves it relaying.
+#[test]
+fn host_inspection_on_a_split_deployment_reports_only_locally_hosted_objects() {
+    let cfg = StorageConfig::optimal(1, 1, 2);
+    let topo = NodeTopology {
+        addrs: free_addrs(2).expect("reserve ports"),
+        placement: GroupPlacement {
+            objects: (0..cfg.s).map(|i| u32::from(i % 2 == 1)).collect(),
+            writer: 0,
+            readers: vec![0, 1],
+        },
+        slots: 1,
+    };
+    let ncfg = NetNodeConfig::<u64>::new(cfg, KIND);
+    let n0 = NetNode::start(0, &topo, ncfg.clone()).expect("node 0");
+    let n1 = NetNode::start(1, &topo, ncfg).expect("node 1");
+    for v in 1..=3 {
+        n0.write_slot(0, v);
+    }
+
+    // The initial entry plus three writes, each delivered to the local
+    // objects before its quorum closed (a remote one may still lag).
+    assert_eq!(n0.host().history_lens(0), [(0, 4), (2, 4)]);
+    let remote: Vec<usize> = n1.host().history_lens(0).iter().map(|&(i, _)| i).collect();
+    assert_eq!(remote, [1, 3]);
+    // Reader 1 is a relay on node 0 and reader 0 one on node 1: both are
+    // skipped, neither is counted or poisoned.
+    assert_eq!(n0.host().fast_path_stats(), Default::default());
+
+    // The relays still relay: both readers complete through them.
+    n0.write_slot(0, 4);
+    assert_eq!(n0.read_slot(0, 0).value, Some(4));
+    assert_eq!(n1.read_slot(0, 1).value, Some(4));
+}

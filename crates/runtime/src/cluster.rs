@@ -18,9 +18,10 @@ use vrr_sim::{Automaton, Context, ProcessId};
 use crate::executor::{ClientOp, Executor, ExecutorStats, InvokeFn, NodeCmd};
 use crate::link::LinkPolicy;
 
-/// Error returned by [`Cluster::try_invoke`] and [`Cluster::submit`] when
-/// the target process can no longer execute closures — it was crashed
-/// (fault injection) or the cluster is shutting down.
+/// The target process can no longer execute closures — it was crashed
+/// (fault injection), poisoned by a panic, or the cluster is shutting down.
+/// What a [`Cluster::submit`] completion hears instead of an outcome, and
+/// one half of [`InvokeError`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct NodeGone(pub ProcessId);
 
@@ -31,6 +32,36 @@ impl fmt::Display for NodeGone {
 }
 
 impl std::error::Error for NodeGone {}
+
+/// Why [`Cluster::try_invoke`] did not run its closure.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum InvokeError {
+    /// The process is crashed or gone.
+    Gone(NodeGone),
+    /// The process is alive, but its automaton is not the type the closure
+    /// takes. Nothing ran and the process carries on — which is what lets
+    /// inspection ask every process of a group and skip the Byzantine
+    /// substitutes and relay stand-ins among them.
+    WrongType {
+        /// The process asked.
+        pid: ProcessId,
+        /// The automaton type the closure takes.
+        expected: &'static str,
+    },
+}
+
+impl fmt::Display for InvokeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            InvokeError::Gone(gone) => gone.fmt(f),
+            InvokeError::WrongType { pid, expected } => {
+                write!(f, "process {pid} is not a {expected}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for InvokeError {}
 
 /// A running cluster of automata on a sharded worker pool.
 ///
@@ -125,23 +156,26 @@ impl<M: Send + 'static> Cluster<M> {
     ///
     /// # Panics
     ///
-    /// Panics if `pid`'s automaton is not an `A`, or if the node is crashed
-    /// or gone (use [`Cluster::try_invoke`] for a recoverable variant).
+    /// Panics — in the caller, leaving the process as it was — if `pid`'s
+    /// automaton is not an `A` or the node is crashed or gone (use
+    /// [`Cluster::try_invoke`] for a recoverable variant).
     pub fn invoke<A: Automaton<M>, R: Send + 'static>(
         &self,
         pid: ProcessId,
         f: impl FnOnce(&mut A, &mut Context<'_, M>) -> R + Send + 'static,
     ) -> R {
         self.try_invoke(pid, f)
-            .unwrap_or_else(|gone| panic!("invoke failed: {gone}"))
+            .unwrap_or_else(|e| panic!("invoke failed: {e}"))
     }
 
-    /// Like [`Cluster::invoke`], but returns [`NodeGone`] instead of
-    /// panicking when `pid` was crashed (or the pool is shutting down).
-    /// A panic inside `f` — including an `A` downcast mismatch — is
-    /// contained by the worker: the target process is poisoned like a
-    /// crash (the panic is reported on stderr) and the caller gets
-    /// [`NodeGone`].
+    /// Like [`Cluster::invoke`], but returns an [`InvokeError`] instead of
+    /// panicking. The automaton's type is checked **before** `f` runs: if
+    /// it is not an `A`, nothing runs, the caller gets
+    /// [`InvokeError::WrongType`] and the process carries on untouched. If
+    /// `pid` was crashed (or the pool is shutting down) the caller gets
+    /// [`InvokeError::Gone`]. A panic inside `f` itself is contained by the
+    /// worker: the target process is poisoned like a crash (the panic is
+    /// reported on stderr) and the caller gets [`InvokeError::Gone`].
     ///
     /// # Panics
     ///
@@ -151,15 +185,22 @@ impl<M: Send + 'static> Cluster<M> {
         &self,
         pid: ProcessId,
         f: impl FnOnce(&mut A, &mut Context<'_, M>) -> R + Send + 'static,
-    ) -> Result<R, NodeGone> {
+    ) -> Result<R, InvokeError> {
         assert!(pid.index() < self.len(), "invoke on unspawned {pid}");
         let (tx, rx) = bounded(1);
         let boxed: InvokeFn<M> = Box::new(move |any, ctx| {
-            let _ = tx.send(f(downcast(any), ctx));
+            let _ = tx.send(any.downcast_mut::<A>().map(|a| f(a, ctx)));
         });
         self.executor.enqueue(pid, NodeCmd::Invoke(boxed));
-        // A crashed node drops the closure, and with it the only sender.
-        rx.recv().map_err(|_| NodeGone(pid))
+        match rx.recv() {
+            Ok(Some(r)) => Ok(r),
+            Ok(None) => Err(InvokeError::WrongType {
+                pid,
+                expected: std::any::type_name::<A>(),
+            }),
+            // A crashed node drops the closure, and with it the only sender.
+            Err(_) => Err(InvokeError::Gone(NodeGone(pid))),
+        }
     }
 
     /// Submits one client operation on `pid` and returns immediately — the
@@ -177,8 +218,10 @@ impl<M: Send + 'static> Cluster<M> {
     /// client invokes one operation at a time") holds whatever the
     /// callers do. `done` fires exactly once; it receives [`NodeGone`]
     /// if `pid` is crashed, gets crashed or poisoned (a panic in `start`
-    /// or `poll`, including an `A` downcast mismatch) before the
-    /// operation completes, or the cluster is dropped first.
+    /// or `poll`) before the operation completes, or the cluster is
+    /// dropped first. Unlike an inspection, an operation aimed at the wrong
+    /// automaton type is a programming error: the `A` downcast mismatch
+    /// panics on the worker, which poisons `pid` and fails the completion.
     ///
     /// # Panics
     ///
@@ -407,16 +450,6 @@ mod tests {
     }
 
     #[test]
-    fn try_invoke_on_crashed_node_reports_node_gone() {
-        let mut cluster: Cluster<u64> = Cluster::new(Box::new(NoDelay));
-        let counter = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
-        cluster.seal();
-        cluster.crash(counter);
-        let got = cluster.try_invoke(counter, |c: &mut Counter, _ctx| c.seen);
-        assert_eq!(got, Err(NodeGone(counter)));
-    }
-
-    #[test]
     #[should_panic(expected = "invoke failed")]
     fn invoke_on_crashed_node_panics() {
         let mut cluster: Cluster<u64> = Cluster::new(Box::new(NoDelay));
@@ -429,14 +462,14 @@ mod tests {
     #[test]
     fn panicking_invoke_poisons_only_its_process() {
         // Both processes share the one worker: a panic inside an invoke
-        // (here: a wrong-type downcast) must not kill the worker thread.
+        // must not kill the worker thread.
         let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), 1);
         let victim = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
         let healthy = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
         cluster.seal();
 
-        let gone = cluster.try_invoke(victim, |_p: &mut Pinger, _ctx| ());
-        assert_eq!(gone, Err(NodeGone(victim)), "downcast panic -> NodeGone");
+        let gone = cluster.try_invoke(victim, |_c: &mut Counter, _ctx| panic!("invoke blew up"));
+        assert_eq!(gone, Err::<(), _>(InvokeError::Gone(NodeGone(victim))));
 
         // The worker survived: its other process still delivers and
         // answers invokes; the poisoned one behaves like a crashed node.
@@ -449,9 +482,32 @@ mod tests {
         );
         assert_eq!(
             cluster.try_invoke(victim, |c: &mut Counter, _ctx| c.seen),
-            Err(NodeGone(victim)),
+            Err(InvokeError::Gone(NodeGone(victim))),
             "poisoned process stays gone even for well-typed invokes"
         );
+    }
+
+    #[test]
+    fn mistyped_invoke_is_reported_and_leaves_the_process_running() {
+        let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), 1);
+        let counter = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
+        cluster.seal();
+
+        let ran = cluster.try_invoke(counter, |_p: &mut Pinger, _ctx| ());
+        assert_eq!(
+            ran,
+            Err(InvokeError::WrongType {
+                pid: counter,
+                expected: std::any::type_name::<Pinger>(),
+            }),
+            "the closure must not run on a Counter"
+        );
+        // Nothing was poisoned: the process answers to its real type and
+        // still takes deliveries.
+        assert_eq!(seen(&cluster, counter), 0);
+        let done = total_after(&cluster, counter, 1);
+        cluster.send_external(counter, counter, 9);
+        assert_eq!(done.recv_timeout(Duration::from_secs(5)).unwrap(), 9);
     }
 
     /// A client automaton whose operations take one self-addressed message
@@ -607,7 +663,7 @@ mod tests {
         cluster.crash(stuck);
         assert_eq!(
             cluster.try_invoke(stuck, |_a: &mut OneAtATime, _ctx| ()),
-            Err(NodeGone(stuck)),
+            Err(InvokeError::Gone(NodeGone(stuck))),
             "barrier: the crash was processed"
         );
         assert_eq!(

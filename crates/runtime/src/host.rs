@@ -1,0 +1,575 @@
+//! The one host of register groups on the thread runtime.
+//!
+//! A [`RegisterHost`] owns a worker-pool [`Cluster`], `slots` register
+//! groups spawned on it through [`vrr_core::spawn_group`], and the meter of
+//! the operations it starts. Everything that deploys the paper's register
+//! on threads is a view of it: [`crate::StorageCluster`] is slot 0 of a
+//! one-slot host, [`crate::ShardedStore`] a key index over a
+//! `capacity`-slot host, and `vrr-net`'s node a host whose members placed
+//! in other OS processes are relay stand-ins.
+//!
+//! Operations are completion-driven ([`RegisterHost::write_with`] /
+//! [`RegisterHost::read_with`]: one [`Cluster::submit`] command each); the
+//! blocking [`RegisterHost::write`] / [`RegisterHost::read`] wait on a
+//! channel for the same completion. Inspection follows one rule, the
+//! simulator's: ask every process, skip what is gone or is not the automaton
+//! asked for — so crashed processes, Byzantine substitutes and relays are
+//! looked past, never poisoned.
+
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use crossbeam::channel::{bounded, Receiver};
+use parking_lot::Mutex;
+
+use vrr_sim::Automaton;
+
+use vrr_core::metrics::{self, names, MetricsSink, Registry};
+use vrr_core::regular::{RegularObject, RegularReader};
+use vrr_core::safe::SafeReader;
+use vrr_core::{
+    spawn_group, Deployment, FastPathStats, GroupRole, Msg, ProtocolKind, ProtocolSpec, ReadReport,
+    StorageConfig, Value, WriteReport, Writer,
+};
+
+use crate::cluster::{Cluster, NodeGone};
+
+/// How long an operation may take before the cluster is declared wedged.
+/// Generous: operations take milliseconds even under delay policies. The
+/// blocking shims panic past it; a completion-driven caller (`vrr-net`'s
+/// node) answers a typed error past it instead.
+pub const OP_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Rounds and latency histograms of the host's completed READs and WRITEs
+/// under the canonical `vrr_*` names. Clones share one registry, so
+/// in-flight completions record into it.
+///
+/// Latency ticks are wall-clock **microseconds**, measured from the call
+/// that wraps the completion to the completion firing on its worker thread
+/// (the simulator records sim ticks under the same names; the unit is the
+/// harness's to define).
+#[derive(Clone, Default)]
+struct OpMeter(Arc<Mutex<Registry>>);
+
+impl OpMeter {
+    /// Starts the clock of an operation: the returned completion records
+    /// the report's `rounds` (a [`NodeGone`] records nothing), then calls
+    /// `done`.
+    fn timed<R: 'static>(
+        &self,
+        rounds_name: &'static str,
+        latency_name: &'static str,
+        rounds: fn(&R) -> u32,
+        done: impl FnOnce(Result<R, NodeGone>) + Send + 'static,
+    ) -> impl FnOnce(Result<R, NodeGone>) + Send + 'static {
+        let ops = self.0.clone();
+        let started = Instant::now();
+        move |result| {
+            if let Ok(report) = &result {
+                let us = started.elapsed().as_micros() as u64;
+                let mut ops = ops.lock();
+                ops.observe(rounds_name, &[], u64::from(rounds(report)));
+                ops.observe(latency_name, &[], us);
+            }
+            done(result);
+        }
+    }
+}
+
+/// The waiting half of [`op_channel`]: where a blocking caller parks until
+/// its operation's completion fires.
+struct OpWaiter<R>(Receiver<Result<R, NodeGone>>);
+
+/// A completion callback for [`RegisterHost::write_with`] /
+/// [`RegisterHost::read_with`] paired with the [`OpWaiter`] it wakes — how
+/// every blocking read and write in the workspace waits.
+fn op_channel<R: Send + 'static>() -> (
+    impl FnOnce(Result<R, NodeGone>) + Send + 'static,
+    OpWaiter<R>,
+) {
+    let (tx, rx) = bounded(1);
+    let done = move |result| {
+        let _ = tx.send(result);
+    };
+    (done, OpWaiter(rx))
+}
+
+impl<R> OpWaiter<R> {
+    /// Blocks for the operation's outcome.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operation does not complete within [`OP_TIMEOUT`] —
+    /// with at most `t` faulty objects that is a wait-freedom violation —
+    /// or its client process is crashed or gone.
+    fn wait(self) -> R {
+        self.0
+            .recv_timeout(OP_TIMEOUT)
+            .expect("operation must complete (wait-freedom)")
+            .unwrap_or_else(|gone| panic!("operation failed: {gone}"))
+    }
+}
+
+/// `slots` register groups — each `cfg.s` objects, one writer and
+/// `cfg.readers` readers — on one worker-pool cluster, addressed by slot.
+///
+/// # Examples
+///
+/// ```
+/// use vrr_core::StorageConfig;
+/// use vrr_runtime::{Cluster, NoDelay, ProtocolKind, RegisterHost};
+///
+/// let cfg = StorageConfig::optimal(1, 1, 1);
+/// let host: RegisterHost<u64> = RegisterHost::spawn(
+///     Cluster::new(Box::new(NoDelay)),
+///     cfg,
+///     ProtocolKind::RegularOptimized.into(),
+///     2,
+///     |_slot, _role| None,
+/// );
+/// host.write(1, 7);
+/// assert_eq!(host.read(1, 0).value, Some(7));
+/// assert_eq!(host.read(0, 0).value, None);
+/// ```
+pub struct RegisterHost<V: Value> {
+    cluster: Cluster<Msg<V>>,
+    cfg: StorageConfig,
+    kind: ProtocolKind,
+    groups: Vec<Deployment>,
+    ops: OpMeter,
+}
+
+impl<V: Value> RegisterHost<V> {
+    /// Spawns `slots` register groups running `spec` onto the (empty,
+    /// unsealed) `cluster`, slot by slot in the canonical member order, and
+    /// seals it — so the member at position `p` of slot `s` gets process id
+    /// `s * group_span(cfg) + p` on every host started from the same
+    /// arguments.
+    ///
+    /// `substitute(slot, role)` may replace the automaton of any member:
+    /// a Byzantine object, a relay for a member living in another OS
+    /// process. Returning `None` deploys the honest automaton `spec` calls
+    /// for.
+    pub fn spawn(
+        mut cluster: Cluster<Msg<V>>,
+        cfg: StorageConfig,
+        spec: ProtocolSpec,
+        slots: usize,
+        mut substitute: impl FnMut(usize, GroupRole) -> Option<Box<dyn Automaton<Msg<V>>>>,
+    ) -> Self {
+        let groups = (0..slots)
+            .map(|slot| {
+                spawn_group(
+                    cfg,
+                    spec,
+                    |_role, automaton| cluster.spawn(automaton),
+                    |role, _objects| substitute(slot, role),
+                )
+            })
+            .collect();
+        cluster.seal();
+        RegisterHost {
+            cluster,
+            cfg,
+            kind: spec.kind(),
+            groups,
+            ops: OpMeter::default(),
+        }
+    }
+
+    /// The sizing of every group.
+    pub fn config(&self) -> StorageConfig {
+        self.cfg
+    }
+
+    /// The protocol variant.
+    pub fn kind(&self) -> ProtocolKind {
+        self.kind
+    }
+
+    /// The process ids of every group, slot by slot.
+    pub fn groups(&self) -> &[Deployment] {
+        &self.groups
+    }
+
+    /// The underlying cluster (fault injection, raw sends, stats).
+    pub fn cluster(&self) -> &Cluster<Msg<V>> {
+        &self.cluster
+    }
+
+    /// Starts `WRITE(value)` on slot `slot` and returns immediately; `done`
+    /// fires on a worker thread with the report, or with [`NodeGone`] if
+    /// the slot's writer is crashed (see [`Cluster::submit`] for the full
+    /// contract).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range.
+    pub fn write_with(
+        &self,
+        slot: usize,
+        value: V,
+        done: impl FnOnce(Result<WriteReport, NodeGone>) + Send + 'static,
+    ) {
+        let (rounds, latency) = (names::WRITER_ROUNDS, names::WRITE_LATENCY);
+        self.cluster.submit(
+            self.groups[slot].writer,
+            move |w: &mut Writer<V>, ctx| w.invoke_write(value, ctx),
+            |w: &mut Writer<V>, &id| w.take_outcome(id),
+            self.ops
+                .timed(rounds, latency, |report| report.rounds, done),
+        );
+    }
+
+    /// Starts `READ()` at reader `j` of slot `slot` and returns
+    /// immediately; `done` fires on a worker thread with the report, or
+    /// with [`NodeGone`] if that reader is crashed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` or `j` is out of range.
+    pub fn read_with(
+        &self,
+        slot: usize,
+        j: usize,
+        done: impl FnOnce(Result<ReadReport<V>, NodeGone>) + Send + 'static,
+    ) {
+        let reader = self.groups[slot].readers[j];
+        let (rounds, latency) = (names::READER_ROUNDS, names::READ_LATENCY);
+        let done = self
+            .ops
+            .timed(rounds, latency, |report| report.rounds, done);
+        match self.kind {
+            ProtocolKind::Safe => self.cluster.submit(
+                reader,
+                |r: &mut SafeReader<V>, ctx| r.invoke_read(ctx),
+                |r: &mut SafeReader<V>, &id| r.take_outcome(id),
+                done,
+            ),
+            ProtocolKind::Regular | ProtocolKind::RegularOptimized => self.cluster.submit(
+                reader,
+                |r: &mut RegularReader<V>, ctx| r.invoke_read(ctx),
+                |r: &mut RegularReader<V>, &id| r.take_outcome(id),
+                done,
+            ),
+        }
+    }
+
+    /// Blocking `WRITE(value)` on slot `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range, or the write does not complete
+    /// within [`OP_TIMEOUT`] — with at most `t` faulty objects that is a
+    /// wait-freedom violation.
+    pub fn write(&self, slot: usize, value: V) -> WriteReport {
+        let (done, waiter) = op_channel();
+        self.write_with(slot, value, done);
+        waiter.wait()
+    }
+
+    /// Blocking `READ()` at reader `j` of slot `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` or `j` is out of range, or the read does not
+    /// complete within [`OP_TIMEOUT`].
+    pub fn read(&self, slot: usize, j: usize) -> ReadReport<V> {
+        let (done, waiter) = op_channel();
+        self.read_with(slot, j, done);
+        waiter.wait()
+    }
+
+    /// Crashes object `i` of slot `slot` (fault injection).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` or `i` is out of range.
+    pub fn crash_object(&self, slot: usize, i: usize) {
+        self.cluster.crash(self.groups[slot].objects[i]);
+    }
+
+    /// `(object index, history length)` of every live [`RegularObject`] in
+    /// slot `slot`, in object order — the memory-bound observable of the
+    /// reader-ack GC experiments. Whatever else sits at an object's pid is
+    /// skipped: a crashed process, a Byzantine substitute (a liar's
+    /// "history" is meaningless), a relay, a history-less safe object.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` is out of range.
+    pub fn history_lens(&self, slot: usize) -> Vec<(usize, usize)> {
+        if self.kind == ProtocolKind::Safe {
+            return Vec::new(); // no object to find: spare S blocking invokes
+        }
+        let objects = self.groups[slot].objects.iter().enumerate();
+        objects
+            .filter_map(|(i, &pid)| {
+                let len = self
+                    .cluster
+                    .try_invoke(pid, |o: &mut RegularObject<V>, _ctx| o.history().len());
+                len.ok().map(|len| (i, len))
+            })
+            .collect()
+    }
+
+    /// Sum of the one-round fast-path counters over every live reader of
+    /// every slot: reads finished in round 1 (`hits`) vs. reads that armed
+    /// the fast path but completed through the two-round protocol
+    /// (`fallbacks`). Both stay zero at optimal resilience, where
+    /// Proposition 1 keeps the fast path disarmed.
+    pub fn fast_path_stats(&self) -> FastPathStats {
+        let mut total = FastPathStats::default();
+        for &pid in self.groups.iter().flat_map(|group| &group.readers) {
+            let stats = match self.kind {
+                ProtocolKind::Safe => self
+                    .cluster
+                    .try_invoke(pid, |r: &mut SafeReader<V>, _ctx| r.fast_stats()),
+                ProtocolKind::Regular | ProtocolKind::RegularOptimized => self
+                    .cluster
+                    .try_invoke(pid, |r: &mut RegularReader<V>, _ctx| r.fast_stats()),
+            };
+            if let Ok(s) = stats {
+                total.hits += s.hits;
+                total.fallbacks += s.fallbacks;
+            }
+        }
+        total
+    }
+
+    /// The rounds/latency histograms of the operations this host completed
+    /// so far, plus its worker pool's activity counters under their
+    /// canonical `vrr_executor_*` names.
+    pub fn op_metrics(&self) -> Registry {
+        let executor = self.cluster.stats();
+        let mut reg = self.ops.0.lock().clone();
+        reg.counter_add(names::EXECUTOR_SWEEPS, &[], executor.sweeps);
+        reg.counter_add(names::EXECUTOR_WAKEUPS, &[], executor.wakeups);
+        reg.counter_add(names::EXECUTOR_COMMANDS, &[], executor.commands);
+        reg
+    }
+
+    /// One snapshot of everything observable about the host, under the
+    /// same canonical `vrr_*` names ([`vrr_core::metrics::names`]) the
+    /// simulator harness exports: [`RegisterHost::op_metrics`], the
+    /// fast-path counters, and one history-length gauge per inspectable
+    /// object labelled `{object, shard}` with its own index and slot — and
+    /// `cluster="<cluster>"` when given, so the snapshots of a router's
+    /// clusters merge without colliding. Encode with
+    /// [`vrr_core::metrics::Registry::to_prometheus`].
+    pub fn metrics_snapshot_labelled(&self, cluster: Option<usize>) -> Registry {
+        let mut reg = self.op_metrics();
+        metrics::record_fast_path(&mut reg, &self.fast_path_stats());
+        for slot in 0..self.groups.len() {
+            let lens = self.history_lens(slot);
+            metrics::record_history_lens_at(&mut reg, cluster, Some(slot), &lens);
+        }
+        reg
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use vrr_core::attackers::AttackerKind;
+    use vrr_core::regular::HistoryRetention;
+
+    use super::*;
+    use crate::link::NoDelay;
+
+    fn host_with(
+        cfg: StorageConfig,
+        spec: impl Into<ProtocolSpec>,
+        slots: usize,
+        substitute: impl FnMut(usize, GroupRole) -> Option<Box<dyn Automaton<Msg<u64>>>>,
+    ) -> RegisterHost<u64> {
+        let cluster = Cluster::new(Box::new(NoDelay));
+        RegisterHost::spawn(cluster, cfg, spec.into(), slots, substitute)
+    }
+
+    fn honest(
+        cfg: StorageConfig,
+        spec: impl Into<ProtocolSpec>,
+        slots: usize,
+    ) -> RegisterHost<u64> {
+        host_with(cfg, spec, slots, |_slot, _role| None)
+    }
+
+    #[test]
+    fn slots_are_independent_registers_in_canonical_pid_order() {
+        let cfg = StorageConfig::optimal(1, 1, 2);
+        let host = honest(cfg, ProtocolKind::Safe, 3);
+        let span = vrr_core::group_span(cfg);
+        for (slot, group) in host.groups().iter().enumerate() {
+            assert_eq!(group.objects[0].index(), slot * span);
+            assert_eq!(group.readers[1].index(), slot * span + span - 1);
+        }
+        host.write(0, 10);
+        host.write(2, 30);
+        assert_eq!(host.read(0, 1).value, Some(10));
+        assert_eq!(host.read(1, 0).value, None, "slot 1 was never written");
+        assert_eq!(host.read(2, 0).value, Some(30));
+    }
+
+    #[test]
+    fn reader_ack_gc_bounds_history_per_slot() {
+        let cfg = StorageConfig::optimal(1, 1, 1);
+        let spec = ProtocolSpec::from(ProtocolKind::RegularOptimized)
+            .with_retention(HistoryRetention::reader_ack(1));
+        let host = honest(cfg, spec, 2);
+        let (hot, cold) = (0, 1);
+        for k in 1..=100u64 {
+            host.write(hot, k);
+            assert_eq!(host.read(hot, 0).value, Some(k));
+            if k % 10 == 0 {
+                host.write(cold, k);
+                assert_eq!(host.read(cold, 0).value, Some(k));
+            }
+        }
+        // Acks ride on the READ broadcasts, which are flushed before the
+        // inspection command is enqueued: every object has truncated down
+        // to the concurrency window by now.
+        for slot in [hot, cold] {
+            let lens = host.history_lens(slot);
+            assert_eq!(lens.len(), cfg.s);
+            for (i, len) in lens {
+                assert!(
+                    len <= 5,
+                    "slot {slot} object {i}: history len {len} unbounded"
+                );
+            }
+        }
+        // The control: the paper-faithful default really does grow.
+        let keep_all = honest(cfg, ProtocolKind::RegularOptimized, 1);
+        for k in 1..=30u64 {
+            keep_all.write(0, k);
+            assert_eq!(keep_all.read(0, 0).value, Some(k));
+        }
+        let lens = keep_all.history_lens(0);
+        assert!(lens.into_iter().all(|(_, len)| len == 31));
+    }
+
+    #[test]
+    fn over_provisioned_sizing_reads_in_one_round() {
+        // S = 2t + 2b + 1 = 5 arms the fast path: fault-free reads finish
+        // in round 1 for both protocol families, on every slot.
+        let cfg = StorageConfig::fast(1, 1, 1);
+        for kind in [
+            ProtocolKind::Safe,
+            ProtocolKind::Regular,
+            ProtocolKind::RegularOptimized,
+        ] {
+            let host = honest(cfg, kind, 2);
+            for k in 1..=3u64 {
+                for slot in 0..2 {
+                    host.write(slot, k + slot as u64);
+                    let r = host.read(slot, 0);
+                    assert_eq!(r.value, Some(k + slot as u64), "{kind:?}");
+                    assert_eq!(r.rounds, 1, "{kind:?}");
+                    assert!(r.fast, "{kind:?}");
+                }
+            }
+            let stats = host.fast_path_stats();
+            assert_eq!(stats.hits, 6, "{kind:?}: summed over both slots");
+            assert_eq!(stats.fallbacks, 0, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn a_slot_survives_t_crashes_and_its_neighbour_none() {
+        let cfg = StorageConfig::optimal(2, 1, 1); // S = 6, t = 2
+        let host = honest(cfg, ProtocolKind::Safe, 2);
+        host.write(0, 1);
+        host.write(1, 2);
+        host.crash_object(0, 0);
+        host.crash_object(0, 3);
+        host.write(0, 10);
+        assert_eq!(host.read(0, 0).value, Some(10));
+        assert_eq!(host.read(1, 0).value, Some(2));
+    }
+
+    #[test]
+    fn metrics_snapshot_carries_every_family_and_labels_histories_by_slot() {
+        let cfg = StorageConfig::fast(1, 1, 2);
+        let spec = ProtocolSpec::from(ProtocolKind::RegularOptimized)
+            .with_retention(HistoryRetention::reader_ack(2));
+        let host = honest(cfg, spec, 2);
+        for k in 1..=4u64 {
+            host.write(0, k);
+            host.read(0, 0);
+            host.read(0, 1);
+        }
+        host.write(1, 9);
+        let snap = host.metrics_snapshot_labelled(None);
+        let count = |name| snap.histogram(name, &[]).unwrap().count();
+        assert_eq!(count(names::WRITER_ROUNDS), 5);
+        assert_eq!(count(names::WRITE_LATENCY), 5);
+        assert_eq!(count(names::READER_ROUNDS), 8);
+        assert_eq!(count(names::READ_LATENCY), 8);
+        let hits = snap.counter(names::READER_FAST_HITS, &[]);
+        let fallbacks = snap.counter(names::READER_FAST_FALLBACKS, &[]);
+        assert_eq!(hits + fallbacks, 8, "every read hit or fell back");
+        assert!(snap.counter(names::EXECUTOR_COMMANDS, &[]) > 0);
+        // One gauge per object per slot, distinguished by the shard label.
+        let lens = snap.gauge_values(names::OBJECT_HISTORY_LEN);
+        assert_eq!(lens.len(), 2 * cfg.s);
+        // The snapshot speaks the same text format as the sim harness.
+        let text = snap.to_prometheus();
+        assert!(text.contains("# TYPE vrr_writer_rounds histogram"));
+        assert!(text.contains("vrr_object_history_len{object=\"0\",shard=\"1\"}"));
+        let text = host.metrics_snapshot_labelled(Some(3)).to_prometheus();
+        assert!(text.contains("vrr_object_history_len{cluster=\"3\",object=\"0\",shard=\"1\"}"));
+        // The operation half alone: what a node merges next to a hosted
+        // store's snapshot without colliding on its history gauges.
+        let ops = host.op_metrics();
+        assert_eq!(ops.histogram(names::READER_ROUNDS, &[]).unwrap().count(), 8);
+        assert!(ops.gauge_values(names::OBJECT_HISTORY_LEN).is_empty());
+    }
+
+    #[test]
+    fn inspection_skips_crashed_and_byzantine_objects_and_labels_the_rest_by_own_index() {
+        let cfg = StorageConfig::fast(1, 1, 1);
+        let liar_slot = 1;
+        let host = host_with(cfg, ProtocolKind::RegularOptimized, 2, |slot, role| {
+            (slot == liar_slot && role == GroupRole::Object(0))
+                .then(|| AttackerKind::Inflator.build_regular(cfg, 0xBAD))
+        });
+        for slot in 0..2 {
+            host.write(slot, 1);
+            assert_eq!(host.read(slot, 0).value, Some(1));
+        }
+        host.crash_object(liar_slot, 2);
+
+        let indices = |slot| -> Vec<usize> {
+            let lens = host.history_lens(slot);
+            lens.into_iter().map(|(i, _)| i).collect()
+        };
+        assert_eq!(indices(0), [0, 1, 2, 3, 4]);
+        assert_eq!(
+            indices(liar_slot),
+            [1, 3, 4],
+            "the liar and the crash are skipped"
+        );
+
+        // 5 objects - 1 Byzantine - 1 crashed = 3 inspectable histories in
+        // the liar's slot, each labelled with the index of the object it
+        // was read from.
+        let snap = host.metrics_snapshot_labelled(None);
+        assert_eq!(snap.gauge_values(names::OBJECT_HISTORY_LEN).len(), 5 + 3);
+        for (i, &pid) in host.groups()[liar_slot].objects.iter().enumerate() {
+            let labels = [("object", &*i.to_string()), ("shard", "1")];
+            let gauge = snap.gauge(names::OBJECT_HISTORY_LEN, &labels);
+            if i == 0 || i == 2 {
+                assert_eq!(gauge, None, "object {i} is not inspectable");
+                continue;
+            }
+            let len = host
+                .cluster()
+                .invoke(pid, |o: &mut RegularObject<u64>, _ctx| o.history().len());
+            assert_eq!(gauge, Some(len as u64), "object {i}");
+        }
+        // Looked past, not poisoned: the slot still absorbs the liar as a
+        // *Byzantine* fault next to the crash.
+        host.write(liar_slot, 2);
+        assert_eq!(host.read(liar_slot, 0).value, Some(2));
+    }
+}

@@ -16,15 +16,23 @@
 //! automaton, and fires the caller's completion on the worker thread —
 //! an invocation event, message deliveries and a response event, never a
 //! parked thread. A process runs one operation at a time, in submission
-//! order. [`submit_read`] / [`submit_write`] and
-//! [`ShardedStore::read_with`] / [`ShardedStore::try_write_with`] start
-//! operations; every blocking `read`/`write` below is a channel-wait shim
-//! ([`op_channel`]) over them.
+//! order.
 //!
-//! On top of the single-register [`StorageCluster`], [`ShardedStore`] maps
-//! keys onto independent register shards (each with its own writer, base
-//! objects and readers) over one shared [`Cluster`], giving key-value
-//! workloads true multi-key parallelism. One level up again,
+//! **One host, three views.** A [`RegisterHost`] owns a cluster, `slots`
+//! register groups (each with its own writer, base objects and readers)
+//! and the meter of the operations it starts; it is the only code that
+//! spawns a group, starts a READ or WRITE
+//! ([`RegisterHost::read_with`] / [`RegisterHost::write_with`], with
+//! blocking [`RegisterHost::read`] / [`RegisterHost::write`] waiting on
+//! the same completion) or inspects histories and fast-path counters —
+//! by one rule: ask every process, skip what is gone or is not the
+//! automaton asked for ([`Cluster::try_invoke`] reports a type mismatch
+//! without running anything). Everything else is a view of it:
+//! [`StorageCluster`], the paper's single register, is slot 0 of a
+//! one-slot host; [`ShardedStore`] is a key→slot index over a
+//! `capacity`-slot host, giving key-value workloads true multi-key
+//! parallelism; `vrr-net`'s node is a host whose members placed in other
+//! OS processes are relay stand-ins. One level up,
 //! [`StoreRouter`] partitions the key space across *multiple independent*
 //! clusters through a seeded-hash [`RingTable`] — deterministic,
 //! directory-free routing with live cluster add/remove (rebalance stays
@@ -36,7 +44,7 @@
 //!
 //! Every deploy entry point takes a [`ProtocolSpec`] (a bare
 //! [`ProtocolKind`] converts into the paper-faithful one) and spawns its
-//! register groups through [`vrr_core::spawn_group`]. Long-running regular
+//! register groups through [`RegisterHost::spawn`]. Long-running regular
 //! deployments should pair the §5.1 suffix transfers with reader-ack
 //! history GC —
 //! `ProtocolSpec::from(ProtocolKind::RegularOptimized).with_retention(HistoryRetention::reader_ack(cfg.readers))`,
@@ -67,6 +75,7 @@
 mod backend;
 mod cluster;
 mod executor;
+mod host;
 mod link;
 mod ring;
 mod scaleout;
@@ -74,13 +83,12 @@ mod shard;
 mod storage;
 
 pub use backend::ClusterBackend;
-pub use cluster::{Cluster, NodeGone};
+pub use cluster::{Cluster, InvokeError, NodeGone};
 pub use executor::ExecutorStats;
+pub use host::{RegisterHost, OP_TIMEOUT};
 pub use link::{FixedDelay, LinkAction, LinkPolicy, NoDelay};
 pub use ring::{stable_hash_64, RingTable, StableHasher};
 pub use scaleout::{RouterConfig, StoreRouter};
 pub use shard::{ShardedStore, StoreError};
-pub use storage::{
-    op_channel, submit_read, submit_write, OpMeter, OpWaiter, StorageCluster, OP_TIMEOUT,
-};
+pub use storage::StorageCluster;
 pub use vrr_core::{ProtocolKind, ProtocolSpec};

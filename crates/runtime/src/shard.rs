@@ -1,9 +1,9 @@
-//! Sharded multi-register storage: a key→register map over one shared
-//! worker-pool [`Cluster`].
+//! Sharded multi-register storage: a key→slot index over one
+//! [`RegisterHost`].
 //!
 //! The paper emulates *one* single-writer multi-reader register. A
 //! key-value workload funnelled through that single register serializes
-//! every key behind one writer automaton. [`ShardedStore`] deploys a fixed
+//! every key behind one writer automaton. [`ShardedStore`] hosts a fixed
 //! pool of independent register *shards* — each with its own writer, `S`
 //! base objects and `R` readers — on one shared cluster, and assigns every
 //! distinct key its own shard on first write. Operations on different keys
@@ -19,25 +19,15 @@ use std::hash::Hash;
 
 use vrr_sim::{Automaton, ProcessId};
 
-use vrr_core::metrics::{self, Registry};
+use vrr_core::metrics::Registry;
 use vrr_core::{
-    Deployment, FastPathStats, Msg, ProtocolKind, ProtocolSpec, ReadReport, StorageConfig, Value,
+    FastPathStats, GroupRole, Msg, ProtocolKind, ProtocolSpec, ReadReport, StorageConfig, Value,
     WriteReport,
 };
 
 use crate::cluster::{Cluster, NodeGone};
+use crate::host::RegisterHost;
 use crate::link::LinkPolicy;
-use crate::storage::{
-    fast_path_stats, history_lens, op_channel, spawn_register_group, submit_read, submit_write,
-    OpMeter,
-};
-
-/// One register shard.
-struct Shard {
-    group: Deployment,
-    /// Object indices the deploy factory substituted.
-    byzantine: Vec<usize>,
-}
 
 /// A typed error from the non-panicking store operations.
 ///
@@ -87,8 +77,6 @@ struct KeyIndex<K> {
     /// key retires its slot instead of recycling it (see the capacity
     /// contract on [`ShardedStore`]).
     next_slot: usize,
-    /// Slots consumed by keys that were since released.
-    retired: usize,
 }
 
 /// A multi-key register store: each key is served by its own register
@@ -125,18 +113,13 @@ struct KeyIndex<K> {
 /// assert_eq!(store.read(&"gamma", 0), None);
 /// ```
 pub struct ShardedStore<K: Eq + Hash, V: Value> {
-    cluster: Cluster<Msg<V>>,
-    kind: ProtocolKind,
-    cfg: StorageConfig,
-    shards: Vec<Shard>,
+    /// One slot per shard.
+    host: RegisterHost<V>,
     /// key → shard slot, assigned on first write. Read-mostly: every
     /// operation takes the shared side; only first-binds and releases take
     /// the exclusive side, so the routing step of concurrent operations on
     /// distinct keys never serializes.
     index: RwLock<KeyIndex<K>>,
-    /// Store-wide operation metrics, folded into
-    /// [`ShardedStore::metrics_snapshot`].
-    ops: OpMeter,
 }
 
 impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
@@ -174,43 +157,38 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
         mut factory: impl FnMut(usize, usize) -> Option<Box<dyn Automaton<Msg<V>>>>,
     ) -> Self {
         assert!(capacity > 0, "a sharded store needs at least one shard");
-        let spec = spec.into();
-        let mut cluster: Cluster<Msg<V>> = Cluster::new(policy);
-        let shards: Vec<Shard> = (0..capacity)
-            .map(|s| {
-                let (group, byzantine) =
-                    spawn_register_group(&mut cluster, cfg, spec, |i| factory(s, i));
-                Shard { group, byzantine }
-            })
-            .collect();
-        cluster.seal();
-        ShardedStore {
-            cluster,
-            kind: spec.kind(),
+        let host = RegisterHost::spawn(
+            Cluster::new(policy),
             cfg,
-            shards,
+            spec.into(),
+            capacity,
+            |shard, role| match role {
+                GroupRole::Object(i) => factory(shard, i),
+                GroupRole::Writer | GroupRole::Reader(_) => None,
+            },
+        );
+        ShardedStore {
+            host,
             index: RwLock::new(KeyIndex {
                 map: HashMap::new(),
                 next_slot: 0,
-                retired: 0,
             }),
-            ops: OpMeter::default(),
         }
     }
 
     /// The per-shard sizing.
     pub fn config(&self) -> StorageConfig {
-        self.cfg
+        self.host.config()
     }
 
     /// The protocol variant.
     pub fn kind(&self) -> ProtocolKind {
-        self.kind
+        self.host.kind()
     }
 
     /// Number of provisioned shards.
     pub fn capacity(&self) -> usize {
-        self.shards.len()
+        self.host.groups().len()
     }
 
     /// Number of keys currently bound to a shard.
@@ -226,7 +204,7 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
     /// Shard slots never bound to any key (capacity headroom; retired
     /// slots are *not* counted, per the capacity contract).
     pub fn free_slots(&self) -> usize {
-        self.shards.len() - self.index.read().next_slot
+        self.capacity() - self.index.read().next_slot
     }
 
     /// The shard slot serving `key`, if it is currently bound.
@@ -262,8 +240,7 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
     }
 
     /// Like [`ShardedStore::write`], but reports capacity exhaustion as
-    /// [`StoreError::OverCapacity`] instead of panicking: a blocking shim
-    /// over [`ShardedStore::try_write_with`].
+    /// [`StoreError::OverCapacity`] instead of panicking.
     ///
     /// # Panics
     ///
@@ -271,51 +248,45 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
     /// timeout — with at most `t` faults per group that is a wait-freedom
     /// violation, not a recoverable condition.
     pub fn try_write(&self, key: K, value: V) -> Result<WriteReport, StoreError> {
-        let (done, waiter) = op_channel();
-        self.try_write_with(key, value, done)?;
-        Ok(waiter.wait())
+        Ok(self.host.write(self.bind(key)?, value))
     }
 
     /// Starts `WRITE(key, value)` and returns immediately; `done` fires on
     /// a worker thread with the report (or [`NodeGone`] if the shard's
     /// writer is crashed). Capacity exhaustion is reported here, as
     /// `Err`, and `done` is then never called.
-    ///
-    /// The routing step is read-mostly: an already-bound key takes only
-    /// the shared side of the index lock; binding a new key takes the
-    /// exclusive side once in the key's lifetime.
     pub fn try_write_with(
         &self,
         key: K,
         value: V,
         done: impl FnOnce(Result<WriteReport, NodeGone>) + Send + 'static,
     ) -> Result<(), StoreError> {
-        let slot = self.index.read().map.get(&key).copied();
-        let slot = match slot {
-            Some(slot) => slot,
-            None => {
-                let mut index = self.index.write();
-                // Re-check under the exclusive lock: a racing writer of the
-                // same new key may have bound it between our two lockings.
-                match index.map.get(&key) {
-                    Some(&slot) => slot,
-                    None => {
-                        if index.next_slot >= self.shards.len() {
-                            return Err(StoreError::OverCapacity {
-                                capacity: self.shards.len(),
-                            });
-                        }
-                        let next = index.next_slot;
-                        index.next_slot += 1;
-                        index.map.insert(key, next);
-                        next
-                    }
-                }
-            }
-        };
-        let writer = self.shards[slot].group.writer;
-        submit_write(&self.cluster, writer, value, self.ops.write(done));
+        self.host.write_with(self.bind(key)?, value, done);
         Ok(())
+    }
+
+    /// The slot serving `key`, binding it to the next never-used one on
+    /// first use. Read-mostly: an already-bound key takes only the shared
+    /// side of the index lock; binding a new key takes the exclusive side
+    /// once in the key's lifetime.
+    fn bind(&self, key: K) -> Result<usize, StoreError> {
+        if let Some(slot) = self.shard_of(&key) {
+            return Ok(slot);
+        }
+        let mut index = self.index.write();
+        // Re-check under the exclusive lock: a racing writer of the same
+        // new key may have bound it between our two lockings.
+        if let Some(&slot) = index.map.get(&key) {
+            return Ok(slot);
+        }
+        let capacity = self.capacity();
+        if index.next_slot >= capacity {
+            return Err(StoreError::OverCapacity { capacity });
+        }
+        let slot = index.next_slot;
+        index.next_slot += 1;
+        index.map.insert(key, slot);
+        Ok(slot)
     }
 
     /// Unbinds `key`, retiring its shard slot (the slot is *not* recycled
@@ -327,23 +298,18 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
     /// router copies the key's latest value into its new cluster first,
     /// then releases it here.
     pub fn release(&self, key: &K) -> Option<usize> {
-        let mut index = self.index.write();
-        let slot = index.map.remove(key)?;
-        index.retired += 1;
-        Some(slot)
+        self.index.write().map.remove(key)
     }
 
     /// Blocking `READ(key)` at reader index `j` of the key's shard, or
-    /// `None` if `key` was never written: a blocking shim over
-    /// [`ShardedStore::read_with`].
+    /// `None` if `key` was never written.
     ///
     /// # Panics
     ///
     /// Panics if `j >= cfg.readers` or the read does not complete within
     /// the operation timeout.
     pub fn read(&self, key: &K, j: usize) -> Option<ReadReport<V>> {
-        let (done, waiter) = op_channel();
-        self.read_with(key, j, done).then(|| waiter.wait())
+        self.shard_of(key).map(|slot| self.host.read(slot, j))
     }
 
     /// Starts `READ(key)` at reader index `j` of the key's shard and
@@ -363,8 +329,7 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
         let Some(slot) = self.shard_of(key) else {
             return false;
         };
-        let reader = self.shards[slot].group.readers[j];
-        submit_read(&self.cluster, self.kind, reader, self.ops.read(done));
+        self.host.read_with(slot, j, done);
         true
     }
 
@@ -374,12 +339,12 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
     ///
     /// Panics if `slot` or `idx` is out of range.
     pub fn crash_object(&self, slot: usize, idx: usize) {
-        self.cluster.crash(self.shards[slot].group.objects[idx]);
+        self.host.crash_object(slot, idx);
     }
 
     /// The object process ids of shard `slot` (for fault injection).
     pub fn objects(&self, slot: usize) -> &[ProcessId] {
-        &self.shards[slot].group.objects
+        &self.host.groups()[slot].objects
     }
 
     /// The current history length of every honest, live regular object in
@@ -392,31 +357,15 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
     ///
     /// Panics if `slot` is out of range.
     pub fn history_lens(&self, slot: usize) -> Vec<usize> {
-        let lens = self.indexed_history_lens(slot);
+        let lens = self.host.history_lens(slot);
         lens.into_iter().map(|(_, len)| len).collect()
-    }
-
-    fn indexed_history_lens(&self, slot: usize) -> Vec<(usize, usize)> {
-        let shard = &self.shards[slot];
-        history_lens(
-            &self.cluster,
-            self.kind,
-            &shard.group.objects,
-            &shard.byzantine,
-        )
     }
 
     /// Sum of the one-round fast-path counters over every live reader of
     /// every shard (hits = reads finished in round 1, fallbacks = reads that
     /// armed the fast path but completed through the two-round protocol).
     pub fn fast_path_stats(&self) -> FastPathStats {
-        let mut total = FastPathStats::default();
-        for shard in &self.shards {
-            let s = fast_path_stats(&self.cluster, self.kind, &shard.group.readers);
-            total.hits += s.hits;
-            total.fallbacks += s.fallbacks;
-        }
-        total
+        self.host.fast_path_stats()
     }
 
     /// One snapshot of everything observable about the store, under the
@@ -437,26 +386,20 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
     /// hosting a router member) so snapshots of different clusters merge
     /// without colliding on identical `{object, shard}` label sets.
     pub fn metrics_snapshot_labelled(&self, cluster: Option<usize>) -> Registry {
-        let mut reg = self.ops.snapshot(self.cluster.stats());
-        metrics::record_fast_path(&mut reg, &self.fast_path_stats());
-        for slot in 0..self.shards.len() {
-            let lens = self.indexed_history_lens(slot);
-            metrics::record_history_lens_at(&mut reg, cluster, Some(slot), &lens);
-        }
-        reg
+        self.host.metrics_snapshot_labelled(cluster)
     }
 
     /// Access to the underlying cluster (fault injection, stats).
     pub fn cluster(&self) -> &Cluster<Msg<V>> {
-        &self.cluster
+        self.host.cluster()
     }
 }
 
 impl<K: Eq + Hash, V: Value> std::fmt::Debug for ShardedStore<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedStore")
-            .field("kind", &self.kind)
-            .field("cfg", &self.cfg)
+            .field("kind", &self.kind())
+            .field("cfg", &self.config())
             .field("capacity", &self.capacity())
             .field("keys", &self.len())
             .finish()
@@ -465,8 +408,6 @@ impl<K: Eq + Hash, V: Value> std::fmt::Debug for ShardedStore<K, V> {
 
 #[cfg(test)]
 mod tests {
-    use vrr_core::regular::HistoryRetention;
-
     use super::*;
     use crate::link::NoDelay;
 
@@ -514,81 +455,6 @@ mod tests {
     }
 
     #[test]
-    fn reader_ack_gc_bounds_history_per_shard() {
-        let cfg = StorageConfig::optimal(1, 1, 1);
-        let store: ShardedStore<&'static str, u64> = ShardedStore::deploy(
-            cfg,
-            ProtocolSpec::from(ProtocolKind::RegularOptimized)
-                .with_retention(HistoryRetention::reader_ack(1)),
-            Box::new(NoDelay),
-            2,
-        );
-        for k in 1..=60u64 {
-            store.write("hot", k);
-            assert_eq!(store.read(&"hot", 0).unwrap().value, Some(k));
-            if k % 10 == 0 {
-                store.write("cold", k);
-                assert_eq!(store.read(&"cold", 0).unwrap().value, Some(k));
-            }
-        }
-        for slot in [
-            store.shard_of(&"hot").unwrap(),
-            store.shard_of(&"cold").unwrap(),
-        ] {
-            for len in store.history_lens(slot) {
-                assert!(len <= 5, "shard {slot} history len {len} unbounded");
-            }
-        }
-    }
-
-    #[test]
-    fn over_provisioned_shards_serve_one_round_reads() {
-        let cfg = StorageConfig::fast(1, 1, 1); // S = 5 per shard
-        let store: ShardedStore<&'static str, u64> =
-            ShardedStore::deploy(cfg, ProtocolKind::RegularOptimized, Box::new(NoDelay), 2);
-        store.write("a", 1);
-        store.write("b", 2);
-        for (k, v) in [("a", 1u64), ("b", 2)] {
-            let r = store.read(&k, 0).expect("written key");
-            assert_eq!(r.value, Some(v));
-            assert_eq!(r.rounds, 1);
-            assert!(r.fast);
-        }
-        let stats = store.fast_path_stats();
-        assert_eq!(stats.hits, 2);
-        assert_eq!(stats.fallbacks, 0);
-    }
-
-    #[test]
-    fn metrics_snapshot_labels_histories_by_shard() {
-        use vrr_core::metrics::names;
-
-        let cfg = StorageConfig::optimal(1, 1, 1);
-        let store: ShardedStore<&'static str, u64> =
-            ShardedStore::deploy(cfg, ProtocolKind::Regular, Box::new(NoDelay), 2);
-        store.write("a", 1);
-        store.write("b", 2);
-        store.read(&"a", 0);
-        let snap = store.metrics_snapshot();
-        assert_eq!(
-            snap.histogram(names::WRITER_ROUNDS, &[]).unwrap().count(),
-            2
-        );
-        assert_eq!(
-            snap.histogram(names::READER_ROUNDS, &[]).unwrap().count(),
-            1
-        );
-        // One gauge per object per shard, distinguished by the shard label.
-        assert_eq!(
-            snap.gauge_values(names::OBJECT_HISTORY_LEN).len(),
-            2 * cfg.s
-        );
-        assert!(snap
-            .to_prometheus()
-            .contains("vrr_object_history_len{object=\"0\",shard=\"1\"}"));
-    }
-
-    #[test]
     #[should_panic(expected = "over capacity")]
     fn capacity_overflow_panics() {
         let cfg = StorageConfig::optimal(1, 1, 1);
@@ -597,20 +463,5 @@ mod tests {
         store.write(1, 1);
         store.write(2, 2);
         store.write(3, 3);
-    }
-
-    #[test]
-    fn shard_survives_crashes_within_budget() {
-        let cfg = StorageConfig::optimal(2, 1, 1); // S = 6, t = 2
-        let store: ShardedStore<&'static str, u64> =
-            ShardedStore::deploy(cfg, ProtocolKind::Safe, Box::new(NoDelay), 2);
-        store.write("a", 1);
-        store.write("b", 2);
-        let slot = store.shard_of(&"a").unwrap();
-        store.crash_object(slot, 0);
-        store.crash_object(slot, 3);
-        store.write("a", 10);
-        assert_eq!(store.read(&"a", 0).unwrap().value, Some(10));
-        assert_eq!(store.read(&"b", 0).unwrap().value, Some(2));
     }
 }

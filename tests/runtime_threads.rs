@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 use vrr::core::attackers::AttackerKind;
 use vrr::core::StorageConfig;
 use vrr::runtime::{
-    Cluster, FixedDelay, NoDelay, NodeGone, ProtocolKind, ShardedStore, StorageCluster,
+    Cluster, FixedDelay, InvokeError, NoDelay, NodeGone, ProtocolKind, ShardedStore, StorageCluster,
 };
 use vrr::sim::{from_fn, Automaton, Context, ProcessId};
 
@@ -169,7 +169,7 @@ fn idle_cluster_makes_zero_spurious_wakeups() {
     assert_eq!(after.sweeps, before.sweeps, "and must not sweep");
 }
 
-/// `try_invoke` surfaces a crashed node as `Err(NodeGone)`; `invoke` keeps
+/// `try_invoke` surfaces a crashed node as `Err(Gone(NodeGone))`; `invoke` keeps
 /// the panicking contract for infrastructure errors.
 #[test]
 fn try_invoke_distinguishes_live_and_crashed_nodes() {
@@ -195,7 +195,7 @@ fn try_invoke_distinguishes_live_and_crashed_nodes() {
         object,
         |o: &mut vrr::core::regular::RegularObject<u64>, _ctx| o.label(),
     );
-    assert_eq!(gone, Err(NodeGone(object)));
+    assert_eq!(gone, Err(InvokeError::Gone(NodeGone(object))));
 
     // The protocol still works around the crash (within budget t = 1).
     storage.write(4);
