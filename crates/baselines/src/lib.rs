@@ -1,8 +1,13 @@
 //! # vrr-baselines: the protocols the paper positions itself against
 //!
-//! Three comparators from the robust-storage literature, implemented over
-//! the same simulator and driver interface ([`vrr_core::RegisterProtocol`])
-//! as the paper's protocols:
+//! Three comparators from the robust-storage literature, behind the same
+//! simulator and driver interface ([`vrr_core::RegisterProtocol`]) as the
+//! paper's protocols. They are one quorum client — broadcast to every
+//! [`LiteObject`], wait for `S − t` distinct answers, decide, optionally
+//! write the decision back (`client`: one writer whose phases are data, one
+//! reader, one driver) — under three read rules, one per module (`abd`,
+//! `masking`, `passive`), each holding only what its reader makes of the
+//! replies:
 //!
 //! | protocol | objects | write rounds | read rounds | tolerates |
 //! |---|---|---|---|---|
@@ -21,12 +26,13 @@
 
 mod abd;
 mod attackers;
+mod client;
 mod lite;
 mod masking;
 mod passive;
 
-pub use abd::{AbdProtocol, AbdReader, AbdWriter};
+pub use abd::AbdProtocol;
 pub use attackers::{denier, restless_forger, serial_forger};
 pub use lite::{LiteMsg, LiteObject};
-pub use masking::{masking_object_count, MaskingProtocol, MaskingReader, MaskingWriter};
-pub use passive::{PassiveProtocol, PassiveReader, PassiveWriter};
+pub use masking::{corroborated, masking_object_count, MaskingProtocol};
+pub use passive::PassiveProtocol;

@@ -49,6 +49,19 @@ pub enum LiteMsg<V> {
     },
 }
 
+impl<V> LiteMsg<V> {
+    /// Whether this is an object's ack to `request`: the ack of that kind,
+    /// echoing its timestamp or nonce.
+    pub(crate) fn answers(&self, request: &LiteMsg<V>) -> bool {
+        match (request, self) {
+            (LiteMsg::PreWrite { pair }, LiteMsg::PreWriteAck { ts })
+            | (LiteMsg::Write { pair }, LiteMsg::WriteAck { ts }) => pair.ts == *ts,
+            (LiteMsg::Read { nonce }, LiteMsg::ReadAck { nonce: echo, .. }) => nonce == echo,
+            _ => false,
+        }
+    }
+}
+
 impl<V: Value> SimMessage for LiteMsg<V> {
     fn wire_size(&self) -> usize {
         1 + match self {
@@ -75,16 +88,6 @@ impl<V: Value> LiteObject<V> {
             pw: TsVal::bottom(),
             w: TsVal::bottom(),
         }
-    }
-
-    /// The staged pair.
-    pub fn pw(&self) -> &TsVal<V> {
-        &self.pw
-    }
-
-    /// The written pair.
-    pub fn w(&self) -> &TsVal<V> {
-        &self.w
     }
 }
 
@@ -161,11 +164,7 @@ mod tests {
             1,
             "stale writes still acked (idempotent protocol)"
         );
-        assert_eq!(
-            obj.w().value,
-            Some(20),
-            "stale write must not regress state"
-        );
+        assert_eq!(obj.w.value, Some(20), "stale write must not regress state");
     }
 
     #[test]
@@ -173,7 +172,7 @@ mod tests {
         let mut obj = LiteObject::new();
         step(&mut obj, LiteMsg::Write { pair: pair(3, 30) });
         assert_eq!(
-            obj.pw().ts,
+            obj.pw.ts,
             Timestamp(3),
             "w-write implies the pair was pre-written"
         );
@@ -183,8 +182,8 @@ mod tests {
     fn prewrite_stages_without_committing() {
         let mut obj = LiteObject::new();
         step(&mut obj, LiteMsg::PreWrite { pair: pair(1, 10) });
-        assert_eq!(obj.pw().value, Some(10));
-        assert_eq!(obj.w().value, None, "w untouched by pre-write");
+        assert_eq!(obj.pw.value, Some(10));
+        assert_eq!(obj.w.value, None, "w untouched by pre-write");
     }
 
     #[test]
@@ -197,7 +196,7 @@ mod tests {
             [(_, LiteMsg::ReadAck { nonce: 9, w, .. })] => assert_eq!(w.value, Some(10)),
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(obj.pw(), before.pw());
-        assert_eq!(obj.w(), before.w());
+        assert_eq!(obj.pw, before.pw);
+        assert_eq!(obj.w, before.w);
     }
 }

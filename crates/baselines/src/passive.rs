@@ -37,136 +37,12 @@
 //! from a liar — which is exactly why reads that *write* (the paper's §4
 //! novelty) beat passive reads to 2 rounds.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
-use vrr_sim::{Automaton, Context, ProcessId, World};
+use vrr_core::{StorageConfig, TsVal, Value};
 
-use vrr_core::{
-    Deployment, ReadReport, RegisterProtocol, StorageConfig, Timestamp, TsVal, Value, WriteReport,
-};
-
-use crate::lite::{LiteMsg, LiteObject};
-
-/// The passive baseline's two-phase writer (pre-write, then write).
-#[derive(Clone, Debug)]
-pub struct PassiveWriter<V> {
-    cfg: StorageConfig,
-    objects: Vec<ProcessId>,
-    object_index: HashMap<ProcessId, usize>,
-    ts: Timestamp,
-    phase: PassiveWritePhase<V>,
-    outcomes: HashMap<u64, WriteReport>,
-    next_op: u64,
-}
-
-#[derive(Clone, Debug)]
-enum PassiveWritePhase<V> {
-    Idle,
-    Pre {
-        op: u64,
-        pair: TsVal<V>,
-        acks: BTreeSet<usize>,
-    },
-    Commit {
-        op: u64,
-        acks: BTreeSet<usize>,
-    },
-}
-
-impl<V: Value> PassiveWriter<V> {
-    /// A writer for the given deployment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `objects.len() != cfg.s`.
-    pub fn new(cfg: StorageConfig, objects: Vec<ProcessId>) -> Self {
-        assert_eq!(objects.len(), cfg.s);
-        let object_index = objects.iter().enumerate().map(|(i, &p)| (p, i)).collect();
-        PassiveWriter {
-            cfg,
-            objects,
-            object_index,
-            ts: Timestamp::ZERO,
-            phase: PassiveWritePhase::Idle,
-            outcomes: HashMap::new(),
-            next_op: 0,
-        }
-    }
-
-    /// Starts `WRITE(value)` (pre-write phase).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a write is already in flight.
-    pub fn invoke_write(&mut self, value: V, ctx: &mut Context<'_, LiteMsg<V>>) -> u64 {
-        assert!(
-            matches!(self.phase, PassiveWritePhase::Idle),
-            "one WRITE at a time"
-        );
-        let op = self.next_op;
-        self.next_op += 1;
-        self.ts = self.ts.next();
-        let pair = TsVal::new(self.ts, value);
-        ctx.broadcast(
-            self.objects.iter().copied(),
-            LiteMsg::PreWrite { pair: pair.clone() },
-        );
-        self.phase = PassiveWritePhase::Pre {
-            op,
-            pair,
-            acks: BTreeSet::new(),
-        };
-        op
-    }
-
-    /// The report for write `op`, if complete.
-    pub fn outcome(&self, op: u64) -> Option<&WriteReport> {
-        self.outcomes.get(&op)
-    }
-}
-
-impl<V: Value> Automaton<LiteMsg<V>> for PassiveWriter<V> {
-    fn on_message(&mut self, from: ProcessId, msg: LiteMsg<V>, ctx: &mut Context<'_, LiteMsg<V>>) {
-        let Some(&obj) = self.object_index.get(&from) else {
-            return;
-        };
-        let quorum = self.cfg.quorum();
-        match (&mut self.phase, msg) {
-            (PassiveWritePhase::Pre { op, pair, acks }, LiteMsg::PreWriteAck { ts })
-                if ts == self.ts =>
-            {
-                acks.insert(obj);
-                if acks.len() >= quorum {
-                    let (op, pair) = (*op, pair.clone());
-                    ctx.broadcast(self.objects.iter().copied(), LiteMsg::Write { pair });
-                    self.phase = PassiveWritePhase::Commit {
-                        op,
-                        acks: BTreeSet::new(),
-                    };
-                }
-            }
-            (PassiveWritePhase::Commit { op, acks }, LiteMsg::WriteAck { ts }) if ts == self.ts => {
-                acks.insert(obj);
-                if acks.len() >= quorum {
-                    let op = *op;
-                    self.outcomes.insert(
-                        op,
-                        WriteReport {
-                            ts: self.ts,
-                            rounds: 2,
-                        },
-                    );
-                    self.phase = PassiveWritePhase::Idle;
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn label(&self) -> &'static str {
-        "passive-writer"
-    }
-}
+use crate::client::{LiteProtocol, LiteRule, Verdict};
+use crate::lite::LiteMsg;
 
 #[derive(Clone, Debug)]
 struct ClaimInfo {
@@ -176,11 +52,11 @@ struct ClaimInfo {
     first_round: u32,
 }
 
+/// The passive read rule: evidence accumulates across the rounds of one
+/// READ, and the reader never writes to objects.
 #[derive(Clone, Debug)]
-struct PassiveReadOp<V> {
-    op: u64,
-    round: u32,
-    this_round: BTreeSet<usize>,
+pub(crate) struct PassiveRule<V> {
+    b_plus_1: usize,
     claims: BTreeMap<TsVal<V>, ClaimInfo>,
     suspected: BTreeSet<TsVal<V>>,
     /// Objects caught lying: equivocators (different `w` claims across
@@ -191,273 +67,108 @@ struct PassiveReadOp<V> {
     last_claim: BTreeMap<usize, TsVal<V>>,
 }
 
-/// The passive reader: round-based, never writes to objects.
-#[derive(Clone, Debug)]
-pub struct PassiveReader<V> {
-    cfg: StorageConfig,
-    objects: Vec<ProcessId>,
-    object_index: HashMap<ProcessId, usize>,
-    nonce: u64,
-    op: Option<PassiveReadOp<V>>,
-    outcomes: HashMap<u64, ReadReport<V>>,
-    next_op: u64,
+impl<V: Value> PassiveRule<V> {
+    fn support(&mut self, claim: TsVal<V>, object: usize, round: u32) {
+        let info = self.claims.entry(claim).or_insert_with(|| ClaimInfo {
+            support: BTreeSet::new(),
+            first_round: round,
+        });
+        info.support.insert(object);
+    }
 }
 
-impl<V: Value> PassiveReader<V> {
-    /// A reader for the given deployment.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `objects.len() != cfg.s`.
-    pub fn new(cfg: StorageConfig, objects: Vec<ProcessId>) -> Self {
-        assert_eq!(objects.len(), cfg.s);
-        let object_index = objects.iter().enumerate().map(|(i, &p)| (p, i)).collect();
-        PassiveReader {
-            cfg,
-            objects,
-            object_index,
-            nonce: 0,
-            op: None,
-            outcomes: HashMap::new(),
-            next_op: 0,
+impl<V: Value> LiteRule<V> for PassiveRule<V> {
+    fn absorb(&mut self, object: usize, round: u32, pw: TsVal<V>, w: TsVal<V>) {
+        // Equivocation check: a correct object's w claim never changes
+        // within an isolated read (and under concurrency misjudging is
+        // allowed), so a changed claim proves the object faulty.
+        match self.last_claim.get(&object) {
+            Some(prev) if *prev != w => {
+                self.blacklist.insert(object);
+            }
+            _ => {
+                self.last_claim.insert(object, w.clone());
+            }
         }
+        // The w pair is a claim; both fields are support.
+        if pw != w {
+            self.support(pw, object, round);
+        }
+        self.support(w, object, round);
     }
 
-    /// Starts a READ (round 1).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a read is already in flight.
-    pub fn invoke_read(&mut self, ctx: &mut Context<'_, LiteMsg<V>>) -> u64 {
-        assert!(self.op.is_none(), "one READ at a time");
-        let op = self.next_op;
-        self.next_op += 1;
-        self.nonce += 1;
-        ctx.broadcast(
-            self.objects.iter().copied(),
-            LiteMsg::Read { nonce: self.nonce },
-        );
-        self.op = Some(PassiveReadOp {
-            op,
-            round: 1,
-            this_round: BTreeSet::new(),
-            claims: BTreeMap::new(),
-            suspected: BTreeSet::new(),
-            blacklist: BTreeSet::new(),
-            last_claim: BTreeMap::new(),
-        });
-        op
-    }
-
-    /// The report for read `op`, if complete.
-    pub fn outcome(&self, op: u64) -> Option<&ReadReport<V>> {
-        self.outcomes.get(&op)
-    }
-
-    /// Evaluate the end-of-round rule. Returns `Some(pair, rounds)` to
-    /// finish, or `None` to open another round (suspects and the blacklist
-    /// are updated in place).
-    fn evaluate(op: &mut PassiveReadOp<V>, b1: usize) -> Option<(TsVal<V>, u32)> {
+    /// The end-of-round rule: return the highest live claim if confirmed,
+    /// suspect it if it already survived a challenge round unconfirmed,
+    /// open another round if it is fresh.
+    fn decide(&mut self, round: u32) -> Verdict<V> {
         loop {
-            let top = op
+            let top = self
                 .claims
                 .iter()
-                .filter(|(pair, info)| {
-                    !op.suspected.contains(pair)
-                        && info.support.iter().any(|o| !op.blacklist.contains(o))
-                })
-                .max_by(|a, b| a.0.ts.cmp(&b.0.ts))
+                .filter(|(pair, _)| !self.suspected.contains(pair))
                 .map(|(pair, info)| {
-                    let live: BTreeSet<usize> = info
-                        .support
-                        .iter()
-                        .copied()
-                        .filter(|o| !op.blacklist.contains(o))
-                        .collect();
-                    (pair.clone(), live, info.first_round)
-                });
+                    let live: BTreeSet<usize> =
+                        info.support.difference(&self.blacklist).copied().collect();
+                    (pair, live, info.first_round)
+                })
+                .filter(|(_, live, _)| !live.is_empty())
+                .max_by(|a, b| a.0.ts.cmp(&b.0.ts))
+                .map(|(pair, live, first_round)| (pair.clone(), live, first_round));
             let Some((pair, live_support, first_round)) = top else {
                 // Every claim is dead. Unreachable when the read is isolated
                 // from writes (the latest written pair always confirms);
                 // under concurrency safe semantics permit anything, so
                 // return the best-supported claim (or ⊥).
-                let fallback = op
+                let fallback = self
                     .claims
                     .iter()
                     .max_by_key(|(pair, info)| (info.support.len(), pair.ts))
                     .map(|(pair, _)| pair.clone())
                     .unwrap_or_else(TsVal::bottom);
-                return Some((fallback, op.round));
+                return Verdict::Return(fallback);
             };
-            if live_support.len() >= b1 {
-                return Some((pair, op.round));
+            if live_support.len() >= self.b_plus_1 {
+                return Verdict::Return(pair);
             }
-            if first_round < op.round {
+            if first_round < round {
                 // Survived a full challenge round without corroboration:
                 // only liars back it. Suspect it and stop believing its
                 // backers.
-                op.suspected.insert(pair);
-                op.blacklist.extend(live_support);
+                self.suspected.insert(pair);
+                self.blacklist.extend(live_support);
                 continue;
             }
             // Fresh unconfirmed top claim: challenge it next round.
-            return None;
+            return Verdict::NextRound;
         }
     }
 }
 
-impl<V: Value> Automaton<LiteMsg<V>> for PassiveReader<V> {
-    fn on_message(&mut self, from: ProcessId, msg: LiteMsg<V>, ctx: &mut Context<'_, LiteMsg<V>>) {
-        let Some(&obj) = self.object_index.get(&from) else {
-            return;
-        };
-        let LiteMsg::ReadAck { nonce, pw, w } = msg else {
-            return;
-        };
-        if nonce != self.nonce {
-            return;
-        }
-        let quorum = self.cfg.quorum();
-        let b1 = self.cfg.b_plus_1();
-
-        let Some(op) = self.op.as_mut() else { return };
-        if !op.this_round.insert(obj) {
-            return;
-        }
-        let round = op.round;
-        // Equivocation check: a correct object's w claim never changes
-        // within an isolated read (and under concurrency misjudging is
-        // allowed), so a changed claim proves the object faulty.
-        match op.last_claim.get(&obj) {
-            Some(prev) if *prev != w => {
-                op.blacklist.insert(obj);
-            }
-            _ => {
-                op.last_claim.insert(obj, w.clone());
-            }
-        }
-        // The w pair is a claim; both fields are support.
-        op.claims
-            .entry(w.clone())
-            .or_insert_with(|| ClaimInfo {
-                support: BTreeSet::new(),
-                first_round: round,
-            })
-            .support
-            .insert(obj);
-        if pw != w {
-            op.claims
-                .entry(pw)
-                .or_insert_with(|| ClaimInfo {
-                    support: BTreeSet::new(),
-                    first_round: round,
-                })
-                .support
-                .insert(obj);
-        }
-
-        if op.this_round.len() < quorum {
-            return;
-        }
-        match Self::evaluate(op, b1) {
-            Some((pair, rounds)) => {
-                let opid = op.op;
-                self.outcomes.insert(
-                    opid,
-                    ReadReport {
-                        value: pair.value,
-                        ts: pair.ts,
-                        rounds,
-                        fast: rounds == 1,
-                    },
-                );
-                self.op = None;
-            }
-            None => {
-                // Open the next round.
-                op.round += 1;
-                op.this_round.clear();
-                self.nonce += 1;
-                ctx.broadcast(
-                    self.objects.iter().copied(),
-                    LiteMsg::Read { nonce: self.nonce },
-                );
-            }
-        }
-    }
-
-    fn label(&self) -> &'static str {
-        "passive-reader"
-    }
-}
-
-/// The passive baseline as a [`RegisterProtocol`] (deploy at
+/// The passive baseline as a [`vrr_core::RegisterProtocol`] (deploy at
 /// `S = 2t + b + 1`).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct PassiveProtocol;
 
-impl<V: Value> RegisterProtocol<V> for PassiveProtocol {
-    type Msg = LiteMsg<V>;
+impl LiteProtocol for PassiveProtocol {
+    type Rule<V: Value> = PassiveRule<V>;
 
     fn name(&self) -> &'static str {
         "passive-b+1"
     }
 
-    fn deploy(&self, cfg: StorageConfig, world: &mut World<LiteMsg<V>>) -> Deployment {
-        let objects: Vec<ProcessId> = (0..cfg.s)
-            .map(|i| world.spawn_named(format!("s{i}"), Box::new(LiteObject::<V>::new())))
-            .collect();
-        let writer = world.spawn_named(
-            "writer",
-            Box::new(PassiveWriter::<V>::new(cfg, objects.clone())),
-        );
-        let readers: Vec<ProcessId> = (0..cfg.readers)
-            .map(|j| {
-                world.spawn_named(
-                    format!("r{j}"),
-                    Box::new(PassiveReader::<V>::new(cfg, objects.clone())),
-                )
-            })
-            .collect();
-        Deployment {
-            cfg,
-            objects,
-            writer,
-            readers,
+    fn write_phases<V: Value>(pair: TsVal<V>) -> Vec<LiteMsg<V>> {
+        let pre_write = LiteMsg::PreWrite { pair: pair.clone() };
+        vec![pre_write, LiteMsg::Write { pair }]
+    }
+
+    fn rule<V: Value>(&self, cfg: StorageConfig) -> PassiveRule<V> {
+        PassiveRule {
+            b_plus_1: cfg.b_plus_1(),
+            claims: BTreeMap::new(),
+            suspected: BTreeSet::new(),
+            blacklist: BTreeSet::new(),
+            last_claim: BTreeMap::new(),
         }
-    }
-
-    fn invoke_write(&self, dep: &Deployment, world: &mut World<LiteMsg<V>>, value: V) -> u64 {
-        world.with_automaton_mut(dep.writer, |w: &mut PassiveWriter<V>, ctx| {
-            w.invoke_write(value, ctx)
-        })
-    }
-
-    fn write_outcome(
-        &self,
-        dep: &Deployment,
-        world: &World<LiteMsg<V>>,
-        op: u64,
-    ) -> Option<WriteReport> {
-        world.inspect(dep.writer, |w: &PassiveWriter<V>| w.outcome(op).copied())
-    }
-
-    fn invoke_read(&self, dep: &Deployment, world: &mut World<LiteMsg<V>>, reader: usize) -> u64 {
-        world.with_automaton_mut(dep.readers[reader], |r: &mut PassiveReader<V>, ctx| {
-            r.invoke_read(ctx)
-        })
-    }
-
-    fn read_outcome(
-        &self,
-        dep: &Deployment,
-        world: &World<LiteMsg<V>>,
-        reader: usize,
-        op: u64,
-    ) -> Option<ReadReport<V>> {
-        world.inspect(dep.readers[reader], |r: &PassiveReader<V>| {
-            r.outcome(op).cloned()
-        })
     }
 }
 
@@ -483,13 +194,6 @@ mod tests {
         let rd = sc.read(0);
         assert_eq!(rd.value, Some(42));
         assert_eq!(rd.rounds, 1, "no liars: first round confirms");
-    }
-
-    #[test]
-    fn fresh_read_returns_bottom_in_one_round() {
-        let rd = deploy(2, 1).read(0);
-        assert_eq!(rd.value, None);
-        assert_eq!(rd.rounds, 1);
     }
 
     #[test]
@@ -525,15 +229,5 @@ mod tests {
         let rd = sc.read(0);
         assert_eq!(rd.value, Some(7));
         assert_eq!(rd.rounds, 2, "all fakes challenged in parallel");
-    }
-
-    #[test]
-    fn crashes_do_not_add_rounds() {
-        let mut sc = deploy(2, 1); // S = 6
-        sc.crash_object(0).crash_object(5);
-        sc.write(3);
-        let rd = sc.read(0);
-        assert_eq!(rd.value, Some(3));
-        assert_eq!(rd.rounds, 1);
     }
 }

@@ -13,7 +13,7 @@
 
 use vrr_bench::{f2, Table};
 use vrr_core::{ProtocolKind, RegisterProtocol, StorageConfig};
-use vrr_workload::{grid, FaultPlan, LatencyKind, ScheduleParams, SimCase};
+use vrr_workload::{grid, LatencyKind, ScheduleParams, SimCase};
 
 fn main() {
     let seeds = 0..25u64;
@@ -48,13 +48,9 @@ fn main() {
         let mut agg: BTreeMap<AggKey, AggStats> = BTreeMap::new();
         for p in &points {
             let cfg = StorageConfig::optimal(p.t, p.b, 2);
-            let faults = match p.attacker {
-                None => FaultPlan::none(),
-                Some(kind) => FaultPlan::maximal(&cfg, kind, vrr_sim::SimTime::from_ticks(30)),
-            };
             let out = SimCase::new(&protocol, cfg)
                 .schedule(ScheduleParams::contended(6, 6, 2, p.seed))
-                .faults(faults)
+                .faults(p.fault_plan(&cfg, None, vrr_sim::SimTime::from_ticks(30)))
                 .latency(LatencyKind::Uniform(1, 8))
                 .run();
             let key = (

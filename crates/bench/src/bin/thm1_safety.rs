@@ -16,7 +16,8 @@
 use vrr_bench::Table;
 use vrr_checker::check_safety;
 use vrr_core::{ProtocolSpec, ReaderTuning, SafeProtocol, StorageConfig};
-use vrr_workload::{grid, FaultPlan, LatencyKind, ScheduleParams, SimCase};
+use vrr_sim::SimTime;
+use vrr_workload::{grid, hunt, Exposed, LatencyKind, ScheduleParams, SimCase};
 
 fn main() {
     // ---- Part 1: the real protocol under the sweep.
@@ -27,13 +28,9 @@ fn main() {
     let mut stalls = 0u64;
     for p in &points {
         let cfg = StorageConfig::optimal(p.t, p.b, 2);
-        let faults = match p.attacker {
-            None => FaultPlan::random(&cfg, 300, p.seed),
-            Some(kind) => FaultPlan::maximal(&cfg, kind, vrr_sim::SimTime::from_ticks(50)),
-        };
         let out = SimCase::new(&SafeProtocol, cfg)
             .schedule(ScheduleParams::contended(6, 8, 2, p.seed))
-            .faults(faults)
+            .faults(p.fault_plan(&cfg, Some(300), SimTime::from_ticks(50)))
             .latency(LatencyKind::LongTail)
             .run();
         runs += 1;
@@ -134,33 +131,18 @@ fn main() {
 
     let mut table = Table::new(&["mutation", "caught by", "detail"]);
     for (name, tuning, must_catch) in mutations {
-        let mut caught: Option<(String, String)> = None;
         // Hunt across attackers and seeds until the mutant is exposed.
-        'hunt: for kind in vrr_core::attackers::AttackerKind::ALL {
-            for seed in 0..60u64 {
-                let cfg = StorageConfig::optimal(2, 2, 2);
-                let faults = FaultPlan::maximal(&cfg, kind, vrr_sim::SimTime::from_ticks(50));
-                let out = SimCase::new(&ProtocolSpec::Safe(tuning), cfg)
-                    .schedule(ScheduleParams::contended(6, 8, 2, seed))
-                    .faults(faults)
-                    .latency(LatencyKind::LongTail)
-                    .run();
-                if let Err(vs) = check_safety(&out.history) {
-                    caught = Some((
-                        "safety checker".into(),
-                        format!("{:?} seed {seed}: {}", kind, vs[0]),
-                    ));
-                    break 'hunt;
-                }
-                if !out.all_live() {
-                    caught = Some((
-                        "liveness detector".into(),
-                        format!("{:?} seed {seed}: {} stalled ops", kind, out.stalled_ops),
-                    ));
-                    break 'hunt;
-                }
-            }
-        }
+        let caught = hunt(&ProtocolSpec::Safe(tuning), check_safety);
+        let caught = caught.map(|(kind, seed, how)| match how {
+            Exposed::Checker(violation) => (
+                "safety checker".to_string(),
+                format!("{kind:?} seed {seed}: {violation}"),
+            ),
+            Exposed::Stalled(ops) => (
+                "liveness detector".to_string(),
+                format!("{kind:?} seed {seed}: {ops} stalled ops"),
+            ),
+        });
         let (by, detail) = caught.unwrap_or((
             "not caught here".into(),
             "expected: needs the omniscient interleaving — see \

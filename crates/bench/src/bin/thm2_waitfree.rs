@@ -57,10 +57,7 @@ fn main() {
     for p in &points {
         let cfg = StorageConfig::optimal(p.t, p.b, 2);
         let schedule = generate(ScheduleParams::contended(5, 6, 2, p.seed));
-        let faults = match p.attacker {
-            None => FaultPlan::random(&cfg, 200, p.seed),
-            Some(kind) => FaultPlan::maximal(&cfg, kind, SimTime::from_ticks(40)),
-        };
+        let faults = p.fault_plan(&cfg, Some(200), SimTime::from_ticks(40));
         total_ops += schedule.len();
         let out = SimCase::new(&SafeProtocol, cfg)
             .with_schedule(schedule)

@@ -15,7 +15,8 @@ use vrr_bench::Table;
 use vrr_checker::{check_atomicity, check_regularity};
 use vrr_core::regular::HistoryRetention;
 use vrr_core::{ProtocolSpec, ReaderTuning, RegularProtocol, StorageConfig};
-use vrr_workload::{grid, FaultPlan, LatencyKind, ScheduleParams, SimCase};
+use vrr_sim::SimTime;
+use vrr_workload::{grid, hunt, Exposed, LatencyKind, ScheduleParams, SimCase};
 
 fn main() {
     let points = grid(&[1, 2, 3], &[1, 2], 0..30u64);
@@ -41,13 +42,9 @@ fn main() {
         let mut inversions = 0u64;
         for p in &points {
             let cfg = StorageConfig::optimal(p.t, p.b, 3);
-            let faults = match p.attacker {
-                None => FaultPlan::random(&cfg, 300, p.seed),
-                Some(kind) => FaultPlan::maximal(&cfg, kind, vrr_sim::SimTime::from_ticks(60)),
-            };
             let out = SimCase::new(&protocol, cfg)
                 .schedule(ScheduleParams::contended(8, 6, 3, p.seed))
-                .faults(faults)
+                .faults(p.fault_plan(&cfg, Some(300), SimTime::from_ticks(60)))
                 .latency(LatencyKind::LongTail)
                 .run();
             runs += 1;
@@ -117,37 +114,21 @@ fn main() {
     ];
     let mut mtable = Table::new(&["mutation", "caught by", "detail"]);
     for (name, tuning) in mutations {
-        let mut caught: Option<(String, String)> = None;
-        'hunt: for kind in vrr_core::attackers::AttackerKind::ALL {
-            for seed in 0..60u64 {
-                let cfg = StorageConfig::optimal(2, 2, 2);
-                let faults = FaultPlan::maximal(&cfg, kind, vrr_sim::SimTime::from_ticks(50));
-                let mutant = ProtocolSpec::Regular {
-                    optimized: false,
-                    retention: HistoryRetention::KeepAll,
-                    tuning,
-                };
-                let out = SimCase::new(&mutant, cfg)
-                    .schedule(ScheduleParams::contended(6, 8, 2, seed))
-                    .faults(faults)
-                    .latency(LatencyKind::LongTail)
-                    .run();
-                if let Err(vs) = check_regularity(&out.history) {
-                    caught = Some((
-                        "regularity checker".into(),
-                        format!("{kind:?} seed {seed}: {}", vs[0]),
-                    ));
-                    break 'hunt;
-                }
-                if !out.all_live() {
-                    caught = Some((
-                        "liveness detector".into(),
-                        format!("{kind:?} seed {seed}: {} stalled", out.stalled_ops),
-                    ));
-                    break 'hunt;
-                }
-            }
-        }
+        let mutant = ProtocolSpec::Regular {
+            optimized: false,
+            retention: HistoryRetention::KeepAll,
+            tuning,
+        };
+        let caught = hunt(&mutant, check_regularity).map(|(kind, seed, how)| match how {
+            Exposed::Checker(violation) => (
+                "regularity checker".to_string(),
+                format!("{kind:?} seed {seed}: {violation}"),
+            ),
+            Exposed::Stalled(ops) => (
+                "liveness detector".to_string(),
+                format!("{kind:?} seed {seed}: {ops} stalled"),
+            ),
+        });
         let (by, detail) = caught.unwrap_or(("NOT CAUGHT".into(), "-".into()));
         mtable.row_owned(vec![name.to_string(), by.clone(), detail]);
         assert_ne!(by, "NOT CAUGHT", "mutation '{name}' slipped through");

@@ -35,8 +35,8 @@ impl StorageConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `b == 0` (the paper assumes `b > 0`), `b > t`, or
-    /// `readers == 0`.
+    /// Panics if `b > t` or `readers == 0`. `b == 0` is accepted although
+    /// the paper assumes `b > 0`: it sizes a crash-only group, `S = 2t + 1`.
     pub fn optimal(t: usize, b: usize, readers: usize) -> Self {
         Self::with_objects(2 * t + b + 1, t, b, readers)
     }
@@ -83,26 +83,6 @@ impl StorageConfig {
     /// removal rule (Figure 4, lines 27–28).
     pub fn t_plus_b_plus_1(&self) -> usize {
         self.t + self.b + 1
-    }
-
-    /// Number of non-malicious objects in the worst case: `S − b`.
-    pub fn non_malicious(&self) -> usize {
-        self.s - self.b
-    }
-
-    /// Number of correct objects in the worst case: `S − t`.
-    pub fn correct(&self) -> usize {
-        self.s - self.t
-    }
-
-    /// The threshold below which fast reads are impossible (Proposition 1):
-    /// any `S ≤ 2t + 2b` cannot support single-round reads.
-    ///
-    /// [`StorageConfig::fast_read_quorum`] is the positive counterpart:
-    /// it yields the confirmation count a sound one-round read needs when
-    /// one is possible at all.
-    pub fn fast_read_impossible(&self) -> bool {
-        self.fast_read_quorum().is_none()
     }
 
     /// Round-1 confirmations a sound **one-round fast-path read** needs, or
@@ -190,8 +170,7 @@ mod tests {
         assert_eq!(cfg.quorum(), 3);
         assert_eq!(cfg.b_plus_1(), 2);
         assert_eq!(cfg.t_plus_b_plus_1(), 3);
-        assert_eq!(cfg.non_malicious(), 3);
-        assert!(cfg.fast_read_impossible(), "2t+b+1 = 4 <= 2t+2b = 4");
+        assert_eq!(cfg.fast_read_quorum(), None, "2t+b+1 = 4 <= 2t+2b = 4");
     }
 
     #[test]
@@ -199,8 +178,6 @@ mod tests {
         // S = 2t+2b: impossible. S = 2t+2b+1: possible.
         let at = StorageConfig::with_objects(4, 1, 1, 1);
         let above = StorageConfig::with_objects(5, 1, 1, 1);
-        assert!(at.fast_read_impossible());
-        assert!(!above.fast_read_impossible());
         assert_eq!(at.fast_read_quorum(), None);
         assert_eq!(above.fast_read_quorum(), Some(3));
     }
@@ -238,7 +215,7 @@ mod tests {
         // 2t+b+1 <= 2t+2b  <=>  b >= 1, always true here.
         for t in 1..5 {
             for b in 1..=t {
-                assert!(StorageConfig::optimal(t, b, 1).fast_read_impossible());
+                assert_eq!(StorageConfig::optimal(t, b, 1).fast_read_quorum(), None);
             }
         }
     }

@@ -170,11 +170,6 @@ impl<V: Value> RegularObject<V> {
         self.acks.get(&j).copied().unwrap_or(Timestamp::ZERO)
     }
 
-    /// The retention policy this object runs.
-    pub fn retention(&self) -> HistoryRetention {
-        self.retention
-    }
-
     /// `min(acks)` over the first `readers` reader indices — the highest
     /// timestamp *every* reader has moved past.
     fn ack_floor(&self, readers: usize) -> Timestamp {

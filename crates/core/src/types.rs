@@ -155,11 +155,6 @@ impl TsrMatrix {
             .map(|row| row.get(&j).copied().unwrap_or(0))
     }
 
-    /// Object indexes with non-`nil` rows.
-    pub fn acked_objects(&self) -> impl Iterator<Item = ObjectIndex> + '_ {
-        self.entries.keys().copied()
-    }
-
     /// All non-`nil` rows in object order (used by the wire codec).
     pub fn rows(&self) -> impl Iterator<Item = (ObjectIndex, &BTreeMap<ReaderIndex, u64>)> {
         self.entries.iter().map(|(i, row)| (*i, row))

@@ -120,21 +120,6 @@ impl BlockPartition {
         2 * self.t + 2 * self.b + self.extra.len()
     }
 
-    /// The read view of runs 3–5: `B1 ∪ B2 ∪ T1 ∪ extra` (the reader never
-    /// hears from `T2`). Exactly `S − t` objects.
-    pub fn read_view(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self
-            .b1
-            .iter()
-            .chain(&self.b2)
-            .chain(&self.t1)
-            .chain(&self.extra)
-            .copied()
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
     /// The write reach of run 2: everyone except `T1`. Exactly `S − t`
     /// objects.
     pub fn write_reach(&self) -> Vec<bool> {
@@ -166,15 +151,6 @@ mod tests {
         let p = BlockPartition::new(7, 2, 1);
         assert_eq!(p.extra, vec![6]);
         assert_eq!(p.s(), 7);
-    }
-
-    #[test]
-    fn read_view_is_s_minus_t() {
-        for (s, t, b) in [(4, 1, 1), (6, 2, 1), (8, 2, 2), (9, 2, 2)] {
-            let p = BlockPartition::new(s, t, b);
-            assert_eq!(p.read_view().len(), s - t, "S={s} t={t} b={b}");
-            assert!(p.read_view().iter().all(|i| !p.t2.contains(i)));
-        }
     }
 
     #[test]

@@ -9,6 +9,7 @@
 
 use std::collections::BTreeMap;
 
+use vrr_baselines::corroborated;
 use vrr_core::{Timestamp, TsVal};
 
 use crate::spec::FastReadSpec;
@@ -18,7 +19,8 @@ use crate::spec::FastReadSpec;
 pub enum ReadRule {
     /// Return the highest pair reported identically by ≥ `b + 1` objects;
     /// refuse to decide if no pair qualifies. (The sound rule at
-    /// `S ≥ 2t + 2b + 1`, via `vrr_baselines::MaskingProtocol`'s logic.)
+    /// `S ≥ 2t + 2b + 1`: [`vrr_baselines::corroborated`] with `k = b + 1`,
+    /// the function `vrr_baselines::MaskingProtocol`'s readers decide by.)
     Masking,
     /// Believe the highest timestamp outright (no corroboration).
     TrustHighest,
@@ -103,21 +105,11 @@ impl FastReadSpec for LitePairSpec {
     }
 
     fn decide(&self, replies: &BTreeMap<usize, Self::Reply>) -> Option<Option<u64>> {
-        let mut counts: BTreeMap<&TsVal<u64>, usize> = BTreeMap::new();
-        for (_pw, w) in replies.values() {
-            *counts.entry(w).or_insert(0) += 1;
-        }
-        let best_with = |k: usize| {
-            counts
-                .iter()
-                .filter(|(_, n)| **n >= k)
-                .map(|(pair, _)| (*pair).clone())
-                .max_by_key(|pair| pair.ts)
-        };
+        let best_with = |k| corroborated(replies.values().map(|(_pw, w)| w), k);
         match self.rule {
             ReadRule::Masking => best_with(self.b + 1).map(|pair| pair.value),
-            ReadRule::TrustHighest => Some(best_with(1).map(|pair| pair.value).unwrap_or(None)),
-            ReadRule::Threshold(k) => Some(best_with(k).map(|p| p.value).unwrap_or(None)),
+            ReadRule::TrustHighest => Some(best_with(1).and_then(|pair| pair.value)),
+            ReadRule::Threshold(k) => Some(best_with(k).and_then(|pair| pair.value)),
         }
     }
 }

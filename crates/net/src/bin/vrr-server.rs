@@ -23,6 +23,12 @@
 //! the named object of **every** store shard. With `--metrics-addr` the process
 //! serves its Prometheus snapshot at `GET /metrics`, and prints
 //! `METRICS <addr>` after the `READY` banner.
+//!
+//! A flag the node cannot honour — unknown, malformed, a placement or
+//! Byzantine spec naming a node or object the deployment does not have, or
+//! sizing out of range (`--b` above `--t`, `--readers 0`, `--store 0`) —
+//! is answered with a `vrr-server:` line and the usage on stderr and exit
+//! code 2, before anything is bound or spawned.
 
 use std::net::SocketAddr;
 use std::process::exit;
@@ -192,6 +198,16 @@ fn main() {
     if node as usize >= addrs.len() {
         usage("--node out of range of --addrs");
     }
+    // What `StorageConfig` and `ShardedStore` assert, refused here instead.
+    if b > t {
+        usage("--b must not exceed --t (Byzantine faults are a subset of faults)");
+    }
+    if readers == 0 {
+        usage("--readers must be at least 1");
+    }
+    if store_capacity == Some(0) {
+        usage("--store must be at least 1");
+    }
 
     let cfg = if fast {
         StorageConfig::fast(t, b, readers)
@@ -242,7 +258,7 @@ fn main() {
 
     let server = match NetNode::start(node, &topo, ncfg) {
         Ok(s) => s,
-        // A Byzantine spec naming no object of this deployment.
+        // A spec the deployment cannot honour (it names no object).
         Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => usage(&e.to_string()),
         Err(e) => {
             eprintln!("vrr-server: failed to start node {node}: {e}");

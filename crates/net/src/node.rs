@@ -63,7 +63,9 @@ use vrr_core::{
     group_member, group_span, Deployment, GroupRole, Msg, ProtocolSpec, ReadReport, StorageConfig,
     Value, WriteReport,
 };
-use vrr_runtime::{Cluster, NoDelay, NodeGone, RegisterHost, ShardedStore, StoreError, OP_TIMEOUT};
+use vrr_runtime::{
+    Cluster, ClusterBackend, NoDelay, NodeGone, RegisterHost, ShardedStore, StoreError, OP_TIMEOUT,
+};
 use vrr_sim::{Automaton, Context, ProcessId};
 
 use crate::frame::{Ctl, Op, Rsp};
@@ -276,10 +278,11 @@ impl<V: Value + Wire> NetNode<V> {
     ///
     /// [`io::ErrorKind::InvalidInput`] if a Byzantine spec names a slot or
     /// an object the deployment does not have (it would match nothing and
-    /// the node would silently come up honest); otherwise whatever binding
-    /// the listeners or spawning the threads reports.
+    /// the node would silently come up honest) or the store spec asks for
+    /// zero shards; otherwise whatever binding the listeners or spawning the
+    /// threads reports.
     pub fn start(node: u32, topo: &NodeTopology, ncfg: NetNodeConfig<V>) -> io::Result<Self> {
-        check_byzantine(topo, &ncfg)?;
+        check_specs(topo, &ncfg)?;
         let bound = reactor::bind(Some(topo.addrs[node as usize]), ncfg.metrics_addr)?;
         let addr = bound.addr().expect("listening reactor reports its address");
         let metrics_addr = bound.http_addr();
@@ -373,11 +376,6 @@ impl<V: Value + Wire> NetNode<V> {
         self.ctx.store.as_ref()
     }
 
-    /// This node's id.
-    pub fn node(&self) -> u32 {
-        self.ctx.node
-    }
-
     /// The spawned register groups, slot by slot.
     pub fn groups(&self) -> &[Deployment] {
         self.ctx.host.groups()
@@ -387,11 +385,6 @@ impl<V: Value + Wire> NetNode<V> {
     /// relays, which inspection skips).
     pub fn host(&self) -> &RegisterHost<V> {
         &self.ctx.host
-    }
-
-    /// The node's transport.
-    pub fn transport(&self) -> &Arc<TcpTransport<V>> {
-        &self.ctx.transport
     }
 
     /// Blocking `WRITE(value)` on slot `slot`. The writer must be local.
@@ -872,11 +865,15 @@ fn no_store<V>() -> Rsp<V> {
 }
 
 /// Rejects a Byzantine spec that names a slot or an object the deployment
-/// does not have: applied as given it would match no member, and a fault
-/// drill against the node would run all-honest and pass.
-fn check_byzantine<V>(topo: &NodeTopology, ncfg: &NetNodeConfig<V>) -> io::Result<()> {
+/// does not have — applied as given it would match no member, and a fault
+/// drill against the node would run all-honest and pass — and a store of
+/// no shards, which `ShardedStore` asserts against.
+fn check_specs<V>(topo: &NodeTopology, ncfg: &NetNodeConfig<V>) -> io::Result<()> {
     let objects = ncfg.cfg.s;
     let invalid = |what: String| Err(io::Error::new(io::ErrorKind::InvalidInput, what));
+    if ncfg.store.as_ref().is_some_and(|store| store.capacity == 0) {
+        return invalid("store spec asks for 0 shards: capacity must be at least 1".into());
+    }
     for spec in &ncfg.byzantine {
         if spec.slot >= topo.slots || spec.object >= objects {
             return invalid(format!(

@@ -124,19 +124,9 @@ impl<V: Wire> TcpTransport<V> {
         })
     }
 
-    /// This node's id.
-    pub fn node(&self) -> u32 {
-        self.node
-    }
-
     /// The reactor handle (for answering client requests directly).
     pub fn handle(&self) -> &ReactorHandle {
         &self.handle
-    }
-
-    /// The node hosting global pid `pid`.
-    pub fn node_of_pid(&self, pid: ProcessId) -> u32 {
-        self.pid_node[pid.0]
     }
 
     fn envelope(&self, payload: Payload<V>) -> Vec<u8> {

@@ -18,13 +18,15 @@
 //!   reset against a byte-level fake server, and a store-mode server
 //!   answers `GET /metrics` with its Prometheus snapshot over plain HTTP.
 
-use std::io::{BufRead, BufReader, Read, Write};
+mod common;
+
+use std::io::{Read, Write};
 use std::net::SocketAddr;
-use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use common::Server;
 use vrr_checker::{check_regularity, OpHistory};
 use vrr_core::StorageConfig;
 use vrr_net::frame::{decode_body, encode_frame, Envelope, Payload};
@@ -49,88 +51,30 @@ fn value_of(key: u64, r: u64) -> u64 {
     key * 1000 + r
 }
 
-/// One store-mode `vrr-server` process: a single-node topology hosting a
-/// `ShardedStore<Vec<u8>, u64>` of [`CAPACITY`] shards sized
-/// `(t, b) = (2, 1)`.
-struct StoreServer {
-    child: Child,
-    addr: SocketAddr,
-    metrics_addr: Option<SocketAddr>,
+/// Spawns one store-mode `vrr-server` process: a single-node topology
+/// hosting a `ShardedStore<Vec<u8>, u64>` of [`CAPACITY`] shards sized
+/// `(t, b) = (2, 1)`. With `byzantine`, the last object of **every** store
+/// shard runs a Truncator forging [`FORGED`]; with `metrics`, the process
+/// also serves `GET /metrics` on an OS-assigned port.
+fn spawn_store(addr: SocketAddr, byzantine: bool, metrics: bool) -> Server {
+    let mut args = format!(
+        "--node 0 --addrs {addr} --t 2 --b 1 --readers 1 --kind regular-opt --store {CAPACITY}"
+    );
+    if byzantine {
+        let last = StorageConfig::optimal(2, 1, 1).s - 1;
+        args += &format!(" --store-byzantine {last}:truncator:{FORGED}");
+    }
+    if metrics {
+        args += " --metrics-addr 127.0.0.1:0";
+    }
+    Server::spawn(args.split(' '))
 }
 
-impl StoreServer {
-    /// Spawns the server. With `byzantine`, the last object of **every**
-    /// store shard runs a Truncator forging [`FORGED`]; with `metrics`,
-    /// the process also serves `GET /metrics` on an OS-assigned port.
-    fn spawn(addr: SocketAddr, byzantine: bool, metrics: bool) -> StoreServer {
-        let cfg = StorageConfig::optimal(2, 1, 1);
-        let mut args = vec![
-            "--node".to_string(),
-            "0".into(),
-            "--addrs".into(),
-            addr.to_string(),
-            "--t".into(),
-            "2".into(),
-            "--b".into(),
-            "1".into(),
-            "--readers".into(),
-            "1".into(),
-            "--kind".into(),
-            "regular-opt".into(),
-            "--store".into(),
-            CAPACITY.to_string(),
-        ];
-        if byzantine {
-            args.push("--store-byzantine".into());
-            args.push(format!("{}:truncator:{FORGED}", cfg.s - 1));
-        }
-        if metrics {
-            args.push("--metrics-addr".into());
-            args.push("127.0.0.1:0".into());
-        }
-        let mut child = Command::new(env!("CARGO_BIN_EXE_vrr-server"))
-            .args(&args)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn vrr-server");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut lines = BufReader::new(stdout).lines();
-        let ready = lines.next().expect("READY line").expect("read READY");
-        let addr = ready
-            .trim()
-            .strip_prefix("READY ")
-            .unwrap_or_else(|| panic!("unexpected server banner: {ready:?}"))
-            .parse()
-            .expect("parse READY addr");
-        let metrics_addr = metrics.then(|| {
-            let line = lines.next().expect("METRICS line").expect("read METRICS");
-            line.trim()
-                .strip_prefix("METRICS ")
-                .unwrap_or_else(|| panic!("unexpected metrics banner: {line:?}"))
-                .parse()
-                .expect("parse METRICS addr")
-        });
-        StoreServer {
-            child,
-            addr,
-            metrics_addr,
-        }
-    }
-
-    fn backend(&self) -> Arc<dyn ClusterBackend<u64, u64>> {
-        let remote: RemoteCluster<u64, u64> =
-            RemoteCluster::connect(self.addr, RemoteClusterConfig::default())
-                .expect("connect remote cluster");
-        Arc::new(remote)
-    }
-}
-
-impl Drop for StoreServer {
-    fn drop(&mut self) {
-        self.child.kill().ok();
-        self.child.wait().ok();
-    }
+fn backend(server: &Server) -> Arc<dyn ClusterBackend<u64, u64>> {
+    let remote: RemoteCluster<u64, u64> =
+        RemoteCluster::connect(server.addr, RemoteClusterConfig::default())
+            .expect("connect remote cluster");
+    Arc::new(remote)
 }
 
 /// A router whose first `remotes.len()` clusters are the given backends
@@ -164,11 +108,11 @@ fn router_over(remotes: Vec<Arc<dyn ClusterBackend<u64, u64>>>) -> Arc<StoreRout
 fn distributed_rebalance_with_drained_remote_cluster_stays_regular() {
     let addrs = free_addrs(2).expect("reserve ports");
     // Cluster 0 (to be drained): every shard hosts a Truncator liar.
-    let faulty = StoreServer::spawn(addrs[0], true, false);
+    let faulty = spawn_store(addrs[0], true, false);
     // Cluster 1: clean remote store. Test process + 2 servers = 3 OS
     // processes.
-    let clean = StoreServer::spawn(addrs[1], false, false);
-    let router = router_over(vec![faulty.backend(), clean.backend()]);
+    let clean = spawn_store(addrs[1], false, false);
+    let router = router_over(vec![backend(&faulty), backend(&clean)]);
 
     // Bind every key (write round 1) before the storm.
     for key in 0..KEYS {
@@ -342,11 +286,11 @@ fn in_proc_and_distributed_traces_are_byte_identical() {
         )),
     ]);
     let addrs = free_addrs(2).expect("reserve ports");
-    let servers: Vec<StoreServer> = addrs
+    let servers: Vec<Server> = addrs
         .iter()
-        .map(|&a| StoreServer::spawn(a, false, false))
+        .map(|&a| spawn_store(a, false, false))
         .collect();
-    let remote = router_over(servers.iter().map(|s| s.backend()).collect());
+    let remote = router_over(servers.iter().map(backend).collect());
 
     let local_traces = run_rebalance_schedule(&local);
     let remote_traces = run_rebalance_schedule(&remote);
@@ -376,11 +320,11 @@ fn in_proc_and_distributed_traces_are_byte_identical() {
 #[test]
 fn remove_cluster_racing_in_flight_remote_writes_loses_nothing() {
     let addrs = free_addrs(2).expect("reserve ports");
-    let servers: Vec<StoreServer> = addrs
+    let servers: Vec<Server> = addrs
         .iter()
-        .map(|&a| StoreServer::spawn(a, false, false))
+        .map(|&a| spawn_store(a, false, false))
         .collect();
-    let router = router_over(servers.iter().map(|s| s.backend()).collect());
+    let router = router_over(servers.iter().map(backend).collect());
 
     for key in 0..KEYS {
         router.write(key, value_of(key, 1));
@@ -474,7 +418,7 @@ fn request_with_retry_survives_a_connection_reset() {
 #[test]
 fn metrics_endpoint_serves_prometheus_over_http() {
     let addrs = free_addrs(1).expect("reserve port");
-    let server = StoreServer::spawn(addrs[0], false, true);
+    let server = spawn_store(addrs[0], false, true);
     let metrics_addr = server.metrics_addr.expect("metrics address");
 
     // Generate some signal first: one write through the hosted store.

@@ -5,10 +5,11 @@
 //! Every completed read must be checker-verified regular, per slot, and
 //! the fetched metrics must expose the `vrr_net_wire_*` counters.
 
-use std::io::{BufRead, BufReader};
-use std::net::SocketAddr;
-use std::process::{Child, Command, Stdio};
+mod common;
 
+use std::net::SocketAddr;
+
+use common::{Gen, Server};
 use vrr_checker::{check_regularity, OpHistory};
 use vrr_net::{free_addrs, NetClient};
 
@@ -16,94 +17,28 @@ const SLOTS: usize = 3;
 /// Group span for `optimal(2, 1, 2)`: 6 objects + writer + 2 readers.
 const SPAN: u64 = 9;
 
-struct Server {
-    child: Child,
-    addr: SocketAddr,
-}
-
-impl Server {
-    /// Spawns one node of the three-process deployment. Topology (same
-    /// flags on every node): `(t, b) = (2, 1)` so the six objects
-    /// tolerate one Byzantine liar plus one crash (the sizing
-    /// `tests/scaleout.rs` uses for the same fault mix), objects split
-    /// `[1, 1, 1, 2, 2, 2]`, writer on 0, readers on `[0, 2]`; object 0
-    /// of every slot is a (responsive) Byzantine inflator.
-    fn spawn(node: u32, addrs: &[SocketAddr]) -> Server {
-        let addr_list = addrs
-            .iter()
-            .map(|a| a.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        let mut args = vec![
-            "--node".into(),
-            node.to_string(),
-            "--addrs".into(),
-            addr_list,
-            "--t".into(),
-            "2".into(),
-            "--b".into(),
-            "1".into(),
-            "--readers".into(),
-            "2".into(),
-            "--kind".into(),
-            "regular-opt".into(),
-            "--slots".into(),
-            SLOTS.to_string(),
-            "--place-objects".into(),
-            "1,1,1,2,2,2".into(),
-            "--place-writer".into(),
-            "0".into(),
-            "--place-readers".into(),
-            "0,2".into(),
-        ];
-        for slot in 0..SLOTS {
-            args.push("--byzantine".into());
-            args.push(format!("{slot}:0:inflator:999999"));
-        }
-        let mut child = Command::new(env!("CARGO_BIN_EXE_vrr-server"))
-            .args(&args)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn vrr-server");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut line = String::new();
-        BufReader::new(stdout)
-            .read_line(&mut line)
-            .expect("read READY line");
-        let addr = line
-            .trim()
-            .strip_prefix("READY ")
-            .unwrap_or_else(|| panic!("unexpected server banner: {line:?}"))
-            .parse()
-            .expect("parse READY addr");
-        Server { child, addr }
+/// Spawns one node of the three-process deployment. Topology (same
+/// flags on every node): `(t, b) = (2, 1)` so the six objects
+/// tolerate one Byzantine liar plus one crash (the sizing
+/// `tests/scaleout.rs` uses for the same fault mix), objects split
+/// `[1, 1, 1, 2, 2, 2]`, writer on 0, readers on `[0, 2]`; object 0
+/// of every slot is a (responsive) Byzantine inflator.
+fn spawn(node: u32, addrs: &[SocketAddr]) -> Server {
+    let mut args = format!(
+        "--node {node} --addrs {} --t 2 --b 1 --readers 2 --kind regular-opt --slots {SLOTS} \
+         --place-objects 1,1,1,2,2,2 --place-writer 0 --place-readers 0,2",
+        common::addr_list(addrs)
+    );
+    for slot in 0..SLOTS {
+        args += &format!(" --byzantine {slot}:0:inflator:999999");
     }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.child.kill().ok();
-        self.child.wait().ok();
-    }
-}
-
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
+    Server::spawn(args.split(' '))
 }
 
 #[test]
 fn sharded_store_across_three_processes_stays_regular() {
     let addrs = free_addrs(3).expect("reserve ports");
-    let servers: Vec<Server> = (0..3).map(|n| Server::spawn(n, &addrs)).collect();
+    let servers: Vec<Server> = (0..3).map(|n| spawn(n, &addrs)).collect();
     for (server, addr) in servers.iter().zip(&addrs) {
         assert_eq!(server.addr, *addr);
     }
@@ -191,6 +126,6 @@ fn sharded_store_across_three_processes_stays_regular() {
         }
     }
     for mut server in servers {
-        server.child.wait().ok();
+        server.wait();
     }
 }

@@ -67,6 +67,10 @@ fn a_byzantine_spec_names_an_existing_object_or_the_node_refuses_to_start() {
     });
     let err = NetNode::start(0, &topo, ncfg).err().expect("out of range");
     assert_eq!(err.kind(), ErrorKind::InvalidInput, "store spec: {err}");
+    let mut ncfg = NetNodeConfig::<u64>::new(cfg, KIND);
+    ncfg.store = Some(StoreSpec::new(0));
+    let err = NetNode::start(0, &topo, ncfg).err().expect("no shards");
+    assert_eq!(err.kind(), ErrorKind::InvalidInput, "empty store: {err}");
 
     // In range, both kinds land exactly where they point.
     let mut ncfg = NetNodeConfig::<u64>::new(cfg, KIND);
@@ -89,6 +93,31 @@ fn a_byzantine_spec_names_an_existing_object_or_the_node_refuses_to_start() {
             let honest = is_honest_object(store.cluster(), store.objects(slot)[i]);
             assert_eq!(honest, i != 2, "shard {slot} object {i}");
         }
+    }
+}
+
+/// Sizing `StorageConfig` and `ShardedStore` assert against used to reach
+/// those assertions: exit code 101 and a panic message where every other
+/// bad flag gets the usage and exit code 2.
+#[test]
+fn the_server_refuses_out_of_range_sizing_instead_of_panicking() {
+    for sizing in [
+        &["--t", "0", "--b", "1"][..],
+        &["--readers", "0"],
+        &["--store", "0"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_vrr-server"))
+            .args(["--node", "0", "--addrs", "127.0.0.1:0"])
+            .args(sizing)
+            .output()
+            .expect("run vrr-server");
+        let (stdout, stderr) = (
+            String::from_utf8_lossy(&out.stdout),
+            String::from_utf8_lossy(&out.stderr),
+        );
+        assert_eq!(out.status.code(), Some(2), "{sizing:?}: {stderr}");
+        assert!(stderr.starts_with("vrr-server: --"), "{sizing:?}: {stderr}");
+        assert!(!stdout.contains("READY"), "{sizing:?}: {stdout}");
     }
 }
 

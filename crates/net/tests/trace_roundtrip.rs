@@ -6,25 +6,15 @@
 //! Also probes raw trace serialization: a protocol [`History`] shipped to
 //! a server and echoed back must come home structurally equal.
 
+mod common;
+
 use std::collections::BTreeMap;
 
+use common::Gen;
 use vrr_checker::{check_regularity, OpHistory};
 use vrr_core::{HistEntry, History, StorageConfig, Timestamp, TsVal, TsrMatrix, WTuple};
 use vrr_net::{free_addrs, GroupPlacement, NetClient, NetNode, NetNodeConfig, NodeTopology};
 use vrr_runtime::{NoDelay, ProtocolKind, StorageCluster};
-
-/// SplitMix64 — one shared schedule for both executions.
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-}
 
 /// One schedule step: `Write` bumps the sequence, `Read(j)` reads at
 /// reader `j`.

@@ -12,13 +12,14 @@
 //! 3. Connection resets injected between read rounds while reads are in
 //!    flight.
 
-use std::io::{BufRead, BufReader};
+mod common;
+
 use std::net::SocketAddr;
-use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::{Gen, Server};
 use vrr_checker::{check_regularity, OpHistory};
 use vrr_core::attackers::AttackerKind;
 use vrr_core::StorageConfig;
@@ -26,19 +27,6 @@ use vrr_net::{
     free_addrs, ByzSpec, GroupPlacement, NetClient, NetNode, NetNodeConfig, NodeTopology,
 };
 use vrr_runtime::ProtocolKind;
-
-/// SplitMix64 workload scheduler.
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-}
 
 /// Shared logical clock: each `invoked_at`/`completed_at` is one tick.
 #[derive(Clone, Default)]
@@ -141,70 +129,15 @@ fn byzantine_objects_over_tcp_stay_regular() {
     }
 }
 
-/// A `vrr-server` child process plus its READY-advertised address.
-struct Server {
-    child: Child,
-    addr: SocketAddr,
-}
-
-impl Server {
-    fn spawn(node: u32, addrs: &[SocketAddr], epoch: u32) -> Server {
-        let addr_list = addrs
-            .iter()
-            .map(|a| a.to_string())
-            .collect::<Vec<_>>()
-            .join(",");
-        let mut child = Command::new(env!("CARGO_BIN_EXE_vrr-server"))
-            .args([
-                "--node",
-                &node.to_string(),
-                "--addrs",
-                &addr_list,
-                "--t",
-                "1",
-                "--b",
-                "1",
-                "--readers",
-                "1",
-                "--kind",
-                "regular-opt",
-                "--place-objects",
-                "0,0,0,1",
-                "--place-writer",
-                "0",
-                "--place-readers",
-                "0",
-                "--epoch",
-                &epoch.to_string(),
-            ])
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn vrr-server");
-        let stdout = child.stdout.take().expect("piped stdout");
-        let mut line = String::new();
-        BufReader::new(stdout)
-            .read_line(&mut line)
-            .expect("read READY line");
-        let addr = line
-            .trim()
-            .strip_prefix("READY ")
-            .unwrap_or_else(|| panic!("unexpected server banner: {line:?}"))
-            .parse()
-            .expect("parse READY addr");
-        Server { child, addr }
-    }
-
-    fn kill(&mut self) {
-        self.child.kill().ok();
-        self.child.wait().ok();
-    }
-}
-
-impl Drop for Server {
-    fn drop(&mut self) {
-        self.kill();
-    }
+/// One node of the two-process deployment: objects `[0, 0, 0, 1]`, writer
+/// and reader on node 0.
+fn spawn(node: u32, addrs: &[SocketAddr], epoch: u32) -> Server {
+    let args = format!(
+        "--node {node} --addrs {} --t 1 --b 1 --readers 1 --kind regular-opt \
+         --place-objects 0,0,0,1 --place-writer 0 --place-readers 0 --epoch {epoch}",
+        common::addr_list(addrs)
+    );
+    Server::spawn(args.split(' '))
 }
 
 /// Fault class 2: node 1 (hosting one of four objects) is killed while
@@ -215,8 +148,8 @@ impl Drop for Server {
 #[test]
 fn kill_and_restart_server_mid_read() {
     let addrs = free_addrs(2).expect("reserve ports");
-    let s0 = Server::spawn(0, &addrs, 0);
-    let mut s1 = Server::spawn(1, &addrs, 0);
+    let s0 = spawn(0, &addrs, 0);
+    let mut s1 = spawn(1, &addrs, 0);
     assert_eq!(s0.addr, addrs[0]);
 
     let mut writer = NetClient::<u64>::connect(s0.addr).expect("writer client");
@@ -260,7 +193,7 @@ fn kill_and_restart_server_mid_read() {
 
     // Rebirth: same address, empty state, fresh epoch. The original
     // reader client was consumed by the outage thread; reconnect.
-    let s1b = Server::spawn(1, &addrs, 1);
+    let s1b = spawn(1, &addrs, 1);
     assert_eq!(s1b.addr, addrs[1]);
     let mut reader = NetClient::<u64>::connect(s0.addr).expect("reader client (rebirth)");
     for _ in 0..4 {

@@ -2,36 +2,22 @@
 //! protocol frame, and the envelope framing itself survive
 //! encode → (arbitrary re-chunking) → decode bit-exactly.
 //!
-//! Values are generated from a per-case seed with a local SplitMix64, so
+//! Values are generated from a per-case seed with a SplitMix64, so
 //! each of the 256 cases exercises *all* message variants (not a random
 //! subset), including degenerate sizes (empty histories, `None` values)
 //! and the PR 4 reader-ack field on `Msg::Read`.
 
+mod common;
+
 use std::collections::BTreeMap;
 
+use common::Gen;
 use proptest::prelude::*;
 use vrr_core::wire::{decode_exact, Wire};
 use vrr_core::{HistEntry, History, Msg, ReadRound, Timestamp, TsVal, TsrMatrix, WTuple};
 use vrr_net::frame::{
     decode_body, encode_frame, Ctl, Envelope, FrameReader, Op, Payload, Rsp, CLIENT_NODE,
 };
-
-/// SplitMix64 — deterministic per-case structure generator.
-struct Gen(u64);
-
-impl Gen {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
 
 fn arb_ts(g: &mut Gen) -> Timestamp {
     // Mix tiny, mid and extreme timestamps.

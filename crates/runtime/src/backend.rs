@@ -1,9 +1,11 @@
 //! The cluster abstraction behind [`StoreRouter`](crate::StoreRouter):
 //! "a cluster" is a trait, not a concrete type.
 //!
-//! [`ShardedStore`] deploys register groups on an in-process worker pool;
-//! `vrr-net`'s `RemoteCluster` drives the same operations over TCP against
-//! a store hosted by a `vrr-server` in another OS process. A router routes
+//! [`ShardedStore`](crate::ShardedStore) deploys register groups on an
+//! in-process worker pool and implements the trait directly — its key
+//! operations *are* the trait's methods; `vrr-net`'s `RemoteCluster` drives
+//! the same operations over TCP against a store hosted by a `vrr-server`
+//! in another OS process. A router routes
 //! keys by seeded hash and never looks past this trait, so one ring can
 //! span heterogeneous backends — some clusters local, some remote — and the
 //! never-expose-intermediate-state rebalance (regular-`READ` copy, write
@@ -17,18 +19,18 @@
 use vrr_core::metrics::Registry;
 use vrr_core::{ReadReport, Value, WriteReport};
 
-use crate::shard::{ShardedStore, StoreError};
+use crate::shard::StoreError;
 
 /// One shard-cluster as the router sees it: a capacity-bounded key→register
 /// map with the operations a scale-out deployment needs — write, read,
 /// release (the source half of a rebalance), fault injection, history
 /// inspection and a metrics snapshot.
 ///
-/// Implementations must uphold the [`ShardedStore`] capacity contract:
-/// binding a key consumes a register slot for good, [`release`] retires the
-/// slot rather than recycling it, and a bound key keeps the paper's SWMR
-/// semantics (writes to one key serialize; reads are regular under the
-/// cluster's `(t, b)` fault budget).
+/// Implementations must uphold the [`ShardedStore`](crate::ShardedStore)
+/// capacity contract: binding a key consumes a register slot for good,
+/// [`release`] retires the slot rather than recycling it, and a bound key
+/// keeps the paper's SWMR semantics (writes to one key serialize; reads are
+/// regular under the cluster's `(t, b)` fault budget).
 ///
 /// [`release`]: ClusterBackend::release
 pub trait ClusterBackend<K, V: Value>: Send + Sync {
@@ -100,69 +102,11 @@ pub trait ClusterBackend<K, V: Value>: Send + Sync {
     }
 }
 
-impl<K, V> ClusterBackend<K, V> for ShardedStore<K, V>
-where
-    K: Eq + std::hash::Hash + Clone + Send + Sync,
-    V: Value,
-{
-    fn try_write(&self, key: K, value: V) -> Result<WriteReport, StoreError> {
-        ShardedStore::try_write(self, key, value)
-    }
-
-    fn read(&self, key: &K, reader: usize) -> Option<ReadReport<V>> {
-        ShardedStore::read(self, key, reader)
-    }
-
-    fn release(&self, key: &K) -> Option<usize> {
-        ShardedStore::release(self, key)
-    }
-
-    fn keys(&self) -> Vec<K> {
-        ShardedStore::keys(self)
-    }
-
-    fn len(&self) -> usize {
-        ShardedStore::len(self)
-    }
-
-    fn contains_key(&self, key: &K) -> bool {
-        ShardedStore::contains_key(self, key)
-    }
-
-    fn shard_of(&self, key: &K) -> Option<usize> {
-        ShardedStore::shard_of(self, key)
-    }
-
-    fn capacity(&self) -> usize {
-        ShardedStore::capacity(self)
-    }
-
-    fn free_slots(&self) -> usize {
-        ShardedStore::free_slots(self)
-    }
-
-    fn crash_object(&self, slot: usize, object: usize) {
-        ShardedStore::crash_object(self, slot, object)
-    }
-
-    fn history_lens(&self, slot: usize) -> Vec<usize> {
-        ShardedStore::history_lens(self, slot)
-    }
-
-    fn metrics_snapshot_labelled(&self, cluster: Option<usize>) -> Registry {
-        ShardedStore::metrics_snapshot_labelled(self, cluster)
-    }
-
-    fn scheme(&self) -> &'static str {
-        "inproc"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::link::NoDelay;
-    use crate::ProtocolKind;
+    use crate::{ProtocolKind, ShardedStore};
     use vrr_core::StorageConfig;
 
     #[test]

@@ -153,18 +153,6 @@ impl RingTable {
             .filter(|&s| self.cluster_of_slot(s) == cluster)
             .collect()
     }
-
-    /// How many ring slots each cluster index in `0..clusters` serves.
-    pub fn slot_counts(&self, clusters: usize) -> Vec<usize> {
-        let mut counts = vec![0usize; clusters];
-        for slot in &self.slots {
-            let c = slot.load(Ordering::Acquire);
-            if c < clusters {
-                counts[c] += 1;
-            }
-        }
-        counts
-    }
 }
 
 #[cfg(test)]
@@ -192,7 +180,7 @@ mod tests {
     #[test]
     fn initial_assignment_is_even() {
         let ring = RingTable::new(7, 64, 3);
-        let counts = ring.slot_counts(3);
+        let counts: Vec<usize> = (0..3).map(|c| ring.slots_of(c).len()).collect();
         assert_eq!(counts.iter().sum::<usize>(), 64);
         assert!(counts.iter().all(|&c| (21..=22).contains(&c)), "{counts:?}");
     }

@@ -25,6 +25,7 @@ use vrr_core::{
     WriteReport,
 };
 
+use crate::backend::ClusterBackend;
 use crate::cluster::{Cluster, NodeGone};
 use crate::host::RegisterHost;
 use crate::link::LinkPolicy;
@@ -87,20 +88,20 @@ struct KeyIndex<K> {
 /// Shards are provisioned up front (`capacity`) and bound to keys on first
 /// write, so the id space stays dense and the cluster can seal. `capacity`
 /// bounds the number of **bindings ever made**, not the number of live
-/// keys: [`ShardedStore::release`] retires a binding's shard rather than
-/// recycling it, because handing a register that already holds one key's
-/// history to a different key would let a read concurrent with the new
-/// key's first write return the *old key's* value (a cross-key regularity
-/// leak). Once all `capacity` slots are consumed,
-/// [`ShardedStore::try_write`] for a new key returns
-/// [`StoreError::OverCapacity`] (and [`ShardedStore::write`], the
+/// keys: [`release`](ClusterBackend::release) retires a binding's shard
+/// rather than recycling it, because handing a register that already holds
+/// one key's history to a different key would let a read concurrent with
+/// the new key's first write return the *old key's* value (a cross-key
+/// regularity leak). Once all `capacity` slots are consumed,
+/// [`try_write`](ClusterBackend::try_write) for a new key returns
+/// [`StoreError::OverCapacity`] (and [`write`](ClusterBackend::write), the
 /// panicking wrapper, panics). Reads of never-written keys return `None`
 /// without touching the network.
 ///
 /// # Examples
 ///
 /// ```
-/// use vrr_runtime::{ShardedStore, ProtocolKind, NoDelay};
+/// use vrr_runtime::{ClusterBackend, ShardedStore, ProtocolKind, NoDelay};
 /// use vrr_core::StorageConfig;
 ///
 /// let cfg = StorageConfig::optimal(1, 1, 1);
@@ -122,7 +123,7 @@ pub struct ShardedStore<K: Eq + Hash, V: Value> {
     index: RwLock<KeyIndex<K>>,
 }
 
-impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
+impl<K: Eq + Hash + Clone + Send + Sync, V: Value> ShardedStore<K, V> {
     /// Deploys `capacity` register shards — each `cfg.s` objects, one
     /// writer and `cfg.readers` readers running `spec` — over one shared
     /// cluster with one worker per available CPU. As with
@@ -186,71 +187,6 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
         self.host.kind()
     }
 
-    /// Number of provisioned shards.
-    pub fn capacity(&self) -> usize {
-        self.host.groups().len()
-    }
-
-    /// Number of keys currently bound to a shard.
-    pub fn len(&self) -> usize {
-        self.index.read().map.len()
-    }
-
-    /// Whether no key is currently bound.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Shard slots never bound to any key (capacity headroom; retired
-    /// slots are *not* counted, per the capacity contract).
-    pub fn free_slots(&self) -> usize {
-        self.capacity() - self.index.read().next_slot
-    }
-
-    /// The shard slot serving `key`, if it is currently bound.
-    pub fn shard_of(&self, key: &K) -> Option<usize> {
-        self.index.read().map.get(key).copied()
-    }
-
-    /// Whether `key` is currently bound to a shard.
-    pub fn contains_key(&self, key: &K) -> bool {
-        self.index.read().map.contains_key(key)
-    }
-
-    /// Every currently-bound key (unordered). Rebalances use this to
-    /// enumerate what must move off a cluster.
-    pub fn keys(&self) -> Vec<K>
-    where
-        K: Clone,
-    {
-        self.index.read().map.keys().cloned().collect()
-    }
-
-    /// Blocking `WRITE(key, value)`; binds `key` to a fresh shard on first
-    /// use. Writes to different keys proceed in parallel; writes to one
-    /// key serialize (the register is single-writer).
-    ///
-    /// # Panics
-    ///
-    /// Panics on [`StoreError::OverCapacity`] (see the capacity contract
-    /// above), or if the write does not complete within the operation
-    /// timeout. [`ShardedStore::try_write`] is the non-panicking variant.
-    pub fn write(&self, key: K, value: V) -> WriteReport {
-        self.try_write(key, value).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`ShardedStore::write`], but reports capacity exhaustion as
-    /// [`StoreError::OverCapacity`] instead of panicking.
-    ///
-    /// # Panics
-    ///
-    /// Still panics if the write does not complete within the operation
-    /// timeout — with at most `t` faults per group that is a wait-freedom
-    /// violation, not a recoverable condition.
-    pub fn try_write(&self, key: K, value: V) -> Result<WriteReport, StoreError> {
-        Ok(self.host.write(self.bind(key)?, value))
-    }
-
     /// Starts `WRITE(key, value)` and returns immediately; `done` fires on
     /// a worker thread with the report (or [`NodeGone`] if the shard's
     /// writer is crashed). Capacity exhaustion is reported here, as
@@ -289,29 +225,6 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
         Ok(slot)
     }
 
-    /// Unbinds `key`, retiring its shard slot (the slot is *not* recycled
-    /// — see the capacity contract above). Subsequent reads of `key`
-    /// return `None`; a subsequent write binds a fresh slot. Returns the
-    /// retired slot, or `None` if the key was not bound.
-    ///
-    /// This is the source-side half of a multi-cluster rebalance: the
-    /// router copies the key's latest value into its new cluster first,
-    /// then releases it here.
-    pub fn release(&self, key: &K) -> Option<usize> {
-        self.index.write().map.remove(key)
-    }
-
-    /// Blocking `READ(key)` at reader index `j` of the key's shard, or
-    /// `None` if `key` was never written.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j >= cfg.readers` or the read does not complete within
-    /// the operation timeout.
-    pub fn read(&self, key: &K, j: usize) -> Option<ReadReport<V>> {
-        self.shard_of(key).map(|slot| self.host.read(slot, j))
-    }
-
     /// Starts `READ(key)` at reader index `j` of the key's shard and
     /// returns immediately; `done` fires on a worker thread with the
     /// report (or [`NodeGone`] if that reader is crashed). Returns `false`
@@ -333,32 +246,9 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
         true
     }
 
-    /// Crashes object `idx` of shard `slot` (fault injection).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` or `idx` is out of range.
-    pub fn crash_object(&self, slot: usize, idx: usize) {
-        self.host.crash_object(slot, idx);
-    }
-
     /// The object process ids of shard `slot` (for fault injection).
     pub fn objects(&self, slot: usize) -> &[ProcessId] {
         &self.host.groups()[slot].objects
-    }
-
-    /// The current history length of every honest, live regular object in
-    /// shard `slot`, in object order — the memory-bound observable of the
-    /// reader-ack GC experiments. Byzantine-substituted and crashed objects
-    /// are skipped (inspecting a shard never changes its fault schedule); a
-    /// `ProtocolKind::Safe` store (no histories) reports nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slot` is out of range.
-    pub fn history_lens(&self, slot: usize) -> Vec<usize> {
-        let lens = self.host.history_lens(slot);
-        lens.into_iter().map(|(_, len)| len).collect()
     }
 
     /// Sum of the one-round fast-path counters over every live reader of
@@ -368,34 +258,84 @@ impl<K: Eq + Hash, V: Value> ShardedStore<K, V> {
         self.host.fast_path_stats()
     }
 
-    /// One snapshot of everything observable about the store, under the
-    /// same canonical `vrr_*` names ([`vrr_core::metrics::names`]) as
-    /// [`crate::StorageCluster::metrics_snapshot`] and the simulator
-    /// harness: operation rounds/latency histograms (latency ticks are
-    /// wall-clock microseconds), worker-pool counters, store-wide
-    /// fast-path counters, and per-object history-length gauges labelled
-    /// with their shard slot (crashed or Byzantine-substituted objects
-    /// are skipped; the safe protocol keeps no histories).
-    pub fn metrics_snapshot(&self) -> Registry {
-        self.metrics_snapshot_labelled(None)
-    }
-
-    /// [`ShardedStore::metrics_snapshot`] with every history-length gauge
-    /// additionally labelled `cluster="<cluster>"` — used by the
-    /// multi-cluster router (and, via `Op::StoreMetrics`, by `vrr-server`
-    /// hosting a router member) so snapshots of different clusters merge
-    /// without colliding on identical `{object, shard}` label sets.
-    pub fn metrics_snapshot_labelled(&self, cluster: Option<usize>) -> Registry {
-        self.host.metrics_snapshot_labelled(cluster)
-    }
-
     /// Access to the underlying cluster (fault injection, stats).
     pub fn cluster(&self) -> &Cluster<Msg<V>> {
         self.host.cluster()
     }
 }
 
-impl<K: Eq + Hash, V: Value> std::fmt::Debug for ShardedStore<K, V> {
+/// The store *is* a cluster backend: everything a router (or a caller
+/// holding the store itself) does to its keys goes through the trait, whose
+/// docs state each operation's contract. Specific to this implementation:
+/// an operation that outlives the internal timeout panics (with at most `t`
+/// faults per group that is a wait-freedom violation, not an operational
+/// condition), as does a reader, slot or object index out of range.
+impl<K: Eq + Hash + Clone + Send + Sync, V: Value> ClusterBackend<K, V> for ShardedStore<K, V> {
+    fn try_write(&self, key: K, value: V) -> Result<WriteReport, StoreError> {
+        Ok(self.host.write(self.bind(key)?, value))
+    }
+
+    fn read(&self, key: &K, j: usize) -> Option<ReadReport<V>> {
+        self.shard_of(key).map(|slot| self.host.read(slot, j))
+    }
+
+    fn release(&self, key: &K) -> Option<usize> {
+        self.index.write().map.remove(key)
+    }
+
+    fn keys(&self) -> Vec<K> {
+        self.index.read().map.keys().cloned().collect()
+    }
+
+    fn len(&self) -> usize {
+        self.index.read().map.len()
+    }
+
+    fn contains_key(&self, key: &K) -> bool {
+        self.index.read().map.contains_key(key)
+    }
+
+    fn shard_of(&self, key: &K) -> Option<usize> {
+        self.index.read().map.get(key).copied()
+    }
+
+    fn capacity(&self) -> usize {
+        self.host.groups().len()
+    }
+
+    /// Retired slots are *not* counted, per the capacity contract.
+    fn free_slots(&self) -> usize {
+        self.capacity() - self.index.read().next_slot
+    }
+
+    fn crash_object(&self, slot: usize, idx: usize) {
+        self.host.crash_object(slot, idx);
+    }
+
+    /// In object order; a `ProtocolKind::Safe` store (no histories) reports
+    /// nothing.
+    fn history_lens(&self, slot: usize) -> Vec<usize> {
+        let lens = self.host.history_lens(slot);
+        lens.into_iter().map(|(_, len)| len).collect()
+    }
+
+    /// Under the same canonical `vrr_*` names
+    /// ([`vrr_core::metrics::names`]) as
+    /// [`crate::StorageCluster::metrics_snapshot`] and the simulator
+    /// harness: operation rounds/latency histograms (latency ticks are
+    /// wall-clock microseconds), worker-pool counters, store-wide
+    /// fast-path counters, and per-object history-length gauges labelled
+    /// with their shard slot.
+    fn metrics_snapshot_labelled(&self, cluster: Option<usize>) -> Registry {
+        self.host.metrics_snapshot_labelled(cluster)
+    }
+
+    fn scheme(&self) -> &'static str {
+        "inproc"
+    }
+}
+
+impl<K: Eq + Hash + Clone + Send + Sync, V: Value> std::fmt::Debug for ShardedStore<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedStore")
             .field("kind", &self.kind())

@@ -152,27 +152,6 @@ impl<M> Adversary<M> {
         })
     }
 
-    /// Holds every message sent by `from`.
-    pub fn hold_from(&mut self, from: ProcessId) -> RuleId {
-        self.install(format!("hold {from:?}→"), move |e| {
-            (e.from == from).then_some(Action::Hold)
-        })
-    }
-
-    /// Drops every message on the directed link `from → to`.
-    pub fn drop_link(&mut self, from: ProcessId, to: ProcessId) -> RuleId {
-        self.install(format!("drop {from:?}→{to:?}"), move |e| {
-            e.on_link(from, to).then_some(Action::Drop)
-        })
-    }
-
-    /// Adds `extra` ticks of delay to every message addressed to `to`.
-    pub fn slow_to(&mut self, to: ProcessId, extra: u64) -> RuleId {
-        self.install(format!("slow →{to:?} +{extra}"), move |e| {
-            (e.to == to).then_some(Action::DeliverAfter(extra))
-        })
-    }
-
     /// Partitions `group` from the rest: holds every message crossing the
     /// boundary in either direction.
     pub fn partition(&mut self, group: Vec<ProcessId>) -> RuleId {
@@ -211,7 +190,10 @@ mod tests {
     fn first_matching_rule_wins() {
         let mut adv: Adversary<u8> = Adversary::new();
         adv.hold_to(ProcessId(1));
-        adv.drop_link(ProcessId(0), ProcessId(1));
+        adv.install("drop 0→1", |e| {
+            e.on_link(ProcessId(0), ProcessId(1))
+                .then_some(Action::Drop)
+        });
         assert_eq!(adv.decide(&env(0, 1)), Action::Hold);
         assert_eq!(adv.decide(&env(0, 2)), Action::Deliver);
     }
@@ -237,17 +219,10 @@ mod tests {
     }
 
     #[test]
-    fn slow_to_adds_delay() {
-        let mut adv: Adversary<u8> = Adversary::new();
-        adv.slow_to(ProcessId(5), 11);
-        assert_eq!(adv.decide(&env(1, 5)), Action::DeliverAfter(11));
-    }
-
-    #[test]
     fn clear_removes_everything() {
         let mut adv: Adversary<u8> = Adversary::new();
         adv.hold_to(ProcessId(1));
-        adv.hold_from(ProcessId(2));
+        adv.hold_link(ProcessId(2), ProcessId(1));
         assert_eq!(adv.len(), 2);
         adv.clear();
         assert_eq!(adv.decide(&env(2, 1)), Action::Deliver);

@@ -46,11 +46,6 @@ impl<M> Envelope<M> {
     pub fn on_link(&self, from: ProcessId, to: ProcessId) -> bool {
         self.from == from && self.to == to
     }
-
-    /// Whether either endpoint is `p`.
-    pub fn touches(&self, p: ProcessId) -> bool {
-        self.from == p || self.to == p
-    }
 }
 
 #[cfg(test)]
@@ -72,9 +67,6 @@ mod tests {
         let e = env();
         assert!(e.on_link(ProcessId(1), ProcessId(2)));
         assert!(!e.on_link(ProcessId(2), ProcessId(1)));
-        assert!(e.touches(ProcessId(1)));
-        assert!(e.touches(ProcessId(2)));
-        assert!(!e.touches(ProcessId(3)));
     }
 
     #[test]

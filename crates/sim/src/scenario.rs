@@ -194,11 +194,6 @@ impl<M: SimMessage> Scenario<M> {
         self.stats
     }
 
-    /// Scripted events that have not fired yet.
-    pub fn pending_events(&self) -> usize {
-        self.timeline.len()
-    }
-
     // ---- fault script --------------------------------------------------
 
     /// Partitions the network into islands, immediately.

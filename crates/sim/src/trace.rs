@@ -62,11 +62,6 @@ impl<M> Trace<M> {
         self.enabled = true;
     }
 
-    /// Whether events are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     pub(crate) fn push(&mut self, at: SimTime, kind: TraceEventKind<M>) {
         if self.enabled {
             self.events.push(TraceEvent { at, kind });
@@ -149,7 +144,11 @@ mod tests {
         assert_eq!(t.events()[0].at, SimTime::from_ticks(1));
         t.clear();
         assert!(t.events().is_empty());
-        assert!(t.is_enabled());
+        t.push(
+            SimTime::from_ticks(3),
+            TraceEventKind::Crashed(ProcessId(1)),
+        );
+        assert_eq!(t.events().len(), 1, "clearing does not stop the recording");
     }
 
     #[test]

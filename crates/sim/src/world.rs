@@ -388,27 +388,6 @@ impl<M: SimMessage> World<M> {
         self.release_held(|_| true)
     }
 
-    /// Discards held messages matching `pred` (models "in transit forever"
-    /// for runs that end). Returns the number discarded.
-    pub fn discard_held(&mut self, mut pred: impl FnMut(&Envelope<M>) -> bool) -> usize {
-        let before = self.held.len();
-        let now = self.now;
-        let mut dropped_events = Vec::new();
-        self.held.retain(|env| {
-            if pred(env) {
-                dropped_events.push(env.clone());
-                false
-            } else {
-                true
-            }
-        });
-        for env in dropped_events {
-            self.stats.dropped += 1;
-            self.trace.push(now, TraceEventKind::Dropped(env));
-        }
-        before - self.held.len()
-    }
-
     /// Processes the next event, if any. Returns `false` when the queue is
     /// empty.
     pub fn step(&mut self) -> bool {
@@ -667,17 +646,6 @@ mod tests {
         assert_eq!(w.release_all(), 1);
         w.run_to_quiescence(100).expect_drained();
         w.inspect(sink, |s: &PongSink| assert_eq!(s.got, vec![2]));
-    }
-
-    #[test]
-    fn discard_held_counts_as_dropped() {
-        let (mut w, sink, pong) = two_proc_world(1);
-        w.adversary_mut().hold_link(sink, pong);
-        w.send_external(sink, pong, Msg::Ping(1));
-        w.run_to_quiescence(100).expect_drained();
-        assert_eq!(w.discard_held(|_| true), 1);
-        assert_eq!(w.held().len(), 0);
-        assert_eq!(w.stats().dropped, 1);
     }
 
     #[test]

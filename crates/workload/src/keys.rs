@@ -76,16 +76,6 @@ impl ZipfianKeys {
         Self::new(n, 0.99, seed)
     }
 
-    /// The key-space size `n`.
-    pub fn key_space(&self) -> u64 {
-        self.n
-    }
-
-    /// The skew parameter `theta`.
-    pub fn theta(&self) -> f64 {
-        self.theta
-    }
-
     /// Draws the next rank in `0..n`; rank 0 is the hottest.
     pub fn next_rank(&mut self) -> u64 {
         // Uniform in [0, 1) from the top 53 bits of one word.

@@ -43,4 +43,4 @@ pub use keys::ZipfianKeys;
 pub use monitor::{run_monitored, safe_object_monotonicity, InvariantMonitor, MonitorViolation};
 pub use runner::{LatencyKind, RunOutcome, SimCase};
 pub use schedule::{generate, ClientPlan, PlannedOp, Schedule, ScheduleParams};
-pub use sweep::{grid, SweepPoint};
+pub use sweep::{grid, hunt, Exposed, SweepPoint};

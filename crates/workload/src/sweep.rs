@@ -1,7 +1,13 @@
 //! Parameter sweeps for experiments.
 
+use vrr_checker::{CheckResult, OpHistory, Violation};
 use vrr_core::attackers::AttackerKind;
-use vrr_core::StorageConfig;
+use vrr_core::{RegisterProtocol, StorageConfig};
+use vrr_sim::SimTime;
+
+use crate::faults::FaultPlan;
+use crate::runner::{LatencyKind, SimCase};
+use crate::schedule::ScheduleParams;
 
 /// One point of a `(t, b, attacker, seed)` sweep.
 #[derive(Clone, Copy, Debug)]
@@ -17,10 +23,60 @@ pub struct SweepPoint {
 }
 
 impl SweepPoint {
-    /// The optimally resilient configuration of this point.
-    pub fn config(&self, readers: usize) -> StorageConfig {
-        StorageConfig::optimal(self.t, self.b, readers)
+    /// The faults this point runs under: its attacker's maximal plan with
+    /// the crashes at `crash_at`; without an attacker, a random plan within
+    /// budget over `random_horizon` ticks drawn from the point's seed, or
+    /// no faults at all if that is `None`.
+    pub fn fault_plan(
+        &self,
+        cfg: &StorageConfig,
+        random_horizon: Option<u64>,
+        crash_at: SimTime,
+    ) -> FaultPlan {
+        match (self.attacker, random_horizon) {
+            (Some(kind), _) => FaultPlan::maximal(cfg, kind, crash_at),
+            (None, Some(horizon)) => FaultPlan::random(cfg, horizon, self.seed),
+            (None, None) => FaultPlan::none(),
+        }
     }
+}
+
+/// What exposed a mutant to a [`hunt`].
+#[derive(Clone, Debug)]
+pub enum Exposed {
+    /// The consistency checker rejected the history; its first violation.
+    Checker(Violation),
+    /// This many operations never completed.
+    Stalled(usize),
+}
+
+/// The mutation hunt of the theorem experiments: runs `mutant` at
+/// `t = b = 2` with two readers against the maximal fault plan of every
+/// attacker kind, seeds `0..60` each, on a contended long-tail schedule,
+/// until `check` rejects a history or an operation stalls. Returns the
+/// attacker and seed that exposed it and how, or `None` if it survived all
+/// 360 runs.
+pub fn hunt<P: RegisterProtocol<u64> + Clone>(
+    mutant: &P,
+    check: fn(&OpHistory<u64>) -> CheckResult,
+) -> Option<(AttackerKind, u64, Exposed)> {
+    let cfg = StorageConfig::optimal(2, 2, 2);
+    for kind in AttackerKind::ALL {
+        for seed in 0..60 {
+            let out = SimCase::new(mutant, cfg)
+                .schedule(ScheduleParams::contended(6, 8, 2, seed))
+                .faults(FaultPlan::maximal(&cfg, kind, SimTime::from_ticks(50)))
+                .latency(LatencyKind::LongTail)
+                .run();
+            if let Err(mut violations) = check(&out.history) {
+                return Some((kind, seed, Exposed::Checker(violations.swap_remove(0))));
+            }
+            if !out.all_live() {
+                return Some((kind, seed, Exposed::Stalled(out.stalled_ops)));
+            }
+        }
+    }
+    None
 }
 
 /// The full cross product of budgets × attackers (plus the fault-free
@@ -63,17 +119,5 @@ mod tests {
         assert!(points.iter().all(|p| p.b <= p.t && p.b >= 1));
         // (1,1), (2,1), (2,2) = 3 combos × 3 seeds × (1 + 6 attackers).
         assert_eq!(points.len(), 3 * 3 * (1 + AttackerKind::ALL.len()));
-    }
-
-    #[test]
-    fn config_is_optimal() {
-        let p = SweepPoint {
-            t: 2,
-            b: 1,
-            attacker: None,
-            seed: 0,
-        };
-        assert!(p.config(1).is_optimal());
-        assert_eq!(p.config(1).s, 6);
     }
 }

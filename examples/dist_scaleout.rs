@@ -81,33 +81,18 @@ fn spawn_store(
     byzantine: bool,
     metrics: bool,
 ) -> (Child, SocketAddr, Option<SocketAddr>) {
-    let cfg = StorageConfig::optimal(2, 1, 1);
-    let mut args = vec![
-        "--node".to_string(),
-        "0".into(),
-        "--addrs".into(),
-        addr.to_string(),
-        "--t".into(),
-        "2".into(),
-        "--b".into(),
-        "1".into(),
-        "--readers".into(),
-        "1".into(),
-        "--kind".into(),
-        "regular-opt".into(),
-        "--store".into(),
-        CAPACITY.to_string(),
-    ];
+    let mut args = format!(
+        "--node 0 --addrs {addr} --t 2 --b 1 --readers 1 --kind regular-opt --store {CAPACITY}"
+    );
     if byzantine {
-        args.push("--store-byzantine".into());
-        args.push(format!("{}:truncator:{FORGED}", cfg.s - 1));
+        let last = StorageConfig::optimal(2, 1, 1).s - 1;
+        args += &format!(" --store-byzantine {last}:truncator:{FORGED}");
     }
     if metrics {
-        args.push("--metrics-addr".into());
-        args.push("127.0.0.1:0".into());
+        args += " --metrics-addr 127.0.0.1:0";
     }
     let mut child = Command::new(server_bin())
-        .args(&args)
+        .args(args.split(' '))
         .stdout(Stdio::piped())
         .spawn()
         .expect("spawn vrr-server");

@@ -11,7 +11,9 @@ use vrr::core::attackers::AttackerKind;
 use vrr::core::metrics::names;
 use vrr::core::regular::{HistoryRetention, RegularReader};
 use vrr::core::{RegularProtocol, StorageConfig, StorageScenario, Timestamp};
-use vrr::runtime::{NoDelay, ProtocolKind, ProtocolSpec, ShardedStore, StorageCluster};
+use vrr::runtime::{
+    ClusterBackend, NoDelay, ProtocolKind, ProtocolSpec, ShardedStore, StorageCluster,
+};
 
 #[test]
 fn steady_state_memory_is_flat_in_run_length() {

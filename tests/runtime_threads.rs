@@ -9,7 +9,8 @@ use std::time::{Duration, Instant};
 use vrr::core::attackers::AttackerKind;
 use vrr::core::StorageConfig;
 use vrr::runtime::{
-    Cluster, FixedDelay, InvokeError, NoDelay, NodeGone, ProtocolKind, ShardedStore, StorageCluster,
+    Cluster, ClusterBackend, FixedDelay, InvokeError, NoDelay, NodeGone, ProtocolKind,
+    ShardedStore, StorageCluster,
 };
 use vrr::sim::{from_fn, Automaton, Context, ProcessId};
 
