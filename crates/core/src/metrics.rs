@@ -1,6 +1,5 @@
-//! A unified metrics layer: counters, gauges and histograms behind a cheap
-//! [`MetricsSink`] trait, with a deterministic Prometheus text-format
-//! encoder.
+//! A unified metrics layer: counters, gauges and histograms in one
+//! [`Registry`], with a deterministic Prometheus text-format encoder.
 //!
 //! Before this module, observability was scattered across ad-hoc structs —
 //! `ExecutorStats` in the runtime, [`FastPathStats`] in the readers, bare
@@ -20,7 +19,7 @@
 //! bytes, which the determinism suite asserts.
 //!
 //! ```
-//! use vrr_core::metrics::{names, MetricsSink, Registry};
+//! use vrr_core::metrics::{names, Registry};
 //!
 //! let mut reg = Registry::new();
 //! reg.counter_add(names::READER_FAST_HITS, &[], 3);
@@ -34,7 +33,7 @@ use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
 use crate::reader::FastPathStats;
-use crate::wire::{Wire, WireError};
+use crate::wire::{take_count, Wire, WireError};
 
 /// Canonical metric names — the single `vrr_<subsystem>_<name>` vocabulary
 /// shared by the sim harness and the thread runtime.
@@ -74,12 +73,6 @@ pub mod names {
     /// retry/backoff path (`vrr-net`'s `NetClient` / `RemoteCluster`) —
     /// counter.
     pub const WIRE_RETRIES: &str = "vrr_net_wire_retry_total";
-    /// Envelope encode time — histogram, wall-clock microseconds
-    /// (buckets [`LATENCY_BUCKETS`]).
-    pub const WIRE_ENCODE_LATENCY: &str = "vrr_net_wire_encode_latency_us";
-    /// Envelope decode time — histogram, wall-clock microseconds
-    /// (buckets [`LATENCY_BUCKETS`]).
-    pub const WIRE_DECODE_LATENCY: &str = "vrr_net_wire_decode_latency_us";
 
     /// Executor mailbox sweeps (runtime) — counter.
     pub const EXECUTOR_SWEEPS: &str = "vrr_executor_sweeps_total";
@@ -157,32 +150,6 @@ pub mod names {
 /// `&[("object", "3")]`. Order does not matter — series identity uses the
 /// name-sorted form.
 pub type Labels<'a> = &'a [(&'a str, &'a str)];
-
-/// Anything that can absorb metric updates.
-///
-/// The hot paths record through this trait so instrumented code does not
-/// care whether a real [`Registry`], a [`NullSink`], or something custom is
-/// behind it.
-pub trait MetricsSink {
-    /// Adds `delta` to the counter `name`.
-    fn counter_add(&mut self, name: &'static str, labels: Labels<'_>, delta: u64);
-
-    /// Sets the gauge `name` to `value`.
-    fn gauge_set(&mut self, name: &'static str, labels: Labels<'_>, value: u64);
-
-    /// Records one observation into the histogram `name`.
-    fn observe(&mut self, name: &'static str, labels: Labels<'_>, value: u64);
-}
-
-/// A sink that discards everything (for callers that don't collect).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl MetricsSink for NullSink {
-    fn counter_add(&mut self, _name: &'static str, _labels: Labels<'_>, _delta: u64) {}
-    fn gauge_set(&mut self, _name: &'static str, _labels: Labels<'_>, _value: u64) {}
-    fn observe(&mut self, _name: &'static str, _labels: Labels<'_>, _value: u64) {}
-}
 
 /// A fixed-bucket histogram over `u64` observations.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -293,7 +260,7 @@ struct Family {
     series: BTreeMap<String, Series>,
 }
 
-/// An in-memory metrics registry implementing [`MetricsSink`].
+/// The in-memory metrics registry every instrumented path records into.
 ///
 /// `BTreeMap`-backed throughout, so iteration — and therefore
 /// [`Registry::to_prometheus`] — is deterministic: a pure function of the
@@ -301,9 +268,6 @@ struct Family {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Registry {
     families: BTreeMap<&'static str, Family>,
-    /// Bucket bounds for histograms not pre-declared via
-    /// [`Registry::set_buckets`].
-    buckets: BTreeMap<&'static str, Vec<u64>>,
 }
 
 /// The canonical rendering of a label set: name-sorted `k="v"` pairs.
@@ -335,18 +299,11 @@ fn assert_name(name: &str) {
 }
 
 impl Registry {
-    /// An empty registry with default histogram buckets
-    /// ([`names::LATENCY_BUCKETS`] for `*_latency_*` names,
-    /// [`names::ROUND_BUCKETS`] otherwise).
+    /// An empty registry. Histogram buckets go by name:
+    /// [`names::LATENCY_BUCKETS`] for `*_latency_*` names,
+    /// [`names::ROUND_BUCKETS`] otherwise.
     pub fn new() -> Self {
         Registry::default()
-    }
-
-    /// Declares bucket bounds for the histogram `name` (must be called
-    /// before the first observation to take effect).
-    pub fn set_buckets(&mut self, name: &'static str, bounds: &[u64]) {
-        assert_name(name);
-        self.buckets.insert(name, bounds.to_vec());
     }
 
     /// Whether nothing was recorded.
@@ -422,9 +379,6 @@ impl Registry {
                 }
             }
         }
-        for (name, bounds) in &other.buckets {
-            self.buckets.entry(name).or_insert_with(|| bounds.clone());
-        }
     }
 
     /// Encodes the registry in the Prometheus text exposition format.
@@ -492,20 +446,8 @@ impl Registry {
         self.families.get(name)?.series.get(&label_key(labels))
     }
 
-    fn default_buckets(&self, name: &str) -> Vec<u64> {
-        if let Some(b) = self.buckets.get(name) {
-            return b.clone();
-        }
-        if name.contains("latency") {
-            names::LATENCY_BUCKETS.to_vec()
-        } else {
-            names::ROUND_BUCKETS.to_vec()
-        }
-    }
-}
-
-impl MetricsSink for Registry {
-    fn counter_add(&mut self, name: &'static str, labels: Labels<'_>, delta: u64) {
+    /// Adds `delta` to the counter `name`.
+    pub fn counter_add(&mut self, name: &'static str, labels: Labels<'_>, delta: u64) {
         assert_name(name);
         let series = self
             .families
@@ -520,7 +462,8 @@ impl MetricsSink for Registry {
         }
     }
 
-    fn gauge_set(&mut self, name: &'static str, labels: Labels<'_>, value: u64) {
+    /// Sets the gauge `name` to `value`.
+    pub fn gauge_set(&mut self, name: &'static str, labels: Labels<'_>, value: u64) {
         assert_name(name);
         let series = self
             .families
@@ -535,16 +478,22 @@ impl MetricsSink for Registry {
         }
     }
 
-    fn observe(&mut self, name: &'static str, labels: Labels<'_>, value: u64) {
+    /// Records one observation into the histogram `name`.
+    pub fn observe(&mut self, name: &'static str, labels: Labels<'_>, value: u64) {
         assert_name(name);
-        let bounds = self.default_buckets(name);
         let series = self
             .families
             .entry(name)
             .or_default()
             .series
             .entry(label_key(labels))
-            .or_insert_with(|| Series::Histogram(Histogram::new(&bounds)));
+            .or_insert_with(|| {
+                Series::Histogram(Histogram::new(if name.contains("latency") {
+                    names::LATENCY_BUCKETS
+                } else {
+                    names::ROUND_BUCKETS
+                }))
+            });
         match series {
             Series::Histogram(h) => h.observe(value),
             other => panic!("{name} already recorded as a {}", other.type_str()),
@@ -670,52 +619,25 @@ impl Wire for Registry {
             name.to_string().encode(out);
             family.series.encode(out);
         }
-        (self.buckets.len() as u32).encode(out);
-        for (name, bounds) in &self.buckets {
-            name.to_string().encode(out);
-            bounds.encode(out);
-        }
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         // Each family costs at least a name length prefix + series count.
-        let n = wire_take_count(buf, 8)?;
+        let n = take_count(buf, 8)?;
         let mut families = BTreeMap::new();
         for _ in 0..n {
             let name = intern_metric_name(String::decode(buf)?)?;
             let series = BTreeMap::<String, Series>::decode(buf)?;
             families.insert(name, Family { series });
         }
-        let n = wire_take_count(buf, 8)?;
-        let mut buckets = BTreeMap::new();
-        for _ in 0..n {
-            let name = intern_metric_name(String::decode(buf)?)?;
-            let bounds = Vec::<u64>::decode(buf)?;
-            buckets.insert(name, bounds);
-        }
-        Ok(Registry { families, buckets })
+        Ok(Registry { families })
     }
-}
-
-/// Reads a `u32` count and validates it against the bytes remaining (the
-/// same guard `wire::Wire` collections use, re-stated here because the
-/// helper is private to that module).
-fn wire_take_count(buf: &mut &[u8], min_elem_size: usize) -> Result<usize, WireError> {
-    let n = u32::decode(buf)? as usize;
-    let cap = buf.len() / min_elem_size.max(1);
-    if n > cap {
-        return Err(WireError::Oversized {
-            declared: n as u64,
-            limit: cap as u64,
-        });
-    }
-    Ok(n)
 }
 
 // ---- recording helpers for the workspace's existing stat structs ----------
 
 /// Records the simulator's [`vrr_sim::NetStats`] counters under the
 /// `vrr_net_*` names.
-pub fn record_net_stats(sink: &mut dyn MetricsSink, stats: &vrr_sim::NetStats) {
+pub fn record_net_stats(sink: &mut Registry, stats: &vrr_sim::NetStats) {
     sink.counter_add(names::NET_SENT, &[], stats.sent);
     sink.counter_add(names::NET_DELIVERED, &[], stats.delivered);
     sink.counter_add(names::NET_HELD, &[], stats.held);
@@ -728,7 +650,7 @@ pub fn record_net_stats(sink: &mut dyn MetricsSink, stats: &vrr_sim::NetStats) {
 
 /// Records the fault counters of a [`vrr_sim::Scenario`] under the
 /// `vrr_scenario_*` names.
-pub fn record_scenario_stats(sink: &mut dyn MetricsSink, stats: &vrr_sim::ScenarioStats) {
+pub fn record_scenario_stats(sink: &mut Registry, stats: &vrr_sim::ScenarioStats) {
     sink.counter_add(names::SCENARIO_PARTITIONS, &[], stats.partitions);
     sink.counter_add(names::SCENARIO_HEALS, &[], stats.heals);
     sink.counter_add(names::SCENARIO_CRASHES, &[], stats.crashes);
@@ -736,29 +658,20 @@ pub fn record_scenario_stats(sink: &mut dyn MetricsSink, stats: &vrr_sim::Scenar
 }
 
 /// Records reader fast-path counters under the `vrr_reader_fast_*` names.
-pub fn record_fast_path(sink: &mut dyn MetricsSink, stats: &FastPathStats) {
+pub fn record_fast_path(sink: &mut Registry, stats: &FastPathStats) {
     sink.counter_add(names::READER_FAST_HITS, &[], stats.hits);
     sink.counter_add(names::READER_FAST_FALLBACKS, &[], stats.fallbacks);
 }
 
 /// Records `(object index, history length)` pairs as
-/// [`names::OBJECT_HISTORY_LEN`] gauges, labelled `object` with the index
-/// (and `shard` when given). Producers skip Byzantine and crashed objects,
-/// so the index is carried rather than counted here.
+/// [`names::OBJECT_HISTORY_LEN`] gauges, labelled `object` with the index,
+/// `shard` when given, and `cluster` when the objects live inside one
+/// shard-cluster of a multi-cluster router — which keeps the gauges of
+/// different clusters from colliding when their snapshots merge into one
+/// registry. Producers skip Byzantine and crashed objects, so the index is
+/// carried rather than counted here.
 pub fn record_history_lens(
-    sink: &mut dyn MetricsSink,
-    shard: Option<usize>,
-    lens: &[(usize, usize)],
-) {
-    record_history_lens_at(sink, None, shard, lens);
-}
-
-/// Like [`record_history_lens`], but additionally labelled `cluster` when
-/// the objects live inside one shard-cluster of a multi-cluster router —
-/// keeps the gauges of different clusters from colliding when their
-/// snapshots merge into one registry.
-pub fn record_history_lens_at(
-    sink: &mut dyn MetricsSink,
+    sink: &mut Registry,
     cluster: Option<usize>,
     shard: Option<usize>,
     lens: &[(usize, usize)],
@@ -898,7 +811,6 @@ mod tests {
         reg.gauge_set(names::OBJECT_HISTORY_LEN, &[("object", "0")], 3);
         reg.observe(names::READER_ROUNDS, &[], 1);
         reg.observe(names::READ_LATENCY, &[("cluster", "1")], 900);
-        reg.set_buckets(names::WRITER_ROUNDS, &[1, 2]);
         let bytes = reg.to_wire_vec();
         let back: Registry = crate::wire::decode_exact(&bytes).expect("decode");
         assert_eq!(back, reg);
@@ -919,12 +831,12 @@ mod tests {
         let mut reg = Registry::new();
         reg.observe(names::READER_ROUNDS, &[], 1);
         // The encoding ends with the histogram's sum and count (8 bytes
-        // each) followed by the empty buckets map's u32 count.
+        // each).
         let mut bytes = reg.to_wire_vec();
         let len = bytes.len();
-        bytes[len - 20..len - 12].copy_from_slice(&99u64.to_le_bytes()); // forged sum is fine...
+        bytes[len - 16..len - 8].copy_from_slice(&99u64.to_le_bytes()); // forged sum is fine...
         assert!(crate::wire::decode_exact::<Registry>(&bytes).is_ok());
-        bytes[len - 12..len - 4].copy_from_slice(&99u64.to_le_bytes()); // ...a forged count is not
+        bytes[len - 8..].copy_from_slice(&99u64.to_le_bytes()); // ...a forged count is not
         assert!(crate::wire::decode_exact::<Registry>(&bytes).is_err());
     }
 

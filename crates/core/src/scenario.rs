@@ -44,7 +44,7 @@ use crate::attackers::AttackerKind;
 use crate::config::StorageConfig;
 use crate::group::Deployment;
 use crate::harness::RegisterProtocol;
-use crate::metrics::{self, names, MetricsSink, Registry};
+use crate::metrics::{self, names, Registry};
 use crate::reader::ReadReport;
 use crate::types::Value;
 use crate::writer::WriteReport;
@@ -438,7 +438,7 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
             metrics::record_fast_path(&mut reg, &stats);
         }
         if let Some(lens) = self.indexed_history_lens() {
-            metrics::record_history_lens(&mut reg, None, &lens);
+            metrics::record_history_lens(&mut reg, None, None, &lens);
         }
         reg
     }

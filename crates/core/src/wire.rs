@@ -123,7 +123,7 @@ fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
 /// a conservative minimum encoded size per element. This caps attacker-
 /// declared counts at what the buffer could possibly hold, so decoding
 /// never allocates or loops beyond the input's actual size.
-fn take_count(buf: &mut &[u8], min_elem_size: usize) -> Result<usize, WireError> {
+pub(crate) fn take_count(buf: &mut &[u8], min_elem_size: usize) -> Result<usize, WireError> {
     let n = u32::decode(buf)? as usize;
     let cap = buf.len() / min_elem_size.max(1);
     if n > cap {

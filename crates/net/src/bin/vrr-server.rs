@@ -24,11 +24,13 @@
 //! serves its Prometheus snapshot at `GET /metrics`, and prints
 //! `METRICS <addr>` after the `READY` banner.
 //!
-//! A flag the node cannot honour — unknown, malformed, a placement or
-//! Byzantine spec naming a node or object the deployment does not have, or
-//! sizing out of range (`--b` above `--t`, `--readers 0`, `--store 0`) —
-//! is answered with a `vrr-server:` line and the usage on stderr and exit
-//! code 2, before anything is bound or spawned.
+//! A flag the node cannot honour — unknown, malformed, or sizing out of
+//! range (`--b` above `--t`, `--readers 0`, `--store 0`) — is answered with
+//! a `vrr-server:` line and the usage on stderr and exit code 2, before
+//! anything is bound or spawned. So is a topology `NetNode::start` refuses
+//! (its `InvalidInput`): `--node` or a placement naming a node outside
+//! `--addrs`, placement lists that do not match the sizing, a Byzantine spec
+//! naming an object the deployment does not have.
 
 use std::net::SocketAddr;
 use std::process::exit;
@@ -195,9 +197,6 @@ fn main() {
     if addrs.is_empty() {
         usage("--addrs is required");
     }
-    if node as usize >= addrs.len() {
-        usage("--node out of range of --addrs");
-    }
     // What `StorageConfig` and `ShardedStore` assert, refused here instead.
     if b > t {
         usage("--b must not exceed --t (Byzantine faults are a subset of faults)");
@@ -219,19 +218,6 @@ fn main() {
         writer: place_writer.unwrap_or(0),
         readers: place_readers.unwrap_or_else(|| vec![0; cfg.readers]),
     };
-    if placement.objects.len() != cfg.s || placement.readers.len() != cfg.readers {
-        usage("placement lists must match --t/--b/--readers sizing");
-    }
-    if placement
-        .objects
-        .iter()
-        .chain(placement.readers.iter())
-        .chain(std::iter::once(&placement.writer))
-        .any(|&n| n as usize >= addrs.len())
-    {
-        usage("placement references a node outside --addrs");
-    }
-
     let topo = NodeTopology {
         addrs,
         placement,
@@ -258,7 +244,9 @@ fn main() {
 
     let server = match NetNode::start(node, &topo, ncfg) {
         Ok(s) => s,
-        // A spec the deployment cannot honour (it names no object).
+        // A topology or spec the deployment cannot honour: `--node` or a
+        // placement outside `--addrs`, placement lists off the sizing, a
+        // Byzantine spec naming no object.
         Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => usage(&e.to_string()),
         Err(e) => {
             eprintln!("vrr-server: failed to start node {node}: {e}");

@@ -57,16 +57,6 @@ impl RetryPolicy {
         }
     }
 
-    /// No retries at all — the legacy fail-fast behaviour.
-    pub fn none() -> Self {
-        RetryPolicy {
-            attempts: 0,
-            base: Duration::ZERO,
-            cap: Duration::ZERO,
-            seed: 0,
-        }
-    }
-
     /// The backoff schedule this policy generates.
     pub fn backoff(&self) -> Backoff {
         Backoff {
@@ -463,6 +453,5 @@ mod tests {
         }
         let other: Vec<Duration> = RetryPolicy { seed: 43, ..policy }.backoff().collect();
         assert_ne!(a, other, "different seed, different jitter");
-        assert_eq!(RetryPolicy::none().backoff().count(), 0);
     }
 }

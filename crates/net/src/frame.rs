@@ -717,7 +717,6 @@ impl FrameReader {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vrr_core::metrics::MetricsSink;
 
     fn ping_frame(seq: u64) -> Vec<u8> {
         encode_frame(&Envelope::<u64> {

@@ -33,7 +33,9 @@
 //! objects, writer and readers can live in separate OS processes; see
 //! `tests/multiprocess.rs` (slot-addressed thin clients) and
 //! `examples/dist_scaleout.rs` at the workspace root (a keyed store behind
-//! a router) for the two ways to drive it.
+//! a router) for the two ways to drive it. Both hold their servers as
+//! [`ServerProcess`]es: a silent server is an error, not a hang, and a
+//! failing run cannot leave one listening.
 //!
 //! Against a running deployment (say `vrr-server --node … --addrs
 //! 127.0.0.1:7100,127.0.0.1:7101,127.0.0.1:7102 --slots 4 …` with the
@@ -78,9 +80,9 @@ pub mod transport;
 pub use client::{ClientError, NetClient, RetryPolicy};
 pub use frame::{Ctl, Envelope, FrameError, FrameReader, Op, Payload, Rsp, MAX_FRAME_LEN};
 pub use node::{
-    free_addrs, ByzSpec, GroupPlacement, NetNode, NetNodeConfig, NodeTopology, Relay, StoreByzSpec,
-    StoreSpec,
+    free_addrs, ByzSpec, GroupPlacement, NetNode, NetNodeConfig, NodeTopology, Relay,
+    ServerProcess, StoreByzSpec, StoreSpec,
 };
 pub use reactor::{BoundReactor, ConnId, Handler, NetCounters, NetEvent, ReactorHandle};
 pub use remote::{RemoteCluster, RemoteClusterConfig};
-pub use transport::{Inbound, TcpTransport};
+pub use transport::TcpTransport;

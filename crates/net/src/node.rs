@@ -16,7 +16,7 @@
 //! **on the reactor thread** (decode → classify → act; no event channel,
 //! no thread per request), and nothing on it ever waits:
 //!
-//! - **inline** — [`Inbound::Peer`] envelopes are injected with
+//! - **inline** — [`Payload::Peer`] envelopes are injected with
 //!   `send_external`; the O(1) ops (`Ping`, `ReleaseKey`, `SlotOfKey`,
 //!   `StoreInfo`, `StoreKeys`, `CrashPid`, `CrashShard`, `ResetPeer`,
 //!   `EchoHistory`, `Shutdown`) and every validation error are answered on
@@ -47,8 +47,10 @@
 //! thread.) The same tick redials `Down` peers.
 
 use std::collections::VecDeque;
-use std::io;
+use std::ffi::OsStr;
+use std::io::{self, BufRead, BufReader};
 use std::net::SocketAddr;
+use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -68,9 +70,9 @@ use vrr_runtime::{
 };
 use vrr_sim::{Automaton, Context, ProcessId};
 
-use crate::frame::{Ctl, Op, Rsp};
+use crate::frame::{Ctl, Op, Payload, Rsp};
 use crate::reactor::{self, ConnId, Handler, NetEvent};
-use crate::transport::{Inbound, TcpTransport};
+use crate::transport::TcpTransport;
 
 /// Stand-in automaton for a pid hosted by another OS process: anything
 /// delivered to it locally is forwarded over the transport instead.
@@ -276,13 +278,14 @@ impl<V: Value + Wire> NetNode<V> {
     ///
     /// # Errors
     ///
-    /// [`io::ErrorKind::InvalidInput`] if a Byzantine spec names a slot or
-    /// an object the deployment does not have (it would match nothing and
-    /// the node would silently come up honest) or the store spec asks for
-    /// zero shards; otherwise whatever binding the listeners or spawning the
-    /// threads reports.
+    /// [`io::ErrorKind::InvalidInput`] if `node` or a placed member is
+    /// outside `topo.addrs`, the placement lists do not match the sizing, a
+    /// Byzantine spec names a slot or an object the deployment does not
+    /// have (it would match nothing and the node would silently come up
+    /// honest) or the store spec asks for zero shards; otherwise whatever
+    /// binding the listeners or spawning the threads reports.
     pub fn start(node: u32, topo: &NodeTopology, ncfg: NetNodeConfig<V>) -> io::Result<Self> {
-        check_specs(topo, &ncfg)?;
+        check_specs(node, topo, &ncfg)?;
         let bound = reactor::bind(Some(topo.addrs[node as usize]), ncfg.metrics_addr)?;
         let addr = bound.addr().expect("listening reactor reports its address");
         let metrics_addr = bound.http_addr();
@@ -564,16 +567,18 @@ impl<V: Value + Wire> Handler for NodeHandler<V> {
             return self.on_http(*conn, head);
         }
         match self.ctx.transport.handle_event(ev) {
-            Some(Inbound::Peer { from, to, msg }) => {
+            Some((_, Payload::Peer { from, to, msg })) => {
                 // Only inject at pids this node really hosts; a confused
                 // or hostile peer must not bounce traffic off a relay.
                 let ctx = &self.ctx;
+                let (from, to) = (ProcessId(from as usize), ProcessId(to as usize));
                 if to.0 < ctx.pid_node.len() && ctx.pid_node[to.0] == ctx.node {
                     ctx.host.cluster().send_external(from, to, msg);
                 }
             }
-            Some(Inbound::Request { conn, id, op }) => self.on_request(conn, id, op),
-            Some(Inbound::Response { .. }) | None => {}
+            Some((conn, Payload::Ctl(Ctl::Request { id, op }))) => self.on_request(conn, id, op),
+            // A node issues no requests, so a response answers nothing.
+            Some((_, Payload::Ctl(_))) | None => {}
         }
     }
 
@@ -770,7 +775,9 @@ impl<V: Value + Wire> NodeHandler<V> {
     /// snapshot (from the inspection thread), anything else a 404.
     fn on_http(&self, conn: ConnId, head: &[u8]) {
         let line = head.split(|&b| b == b'\r').next().unwrap_or(b"");
-        if line.starts_with(b"GET /metrics") {
+        let target = line.strip_prefix(b"GET ").unwrap_or(b"");
+        let target = target.split(|&b| b == b' ').next().unwrap_or(b"");
+        if target == b"/metrics" || target.starts_with(b"/metrics?") {
             let _ = self.inspect_tx.send(InspectionJob::HttpMetrics { conn });
         } else {
             let rsp = http_response("404 Not Found", "try GET /metrics\n");
@@ -864,13 +871,33 @@ fn no_store<V>() -> Rsp<V> {
     }
 }
 
-/// Rejects a Byzantine spec that names a slot or an object the deployment
-/// does not have — applied as given it would match no member, and a fault
-/// drill against the node would run all-honest and pass — and a store of
-/// no shards, which `ShardedStore` asserts against.
-fn check_specs<V>(topo: &NodeTopology, ncfg: &NetNodeConfig<V>) -> io::Result<()> {
+/// Rejects a topology `start` would index out of (this node outside
+/// `addrs`, placement lists that do not match the sizing) or whose traffic
+/// the transport would drop silently (a member placed on a node outside
+/// `addrs`: operations would hang until `OP_TIMEOUT`); a Byzantine spec
+/// that names a slot or an object the deployment does not have — applied
+/// as given it would match no member, and a fault drill against the node
+/// would run all-honest and pass — and a store of no shards, which
+/// `ShardedStore` asserts against.
+fn check_specs<V>(node: u32, topo: &NodeTopology, ncfg: &NetNodeConfig<V>) -> io::Result<()> {
     let objects = ncfg.cfg.s;
     let invalid = |what: String| Err(io::Error::new(io::ErrorKind::InvalidInput, what));
+    let (nodes, place) = (topo.addrs.len(), &topo.placement);
+    let hosts = place.objects.iter().chain(&place.readers);
+    let mut hosts = hosts.chain([&place.writer, &node]);
+    if let Some(n) = hosts.find(|&&n| n as usize >= nodes) {
+        return invalid(format!(
+            "node {n} is outside the topology's {nodes} address(es)"
+        ));
+    }
+    if place.objects.len() != objects || place.readers.len() != ncfg.cfg.readers {
+        return invalid(format!(
+            "placement lists {} objects and {} readers: the sizing has {objects} and {}",
+            place.objects.len(),
+            place.readers.len(),
+            ncfg.cfg.readers
+        ));
+    }
     if ncfg.store.as_ref().is_some_and(|store| store.capacity == 0) {
         return invalid("store spec asks for 0 shards: capacity must be at least 1".into());
     }
@@ -903,9 +930,130 @@ pub fn free_addrs(n: usize) -> io::Result<Vec<SocketAddr>> {
     listeners.iter().map(|l| l.local_addr()).collect()
 }
 
+/// How long a spawned server may take to print a banner line.
+const BANNER_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// A `vrr-server` child process, killed and reaped on drop — a failing
+/// test or example cannot leave it listening (test/example convenience,
+/// like [`free_addrs`]).
+pub struct ServerProcess {
+    child: Child,
+    stdout: Option<JoinHandle<()>>,
+    /// The address of its `READY` banner.
+    pub addr: SocketAddr,
+    /// The address of its `METRICS` banner, if it was asked for one.
+    pub metrics_addr: Option<SocketAddr>,
+}
+
+impl ServerProcess {
+    /// Spawns the `vrr-server` binary `bin` with `args` and waits for its
+    /// `READY` banner — and for the `METRICS` one if `args` contain
+    /// `--metrics-addr`.
+    ///
+    /// # Errors
+    ///
+    /// Whatever spawning reports; [`io::ErrorKind::InvalidData`] if the
+    /// process exits or stays silent for 30 s instead of printing a banner,
+    /// or prints something else. The child is then already killed.
+    pub fn spawn(
+        bin: impl AsRef<OsStr>,
+        args: impl IntoIterator<Item = impl AsRef<OsStr>>,
+    ) -> io::Result<ServerProcess> {
+        let mut command = Command::new(bin);
+        command.args(args).stdout(Stdio::piped());
+        let wants_metrics = command.get_args().any(|a| a == "--metrics-addr");
+        let mut child = command.spawn()?;
+        // A pipe read has no deadline, so a thread does the reading; it
+        // ends with the child (EOF) and is joined in `kill`.
+        let pipe = child.stdout.take().expect("piped stdout");
+        let (tx, lines) = std::sync::mpsc::channel();
+        let stdout = std::thread::spawn(move || {
+            for line in BufReader::new(pipe).lines().map_while(Result::ok) {
+                if tx.send(line).is_err() {
+                    break;
+                }
+            }
+        });
+        // A guard before the banners are read: an early return kills the
+        // child on the way out.
+        let mut server = ServerProcess {
+            child,
+            stdout: Some(stdout),
+            addr: SocketAddr::from(([0, 0, 0, 0], 0)),
+            metrics_addr: None,
+        };
+        server.addr = banner(&lines, "READY")?;
+        if wants_metrics {
+            server.metrics_addr = Some(banner(&lines, "METRICS")?);
+        }
+        Ok(server)
+    }
+
+    /// Waits for the process to exit on its own, as after a shutdown op.
+    pub fn wait(&mut self) {
+        self.child.wait().ok();
+    }
+
+    /// Kills the process and reaps it (idempotent).
+    pub fn kill(&mut self) {
+        self.child.kill().ok();
+        self.child.wait().ok();
+        if let Some(stdout) = self.stdout.take() {
+            stdout.join().ok();
+        }
+    }
+}
+
+impl Drop for ServerProcess {
+    fn drop(&mut self) {
+        self.kill();
+    }
+}
+
+fn banner(lines: &std::sync::mpsc::Receiver<String>, tag: &str) -> io::Result<SocketAddr> {
+    let invalid = |why: String| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("no {tag} banner: {why}"),
+        )
+    };
+    let line = lines
+        .recv_timeout(BANNER_TIMEOUT)
+        .map_err(|e| invalid(e.to_string()))?;
+    line.strip_prefix(tag)
+        .and_then(|addr| addr.trim().parse().ok())
+        .ok_or_else(|| invalid(format!("got {line:?}")))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `sh` stands in for `vrr-server`: only the banner protocol and the
+    /// child's lifetime are under test.
+    #[test]
+    fn a_server_process_fails_fast_without_a_banner_and_is_reaped_on_drop() {
+        let started = Instant::now();
+        let err = ServerProcess::spawn("/bin/true", None::<&str>).err();
+        assert_eq!(err.map(|e| e.kind()), Some(io::ErrorKind::InvalidData));
+        assert!(
+            started.elapsed() < BANNER_TIMEOUT / 2,
+            "waited out a dead child"
+        );
+
+        let script = "echo READY 127.0.0.1:9; echo METRICS 127.0.0.1:10; exec sleep 60";
+        let server = ServerProcess::spawn("/bin/sh", ["-c", script, "--metrics-addr"])
+            .expect("both banners");
+        assert_eq!(server.addr.port(), 9);
+        assert_eq!(server.metrics_addr.map(|a| a.port()), Some(10));
+        let proc_entry = format!("/proc/{}", server.child.id());
+        assert!(std::path::Path::new(&proc_entry).exists());
+        drop(server);
+        assert!(
+            !std::path::Path::new(&proc_entry).exists(),
+            "child not reaped"
+        );
+    }
 
     fn entry(id: u64, deadline: Instant) -> (Pending, Arc<AtomicBool>) {
         let answered = Arc::new(AtomicBool::new(false));

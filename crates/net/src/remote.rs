@@ -33,7 +33,7 @@ use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use vrr_core::metrics::{names, MetricsSink, Registry};
+use vrr_core::metrics::{names, Registry};
 use vrr_core::wire::{decode_exact, Wire};
 use vrr_core::{ReadReport, Value, WriteReport};
 use vrr_runtime::{ClusterBackend, StoreError};

@@ -13,15 +13,14 @@ use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
-use vrr_core::metrics::{names, MetricsSink, Registry};
+use vrr_core::metrics::{names, Registry};
 use vrr_core::wire::Wire;
 use vrr_core::Msg;
 use vrr_sim::ProcessId;
 
-use crate::frame::{decode_body, encode_frame, Ctl, Envelope, Op, Payload, Rsp};
+use crate::frame::{decode_body, encode_frame, Ctl, Envelope, Payload};
 use crate::reactor::{ConnId, NetCounters, NetEvent, ReactorHandle};
 
 /// Cap on frames buffered for a peer whose connection is still coming up.
@@ -49,36 +48,6 @@ struct PeerTable {
     conn_node: HashMap<ConnId, u32>,
 }
 
-/// A decoded inbound envelope, classified for the node's handler.
-#[derive(Debug)]
-pub enum Inbound<V> {
-    /// A relayed protocol message: inject into the local cluster.
-    Peer {
-        /// Global pid the message claims to come from.
-        from: ProcessId,
-        /// Global pid it is addressed to.
-        to: ProcessId,
-        /// The message.
-        msg: Msg<V>,
-    },
-    /// A thin-client request to serve.
-    Request {
-        /// Connection to answer on.
-        conn: ConnId,
-        /// Correlation id to echo.
-        id: u64,
-        /// The operation.
-        op: Op<V>,
-    },
-    /// A response to a request this process issued.
-    Response {
-        /// Correlation id of the original request.
-        id: u64,
-        /// The outcome.
-        rsp: Rsp<V>,
-    },
-}
-
 /// The socket transport for one node of a multi-process deployment.
 pub struct TcpTransport<V> {
     node: u32,
@@ -90,8 +59,6 @@ pub struct TcpTransport<V> {
     peers: Mutex<PeerTable>,
     seq: AtomicU64,
     counters: Arc<NetCounters>,
-    /// Encode/decode latency histograms (merged into metric snapshots).
-    lat: Mutex<Registry>,
     _marker: std::marker::PhantomData<fn() -> V>,
 }
 
@@ -119,7 +86,6 @@ impl<V: Wire> TcpTransport<V> {
             }),
             seq: AtomicU64::new(0),
             counters,
-            lat: Mutex::new(Registry::new()),
             _marker: std::marker::PhantomData,
         })
     }
@@ -130,20 +96,12 @@ impl<V: Wire> TcpTransport<V> {
     }
 
     fn envelope(&self, payload: Payload<V>) -> Vec<u8> {
-        let env = Envelope {
+        encode_frame(&Envelope {
             source: self.node,
             epoch: self.epoch,
             seq: self.seq.fetch_add(1, Ordering::Relaxed),
             payload,
-        };
-        let start = Instant::now();
-        let frame = encode_frame(&env);
-        self.lat.lock().observe(
-            names::WIRE_ENCODE_LATENCY,
-            &[("scheme", "tcp")],
-            start.elapsed().as_micros() as u64,
-        );
-        frame
+        })
     }
 
     /// Ships `msg`, sent by global pid `from`, toward global pid `to`.
@@ -238,9 +196,10 @@ impl<V: Wire> TcpTransport<V> {
     }
 
     /// Feeds one reactor event through the transport's connection
-    /// bookkeeping (on the reactor thread); envelopes the node's handler
-    /// must act on come back as [`Inbound`].
-    pub fn handle_event(&self, ev: NetEvent) -> Option<Inbound<V>> {
+    /// bookkeeping (on the reactor thread). `Hello`s end here; any other
+    /// envelope comes back as the payload it decoded to, with the
+    /// connection it arrived on, for the node's handler to act on.
+    pub fn handle_event(&self, ev: NetEvent) -> Option<(ConnId, Payload<V>)> {
         match ev {
             NetEvent::Accepted { conn, .. } => {
                 // Greet the peer; attribution happens when its Hello lands.
@@ -292,56 +251,42 @@ impl<V: Wire> TcpTransport<V> {
                 self.forget_conn(conn);
                 None
             }
-            NetEvent::Frame { conn, body } => {
-                let start = Instant::now();
-                let decoded = decode_body::<V>(&body);
-                self.lat.lock().observe(
-                    names::WIRE_DECODE_LATENCY,
-                    &[("scheme", "tcp")],
-                    start.elapsed().as_micros() as u64,
-                );
-                let env = match decoded {
-                    Ok(env) => env,
-                    Err(_) => {
-                        // Framing was fine but the envelope is garbage:
-                        // count it and drop the connection — a peer
-                        // speaking the wrong protocol cannot be trusted.
-                        self.counters.decode_errors.fetch_add(1, Ordering::Relaxed);
-                        self.handle.close(conn);
-                        self.forget_conn(conn);
-                        return None;
-                    }
-                };
-                self.classify(conn, env)
-            }
+            NetEvent::Frame { conn, body } => match decode_body::<V>(&body) {
+                Ok(Envelope {
+                    payload: Payload::Ctl(Ctl::Hello { node, epoch: _ }),
+                    ..
+                }) => {
+                    self.greeted_by(conn, node);
+                    None
+                }
+                Ok(env) => Some((conn, env.payload)),
+                Err(_) => {
+                    // Framing was fine but the envelope is garbage: count
+                    // it and drop the connection — a peer speaking the
+                    // wrong protocol cannot be trusted.
+                    self.counters.decode_errors.fetch_add(1, Ordering::Relaxed);
+                    self.handle.close(conn);
+                    self.forget_conn(conn);
+                    None
+                }
+            },
         }
     }
 
-    fn classify(&self, conn: ConnId, env: Envelope<V>) -> Option<Inbound<V>> {
-        match env.payload {
-            Payload::Peer { from, to, msg } => Some(Inbound::Peer {
-                from: ProcessId(from as usize),
-                to: ProcessId(to as usize),
-                msg,
-            }),
-            Payload::Ctl(Ctl::Hello { node, epoch: _ }) => {
-                if node != crate::frame::CLIENT_NODE && (node as usize) < self.addrs.len() {
-                    let mut peers = self.peers.lock();
-                    peers.conn_node.insert(conn, node);
-                    // An inbound connection can carry our traffic to that
-                    // peer while we have no outbound one of our own.
-                    if matches!(peers.state[node as usize], PeerState::Down) {
-                        peers.state[node as usize] = PeerState::Up { conn };
-                        if peers.was_up[node as usize] {
-                            self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
-                        }
-                        peers.was_up[node as usize] = true;
-                    }
+    /// Attributes `conn` to the peer `node` whose `Hello` arrived on it.
+    fn greeted_by(&self, conn: ConnId, node: u32) {
+        if node != crate::frame::CLIENT_NODE && (node as usize) < self.addrs.len() {
+            let mut peers = self.peers.lock();
+            peers.conn_node.insert(conn, node);
+            // An inbound connection can carry our traffic to that peer
+            // while we have no outbound one of our own.
+            if matches!(peers.state[node as usize], PeerState::Down) {
+                peers.state[node as usize] = PeerState::Up { conn };
+                if peers.was_up[node as usize] {
+                    self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
                 }
-                None
+                peers.was_up[node as usize] = true;
             }
-            Payload::Ctl(Ctl::Request { id, op }) => Some(Inbound::Request { conn, id, op }),
-            Payload::Ctl(Ctl::Response { id, rsp }) => Some(Inbound::Response { id, rsp }),
         }
     }
 
@@ -361,41 +306,19 @@ impl<V: Wire> TcpTransport<V> {
         }
     }
 
-    /// Folds the transport's counters and latency histograms into `sink`
-    /// for a metrics snapshot.
+    /// Folds the transport's counters into `sink` for a metrics snapshot.
     pub fn record_metrics(&self, sink: &mut Registry) {
-        let scheme = [("scheme", "tcp")];
         let c = &self.counters;
-        sink.counter_add(
-            names::WIRE_FRAMES_SENT,
-            &scheme,
-            c.frames_sent.load(Ordering::Relaxed),
-        );
-        sink.counter_add(
-            names::WIRE_FRAMES_RECEIVED,
-            &scheme,
-            c.frames_received.load(Ordering::Relaxed),
-        );
-        sink.counter_add(
-            names::WIRE_BYTES_SENT,
-            &scheme,
-            c.bytes_sent.load(Ordering::Relaxed),
-        );
-        sink.counter_add(
-            names::WIRE_BYTES_RECEIVED,
-            &scheme,
-            c.bytes_received.load(Ordering::Relaxed),
-        );
-        sink.counter_add(
-            names::WIRE_RECONNECTS,
-            &scheme,
-            c.reconnects.load(Ordering::Relaxed),
-        );
-        sink.counter_add(
-            names::WIRE_DECODE_ERRORS,
-            &scheme,
-            c.decode_errors.load(Ordering::Relaxed),
-        );
-        sink.merge(&self.lat.lock());
+        for (name, counter) in [
+            (names::WIRE_FRAMES_SENT, &c.frames_sent),
+            (names::WIRE_FRAMES_RECEIVED, &c.frames_received),
+            (names::WIRE_BYTES_SENT, &c.bytes_sent),
+            (names::WIRE_BYTES_RECEIVED, &c.bytes_received),
+            (names::WIRE_RECONNECTS, &c.reconnects),
+            (names::WIRE_DECODE_ERRORS, &c.decode_errors),
+        ] {
+            let count = counter.load(Ordering::Relaxed);
+            sink.counter_add(name, &[("scheme", "tcp")], count);
+        }
     }
 }

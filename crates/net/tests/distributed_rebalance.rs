@@ -18,26 +18,21 @@
 //!   reset against a byte-level fake server, and a store-mode server
 //!   answers `GET /metrics` with its Prometheus snapshot over plain HTTP.
 
-mod common;
-
 use std::io::{Read, Write};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
-use common::Server;
-use vrr_checker::{check_regularity, OpHistory};
+use vrr_checker::{check_regularity, Recorder};
 use vrr_core::StorageConfig;
 use vrr_net::frame::{decode_body, encode_frame, Envelope, Payload};
 use vrr_net::{
     free_addrs, Ctl, FrameReader, NetClient, Op, RemoteCluster, RemoteClusterConfig, RetryPolicy,
-    Rsp,
+    Rsp, ServerProcess,
 };
 use vrr_runtime::{ClusterBackend, NoDelay, ProtocolKind, RouterConfig, ShardedStore, StoreRouter};
+use vrr_workload::live::{Drill, FORGED};
 
-/// Value forged by the Byzantine objects — never written by any client.
-const FORGED: u64 = 0xBAD_F00D;
 /// Distinct keys in the drill.
 const KEYS: u64 = 16;
 /// Write rounds per key.
@@ -47,16 +42,12 @@ const PASSES: u64 = 6;
 /// Per-cluster shard capacity (generous: rebalances consume slots).
 const CAPACITY: usize = 40;
 
-fn value_of(key: u64, r: u64) -> u64 {
-    key * 1000 + r
-}
-
 /// Spawns one store-mode `vrr-server` process: a single-node topology
 /// hosting a `ShardedStore<Vec<u8>, u64>` of [`CAPACITY`] shards sized
 /// `(t, b) = (2, 1)`. With `byzantine`, the last object of **every** store
 /// shard runs a Truncator forging [`FORGED`]; with `metrics`, the process
 /// also serves `GET /metrics` on an OS-assigned port.
-fn spawn_store(addr: SocketAddr, byzantine: bool, metrics: bool) -> Server {
+fn spawn_store(addr: SocketAddr, byzantine: bool, metrics: bool) -> ServerProcess {
     let mut args = format!(
         "--node 0 --addrs {addr} --t 2 --b 1 --readers 1 --kind regular-opt --store {CAPACITY}"
     );
@@ -67,37 +58,45 @@ fn spawn_store(addr: SocketAddr, byzantine: bool, metrics: bool) -> Server {
     if metrics {
         args += " --metrics-addr 127.0.0.1:0";
     }
-    Server::spawn(args.split(' '))
+    ServerProcess::spawn(env!("CARGO_BIN_EXE_vrr-server"), args.split(' ')).expect("vrr-server")
 }
 
-fn backend(server: &Server) -> Arc<dyn ClusterBackend<u64, u64>> {
+fn backend(server: &ServerProcess) -> Arc<dyn ClusterBackend<u64, u64>> {
     let remote: RemoteCluster<u64, u64> =
         RemoteCluster::connect(server.addr, RemoteClusterConfig::default())
             .expect("connect remote cluster");
     Arc::new(remote)
 }
 
-/// A router whose first `remotes.len()` clusters are the given backends
-/// and whose later (added) clusters are in-proc pools.
-fn router_over(remotes: Vec<Arc<dyn ClusterBackend<u64, u64>>>) -> Arc<StoreRouter<u64, u64>> {
+/// A two-cluster router over the given backends; a cluster without one —
+/// and every cluster added later — is an in-proc pool.
+fn router_over(remotes: Vec<Arc<dyn ClusterBackend<u64, u64>>>) -> StoreRouter<u64, u64> {
     let cfg = StorageConfig::optimal(2, 1, 1);
-    let rc = RouterConfig::new(remotes.len(), CAPACITY)
+    let rc = RouterConfig::new(2, CAPACITY)
         .with_ring_slots(16)
         .with_seed(2006);
-    let mut remotes: Vec<Option<Arc<dyn ClusterBackend<u64, u64>>>> =
-        remotes.into_iter().map(Some).collect();
-    Arc::new(StoreRouter::deploy_with_backends(
-        rc,
-        move |cluster| match remotes.get_mut(cluster).and_then(Option::take) {
-            Some(remote) => remote,
-            None => Arc::new(ShardedStore::deploy(
-                cfg,
-                ProtocolKind::RegularOptimized,
-                Box::new(NoDelay),
-                CAPACITY,
-            )),
+    let mut remotes = remotes.into_iter();
+    StoreRouter::deploy_with_backends(rc, move |_cluster| match remotes.next() {
+        Some(remote) => remote,
+        None => Arc::new(ShardedStore::deploy(
+            cfg,
+            ProtocolKind::RegularOptimized,
+            Box::new(NoDelay),
+            CAPACITY,
+        )),
+    })
+}
+
+/// The live drills over the first `keys` keys of `router`, reading at
+/// reader 0 of each key's shard.
+fn drill_over(router: &StoreRouter<u64, u64>, keys: u64) -> Drill<'_> {
+    Drill::new(
+        keys,
+        |key, value| {
+            router.write(key, value);
         },
-    ))
+        |key| router.read(&key, 0).and_then(|rep| rep.value),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -115,9 +114,8 @@ fn distributed_rebalance_with_drained_remote_cluster_stays_regular() {
     let router = router_over(vec![backend(&faulty), backend(&clean)]);
 
     // Bind every key (write round 1) before the storm.
-    for key in 0..KEYS {
-        router.write(key, value_of(key, 1));
-    }
+    let drill = drill_over(&router, KEYS);
+    drill.bind();
 
     // Crash one more object (beyond the liar) in a group of the remote
     // faulty cluster — fault injection across the process boundary.
@@ -129,68 +127,11 @@ fn distributed_rebalance_with_drained_remote_cluster_stays_regular() {
     let slot = store0.shard_of(&victim).expect("victim bound in cluster 0");
     store0.crash_object(slot, 0);
 
-    // Shared logical clock + per-key histories. Round 1 is already in.
-    let clock = Arc::new(AtomicU64::new(0));
-    let histories: Arc<Vec<Mutex<OpHistory<u64>>>> = Arc::new(
-        (0..KEYS)
-            .map(|key| {
-                let mut h = OpHistory::new();
-                let t = clock.fetch_add(2, Ordering::SeqCst);
-                h.push_write(1, value_of(key, 1), t, Some(t + 1));
-                Mutex::new(h)
-            })
-            .collect(),
-    );
-
-    std::thread::scope(|scope| {
-        // Two writers, disjoint key sets (SWMR per key is preserved).
-        for w in 0..2u64 {
-            let router = Arc::clone(&router);
-            let clock = Arc::clone(&clock);
-            let histories = Arc::clone(&histories);
-            scope.spawn(move || {
-                for r in 2..=ROUNDS {
-                    for key in (0..KEYS).filter(|k| k % 2 == w) {
-                        let t1 = clock.fetch_add(1, Ordering::SeqCst);
-                        router.write(key, value_of(key, r));
-                        let t2 = clock.fetch_add(1, Ordering::SeqCst);
-                        histories[key as usize].lock().unwrap().push_write(
-                            r,
-                            value_of(key, r),
-                            t1,
-                            Some(t2),
-                        );
-                    }
-                }
-            });
-        }
-        // Two readers sweeping the key space.
-        for reader in 0..2usize {
-            let router = Arc::clone(&router);
-            let clock = Arc::clone(&clock);
-            let histories = Arc::clone(&histories);
-            scope.spawn(move || {
-                for _ in 0..PASSES {
-                    for key in 0..KEYS {
-                        let t1 = clock.fetch_add(1, Ordering::SeqCst);
-                        let rep = router.read(&key, 0).expect("bound key readable");
-                        let t2 = clock.fetch_add(1, Ordering::SeqCst);
-                        let value = rep.value.expect("bound key has a value");
-                        let seq = value % 1000;
-                        histories[key as usize].lock().unwrap().push_read(
-                            reader,
-                            seq,
-                            Some(value),
-                            t1,
-                            Some(t2),
-                        );
-                    }
-                }
-            });
-        }
-        // Main thread: live topology changes while the storm runs — grow
-        // to 3 clusters (in-proc: the ring is now heterogeneous), then
-        // drain and retire the remote faulty cluster 0.
+    // Two writers on disjoint key halves, two readers sweeping; on this
+    // thread, live topology changes while the storm runs — grow to 3
+    // clusters (in-proc: the ring is now heterogeneous), then drain and
+    // retire the remote faulty cluster 0.
+    drill.storm(2..=ROUNDS, PASSES, || {
         std::thread::sleep(Duration::from_millis(20));
         let added = router.add_cluster();
         assert_eq!(added, 2);
@@ -200,15 +141,7 @@ fn distributed_rebalance_with_drained_remote_cluster_stays_regular() {
     });
 
     // Zero checker-verified regularity violations, per key.
-    for (key, h) in histories.iter().enumerate() {
-        let h = h.lock().unwrap();
-        assert!(h.validate().is_ok(), "key {key}: malformed history");
-        let verdict = check_regularity(&h);
-        assert!(
-            verdict.is_ok(),
-            "key {key}: regularity violated under distributed rebalance: {verdict:?}"
-        );
-    }
+    assert_eq!(drill.rec.check(check_regularity), Ok(()), "under rebalance");
 
     // Every key survived the drain, none still routes to the retired
     // remote cluster, and no read ever saw the forged value.
@@ -231,86 +164,50 @@ fn distributed_rebalance_with_drained_remote_cluster_stays_regular() {
 // Family 2: in-proc vs distributed trace differential.
 // ---------------------------------------------------------------------------
 
-/// Runs the deterministic sequential schedule — bind, three write/read
-/// rounds with a mid-schedule add+drain rebalance — and returns the
-/// per-key histories. Identical inputs must yield identical histories on
-/// any conforming backend.
-fn run_rebalance_schedule(router: &StoreRouter<u64, u64>) -> Vec<OpHistory<u64>> {
-    const DKEYS: u64 = 8;
-    let mut clock = 0u64;
-    let mut tick = || {
-        let t = clock;
-        clock += 1;
-        t
-    };
-    let mut histories: Vec<OpHistory<u64>> = (0..DKEYS).map(|_| OpHistory::new()).collect();
-    for r in 1..=3u64 {
-        for key in 0..DKEYS {
-            let t1 = tick();
-            router.write(key, value_of(key, r));
-            let t2 = tick();
-            histories[key as usize].push_write(r, value_of(key, r), t1, Some(t2));
-        }
-        if r == 2 {
+/// Runs the deterministic sequential schedule — three write/read rounds
+/// over 8 keys with a mid-schedule add+drain rebalance — and returns the
+/// recording. Identical inputs must yield identical histories on any
+/// conforming backend.
+fn run_rebalance_schedule(router: &StoreRouter<u64, u64>) -> Recorder<u64> {
+    let drill = drill_over(router, 8);
+    drill.schedule(1..=3, |round| {
+        if round == 2 {
             // The rebalance happens inside the schedule, so the copy +
             // dst-write + release machinery itself is part of the trace.
             assert_eq!(router.add_cluster(), 2);
             assert!(router.remove_cluster(0) > 0);
         }
-        for key in 0..DKEYS {
-            let t1 = tick();
-            let rep = router.read(&key, 0).expect("bound key readable");
-            let t2 = tick();
-            let value = rep.value.expect("bound key has a value");
-            histories[key as usize].push_read(0, value % 1000, Some(value), t1, Some(t2));
-        }
-    }
-    histories
+    });
+    drill.rec
 }
 
 #[test]
 fn in_proc_and_distributed_traces_are_byte_identical() {
-    let cfg = StorageConfig::optimal(2, 1, 1);
-    let local = router_over(vec![
-        Arc::new(ShardedStore::<u64, u64>::deploy(
-            cfg,
-            ProtocolKind::RegularOptimized,
-            Box::new(NoDelay),
-            CAPACITY,
-        )),
-        Arc::new(ShardedStore::<u64, u64>::deploy(
-            cfg,
-            ProtocolKind::RegularOptimized,
-            Box::new(NoDelay),
-            CAPACITY,
-        )),
-    ]);
+    let local = router_over(Vec::new());
     let addrs = free_addrs(2).expect("reserve ports");
-    let servers: Vec<Server> = addrs
+    let servers: Vec<ServerProcess> = addrs
         .iter()
         .map(|&a| spawn_store(a, false, false))
         .collect();
     let remote = router_over(servers.iter().map(backend).collect());
 
-    let local_traces = run_rebalance_schedule(&local);
-    let remote_traces = run_rebalance_schedule(&remote);
-    assert_eq!(local_traces.len(), remote_traces.len());
-    for (key, (l, r)) in local_traces.iter().zip(&remote_traces).enumerate() {
-        // Byte-identical histories AND byte-identical checker reports:
-        // the distributed deployment is observationally indistinguishable
-        // from the in-proc one under a deterministic schedule.
-        assert_eq!(
-            format!("{l:?}"),
-            format!("{r:?}"),
-            "key {key}: traces diverge between in-proc and distributed"
-        );
-        assert_eq!(
-            format!("{:?}", check_regularity(l)),
-            format!("{:?}", check_regularity(r)),
-            "key {key}: checker reports diverge"
-        );
-        assert!(check_regularity(l).is_ok(), "key {key}: trace not regular");
-    }
+    // Byte-identical histories AND byte-identical checker reports: the
+    // distributed deployment is observationally indistinguishable from the
+    // in-proc one under a deterministic schedule.
+    let local = run_rebalance_schedule(&local);
+    let remote = run_rebalance_schedule(&remote);
+    assert_eq!(
+        format!("{:?}", local.histories()),
+        format!("{:?}", remote.histories()),
+        "traces diverge between in-proc and distributed"
+    );
+    let verdict = local.check(check_regularity);
+    assert_eq!(
+        format!("{verdict:?}"),
+        format!("{:?}", remote.check(check_regularity)),
+        "checker reports diverge"
+    );
+    assert_eq!(verdict, Ok(()), "trace not regular");
 }
 
 // ---------------------------------------------------------------------------
@@ -320,46 +217,28 @@ fn in_proc_and_distributed_traces_are_byte_identical() {
 #[test]
 fn remove_cluster_racing_in_flight_remote_writes_loses_nothing() {
     let addrs = free_addrs(2).expect("reserve ports");
-    let servers: Vec<Server> = addrs
+    let servers: Vec<ServerProcess> = addrs
         .iter()
         .map(|&a| spawn_store(a, false, false))
         .collect();
     let router = router_over(servers.iter().map(backend).collect());
 
-    for key in 0..KEYS {
-        router.write(key, value_of(key, 1));
-    }
+    let drill = drill_over(&router, KEYS);
+    drill.bind();
     let victim = (0..KEYS)
         .find(|k| router.cluster_of(k) == 0)
         .expect("some key routes to cluster 0");
 
+    // Writes to the moving key must never error and never be lost,
+    // whichever side of the slot move each one lands on: the victim reads
+    // back its last write, every other key its first.
     const BURST: u64 = 30;
-    std::thread::scope(|scope| {
-        let writer = Arc::clone(&router);
-        scope.spawn(move || {
-            // Writes to the moving key must never error and never be
-            // lost, whichever side of the slot move each one lands on.
-            for r in 2..=BURST {
-                writer
-                    .try_write(victim, value_of(victim, r))
-                    .expect("write during drain");
-            }
-        });
+    drill.drain_race(victim, 2..=BURST, || {
         std::thread::sleep(Duration::from_millis(5));
         assert!(router.remove_cluster(0) > 0);
     });
-
-    let rep = router.read(&victim, 0).expect("victim survived the drain");
-    assert_eq!(
-        rep.value,
-        Some(value_of(victim, BURST)),
-        "last in-flight write lost across remove_cluster"
-    );
+    assert_eq!(drill.rec.check(check_regularity), Ok(()), "write lost");
     assert_ne!(router.cluster_of(&victim), 0);
-    for key in (0..KEYS).filter(|k| *k != victim) {
-        let rep = router.read(&key, 0).expect("key survived the drain");
-        assert_eq!(rep.value, Some(value_of(key, 1)));
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -454,9 +333,13 @@ fn metrics_endpoint_serves_prometheus_over_http() {
         ok.contains("vrr_writer_rounds") || ok.contains("vrr_"),
         "no metrics in body: {ok:.300}"
     );
-    let missing = get("/nope");
-    assert!(
-        missing.starts_with("HTTP/1.1 404"),
-        "bad status: {missing:.100}"
-    );
+    // Only the exact target (or one with a query) is the endpoint.
+    assert!(get("/metrics?x=1").starts_with("HTTP/1.1 200 OK"));
+    for target in ["/nope", "/metricsfoo"] {
+        let missing = get(target);
+        assert!(
+            missing.starts_with("HTTP/1.1 404"),
+            "{target}: bad status: {missing:.100}"
+        );
+    }
 }

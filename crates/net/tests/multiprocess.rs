@@ -9,9 +9,9 @@ mod common;
 
 use std::net::SocketAddr;
 
-use common::{Gen, Server};
-use vrr_checker::{check_regularity, OpHistory};
-use vrr_net::{free_addrs, NetClient};
+use common::Gen;
+use vrr_checker::{check_regularity, Recorder};
+use vrr_net::{free_addrs, NetClient, ServerProcess};
 
 const SLOTS: usize = 3;
 /// Group span for `optimal(2, 1, 2)`: 6 objects + writer + 2 readers.
@@ -23,7 +23,7 @@ const SPAN: u64 = 9;
 /// `tests/scaleout.rs` uses for the same fault mix), objects split
 /// `[1, 1, 1, 2, 2, 2]`, writer on 0, readers on `[0, 2]`; object 0
 /// of every slot is a (responsive) Byzantine inflator.
-fn spawn(node: u32, addrs: &[SocketAddr]) -> Server {
+fn spawn(node: u32, addrs: &[SocketAddr]) -> ServerProcess {
     let mut args = format!(
         "--node {node} --addrs {} --t 2 --b 1 --readers 2 --kind regular-opt --slots {SLOTS} \
          --place-objects 1,1,1,2,2,2 --place-writer 0 --place-readers 0,2",
@@ -32,13 +32,13 @@ fn spawn(node: u32, addrs: &[SocketAddr]) -> Server {
     for slot in 0..SLOTS {
         args += &format!(" --byzantine {slot}:0:inflator:999999");
     }
-    Server::spawn(args.split(' '))
+    ServerProcess::spawn(env!("CARGO_BIN_EXE_vrr-server"), args.split(' ')).expect("vrr-server")
 }
 
 #[test]
 fn sharded_store_across_three_processes_stays_regular() {
     let addrs = free_addrs(3).expect("reserve ports");
-    let servers: Vec<Server> = (0..3).map(|n| spawn(n, &addrs)).collect();
+    let servers: Vec<ServerProcess> = (0..3).map(|n| spawn(n, &addrs)).collect();
     for (server, addr) in servers.iter().zip(&addrs) {
         assert_eq!(server.addr, *addr);
     }
@@ -54,18 +54,20 @@ fn sharded_store_across_three_processes_stays_regular() {
     let keys = ["alpha", "beta", "gamma"];
     assert_eq!(keys.len(), SLOTS);
 
-    // Per-slot histories with a shared logical clock: each slot is an
-    // independent register, checked independently.
-    let mut histories = vec![OpHistory::<u64>::new(); SLOTS];
+    // One register per slot on a shared logical clock: each slot is an
+    // independent register, checked independently. Written value = write
+    // seq, so a read's value is the seq it observed.
+    let rec = Recorder::new(SLOTS);
     let mut seqs = [0u64; SLOTS];
-    let mut clock = 0u64;
+    let mut write = |slot: usize| {
+        seqs[slot] += 1;
+        let seq = seqs[slot];
+        rec.write(slot, seq, seq, || writer.write_slot(slot as u32, seq))
+    };
 
     // Write each key once so every read has a value to find.
     for slot in 0..SLOTS {
-        writer.write_slot(slot as u32, 1).expect("first write");
-        seqs[slot] = 1;
-        histories[slot].push_write(1, 1, clock, Some(clock + 1));
-        clock += 2;
+        write(slot).expect("first write");
     }
 
     let mut g = Gen(0x5EED_CA5E);
@@ -73,19 +75,15 @@ fn sharded_store_across_three_processes_stays_regular() {
     for i in 0..60 {
         let slot = g.next() as usize % keys.len();
         if g.next().is_multiple_of(2) {
-            seqs[slot] += 1;
-            let seq = seqs[slot];
-            writer.write_slot(slot as u32, seq).expect("write");
-            histories[slot].push_write(seq, seq, clock, Some(clock + 1));
+            write(slot).expect("write");
         } else {
             let reader = g.next() as usize % 2;
-            let value = readers[reader]
-                .read_slot(slot as u32, reader as u32)
-                .expect("read")
-                .value;
-            histories[slot].push_read(reader, value.unwrap_or(0), value, clock, Some(clock + 1));
+            rec.read(slot, reader, || {
+                let rep = readers[reader].read_slot(slot as u32, reader as u32);
+                let value = rep.expect("read").value;
+                (value.unwrap_or(0), value)
+            });
         }
-        clock += 2;
 
         if i == 30 && !crash_done {
             // Mid-workload crash: object 1 of every slot (hosted on
@@ -101,11 +99,8 @@ fn sharded_store_across_three_processes_stays_regular() {
     }
     assert!(crash_done);
 
-    for (slot, history) in histories.iter().enumerate() {
-        history.validate().expect("well-formed history");
-        let result = check_regularity(history);
-        assert!(result.is_ok(), "slot {slot} not regular: {result:?}");
-    }
+    let result = rec.check(check_regularity);
+    assert!(result.is_ok(), "a slot is not regular: {result:?}");
 
     // The wire metrics made it through the client protocol end to end.
     let mut ctl = NetClient::<u64>::connect(addrs[0]).expect("ctl node 0");

@@ -72,6 +72,24 @@ fn a_byzantine_spec_names_an_existing_object_or_the_node_refuses_to_start() {
     let err = NetNode::start(0, &topo, ncfg).err().expect("no shards");
     assert_eq!(err.kind(), ErrorKind::InvalidInput, "empty store: {err}");
 
+    // A topology the node cannot index (these used to panic) or whose
+    // traffic it would drop (operations hung until the timeout): the node
+    // itself outside `addrs`, placement lists off the sizing, a member
+    // placed on a node that has no address.
+    let (mut short, mut astray) = (topo.clone(), topo.clone());
+    short.placement.objects.pop();
+    astray.placement.writer = 9;
+    for (node, topo, offender) in [
+        (3, &topo, "node 3"),
+        (0, &short, "3 objects"),
+        (0, &astray, "node 9"),
+    ] {
+        let ncfg = NetNodeConfig::<u64>::new(cfg, KIND);
+        let err = NetNode::start(node, topo, ncfg).err().expect("refused");
+        assert_eq!(err.kind(), ErrorKind::InvalidInput, "{offender}: {err}");
+        assert!(err.to_string().contains(offender), "{offender}: {err}");
+    }
+
     // In range, both kinds land exactly where they point.
     let mut ncfg = NetNodeConfig::<u64>::new(cfg, KIND);
     ncfg.byzantine = vec![mute(1, 3)];
@@ -101,10 +119,15 @@ fn a_byzantine_spec_names_an_existing_object_or_the_node_refuses_to_start() {
 /// bad flag gets the usage and exit code 2.
 #[test]
 fn the_server_refuses_out_of_range_sizing_instead_of_panicking() {
+    // The last three are refused by `NetNode::start`, not by `main`
+    // (a later `--node` overrides the first).
     for sizing in [
         &["--t", "0", "--b", "1"][..],
         &["--readers", "0"],
         &["--store", "0"],
+        &["--node", "3"],
+        &["--place-objects", "0,0"],
+        &["--place-writer", "9"],
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_vrr-server"))
             .args(["--node", "0", "--addrs", "127.0.0.1:0"])
@@ -116,7 +139,7 @@ fn the_server_refuses_out_of_range_sizing_instead_of_panicking() {
             String::from_utf8_lossy(&out.stderr),
         );
         assert_eq!(out.status.code(), Some(2), "{sizing:?}: {stderr}");
-        assert!(stderr.starts_with("vrr-server: --"), "{sizing:?}: {stderr}");
+        assert!(stderr.starts_with("vrr-server: "), "{sizing:?}: {stderr}");
         assert!(!stdout.contains("READY"), "{sizing:?}: {stdout}");
     }
 }

@@ -1,7 +1,8 @@
 //! Differential trace round-trip: the same seeded workload replayed
 //! in-process (threads + channels) and over real sockets must yield
 //! *byte-identical* checker inputs and verdicts — the `Debug` renderings
-//! of the two `OpHistory`s and `CheckResult`s are compared as strings.
+//! of the two recorded histories and of the two verdicts are compared as
+//! strings.
 //!
 //! Also probes raw trace serialization: a protocol [`History`] shipped to
 //! a server and echoed back must come home structurally equal.
@@ -11,7 +12,7 @@ mod common;
 use std::collections::BTreeMap;
 
 use common::Gen;
-use vrr_checker::{check_regularity, OpHistory};
+use vrr_checker::{check_regularity, Recorder};
 use vrr_core::{HistEntry, History, StorageConfig, Timestamp, TsVal, TsrMatrix, WTuple};
 use vrr_net::{free_addrs, GroupPlacement, NetClient, NetNode, NetNodeConfig, NodeTopology};
 use vrr_runtime::{NoDelay, ProtocolKind, StorageCluster};
@@ -37,32 +38,30 @@ fn schedule(seed: u64, len: usize, readers: usize) -> Vec<Step> {
     steps
 }
 
-/// Replays `steps` through `write`/`read` closures, recording with
-/// logical timestamps `2i`/`2i + 1` so both executions stamp identically
-/// regardless of wall-clock speed. Written value = write seq, so the read
-/// value *is* the observed write's seq.
-fn replay<W, R>(steps: &[Step], mut write: W, mut read: R) -> OpHistory<u64>
+/// Replays `steps` through `write`/`read` closures. Sequential recording
+/// ticks deterministically, so both executions stamp identically regardless
+/// of wall-clock speed. Written value = write seq, so the read value *is*
+/// the observed write's seq.
+fn replay<W, R>(steps: &[Step], mut write: W, mut read: R) -> Recorder<u64>
 where
     W: FnMut(u64),
     R: FnMut(usize) -> Option<u64>,
 {
-    let mut history = OpHistory::new();
+    let rec = Recorder::new(1);
     let mut seq = 0u64;
-    for (i, step) in steps.iter().enumerate() {
-        let (invoked, completed) = (2 * i as u64, 2 * i as u64 + 1);
+    for step in steps {
         match *step {
             Step::Write => {
                 seq += 1;
-                write(seq);
-                history.push_write(seq, seq, invoked, Some(completed));
+                rec.write(0, seq, seq, || write(seq));
             }
-            Step::Read(j) => {
+            Step::Read(j) => rec.read(0, j, || {
                 let value = read(j);
-                history.push_read(j, value.unwrap_or(0), value, invoked, Some(completed));
-            }
+                (value.unwrap_or(0), value)
+            }),
         }
     }
-    history
+    rec
 }
 
 /// The differential: in-proc channels vs localhost sockets, same seed,
@@ -110,8 +109,11 @@ fn tcp_and_inproc_traces_are_byte_identical() {
 
     // Same schedule, same logical clock, fault-free: the recorded
     // histories must agree byte for byte, and so must the verdicts.
-    assert_eq!(format!("{inproc:?}"), format!("{tcp:?}"));
-    let (a, b) = (check_regularity(&inproc), check_regularity(&tcp));
+    assert_eq!(
+        format!("{:?}", inproc.histories()),
+        format!("{:?}", tcp.histories())
+    );
+    let (a, b) = (inproc.check(check_regularity), tcp.check(check_regularity));
     assert!(a.is_ok(), "in-proc run not regular: {a:?}");
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
 }

@@ -15,62 +15,27 @@
 mod common;
 
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
-use common::{Gen, Server};
-use vrr_checker::{check_regularity, OpHistory};
+use common::Gen;
+use vrr_checker::{check_regularity, Recorder};
 use vrr_core::attackers::AttackerKind;
 use vrr_core::StorageConfig;
 use vrr_net::{
     free_addrs, ByzSpec, GroupPlacement, NetClient, NetNode, NetNodeConfig, NodeTopology,
+    ServerProcess,
 };
 use vrr_runtime::ProtocolKind;
 
-/// Shared logical clock: each `invoked_at`/`completed_at` is one tick.
-#[derive(Clone, Default)]
-struct Clock(Arc<AtomicU64>);
-
-impl Clock {
-    fn tick(&self) -> u64 {
-        self.0.fetch_add(1, Ordering::SeqCst)
-    }
-}
-
-/// Writes value `seq` at write `seq`, so a read's returned value *is* the
-/// sequence number of the write it observed (`None` ⇒ the initial `⊥`,
+/// Records one read at reader 0 of the one register under test. Every
+/// test writes value `seq` at write `seq`, so a read's returned value *is*
+/// the sequence number of the write it observed (`None` ⇒ the initial `⊥`,
 /// seq 0).
-struct Recorder {
-    history: OpHistory<u64>,
-    next_seq: u64,
-}
-
-impl Recorder {
-    fn new() -> Self {
-        Recorder {
-            history: OpHistory::new(),
-            next_seq: 1,
-        }
-    }
-
-    fn write<F: FnOnce(u64)>(&mut self, clock: &Clock, go: F) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let invoked = clock.tick();
-        go(seq);
-        let completed = clock.tick();
-        self.history.push_write(seq, seq, invoked, Some(completed));
-        seq
-    }
-
-    fn read<F: FnOnce() -> Option<u64>>(&mut self, reader: usize, clock: &Clock, go: F) {
-        let invoked = clock.tick();
+fn read(rec: &Recorder<u64>, go: impl FnOnce() -> Option<u64>) {
+    rec.read(0, 0, || {
         let value = go();
-        let completed = clock.tick();
-        self.history
-            .push_read(reader, value.unwrap_or(0), value, invoked, Some(completed));
-    }
+        (value.unwrap_or(0), value)
+    });
 }
 
 /// Two in-process `NetNode`s (so messages cross real sockets) hosting one
@@ -107,21 +72,19 @@ fn byzantine_objects_over_tcp_stay_regular() {
         let n0 = NetNode::start(0, &topo, ncfg.clone()).expect("node 0");
         let n1 = NetNode::start(1, &topo, ncfg).expect("node 1");
 
-        let clock = Clock::default();
-        let mut rec = Recorder::new();
+        let rec = Recorder::new(1);
+        let mut seq = 0;
         let mut g = Gen(0xC0FFEE ^ i as u64);
         for _ in 0..24 {
             if g.next().is_multiple_of(2) {
-                rec.write(&clock, |seq| {
-                    n0.write_slot(0, seq);
-                });
+                seq += 1;
+                rec.write(0, seq, seq, || n0.write_slot(0, seq));
             } else {
-                rec.read(0, &clock, || n1.read_slot(0, 0).value);
+                read(&rec, || n1.read_slot(0, 0).value);
             }
         }
 
-        rec.history.validate().expect("well-formed history");
-        let result = check_regularity(&rec.history);
+        let result = rec.check(check_regularity);
         assert!(
             result.is_ok(),
             "attacker {kind:?} broke regularity: {result:?}"
@@ -131,13 +94,13 @@ fn byzantine_objects_over_tcp_stay_regular() {
 
 /// One node of the two-process deployment: objects `[0, 0, 0, 1]`, writer
 /// and reader on node 0.
-fn spawn(node: u32, addrs: &[SocketAddr], epoch: u32) -> Server {
+fn spawn(node: u32, addrs: &[SocketAddr], epoch: u32) -> ServerProcess {
     let args = format!(
         "--node {node} --addrs {} --t 1 --b 1 --readers 1 --kind regular-opt \
          --place-objects 0,0,0,1 --place-writer 0 --place-readers 0 --epoch {epoch}",
         common::addr_list(addrs)
     );
-    Server::spawn(args.split(' '))
+    ServerProcess::spawn(env!("CARGO_BIN_EXE_vrr-server"), args.split(' ')).expect("vrr-server")
 }
 
 /// Fault class 2: node 1 (hosting one of four objects) is killed while
@@ -155,41 +118,39 @@ fn kill_and_restart_server_mid_read() {
     let mut writer = NetClient::<u64>::connect(s0.addr).expect("writer client");
     let mut reader = NetClient::<u64>::connect(s0.addr).expect("reader client");
 
-    let clock = Clock::default();
-    let mut rec = Recorder::new();
+    let rec = Recorder::new(1);
+    let mut seq = 0;
+    let mut write = |phase: &str| {
+        seq += 1;
+        rec.write(0, seq, seq, || writer.write_slot(0, seq).expect(phase));
+    };
 
     // Warm up: both nodes alive.
     for _ in 0..4 {
-        rec.write(&clock, |seq| {
-            writer.write_slot(0, seq).expect("write (healthy)");
-        });
-        rec.read(0, &clock, || {
+        write("write (healthy)");
+        read(&rec, || {
             reader.read_slot(0, 0).expect("read (healthy)").value
         });
     }
 
     // Kill node 1 while a read burst runs on another thread, so the kill
-    // lands mid-read with high probability.
-    let read_clock = clock.clone();
-    let reads = std::thread::spawn(move || {
-        let mut records = Vec::new();
-        for _ in 0..12 {
-            let invoked = read_clock.tick();
-            let value = reader.read_slot(0, 0).expect("read (outage)").value;
-            records.push((invoked, value, read_clock.tick()));
-        }
-        records
-    });
-    std::thread::sleep(Duration::from_millis(30));
-    s1.kill();
-
-    // Writes keep completing on node 0's local quorum of 3.
-    for _ in 0..4 {
-        rec.write(&clock, |seq| {
-            writer.write_slot(0, seq).expect("write (outage)");
+    // lands mid-read with high probability. The burst records into the
+    // shared recorder as it goes.
+    std::thread::scope(|scope| {
+        let rec = &rec;
+        scope.spawn(move || {
+            for _ in 0..12 {
+                read(rec, || reader.read_slot(0, 0).expect("read (outage)").value);
+            }
         });
-    }
-    let outage_reads = reads.join().expect("reader thread");
+        std::thread::sleep(Duration::from_millis(30));
+        s1.kill();
+
+        // Writes keep completing on node 0's local quorum of 3.
+        for _ in 0..4 {
+            write("write (outage)");
+        }
+    });
 
     // Rebirth: same address, empty state, fresh epoch. The original
     // reader client was consumed by the outage thread; reconnect.
@@ -197,20 +158,13 @@ fn kill_and_restart_server_mid_read() {
     assert_eq!(s1b.addr, addrs[1]);
     let mut reader = NetClient::<u64>::connect(s0.addr).expect("reader client (rebirth)");
     for _ in 0..4 {
-        rec.write(&clock, |seq| {
-            writer.write_slot(0, seq).expect("write (rebirth)");
-        });
-        rec.read(0, &clock, || {
+        write("write (rebirth)");
+        read(&rec, || {
             reader.read_slot(0, 0).expect("read (rebirth)").value
         });
     }
 
-    for (invoked, value, completed) in outage_reads {
-        rec.history
-            .push_read(0, value.unwrap_or(0), value, invoked, Some(completed));
-    }
-    rec.history.validate().expect("well-formed history");
-    let result = check_regularity(&rec.history);
+    let result = rec.check(check_regularity);
     assert!(result.is_ok(), "kill+restart broke regularity: {result:?}");
 
     let mut ctl = NetClient::<u64>::connect(s0.addr).expect("ctl client");
@@ -241,17 +195,16 @@ fn connection_resets_between_read_rounds_stay_regular() {
     let _n1 = NetNode::start(1, &topo, ncfg).expect("node 1");
 
     let mut ctl = NetClient::<u64>::connect(n0.addr()).expect("ctl client");
-    let clock = Clock::default();
-    let mut rec = Recorder::new();
+    let rec = Recorder::new(1);
+    let mut seq = 0;
     let mut g = Gen(0xBADC0DE);
 
     for i in 0..30 {
         if g.next().is_multiple_of(3) {
-            rec.write(&clock, |seq| {
-                n0.write_slot(0, seq);
-            });
+            seq += 1;
+            rec.write(0, seq, seq, || n0.write_slot(0, seq));
         } else {
-            rec.read(0, &clock, || n0.read_slot(0, 0).value);
+            read(&rec, || n0.read_slot(0, 0).value);
         }
         if i % 4 == 1 {
             // Sever node 0 → node 1 between protocol rounds.
@@ -259,8 +212,7 @@ fn connection_resets_between_read_rounds_stay_regular() {
         }
     }
 
-    rec.history.validate().expect("well-formed history");
-    let result = check_regularity(&rec.history);
+    let result = rec.check(check_regularity);
     assert!(result.is_ok(), "resets broke regularity: {result:?}");
 
     let metrics = ctl.metrics().expect("metrics");

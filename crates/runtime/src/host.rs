@@ -24,7 +24,7 @@ use parking_lot::Mutex;
 
 use vrr_sim::Automaton;
 
-use vrr_core::metrics::{self, names, MetricsSink, Registry};
+use vrr_core::metrics::{self, names, Registry};
 use vrr_core::regular::{RegularObject, RegularReader};
 use vrr_core::safe::SafeReader;
 use vrr_core::{
@@ -362,7 +362,7 @@ impl<V: Value> RegisterHost<V> {
         metrics::record_fast_path(&mut reg, &self.fast_path_stats());
         for slot in 0..self.groups.len() {
             let lens = self.history_lens(slot);
-            metrics::record_history_lens_at(&mut reg, cluster, Some(slot), &lens);
+            metrics::record_history_lens(&mut reg, cluster, Some(slot), &lens);
         }
         reg
     }

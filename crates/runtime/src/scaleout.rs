@@ -43,7 +43,7 @@ use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
-use vrr_core::metrics::{names, MetricsSink, Registry};
+use vrr_core::metrics::{names, Registry};
 use vrr_core::{ProtocolSpec, ReadReport, StorageConfig, Value, WriteReport};
 
 use crate::backend::ClusterBackend;

@@ -147,7 +147,7 @@ impl<V: Value> StorageCluster<V> {
     pub fn metrics_snapshot(&self) -> Registry {
         let mut reg = self.host.op_metrics();
         metrics::record_fast_path(&mut reg, &self.host.fast_path_stats());
-        metrics::record_history_lens(&mut reg, None, &self.host.history_lens(0));
+        metrics::record_history_lens(&mut reg, None, None, &self.host.history_lens(0));
         reg
     }
 

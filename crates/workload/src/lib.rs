@@ -15,6 +15,13 @@
 //!   drives a `StorageScenario` by hand through the same operations sees
 //!   the same metrics and network counters.
 //!
+//! Two drivers, one per world, the same [`vrr_checker::OpHistory`] out:
+//! [`SimCase`] stamps operations with simulator ticks; on threads and
+//! sockets, [`live`] runs keyed drills (a concurrent storm, a sequential
+//! schedule, a write burst racing a drain) against any store reachable
+//! through a `write(key, value)` and a `read(key)` closure, stamped with
+//! the logical ticks of a [`vrr_checker::Recorder`].
+//!
 //! ```
 //! use vrr_core::{SafeProtocol, StorageConfig};
 //! use vrr_workload::{FaultPlan, LatencyKind, ScheduleParams, SimCase};
@@ -32,6 +39,7 @@
 
 mod faults;
 mod keys;
+pub mod live;
 mod monitor;
 mod runner;
 mod schedule;

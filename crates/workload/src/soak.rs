@@ -383,7 +383,6 @@ mod tests {
 
     #[test]
     fn relations_checker_flags_a_cooked_snapshot() {
-        use vrr_core::metrics::MetricsSink;
         let mut reg = Registry::new();
         reg.counter_add(names::READER_FAST_HITS, &[], 1);
         let mut violations = Vec::new();

@@ -27,31 +27,26 @@
 //! The example finds `vrr-server` next to its own executable (both land
 //! in `target/<profile>/`); set `VRR_SERVER_BIN` to override.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::process::{exit, Child, Command, Stdio};
+use std::process::exit;
 use std::sync::Arc;
 
-use vrr::checker::{check_regularity, OpHistory};
+use vrr::checker::check_regularity;
 use vrr::core::StorageConfig;
-use vrr::net::{free_addrs, NetClient, Op, RemoteCluster, RemoteClusterConfig, Rsp};
+use vrr::net::{free_addrs, NetClient, Op, RemoteCluster, RemoteClusterConfig, Rsp, ServerProcess};
 use vrr::runtime::{
     ClusterBackend, NoDelay, ProtocolKind, RouterConfig, ShardedStore, StoreRouter,
 };
+use vrr::workload::live::{Drill, FORGED};
 
-/// Value forged by the Byzantine objects — never written by any client.
-const FORGED: u64 = 0xBAD_F00D;
 /// Distinct keys in the drill.
 const KEYS: u64 = 12;
 /// Write rounds per key.
 const ROUNDS: u64 = 4;
 /// Per-cluster shard capacity (generous: rebalances consume slots).
 const CAPACITY: usize = 40;
-
-fn value_of(key: u64, r: u64) -> u64 {
-    key * 1000 + r
-}
 
 fn server_bin() -> PathBuf {
     if let Ok(path) = std::env::var("VRR_SERVER_BIN") {
@@ -74,13 +69,9 @@ fn server_bin() -> PathBuf {
 }
 
 /// Spawns one store-mode `vrr-server` hosting [`CAPACITY`] register shards
-/// sized `(t, b) = (2, 1)`. Returns the child, its wire address and — when
-/// `metrics` — the bound HTTP metrics address.
-fn spawn_store(
-    addr: SocketAddr,
-    byzantine: bool,
-    metrics: bool,
-) -> (Child, SocketAddr, Option<SocketAddr>) {
+/// sized `(t, b) = (2, 1)` — killed if the example fails before shutting
+/// it down, and an error (not a hang) if it never reports `READY`.
+fn spawn_store(addr: SocketAddr, byzantine: bool, metrics: bool) -> ServerProcess {
     let mut args = format!(
         "--node 0 --addrs {addr} --t 2 --b 1 --readers 1 --kind regular-opt --store {CAPACITY}"
     );
@@ -91,29 +82,7 @@ fn spawn_store(
     if metrics {
         args += " --metrics-addr 127.0.0.1:0";
     }
-    let mut child = Command::new(server_bin())
-        .args(args.split(' '))
-        .stdout(Stdio::piped())
-        .spawn()
-        .expect("spawn vrr-server");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut lines = BufReader::new(stdout).lines();
-    let ready = lines.next().expect("READY line").expect("read READY");
-    let wire = ready
-        .trim()
-        .strip_prefix("READY ")
-        .unwrap_or_else(|| panic!("unexpected server banner: {ready:?}"))
-        .parse()
-        .expect("parse READY addr");
-    let metrics_addr = metrics.then(|| {
-        let line = lines.next().expect("METRICS line").expect("read METRICS");
-        line.trim()
-            .strip_prefix("METRICS ")
-            .unwrap_or_else(|| panic!("unexpected metrics banner: {line:?}"))
-            .parse()
-            .expect("parse METRICS addr")
-    });
-    (child, wire, metrics_addr)
+    ServerProcess::spawn(server_bin(), args.split(' ')).expect("spawn vrr-server")
 }
 
 fn remote_backend(addr: SocketAddr) -> Arc<dyn ClusterBackend<u64, u64>> {
@@ -127,25 +96,22 @@ fn main() {
     let cfg = StorageConfig::optimal(2, 1, 1);
     let addrs = free_addrs(2).expect("reserve two localhost ports");
     println!("deploying 2 store-mode vrr-server processes on {addrs:?}");
-    let (faulty_child, faulty_addr, metrics_addr) = spawn_store(addrs[0], true, true);
-    let (clean_child, clean_addr, _) = spawn_store(addrs[1], false, false);
-    let mut children = vec![faulty_child, clean_child];
-    println!(
-        "  cluster 0 (Byzantine Truncator per group): {faulty_addr}, metrics {}",
-        metrics_addr.expect("metrics bound")
-    );
+    let mut servers = [
+        spawn_store(addrs[0], true, true),
+        spawn_store(addrs[1], false, false),
+    ];
+    let (faulty_addr, clean_addr) = (servers[0].addr, servers[1].addr);
+    let metrics_addr = servers[0].metrics_addr.expect("metrics bound");
+    println!("  cluster 0 (Byzantine Truncator per group): {faulty_addr}, metrics {metrics_addr}");
     println!("  cluster 1 (clean): {clean_addr}");
 
     // One ring over both remote processes; added clusters are in-proc.
-    let mut remotes = [
-        Some(remote_backend(faulty_addr)),
-        Some(remote_backend(clean_addr)),
-    ];
+    let mut remotes = [faulty_addr, clean_addr].map(remote_backend).into_iter();
     let router: StoreRouter<u64, u64> = StoreRouter::deploy_with_backends(
         RouterConfig::new(2, CAPACITY)
             .with_ring_slots(16)
             .with_seed(2006),
-        move |cluster| match remotes.get_mut(cluster).and_then(Option::take) {
+        move |_cluster| match remotes.next() {
             Some(remote) => remote,
             None => Arc::new(ShardedStore::deploy(
                 cfg,
@@ -158,9 +124,14 @@ fn main() {
 
     // Bind every key, then crash one extra object (beyond the standing
     // liar) in a group of the remote faulty cluster.
-    for key in 0..KEYS {
-        router.write(key, value_of(key, 1));
-    }
+    let drill = Drill::new(
+        KEYS,
+        |key, value| {
+            router.write(key, value);
+        },
+        |key| router.read(&key, 0).and_then(|rep| rep.value),
+    );
+    drill.bind();
     let victim = (0..KEYS)
         .find(|k| router.cluster_of(k) == 0)
         .expect("some key routes to cluster 0");
@@ -171,55 +142,19 @@ fn main() {
 
     // Deterministic schedule with a mid-run rebalance: grow the ring by an
     // in-proc cluster, then drain and retire the faulty remote one.
-    let mut clock = 0u64;
-    let mut tick = || {
-        let t = clock;
-        clock += 1;
-        t
-    };
-    let mut histories: Vec<OpHistory<u64>> = (0..KEYS)
-        .map(|key| {
-            let mut h = OpHistory::new();
-            let t1 = tick();
-            let t2 = tick();
-            h.push_write(1, value_of(key, 1), t1, Some(t2));
-            h
-        })
-        .collect();
-    for r in 2..=ROUNDS {
-        for key in 0..KEYS {
-            let t1 = tick();
-            router.write(key, value_of(key, r));
-            let t2 = tick();
-            histories[key as usize].push_write(r, value_of(key, r), t1, Some(t2));
-        }
-        if r == 2 {
+    drill.schedule(2..=ROUNDS, |round| {
+        if round == 2 {
             let added = router.add_cluster();
             println!("added in-proc cluster {added} (ring now spans tcp + inproc)");
             let moved = router.remove_cluster(0);
             println!("drained faulty remote cluster 0: {moved} keys moved");
         }
-        for key in 0..KEYS {
-            let t1 = tick();
-            let rep = router.read(&key, 0).expect("bound key readable");
-            let t2 = tick();
-            let value = rep.value.expect("bound key has a value");
-            histories[key as usize].push_read(0, value % 1000, Some(value), t1, Some(t2));
-        }
-    }
+    });
 
     // Verdicts: every per-key history regular, no forged value surfaced,
     // nothing still routed at the retired cluster.
-    let mut violations = 0;
-    for (key, history) in histories.iter().enumerate() {
-        history.validate().expect("well-formed history");
-        let result = check_regularity(history);
-        if result.is_err() {
-            eprintln!("key {key}: VIOLATION: {result:?}");
-            violations += 1;
-        }
-    }
-    println!("{KEYS} keys x {ROUNDS} rounds checker-verified, {violations} violation(s)");
+    assert_eq!(drill.rec.check(check_regularity), Ok(()), "VIOLATION");
+    println!("{KEYS} keys x {ROUNDS} rounds checker-verified regular");
     for key in 0..KEYS {
         let rep = router.read(&key, 0).expect("key survived rebalance");
         assert_ne!(rep.value, Some(FORGED), "forged value escaped");
@@ -237,7 +172,6 @@ fn main() {
     }
 
     // Scrape the drained server's Prometheus endpoint once.
-    let metrics_addr = metrics_addr.expect("metrics bound");
     let mut stream = std::net::TcpStream::connect(metrics_addr).expect("connect http");
     stream
         .write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
@@ -259,13 +193,8 @@ fn main() {
             c.shutdown_server().ok();
         }
     }
-    for child in &mut children {
-        child.wait().ok();
-    }
-
-    if violations > 0 {
-        eprintln!("dist_scaleout: {violations} consistency violation(s)");
-        exit(1);
+    for server in &mut servers {
+        server.wait();
     }
     println!("dist_scaleout: regular across 3 OS processes, drain + retire verified");
 }

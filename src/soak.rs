@@ -21,9 +21,9 @@
 
 use std::time::Duration;
 
-use vrr_checker::OpHistory;
+use vrr_checker::Recorder;
 use vrr_core::attackers::AttackerKind;
-use vrr_core::metrics::{names, MetricsSink};
+use vrr_core::metrics::names;
 use vrr_core::regular::HistoryRetention;
 use vrr_core::{Msg, StorageConfig};
 use vrr_runtime::{LinkAction, LinkPolicy, ProtocolKind, ProtocolSpec, StorageCluster};
@@ -61,7 +61,7 @@ impl LinkPolicy<Msg<u64>> for SoakJitter {
 ///
 /// Operations are sequential and blocking, so regularity degenerates to
 /// "every read returns the last completed write"; invocation/completion
-/// times in the recorded history are logical step numbers.
+/// times in the recorded history are the recorder's logical ticks.
 pub fn run_runtime_soak(params: SoakParams) -> SoakReport {
     // Fast sizing S = 5: the fast path is armed, so hits + fallbacks must
     // account for every read. The Truncator at the last index occupies the
@@ -75,26 +75,24 @@ pub fn run_runtime_soak(params: SoakParams) -> SoakReport {
         |i| (i == cfg.s - 1).then(|| AttackerKind::Truncator.build_regular(cfg, FORGED)),
     );
 
-    let mut history = OpHistory::new();
+    let rec = Recorder::new(1);
     let mut violations = Vec::new();
-    let mut step = 0u64;
     for i in 0..params.iters {
         let seq = i + 1;
         let value = seq * 10;
-        storage.write(value);
-        history.push_write(seq, value, step, Some(step + 1));
-        step += 2;
+        rec.write(0, seq, value, || storage.write(value));
 
         let j = (i % cfg.readers as u64) as usize;
-        let rep = storage.read(j);
-        history.push_read(j, rep.ts.0, rep.value, step, Some(step + 1));
-        step += 2;
-        if rep.value != Some(value) {
-            violations.push(format!(
-                "runtime read {i} at reader {j} returned {:?}, expected Some({value})",
-                rep.value
-            ));
-        }
+        rec.read(0, j, || {
+            let rep = storage.read(j);
+            if rep.value != Some(value) {
+                violations.push(format!(
+                    "runtime read {i} at reader {j} returned {:?}, expected Some({value})",
+                    rep.value
+                ));
+            }
+            (rep.ts.0, rep.value)
+        });
     }
 
     // The runtime snapshot carries op/executor/fast-path/history metrics
@@ -106,7 +104,7 @@ pub fn run_runtime_soak(params: SoakParams) -> SoakReport {
     metrics.counter_add(names::SCENARIO_BYZANTINE, &[], 1);
     SoakReport::close(
         params,
-        history,
+        rec.histories().remove(0),
         metrics,
         violations,
         MetricsExpectations {

@@ -14,19 +14,19 @@
 //!   must stay regular (checker-verified), and the per-cluster key gauges
 //!   must sum to the total before and after.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use proptest::prelude::*;
 
-use vrr::checker::{check_regularity, OpHistory};
+use vrr::checker::check_regularity;
 use vrr::core::attackers::AttackerKind;
 use vrr::core::metrics::names;
 use vrr::core::StorageConfig;
 use vrr::runtime::{
     stable_hash_64, NoDelay, ProtocolKind, RingTable, RouterConfig, ShardedStore, StoreRouter,
 };
+use vrr::workload::live::{Drill, FORGED};
 
 // ---------------------------------------------------------------------------
 // Family 1: routing properties.
@@ -91,11 +91,6 @@ proptest! {
 // Family 2: rebalance while crash + Byzantine faults are live.
 // ---------------------------------------------------------------------------
 
-/// Value forged by the Byzantine objects — never written by any client, so
-/// any read returning it breaks the per-key value convention and fails the
-/// checker.
-const FORGED: u64 = 0xBAD_F00D;
-
 /// Distinct keys in the drill.
 const KEYS: u64 = 16;
 /// Write rounds per key (each writer thread owns half the keys).
@@ -103,11 +98,15 @@ const ROUNDS: u64 = 6;
 /// Read passes over the whole key space per reader thread.
 const PASSES: u64 = 8;
 
-/// `key` and write round `r` encode into the written value so the read
-/// side can recover the write's sequence number without trusting protocol
-/// timestamps (which restart when a rebalance re-homes the register).
-fn value_of(key: u64, r: u64) -> u64 {
-    key * 1000 + r
+/// The live drills over `router`, reading at reader 0 of each key's shard.
+fn drill_over(router: &StoreRouter<u64, u64>) -> Drill<'_> {
+    Drill::new(
+        KEYS,
+        |key, value| {
+            router.write(key, value);
+        },
+        |key| router.read(&key, 0).and_then(|rep| rep.value),
+    )
 }
 
 #[test]
@@ -115,7 +114,7 @@ fn rebalance_under_crash_and_byzantine_faults_stays_regular() {
     // Per-group budget (t, b) = (2, 1): S = 6 objects tolerate one
     // Byzantine liar plus one crash.
     let cfg = StorageConfig::optimal(2, 1, 1);
-    let router: Arc<StoreRouter<u64, u64>> = Arc::new(StoreRouter::deploy_with_backends(
+    let router: StoreRouter<u64, u64> = StoreRouter::deploy_with_backends(
         RouterConfig::new(2, 40).with_ring_slots(16).with_seed(2006),
         move |cluster| {
             Arc::new(if cluster == 0 {
@@ -134,12 +133,11 @@ fn rebalance_under_crash_and_byzantine_faults_stays_regular() {
                 ShardedStore::deploy(cfg, ProtocolKind::RegularOptimized, Box::new(NoDelay), 40)
             })
         },
-    ));
+    );
 
     // Bind every key (write round 1) before the storm.
-    for key in 0..KEYS {
-        router.write(key, value_of(key, 1));
-    }
+    let drill = drill_over(&router);
+    drill.bind();
     let total_before: u64 = {
         let snap = router.metrics_snapshot();
         let sum: u64 = snap.gauge_values(names::ROUTER_KEYS).iter().sum();
@@ -155,67 +153,10 @@ fn rebalance_under_crash_and_byzantine_faults_stays_regular() {
     let slot = store0.shard_of(&victim).expect("victim bound in cluster 0");
     store0.crash_object(slot, 0);
 
-    // Shared logical clock + per-key histories. Round 1 is already in.
-    let clock = Arc::new(AtomicU64::new(0));
-    let histories: Arc<Vec<Mutex<OpHistory<u64>>>> = Arc::new(
-        (0..KEYS)
-            .map(|key| {
-                let mut h = OpHistory::new();
-                let t = clock.fetch_add(2, Ordering::SeqCst);
-                h.push_write(1, value_of(key, 1), t, Some(t + 1));
-                Mutex::new(h)
-            })
-            .collect(),
-    );
-
-    std::thread::scope(|scope| {
-        // Two writers, disjoint key sets (SWMR per key is preserved).
-        for w in 0..2u64 {
-            let router = Arc::clone(&router);
-            let clock = Arc::clone(&clock);
-            let histories = Arc::clone(&histories);
-            scope.spawn(move || {
-                for r in 2..=ROUNDS {
-                    for key in (0..KEYS).filter(|k| k % 2 == w) {
-                        let t1 = clock.fetch_add(1, Ordering::SeqCst);
-                        router.write(key, value_of(key, r));
-                        let t2 = clock.fetch_add(1, Ordering::SeqCst);
-                        histories[key as usize].lock().unwrap().push_write(
-                            r,
-                            value_of(key, r),
-                            t1,
-                            Some(t2),
-                        );
-                    }
-                }
-            });
-        }
-        // Two readers sweeping the key space.
-        for reader in 0..2usize {
-            let router = Arc::clone(&router);
-            let clock = Arc::clone(&clock);
-            let histories = Arc::clone(&histories);
-            scope.spawn(move || {
-                for _ in 0..PASSES {
-                    for key in 0..KEYS {
-                        let t1 = clock.fetch_add(1, Ordering::SeqCst);
-                        let rep = router.read(&key, 0).expect("bound key readable");
-                        let t2 = clock.fetch_add(1, Ordering::SeqCst);
-                        let value = rep.value.expect("bound key has a value");
-                        let seq = value % 1000;
-                        histories[key as usize].lock().unwrap().push_read(
-                            reader,
-                            seq,
-                            Some(value),
-                            t1,
-                            Some(t2),
-                        );
-                    }
-                }
-            });
-        }
-        // Main thread: live topology changes while the storm runs —
-        // grow to 3 clusters, then drain and retire the faulty cluster 0.
+    // Two writers on disjoint key halves, two readers sweeping; on this
+    // thread, live topology changes while the storm runs — grow to 3
+    // clusters, then drain and retire the faulty cluster 0.
+    drill.storm(2..=ROUNDS, PASSES, || {
         std::thread::sleep(Duration::from_millis(20));
         let added = router.add_cluster();
         assert_eq!(added, 2);
@@ -225,15 +166,7 @@ fn rebalance_under_crash_and_byzantine_faults_stays_regular() {
     });
 
     // Zero checker-verified regularity violations, per key.
-    for (key, h) in histories.iter().enumerate() {
-        let h = h.lock().unwrap();
-        assert!(h.validate().is_ok(), "key {key}: malformed history");
-        let verdict = check_regularity(&h);
-        assert!(
-            verdict.is_ok(),
-            "key {key}: regularity violated under rebalance: {verdict:?}"
-        );
-    }
+    assert_eq!(drill.rec.check(check_regularity), Ok(()), "under rebalance");
 
     // Every key survived the drain; no read ever saw the forged value
     // (implied by the checker, asserted directly for clarity).
@@ -265,41 +198,24 @@ fn rebalance_under_crash_and_byzantine_faults_stays_regular() {
 #[test]
 fn remove_cluster_racing_in_flight_writes_loses_nothing() {
     let cfg = StorageConfig::optimal(1, 1, 1);
-    let router: Arc<StoreRouter<u64, u64>> = Arc::new(StoreRouter::deploy(
+    let router: StoreRouter<u64, u64> = StoreRouter::deploy(
         cfg,
         ProtocolKind::RegularOptimized,
         RouterConfig::new(2, 40).with_ring_slots(16).with_seed(2006),
-    ));
-    for key in 0..KEYS {
-        router.write(key, value_of(key, 1));
-    }
+    );
+    let drill = drill_over(&router);
+    drill.bind();
     let victim = (0..KEYS)
         .find(|k| router.cluster_of(k) == 0)
         .expect("some key routes to cluster 0");
 
     const BURST: u64 = 60;
-    std::thread::scope(|scope| {
-        let writer = Arc::clone(&router);
-        scope.spawn(move || {
-            for r in 2..=BURST {
-                writer
-                    .try_write(victim, value_of(victim, r))
-                    .expect("write during drain");
-            }
-        });
+    drill.drain_race(victim, 2..=BURST, || {
         std::thread::sleep(Duration::from_millis(2));
         assert!(router.remove_cluster(0) > 0, "cluster 0 held keys to drain");
     });
 
-    let rep = router.read(&victim, 0).expect("victim survived the drain");
-    assert_eq!(
-        rep.value,
-        Some(value_of(victim, BURST)),
-        "last in-flight write lost across remove_cluster"
-    );
+    // The victim reads back its last write, every other key its first.
+    assert_eq!(drill.rec.check(check_regularity), Ok(()), "write lost");
     assert_ne!(router.cluster_of(&victim), 0);
-    for key in (0..KEYS).filter(|k| *k != victim) {
-        let rep = router.read(&key, 0).expect("key survived the drain");
-        assert_eq!(rep.value, Some(value_of(key, 1)));
-    }
 }
