@@ -38,7 +38,7 @@ fn probe_mutant(tuning: ReaderTuning, attacked: bool) -> (bool, u32, bool) {
     sc.write(5u64);
     // A mutant may block: drive until nothing is left in flight, then ask.
     let mut op = sc.start_read(0);
-    sc.run_until_idle(200_000);
+    sc.world_mut().run_until_idle(200_000);
     match sc.poll_read(&mut op) {
         Some(rep) => (rep.value == Some(5), rep.rounds, true),
         None => (false, 0, false),
@@ -57,9 +57,9 @@ fn fmt_probe(p: (bool, u32, bool)) -> String {
 fn read_cost<P: RegisterProtocol<u64>>(protocol: P, cfg: StorageConfig) -> (u64, u64) {
     let mut sc = StorageScenario::deploy(protocol, cfg, 3);
     sc.write(1u64);
-    let before = sc.world().stats();
+    let before = sc.world().net_stats();
     sc.read(0);
-    let after = sc.world().stats();
+    let after = sc.world().net_stats();
     (
         after.sent - before.sent,
         after.bytes_sent - before.bytes_sent,

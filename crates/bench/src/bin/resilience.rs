@@ -54,7 +54,7 @@ fn run_boundary_attack(s: usize, t: usize, b: usize) -> Outcome {
     // Hold the writer's traffic to A, complete WRITE(7).
     let writer = sc.writer();
     for &a in &set_a {
-        sc.hold_link(writer, a);
+        sc.world_mut().adversary_mut().hold_link(writer, a);
     }
     let w = sc.write(7u64);
     assert_eq!(w.rounds, 2);
@@ -62,10 +62,10 @@ fn run_boundary_attack(s: usize, t: usize, b: usize) -> Outcome {
     // Hold the reader's traffic to B, run the READ as far as it can go.
     let reader = sc.reader(0);
     for &bb in &set_b {
-        sc.hold_link(reader, bb);
+        sc.world_mut().adversary_mut().hold_link(reader, bb);
     }
     let mut op = sc.start_read(0);
-    sc.run_until_idle(500_000);
+    sc.world_mut().run_until_idle(500_000);
     let fmt = |rep: Option<vrr_core::ReadReport<u64>>| match rep {
         None => "blocked".to_string(),
         Some(r) => match r.value {
@@ -79,8 +79,8 @@ fn run_boundary_attack(s: usize, t: usize, b: usize) -> Outcome {
 
     // Asynchrony ends: everything in transit arrives.
     sc.world_mut().adversary_mut().clear();
-    sc.release_all();
-    sc.run_until_idle(500_000);
+    sc.world_mut().release_all();
+    sc.world_mut().run_until_idle(500_000);
     let after = sc.poll_read(&mut op);
     let violated_after = matches!(&after, Some(r) if r.value != Some(7));
     let stalled = after.is_none();
@@ -119,11 +119,11 @@ fn run_fast_sweep_point(s: usize, t: usize, b: usize) -> SweepPoint {
 
     // Fault-free rounds + ticks in the simulator.
     let mut sc = StorageScenario::deploy(protocol, cfg, 7);
-    sc.latency(vrr_sim::Fixed::UNIT);
+    sc.world_mut().set_latency(vrr_sim::Fixed::UNIT);
     sc.write(7u64);
-    let before = sc.world().stats().sent;
+    let before = sc.world().net_stats().sent;
     let rep = sc.read(0);
-    let msgs = sc.world().stats().sent - before;
+    let msgs = sc.world().net_stats().sent - before;
     assert_eq!(rep.value, Some(7), "S={s}: wrong value");
 
     // Fallback rate of a contended run against b Inflators under long-tail

@@ -50,10 +50,10 @@ fn probe(optimized: bool, writes: u64) -> Probe {
     // One more write so the measured read has something new to fetch.
     sc.write(writes + 1);
 
-    let before = sc.world().stats();
+    let before = sc.world().net_stats();
     let rep = sc.read(0);
     assert_eq!(rep.value, Some(writes + 1));
-    let after = sc.world().stats();
+    let after = sc.world().net_stats();
 
     Probe {
         rounds: rep.rounds,

@@ -33,15 +33,15 @@ fn writer_crash_scenario(t: usize, b: usize, seed: u64, crash_after_steps: u64) 
     // Start a second write and kill the writer mid-flight.
     sc.start_write(20u64);
     for _ in 0..crash_after_steps {
-        sc.scenario_mut().step();
+        sc.world_mut().step();
     }
     let writer = sc.writer();
-    sc.scenario_mut().crash_now(writer);
+    sc.world_mut().crash(writer);
 
     // The reader must complete regardless: once nothing is left in
     // flight, a read still pending would never return.
     let mut op = sc.start_read(0);
-    sc.run_until_idle(200_000);
+    sc.world_mut().run_until_idle(200_000);
     let Some(rep) = sc.poll_read(&mut op) else {
         return (false, 0);
     };

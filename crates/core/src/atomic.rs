@@ -309,7 +309,7 @@ mod tests {
                     && (e.to == o1 || e.to == o2 || e.to == o3))
                     .then_some(vrr_sim::Action::Hold)
             });
-        sc.run_until_idle(100_000);
+        sc.world_mut().run_until_idle(100_000);
         assert!(
             sc.poll_write(&mut w2).is_none(),
             "write 2 must be in flight"
@@ -317,7 +317,8 @@ mod tests {
 
         // Read 1 (reader 0): quorum {0,1,2}; sees the in-flight 20 and
         // WRITES IT BACK before returning.
-        sc.hold_link(sc.reader(0), sc.object(3));
+        let (from, to) = (sc.reader(0), sc.object(3));
+        sc.world_mut().adversary_mut().hold_link(from, to);
         let r1 = sc.read(0);
         assert_eq!(r1.value, Some(20));
         assert_eq!(r1.rounds, 3);
@@ -325,7 +326,8 @@ mod tests {
         // Read 2 (reader 1): quorum {1,2,3} — object 0 unreachable. In the
         // regular protocol this read returned 10; here the write-back has
         // already planted 20 on the quorum.
-        sc.hold_link(sc.reader(1), sc.object(0));
+        let (from, to) = (sc.reader(1), sc.object(0));
+        sc.world_mut().adversary_mut().hold_link(from, to);
         let r2 = sc.read(1);
         assert_eq!(r2.value, Some(20), "no new/old inversion with write-back");
     }

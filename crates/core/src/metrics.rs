@@ -648,9 +648,9 @@ pub fn record_net_stats(sink: &mut Registry, stats: &vrr_sim::NetStats) {
     sink.counter_add(names::NET_BYTES_DELIVERED, &[], stats.bytes_delivered);
 }
 
-/// Records the fault counters of a [`vrr_sim::Scenario`] under the
+/// Records the fault counters of a [`vrr_sim::World`] under the
 /// `vrr_scenario_*` names.
-pub fn record_scenario_stats(sink: &mut Registry, stats: &vrr_sim::ScenarioStats) {
+pub fn record_scenario_stats(sink: &mut Registry, stats: &vrr_sim::FaultStats) {
     sink.counter_add(names::SCENARIO_PARTITIONS, &[], stats.partitions);
     sink.counter_add(names::SCENARIO_HEALS, &[], stats.heals);
     sink.counter_add(names::SCENARIO_CRASHES, &[], stats.crashes);

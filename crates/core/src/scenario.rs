@@ -1,13 +1,16 @@
 //! A storage-aware scenario harness: one deployed register protocol under a
 //! scripted fault scenario, with every operation metered.
 //!
-//! [`StorageScenario`] glues three layers together:
-//!
-//! * a [`vrr_sim::Scenario`] (seeded world + fault script: partitions,
-//!   heals, lossy links, timed crashes),
-//! * a deployed [`RegisterProtocol`] (objects, writer, readers),
-//! * a [`metrics::Registry`] that records every operation's rounds and
-//!   latency under the canonical `vrr_*` names.
+//! [`StorageScenario`] glues two layers together — a seeded
+//! [`vrr_sim::World`] (messages and the fault script — partitions, heals,
+//! reordering links, timed crashes — on one event queue) and a deployed
+//! [`RegisterProtocol`] (objects, writer, readers) — and meters every
+//! operation's rounds and latency in a [`metrics::Registry`] under the
+//! canonical `vrr_*` names. It adds what only the deployment knows: which
+//! process is object `i`, how to start an operation, what an attacker of
+//! this protocol looks like. Everything else — the clock, the latency
+//! model, link rules, heals, the drivers — is the world's own API, reached
+//! through [`StorageScenario::world`] / [`StorageScenario::world_mut`].
 //!
 //! It is the one way an operation enters a simulated world. The primitive
 //! is non-blocking — [`StorageScenario::start_write`] /
@@ -38,7 +41,7 @@
 
 use std::marker::PhantomData;
 
-use vrr_sim::{Automaton, LatencyModel, ProcessId, Quiescence, RuleId, Scenario, SimTime, World};
+use vrr_sim::{Automaton, ProcessId, SimTime, World};
 
 use crate::attackers::AttackerKind;
 use crate::config::StorageConfig;
@@ -49,7 +52,7 @@ use crate::reader::ReadReport;
 use crate::types::Value;
 use crate::writer::WriteReport;
 
-/// Scenario steps a blocking [`StorageScenario::write`] / [`read`] drives
+/// World events a blocking [`StorageScenario::write`] / [`read`] drives
 /// before giving up — generous for any single operation in these protocols.
 ///
 /// [`read`]: StorageScenario::read
@@ -96,7 +99,7 @@ impl ReadOp {
 /// See the module-level docs above for the layering. All fault-script methods
 /// chain (`&mut self -> &mut Self`). Operations are started and polled
 /// ([`start_write`], [`poll_write`], [`start_read`], [`poll_read`]); the
-/// blocking [`write`] and [`read`] drive the scenario until the operation
+/// blocking [`write`] and [`read`] drive the world until the operation
 /// completes, firing any scripted events that come due on the way.
 ///
 /// [`start_write`]: StorageScenario::start_write
@@ -108,7 +111,7 @@ impl ReadOp {
 #[derive(Debug)]
 pub struct StorageScenario<V: Value, P: RegisterProtocol<V>> {
     protocol: P,
-    scenario: Scenario<P::Msg>,
+    world: World<P::Msg>,
     dep: Deployment,
     ops: Registry,
     _marker: PhantomData<V>,
@@ -118,22 +121,16 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
     /// Deploys `protocol` at sizing `cfg` into a fresh world seeded with
     /// `seed`, and starts it.
     pub fn deploy(protocol: P, cfg: StorageConfig, seed: u64) -> Self {
-        let mut scenario = Scenario::seed(seed);
-        let dep = protocol.deploy(cfg, scenario.world_mut());
-        scenario.start();
+        let mut world = World::new(seed);
+        let dep = protocol.deploy(cfg, &mut world);
+        world.start();
         StorageScenario {
             protocol,
-            scenario,
+            world,
             dep,
             ops: Registry::new(),
             _marker: PhantomData,
         }
-    }
-
-    /// Replaces the latency model of the underlying world.
-    pub fn latency(&mut self, model: impl LatencyModel<P::Msg> + 'static) -> &mut Self {
-        self.scenario.latency(model);
-        self
     }
 
     // ---- topology accessors ----------------------------------------------
@@ -158,81 +155,57 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
         self.dep.writer
     }
 
-    /// The underlying world, read-only.
+    /// The world, read-only: its clock, counters, trace and automata.
     pub fn world(&self) -> &World<P::Msg> {
-        self.scenario.world()
+        &self.world
     }
 
-    /// The underlying world (see [`Scenario::world_mut`] for the caveat).
+    /// The world: latency model, link rules, heals, and the drivers
+    /// (scripted faults sit on its one queue, so driving it fires them).
     pub fn world_mut(&mut self) -> &mut World<P::Msg> {
-        self.scenario.world_mut()
+        &mut self.world
     }
 
-    /// The underlying fault scenario.
-    pub fn scenario_mut(&mut self) -> &mut Scenario<P::Msg> {
-        &mut self.scenario
-    }
-
-    /// Current simulation time.
-    pub fn now(&self) -> SimTime {
-        self.scenario.now()
+    /// An alias of [`StorageScenario::world_mut`], kept only because
+    /// `benchmark/src/counts.rs` names it; it goes with the next
+    /// benchmark-only change.
+    pub fn scenario_mut(&mut self) -> &mut World<P::Msg> {
+        &mut self.world
     }
 
     // ---- fault script ------------------------------------------------------
 
     /// Partitions the given base objects away from everything else,
-    /// immediately (see [`Scenario::partition`]).
+    /// immediately (see [`World::partition`]).
     pub fn partition_objects(&mut self, idxs: &[usize]) -> &mut Self {
-        let group: Vec<ProcessId> = idxs.iter().map(|&i| self.dep.objects[i]).collect();
-        self.scenario.partition(vec![group]);
+        let group = idxs.iter().map(|&i| self.dep.objects[i]).collect();
+        self.world.partition(vec![group]);
         self
     }
 
     /// Schedules a partition of the given base objects for time `at`.
     pub fn partition_objects_at(&mut self, at: SimTime, idxs: &[usize]) -> &mut Self {
-        let group: Vec<ProcessId> = idxs.iter().map(|&i| self.dep.objects[i]).collect();
-        self.scenario.partition_at(at, vec![group]);
-        self
-    }
-
-    /// Heals the current partition immediately (see [`Scenario::heal_now`]).
-    pub fn heal_now(&mut self) -> &mut Self {
-        self.scenario.heal_now();
-        self
-    }
-
-    /// Schedules a heal for time `at` (see [`Scenario::heal_at`]).
-    pub fn heal_at(&mut self, at: SimTime) -> &mut Self {
-        self.scenario.heal_at(at);
-        self
-    }
-
-    /// Makes the directed link `from → to` reorder messages (see
-    /// [`Scenario::reorder`]).
-    pub fn reorder(&mut self, from: ProcessId, to: ProcessId, p: f64) -> &mut Self {
-        self.scenario.reorder(from, to, p);
+        let group = idxs.iter().map(|&i| self.dep.objects[i]).collect();
+        self.world.partition_at(at, vec![group]);
         self
     }
 
     /// Crashes base object `idx` immediately.
     pub fn crash_object(&mut self, idx: usize) -> &mut Self {
-        let pid = self.dep.objects[idx];
-        self.scenario.crash_now(pid);
+        self.world.crash(self.dep.objects[idx]);
         self
     }
 
     /// Schedules a crash of base object `idx` at time `at`.
     pub fn crash_object_at(&mut self, idx: usize, at: SimTime) -> &mut Self {
-        let pid = self.dep.objects[idx];
-        self.scenario.crash(pid, at);
+        self.world.crash_at(self.dep.objects[idx], at);
         self
     }
 
     /// Crashes reader `j` immediately (a reader that stops participating —
     /// the case reader-ack GC's cap exists for).
     pub fn crash_reader(&mut self, j: usize) -> &mut Self {
-        let pid = self.dep.readers[j];
-        self.scenario.crash_now(pid);
+        self.world.crash(self.dep.readers[j]);
         self
     }
 
@@ -242,8 +215,7 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
         idx: usize,
         automaton: Box<dyn Automaton<P::Msg>>,
     ) -> &mut Self {
-        let pid = self.dep.objects[idx];
-        self.scenario.byzantine(pid, automaton);
+        self.world.set_byzantine(self.dep.objects[idx], automaton);
         self
     }
 
@@ -262,43 +234,14 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
         self.byzantine_object(idx, automaton)
     }
 
-    /// Holds every message on the directed link `from → to`; returns the
-    /// rule handle for [`StorageScenario::remove_rule`].
-    pub fn hold_link(&mut self, from: ProcessId, to: ProcessId) -> RuleId {
-        self.scenario.hold_link(from, to)
-    }
+    // ---- operations -------------------------------------------------------
 
-    /// Removes an adversary rule.
-    pub fn remove_rule(&mut self, id: RuleId) -> bool {
-        self.scenario.remove_rule(id)
-    }
-
-    /// Releases every held message.
-    pub fn release_all(&mut self) -> usize {
-        self.scenario.release_all()
-    }
-
-    // ---- drivers -----------------------------------------------------------
-
-    /// Advances simulation time by `ticks`, firing scripted events on the
-    /// way.
-    pub fn fast_forward(&mut self, ticks: u64) -> &mut Self {
-        self.scenario.fast_forward(ticks);
-        self
-    }
-
-    /// Drives the run until everything drains (see
-    /// [`Scenario::run_until_idle`]).
-    pub fn run_until_idle(&mut self, limit: u64) -> Quiescence {
-        self.scenario.run_until_idle(limit)
-    }
-
-    /// Invokes `WRITE(value)` at the writer without driving the scenario.
+    /// Invokes `WRITE(value)` at the writer without driving the world.
     pub fn start_write(&mut self, value: V) -> WriteOp {
-        let invoked_at = self.scenario.now();
+        let invoked_at = self.world.now();
         let token = self
             .protocol
-            .invoke_write(&self.dep, self.scenario.world_mut(), value);
+            .invoke_write(&self.dep, &mut self.world, value);
         WriteOp {
             token,
             invoked_at,
@@ -312,7 +255,7 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
     pub fn poll_write(&mut self, op: &mut WriteOp) -> Option<WriteReport> {
         let report = self
             .protocol
-            .write_outcome(&self.dep, self.scenario.world(), op.token)?;
+            .write_outcome(&self.dep, &self.world, op.token)?;
         if !std::mem::replace(&mut op.recorded, true) {
             let names = (names::WRITER_ROUNDS, names::WRITE_LATENCY);
             self.observe_completion(names, report.rounds, op.invoked_at);
@@ -320,12 +263,10 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
         Some(report)
     }
 
-    /// Invokes `READ()` at reader `j` without driving the scenario.
+    /// Invokes `READ()` at reader `j` without driving the world.
     pub fn start_read(&mut self, j: usize) -> ReadOp {
-        let invoked_at = self.scenario.now();
-        let token = self
-            .protocol
-            .invoke_read(&self.dep, self.scenario.world_mut(), j);
+        let invoked_at = self.world.now();
+        let token = self.protocol.invoke_read(&self.dep, &mut self.world, j);
         ReadOp {
             reader: j,
             token,
@@ -337,9 +278,9 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
     /// The READ's report once it completed, `None` while it is in flight;
     /// records exactly once, like [`StorageScenario::poll_write`].
     pub fn poll_read(&mut self, op: &mut ReadOp) -> Option<ReadReport<V>> {
-        let report =
-            self.protocol
-                .read_outcome(&self.dep, self.scenario.world(), op.reader, op.token)?;
+        let report = self
+            .protocol
+            .read_outcome(&self.dep, &self.world, op.reader, op.token)?;
         if !std::mem::replace(&mut op.recorded, true) {
             let names = (names::READER_ROUNDS, names::READ_LATENCY);
             self.observe_completion(names, report.rounds, op.invoked_at);
@@ -355,22 +296,22 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
         rounds: u32,
         invoked_at: SimTime,
     ) {
-        let latency = self.scenario.now().ticks() - invoked_at.ticks();
+        let latency = self.world.now().ticks() - invoked_at.ticks();
         self.ops.observe(names.0, &[], u64::from(rounds));
         self.ops.observe(names.1, &[], latency);
     }
 
-    /// Starts `WRITE(value)` and drives the scenario until it completes.
+    /// Starts `WRITE(value)` and drives the world until it completes.
     ///
     /// # Panics
     ///
-    /// Panics if the write does not complete within 200 000 scenario steps
+    /// Panics if the write does not complete within 200 000 world events
     /// — a wait-freedom violation unless the fault script cut the writer off
     /// from a quorum.
     pub fn write(&mut self, value: V) -> WriteReport {
         let mut op = self.start_write(value);
         let (protocol, dep) = (&self.protocol, &self.dep);
-        let done = self.scenario.run_until(
+        let done = self.world.run_until(
             |w| protocol.write_outcome(dep, w, op.token).is_some(),
             BLOCKING_STEP_LIMIT,
         );
@@ -378,17 +319,17 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
         self.poll_write(&mut op).expect("just completed")
     }
 
-    /// Starts `READ()` at reader `j` and drives the scenario until it
+    /// Starts `READ()` at reader `j` and drives the world until it
     /// completes.
     ///
     /// # Panics
     ///
-    /// Panics if the read does not complete within 200 000 scenario steps
+    /// Panics if the read does not complete within 200 000 world events
     /// (see [`StorageScenario::write`]).
     pub fn read(&mut self, j: usize) -> ReadReport<V> {
         let mut op = self.start_read(j);
         let (protocol, dep) = (&self.protocol, &self.dep);
-        let done = self.scenario.run_until(
+        let done = self.world.run_until(
             |w| protocol.read_outcome(dep, w, j, op.token).is_some(),
             BLOCKING_STEP_LIMIT,
         );
@@ -406,7 +347,7 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
     }
 
     fn indexed_history_lens(&self) -> Option<Vec<(usize, usize)>> {
-        self.protocol.history_lens(&self.dep, self.scenario.world())
+        self.protocol.history_lens(&self.dep, &self.world)
     }
 
     /// The largest stored history across this deployment's honest objects
@@ -423,18 +364,15 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
     /// under the canonical `vrr_*` names ([`metrics::names`]).
     pub fn metrics_snapshot(&self) -> Registry {
         let mut reg = self.ops.clone();
-        metrics::record_net_stats(&mut reg, &self.scenario.net_stats());
-        metrics::record_scenario_stats(&mut reg, &self.scenario.stats());
-        reg.gauge_set(names::SCENARIO_TIME, &[], self.scenario.now().ticks());
+        metrics::record_net_stats(&mut reg, &self.world.net_stats());
+        metrics::record_scenario_stats(&mut reg, &self.world.fault_stats());
+        reg.gauge_set(names::SCENARIO_TIME, &[], self.world.now().ticks());
         reg.gauge_set(
             names::SCENARIO_HELD_MSGS,
             &[],
-            self.scenario.world().held().len() as u64,
+            self.world.held().len() as u64,
         );
-        if let Some(stats) = self
-            .protocol
-            .fast_path_stats(&self.dep, self.scenario.world())
-        {
+        if let Some(stats) = self.protocol.fast_path_stats(&self.dep, &self.world) {
             metrics::record_fast_path(&mut reg, &stats);
         }
         if let Some(lens) = self.indexed_history_lens() {
@@ -502,12 +440,12 @@ mod tests {
         let cfg = StorageConfig::fast(1, 1, 1);
         let mut sc = StorageScenario::deploy(RegularProtocol::optimized(), cfg, 9);
         sc.write(1u64);
-        sc.partition_objects(&[0, 1])
-            .heal_at(SimTime::from_ticks(500));
+        sc.partition_objects(&[0, 1]);
+        sc.world_mut().heal_at(SimTime::from_ticks(500));
         let r = sc.read(0);
         assert_eq!(r.value, Some(1));
         assert!(
-            sc.now() >= SimTime::from_ticks(500),
+            sc.world().now() >= SimTime::from_ticks(500),
             "the read must have waited for the heal"
         );
         let snap = sc.metrics_snapshot();
@@ -542,7 +480,7 @@ mod tests {
         sc.write(1u64);
         sc.partition_objects(&[0, 1]);
         let mut op = sc.start_read(0);
-        sc.run_until_idle(100_000);
+        sc.world_mut().run_until_idle(100_000);
         assert!(sc.poll_read(&mut op).is_none(), "no quorum, no report");
         assert_eq!(
             reader_rounds_count(&sc),
@@ -550,8 +488,8 @@ mod tests {
             "a pending read records nothing"
         );
 
-        sc.heal_now();
-        sc.run_until_idle(100_000);
+        sc.world_mut().heal_now();
+        sc.world_mut().run_until_idle(100_000);
         assert_eq!(sc.poll_read(&mut op).unwrap().value, Some(1));
         assert_eq!(reader_rounds_count(&sc), 1);
         assert_eq!(sc.poll_read(&mut op).unwrap().value, Some(1));
@@ -570,7 +508,7 @@ mod tests {
 
         let mut w = sc.start_write(5u64);
         let mut r = sc.start_read(0);
-        sc.run_until_idle(100_000);
+        sc.world_mut().run_until_idle(100_000);
         assert_eq!(sc.poll_write(&mut w).unwrap().rounds, 2);
         let concurrent = sc.poll_read(&mut r).unwrap().value;
         assert!(concurrent.is_none() || concurrent == Some(5));

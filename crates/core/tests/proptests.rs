@@ -321,7 +321,7 @@ proptest! {
         }
         // Deliver any READ broadcasts still in flight to the slowest
         // object before inspecting histories.
-        sc.run_until_idle(200_000);
+        sc.world_mut().run_until_idle(200_000);
         let bound = (window as usize + 1).min(cap.unwrap_or(usize::MAX));
         for len in sc.history_lens().expect("regular objects keep histories") {
             prop_assert!(

@@ -50,6 +50,8 @@ impl<M> fmt::Debug for Rule<M> {
 ///
 /// Rules are evaluated in installation order; the first rule returning
 /// `Some(action)` wins, and a message no rule claims is delivered normally.
+/// A world's partition ([`crate::World::partition`]) is not a rule: it is
+/// consulted before this pipeline and survives [`Adversary::clear`].
 ///
 /// # Examples
 ///
@@ -151,16 +153,6 @@ impl<M> Adversary<M> {
             (e.to == to).then_some(Action::Hold)
         })
     }
-
-    /// Partitions `group` from the rest: holds every message crossing the
-    /// boundary in either direction.
-    pub fn partition(&mut self, group: Vec<ProcessId>) -> RuleId {
-        self.install("partition", move |e| {
-            let from_in = group.contains(&e.from);
-            let to_in = group.contains(&e.to);
-            (from_in != to_in).then_some(Action::Hold)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -205,16 +197,6 @@ mod tests {
         assert_eq!(adv.decide(&env(2, 3)), Action::Hold);
         assert!(adv.remove(id));
         assert!(!adv.remove(id));
-        assert_eq!(adv.decide(&env(2, 3)), Action::Deliver);
-    }
-
-    #[test]
-    fn partition_holds_cross_traffic_both_ways() {
-        let mut adv: Adversary<u8> = Adversary::new();
-        adv.partition(vec![ProcessId(0), ProcessId(1)]);
-        assert_eq!(adv.decide(&env(0, 2)), Action::Hold);
-        assert_eq!(adv.decide(&env(2, 0)), Action::Hold);
-        assert_eq!(adv.decide(&env(0, 1)), Action::Deliver);
         assert_eq!(adv.decide(&env(2, 3)), Action::Deliver);
     }
 

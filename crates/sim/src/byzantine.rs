@@ -12,29 +12,9 @@ use std::marker::PhantomData;
 use crate::process::{Automaton, Context, ProcessId, SimMessage};
 
 /// An automaton defined by a closure over `(from, msg, ctx)`.
-///
-/// The workhorse for tests and scripted attackers.
-///
-/// # Examples
-///
-/// ```
-/// use vrr_sim::{from_fn, Context};
-///
-/// // An object that echoes every message back to its sender.
-/// let echo = from_fn(|from, msg: u32, ctx: &mut Context<'_, u32>| {
-///     ctx.send(from, msg);
-/// });
-/// # let _ = echo;
-/// ```
-pub struct FnAutomaton<M, F> {
+struct FnAutomaton<M, F> {
     f: F,
     _marker: PhantomData<fn(M)>,
-}
-
-impl<M, F> std::fmt::Debug for FnAutomaton<M, F> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("FnAutomaton")
-    }
 }
 
 impl<M, F> Automaton<M> for FnAutomaton<M, F>
@@ -51,7 +31,20 @@ where
     }
 }
 
-/// Boxes a closure as an automaton. See [`FnAutomaton`].
+/// Boxes a closure over `(from, msg, ctx)` as an automaton: the workhorse
+/// for tests and scripted attackers.
+///
+/// # Examples
+///
+/// ```
+/// use vrr_sim::{from_fn, Context};
+///
+/// // An object that echoes every message back to its sender.
+/// let echo = from_fn(|from, msg: u32, ctx: &mut Context<'_, u32>| {
+///     ctx.send(from, msg);
+/// });
+/// # let _ = echo;
+/// ```
 pub fn from_fn<M, F>(f: F) -> Box<dyn Automaton<M>>
 where
     M: SimMessage,
@@ -194,8 +187,8 @@ mod tests {
         let mute = w.spawn_named("mute", Box::new(Mute));
         w.start();
         w.send_external(sink, mute, N(1));
-        w.run_to_quiescence(100).expect_drained();
-        assert_eq!(w.stats().delivered, 1);
+        w.run_until_idle(100).expect_drained();
+        assert_eq!(w.net_stats().delivered, 1);
         w.inspect(sink, |c: &Collect| assert!(c.0.is_empty()));
     }
 
@@ -209,7 +202,7 @@ mod tests {
         );
         w.start();
         w.send_external(sink, liar, N(1));
-        w.run_to_quiescence(100).expect_drained();
+        w.run_until_idle(100).expect_drained();
         // Honest Inc would reply 2; the tamper layer scales it to 200.
         w.inspect(sink, |c: &Collect| assert_eq!(c.0, vec![200]));
     }
@@ -231,7 +224,7 @@ mod tests {
         w.start();
         w.send_external(sink, liar, N(1)); // reply 2 -> suppressed
         w.send_external(sink, liar, N(2)); // reply 3 -> duplicated
-        w.run_to_quiescence(100).expect_drained();
+        w.run_until_idle(100).expect_drained();
         w.inspect(sink, |c: &Collect| assert_eq!(c.0, vec![3, 3]));
     }
 
@@ -247,7 +240,7 @@ mod tests {
         );
         w.start();
         w.send_external(sink, doubler, N(21));
-        w.run_to_quiescence(100).expect_drained();
+        w.run_until_idle(100).expect_drained();
         w.inspect(sink, |c: &Collect| assert_eq!(c.0, vec![42]));
     }
 }

@@ -112,28 +112,6 @@ impl<M> LatencyModel<M> for LongTail {
     }
 }
 
-/// Per-destination fixed delays: object `i` responds with its own latency.
-///
-/// Models a heterogeneous disk array; lets experiments pin which objects are
-/// "the slow `t`" deterministically.
-#[derive(Clone, Debug)]
-pub struct PerProcess {
-    /// `delays[p]` is the delay of messages *to* process `p`; missing entries
-    /// use `default`.
-    pub delays: Vec<u64>,
-    /// Fallback delay.
-    pub default: u64,
-}
-
-impl<M> LatencyModel<M> for PerProcess {
-    fn delay(&mut self, env: &Envelope<M>, _rng: &mut SmallRng) -> u64 {
-        self.delays
-            .get(env.to.index())
-            .copied()
-            .unwrap_or(self.default)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use rand::SeedableRng;
@@ -198,16 +176,5 @@ mod tests {
             base_count > 800,
             "expected mostly base delays, got {base_count}"
         );
-    }
-
-    #[test]
-    fn per_process_uses_destination() {
-        let mut m = PerProcess {
-            delays: vec![1, 2, 3],
-            default: 7,
-        };
-        let mut r = rng();
-        assert_eq!(LatencyModel::<u8>::delay(&mut m, &env(2), &mut r), 3);
-        assert_eq!(LatencyModel::<u8>::delay(&mut m, &env(9), &mut r), 7);
     }
 }

@@ -1,4 +1,4 @@
-//! Run traces and network statistics.
+//! Run traces, network statistics and fault counters.
 
 use std::fmt;
 
@@ -98,6 +98,23 @@ pub struct NetStats {
     pub bytes_sent: u64,
     /// Total wire size of delivered messages, in bytes.
     pub bytes_delivered: u64,
+}
+
+/// Counters for the faults applied to a world so far.
+///
+/// These complement [`NetStats`] (which counts messages): a metrics layer
+/// can export both to make a run's fault script observable next to its
+/// traffic.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FaultStats {
+    /// Partitions applied (scripted or immediate).
+    pub partitions: u64,
+    /// Heals applied (a partition replacing another is not a heal).
+    pub heals: u64,
+    /// Crashes applied.
+    pub crashes: u64,
+    /// Processes turned Byzantine.
+    pub byzantine: u64,
 }
 
 impl fmt::Display for NetStats {

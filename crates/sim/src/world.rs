@@ -1,19 +1,20 @@
 //! The simulation engine: a deterministic event loop over asynchronous
-//! message passing with crash and Byzantine faults.
+//! message passing with crash and Byzantine faults, scripted partitions and
+//! heals, and seeded reordering links — one world, one clock, one queue.
 
 use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
-use crate::adversary::{Action, Adversary};
+use crate::adversary::{Action, Adversary, RuleId};
 use crate::envelope::{Envelope, MsgId};
 use crate::latency::{Fixed, LatencyModel};
 use crate::process::{Automaton, Context, ProcessId, ProcessStatus, SimMessage};
 use crate::time::SimTime;
-use crate::trace::{NetStats, Trace, TraceEventKind};
+use crate::trace::{FaultStats, NetStats, Trace, TraceEventKind};
 
 /// The outcome of driving a world until no events remain.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,6 +49,8 @@ enum QueuedKind<M> {
     Start(ProcessId),
     Deliver(Envelope<M>),
     Crash(ProcessId),
+    Partition(Vec<Vec<ProcessId>>),
+    Heal,
 }
 
 struct Queued<M> {
@@ -56,9 +59,18 @@ struct Queued<M> {
     kind: QueuedKind<M>,
 }
 
+impl<M> Queued<M> {
+    /// Time, then scripted partitions and heals after every message, start
+    /// and crash event of the same tick, then insertion order.
+    fn key(&self) -> (SimTime, bool, u64) {
+        let scripted = matches!(self.kind, QueuedKind::Partition(_) | QueuedKind::Heal);
+        (self.at, scripted, self.seq)
+    }
+}
+
 impl<M> PartialEq for Queued<M> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<M> Eq for Queued<M> {}
@@ -69,7 +81,7 @@ impl<M> PartialOrd for Queued<M> {
 }
 impl<M> Ord for Queued<M> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+        self.key().cmp(&other.key())
     }
 }
 
@@ -79,12 +91,35 @@ struct Proc<M> {
     name: String,
 }
 
+/// Whether `env` crosses an island boundary of `islands`. Processes listed
+/// in no group share one implicit "rest" island.
+fn crosses<M>(islands: &[Vec<ProcessId>], env: &Envelope<M>) -> bool {
+    let island_of = |pid| islands.iter().position(|g| g.contains(&pid));
+    island_of(env.from) != island_of(env.to)
+}
+
+fn wrong_type<A>(pid: ProcessId, name: &str) -> ! {
+    panic!(
+        "process {pid:?} ({name}) is not a {}",
+        std::any::type_name::<A>()
+    )
+}
+
 /// A deterministic simulated distributed system.
 ///
-/// Spawn automata, optionally install adversary rules, call [`World::start`],
-/// then drive the run with [`World::step`], [`World::run_until_time`] or
-/// [`World::run_to_quiescence`]. Two worlds built identically with the same
+/// Spawn automata, script faults ([`World::partition`], [`World::heal_at`],
+/// [`World::crash_at`], [`World::reorder`], adversary rules), call
+/// [`World::start`], then drive the run with [`World::step`],
+/// [`World::run_until_time`], [`World::run_until`] or
+/// [`World::run_until_idle`]. Two worlds built identically with the same
 /// seed produce identical runs.
+///
+/// Every timed action sits on the one event queue beside the messages. At a
+/// tie, every delivery, start and crash of a tick runs before a partition or
+/// heal scripted for that tick, so a message sent while handling a tick-`T`
+/// delivery still crosses a cut scheduled for `T`. [`World::fault_stats`]
+/// counts faults when they are *applied*, whoever asked: a crash scheduled
+/// past the end of the run is not counted.
 ///
 /// # Examples
 ///
@@ -104,15 +139,20 @@ struct Proc<M> {
 /// let sink = world.spawn_named("sink", from_fn(|_, _msg: Ping, _ctx| {}));
 /// world.start();
 /// world.send_external(sink, echo, Ping);
-/// world.run_to_quiescence(1_000).expect_drained();
-/// assert_eq!(world.stats().delivered, 2); // ping + echo
+/// world.run_until_idle(1_000).expect_drained();
+/// assert_eq!(world.net_stats().delivered, 2); // ping + echo
 /// ```
 pub struct World<M: SimMessage> {
     procs: Vec<Proc<M>>,
     queue: BinaryHeap<Reverse<Queued<M>>>,
     held: Vec<Envelope<M>>,
     adversary: Adversary<M>,
+    /// The islands of the partition in force. Consulted before the
+    /// adversary's rules: no rule can carry a message across a cut.
+    partition: Option<Vec<Vec<ProcessId>>>,
     latency: Box<dyn LatencyModel<M>>,
+    seed: u64,
+    reorder_links: u64,
     rng: SmallRng,
     now: SimTime,
     seq: u64,
@@ -120,6 +160,7 @@ pub struct World<M: SimMessage> {
     started: bool,
     trace: Trace<M>,
     stats: NetStats,
+    faults: FaultStats,
 }
 
 impl<M: SimMessage> World<M> {
@@ -130,7 +171,10 @@ impl<M: SimMessage> World<M> {
             queue: BinaryHeap::new(),
             held: Vec::new(),
             adversary: Adversary::new(),
+            partition: None,
             latency: Box::new(Fixed::UNIT),
+            seed,
+            reorder_links: 0,
             rng: SmallRng::seed_from_u64(seed),
             now: SimTime::ZERO,
             seq: 0,
@@ -138,6 +182,7 @@ impl<M: SimMessage> World<M> {
             started: false,
             trace: Trace::default(),
             stats: NetStats::default(),
+            faults: FaultStats::default(),
         }
     }
 
@@ -162,22 +207,18 @@ impl<M: SimMessage> World<M> {
     }
 
     /// Network counters for the run so far.
-    pub fn stats(&self) -> NetStats {
+    pub fn net_stats(&self) -> NetStats {
         self.stats
+    }
+
+    /// Counters for the faults applied so far.
+    pub fn fault_stats(&self) -> FaultStats {
+        self.faults
     }
 
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// The time of the next queued event, if any.
-    ///
-    /// Held messages do not count: they re-enter the queue only on release.
-    /// Schedulers layered over the world (e.g. [`crate::Scenario`]) use this
-    /// to interleave their own timed actions with the event loop.
-    pub fn next_event_at(&self) -> Option<SimTime> {
-        self.queue.peek().map(|Reverse(q)| q.at)
     }
 
     /// Number of spawned processes.
@@ -245,6 +286,7 @@ impl<M: SimMessage> World<M> {
     /// Panics if `pid` was not spawned in this world.
     pub fn crash(&mut self, pid: ProcessId) {
         self.procs[pid.index()].status = ProcessStatus::Crashed;
+        self.faults.crashes += 1;
         self.trace.push(self.now, TraceEventKind::Crashed(pid));
     }
 
@@ -253,10 +295,9 @@ impl<M: SimMessage> World<M> {
     /// # Panics
     ///
     /// Panics if `at` is in the past or `pid` was not spawned.
-    pub fn schedule_crash(&mut self, pid: ProcessId, at: SimTime) {
-        assert!(at >= self.now, "cannot schedule a crash in the past");
+    pub fn crash_at(&mut self, pid: ProcessId, at: SimTime) {
         assert!(pid.index() < self.procs.len(), "unknown process {pid:?}");
-        self.push_event(at, QueuedKind::Crash(pid));
+        self.schedule(at, QueuedKind::Crash(pid));
     }
 
     /// Replaces `pid`'s automaton with a malicious one and marks it Byzantine.
@@ -272,8 +313,76 @@ impl<M: SimMessage> World<M> {
         let proc = &mut self.procs[pid.index()];
         proc.automaton = automaton;
         proc.status = ProcessStatus::Byzantine;
+        self.faults.byzantine += 1;
         self.trace
             .push(self.now, TraceEventKind::TurnedByzantine(pid));
+    }
+
+    /// Partitions the network into islands, immediately.
+    ///
+    /// Each group in `groups` is one island; processes not listed share one
+    /// implicit "rest" island (so `partition(vec![g])` cuts `g` off from
+    /// everything else). Messages crossing island boundaries are held in
+    /// transit — the paper's "remain in transit" asynchrony — whatever the
+    /// adversary's rules say, until a heal releases them. Applying a new
+    /// partition first releases what the old one captured.
+    pub fn partition(&mut self, groups: Vec<Vec<ProcessId>>) {
+        self.release_partition();
+        self.partition = Some(groups);
+        self.faults.partitions += 1;
+    }
+
+    /// Schedules a [`World::partition`] for time `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past.
+    pub fn partition_at(&mut self, at: SimTime, groups: Vec<Vec<ProcessId>>) {
+        self.schedule(at, QueuedKind::Partition(groups));
+    }
+
+    /// Heals the current partition immediately, releasing every held
+    /// message that crossed its island boundaries. A no-op if no partition
+    /// is in force.
+    pub fn heal_now(&mut self) {
+        if self.release_partition() {
+            self.faults.heals += 1;
+        }
+    }
+
+    /// Schedules a heal of the partition in force at time `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is in the past.
+    pub fn heal_at(&mut self, at: SimTime) {
+        self.schedule(at, QueuedKind::Heal);
+    }
+
+    /// Lifts the partition without counting a heal (a replacement heals
+    /// implicitly). Returns whether one was in force.
+    fn release_partition(&mut self) -> bool {
+        let Some(islands) = self.partition.take() else {
+            return false;
+        };
+        self.release_held(|e| crosses(&islands, e));
+        true
+    }
+
+    /// Makes the directed link `from → to` reorder messages: each message
+    /// is delayed by a random 1–4 extra ticks with probability `p`, so later
+    /// sends can overtake earlier ones. Each link draws from its own RNG,
+    /// derived from the world seed, so runs stay deterministic per seed.
+    pub fn reorder(&mut self, from: ProcessId, to: ProcessId, p: f64) -> RuleId {
+        let n = self.reorder_links;
+        self.reorder_links += 1;
+        let stream = n.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+        let mut rng = SmallRng::seed_from_u64(self.seed ^ stream);
+        self.adversary
+            .install(format!("reorder {from:?}→{to:?} p={p}"), move |e| {
+                (e.on_link(from, to) && rng.gen_bool(p))
+                    .then(|| Action::DeliverAfter(rng.gen_range(1u64..=4)))
+            })
     }
 
     /// Runs `f` against the concrete automaton of `pid`, with a [`Context`]
@@ -298,13 +407,9 @@ impl<M: SimMessage> World<M> {
         let result = {
             let proc = &mut self.procs[pid.index()];
             let automaton: &mut dyn Any = &mut *proc.automaton;
-            let automaton = automaton.downcast_mut::<A>().unwrap_or_else(|| {
-                panic!(
-                    "process {pid:?} ({}) is not a {}",
-                    pid.0,
-                    std::any::type_name::<A>()
-                )
-            });
+            let automaton = automaton
+                .downcast_mut::<A>()
+                .unwrap_or_else(|| wrong_type::<A>(pid, &proc.name));
             let mut ctx = Context::new(pid, &mut outbox);
             f(automaton, &mut ctx)
         };
@@ -320,13 +425,9 @@ impl<M: SimMessage> World<M> {
     pub fn inspect<A: Automaton<M>, R>(&self, pid: ProcessId, f: impl FnOnce(&A) -> R) -> R {
         let proc = &self.procs[pid.index()];
         let automaton: &dyn Any = &*proc.automaton;
-        let automaton = automaton.downcast_ref::<A>().unwrap_or_else(|| {
-            panic!(
-                "process {pid:?} ({}) is not a {}",
-                pid.0,
-                std::any::type_name::<A>()
-            )
-        });
+        let automaton = automaton
+            .downcast_ref::<A>()
+            .unwrap_or_else(|| wrong_type::<A>(pid, &proc.name));
         f(automaton)
     }
 
@@ -407,9 +508,9 @@ impl<M: SimMessage> World<M> {
                     self.flush_outbox(pid, outbox);
                 }
             }
-            QueuedKind::Crash(pid) => {
-                self.crash(pid);
-            }
+            QueuedKind::Crash(pid) => self.crash(pid),
+            QueuedKind::Partition(groups) => self.partition(groups),
+            QueuedKind::Heal => self.heal_now(),
             QueuedKind::Deliver(env) => {
                 let to = env.to;
                 if !self.procs[to.index()].status.takes_steps() {
@@ -434,8 +535,9 @@ impl<M: SimMessage> World<M> {
         true
     }
 
-    /// Processes every event scheduled at or before `t`, then advances the
-    /// clock to `t`. Returns the number of events processed.
+    /// Processes every event scheduled at or before `t` — messages and
+    /// scripted faults alike — then advances the clock to `t`. Returns the
+    /// number of events processed.
     pub fn run_until_time(&mut self, t: SimTime) -> u64 {
         let mut steps = 0;
         while let Some(Reverse(head)) = self.queue.peek() {
@@ -451,24 +553,22 @@ impl<M: SimMessage> World<M> {
         steps
     }
 
-    /// Drives the run until the queue drains or `limit` events have been
+    /// Advances the clock by `ticks`: [`World::run_until_time`], relative.
+    pub fn fast_forward(&mut self, ticks: u64) -> u64 {
+        self.run_until_time(self.now + ticks)
+    }
+
+    /// Drives the run until the queue drains — every message delivered or
+    /// held, every scripted fault applied — or `limit` events have been
     /// processed.
-    pub fn run_to_quiescence(&mut self, limit: u64) -> Quiescence {
+    pub fn run_until_idle(&mut self, limit: u64) -> Quiescence {
         let mut steps = 0;
-        while steps < limit {
-            if !self.step() {
-                return Quiescence {
-                    steps,
-                    drained: true,
-                    held: self.held.len(),
-                };
-            }
+        while steps < limit && self.step() {
             steps += 1;
         }
-        let drained = self.queue.is_empty();
         Quiescence {
             steps,
-            drained,
+            drained: self.queue.is_empty(),
             held: self.held.len(),
         }
     }
@@ -488,6 +588,12 @@ impl<M: SimMessage> World<M> {
             }
         }
         false
+    }
+
+    /// Queues a scripted fault for time `at`.
+    fn schedule(&mut self, at: SimTime, kind: QueuedKind<M>) {
+        assert!(at >= self.now, "cannot script an event in the past");
+        self.push_event(at, kind);
     }
 
     fn push_event(&mut self, at: SimTime, kind: QueuedKind<M>) {
@@ -513,7 +619,11 @@ impl<M: SimMessage> World<M> {
             self.stats.sent += 1;
             self.stats.bytes_sent += env.msg.wire_size() as u64;
             self.trace.push(self.now, TraceEventKind::Sent(env.clone()));
-            match self.adversary.decide(&env) {
+            let action = match &self.partition {
+                Some(islands) if crosses(islands, &env) => Action::Hold,
+                _ => self.adversary.decide(&env),
+            };
+            match action {
                 Action::Deliver => {
                     let delay = self.latency.delay(&env, &mut self.rng);
                     let at = self.now + delay;
@@ -546,6 +656,7 @@ impl<M: SimMessage> std::fmt::Debug for World<M> {
             .field("queued", &self.queue.len())
             .field("held", &self.held.len())
             .field("stats", &self.stats)
+            .field("faults", &self.faults)
             .finish()
     }
 }
@@ -601,11 +712,11 @@ mod tests {
     fn round_trip_delivery() {
         let (mut w, sink, pong) = two_proc_world(1);
         w.send_external(sink, pong, Msg::Ping(7));
-        w.run_to_quiescence(100).expect_drained();
+        w.run_until_idle(100).expect_drained();
         w.inspect(sink, |s: &PongSink| assert_eq!(s.got, vec![8]));
-        assert_eq!(w.stats().sent, 2);
-        assert_eq!(w.stats().delivered, 2);
-        assert_eq!(w.stats().bytes_delivered, 8);
+        assert_eq!(w.net_stats().sent, 2);
+        assert_eq!(w.net_stats().delivered, 2);
+        assert_eq!(w.net_stats().bytes_delivered, 8);
     }
 
     #[test]
@@ -613,25 +724,25 @@ mod tests {
         let (mut w, sink, pong) = two_proc_world(1);
         w.crash(pong);
         w.send_external(sink, pong, Msg::Ping(7));
-        let q = w.run_to_quiescence(100).expect_drained();
+        let q = w.run_until_idle(100).expect_drained();
         assert_eq!(q.held, 0);
-        assert_eq!(w.stats().dead_letters, 1);
+        assert_eq!(w.net_stats().dead_letters, 1);
         w.inspect(sink, |s: &PongSink| assert!(s.got.is_empty()));
     }
 
     #[test]
     fn scheduled_crash_takes_effect_at_time() {
         let (mut w, sink, pong) = two_proc_world(1);
-        w.schedule_crash(pong, SimTime::from_ticks(10));
+        w.crash_at(pong, SimTime::from_ticks(10));
         // Sent at t=0, delivered at t=1 (< 10): processed.
         w.send_external(sink, pong, Msg::Ping(1));
         w.run_until_time(SimTime::from_ticks(20));
         assert_eq!(w.status(pong), ProcessStatus::Crashed);
         // Sent after the crash: dead letter.
         w.send_external(sink, pong, Msg::Ping(2));
-        w.run_to_quiescence(100).expect_drained();
+        w.run_until_idle(100).expect_drained();
         w.inspect(sink, |s: &PongSink| assert_eq!(s.got, vec![2]));
-        assert_eq!(w.stats().dead_letters, 1);
+        assert_eq!(w.net_stats().dead_letters, 1);
     }
 
     #[test]
@@ -639,12 +750,12 @@ mod tests {
         let (mut w, sink, pong) = two_proc_world(1);
         w.adversary_mut().hold_link(sink, pong);
         w.send_external(sink, pong, Msg::Ping(1));
-        w.run_to_quiescence(100).expect_drained();
+        w.run_until_idle(100).expect_drained();
         assert_eq!(w.held().len(), 1);
         w.inspect(sink, |s: &PongSink| assert!(s.got.is_empty()));
         // Release: delivered without adversary re-interception.
         assert_eq!(w.release_all(), 1);
-        w.run_to_quiescence(100).expect_drained();
+        w.run_until_idle(100).expect_drained();
         w.inspect(sink, |s: &PongSink| assert_eq!(s.got, vec![2]));
     }
 
@@ -659,7 +770,7 @@ mod tests {
         );
         assert_eq!(w.status(pong), ProcessStatus::Byzantine);
         w.send_external(sink, pong, Msg::Ping(1));
-        w.run_to_quiescence(100).expect_drained();
+        w.run_until_idle(100).expect_drained();
         w.inspect(sink, |s: &PongSink| assert_eq!(s.got, vec![999]));
     }
 
@@ -671,7 +782,7 @@ mod tests {
             for i in 0..20 {
                 w.send_external(sink, pong, Msg::Ping(i));
             }
-            w.run_to_quiescence(1_000).expect_drained();
+            w.run_until_idle(1_000).expect_drained();
             w.inspect(sink, |s: &PongSink| s.got.clone())
         };
         assert_eq!(run(7), run(7));
@@ -705,13 +816,195 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "(echo)")]
+    fn a_mistyped_inspect_names_the_process() {
+        let mut w: World<Msg> = World::new(1);
+        let echo = w.spawn_named("echo", ponger());
+        w.inspect(echo, |_: &PongSink| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "(echo)")]
+    fn a_mistyped_with_automaton_mut_names_the_process() {
+        let mut w: World<Msg> = World::new(1);
+        let echo = w.spawn_named("echo", ponger());
+        w.with_automaton_mut(echo, |_: &mut PongSink, _ctx| {});
+    }
+
+    #[test]
     fn late_spawn_gets_started() {
         let mut w: World<Msg> = World::new(1);
         w.start();
         let sink = w.spawn_named("sink", Box::new(PongSink { got: Vec::new() }));
         let pong = w.spawn_named("ponger", ponger());
         w.send_external(sink, pong, Msg::Ping(0));
-        w.run_to_quiescence(100).expect_drained();
+        w.run_until_idle(100).expect_drained();
         w.inspect(sink, |s: &PongSink| assert_eq!(s.got, vec![1]));
+    }
+
+    // ---- the fault script: partitions, heals, reordering, counters ----------
+
+    /// A started world of `N` sinks, which record the `Pong`s sent to them
+    /// and never reply.
+    fn sinks<const N: usize>(seed: u64) -> (World<Msg>, [ProcessId; N]) {
+        let mut w = World::new(seed);
+        let pids = std::array::from_fn(|_| w.spawn(Box::new(PongSink { got: Vec::new() })));
+        w.start();
+        (w, pids)
+    }
+
+    fn got(w: &World<Msg>, pid: ProcessId) -> Vec<u32> {
+        w.inspect(pid, |s: &PongSink| s.got.clone())
+    }
+
+    #[test]
+    fn partition_holds_and_heal_releases() {
+        let (mut w, [a, b]) = sinks(1);
+        w.partition(vec![vec![a], vec![b]]);
+        w.heal_at(SimTime::from_ticks(10));
+        w.send_external(a, b, Msg::Pong(7));
+        w.run_until_idle(100);
+        assert_eq!(got(&w, b), vec![7]);
+        assert!(w.now() >= SimTime::from_ticks(10));
+        assert_eq!(w.fault_stats().partitions, 1);
+        assert_eq!(w.fault_stats().heals, 1);
+    }
+
+    #[test]
+    fn unlisted_processes_form_the_rest_island() {
+        let (mut w, [a, b, c]) = sinks(1);
+        w.partition(vec![vec![a]]);
+        // b and c are both in the implicit rest island: connected.
+        w.send_external(b, c, Msg::Pong(1));
+        // a is cut off from b.
+        w.send_external(b, a, Msg::Pong(2));
+        w.run_until_idle(100);
+        assert_eq!(got(&w, c), vec![1]);
+        assert_eq!(got(&w, a), Vec::<u32>::new());
+        assert_eq!(w.held().len(), 1);
+    }
+
+    #[test]
+    fn new_partition_replaces_and_heals_the_old() {
+        let (mut w, [a, b]) = sinks(1);
+        w.partition(vec![vec![a], vec![b]]);
+        w.send_external(a, b, Msg::Pong(3));
+        w.run_until_idle(100);
+        assert_eq!(w.held().len(), 1);
+        // Replacing the partition releases what the old one captured.
+        w.partition(vec![vec![a, b]]);
+        w.run_until_idle(100);
+        assert_eq!(got(&w, b), vec![3]);
+        // Replacement is not counted as an explicit heal.
+        assert_eq!(w.fault_stats().heals, 0);
+        assert_eq!(w.fault_stats().partitions, 2);
+    }
+
+    #[test]
+    fn scripted_partition_fires_at_its_time() {
+        let (mut w, [a, b]) = sinks(1);
+        w.partition_at(SimTime::from_ticks(5), vec![vec![a], vec![b]]);
+        w.fast_forward(4);
+        w.send_external(a, b, Msg::Pong(1)); // before the cut
+        w.fast_forward(10);
+        w.send_external(a, b, Msg::Pong(2)); // after the cut
+        w.run_until_idle(100);
+        assert_eq!(got(&w, b), vec![1]);
+        assert_eq!(w.held().len(), 1);
+    }
+
+    #[test]
+    fn partition_outranks_rules_installed_before_it() {
+        let (mut w, [a, b]) = sinks(1);
+        w.reorder(a, b, 1.0); // claims every a → b message: first rule wins
+        w.partition(vec![vec![a], vec![b]]);
+        for i in 0..10 {
+            w.send_external(a, b, Msg::Pong(i));
+        }
+        w.run_until_idle(100);
+        assert_eq!((w.net_stats().held, w.net_stats().delivered), (10, 0));
+
+        // After the heal the link is the reorder rule's again: at p = 1 a
+        // fresh send takes at least one extra tick, the released ten do not.
+        w.heal_now();
+        w.send_external(a, b, Msg::Pong(99));
+        w.fast_forward(1);
+        assert_eq!(got(&w, b), (0..10).collect::<Vec<u32>>());
+        w.run_until_idle(100);
+        assert_eq!(got(&w, b).last(), Some(&99));
+    }
+
+    #[test]
+    fn clearing_the_rules_leaves_the_partition_in_force() {
+        let (mut w, [a, b]) = sinks(1);
+        w.partition(vec![vec![a], vec![b]]);
+        w.adversary_mut().clear();
+        w.send_external(a, b, Msg::Pong(1));
+        w.run_until_idle(100);
+        assert_eq!((w.held().len(), got(&w, b)), (1, vec![]));
+    }
+
+    #[test]
+    fn at_a_tie_messages_and_crashes_run_before_partitions_and_heals() {
+        let (mut w, sink, pong) = two_proc_world(1);
+        // Scripted first, for the tick the ping is due at: it fires last.
+        w.partition_at(SimTime::from_ticks(1), vec![vec![sink], vec![pong]]);
+        w.send_external(sink, pong, Msg::Ping(1));
+        w.run_until_idle(100);
+        // The ping was delivered, and its reply — sent within tick 1, before
+        // the cut applied — crossed; the next send on the link does not.
+        assert_eq!(got(&w, sink), vec![2]);
+        w.send_external(sink, pong, Msg::Ping(5));
+        assert_eq!(w.held().len(), 1);
+
+        // A heal scripted before a crash for the same tick still runs after.
+        w.trace_mut().enable();
+        w.heal_at(SimTime::from_ticks(9));
+        w.crash_at(pong, SimTime::from_ticks(9));
+        w.run_until_idle(100);
+        let kinds: Vec<_> = w.trace().events().iter().map(|e| &e.kind).collect();
+        use TraceEventKind::{Crashed, DeadLetter, Released};
+        assert!(
+            matches!(kinds[..], [Crashed(_), Released(_), DeadLetter(_)]),
+            "{kinds:?}"
+        );
+    }
+
+    #[test]
+    fn reorder_delays_but_loses_nothing() {
+        let (mut w, [a, b]) = sinks(3);
+        w.reorder(a, b, 0.7);
+        for i in 0..40 {
+            w.send_external(a, b, Msg::Pong(i));
+            w.fast_forward(1);
+        }
+        w.run_until_idle(1_000);
+        let delivered = got(&w, b);
+        assert_eq!(delivered.len(), 40, "reordering must not lose messages");
+        let mut sorted = delivered.clone();
+        sorted.sort_unstable();
+        assert_ne!(delivered, sorted, "some pair should arrive out of order");
+    }
+
+    #[test]
+    fn crash_and_byzantine_are_counted() {
+        let (mut w, [a, b]) = sinks(1);
+        w.crash_at(a, SimTime::from_ticks(5));
+        w.set_byzantine(b, Box::new(crate::Mute));
+        assert_eq!(w.fault_stats().crashes, 0, "counted when applied");
+        w.fast_forward(10);
+        assert_eq!(w.fault_stats().crashes, 1);
+        assert_eq!(w.fault_stats().byzantine, 1);
+        assert_eq!(w.status(a), ProcessStatus::Crashed);
+    }
+
+    #[test]
+    fn run_until_sees_scripted_events() {
+        let (mut w, [a, b]) = sinks(1);
+        w.partition(vec![vec![a], vec![b]]);
+        w.heal_at(SimTime::from_ticks(20));
+        w.send_external(a, b, Msg::Pong(5));
+        let hit = w.run_until(|w| !got(w, b).is_empty(), 1_000);
+        assert!(hit, "run_until must fire the scripted heal on the way");
     }
 }

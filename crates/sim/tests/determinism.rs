@@ -77,10 +77,10 @@ fn fingerprint(seed: u64, n: usize, long_tail: bool, stimuli: &[Stimulus]) -> St
             }
         }
     }
-    world.run_to_quiescence(1_000_000);
+    world.run_until_idle(1_000_000);
     format!(
         "{:?} now={:?} held={}",
-        world.stats(),
+        world.net_stats(),
         world.now(),
         world.held().len()
     )
@@ -111,7 +111,7 @@ fn scenario_fingerprint(seed: u64) -> String {
 
     sc.attack_object(4, AttackerKind::Truncator, 0xBADu64);
     let (writer, obj0) = (sc.writer(), sc.object(0));
-    sc.reorder(writer, obj0, 0.3);
+    sc.world_mut().reorder(writer, obj0, 0.3);
 
     let mut ops = String::new();
     for k in 1..=12u64 {
@@ -120,7 +120,7 @@ fn scenario_fingerprint(seed: u64) -> String {
                 sc.partition_objects(&[1]);
             }
             7 => {
-                sc.heal_now();
+                sc.world_mut().heal_now();
             }
             _ => {}
         }
@@ -128,16 +128,40 @@ fn scenario_fingerprint(seed: u64) -> String {
         let r = sc.read((k % 2) as usize);
         ops.push_str(&format!("w={w:?} r={r:?}\n"));
     }
-    sc.heal_now();
-    sc.run_until_idle(200_000);
+    sc.world_mut().heal_now();
+    sc.world_mut().run_until_idle(200_000);
 
     format!(
         "{trace:?}\n{ops}stats={stats:?}\n{prom}",
         trace = sc.world().trace().events(),
         ops = ops,
-        stats = sc.world().stats(),
+        stats = sc.world().net_stats(),
         prom = sc.metrics_snapshot().to_prometheus(),
     )
+}
+
+/// FNV-1a, 64 bit (`DefaultHasher` is not stable across toolchains).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The engine's behaviour, pinned: recorded while partitions and heals
+/// still had a timeline of their own above the world's queue. The `reorder`
+/// link does not cross the partition, so partition-over-rules precedence
+/// leaves these runs alone. Regenerate a constant only for a deliberate
+/// engine change.
+#[test]
+fn scenario_fingerprints_are_pinned() {
+    for (seed, pinned) in [
+        (3u64, 0x4fe6_a0c7_192d_df31u64),
+        (41, 0xa35d_ba1d_9a25_5df3),
+        (977, 0x674b_646f_ab1a_a5bb),
+    ] {
+        let got = fnv1a(scenario_fingerprint(seed).as_bytes());
+        assert_eq!(got, pinned, "seed {seed}: fingerprint {got:#018x}");
+    }
 }
 
 #[test]
@@ -208,8 +232,8 @@ proptest! {
                 world.crash(b);
             }
         }
-        world.run_to_quiescence(1_000_000);
-        let s = world.stats();
+        world.run_until_idle(1_000_000);
+        let s = world.net_stats();
         prop_assert_eq!(
             s.sent,
             s.delivered + s.dropped + s.dead_letters + (s.held - s.released),
@@ -236,6 +260,6 @@ proptest! {
         world.run_until_time(SimTime::from_ticks(t));
         prop_assert!(world.now() >= SimTime::from_ticks(t));
         // Unit latency: by time t, at most t+1 self-deliveries happened.
-        prop_assert!(world.stats().delivered <= t + 1);
+        prop_assert!(world.net_stats().delivered <= t + 1);
     }
 }

@@ -158,7 +158,7 @@ pub fn safe_object_monotonicity<V: Value>(
 #[cfg(test)]
 mod tests {
     use vrr_core::{SafeProtocol, StorageConfig, StorageScenario};
-    use vrr_sim::{from_fn, Context};
+    use vrr_sim::{from_fn, Context, SimTime};
 
     use super::*;
 
@@ -173,8 +173,13 @@ mod tests {
             safe_object_monotonicity::<u64>(sc.dep().objects.clone(), cfg.readers),
         );
 
+        // The write has no quorum until the scripted heal fires — which it
+        // does under a monitored run too: the script is on the world's queue.
+        sc.partition_objects(&[0, 1]);
+        sc.world_mut().heal_at(SimTime::from_ticks(50));
         let mut w = sc.start_write(5u64);
         run_monitored(sc.world_mut(), &mut monitor, 100_000).expect("no violation");
+        assert!(sc.world().now() >= SimTime::from_ticks(50));
         let mut r = sc.start_read(0);
         run_monitored(sc.world_mut(), &mut monitor, 100_000).expect("no violation");
         assert!(sc.poll_write(&mut w).is_some());
@@ -225,8 +230,8 @@ mod tests {
 
         let mut monitor: InvariantMonitor<u64> = InvariantMonitor::new();
         monitor.add("bounded traffic", |w| {
-            if w.stats().sent > 5 {
-                Err(format!("too many messages: {}", w.stats().sent))
+            if w.net_stats().sent > 5 {
+                Err(format!("too many messages: {}", w.net_stats().sent))
             } else {
                 Ok(())
             }

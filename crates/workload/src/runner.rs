@@ -12,7 +12,7 @@
 use vrr_checker::OpHistory;
 use vrr_core::metrics::Registry;
 use vrr_core::{ReadOp, RegisterProtocol, StorageConfig, StorageScenario, WriteOp};
-use vrr_sim::{LongTail, NetStats, SimTime, Uniform};
+use vrr_sim::{Fixed, LongTail, NetStats, SimMessage, SimTime, Uniform, World};
 
 use crate::faults::FaultPlan;
 use crate::schedule::{generate, ClientPlan, PlannedOp, Schedule, ScheduleParams};
@@ -29,12 +29,12 @@ pub enum LatencyKind {
 }
 
 impl LatencyKind {
-    fn install<P: RegisterProtocol<u64>>(self, sc: &mut StorageScenario<u64, P>) {
+    fn install<M: SimMessage>(self, world: &mut World<M>) {
         match self {
-            LatencyKind::Unit => sc.latency(vrr_sim::Fixed::UNIT),
-            LatencyKind::Uniform(min, max) => sc.latency(Uniform::new(min, max)),
-            LatencyKind::LongTail => sc.latency(LongTail::new(1, 0.2, 50)),
-        };
+            LatencyKind::Unit => world.set_latency(Fixed::UNIT),
+            LatencyKind::Uniform(min, max) => world.set_latency(Uniform::new(min, max)),
+            LatencyKind::LongTail => world.set_latency(LongTail::new(1, 0.2, 50)),
+        }
     }
 }
 
@@ -239,7 +239,7 @@ impl<'a, P: RegisterProtocol<u64> + Clone> SimCase<'a, P> {
         );
 
         let mut sc = StorageScenario::deploy(protocol.clone(), cfg, seed);
-        latency.install(&mut sc);
+        latency.install(sc.world_mut());
         for &(idx, kind) in &faults.byzantine {
             sc.attack_object(idx, kind, FORGED_VALUE);
         }
@@ -248,9 +248,11 @@ impl<'a, P: RegisterProtocol<u64> + Clone> SimCase<'a, P> {
         }
         for (at, event) in events {
             match event {
-                CaseEvent::Partition(idxs) => sc.partition_objects_at(at, &idxs),
-                CaseEvent::Heal => sc.heal_at(at),
-            };
+                CaseEvent::Partition(idxs) => {
+                    sc.partition_objects_at(at, &idxs);
+                }
+                CaseEvent::Heal => sc.world_mut().heal_at(at),
+            }
         }
 
         let mut history: OpHistory<u64> = OpHistory::new();
@@ -273,7 +275,7 @@ impl<'a, P: RegisterProtocol<u64> + Clone> SimCase<'a, P> {
 
         loop {
             // Poll completions first (a step may have completed several ops).
-            let now = sc.now();
+            let now = sc.world().now();
             for client in clients.iter_mut() {
                 let done = match &mut client.active {
                     None => continue,
@@ -340,7 +342,7 @@ impl<'a, P: RegisterProtocol<u64> + Clone> SimCase<'a, P> {
                 // still active, they are stalled (liveness violation) — unless
                 // a future planned op could unblock... it cannot: clients are
                 // independent. Record and stop.
-                if !sc.scenario_mut().step() {
+                if !sc.world_mut().step() {
                     break;
                 }
                 steps_used += 1;
@@ -349,8 +351,7 @@ impl<'a, P: RegisterProtocol<u64> + Clone> SimCase<'a, P> {
                     "runaway run: step limit exceeded"
                 );
             } else if let Some(due) = next_due {
-                let delta = due.ticks().saturating_sub(sc.now().ticks());
-                sc.fast_forward(delta);
+                sc.world_mut().run_until_time(due); // `due > now`: the loop above invoked the rest
             } else {
                 break; // no active ops, nothing left to invoke
             }
@@ -379,7 +380,7 @@ impl<'a, P: RegisterProtocol<u64> + Clone> SimCase<'a, P> {
             write_rounds,
             read_rounds,
             stalled_ops,
-            net: sc.world().stats(),
+            net: sc.world().net_stats(),
             metrics: sc.metrics_snapshot(),
         }
     }
@@ -536,19 +537,20 @@ mod tests {
         assert!(out.all_live());
 
         let mut sc = StorageScenario::deploy(protocol, cfg, 21);
-        sc.latency(Uniform::new(1, 10));
+        sc.world_mut().set_latency(Uniform::new(1, 10));
         for &(idx, kind) in &faults.byzantine {
             sc.attack_object(idx, kind, FORGED_VALUE);
         }
         for &(idx, at) in &faults.crashes {
             sc.crash_object_at(idx, at);
         }
-        sc.partition_objects_at(cut, &[3]).heal_at(healed);
+        sc.partition_objects_at(cut, &[3]);
+        sc.world_mut().heal_at(healed);
         let mut ops: Vec<(SimTime, PlannedOp)> = schedule.writer.ops.clone();
         ops.extend(schedule.readers.iter().flat_map(|r| r.ops.iter().copied()));
         ops.sort_by_key(|&(at, _)| at);
         for (at, op) in ops {
-            sc.fast_forward(at.ticks() - sc.now().ticks());
+            sc.world_mut().run_until_time(at);
             match op {
                 PlannedOp::Write { value } => drop(sc.write(value)),
                 PlannedOp::Read { reader } => drop(sc.read(reader)),
@@ -559,6 +561,6 @@ mod tests {
             out.metrics.to_prometheus(),
             sc.metrics_snapshot().to_prometheus()
         );
-        assert_eq!(out.net, sc.world().stats());
+        assert_eq!(out.net, sc.world().net_stats());
     }
 }

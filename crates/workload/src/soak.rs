@@ -146,8 +146,8 @@ pub fn run_sim_soak(params: SoakParams) -> SoakReport {
     // Hot links get probabilistic reordering for the whole run.
     let writer = sc.writer();
     let (obj0, rdr0) = (sc.object(0), sc.reader(0));
-    sc.reorder(writer, obj0, 0.25);
-    sc.reorder(obj0, rdr0, 0.25);
+    sc.world_mut().reorder(writer, obj0, 0.25);
+    sc.world_mut().reorder(obj0, rdr0, 0.25);
 
     let crash_at_iter = params.iters / 3;
     let mut history = OpHistory::new();
@@ -174,7 +174,7 @@ pub fn run_sim_soak(params: SoakParams) -> SoakReport {
                 partitions_injected += 1;
             }
             7 if partitioned => {
-                sc.heal_now();
+                sc.world_mut().heal_now();
                 partitioned = false;
                 heals_injected += 1;
             }
@@ -183,10 +183,10 @@ pub fn run_sim_soak(params: SoakParams) -> SoakReport {
 
         let seq = i + 1;
         let value = seq * 10;
-        let invoked = sc.now().ticks();
+        let invoked = sc.world().now().ticks();
         sc.write(value);
         writes += 1;
-        history.push_write(seq, value, invoked, Some(sc.now().ticks()));
+        history.push_write(seq, value, invoked, Some(sc.world().now().ticks()));
 
         // Round-robin over the still-live readers.
         let j = if i < crash_at_iter {
@@ -194,10 +194,11 @@ pub fn run_sim_soak(params: SoakParams) -> SoakReport {
         } else {
             (i % 2) as usize
         };
-        let invoked = sc.now().ticks();
+        let invoked = sc.world().now().ticks();
         let rep = sc.read(j);
         reads += 1;
-        history.push_read(j, rep.ts.0, rep.value, invoked, Some(sc.now().ticks()));
+        let completed = Some(sc.world().now().ticks());
+        history.push_read(j, rep.ts.0, rep.value, invoked, completed);
         // Sequential run: a regular read not concurrent with any write
         // must return exactly the last completed write.
         if rep.value != Some(value) {
@@ -210,15 +211,15 @@ pub fn run_sim_soak(params: SoakParams) -> SoakReport {
         // Periodically let in-flight suffixes, acks and reordered
         // stragglers drain.
         if i % 16 == 15 {
-            sc.fast_forward(64);
+            sc.world_mut().fast_forward(64);
         }
     }
 
     if partitioned {
-        sc.heal_now();
+        sc.world_mut().heal_now();
         heals_injected += 1;
     }
-    sc.run_until_idle(200_000);
+    sc.world_mut().run_until_idle(200_000);
 
     SoakReport::close(
         params,

@@ -113,7 +113,8 @@ where
     sc.byzantine_object(1, m2());
 
     let (s3, s4, s5, s6) = (sc.object(3), sc.object(4), sc.object(5), sc.object(6));
-    sc.hold_link(sc.reader(0), sc.object(2));
+    let (from, to) = (sc.reader(0), sc.object(2));
+    sc.world_mut().adversary_mut().hold_link(from, to);
     let adversary = sc.world_mut().adversary_mut();
     adversary.install("hold PW to bystanders", move |e| {
         (matches!(e.msg, Msg::Pw { .. }) && (e.to == s5 || e.to == s6)).then_some(Action::Hold)
@@ -153,14 +154,14 @@ where
     // to round 2 and s3, s4, s5, s6 bump their reader timestamps to 2;
     // with the check, round 1 stalls (the predicted tuple accuses s3, s4).
     let mut rd = sc.start_read(0);
-    sc.run_until_idle(200_000);
+    sc.world_mut().run_until_idle(200_000);
 
     // Step 2: the concurrent write. PW reaches m1, m2, s2 (rows: empty)
     // and s3, s4 (rows: whatever their tsr is — 2 in the mutant run,
     // 1 in the real run). The writer assembles its tuple from exactly
     // those five acks and sends W, which only s2 receives.
     let mut wr = sc.start_write(V);
-    sc.run_until_idle(200_000);
+    sc.world_mut().run_until_idle(200_000);
 
     // Step 3: s2 — now holding the genuine tuple — finally hears from the
     // reader. In the mutant run that is the round-2 message (its round-1
@@ -169,16 +170,16 @@ where
     // message exists yet; s2 answers round 1 with the genuine tuple,
     // which eliminates the prediction and unblocks the quorum.
     sc.world_mut().release_held(is_read2_to(s2));
-    sc.run_until_idle(200_000);
+    sc.world_mut().run_until_idle(200_000);
     sc.world_mut().release_held(|e| e.to == s2);
-    sc.run_until_idle(200_000);
+    sc.world_mut().run_until_idle(200_000);
 
     // Step 4: asynchrony ends — every held message arrives (late PWs, the
     // W round to the rest). The write completes; nothing here re-answers
     // the reader's old requests.
     sc.world_mut().adversary_mut().clear();
-    sc.release_all();
-    sc.run_until_idle(200_000);
+    sc.world_mut().release_all();
+    sc.world_mut().run_until_idle(200_000);
 
     assert!(
         sc.poll_write(&mut wr).is_some(),
@@ -229,9 +230,9 @@ fn the_blocked_state_matches_lemma3_arithmetic() {
     let (reader, s2) = (sc.reader(0), sc.object(2));
 
     sc.start_read(0);
-    sc.run_until_idle(200_000);
+    sc.world_mut().run_until_idle(200_000);
     sc.start_write(V);
-    sc.run_until_idle(200_000);
+    sc.world_mut().run_until_idle(200_000);
 
     // The writer assembled exactly the predicted tuple.
     sc.world()
@@ -240,7 +241,7 @@ fn the_blocked_state_matches_lemma3_arithmetic() {
         });
     // s2 received the genuine W round and holds the predicted tuple.
     sc.world_mut().release_held(is_read2_to(s2));
-    sc.run_until_idle(200_000);
+    sc.world_mut().run_until_idle(200_000);
     sc.world()
         .inspect(s2, |o: &vrr::core::safe::SafeObject<u64>| {
             assert_eq!(*o.w(), predicted_tuple(), "the prediction came true");

@@ -166,16 +166,17 @@ fn regular_storage_admits_new_old_inversions() {
 
     // Write 1 completes everywhere.
     sc.write(10u64);
-    sc.run_until_idle(100_000);
+    sc.world_mut().run_until_idle(100_000);
 
     // Write 2: the PW broadcast is already in flight when we install the
     // holds, so PW reaches everyone; the W round (sent later, when the PW
     // acks arrive) reaches only object 0.
     let mut w2 = sc.start_write(20u64);
     for i in 1..4 {
-        sc.hold_link(sc.writer(), sc.object(i));
+        let (from, to) = (sc.writer(), sc.object(i));
+        sc.world_mut().adversary_mut().hold_link(from, to);
     }
-    sc.run_until_idle(100_000);
+    sc.world_mut().run_until_idle(100_000);
     assert!(
         sc.world().inspect(
             sc.object(0),
@@ -198,14 +199,16 @@ fn regular_storage_admits_new_old_inversions() {
     // Object 0 nominates w2; objects 1 and 2 corroborate via their pw
     // fields (they saw the PW round): safe(w2) holds, and with only two
     // non-confirmers invalid(w2) never fires — r1 returns 20.
-    sc.hold_link(sc.reader(0), sc.object(3));
+    let (from, to) = (sc.reader(0), sc.object(3));
+    sc.world_mut().adversary_mut().hold_link(from, to);
     let r1 = sc.read(0);
     assert_eq!(r1.value, Some(20), "r1 must observe the in-flight write");
 
     // Read 2 (reader 1): quorum {1, 2, 3} (the link to object 0 is slow).
     // Nobody in the quorum has w2 in a w field — write 2 is not even a
     // candidate — so the highest candidate is w1: r2 returns 10.
-    sc.hold_link(sc.reader(1), sc.object(0));
+    let (from, to) = (sc.reader(1), sc.object(0));
+    sc.world_mut().adversary_mut().hold_link(from, to);
     let r2 = sc.read(1);
     assert_eq!(
         r2.value,

@@ -48,13 +48,14 @@ fn run5_schedule_breaks_a_fast_protocol_on_the_wire() {
 
     // B2 is malicious from the start; T2's link to the reader is slow.
     sc.byzantine_object(3, forge_sigma2());
-    sc.hold_link(sc.reader(0), sc.object(1));
+    let (from, to) = (sc.reader(0), sc.object(1));
+    sc.world_mut().adversary_mut().hold_link(from, to);
 
     // Nothing is ever written. The read hears S − t = 3 replies:
     // s0 (σ0), s2 (σ0), s3 (forged σ2) — and being fast, must decide.
-    let invoked_at = sc.now().ticks();
+    let invoked_at = sc.world().now().ticks();
     let rep = sc.read(0);
-    let completed_at = sc.now().ticks();
+    let completed_at = sc.world().now().ticks();
     assert_eq!(rep.rounds, 1, "ABD reads are fast — that is the problem");
     assert_eq!(rep.value, Some(42), "the phantom value is believed");
 
@@ -71,13 +72,14 @@ fn the_same_schedule_cannot_fool_the_papers_two_round_read() {
     let mut sc = StorageScenario::deploy(SafeProtocol, cfg, 15);
 
     sc.attack_object(3, vrr::core::attackers::AttackerKind::Inflator, 42u64);
-    let slow = sc.hold_link(sc.reader(0), sc.object(1));
+    let (from, to) = (sc.reader(0), sc.object(1));
+    let slow = sc.world_mut().adversary_mut().hold_link(from, to);
 
     // While T2's replies are in transit the reader cannot tell the liar's
     // candidate from a concurrent write it missed — so it REFUSES TO
     // ANSWER rather than guess (contrast ABD above, which guessed wrong).
     let mut op = sc.start_read(0);
-    sc.run_until_idle(200_000);
+    sc.world_mut().run_until_idle(200_000);
     assert!(
         sc.poll_read(&mut op).is_none(),
         "the safe reader must wait, not guess"
@@ -85,9 +87,9 @@ fn the_same_schedule_cannot_fool_the_papers_two_round_read() {
 
     // Asynchrony ends: T2's replies arrive, the forged candidate is
     // eliminated (t+b+1 objects contradict it), ⊥ is returned.
-    sc.remove_rule(slow);
-    sc.release_all();
-    sc.run_until_idle(200_000);
+    sc.world_mut().adversary_mut().remove(slow);
+    sc.world_mut().release_all();
+    sc.world_mut().run_until_idle(200_000);
     let rep = sc.poll_read(&mut op).expect("completes once messages flow");
     assert_eq!(
         rep.value, None,
@@ -102,7 +104,8 @@ fn a_non_fast_protocol_survives_by_challenging() {
     let mut sc = StorageScenario::deploy(PassiveProtocol, cfg, 15);
 
     sc.byzantine_object(3, forge_sigma2());
-    sc.hold_link(sc.reader(0), sc.object(1));
+    let (from, to) = (sc.reader(0), sc.object(1));
+    sc.world_mut().adversary_mut().hold_link(from, to);
 
     let rep = sc.read(0);
     assert_eq!(

@@ -118,7 +118,7 @@ fn late_reader_catches_up_after_truncation() {
         sc.read(j);
         sc.read(j);
     }
-    sc.run_until_idle(200_000);
+    sc.world_mut().run_until_idle(200_000);
     assert!(sc.max_history_len() <= 2);
 }
 
@@ -144,7 +144,7 @@ fn truncation_liar_cannot_corrupt_gc_reads() {
                 assert_eq!(rep.rounds, 2);
             }
         }
-        sc.run_until_idle(200_000);
+        sc.world_mut().run_until_idle(200_000);
         // history_lens skips the Byzantine object: every reported length
         // is an honest object that must have truncated.
         let lens = sc.history_lens().expect("regular objects keep histories");
