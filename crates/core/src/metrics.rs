@@ -185,6 +185,17 @@ impl Histogram {
         }
     }
 
+    /// An empty histogram with the buckets the registry gives `name`:
+    /// [`names::LATENCY_BUCKETS`] for `*latency*` names,
+    /// [`names::ROUND_BUCKETS`] otherwise.
+    pub fn named(name: &str) -> Self {
+        Histogram::new(if name.contains("latency") {
+            names::LATENCY_BUCKETS
+        } else {
+            names::ROUND_BUCKETS
+        })
+    }
+
     /// Records one observation.
     pub fn observe(&mut self, value: u64) {
         let slot = self
@@ -487,15 +498,31 @@ impl Registry {
             .or_default()
             .series
             .entry(label_key(labels))
-            .or_insert_with(|| {
-                Series::Histogram(Histogram::new(if name.contains("latency") {
-                    names::LATENCY_BUCKETS
-                } else {
-                    names::ROUND_BUCKETS
-                }))
-            });
+            .or_insert_with(|| Series::Histogram(Histogram::named(name)));
         match series {
             Series::Histogram(h) => h.observe(value),
+            other => panic!("{name} already recorded as a {}", other.type_str()),
+        }
+    }
+
+    /// Folds `recorded` — a [`Histogram::named`]`(name)` a hot path observed
+    /// into directly, sparing it this registry's name and label lookups —
+    /// into the histogram `name`. An empty one leaves no trace, exactly as
+    /// if [`Registry::observe`] had never been called.
+    pub fn observe_all(&mut self, name: &'static str, labels: Labels<'_>, recorded: &Histogram) {
+        if recorded.count == 0 {
+            return;
+        }
+        assert_name(name);
+        let series = self
+            .families
+            .entry(name)
+            .or_default()
+            .series
+            .entry(label_key(labels))
+            .or_insert_with(|| Series::Histogram(Histogram::new(&recorded.bounds)));
+        match series {
+            Series::Histogram(h) => h.merge_from(recorded),
             other => panic!("{name} already recorded as a {}", other.type_str()),
         }
     }

@@ -15,6 +15,11 @@
 //!     [--store-byzantine OBJ:KIND:FORGED] [--metrics-addr HOST:PORT]
 //! ```
 //!
+//! `--workers` sizes the worker pool of the slot groups only: each group
+//! lives on one worker (slot `s` on worker `s % N`), so it buys parallelism
+//! across slots. A hosted store always gets a pool of its own, one worker
+//! per CPU.
+//!
 //! With `--store CAPACITY` the node additionally hosts a
 //! `ShardedStore<Vec<u8>, u64>` of that many register shards, served to
 //! remote `StoreRouter`s through `vrr_net::RemoteCluster` (router-member

@@ -214,7 +214,11 @@ pub struct NetNodeConfig<V> {
     pub spec: ProtocolSpec,
     /// This process's incarnation (bump on restart).
     pub epoch: u32,
-    /// Worker threads for the local cluster.
+    /// Worker threads of the slot host's pool. A slot group lives on one
+    /// worker (slot `s` on worker `s % workers`), so more workers serve more
+    /// slots in parallel, never one slot faster. A hosted store
+    /// ([`NetNodeConfig::store`]) is not sized by this: it always gets its
+    /// own pool of one worker per CPU.
     pub workers: usize,
     /// Byzantine substitutions for locally hosted objects.
     pub byzantine: Vec<ByzSpec<V>>,

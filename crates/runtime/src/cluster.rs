@@ -3,9 +3,10 @@
 //! The same deterministic automata that run under the simulator run here on
 //! a fixed pool of worker threads with real (optionally delayed) message
 //! passing — the substrate for wall-clock benchmarks and the networked
-//! examples. Each worker owns a shard of process mailboxes and drains whole
-//! batches per sweep; see [`crate::executor`] internals for the sweep /
-//! flush / timer-wheel mechanics.
+//! examples. Each worker owns a shard of process mailboxes, drains whole
+//! batches per sweep and delivers co-located messages without leaving its
+//! thread; see [`crate::executor`] internals for placement and the drain /
+//! run / flush mechanics.
 
 use std::any::Any;
 use std::fmt;
@@ -110,7 +111,10 @@ impl<M: Send + 'static> Cluster<M> {
 
     /// Spawns a process on the worker pool running `automaton`; returns its
     /// id. Ids are dense in spawn order; process `p` lives on worker
-    /// `p % workers`.
+    /// `p % workers` — or, on a cluster handed to
+    /// [`crate::RegisterHost::spawn`], on the worker of its register group
+    /// (`(p / group span) % workers`), so a group's rounds never leave
+    /// their thread.
     ///
     /// # Panics
     ///
@@ -121,6 +125,12 @@ impl<M: Send + 'static> Cluster<M> {
             "spawn all processes before sealing the cluster"
         );
         self.executor.register(automaton)
+    }
+
+    /// Places every run of `span` consecutive process ids — one register
+    /// group — on one worker. The cluster must be empty.
+    pub(crate) fn set_group_span(&mut self, span: usize) {
+        self.executor.set_group_span(span);
     }
 
     /// Marks the topology complete. (Processes discover each other lazily
@@ -262,7 +272,10 @@ impl<M: Send + 'static> Cluster<M> {
     }
 
     /// Injects a message from `from` to `to` through the link policy
-    /// (external stimulus, like the simulator's `send_external`).
+    /// (external stimulus, like the simulator's `send_external`). Injected
+    /// messages to one process arrive in injection order, but are not
+    /// ordered against messages the processes themselves have in flight on
+    /// the same link.
     pub fn send_external(&self, from: ProcessId, to: ProcessId, msg: M) {
         self.executor.route(from, to, msg);
     }
@@ -751,6 +764,102 @@ mod tests {
             .recv_timeout(Duration::from_secs(5))
             .expect("the op completes");
         assert_eq!(total, (0..32).sum::<u64>());
+    }
+
+    #[test]
+    fn an_endless_co_located_ping_pong_starves_nothing() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        for workers in [1, 2] {
+            let bounces = Arc::new(AtomicU64::new(0));
+            let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), workers);
+            // Raw placement is `pid % workers`: pids 0, `workers` and
+            // `2 * workers` all live on worker 0.
+            let pids: Vec<ProcessId> = (0..2 * workers)
+                .map(|_| {
+                    let bounces = bounces.clone();
+                    cluster.spawn(from_fn(move |from, n: u64, ctx: &mut Context<'_, u64>| {
+                        bounces.fetch_add(1, Ordering::Relaxed);
+                        ctx.send(from, n);
+                    }))
+                })
+                .collect();
+            let third = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
+            cluster.seal();
+            let (a, b) = (pids[0], pids[workers]);
+            cluster.send_external(a, b, 0);
+
+            let (finished, watchdog) = bounded(1);
+            let drill = std::thread::spawn(move || {
+                let started = std::time::Instant::now();
+                while bounces.load(Ordering::Relaxed) < 1_000 {
+                    assert!(started.elapsed() < Duration::from_secs(5), "no ping-pong");
+                    std::thread::yield_now();
+                }
+                // An invoke gets in ...
+                assert_eq!(seen(&cluster, third), 0);
+                // ... a crash takes effect (two barriers: one bounce may
+                // still be on its way to the survivor) ...
+                cluster.crash(a);
+                let settle = || (0..2).for_each(|_| assert_eq!(seen(&cluster, third), 0));
+                settle();
+                let stopped_at = bounces.load(Ordering::Relaxed);
+                settle();
+                assert_eq!(bounces.load(Ordering::Relaxed), stopped_at);
+                // ... and shutdown is observed with the queue still busy.
+                cluster.send_external(b, b, 0);
+                drop(cluster);
+                let _ = finished.send(());
+            });
+            watchdog
+                .recv_timeout(Duration::from_secs(5))
+                .expect("the local run queue starved the mailbox or shutdown");
+            drill.join().unwrap();
+        }
+    }
+
+    /// Remembers what it received, in order.
+    struct Log(Vec<u64>);
+
+    impl Automaton<u64> for Log {
+        fn on_message(&mut self, _from: ProcessId, msg: u64, _ctx: &mut Context<'_, u64>) {
+            self.0.push(msg);
+        }
+    }
+
+    #[test]
+    fn links_are_fifo_on_the_local_queue_and_across_workers() {
+        let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), 2);
+        // `pid % 2`: the sender shares worker 0 with `near`; `far` is on
+        // worker 1. A burst of ten per step, the next step by self-send.
+        let (far, near) = (ProcessId(1), ProcessId(2));
+        let sender = cluster.spawn(from_fn(move |_from, n: u64, ctx: &mut Context<'_, u64>| {
+            for v in n..n + 10 {
+                ctx.send(far, v);
+                ctx.send(near, v);
+            }
+            if n + 10 <= 1_000 {
+                ctx.send(ctx.me(), n + 10);
+            }
+        }));
+        for expected in [far, near] {
+            assert_eq!(cluster.spawn(Box::new(Log(Vec::new()))), expected);
+        }
+        cluster.seal();
+        cluster.send_external(sender, sender, 1);
+        for log in [far, near] {
+            let (tx, rx) = bounded(1);
+            cluster.submit(
+                log,
+                |_l: &mut Log, _ctx| (),
+                |l: &mut Log, _| (l.0.len() >= 1_000).then(|| l.0.clone()),
+                move |got| {
+                    let _ = tx.send(got);
+                },
+            );
+            let got = rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
+            assert!(got.into_iter().eq(1..=1_000), "{log} saw a reordered link");
+        }
     }
 
     #[test]

@@ -3,13 +3,40 @@
 //! Instead of one OS thread per automaton plus a router thread moving one
 //! message per channel op (the seed design), a fixed pool of workers —
 //! default [`std::thread::available_parallelism`] — each owns a *shard* of
-//! process mailboxes (`pid % workers`). A worker sweep takes the shard
-//! lock **once**, steals every non-empty mailbox in the shard wholesale,
-//! processes the batches lock-free, then flushes the accumulated outbox
-//! with one lock acquisition per destination shard. Delayed messages (the
-//! old router's heap) live in a per-shard timer wheel: an idle shard parks
-//! on its condvar indefinitely — zero wakeups until new work or the next
-//! timer deadline, where the seed router polled every 50 ms.
+//! process mailboxes.
+//!
+//! **Placement is group-affine** ([`Placement`], the one pid ↔ (worker,
+//! local index) mapping): consecutive runs of `span` process ids — one
+//! register group, as [`crate::RegisterHost::spawn`] declares it — live on
+//! one worker, and groups are dealt round-robin over the pool. A raw
+//! [`crate::Cluster`] has span 1, i.e. `pid % workers`. A READ's two rounds
+//! are therefore same-thread traffic; the only cross-thread events of an
+//! operation are its submission and its completion, and parallelism comes
+//! from many groups over many workers.
+//!
+//! A worker iteration is *drain → run → flush*. The drain takes the shard
+//! lock **once** and steals every non-empty mailbox wholesale (a *sweep*,
+//! if it found any). The run processes those batches, then the worker's
+//! **local run queue**, lock-free. The flush puts every send through the
+//! link policy and, per message ruled `Deliver`: appends it to the local
+//! run queue when the destination lives on this worker — no lock, no
+//! condvar — and otherwise batches it into the destination shard's mailbox
+//! with one lock acquisition and one notification per shard. Every
+//! immediate delivery between a given pair of processes takes exactly one
+//! of the two paths, which keeps links FIFO. Delayed messages live in a
+//! per-shard timer heap and are promoted into mailboxes when due.
+//!
+//! **Fairness:** the mailbox is drained on every iteration, and an
+//! iteration runs only the local deliveries queued before it began, so an
+//! endless co-located ping-pong cannot starve a crash, an invoke, a newly
+//! submitted operation or shutdown. A worker parks only when its mailbox
+//! **and** its local queue are empty — indefinitely, or until the next
+//! timer deadline: an idle pool makes zero wakeups.
+//!
+//! External stimuli ([`crate::Cluster::send_external`], invokes, submits,
+//! crashes) always enter through the mailbox, so they are ordered among
+//! themselves per process but **not** against the co-located deliveries a
+//! worker has queued locally.
 
 use std::any::Any;
 use std::cmp::Reverse;
@@ -88,9 +115,40 @@ impl<M> Ord for Timer<M> {
     }
 }
 
+/// Where processes live: `span` consecutive pids (one register group) share
+/// a worker, groups go round-robin over the pool, and a worker indexes its
+/// processes densely in registration order. Span 1 is `pid % workers`.
+#[derive(Clone, Copy)]
+struct Placement {
+    workers: usize,
+    span: usize,
+}
+
+impl Placement {
+    /// The worker owning `pid` and `pid`'s index among that worker's
+    /// processes.
+    fn locate(self, pid: ProcessId) -> (usize, usize) {
+        let (group, position) = (pid.index() / self.span, pid.index() % self.span);
+        (
+            group % self.workers,
+            group / self.workers * self.span + position,
+        )
+    }
+
+    /// Inverse of [`Placement::locate`].
+    fn pid(self, worker: usize, local: usize) -> ProcessId {
+        let group = local / self.span * self.workers + worker;
+        ProcessId(group * self.span + local % self.span)
+    }
+}
+
 /// The lock-guarded half of a shard: mailboxes and the timer wheel.
 struct ShardQueue<M> {
-    /// Local index (`pid / workers`) → pending commands.
+    /// The pool's placement, read by the worker under the lock it takes
+    /// anyway (so a span declared before the first spawn is seen by every
+    /// command that follows it).
+    place: Placement,
+    /// Local index ([`Placement::locate`]) → pending commands.
     mailboxes: Vec<VecDeque<NodeCmd<M>>>,
     /// Local indices with non-empty mailboxes, in first-arrival order.
     ready: Vec<usize>,
@@ -115,9 +173,10 @@ struct Shard<M> {
 }
 
 impl<M> Shard<M> {
-    fn new() -> Self {
+    fn new(place: Placement) -> Self {
         Shard {
             q: Mutex::new(ShardQueue {
+                place,
                 mailboxes: Vec::new(),
                 ready: Vec::new(),
                 queued: Vec::new(),
@@ -151,6 +210,20 @@ impl<M> ShardQueue<M> {
             self.queued[local] = true;
             self.ready.push(local);
         }
+    }
+
+    /// Parks a delayed delivery in the timer heap until `due`. The caller
+    /// must notify the shard's condvar after releasing the lock.
+    fn park(&mut self, due: Instant, from: ProcessId, to: ProcessId, msg: M) {
+        let seq = self.timer_seq;
+        self.timer_seq += 1;
+        self.timers.push(Reverse(Timer {
+            due,
+            seq,
+            from,
+            to,
+            msg,
+        }));
     }
 }
 
@@ -195,15 +268,18 @@ pub(crate) struct Executor<M: Send + 'static> {
     shards: Vec<Arc<Shard<M>>>,
     policy: Arc<Mutex<Box<dyn LinkPolicy<M>>>>,
     workers: Vec<JoinHandle<()>>,
-    /// Process ids are dense in registration order; `pid % shards.len()`
-    /// names the owning shard, `pid / shards.len()` the local index.
+    /// Process ids are dense in registration order; `place` maps them to
+    /// shards.
+    place: Placement,
     next_pid: usize,
 }
 
 impl<M: Send + 'static> Executor<M> {
     pub(crate) fn new(policy: Box<dyn LinkPolicy<M>>, workers: usize) -> Self {
         let workers = workers.max(1);
-        let shards: Vec<Arc<Shard<M>>> = (0..workers).map(|_| Arc::new(Shard::new())).collect();
+        let place = Placement { workers, span: 1 };
+        let shards: Vec<Arc<Shard<M>>> =
+            (0..workers).map(|_| Arc::new(Shard::new(place))).collect();
         let policy = Arc::new(Mutex::new(policy));
         let handles = (0..workers)
             .map(|w| {
@@ -219,6 +295,7 @@ impl<M: Send + 'static> Executor<M> {
             shards,
             policy,
             workers: handles,
+            place,
             next_pid: 0,
         }
     }
@@ -231,13 +308,26 @@ impl<M: Send + 'static> Executor<M> {
         self.next_pid
     }
 
+    /// Declares that every run of `span` consecutive pids is one group, to
+    /// be placed on one worker. Only an empty executor can be re-placed.
+    pub(crate) fn set_group_span(&mut self, span: usize) {
+        assert!(
+            self.next_pid == 0 && span > 0,
+            "placement is fixed once a process exists"
+        );
+        self.place.span = span;
+        for shard in &self.shards {
+            shard.lock().place = self.place;
+        }
+    }
+
     /// Registers a process: allocates the next dense id, creates its
     /// mailbox in the owning shard and queues the `Start` command.
     pub(crate) fn register(&mut self, automaton: Box<dyn Automaton<M>>) -> ProcessId {
         let pid = ProcessId(self.next_pid);
         self.next_pid += 1;
-        let shard = &self.shards[pid.index() % self.shards.len()];
-        let local = pid.index() / self.shards.len();
+        let (worker, local) = self.place.locate(pid);
+        let shard = &self.shards[worker];
         {
             let mut q = shard.lock();
             debug_assert_eq!(q.mailboxes.len(), local, "dense registration order");
@@ -251,51 +341,32 @@ impl<M: Send + 'static> Executor<M> {
 
     /// Queues a control command (invoke/operation/crash) for `pid`.
     pub(crate) fn enqueue(&self, pid: ProcessId, cmd: NodeCmd<M>) {
-        let shard = &self.shards[pid.index() % self.shards.len()];
-        {
-            let mut q = shard.lock();
-            q.push(pid.index() / self.shards.len(), cmd);
-        }
+        let (worker, local) = self.place.locate(pid);
+        let shard = &self.shards[worker];
+        shard.lock().push(local, cmd);
         shard.cv.notify_one();
     }
 
     /// Routes one message through the link policy (external stimulus; the
-    /// workers batch their own sends in [`flush_outbox`]).
+    /// workers batch their own sends in [`flush_outbox`]). It enters through
+    /// `to`'s mailbox whatever `from` is, so it is not ordered against what
+    /// `to`'s worker has queued locally.
     pub(crate) fn route(&self, from: ProcessId, to: ProcessId, msg: M) {
         let action = self
             .policy
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .action(from, to, &msg);
-        let shard = &self.shards[to.index() % self.shards.len()];
+        let (worker, local) = self.place.locate(to);
+        let shard = &self.shards[worker];
         match action {
-            LinkAction::Deliver => {
-                {
-                    let mut q = shard.lock();
-                    q.push(
-                        to.index() / self.shards.len(),
-                        NodeCmd::Deliver { from, msg },
-                    );
-                }
-                shard.cv.notify_one();
-            }
+            LinkAction::Deliver => shard.lock().push(local, NodeCmd::Deliver { from, msg }),
             LinkAction::DeliverAfter(d) => {
-                {
-                    let mut q = shard.lock();
-                    let seq = q.timer_seq;
-                    q.timer_seq += 1;
-                    q.timers.push(Reverse(Timer {
-                        due: Instant::now() + d,
-                        seq,
-                        from,
-                        to,
-                        msg,
-                    }));
-                }
-                shard.cv.notify_one();
+                shard.lock().park(Instant::now() + d, from, to, msg);
             }
-            LinkAction::Drop => {}
+            LinkAction::Drop => return,
         }
+        shard.cv.notify_one();
     }
 
     pub(crate) fn stats(&self) -> ExecutorStats {
@@ -319,35 +390,48 @@ impl<M: Send + 'static> Executor<M> {
     }
 }
 
-/// One worker: sweep → process batches → flush, parking when idle.
+/// A delivery the link policy ruled immediate and co-located: `(local index
+/// of the destination, sender, payload)`.
+type LocalDelivery<M> = (usize, ProcessId, M);
+
+/// One worker: drain the mailbox → run → flush, parking when idle.
 fn worker_main<M: Send + 'static>(
     me: usize,
     shards: Vec<Arc<Shard<M>>>,
     policy: Arc<Mutex<Box<dyn LinkPolicy<M>>>>,
 ) {
     let shard = shards[me].clone();
-    let nshards = shards.len();
     // Worker-local automata; only this thread ever touches them.
     let mut cells: Vec<Option<Cell<M>>> = Vec::new();
-    // Reusable sweep buffers.
+    // Reusable buffers.
     let mut batch: Vec<(usize, VecDeque<NodeCmd<M>>)> = Vec::new();
     let mut step_outbox: Vec<(ProcessId, M)> = Vec::new();
     let mut outbox: Vec<(ProcessId, ProcessId, M)> = Vec::new();
+    let mut buckets: Vec<Vec<Routed<M>>> = shards.iter().map(|_| Vec::new()).collect();
+    // The local run queue: `running` is this iteration's share of it,
+    // `local` what the flush queues for the next one.
+    let mut local: Vec<LocalDelivery<M>> = Vec::new();
+    let mut running: Vec<LocalDelivery<M>> = Vec::new();
 
     loop {
-        // --- Sweep: one lock acquisition collects all pending work. ------
-        {
+        // --- Drain: one lock acquisition collects all mailbox work. ------
+        let (place, registered) = {
             let mut q = shard.lock();
             loop {
                 if q.shutdown {
                     return;
                 }
-                // Promote due timers into their target mailboxes.
-                let now = Instant::now();
-                while q.timers.peek().is_some_and(|Reverse(t)| t.due <= now) {
+                // Promote due timers into their target mailboxes (the clock
+                // is read only if there is a timer).
+                while q
+                    .timers
+                    .peek()
+                    .is_some_and(|Reverse(t)| t.due <= Instant::now())
+                {
                     let Reverse(t) = q.timers.pop().expect("peeked");
+                    let (_, to) = q.place.locate(t.to);
                     q.push(
-                        t.to.index() / nshards,
+                        to,
                         NodeCmd::Deliver {
                             from: t.from,
                             msg: t.msg,
@@ -355,10 +439,14 @@ fn worker_main<M: Send + 'static>(
                     );
                 }
                 if !q.ready.is_empty() {
-                    for local in std::mem::take(&mut q.ready) {
-                        q.queued[local] = false;
-                        batch.push((local, std::mem::take(&mut q.mailboxes[local])));
+                    for at in std::mem::take(&mut q.ready) {
+                        q.queued[at] = false;
+                        batch.push((at, std::mem::take(&mut q.mailboxes[at])));
                     }
+                    shard.sweeps.fetch_add(1, Ordering::Relaxed);
+                    break;
+                }
+                if !local.is_empty() {
                     break;
                 }
                 // Idle: park until notified — or until the next timer is
@@ -378,43 +466,61 @@ fn worker_main<M: Send + 'static>(
                 }
                 shard.wakeups.fetch_add(1, Ordering::Relaxed);
             }
-        }
-        shard.sweeps.fetch_add(1, Ordering::Relaxed);
+            (q.place, q.mailboxes.len())
+        };
 
-        // --- Process: run every drained mailbox without any lock held. ---
+        // --- Run: the drained mailboxes first (a `Start` precedes the
+        // local deliveries its process was sent), then the local run queue
+        // as it stood — what this iteration's flush adds waits for the next
+        // drain. Like a mailbox, the queue drops what is addressed to a
+        // process never registered. No lock held.
+        std::mem::swap(&mut local, &mut running);
+        if cells.len() < registered {
+            cells.resize_with(registered, || None);
+        }
+        let mailbox_cmds = batch
+            .drain(..)
+            .flat_map(|(at, cmds)| cmds.into_iter().map(move |cmd| (at, cmd)));
+        let local_cmds = running
+            .drain(..)
+            .filter(|&(at, ..)| at < registered)
+            .map(|(at, from, msg)| (at, NodeCmd::Deliver { from, msg }));
         let mut commands = 0u64;
-        for (local, cmds) in batch.drain(..) {
-            if local >= cells.len() {
-                cells.resize_with(local + 1, || None);
-            }
-            let from = ProcessId(local * nshards + me);
-            for cmd in cmds {
-                commands += 1;
-                // A panic in automaton/invoke/operation code must not kill
-                // the worker: every other process on this shard would
-                // silently freeze and pending invokes would block forever.
-                // Contain it to the offending process: poison it like a
-                // crash (deliveries skipped, invokes and operations answer
-                // NodeGone).
-                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    step(from, local, &mut cells, cmd, &mut step_outbox);
-                }));
-                if caught.is_err() {
-                    eprintln!("vrr-worker-{me}: process {from} panicked; poisoning it");
-                    step_outbox.clear();
-                    if let Some(cell) = cells[local].as_mut() {
-                        cell.crash();
-                    }
-                    continue;
+        for (at, cmd) in mailbox_cmds.chain(local_cmds) {
+            let from = place.pid(me, at);
+            commands += 1;
+            // A panic in automaton/invoke/operation code must not kill
+            // the worker: every other process on this shard would
+            // silently freeze and pending invokes would block forever.
+            // Contain it to the offending process: poison it like a
+            // crash (deliveries skipped, invokes and operations answer
+            // NodeGone).
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                step(from, at, &mut cells, cmd, &mut step_outbox);
+            }));
+            if caught.is_err() {
+                eprintln!("vrr-worker-{me}: process {from} panicked; poisoning it");
+                step_outbox.clear();
+                if let Some(cell) = cells[at].as_mut() {
+                    cell.crash();
                 }
-                outbox.extend(step_outbox.drain(..).map(|(to, msg)| (from, to, msg)));
+                continue;
             }
+            outbox.extend(step_outbox.drain(..).map(|(to, msg)| (from, to, msg)));
         }
         shard.commands.fetch_add(commands, Ordering::Relaxed);
 
         // --- Flush: the accumulated outbox, batched per destination. -----
         if !outbox.is_empty() {
-            flush_outbox(&mut outbox, &shards, &policy);
+            flush_outbox(
+                me,
+                place,
+                &mut outbox,
+                &mut local,
+                &mut buckets,
+                &shards,
+                &policy,
+            );
         }
     }
 }
@@ -513,7 +619,8 @@ fn after_step<M>(pid: ProcessId, cell: &mut Cell<M>, outbox: &mut Vec<(ProcessId
 enum Routed<M> {
     Now {
         from: ProcessId,
-        to: ProcessId,
+        /// Local index of the destination in its shard.
+        at: usize,
         msg: M,
     },
     Later {
@@ -524,60 +631,62 @@ enum Routed<M> {
     },
 }
 
-/// Routes a whole sweep's sends: one policy pass, then one lock
-/// acquisition + one notification per destination shard.
+/// Routes an iteration's sends: one policy pass — an immediate delivery to
+/// a process of worker `me` goes straight onto its `local` run queue — then
+/// one lock acquisition + one notification per other destination shard.
 fn flush_outbox<M: Send + 'static>(
+    me: usize,
+    place: Placement,
     outbox: &mut Vec<(ProcessId, ProcessId, M)>,
+    local: &mut Vec<LocalDelivery<M>>,
+    buckets: &mut [Vec<Routed<M>>],
     shards: &[Arc<Shard<M>>],
-    policy: &Arc<Mutex<Box<dyn LinkPolicy<M>>>>,
+    policy: &Mutex<Box<dyn LinkPolicy<M>>>,
 ) {
-    let nshards = shards.len();
     // Decide every message's fate under one policy lock.
-    let mut buckets: Vec<Vec<Routed<M>>> = (0..nshards).map(|_| Vec::new()).collect();
+    let mut left_the_worker = false;
     {
         let mut policy = policy.lock().unwrap_or_else(|e| e.into_inner());
         for (from, to, msg) in outbox.drain(..) {
-            match policy.action(from, to, &msg) {
-                LinkAction::Deliver => {
-                    buckets[to.index() % nshards].push(Routed::Now { from, to, msg });
+            let (worker, at) = place.locate(to);
+            let routed = match policy.action(from, to, &msg) {
+                LinkAction::Deliver if worker == me => {
+                    local.push((at, from, msg));
+                    continue;
                 }
-                LinkAction::DeliverAfter(d) => {
-                    buckets[to.index() % nshards].push(Routed::Later {
-                        due: Instant::now() + d,
-                        from,
-                        to,
-                        msg,
-                    });
-                }
-                LinkAction::Drop => {}
-            }
+                LinkAction::Deliver => Routed::Now { from, at, msg },
+                LinkAction::DeliverAfter(d) => Routed::Later {
+                    due: Instant::now() + d,
+                    from,
+                    to,
+                    msg,
+                },
+                LinkAction::Drop => continue,
+            };
+            buckets[worker].push(routed);
+            left_the_worker = true;
         }
     }
-    for (s, bucket) in buckets.into_iter().enumerate() {
+    if !left_the_worker {
+        return;
+    }
+    for (s, bucket) in buckets.iter_mut().enumerate() {
         if bucket.is_empty() {
             continue;
         }
         {
             let mut q = shards[s].lock();
-            for routed in bucket {
+            for routed in bucket.drain(..) {
                 match routed {
-                    Routed::Now { from, to, msg } => {
-                        q.push(to.index() / nshards, NodeCmd::Deliver { from, msg });
-                    }
-                    Routed::Later { due, from, to, msg } => {
-                        let seq = q.timer_seq;
-                        q.timer_seq += 1;
-                        q.timers.push(Reverse(Timer {
-                            due,
-                            seq,
-                            from,
-                            to,
-                            msg,
-                        }));
-                    }
+                    Routed::Now { from, at, msg } => q.push(at, NodeCmd::Deliver { from, msg }),
+                    Routed::Later { due, from, to, msg } => q.park(due, from, to, msg),
                 }
             }
         }
-        shards[s].cv.notify_one();
+        // This worker is the only waiter on its own condvar, and it is
+        // about to drain: a delayed self-delivery needs no notification.
+        if s != me {
+            shards[s].cv.notify_one();
+        }
     }
 }

@@ -24,12 +24,12 @@ use parking_lot::Mutex;
 
 use vrr_sim::Automaton;
 
-use vrr_core::metrics::{self, names, Registry};
+use vrr_core::metrics::{self, names, Histogram, Registry};
 use vrr_core::regular::{RegularObject, RegularReader};
 use vrr_core::safe::SafeReader;
 use vrr_core::{
-    spawn_group, Deployment, FastPathStats, GroupRole, Msg, ProtocolKind, ProtocolSpec, ReadReport,
-    StorageConfig, Value, WriteReport, Writer,
+    group_span, spawn_group, Deployment, FastPathStats, GroupRole, Msg, ProtocolKind, ProtocolSpec,
+    ReadReport, StorageConfig, Value, WriteReport, Writer,
 };
 
 use crate::cluster::{Cluster, NodeGone};
@@ -40,38 +40,57 @@ use crate::cluster::{Cluster, NodeGone};
 /// node) answers a typed error past it instead.
 pub const OP_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Rounds and latency histograms of the host's completed READs and WRITEs
-/// under the canonical `vrr_*` names. Clones share one registry, so
-/// in-flight completions record into it.
+/// Rounds and latency histograms of one kind of operation (the host's
+/// READs, or its WRITEs) under their canonical `vrr_*` names, resolved once:
+/// a completion observes into them directly and [`RegisterHost::op_metrics`]
+/// folds them into a [`Registry`]. Clones share the histograms, so in-flight
+/// completions record into them.
 ///
 /// Latency ticks are wall-clock **microseconds**, measured from the call
 /// that wraps the completion to the completion firing on its worker thread
 /// (the simulator records sim ticks under the same names; the unit is the
 /// harness's to define).
-#[derive(Clone, Default)]
-struct OpMeter(Arc<Mutex<Registry>>);
+#[derive(Clone)]
+struct OpMeter {
+    names: [&'static str; 2],
+    /// `[rounds, latency]`.
+    recorded: Arc<Mutex<[Histogram; 2]>>,
+}
 
 impl OpMeter {
+    fn new(rounds_name: &'static str, latency_name: &'static str) -> Self {
+        let names = [rounds_name, latency_name];
+        OpMeter {
+            names,
+            recorded: Arc::new(Mutex::new(names.map(Histogram::named))),
+        }
+    }
+
     /// Starts the clock of an operation: the returned completion records
     /// the report's `rounds` (a [`NodeGone`] records nothing), then calls
     /// `done`.
     fn timed<R: 'static>(
         &self,
-        rounds_name: &'static str,
-        latency_name: &'static str,
         rounds: fn(&R) -> u32,
         done: impl FnOnce(Result<R, NodeGone>) + Send + 'static,
     ) -> impl FnOnce(Result<R, NodeGone>) + Send + 'static {
-        let ops = self.0.clone();
+        let recorded = self.recorded.clone();
         let started = Instant::now();
         move |result| {
             if let Ok(report) = &result {
                 let us = started.elapsed().as_micros() as u64;
-                let mut ops = ops.lock();
-                ops.observe(rounds_name, &[], u64::from(rounds(report)));
-                ops.observe(latency_name, &[], us);
+                let mut recorded = recorded.lock();
+                recorded[0].observe(u64::from(rounds(report)));
+                recorded[1].observe(us);
             }
             done(result);
+        }
+    }
+
+    fn fold_into(&self, reg: &mut Registry) {
+        let recorded = self.recorded.lock();
+        for (name, histogram) in self.names.into_iter().zip(&*recorded) {
+            reg.observe_all(name, &[], histogram);
         }
     }
 }
@@ -136,7 +155,8 @@ pub struct RegisterHost<V: Value> {
     cfg: StorageConfig,
     kind: ProtocolKind,
     groups: Vec<Deployment>,
-    ops: OpMeter,
+    writes: OpMeter,
+    reads: OpMeter,
 }
 
 impl<V: Value> RegisterHost<V> {
@@ -150,6 +170,15 @@ impl<V: Value> RegisterHost<V> {
     /// a Byzantine object, a relay for a member living in another OS
     /// process. Returning `None` deploys the honest automaton `spec` calls
     /// for.
+    ///
+    /// Each group is placed on one worker of the cluster's pool (slot `s` on
+    /// worker `s % workers`), so the rounds of an operation are same-thread
+    /// traffic and the pool's parallelism is across slots.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cluster` already holds a process: the pid arithmetic
+    /// above — which relays and the placement rely on — would be off.
     pub fn spawn(
         mut cluster: Cluster<Msg<V>>,
         cfg: StorageConfig,
@@ -157,6 +186,11 @@ impl<V: Value> RegisterHost<V> {
         slots: usize,
         mut substitute: impl FnMut(usize, GroupRole) -> Option<Box<dyn Automaton<Msg<V>>>>,
     ) -> Self {
+        assert!(
+            cluster.is_empty(),
+            "RegisterHost::spawn needs an empty cluster: slot s must start at pid s * group_span"
+        );
+        cluster.set_group_span(group_span(cfg));
         let groups = (0..slots)
             .map(|slot| {
                 spawn_group(
@@ -173,7 +207,8 @@ impl<V: Value> RegisterHost<V> {
             cfg,
             kind: spec.kind(),
             groups,
-            ops: OpMeter::default(),
+            writes: OpMeter::new(names::WRITER_ROUNDS, names::WRITE_LATENCY),
+            reads: OpMeter::new(names::READER_ROUNDS, names::READ_LATENCY),
         }
     }
 
@@ -211,13 +246,11 @@ impl<V: Value> RegisterHost<V> {
         value: V,
         done: impl FnOnce(Result<WriteReport, NodeGone>) + Send + 'static,
     ) {
-        let (rounds, latency) = (names::WRITER_ROUNDS, names::WRITE_LATENCY);
         self.cluster.submit(
             self.groups[slot].writer,
             move |w: &mut Writer<V>, ctx| w.invoke_write(value, ctx),
             |w: &mut Writer<V>, &id| w.take_outcome(id),
-            self.ops
-                .timed(rounds, latency, |report| report.rounds, done),
+            self.writes.timed(|report| report.rounds, done),
         );
     }
 
@@ -235,10 +268,7 @@ impl<V: Value> RegisterHost<V> {
         done: impl FnOnce(Result<ReadReport<V>, NodeGone>) + Send + 'static,
     ) {
         let reader = self.groups[slot].readers[j];
-        let (rounds, latency) = (names::READER_ROUNDS, names::READ_LATENCY);
-        let done = self
-            .ops
-            .timed(rounds, latency, |report| report.rounds, done);
+        let done = self.reads.timed(|report| report.rounds, done);
         match self.kind {
             ProtocolKind::Safe => self.cluster.submit(
                 reader,
@@ -342,7 +372,9 @@ impl<V: Value> RegisterHost<V> {
     /// canonical `vrr_executor_*` names.
     pub fn op_metrics(&self) -> Registry {
         let executor = self.cluster.stats();
-        let mut reg = self.ops.0.lock().clone();
+        let mut reg = Registry::new();
+        self.writes.fold_into(&mut reg);
+        self.reads.fold_into(&mut reg);
         reg.counter_add(names::EXECUTOR_SWEEPS, &[], executor.sweeps);
         reg.counter_add(names::EXECUTOR_WAKEUPS, &[], executor.wakeups);
         reg.counter_add(names::EXECUTOR_COMMANDS, &[], executor.commands);
@@ -373,8 +405,11 @@ mod tests {
     use vrr_core::attackers::AttackerKind;
     use vrr_core::regular::HistoryRetention;
 
+    use vrr_core::Timestamp;
+    use vrr_sim::{Context, ProcessId};
+
     use super::*;
-    use crate::link::NoDelay;
+    use crate::link::{LinkAction, LinkPolicy, NoDelay};
 
     fn host_with(
         cfg: StorageConfig,
@@ -394,6 +429,13 @@ mod tests {
         host_with(cfg, spec, slots, |_slot, _role| None)
     }
 
+    /// One honest `RegularOptimized` group at `optimal(1, 1, 1)` on `cluster`.
+    fn one_honest_slot_on(cluster: Cluster<Msg<u64>>) -> RegisterHost<u64> {
+        let cfg = StorageConfig::optimal(1, 1, 1);
+        let kind = ProtocolKind::RegularOptimized;
+        RegisterHost::spawn(cluster, cfg, kind.into(), 1, |_, _| None)
+    }
+
     #[test]
     fn slots_are_independent_registers_in_canonical_pid_order() {
         let cfg = StorageConfig::optimal(1, 1, 2);
@@ -408,6 +450,153 @@ mod tests {
         assert_eq!(host.read(0, 1).value, Some(10));
         assert_eq!(host.read(1, 0).value, None, "slot 1 was never written");
         assert_eq!(host.read(2, 0).value, Some(30));
+    }
+
+    /// Stands in for a member and counts what reaches it.
+    struct Spy(u32);
+
+    impl Automaton<Msg<u64>> for Spy {
+        fn on_message(
+            &mut self,
+            _: vrr_sim::ProcessId,
+            _: Msg<u64>,
+            _: &mut Context<'_, Msg<u64>>,
+        ) {
+            self.0 += 1;
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "needs an empty cluster")]
+    fn spawn_refuses_a_cluster_that_already_holds_a_process() {
+        let mut cluster = Cluster::new(Box::new(NoDelay));
+        cluster.spawn(Box::new(Spy(0)));
+        let cfg = StorageConfig::optimal(1, 1, 1);
+        RegisterHost::<u64>::spawn(cluster, cfg, ProtocolKind::Safe.into(), 1, |_, _| None);
+    }
+
+    #[test]
+    fn a_message_to_a_never_registered_pid_reaches_no_process() {
+        let cfg = StorageConfig::optimal(1, 1, 1);
+        let cluster = Cluster::with_workers(Box::new(NoDelay), 3);
+        let spies = |_slot, _role| Some(Box::new(Spy(0)) as Box<dyn Automaton<Msg<u64>>>);
+        let host = RegisterHost::<u64>::spawn(cluster, cfg, ProtocolKind::Safe.into(), 4, spies);
+        let (cluster, len) = (host.cluster(), host.cluster().len());
+        let strays = [len, len + group_span(cfg), usize::MAX / 2].map(ProcessId);
+        let msg = || Msg::WAck { ts: Timestamp(1) };
+        // From inside every worker (local queue and cross-worker flush) and
+        // from outside.
+        for pid in (0..len).map(ProcessId) {
+            cluster.invoke(pid, move |_: &mut Spy, ctx| {
+                strays.iter().for_each(|&to| ctx.send(to, msg()));
+            });
+        }
+        strays
+            .iter()
+            .for_each(|&to| cluster.send_external(ProcessId(0), to, msg()));
+        // Two passes: the second is queued behind whatever the flushes that
+        // followed the first could have delivered.
+        let seen: Vec<u32> = (0..2 * len)
+            .map(|p| cluster.invoke(ProcessId(p % len), |spy: &mut Spy, _ctx| spy.0))
+            .collect();
+        assert_eq!(seen, vec![0; 2 * len]);
+    }
+
+    /// The worker thread `pid` lives on, or `None` if its automaton is not
+    /// an honest member of a regular group.
+    fn worker_of(host: &RegisterHost<u64>, pid: ProcessId) -> Option<String> {
+        fn here<A>(_: &mut A, _: &mut Context<'_, Msg<u64>>) -> Option<String> {
+            std::thread::current().name().map(str::to_owned)
+        }
+        let cluster = host.cluster();
+        cluster
+            .try_invoke(pid, here::<RegularObject<u64>>)
+            .or_else(|_| cluster.try_invoke(pid, here::<Writer<u64>>))
+            .or_else(|_| cluster.try_invoke(pid, here::<RegularReader<u64>>))
+            .ok()
+            .flatten()
+    }
+
+    #[test]
+    fn a_group_lives_on_one_worker_and_groups_cover_the_pool() {
+        for cfg in [
+            StorageConfig::optimal(1, 1, 2),
+            StorageConfig::optimal(2, 1, 2),
+        ] {
+            let cluster = Cluster::with_workers(Box::new(NoDelay), 4);
+            let kind = ProtocolKind::RegularOptimized;
+            let host = RegisterHost::spawn(cluster, cfg, kind.into(), 8, |slot, role| {
+                (slot == 5 && role == GroupRole::Object(1))
+                    .then(|| AttackerKind::Inflator.build_regular(cfg, 0xBAD))
+            });
+            let mut used = std::collections::BTreeSet::new();
+            for (slot, group) in host.groups().iter().enumerate() {
+                let members = group
+                    .objects
+                    .iter()
+                    .chain([&group.writer])
+                    .chain(&group.readers);
+                let mut workers: Vec<String> =
+                    members.filter_map(|&pid| worker_of(&host, pid)).collect();
+                let honest = group_span(cfg) - usize::from(slot == 5);
+                assert_eq!(workers.len(), honest, "slot {slot}: the liar is skipped");
+                workers.dedup();
+                assert_eq!(workers, [format!("vrr-worker-{}", slot % 4)], "slot {slot}");
+                used.extend(workers);
+            }
+            assert_eq!(
+                used.len(),
+                4,
+                "span {}: every worker hosts groups",
+                group_span(cfg)
+            );
+        }
+    }
+
+    #[test]
+    fn a_read_on_an_idle_host_wakes_one_worker() {
+        let cluster = Cluster::with_workers(Box::new(NoDelay), 4);
+        let host = one_honest_slot_on(cluster);
+        host.write(0, 1);
+        let before = host.cluster().stats();
+        for _ in 0..200 {
+            assert_eq!(host.read(0, 0).value, Some(1));
+        }
+        let after = host.cluster().stats();
+        // One hand-off in (the submit), none per round: the group's own
+        // traffic never leaves its worker.
+        let (wakeups, sweeps) = (after.wakeups - before.wakeups, after.sweeps - before.sweeps);
+        assert!(wakeups <= 300 && sweeps <= 400, "{before:?} -> {after:?}");
+    }
+
+    /// Cuts one process off: everything to and from it is dropped.
+    struct Isolate(ProcessId);
+
+    impl LinkPolicy<Msg<u64>> for Isolate {
+        fn action(&mut self, from: ProcessId, to: ProcessId, _: &Msg<u64>) -> LinkAction {
+            if from == self.0 || to == self.0 {
+                LinkAction::Drop
+            } else {
+                LinkAction::Deliver
+            }
+        }
+    }
+
+    #[test]
+    fn the_link_policy_rules_links_inside_a_worker() {
+        // The whole group shares one worker; object 0 (pid 0) is still as
+        // unreachable as the policy says: the register absorbs it as its
+        // one crash, and nothing is ever written to it.
+        // (That a `FixedDelay` is served in full on the same links is
+        // `link_delay_slows_but_does_not_break` in tests/runtime_threads.rs.)
+        let host = one_honest_slot_on(Cluster::new(Box::new(Isolate(ProcessId(0)))));
+        for k in 1..=20u64 {
+            host.write(0, k);
+            let r = host.read(0, 0);
+            assert_eq!((r.value, r.rounds), (Some(k), 2));
+        }
+        let lens = host.history_lens(0);
+        assert_eq!(lens, [(0, 1), (1, 21), (2, 21), (3, 21)]);
     }
 
     #[test]

@@ -43,7 +43,7 @@ use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
 
-use vrr_core::metrics::{names, Registry};
+use vrr_core::metrics::{names, Histogram, Registry};
 use vrr_core::{ProtocolSpec, ReadReport, StorageConfig, Value, WriteReport};
 
 use crate::backend::ClusterBackend;
@@ -139,9 +139,22 @@ pub struct StoreRouter<K: Eq + Hash + Clone, V: Value> {
     /// path takes the shared side for one `Arc` clone.
     clusters: RwLock<ClusterList<K, V>>,
     factory: StoreFactory<K, V>,
-    /// Router-level counters and latency histograms, folded into
+    /// Router-level rebalance counters, folded into
     /// [`StoreRouter::metrics_snapshot`].
     ops: Mutex<Registry>,
+    /// Router-level latency histograms by cluster index (retired clusters
+    /// keep theirs), grown on a cluster's first operation and folded into
+    /// the snapshot.
+    latency: RwLock<Vec<ClusterLatency>>,
+}
+
+/// One cluster's router-level latency histograms, resolved once so an
+/// operation observes without a name or label lookup.
+struct ClusterLatency {
+    /// [`names::ROUTER_READ_LATENCY`].
+    read: Mutex<Histogram>,
+    /// [`names::ROUTER_WRITE_LATENCY`].
+    write: Mutex<Histogram>,
 }
 
 impl<K, V> StoreRouter<K, V>
@@ -191,6 +204,7 @@ where
             clusters: RwLock::new(clusters),
             factory: Mutex::new(Box::new(factory)),
             ops: Mutex::new(Registry::new()),
+            latency: RwLock::new(Vec::new()),
         }
     }
 
@@ -281,7 +295,7 @@ where
         let store = self.store(cluster);
         let started = Instant::now();
         let report = store.try_write(key, value)?;
-        self.record_latency(names::ROUTER_WRITE_LATENCY, cluster, started);
+        self.record_latency(|l| &l.write, cluster, started);
         Ok(report)
     }
 
@@ -299,16 +313,30 @@ where
         let store = self.store(cluster);
         let started = Instant::now();
         let report = store.read(key, j)?;
-        self.record_latency(names::ROUTER_READ_LATENCY, cluster, started);
+        self.record_latency(|l| &l.read, cluster, started);
         Some(report)
     }
 
-    fn record_latency(&self, name: &'static str, cluster: usize, started: Instant) {
+    /// Observes into one of `cluster`'s histograms: a shared lock and the
+    /// histogram's own.
+    fn record_latency(
+        &self,
+        which: fn(&ClusterLatency) -> &Mutex<Histogram>,
+        cluster: usize,
+        started: Instant,
+    ) {
         let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        let label = cluster.to_string();
-        self.ops
-            .lock()
-            .observe(name, &[("cluster", &label)], micros);
+        if let Some(of_cluster) = self.latency.read().get(cluster) {
+            return which(of_cluster).lock().observe(micros);
+        }
+        let mut latency = self.latency.write();
+        if latency.len() <= cluster {
+            latency.resize_with(cluster + 1, || ClusterLatency {
+                read: Mutex::new(Histogram::named(names::ROUTER_READ_LATENCY)),
+                write: Mutex::new(Histogram::named(names::ROUTER_WRITE_LATENCY)),
+            });
+        }
+        which(&latency[cluster]).lock().observe(micros);
     }
 
     /// Deploys one more shard-cluster (via the retained factory) and
@@ -420,6 +448,16 @@ where
     /// clusters).
     pub fn metrics_snapshot(&self) -> Registry {
         let mut reg = self.ops.lock().clone();
+        for (index, of_cluster) in self.latency.read().iter().enumerate() {
+            let label = index.to_string();
+            let labels = [("cluster", &*label)];
+            reg.observe_all(names::ROUTER_READ_LATENCY, &labels, &of_cluster.read.lock());
+            reg.observe_all(
+                names::ROUTER_WRITE_LATENCY,
+                &labels,
+                &of_cluster.write.lock(),
+            );
+        }
         let live: Vec<(usize, Arc<dyn ClusterBackend<K, V>>)> = self
             .clusters
             .read()
