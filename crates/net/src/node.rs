@@ -24,8 +24,13 @@
 //! - **by completion** — `ReadKey` / `WriteKey` / `ReadSlot` / `WriteSlot`
 //!   are *started* ([`vrr_runtime::Cluster::submit`], through
 //!   `ShardedStore::{read_with, try_write_with}` and
-//!   `RegisterHost::{read_with, write_with}`) and the
-//!   worker thread that observes the outcome writes the `Response`. The
+//!   `RegisterHost::{read_with, write_with}`) and whoever observes the
+//!   outcome writes the `Response`. That is the reactor thread itself when
+//!   the register group is idle and all its members are local: `submit`
+//!   runs both rounds on the calling thread — bounded, never waiting — so
+//!   the response is queued, as a same-thread command, before the handler
+//!   returns, and no worker is woken. A group that is busy, has members on
+//!   other nodes or is wedged completes later, on a worker thread. The
 //!   completion holds the transport, the connection and the request id —
 //!   never the node — so an in-flight operation cannot keep a dropped node
 //!   alive. Two requests for one reader (or writer) queue in the
@@ -41,10 +46,12 @@
 //! objects of its group are gone — is answered with a typed `Rsp::Err` by a
 //! deadline sweep on the reactor tick: the timeout is a constant, so
 //! deadlines are monotone in arrival order and a FIFO is the whole timer
-//! wheel. Completion and sweep race on one flag; exactly one of them
-//! answers. (The wedged operation itself, and those queued behind it on the
-//! same automaton, stay parked in the executor: each costs its closure, no
-//! thread.) The same tick redials `Down` peers.
+//! wheel — of the operations still in flight when their start returned;
+//! one already answered by then never enters it. Completion and sweep race
+//! on one flag; exactly one of them answers. (The wedged operation itself,
+//! and those queued behind it on the same automaton, stay parked in the
+//! executor: each costs its closure, no thread.) The same tick redials
+//! `Down` peers.
 
 use std::collections::VecDeque;
 use std::ffi::OsStr;
@@ -289,10 +296,39 @@ impl<V: Value + Wire> NetNode<V> {
     /// honest) or the store spec asks for zero shards; otherwise whatever
     /// binding the listeners or spawning the threads reports.
     pub fn start(node: u32, topo: &NodeTopology, ncfg: NetNodeConfig<V>) -> io::Result<Self> {
-        check_specs(node, topo, &ncfg)?;
-        let bound = reactor::bind(Some(topo.addrs[node as usize]), ncfg.metrics_addr)?;
+        let (bound, ctx) = Self::bind(node, topo, ncfg)?;
         let addr = bound.addr().expect("listening reactor reports its address");
         let metrics_addr = bound.http_addr();
+        let (inspect_tx, inspect_rx) = unbounded();
+        let inspection_ctx = ctx.clone();
+        let inspection_thread = std::thread::Builder::new()
+            .name(format!("vrr-net-inspect-{node}"))
+            .spawn(move || inspection_loop(inspection_ctx, inspect_rx))?;
+        let reactor_thread = bound.run(NodeHandler {
+            ctx: ctx.clone(),
+            pending: VecDeque::new(),
+            inspect_tx,
+            last_redial: Instant::now(),
+        })?;
+        Ok(NetNode {
+            ctx,
+            addr,
+            metrics_addr,
+            reactor_thread: Some(reactor_thread),
+            inspection_thread: Some(inspection_thread),
+        })
+    }
+
+    /// Everything of a node but its threads: checks the specs, binds the
+    /// listeners and spawns the full global pid space (and the hosted
+    /// store) behind a transport on the bound reactor.
+    fn bind(
+        node: u32,
+        topo: &NodeTopology,
+        ncfg: NetNodeConfig<V>,
+    ) -> io::Result<(reactor::BoundReactor, Arc<ServerCtx<V>>)> {
+        check_specs(node, topo, &ncfg)?;
+        let bound = reactor::bind(Some(topo.addrs[node as usize]), ncfg.metrics_addr)?;
         let pid_node = topo.pid_node(ncfg.cfg);
         let transport = TcpTransport::<V>::new(
             node,
@@ -347,24 +383,7 @@ impl<V: Value + Wire> NetNode<V> {
             store,
             shutdown: AtomicBool::new(false),
         });
-        let (inspect_tx, inspect_rx) = unbounded();
-        let inspection_ctx = ctx.clone();
-        let inspection_thread = std::thread::Builder::new()
-            .name(format!("vrr-net-inspect-{node}"))
-            .spawn(move || inspection_loop(inspection_ctx, inspect_rx))?;
-        let reactor_thread = bound.run(NodeHandler {
-            ctx: ctx.clone(),
-            pending: VecDeque::new(),
-            inspect_tx,
-            last_redial: Instant::now(),
-        })?;
-        Ok(NetNode {
-            ctx,
-            addr,
-            metrics_addr,
-            reactor_thread: Some(reactor_thread),
-            inspection_thread: Some(inspection_thread),
-        })
+        Ok((bound, ctx))
     }
 
     /// The actually-bound listen address.
@@ -468,9 +487,10 @@ impl<V: Value + Wire> Drop for NetNode<V> {
 }
 
 /// The one-shot right to answer request `id` on `conn`. The operation's
-/// completion (on a worker thread) and the deadline sweep (on the reactor
-/// tick) race on `answered`; whoever flips it sends the response, the other
-/// stands down. Holds the transport, never the node.
+/// completion (wherever [`Cluster::submit`] runs it: the reactor thread
+/// inside the handler, or a worker later) and the deadline sweep (on the
+/// reactor tick) race on `answered`; whoever flips it sends the response,
+/// the other stands down. Holds the transport, never the node.
 struct Reply<V> {
     transport: Arc<TcpTransport<V>>,
     conn: ConnId,
@@ -497,7 +517,7 @@ struct Pending {
 
 /// The two ends of one operation about to start: the reply right its
 /// completion takes, and the entry that puts it under the deadline sweep
-/// once it did start.
+/// ([`track`]) once it did start.
 fn reply_for<V>(transport: &Arc<TcpTransport<V>>, conn: ConnId, id: u64) -> (Reply<V>, Pending) {
     let answered = Arc::new(AtomicBool::new(false));
     let reply = Reply {
@@ -513,6 +533,15 @@ fn reply_for<V>(transport: &Arc<TcpTransport<V>>, conn: ConnId, id: u64) -> (Rep
         deadline: Instant::now() + OP_TIMEOUT,
     };
     (reply, pending)
+}
+
+/// Puts a started operation under the deadline sweep — unless its
+/// completion answered before its start returned, the common case: the
+/// queue holds only what is really in flight.
+fn track(queue: &mut VecDeque<Pending>, entry: Pending) {
+    if !entry.answered.load(Ordering::SeqCst) {
+        queue.push_back(entry);
+    }
 }
 
 /// Pops every operation at the front of `queue` that is answered or whose
@@ -558,8 +587,8 @@ enum InspectionJob {
 /// envelope and acts on it without waiting (see the module docs).
 struct NodeHandler<V: Value + Wire> {
     ctx: Arc<ServerCtx<V>>,
-    /// Started client operations not yet known to be answered, in arrival
-    /// (= deadline) order.
+    /// Client operations still in flight when their start returned, in
+    /// arrival (= deadline) order.
     pending: VecDeque<Pending>,
     inspect_tx: Sender<InspectionJob>,
     last_redial: Instant,
@@ -660,7 +689,7 @@ impl<V: Value + Wire> NodeHandler<V> {
                     let (reply, entry) = reply_for(&ctx.transport, conn, id);
                     ctx.host
                         .write_with(slot, value, move |result| reply.send(wrote(result)));
-                    pending.push_back(entry);
+                    track(pending, entry);
                     None
                 }
             }
@@ -681,7 +710,7 @@ impl<V: Value + Wire> NodeHandler<V> {
                     let (reply, entry) = reply_for(&ctx.transport, conn, id);
                     ctx.host
                         .read_with(slot, reader, move |result| reply.send(read_ok(result)));
-                    pending.push_back(entry);
+                    track(pending, entry);
                     None
                 }
             }
@@ -710,7 +739,7 @@ impl<V: Value + Wire> NodeHandler<V> {
                 let (reply, entry) = reply_for(&ctx.transport, conn, id);
                 match s.try_write_with(key, value, move |result| reply.send(wrote(result))) {
                     Ok(()) => {
-                        pending.push_back(entry);
+                        track(pending, entry);
                         None
                     }
                     Err(StoreError::OverCapacity { capacity }) => Some(Rsp::OverCapacity {
@@ -730,7 +759,7 @@ impl<V: Value + Wire> NodeHandler<V> {
                 let (reply, entry) = reply_for(&ctx.transport, conn, id);
                 let done = move |result| reply.send(read_ok(result));
                 if s.read_with(&key, reader as usize, done) {
-                    pending.push_back(entry);
+                    track(pending, entry);
                     None
                 } else {
                     Some(Rsp::NoKey)
@@ -1109,6 +1138,68 @@ mod tests {
         assert_eq!(queue.len(), 2);
         assert_eq!(expire(&mut queue, at(130)), vec![(7, 3)]);
         assert!(queue.is_empty());
+    }
+
+    /// A serial client's operations are answered inside `on_request` — the
+    /// reactor thread runs the idle group itself — and leave nothing behind
+    /// for the sweep; a wedged one is the queue's only entry.
+    #[test]
+    fn pending_holds_only_what_is_still_in_flight() {
+        use vrr_core::ProtocolKind;
+        let cfg = StorageConfig::optimal(1, 1, 1); // S = 4, t = 1
+        let topo = NodeTopology {
+            addrs: free_addrs(1).expect("reserve port"),
+            placement: GroupPlacement::single(0, cfg),
+            slots: 1,
+        };
+        let mut ncfg = NetNodeConfig::<u64>::new(cfg, ProtocolKind::RegularOptimized);
+        ncfg.store = Some(StoreSpec::new(2));
+        // The handler without its threads: responses pile up, unread, in
+        // the bound reactor's command channel.
+        let (_bound, ctx) = NetNode::bind(0, &topo, ncfg).expect("bind");
+        let (inspect_tx, _inspect_rx) = unbounded();
+        let mut handler = NodeHandler {
+            ctx,
+            pending: VecDeque::new(),
+            inspect_tx,
+            last_redial: Instant::now(),
+        };
+        let key = |k: u8| vec![k];
+        let read = |handler: &mut NodeHandler<u64>, id, k| {
+            let (key, reader) = (key(k), 0);
+            handler.on_request(7, id, Op::ReadKey { key, reader });
+        };
+
+        for k in 1..=2u8 {
+            let (key, value) = (key(k), u64::from(k));
+            handler.on_request(7, u64::from(k), Op::WriteKey { key, value });
+        }
+        // The first operations may have met the workers still starting the
+        // groups; from here on the groups are idle.
+        while !handler.pending.is_empty() {
+            std::thread::sleep(Duration::from_millis(10));
+            expire(&mut handler.pending, Instant::now());
+        }
+        std::thread::sleep(Duration::from_millis(10));
+        for id in 10..60 {
+            read(&mut handler, id, 1 + (id % 2) as u8);
+            assert!(handler.pending.is_empty(), "request {id} was queued");
+        }
+
+        let store = handler.ctx.store.as_ref().expect("store mode");
+        let wedged = store.shard_of(&key(2)).expect("written");
+        (0..2).for_each(|object| store.crash_object(wedged, object));
+        read(&mut handler, 99, 2);
+        read(&mut handler, 100, 1);
+        assert_eq!(
+            handler.pending.len(),
+            1,
+            "only the wedged read is in flight"
+        );
+        let now = Instant::now();
+        assert!(expire(&mut handler.pending, now).is_empty());
+        assert_eq!(expire(&mut handler.pending, now + OP_TIMEOUT), [(7, 99)]);
+        assert!(handler.pending.is_empty());
     }
 
     /// Completion and sweep race on one flag: whoever loses stays silent.

@@ -1,12 +1,13 @@
 //! A worker-pool host for `vrr` automata.
 //!
-//! The same deterministic automata that run under the simulator run here on
-//! a fixed pool of worker threads with real (optionally delayed) message
-//! passing — the substrate for wall-clock benchmarks and the networked
-//! examples. Each worker owns a shard of process mailboxes, drains whole
-//! batches per sweep and delivers co-located messages without leaving its
-//! thread; see [`crate::executor`] internals for placement and the drain /
-//! run / flush mechanics.
+//! The same deterministic automata that run under the simulator run here
+//! with real (optionally delayed) message passing — the substrate for
+//! wall-clock benchmarks and the networked examples. A register group is a
+//! unit any thread may run, one at a time: the thread that submits an
+//! operation runs the group's steps itself when the group is idle, and a
+//! fixed pool of worker threads runs everything else (and is the only thing
+//! that ever parks); see [`crate::executor`] internals for placement, the
+//! run lock and the drain / run / flush mechanics.
 
 use std::any::Any;
 use std::fmt;
@@ -109,12 +110,11 @@ impl<M: Send + 'static> Cluster<M> {
         }
     }
 
-    /// Spawns a process on the worker pool running `automaton`; returns its
-    /// id. Ids are dense in spawn order; process `p` lives on worker
-    /// `p % workers` — or, on a cluster handed to
-    /// [`crate::RegisterHost::spawn`], on the worker of its register group
-    /// (`(p / group span) % workers`), so a group's rounds never leave
-    /// their thread.
+    /// Spawns a process running `automaton`; returns its id. Ids are dense
+    /// in spawn order; process `p`'s home is worker `p % workers` — or, on
+    /// a cluster handed to [`crate::RegisterHost::spawn`], the worker of its
+    /// register group (`(p / group span) % workers`): a group is run by one
+    /// thread at a time, so its rounds never change threads.
     ///
     /// # Panics
     ///
@@ -127,8 +127,9 @@ impl<M: Send + 'static> Cluster<M> {
         self.executor.register(automaton)
     }
 
-    /// Places every run of `span` consecutive process ids — one register
-    /// group — on one worker. The cluster must be empty.
+    /// Makes every run of `span` consecutive process ids — one register
+    /// group — one unit of execution, homed on one worker. The cluster must
+    /// be empty.
     pub(crate) fn set_group_span(&mut self, span: usize) {
         self.executor.set_group_span(span);
     }
@@ -160,9 +161,9 @@ impl<M: Send + 'static> Cluster<M> {
         self.executor.stats()
     }
 
-    /// Runs `f` on the concrete automaton of `pid` inside its worker, with
-    /// a context whose sends go through the link policy. Blocks for the
-    /// result.
+    /// Runs `f` on the concrete automaton of `pid` — a command for its
+    /// worker — with a context whose sends go through the link policy.
+    /// Blocks for the result.
     ///
     /// # Panics
     ///
@@ -183,8 +184,8 @@ impl<M: Send + 'static> Cluster<M> {
     /// it is not an `A`, nothing runs, the caller gets
     /// [`InvokeError::WrongType`] and the process carries on untouched. If
     /// `pid` was crashed (or the pool is shutting down) the caller gets
-    /// [`InvokeError::Gone`]. A panic inside `f` itself is contained by the
-    /// worker: the target process is poisoned like a crash (the panic is
+    /// [`InvokeError::Gone`]. A panic inside `f` itself is contained by its
+    /// runner: the target process is poisoned like a crash (the panic is
     /// reported on stderr) and the caller gets [`InvokeError::Gone`].
     ///
     /// # Panics
@@ -213,14 +214,23 @@ impl<M: Send + 'static> Cluster<M> {
         }
     }
 
-    /// Submits one client operation on `pid` and returns immediately — the
-    /// completion-driven primitive every blocking read/write is a shim
-    /// over. One mailbox command carries the whole operation: the worker
-    /// runs `start` (the invocation event, e.g. `invoke_read`; its sends go
-    /// through the link policy), calls `poll` with what `start` returned
-    /// after each later step of the automaton, and hands the first
-    /// `Some(r)` to `done` (the response event) **on the worker thread** —
-    /// `done` must neither block nor panic.
+    /// Submits one client operation on `pid` and returns without waiting —
+    /// the completion-driven primitive every blocking read/write is a shim
+    /// over. One mailed command carries the whole operation: whoever runs
+    /// `pid`'s group runs `start` (the invocation event, e.g. `invoke_read`;
+    /// its sends go through the link policy), calls `poll` with what
+    /// `start` returned after each later step of the automaton, and hands
+    /// the first `Some(r)` to `done` (the response event).
+    ///
+    /// **Where `done` runs.** If `pid`'s group is idle, the calling thread
+    /// runs it — for a bounded number of passes, never waiting — so on an
+    /// immediate link both rounds of a READ or WRITE and its `done` happen
+    /// **on the calling thread, before `submit` returns**. Otherwise (the
+    /// group is being run by someone else, the link policy delays a
+    /// message, a member lives on another node, or the caller is itself a
+    /// `done`) a worker thread runs the rest and `done`. Either way `done`
+    /// must neither block nor panic, and the caller must hold no lock
+    /// across `submit` that `done` takes.
     ///
     /// A process runs one operation at a time: an operation submitted
     /// while another is in progress starts when every operation submitted
@@ -231,7 +241,8 @@ impl<M: Send + 'static> Cluster<M> {
     /// or `poll`) before the operation completes, or the cluster is
     /// dropped first. Unlike an inspection, an operation aimed at the wrong
     /// automaton type is a programming error: the `A` downcast mismatch
-    /// panics on the worker, which poisons `pid` and fails the completion.
+    /// panics under the runner's `catch_unwind`, which poisons `pid` and
+    /// fails the completion.
     ///
     /// # Panics
     ///
@@ -256,7 +267,7 @@ impl<M: Send + 'static> Cluster<M> {
             done: Some(done),
             _automaton: PhantomData::<fn(&mut A) -> R>,
         };
-        self.executor.enqueue(pid, NodeCmd::Op(Box::new(op)));
+        self.executor.submit(pid, Box::new(op));
     }
 
     /// Crashes `pid`: it stops processing deliveries, invokes and
@@ -572,6 +583,29 @@ mod tests {
         );
     }
 
+    /// Returns once `pid`'s unit is idle and its worker parked: a probe
+    /// operation, submitted after a pause long enough for the worker to
+    /// finish whatever an earlier probe scheduled, ran on this thread.
+    fn settle(cluster: &Cluster<u64>, pid: ProcessId) {
+        let me = std::thread::current().id();
+        for _ in 0..500 {
+            std::thread::sleep(Duration::from_millis(10));
+            let (tx, rx) = bounded(1);
+            cluster.submit(
+                pid,
+                |_a: &mut OneAtATime, _ctx| (),
+                |_a: &mut OneAtATime, ()| Some(()),
+                move |_| {
+                    let _ = tx.send(std::thread::current().id());
+                },
+            );
+            if rx.recv_timeout(Duration::from_secs(5)) == Ok(me) {
+                return;
+            }
+        }
+        panic!("{pid}'s unit never came to rest");
+    }
+
     #[test]
     fn submitted_ops_run_in_submission_order_and_never_overlap() {
         use std::sync::{Arc, Mutex};
@@ -702,6 +736,116 @@ mod tests {
         assert_eq!(fired[4], Err(NodeGone(client)));
     }
 
+    /// A push is followed by running it or by scheduling its unit, never
+    /// neither. The window is "the holder made its last drain and has not
+    /// released yet": two submitters that find each other holding the run
+    /// lock, over and over, must lose nothing to it.
+    #[test]
+    fn two_threads_submitting_to_one_group_lose_no_completion() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), 2);
+        let client = cluster.spawn(Box::new(OneAtATime::default()));
+        cluster.seal();
+        let completed = Arc::new(AtomicU64::new(0));
+        let start = std::sync::Barrier::new(2);
+        let submitted: u64 = std::thread::scope(|scope| {
+            let submitters: Vec<_> = (0..2u64)
+                .map(|t| {
+                    let (cluster, completed, start) = (&cluster, &completed, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        let began = std::time::Instant::now();
+                        let mut seq = 0u64;
+                        while began.elapsed() < Duration::from_secs(2) {
+                            let completed = completed.clone();
+                            submit_tagged(cluster, client, t << 32 | seq, move |result| {
+                                result.expect("an overlap would poison the client");
+                                completed.fetch_add(1, Ordering::SeqCst);
+                            });
+                            seq += 1;
+                        }
+                        seq
+                    })
+                })
+                .collect();
+            submitters.into_iter().map(|s| s.join().unwrap()).sum()
+        });
+        let deadline = std::time::Instant::now() + Duration::from_secs(30);
+        while completed.load(Ordering::SeqCst) < submitted {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{} of {submitted} operations completed: a push was neither run nor scheduled",
+                completed.load(Ordering::SeqCst)
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        assert_eq!(completed.load(Ordering::SeqCst), submitted);
+    }
+
+    #[test]
+    fn a_done_that_submits_to_its_own_group_neither_deadlocks_nor_overtakes() {
+        use std::sync::{Arc, Mutex};
+        // One worker, no span: the three processes are one unit.
+        let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), 1);
+        let client = cluster.spawn(Box::new(OneAtATime::default()));
+        let kicker = cluster.spawn(Box::new(OneAtATime::default()));
+        cluster.seal();
+        let cluster = Arc::new(cluster);
+        settle(&cluster, client);
+        let completed = Arc::new(Mutex::new(Vec::new()));
+        let record = |completed: &Arc<Mutex<Vec<_>>>| {
+            let completed = completed.clone();
+            move |result: Result<u64, NodeGone>| {
+                let here = std::thread::current().id();
+                completed.lock().unwrap().push((result.unwrap(), here));
+            }
+        };
+
+        // Op 1 goes active and stays: nothing sends its tag yet. Its `done`
+        // submits op 3 to the same process.
+        let (again, record_1, record_3) = (cluster.clone(), record(&completed), record(&completed));
+        cluster.submit(
+            client,
+            |a: &mut OneAtATime, _ctx| {
+                a.busy = Some(1);
+                a.begun.push(1);
+                1
+            },
+            |a: &mut OneAtATime, &tag| a.take_finished(tag),
+            move |result| {
+                record_1(result);
+                submit_tagged(&again, client, 3, record_3);
+            },
+        );
+        // Op 2 is deferred behind it.
+        submit_tagged(&cluster, client, 2, record(&completed));
+        // The kick is itself a submit, so op 1 completes — and its `done`
+        // submits — on this thread, under the run lock this thread holds.
+        let (tx, rx) = bounded(1);
+        cluster.submit(
+            kicker,
+            move |_k: &mut OneAtATime, ctx| ctx.send(client, 1),
+            |_k: &mut OneAtATime, ()| Some(()),
+            move |_| {
+                let _ = tx.send(());
+            },
+        );
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("no deadlock");
+
+        let begun = cluster.invoke(client, |a: &mut OneAtATime, _ctx| a.begun.clone());
+        assert_eq!(begun, [1, 2, 3], "op 3 overtook the deferred op 2");
+        let completed = completed.lock().unwrap();
+        let tags: Vec<u64> = completed.iter().map(|&(tag, _)| tag).collect();
+        assert_eq!(tags, [1, 2, 3]);
+        assert_eq!(
+            completed[0].1,
+            std::thread::current().id(),
+            "op 1 completed inside the kicking submit"
+        );
+    }
+
     #[test]
     fn panic_inside_start_poisons_only_its_process() {
         use std::sync::{Arc, Mutex};
@@ -818,6 +962,51 @@ mod tests {
         }
     }
 
+    /// Help is bounded: the ping-pong shares a unit with the process the
+    /// submits land on, so a submitter that gets the run lock inherits an
+    /// endless local queue — and must hand it back.
+    #[test]
+    fn a_submit_landing_on_an_endless_ping_pong_returns_and_the_worker_takes_the_rest() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        let bounces = Arc::new(AtomicU64::new(0));
+        let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), 1);
+        let [a, b] = [(); 2].map(|()| {
+            let bounces = bounces.clone();
+            cluster.spawn(from_fn(move |from, n: u64, ctx: &mut Context<'_, u64>| {
+                bounces.fetch_add(1, Ordering::Relaxed);
+                ctx.send(from, n);
+            }))
+        });
+        let client = cluster.spawn(Box::new(OneAtATime::default()));
+        cluster.seal();
+        cluster.send_external(a, b, 0);
+
+        let (finished, watchdog) = bounded(1);
+        let drill = std::thread::spawn(move || {
+            for tag in 0..200 {
+                let before = bounces.load(Ordering::Relaxed);
+                let (tx, rx) = bounded(1);
+                submit_tagged(&cluster, client, tag, move |result| {
+                    let _ = tx.send(result);
+                });
+                // Whoever ran it — this thread for its bounded passes, or
+                // the worker between two of its own — the op completes and
+                // the ping-pong goes on.
+                assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(Ok(tag)));
+                while bounces.load(Ordering::Relaxed) == before {
+                    std::thread::yield_now();
+                }
+            }
+            drop(cluster);
+            let _ = finished.send(());
+        });
+        watchdog
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a submit was kept by the ping-pong, or starved it");
+        drill.join().unwrap();
+    }
+
     /// Remembers what it received, in order.
     struct Log(Vec<u64>);
 
@@ -877,6 +1066,38 @@ mod tests {
             7,
             "delivered after the delay"
         );
+    }
+
+    /// The worker is not the only thread that parks timers: a delayed send
+    /// made by a helping submitter must re-arm the worker's wait, which was
+    /// without deadline until then.
+    #[test]
+    fn a_delay_produced_on_a_helping_thread_rearms_the_workers_timed_wait() {
+        let delay = Duration::from_millis(30);
+        let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(FixedDelay(delay)), 1);
+        let client = cluster.spawn(Box::new(OneAtATime::default()));
+        cluster.seal();
+        // The worker is parked, without a deadline: no timer exists yet.
+        settle(&cluster, client);
+
+        let (tx, rx) = bounded(1);
+        let asked = std::time::Instant::now();
+        cluster.submit(
+            client,
+            // Started here, by the submitter: its self-send is the timer.
+            |a: &mut OneAtATime, ctx| (a.begin(1, ctx), std::thread::current().id()),
+            |a: &mut OneAtATime, &(tag, started_on)| a.take_finished(tag).map(|_| started_on),
+            move |started_on| {
+                let worker = std::thread::current().name().map(str::to_owned);
+                let _ = tx.send((started_on, worker));
+            },
+        );
+        let (started_on, completed_on) = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the worker slept through a timer a submitter set");
+        assert!(asked.elapsed() >= delay, "the delay was served");
+        assert_eq!(started_on, Ok(std::thread::current().id()));
+        assert_eq!(completed_on.as_deref(), Some("vrr-worker-0"));
     }
 
     #[test]

@@ -47,9 +47,9 @@ pub const OP_TIMEOUT: Duration = Duration::from_secs(30);
 /// completions record into them.
 ///
 /// Latency ticks are wall-clock **microseconds**, measured from the call
-/// that wraps the completion to the completion firing on its worker thread
-/// (the simulator records sim ticks under the same names; the unit is the
-/// harness's to define).
+/// that wraps the completion to the completion firing, wherever
+/// [`Cluster::submit`] runs it (the simulator records sim ticks under the
+/// same names; the unit is the harness's to define).
 #[derive(Clone)]
 struct OpMeter {
     names: [&'static str; 2],
@@ -171,9 +171,10 @@ impl<V: Value> RegisterHost<V> {
     /// process. Returning `None` deploys the honest automaton `spec` calls
     /// for.
     ///
-    /// Each group is placed on one worker of the cluster's pool (slot `s` on
-    /// worker `s % workers`), so the rounds of an operation are same-thread
-    /// traffic and the pool's parallelism is across slots.
+    /// Each group is one unit of execution, run by one thread at a time —
+    /// the thread that starts an operation on it when it is idle, else its
+    /// home worker (slot `s` on worker `s % workers`) — so the rounds of an
+    /// operation are same-thread traffic and parallelism is across slots.
     ///
     /// # Panics
     ///
@@ -232,10 +233,11 @@ impl<V: Value> RegisterHost<V> {
         &self.cluster
     }
 
-    /// Starts `WRITE(value)` on slot `slot` and returns immediately; `done`
-    /// fires on a worker thread with the report, or with [`NodeGone`] if
-    /// the slot's writer is crashed (see [`Cluster::submit`] for the full
-    /// contract).
+    /// Starts `WRITE(value)` on slot `slot` and returns without waiting;
+    /// `done` fires with the report, or with [`NodeGone`] if the slot's
+    /// writer is crashed — on this thread before the call returns if the
+    /// slot is idle, else on a worker (see [`Cluster::submit`] for the full
+    /// contract: hold no lock across this call that `done` takes).
     ///
     /// # Panics
     ///
@@ -254,9 +256,10 @@ impl<V: Value> RegisterHost<V> {
         );
     }
 
-    /// Starts `READ()` at reader `j` of slot `slot` and returns
-    /// immediately; `done` fires on a worker thread with the report, or
-    /// with [`NodeGone`] if that reader is crashed.
+    /// Starts `READ()` at reader `j` of slot `slot` and returns without
+    /// waiting; `done` fires with the report, or with [`NodeGone`] if that
+    /// reader is crashed — where [`Cluster::submit`] says: on this thread
+    /// if the slot is idle.
     ///
     /// # Panics
     ///
@@ -503,7 +506,8 @@ mod tests {
     }
 
     /// The worker thread `pid` lives on, or `None` if its automaton is not
-    /// an honest member of a regular group.
+    /// an honest member of a regular group. (Inspection is a command for
+    /// the worker: only a `submit` makes its caller run a group.)
     fn worker_of(host: &RegisterHost<u64>, pid: ProcessId) -> Option<String> {
         fn here<A>(_: &mut A, _: &mut Context<'_, Msg<u64>>) -> Option<String> {
             std::thread::current().name().map(str::to_owned)
@@ -567,6 +571,78 @@ mod tests {
         // traffic never leaves its worker.
         let (wakeups, sweeps) = (after.wakeups - before.wakeups, after.sweeps - before.sweeps);
         assert!(wakeups <= 300 && sweeps <= 400, "{before:?} -> {after:?}");
+    }
+
+    /// `reads` READs at reader 0 of `slot`, one at a time; returns how many
+    /// of their completions ran on the calling thread.
+    fn reads_completed_here(host: &RegisterHost<u64>, slot: usize, reads: usize) -> usize {
+        let me = std::thread::current().id();
+        let (tx, rx) = bounded(1);
+        let here = (0..reads).filter(|_| {
+            let tx = tx.clone();
+            host.read_with(slot, 0, move |report| {
+                assert_eq!(report.expect("the reader is alive").value, Some(1));
+                let _ = tx.send(std::thread::current().id());
+            });
+            rx.recv_timeout(OP_TIMEOUT).expect("wait-freedom") == me
+        });
+        here.count()
+    }
+
+    /// Returns once `slot`'s group is idle and its worker parked: a probe
+    /// READ, after a pause long enough for the worker to finish whatever an
+    /// earlier probe scheduled, completed on this thread.
+    fn settle(host: &RegisterHost<u64>, slot: usize) {
+        let settled = (0..500).any(|_| {
+            std::thread::sleep(Duration::from_millis(10));
+            reads_completed_here(host, slot, 1) == 1
+        });
+        assert!(settled, "slot {slot} never came to rest");
+    }
+
+    #[test]
+    fn a_read_on_an_idle_host_wakes_no_worker() {
+        let cluster = Cluster::with_workers(Box::new(NoDelay), 4);
+        let host = one_honest_slot_on(cluster);
+        host.write(0, 1);
+        settle(&host, 0);
+        let before = host.cluster().stats();
+        // No hand-off in, none out: the submitter runs the group, so both
+        // rounds and the completion happen inside `read_with`.
+        assert_eq!(reads_completed_here(&host, 0, 200), 200);
+        let after = host.cluster().stats();
+        assert!(
+            after.wakeups - before.wakeups <= 10,
+            "{before:?} -> {after:?}"
+        );
+    }
+
+    #[test]
+    fn two_submitters_on_slots_sharing_a_worker_complete_their_own_reads() {
+        // Two workers: slots 0 and 2 share worker 0. The run lock is the
+        // group's, not the worker's, so the two submitters never meet.
+        let cfg = StorageConfig::optimal(1, 1, 1);
+        let cluster = Cluster::with_workers(Box::new(NoDelay), 2);
+        let kind = ProtocolKind::RegularOptimized;
+        let host = RegisterHost::spawn(cluster, cfg, kind.into(), 3, |_, _| None);
+        for slot in [0, 2] {
+            host.write(slot, 1);
+            settle(&host, slot);
+        }
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for slot in [0, 2] {
+                let (host, start) = (&host, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    assert_eq!(
+                        reads_completed_here(host, slot, 2_000),
+                        2_000,
+                        "slot {slot}"
+                    );
+                });
+            }
+        });
     }
 
     /// Cuts one process off: everything to and from it is dropped.

@@ -1,22 +1,27 @@
-//! # vrr-runtime: the storage protocols on a sharded worker pool
+//! # vrr-runtime: the storage protocols on threads
 //!
 //! A message-passing runtime hosting the *same* automata that run under
-//! the deterministic simulator (`vrr-sim`) on a fixed pool of worker
-//! threads. Each worker owns a shard of process mailboxes (`pid %
-//! workers`) and drains **whole mailbox batches per sweep**: one lock
-//! acquisition steals every pending command in the shard, the automata
-//! step lock-free, and the sweep's accumulated outbox is flushed with one
-//! lock acquisition per destination shard. Link delay and loss are
-//! injected by a [`LinkPolicy`]; delayed messages park in the owning
-//! shard's timer wheel, so an idle cluster blocks on condvars — zero
-//! wakeups — instead of polling.
+//! the deterministic simulator (`vrr-sim`). The unit of execution is a
+//! register group — its automata, their mail and a local run queue behind
+//! a run lock — which any thread may run, one at a time. A pass over it is
+//! *drain → run → flush*: the mail changes hands wholesale (a **sweep**),
+//! the automata step lock-free, messages that stay inside the group go
+//! onto its local run queue and the rest are handed over with one lock
+//! acquisition per destination worker. A fixed pool of worker threads,
+//! each home to the groups of `(pid / span) % workers`, runs what nobody
+//! else does. Link delay and loss are injected by a [`LinkPolicy`]; delayed
+//! messages park in the home worker's timer heap, so an idle cluster
+//! blocks on condvars — zero wakeups — instead of polling.
 //!
-//! A client operation is one mailbox command ([`Cluster::submit`]): the
-//! worker invokes it, polls for the outcome after each step of that
-//! automaton, and fires the caller's completion on the worker thread —
-//! an invocation event, message deliveries and a response event, never a
-//! parked thread. A process runs one operation at a time, in submission
-//! order.
+//! A client operation is one mailed command ([`Cluster::submit`]): its
+//! runner invokes it, polls for the outcome after each step of that
+//! automaton, and fires the caller's completion — an invocation event,
+//! message deliveries and a response event, never a parked thread. The
+//! runner is the **submitting thread** whenever the group is idle, so a
+//! READ's two rounds finish inside `submit` with no thread hand-off at all;
+//! the group's home worker is the fallback (see [`Cluster::submit`] for
+//! where the completion runs). A process runs one operation at a time, in
+//! submission order.
 //!
 //! **One host, three views.** A [`RegisterHost`] owns a cluster, `slots`
 //! register groups (each with its own writer, base objects and readers)

@@ -187,10 +187,11 @@ impl<K: Eq + Hash + Clone + Send + Sync, V: Value> ShardedStore<K, V> {
         self.host.kind()
     }
 
-    /// Starts `WRITE(key, value)` and returns immediately; `done` fires on
-    /// a worker thread with the report (or [`NodeGone`] if the shard's
-    /// writer is crashed). Capacity exhaustion is reported here, as
-    /// `Err`, and `done` is then never called.
+    /// Starts `WRITE(key, value)` and returns without waiting; `done`
+    /// fires with the report (or [`NodeGone`] if the shard's writer is
+    /// crashed) where [`Cluster::submit`] says — on this thread, before the
+    /// call returns, if the shard is idle. Capacity exhaustion is reported
+    /// here, as `Err`, and `done` is then never called.
     pub fn try_write_with(
         &self,
         key: K,
@@ -226,9 +227,10 @@ impl<K: Eq + Hash + Clone + Send + Sync, V: Value> ShardedStore<K, V> {
     }
 
     /// Starts `READ(key)` at reader index `j` of the key's shard and
-    /// returns immediately; `done` fires on a worker thread with the
-    /// report (or [`NodeGone`] if that reader is crashed). Returns `false`
-    /// — and never calls `done` — if `key` is not bound.
+    /// returns without waiting; `done` fires with the report (or
+    /// [`NodeGone`] if that reader is crashed) where [`Cluster::submit`]
+    /// says — on this thread if the shard is idle. Returns `false` — and
+    /// never calls `done` — if `key` is not bound.
     ///
     /// # Panics
     ///
