@@ -9,10 +9,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// The payload of one recorded operation.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum OpKind<V> {
     /// A WRITE. `seq` is the write's 1-based sequence number, which in the
     /// single-writer setting equals the timestamp assigned by the writer.
@@ -35,7 +33,7 @@ pub enum OpKind<V> {
 }
 
 /// One operation instance in a run.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OpRecord<V> {
     /// What the operation was and what it carried.
     pub kind: OpKind<V>,
@@ -77,7 +75,7 @@ impl<V> OpRecord<V> {
 /// h.push_read(0, 1, Some(10), 20, Some(30)); // read returns write #1
 /// assert!(check_safety(&h).is_ok());
 /// ```
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct OpHistory<V> {
     ops: Vec<OpRecord<V>>,
 }

@@ -2,10 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Which consistency clause a violation breaks.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ViolationKind {
     /// Safety: a read not concurrent with any write returned something
     /// other than the last written value (§2.2).
@@ -40,7 +38,7 @@ impl fmt::Display for ViolationKind {
 }
 
 /// One detected violation.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Violation {
     /// The broken clause.
     pub kind: ViolationKind,

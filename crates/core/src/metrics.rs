@@ -122,6 +122,11 @@ pub mod names {
     /// (wall-clock microseconds; buckets [`LATENCY_BUCKETS`]).
     pub const ROUTER_WRITE_LATENCY: &str = "vrr_router_write_latency_ticks";
 
+    /// Series a [`Registry::merge`](super::Registry::merge) left out: their
+    /// kind or buckets disagreed with the merging side's — counter. Non-zero
+    /// means a peer's snapshot was malformed or forged.
+    pub const MERGE_SKIPPED: &str = "vrr_metrics_merge_skipped_total";
+
     /// Scenario partitions applied — counter.
     pub const SCENARIO_PARTITIONS: &str = "vrr_scenario_partitions_total";
     /// Scenario heals applied — counter.
@@ -234,16 +239,20 @@ impl Histogram {
             }
     }
 
-    fn merge_from(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.bounds, other.bounds,
-            "cannot merge histograms with different buckets"
-        );
+    /// Adds `other`'s observations — unless its buckets are not this
+    /// histogram's or the total would overflow: then nothing is added and
+    /// the answer is `false`.
+    fn merge_from(&mut self, other: &Histogram) -> bool {
+        match self.count.checked_add(other.count) {
+            Some(count) if self.bounds == other.bounds => self.count = count,
+            _ => return false,
+        }
+        // No slot holds more than `count`, so none of these overflows.
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
-        self.sum += other.sum;
-        self.count += other.count;
+        self.sum = self.sum.saturating_add(other.sum);
+        true
     }
 }
 
@@ -296,6 +305,22 @@ fn label_key(labels: Labels<'_>) -> String {
         out.push('"');
     }
     out
+}
+
+/// Whether `key` has the shape [`label_key`] renders — name-sorted `k="v"`
+/// pairs, no `"`, `\` or newline inside a value — which is what
+/// [`Registry::to_prometheus`] splices between `{` and `}` unescaped.
+fn is_label_key(key: &str) -> bool {
+    let Some(pairs) = key.strip_suffix('"') else {
+        return key.is_empty();
+    };
+    let mut last = "";
+    pairs.split("\",").all(|pair| {
+        let (name, value) = pair.split_once("=\"").unwrap_or_default();
+        std::mem::replace(&mut last, name) < name
+            && name.bytes().all(|b| b.is_ascii_alphanumeric() || b == b'_')
+            && !value.contains(['"', '\\', '\n'])
+    })
 }
 
 /// Enforces the one naming convention every exported metric follows.
@@ -364,31 +389,44 @@ impl Registry {
 
     /// Folds every series of `other` into `self`: counters and histograms
     /// add, gauges take `other`'s value (last write wins).
+    ///
+    /// Total, because `other` may have been decoded off a socket: a series
+    /// of another kind than `self` records under that name, or a histogram
+    /// with other buckets than the one it would add to, is left out and
+    /// counted in [`names::MERGE_SKIPPED`]; counters saturate. Record what
+    /// is `self`'s own *before* merging a peer in, so the peer's series is
+    /// the one that loses a disagreement.
     pub fn merge(&mut self, other: &Registry) {
+        let mut skipped = 0u64;
         for (name, family) in &other.families {
             let into = self.families.entry(name).or_default();
             for (key, series) in &family.series {
-                match into.series.get_mut(key) {
-                    None => {
-                        into.series.insert(key.clone(), series.clone());
-                    }
-                    Some(Series::Counter(a)) => {
-                        if let Series::Counter(b) = series {
-                            *a += b;
+                let kind = into.series.values().next().map(Series::type_str);
+                let merged = kind.is_none_or(|kind| kind == series.type_str())
+                    && match (into.series.get_mut(key), series) {
+                        (None, _) => into.series.insert(key.clone(), series.clone()).is_none(),
+                        (Some(Series::Counter(a)), Series::Counter(b)) => {
+                            *a = a.saturating_add(*b);
+                            true
                         }
-                    }
-                    Some(Series::Gauge(a)) => {
-                        if let Series::Gauge(b) = series {
+                        (Some(Series::Gauge(a)), Series::Gauge(b)) => {
                             *a = *b;
+                            true
                         }
-                    }
-                    Some(Series::Histogram(a)) => {
-                        if let Series::Histogram(b) = series {
-                            a.merge_from(b);
-                        }
-                    }
-                }
+                        (Some(Series::Histogram(a)), Series::Histogram(b)) => a.merge_from(b),
+                        _ => false,
+                    };
+                skipped += u64::from(!merged);
             }
+        }
+        if skipped > 0 {
+            // Inserted, not `counter_add`ed: whatever kind a peer sent under
+            // this name, the count of what was refused is this side's own.
+            let total = self
+                .counter(names::MERGE_SKIPPED, &[])
+                .saturating_add(skipped);
+            let family = self.families.entry(names::MERGE_SKIPPED).or_default();
+            family.series.insert(String::new(), Series::Counter(total));
         }
     }
 
@@ -399,53 +437,30 @@ impl Registry {
     pub fn to_prometheus(&self) -> String {
         let mut out = String::new();
         for (name, family) in &self.families {
-            let type_str = family
-                .series
-                .values()
-                .next()
-                .map(Series::type_str)
-                .unwrap_or("untyped");
+            let kind = family.series.values().next();
+            let type_str = kind.map_or("untyped", Series::type_str);
             out.push_str(&format!("# TYPE {name} {type_str}\n"));
             for (key, series) in &family.series {
+                let (braced, comma) = if key.is_empty() {
+                    (String::new(), "")
+                } else {
+                    (format!("{{{key}}}"), ",")
+                };
                 match series {
                     Series::Counter(v) | Series::Gauge(v) => {
-                        out.push_str(name);
-                        if !key.is_empty() {
-                            out.push('{');
-                            out.push_str(key);
-                            out.push('}');
-                        }
-                        out.push_str(&format!(" {v}\n"));
+                        out.push_str(&format!("{name}{braced} {v}\n"));
                     }
                     Series::Histogram(h) => {
                         let mut cumulative = 0u64;
-                        for (i, &bound) in h.bounds.iter().enumerate() {
-                            cumulative += h.counts[i];
-                            out.push_str(&format!(
-                                "{name}_bucket{{{}le=\"{bound}\"}} {cumulative}\n",
-                                if key.is_empty() {
-                                    String::new()
-                                } else {
-                                    format!("{key},")
-                                }
-                            ));
+                        for (bound, count) in h.bounds.iter().zip(&h.counts) {
+                            cumulative += count;
+                            let le = format!("{{{key}{comma}le=\"{bound}\"}}");
+                            out.push_str(&format!("{name}_bucket{le} {cumulative}\n"));
                         }
-                        out.push_str(&format!(
-                            "{name}_bucket{{{}le=\"+Inf\"}} {}\n",
-                            if key.is_empty() {
-                                String::new()
-                            } else {
-                                format!("{key},")
-                            },
-                            h.count
-                        ));
-                        let suffix = if key.is_empty() {
-                            String::new()
-                        } else {
-                            format!("{{{key}}}")
-                        };
-                        out.push_str(&format!("{name}_sum{suffix} {}\n", h.sum));
-                        out.push_str(&format!("{name}_count{suffix} {}\n", h.count));
+                        let le = format!("{{{key}{comma}le=\"+Inf\"}}");
+                        out.push_str(&format!("{name}_bucket{le} {}\n", h.count));
+                        out.push_str(&format!("{name}_sum{braced} {}\n", h.sum));
+                        out.push_str(&format!("{name}_count{braced} {}\n", h.count));
                     }
                 }
             }
@@ -457,17 +472,21 @@ impl Registry {
         self.families.get(name)?.series.get(&label_key(labels))
     }
 
+    /// The series `name{labels}`, made by `new` on first use.
+    fn series_mut(
+        &mut self,
+        name: &'static str,
+        labels: Labels<'_>,
+        new: impl FnOnce() -> Series,
+    ) -> &mut Series {
+        assert_name(name);
+        let family = self.families.entry(name).or_default();
+        family.series.entry(label_key(labels)).or_insert_with(new)
+    }
+
     /// Adds `delta` to the counter `name`.
     pub fn counter_add(&mut self, name: &'static str, labels: Labels<'_>, delta: u64) {
-        assert_name(name);
-        let series = self
-            .families
-            .entry(name)
-            .or_default()
-            .series
-            .entry(label_key(labels))
-            .or_insert(Series::Counter(0));
-        match series {
+        match self.series_mut(name, labels, || Series::Counter(0)) {
             Series::Counter(v) => *v += delta,
             other => panic!("{name} already recorded as a {}", other.type_str()),
         }
@@ -475,15 +494,7 @@ impl Registry {
 
     /// Sets the gauge `name` to `value`.
     pub fn gauge_set(&mut self, name: &'static str, labels: Labels<'_>, value: u64) {
-        assert_name(name);
-        let series = self
-            .families
-            .entry(name)
-            .or_default()
-            .series
-            .entry(label_key(labels))
-            .or_insert(Series::Gauge(0));
-        match series {
+        match self.series_mut(name, labels, || Series::Gauge(0)) {
             Series::Gauge(v) => *v = value,
             other => panic!("{name} already recorded as a {}", other.type_str()),
         }
@@ -491,15 +502,7 @@ impl Registry {
 
     /// Records one observation into the histogram `name`.
     pub fn observe(&mut self, name: &'static str, labels: Labels<'_>, value: u64) {
-        assert_name(name);
-        let series = self
-            .families
-            .entry(name)
-            .or_default()
-            .series
-            .entry(label_key(labels))
-            .or_insert_with(|| Series::Histogram(Histogram::named(name)));
-        match series {
+        match self.series_mut(name, labels, || Series::Histogram(Histogram::named(name))) {
             Series::Histogram(h) => h.observe(value),
             other => panic!("{name} already recorded as a {}", other.type_str()),
         }
@@ -513,16 +516,12 @@ impl Registry {
         if recorded.count == 0 {
             return;
         }
-        assert_name(name);
-        let series = self
-            .families
-            .entry(name)
-            .or_default()
-            .series
-            .entry(label_key(labels))
-            .or_insert_with(|| Series::Histogram(Histogram::new(&recorded.bounds)));
-        match series {
-            Series::Histogram(h) => h.merge_from(recorded),
+        let empty = || Series::Histogram(Histogram::new(&recorded.bounds));
+        match self.series_mut(name, labels, empty) {
+            Series::Histogram(h) => assert!(
+                h.merge_from(recorded),
+                "cannot merge histograms with different buckets"
+            ),
             other => panic!("{name} already recorded as a {}", other.type_str()),
         }
     }
@@ -548,9 +547,8 @@ fn intern_metric_name(name: String) -> Result<&'static str, WireError> {
             .bytes()
             .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_');
     if !well_formed {
-        return Err(WireError::BadTag {
+        return Err(WireError::Invalid {
             what: "metric name",
-            tag: 0,
         });
     }
     static TABLE: OnceLock<Mutex<BTreeMap<String, &'static str>>> = OnceLock::new();
@@ -595,9 +593,8 @@ impl Wire for Histogram {
                 .try_fold(0u64, |acc, &c| acc.checked_add(c))
                 .is_some_and(|total| total == count);
         if !well_formed {
-            return Err(WireError::BadTag {
+            return Err(WireError::Invalid {
                 what: "Histogram invariants",
-                tag: 0,
             });
         }
         Ok(Histogram {
@@ -609,35 +606,7 @@ impl Wire for Histogram {
     }
 }
 
-impl Wire for Series {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Series::Counter(v) => {
-                out.push(0);
-                v.encode(out);
-            }
-            Series::Gauge(v) => {
-                out.push(1);
-                v.encode(out);
-            }
-            Series::Histogram(h) => {
-                out.push(2);
-                h.encode(out);
-            }
-        }
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(Series::Counter(u64::decode(buf)?)),
-            1 => Ok(Series::Gauge(u64::decode(buf)?)),
-            2 => Ok(Series::Histogram(Histogram::decode(buf)?)),
-            tag => Err(WireError::BadTag {
-                what: "Series",
-                tag,
-            }),
-        }
-    }
-}
+crate::wire_enum!(Series { 0 => Counter(v), 1 => Gauge(v), 2 => Histogram(h) });
 
 impl Wire for Registry {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -654,6 +623,11 @@ impl Wire for Registry {
         for _ in 0..n {
             let name = intern_metric_name(String::decode(buf)?)?;
             let series = BTreeMap::<String, Series>::decode(buf)?;
+            if !series.keys().all(|key| is_label_key(key)) {
+                return Err(WireError::Invalid {
+                    what: "metric label key",
+                });
+            }
             families.insert(name, Family { series });
         }
         Ok(Registry { families })
@@ -865,6 +839,55 @@ mod tests {
         assert!(crate::wire::decode_exact::<Registry>(&bytes).is_ok());
         bytes[len - 8..].copy_from_slice(&99u64.to_le_bytes()); // ...a forged count is not
         assert!(crate::wire::decode_exact::<Registry>(&bytes).is_err());
+    }
+
+    #[test]
+    fn registry_wire_rejects_a_label_key_that_would_inject_exposition_lines() {
+        for (key, canonical) in [
+            ("", true),
+            ("cluster=\"1\",object=\"a,b\"", true),
+            ("object=\"0\",cluster=\"1\"", false), // not name-sorted
+            ("object=\"0\",", false),
+            ("object=\"a\\\"", false),
+            ("object=\"0\"} 1\nvrr_x{a=\"", false),
+        ] {
+            assert_eq!(is_label_key(key), canonical, "{key:?}");
+        }
+        // On the wire: overwrite an honest label value, length kept, so the
+        // key closes its brace early and starts a line of its own.
+        let mut reg = Registry::new();
+        reg.gauge_set(names::OBJECT_HISTORY_LEN, &[("object", "0123456789")], 3);
+        let mut bytes = reg.to_wire_vec();
+        let at = bytes.windows(10).position(|w| w == b"0123456789").unwrap();
+        assert!(crate::wire::decode_exact::<Registry>(&bytes).is_ok());
+        bytes[at..at + 10].copy_from_slice(b"0\"} 1\nvrr_");
+        let what = "metric label key";
+        assert_eq!(
+            crate::wire::decode_exact::<Registry>(&bytes),
+            Err(WireError::Invalid { what })
+        );
+    }
+
+    #[test]
+    fn merge_skips_and_counts_what_disagrees_instead_of_asserting() {
+        let mut own = Registry::new();
+        own.counter_add(names::WIRE_RETRIES, &[], 1);
+        own.observe(names::READ_LATENCY, &[], 5);
+        let mut buckets_of_its_own = Histogram::new(&[5, 10]);
+        buckets_of_its_own.observe(7);
+        let mut peer = Registry::new();
+        peer.gauge_set(names::WIRE_RETRIES, &[], 9);
+        peer.observe_all(names::READ_LATENCY, &[], &buckets_of_its_own);
+        peer.counter_add(names::NET_SENT, &[], u64::MAX);
+        own.merge(&peer);
+        own.merge(&peer);
+        assert_eq!(own.counter(names::WIRE_RETRIES, &[]), 1);
+        assert_eq!(own.histogram(names::READ_LATENCY, &[]).unwrap().count(), 1);
+        assert_eq!(own.counter(names::NET_SENT, &[]), u64::MAX, "saturates");
+        assert_eq!(own.counter(names::MERGE_SKIPPED, &[]), 4);
+        // Still the counter it was: recording into it does not trip over
+        // the gauge the peer called it.
+        own.counter_add(names::WIRE_RETRIES, &[], 1);
     }
 
     #[test]

@@ -12,13 +12,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use vrr_sim::SimMessage;
 
 use crate::types::{History, Timestamp, TsVal, Value, WTuple};
 
 /// Which round of a READ a message belongs to (`READ1`/`READ2`).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum ReadRound {
     /// First round.
     R1,
@@ -36,12 +35,9 @@ impl ReadRound {
     }
 }
 
-/// A message of the safe or regular storage protocol.
-///
-/// The serde derives are nominal under the vendored no-op shim; the actual
-/// byte encoding used by `vrr-net` is the deterministic hand-rolled codec in
-/// [`crate::wire`].
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// A message of the safe or regular storage protocol. Its byte encoding is
+/// the `wire_enum!` table in [`crate::wire`].
+#[derive(Clone, PartialEq, Eq)]
 pub enum Msg<V> {
     /// `PW⟨ts, pw, w⟩`: first write round (Figure 2 line 5).
     Pw {

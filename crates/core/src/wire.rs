@@ -1,18 +1,26 @@
 //! Deterministic binary codec for everything `vrr-net` puts on a socket.
 //!
-//! The vendored serde shim is a no-op (its derives expand to nothing), so
-//! the wire encoding is hand-rolled here, next to the types it serializes —
-//! [`TsrMatrix`] and [`History`] keep their fields private and expose just
-//! enough iteration for the codec. The format is fixed and versioned by the
-//! frame envelope in `vrr-net`, not self-describing:
+//! The format is fixed and versioned by the frame envelope in `vrr-net`, not
+//! self-describing:
 //!
 //! * integers are little-endian fixed width (`u64` for timestamps and
 //!   indexes, `u32` for collection counts and byte lengths);
 //! * `Option<T>` is a `0`/`1` tag byte followed by the payload;
 //! * maps are a `u32` count followed by key/value pairs in key order
 //!   (`BTreeMap` iteration order, so encoding is deterministic);
+//! * structs are their fields in declaration order;
 //! * enums are a `u8` tag followed by the variant's fields in declaration
 //!   order.
+//!
+//! The last two are stated once each, as a table next to the type:
+//! [`wire_struct!`](crate::wire_struct) lists a struct's fields,
+//! [`wire_enum!`](crate::wire_enum) lists `tag => Variant { fields }`, and
+//! both expand to the `encode` *and* the `decode` of an `impl Wire`, so the
+//! two directions cannot drift apart. **To add a variant, add one table
+//! line** (and one golden vector in `vrr-net`'s `wire_golden.rs`); a tag used
+//! twice does not compile. Only what carries a validation or a forged-count
+//! guard — the primitives and collections below, [`TsrMatrix`], [`History`],
+//! `metrics::Histogram`, `metrics::Registry` — is written out by hand.
 //!
 //! Decoding is **total**: any byte slice either decodes or returns a typed
 //! [`WireError`] — malformed input must never panic, overflow, or allocate
@@ -44,6 +52,13 @@ pub enum WireError {
     },
     /// A string's bytes were not valid UTF-8.
     BadUtf8,
+    /// Every field decoded, but together they break an invariant the type
+    /// maintains (a metric name off the convention, histogram counts that
+    /// do not add up, …).
+    Invalid {
+        /// What was malformed.
+        what: &'static str,
+    },
     /// A length or count field exceeded what the enclosing buffer or frame
     /// can hold.
     Oversized {
@@ -68,6 +83,7 @@ impl fmt::Display for WireError {
             }
             WireError::BadTag { what, tag } => write!(f, "bad tag {tag:#04x} decoding {what}"),
             WireError::BadUtf8 => write!(f, "string payload is not valid UTF-8"),
+            WireError::Invalid { what } => write!(f, "malformed {what}"),
             WireError::Oversized { declared, limit } => {
                 write!(f, "declared length {declared} exceeds limit {limit}")
             }
@@ -105,6 +121,79 @@ pub fn decode_exact<T: Wire>(mut buf: &[u8]) -> Result<T, WireError> {
     } else {
         Err(WireError::Trailing { extra: buf.len() })
     }
+}
+
+/// `impl Wire` for a struct from its field list, in wire order: each field
+/// goes through its own [`Wire`] impl, and `V` — the one type parameter, when
+/// there is one — is bounded by `Wire`. [`wire_enum!`](crate::wire_enum) has
+/// the example; this is one of its variants without the tag.
+#[macro_export]
+macro_rules! wire_struct {
+    ($name:ident $(<$v:ident>)? { $($field:ident),* $(,)? }) => {
+        impl $(<$v: $crate::wire::Wire>)? $crate::wire::Wire for $name $(<$v>)? {
+            fn encode(&self, out: &mut Vec<u8>) {
+                $($crate::wire::Wire::encode(&self.$field, out);)*
+            }
+            fn decode(buf: &mut &[u8]) -> Result<Self, $crate::wire::WireError> {
+                Ok($name { $($field: $crate::wire::Wire::decode(buf)?),* })
+            }
+        }
+    };
+}
+
+/// `impl Wire` for a tagged enum from one table: each line is
+/// `tag => Variant`, `tag => Variant { fields }` or `tag => Variant(field)`
+/// and is both the arm that writes the tag and the fields and the arm that
+/// reads them back; a tag no line claims decodes to
+/// [`WireError::BadTag`]` { what: "<the enum's name>", tag }`.
+///
+/// ```
+/// # use vrr_core::wire::{decode_exact, Wire, WireError};
+/// #[derive(Debug, PartialEq)]
+/// enum Shape<V> { Dot, Line { len: u32, fill: V }, Label(String) }
+/// vrr_core::wire_enum!(Shape<V> { 0 => Dot, 1 => Line { len, fill }, 4 => Label(text) });
+///
+/// assert_eq!(Shape::Line { len: 2, fill: 7u8 }.to_wire_vec(), [1, 2, 0, 0, 0, 7]);
+/// assert_eq!(decode_exact::<Shape<u8>>(&[0]), Ok(Shape::Dot));
+/// let unused = WireError::BadTag { what: "Shape", tag: 2 };
+/// assert_eq!(decode_exact::<Shape<u8>>(&[2]), Err(unused));
+/// ```
+///
+/// A tag claimed twice is an unreachable arm of the decoding `match`, which
+/// the expansion denies — the table does not compile:
+///
+/// ```compile_fail
+/// enum Coin { Heads, Tails }
+/// vrr_core::wire_enum!(Coin { 0 => Heads, 0 => Tails });
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    ($name:ident $(<$v:ident>)? { $(
+        $tag:literal => $variant:ident $({ $($field:ident),* $(,)? })? $(( $inner:ident ))?
+    ),* $(,)? }) => {
+        impl $(<$v: $crate::wire::Wire>)? $crate::wire::Wire for $name $(<$v>)? {
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($name::$variant $({ $($field),* })? $(( $inner ))? => {
+                        out.push($tag);
+                        $($($crate::wire::Wire::encode($field, out);)*)?
+                        $($crate::wire::Wire::encode($inner, out);)?
+                    })*
+                }
+            }
+            #[deny(unreachable_patterns)]
+            fn decode(buf: &mut &[u8]) -> Result<Self, $crate::wire::WireError> {
+                match <u8 as $crate::wire::Wire>::decode(buf)? {
+                    $($tag => Ok($name::$variant
+                        $({ $($field: $crate::wire::Wire::decode(buf)?),* })?
+                        $(( $crate::wire_enum!(@decode buf $inner) ))?),)*
+                    tag => Err($crate::wire::WireError::BadTag { what: stringify!($name), tag }),
+                }
+            }
+        }
+    };
+    // A tuple variant's field has a name only for the encode arm to bind.
+    (@decode $buf:ident $inner:ident) => { $crate::wire::Wire::decode($buf)? };
 }
 
 fn take<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
@@ -312,18 +401,7 @@ impl Wire for Timestamp {
     }
 }
 
-impl<V: Wire> Wire for TsVal<V> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.ts.encode(out);
-        self.value.encode(out);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(TsVal {
-            ts: Timestamp::decode(buf)?,
-            value: Option::<V>::decode(buf)?,
-        })
-    }
-}
+wire_struct!(TsVal<V> { ts, value });
 
 impl Wire for TsrMatrix {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -346,31 +424,8 @@ impl Wire for TsrMatrix {
     }
 }
 
-impl<V: Wire> Wire for WTuple<V> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.tsval.encode(out);
-        self.tsrarray.encode(out);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(WTuple {
-            tsval: TsVal::decode(buf)?,
-            tsrarray: TsrMatrix::decode(buf)?,
-        })
-    }
-}
-
-impl<V: Wire> Wire for HistEntry<V> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.pw.encode(out);
-        self.w.encode(out);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(HistEntry {
-            pw: TsVal::decode(buf)?,
-            w: Option::<WTuple<V>>::decode(buf)?,
-        })
-    }
-}
+wire_struct!(WTuple<V> { tsval, tsrarray });
+wire_struct!(HistEntry<V> { pw, w });
 
 impl<V: Wire> Wire for History<V> {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -393,121 +448,17 @@ impl<V: Wire> Wire for History<V> {
     }
 }
 
-impl Wire for ReadRound {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(self.number() as u8);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            1 => Ok(ReadRound::R1),
-            2 => Ok(ReadRound::R2),
-            tag => Err(WireError::BadTag {
-                what: "ReadRound",
-                tag,
-            }),
-        }
-    }
-}
+wire_enum!(ReadRound { 1 => R1, 2 => R2 });
 
-impl<V: Wire> Wire for Msg<V> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Msg::Pw { ts, pw, w } => {
-                out.push(0);
-                ts.encode(out);
-                pw.encode(out);
-                w.encode(out);
-            }
-            Msg::PwAck { ts, tsr } => {
-                out.push(1);
-                ts.encode(out);
-                tsr.encode(out);
-            }
-            Msg::W { ts, pw, w } => {
-                out.push(2);
-                ts.encode(out);
-                pw.encode(out);
-                w.encode(out);
-            }
-            Msg::WAck { ts } => {
-                out.push(3);
-                ts.encode(out);
-            }
-            Msg::Read {
-                round,
-                reader,
-                tsr,
-                since,
-                ack,
-            } => {
-                out.push(4);
-                round.encode(out);
-                reader.encode(out);
-                tsr.encode(out);
-                since.encode(out);
-                ack.encode(out);
-            }
-            Msg::ReadAckSafe { round, tsr, pw, w } => {
-                out.push(5);
-                round.encode(out);
-                tsr.encode(out);
-                pw.encode(out);
-                w.encode(out);
-            }
-            Msg::ReadAckRegular {
-                round,
-                tsr,
-                history,
-            } => {
-                out.push(6);
-                round.encode(out);
-                tsr.encode(out);
-                history.encode(out);
-            }
-        }
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(Msg::Pw {
-                ts: Timestamp::decode(buf)?,
-                pw: TsVal::decode(buf)?,
-                w: WTuple::decode(buf)?,
-            }),
-            1 => Ok(Msg::PwAck {
-                ts: Timestamp::decode(buf)?,
-                tsr: BTreeMap::decode(buf)?,
-            }),
-            2 => Ok(Msg::W {
-                ts: Timestamp::decode(buf)?,
-                pw: TsVal::decode(buf)?,
-                w: WTuple::decode(buf)?,
-            }),
-            3 => Ok(Msg::WAck {
-                ts: Timestamp::decode(buf)?,
-            }),
-            4 => Ok(Msg::Read {
-                round: ReadRound::decode(buf)?,
-                reader: usize::decode(buf)?,
-                tsr: u64::decode(buf)?,
-                since: Option::decode(buf)?,
-                ack: Timestamp::decode(buf)?,
-            }),
-            5 => Ok(Msg::ReadAckSafe {
-                round: ReadRound::decode(buf)?,
-                tsr: u64::decode(buf)?,
-                pw: TsVal::decode(buf)?,
-                w: WTuple::decode(buf)?,
-            }),
-            6 => Ok(Msg::ReadAckRegular {
-                round: ReadRound::decode(buf)?,
-                tsr: u64::decode(buf)?,
-                history: History::decode(buf)?,
-            }),
-            tag => Err(WireError::BadTag { what: "Msg", tag }),
-        }
-    }
-}
+wire_enum!(Msg<V> {
+    0 => Pw { ts, pw, w },
+    1 => PwAck { ts, tsr },
+    2 => W { ts, pw, w },
+    3 => WAck { ts },
+    4 => Read { round, reader, tsr, since, ack },
+    5 => ReadAckSafe { round, tsr, pw, w },
+    6 => ReadAckRegular { round, tsr, history },
+});
 
 #[cfg(test)]
 mod tests {

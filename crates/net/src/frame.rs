@@ -17,7 +17,7 @@ use std::fmt;
 
 use vrr_core::metrics::Registry;
 use vrr_core::wire::{decode_exact, Wire, WireError};
-use vrr_core::{History, Msg, Timestamp};
+use vrr_core::{wire_enum, wire_struct, History, Msg, Timestamp};
 
 /// Hard upper bound on a frame body. Regular-protocol histories dominate
 /// real frame sizes and stay far below this; anything larger is a corrupt
@@ -310,340 +310,58 @@ pub enum Rsp<V> {
     },
 }
 
-impl<V: Wire> Wire for Envelope<V> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.source.encode(out);
-        self.epoch.encode(out);
-        self.seq.encode(out);
-        self.payload.encode(out);
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        Ok(Envelope {
-            source: u32::decode(buf)?,
-            epoch: u32::decode(buf)?,
-            seq: u64::decode(buf)?,
-            payload: Payload::decode(buf)?,
-        })
-    }
-}
+// The codec, stated once: each line is both directions of one variant
+// (`vrr_core::wire_enum!`). A new request or response is one line here.
 
-impl<V: Wire> Wire for Payload<V> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Payload::Peer { from, to, msg } => {
-                out.push(0);
-                from.encode(out);
-                to.encode(out);
-                msg.encode(out);
-            }
-            Payload::Ctl(ctl) => {
-                out.push(1);
-                ctl.encode(out);
-            }
-        }
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(Payload::Peer {
-                from: u64::decode(buf)?,
-                to: u64::decode(buf)?,
-                msg: Msg::decode(buf)?,
-            }),
-            1 => Ok(Payload::Ctl(Ctl::decode(buf)?)),
-            tag => Err(WireError::BadTag {
-                what: "Payload",
-                tag,
-            }),
-        }
-    }
-}
+wire_struct!(Envelope<V> { source, epoch, seq, payload });
 
-impl<V: Wire> Wire for Ctl<V> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Ctl::Hello { node, epoch } => {
-                out.push(0);
-                node.encode(out);
-                epoch.encode(out);
-            }
-            Ctl::Request { id, op } => {
-                out.push(1);
-                id.encode(out);
-                op.encode(out);
-            }
-            Ctl::Response { id, rsp } => {
-                out.push(2);
-                id.encode(out);
-                rsp.encode(out);
-            }
-        }
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(Ctl::Hello {
-                node: u32::decode(buf)?,
-                epoch: u32::decode(buf)?,
-            }),
-            1 => Ok(Ctl::Request {
-                id: u64::decode(buf)?,
-                op: Op::decode(buf)?,
-            }),
-            2 => Ok(Ctl::Response {
-                id: u64::decode(buf)?,
-                rsp: Rsp::decode(buf)?,
-            }),
-            tag => Err(WireError::BadTag { what: "Ctl", tag }),
-        }
-    }
-}
+wire_enum!(Payload<V> { 0 => Peer { from, to, msg }, 1 => Ctl(ctl) });
 
-impl<V: Wire> Wire for Op<V> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Op::Ping => out.push(0),
-            Op::WriteSlot { slot, value } => {
-                out.push(1);
-                slot.encode(out);
-                value.encode(out);
-            }
-            Op::ReadSlot { slot, reader } => {
-                out.push(2);
-                slot.encode(out);
-                reader.encode(out);
-            }
-            Op::CrashPid { pid } => {
-                out.push(3);
-                pid.encode(out);
-            }
-            Op::Metrics => out.push(4),
-            Op::ResetPeer { node } => {
-                out.push(5);
-                node.encode(out);
-            }
-            Op::EchoHistory { history } => {
-                out.push(6);
-                history.encode(out);
-            }
-            Op::Shutdown => out.push(7),
-            Op::WriteKey { key, value } => {
-                out.push(8);
-                key.encode(out);
-                value.encode(out);
-            }
-            Op::ReadKey { key, reader } => {
-                out.push(9);
-                key.encode(out);
-                reader.encode(out);
-            }
-            Op::ReleaseKey { key } => {
-                out.push(10);
-                key.encode(out);
-            }
-            Op::StoreKeys => out.push(11),
-            Op::SlotOfKey { key } => {
-                out.push(12);
-                key.encode(out);
-            }
-            Op::CrashShard { slot, object } => {
-                out.push(13);
-                slot.encode(out);
-                object.encode(out);
-            }
-            Op::ShardHistoryLens { slot } => {
-                out.push(14);
-                slot.encode(out);
-            }
-            Op::StoreInfo => out.push(15),
-            Op::StoreMetrics { cluster } => {
-                out.push(16);
-                cluster.encode(out);
-            }
-        }
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(Op::Ping),
-            1 => Ok(Op::WriteSlot {
-                slot: u32::decode(buf)?,
-                value: V::decode(buf)?,
-            }),
-            2 => Ok(Op::ReadSlot {
-                slot: u32::decode(buf)?,
-                reader: u32::decode(buf)?,
-            }),
-            3 => Ok(Op::CrashPid {
-                pid: u64::decode(buf)?,
-            }),
-            4 => Ok(Op::Metrics),
-            5 => Ok(Op::ResetPeer {
-                node: u32::decode(buf)?,
-            }),
-            6 => Ok(Op::EchoHistory {
-                history: History::decode(buf)?,
-            }),
-            7 => Ok(Op::Shutdown),
-            8 => Ok(Op::WriteKey {
-                key: Vec::<u8>::decode(buf)?,
-                value: V::decode(buf)?,
-            }),
-            9 => Ok(Op::ReadKey {
-                key: Vec::<u8>::decode(buf)?,
-                reader: u32::decode(buf)?,
-            }),
-            10 => Ok(Op::ReleaseKey {
-                key: Vec::<u8>::decode(buf)?,
-            }),
-            11 => Ok(Op::StoreKeys),
-            12 => Ok(Op::SlotOfKey {
-                key: Vec::<u8>::decode(buf)?,
-            }),
-            13 => Ok(Op::CrashShard {
-                slot: u32::decode(buf)?,
-                object: u32::decode(buf)?,
-            }),
-            14 => Ok(Op::ShardHistoryLens {
-                slot: u32::decode(buf)?,
-            }),
-            15 => Ok(Op::StoreInfo),
-            16 => Ok(Op::StoreMetrics {
-                cluster: Option::<u32>::decode(buf)?,
-            }),
-            tag => Err(WireError::BadTag { what: "Op", tag }),
-        }
-    }
-}
+wire_enum!(Ctl<V> {
+    0 => Hello { node, epoch },
+    1 => Request { id, op },
+    2 => Response { id, rsp },
+});
 
-impl<V: Wire> Wire for Rsp<V> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Rsp::Pong => out.push(0),
-            Rsp::Wrote { ts, rounds } => {
-                out.push(1);
-                ts.encode(out);
-                rounds.encode(out);
-            }
-            Rsp::ReadOk {
-                value,
-                ts,
-                rounds,
-                fast,
-            } => {
-                out.push(2);
-                value.encode(out);
-                ts.encode(out);
-                rounds.encode(out);
-                fast.encode(out);
-            }
-            Rsp::Crashed => out.push(3),
-            Rsp::MetricsText { text } => {
-                out.push(4);
-                text.encode(out);
-            }
-            Rsp::PeerReset { closed } => {
-                out.push(5);
-                closed.encode(out);
-            }
-            Rsp::History { history } => {
-                out.push(6);
-                history.encode(out);
-            }
-            Rsp::ShuttingDown => out.push(7),
-            Rsp::Err { what } => {
-                out.push(8);
-                what.encode(out);
-            }
-            Rsp::NoKey => out.push(9),
-            Rsp::OverCapacity { capacity } => {
-                out.push(10);
-                capacity.encode(out);
-            }
-            Rsp::Released { slot } => {
-                out.push(11);
-                slot.encode(out);
-            }
-            Rsp::StoreKeys { keys } => {
-                out.push(12);
-                keys.encode(out);
-            }
-            Rsp::Slot { slot } => {
-                out.push(13);
-                slot.encode(out);
-            }
-            Rsp::Lens { lens } => {
-                out.push(14);
-                lens.encode(out);
-            }
-            Rsp::StoreInfo {
-                capacity,
-                keys,
-                free_slots,
-            } => {
-                out.push(15);
-                capacity.encode(out);
-                keys.encode(out);
-                free_slots.encode(out);
-            }
-            Rsp::StoreMetrics { registry } => {
-                out.push(16);
-                registry.encode(out);
-            }
-        }
-    }
-    fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
-        match u8::decode(buf)? {
-            0 => Ok(Rsp::Pong),
-            1 => Ok(Rsp::Wrote {
-                ts: Timestamp::decode(buf)?,
-                rounds: u32::decode(buf)?,
-            }),
-            2 => Ok(Rsp::ReadOk {
-                value: Option::decode(buf)?,
-                ts: Timestamp::decode(buf)?,
-                rounds: u32::decode(buf)?,
-                fast: bool::decode(buf)?,
-            }),
-            3 => Ok(Rsp::Crashed),
-            4 => Ok(Rsp::MetricsText {
-                text: String::decode(buf)?,
-            }),
-            5 => Ok(Rsp::PeerReset {
-                closed: u32::decode(buf)?,
-            }),
-            6 => Ok(Rsp::History {
-                history: History::decode(buf)?,
-            }),
-            7 => Ok(Rsp::ShuttingDown),
-            8 => Ok(Rsp::Err {
-                what: String::decode(buf)?,
-            }),
-            9 => Ok(Rsp::NoKey),
-            10 => Ok(Rsp::OverCapacity {
-                capacity: u32::decode(buf)?,
-            }),
-            11 => Ok(Rsp::Released {
-                slot: Option::<u32>::decode(buf)?,
-            }),
-            12 => Ok(Rsp::StoreKeys {
-                keys: Vec::<Vec<u8>>::decode(buf)?,
-            }),
-            13 => Ok(Rsp::Slot {
-                slot: u32::decode(buf)?,
-            }),
-            14 => Ok(Rsp::Lens {
-                lens: Vec::<u64>::decode(buf)?,
-            }),
-            15 => Ok(Rsp::StoreInfo {
-                capacity: u32::decode(buf)?,
-                keys: u32::decode(buf)?,
-                free_slots: u32::decode(buf)?,
-            }),
-            16 => Ok(Rsp::StoreMetrics {
-                registry: Registry::decode(buf)?,
-            }),
-            tag => Err(WireError::BadTag { what: "Rsp", tag }),
-        }
-    }
-}
+wire_enum!(Op<V> {
+    0 => Ping,
+    1 => WriteSlot { slot, value },
+    2 => ReadSlot { slot, reader },
+    3 => CrashPid { pid },
+    4 => Metrics,
+    5 => ResetPeer { node },
+    6 => EchoHistory { history },
+    7 => Shutdown,
+    8 => WriteKey { key, value },
+    9 => ReadKey { key, reader },
+    10 => ReleaseKey { key },
+    11 => StoreKeys,
+    12 => SlotOfKey { key },
+    13 => CrashShard { slot, object },
+    14 => ShardHistoryLens { slot },
+    15 => StoreInfo,
+    16 => StoreMetrics { cluster },
+});
+
+wire_enum!(Rsp<V> {
+    0 => Pong,
+    1 => Wrote { ts, rounds },
+    2 => ReadOk { value, ts, rounds, fast },
+    3 => Crashed,
+    4 => MetricsText { text },
+    5 => PeerReset { closed },
+    6 => History { history },
+    7 => ShuttingDown,
+    8 => Err { what },
+    9 => NoKey,
+    10 => OverCapacity { capacity },
+    11 => Released { slot },
+    12 => StoreKeys { keys },
+    13 => Slot { slot },
+    14 => Lens { lens },
+    15 => StoreInfo { capacity, keys, free_slots },
+    16 => StoreMetrics { registry },
+});
 
 /// Encodes `env` as one frame: length prefix + body.
 pub fn encode_frame<V: Wire>(env: &Envelope<V>) -> Vec<u8> {

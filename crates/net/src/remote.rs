@@ -276,18 +276,21 @@ where
     }
 
     fn metrics_snapshot_labelled(&self, cluster: Option<usize>) -> Registry {
-        let mut registry = match self.demand(Op::StoreMetrics {
+        let snapshot = match self.demand(Op::StoreMetrics {
             cluster: cluster.map(|c| c as u32),
         }) {
             Rsp::StoreMetrics { registry } => registry,
             other => self.unexpected(other),
         };
-        // The server cannot see client-side wire retries; fold the pool's
-        // cumulative count into the snapshot here.
+        // The server cannot see client-side wire retries: count them here,
+        // first. Its snapshot is bytes off a socket; merged in after, a
+        // series that mis-states its kind is skipped, not panicked on.
+        let mut registry = Registry::new();
         let retries = self.retries();
         if retries > 0 {
             registry.counter_add(names::WIRE_RETRIES, &[("scheme", "tcp")], retries);
         }
+        registry.merge(&snapshot);
         registry
     }
 

@@ -466,7 +466,6 @@ where
             .filter_map(|(i, c)| c.as_ref().map(|s| (i, s.clone())))
             .collect();
         for (index, store) in &live {
-            reg.merge(&store.metrics_snapshot_labelled(Some(*index)));
             let label = index.to_string();
             reg.gauge_set(
                 names::ROUTER_KEYS,
@@ -480,6 +479,11 @@ where
             );
         }
         reg.gauge_set(names::ROUTER_CLUSTERS, &[], live.len() as u64);
+        // Last, what the clusters say of themselves: a remote snapshot is
+        // bytes off a socket, and `merge` skips what contradicts the above.
+        for (index, store) in &live {
+            reg.merge(&store.metrics_snapshot_labelled(Some(*index)));
+        }
         reg
     }
 }

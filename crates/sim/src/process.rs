@@ -9,12 +9,10 @@
 use std::any::Any;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies a process (client or base object) within a [`crate::World`].
 ///
 /// Ids are dense indexes assigned in spawn order.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ProcessId(pub usize);
 
 impl ProcessId {
@@ -43,7 +41,7 @@ impl fmt::Display for ProcessId {
 /// *malicious* processes may act arbitrarily (they are modelled by swapping in
 /// an adversarial [`Automaton`], so the simulator still schedules them as
 /// `Alive`; [`ProcessStatus::Byzantine`] only marks them for accounting).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ProcessStatus {
     /// Takes steps normally.
     Alive,

@@ -10,8 +10,6 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A point in logical simulation time, measured in abstract ticks.
 ///
 /// Ticks have no physical meaning; only their order matters for the
@@ -26,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(t > SimTime::ZERO);
 /// assert_eq!(t.ticks(), 10);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
 
 impl SimTime {

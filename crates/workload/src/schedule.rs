@@ -6,11 +6,10 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use vrr_sim::SimTime;
 
 /// One planned operation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PlannedOp {
     /// The writer writes the given value.
     Write {
@@ -26,14 +25,14 @@ pub enum PlannedOp {
 }
 
 /// A client's worth of planned operations with target invocation times.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ClientPlan {
     /// `(not-before time, op)` pairs in program order.
     pub ops: Vec<(SimTime, PlannedOp)>,
 }
 
 /// A full schedule: one plan for the writer and one per reader.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Schedule {
     /// The writer's plan (only `Write` ops).
     pub writer: ClientPlan,
@@ -61,7 +60,7 @@ impl Schedule {
 }
 
 /// Parameters for random schedule generation.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ScheduleParams {
     /// Number of writes.
     pub writes: u64,
