@@ -21,7 +21,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use vrr_core::regular::HistoryRetention;
-use vrr_core::{RegularProtocol, StorageConfig, StorageScenario};
+use vrr_core::{ProtocolKind, ProtocolSpec, StorageConfig, StorageScenario};
 
 /// Steady-state read cadence for the GC variant (one read per N writes).
 const READ_EVERY: u64 = 8;
@@ -32,14 +32,20 @@ fn bench_history_growth(c: &mut Criterion) {
         .sample_size(20)
         .measurement_time(Duration::from_secs(3));
     for writes in [10u64, 100, 500] {
-        for (label, protocol) in [
-            ("full", RegularProtocol::full()),
-            ("suffix", RegularProtocol::optimized()),
+        for (label, kind, retention) in [
+            ("full", ProtocolKind::Regular, HistoryRetention::KeepAll),
+            (
+                "suffix",
+                ProtocolKind::RegularOptimized,
+                HistoryRetention::KeepAll,
+            ),
             (
                 "gcfull",
-                RegularProtocol::full().with_retention(HistoryRetention::reader_ack(1)),
+                ProtocolKind::Regular,
+                HistoryRetention::reader_ack(1),
             ),
         ] {
+            let protocol = ProtocolSpec::from(kind).with_retention(retention);
             let cfg = StorageConfig::optimal(1, 1, 1);
             let mut sc = StorageScenario::deploy(protocol, cfg, 9);
             for k in 1..=writes {

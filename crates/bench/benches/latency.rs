@@ -63,6 +63,7 @@ fn bench_protocol_variants(c: &mut Criterion) {
         cfg,
         ProtocolSpec::Regular {
             optimized: true,
+            write_back: false,
             retention: HistoryRetention::KeepAll,
             tuning: ReaderTuning {
                 fast_threshold: Some(usize::MAX),

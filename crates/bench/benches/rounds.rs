@@ -11,7 +11,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use vrr_baselines::{masking_object_count, AbdProtocol, MaskingProtocol, PassiveProtocol};
-use vrr_core::{RegisterProtocol, RegularProtocol, SafeProtocol, StorageConfig, StorageScenario};
+use vrr_core::{ProtocolKind, RegisterProtocol, StorageConfig, StorageScenario};
 
 fn cycle<P: RegisterProtocol<u64>>(protocol: P, cfg: StorageConfig) {
     let mut sc = StorageScenario::deploy(protocol, cfg, 5);
@@ -28,13 +28,13 @@ fn bench_write_read_cycle(c: &mut Criterion) {
     let opt = StorageConfig::optimal(t, b, 1);
 
     group.bench_function(BenchmarkId::new("protocol", "safe"), |bch| {
-        bch.iter(|| cycle(SafeProtocol, opt));
+        bch.iter(|| cycle(ProtocolKind::Safe, opt));
     });
     group.bench_function(BenchmarkId::new("protocol", "regular"), |bch| {
-        bch.iter(|| cycle(RegularProtocol::full(), opt));
+        bch.iter(|| cycle(ProtocolKind::Regular, opt));
     });
     group.bench_function(BenchmarkId::new("protocol", "regular-opt"), |bch| {
-        bch.iter(|| cycle(RegularProtocol::optimized(), opt));
+        bch.iter(|| cycle(ProtocolKind::RegularOptimized, opt));
     });
     group.bench_function(BenchmarkId::new("protocol", "passive"), |bch| {
         bch.iter(|| cycle(PassiveProtocol, opt));
@@ -52,7 +52,7 @@ fn bench_write_read_cycle(c: &mut Criterion) {
     // a whole round of read messages.
     let fcfg = StorageConfig::fast(t, b, 1);
     group.bench_function(BenchmarkId::new("protocol", "regular-fast"), |bch| {
-        bch.iter(|| cycle(RegularProtocol::optimized(), fcfg));
+        bch.iter(|| cycle(ProtocolKind::RegularOptimized, fcfg));
     });
     group.finish();
 }
@@ -65,7 +65,7 @@ fn bench_scaling(c: &mut Criterion) {
     for t in [1usize, 2, 4, 8] {
         let cfg = StorageConfig::optimal(t, 1, 1);
         group.bench_function(BenchmarkId::new("safe-S", cfg.s), |bch| {
-            bch.iter(|| cycle(SafeProtocol, cfg));
+            bch.iter(|| cycle(ProtocolKind::Safe, cfg));
         });
     }
     group.finish();

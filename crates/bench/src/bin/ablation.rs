@@ -22,8 +22,7 @@ use vrr_bench::Table;
 use vrr_core::attackers::AttackerKind;
 use vrr_core::regular::HistoryRetention;
 use vrr_core::{
-    ProtocolSpec, ReaderTuning, RegisterProtocol, RegularProtocol, SafeProtocol, StorageConfig,
-    StorageScenario,
+    ProtocolKind, ProtocolSpec, ReaderTuning, RegisterProtocol, StorageConfig, StorageScenario,
 };
 
 /// One write + one read under `attacked`; reports (value ok?, rounds).
@@ -128,7 +127,7 @@ fn main() {
         (
             "safe (2 rounds, reader writes tsr)",
             optimal,
-            read_cost(SafeProtocol, optimal),
+            read_cost(ProtocolKind::Safe, optimal),
         ),
         (
             "masking (1 round, +b objects)",
@@ -165,10 +164,7 @@ fn main() {
         HistoryRetention::reader_ack(1),
         HistoryRetention::reader_ack_capped(1, 8),
     ] {
-        let protocol = RegularProtocol {
-            optimized: true,
-            retention,
-        };
+        let protocol = ProtocolSpec::from(ProtocolKind::RegularOptimized).with_retention(retention);
         let cfg = StorageConfig::optimal(1, 1, 1);
         let mut sc = StorageScenario::deploy(protocol, cfg, 5);
         let writes = 200u64;

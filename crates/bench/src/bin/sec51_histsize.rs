@@ -22,7 +22,7 @@
 
 use vrr_bench::{f2, Table};
 use vrr_core::regular::HistoryRetention;
-use vrr_core::{RegularProtocol, StorageConfig, StorageScenario};
+use vrr_core::{ProtocolKind, ProtocolSpec, StorageConfig, StorageScenario};
 
 struct Probe {
     rounds: u32,
@@ -34,9 +34,9 @@ struct Probe {
 /// Runs `writes` writes, a cache-warming read, then measures one read.
 fn probe(optimized: bool, writes: u64) -> Probe {
     let protocol = if optimized {
-        RegularProtocol::optimized()
+        ProtocolKind::RegularOptimized
     } else {
-        RegularProtocol::full()
+        ProtocolKind::Regular
     };
     let cfg = StorageConfig::optimal(1, 1, 1); // S = 4
     let mut sc = StorageScenario::deploy(protocol, cfg, 7);
@@ -73,7 +73,7 @@ const READ_EVERY: u64 = 8;
 /// writes (so acks keep advancing), then one final read. Reports the
 /// worst object-side history length at the end of the run.
 fn probe_steady(retention: HistoryRetention, writes: u64) -> usize {
-    let protocol = RegularProtocol::optimized().with_retention(retention);
+    let protocol = ProtocolSpec::from(ProtocolKind::RegularOptimized).with_retention(retention);
     let cfg = StorageConfig::optimal(1, 1, 1); // S = 4, R = 1
     let mut sc = StorageScenario::deploy(protocol, cfg, 13);
 

@@ -15,7 +15,7 @@
 
 use vrr_bench::Table;
 use vrr_checker::check_safety;
-use vrr_core::{ProtocolSpec, ReaderTuning, SafeProtocol, StorageConfig};
+use vrr_core::{ProtocolKind, ProtocolSpec, ReaderTuning, StorageConfig};
 use vrr_sim::SimTime;
 use vrr_workload::{grid, hunt, Exposed, LatencyKind, ScheduleParams, SimCase};
 
@@ -28,7 +28,7 @@ fn main() {
     let mut stalls = 0u64;
     for p in &points {
         let cfg = StorageConfig::optimal(p.t, p.b, 2);
-        let out = SimCase::new(&SafeProtocol, cfg)
+        let out = SimCase::new(&ProtocolKind::Safe, cfg)
             .schedule(ScheduleParams::contended(6, 8, 2, p.seed))
             .faults(p.fault_plan(&cfg, Some(300), SimTime::from_ticks(50)))
             .latency(LatencyKind::LongTail)

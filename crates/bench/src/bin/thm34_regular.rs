@@ -8,13 +8,14 @@
 //! concurrency; and mutation-tests the regular reader.
 //!
 //! Expected shape: 0 regularity violations and 0 stalls for both variants;
-//! atomicity violations eventually found (regular ≠ atomic); every mutant
-//! caught. Run with `cargo run --release -p vrr-bench --bin thm34_regular`.
+//! atomicity violations eventually found (regular ≠ atomic) — and none on
+//! the same grid once readers write back (`ProtocolKind::Atomic`); every
+//! mutant caught. Run with `cargo run --release -p vrr-bench --bin thm34_regular`.
 
 use vrr_bench::Table;
 use vrr_checker::{check_atomicity, check_regularity};
 use vrr_core::regular::HistoryRetention;
-use vrr_core::{ProtocolSpec, ReaderTuning, RegularProtocol, StorageConfig};
+use vrr_core::{ProtocolKind, ProtocolSpec, ReaderTuning, StorageConfig};
 use vrr_sim::SimTime;
 use vrr_workload::{grid, hunt, Exposed, LatencyKind, ScheduleParams, SimCase};
 
@@ -29,12 +30,11 @@ fn main() {
         "stalled",
         "atomicity violations (expected > 0)",
     ]);
-    for optimized in [false, true] {
-        let protocol = if optimized {
-            RegularProtocol::optimized()
-        } else {
-            RegularProtocol::full()
-        };
+    for (variant, protocol) in [
+        ("regular (§5)", ProtocolKind::Regular),
+        ("regular-opt (§5.1)", ProtocolKind::RegularOptimized),
+        ("atomic (extension)", ProtocolKind::Atomic),
+    ] {
         let mut runs = 0u64;
         let mut reads = 0u64;
         let mut violations = 0u64;
@@ -59,11 +59,7 @@ fn main() {
             }
         }
         table.row_owned(vec![
-            if optimized {
-                "regular-opt (§5.1)".into()
-            } else {
-                "regular (§5)".to_string()
-            },
+            variant.to_string(),
             runs.to_string(),
             reads.to_string(),
             violations.to_string(),
@@ -72,6 +68,9 @@ fn main() {
         ]);
         assert_eq!(violations, 0, "Theorem 3: regularity must hold");
         assert_eq!(stalls, 0, "Theorem 4: wait-freedom must hold");
+        if protocol == ProtocolKind::Atomic {
+            assert_eq!(inversions, 0, "the write-back rules inversions out");
+        }
     }
     table.print("Theorems 3–4: regular storage under adversarial schedules");
     println!(
@@ -116,6 +115,7 @@ fn main() {
     for (name, tuning) in mutations {
         let mutant = ProtocolSpec::Regular {
             optimized: false,
+            write_back: false,
             retention: HistoryRetention::KeepAll,
             tuning,
         };

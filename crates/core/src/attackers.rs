@@ -187,7 +187,8 @@ fn accusing_matrix(cfg: StorageConfig) -> TsrMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{RegisterProtocol, RegularProtocol, SafeProtocol};
+    use crate::group::ProtocolKind;
+    use crate::harness::RegisterProtocol;
     use crate::scenario::StorageScenario;
 
     const FORGED: u64 = 0xDEAD;
@@ -198,7 +199,7 @@ mod tests {
     fn single_attacker_cannot_break_safe_protocol() {
         for kind in AttackerKind::ALL {
             let cfg = StorageConfig::optimal(1, 1, 1);
-            let mut sc = StorageScenario::deploy(SafeProtocol, cfg, 3);
+            let mut sc = StorageScenario::deploy(ProtocolKind::Safe, cfg, 3);
             sc.attack_object(1, kind, FORGED);
 
             for k in 1..=3u64 {
@@ -213,7 +214,7 @@ mod tests {
     #[test]
     fn single_attacker_cannot_break_regular_protocol() {
         for kind in AttackerKind::ALL {
-            for protocol in [RegularProtocol::full(), RegularProtocol::optimized()] {
+            for protocol in [ProtocolKind::Regular, ProtocolKind::RegularOptimized] {
                 let cfg = StorageConfig::optimal(1, 1, 1);
                 let mut sc = StorageScenario::deploy(protocol, cfg, 5);
                 sc.attack_object(0, kind, FORGED);
@@ -235,7 +236,7 @@ mod tests {
     fn attacker_with_larger_b_budget_also_fails() {
         // t = b = 2: two inflators at once.
         let cfg = StorageConfig::optimal(2, 2, 1); // S = 7
-        let mut sc = StorageScenario::deploy(SafeProtocol, cfg, 11);
+        let mut sc = StorageScenario::deploy(ProtocolKind::Safe, cfg, 11);
         sc.attack_object(2, AttackerKind::Inflator, FORGED);
         sc.attack_object(5, AttackerKind::Conflicter, FORGED);
         sc.write(99u64);

@@ -3,10 +3,13 @@
 //! The paper studies a single object: a SWMR register emulated by
 //! `S = 2t + b + 1` base objects, one writer and `R` readers. *Which*
 //! automata make up such a group — protocol variant, object-side history
-//! retention, reader tuning — is a [`ProtocolSpec`]; *in which order* they
-//! come to life is [`spawn_group`]. Two harnesses consume these: the
-//! simulator's [`RegisterProtocol`](crate::RegisterProtocol) impls (which
-//! only [`StorageScenario`](crate::StorageScenario) drives), and
+//! retention, whether readers write back (atomic reads), reader tuning — is
+//! a [`ProtocolSpec`], and a [`ProtocolKind`] names each variant at the
+//! paper's defaults: there is no other way to say which protocol a
+//! deployment runs. *In which order* they come to life is [`spawn_group`].
+//! Two harnesses consume these: the simulator's
+//! [`RegisterProtocol`](crate::RegisterProtocol) impl (which only
+//! [`StorageScenario`](crate::StorageScenario) drives), and
 //! `vrr-runtime`'s `RegisterHost::spawn` — the one host that
 //! `StorageCluster`, `ShardedStore` and `vrr-net`'s `NetNode` (both
 //! hosting modes) are views of. Nothing else knows what a register group
@@ -36,6 +39,14 @@ pub enum ProtocolKind {
     Regular,
     /// §5.1 optimized regular storage (suffix histories + reader cache).
     RegularOptimized,
+    /// SWMR **atomic** storage (extension): §5 regular storage whose
+    /// readers write the tuple they selected back to `S − t` objects before
+    /// returning it — the ABD write-back over the paper's candidate
+    /// machinery, one more round-trip per READ. The paper targets
+    /// safe/regular semantics because that is where two rounds are optimal;
+    /// this kind prices what regularity buys: reads return in two rounds
+    /// *because* they may invert under concurrency ([`crate::reader`]).
+    Atomic,
 }
 
 /// Everything that decides which automata make up a register group:
@@ -57,6 +68,11 @@ pub enum ProtocolSpec {
     Regular {
         /// Run the §5.1 optimization (suffix histories + reader cache).
         optimized: bool,
+        /// Readers write the selected tuple back before returning it:
+        /// atomic reads, three rounds ([`ProtocolKind::Atomic`]). Composes
+        /// with §5.1 and with every retention. Safe objects do not answer
+        /// a write-back, so [`ProtocolSpec::Safe`] has no such field.
+        write_back: bool,
         /// Object-side history retention (extension; the paper keeps all).
         /// `ProtocolKind::RegularOptimized` with
         /// `HistoryRetention::reader_ack(cfg.readers)` is the bounded-memory
@@ -72,35 +88,42 @@ impl From<ProtocolKind> for ProtocolSpec {
     fn from(kind: ProtocolKind) -> Self {
         match kind {
             ProtocolKind::Safe => ProtocolSpec::Safe(ReaderTuning::default()),
-            ProtocolKind::Regular | ProtocolKind::RegularOptimized => ProtocolSpec::Regular {
-                optimized: kind == ProtocolKind::RegularOptimized,
-                retention: HistoryRetention::KeepAll,
-                tuning: ReaderTuning::default(),
-            },
+            ProtocolKind::Regular | ProtocolKind::RegularOptimized | ProtocolKind::Atomic => {
+                ProtocolSpec::Regular {
+                    optimized: kind == ProtocolKind::RegularOptimized,
+                    write_back: kind == ProtocolKind::Atomic,
+                    retention: HistoryRetention::KeepAll,
+                    tuning: ReaderTuning::default(),
+                }
+            }
         }
     }
 }
 
 impl ProtocolSpec {
-    /// The protocol variant this spec deploys.
+    /// The protocol variant this spec deploys (a spec that writes back is
+    /// [`ProtocolKind::Atomic`] with or without §5.1).
     pub fn kind(&self) -> ProtocolKind {
         match self {
             ProtocolSpec::Safe(_) => ProtocolKind::Safe,
             ProtocolSpec::Regular {
-                optimized: false, ..
-            } => ProtocolKind::Regular,
+                write_back: true, ..
+            } => ProtocolKind::Atomic,
             ProtocolSpec::Regular {
                 optimized: true, ..
             } => ProtocolKind::RegularOptimized,
+            ProtocolSpec::Regular { .. } => ProtocolKind::Regular,
         }
     }
 
-    /// Short display name (`"safe"`, `"regular"`, `"regular-opt"`).
+    /// Short display name (`"safe"`, `"regular"`, `"regular-opt"`,
+    /// `"atomic"`).
     pub fn name(&self) -> &'static str {
         match self.kind() {
             ProtocolKind::Safe => "safe",
             ProtocolKind::Regular => "regular",
             ProtocolKind::RegularOptimized => "regular-opt",
+            ProtocolKind::Atomic => "atomic",
         }
     }
 
@@ -215,9 +238,8 @@ pub struct Deployment {
 /// cluster), which returns the id it got.
 ///
 /// `substitute` may replace the automaton of any member — the hook for
-/// Byzantine objects, for `vrr-net`'s relay stand-ins when a member lives
-/// in a different OS process, and for protocol extensions that swap one
-/// role (the atomic extension's readers). It sees the object ids spawned
+/// Byzantine objects and for `vrr-net`'s relay stand-ins when a member
+/// lives in a different OS process. It sees the object ids spawned
 /// so far (all `S` of them by the time the writer and readers come up);
 /// returning `None` deploys the honest automaton `spec` calls for.
 ///
@@ -271,12 +293,16 @@ pub fn spawn_group<V: Value>(
                     tuning,
                 )),
                 ProtocolSpec::Regular {
-                    optimized, tuning, ..
+                    optimized,
+                    write_back,
+                    tuning,
+                    ..
                 } => Box::new(RegularReader::<V>::with_tuning(
                     cfg,
                     j,
                     objects.clone(),
                     optimized,
+                    write_back,
                     tuning,
                 )),
             });
@@ -301,6 +327,7 @@ mod tests {
             ProtocolKind::Safe,
             ProtocolKind::Regular,
             ProtocolKind::RegularOptimized,
+            ProtocolKind::Atomic,
         ] {
             assert_eq!(ProtocolSpec::from(kind).kind(), kind);
         }

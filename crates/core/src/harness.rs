@@ -1,14 +1,13 @@
-//! What a simulated register protocol is: the [`RegisterProtocol`] trait,
-//! the [`SafeProtocol`] / [`RegularProtocol`] shorthands and the blanket
-//! impl for everything that names a [`ProtocolSpec`]. (The two operation
-//! reports are what the automata themselves produce: [`ReadReport`],
-//! [`WriteReport`].)
+//! What a simulated register protocol is: the [`RegisterProtocol`] trait
+//! and its one impl in this crate, for everything that names a
+//! [`ProtocolSpec`] — a [`ProtocolKind`] (safe, regular, §5.1, atomic) or a
+//! spec with its own retention and tuning. (The two operation reports are
+//! what the automata themselves produce: [`ReadReport`], [`WriteReport`].)
 //!
 //! Nothing here drives a world. Operations enter a simulation through
 //! [`crate::StorageScenario`] only, which is written once against the trait
-//! and so runs any implementation: the paper's safe and regular protocols
-//! here, [`crate::AtomicProtocol`], and the ABD / masking-quorum /
-//! passive-reader baselines in `vrr-baselines`.
+//! and so runs any implementation: the four kinds here and the ABD /
+//! masking-quorum / passive-reader baselines in `vrr-baselines`.
 
 use vrr_sim::{Automaton, SimMessage, World};
 
@@ -16,8 +15,8 @@ use crate::attackers::AttackerKind;
 use crate::config::StorageConfig;
 use crate::group::{spawn_group, Deployment, ProtocolKind, ProtocolSpec};
 use crate::msg::Msg;
-use crate::reader::{FastPathStats, ReadId, ReadReport, ReaderTuning};
-use crate::regular::{HistoryRetention, RegularObject, RegularReader};
+use crate::reader::{FastPathStats, ReadId, ReadReport};
+use crate::regular::{RegularObject, RegularReader};
 use crate::safe::SafeReader;
 use crate::types::Value;
 use crate::writer::{WriteId, WriteReport, Writer};
@@ -91,70 +90,15 @@ pub trait RegisterProtocol<V: Value> {
     }
 }
 
-/// The paper's safe storage (§4) at its defaults.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SafeProtocol;
-
-impl From<SafeProtocol> for ProtocolSpec {
-    fn from(_: SafeProtocol) -> Self {
-        ProtocolKind::Safe.into()
-    }
-}
-
-/// The paper's regular storage (§5) with default reader tuning.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RegularProtocol {
-    /// Run the §5.1 optimization (suffix histories + reader cache).
-    pub optimized: bool,
-    /// Object-side history retention (extension; default keep-all).
-    pub retention: HistoryRetention,
-}
+/// **Shim, to be deleted by ROADMAP item 8.** `benchmark/src/counts.rs`
+/// names `RegularProtocol::optimized()` and system PRs may not edit
+/// `benchmark/`; everything else says [`ProtocolKind::RegularOptimized`].
+pub struct RegularProtocol;
 
 impl RegularProtocol {
-    /// The paper-faithful full-history variant.
-    pub fn full() -> Self {
-        RegularProtocol {
-            optimized: false,
-            retention: HistoryRetention::KeepAll,
-        }
-    }
-
-    /// The §5.1-optimized variant.
-    pub fn optimized() -> Self {
-        RegularProtocol {
-            optimized: true,
-            retention: HistoryRetention::KeepAll,
-        }
-    }
-
-    /// This protocol with a different object-side retention policy.
-    ///
-    /// `RegularProtocol::optimized().with_retention(HistoryRetention::reader_ack(r))`
-    /// is the bounded-memory production configuration: suffix transfers
-    /// (§5.1) bound message size, reader-ack GC bounds object memory.
-    #[must_use]
-    pub fn with_retention(mut self, retention: HistoryRetention) -> Self {
-        self.retention = retention;
-        self
-    }
-
-    /// The §5.1-optimized variant with reader-ack history GC for
-    /// `readers` reader clients (pass `cfg.readers`).
-    pub fn optimized_gc(readers: usize) -> Self {
-        RegularProtocol {
-            optimized: true,
-            retention: HistoryRetention::reader_ack(readers),
-        }
-    }
-}
-
-impl From<RegularProtocol> for ProtocolSpec {
-    fn from(p: RegularProtocol) -> Self {
-        ProtocolSpec::Regular {
-            optimized: p.optimized,
-            retention: p.retention,
-            tuning: ReaderTuning::default(),
-        }
+    /// [`ProtocolKind::RegularOptimized`].
+    pub fn optimized() -> ProtocolKind {
+        ProtocolKind::RegularOptimized
     }
 }
 
@@ -162,8 +106,7 @@ impl From<RegularProtocol> for ProtocolSpec {
 /// protocol: the spec itself (mutation experiments deploy one with a
 /// deliberately broken tuning, and the consistency checkers must catch
 /// the resulting violations — validating that green experiment results are
-/// meaningful), a bare [`ProtocolKind`], and the [`SafeProtocol`] /
-/// [`RegularProtocol`] shorthands.
+/// meaningful) and a bare [`ProtocolKind`].
 impl<V: Value, P: Copy + Into<ProtocolSpec>> RegisterProtocol<V> for P {
     type Msg = Msg<V>;
 

@@ -33,10 +33,10 @@
 //! ## Quick example (simulated)
 //!
 //! ```
-//! use vrr_core::{SafeProtocol, StorageConfig, StorageScenario};
+//! use vrr_core::{ProtocolKind, StorageConfig, StorageScenario};
 //!
 //! let cfg = StorageConfig::optimal(1, 1, 1); // t = 1 fault, b = 1 Byzantine: S = 4
-//! let mut sc = StorageScenario::deploy(SafeProtocol, cfg, 42);
+//! let mut sc = StorageScenario::deploy(ProtocolKind::Safe, cfg, 42);
 //!
 //! let w = sc.write(7u64);
 //! assert_eq!(w.rounds, 2);
@@ -47,7 +47,6 @@
 
 #![warn(missing_docs)]
 
-pub mod atomic;
 pub mod attackers;
 mod config;
 mod group;
@@ -68,7 +67,7 @@ pub use config::StorageConfig;
 pub use group::{
     group_member, group_span, spawn_group, Deployment, GroupRole, ProtocolKind, ProtocolSpec,
 };
-pub use harness::{RegisterProtocol, RegularProtocol, SafeProtocol};
+pub use harness::{RegisterProtocol, RegularProtocol};
 pub use mis::{conflict_free_of_size, max_conflict_free};
 pub use msg::{Msg, ReadRound};
 pub use reader::{FastPathStats, ReadReport, ReaderTuning};

@@ -9,6 +9,9 @@
 //! a round-1 `READ_ACK` quorum may simply complete the read without the
 //! `READ2` broadcast ever being sent, so objects cannot tell a fast read
 //! from the first round of a two-round one.
+//!
+//! The atomic extension adds one: [`Msg::WriteBack`], answered with the
+//! `WRITE_ACK` the writer's `W` gets.
 
 use std::fmt;
 
@@ -117,6 +120,15 @@ pub enum Msg<V> {
         /// The object's history (full, or a suffix under §5.1).
         history: History<V>,
     },
+    /// A reader's write-back of the tuple its READ selected — the third
+    /// round of an atomic READ (extension; [`crate::reader`] has the
+    /// argument). Not a write: a regular object fills the tuple in only
+    /// where it holds no `w` at that timestamp, and answers
+    /// `WRITE_ACK⟨w.ts⟩` whatever it stored.
+    WriteBack {
+        /// The selected tuple, exactly as an object reported it.
+        w: WTuple<V>,
+    },
 }
 
 impl<V: fmt::Debug> fmt::Debug for Msg<V> {
@@ -157,6 +169,7 @@ impl<V: fmt::Debug> fmt::Debug for Msg<V> {
                     history.len()
                 )
             }
+            Msg::WriteBack { w } => write!(f, "WB⟨{:?}⟩", w.tsval),
         }
     }
 }
@@ -171,6 +184,7 @@ impl<V: Value> SimMessage for Msg<V> {
             Msg::Read { since, .. } => 8 + 8 + 8 + 8 + if since.is_some() { 8 } else { 0 },
             Msg::ReadAckSafe { pw, w, .. } => 8 + pw.wire_size() + w.wire_size(),
             Msg::ReadAckRegular { history, .. } => 8 + history.wire_size(),
+            Msg::WriteBack { w } => w.wire_size(),
         }
     }
 }

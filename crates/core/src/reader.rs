@@ -1,4 +1,6 @@
-//! The one two-round reader behind both of the paper's protocols.
+//! The one reader behind both of the paper's protocols: two rounds, and —
+//! where a group's spec asks for atomic reads — a write-back phase after
+//! them.
 //!
 //! §5 presents the regular reader (Figure 6) as the safe reader (Figure 4)
 //! with histories in place of `pw`/`w` pairs: the same two rounds, the same
@@ -39,6 +41,7 @@
 //! | lines 25–26 `READ2_ACK` | lines 22–25 | `on_message` | [`Evidence::open`] |
 //! | lines 27–28 eliminate | `invalid` | `Reader::eliminate` | [`Evidence::contradicts`] |
 //! | — (extension) | — | `Reader::try_fast_finish` | [`Evidence::confirms`] |
+//! | — | — (extension) | `Reader::complete` → `Phase::WriteBack` → `Reader::on_write_back_ack` | [`Evidence::writes_back`] |
 //!
 //! # The one-round fast path, and why it is sound
 //!
@@ -65,6 +68,38 @@
 //! set simply falls back to round 2 and its cache-return rule.
 //! At `S ≤ 2t + 2b` the path refuses to engage and the reader *behaves*
 //! exactly like Figures 4 and 6.
+//!
+//! # The write-back phase: atomic reads in one more round
+//!
+//! The paper's reads take two rounds *because* they are only regular: two
+//! reads concurrent with a write may return new, then old. Where
+//! [`Evidence::writes_back`] says so ([`crate::ProtocolKind::Atomic`]: the
+//! regular protocol, whose objects answer [`Msg::WriteBack`]), a READ that
+//! selected `c` first plants `c` at `S − t` objects — the ABD write-back —
+//! and only then returns it: `rounds + 1`, never `fast`. At least
+//! `S − t − b` correct objects then hold `c`, at most `t + b` objects do
+//! not — one short of what elimination takes — so every later READ keeps
+//! `c` as a candidate and returns `c.ts` or newer. `⊥` is every correct
+//! object's initial state and a §5.1 cache return is a pair this reader
+//! already planted; both skip the phase. The object's side of the bargain is
+//! in [`crate::regular::RegularObject`]: a write-back is not a write (it
+//! never advances `ts_i`, never replaces a `w`), it is acknowledged however
+//! many writes have overtaken it, and a `PW` it overtook leaves it in place.
+//! (The count presumes `c` is the writer's own tuple. A Byzantine object
+//! that promotes a `pw` to a `w` of its own making can get *that* selected
+//! while the write is in flight, and until the writer's `W` lands the
+//! objects hold two tuples for one write. No catalogue attacker does it and
+//! no sampled schedule reaches it — a case for the exhaustive explorer.)
+//!
+//! What travels is the **selected tuple itself**, matrix included — which
+//! the skeleton holds at the moment it decides, and a wrapper that sees only
+//! the [`ReadReport`] does not. `invalid(c)` compares whole tuples: an
+//! object that stored a reconstruction `⟨c.tsval, ∅⟩` contradicts the
+//! genuine `c` for every later READ, the objects that hold the genuine `c`
+//! contradict the reconstruction, and between them both versions can reach
+//! `t + b + 1` contradictors — the later READ then falls through to an
+//! *older* write and loses regularity, not merely atomicity. The tuple as an
+//! object reported it is the one version no honest history contradicts.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
@@ -207,12 +242,27 @@ pub trait Evidence<V: Value>: Clone + fmt::Debug + Send + 'static {
     /// What a READ whose candidate set drained returns; `None` keeps it
     /// waiting.
     fn on_empty(&self) -> Option<TsVal<V>>;
+
+    /// Whether a READ writes the tuple it selected back to `S − t` objects
+    /// before returning it (the atomic extension; module docs). Only a
+    /// protocol whose objects answer [`Msg::WriteBack`] may say yes.
+    fn writes_back(&self) -> bool {
+        false
+    }
 }
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Phase {
+#[derive(Clone, PartialEq, Eq, Debug)]
+enum Phase<V> {
     Round1,
     Round2,
+    /// The READ selected `cret` in `rounds` round-trips and is planting it
+    /// at `S − t` objects before returning it (the atomic extension).
+    WriteBack {
+        cret: WTuple<V>,
+        rounds: u32,
+        /// The objects that acknowledged the write-back.
+        acks: BTreeSet<usize>,
+    },
 }
 
 #[derive(Clone, Debug)]
@@ -220,7 +270,7 @@ struct ReadOp<V: Value, E: Evidence<V>> {
     id: ReadId,
     /// `tsrFR`: the reader timestamp of the first round (Figure 4 line 9).
     tsr_fr: u64,
-    phase: Phase,
+    phase: Phase<V>,
     /// Accepted replies per round and object — the first per object counts,
     /// equivocating repeats are ignored. Round 1's key set is `Resp1`.
     replies: [BTreeMap<usize, E::Reply>; 2],
@@ -432,7 +482,7 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
                 self.cfg.quorum(),
             )
             .is_some();
-        if !ok || self.try_fast_finish() {
+        if !ok || self.try_fast_finish(ctx) {
             return;
         }
         // Lines 12–13: inc(tsr'_j); send READ2 to all objects. Under
@@ -450,7 +500,7 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
     /// The sound one-round fast path (module docs): complete now iff some
     /// highest live candidate has enough exact round-1 confirmations.
     /// Returns whether the read completed.
-    fn try_fast_finish(&mut self) -> bool {
+    fn try_fast_finish(&mut self, ctx: &mut Context<'_, Msg<V>>) -> bool {
         if !self.tuning.fast_path {
             return false;
         }
@@ -472,7 +522,7 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
         match confirmed.cloned() {
             Some(cret) => {
                 self.fast_stats.hits += 1;
-                self.complete(cret, 1, true);
+                self.complete(cret, 1, true, ctx);
                 true
             }
             None => {
@@ -484,7 +534,7 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
 
     /// Line 14: complete once the highest live candidate is `safe`, or `C`
     /// drained and the evidence knows what that means.
-    fn try_finish(&mut self) {
+    fn try_finish(&mut self, ctx: &mut Context<'_, Msg<V>>) {
         let Some(op) = self.op.as_ref() else { return };
         if op.phase != Phase::Round2 {
             return;
@@ -499,14 +549,52 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
         let needed = self.tuning.safe_threshold.unwrap_or(self.cfg.b_plus_1());
         let safe = op.highest(|c| op.objects_where(|reply| E::supports(reply, c)) >= needed);
         if let Some(cret) = safe.cloned() {
-            self.complete(cret, rounds, false); // lines 18–19
+            self.complete(cret, rounds, false, ctx); // lines 18–19
         }
     }
 
-    /// Returns candidate `cret`.
-    fn complete(&mut self, cret: WTuple<V>, rounds: u32, fast: bool) {
+    /// Returns candidate `cret` — after writing it back (module docs), where
+    /// the evidence asks for that and `cret` is not `w0`, which every correct
+    /// object holds from the start.
+    fn complete(
+        &mut self,
+        cret: WTuple<V>,
+        rounds: u32,
+        fast: bool,
+        ctx: &mut Context<'_, Msg<V>>,
+    ) {
+        if self.evidence.writes_back() && cret.ts() > Timestamp::ZERO {
+            let msg = Msg::WriteBack { w: cret.clone() };
+            ctx.broadcast(self.objects.iter().copied(), msg);
+            self.op.as_mut().expect("a READ is completing").phase = Phase::WriteBack {
+                cret,
+                rounds,
+                acks: BTreeSet::new(),
+            };
+            return;
+        }
         self.evidence.on_return(&cret);
         self.report(cret.tsval, rounds, fast);
+    }
+
+    /// `WRITE_ACK⟨ts⟩` from object `obj`: the READ returns once `S − t`
+    /// objects acknowledged the write-back of the tuple it selected.
+    fn on_write_back_ack(&mut self, obj: usize, ts: Timestamp) {
+        let quorum = self.cfg.quorum();
+        let Some(Phase::WriteBack { cret, rounds, acks }) =
+            self.op.as_mut().map(|op| &mut op.phase)
+        else {
+            return;
+        };
+        if ts != cret.ts() {
+            return;
+        }
+        acks.insert(obj);
+        if acks.len() >= quorum {
+            let (cret, rounds) = (cret.clone(), *rounds + 1);
+            self.evidence.on_return(&cret);
+            self.report(cret.tsval, rounds, false);
+        }
     }
 
     fn report(&mut self, tsval: TsVal<V>, rounds: u32, fast: bool) {
@@ -528,10 +616,17 @@ impl<V: Value, E: Evidence<V>> Automaton<Msg<V>> for Reader<V, E> {
         let Some(&obj) = self.object_index.get(&from) else {
             return;
         };
-        let Some((round, tsr, reply)) = E::open(msg) else {
+        let reply = match msg {
+            Msg::WAck { ts } => return self.on_write_back_ack(obj, ts),
+            msg => E::open(msg),
+        };
+        let Some((round, tsr, reply)) = reply else {
             return;
         };
         let Some(op) = self.op.as_mut() else { return };
+        if matches!(op.phase, Phase::WriteBack { .. }) {
+            return; // the selection is made; late READk_ACKs change nothing
+        }
         // Accept the first ACK per object and round that echoes this
         // round's reader timestamp: stale or replayed ACKs fail the echo
         // check because tsr'_j strictly increases. A correct object only
@@ -557,7 +652,7 @@ impl<V: Value, E: Evidence<V>> Automaton<Msg<V>> for Reader<V, E> {
 
         self.eliminate();
         self.try_advance(ctx);
-        self.try_finish();
+        self.try_finish(ctx);
     }
 
     fn label(&self) -> &'static str {
@@ -905,6 +1000,20 @@ pub(crate) mod tests {
         assert_eq!(stats, FastPathStats::default());
     }
 
+    fn write_acks_mean_nothing_to_a_read_that_does_not_write_back<E: Fixture>() {
+        let mut r = optimal::<E>();
+        let (id, _) = invoke(&mut r);
+        for i in 0..4 {
+            assert!(deliver(&mut r, i, Msg::WAck { ts: Timestamp(1) }).is_empty());
+        }
+        assert!(r.outcome(id).is_none());
+        for i in 0..3 {
+            deliver(&mut r, i, E::ack(ReadRound::R1, 1, 1));
+        }
+        let got = r.outcome(id).expect("complete");
+        assert_eq!((got.value, got.rounds), (Some(10), 2), "no third round");
+    }
+
     macro_rules! over_both_evidences {
         ($($(#[$attr:meta])* $name:ident),* $(,)?) => {
             mod safe {
@@ -932,5 +1041,277 @@ pub(crate) mod tests {
         fast_path_disabled_by_tuning_takes_two_rounds,
         unreachable_fast_threshold_always_falls_back,
         skip_round2_reports_one_unsound_round,
+        write_acks_mean_nothing_to_a_read_that_does_not_write_back,
+    }
+
+    /// The write-back phase (the atomic extension), on the one evidence
+    /// whose objects answer it: reader-level cases first, then whole
+    /// deployments of [`ProtocolKind::Atomic`].
+    mod write_back {
+        use super::*;
+        use crate::attackers::AttackerKind;
+        use crate::group::ProtocolKind;
+        use crate::regular::RegularReader;
+        use crate::scenario::StorageScenario;
+
+        type E = RegularEvidence<u64>;
+
+        fn reader(cfg: StorageConfig, optimized: bool) -> RegularReader<u64> {
+            let objects = (0..cfg.s).map(ProcessId).collect();
+            RegularReader::with_tuning(cfg, 0, objects, optimized, true, ReaderTuning::default())
+        }
+
+        /// Write 1's tuple as the writer assembled it: its matrix is what a
+        /// reconstruction from the `ReadReport` would lose.
+        fn w1() -> WTuple<u64> {
+            let mut matrix = TsrMatrix::empty();
+            matrix.set_row(2, BTreeMap::from([(0usize, 0u64)]));
+            WTuple::new(TsVal::new(Timestamp(1), 10), matrix)
+        }
+
+        /// S = 4, t = b = 1: objects 0..=2 reported `w1`, the READ selected
+        /// it at round-2 entry (b + 1 round-1 supporters) and the
+        /// write-back of that very tuple is out.
+        fn writing_back() -> (RegularReader<u64>, ReadId) {
+            let mut r = reader(StorageConfig::optimal(1, 1, 1), false);
+            let (id, _) = invoke(&mut r);
+            let mut sent = Vec::new();
+            for i in 0..3 {
+                sent = deliver(&mut r, i, E::forged_ack(ReadRound::R1, 1, 0, w1()));
+            }
+            assert_eq!(sent.len(), 8, "READ2 to all, then the write-back to all");
+            for (_, msg) in &sent[4..] {
+                assert_eq!(*msg, Msg::WriteBack { w: w1() }, "matrix included");
+            }
+            assert!(r.outcome(id).is_none(), "not before S − t acknowledged");
+            assert_eq!(r.acked(), Timestamp::ZERO, "on_return fires at the return");
+            (r, id)
+        }
+
+        fn acks(r: &mut RegularReader<u64>, from: impl IntoIterator<Item = usize>, ts: u64) {
+            for i in from {
+                let sent = deliver(r, i, Msg::WAck { ts: Timestamp(ts) });
+                assert!(sent.is_empty());
+            }
+        }
+
+        #[test]
+        fn the_read_returns_when_a_quorum_acknowledged_the_write_back() {
+            let (mut r, id) = writing_back();
+            acks(&mut r, 0..2, 1);
+            assert!(r.outcome(id).is_none());
+            acks(&mut r, 2..3, 1);
+            let got = r.outcome(id).expect("S − t acknowledged");
+            assert_eq!((got.value, got.ts), (Some(10), Timestamp(1)));
+            assert_eq!((got.rounds, got.fast), (3, false));
+            assert_eq!(r.acked(), Timestamp(1));
+            assert!(r.is_idle());
+        }
+
+        #[test]
+        fn only_each_object_s_first_ack_for_the_selected_timestamp_counts() {
+            let (mut r, id) = writing_back();
+            acks(&mut r, 0..4, 2);
+            acks(&mut r, 0..4, 0);
+            acks(&mut r, 7..12, 1); // no such objects
+            acks(&mut r, [0, 0, 0, 1, 1], 1);
+            assert!(r.outcome(id).is_none(), "two objects, whatever they repeat");
+        }
+
+        #[test]
+        fn read_acks_during_the_write_back_change_nothing() {
+            let (mut r, id) = writing_back();
+            // Object 3's late round-1 reply knows a newer write; round-2
+            // replies trickle in. The selection is made.
+            assert!(deliver(&mut r, 3, E::ack(ReadRound::R1, 1, 2)).is_empty());
+            for i in 0..4 {
+                assert!(deliver(&mut r, i, E::ack(ReadRound::R2, 2, 2)).is_empty());
+            }
+            assert!(r.outcome(id).is_none());
+            acks(&mut r, 1..4, 1);
+            let got = r.outcome(id).expect("complete");
+            assert_eq!((got.value, got.rounds), (Some(10), 3));
+        }
+
+        #[test]
+        #[should_panic(expected = "one READ at a time")]
+        fn invoking_during_the_write_back_panics() {
+            let (mut r, _) = writing_back();
+            invoke(&mut r);
+        }
+
+        #[test]
+        fn a_fast_selection_is_written_back_too() {
+            // S = 5: the round-1 quorum confirms write 1 exactly, no READ2
+            // goes out — the write-back does, and the read is not `fast`.
+            let mut r = reader(StorageConfig::fast(1, 1, 1), false);
+            let (id, _) = invoke(&mut r);
+            let mut sent = Vec::new();
+            for i in 0..4 {
+                sent = deliver(&mut r, i, E::ack(ReadRound::R1, 1, 1));
+            }
+            assert_eq!(sent.len(), 5);
+            assert!(matches!(sent[0].1, Msg::WriteBack { .. }));
+            acks(&mut r, 0..4, 1);
+            let got = r.outcome(id).expect("complete");
+            assert_eq!((got.value, got.rounds, got.fast), (Some(10), 2, false));
+            assert_eq!(r.fast_stats().hits, 1);
+        }
+
+        #[test]
+        fn a_cache_return_skips_the_write_back() {
+            // §5.1: the first read returned (and wrote back) write 1; the
+            // second finds an empty candidate set, which proves nothing
+            // newer completed — the cached pair needs no second planting.
+            let mut r = reader(StorageConfig::optimal(1, 1, 1), true);
+            invoke(&mut r);
+            for i in 0..3 {
+                deliver(&mut r, i, E::ack(ReadRound::R1, 1, 1));
+            }
+            acks(&mut r, 0..3, 1);
+            let (id, _) = invoke(&mut r);
+            let (round, history) = (ReadRound::R1, crate::types::History::empty());
+            let empty = Msg::ReadAckRegular {
+                round,
+                tsr: 3,
+                history,
+            };
+            let mut sent = Vec::new();
+            for i in 0..3 {
+                sent = deliver(&mut r, i, empty.clone());
+            }
+            assert_eq!(sent.len(), 4, "READ2 only");
+            let got = r.outcome(id).expect("the cached pair");
+            assert_eq!((got.value, got.rounds), (Some(10), 2));
+        }
+
+        #[test]
+        fn atomic_reads_cost_three_rounds() {
+            let cfg = StorageConfig::optimal(1, 1, 2);
+            let mut sc = StorageScenario::deploy(ProtocolKind::Atomic, cfg, 6);
+            sc.write(42u64);
+            let r = sc.read(0);
+            assert_eq!(r.value, Some(42));
+            assert_eq!(r.rounds, 3, "regular's 2 rounds + write-back");
+        }
+
+        #[test]
+        fn bottom_reads_skip_the_write_back() {
+            let cfg = StorageConfig::optimal(1, 1, 1);
+            let mut sc = StorageScenario::<u64, _>::deploy(ProtocolKind::Atomic, cfg, 6);
+            let r = sc.read(0);
+            assert_eq!(r.value, None);
+            assert_eq!(r.rounds, 2, "nothing to write back");
+        }
+
+        #[test]
+        fn atomic_reader_tolerates_byzantine_objects() {
+            let cfg = StorageConfig::optimal(2, 2, 1);
+            let mut sc = StorageScenario::deploy(ProtocolKind::Atomic, cfg, 6);
+            for i in 0..cfg.b {
+                sc.byzantine_object(i, AttackerKind::Inflator.build_regular(cfg, 0xBAD));
+            }
+            sc.write(7u64);
+            assert_eq!(sc.read(0).value, Some(7));
+        }
+
+        /// Holds what `from` sends to object `i` wherever `held(msg, i)`.
+        fn hold(
+            sc: &mut StorageScenario<u64, ProtocolKind>,
+            from: ProcessId,
+            held: impl Fn(&Msg<u64>, usize) -> bool + Send + 'static,
+        ) {
+            let objects = sc.dep().objects.clone();
+            sc.world_mut().adversary_mut().install("hold", move |e| {
+                let to = objects.iter().position(|&o| o == e.to)?;
+                (e.from == from && held(&e.msg, to)).then_some(vrr_sim::Action::Hold)
+            });
+        }
+
+        /// S = 4 after `WRITE(10)`, with `WRITE(20)` in flight: its `PW` and
+        /// `W` reach the objects `held` lets them.
+        fn write_2_in_flight(
+            held: impl Fn(&Msg<u64>, usize) -> bool + Send + 'static,
+        ) -> StorageScenario<u64, ProtocolKind> {
+            let cfg = StorageConfig::optimal(1, 1, 2);
+            let mut sc = StorageScenario::deploy(ProtocolKind::Atomic, cfg, 4);
+            sc.write(10u64);
+            let writer = sc.writer();
+            hold(&mut sc, writer, held);
+            let mut w2 = sc.start_write(20u64);
+            sc.world_mut().run_until_idle(100_000);
+            assert!(
+                sc.poll_write(&mut w2).is_none(),
+                "write 2 must be in flight"
+            );
+            sc
+        }
+
+        /// The deterministic inversion scenario that the regular protocol
+        /// admits (tests/consistency.rs) cannot happen here: after the first
+        /// read returns the in-flight value, the write-back has planted it on
+        /// a quorum, and the second read finds it whatever its quorum is.
+        #[test]
+        fn write_back_prevents_the_new_old_inversion() {
+            // Write 2: PW reaches everyone, W only object 0 (held for the rest).
+            let mut sc = write_2_in_flight(|msg, to| matches!(msg, Msg::W { .. }) && to != 0);
+
+            // Read 1 (reader 0): quorum {0,1,2}; sees the in-flight 20 and
+            // WRITES IT BACK before returning.
+            let (from, to) = (sc.reader(0), sc.object(3));
+            sc.world_mut().adversary_mut().hold_link(from, to);
+            let r1 = sc.read(0);
+            assert_eq!(r1.value, Some(20));
+            assert_eq!(r1.rounds, 3);
+
+            // Read 2 (reader 1): quorum {1,2,3} — object 0 unreachable. In the
+            // regular protocol this read returned 10; here the write-back has
+            // already planted 20 on the quorum.
+            let (from, to) = (sc.reader(1), sc.object(0));
+            sc.world_mut().adversary_mut().hold_link(from, to);
+            let r2 = sc.read(1);
+            assert_eq!(r2.value, Some(20), "no new/old inversion with write-back");
+        }
+
+        /// The write-back may reach an object before write 2's own `PW`
+        /// does. That late `PW` must not take the planted tuple away again:
+        /// the reader counted this object among the `S − t` holders it
+        /// returned on.
+        #[test]
+        fn a_late_pw_keeps_the_tuple_a_write_back_planted() {
+            // Write 2: PW reaches 0, 1, 3 (held to 2); W reaches only 3.
+            let mut sc = write_2_in_flight(|msg, to| match msg {
+                Msg::Pw { .. } => to == 2,
+                Msg::W { .. } => to != 3,
+                _ => false,
+            });
+
+            // Read 1 (reader 0) hears 0, 1, 3: object 3 nominates w2, the
+            // `pw`s of 0 and 1 make it safe. Its write-back reaches 1, 2, 3
+            // — object 2 has seen nothing of write 2 yet.
+            let r0 = sc.reader(0);
+            hold(&mut sc, r0, |msg, to| match msg {
+                Msg::Read { .. } => to == 2,
+                Msg::WriteBack { .. } => to == 0,
+                _ => false,
+            });
+            let r1 = sc.read(0);
+            assert_eq!((r1.value, r1.rounds), (Some(20), 3));
+
+            // Now write 2's PW arrives at object 2, and object 3 turns out
+            // to be the Byzantine one: from here on it denies every write.
+            let o2 = sc.object(2);
+            sc.world_mut()
+                .release_held(|e| e.to == o2 && matches!(e.msg, Msg::Pw { .. }));
+            sc.world_mut().run_until_idle(100_000);
+            sc.attack_object(3, AttackerKind::Stale, 0xBAD);
+
+            // Read 2 (reader 1) hears 0, 2, 3 — object 1, the other holder,
+            // is slow. Object 2 must still nominate w2.
+            let (from, to) = (sc.reader(1), sc.object(1));
+            sc.world_mut().adversary_mut().hold_link(from, to);
+            let r2 = sc.read(1);
+            assert_eq!(r2.value, Some(20), "read 1 returned 20 before read 2 began");
+        }
     }
 }

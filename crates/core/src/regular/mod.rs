@@ -57,10 +57,12 @@
 //! a function of reader concurrency, not run length.
 //!
 //! ```
-//! use vrr_core::{RegularProtocol, StorageConfig, StorageScenario};
+//! use vrr_core::regular::HistoryRetention;
+//! use vrr_core::{ProtocolKind, ProtocolSpec, StorageConfig, StorageScenario};
 //!
 //! // §5.1 transfers + reader-ack GC: the bounded-memory configuration.
-//! let protocol = RegularProtocol::optimized_gc(1);
+//! let protocol = ProtocolSpec::from(ProtocolKind::RegularOptimized)
+//!     .with_retention(HistoryRetention::reader_ack(1));
 //! let cfg = StorageConfig::optimal(1, 1, 1); // S = 4, R = 1
 //! let mut sc = StorageScenario::deploy(protocol, cfg, 7);
 //!

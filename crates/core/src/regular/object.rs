@@ -14,6 +14,12 @@
 //! returned, and the object drops entries strictly below
 //! `min(acks) − window`. The safety argument (why this preserves
 //! regularity) lives in the [`crate::regular`] module docs.
+//!
+//! The object also answers a reader's write-back ([`Msg::WriteBack`], the
+//! third round of an atomic READ — [`crate::reader`]): it fills the tuple in
+//! where it holds no `w` at that timestamp, leaves `ts_i` alone, and
+//! acknowledges unconditionally. No safe or regular reader sends one, so
+//! Figure 5 is what runs for them.
 
 use std::collections::BTreeMap;
 
@@ -235,7 +241,13 @@ impl<V: Value> Automaton<Msg<V>> for RegularObject<V> {
             // history[ts'−1]; the figure's `history[ts]` is a typo).
             Msg::Pw { ts, pw, w } => {
                 if ts > self.ts {
-                    self.history.insert(ts, HistEntry { pw, w: None });
+                    // `w := nil` — unless a reader's write-back of this very
+                    // write overtook its PW (`Msg::WriteBack`; no entry sits
+                    // above `ts_i` otherwise). That reader returned counting
+                    // this object among the `S − t` holders of the tuple.
+                    let planted = self.history.get(ts).and_then(|e| e.w.clone());
+                    let w_now = planted.filter(|c| c.tsval == pw);
+                    self.history.insert(ts, HistEntry { pw, w: w_now });
                     // The PW of write ts carries write (ts−1)'s tuple:
                     // objects that missed the previous W round backfill here.
                     self.history.insert(
@@ -294,6 +306,20 @@ impl<V: Value> Automaton<Msg<V>> for RegularObject<V> {
                         },
                     );
                 }
+            }
+            // A reader's write-back (extension: the third round of an atomic
+            // READ). It is not a write, so it neither advances `ts` nor
+            // replaces a `w` the writer put here; and the reader waits for
+            // `S − t` of these acknowledgements however many writes have
+            // overtaken it, so — unlike line 11's `ts ≥ ts_i` — always ack.
+            Msg::WriteBack { w } => {
+                let ts = w.ts();
+                if self.history.get(ts).is_none_or(|e| e.w.is_none()) {
+                    let pw = w.tsval.clone();
+                    self.history.insert(ts, HistEntry { pw, w: Some(w) });
+                    self.apply_retention();
+                }
+                ctx.send(from, Msg::WAck { ts });
             }
             Msg::PwAck { .. }
             | Msg::WAck { .. }
@@ -389,6 +415,56 @@ mod tests {
         assert!(step(&mut obj, pw_msg(2, 99, tuple(1, 98))).is_empty());
         assert!(step(&mut obj, w_msg(2, 99)).is_empty());
         assert_eq!(obj.history().get(Timestamp(2)).unwrap().pw.value, Some(20));
+    }
+
+    fn w_at(obj: &RegularObject<u64>, ts: u64) -> Option<WTuple<u64>> {
+        obj.history().get(Timestamp(ts)).and_then(|e| e.w.clone())
+    }
+
+    #[test]
+    fn a_write_back_fills_in_a_missing_w_and_never_replaces_one() {
+        let mut obj = RegularObject::new();
+        step(&mut obj, pw_msg(1, 10, WTuple::initial()));
+        let out = step(&mut obj, Msg::WriteBack { w: tuple(1, 10) });
+        assert_eq!(out, [(ProcessId(9), Msg::WAck { ts: Timestamp(1) })]);
+        assert_eq!(w_at(&obj, 1), Some(tuple(1, 10)), "pw only: completed");
+        // Another tuple for the same write is acknowledged, not stored.
+        let mut matrix = TsrMatrix::empty();
+        matrix.set_row(0, BTreeMap::from([(0, 7)]));
+        let other = WTuple::new(TsVal::new(Timestamp(1), 10), matrix);
+        let out = step(&mut obj, Msg::WriteBack { w: other });
+        assert_eq!(out, [(ProcessId(9), Msg::WAck { ts: Timestamp(1) })]);
+        assert_eq!(w_at(&obj, 1), Some(tuple(1, 10)));
+    }
+
+    #[test]
+    fn an_overtaken_write_back_is_still_acknowledged() {
+        // The object is at write 3 and never saw write 1; line 11's
+        // `ts ≥ ts_i` would leave the reader waiting forever.
+        let mut obj = RegularObject::new();
+        step(&mut obj, pw_msg(3, 30, tuple(2, 20)));
+        let out = step(&mut obj, Msg::WriteBack { w: tuple(1, 10) });
+        assert_eq!(out, [(ProcessId(9), Msg::WAck { ts: Timestamp(1) })]);
+        assert_eq!(obj.ts(), Timestamp(3), "a write-back is not a write");
+        assert_eq!(w_at(&obj, 1), Some(tuple(1, 10)));
+    }
+
+    #[test]
+    fn a_late_pw_keeps_a_planted_tuple_and_is_acknowledged() {
+        let mut obj = RegularObject::new();
+        step(&mut obj, Msg::WriteBack { w: tuple(1, 10) });
+        assert_eq!(obj.ts(), Timestamp::ZERO);
+        let out = step(&mut obj, pw_msg(1, 10, WTuple::initial()));
+        assert!(
+            matches!(out[..], [(_, Msg::PwAck { .. })]),
+            "the writer waits"
+        );
+        assert_eq!(w_at(&obj, 1), Some(tuple(1, 10)));
+        // What the writer's own pair contradicts goes, as `w := nil` says.
+        let mut obj = RegularObject::new();
+        step(&mut obj, Msg::WriteBack { w: tuple(1, 99) });
+        step(&mut obj, pw_msg(1, 10, WTuple::initial()));
+        assert_eq!(w_at(&obj, 1), None);
     }
 
     #[test]

@@ -24,6 +24,9 @@ use crate::types::{History, Timestamp, TsVal, Value, WTuple};
 #[derive(Clone, Debug)]
 pub struct RegularEvidence<V> {
     optimized: bool,
+    /// Write the selected tuple back before returning it (the atomic
+    /// extension; [`crate::reader`] has the argument).
+    write_back: bool,
     /// `cache_j`: last returned pair (§5.1). `⟨0, ⊥⟩` initially.
     cache: TsVal<V>,
     /// Highest write timestamp ever returned by this reader — piggybacked
@@ -35,9 +38,10 @@ pub struct RegularEvidence<V> {
 }
 
 impl<V: Value> RegularEvidence<V> {
-    fn new(optimized: bool) -> Self {
+    fn new(optimized: bool, write_back: bool) -> Self {
         RegularEvidence {
             optimized,
+            write_back,
             cache: TsVal::bottom(),
             acked: Timestamp::ZERO,
         }
@@ -104,6 +108,10 @@ impl<V: Value> Evidence<V> for RegularEvidence<V> {
     fn on_empty(&self) -> Option<TsVal<V>> {
         self.optimized.then(|| self.cache.clone())
     }
+
+    fn writes_back(&self) -> bool {
+        self.write_back
+    }
 }
 
 impl<V: Value> Reader<V, RegularEvidence<V>> {
@@ -113,7 +121,7 @@ impl<V: Value> Reader<V, RegularEvidence<V>> {
     ///
     /// Panics if `objects.len() != cfg.s` or `j >= cfg.readers`.
     pub fn new(cfg: StorageConfig, j: usize, objects: Vec<ProcessId>) -> Self {
-        Self::with_tuning(cfg, j, objects, false, ReaderTuning::default())
+        Self::with_tuning(cfg, j, objects, false, false, ReaderTuning::default())
     }
 
     /// A §5.1-optimized regular reader (suffix histories + cached value).
@@ -122,11 +130,13 @@ impl<V: Value> Reader<V, RegularEvidence<V>> {
     ///
     /// Panics if `objects.len() != cfg.s` or `j >= cfg.readers`.
     pub fn new_optimized(cfg: StorageConfig, j: usize, objects: Vec<ProcessId>) -> Self {
-        Self::with_tuning(cfg, j, objects, true, ReaderTuning::default())
+        Self::with_tuning(cfg, j, objects, true, false, ReaderTuning::default())
     }
 
-    /// A reader with explicit ablation knobs (see [`ReaderTuning`]); for
-    /// mutation experiments and ablation benches only.
+    /// The reader a [`crate::ProtocolSpec::Regular`] describes: §5.1 or
+    /// not, writing back (atomic reads, three rounds) or not, and with
+    /// explicit ablation knobs (see [`ReaderTuning`]; anything but the
+    /// default is for mutation experiments and ablation benches only).
     ///
     /// # Panics
     ///
@@ -136,9 +146,11 @@ impl<V: Value> Reader<V, RegularEvidence<V>> {
         j: usize,
         objects: Vec<ProcessId>,
         optimized: bool,
+        write_back: bool,
         tuning: ReaderTuning,
     ) -> Self {
-        Self::with_evidence(cfg, j, objects, RegularEvidence::new(optimized), tuning)
+        let evidence = RegularEvidence::new(optimized, write_back);
+        Self::with_evidence(cfg, j, objects, evidence, tuning)
     }
 
     /// The cached pair (meaningful in optimized mode).
@@ -199,7 +211,7 @@ mod tests {
 
     impl Fixture for RegularEvidence<u64> {
         fn evidence() -> Self {
-            RegularEvidence::new(false)
+            RegularEvidence::new(false, false)
         }
 
         fn ack(round: ReadRound, tsr: u64, ts: u64) -> Msg<u64> {

@@ -135,11 +135,14 @@ impl<V: Value> Automaton<Msg<V>> for SafeObject<V> {
                     );
                 }
             }
-            // ACK variants are client-bound; a correct object ignores strays.
+            // ACK variants are client-bound and a write-back belongs to the
+            // regular protocol's atomic extension; a correct object ignores
+            // strays.
             Msg::PwAck { .. }
             | Msg::WAck { .. }
             | Msg::ReadAckSafe { .. }
-            | Msg::ReadAckRegular { .. } => {}
+            | Msg::ReadAckRegular { .. }
+            | Msg::WriteBack { .. } => {}
         }
     }
 
@@ -334,5 +337,14 @@ mod tests {
         let out = step(&mut obj, Msg::WAck { ts: Timestamp(1) });
         assert!(out.is_empty());
         assert_eq!(obj.ts(), Timestamp::ZERO);
+    }
+
+    #[test]
+    fn ignores_a_stray_write_back() {
+        let mut obj: SafeObject<u64> = SafeObject::new();
+        let w = WTuple::new(TsVal::new(Timestamp(1), 5), TsrMatrix::empty());
+        assert!(step(&mut obj, Msg::WriteBack { w }).is_empty());
+        assert_eq!(obj.ts(), Timestamp::ZERO);
+        assert_eq!(obj.w(), &WTuple::initial());
     }
 }

@@ -22,11 +22,11 @@
 //! `SimCase`) keep several handles in flight; tests say what they mean:
 //!
 //! ```
-//! use vrr_core::{RegularProtocol, StorageConfig, StorageScenario};
+//! use vrr_core::{ProtocolKind, StorageConfig, StorageScenario};
 //! use vrr_core::attackers::AttackerKind;
 //!
 //! let cfg = StorageConfig::optimal(1, 1, 2); // S = 4: t = 1, b = 1
-//! let mut sc = StorageScenario::deploy(RegularProtocol::optimized(), cfg, 42);
+//! let mut sc = StorageScenario::deploy(ProtocolKind::RegularOptimized, cfg, 42);
 //! sc.attack_object(0, AttackerKind::Inflator, 0xBAD_u64);
 //! sc.write(7);
 //! assert_eq!(sc.read(0).value, Some(7)); // the liar cannot win
@@ -385,11 +385,11 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{RegularProtocol, SafeProtocol};
+    use crate::group::ProtocolKind;
     use crate::regular::RegularObject;
     use crate::types::Timestamp;
 
-    fn reader_rounds_count(sc: &StorageScenario<u64, RegularProtocol>) -> u64 {
+    fn reader_rounds_count(sc: &StorageScenario<u64, ProtocolKind>) -> u64 {
         let snap = sc.metrics_snapshot();
         snap.histogram(names::READER_ROUNDS, &[])
             .map_or(0, |h| h.count())
@@ -398,7 +398,7 @@ mod tests {
     #[test]
     fn deploy_write_read_records_metrics() {
         let cfg = StorageConfig::optimal(1, 1, 2);
-        let mut sc = StorageScenario::deploy(RegularProtocol::optimized(), cfg, 7);
+        let mut sc = StorageScenario::deploy(ProtocolKind::RegularOptimized, cfg, 7);
         let w = sc.write(11u64);
         assert_eq!((w.ts, w.rounds), (Timestamp(1), 2));
         sc.write(22u64);
@@ -423,7 +423,7 @@ mod tests {
     #[test]
     fn attack_object_uses_the_protocol_catalogue() {
         let cfg = StorageConfig::optimal(1, 1, 1);
-        let mut sc = StorageScenario::deploy(SafeProtocol, cfg, 3);
+        let mut sc = StorageScenario::deploy(ProtocolKind::Safe, cfg, 3);
         sc.attack_object(1, AttackerKind::Inflator, 0xBAD_u64);
         sc.write(5u64);
         assert_eq!(sc.read(0).value, Some(5));
@@ -438,7 +438,7 @@ mod tests {
         // Fast sizing S = 5 (t = b = 1): a read needs S - t = 4 replies, so
         // partitioning two objects away stalls it until the heal fires.
         let cfg = StorageConfig::fast(1, 1, 1);
-        let mut sc = StorageScenario::deploy(RegularProtocol::optimized(), cfg, 9);
+        let mut sc = StorageScenario::deploy(ProtocolKind::RegularOptimized, cfg, 9);
         sc.write(1u64);
         sc.partition_objects(&[0, 1]);
         sc.world_mut().heal_at(SimTime::from_ticks(500));
@@ -456,7 +456,7 @@ mod tests {
     #[test]
     fn fast_path_hits_are_exported() {
         let cfg = StorageConfig::fast(1, 1, 1);
-        let mut sc = StorageScenario::deploy(RegularProtocol::optimized(), cfg, 5);
+        let mut sc = StorageScenario::deploy(ProtocolKind::RegularOptimized, cfg, 5);
         sc.write(4u64);
         let r = sc.read(0);
         assert!(r.fast, "quiet read at fast sizing must take one round");
@@ -476,7 +476,7 @@ mod tests {
         // Fast sizing S = 5: with two objects partitioned away the read
         // cannot gather S - t = 4 replies.
         let cfg = StorageConfig::fast(1, 1, 1);
-        let mut sc = StorageScenario::deploy(RegularProtocol::optimized(), cfg, 9);
+        let mut sc = StorageScenario::deploy(ProtocolKind::RegularOptimized, cfg, 9);
         sc.write(1u64);
         sc.partition_objects(&[0, 1]);
         let mut op = sc.start_read(0);
@@ -501,7 +501,7 @@ mod tests {
         // S = 6 (t = 2, b = 1) with the whole fault budget spent: one
         // crashed object and one mute Byzantine one.
         let cfg = StorageConfig::optimal(2, 1, 2);
-        let mut sc = StorageScenario::deploy(RegularProtocol::full(), cfg, 7);
+        let mut sc = StorageScenario::deploy(ProtocolKind::Regular, cfg, 7);
         assert_eq!(sc.read(1).value, None, "a fresh register reads ⊥");
         sc.crash_object(0)
             .byzantine_object(3, Box::new(vrr_sim::Mute));
@@ -519,7 +519,7 @@ mod tests {
     #[should_panic(expected = "READ failed to complete (wait-freedom violation?)")]
     fn a_blocking_read_on_a_cut_off_reader_panics() {
         let cfg = StorageConfig::fast(1, 1, 1);
-        let mut sc = StorageScenario::<u64, _>::deploy(RegularProtocol::optimized(), cfg, 9);
+        let mut sc = StorageScenario::<u64, _>::deploy(ProtocolKind::RegularOptimized, cfg, 9);
         sc.partition_objects(&[0, 1]);
         sc.read(0);
     }
@@ -527,7 +527,7 @@ mod tests {
     #[test]
     fn history_len_gauges_are_labelled_by_object_index() {
         let cfg = StorageConfig::optimal(1, 1, 1); // S = 4
-        let mut sc = StorageScenario::deploy(RegularProtocol::optimized(), cfg, 3);
+        let mut sc = StorageScenario::deploy(ProtocolKind::RegularOptimized, cfg, 3);
         for k in 1..=3u64 {
             sc.write(k);
         }

@@ -94,7 +94,7 @@ mod tests {
     use vrr_sim::{Action, World};
 
     use super::*;
-    use crate::harness::SafeProtocol;
+    use crate::group::ProtocolKind;
     use crate::regular::RegularObject;
     use crate::safe::SafeObject;
     use crate::scenario::StorageScenario;
@@ -102,8 +102,8 @@ mod tests {
 
     /// Safe storage whose objects are relay-wrapped, substituted before any
     /// message flows; the writer and readers are the plain safe protocol's.
-    fn deploy_relayed(cfg: StorageConfig) -> StorageScenario<u64, SafeProtocol> {
-        let mut sc = StorageScenario::deploy(SafeProtocol, cfg, 2);
+    fn deploy_relayed(cfg: StorageConfig) -> StorageScenario<u64, ProtocolKind> {
+        let mut sc = StorageScenario::deploy(ProtocolKind::Safe, cfg, 2);
         let peers = sc.dep().objects.clone();
         for i in 0..cfg.s {
             let relay = RelayObject::new(SafeObject::<u64>::new(), peers.clone());

@@ -458,6 +458,7 @@ wire_enum!(Msg<V> {
     4 => Read { round, reader, tsr, since, ack },
     5 => ReadAckSafe { round, tsr, pw, w },
     6 => ReadAckRegular { round, tsr, history },
+    7 => WriteBack { w },
 });
 
 #[cfg(test)]

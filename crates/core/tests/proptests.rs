@@ -6,8 +6,8 @@ use proptest::prelude::*;
 use vrr_core::regular::{HistoryRetention, RegularObject};
 use vrr_core::safe::SafeObject;
 use vrr_core::{
-    conflict_free_of_size, max_conflict_free, HistEntry, History, Msg, ReadRound, RegularProtocol,
-    StorageConfig, StorageScenario, Timestamp, TsVal, TsrMatrix, WTuple,
+    conflict_free_of_size, max_conflict_free, HistEntry, History, Msg, ProtocolKind, ProtocolSpec,
+    ReadRound, StorageConfig, StorageScenario, Timestamp, TsVal, TsrMatrix, WTuple,
 };
 use vrr_sim::{Automaton, Context, ProcessId};
 
@@ -279,10 +279,12 @@ proptest! {
         ops in gc_ops(),
     ) {
         let retention = HistoryRetention::ReaderAck { readers: 2, window, cap };
-        let protocol = RegularProtocol {
-            optimized,
-            retention,
+        let kind = if optimized {
+            ProtocolKind::RegularOptimized
+        } else {
+            ProtocolKind::Regular
         };
+        let protocol = ProtocolSpec::from(kind).with_retention(retention);
         let cfg = StorageConfig::optimal(1, 1, 2); // S = 4, R = 2
         let mut sc = StorageScenario::deploy(protocol, cfg, seed);
 

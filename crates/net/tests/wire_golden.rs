@@ -127,6 +127,7 @@ fn every_variant_keeps_its_bytes_and_every_prefix_is_a_typed_error() {
     let w = WTuple::initial();
     t.pin("Msg::ReadAckSafe", Msg::ReadAckSafe { round: r2, tsr: 7, pw: pw(), w });
     t.pin("Msg::ReadAckRegular", Msg::ReadAckRegular { round: r1, tsr: 7, history: history() });
+    t.pin("Msg::WriteBack", Msg::WriteBack { w: wtuple() });
 
     // vrr_net::frame — Envelope, Payload, Ctl.
     let peer = || Payload::Peer { from: 5, to: 0, msg: Msg::WAck { ts: Timestamp(3) } };
@@ -186,7 +187,7 @@ fn every_variant_keeps_its_bytes_and_every_prefix_is_a_typed_error() {
 
     // The first tag each enum leaves unused (and ReadRound's 0: its tags
     // are the round numbers).
-    t.bad_tag::<Msg>("Msg", &[7]);
+    t.bad_tag::<Msg>("Msg", &[8]);
     t.bad_tag::<ReadRound>("ReadRound", &[0]);
     t.bad_tag::<ReadRound>("ReadRound", &[3]);
     t.bad_tag::<Payload>("Payload", &[2]);

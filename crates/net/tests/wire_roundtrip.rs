@@ -129,7 +129,8 @@ fn arb_msg(tag: u8, g: &mut Gen) -> Msg<u64> {
             tsr: g.next(),
             history: arb_history(g),
         },
-        _ => unreachable!("7 Msg variants"),
+        7 => Msg::WriteBack { w: arb_wtuple(g) },
+        _ => unreachable!("8 Msg variants"),
     }
 }
 
@@ -226,22 +227,22 @@ fn assert_framed_roundtrip(env: &Envelope<u64>, g: &mut Gen) {
 }
 
 proptest! {
-    /// 256 seeds × all 7 protocol-message variants each.
+    /// 256 seeds × all 8 protocol-message variants each.
     #[test]
     fn every_msg_variant_roundtrips(seed in any::<u64>()) {
         let mut g = Gen(seed);
-        for tag in 0..7u8 {
+        for tag in 0..8u8 {
             let msg = arb_msg(tag, &mut g);
             assert_roundtrip(&msg);
         }
     }
 
-    /// 256 seeds × all 7 variants, wrapped in envelopes and re-chunked
+    /// 256 seeds × all 8 variants, wrapped in envelopes and re-chunked
     /// through the incremental frame reader.
     #[test]
     fn peer_envelopes_survive_rechunking(seed in any::<u64>()) {
         let mut g = Gen(seed);
-        for tag in 0..7u8 {
+        for tag in 0..8u8 {
             let env = Envelope {
                 source: g.next() as u32,
                 epoch: g.next() as u32,

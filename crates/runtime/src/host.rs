@@ -279,12 +279,14 @@ impl<V: Value> RegisterHost<V> {
                 |r: &mut SafeReader<V>, &id| r.take_outcome(id),
                 done,
             ),
-            ProtocolKind::Regular | ProtocolKind::RegularOptimized => self.cluster.submit(
-                reader,
-                |r: &mut RegularReader<V>, ctx| r.invoke_read(ctx),
-                |r: &mut RegularReader<V>, &id| r.take_outcome(id),
-                done,
-            ),
+            ProtocolKind::Regular | ProtocolKind::RegularOptimized | ProtocolKind::Atomic => {
+                self.cluster.submit(
+                    reader,
+                    |r: &mut RegularReader<V>, ctx| r.invoke_read(ctx),
+                    |r: &mut RegularReader<V>, &id| r.take_outcome(id),
+                    done,
+                )
+            }
         }
     }
 
@@ -358,9 +360,10 @@ impl<V: Value> RegisterHost<V> {
                 ProtocolKind::Safe => self
                     .cluster
                     .try_invoke(pid, |r: &mut SafeReader<V>, _ctx| r.fast_stats()),
-                ProtocolKind::Regular | ProtocolKind::RegularOptimized => self
-                    .cluster
-                    .try_invoke(pid, |r: &mut RegularReader<V>, _ctx| r.fast_stats()),
+                ProtocolKind::Regular | ProtocolKind::RegularOptimized | ProtocolKind::Atomic => {
+                    self.cluster
+                        .try_invoke(pid, |r: &mut RegularReader<V>, _ctx| r.fast_stats())
+                }
             };
             if let Ok(s) = stats {
                 total.hits += s.hits;

@@ -170,6 +170,8 @@ impl<V: Value> std::fmt::Debug for StorageCluster<V> {
 mod tests {
     use std::time::Duration;
 
+    use vrr_checker::{check_atomicity, Recorder};
+    use vrr_core::attackers::AttackerKind;
     use vrr_core::regular::{HistoryRetention, RegularObject, RegularReader};
     use vrr_core::safe::SafeReader;
     use vrr_core::{ReaderTuning, Writer};
@@ -216,6 +218,7 @@ mod tests {
             cfg,
             ProtocolSpec::Regular {
                 optimized: true,
+                write_back: false,
                 retention: HistoryRetention::KeepAll,
                 tuning: ReaderTuning {
                     fast_threshold: Some(usize::MAX),
@@ -286,6 +289,44 @@ mod tests {
             }
         });
         assert_eq!(storage.read(0).value, Some(9), "the reader is still alive");
+    }
+
+    /// Atomic reads exist on threads because the write-back is a phase of
+    /// the one reader the host already dispatches to: no code here knows
+    /// about it.
+    #[test]
+    fn atomic_reads_on_threads_are_atomic_and_take_three_rounds() {
+        let cfg = StorageConfig::optimal(2, 1, 2); // S = 6: one liar, one crash
+        let storage: StorageCluster<u64> = StorageCluster::deploy_with_objects(
+            cfg,
+            ProtocolKind::Atomic,
+            Box::new(NoDelay),
+            |i| (i == 0).then(|| AttackerKind::Inflator.build_regular(cfg, 0xBAD)),
+        );
+        storage.crash_object(1);
+        let rec = Recorder::new(1);
+        let write = |seq: u64| rec.write(0, seq, seq * 10, || storage.write(seq * 10));
+        write(1); // no read finds ⊥, which needs no write-back
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for seq in 2..=100 {
+                    write(seq);
+                }
+            });
+            for j in 0..cfg.readers {
+                let (rec, storage) = (&rec, &storage);
+                scope.spawn(move || {
+                    for _ in 0..100 {
+                        rec.read(0, j, || {
+                            let report = storage.read(j);
+                            assert_eq!(report.rounds, 3, "{report:?}");
+                            (report.ts.0, report.value)
+                        });
+                    }
+                });
+            }
+        });
+        rec.check(check_atomicity).expect("atomic on threads");
     }
 
     #[test]

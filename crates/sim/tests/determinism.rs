@@ -99,13 +99,13 @@ fn fingerprint(seed: u64, n: usize, long_tail: bool, stimuli: &[Stimulus]) -> St
 fn scenario_fingerprint(seed: u64) -> String {
     use vrr_core::attackers::AttackerKind;
     use vrr_core::regular::HistoryRetention;
-    use vrr_core::{RegularProtocol, StorageConfig, StorageScenario};
+    use vrr_core::{ProtocolKind, ProtocolSpec, StorageConfig, StorageScenario};
 
     // Fast sizing S = 5 keeps one honest object expendable: the liar (b=1)
     // plus one partitioned object still leaves a live S − t quorum.
     let cfg = StorageConfig::fast(1, 1, 2);
-    let protocol =
-        RegularProtocol::optimized().with_retention(HistoryRetention::reader_ack_capped(2, 8));
+    let protocol = ProtocolSpec::from(ProtocolKind::RegularOptimized)
+        .with_retention(HistoryRetention::reader_ack_capped(2, 8));
     let mut sc = StorageScenario::deploy(protocol, cfg, seed);
     sc.world_mut().trace_mut().enable();
 

@@ -23,10 +23,10 @@
 //! the logical ticks of a [`vrr_checker::Recorder`].
 //!
 //! ```
-//! use vrr_core::{SafeProtocol, StorageConfig};
+//! use vrr_core::{ProtocolKind, StorageConfig};
 //! use vrr_workload::{FaultPlan, LatencyKind, ScheduleParams, SimCase};
 //!
-//! let out = SimCase::new(&SafeProtocol, StorageConfig::optimal(1, 1, 1))
+//! let out = SimCase::new(&ProtocolKind::Safe, StorageConfig::optimal(1, 1, 1))
 //!     .schedule(ScheduleParams::sequential(3, 3, 1, 42))
 //!     .faults(FaultPlan::none())
 //!     .latency(LatencyKind::Unit)

@@ -157,7 +157,7 @@ pub fn safe_object_monotonicity<V: Value>(
 
 #[cfg(test)]
 mod tests {
-    use vrr_core::{SafeProtocol, StorageConfig, StorageScenario};
+    use vrr_core::{ProtocolKind, StorageConfig, StorageScenario};
     use vrr_sim::{from_fn, Context, SimTime};
 
     use super::*;
@@ -165,7 +165,7 @@ mod tests {
     #[test]
     fn clean_protocol_run_breaks_no_invariant() {
         let cfg = StorageConfig::optimal(1, 1, 2);
-        let mut sc = StorageScenario::deploy(SafeProtocol, cfg, 9);
+        let mut sc = StorageScenario::deploy(ProtocolKind::Safe, cfg, 9);
 
         let mut monitor = InvariantMonitor::new();
         monitor.add(
@@ -191,7 +191,7 @@ mod tests {
         // A broken "object" that resets its state when poked — the monitor
         // must pinpoint the regression.
         let cfg = StorageConfig::optimal(1, 1, 1);
-        let mut sc = StorageScenario::deploy(SafeProtocol, cfg, 9);
+        let mut sc = StorageScenario::deploy(ProtocolKind::Safe, cfg, 9);
         let victim = sc.object(0);
 
         let mut monitor = InvariantMonitor::new();

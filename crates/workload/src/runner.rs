@@ -101,10 +101,10 @@ enum CaseEvent {
 /// used to be copy-pasted across the integration tests:
 ///
 /// ```
-/// use vrr_core::{SafeProtocol, StorageConfig};
+/// use vrr_core::{ProtocolKind, StorageConfig};
 /// use vrr_workload::{ScheduleParams, SimCase};
 ///
-/// let out = SimCase::new(&SafeProtocol, StorageConfig::optimal(1, 1, 1))
+/// let out = SimCase::new(&ProtocolKind::Safe, StorageConfig::optimal(1, 1, 1))
 ///     .schedule(ScheduleParams::sequential(3, 3, 1, 42))
 ///     .run();
 /// assert!(out.all_live());
@@ -404,17 +404,19 @@ enum ActiveOp {
 
 #[cfg(test)]
 mod tests {
-    use vrr_checker::{check_regularity, check_safety};
+    use vrr_checker::{check_atomicity, check_regularity, check_safety};
     use vrr_core::attackers::AttackerKind;
     use vrr_core::metrics::names;
-    use vrr_core::{RegularProtocol, SafeProtocol};
+    use vrr_core::regular::HistoryRetention;
+    use vrr_core::{Msg, ProtocolKind, ProtocolSpec, ReaderTuning};
+    use vrr_sim::Action;
 
     use super::*;
 
     #[test]
     fn sequential_run_is_safe_and_live() {
         let cfg = StorageConfig::optimal(1, 1, 2);
-        let out = SimCase::new(&SafeProtocol, cfg)
+        let out = SimCase::new(&ProtocolKind::Safe, cfg)
             .schedule(ScheduleParams::sequential(5, 5, 2, 3))
             .run();
         assert!(out.all_live());
@@ -428,7 +430,7 @@ mod tests {
     fn contended_run_with_max_faults_is_regular() {
         let cfg = StorageConfig::optimal(2, 1, 2);
         let faults = FaultPlan::maximal(&cfg, AttackerKind::Inflator, SimTime::from_ticks(40));
-        let out = SimCase::new(&RegularProtocol::full(), cfg)
+        let out = SimCase::new(&ProtocolKind::Regular, cfg)
             .schedule(ScheduleParams::contended(8, 8, 2, 11))
             .faults(faults)
             .latency(LatencyKind::Uniform(1, 10))
@@ -443,7 +445,7 @@ mod tests {
     fn random_fault_sweep_stays_consistent() {
         for seed in 0..10 {
             let cfg = StorageConfig::optimal(2, 2, 1);
-            let out = SimCase::new(&SafeProtocol, cfg)
+            let out = SimCase::new(&ProtocolKind::Safe, cfg)
                 .schedule(ScheduleParams::contended(4, 6, 1, seed))
                 .faults(FaultPlan::random(&cfg, 200, seed))
                 .latency(LatencyKind::LongTail)
@@ -457,10 +459,103 @@ mod tests {
         }
     }
 
+    /// The atomic kind in front of the checkers: every combination of spec
+    /// fields an atomic group can be deployed with — {full, §5.1} ×
+    /// {keep-all, reader-ack} — is live, regular **and** atomic on every
+    /// row. Each row is a schedule family that the wrapper automaton the
+    /// write-back phase replaced got wrong.
+    #[test]
+    fn atomic_sweep_stays_live_regular_and_atomic() {
+        let rows = [
+            // A later WRITE overtakes the write-back at some object on
+            // every one of these seeds: acknowledged only while
+            // `ts ≥ ts_i`, the READ never returned.
+            (
+                StorageConfig::optimal(1, 1, 2),
+                false,
+                vec![0, 1, 2, 3, 4, 5, 6, 7],
+            ),
+            // Byzantine plans. There was no attacker catalogue (a panic);
+            // and a tuple reconstructed without its matrix displaced the
+            // genuine `w`, so honest objects split `invalid(c)`: of seeds
+            // 0..300, 6 and 7 (Inflator), 57 and 79 (Equivocator) were the
+            // first to lose atomicity, 63, 95, 120 (Inflator) and 79
+            // (Equivocator) lost *regularity*.
+            (
+                StorageConfig::optimal(2, 1, 3),
+                true,
+                vec![0, 6, 7, 57, 63, 79, 95, 120],
+            ),
+        ];
+        for (cfg, byzantine, seeds) in rows {
+            for (optimized, gc) in [(false, false), (false, true), (true, false), (true, true)] {
+                let retention = if gc {
+                    HistoryRetention::reader_ack(cfg.readers)
+                } else {
+                    HistoryRetention::KeepAll
+                };
+                let spec = ProtocolSpec::Regular {
+                    optimized,
+                    write_back: true,
+                    retention,
+                    tuning: ReaderTuning::default(),
+                };
+                for &seed in &seeds {
+                    let mut plans = vec![FaultPlan::none()];
+                    if byzantine {
+                        let crash_at = SimTime::from_ticks(40);
+                        plans = vec![FaultPlan::random(&cfg, 300, seed)];
+                        plans.extend(
+                            AttackerKind::ALL.map(|kind| FaultPlan::maximal(&cfg, kind, crash_at)),
+                        );
+                    }
+                    for plan in plans {
+                        let at = format!("seed {seed} opt={optimized} gc={gc} {plan:?}");
+                        let out = SimCase::new(&spec, cfg)
+                            .schedule(ScheduleParams::contended(8, 8, cfg.readers, seed))
+                            .faults(plan)
+                            .latency(LatencyKind::LongTail)
+                            .run();
+                        assert!(out.all_live(), "{at}: {} stalled", out.stalled_ops);
+                        let regular = check_regularity(&out.history);
+                        assert!(regular.is_ok(), "{at}: {regular:?}");
+                        let atomic = check_atomicity(&out.history);
+                        assert!(atomic.is_ok(), "{at}: {atomic:?}");
+                        assert!(out.read_rounds.iter().all(|&r| r == 2 || r == 3), "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The first row above, by hand: reader 0's write-back of write 1 is
+    /// held while write 2 completes everywhere, so every object it then
+    /// reaches is past it.
+    #[test]
+    fn an_overtaken_write_back_still_completes_the_read() {
+        let cfg = StorageConfig::optimal(1, 1, 2);
+        let mut sc = StorageScenario::deploy(ProtocolKind::Atomic, cfg, 7);
+        sc.write(Schedule::value_of_write(1));
+        let r0 = sc.reader(0);
+        let rule = sc.world_mut().adversary_mut().install("hold WB", move |e| {
+            (e.from == r0 && matches!(e.msg, Msg::WriteBack { .. })).then_some(Action::Hold)
+        });
+        let mut read = sc.start_read(0);
+        sc.world_mut().run_until_idle(100_000);
+        assert!(sc.poll_read(&mut read).is_none(), "the write-back is held");
+        sc.write(Schedule::value_of_write(2));
+        sc.world_mut().adversary_mut().remove(rule);
+        sc.world_mut().release_all();
+        sc.world_mut().run_until_idle(100_000);
+        let report = sc.poll_read(&mut read).expect("always acknowledged");
+        assert_eq!(report.value, Some(Schedule::value_of_write(1)));
+        assert_eq!(report.rounds, 3);
+    }
+
     #[test]
     fn outcome_metrics_agree_with_round_vectors() {
         let cfg = StorageConfig::fast(1, 1, 2);
-        let out = SimCase::new(&RegularProtocol::optimized(), cfg)
+        let out = SimCase::new(&ProtocolKind::RegularOptimized, cfg)
             .schedule(ScheduleParams::sequential(4, 4, 2, 9))
             .run();
         assert!(out.all_live());
@@ -489,7 +584,7 @@ mod tests {
         // Partition 2 of S = 5 objects mid-run: reads need S - t = 4
         // replies, so progress stops until the heal.
         let cfg = StorageConfig::fast(1, 1, 1);
-        let out = SimCase::new(&RegularProtocol::optimized(), cfg)
+        let out = SimCase::new(&ProtocolKind::RegularOptimized, cfg)
             .schedule(ScheduleParams::sequential(3, 3, 1, 4))
             .partition_objects_at(SimTime::from_ticks(5), vec![0, 1])
             .heal_at(SimTime::from_ticks(400))
@@ -508,7 +603,7 @@ mod tests {
     #[test]
     fn sim_case_and_a_hand_driven_scenario_observe_the_same_run() {
         let cfg = StorageConfig::optimal(2, 1, 2); // S = 6
-        let protocol = RegularProtocol::optimized();
+        let protocol = ProtocolKind::RegularOptimized;
         let faults = FaultPlan::maximal(&cfg, AttackerKind::Inflator, SimTime::from_ticks(450));
         // With object 0 Byzantine and object 1 crashed, cutting object 3 off
         // stalls the write invoked at tick 1300 until the heal.

@@ -32,7 +32,7 @@ use vrr_checker::{check_regularity, OpHistory};
 use vrr_core::attackers::AttackerKind;
 use vrr_core::metrics::{names, Registry};
 use vrr_core::regular::HistoryRetention;
-use vrr_core::{RegularProtocol, StorageConfig, StorageScenario};
+use vrr_core::{ProtocolKind, ProtocolSpec, StorageConfig, StorageScenario};
 
 /// Value forged by the soak's Byzantine object, on both harnesses. Never
 /// written, so any read returning it is a regularity violation the checker
@@ -136,7 +136,7 @@ pub fn run_sim_soak(params: SoakParams) -> SoakReport {
     // relation below covers every read. Three readers; one will crash.
     let cfg = StorageConfig::fast(1, 1, 3);
     let retention = HistoryRetention::reader_ack_capped(cfg.readers, params.cap);
-    let protocol = RegularProtocol::optimized().with_retention(retention);
+    let protocol = ProtocolSpec::from(ProtocolKind::RegularOptimized).with_retention(retention);
     let mut sc = StorageScenario::deploy(protocol, cfg, params.seed);
 
     // The b = 1 Byzantine budget: object 4 lies by truncating history

@@ -14,7 +14,7 @@
 use vrr::baselines::{AbdProtocol, LiteMsg, LiteObject};
 use vrr::core::attackers::AttackerKind;
 use vrr::core::metrics::names;
-use vrr::core::{SafeProtocol, StorageConfig, StorageScenario, Timestamp, TsVal};
+use vrr::core::{ProtocolKind, StorageConfig, StorageScenario, Timestamp, TsVal};
 use vrr::sim::Tamper;
 
 fn main() {
@@ -22,7 +22,7 @@ fn main() {
     println!("safe storage under attack: {cfg:?}\n");
 
     for kind in AttackerKind::ALL {
-        let mut sc = StorageScenario::deploy(SafeProtocol, cfg, 7);
+        let mut sc = StorageScenario::deploy(ProtocolKind::Safe, cfg, 7);
 
         // Corrupt b objects with this attacker.
         for i in 0..cfg.b {

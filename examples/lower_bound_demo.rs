@@ -95,6 +95,7 @@ fn main() {
         boundary,
         ProtocolSpec::Regular {
             optimized: false,
+            write_back: false,
             retention: HistoryRetention::KeepAll,
             tuning: ReaderTuning {
                 skip_round2: true,

@@ -6,7 +6,7 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use vrr::core::{SafeProtocol, StorageConfig, StorageScenario};
+use vrr::core::{StorageConfig, StorageScenario};
 use vrr::runtime::{NoDelay, ProtocolKind, StorageCluster};
 
 fn main() {
@@ -16,7 +16,7 @@ fn main() {
     println!("deploying safe storage: {cfg:?}");
 
     // ---- In the simulator ----------------------------------------------
-    let mut sc = StorageScenario::deploy(SafeProtocol, cfg, 42);
+    let mut sc = StorageScenario::deploy(ProtocolKind::Safe, cfg, 42);
 
     let w = sc.write("hello".to_string());
     println!(

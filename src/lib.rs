@@ -25,11 +25,11 @@
 //! ## Five-minute tour
 //!
 //! ```
-//! use vrr::core::{SafeProtocol, StorageConfig, StorageScenario};
+//! use vrr::core::{ProtocolKind, StorageConfig, StorageScenario};
 //!
 //! // Tolerate t = 1 faulty object, of which b = 1 Byzantine: S = 4 objects.
 //! let cfg = StorageConfig::optimal(1, 1, 1);
-//! let mut sc = StorageScenario::deploy(SafeProtocol, cfg, 42);
+//! let mut sc = StorageScenario::deploy(ProtocolKind::Safe, cfg, 42);
 //!
 //! sc.write(7u64);
 //! let read = sc.read(0);

@@ -29,7 +29,7 @@
 use std::collections::BTreeMap;
 
 use vrr::core::{
-    Msg, ProtocolSpec, ReadRound, ReaderTuning, RegisterProtocol, SafeProtocol, StorageConfig,
+    Msg, ProtocolKind, ProtocolSpec, ReadRound, ReaderTuning, RegisterProtocol, StorageConfig,
     StorageScenario, Timestamp, TsVal, TsrMatrix, WTuple,
 };
 use vrr::sim::{from_fn, Action, Context, Envelope};
@@ -204,7 +204,7 @@ fn without_conflict_check_the_omniscient_attack_blocks_the_read() {
 
 #[test]
 fn with_conflict_check_the_same_strategy_terminates() {
-    let outcome = run_attack(SafeProtocol);
+    let outcome = run_attack(ProtocolKind::Safe);
     let value = outcome.expect("the real protocol must terminate under the same strategy");
     // The stalled round 1 keeps READ2 unsent, so s3/s4 never report reader
     // timestamp 2, the genuine tuple is born unpoisoned, the prediction

@@ -2,9 +2,7 @@
 //! regression tests (the binaries run the full-size sweeps).
 
 use vrr::checker::{check_regularity, check_safety};
-use vrr::core::{
-    ProtocolSpec, ReaderTuning, RegularProtocol, SafeProtocol, StorageConfig, StorageScenario,
-};
+use vrr::core::{ProtocolKind, ProtocolSpec, ReaderTuning, StorageConfig, StorageScenario};
 use vrr::sim::SimTime;
 use vrr::workload::{FaultPlan, LatencyKind, ScheduleParams, SimCase};
 
@@ -15,7 +13,7 @@ fn contended_run_holds_state_invariants_online() {
     use vrr::workload::{run_monitored, safe_object_monotonicity, InvariantMonitor};
 
     let cfg = StorageConfig::optimal(2, 1, 2);
-    let mut sc = StorageScenario::deploy(SafeProtocol, cfg, 31);
+    let mut sc = StorageScenario::deploy(ProtocolKind::Safe, cfg, 31);
 
     let mut monitor = InvariantMonitor::new();
     monitor.add(
@@ -41,7 +39,7 @@ fn large_configuration_smoke() {
     // sizes, exercising the conflict-free search and quorum machinery at
     // scale.
     let cfg = StorageConfig::optimal(5, 3, 4);
-    let out = SimCase::new(&SafeProtocol, cfg)
+    let out = SimCase::new(&ProtocolKind::Safe, cfg)
         .schedule(ScheduleParams::contended(4, 3, 4, 77))
         .faults(FaultPlan::maximal(
             &cfg,
@@ -60,7 +58,7 @@ fn safe_storage_is_safe_across_seeds_and_attackers() {
     for seed in 0..6u64 {
         for kind in vrr::core::attackers::AttackerKind::ALL {
             let cfg = StorageConfig::optimal(2, 1, 2);
-            let out = SimCase::new(&SafeProtocol, cfg)
+            let out = SimCase::new(&ProtocolKind::Safe, cfg)
                 .schedule(ScheduleParams::contended(5, 5, 2, seed))
                 .faults(FaultPlan::maximal(&cfg, kind, SimTime::from_ticks(30)))
                 .latency(LatencyKind::LongTail)
@@ -80,9 +78,9 @@ fn safe_storage_is_safe_across_seeds_and_attackers() {
 fn regular_storage_is_regular_across_seeds_and_attackers() {
     for optimized in [false, true] {
         let protocol = if optimized {
-            RegularProtocol::optimized()
+            ProtocolKind::RegularOptimized
         } else {
-            RegularProtocol::full()
+            ProtocolKind::Regular
         };
         for seed in 0..6u64 {
             for kind in vrr::core::attackers::AttackerKind::ALL {
@@ -107,7 +105,7 @@ fn regular_storage_is_regular_across_seeds_and_attackers() {
 fn random_fault_plans_cannot_break_safety() {
     for seed in 0..20u64 {
         let cfg = StorageConfig::optimal(3, 2, 2);
-        let out = SimCase::new(&SafeProtocol, cfg)
+        let out = SimCase::new(&ProtocolKind::Safe, cfg)
             .schedule(ScheduleParams::contended(6, 5, 2, seed))
             .faults(FaultPlan::random(&cfg, 250, seed))
             .latency(LatencyKind::LongTail)
@@ -162,7 +160,7 @@ fn regular_storage_admits_new_old_inversions() {
     use vrr::core::Writer;
 
     let cfg = StorageConfig::optimal(1, 1, 2); // S = 4
-    let mut sc = StorageScenario::deploy(RegularProtocol::full(), cfg, 4);
+    let mut sc = StorageScenario::deploy(ProtocolKind::Regular, cfg, 4);
 
     // Write 1 completes everywhere.
     sc.write(10u64);

@@ -2,7 +2,7 @@
 //! same workloads through the shared driver interface.
 
 use vrr::baselines::{masking_object_count, AbdProtocol, MaskingProtocol, PassiveProtocol};
-use vrr::core::{RegisterProtocol, RegularProtocol, SafeProtocol, StorageConfig, StorageScenario};
+use vrr::core::{ProtocolKind, RegisterProtocol, StorageConfig, StorageScenario};
 
 /// Writes 1..=n and reads after each write; checks freshness and rounds.
 fn write_read_cycle<P: RegisterProtocol<u64>>(
@@ -33,13 +33,13 @@ fn write_read_cycle<P: RegisterProtocol<u64>>(
 #[test]
 fn safe_protocol_cycles() {
     for (t, b) in [(1, 1), (2, 1), (2, 2), (3, 3)] {
-        write_read_cycle(SafeProtocol, StorageConfig::optimal(t, b, 2), 2);
+        write_read_cycle(ProtocolKind::Safe, StorageConfig::optimal(t, b, 2), 2);
     }
 }
 
 #[test]
 fn regular_protocol_cycles() {
-    for protocol in [RegularProtocol::full(), RegularProtocol::optimized()] {
+    for protocol in [ProtocolKind::Regular, ProtocolKind::RegularOptimized] {
         for (t, b) in [(1, 1), (2, 2)] {
             write_read_cycle(protocol, StorageConfig::optimal(t, b, 2), 2);
         }
@@ -81,7 +81,7 @@ fn passive_cycles() {
 fn string_values_work_end_to_end() {
     // The register is generic over value types; strings exercise owned data.
     let cfg = StorageConfig::optimal(1, 1, 1);
-    let mut sc = StorageScenario::deploy(RegularProtocol::optimized(), cfg, 3);
+    let mut sc = StorageScenario::deploy(ProtocolKind::RegularOptimized, cfg, 3);
     sc.write("αβγ".to_string());
     assert_eq!(sc.read(0).value.as_deref(), Some("αβγ"));
 }
@@ -98,7 +98,7 @@ fn crash_budget_is_honoured_by_all_byzantine_tolerant_protocols() {
         assert_eq!(sc.read(0).value, Some(11));
     }
     let cfg = StorageConfig::optimal(2, 1, 1);
-    crashed_cycle(SafeProtocol, cfg);
+    crashed_cycle(ProtocolKind::Safe, cfg);
     crashed_cycle(PassiveProtocol, cfg);
 }
 
@@ -107,7 +107,7 @@ fn interleaved_readers_observe_monotone_timestamps() {
     // Reads by different readers, interleaved with writes, must never see
     // the register "go backwards" when each read is isolated from writes.
     let cfg = StorageConfig::optimal(2, 1, 3);
-    let mut sc = StorageScenario::deploy(RegularProtocol::full(), cfg, 8);
+    let mut sc = StorageScenario::deploy(ProtocolKind::Regular, cfg, 8);
 
     let mut last_ts = vrr::core::Timestamp::ZERO;
     for k in 1..=6u64 {

@@ -13,7 +13,7 @@ use vrr::checker::{check_regularity, check_safety};
 use vrr::core::attackers::AttackerKind;
 use vrr::core::metrics::names;
 use vrr::core::regular::HistoryRetention;
-use vrr::core::{RegularProtocol, SafeProtocol, StorageConfig};
+use vrr::core::{ProtocolKind, ProtocolSpec, StorageConfig};
 use vrr::sim::SimTime;
 use vrr::workload::{FaultPlan, LatencyKind, ScheduleParams, SimCase};
 
@@ -31,7 +31,9 @@ fn fault_free_reads_complete_in_one_round() {
     let cfg = fast_cfg(2);
     let params = ScheduleParams::sequential(4, 4, 2, 9);
 
-    let out = SimCase::new(&SafeProtocol, cfg).schedule(params).run();
+    let out = SimCase::new(&ProtocolKind::Safe, cfg)
+        .schedule(params)
+        .run();
     assert!(out.all_live());
     assert!(check_safety(&out.history).is_ok());
     assert!(
@@ -46,7 +48,7 @@ fn fault_free_reads_complete_in_one_round() {
     );
     assert_eq!(out.metrics.counter(names::READER_FAST_FALLBACKS, &[]), 0);
 
-    for protocol in [RegularProtocol::full(), RegularProtocol::optimized()] {
+    for protocol in [ProtocolKind::Regular, ProtocolKind::RegularOptimized] {
         let out = SimCase::new(&protocol, cfg).schedule(params).run();
         assert!(out.all_live());
         assert!(check_regularity(&out.history).is_ok());
@@ -66,7 +68,7 @@ fn every_attacker_forces_at_worst_a_fallback_safe() {
     for kind in AttackerKind::ALL {
         for seed in 0..4u64 {
             let cfg = fast_cfg(2);
-            let out = SimCase::new(&SafeProtocol, cfg)
+            let out = SimCase::new(&ProtocolKind::Safe, cfg)
                 .schedule(ScheduleParams::contended(5, 5, 2, seed))
                 .faults(FaultPlan::maximal(&cfg, kind, SimTime::from_ticks(30)))
                 .latency(LatencyKind::LongTail)
@@ -83,9 +85,9 @@ fn every_attacker_forces_at_worst_a_fallback_regular() {
     for kind in AttackerKind::ALL {
         for optimized in [false, true] {
             let protocol = if optimized {
-                RegularProtocol::optimized()
+                ProtocolKind::RegularOptimized
             } else {
-                RegularProtocol::full()
+                ProtocolKind::Regular
             };
             for seed in 0..3u64 {
                 let cfg = fast_cfg(2);
@@ -118,7 +120,7 @@ fn below_the_boundary_every_read_takes_two_rounds() {
     for s in (2 * t + b + 1)..=(2 * t + 2 * b) {
         let cfg = StorageConfig::with_objects(s, t, b, 2);
         assert_eq!(cfg.fast_read_quorum(), None, "S = {s}");
-        let protocol = RegularProtocol::optimized();
+        let protocol = ProtocolKind::RegularOptimized;
         let out = SimCase::new(&protocol, cfg)
             .schedule(ScheduleParams::sequential(3, 3, 2, 5))
             .run();
@@ -142,7 +144,8 @@ fn fast_path_composes_with_reader_ack_gc() {
     // reader-ack GC) at fast sizing: one-round reads still ack, GC still
     // truncates, regularity still holds.
     let cfg = fast_cfg(2);
-    let protocol = RegularProtocol::optimized_gc(2);
+    let protocol = ProtocolSpec::from(ProtocolKind::RegularOptimized)
+        .with_retention(HistoryRetention::reader_ack(2));
     for seed in 0..4u64 {
         let out = SimCase::new(&protocol, cfg)
             .schedule(ScheduleParams::contended(8, 8, 2, seed))
@@ -190,7 +193,7 @@ proptest! {
     ) {
         let b = ((b_rel % t) + 1).min(t);
         let cfg = StorageConfig::fast(t, b, 2);
-        let out = SimCase::new(&SafeProtocol, cfg)
+        let out = SimCase::new(&ProtocolKind::Safe, cfg)
             .schedule(ScheduleParams {
                 writes, reads_per_reader: reads, readers: 2, mean_gap: gap, seed,
             })
@@ -217,16 +220,9 @@ proptest! {
         latency in latency_strategy(),
     ) {
         let cfg = StorageConfig::fast(t, 1, 2);
-        let protocol = match (optimized, gc) {
-            (true, true) => RegularProtocol::optimized_gc(2),
-            (true, false) => RegularProtocol::optimized(),
-            (false, _) => RegularProtocol::full()
-                .with_retention(if gc {
-                    HistoryRetention::reader_ack(2)
-                } else {
-                    HistoryRetention::KeepAll
-                }),
-        };
+        let kind = if optimized { ProtocolKind::RegularOptimized } else { ProtocolKind::Regular };
+        let retention = if gc { HistoryRetention::reader_ack(2) } else { HistoryRetention::KeepAll };
+        let protocol = ProtocolSpec::from(kind).with_retention(retention);
         let out = SimCase::new(&protocol, cfg)
             .schedule(ScheduleParams {
                 writes, reads_per_reader: reads, readers: 2, mean_gap: gap, seed,

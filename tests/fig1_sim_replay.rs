@@ -19,7 +19,7 @@
 
 use vrr::baselines::{AbdProtocol, LiteMsg, LiteObject, PassiveProtocol};
 use vrr::checker::{check_safety, OpHistory};
-use vrr::core::{SafeProtocol, StorageConfig, StorageScenario, Timestamp, TsVal};
+use vrr::core::{ProtocolKind, StorageConfig, StorageScenario, Timestamp, TsVal};
 use vrr::sim::Tamper;
 
 /// `B2` (object 3) forges σ2: replies as if write #1 of 42 had completed.
@@ -69,7 +69,7 @@ fn run5_schedule_breaks_a_fast_protocol_on_the_wire() {
 #[test]
 fn the_same_schedule_cannot_fool_the_papers_two_round_read() {
     let cfg = StorageConfig::with_objects(4, 1, 1, 1); // optimal: 2t+b+1 = 4
-    let mut sc = StorageScenario::deploy(SafeProtocol, cfg, 15);
+    let mut sc = StorageScenario::deploy(ProtocolKind::Safe, cfg, 15);
 
     sc.attack_object(3, vrr::core::attackers::AttackerKind::Inflator, 42u64);
     let (from, to) = (sc.reader(0), sc.object(1));

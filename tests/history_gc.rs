@@ -10,7 +10,7 @@
 use vrr::core::attackers::AttackerKind;
 use vrr::core::metrics::names;
 use vrr::core::regular::{HistoryRetention, RegularReader};
-use vrr::core::{RegularProtocol, StorageConfig, StorageScenario, Timestamp};
+use vrr::core::{StorageConfig, StorageScenario, Timestamp};
 use vrr::runtime::{
     ClusterBackend, NoDelay, ProtocolKind, ProtocolSpec, ShardedStore, StorageCluster,
 };
@@ -20,11 +20,8 @@ fn steady_state_memory_is_flat_in_run_length() {
     // The acceptance-criteria shape, as a regression test: under
     // steady-state load the history length depends on the read cadence,
     // not on how long the system has been running.
-    for optimized in [false, true] {
-        let protocol = RegularProtocol {
-            optimized,
-            retention: HistoryRetention::reader_ack(1),
-        };
+    for kind in [ProtocolKind::Regular, ProtocolKind::RegularOptimized] {
+        let protocol = ProtocolSpec::from(kind).with_retention(HistoryRetention::reader_ack(1));
         let cfg = StorageConfig::optimal(1, 1, 1);
         let mut lens = Vec::new();
         for writes in [64u64, 256] {
@@ -50,7 +47,7 @@ fn steady_state_memory_is_flat_in_run_length() {
         }
         assert_eq!(
             lens[0], lens[1],
-            "history length must be flat in run length (optimized={optimized})"
+            "history length must be flat in run length ({kind:?})"
         );
         assert!(lens[1] <= 11, "bounded by the read cadence: {}", lens[1]);
     }
@@ -67,10 +64,7 @@ fn crashed_reader_pins_the_floor_and_the_cap_unpins_it() {
         (HistoryRetention::reader_ack(2), false),
         (HistoryRetention::reader_ack_capped(2, 8), true),
     ] {
-        let protocol = RegularProtocol {
-            optimized: true,
-            retention,
-        };
+        let protocol = ProtocolSpec::from(ProtocolKind::RegularOptimized).with_retention(retention);
         let mut sc = StorageScenario::deploy(protocol, cfg, 23);
         sc.crash_reader(1); // never completes a read, never acks
         for k in 1..=100u64 {
@@ -98,10 +92,8 @@ fn late_reader_catches_up_after_truncation() {
     // truncation down to its own floor; since min(acks) gates GC, reader
     // 1's first read still finds everything it needs and returns the tip.
     let cfg = StorageConfig::optimal(1, 1, 2);
-    let protocol = RegularProtocol {
-        optimized: true,
-        retention: HistoryRetention::reader_ack(2),
-    };
+    let protocol = ProtocolSpec::from(ProtocolKind::RegularOptimized)
+        .with_retention(HistoryRetention::reader_ack(2));
     let mut sc = StorageScenario::deploy(protocol, cfg, 29);
     for k in 1..=50u64 {
         sc.write(k);
@@ -128,11 +120,8 @@ fn truncation_liar_cannot_corrupt_gc_reads() {
     // if GC had discarded everything) while the honest objects run real
     // ack-driven GC. Reads must stay correct and 2-round, and the honest
     // objects must still truncate.
-    for optimized in [false, true] {
-        let protocol = RegularProtocol {
-            optimized,
-            retention: HistoryRetention::reader_ack(1),
-        };
+    for kind in [ProtocolKind::Regular, ProtocolKind::RegularOptimized] {
+        let protocol = ProtocolSpec::from(kind).with_retention(HistoryRetention::reader_ack(1));
         let cfg = StorageConfig::optimal(1, 1, 1);
         let mut sc = StorageScenario::deploy(protocol, cfg, 31);
         sc.attack_object(1, AttackerKind::Truncator, 0xBADu64);
@@ -164,10 +153,8 @@ fn forged_acks_from_byzantine_objects_do_not_exist_but_forged_suffixes_die() {
     // them; what it can do is ship history entries below the reader's
     // suffix request. Under GC retention those forgeries still die by
     // invalidation: the read returns the genuine tip.
-    let protocol = RegularProtocol {
-        optimized: true,
-        retention: HistoryRetention::reader_ack(1),
-    };
+    let protocol = ProtocolSpec::from(ProtocolKind::RegularOptimized)
+        .with_retention(HistoryRetention::reader_ack(1));
     let cfg = StorageConfig::optimal(1, 1, 1);
     let mut sc = StorageScenario::deploy(protocol, cfg, 37);
     sc.attack_object(3, AttackerKind::Stale, 0xBADu64);

@@ -8,7 +8,7 @@
 use proptest::prelude::*;
 
 use vrr::checker::{check_atomicity, check_regularity, check_safety, OpHistory};
-use vrr::core::{RegularProtocol, SafeProtocol, StorageConfig};
+use vrr::core::{ProtocolKind, StorageConfig};
 use vrr::lowerbound::{execute_prop1, LitePairSpec, ReadRule};
 use vrr::workload::{FaultPlan, LatencyKind, ScheduleParams, SimCase};
 
@@ -40,7 +40,7 @@ proptest! {
         let b = (b_rel % t.max(1)) + 1;
         let b = b.min(t);
         let cfg = StorageConfig::optimal(t, b, 2);
-        let out = SimCase::new(&SafeProtocol, cfg)
+        let out = SimCase::new(&ProtocolKind::Safe, cfg)
             .schedule(ScheduleParams {
                 writes, reads_per_reader: reads, readers: 2, mean_gap: gap, seed,
             })
@@ -66,9 +66,9 @@ proptest! {
         let b = 1usize;
         let cfg = StorageConfig::optimal(t, b, 2);
         let protocol = if optimized {
-            RegularProtocol::optimized()
+            ProtocolKind::RegularOptimized
         } else {
-            RegularProtocol::full()
+            ProtocolKind::Regular
         };
         let out = SimCase::new(&protocol, cfg)
             .schedule(ScheduleParams {

@@ -4,7 +4,7 @@
 //! fault-free world. Runs in milliseconds; if this file stops compiling,
 //! a re-export in `src/lib.rs` or a crate manifest broke.
 
-use vrr::core::{RegularProtocol, SafeProtocol, StorageConfig, StorageScenario};
+use vrr::core::{ProtocolKind, StorageConfig, StorageScenario};
 
 #[test]
 fn optimal_config_is_2t_plus_b_plus_1() {
@@ -23,7 +23,7 @@ fn optimal_config_is_2t_plus_b_plus_1() {
 fn safe_read_completes_in_two_rounds_fault_free() {
     for (t, b) in [(1, 1), (2, 1), (2, 2)] {
         let cfg = StorageConfig::optimal(t, b, 1);
-        let mut sc = StorageScenario::deploy(SafeProtocol, cfg, 7);
+        let mut sc = StorageScenario::deploy(ProtocolKind::Safe, cfg, 7);
         sc.write(42u64);
         let r = sc.read(0);
         assert_eq!(r.value, Some(42), "safe read must return the written value");
@@ -37,7 +37,7 @@ fn safe_read_completes_in_two_rounds_fault_free() {
 
 #[test]
 fn regular_read_completes_in_two_rounds_fault_free() {
-    for protocol in [RegularProtocol::full(), RegularProtocol::optimized()] {
+    for protocol in [ProtocolKind::Regular, ProtocolKind::RegularOptimized] {
         for (t, b) in [(1, 1), (2, 2)] {
             let cfg = StorageConfig::optimal(t, b, 1);
             let mut sc = StorageScenario::deploy(protocol, cfg, 11);
