@@ -4,9 +4,11 @@
 //! ([`TsVal`]), `w` fields hold pairs of a timestamp–value pair and an array
 //! of reader-timestamp arrays ([`WTuple`] wrapping a [`TsrMatrix`]).
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::Hash;
+use std::sync::Arc;
 
 /// Values storable in the register.
 ///
@@ -129,9 +131,22 @@ pub type ObjectIndex = usize;
 /// reported to the writer; an absent outer entry is the paper's `nil` (the
 /// object did not ack the `PW` round), and an absent inner entry means the
 /// object had not heard from that reader (equivalent to timestamp `0`).
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+///
+/// **Shared, not copied.** The matrix is fixed once per WRITE, at Figure 2
+/// line 7, and never mutated after: objects only store it (Figure 5), readers
+/// only evaluate `conflict`/`safe` against it (Figure 6). So the rows sit
+/// behind an [`Arc`] — every copy of a `w` tuple (broadcasts, histories,
+/// suffixes, candidates) is a reference-count bump — and [`set_row`]
+/// copies on write, so a clone never sees a later `set_row` on another.
+/// Equality and ordering answer "same" at once for two handles on one
+/// allocation (`Arc`'s `==` does for an `Eq` payload; `cmp` below does it by
+/// hand); that is only a shortcut to what comparing the rows would answer,
+/// and different allocations are compared row by row.
+///
+/// [`set_row`]: TsrMatrix::set_row
+#[derive(Clone, PartialEq, Eq, Hash, Default)]
 pub struct TsrMatrix {
-    entries: BTreeMap<ObjectIndex, BTreeMap<ReaderIndex, u64>>,
+    entries: Arc<BTreeMap<ObjectIndex, BTreeMap<ReaderIndex, u64>>>,
 }
 
 impl TsrMatrix {
@@ -140,9 +155,17 @@ impl TsrMatrix {
         TsrMatrix::default()
     }
 
+    /// The matrix with exactly these rows, shared from the start (the wire
+    /// decoder's one-pass build).
+    pub(crate) fn from_rows(rows: BTreeMap<ObjectIndex, BTreeMap<ReaderIndex, u64>>) -> Self {
+        TsrMatrix {
+            entries: Arc::new(rows),
+        }
+    }
+
     /// Records object `i`'s reader-timestamp vector.
     pub fn set_row(&mut self, i: ObjectIndex, row: BTreeMap<ReaderIndex, u64>) {
-        self.entries.insert(i, row);
+        Arc::make_mut(&mut self.entries).insert(i, row);
     }
 
     /// `tsrarray[i][j]`, or `None` if object `i` never acked (`nil`).
@@ -173,6 +196,21 @@ impl TsrMatrix {
     /// Estimated wire size in bytes.
     pub fn wire_size(&self) -> usize {
         self.entries.values().map(|row| 8 + row.len() * 16).sum()
+    }
+}
+
+impl PartialOrd for TsrMatrix {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for TsrMatrix {
+    fn cmp(&self, other: &Self) -> Ordering {
+        if Arc::ptr_eq(&self.entries, &other.entries) {
+            return Ordering::Equal;
+        }
+        self.entries.cmp(&other.entries)
     }
 }
 
@@ -268,6 +306,11 @@ impl<V> History<V> {
         }
     }
 
+    /// The history with exactly these entries (the wire decoder's build).
+    pub(crate) fn from_entries(entries: BTreeMap<Timestamp, HistEntry<V>>) -> Self {
+        History { entries }
+    }
+
     /// The entry at `ts`, or `None` ("no entry", which readers must treat
     /// as `⟨nil, nil⟩`, Figure 6).
     pub fn get(&self, ts: Timestamp) -> Option<&HistEntry<V>> {
@@ -351,6 +394,8 @@ impl<V: fmt::Debug> fmt::Debug for History<V> {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
 
     #[test]
@@ -395,6 +440,77 @@ mod tests {
         assert_eq!(a, b);
         b.set_row(3, BTreeMap::new());
         assert_ne!(a, b);
+    }
+
+    fn hash_of(x: &impl Hash) -> u64 {
+        use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
+        BuildHasherDefault::<DefaultHasher>::default().hash_one(x)
+    }
+
+    #[test]
+    fn identity_is_never_semantics() {
+        let rows = BTreeMap::from([(0, BTreeMap::from([(0, 4)])), (2, BTreeMap::new())]);
+        let (mut a, mut b) = (TsrMatrix::empty(), TsrMatrix::empty());
+        for (&i, row) in &rows {
+            a.set_row(i, row.clone());
+            b.set_row(i, row.clone());
+        }
+        assert!(!Arc::ptr_eq(&a.entries, &b.entries), "two allocations");
+        assert_eq!(a, b);
+        assert_eq!(a.cmp(&b), Ordering::Equal);
+        // The hash is the rows' hash, as it was before the rows were shared.
+        assert_eq!(hash_of(&a), hash_of(&b));
+        assert_eq!(hash_of(&a), hash_of(&rows));
+        assert_eq!(format!("{a:?}"), format!("{rows:?}"));
+
+        // Different content orders as the rows do, shared or not.
+        let mut c = a.clone();
+        c.set_row(1, BTreeMap::from([(1, 9)]));
+        for (x, y) in [(&a, &c), (&c, &a), (&c, &b), (&a, &TsrMatrix::empty())] {
+            assert_eq!(x.cmp(y), x.rows().cmp(y.rows()));
+            assert_eq!(x == y, x.rows().eq(y.rows()));
+        }
+    }
+
+    #[test]
+    fn set_row_on_a_clone_never_changes_the_original() {
+        let mut sealed = TsrMatrix::empty();
+        sealed.set_row(0, BTreeMap::from([(0, 1)]));
+        let mut forged = sealed.clone();
+        assert!(
+            Arc::ptr_eq(&sealed.entries, &forged.entries),
+            "a clone shares"
+        );
+        forged.set_row(0, BTreeMap::from([(0, 7)]));
+        forged.set_row(3, BTreeMap::new());
+        assert_eq!(sealed.get(0, 0), Some(1));
+        assert_eq!(sealed.get(3, 0), None);
+        assert_eq!(sealed.len(), 1);
+        assert_eq!(forged.get(0, 0), Some(7));
+        assert_ne!(sealed, forged);
+    }
+
+    #[test]
+    fn a_tampered_same_timestamp_tuple_orders_as_before() {
+        // `same_ts_different_tuples_require_full_confirmation`'s pair: the
+        // honest write 1 and a Byzantine copy with a forged matrix row.
+        let honest = WTuple::new(TsVal::new(Timestamp(1), 10u64), TsrMatrix::empty());
+        let mut forged_rows = TsrMatrix::empty();
+        forged_rows.set_row(1, BTreeMap::from([(0usize, 0u64)]));
+        let tampered = WTuple::new(honest.tsval.clone(), forged_rows);
+
+        let mut candidates = BTreeSet::from([tampered.clone()]);
+        candidates.insert(honest.clone());
+        assert!(
+            !candidates.insert(honest.clone()),
+            "the shared copy is known"
+        );
+        let rebuilt = WTuple::new(honest.tsval.clone(), TsrMatrix::empty());
+        assert!(!candidates.insert(rebuilt), "so is an equal one built anew");
+        // The empty matrix sorts first, as the derived order put it.
+        let order: Vec<_> = candidates.iter().collect();
+        assert_eq!(order, [&honest, &tampered]);
+        assert!(candidates.remove(&tampered) && candidates.contains(&honest));
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //!   indexes, `u32` for collection counts and byte lengths);
 //! * `Option<T>` is a `0`/`1` tag byte followed by the payload;
 //! * maps are a `u32` count followed by key/value pairs in key order
-//!   (`BTreeMap` iteration order, so encoding is deterministic);
+//!   (`BTreeMap` iteration order, so encoding is deterministic); decoding
+//!   accepts only strictly ascending keys, so a decoded map, matrix or
+//!   history is exactly the bytes received;
 //! * structs are their fields in declaration order;
 //! * enums are a `u8` tag followed by the variant's fields in declaration
 //!   order.
@@ -382,14 +384,31 @@ impl<K: Wire + Ord, V2: Wire> Wire for BTreeMap<K, V2> {
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         let n = take_count(buf, 1)?;
-        let mut map = BTreeMap::new();
-        for _ in 0..n {
-            let k = K::decode(buf)?;
-            let v = V2::decode(buf)?;
-            map.insert(k, v);
-        }
-        Ok(map)
+        decode_ascending(buf, n, "map keys", |buf| {
+            Ok((K::decode(buf)?, V2::decode(buf)?))
+        })
     }
+}
+
+/// Decodes `n` key/value pairs whose keys must strictly ascend — the order
+/// every encoder writes a `BTreeMap` in. A repeated or out-of-order key is
+/// [`WireError::Invalid`]: the map it would overwrite into is not the bytes
+/// received, and its `wire_size` would not be theirs.
+fn decode_ascending<K: Ord, V2>(
+    buf: &mut &[u8],
+    n: usize,
+    what: &'static str,
+    mut pair: impl FnMut(&mut &[u8]) -> Result<(K, V2), WireError>,
+) -> Result<BTreeMap<K, V2>, WireError> {
+    let mut map = BTreeMap::new();
+    for _ in 0..n {
+        let (k, v) = pair(buf)?;
+        if map.last_key_value().is_some_and(|(last, _)| *last >= k) {
+            return Err(WireError::Invalid { what });
+        }
+        map.insert(k, v);
+    }
+    Ok(map)
 }
 
 impl Wire for Timestamp {
@@ -414,13 +433,10 @@ impl Wire for TsrMatrix {
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         // Each row costs at least 12 bytes (u64 index + u32 count).
         let n = take_count(buf, 12)?;
-        let mut m = TsrMatrix::empty();
-        for _ in 0..n {
-            let i = usize::decode(buf)?;
-            let row = BTreeMap::<usize, u64>::decode(buf)?;
-            m.set_row(i, row);
-        }
-        Ok(m)
+        let rows = decode_ascending(buf, n, "tsrarray rows", |buf| {
+            Ok((usize::decode(buf)?, BTreeMap::decode(buf)?))
+        })?;
+        Ok(TsrMatrix::from_rows(rows))
     }
 }
 
@@ -438,13 +454,10 @@ impl<V: Wire> Wire for History<V> {
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         // Each entry costs at least 18 bytes (ts + pw + two option tags).
         let n = take_count(buf, 18)?;
-        let mut h = History::empty();
-        for _ in 0..n {
-            let ts = Timestamp::decode(buf)?;
-            let entry = HistEntry::decode(buf)?;
-            h.insert(ts, entry);
-        }
-        Ok(h)
+        let entries = decode_ascending(buf, n, "history timestamps", |buf| {
+            Ok((Timestamp::decode(buf)?, HistEntry::decode(buf)?))
+        })?;
+        Ok(History::from_entries(entries))
     }
 }
 
@@ -628,6 +641,51 @@ mod tests {
             decode_exact::<Msg<u64>>(&bytes).unwrap_err(),
             WireError::Oversized { .. }
         ));
+    }
+
+    #[test]
+    fn a_repeated_key_is_invalid_not_overwritten() {
+        // Msg::W whose tsrarray names row 0 twice: the first row would be
+        // silently replaced, and the matrix would not be the bytes received.
+        let tsval = TsVal::new(Timestamp(1), 5u64);
+        let mut w = vec![2u8];
+        Timestamp(1).encode(&mut w);
+        tsval.encode(&mut w);
+        tsval.encode(&mut w);
+        2u32.encode(&mut w);
+        for tsr in [3u64, 9] {
+            0usize.encode(&mut w);
+            BTreeMap::from([(0usize, tsr)]).encode(&mut w);
+        }
+        let rows = WireError::Invalid {
+            what: "tsrarray rows",
+        };
+        assert_eq!(decode_exact::<Msg<u64>>(&w), Err(rows));
+
+        // ReadAckRegular whose history holds timestamp 1 twice.
+        let mut ack = vec![6u8];
+        ReadRound::R1.encode(&mut ack);
+        7u64.encode(&mut ack);
+        2u32.encode(&mut ack);
+        for v in [11u64, 666] {
+            Timestamp(1).encode(&mut ack);
+            let pw = TsVal::new(Timestamp(1), v);
+            HistEntry { pw, w: None }.encode(&mut ack);
+        }
+        let history = WireError::Invalid {
+            what: "history timestamps",
+        };
+        assert_eq!(decode_exact::<Msg<u64>>(&ack), Err(history));
+
+        // A descending key is as foreign to the encoder as a repeated one.
+        let mut map = Vec::new();
+        2u32.encode(&mut map);
+        for k in [4usize, 1] {
+            k.encode(&mut map);
+            0u64.encode(&mut map);
+        }
+        let keys = WireError::Invalid { what: "map keys" };
+        assert_eq!(decode_exact::<BTreeMap<usize, u64>>(&map), Err(keys));
     }
 
     #[test]

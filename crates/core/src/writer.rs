@@ -162,7 +162,8 @@ impl<V: Value> Automaton<Msg<V>> for Writer<V> {
                     self.current_tsr.set_row(obj, tsr);
                 }
                 if acks.len() >= self.cfg.quorum() {
-                    // Lines 7–8: fix w and open the W round.
+                    // Lines 7–8: fix w and open the W round. The matrix is
+                    // sealed here: every later copy of w shares it.
                     self.w = WTuple::new(self.pw.clone(), std::mem::take(&mut self.current_tsr));
                     let msg = Msg::W {
                         ts: self.ts,
