@@ -288,7 +288,7 @@ impl<V: Wire> NetClient<V> {
     /// safe.
     pub fn request_with_retry(
         &mut self,
-        op: Op<V>,
+        op: &Op<V>,
         policy: &RetryPolicy,
     ) -> Result<Rsp<V>, ClientError>
     where

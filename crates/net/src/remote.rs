@@ -118,7 +118,7 @@ impl<K, V: Value + Wire> RemoteCluster<K, V> {
     }
 
     /// Round-robin request through the pool under the retry budget.
-    fn request(&self, op: Op<V>) -> Result<Rsp<V>, ClientError>
+    fn request(&self, op: &Op<V>) -> Result<Rsp<V>, ClientError>
     where
         V: Clone,
     {
@@ -129,18 +129,18 @@ impl<K, V: Value + Wire> RemoteCluster<K, V> {
 
     /// Like [`RemoteCluster::request`], but panicking on transport failure
     /// and server-side errors — the inspection/read paths, where the
-    /// in-process backend would also panic rather than report.
+    /// in-process backend would also panic rather than report. The panic
+    /// names `op`; only a failure pays for formatting it.
     fn demand(&self, op: Op<V>) -> Rsp<V>
     where
         V: Clone,
     {
-        let what = format!("{op:?}");
-        match self.request(op) {
+        match self.request(&op) {
             Ok(Rsp::Err { what: server }) => {
-                panic!("remote cluster {}: {what}: {server}", self.addr)
+                panic!("remote cluster {}: {op:?}: {server}", self.addr)
             }
             Ok(rsp) => rsp,
-            Err(e) => panic!("remote cluster {}: {what}: {e}", self.addr),
+            Err(e) => panic!("remote cluster {}: {op:?}: {e}", self.addr),
         }
     }
 
@@ -168,7 +168,7 @@ where
             key: key_bytes(&key),
             value,
         };
-        match self.request(op) {
+        match self.request(&op) {
             Ok(Rsp::Wrote { ts, rounds }) => Ok(WriteReport { ts, rounds }),
             Ok(Rsp::OverCapacity { capacity }) => Err(StoreError::OverCapacity {
                 capacity: capacity as usize,

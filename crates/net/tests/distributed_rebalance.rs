@@ -284,7 +284,7 @@ fn request_with_retry_survives_a_connection_reset() {
     let policy = RetryPolicy::with_seed(42);
     let mut client = NetClient::<u64>::connect_with_retry(addr, &policy).expect("connect");
     let rsp = client
-        .request_with_retry(Op::Ping, &policy)
+        .request_with_retry(&Op::Ping, &policy)
         .expect("ping survives the reset");
     assert_eq!(rsp, Rsp::Pong);
     assert!(

@@ -155,8 +155,9 @@ impl<M: Send + 'static> Cluster<M> {
         self.executor.worker_count()
     }
 
-    /// Activity counters summed over the pool — sweeps, wakeups and
-    /// processed commands. An idle cluster must not accumulate wakeups.
+    /// Activity counters — sweeps and processed commands summed over every
+    /// thread that ran a group, the workers' wakeups. An idle cluster must
+    /// not accumulate wakeups.
     pub fn stats(&self) -> ExecutorStats {
         self.executor.stats()
     }
@@ -1105,7 +1106,7 @@ mod tests {
         use crate::link::{LinkAction, LinkPolicy};
         struct DropAll;
         impl LinkPolicy<u64> for DropAll {
-            fn action(&mut self, _: ProcessId, _: ProcessId, _: &u64) -> LinkAction {
+            fn action(&self, _: ProcessId, _: ProcessId, _: &u64) -> LinkAction {
                 LinkAction::Drop
             }
         }

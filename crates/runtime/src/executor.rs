@@ -65,6 +65,7 @@ use std::time::Instant;
 use vrr_sim::{Automaton, Context, ProcessId};
 
 use crate::link::{LinkAction, LinkPolicy};
+use crate::sharded::Sharded;
 
 /// A closure run against the concrete automaton by whoever runs its unit.
 pub(crate) type InvokeFn<M> = Box<dyn FnOnce(&mut dyn Any, &mut Context<'_, M>) + Send>;
@@ -185,10 +186,6 @@ struct Unit<M> {
     mail: Mutex<VecDeque<(usize, NodeCmd<M>)>>,
     /// The run lock, and what it guards.
     run: Mutex<Run<M>>,
-    /// Drains that found mail, whoever made them.
-    sweeps: AtomicU64,
-    /// Commands processed (deliveries, invokes, operations, crashes).
-    commands: AtomicU64,
 }
 
 /// The run-locked half of a unit.
@@ -224,8 +221,6 @@ impl<M> Unit<M> {
                 outbox: Vec::new(),
                 away: Vec::new(),
             }),
-            sweeps: AtomicU64::new(0),
-            commands: AtomicU64::new(0),
         }
     }
 }
@@ -278,18 +273,21 @@ impl<M> Schedule<M> {
     }
 }
 
-/// Counters describing executor activity, summed over all workers.
+/// Counters describing executor activity, summed over every thread that
+/// ran a register group — the workers and the submitters that ran an idle
+/// group themselves.
 ///
 /// Obtained from [`crate::Cluster::stats`]; the interesting property is the
 /// *deltas*: an idle cluster must not accumulate `wakeups`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecutorStats {
-    /// Worker sweeps that processed at least one batch of commands.
+    /// Drains of a group's mail that found at least one command, whichever
+    /// thread made them.
     pub sweeps: u64,
     /// Times any worker woke from its condvar (including timer deadlines).
     pub wakeups: u64,
     /// Total commands processed (deliveries, invokes, operations,
-    /// crashes).
+    /// crashes), whichever thread ran them.
     pub commands: u64,
 }
 
@@ -315,10 +313,19 @@ impl<M> Cell<M> {
     }
 }
 
-/// What the runners share: the workers' schedules and the link policy.
+/// What the runners share: the workers' schedules, the link policy (asked
+/// without a lock) and the activity counters (one shard per thread).
 struct Pool<M> {
     workers: Vec<Worker<M>>,
-    policy: Mutex<Box<dyn LinkPolicy<M>>>,
+    policy: Box<dyn LinkPolicy<M>>,
+    counts: Sharded<Counts>,
+}
+
+/// One thread's share of [`ExecutorStats`]' `sweeps` and `commands`.
+#[derive(Default)]
+struct Counts {
+    sweeps: AtomicU64,
+    commands: AtomicU64,
 }
 
 pub(crate) struct Executor<M: Send + 'static> {
@@ -351,7 +358,8 @@ impl<M: Send + 'static> Executor<M> {
                     wakeups: AtomicU64::new(0),
                 })
                 .collect(),
-            policy: Mutex::new(policy),
+            policy,
+            counts: Sharded::new(Counts::default),
         });
         let threads = (0..workers)
             .map(|w| {
@@ -449,7 +457,7 @@ impl<M: Send + 'static> Executor<M> {
     /// `to`'s mail whatever `from` is, so it is not ordered against what
     /// `to`'s runner has queued locally.
     pub(crate) fn route(&self, from: ProcessId, to: ProcessId, msg: M) {
-        let action = relock(&self.pool.policy).action(from, to, &msg);
+        let action = self.pool.policy.action(from, to, &msg);
         let due = match action {
             LinkAction::Deliver => None,
             LinkAction::DeliverAfter(d) => Some(Instant::now() + d),
@@ -464,9 +472,9 @@ impl<M: Send + 'static> Executor<M> {
         for worker in &self.pool.workers {
             s.wakeups += worker.wakeups.load(Ordering::Relaxed);
         }
-        for unit in self.units.iter().flatten() {
-            s.sweeps += unit.sweeps.load(Ordering::Relaxed);
-            s.commands += unit.commands.load(Ordering::Relaxed);
+        for counts in self.pool.counts.all() {
+            s.sweeps += counts.sweeps.load(Ordering::Relaxed);
+            s.commands += counts.commands.load(Ordering::Relaxed);
         }
         s
     }
@@ -566,8 +574,9 @@ impl<M: Send + 'static> Pool<M> {
     fn pass(&self, unit: &Unit<M>, run: &mut Run<M>) -> bool {
         // --- Drain: the mail changes hands wholesale. --------------------
         std::mem::swap(&mut *relock(&unit.mail), &mut run.batch);
+        let counts = self.counts.mine();
         if !run.batch.is_empty() {
-            unit.sweeps.fetch_add(1, Ordering::Relaxed);
+            counts.sweeps.fetch_add(1, Ordering::Relaxed);
         }
 
         // --- Run: the mail first (a `Start` precedes the local deliveries
@@ -608,7 +617,7 @@ impl<M: Send + 'static> Pool<M> {
             }
             outbox.extend(step_outbox.drain(..).map(|(to, msg)| (pid, to, msg)));
         }
-        unit.commands.fetch_add(commands, Ordering::Relaxed);
+        counts.commands.fetch_add(commands, Ordering::Relaxed);
 
         // --- Flush: the accumulated outbox, batched per destination. -----
         if !run.outbox.is_empty() {
@@ -621,24 +630,20 @@ impl<M: Send + 'static> Pool<M> {
     /// process of `unit` goes straight onto its local run queue — then one
     /// lock acquisition + one notification per worker that gets the rest.
     fn flush(&self, unit: &Unit<M>, run: &mut Run<M>) {
-        // Decide every message's fate under one policy lock.
-        {
-            let mut policy = relock(&self.policy);
-            for (from, to, msg) in run.outbox.drain(..) {
-                let action = policy.action(from, to, &msg);
-                let to = unit.place.locate(to);
-                let due = match action {
-                    LinkAction::Deliver if (Addr { at: 0, ..to }) == unit.home => {
-                        run.local.push((to.at, from, msg));
-                        continue;
-                    }
-                    LinkAction::Deliver => None,
-                    LinkAction::DeliverAfter(d) => Some(Instant::now() + d),
-                    LinkAction::Drop => continue,
-                };
-                let cmd = NodeCmd::Deliver { from, msg };
-                run.away.push(Routed { to, due, cmd });
-            }
+        for (from, to, msg) in run.outbox.drain(..) {
+            let action = self.policy.action(from, to, &msg);
+            let to = unit.place.locate(to);
+            let due = match action {
+                LinkAction::Deliver if (Addr { at: 0, ..to }) == unit.home => {
+                    run.local.push((to.at, from, msg));
+                    continue;
+                }
+                LinkAction::Deliver => None,
+                LinkAction::DeliverAfter(d) => Some(Instant::now() + d),
+                LinkAction::Drop => continue,
+            };
+            let cmd = NodeCmd::Deliver { from, msg };
+            run.away.push(Routed { to, due, cmd });
         }
         // Stable, so a link's messages stay in order. Every destination
         // worker is notified, the unit's own included: the runner may be a

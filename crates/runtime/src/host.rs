@@ -11,15 +11,15 @@
 //! Operations are completion-driven ([`RegisterHost::write_with`] /
 //! [`RegisterHost::read_with`]: one [`Cluster::submit`] command each); the
 //! blocking [`RegisterHost::write`] / [`RegisterHost::read`] wait on a
-//! channel for the same completion. Inspection follows one rule, the
+//! one-shot slot for the same completion. Inspection follows one rule, the
 //! simulator's: ask every process, skip what is gone or is not the automaton
 //! asked for — so crashed processes, Byzantine substitutes and relays are
 //! looked past, never poisoned.
 
 use std::sync::Arc;
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver};
 use parking_lot::Mutex;
 
 use vrr_sim::Automaton;
@@ -33,6 +33,7 @@ use vrr_core::{
 };
 
 use crate::cluster::{Cluster, NodeGone};
+use crate::sharded::{Padded, Sharded};
 
 /// How long an operation may take before the cluster is declared wedged.
 /// Generous: operations take milliseconds even under delay policies. The
@@ -43,18 +44,21 @@ pub const OP_TIMEOUT: Duration = Duration::from_secs(30);
 /// Rounds and latency histograms of one kind of operation (the host's
 /// READs, or its WRITEs) under their canonical `vrr_*` names, resolved once:
 /// a completion observes into them directly and [`RegisterHost::op_metrics`]
-/// folds them into a [`Registry`]. Clones share the histograms, so in-flight
-/// completions record into them.
+/// folds them into a [`Registry`].
+///
+/// One pair per shard ([`Sharded`]): an operation records into the shard of
+/// the thread that started it, wherever its completion fires, holding it by
+/// that shard's own `Arc` — so two callers write neither the same histogram
+/// nor the same reference count.
 ///
 /// Latency ticks are wall-clock **microseconds**, measured from the call
 /// that wraps the completion to the completion firing, wherever
 /// [`Cluster::submit`] runs it (the simulator records sim ticks under the
 /// same names; the unit is the harness's to define).
-#[derive(Clone)]
 struct OpMeter {
     names: [&'static str; 2],
-    /// `[rounds, latency]`.
-    recorded: Arc<Mutex<[Histogram; 2]>>,
+    /// `[rounds, latency]`, per shard.
+    recorded: Sharded<Arc<Padded<Mutex<[Histogram; 2]>>>>,
 }
 
 impl OpMeter {
@@ -62,7 +66,7 @@ impl OpMeter {
         let names = [rounds_name, latency_name];
         OpMeter {
             names,
-            recorded: Arc::new(Mutex::new(names.map(Histogram::named))),
+            recorded: Sharded::new(|| Arc::new(Padded(Mutex::new(names.map(Histogram::named))))),
         }
     }
 
@@ -74,12 +78,12 @@ impl OpMeter {
         rounds: fn(&R) -> u32,
         done: impl FnOnce(Result<R, NodeGone>) + Send + 'static,
     ) -> impl FnOnce(Result<R, NodeGone>) + Send + 'static {
-        let recorded = self.recorded.clone();
+        let recorded = Arc::clone(self.recorded.mine());
         let started = Instant::now();
         move |result| {
             if let Ok(report) = &result {
                 let us = started.elapsed().as_micros() as u64;
-                let mut recorded = recorded.lock();
+                let mut recorded = recorded.0.lock();
                 recorded[0].observe(u64::from(rounds(report)));
                 recorded[1].observe(us);
             }
@@ -88,44 +92,69 @@ impl OpMeter {
     }
 
     fn fold_into(&self, reg: &mut Registry) {
-        let recorded = self.recorded.lock();
-        for (name, histogram) in self.names.into_iter().zip(&*recorded) {
-            reg.observe_all(name, &[], histogram);
+        for shard in self.recorded.all() {
+            let recorded = shard.0.lock();
+            for (name, histogram) in self.names.into_iter().zip(&*recorded) {
+                reg.observe_all(name, &[], histogram);
+            }
         }
     }
 }
 
-/// The waiting half of [`op_channel`]: where a blocking caller parks until
-/// its operation's completion fires.
-struct OpWaiter<R>(Receiver<Result<R, NodeGone>>);
-
-/// A completion callback for [`RegisterHost::write_with`] /
-/// [`RegisterHost::read_with`] paired with the [`OpWaiter`] it wakes — how
-/// every blocking read and write in the workspace waits.
-fn op_channel<R: Send + 'static>() -> (
-    impl FnOnce(Result<R, NodeGone>) + Send + 'static,
-    OpWaiter<R>,
-) {
-    let (tx, rx) = bounded(1);
-    let done = move |result| {
-        let _ = tx.send(result);
-    };
-    (done, OpWaiter(rx))
+/// Where a blocking caller's operation completes: the outcome, once the
+/// completion from [`op_slot`] stores it, and the caller it unparks.
+struct OpSlot<R> {
+    outcome: Mutex<Option<Result<R, NodeGone>>>,
+    caller: Thread,
 }
 
-impl<R> OpWaiter<R> {
-    /// Blocks for the operation's outcome.
+/// A completion callback for [`RegisterHost::write_with`] /
+/// [`RegisterHost::read_with`] paired with the slot it fills — how every
+/// blocking read and write in the workspace waits. The completion usually
+/// fires inside `submit`, on the caller's own thread, so the caller finds
+/// the slot full and never parks.
+fn op_slot<R: Send + 'static>() -> (
+    impl FnOnce(Result<R, NodeGone>) + Send + 'static,
+    Arc<OpSlot<R>>,
+) {
+    let slot = Arc::new(OpSlot {
+        outcome: Mutex::new(None),
+        caller: std::thread::current(),
+    });
+    let filled = Arc::clone(&slot);
+    let done = move |result| {
+        *filled.outcome.lock() = Some(result);
+        filled.caller.unpark();
+    };
+    (done, slot)
+}
+
+impl<R> OpSlot<R> {
+    /// Blocks the caller for the operation's outcome.
     ///
     /// # Panics
     ///
     /// Panics if the operation does not complete within [`OP_TIMEOUT`] —
     /// with at most `t` faulty objects that is a wait-freedom violation —
     /// or its client process is crashed or gone.
-    fn wait(self) -> R {
-        self.0
-            .recv_timeout(OP_TIMEOUT)
-            .expect("operation must complete (wait-freedom)")
-            .unwrap_or_else(|gone| panic!("operation failed: {gone}"))
+    fn wait(&self) -> R {
+        let mut deadline = None;
+        let outcome = loop {
+            if let Some(outcome) = self.outcome.lock().take() {
+                break outcome;
+            }
+            // The clock is read only by a caller that has to park.
+            let deadline = *deadline.get_or_insert_with(|| Instant::now() + OP_TIMEOUT);
+            let left = deadline.saturating_duration_since(Instant::now());
+            assert!(
+                !left.is_zero(),
+                "operation must complete (wait-freedom): Timeout"
+            );
+            // Returns on `unpark`, at the deadline or spuriously: the slot
+            // is looked at again either way.
+            std::thread::park_timeout(left);
+        };
+        outcome.unwrap_or_else(|gone| panic!("operation failed: {gone}"))
     }
 }
 
@@ -298,9 +327,9 @@ impl<V: Value> RegisterHost<V> {
     /// within [`OP_TIMEOUT`] — with at most `t` faulty objects that is a
     /// wait-freedom violation.
     pub fn write(&self, slot: usize, value: V) -> WriteReport {
-        let (done, waiter) = op_channel();
+        let (done, pending) = op_slot();
         self.write_with(slot, value, done);
-        waiter.wait()
+        pending.wait()
     }
 
     /// Blocking `READ()` at reader `j` of slot `slot`.
@@ -310,9 +339,9 @@ impl<V: Value> RegisterHost<V> {
     /// Panics if `slot` or `j` is out of range, or the read does not
     /// complete within [`OP_TIMEOUT`].
     pub fn read(&self, slot: usize, j: usize) -> ReadReport<V> {
-        let (done, waiter) = op_channel();
+        let (done, pending) = op_slot();
         self.read_with(slot, j, done);
-        waiter.wait()
+        pending.wait()
     }
 
     /// Crashes object `i` of slot `slot` (fault injection).
@@ -413,6 +442,8 @@ mod tests {
 
     use vrr_core::Timestamp;
     use vrr_sim::{Context, ProcessId};
+
+    use crossbeam::channel::bounded;
 
     use super::*;
     use crate::link::{LinkAction, LinkPolicy, NoDelay};
@@ -652,7 +683,7 @@ mod tests {
     struct Isolate(ProcessId);
 
     impl LinkPolicy<Msg<u64>> for Isolate {
-        fn action(&mut self, from: ProcessId, to: ProcessId, _: &Msg<u64>) -> LinkAction {
+        fn action(&self, from: ProcessId, to: ProcessId, _: &Msg<u64>) -> LinkAction {
             if from == self.0 || to == self.0 {
                 LinkAction::Drop
             } else {

@@ -85,6 +85,7 @@ mod link;
 mod ring;
 mod scaleout;
 mod shard;
+mod sharded;
 mod storage;
 
 pub use backend::ClusterBackend;

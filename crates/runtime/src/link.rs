@@ -2,10 +2,12 @@
 //!
 //! The runtime twin of the simulator's latency model + adversary. Every
 //! message crossing a link is submitted to the cluster's [`LinkPolicy`],
-//! which decides its fate as part of the sending worker's sweep/flush
-//! cycle; delayed messages park in the owning worker's timer wheel (see
-//! `executor.rs`) until due. There is no routing thread — this module
-//! holds only the policy types.
+//! which decides its fate as part of the flush of whichever thread runs the
+//! sender — concurrently with every other runner, so a policy is asked
+//! through `&self` and keeps any state of its own in atomics; delayed
+//! messages park in the owning worker's timer wheel (see `executor.rs`)
+//! until due. There is no routing thread — this module holds only the
+//! policy types.
 
 use std::time::Duration;
 
@@ -23,10 +25,11 @@ pub enum LinkAction {
 }
 
 /// Per-message link decisions (the runtime twin of the simulator's
-/// latency model + adversary).
-pub trait LinkPolicy<M>: Send + 'static {
+/// latency model + adversary). Every thread that runs a register group asks
+/// the one policy of its cluster, at once and without a lock.
+pub trait LinkPolicy<M>: Send + Sync + 'static {
     /// Decides the fate of one message.
-    fn action(&mut self, from: ProcessId, to: ProcessId, msg: &M) -> LinkAction;
+    fn action(&self, from: ProcessId, to: ProcessId, msg: &M) -> LinkAction;
 }
 
 /// Deliver everything immediately.
@@ -34,7 +37,7 @@ pub trait LinkPolicy<M>: Send + 'static {
 pub struct NoDelay;
 
 impl<M> LinkPolicy<M> for NoDelay {
-    fn action(&mut self, _from: ProcessId, _to: ProcessId, _msg: &M) -> LinkAction {
+    fn action(&self, _from: ProcessId, _to: ProcessId, _msg: &M) -> LinkAction {
         LinkAction::Deliver
     }
 }
@@ -44,7 +47,7 @@ impl<M> LinkPolicy<M> for NoDelay {
 pub struct FixedDelay(pub Duration);
 
 impl<M> LinkPolicy<M> for FixedDelay {
-    fn action(&mut self, _from: ProcessId, _to: ProcessId, _msg: &M) -> LinkAction {
+    fn action(&self, _from: ProcessId, _to: ProcessId, _msg: &M) -> LinkAction {
         LinkAction::DeliverAfter(self.0)
     }
 }
@@ -57,12 +60,12 @@ mod tests {
     fn policies_decide_actions() {
         let p = ProcessId(0);
         assert_eq!(
-            <NoDelay as LinkPolicy<u32>>::action(&mut NoDelay, p, p, &1),
+            <NoDelay as LinkPolicy<u32>>::action(&NoDelay, p, p, &1),
             LinkAction::Deliver
         );
         let d = Duration::from_millis(3);
         assert_eq!(
-            <FixedDelay as LinkPolicy<u32>>::action(&mut FixedDelay(d), p, p, &1),
+            <FixedDelay as LinkPolicy<u32>>::action(&FixedDelay(d), p, p, &1),
             LinkAction::DeliverAfter(d)
         );
     }

@@ -50,6 +50,7 @@ use crate::backend::ClusterBackend;
 use crate::link::NoDelay;
 use crate::ring::RingTable;
 use crate::shard::{ShardedStore, StoreError};
+use crate::sharded::Sharded;
 
 /// Sizing and seeding of a [`StoreRouter`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -143,18 +144,19 @@ pub struct StoreRouter<K: Eq + Hash + Clone, V: Value> {
     /// [`StoreRouter::metrics_snapshot`].
     ops: Mutex<Registry>,
     /// Router-level latency histograms by cluster index (retired clusters
-    /// keep theirs), grown on a cluster's first operation and folded into
-    /// the snapshot.
-    latency: RwLock<Vec<ClusterLatency>>,
+    /// keep theirs), one table per shard — an operation records into its
+    /// thread's — grown on a cluster's first operation there and summed
+    /// into the snapshot.
+    latency: Sharded<Mutex<Vec<ClusterLatency>>>,
 }
 
 /// One cluster's router-level latency histograms, resolved once so an
 /// operation observes without a name or label lookup.
 struct ClusterLatency {
     /// [`names::ROUTER_READ_LATENCY`].
-    read: Mutex<Histogram>,
+    read: Histogram,
     /// [`names::ROUTER_WRITE_LATENCY`].
-    write: Mutex<Histogram>,
+    write: Histogram,
 }
 
 impl<K, V> StoreRouter<K, V>
@@ -204,7 +206,7 @@ where
             clusters: RwLock::new(clusters),
             factory: Mutex::new(Box::new(factory)),
             ops: Mutex::new(Registry::new()),
-            latency: RwLock::new(Vec::new()),
+            latency: Sharded::new(|| Mutex::new(Vec::new())),
         }
     }
 
@@ -295,7 +297,7 @@ where
         let store = self.store(cluster);
         let started = Instant::now();
         let report = store.try_write(key, value)?;
-        self.record_latency(|l| &l.write, cluster, started);
+        self.record_latency(|l| &mut l.write, cluster, started);
         Ok(report)
     }
 
@@ -313,30 +315,26 @@ where
         let store = self.store(cluster);
         let started = Instant::now();
         let report = store.read(key, j)?;
-        self.record_latency(|l| &l.read, cluster, started);
+        self.record_latency(|l| &mut l.read, cluster, started);
         Some(report)
     }
 
-    /// Observes into one of `cluster`'s histograms: a shared lock and the
-    /// histogram's own.
+    /// Observes into one of `cluster`'s histograms in this thread's shard.
     fn record_latency(
         &self,
-        which: fn(&ClusterLatency) -> &Mutex<Histogram>,
+        which: fn(&mut ClusterLatency) -> &mut Histogram,
         cluster: usize,
         started: Instant,
     ) {
         let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        if let Some(of_cluster) = self.latency.read().get(cluster) {
-            return which(of_cluster).lock().observe(micros);
-        }
-        let mut latency = self.latency.write();
+        let mut latency = self.latency.mine().lock();
         if latency.len() <= cluster {
             latency.resize_with(cluster + 1, || ClusterLatency {
-                read: Mutex::new(Histogram::named(names::ROUTER_READ_LATENCY)),
-                write: Mutex::new(Histogram::named(names::ROUTER_WRITE_LATENCY)),
+                read: Histogram::named(names::ROUTER_READ_LATENCY),
+                write: Histogram::named(names::ROUTER_WRITE_LATENCY),
             });
         }
-        which(&latency[cluster]).lock().observe(micros);
+        which(&mut latency[cluster]).observe(micros);
     }
 
     /// Deploys one more shard-cluster (via the retained factory) and
@@ -448,15 +446,13 @@ where
     /// clusters).
     pub fn metrics_snapshot(&self) -> Registry {
         let mut reg = self.ops.lock().clone();
-        for (index, of_cluster) in self.latency.read().iter().enumerate() {
-            let label = index.to_string();
-            let labels = [("cluster", &*label)];
-            reg.observe_all(names::ROUTER_READ_LATENCY, &labels, &of_cluster.read.lock());
-            reg.observe_all(
-                names::ROUTER_WRITE_LATENCY,
-                &labels,
-                &of_cluster.write.lock(),
-            );
+        for shard in self.latency.all() {
+            for (index, of_cluster) in shard.lock().iter().enumerate() {
+                let label = index.to_string();
+                let labels = [("cluster", &*label)];
+                reg.observe_all(names::ROUTER_READ_LATENCY, &labels, &of_cluster.read);
+                reg.observe_all(names::ROUTER_WRITE_LATENCY, &labels, &of_cluster.write);
+            }
         }
         let live: Vec<(usize, Arc<dyn ClusterBackend<K, V>>)> = self
             .clusters
@@ -629,6 +625,75 @@ mod tests {
         let per_cluster: u64 = snap.gauge_values(names::ROUTER_KEYS).iter().sum();
         assert_eq!(per_cluster, router.len() as u64);
         assert!(snap.counter(names::ROUTER_SLOT_MOVES, &[]) > 0);
+    }
+
+    /// Ops of thread `thread` in [`meters_stay_exact_with_more_threads_than_shards`]:
+    /// `(key, reader, write?)` over 8 keys every thread shares, so groups see
+    /// concurrent readers and writers.
+    fn script(thread: usize) -> impl Iterator<Item = (u64, usize, bool)> {
+        (0..60).map(move |i| (((thread + i) % 8) as u64, thread % 3, i % 4 == 0))
+    }
+
+    #[test]
+    fn meters_stay_exact_with_more_threads_than_shards() {
+        const THREADS: usize = 24;
+        const { assert!(THREADS > crate::sharded::SHARDS) };
+        let run = |threads: usize| {
+            let (cfg, capacity) = (StorageConfig::optimal(1, 1, 3), 8);
+            let kind = ProtocolKind::RegularOptimized;
+            let store = Arc::new(ShardedStore::deploy(cfg, kind, Box::new(NoDelay), capacity));
+            let mut backend = Some(store.clone() as Arc<dyn ClusterBackend<u64, u64>>);
+            let rc = RouterConfig::new(1, capacity);
+            let router = StoreRouter::deploy_with_backends(rc, move |_| backend.take().unwrap());
+            (0..8).for_each(|key| assert_eq!(router.write(key, 0).rounds, 2));
+            std::thread::scope(|scope| {
+                for t in 0..threads {
+                    let router = &router;
+                    // One thread runs every thread's script, in turn.
+                    let scripts = if threads == 1 { 0..THREADS } else { t..t + 1 };
+                    scope.spawn(move || {
+                        for (key, reader, write) in scripts.flat_map(script) {
+                            if write {
+                                router.write(key, 1);
+                            } else {
+                                assert!(router.read(&key, reader).is_some());
+                            }
+                        }
+                    });
+                }
+            });
+            (router, store)
+        };
+        let (router, store) = run(THREADS);
+        // Commands: what one thread running every script reports, once the
+        // workers have delivered the last replies of operations they ran.
+        // (Before the snapshot below: its inspections are commands too.)
+        let alone = run(1).1.cluster().stats().commands;
+        let deadline = Instant::now() + std::time::Duration::from_secs(10);
+        while store.cluster().stats().commands != alone && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+        assert_eq!(store.cluster().stats().commands, alone);
+        let ops = || (0..THREADS).flat_map(script);
+        let writes = 8 + ops().filter(|op| op.2).count() as u64;
+        let reads = ops().filter(|op| !op.2).count() as u64;
+        let snap = router.metrics_snapshot();
+        let counted = |name, labels: &[(&str, &str)]| {
+            let h = snap.histogram(name, labels).expect("recorded");
+            assert_eq!(h.cumulative_le(u64::MAX), h.count(), "{name}: buckets");
+            h.count()
+        };
+        let cluster = [("cluster", "0")];
+        assert_eq!(counted(names::ROUTER_READ_LATENCY, &cluster), reads);
+        assert_eq!(counted(names::ROUTER_WRITE_LATENCY, &cluster), writes);
+        for (name, ops) in [
+            (names::READER_ROUNDS, reads),
+            (names::READ_LATENCY, reads),
+            (names::WRITER_ROUNDS, writes),
+            (names::WRITE_LATENCY, writes),
+        ] {
+            assert_eq!(counted(name, &[]), ops, "{name}");
+        }
     }
 
     #[test]

@@ -19,6 +19,7 @@
 //! `examples/soak.rs`, which executes both halves in release mode and
 //! fails on any violation.
 
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Duration;
 
 use vrr_checker::Recorder;
@@ -35,18 +36,21 @@ pub use vrr_workload::soak::{
 
 /// Deterministic link jitter: delays every fourth message (by LCG coin) by
 /// 200µs, enough to reorder deliveries across the runtime's worker threads
-/// without tripping operation timeouts.
+/// without tripping operation timeouts. The coin is an atomic: every thread
+/// that runs a register group flips it.
 struct SoakJitter {
-    state: u64,
+    state: AtomicU64,
 }
 
 impl LinkPolicy<Msg<u64>> for SoakJitter {
-    fn action(&mut self, _from: ProcessId, _to: ProcessId, _msg: &Msg<u64>) -> LinkAction {
-        self.state = self
-            .state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        if (self.state >> 33).is_multiple_of(4) {
+    fn action(&self, _from: ProcessId, _to: ProcessId, _msg: &Msg<u64>) -> LinkAction {
+        let step = |s: u64| {
+            s.wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407)
+        };
+        // `fetch_update` hands back the state it replaced, `Ok` or not.
+        let flipped = self.state.fetch_update(Relaxed, Relaxed, |s| Some(step(s)));
+        if (step(flipped.unwrap_or_else(|s| s)) >> 33).is_multiple_of(4) {
             LinkAction::DeliverAfter(Duration::from_micros(200))
         } else {
             LinkAction::Deliver
@@ -71,7 +75,9 @@ pub fn run_runtime_soak(params: SoakParams) -> SoakReport {
     let storage: StorageCluster<u64> = StorageCluster::deploy_with_objects(
         cfg,
         ProtocolSpec::from(ProtocolKind::RegularOptimized).with_retention(retention),
-        Box::new(SoakJitter { state: params.seed }),
+        Box::new(SoakJitter {
+            state: AtomicU64::new(params.seed),
+        }),
         |i| (i == cfg.s - 1).then(|| AttackerKind::Truncator.build_regular(cfg, FORGED)),
     );
 
