@@ -4,8 +4,11 @@
 //! The client side of router-member mode: a `vrr-server` started with a
 //! store spec hosts a full `ShardedStore<Vec<u8>, V>` (writer + objects +
 //! readers per shard), and a `RemoteCluster` drives it through the keyed
-//! [`Op`] vocabulary over a small pool of blocking [`NetClient`]
-//! connections. A [`vrr_runtime::StoreRouter`] built over
+//! [`Op`] vocabulary over blocking [`NetClient`] connections. A caller
+//! checks an idle connection out for its round trip (dialing one when none
+//! is idle) and returns it when the response is in, so no caller waits for
+//! another caller's request, and there are as many connections as callers
+//! were ever in flight at once. A [`vrr_runtime::StoreRouter`] built over
 //! `Arc<dyn ClusterBackend<K, V>>` cannot tell the difference — the same
 //! seeded-hash ring spans in-proc worker pools and remote processes, and
 //! the never-expose-intermediate-state rebalance (regular-`READ` copy,
@@ -22,7 +25,9 @@
 //! Every request runs under the cluster's [`RetryPolicy`] (bounded
 //! exponential backoff, seeded jitter; retries surface in the
 //! `vrr_net_wire_retry_total` counter of
-//! [`RemoteCluster::metrics_snapshot_labelled`]). A request that exhausts
+//! [`RemoteCluster::metrics_snapshot_labelled`]). A connection that ends a
+//! request in a transport error is dropped, never handed out again; the
+//! next caller dials afresh. A request that exhausts
 //! the budget on [`ClusterBackend::try_write`] returns the typed
 //! [`StoreError::Backend`]; on the inspection and read paths it panics,
 //! mirroring the in-process contract where a wedged operation is a
@@ -30,8 +35,8 @@
 
 use std::marker::PhantomData;
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use vrr_core::metrics::{names, Registry};
 use vrr_core::wire::{decode_exact, Wire};
@@ -41,12 +46,12 @@ use vrr_runtime::{ClusterBackend, StoreError};
 use crate::client::{ClientError, NetClient, RetryPolicy};
 use crate::frame::{Op, Rsp};
 
-/// Connection-pool sizing and retry budget for a [`RemoteCluster`].
+/// Initial connections and retry budget for a [`RemoteCluster`].
 #[derive(Clone, Debug)]
 pub struct RemoteClusterConfig {
-    /// TCP connections in the pool (round-robin; each operation holds one
-    /// for its blocking round-trip, so this bounds per-cluster request
-    /// concurrency).
+    /// TCP connections dialed up front, so a dead server fails at
+    /// [`RemoteCluster::connect`]. Not a bound: a caller that finds none
+    /// idle dials another. Kept because the benchmark passes it.
     pub connections: usize,
     /// Retry/backoff budget applied to every request and to the initial
     /// dials.
@@ -81,8 +86,12 @@ impl Default for RemoteClusterConfig {
 /// ```
 pub struct RemoteCluster<K, V> {
     addr: SocketAddr,
-    pool: Vec<Mutex<NetClient<V>>>,
-    next: AtomicUsize,
+    /// Connections no caller holds; the lock is held for a `pop` or a
+    /// `push`, never across a round trip.
+    idle: Mutex<Vec<NetClient<V>>>,
+    /// Requests re-sent after a connection failure, over every connection
+    /// this cluster has used (dropped ones included).
+    retries: AtomicU64,
     retry: RetryPolicy,
     _marker: PhantomData<fn(K) -> K>,
 }
@@ -91,14 +100,13 @@ impl<K, V: Value + Wire> RemoteCluster<K, V> {
     /// Dials `cfg.connections` connections to the store-hosting server at
     /// `addr` (each dial itself under `cfg.retry`).
     pub fn connect(addr: SocketAddr, cfg: RemoteClusterConfig) -> Result<Self, ClientError> {
-        let connections = cfg.connections.max(1);
-        let pool = (0..connections)
-            .map(|_| NetClient::connect_with_retry(addr, &cfg.retry).map(Mutex::new))
+        let idle = (0..cfg.connections.max(1))
+            .map(|_| NetClient::connect_with_retry(addr, &cfg.retry))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(RemoteCluster {
             addr,
-            pool,
-            next: AtomicUsize::new(0),
+            idle: Mutex::new(idle),
+            retries: AtomicU64::new(0),
             retry: cfg.retry,
             _marker: PhantomData,
         })
@@ -109,22 +117,37 @@ impl<K, V: Value + Wire> RemoteCluster<K, V> {
         self.addr
     }
 
-    /// Total wire-level retries burned across the pool so far.
+    /// Total wire-level retries burned across every connection so far.
     pub fn retries(&self) -> u64 {
-        self.pool
-            .iter()
-            .map(|c| c.lock().expect("client lock").retry_count())
-            .sum()
+        self.retries.load(Ordering::Relaxed)
     }
 
-    /// Round-robin request through the pool under the retry budget.
+    /// The idle list. A `pop` or `push` cannot leave it half-done, so a
+    /// panic elsewhere while it was held poisons nothing worth refusing.
+    fn idle(&self) -> MutexGuard<'_, Vec<NetClient<V>>> {
+        self.idle.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// One request under the retry budget, on an idle connection checked
+    /// out for the round trip (or one dialed now, when none is idle). The
+    /// connection goes back only if a response came back.
     fn request(&self, op: &Op<V>) -> Result<Rsp<V>, ClientError>
     where
         V: Clone,
     {
-        let pick = self.next.fetch_add(1, Ordering::Relaxed) % self.pool.len();
-        let mut client = self.pool[pick].lock().expect("client lock");
-        client.request_with_retry(op, &self.retry)
+        let idle = self.idle().pop();
+        let mut client = match idle {
+            Some(client) => client,
+            None => NetClient::connect_with_retry(self.addr, &self.retry)?,
+        };
+        let before = client.retry_count();
+        let rsp = client.request_with_retry(op, &self.retry);
+        self.retries
+            .fetch_add(client.retry_count() - before, Ordering::Relaxed);
+        if rsp.is_ok() {
+            self.idle().push(client);
+        }
+        rsp
     }
 
     /// Like [`RemoteCluster::request`], but panicking on transport failure

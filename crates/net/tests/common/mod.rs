@@ -1,9 +1,44 @@
 //! Shared by the `vrr-net` test binaries: the seeded generator their
-//! schedules draw from and the `--addrs` rendering (each binary compiles
-//! this module for itself, and not every one uses every item).
+//! schedules draw from, the `--addrs` rendering and a fake store node's
+//! side of one connection (each binary compiles this module for itself,
+//! and not every one uses every item).
 #![allow(dead_code)]
 
-use std::net::SocketAddr;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+
+use vrr_net::frame::{decode_body, encode_frame, Ctl, Envelope, FrameReader, Payload};
+use vrr_net::{Op, Rsp};
+
+/// Answers one connection as a store-hosting `vrr-server` would, with
+/// `answer(op)` for each request — or hangs up on the first request when
+/// `hang_up`. Returns when the client goes away.
+pub fn serve(mut stream: TcpStream, hang_up: bool, answer: impl Fn(Op<u64>) -> Rsp<u64>) {
+    let (mut reader, mut buf) = (FrameReader::new(), [0u8; 4096]);
+    loop {
+        while let Some(body) = reader.next_frame().expect("framing") {
+            let env: Envelope<u64> = decode_body(&body).expect("a client frame");
+            let Payload::Ctl(Ctl::Request { id, op }) = env.payload else {
+                continue;
+            };
+            if hang_up {
+                return;
+            }
+            let rsp = answer(op);
+            let env = Envelope::<u64> {
+                source: 0,
+                epoch: 0,
+                seq: id,
+                payload: Payload::Ctl(Ctl::Response { id, rsp }),
+            };
+            stream.write_all(&encode_frame(&env)).expect("respond");
+        }
+        match stream.read(&mut buf) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => reader.extend(&buf[..n]),
+        }
+    }
+}
 
 /// SplitMix64: deterministic schedules and structures per seed.
 pub struct Gen(pub u64);

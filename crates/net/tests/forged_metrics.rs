@@ -6,15 +6,15 @@
 //! `counter_add`'s kind `panic!` in `RemoteCluster` and `merge_from`'s
 //! `assert_eq!` in the router.
 
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpListener;
 use std::sync::Arc;
 
 use vrr_core::metrics::{names, Histogram, Registry};
 use vrr_core::StorageConfig;
-use vrr_net::frame::{decode_body, encode_frame, Ctl, Envelope, FrameReader, Payload};
 use vrr_net::{Op, RemoteCluster, RemoteClusterConfig, RetryPolicy, Rsp};
 use vrr_runtime::{ClusterBackend, NoDelay, ProtocolKind, RouterConfig, ShardedStore, StoreRouter};
+
+mod common;
 
 /// Well-formed, and wrong twice: the retry counter `RemoteCluster` adds to
 /// is a gauge here, and the read-latency histogram has buckets of its own.
@@ -27,40 +27,16 @@ fn forged() -> Registry {
     reg
 }
 
-/// Answers one connection as a store-hosting `vrr-server` would, except
-/// that its snapshot is [`forged`] — or hangs up on the first request,
-/// which costs the client one retry.
-fn serve(mut stream: TcpStream, hang_up: bool) {
-    let (mut reader, mut buf) = (FrameReader::new(), [0u8; 4096]);
-    loop {
-        while let Some(body) = reader.next_frame().expect("framing") {
-            let env: Envelope<u64> = decode_body(&body).expect("a client frame");
-            let Payload::Ctl(Ctl::Request { id, op }) = env.payload else {
-                continue;
-            };
-            if hang_up {
-                return;
-            }
-            let rsp = match op {
-                Op::StoreMetrics { .. } => Rsp::StoreMetrics { registry: forged() },
-                _ => Rsp::StoreInfo {
-                    capacity: 4,
-                    keys: 0,
-                    free_slots: 4,
-                },
-            };
-            let env = Envelope::<u64> {
-                source: 0,
-                epoch: 0,
-                seq: id,
-                payload: Payload::Ctl(Ctl::Response { id, rsp }),
-            };
-            stream.write_all(&encode_frame(&env)).expect("respond");
-        }
-        match stream.read(&mut buf) {
-            Ok(0) | Err(_) => return,
-            Ok(n) => reader.extend(&buf[..n]),
-        }
+/// A store-hosting `vrr-server`'s answer, except that its snapshot is
+/// [`forged`].
+fn answer(op: Op<u64>) -> Rsp<u64> {
+    match op {
+        Op::StoreMetrics { .. } => Rsp::StoreMetrics { registry: forged() },
+        _ => Rsp::StoreInfo {
+            capacity: 4,
+            keys: 0,
+            free_slots: 4,
+        },
     }
 }
 
@@ -79,7 +55,7 @@ fn a_forged_snapshot_is_skipped_series_by_series_and_the_router_stands() {
         // client's redial until the client goes away.
         scope.spawn(|| {
             for hang_up in [true, false] {
-                serve(listener.accept().expect("accept").0, hang_up);
+                common::serve(listener.accept().expect("accept").0, hang_up, answer);
             }
         });
         let mut retry = RetryPolicy::with_seed(1);
