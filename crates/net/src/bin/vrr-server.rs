@@ -1,41 +1,36 @@
 //! `vrr-server`: one OS process of a multi-process storage deployment.
 //!
 //! Every node of a deployment runs this binary with the *same* topology
-//! flags (`--addrs`, sizing, placement, `--slots`) and its own `--node`.
+//! flags (`--addrs`, sizing, placement, `--store`) and its own `--node`.
 //! The register value type is `u64`. After the listener is up the process
 //! prints `READY <addr>` on stdout; it exits when a thin client sends the
 //! shutdown op.
 //!
 //! ```text
 //! vrr-server --node 0 --addrs 127.0.0.1:7100,127.0.0.1:7101 \
-//!     --t 1 --b 1 --readers 1 [--fast] [--kind regular-opt] [--slots 4] \
+//!     --t 1 --b 1 --readers 1 [--fast] [--kind regular-opt] [--store 4] \
 //!     [--place-objects 0,0,0,0,0] [--place-writer 1] [--place-readers 1] \
-//!     [--byzantine SLOT:OBJ:KIND:FORGED] [--epoch 0] [--workers 1] \
-//!     [--retention keep-all|reader-ack] [--store CAPACITY] \
-//!     [--store-byzantine OBJ:KIND:FORGED] [--metrics-addr HOST:PORT]
+//!     [--byzantine SLOT|all:OBJ:KIND:FORGED] [--epoch 0] \
+//!     [--retention keep-all|reader-ack] [--metrics-addr HOST:PORT]
 //! ```
 //!
-//! `--workers` sizes the worker pool of the slot groups only: each group
-//! lives on one worker (slot `s` on worker `s % N`), so it buys parallelism
-//! across slots. A hosted store always gets a pool of its own, one worker
-//! per CPU.
-//!
-//! With `--store CAPACITY` the node additionally hosts a
-//! `ShardedStore<Vec<u8>, u64>` of that many register shards, served to
+//! `--store N` (default 1) is the number of register groups, on one worker
+//! pool of one worker per CPU. Thin clients address them by slot; a node
+//! that hosts every member of the group (no `--place-*` naming another
+//! node) also serves them by key, as a `ShardedStore<Vec<u8>, u64>`, to
 //! remote `StoreRouter`s through `vrr_net::RemoteCluster` (router-member
-//! mode); `--kind` and `--retention` apply to its shards as they do to
-//! the slot groups, and `--store-byzantine` substitutes an attacker for
-//! the named object of **every** store shard. With `--metrics-addr` the process
+//! mode). `--byzantine all:OBJ:KIND:FORGED` substitutes an attacker for the
+//! named object of **every** group. With `--metrics-addr` the process
 //! serves its Prometheus snapshot at `GET /metrics`, and prints
 //! `METRICS <addr>` after the `READY` banner.
 //!
 //! A flag the node cannot honour — unknown, malformed, or sizing out of
-//! range (`--b` above `--t`, `--readers 0`, `--store 0`) — is answered with
-//! a `vrr-server:` line and the usage on stderr and exit code 2, before
+//! range (`--b` above `--t`, `--readers 0`) — is answered with a
+//! `vrr-server:` line and the usage on stderr and exit code 2, before
 //! anything is bound or spawned. So is a topology `NetNode::start` refuses
-//! (its `InvalidInput`): `--node` or a placement naming a node outside
-//! `--addrs`, placement lists that do not match the sizing, a Byzantine spec
-//! naming an object the deployment does not have.
+//! (its `InvalidInput`): `--store 0`, `--node` or a placement naming a node
+//! outside `--addrs`, placement lists that do not match the sizing, a
+//! Byzantine spec naming an object the deployment does not have.
 
 use std::net::SocketAddr;
 use std::process::exit;
@@ -43,20 +38,17 @@ use std::process::exit;
 use vrr_core::attackers::AttackerKind;
 use vrr_core::regular::HistoryRetention;
 use vrr_core::{ProtocolKind, ProtocolSpec, StorageConfig};
-use vrr_net::{
-    ByzSpec, GroupPlacement, NetNode, NetNodeConfig, NodeTopology, StoreByzSpec, StoreSpec,
-};
+use vrr_net::{ByzSpec, GroupPlacement, NetNode, NetNodeConfig, NodeTopology};
 
 fn usage(err: &str) -> ! {
     eprintln!("vrr-server: {err}");
     eprintln!(
         "usage: vrr-server --node N --addrs HOST:PORT[,HOST:PORT...] \
          [--t N] [--b N] [--readers N] [--fast] \
-         [--kind safe|regular|regular-opt] [--slots N] \
+         [--kind safe|regular|regular-opt] [--store N] \
          [--place-objects N,N,...] [--place-writer N] [--place-readers N,...] \
-         [--byzantine SLOT:OBJ:KIND:FORGED]... [--epoch N] [--workers N] \
-         [--retention keep-all|reader-ack] [--store CAPACITY] \
-         [--store-byzantine OBJ:KIND:FORGED]... [--metrics-addr HOST:PORT]"
+         [--byzantine SLOT|all:OBJ:KIND:FORGED]... [--epoch N] \
+         [--retention keep-all|reader-ack] [--metrics-addr HOST:PORT]"
     );
     exit(2);
 }
@@ -92,16 +84,13 @@ fn main() {
     let mut readers = 1usize;
     let mut fast = false;
     let mut kind = ProtocolKind::RegularOptimized;
-    let mut slots = 1usize;
+    let mut store = 1usize;
     let mut place_objects: Option<Vec<u32>> = None;
     let mut place_writer: Option<u32> = None;
     let mut place_readers: Option<Vec<u32>> = None;
     let mut byzantine: Vec<ByzSpec<u64>> = Vec::new();
     let mut epoch = 0u32;
-    let mut workers = 1usize;
     let mut retention_reader_ack = false;
-    let mut store_capacity: Option<usize> = None;
-    let mut store_byzantine: Vec<StoreByzSpec<u64>> = Vec::new();
     let mut metrics_addr: Option<SocketAddr> = None;
 
     let mut it = args.iter();
@@ -126,7 +115,6 @@ fn main() {
                     other => usage(&format!("unknown kind `{other}`")),
                 }
             }
-            "--slots" => slots = val().parse().unwrap_or_else(|_| usage("bad --slots")),
             "--place-objects" => place_objects = Some(parse_list(val(), "--place-objects")),
             "--place-writer" => {
                 place_writer = Some(
@@ -141,13 +129,15 @@ fn main() {
                 let parts: Vec<&str> = spec.split(':').collect();
                 if parts.len() != 4 {
                     usage(&format!(
-                        "bad --byzantine `{spec}` (want SLOT:OBJ:KIND:FORGED)"
+                        "bad --byzantine `{spec}` (want SLOT|all:OBJ:KIND:FORGED)"
                     ));
                 }
                 byzantine.push(ByzSpec {
-                    slot: parts[0]
-                        .parse()
-                        .unwrap_or_else(|_| usage("bad byzantine slot")),
+                    slot: (parts[0] != "all").then(|| {
+                        parts[0]
+                            .parse()
+                            .unwrap_or_else(|_| usage("bad byzantine slot"))
+                    }),
                     object: parts[1]
                         .parse()
                         .unwrap_or_else(|_| usage("bad byzantine object")),
@@ -157,27 +147,7 @@ fn main() {
                         .unwrap_or_else(|_| usage("bad byzantine forged")),
                 });
             }
-            "--store" => {
-                store_capacity = Some(val().parse().unwrap_or_else(|_| usage("bad --store")))
-            }
-            "--store-byzantine" => {
-                let spec = val();
-                let parts: Vec<&str> = spec.split(':').collect();
-                if parts.len() != 3 {
-                    usage(&format!(
-                        "bad --store-byzantine `{spec}` (want OBJ:KIND:FORGED)"
-                    ));
-                }
-                store_byzantine.push(StoreByzSpec {
-                    object: parts[0]
-                        .parse()
-                        .unwrap_or_else(|_| usage("bad store-byzantine object")),
-                    kind: parse_attacker(parts[1]),
-                    forged: parts[2]
-                        .parse()
-                        .unwrap_or_else(|_| usage("bad store-byzantine forged")),
-                });
-            }
+            "--store" => store = val().parse().unwrap_or_else(|_| usage("bad --store")),
             "--metrics-addr" => {
                 metrics_addr = Some(
                     val()
@@ -186,7 +156,6 @@ fn main() {
                 )
             }
             "--epoch" => epoch = val().parse().unwrap_or_else(|_| usage("bad --epoch")),
-            "--workers" => workers = val().parse().unwrap_or_else(|_| usage("bad --workers")),
             "--retention" => {
                 retention_reader_ack = match val() {
                     "keep-all" => false,
@@ -202,15 +171,12 @@ fn main() {
     if addrs.is_empty() {
         usage("--addrs is required");
     }
-    // What `StorageConfig` and `ShardedStore` assert, refused here instead.
+    // What `StorageConfig` asserts, refused here instead.
     if b > t {
         usage("--b must not exceed --t (Byzantine faults are a subset of faults)");
     }
     if readers == 0 {
         usage("--readers must be at least 1");
-    }
-    if store_capacity == Some(0) {
-        usage("--store must be at least 1");
     }
 
     let cfg = if fast {
@@ -226,7 +192,7 @@ fn main() {
     let topo = NodeTopology {
         addrs,
         placement,
-        slots,
+        slots: store,
     };
     let mut spec = ProtocolSpec::from(kind);
     if retention_reader_ack {
@@ -234,24 +200,14 @@ fn main() {
     }
     let mut ncfg = NetNodeConfig::<u64>::new(cfg, spec);
     ncfg.epoch = epoch;
-    ncfg.workers = workers;
     ncfg.byzantine = byzantine;
-    if !store_byzantine.is_empty() && store_capacity.is_none() {
-        usage("--store-byzantine needs --store");
-    }
-    if let Some(capacity) = store_capacity {
-        ncfg.store = Some(StoreSpec {
-            capacity,
-            byzantine: store_byzantine,
-        });
-    }
     ncfg.metrics_addr = metrics_addr;
 
     let server = match NetNode::start(node, &topo, ncfg) {
         Ok(s) => s,
-        // A topology or spec the deployment cannot honour: `--node` or a
-        // placement outside `--addrs`, placement lists off the sizing, a
-        // Byzantine spec naming no object.
+        // A topology or spec the deployment cannot honour: `--store 0`,
+        // `--node` or a placement outside `--addrs`, placement lists off
+        // the sizing, a Byzantine spec naming no object.
         Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => usage(&e.to_string()),
         Err(e) => {
             eprintln!("vrr-server: failed to start node {node}: {e}");

@@ -19,8 +19,9 @@
 //!   the full global pid space (a [`vrr_runtime::RegisterHost`], driven by
 //!   the one [`vrr_core::ProtocolSpec`] in [`node::NetNodeConfig`]) with
 //!   [`node::Relay`] stand-ins for remote pids, so `StorageCluster`-style
-//!   workloads run unchanged whether members share a process or not. The
-//!   same spec builds the shards of a hosted store (router-member mode).
+//!   workloads run unchanged whether members share a process or not. Its
+//!   key-value store (router-member mode) is a key index over those same
+//!   register groups, served by a node that hosts whole groups.
 //!   Its request path is completion-driven: the reactor thread starts an
 //!   operation ([`vrr_runtime::Cluster::submit`]) and the worker that
 //!   observes the outcome writes the response — no thread per request.
@@ -38,7 +39,7 @@
 //! failing run cannot leave one listening.
 //!
 //! Against a running deployment (say `vrr-server --node … --addrs
-//! 127.0.0.1:7100,127.0.0.1:7101,127.0.0.1:7102 --slots 4 …` with the
+//! 127.0.0.1:7100,127.0.0.1:7101,127.0.0.1:7102 --store 4 …` with the
 //! writer and reader 0 on node 0 and reader 1 on node 2), a thin client
 //! addresses register slots directly and keeps its own key→slot table:
 //!
@@ -80,8 +81,7 @@ pub mod transport;
 pub use client::{ClientError, NetClient, RetryPolicy};
 pub use frame::{Ctl, Envelope, FrameError, FrameReader, Op, Payload, Rsp, MAX_FRAME_LEN};
 pub use node::{
-    free_addrs, ByzSpec, GroupPlacement, NetNode, NetNodeConfig, NodeTopology, Relay,
-    ServerProcess, StoreByzSpec, StoreSpec,
+    free_addrs, ByzSpec, GroupPlacement, NetNode, NetNodeConfig, NodeTopology, Relay, ServerProcess,
 };
 pub use reactor::{BoundReactor, ConnId, Handler, NetCounters, NetEvent, ReactorHandle};
 pub use remote::{RemoteCluster, RemoteClusterConfig};

@@ -10,6 +10,14 @@
 //! ships the message over the transport, and node 1 injects it into *its*
 //! pid 3, where the real object lives.
 //!
+//! The host's slots are also the node's key-value store: a
+//! [`ShardedStore`] indexes keys onto them, so `WriteKey k` and a
+//! `WriteSlot` on `k`'s slot write one register. The index lives in one
+//! process, so only a node hosting every member of the group (a
+//! [`GroupPlacement::single`] topology) serves the key-index ops
+//! (`WriteKey`, `ReadKey`, `ReleaseKey`, `StoreKeys`, `SlotOfKey`); any
+//! other answers them with a typed `Rsp::Err`.
+//!
 //! # Where a request runs
 //!
 //! [`NetNode`] hands the reactor a handler, so everything below happens
@@ -161,14 +169,15 @@ impl NodeTopology {
     }
 }
 
-/// One Byzantine substitution: object `object` of slot `slot` runs
-/// `kind`'s attacker, forging `forged`, instead of the honest automaton.
-/// Only the node hosting that object applies it (others relay to it
-/// anyway), but passing the same list to every node is harmless.
+/// One Byzantine substitution: object `object` of slot `slot` (of every
+/// slot, if `None`) runs `kind`'s attacker, forging `forged`, instead of
+/// the honest automaton. Only the node hosting that object applies it
+/// (others relay to it anyway), but passing the same list to every node is
+/// harmless.
 #[derive(Clone, Debug)]
 pub struct ByzSpec<V> {
-    /// Register-group index.
-    pub slot: usize,
+    /// Register-group index; `None` is every group.
+    pub slot: Option<usize>,
     /// Object index within the group.
     pub object: usize,
     /// Which attacker to run.
@@ -177,78 +186,33 @@ pub struct ByzSpec<V> {
     pub forged: V,
 }
 
-/// One Byzantine substitution inside a hosted store: object `object` of
-/// **every** shard runs `kind`'s attacker forging `forged` — the
-/// worst-case layout the PR 7 rebalance drill drains through.
-#[derive(Clone, Debug)]
-pub struct StoreByzSpec<V> {
-    /// Base-object index within each shard.
-    pub object: usize,
-    /// Which attacker to run.
-    pub kind: AttackerKind,
-    /// The value the attacker forges.
-    pub forged: V,
-}
-
-/// Asks a node to host a [`ShardedStore`] — a whole router cluster in one
-/// OS process, served to remote `StoreRouter`s through the keyed
-/// [`Op`] vocabulary (`vrr_runtime`'s `RemoteCluster` is the client side).
-#[derive(Clone, Debug)]
-pub struct StoreSpec<V> {
-    /// Register shards to provision (the store's capacity contract).
-    pub capacity: usize,
-    /// Byzantine substitutions applied to every shard.
-    pub byzantine: Vec<StoreByzSpec<V>>,
-}
-
-impl<V> StoreSpec<V> {
-    /// A clean store of `capacity` shards.
-    pub fn new(capacity: usize) -> Self {
-        StoreSpec {
-            capacity,
-            byzantine: Vec::new(),
-        }
-    }
-}
-
 /// Per-node deployment parameters (the parts not fixed by the topology).
 #[derive(Clone, Debug)]
 pub struct NetNodeConfig<V> {
     /// Register sizing.
     pub cfg: StorageConfig,
-    /// Protocol variant, history retention and reader tuning — of the slot
-    /// groups and of every shard of a hosted store alike.
+    /// Protocol variant, history retention and reader tuning of every
+    /// register group.
     pub spec: ProtocolSpec,
     /// This process's incarnation (bump on restart).
     pub epoch: u32,
-    /// Worker threads of the slot host's pool. A slot group lives on one
-    /// worker (slot `s` on worker `s % workers`), so more workers serve more
-    /// slots in parallel, never one slot faster. A hosted store
-    /// ([`NetNodeConfig::store`]) is not sized by this: it always gets its
-    /// own pool of one worker per CPU.
-    pub workers: usize,
     /// Byzantine substitutions for locally hosted objects.
     pub byzantine: Vec<ByzSpec<V>>,
-    /// Host a key-value store (router-member mode) alongside the slot
-    /// deployment.
-    pub store: Option<StoreSpec<V>>,
     /// Serve `GET /metrics` (Prometheus text) on this address, off the
     /// same epoll reactor as the frame protocol.
     pub metrics_addr: Option<SocketAddr>,
 }
 
 impl<V> NetNodeConfig<V> {
-    /// Defaults: epoch 0, one worker, no Byzantine objects, no hosted
-    /// store, no metrics endpoint. A bare [`vrr_core::ProtocolKind`] is the
-    /// paper-faithful spec (keep-all retention, default tuning).
+    /// Defaults: epoch 0, no Byzantine objects, no metrics endpoint. A bare
+    /// [`vrr_core::ProtocolKind`] is the paper-faithful spec (keep-all
+    /// retention, default tuning).
     pub fn new(cfg: StorageConfig, spec: impl Into<ProtocolSpec>) -> Self {
         NetNodeConfig {
             cfg,
             spec: spec.into(),
             epoch: 0,
-            workers: 1,
             byzantine: Vec::new(),
-            store: None,
             metrics_addr: None,
         }
     }
@@ -260,19 +224,21 @@ const REDIAL_EVERY: Duration = Duration::from_millis(200);
 
 struct ServerCtx<V: Value + Wire> {
     node: u32,
-    /// The slot groups over the full global pid space: real automata for
-    /// the members placed here, relays for the rest.
-    host: RegisterHost<V>,
+    /// The key index over the node's one register host: every slot group
+    /// over the full global pid space, real automata for the members placed
+    /// here and relays for the rest.
+    store: ShardedStore<Vec<u8>, V>,
+    /// Whether every member of the group is placed here: only then are
+    /// the key-index ops served.
+    whole: bool,
     placement: GroupPlacement,
     pid_node: Vec<u32>,
     transport: Arc<TcpTransport<V>>,
-    /// Hosted key-value store (router-member mode), if any.
-    store: Option<ShardedStore<Vec<u8>, V>>,
     shutdown: AtomicBool,
 }
 
-/// One running node: a local register host (real automata + relays), the
-/// reactor thread serving it, and the inspection thread.
+/// One running node: its register host (real automata + relays) on one
+/// worker pool, the reactor thread serving it, and the inspection thread.
 pub struct NetNode<V: Value + Wire> {
     ctx: Arc<ServerCtx<V>>,
     addr: SocketAddr,
@@ -290,11 +256,11 @@ impl<V: Value + Wire> NetNode<V> {
     /// # Errors
     ///
     /// [`io::ErrorKind::InvalidInput`] if `node` or a placed member is
-    /// outside `topo.addrs`, the placement lists do not match the sizing, a
-    /// Byzantine spec names a slot or an object the deployment does not
-    /// have (it would match nothing and the node would silently come up
-    /// honest) or the store spec asks for zero shards; otherwise whatever
-    /// binding the listeners or spawning the threads reports.
+    /// outside `topo.addrs`, the placement lists do not match the sizing,
+    /// the topology has no slot, or a Byzantine spec names a slot or an
+    /// object the deployment does not have (it would match nothing and the
+    /// node would silently come up honest); otherwise whatever binding the
+    /// listeners or spawning the threads reports.
     pub fn start(node: u32, topo: &NodeTopology, ncfg: NetNodeConfig<V>) -> io::Result<Self> {
         let (bound, ctx) = Self::bind(node, topo, ncfg)?;
         let addr = bound.addr().expect("listening reactor reports its address");
@@ -320,8 +286,8 @@ impl<V: Value + Wire> NetNode<V> {
     }
 
     /// Everything of a node but its threads: checks the specs, binds the
-    /// listeners and spawns the full global pid space (and the hosted
-    /// store) behind a transport on the bound reactor.
+    /// listeners and spawns the full global pid space on one pool of one
+    /// worker per CPU, behind a transport on the bound reactor.
     fn bind(
         node: u32,
         topo: &NodeTopology,
@@ -340,7 +306,7 @@ impl<V: Value + Wire> NetNode<V> {
 
         let span = group_span(ncfg.cfg);
         let host = RegisterHost::spawn(
-            Cluster::with_workers(Box::new(NoDelay), ncfg.workers.max(1)),
+            Cluster::new(Box::new(NoDelay)),
             ncfg.cfg,
             ncfg.spec,
             topo.slots,
@@ -354,33 +320,20 @@ impl<V: Value + Wire> NetNode<V> {
                 };
                 ncfg.byzantine
                     .iter()
-                    .find(|s| s.slot == slot && s.object == i)
+                    .find(|s| s.slot.is_none_or(|s| s == slot) && s.object == i)
                     .map(|s| ncfg.spec.attacker(s.kind, ncfg.cfg, s.forged.clone()))
             },
         );
 
-        let store = ncfg.store.as_ref().map(|spec| {
-            ShardedStore::deploy_with_objects(
-                ncfg.cfg,
-                ncfg.spec,
-                Box::new(NoDelay),
-                spec.capacity,
-                |_shard, i| {
-                    spec.byzantine
-                        .iter()
-                        .find(|b| b.object == i)
-                        .map(|b| ncfg.spec.attacker(b.kind, ncfg.cfg, b.forged.clone()))
-                },
-            )
-        });
-
+        let place = &topo.placement;
+        let members = place.objects.iter().chain(&place.readers);
         let ctx = Arc::new(ServerCtx {
             node,
-            host,
+            store: ShardedStore::over(host),
+            whole: members.chain([&place.writer]).all(|&n| n == node),
             placement: topo.placement.clone(),
             pid_node,
             transport,
-            store,
             shutdown: AtomicBool::new(false),
         });
         Ok((bound, ctx))
@@ -396,21 +349,20 @@ impl<V: Value + Wire> NetNode<V> {
         self.metrics_addr
     }
 
-    /// The hosted key-value store, if this node runs in router-member
-    /// mode.
-    pub fn store(&self) -> Option<&ShardedStore<Vec<u8>, V>> {
-        self.ctx.store.as_ref()
+    /// The key index over the node's register groups.
+    pub fn store(&self) -> &ShardedStore<Vec<u8>, V> {
+        &self.ctx.store
     }
 
     /// The spawned register groups, slot by slot.
     pub fn groups(&self) -> &[Deployment] {
-        self.ctx.host.groups()
+        self.host().groups()
     }
 
-    /// The host of the slot groups (all global pids; remote ones are
+    /// The host of the register groups (all global pids; remote ones are
     /// relays, which inspection skips).
     pub fn host(&self) -> &RegisterHost<V> {
-        &self.ctx.host
+        self.ctx.store.host()
     }
 
     /// Blocking `WRITE(value)` on slot `slot`. The writer must be local.
@@ -421,7 +373,7 @@ impl<V: Value + Wire> NetNode<V> {
     /// range, or the write times out.
     pub fn write_slot(&self, slot: usize, value: V) -> WriteReport {
         assert_eq!(self.ctx.placement.writer, self.ctx.node, "writer not local");
-        self.ctx.host.write(slot, value)
+        self.host().write(slot, value)
     }
 
     /// Blocking `READ()` at local reader `reader` of slot `slot`.
@@ -435,35 +387,14 @@ impl<V: Value + Wire> NetNode<V> {
             self.ctx.placement.readers[reader], self.ctx.node,
             "reader not local"
         );
-        self.ctx.host.read(slot, reader)
-    }
-
-    /// Crashes a locally hosted global pid (fault injection).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pid is not hosted by this node.
-    pub fn crash_pid(&self, pid: ProcessId) {
-        assert_eq!(self.ctx.pid_node[pid.0], self.ctx.node, "pid not local");
-        self.ctx.host.cluster().crash(pid);
-    }
-
-    /// This node's metrics snapshot: client-op histograms, executor
-    /// counters and the `vrr_net_wire_*` transport series.
-    pub fn metrics(&self) -> Registry {
-        self.ctx.metrics()
-    }
-
-    /// Whether a client asked this node to shut down.
-    pub fn shutdown_requested(&self) -> bool {
-        self.ctx.shutdown.load(Ordering::SeqCst)
+        self.host().read(slot, reader)
     }
 
     /// Blocks until a client requests shutdown (the `vrr-server` main
     /// loop), then returns after a short grace period so the shutdown
     /// response can flush.
     pub fn wait_shutdown(&self) {
-        while !self.shutdown_requested() {
+        while !self.ctx.shutdown.load(Ordering::SeqCst) {
             std::thread::sleep(Duration::from_millis(50));
         }
         std::thread::sleep(Duration::from_millis(100));
@@ -471,7 +402,7 @@ impl<V: Value + Wire> NetNode<V> {
 }
 
 impl<V: Value + Wire> Drop for NetNode<V> {
-    /// Joins the reactor and inspection threads; the worker pools join as
+    /// Joins the reactor and inspection threads; the worker pool joins as
     /// the last reference to the node's state drops right after. Operations
     /// still in flight complete with `NodeGone` into a closed reactor.
     fn drop(&mut self) {
@@ -606,7 +537,7 @@ impl<V: Value + Wire> Handler for NodeHandler<V> {
                 let ctx = &self.ctx;
                 let (from, to) = (ProcessId(from as usize), ProcessId(to as usize));
                 if to.0 < ctx.pid_node.len() && ctx.pid_node[to.0] == ctx.node {
-                    ctx.host.cluster().send_external(from, to, msg);
+                    ctx.store.host().cluster().send_external(from, to, msg);
                 }
             }
             Some((conn, Payload::Ctl(Ctl::Request { id, op }))) => self.on_request(conn, id, op),
@@ -665,6 +596,7 @@ impl<V: Value + Wire> NodeHandler<V> {
     /// answered by its completion, or handed to the inspection thread.
     fn on_request(&mut self, conn: ConnId, id: u64, op: Op<V>) {
         let ctx = &*self.ctx;
+        let host = ctx.store.host();
         let pending = &mut self.pending;
         let inspect = |what| {
             let job = InspectionJob::Request { conn, id, what };
@@ -681,21 +613,20 @@ impl<V: Value + Wire> NodeHandler<V> {
                     Some(Rsp::Err {
                         what: format!("writer lives on node {}", ctx.placement.writer),
                     })
-                } else if slot >= ctx.host.groups().len() {
+                } else if slot >= host.groups().len() {
                     Some(Rsp::Err {
                         what: format!("slot {slot} out of range"),
                     })
                 } else {
                     let (reply, entry) = reply_for(&ctx.transport, conn, id);
-                    ctx.host
-                        .write_with(slot, value, move |result| reply.send(wrote(result)));
+                    host.write_with(slot, value, move |result| reply.send(wrote(result)));
                     track(pending, entry);
                     None
                 }
             }
             Op::ReadSlot { slot, reader } => {
                 let (slot, reader) = (slot as usize, reader as usize);
-                if slot >= ctx.host.groups().len() || reader >= ctx.host.config().readers {
+                if slot >= host.groups().len() || reader >= host.config().readers {
                     Some(Rsp::Err {
                         what: format!("slot {slot} / reader {reader} out of range"),
                     })
@@ -708,24 +639,21 @@ impl<V: Value + Wire> NodeHandler<V> {
                     })
                 } else {
                     let (reply, entry) = reply_for(&ctx.transport, conn, id);
-                    ctx.host
-                        .read_with(slot, reader, move |result| reply.send(read_ok(result)));
+                    host.read_with(slot, reader, move |result| reply.send(read_ok(result)));
                     track(pending, entry);
                     None
                 }
             }
-            Op::CrashPid { pid } => {
-                let pid = pid as usize;
-                Some(
-                    if pid >= ctx.pid_node.len() || ctx.pid_node[pid] != ctx.node {
-                        Rsp::Err {
-                            what: format!("pid {pid} is not hosted here"),
-                        }
-                    } else {
-                        ctx.host.cluster().crash(ProcessId(pid));
-                        Rsp::Crashed
+            Op::CrashPid { pid } => Some(ctx.crash(pid as usize)),
+            Op::CrashShard { slot, object } => {
+                let (slot, object) = (slot as usize, object as usize);
+                let group = host.groups().get(slot);
+                Some(match group.and_then(|g| g.objects.get(object)) {
+                    Some(pid) => ctx.crash(pid.0),
+                    None => Rsp::Err {
+                        what: format!("shard {slot} / object {object} out of range"),
                     },
-                )
+                })
             }
             Op::ResetPeer { node } => Some(Rsp::PeerReset {
                 closed: ctx.transport.reset_peer(node),
@@ -735,7 +663,7 @@ impl<V: Value + Wire> NodeHandler<V> {
                 ctx.shutdown.store(true, Ordering::SeqCst);
                 Some(Rsp::ShuttingDown)
             }
-            Op::WriteKey { key, value } => ctx.with_store(|s| {
+            Op::WriteKey { key, value } => ctx.keyed(|s| {
                 let (reply, entry) = reply_for(&ctx.transport, conn, id);
                 match s.try_write_with(key, value, move |result| reply.send(wrote(result))) {
                     Ok(()) => {
@@ -750,7 +678,7 @@ impl<V: Value + Wire> NodeHandler<V> {
                     }),
                 }
             }),
-            Op::ReadKey { key, reader } => ctx.with_store(|s| {
+            Op::ReadKey { key, reader } => ctx.keyed(|s| {
                 if reader as usize >= s.config().readers {
                     return Some(Rsp::Err {
                         what: format!("reader {reader} out of range"),
@@ -765,35 +693,22 @@ impl<V: Value + Wire> NodeHandler<V> {
                     Some(Rsp::NoKey)
                 }
             }),
-            Op::ReleaseKey { key } => ctx.with_store(|s| {
+            Op::ReleaseKey { key } => ctx.keyed(|s| {
                 Some(Rsp::Released {
                     slot: s.release(&key).map(|slot| slot as u32),
                 })
             }),
-            Op::StoreKeys => ctx.with_store(|s| Some(Rsp::StoreKeys { keys: s.keys() })),
-            Op::SlotOfKey { key } => ctx.with_store(|s| {
+            Op::StoreKeys => ctx.keyed(|s| Some(Rsp::StoreKeys { keys: s.keys() })),
+            Op::SlotOfKey { key } => ctx.keyed(|s| {
                 Some(match s.shard_of(&key) {
                     Some(slot) => Rsp::Slot { slot: slot as u32 },
                     None => Rsp::NoKey,
                 })
             }),
-            Op::CrashShard { slot, object } => ctx.with_store(|s| {
-                let (slot, object) = (slot as usize, object as usize);
-                Some(if slot >= s.capacity() || object >= s.config().s {
-                    Rsp::Err {
-                        what: format!("shard {slot} / object {object} out of range"),
-                    }
-                } else {
-                    s.crash_object(slot, object);
-                    Rsp::Crashed
-                })
-            }),
-            Op::StoreInfo => ctx.with_store(|s| {
-                Some(Rsp::StoreInfo {
-                    capacity: s.capacity() as u32,
-                    keys: s.len() as u32,
-                    free_slots: s.free_slots() as u32,
-                })
+            Op::StoreInfo => Some(Rsp::StoreInfo {
+                capacity: ctx.store.capacity() as u32,
+                keys: ctx.store.len() as u32,
+                free_slots: ctx.store.free_slots() as u32,
             }),
             Op::Metrics => inspect(Inspection::Metrics),
             Op::StoreMetrics { cluster } => inspect(Inspection::StoreMetrics { cluster }),
@@ -849,11 +764,8 @@ fn inspection_loop<V: Value + Wire>(ctx: Arc<ServerCtx<V>>, jobs: Receiver<Inspe
 
 impl<V: Value + Wire> ServerCtx<V> {
     fn metrics(&self) -> Registry {
-        let mut reg = self.host.op_metrics();
+        let mut reg = self.store.metrics_snapshot();
         self.transport.record_metrics(&mut reg);
-        if let Some(store) = &self.store {
-            reg.merge(&store.metrics_snapshot());
-        }
         reg
     }
 
@@ -863,55 +775,56 @@ impl<V: Value + Wire> ServerCtx<V> {
             Inspection::Metrics => Rsp::MetricsText {
                 text: self.metrics().to_prometheus(),
             },
-            Inspection::StoreMetrics { cluster } => match &self.store {
-                Some(s) => Rsp::StoreMetrics {
-                    registry: s.metrics_snapshot_labelled(cluster.map(|c| c as usize)),
-                },
-                None => no_store(),
+            Inspection::StoreMetrics { cluster } => Rsp::StoreMetrics {
+                registry: (self.store).metrics_snapshot_labelled(cluster.map(|c| c as usize)),
             },
-            Inspection::ShardHistoryLens { slot } => match &self.store {
-                Some(s) if slot as usize >= s.capacity() => Rsp::Err {
+            Inspection::ShardHistoryLens { slot } if slot as usize >= self.store.capacity() => {
+                Rsp::Err {
                     what: format!("shard {slot} out of range"),
-                },
-                Some(s) => Rsp::Lens {
-                    lens: s
-                        .history_lens(slot as usize)
-                        .into_iter()
-                        .map(|l| l as u64)
-                        .collect(),
-                },
-                None => no_store(),
+                }
+            }
+            Inspection::ShardHistoryLens { slot } => Rsp::Lens {
+                lens: (self.store.history_lens(slot as usize).into_iter())
+                    .map(|l| l as u64)
+                    .collect(),
             },
         }
     }
 
-    /// Runs `f` against the hosted store, or answers the typed "no store"
-    /// error when this node was started without one.
-    fn with_store(
-        &self,
-        f: impl FnOnce(&ShardedStore<Vec<u8>, V>) -> Option<Rsp<V>>,
-    ) -> Option<Rsp<V>> {
-        match &self.store {
-            Some(store) => f(store),
-            None => Some(no_store()),
+    /// Crashes global pid `pid` if this node hosts it (fault injection).
+    fn crash(&self, pid: usize) -> Rsp<V> {
+        if self.pid_node.get(pid) != Some(&self.node) {
+            return Rsp::Err {
+                what: format!("pid {pid} is not hosted here"),
+            };
         }
+        self.store.host().cluster().crash(ProcessId(pid));
+        Rsp::Crashed
     }
-}
 
-fn no_store<V>() -> Rsp<V> {
-    Rsp::Err {
-        what: "no store hosted here (start the node with a store spec)".into(),
+    /// Runs the key-index op `f` against the store, or answers the typed
+    /// error naming the rule when this node hosts only part of the group.
+    fn keyed(&self, f: impl FnOnce(&ShardedStore<Vec<u8>, V>) -> Option<Rsp<V>>) -> Option<Rsp<V>> {
+        if self.whole {
+            return f(&self.store);
+        }
+        Some(Rsp::Err {
+            what: format!(
+                "key-index ops are served only by a node hosting every group member; node {} hosts part of the group",
+                self.node
+            ),
+        })
     }
 }
 
 /// Rejects a topology `start` would index out of (this node outside
 /// `addrs`, placement lists that do not match the sizing) or whose traffic
 /// the transport would drop silently (a member placed on a node outside
-/// `addrs`: operations would hang until `OP_TIMEOUT`); a Byzantine spec
-/// that names a slot or an object the deployment does not have — applied
-/// as given it would match no member, and a fault drill against the node
-/// would run all-honest and pass — and a store of no shards, which
-/// `ShardedStore` asserts against.
+/// `addrs`: operations would hang until `OP_TIMEOUT`); a topology of no
+/// slot, which would serve nothing; and a Byzantine spec that names a slot
+/// or an object the deployment does not have — applied as given it would
+/// match no member, and a fault drill against the node would run
+/// all-honest and pass.
 fn check_specs<V>(node: u32, topo: &NodeTopology, ncfg: &NetNodeConfig<V>) -> io::Result<()> {
     let objects = ncfg.cfg.s;
     let invalid = |what: String| Err(io::Error::new(io::ErrorKind::InvalidInput, what));
@@ -931,22 +844,17 @@ fn check_specs<V>(node: u32, topo: &NodeTopology, ncfg: &NetNodeConfig<V>) -> io
             ncfg.cfg.readers
         ));
     }
-    if ncfg.store.as_ref().is_some_and(|store| store.capacity == 0) {
-        return invalid("store spec asks for 0 shards: capacity must be at least 1".into());
+    if topo.slots == 0 {
+        return invalid(
+            "the topology has 0 slots: a node needs at least one register group".into(),
+        );
     }
     for spec in &ncfg.byzantine {
-        if spec.slot >= topo.slots || spec.object >= objects {
+        if spec.slot.is_some_and(|s| s >= topo.slots) || spec.object >= objects {
+            let slot = spec.slot.map_or("all".into(), |s| s.to_string());
             return invalid(format!(
-                "byzantine spec {}:{} names no object: the deployment has {} slot(s) of {objects} objects",
-                spec.slot, spec.object, topo.slots
-            ));
-        }
-    }
-    for spec in ncfg.store.iter().flat_map(|store| &store.byzantine) {
-        if spec.object >= objects {
-            return invalid(format!(
-                "store-byzantine spec {} names no object: every shard has {objects} objects",
-                spec.object
+                "byzantine spec {slot}:{} names no object: the deployment has {} slot(s) of {objects} objects",
+                spec.object, topo.slots
             ));
         }
     }
@@ -1150,10 +1058,9 @@ mod tests {
         let topo = NodeTopology {
             addrs: free_addrs(1).expect("reserve port"),
             placement: GroupPlacement::single(0, cfg),
-            slots: 1,
+            slots: 2,
         };
-        let mut ncfg = NetNodeConfig::<u64>::new(cfg, ProtocolKind::RegularOptimized);
-        ncfg.store = Some(StoreSpec::new(2));
+        let ncfg = NetNodeConfig::<u64>::new(cfg, ProtocolKind::RegularOptimized);
         // The handler without its threads: responses pile up, unread, in
         // the bound reactor's command channel.
         let (_bound, ctx) = NetNode::bind(0, &topo, ncfg).expect("bind");
@@ -1186,7 +1093,7 @@ mod tests {
             assert!(handler.pending.is_empty(), "request {id} was queued");
         }
 
-        let store = handler.ctx.store.as_ref().expect("store mode");
+        let store = &handler.ctx.store;
         let wedged = store.shard_of(&key(2)).expect("written");
         (0..2).for_each(|object| store.crash_object(wedged, object));
         read(&mut handler, 99, 2);

@@ -1,9 +1,9 @@
 //! [`RemoteCluster`]: a [`ClusterBackend`] whose automata live in another
 //! OS process.
 //!
-//! The client side of router-member mode: a `vrr-server` started with a
-//! store spec hosts a full `ShardedStore<Vec<u8>, V>` (writer + objects +
-//! readers per shard), and a `RemoteCluster` drives it through the keyed
+//! The client side of router-member mode: a `vrr-server` hosting whole
+//! register groups (writer + objects + readers per shard) serves them as a
+//! `ShardedStore<Vec<u8>, V>`, and a `RemoteCluster` drives it through the keyed
 //! [`Op`] vocabulary over blocking [`NetClient`] connections. A caller
 //! checks an idle connection out for its round trip (dialing one when none
 //! is idle) and returns it when the response is in, so no caller waits for

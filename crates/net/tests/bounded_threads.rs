@@ -17,7 +17,7 @@ use vrr_core::StorageConfig;
 use vrr_net::frame::{decode_body, encode_frame, CLIENT_NODE};
 use vrr_net::{
     free_addrs, ClientError, Ctl, Envelope, FrameReader, GroupPlacement, NetClient, NetNode,
-    NetNodeConfig, NodeTopology, Op, Payload, Rsp, StoreSpec,
+    NetNodeConfig, NodeTopology, Op, Payload, Rsp,
 };
 use vrr_runtime::{ProtocolKind, OP_TIMEOUT};
 
@@ -92,10 +92,9 @@ fn threads_stay_bounded_timeouts_are_typed_and_drop_joins_everything() {
     let topo = NodeTopology {
         placement: GroupPlacement::single(0, cfg),
         addrs: free_addrs(1).expect("reserve port"),
-        slots: 1,
+        slots: 4,
     };
-    let mut ncfg = NetNodeConfig::<u64>::new(cfg, ProtocolKind::RegularOptimized);
-    ncfg.store = Some(StoreSpec::new(4));
+    let ncfg = NetNodeConfig::<u64>::new(cfg, ProtocolKind::RegularOptimized);
     let node = NetNode::start(0, &topo, ncfg).expect("start node");
     let addr = node.addr();
 
@@ -110,7 +109,9 @@ fn threads_stay_bounded_timeouts_are_typed_and_drop_joins_everything() {
         assert!(matches!(rsp, Rsp::Wrote { .. }), "{rsp:?}");
     }
     let serving = threads();
-    assert!(serving > baseline, "the node runs on threads of its own");
+    // One worker pool: the reactor, the inspection thread, a worker per CPU.
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert_eq!(serving - baseline, 2 + workers, "the node's own threads");
 
     // --- The same threads serve 2 connections and 64. -------------------
     for clients in [2, 64] {
@@ -125,11 +126,12 @@ fn threads_stay_bounded_timeouts_are_typed_and_drop_joins_everything() {
     }
 
     // --- A crashed client process answers at once. -----------------------
-    let reader_pid = node.groups()[0].readers[0];
-    client.write_slot(0, 5).expect("slot write");
+    // (Slot 3: keys 0..3 are bound to the first three slots.)
+    let reader_pid = node.groups()[3].readers[0];
+    client.write_slot(3, 5).expect("slot write");
     client.crash_pid(reader_pid.0 as u64).expect("crash reader");
     let asked = Instant::now();
-    match client.read_slot(0, 0) {
+    match client.read_slot(3, 0) {
         Err(ClientError::Server(what)) => assert!(what.contains("crashed or gone"), "{what}"),
         other => panic!("read at a crashed reader answered {other:?}"),
     }

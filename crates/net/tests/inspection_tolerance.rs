@@ -14,8 +14,8 @@ use vrr_core::metrics::names;
 use vrr_core::regular::RegularObject;
 use vrr_core::{Msg, ProtocolKind, StorageConfig};
 use vrr_net::{
-    free_addrs, GroupPlacement, NetClient, NetNode, NetNodeConfig, NodeTopology, Op, RemoteCluster,
-    RemoteClusterConfig, Rsp, StoreByzSpec, StoreSpec,
+    free_addrs, ByzSpec, GroupPlacement, NetClient, NetNode, NetNodeConfig, NodeTopology, Op,
+    RemoteCluster, RemoteClusterConfig, Rsp,
 };
 use vrr_runtime::ClusterBackend;
 use vrr_sim::Tamper;
@@ -32,17 +32,15 @@ fn inspection_skips_faulty_objects_and_leaves_the_attacker_byzantine() {
         slots: 1,
     };
     let mut ncfg = NetNodeConfig::<u64>::new(cfg, ProtocolKind::RegularOptimized);
-    ncfg.store = Some(StoreSpec {
-        capacity: 1,
-        byzantine: vec![StoreByzSpec {
-            object: 0,
-            kind: AttackerKind::Inflator,
-            forged: FORGED,
-        }],
-    });
+    ncfg.byzantine = vec![ByzSpec {
+        slot: None,
+        object: 0,
+        kind: AttackerKind::Inflator,
+        forged: FORGED,
+    }];
     ncfg.metrics_addr = Some("127.0.0.1:0".parse().expect("address"));
     let node = NetNode::start(0, &topo, ncfg).expect("store node");
-    let hosted = node.store().expect("store mode");
+    let hosted = node.store();
 
     let remote: RemoteCluster<String, u64> =
         RemoteCluster::connect(node.addr(), RemoteClusterConfig::default()).expect("connect");
@@ -84,8 +82,8 @@ fn inspection_skips_faulty_objects_and_leaves_the_attacker_byzantine() {
     // The attacker was looked past, not poisoned: it still answers to its
     // real type, and the shard still absorbs it as a *Byzantine* fault next
     // to the crash (a poisoned attacker would have been a second crash).
-    let attacker = hosted.objects(slot)[0];
-    let alive = hosted.cluster().try_invoke(
+    let attacker = hosted.host().groups()[slot].objects[0];
+    let alive = hosted.host().cluster().try_invoke(
         attacker,
         |_a: &mut Tamper<Msg<u64>, RegularObject<u64>>, _ctx| (),
     );

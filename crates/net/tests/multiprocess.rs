@@ -24,14 +24,12 @@ const SPAN: u64 = 9;
 /// `[1, 1, 1, 2, 2, 2]`, writer on 0, readers on `[0, 2]`; object 0
 /// of every slot is a (responsive) Byzantine inflator.
 fn spawn(node: u32, addrs: &[SocketAddr]) -> ServerProcess {
-    let mut args = format!(
-        "--node {node} --addrs {} --t 2 --b 1 --readers 2 --kind regular-opt --slots {SLOTS} \
-         --place-objects 1,1,1,2,2,2 --place-writer 0 --place-readers 0,2",
+    let args = format!(
+        "--node {node} --addrs {} --t 2 --b 1 --readers 2 --kind regular-opt --store {SLOTS} \
+         --place-objects 1,1,1,2,2,2 --place-writer 0 --place-readers 0,2 \
+         --byzantine all:0:inflator:999999",
         common::addr_list(addrs)
     );
-    for slot in 0..SLOTS {
-        args += &format!(" --byzantine {slot}:0:inflator:999999");
-    }
     ServerProcess::spawn(env!("CARGO_BIN_EXE_vrr-server"), args.split(' ')).expect("vrr-server")
 }
 

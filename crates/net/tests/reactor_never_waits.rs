@@ -15,7 +15,7 @@ use vrr_core::metrics::names;
 use vrr_core::StorageConfig;
 use vrr_net::{
     free_addrs, GroupPlacement, NetClient, NetNode, NetNodeConfig, NodeTopology, Op, Rsp,
-    ServerProcess, StoreSpec,
+    ServerProcess,
 };
 use vrr_runtime::{ProtocolKind, OP_TIMEOUT};
 
@@ -59,10 +59,9 @@ fn a_wedged_group_holds_up_nothing_else_and_an_idle_server_wakes_no_worker() {
     let topo = NodeTopology {
         placement: GroupPlacement::single(0, cfg),
         addrs: free_addrs(1).expect("reserve port"),
-        slots: 1,
+        slots: 4,
     };
-    let mut ncfg = NetNodeConfig::<u64>::new(cfg, ProtocolKind::RegularOptimized);
-    ncfg.store = Some(StoreSpec::new(4));
+    let ncfg = NetNodeConfig::<u64>::new(cfg, ProtocolKind::RegularOptimized);
     let node = NetNode::start(0, &topo, ncfg).expect("start node");
     let addr = node.addr();
 

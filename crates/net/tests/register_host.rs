@@ -1,7 +1,7 @@
 //! The node as a view of `vrr_runtime::RegisterHost`: a Byzantine spec
-//! either lands on the object it names or is rejected, and host inspection
-//! on a node that holds relays for half its group reports the other half
-//! without disturbing the relays.
+//! either lands on the object it names or is rejected, a key and its slot
+//! are one register, and host inspection on a node that holds relays for
+//! half its group reports the other half without disturbing the relays.
 
 use std::io::ErrorKind;
 
@@ -9,15 +9,14 @@ use vrr_core::attackers::AttackerKind;
 use vrr_core::regular::RegularObject;
 use vrr_core::{ProtocolKind, StorageConfig};
 use vrr_net::{
-    free_addrs, ByzSpec, GroupPlacement, NetNode, NetNodeConfig, NodeTopology, StoreByzSpec,
-    StoreSpec,
+    free_addrs, ByzSpec, GroupPlacement, NetClient, NetNode, NetNodeConfig, NodeTopology, Op, Rsp,
 };
 use vrr_runtime::{Cluster, InvokeError};
 use vrr_sim::ProcessId;
 
 const KIND: ProtocolKind = ProtocolKind::RegularOptimized;
 
-fn mute(slot: usize, object: usize) -> ByzSpec<u64> {
+fn mute(slot: Option<usize>, object: usize) -> ByzSpec<u64> {
     ByzSpec {
         slot,
         object,
@@ -45,32 +44,25 @@ fn a_byzantine_spec_names_an_existing_object_or_the_node_refuses_to_start() {
         slots: 2,
     };
 
-    for (slot, object) in [(0, cfg.s), (2, 0)] {
+    for (slot, object, named) in [
+        (Some(0), cfg.s, "0:4"),
+        (Some(2), 0, "2:0"),
+        (None, 9, "all:9"),
+    ] {
         let mut ncfg = NetNodeConfig::<u64>::new(cfg, KIND);
         ncfg.byzantine = vec![mute(slot, object)];
         let err = NetNode::start(0, &topo, ncfg).err().expect("out of range");
-        assert_eq!(
-            err.kind(),
-            ErrorKind::InvalidInput,
-            "{slot}:{object}: {err}"
-        );
-        assert!(err.to_string().contains(&format!("{slot}:{object}")));
+        assert_eq!(err.kind(), ErrorKind::InvalidInput, "{named}: {err}");
+        assert!(err.to_string().contains(named), "{named}: {err}");
     }
-    let mut ncfg = NetNodeConfig::<u64>::new(cfg, KIND);
-    ncfg.store = Some(StoreSpec {
-        capacity: 2,
-        byzantine: vec![StoreByzSpec {
-            object: cfg.s,
-            kind: AttackerKind::Mute,
-            forged: 0,
-        }],
-    });
-    let err = NetNode::start(0, &topo, ncfg).err().expect("out of range");
-    assert_eq!(err.kind(), ErrorKind::InvalidInput, "store spec: {err}");
-    let mut ncfg = NetNodeConfig::<u64>::new(cfg, KIND);
-    ncfg.store = Some(StoreSpec::new(0));
-    let err = NetNode::start(0, &topo, ncfg).err().expect("no shards");
-    assert_eq!(err.kind(), ErrorKind::InvalidInput, "empty store: {err}");
+    // No register group: a node that would serve nothing.
+    let empty = NodeTopology {
+        slots: 0,
+        ..topo.clone()
+    };
+    let ncfg = NetNodeConfig::<u64>::new(cfg, KIND);
+    let err = NetNode::start(0, &empty, ncfg).err().expect("no slots");
+    assert_eq!(err.kind(), ErrorKind::InvalidInput, "0 slots: {err}");
 
     // A topology the node cannot index (these used to panic) or whose
     // traffic it would drop (operations hung until the timeout): the node
@@ -90,27 +82,50 @@ fn a_byzantine_spec_names_an_existing_object_or_the_node_refuses_to_start() {
         assert!(err.to_string().contains(offender), "{offender}: {err}");
     }
 
-    // In range, both kinds land exactly where they point.
-    let mut ncfg = NetNodeConfig::<u64>::new(cfg, KIND);
-    ncfg.byzantine = vec![mute(1, 3)];
-    ncfg.store = Some(StoreSpec {
-        capacity: 2,
-        byzantine: vec![StoreByzSpec {
-            object: 2,
-            kind: AttackerKind::Mute,
-            forged: 0,
-        }],
-    });
-    let node = NetNode::start(0, &topo, ncfg).expect("in-range specs");
-    let store = node.store().expect("store mode");
-    for slot in 0..2 {
-        for i in 0..cfg.s {
-            let pid = node.groups()[slot].objects[i];
-            let honest = is_honest_object(node.host().cluster(), pid);
-            assert_eq!(honest, (slot, i) != (1, 3), "slot {slot} object {i}");
-            let honest = is_honest_object(store.cluster(), store.objects(slot)[i]);
-            assert_eq!(honest, i != 2, "shard {slot} object {i}");
+    // In range, a spec lands exactly where it points: on one slot, or on
+    // every slot.
+    for slot in [Some(1), None] {
+        let mut ncfg = NetNodeConfig::<u64>::new(cfg, KIND);
+        ncfg.byzantine = vec![mute(slot, 2)];
+        let node = NetNode::start(0, &topo, ncfg).expect("in-range spec");
+        for (s, group) in node.groups().iter().enumerate() {
+            for (i, &pid) in group.objects.iter().enumerate() {
+                let liar = i == 2 && slot.is_none_or(|slot| slot == s);
+                let honest = is_honest_object(node.host().cluster(), pid);
+                assert_eq!(honest, !liar, "{slot:?}: slot {s} object {i}");
+            }
         }
+    }
+}
+
+/// The node's keyed store is an index over its own register groups, not a
+/// second set of them: what a key's write leaves, its slot's read finds,
+/// and the other way round.
+#[test]
+fn a_key_and_its_slot_are_one_register() {
+    let cfg = StorageConfig::optimal(1, 1, 1);
+    let topo = NodeTopology {
+        addrs: free_addrs(1).expect("reserve port"),
+        placement: GroupPlacement::single(0, cfg),
+        slots: 2,
+    };
+    let node = NetNode::start(0, &topo, NetNodeConfig::<u64>::new(cfg, KIND)).expect("node");
+    let mut client = NetClient::<u64>::connect(node.addr()).expect("connect");
+    let key = b"k".to_vec();
+    let rsp = client.request(Op::WriteKey {
+        key: key.clone(),
+        value: 7,
+    });
+    assert!(matches!(rsp, Ok(Rsp::Wrote { .. })), "{rsp:?}");
+    let slot = match client.request(Op::SlotOfKey { key: key.clone() }) {
+        Ok(Rsp::Slot { slot }) => slot,
+        other => panic!("{other:?}"),
+    };
+    assert_eq!(client.read_slot(slot, 0).expect("slot read").value, Some(7));
+    client.write_slot(slot, 8).expect("slot write");
+    match client.request(Op::ReadKey { key, reader: 0 }) {
+        Ok(Rsp::ReadOk { value, .. }) => assert_eq!(value, Some(8)),
+        other => panic!("{other:?}"),
     }
 }
 
@@ -119,12 +134,13 @@ fn a_byzantine_spec_names_an_existing_object_or_the_node_refuses_to_start() {
 /// bad flag gets the usage and exit code 2.
 #[test]
 fn the_server_refuses_out_of_range_sizing_instead_of_panicking() {
-    // The last three are refused by `NetNode::start`, not by `main`
-    // (a later `--node` overrides the first).
+    // From `--store 0` on they are refused by `NetNode::start`, not by
+    // `main` (a later `--node` overrides the first).
     for sizing in [
         &["--t", "0", "--b", "1"][..],
         &["--readers", "0"],
         &["--store", "0"],
+        &["--byzantine", "all:9:mute:0"],
         &["--node", "3"],
         &["--place-objects", "0,0"],
         &["--place-writer", "9"],
@@ -179,4 +195,15 @@ fn host_inspection_on_a_split_deployment_reports_only_locally_hosted_objects() {
     n0.write_slot(0, 4);
     assert_eq!(n0.read_slot(0, 0).value, Some(4));
     assert_eq!(n1.read_slot(0, 1).value, Some(4));
+
+    // A key index over half a group is no index: refused, by the rule's
+    // name. The node's slot ops are still served.
+    let mut client = NetClient::<u64>::connect(n0.addr()).expect("connect");
+    let key = b"k".to_vec();
+    match client.request(Op::WriteKey { key, value: 5 }) {
+        Ok(Rsp::Err { what }) => assert!(what.contains("every group member"), "{what}"),
+        other => panic!("a split node served a key: {other:?}"),
+    }
+    client.write_slot(0, 5).expect("slot write");
+    assert_eq!(client.read_slot(0, 0).expect("slot read").value, Some(5));
 }

@@ -1,6 +1,6 @@
-//! A hosted store honours the node's [`ProtocolSpec`]: the retention a
-//! `NetNodeConfig` carries (and `vrr-server --retention reader-ack` sets)
-//! governs the shards of the `--store`, not only the slot groups. Before
+//! A node's keyed store honours the node's [`ProtocolSpec`]: the retention
+//! a `NetNodeConfig` carries (and `vrr-server --retention reader-ack` sets)
+//! governs the shards its keys land on. Before
 //! the spec existed the store was built by a constructor with no retention
 //! argument and silently kept every history entry.
 
@@ -8,7 +8,7 @@ use vrr_core::regular::HistoryRetention;
 use vrr_core::{ProtocolKind, ProtocolSpec, StorageConfig};
 use vrr_net::{
     free_addrs, GroupPlacement, NetNode, NetNodeConfig, NodeTopology, RemoteCluster,
-    RemoteClusterConfig, StoreSpec,
+    RemoteClusterConfig,
 };
 use vrr_runtime::ClusterBackend;
 
@@ -21,12 +21,11 @@ fn hosted_store_truncates_histories_under_the_nodes_retention() {
     let topo = NodeTopology {
         addrs: free_addrs(1).expect("reserve port"),
         placement: GroupPlacement::single(0, cfg),
-        slots: 1,
+        slots: 2,
     };
     let spec = ProtocolSpec::from(ProtocolKind::RegularOptimized)
         .with_retention(HistoryRetention::reader_ack_capped(cfg.readers, CAP));
-    let mut ncfg = NetNodeConfig::<u64>::new(cfg, spec);
-    ncfg.store = Some(StoreSpec::new(2));
+    let ncfg = NetNodeConfig::<u64>::new(cfg, spec);
     let node = NetNode::start(0, &topo, ncfg).expect("store node");
 
     let remote: RemoteCluster<String, u64> =
@@ -49,6 +48,6 @@ fn hosted_store_truncates_histories_under_the_nodes_retention() {
         "store shard ignored the node's retention: history lens {lens:?} after {WRITES} writes"
     );
     // The in-process view of the same shard agrees.
-    let hosted = node.store().expect("store mode");
+    let hosted = node.store();
     assert_eq!(hosted.history_lens(slot), lens);
 }

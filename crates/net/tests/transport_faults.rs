@@ -64,7 +64,7 @@ fn byzantine_objects_over_tcp_stay_regular() {
         let topo = two_node_topology(cfg);
         let mut ncfg = NetNodeConfig::<u64>::new(cfg, ProtocolKind::RegularOptimized);
         ncfg.byzantine = vec![ByzSpec {
-            slot: 0,
+            slot: Some(0),
             object: cfg.s - 1,
             kind,
             forged: 999_999,

@@ -668,12 +668,12 @@ mod tests {
         // Commands: what one thread running every script reports, once the
         // workers have delivered the last replies of operations they ran.
         // (Before the snapshot below: its inspections are commands too.)
-        let alone = run(1).1.cluster().stats().commands;
+        let alone = run(1).1.host().cluster().stats().commands;
         let deadline = Instant::now() + std::time::Duration::from_secs(10);
-        while store.cluster().stats().commands != alone && Instant::now() < deadline {
+        while store.host().cluster().stats().commands != alone && Instant::now() < deadline {
             std::thread::yield_now();
         }
-        assert_eq!(store.cluster().stats().commands, alone);
+        assert_eq!(store.host().cluster().stats().commands, alone);
         let ops = || (0..THREADS).flat_map(script);
         let writes = 8 + ops().filter(|op| op.2).count() as u64;
         let reads = ops().filter(|op| !op.2).count() as u64;

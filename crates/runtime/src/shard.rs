@@ -17,12 +17,11 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 
-use vrr_sim::{Automaton, ProcessId};
+use vrr_sim::Automaton;
 
 use vrr_core::metrics::Registry;
 use vrr_core::{
-    FastPathStats, GroupRole, Msg, ProtocolKind, ProtocolSpec, ReadReport, StorageConfig, Value,
-    WriteReport,
+    GroupRole, Msg, ProtocolKind, ProtocolSpec, ReadReport, StorageConfig, Value, WriteReport,
 };
 
 use crate::backend::ClusterBackend;
@@ -157,8 +156,7 @@ impl<K: Eq + Hash + Clone + Send + Sync, V: Value> ShardedStore<K, V> {
         capacity: usize,
         mut factory: impl FnMut(usize, usize) -> Option<Box<dyn Automaton<Msg<V>>>>,
     ) -> Self {
-        assert!(capacity > 0, "a sharded store needs at least one shard");
-        let host = RegisterHost::spawn(
+        Self::over(RegisterHost::spawn(
             Cluster::new(policy),
             cfg,
             spec.into(),
@@ -167,6 +165,21 @@ impl<K: Eq + Hash + Clone + Send + Sync, V: Value> ShardedStore<K, V> {
                 GroupRole::Object(i) => factory(shard, i),
                 GroupRole::Writer | GroupRole::Reader(_) => None,
             },
+        ))
+    }
+
+    /// A key index over the register groups of `host`, none of them bound
+    /// yet: the store's shards are the host's slots, so an operation on a
+    /// key and one on its slot ([`ClusterBackend::shard_of`]) address the
+    /// same register.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `host` has no register group.
+    pub fn over(host: RegisterHost<V>) -> Self {
+        assert!(
+            !host.groups().is_empty(),
+            "a sharded store needs at least one shard"
         );
         ShardedStore {
             host,
@@ -175,6 +188,12 @@ impl<K: Eq + Hash + Clone + Send + Sync, V: Value> ShardedStore<K, V> {
                 next_slot: 0,
             }),
         }
+    }
+
+    /// The register host under the index: fault injection, inspection and
+    /// the worker pool's stats.
+    pub fn host(&self) -> &RegisterHost<V> {
+        &self.host
     }
 
     /// The per-shard sizing.
@@ -246,23 +265,6 @@ impl<K: Eq + Hash + Clone + Send + Sync, V: Value> ShardedStore<K, V> {
         };
         self.host.read_with(slot, j, done);
         true
-    }
-
-    /// The object process ids of shard `slot` (for fault injection).
-    pub fn objects(&self, slot: usize) -> &[ProcessId] {
-        &self.host.groups()[slot].objects
-    }
-
-    /// Sum of the one-round fast-path counters over every live reader of
-    /// every shard (hits = reads finished in round 1, fallbacks = reads that
-    /// armed the fast path but completed through the two-round protocol).
-    pub fn fast_path_stats(&self) -> FastPathStats {
-        self.host.fast_path_stats()
-    }
-
-    /// Access to the underlying cluster (fault injection, stats).
-    pub fn cluster(&self) -> &Cluster<Msg<V>> {
-        self.host.cluster()
     }
 }
 

@@ -77,7 +77,7 @@ fn spawn_store(addr: SocketAddr, byzantine: bool, metrics: bool) -> ServerProces
     );
     if byzantine {
         let last = StorageConfig::optimal(2, 1, 1).s - 1;
-        args += &format!(" --store-byzantine {last}:truncator:{FORGED}");
+        args += &format!(" --byzantine all:{last}:truncator:{FORGED}");
     }
     if metrics {
         args += " --metrics-addr 127.0.0.1:0";
