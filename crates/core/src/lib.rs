@@ -68,7 +68,7 @@ pub use group::{
     group_member, group_span, spawn_group, Deployment, GroupRole, ProtocolKind, ProtocolSpec,
 };
 pub use harness::{RegisterProtocol, RegularProtocol};
-pub use mis::{conflict_free_of_size, max_conflict_free};
+pub use mis::conflict_free_of_size;
 pub use msg::{Msg, ReadRound};
 pub use reader::{FastPathStats, ReadReport, ReaderTuning};
 pub use scenario::{ReadOp, StorageScenario, WriteOp};

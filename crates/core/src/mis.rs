@@ -6,41 +6,41 @@
 //! the existential asks for an independent set of size ≥ S − t. Lemma 1
 //! guarantees the correct responders are pairwise conflict-free, so such a
 //! set always exists eventually; this module decides the existential
-//! *exactly* (branch-and-bound over bitmasks), which is cheap at realistic
-//! object counts (S ≤ 64).
+//! *exactly* (branch-and-bound over bitmasks, on the stack), which is cheap
+//! at realistic object counts (S ≤ 64).
 
-/// Finds a maximum pairwise-conflict-free subset of `members`.
+/// Whether a pairwise-conflict-free subset of `members` with at least
+/// `need` members exists (the readers' line 11). Allocates nothing.
 ///
 /// `conflict(i, k)` is the (possibly asymmetric) conflict predicate; a pair
 /// is incompatible when either direction conflicts, and a self-conflicting
 /// member can never be selected (the `∀ i,k` in the paper ranges over `i = k`
-/// too). Returns the chosen members in ascending order.
+/// too).
 ///
 /// # Panics
 ///
-/// Panics if `members.len() > 64` (beyond any meaningful deployment size).
-pub fn max_conflict_free(
-    members: &[usize],
+/// Panics if `members` yields more than 64 items (beyond any meaningful
+/// deployment size).
+pub fn conflict_free_of_size(
+    members: impl IntoIterator<Item = usize>,
     mut conflict: impl FnMut(usize, usize) -> bool,
-) -> Vec<usize> {
-    let m = members.len();
-    assert!(
-        m <= 64,
-        "conflict-free search supports at most 64 responders"
-    );
-    if m == 0 {
-        return Vec::new();
+    need: usize,
+) -> bool {
+    let (mut ids, mut m) = ([0usize; 64], 0);
+    for i in members {
+        assert!(m < 64, "conflict-free search: at most 64 responders");
+        ids[m] = i;
+        m += 1;
     }
+    let members = &ids[..m];
 
     // Adjacency bitmasks over member positions; self-loops exclude a vertex.
-    let mut adj = vec![0u64; m];
+    let mut adj = [0u64; 64];
     let mut eligible: u64 = 0;
     for (a, &ia) in members.iter().enumerate() {
         if !conflict(ia, ia) {
             eligible |= 1 << a;
         }
-    }
-    for (a, &ia) in members.iter().enumerate() {
         for (b, &ib) in members.iter().enumerate().skip(a + 1) {
             if conflict(ia, ib) || conflict(ib, ia) {
                 adj[a] |= 1 << b;
@@ -51,24 +51,7 @@ pub fn max_conflict_free(
 
     let mut best: u64 = 0;
     search(eligible, 0, &adj, &mut best);
-
-    let mut out: Vec<usize> = (0..m)
-        .filter(|&a| best & (1 << a) != 0)
-        .map(|a| members[a])
-        .collect();
-    out.sort_unstable();
-    out
-}
-
-/// Convenience wrapper: does a conflict-free subset of size ≥ `need` exist?
-/// Returns it if so.
-pub fn conflict_free_of_size(
-    members: &[usize],
-    conflict: impl FnMut(usize, usize) -> bool,
-    need: usize,
-) -> Option<Vec<usize>> {
-    let best = max_conflict_free(members, conflict);
-    (best.len() >= need).then_some(best)
+    best.count_ones() as usize >= need
 }
 
 fn search(candidates: u64, chosen: u64, adj: &[u64], best: &mut u64) {
@@ -118,45 +101,43 @@ fn search(candidates: u64, chosen: u64, adj: &[u64], best: &mut u64) {
 mod tests {
     use super::*;
 
+    /// The size of a maximum conflict-free subset.
+    fn largest(members: &[usize], conflict: impl Fn(usize, usize) -> bool) -> usize {
+        let fits = |need| conflict_free_of_size(members.iter().copied(), &conflict, need);
+        (0..=members.len())
+            .rev()
+            .find(|&need| fits(need))
+            .unwrap_or(0)
+    }
+
     #[test]
     fn no_conflicts_takes_everyone() {
-        let members = [3, 1, 4, 1 + 4, 9];
-        let got = max_conflict_free(&members, |_, _| false);
-        let mut want = members.to_vec();
-        want.sort_unstable();
-        assert_eq!(got, want);
+        assert_eq!(largest(&[3, 1, 4, 1 + 4, 9], |_, _| false), 5);
     }
 
     #[test]
     fn full_conflicts_take_one() {
-        let members = [0, 1, 2, 3];
-        let got = max_conflict_free(&members, |i, k| i != k);
-        assert_eq!(got.len(), 1);
+        assert_eq!(largest(&[0, 1, 2, 3], |i, k| i != k), 1);
     }
 
     #[test]
     fn self_conflict_excludes_vertex() {
-        let members = [0, 1, 2];
-        let got = max_conflict_free(&members, |i, k| i == 1 && k == 1);
-        assert_eq!(got, vec![0, 2]);
+        assert_eq!(largest(&[0, 1, 2], |i, k| i == 1 && k == 1), 2);
+        assert_eq!(largest(&[1], |i, k| i == 1 && k == 1), 0);
     }
 
     #[test]
     fn asymmetric_conflict_still_separates_pair() {
         // Only conflict(0, 1) holds; the pair {0, 1} must still be split
         // because the paper's condition quantifies over ordered pairs.
-        let members = [0, 1, 2];
-        let got = max_conflict_free(&members, |i, k| i == 0 && k == 1);
-        assert_eq!(got.len(), 2);
-        assert!(got.contains(&2));
+        assert_eq!(largest(&[0, 1, 2], |i, k| i == 0 && k == 1), 2);
     }
 
     #[test]
     fn star_graph_keeps_leaves() {
         // Vertex 0 conflicts with all others: drop it, keep the leaves.
         let members: Vec<usize> = (0..8).collect();
-        let got = max_conflict_free(&members, |i, k| i == 0 || k == 0);
-        assert_eq!(got, (1..8).collect::<Vec<_>>());
+        assert_eq!(largest(&members, |i, k| i == 0 || k == 0), 7);
     }
 
     #[test]
@@ -165,17 +146,23 @@ mod tests {
         // best = 1 from the small clique + 1 from the big one? No —
         // independent set picks one vertex per clique: size 2.
         let members: Vec<usize> = (0..9).collect();
-        let got = max_conflict_free(&members, |i, k| {
+        let got = largest(&members, |i, k| {
             i != k && ((i < 3 && k < 3) || (i >= 3 && k >= 3))
         });
-        assert_eq!(got.len(), 2);
+        assert_eq!(got, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 responders")]
+    fn more_than_64_members_are_refused() {
+        conflict_free_of_size(0..65, |_, _| false, 1);
     }
 
     #[test]
     fn threshold_helper() {
         let members = [0, 1, 2, 3];
-        assert!(conflict_free_of_size(&members, |_, _| false, 4).is_some());
-        assert!(conflict_free_of_size(&members, |i, k| i != k, 2).is_none());
+        assert!(conflict_free_of_size(members, |_, _| false, 4));
+        assert!(!conflict_free_of_size(members, |i, k| i != k, 2));
     }
 
     #[test]
@@ -201,7 +188,7 @@ mod tests {
                     }
                 }
                 let members: Vec<usize> = (0..n).collect();
-                let fast = max_conflict_free(&members, |i, k| edges[i * n + k]).len();
+                let fast = largest(&members, |i, k| edges[i * n + k]);
                 // Brute force.
                 let mut brute = 0usize;
                 'mask: for mask in 0u32..(1 << n) {

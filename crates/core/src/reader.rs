@@ -101,7 +101,7 @@
 //! *older* write and loses regularity, not merely atomicity. The tuple as an
 //! object reported it is the one version no honest history contradicts.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 use vrr_sim::{Automaton, Context, ProcessId};
@@ -260,8 +260,8 @@ enum Phase<V> {
     WriteBack {
         cret: WTuple<V>,
         rounds: u32,
-        /// The objects that acknowledged the write-back.
-        acks: BTreeSet<usize>,
+        /// The objects that acknowledged the write-back, one bit each.
+        acks: u64,
     },
 }
 
@@ -271,9 +271,10 @@ struct ReadOp<V: Value, E: Evidence<V>> {
     /// `tsrFR`: the reader timestamp of the first round (Figure 4 line 9).
     tsr_fr: u64,
     phase: Phase<V>,
-    /// Accepted replies per round and object — the first per object counts,
-    /// equivocating repeats are ignored. Round 1's key set is `Resp1`.
-    replies: [BTreeMap<usize, E::Reply>; 2],
+    /// Accepted replies per round, indexed by object — the first per object
+    /// counts, equivocating repeats are ignored. Round 1's `Some` slots are
+    /// `Resp1`.
+    replies: [Vec<Option<E::Reply>>; 2],
     /// The candidate set `C`.
     candidates: BTreeSet<WTuple<V>>,
     /// Tuples removed from `C` by elimination; removal is permanent because
@@ -285,18 +286,18 @@ impl<V: Value, E: Evidence<V>> ReadOp<V, E> {
     /// Number of objects with a reply, in either round, satisfying `pred`.
     fn objects_where(&self, pred: impl Fn(&E::Reply) -> bool) -> usize {
         let [first, second] = &self.replies;
-        let in_first = first.values().filter(|reply| pred(reply)).count();
-        let only_in_second = second
+        let holds = |reply: &Option<E::Reply>| reply.as_ref().is_some_and(&pred);
+        first
             .iter()
-            .filter(|(i, reply)| pred(reply) && !first.get(i).is_some_and(&pred))
-            .count();
-        in_first + only_in_second
+            .zip(second)
+            .filter(|(one, two)| holds(one) || holds(two))
+            .count()
     }
 
     /// `conflict(i, k)`: `k` reported, in round 1, a live candidate claiming
     /// object `i` gave the writer a timestamp of reader `j` beyond `tsrFR`.
     fn conflict(&self, j: usize, i: usize, k: usize) -> bool {
-        self.replies[0].get(&k).is_some_and(|reply| {
+        self.replies[0][k].as_ref().is_some_and(|reply| {
             E::nominated(reply).any(|c| {
                 self.candidates.contains(c)
                     && c.tsrarray
@@ -326,7 +327,6 @@ impl<V: Value, E: Evidence<V>> ReadOp<V, E> {
 pub struct Reader<V: Value, E: Evidence<V>> {
     cfg: StorageConfig,
     objects: Vec<ProcessId>,
-    object_index: HashMap<ProcessId, usize>,
     /// This reader's index `j`.
     j: usize,
     /// `tsr'_j`: strictly increases on every round of every READ.
@@ -345,7 +345,8 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
     ///
     /// # Panics
     ///
-    /// Panics if `objects.len() != cfg.s` or `j >= cfg.readers`.
+    /// Panics if `objects.len() != cfg.s`, `cfg.s > 64` or
+    /// `j >= cfg.readers`.
     pub(crate) fn with_evidence(
         cfg: StorageConfig,
         j: usize,
@@ -354,12 +355,11 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
         tuning: ReaderTuning,
     ) -> Self {
         assert_eq!(objects.len(), cfg.s, "reader must know all S objects");
+        assert!(cfg.s <= 64, "one bit per object: at most 64 objects");
         assert!(j < cfg.readers, "reader index out of range");
-        let object_index = objects.iter().enumerate().map(|(i, &p)| (p, i)).collect();
         Reader {
             cfg,
             objects,
-            object_index,
             j,
             tsr: 0,
             tuning,
@@ -386,7 +386,7 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
             id,
             tsr_fr: self.tsr,
             phase: Phase::Round1,
-            replies: [BTreeMap::new(), BTreeMap::new()],
+            replies: [vec![None; self.cfg.s], vec![None; self.cfg.s]],
             candidates: BTreeSet::new(),
             eliminated: BTreeSet::new(),
         });
@@ -471,17 +471,13 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
         if op.phase != Phase::Round1 {
             return;
         }
-        let members: Vec<usize> = op.replies[0].keys().copied().collect();
-        if members.len() < self.cfg.quorum() {
+        let resp1 = &op.replies[0];
+        if resp1.iter().flatten().count() < self.cfg.quorum() {
             return;
         }
+        let members = (0..resp1.len()).filter(|&i| resp1[i].is_some());
         let ok = !self.tuning.conflict_check
-            || conflict_free_of_size(
-                &members,
-                |i, k| op.conflict(self.j, i, k),
-                self.cfg.quorum(),
-            )
-            .is_some();
+            || conflict_free_of_size(members, |i, k| op.conflict(self.j, i, k), self.cfg.quorum());
         if !ok || self.try_fast_finish(ctx) {
             return;
         }
@@ -516,7 +512,10 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
         };
         debug_assert_eq!(op.phase, Phase::Round1);
         let confirmed = op.highest(|c| {
-            let exact = op.replies[0].values().filter(|reply| E::confirms(reply, c));
+            let exact = op.replies[0]
+                .iter()
+                .flatten()
+                .filter(|reply| E::confirms(reply, c));
             exact.count() >= need
         });
         match confirmed.cloned() {
@@ -569,7 +568,7 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
             self.op.as_mut().expect("a READ is completing").phase = Phase::WriteBack {
                 cret,
                 rounds,
-                acks: BTreeSet::new(),
+                acks: 0,
             };
             return;
         }
@@ -589,8 +588,8 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
         if ts != cret.ts() {
             return;
         }
-        acks.insert(obj);
-        if acks.len() >= quorum {
+        *acks |= 1 << obj;
+        if acks.count_ones() as usize >= quorum {
             let (cret, rounds) = (cret.clone(), *rounds + 1);
             self.evidence.on_return(&cret);
             self.report(cret.tsval, rounds, false);
@@ -613,7 +612,7 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
 
 impl<V: Value, E: Evidence<V>> Automaton<Msg<V>> for Reader<V, E> {
     fn on_message(&mut self, from: ProcessId, msg: Msg<V>, ctx: &mut Context<'_, Msg<V>>) {
-        let Some(&obj) = self.object_index.get(&from) else {
+        let Some(obj) = self.objects.iter().position(|&p| p == from) else {
             return;
         };
         let reply = match msg {
@@ -638,7 +637,7 @@ impl<V: Value, E: Evidence<V>> Automaton<Msg<V>> for Reader<V, E> {
             ReadRound::R2 if op.phase == Phase::Round2 => (1, op.tsr_fr + 1),
             ReadRound::R2 => return,
         };
-        if tsr != expected || op.replies[rnd].contains_key(&obj) {
+        if tsr != expected || op.replies[rnd][obj].is_some() {
             return;
         }
         if round == ReadRound::R1 {
@@ -648,7 +647,7 @@ impl<V: Value, E: Evidence<V>> Automaton<Msg<V>> for Reader<V, E> {
                 }
             }
         }
-        op.replies[rnd].insert(obj, reply);
+        op.replies[rnd][obj] = Some(reply);
 
         self.eliminate();
         self.try_advance(ctx);

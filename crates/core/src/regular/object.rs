@@ -1,10 +1,11 @@
 //! The regular-storage base object (Figure 5).
 //!
 //! Unlike the safe object, it "keeps track of all values received from the
-//! writer throughout the entire run" (§5): a history map from write
-//! timestamp to the `⟨pw, w⟩` recorded for that write. Read ACKs carry the
-//! history — the whole map in the paper-faithful mode, or the suffix from
-//! the reader's cached timestamp under the §5.1 optimization.
+//! writer throughout the entire run" (§5): a history from write timestamp
+//! to the `⟨pw, w⟩` recorded for that write, a sorted vector searched from
+//! the newest entry. Read ACKs carry the history — all of it in the
+//! paper-faithful mode, or the suffix from the reader's cached timestamp
+//! under the §5.1 optimization.
 //!
 //! "The entire run" is the paper's storage-exhaustion caveat. This module
 //! adds the repo's answer: a [`HistoryRetention`] policy, whose
@@ -194,22 +195,10 @@ impl<V: Value> RegularObject<V> {
         }
     }
 
-    /// Drops everything but the `n` highest-timestamp entries.
-    fn keep_last(&mut self, n: usize) {
-        if self.history.len() > n {
-            let keep_from = {
-                let mut keys: Vec<Timestamp> = self.history.iter().map(|(ts, _)| ts).collect();
-                keys.sort_unstable();
-                keys[keys.len() - n]
-            };
-            self.history.retain_from(keep_from);
-        }
-    }
-
     fn apply_retention(&mut self) {
         match self.retention {
             HistoryRetention::KeepAll => {}
-            HistoryRetention::KeepLast(n) => self.keep_last(n),
+            HistoryRetention::KeepLast(n) => self.history.keep_last(n),
             HistoryRetention::ReaderAck {
                 readers,
                 window,
@@ -221,7 +210,7 @@ impl<V: Value> RegularObject<V> {
                     self.history.retain_from(cut);
                 }
                 if let Some(n) = cap {
-                    self.keep_last(n);
+                    self.history.keep_last(n);
                 }
             }
         }

@@ -289,37 +289,58 @@ impl<V: fmt::Debug> fmt::Debug for HistEntry<V> {
     }
 }
 
-/// A regular-storage object's history: write timestamp → [`HistEntry`].
+/// A regular-storage object's history: write timestamp → [`HistEntry`], a
+/// sorted vector searched from the newest entry — it grows for "the entire
+/// run" (§5), but a `PW`, `W` or §5.1 suffix touches only the newest few.
 ///
-/// The unoptimized protocol ships the whole map in every `READk_ACK`; the
-/// §5.1 optimization ships the suffix from the reader's cached timestamp.
+/// The unoptimized protocol ships the whole history in every `READk_ACK`;
+/// the §5.1 optimization ships the suffix from the reader's cached timestamp.
 #[derive(Clone, PartialEq, Eq, Default)]
 pub struct History<V> {
-    entries: BTreeMap<Timestamp, HistEntry<V>>,
+    /// Strictly ascending in timestamp.
+    entries: Vec<(Timestamp, HistEntry<V>)>,
 }
+
+/// Entries a lookup compares from the newest before it binary-searches.
+const TAIL_PROBES: usize = 4;
 
 impl<V> History<V> {
     /// An empty history (used for suffix extraction).
     pub fn empty() -> Self {
         History {
-            entries: BTreeMap::new(),
+            entries: Vec::new(),
         }
     }
 
-    /// The history with exactly these entries (the wire decoder's build).
-    pub(crate) fn from_entries(entries: BTreeMap<Timestamp, HistEntry<V>>) -> Self {
+    /// The history with exactly these (strictly ascending) entries: the
+    /// wire decoder's build.
+    pub(crate) fn from_sorted(entries: Vec<(Timestamp, HistEntry<V>)>) -> Self {
         History { entries }
+    }
+
+    /// The index of the first entry at or above `ts`.
+    fn position(&self, ts: Timestamp) -> usize {
+        let tail = self.entries.len().saturating_sub(TAIL_PROBES);
+        match self.entries[tail..].iter().rposition(|&(at, _)| at < ts) {
+            Some(i) => tail + i + 1,
+            None => self.entries[..tail].partition_point(|&(at, _)| at < ts),
+        }
     }
 
     /// The entry at `ts`, or `None` ("no entry", which readers must treat
     /// as `⟨nil, nil⟩`, Figure 6).
     pub fn get(&self, ts: Timestamp) -> Option<&HistEntry<V>> {
-        self.entries.get(&ts)
+        let (at, entry) = self.entries.get(self.position(ts))?;
+        (*at == ts).then_some(entry)
     }
 
     /// Inserts or replaces the entry at `ts`.
     pub fn insert(&mut self, ts: Timestamp, entry: HistEntry<V>) {
-        self.entries.insert(ts, entry);
+        let i = self.position(ts);
+        match self.entries.get_mut(i) {
+            Some((at, old)) if *at == ts => *old = entry,
+            _ => self.entries.insert(i, (ts, entry)),
+        }
     }
 
     /// All entries in timestamp order.
@@ -339,34 +360,7 @@ impl<V> History<V> {
 
     /// The highest timestamp with an entry.
     pub fn max_ts(&self) -> Option<Timestamp> {
-        self.entries.keys().next_back().copied()
-    }
-}
-
-impl<V: Value> History<V> {
-    /// The initial history: `history[0] = ⟨pw0, ⟨pw0, inittsrarray⟩⟩`.
-    pub fn initial() -> Self {
-        let mut entries = BTreeMap::new();
-        entries.insert(
-            Timestamp::ZERO,
-            HistEntry {
-                pw: TsVal::bottom(),
-                w: Some(WTuple::initial()),
-            },
-        );
-        History { entries }
-    }
-
-    /// The sub-history from `since` (inclusive) onwards — the §5.1
-    /// optimization's reply payload.
-    pub fn suffix(&self, since: Timestamp) -> History<V> {
-        History {
-            entries: self
-                .entries
-                .range(since..)
-                .map(|(k, v)| (*k, v.clone()))
-                .collect(),
-        }
+        self.entries.last().map(|&(ts, _)| ts)
     }
 
     /// Drops every entry strictly below `below`, keeping at least the
@@ -375,20 +369,49 @@ impl<V: Value> History<V> {
     /// paper-faithful configuration.
     pub fn retain_from(&mut self, below: Timestamp) {
         if let Some(max) = self.max_ts() {
-            let cut = below.min(max);
-            self.entries.retain(|ts, _| *ts >= cut);
+            let cut = self.position(below.min(max));
+            self.entries.drain(..cut);
+        }
+    }
+
+    /// Drops all but the `n` highest entries.
+    pub(crate) fn keep_last(&mut self, n: usize) {
+        let cut = self.entries.len().saturating_sub(n);
+        self.entries.drain(..cut);
+    }
+}
+
+impl<V: Value> History<V> {
+    /// The initial history: `history[0] = ⟨pw0, ⟨pw0, inittsrarray⟩⟩`.
+    pub fn initial() -> Self {
+        let entry = HistEntry {
+            pw: TsVal::bottom(),
+            w: Some(WTuple::initial()),
+        };
+        // Room for the first writes: a one-entry vector would reallocate on
+        // the first `PW` of every register.
+        let mut entries = Vec::with_capacity(4);
+        entries.push((Timestamp::ZERO, entry));
+        History { entries }
+    }
+
+    /// The sub-history from `since` (inclusive) onwards — the §5.1
+    /// optimization's reply payload.
+    pub fn suffix(&self, since: Timestamp) -> History<V> {
+        History {
+            entries: self.entries[self.position(since)..].to_vec(),
         }
     }
 
     /// Estimated wire size in bytes.
     pub fn wire_size(&self) -> usize {
-        self.entries.values().map(|e| 8 + e.wire_size()).sum()
+        self.entries.iter().map(|(_, e)| 8 + e.wire_size()).sum()
     }
 }
 
 impl<V: fmt::Debug> fmt::Debug for History<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_map().entries(self.entries.iter()).finish()
+        f.debug_map().entries(self.iter()).finish()
     }
 }
 
@@ -541,57 +564,5 @@ mod tests {
         let e = h.get(Timestamp::ZERO).expect("initial entry");
         assert_eq!(e.pw, TsVal::bottom());
         assert_eq!(e.w.as_ref().map(WTuple::ts), Some(Timestamp::ZERO));
-    }
-
-    #[test]
-    fn history_suffix_is_inclusive() {
-        let mut h: History<u64> = History::initial();
-        for k in 1..=5u64 {
-            h.insert(
-                Timestamp(k),
-                HistEntry {
-                    pw: TsVal::new(Timestamp(k), k),
-                    w: None,
-                },
-            );
-        }
-        let suf = h.suffix(Timestamp(3));
-        assert_eq!(suf.len(), 3);
-        assert!(suf.get(Timestamp(2)).is_none());
-        assert!(suf.get(Timestamp(3)).is_some());
-        assert_eq!(suf.max_ts(), Some(Timestamp(5)));
-    }
-
-    #[test]
-    fn history_retain_keeps_top_entry() {
-        let mut h: History<u64> = History::initial();
-        for k in 1..=5u64 {
-            h.insert(
-                Timestamp(k),
-                HistEntry {
-                    pw: TsVal::new(Timestamp(k), k),
-                    w: None,
-                },
-            );
-        }
-        h.retain_from(Timestamp(100)); // beyond max: keeps the max entry only
-        assert_eq!(h.len(), 1);
-        assert!(h.get(Timestamp(5)).is_some());
-    }
-
-    #[test]
-    fn history_wire_size_grows_with_entries() {
-        let mut h: History<u64> = History::initial();
-        let small = h.wire_size();
-        for k in 1..=10u64 {
-            h.insert(
-                Timestamp(k),
-                HistEntry {
-                    pw: TsVal::new(Timestamp(k), k),
-                    w: None,
-                },
-            );
-        }
-        assert!(h.wire_size() > small);
     }
 }

@@ -454,10 +454,17 @@ impl<V: Wire> Wire for History<V> {
     fn decode(buf: &mut &[u8]) -> Result<Self, WireError> {
         // Each entry costs at least 18 bytes (ts + pw + two option tags).
         let n = take_count(buf, 18)?;
-        let entries = decode_ascending(buf, n, "history timestamps", |buf| {
-            Ok((Timestamp::decode(buf)?, HistEntry::decode(buf)?))
-        })?;
-        Ok(History::from_entries(entries))
+        let mut entries = Vec::with_capacity(n);
+        for _ in 0..n {
+            let (ts, entry) = (Timestamp::decode(buf)?, HistEntry::decode(buf)?);
+            if entries.last().is_some_and(|&(last, _)| last >= ts) {
+                return Err(WireError::Invalid {
+                    what: "history timestamps",
+                });
+            }
+            entries.push((ts, entry));
+        }
+        Ok(History::from_sorted(entries))
     }
 }
 

@@ -11,7 +11,7 @@
 //! Collecting the reader timestamps in `PW` and republishing them in `W` is
 //! what arms the readers' `conflict` predicate against Byzantine objects.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use vrr_sim::{Automaton, Context, ProcessId};
 
@@ -32,11 +32,12 @@ pub struct WriteReport {
     pub rounds: u32,
 }
 
+/// Where the one WRITE is; `acks` has a bit per object that acknowledged.
 #[derive(Clone, Debug)]
 enum Phase {
     Idle,
-    Pw { id: WriteId, acks: BTreeSet<usize> },
-    W { id: WriteId, acks: BTreeSet<usize> },
+    Pw { id: WriteId, acks: u64 },
+    W { id: WriteId, acks: u64 },
 }
 
 /// The single writer `w` of the SWMR storage (Figure 2).
@@ -49,7 +50,6 @@ enum Phase {
 pub struct Writer<V> {
     cfg: StorageConfig,
     objects: Vec<ProcessId>,
-    object_index: HashMap<ProcessId, usize>,
     ts: Timestamp,
     pw: TsVal<V>,
     w: WTuple<V>,
@@ -64,14 +64,13 @@ impl<V: Value> Writer<V> {
     ///
     /// # Panics
     ///
-    /// Panics if `objects.len() != cfg.s`.
+    /// Panics if `objects.len() != cfg.s` or `cfg.s > 64`.
     pub fn new(cfg: StorageConfig, objects: Vec<ProcessId>) -> Self {
         assert_eq!(objects.len(), cfg.s, "writer must know all S objects");
-        let object_index = objects.iter().enumerate().map(|(i, &p)| (p, i)).collect();
+        assert!(cfg.s <= 64, "one bit per object: at most 64 objects");
         Writer {
             cfg,
             objects,
-            object_index,
             ts: Timestamp::ZERO,
             pw: TsVal::bottom(),
             w: WTuple::initial(),
@@ -107,10 +106,7 @@ impl<V: Value> Writer<V> {
             w: self.w.clone(),
         };
         ctx.broadcast(self.objects.iter().copied(), msg);
-        self.phase = Phase::Pw {
-            id,
-            acks: BTreeSet::new(),
-        };
+        self.phase = Phase::Pw { id, acks: 0 };
         id
     }
 
@@ -145,9 +141,10 @@ impl<V: Value> Writer<V> {
 
 impl<V: Value> Automaton<Msg<V>> for Writer<V> {
     fn on_message(&mut self, from: ProcessId, msg: Msg<V>, ctx: &mut Context<'_, Msg<V>>) {
-        let Some(&obj) = self.object_index.get(&from) else {
+        let Some(obj) = self.objects.iter().position(|&p| p == from) else {
             return; // not an object we know; ignore
         };
+        let bit = 1u64 << obj;
         match msg {
             Msg::PwAck { ts, tsr } => {
                 // Figure 2 lines 6 + 10–11: the `upon` handler pattern-matches
@@ -158,10 +155,11 @@ impl<V: Value> Automaton<Msg<V>> for Writer<V> {
                 if ts != self.ts {
                     return;
                 }
-                if acks.insert(obj) {
+                if *acks & bit == 0 {
+                    *acks |= bit;
                     self.current_tsr.set_row(obj, tsr);
                 }
-                if acks.len() >= self.cfg.quorum() {
+                if acks.count_ones() as usize >= self.cfg.quorum() {
                     // Lines 7–8: fix w and open the W round. The matrix is
                     // sealed here: every later copy of w shares it.
                     self.w = WTuple::new(self.pw.clone(), std::mem::take(&mut self.current_tsr));
@@ -171,10 +169,7 @@ impl<V: Value> Automaton<Msg<V>> for Writer<V> {
                         w: self.w.clone(),
                     };
                     ctx.broadcast(self.objects.iter().copied(), msg);
-                    self.phase = Phase::W {
-                        id,
-                        acks: BTreeSet::new(),
-                    };
+                    self.phase = Phase::W { id, acks: 0 };
                 }
             }
             Msg::WAck { ts } => {
@@ -185,8 +180,8 @@ impl<V: Value> Automaton<Msg<V>> for Writer<V> {
                 if ts != self.ts {
                     return;
                 }
-                acks.insert(obj);
-                if acks.len() >= self.cfg.quorum() {
+                *acks |= bit;
+                if acks.count_ones() as usize >= self.cfg.quorum() {
                     self.outcomes.insert(
                         id,
                         WriteReport {

@@ -1,89 +1,89 @@
 //! Property tests on the core data structures, the conflict-free subset
 //! solver, and end-to-end regularity under random history-GC schedules.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use vrr_core::regular::{HistoryRetention, RegularObject};
 use vrr_core::safe::SafeObject;
+use vrr_core::wire::{decode_exact, Wire};
 use vrr_core::{
-    conflict_free_of_size, max_conflict_free, HistEntry, History, Msg, ProtocolKind, ProtocolSpec,
-    ReadRound, StorageConfig, StorageScenario, Timestamp, TsVal, TsrMatrix, WTuple,
+    conflict_free_of_size, HistEntry, History, Msg, ProtocolKind, ProtocolSpec, ReadRound,
+    StorageConfig, StorageScenario, Timestamp, TsVal, TsrMatrix, WTuple,
 };
 use vrr_sim::{Automaton, Context, ProcessId};
 
 // ---------------------------------------------------------------------------
-// History
+// History, against a `BTreeMap` model
 // ---------------------------------------------------------------------------
 
-fn entries_strategy() -> impl Strategy<Value = Vec<(u64, u64)>> {
-    proptest::collection::vec((1u64..200, any::<u64>()), 0..40)
+/// One step against a history and its model. Timestamps count down from one
+/// above the newest entry, where every protocol step lands: `back` 0
+/// appends, 1 replaces the newest entry (a `W` after its `PW`), 2 is a
+/// `PW`'s `ts − 1` backfill, and more reaches past the tail probes — a
+/// write-back below `ts_i` — into the binary search.
+#[derive(Clone, Debug)]
+enum HistOp {
+    Insert { back: u64, v: u64, with_w: bool },
+    Get { back: u64 },
+    Suffix { back: u64 },
+    RetainFrom { back: u64 },
 }
 
-fn build_history(entries: &[(u64, u64)]) -> History<u64> {
-    let mut h = History::initial();
-    for (ts, v) in entries {
-        let tsval = TsVal::new(Timestamp(*ts), *v);
-        h.insert(
-            Timestamp(*ts),
-            HistEntry {
-                pw: tsval.clone(),
-                w: Some(WTuple::new(tsval, TsrMatrix::empty())),
-            },
-        );
-    }
-    h
+fn hist_op() -> impl Strategy<Value = HistOp> {
+    (0u8..10, 0u64..24, any::<u64>(), any::<bool>()).prop_map(
+        |(kind, back, v, with_w)| match kind {
+            0..=5 => HistOp::Insert { back, v, with_w },
+            6 => HistOp::Get { back },
+            7 | 8 => HistOp::Suffix { back },
+            _ => HistOp::RetainFrom { back },
+        },
+    )
+}
+
+type Model = BTreeMap<Timestamp, HistEntry<u64>>;
+
+/// The history holds exactly the model's entries, in its order.
+fn matches(h: &History<u64>, model: &Model) -> bool {
+    h.len() == model.len()
+        && h.iter().eq(model.iter().map(|(ts, e)| (*ts, e)))
+        && h.max_ts() == model.keys().next_back().copied()
 }
 
 proptest! {
     #[test]
-    fn suffix_entries_are_exactly_those_at_or_after_since(
-        entries in entries_strategy(),
-        since in 0u64..250,
+    fn history_behaves_like_an_ordered_map(
+        ops in proptest::collection::vec(hist_op(), 0..120),
     ) {
-        let h = build_history(&entries);
-        let suffix = h.suffix(Timestamp(since));
-        for (ts, _e) in h.iter() {
-            let in_suffix = suffix.get(ts).is_some();
-            prop_assert_eq!(in_suffix, ts.0 >= since, "ts {} since {}", ts.0, since);
-        }
-        // And nothing extra.
-        prop_assert!(suffix.len() <= h.len());
-        for (ts, e) in suffix.iter() {
-            prop_assert_eq!(Some(e), h.get(ts));
-        }
-    }
-
-    #[test]
-    fn retain_from_keeps_the_newest_entry(
-        entries in entries_strategy(),
-        below in 0u64..400,
-    ) {
-        let mut h = build_history(&entries);
-        let max_before = h.max_ts();
-        h.retain_from(Timestamp(below));
-        prop_assert_eq!(h.max_ts(), max_before, "GC must never lose the newest entry");
-        prop_assert!(!h.is_empty());
-        for (ts, _) in h.iter() {
-            prop_assert!(ts.0 >= below.min(max_before.unwrap().0));
-        }
-    }
-
-    #[test]
-    fn wire_size_is_monotone_in_entries(entries in entries_strategy()) {
-        let mut h = History::<u64>::initial();
-        let mut last = h.wire_size();
-        for (ts, v) in entries {
-            let had = h.get(Timestamp(ts)).is_some();
-            let tsval = TsVal::new(Timestamp(ts), v);
-            h.insert(
-                Timestamp(ts),
-                HistEntry { pw: tsval.clone(), w: Some(WTuple::new(tsval, TsrMatrix::empty())) },
-            );
-            let now = h.wire_size();
-            if !had {
-                prop_assert!(now > last, "adding an entry must grow the wire size");
+        let mut h = History::initial();
+        let mut model: Model = h.iter().map(|(ts, e)| (ts, e.clone())).collect();
+        for op in &ops {
+            let top = model.keys().next_back().map_or(0, |ts| ts.0 + 1);
+            let at = |back: u64| Timestamp(top.saturating_sub(back));
+            match *op {
+                HistOp::Insert { back, v, with_w } => {
+                    let pw = TsVal::new(at(back), v);
+                    let w = with_w.then(|| WTuple::new(pw.clone(), TsrMatrix::empty()));
+                    let (had, size) = (model.contains_key(&at(back)), h.wire_size());
+                    h.insert(at(back), HistEntry { pw: pw.clone(), w: w.clone() });
+                    model.insert(at(back), HistEntry { pw, w });
+                    prop_assert!(had || h.wire_size() > size, "a new entry grows the wire size");
+                }
+                HistOp::Get { back } => prop_assert_eq!(h.get(at(back)), model.get(&at(back))),
+                HistOp::Suffix { back } => {
+                    let want = model.range(at(back)..).map(|(k, e)| (*k, e.clone())).collect();
+                    prop_assert!(matches(&h.suffix(at(back)), &want), "suffix from {:?}", at(back));
+                }
+                HistOp::RetainFrom { back } => {
+                    h.retain_from(at(back));
+                    let cut = at(back).min(Timestamp(top - 1)); // never the newest entry
+                    model.retain(|ts, _| *ts >= cut);
+                }
             }
-            last = now;
+            prop_assert!(matches(&h, &model), "after {:?}", op);
+            let decoded: History<u64> = decode_exact(&h.to_wire_vec()).expect("round trip");
+            prop_assert!(decoded == h, "the wire round trip changed the history");
         }
     }
 }
@@ -92,29 +92,30 @@ proptest! {
 // Conflict-free subsets
 // ---------------------------------------------------------------------------
 
+/// The size of a maximum conflict-free subset of `0..n`, by the solver.
+fn largest(n: usize, conflict: impl Fn(usize, usize) -> bool) -> usize {
+    let fits = |need| conflict_free_of_size(0..n, &conflict, need);
+    (0..=n).rev().find(|&need| fits(need)).unwrap_or(0)
+}
+
 proptest! {
     #[test]
-    fn returned_subset_is_conflict_free_and_within_members(
-        n in 1usize..16,
-        edges in proptest::collection::vec((0usize..16, 0usize..16), 0..40),
+    fn the_solver_finds_the_largest_conflict_free_subset(
+        n in 1usize..12,
+        edges in proptest::collection::vec((0usize..12, 0usize..12), 0..40),
     ) {
-        let members: Vec<usize> = (0..n).collect();
         let conflict = |i: usize, k: usize| edges.iter().any(|&(a, b)| a % n == i && b % n == k);
-        let chosen = max_conflict_free(&members, conflict);
-        for &i in &chosen {
-            prop_assert!(members.contains(&i));
-            for &k in &chosen {
-                prop_assert!(
-                    !conflict(i, k),
-                    "chosen set contains conflicting pair ({i}, {k})"
-                );
-            }
-        }
-        // Threshold helper agrees with the maximum.
-        let need = chosen.len();
-        prop_assert!(conflict_free_of_size(&members, conflict, need).is_some());
-        prop_assert!(conflict_free_of_size(&members, conflict, need + 1).is_none()
-            || need == n);
+        // Brute force over every subset: an ordered pair in either direction,
+        // or a member with itself, rules a subset out.
+        let clash: Vec<u32> = (0..n)
+            .map(|i| (0..n).filter(|&k| conflict(i, k) || conflict(k, i)).fold(0, |m, k| m | 1 << k))
+            .collect();
+        let brute = (0u32..1 << n)
+            .filter(|&set| (0..n).all(|i| set & 1 << i == 0 || clash[i] & set == 0))
+            .map(u32::count_ones)
+            .max()
+            .unwrap_or(0);
+        prop_assert_eq!(largest(n, conflict), brute as usize);
     }
 
     #[test]
@@ -122,14 +123,11 @@ proptest! {
         n in 2usize..12,
         edges in proptest::collection::vec((0usize..12, 0usize..12), 1..25),
     ) {
-        let members: Vec<usize> = (0..n).collect();
         let all = |i: usize, k: usize| edges.iter().any(|&(a, b)| a % n == i && b % n == k);
         let fewer = |i: usize, k: usize| {
             edges[..edges.len() - 1].iter().any(|&(a, b)| a % n == i && b % n == k)
         };
-        let with_all = max_conflict_free(&members, all).len();
-        let with_fewer = max_conflict_free(&members, fewer).len();
-        prop_assert!(with_all <= with_fewer);
+        prop_assert!(largest(n, all) <= largest(n, fewer));
     }
 }
 

@@ -67,7 +67,7 @@ use std::io::{self, BufRead, BufReader};
 use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -234,7 +234,33 @@ struct ServerCtx<V: Value + Wire> {
     placement: GroupPlacement,
     pid_node: Vec<u32>,
     transport: Arc<TcpTransport<V>>,
-    shutdown: AtomicBool,
+    shutdown: Shutdown,
+}
+
+/// Set once — by `Op::Shutdown` or by dropping the node — and waited on by
+/// [`NetNode::wait_shutdown`], which sleeps until it is set.
+#[derive(Default)]
+struct Shutdown {
+    requested: Mutex<bool>,
+    set: Condvar,
+}
+
+impl Shutdown {
+    /// A `bool` is valid at every step, so a poisoned lock is taken as is.
+    fn requested(&self) -> MutexGuard<'_, bool> {
+        self.requested
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn request(&self) {
+        *self.requested() = true;
+        self.set.notify_all();
+    }
+
+    fn wait(&self) {
+        drop(self.set.wait_while(self.requested(), |set| !*set));
+    }
 }
 
 /// One running node: its register host (real automata + relays) on one
@@ -334,7 +360,7 @@ impl<V: Value + Wire> NetNode<V> {
             placement: topo.placement.clone(),
             pid_node,
             transport,
-            shutdown: AtomicBool::new(false),
+            shutdown: Shutdown::default(),
         });
         Ok((bound, ctx))
     }
@@ -394,9 +420,7 @@ impl<V: Value + Wire> NetNode<V> {
     /// loop), then returns after a short grace period so the shutdown
     /// response can flush.
     pub fn wait_shutdown(&self) {
-        while !self.ctx.shutdown.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(50));
-        }
+        self.ctx.shutdown.wait();
         std::thread::sleep(Duration::from_millis(100));
     }
 }
@@ -406,7 +430,7 @@ impl<V: Value + Wire> Drop for NetNode<V> {
     /// the last reference to the node's state drops right after. Operations
     /// still in flight complete with `NodeGone` into a closed reactor.
     fn drop(&mut self) {
-        self.ctx.shutdown.store(true, Ordering::SeqCst);
+        self.ctx.shutdown.request();
         self.ctx.transport.handle().shutdown();
         // The reactor thread owns the handler, the handler the inspection
         // thread's only sender: the second join follows from the first.
@@ -660,7 +684,7 @@ impl<V: Value + Wire> NodeHandler<V> {
             }),
             Op::EchoHistory { history } => Some(Rsp::History { history }),
             Op::Shutdown => {
-                ctx.shutdown.store(true, Ordering::SeqCst);
+                ctx.shutdown.request();
                 Some(Rsp::ShuttingDown)
             }
             Op::WriteKey { key, value } => ctx.keyed(|s| {
