@@ -133,7 +133,7 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "S >= 2t + 2b + 1")]
-    fn rejects_deployment_below_fast_threshold() {
+    fn rejects_deployment_at_the_proposition1_boundary() {
         let cfg = StorageConfig::optimal(1, 1, 1); // S = 4 = 2t + 2b
         let _ = StorageScenario::<u64, _>::deploy(MaskingProtocol, cfg, 9);
     }

@@ -1,10 +1,9 @@
-//! # vrr-bench: experiment binaries and benches for every paper claim
+//! # vrr-bench: experiment binaries for every paper claim
 //!
-//! Each binary under `src/bin/` regenerates one figure/claim of the paper
-//! (see `ARCHITECTURE.md` for the index); the Criterion benches under
-//! `benches/` measure wall-clock behaviour on the thread runtime. This
-//! library hosts the small shared toolkit: an aligned-table printer and
-//! common scenario helpers.
+//! Each binary under `src/bin/` regenerates one figure/claim of the paper,
+//! asserts it, and prints an aligned table (see `ARCHITECTURE.md` for the
+//! index). This library holds what the binaries share: the [`Table`]
+//! printer and the [`f2`] number format.
 
 #![warn(missing_docs)]
 

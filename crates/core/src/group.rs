@@ -55,11 +55,9 @@ pub enum ProtocolKind {
 /// variants' readers run.
 ///
 /// `ProtocolKind::X.into()` is the paper-faithful default of each variant
-/// (keep-all histories, default tunings — which already enable the
-/// one-round fast path wherever [`StorageConfig::fast_read_quorum`] arms
-/// it). Deviating tunings are for mutation experiments and for steering
-/// the fast path in benchmarks (an unreachable `fast_threshold` forces the
-/// fallback deterministically).
+/// (keep-all histories, default tunings). Every reader takes the one-round
+/// fast path wherever [`StorageConfig::fast_read_quorum`] arms it, whatever
+/// its tuning. Deviating tunings are for mutation experiments only.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ProtocolSpec {
     /// §4 safe storage; every reader runs this tuning.

@@ -134,13 +134,13 @@ pub struct ReadReport<V> {
 
 /// Ablation knobs of the reader, shared by both protocols.
 ///
-/// The defaults are the paper's Figures 4 and 6 plus the sound one-round
-/// fast path (which self-disables wherever Proposition 1 applies, so the
-/// default *behaves* exactly like the figures at `S ≤ 2t + 2b`). Each other
-/// knob removes or weakens one load-bearing mechanism; the mutation
+/// The defaults are the paper's Figures 4 and 6. The sound one-round fast
+/// path is not a knob: it disarms itself wherever Proposition 1 applies,
+/// so every reader *behaves* exactly like the figures at `S ≤ 2t + 2b`.
+/// Each knob removes or weakens one load-bearing mechanism; the mutation
 /// experiments show the consistency checkers catch the resulting
-/// violations, and the ablation benches quantify what each mechanism
-/// costs. **Never deviate from [`ReaderTuning::default`] in production
+/// violations, and the `ablation` experiment shows what each mechanism
+/// buys. **Never deviate from [`ReaderTuning::default`] in production
 /// use.**
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReaderTuning {
@@ -155,21 +155,11 @@ pub struct ReaderTuning {
     /// Skip the second round *unconditionally* and decide on round-1
     /// evidence with the unchanged rules — the **unsound** one-round
     /// *mutant* that Proposition 1 convicts (the lower-bound demo). Not to
-    /// be confused with [`ReaderTuning::fast_path`], which is the sound
-    /// fast path: it only fires above the Proposition 1 boundary, demands
+    /// be confused with the sound fast path, which is not a knob: it only
+    /// fires above the Proposition 1 boundary, demands
     /// [`StorageConfig::fast_read_quorum`] exact confirmations, and
     /// otherwise falls back to the full second round.
     pub skip_round2: bool,
-    /// Attempt the sound one-round fast path when the sizing permits it
-    /// (`S ≥ 2t + 2b + 1`); at or below the boundary this knob is inert.
-    /// Default `true`.
-    pub fast_path: bool,
-    /// Confirmations the fast path demands; `None` = the derived
-    /// [`StorageConfig::fast_read_quorum`]. Raising it is sound (more
-    /// fallbacks, e.g. `Some(usize::MAX)` benches the pure-fallback
-    /// cost); lowering it below the derived count re-opens the
-    /// Proposition 1 trap — mutation experiments only.
-    pub fast_threshold: Option<usize>,
 }
 
 impl Default for ReaderTuning {
@@ -179,8 +169,6 @@ impl Default for ReaderTuning {
             elim_threshold: None,
             conflict_check: true,
             skip_round2: false,
-            fast_path: true,
-            fast_threshold: None,
         }
     }
 }
@@ -191,7 +179,7 @@ pub struct FastPathStats {
     /// Reads that completed in one round via the fast path.
     pub hits: u64,
     /// Reads that were *eligible* (sizing above the Proposition 1
-    /// boundary, fast path enabled) but lacked the confirmation strength
+    /// boundary) but lacked the confirmation strength
     /// at the moment the round-1 quorum closed, and fell back to the full
     /// two-round protocol.
     pub fallbacks: u64,
@@ -497,14 +485,7 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
     /// highest live candidate has enough exact round-1 confirmations.
     /// Returns whether the read completed.
     fn try_fast_finish(&mut self, ctx: &mut Context<'_, Msg<V>>) -> bool {
-        if !self.tuning.fast_path {
-            return false;
-        }
-        let Some(need) = self
-            .tuning
-            .fast_threshold
-            .or_else(|| self.cfg.fast_read_quorum())
-        else {
+        let Some(need) = self.cfg.fast_read_quorum() else {
             return false; // Proposition 1 territory: refuse to engage.
         };
         let Some(op) = self.op.as_ref() else {
@@ -689,8 +670,8 @@ pub(crate) mod tests {
     }
 
     /// S = 5 = 2t + 2b + 1, t = b = 1: quorum = 4, fast quorum = 3.
-    fn fast<E: Fixture>(tuning: ReaderTuning) -> Reader<u64, E> {
-        tuned(StorageConfig::fast(1, 1, 1), tuning)
+    fn fast<E: Fixture>() -> Reader<u64, E> {
+        tuned(StorageConfig::fast(1, 1, 1), ReaderTuning::default())
     }
 
     fn tuned<E: Fixture>(cfg: StorageConfig, tuning: ReaderTuning) -> Reader<u64, E> {
@@ -859,7 +840,7 @@ pub(crate) mod tests {
     }
 
     fn fast_path_completes_in_one_round_when_quorum_agrees<E: Fixture>() {
-        let mut r = fast::<E>(ReaderTuning::default());
+        let mut r = fast::<E>();
         let (id, out) = invoke(&mut r);
         assert_eq!(out.len(), 5, "READ1 to all");
         for i in 0..3 {
@@ -879,7 +860,7 @@ pub(crate) mod tests {
     }
 
     fn fast_path_falls_back_without_restarting_round1<E: Fixture>() {
-        let mut r = fast::<E>(ReaderTuning::default());
+        let mut r = fast::<E>();
         let (id, _) = invoke(&mut r);
         // Only 2 of the 4 quorum replies confirm write 1 (the others
         // missed it, e.g. the write is still in flight to them): 2 < 3.
@@ -934,7 +915,7 @@ pub(crate) mod tests {
         // (t+b+1 = 3 objects answered without it), so the genuine write —
         // high among the live candidates, 3 >= 3 exact confirmations —
         // fast-fires instead: on the RIGHT value.
-        let mut r = fast::<E>(ReaderTuning::default());
+        let mut r = fast::<E>();
         let (id, _) = invoke(&mut r);
         let forged = E::forged_ack(ReadRound::R1, 1, 1, phantom(99, None));
         deliver(&mut r, 4, forged);
@@ -948,55 +929,26 @@ pub(crate) mod tests {
         assert!(got.fast);
     }
 
-    /// Four agreeing round-1 replies, then two round-2 replies, on the
-    /// fast sizing under `tuning`; returns the report, what the quorum
-    /// close sent, and the counters.
-    fn agreeing_run<E: Fixture>(tuning: ReaderTuning) -> (ReadReport<u64>, Sent, FastPathStats) {
-        let mut r = fast::<E>(tuning);
+    fn skip_round2_reports_one_unsound_round<E: Fixture>() {
+        // The Proposition 1 mutant, at the sizing it is run at (S = 2t + 2b,
+        // where the sound fast path is disarmed), decides on round-1
+        // evidence and sends no READ2; its single round is not the sound
+        // fast path's.
+        let tuning = ReaderTuning {
+            skip_round2: true,
+            ..ReaderTuning::default()
+        };
+        let mut r = tuned::<E>(StorageConfig::optimal(1, 1, 1), tuning);
         let (id, _) = invoke(&mut r);
-        for i in 0..3 {
+        for i in 0..2 {
             deliver(&mut r, i, E::ack(ReadRound::R1, 1, 1));
         }
-        let sent = deliver(&mut r, 3, E::ack(ReadRound::R1, 1, 1));
-        for i in 0..2 {
-            deliver(&mut r, i, E::ack(ReadRound::R2, 2, 1));
-        }
-        let got = r.outcome(id).expect("complete").clone();
-        (got, sent, r.fast_stats())
-    }
-
-    fn fast_path_disabled_by_tuning_takes_two_rounds<E: Fixture>() {
-        let (got, sent, stats) = agreeing_run::<E>(ReaderTuning {
-            fast_path: false,
-            ..ReaderTuning::default()
-        });
-        assert_eq!(sent.len(), 5, "READ2 goes out with the fast path off");
-        assert_eq!((got.rounds, got.fast), (2, false));
-        assert_eq!(stats, FastPathStats::default());
-    }
-
-    fn unreachable_fast_threshold_always_falls_back<E: Fixture>() {
-        let (got, sent, stats) = agreeing_run::<E>(ReaderTuning {
-            fast_threshold: Some(usize::MAX),
-            ..ReaderTuning::default()
-        });
-        assert_eq!(sent.len(), 5);
-        assert_eq!((stats.hits, stats.fallbacks), (0, 1));
-        assert_eq!((got.rounds, got.fast), (2, false), "the two-round path");
-    }
-
-    fn skip_round2_reports_one_unsound_round<E: Fixture>() {
-        // The Proposition 1 mutant decides on round-1 evidence and sends no
-        // READ2; its single round is not the sound fast path's.
-        let (got, sent, stats) = agreeing_run::<E>(ReaderTuning {
-            skip_round2: true,
-            fast_path: false,
-            ..ReaderTuning::default()
-        });
+        let sent = deliver(&mut r, 2, E::ack(ReadRound::R1, 1, 1));
         assert!(sent.is_empty(), "no READ2");
+        let got = r.outcome(id).expect("complete");
         assert_eq!(got.value, Some(10));
         assert_eq!((got.rounds, got.fast), (1, false));
-        assert_eq!(stats, FastPathStats::default());
+        assert_eq!(r.fast_stats(), FastPathStats::default());
     }
 
     fn write_acks_mean_nothing_to_a_read_that_does_not_write_back<E: Fixture>() {
@@ -1037,8 +989,6 @@ pub(crate) mod tests {
         fast_path_falls_back_without_restarting_round1,
         fast_path_refuses_at_the_proposition1_boundary,
         forged_high_candidate_cannot_fast_fire,
-        fast_path_disabled_by_tuning_takes_two_rounds,
-        unreachable_fast_threshold_always_falls_back,
         skip_round2_reports_one_unsound_round,
         write_acks_mean_nothing_to_a_read_that_does_not_write_back,
     }

@@ -136,7 +136,7 @@ impl<V: Value> Reader<V, RegularEvidence<V>> {
     /// The reader a [`crate::ProtocolSpec::Regular`] describes: §5.1 or
     /// not, writing back (atomic reads, three rounds) or not, and with
     /// explicit ablation knobs (see [`ReaderTuning`]; anything but the
-    /// default is for mutation experiments and ablation benches only).
+    /// default is for mutation and ablation experiments only).
     ///
     /// # Panics
     ///

@@ -78,7 +78,7 @@ impl<V: Value> Reader<V, SafeEvidence> {
     }
 
     /// A reader with explicit ablation knobs (see [`ReaderTuning`]); for
-    /// mutation experiments and ablation benches only.
+    /// mutation and ablation experiments only.
     ///
     /// # Panics
     ///

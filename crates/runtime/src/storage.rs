@@ -39,9 +39,8 @@ impl<V: Value> StorageCluster<V> {
     /// [`ProtocolSpec`] additionally carries history retention
     /// (`ProtocolKind::RegularOptimized` with
     /// `HistoryRetention::reader_ack(cfg.readers)` is the bounded-memory
-    /// production configuration) and reader tuning (e.g. an unreachable
-    /// `fast_threshold` to measure the pure fallback path; over-provision
-    /// with [`StorageConfig::fast`] to make the default fast path fire).
+    /// production configuration) and reader tuning. Over-provision with
+    /// [`StorageConfig::fast`] to make the one-round fast path fire.
     pub fn deploy(
         cfg: StorageConfig,
         spec: impl Into<ProtocolSpec>,
@@ -172,9 +171,9 @@ mod tests {
 
     use vrr_checker::{check_atomicity, Recorder};
     use vrr_core::attackers::AttackerKind;
-    use vrr_core::regular::{HistoryRetention, RegularObject, RegularReader};
+    use vrr_core::regular::{RegularObject, RegularReader};
     use vrr_core::safe::SafeReader;
-    use vrr_core::{ReaderTuning, Writer};
+    use vrr_core::Writer;
 
     use super::*;
     use crate::executor::ExecutorStats;
@@ -205,38 +204,6 @@ mod tests {
         assert_eq!(r.rounds, 2);
         assert!(!r.fast);
         assert_eq!(storage.fast_path_stats(), FastPathStats::default());
-    }
-
-    #[test]
-    fn unreachable_threshold_forces_the_fallback_path() {
-        // The deterministic fallback-forcing deployment used by the
-        // `read/fast-fallback` bench: over-provisioned sizing, but a
-        // threshold no quorum can meet, so every read arms the fast path
-        // and then completes through the two-round protocol.
-        let cfg = StorageConfig::fast(1, 1, 1);
-        let storage: StorageCluster<u64> = StorageCluster::deploy(
-            cfg,
-            ProtocolSpec::Regular {
-                optimized: true,
-                write_back: false,
-                retention: HistoryRetention::KeepAll,
-                tuning: ReaderTuning {
-                    fast_threshold: Some(usize::MAX),
-                    ..ReaderTuning::default()
-                },
-            },
-            Box::new(NoDelay),
-        );
-        for k in 1..=4u64 {
-            storage.write(k);
-            let r = storage.read(0);
-            assert_eq!(r.value, Some(k));
-            assert_eq!(r.rounds, 2);
-            assert!(!r.fast);
-        }
-        let stats = storage.fast_path_stats();
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.fallbacks, 4);
     }
 
     /// Drains every message a finished READ may still have in flight, then

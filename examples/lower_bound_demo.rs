@@ -85,7 +85,7 @@ fn main() {
     // Two ways to claim a one-round read at the Proposition-1 boundary:
     //   * `skip_round2` — the UNSOUND mutant: always skip round 2. It is
     //     exactly the read rule the construction above convicts.
-    //   * `fast_path` — the SOUND fast path: complete in round 1 only when
+    //   * the SOUND fast path, in every reader: complete in round 1 only when
     //     `fast_read_quorum()` is `Some`, i.e. only above the boundary.
     println!("\n── mutant vs. sound fast path at the boundary ──\n");
     let boundary = StorageConfig::with_objects(s, t, b, 1); // S = 2t+2b
