@@ -27,21 +27,45 @@
 //!
 //! | Figure 4 | Figure 6 | skeleton step | evidence method |
 //! |---|---|---|---|
-//! | line 1 `conflict(i,k)` | line 1 | `ReadOp::conflict` | [`Evidence::nominated`] (round-1 tuples of `k`) |
-//! | line 2 `RespondedWO(c)` | line 2 `invalid(c)` | `Reader::eliminate` | [`Evidence::contradicts`] |
-//! | line 3 `safe(c)` | line 3 | `Reader::try_finish` | [`Evidence::supports`] |
-//! | line 4 `highCand(c)` | line 4 | `ReadOp::highest` | — |
+//! | line 1 `conflict(i,k)` | line 1 | `Heard::accused_by` | [`Evidence::nominated`] (round-1 tuples of `k`) |
+//! | line 2 `RespondedWO(c)` | line 2 `invalid(c)` | `Reader::hear` (`contradicted_by`) | [`Evidence::contradicts`] |
+//! | line 3 `safe(c)` | line 3 | `Reader::try_finish` (`supported_by`) | [`Evidence::supports`] |
+//! | line 4 `highCand(c)` | line 4 | `Heard::highest` | — |
 //! | lines 7–10 invoke, `READ1` | invoke | [`Reader::invoke_read`] | [`Evidence::request_fields`] (`since`, `ack`) |
 //! | line 11 conflict-free quorum | line 11 | `Reader::try_advance` | — |
 //! | lines 12–13 `READ2` | same | `Reader::try_advance` | [`Evidence::request_fields`] |
 //! | line 14 wait | same | `Reader::try_finish` | — |
 //! | lines 15–16 `C = ∅` | §5.1 cache | `Reader::try_finish` | [`Evidence::on_empty`] |
 //! | lines 18–19 return | return | `Reader::try_finish` | [`Evidence::on_return`] |
-//! | lines 21–24 `READ1_ACK` | lines 17–21 | `on_message` | [`Evidence::open`], [`Evidence::nominated`] |
-//! | lines 25–26 `READ2_ACK` | lines 22–25 | `on_message` | [`Evidence::open`] |
-//! | lines 27–28 eliminate | `invalid` | `Reader::eliminate` | [`Evidence::contradicts`] |
-//! | — (extension) | — | `Reader::try_fast_finish` | [`Evidence::confirms`] |
+//! | lines 21–24 `READ1_ACK` | lines 17–21 | `on_message` → `Reader::hear` | [`Evidence::open`], [`Evidence::nominated`] |
+//! | lines 25–26 `READ2_ACK` | lines 22–25 | `on_message` → `Reader::hear` | [`Evidence::open`] |
+//! | lines 27–28 eliminate | `invalid` | `Reader::hear` | [`Evidence::contradicts`] |
+//! | — (extension) | — | `Reader::try_fast_finish` (`confirmed_by`) | [`Evidence::confirms`] |
 //! | — | — (extension) | `Reader::complete` → `Phase::WriteBack` → `Reader::on_write_back_ack` | [`Evidence::writes_back`] |
+//!
+//! # How the evidence is kept: each reply judged once, one bit per object
+//!
+//! Every count in the figures is a count of *objects* over `Resp1 ∪ Resp2`:
+//! `s_i` counts toward `RespondedWO(c)` or `safe(c)` if its round-1 reply or
+//! its round-2 reply says so. Each nominated tuple therefore carries one
+//! `u64` per predicate, bit `i` set once some accepted reply of `s_i`
+//! satisfies it: OR-ing the two rounds into one bit *is* the figures'
+//! count, and elimination and `safe(c)` are popcounts. `confirmed_by` (the
+//! fast path's exact count) takes round-1 replies only, `nominated_by`
+//! records which round-1 replies nominated the tuple, and `accuses` — the
+//! objects `i` with `tsrarray[i][j] > tsrFR` — depends only on the tuple,
+//! `j` and `tsrFR`, so it is computed once, at nomination. Line 11's
+//! `conflict(i, k)` is bit `i` of `accused_by[k]`, the OR of `accuses` over
+//! the *live* candidates `k` nominated, taken when line 11 is evaluated.
+//!
+//! Judging each (accepted reply, candidate) pair once is exact, because
+//! nothing a judgement rests on changes afterwards: an accepted reply is
+//! never replaced (the first per object and round counts), a predicate is
+//! a function of the reply and the tuple alone, and elimination is
+//! permanent (the contradicting objects only grow), so an eliminated tuple
+//! needs no further judging and a re-nomination is ignored. A new reply is
+//! judged against the live candidates when it arrives, and a newly
+//! nominated tuple against every reply accepted so far.
 //!
 //! # The one-round fast path, and why it is sound
 //!
@@ -101,7 +125,7 @@
 //! *older* write and loses regularity, not merely atomicity. The tuple as an
 //! object reported it is the one version no honest history contradicts.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 
 use vrr_sim::{Automaton, Context, ProcessId};
@@ -190,9 +214,11 @@ pub struct FastPathStats {
 ///
 /// The [`Reader`] keeps every accepted reply, per round and per object, and
 /// judges candidates by counting the *objects* with a reply (in either
-/// round) that satisfies one of the predicates below; the implementor also
-/// carries whatever a protocol remembers between READs (§5.1's cache, the
-/// history-GC acknowledgement).
+/// round) that satisfies one of the predicates below. It asks each
+/// predicate once per reply and candidate and keeps the answer (module
+/// docs), so a predicate must depend on the reply and the candidate alone.
+/// The implementor also carries whatever a protocol remembers between
+/// READs (§5.1's cache, the history-GC acknowledgement).
 pub trait Evidence<V: Value>: Clone + fmt::Debug + Send + 'static {
     /// The payload of this protocol's `READk_ACK`.
     type Reply: Clone + fmt::Debug + Send + 'static;
@@ -253,56 +279,107 @@ enum Phase<V> {
     },
 }
 
+/// The READ in progress.
 #[derive(Clone, Debug)]
-struct ReadOp<V: Value, E: Evidence<V>> {
+struct ReadOp<V> {
     id: ReadId,
     /// `tsrFR`: the reader timestamp of the first round (Figure 4 line 9).
     tsr_fr: u64,
     phase: Phase<V>,
+}
+
+/// One nominated tuple and what the accepted replies say about it, one bit
+/// per object. Each accepted reply is judged against a tuple once: when it
+/// arrives, if the tuple is live, or when the tuple is first nominated.
+#[derive(Clone, Debug)]
+struct Candidate<V> {
+    w: WTuple<V>,
+    /// Eliminated (Figure 4 lines 27–28): permanent, because the set of
+    /// contradicting objects only grows, so a re-nomination is ignored.
+    dead: bool,
+    /// Objects with a reply, in either round, that contradicts `w`.
+    contradicted_by: u64,
+    /// Objects with a reply, in either round, that supports `w`.
+    supported_by: u64,
+    /// Objects whose round-1 reply confirms `w` exactly (the fast path).
+    confirmed_by: u64,
+    /// Objects whose round-1 reply nominated `w`.
+    nominated_by: u64,
+    /// Objects `i` with `w.tsrarray[i][j] > tsrFR`: whom `w` accuses of
+    /// having seen this READ before it began.
+    accuses: u64,
+}
+
+impl<V: Value> Candidate<V> {
+    /// `w`, first nominated by object `by`'s round-1 reply.
+    fn new(w: WTuple<V>, by: usize, accuses: u64) -> Self {
+        Candidate {
+            w,
+            dead: false,
+            contradicted_by: 0,
+            supported_by: 0,
+            confirmed_by: 0,
+            nominated_by: 1 << by,
+            accuses,
+        }
+    }
+
+    /// Records what object `obj`'s `reply` says about `w`, and whether it
+    /// confirms `w` exactly if `confirm` (a round-1 reply, and a sizing
+    /// where the fast path can fire).
+    fn judge<E: Evidence<V>>(&mut self, obj: usize, reply: &E::Reply, confirm: bool) {
+        let bit = 1 << obj;
+        if self.contradicted_by & bit == 0 && E::contradicts(reply, &self.w) {
+            self.contradicted_by |= bit;
+        }
+        if self.supported_by & bit == 0 && E::supports(reply, &self.w) {
+            self.supported_by |= bit;
+        }
+        if confirm && E::confirms(reply, &self.w) {
+            self.confirmed_by |= bit;
+        }
+    }
+}
+
+/// What the current READ has heard. Emptied when a READ returns and reused
+/// by the next, so only a reader's first READ allocates its reply slots,
+/// and a READ nominating at most `S` tuples allocates no candidate slot.
+#[derive(Clone, Debug)]
+struct Heard<V: Value, E: Evidence<V>> {
     /// Accepted replies per round, indexed by object — the first per object
     /// counts, equivocating repeats are ignored. Round 1's `Some` slots are
     /// `Resp1`.
     replies: [Vec<Option<E::Reply>>; 2],
-    /// The candidate set `C`.
-    candidates: BTreeSet<WTuple<V>>,
-    /// Tuples removed from `C` by elimination; removal is permanent because
-    /// the set of contradicting objects only grows.
-    eliminated: BTreeSet<WTuple<V>>,
+    /// Every tuple this READ nominated, in `WTuple` order; the live ones
+    /// are the candidate set `C`.
+    candidates: Vec<Candidate<V>>,
 }
 
-impl<V: Value, E: Evidence<V>> ReadOp<V, E> {
-    /// Number of objects with a reply, in either round, satisfying `pred`.
-    fn objects_where(&self, pred: impl Fn(&E::Reply) -> bool) -> usize {
-        let [first, second] = &self.replies;
-        let holds = |reply: &Option<E::Reply>| reply.as_ref().is_some_and(&pred);
-        first
-            .iter()
-            .zip(second)
-            .filter(|(one, two)| holds(one) || holds(two))
-            .count()
-    }
-
-    /// `conflict(i, k)`: `k` reported, in round 1, a live candidate claiming
-    /// object `i` gave the writer a timestamp of reader `j` beyond `tsrFR`.
-    fn conflict(&self, j: usize, i: usize, k: usize) -> bool {
-        self.replies[0][k].as_ref().is_some_and(|reply| {
-            E::nominated(reply).any(|c| {
-                self.candidates.contains(c)
-                    && c.tsrarray
-                        .get(i, j)
-                        .is_some_and(|reported| reported > self.tsr_fr)
-            })
-        })
+impl<V: Value, E: Evidence<V>> Heard<V, E> {
+    fn live(&self) -> impl DoubleEndedIterator<Item = &Candidate<V>> {
+        self.candidates.iter().filter(|c| !c.dead)
     }
 
     /// The first `highCand` — a live candidate with the highest timestamp —
-    /// that is `ok`.
-    fn highest(&self, ok: impl Fn(&WTuple<V>) -> bool) -> Option<&WTuple<V>> {
-        let high = self.candidates.iter().map(WTuple::ts).max()?;
-        self.candidates
-            .iter()
-            .filter(|c| c.ts() == high)
-            .find(|c| ok(c))
+    /// that is `ok`. In `WTuple` order the last live one is a `highCand`.
+    fn highest(&self, ok: impl Fn(&Candidate<V>) -> bool) -> Option<&WTuple<V>> {
+        let high = self.live().next_back()?.w.ts();
+        let c = self.live().filter(|c| c.w.ts() == high).find(|c| ok(c))?;
+        Some(&c.w)
+    }
+
+    /// `accused_by[k]`: the objects some live candidate of `k`'s round-1
+    /// reply accuses — `conflict(i, k)` iff bit `i` of entry `k` is set.
+    fn accused_by(&self) -> [u64; 64] {
+        let mut accused_by = [0; 64];
+        for c in self.live() {
+            let mut by = c.nominated_by;
+            while by != 0 {
+                accused_by[by.trailing_zeros() as usize] |= c.accuses;
+                by &= by - 1;
+            }
+        }
+        accused_by
     }
 }
 
@@ -321,7 +398,8 @@ pub struct Reader<V: Value, E: Evidence<V>> {
     tsr: u64,
     tuning: ReaderTuning,
     evidence: E,
-    op: Option<ReadOp<V, E>>,
+    op: Option<ReadOp<V>>,
+    heard: Heard<V, E>,
     outcomes: HashMap<ReadId, ReadReport<V>>,
     next_id: u64,
     fast_stats: FastPathStats,
@@ -353,6 +431,10 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
             tuning,
             evidence,
             op: None,
+            heard: Heard {
+                replies: [Vec::new(), Vec::new()],
+                candidates: Vec::new(),
+            },
             outcomes: HashMap::new(),
             next_id: 0,
             fast_stats: FastPathStats::default(),
@@ -370,13 +452,13 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
         let id = ReadId(self.next_id);
         self.next_id += 1;
         self.tsr += 1; // line 9: tsrFR := tsr'_j := tsr'_j + 1
+        for slots in &mut self.heard.replies {
+            slots.resize(self.cfg.s, None); // once: a returned READ leaves S empty slots
+        }
         self.op = Some(ReadOp {
             id,
             tsr_fr: self.tsr,
             phase: Phase::Round1,
-            replies: [vec![None; self.cfg.s], vec![None; self.cfg.s]],
-            candidates: BTreeSet::new(),
-            eliminated: BTreeSet::new(),
         });
         self.send_read(ReadRound::R1, ctx); // line 10
         id
@@ -420,7 +502,7 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
 
     /// Live candidates (`C`), for harness introspection.
     pub fn candidate_count(&self) -> usize {
-        self.op.as_ref().map_or(0, |op| op.candidates.len())
+        self.heard.live().count()
     }
 
     /// Cumulative fast-path hit/fallback counters.
@@ -433,39 +515,72 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
         &self.evidence
     }
 
-    /// Figure 4 lines 27–28 / Figure 6 `invalid(c)`: drop candidates that
-    /// `t + b + 1` objects (or the ablation override) contradict.
-    fn eliminate(&mut self) {
+    /// Stores object `obj`'s accepted reply in round `rnd` (0 or 1) and
+    /// judges each pair of it and a live candidate once: the new reply
+    /// against the live candidates, then (round 1) each tuple it newly
+    /// nominates into `C` against every reply accepted so far. A candidate
+    /// that `t + b + 1` objects (or the ablation override) contradict is
+    /// eliminated (Figure 4 lines 27–28 / Figure 6 `invalid(c)`).
+    fn hear(&mut self, rnd: usize, obj: usize, reply: E::Reply, tsr_fr: u64) {
         let threshold = self
             .tuning
             .elim_threshold
             .unwrap_or(self.cfg.t_plus_b_plus_1());
-        let Some(op) = self.op.as_mut() else { return };
-        let doomed: Vec<WTuple<V>> = op
-            .candidates
-            .iter()
-            .filter(|c| op.objects_where(|reply| E::contradicts(reply, c)) >= threshold)
-            .cloned()
-            .collect();
-        for c in doomed {
-            op.candidates.remove(&c);
-            op.eliminated.insert(c);
+        let fast = self.cfg.fast_read_quorum().is_some();
+        let Heard {
+            replies,
+            candidates,
+        } = &mut self.heard;
+        let settle = |c: &mut Candidate<V>| {
+            c.dead = c.contradicted_by.count_ones() as usize >= threshold;
+        };
+        for c in candidates.iter_mut().filter(|c| !c.dead) {
+            c.judge::<E>(obj, &reply, rnd == 0 && fast);
+            settle(c);
         }
+        if rnd == 0 {
+            // A tuple first nominated now meets every reply accepted so far.
+            let nominee = |w: &WTuple<V>| {
+                let accuses = (0..self.cfg.s)
+                    .filter(|&i| w.tsrarray.get(i, self.j).is_some_and(|t| t > tsr_fr))
+                    .fold(0, |mask, i| mask | 1 << i);
+                let mut c = Candidate::new(w.clone(), obj, accuses);
+                for (round, slots) in replies.iter().enumerate() {
+                    for (o, stored) in slots.iter().enumerate() {
+                        if let Some(stored) = stored {
+                            c.judge::<E>(o, stored, round == 0 && fast);
+                        }
+                    }
+                }
+                c.judge::<E>(obj, &reply, fast);
+                settle(&mut c);
+                c
+            };
+            for w in E::nominated(&reply) {
+                match candidates.binary_search_by(|c| c.w.cmp(w)) {
+                    Ok(at) => candidates[at].nominated_by |= 1 << obj,
+                    Err(at) => candidates.insert(at, nominee(w)),
+                }
+            }
+        }
+        replies[rnd][obj] = Some(reply);
     }
 
     /// Line 11: advance to round 2 once a conflict-free quorum answered.
     fn try_advance(&mut self, ctx: &mut Context<'_, Msg<V>>) {
-        let Some(op) = self.op.as_ref() else { return };
-        if op.phase != Phase::Round1 {
+        if self.op.as_ref().is_none_or(|op| op.phase != Phase::Round1) {
             return;
         }
-        let resp1 = &op.replies[0];
+        let resp1 = &self.heard.replies[0];
         if resp1.iter().flatten().count() < self.cfg.quorum() {
             return;
         }
         let members = (0..resp1.len()).filter(|&i| resp1[i].is_some());
-        let ok = !self.tuning.conflict_check
-            || conflict_free_of_size(members, |i, k| op.conflict(self.j, i, k), self.cfg.quorum());
+        let ok = !self.tuning.conflict_check || {
+            let accused_by = self.heard.accused_by();
+            let conflict = |i, k| accused_by[k] >> i & 1 == 1;
+            conflict_free_of_size(members, conflict, self.cfg.quorum())
+        };
         if !ok || self.try_fast_finish(ctx) {
             return;
         }
@@ -488,17 +603,10 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
         let Some(need) = self.cfg.fast_read_quorum() else {
             return false; // Proposition 1 territory: refuse to engage.
         };
-        let Some(op) = self.op.as_ref() else {
-            return false;
-        };
-        debug_assert_eq!(op.phase, Phase::Round1);
-        let confirmed = op.highest(|c| {
-            let exact = op.replies[0]
-                .iter()
-                .flatten()
-                .filter(|reply| E::confirms(reply, c));
-            exact.count() >= need
-        });
+        debug_assert!(self.op.as_ref().is_some_and(|op| op.phase == Phase::Round1));
+        let confirmed = self
+            .heard
+            .highest(|c| c.confirmed_by.count_ones() as usize >= need);
         match confirmed.cloned() {
             Some(cret) => {
                 self.fast_stats.hits += 1;
@@ -515,19 +623,20 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
     /// Line 14: complete once the highest live candidate is `safe`, or `C`
     /// drained and the evidence knows what that means.
     fn try_finish(&mut self, ctx: &mut Context<'_, Msg<V>>) {
-        let Some(op) = self.op.as_ref() else { return };
-        if op.phase != Phase::Round2 {
+        if self.op.as_ref().is_none_or(|op| op.phase != Phase::Round2) {
             return;
         }
         let rounds = if self.tuning.skip_round2 { 1 } else { 2 };
-        if op.candidates.is_empty() {
+        if self.heard.live().next().is_none() {
             if let Some(tsval) = self.evidence.on_empty() {
                 self.report(tsval, rounds, false);
             }
             return;
         }
         let needed = self.tuning.safe_threshold.unwrap_or(self.cfg.b_plus_1());
-        let safe = op.highest(|c| op.objects_where(|reply| E::supports(reply, c)) >= needed);
+        let safe = self
+            .heard
+            .highest(|c| c.supported_by.count_ones() as usize >= needed);
         if let Some(cret) = safe.cloned() {
             self.complete(cret, rounds, false, ctx); // lines 18–19
         }
@@ -579,6 +688,13 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
 
     fn report(&mut self, tsval: TsVal<V>, rounds: u32, fast: bool) {
         let op = self.op.take().expect("a READ completes once");
+        let Heard {
+            replies,
+            candidates,
+        } = &mut self.heard;
+        replies.iter_mut().for_each(|slots| slots.fill(None));
+        candidates.clear();
+        candidates.shrink_to(self.cfg.s);
         self.outcomes.insert(
             op.id,
             ReadReport {
@@ -618,19 +734,11 @@ impl<V: Value, E: Evidence<V>> Automaton<Msg<V>> for Reader<V, E> {
             ReadRound::R2 if op.phase == Phase::Round2 => (1, op.tsr_fr + 1),
             ReadRound::R2 => return,
         };
-        if tsr != expected || op.replies[rnd][obj].is_some() {
+        if tsr != expected || self.heard.replies[rnd][obj].is_some() {
             return;
         }
-        if round == ReadRound::R1 {
-            for w in E::nominated(&reply) {
-                if !op.eliminated.contains(w) {
-                    op.candidates.insert(w.clone());
-                }
-            }
-        }
-        op.replies[rnd][obj] = Some(reply);
-
-        self.eliminate();
+        let tsr_fr = op.tsr_fr;
+        self.hear(rnd, obj, reply, tsr_fr);
         self.try_advance(ctx);
         self.try_finish(ctx);
     }
@@ -1261,6 +1369,155 @@ pub(crate) mod tests {
             sc.world_mut().adversary_mut().hold_link(from, to);
             let r2 = sc.read(1);
             assert_eq!(r2.value, Some(20), "read 1 returned 20 before read 2 began");
+        }
+    }
+
+    /// The count relation that keeps the incremental reader incremental: a
+    /// reply is judged against a candidate once per predicate, not once per
+    /// later reply, and the buffers a READ fills do not outlive it at their
+    /// peak size.
+    mod judged_once {
+        use std::cell::{Cell, RefCell};
+        use std::collections::HashMap;
+
+        use super::*;
+        use crate::types::HistEntry;
+
+        /// How often each (reply, predicate, candidate) was judged.
+        type Judged = HashMap<(u64, &'static str, WTuple<u64>), u32>;
+
+        thread_local! {
+            static SERIAL: Cell<u64> = const { Cell::new(0) };
+            static JUDGED: RefCell<Judged> = RefCell::new(HashMap::new());
+        }
+
+        fn judged(serial: u64, predicate: &'static str, c: &WTuple<u64>) {
+            JUDGED.with(|j| {
+                *j.borrow_mut()
+                    .entry((serial, predicate, c.clone()))
+                    .or_default() += 1
+            });
+        }
+
+        /// `E`, with every delivered reply numbered and every predicate call
+        /// on it counted per candidate.
+        #[derive(Clone, Debug)]
+        struct Counting<E>(E);
+
+        impl<E: Evidence<u64>> Evidence<u64> for Counting<E> {
+            type Reply = (u64, E::Reply);
+
+            const LABEL: &'static str = E::LABEL;
+
+            fn open(msg: Msg<u64>) -> Option<(ReadRound, u64, Self::Reply)> {
+                let (round, tsr, reply) = E::open(msg)?;
+                let serial = SERIAL.with(|s| s.replace(s.get() + 1));
+                Some((round, tsr, (serial, reply)))
+            }
+
+            fn nominated((_, reply): &Self::Reply) -> impl Iterator<Item = &WTuple<u64>> {
+                E::nominated(reply)
+            }
+
+            fn contradicts((serial, reply): &Self::Reply, c: &WTuple<u64>) -> bool {
+                judged(*serial, "contradicts", c);
+                E::contradicts(reply, c)
+            }
+
+            fn supports((serial, reply): &Self::Reply, c: &WTuple<u64>) -> bool {
+                judged(*serial, "supports", c);
+                E::supports(reply, c)
+            }
+
+            fn confirms((serial, reply): &Self::Reply, c: &WTuple<u64>) -> bool {
+                judged(*serial, "confirms", c);
+                E::confirms(reply, c)
+            }
+
+            fn request_fields(&self) -> (Option<Timestamp>, Timestamp) {
+                self.0.request_fields()
+            }
+
+            fn on_return(&mut self, c: &WTuple<u64>) {
+                self.0.on_return(c)
+            }
+
+            fn on_empty(&self) -> Option<TsVal<u64>> {
+                self.0.on_empty()
+            }
+        }
+
+        fn regular(cfg: StorageConfig) -> Reader<u64, Counting<RegularEvidence<u64>>> {
+            let objects = (0..cfg.s).map(ProcessId).collect();
+            let evidence = Counting(RegularEvidence::evidence());
+            Reader::with_evidence(cfg, 0, objects, evidence, ReaderTuning::default())
+        }
+
+        type R = RegularEvidence<u64>;
+
+        #[test]
+        fn each_reply_is_judged_once_per_live_candidate_and_predicate() {
+            // S = 6, t = 2, b = 1: quorum 4, elimination at 4 contradictors,
+            // safe at 2 supporters. Object 5 is silent.
+            let mut r = regular(StorageConfig::optimal(2, 1, 1));
+            let (id, _) = invoke(&mut r);
+            // Object 0 forges ⟨9, 666⟩ accusing itself, and its own entry
+            // for it contradicts it (the `pw` disagrees).
+            let Msg::ReadAckRegular { mut history, .. } = R::ack(ReadRound::R1, 1, 1) else {
+                unreachable!("a regular ACK")
+            };
+            let (pw, w) = (TsVal::new(Timestamp(9), 7), Some(phantom(9, Some(0))));
+            history.insert(Timestamp(9), HistEntry { pw, w });
+            let (round, tsr) = (ReadRound::R1, 1);
+            deliver(
+                &mut r,
+                0,
+                Msg::ReadAckRegular {
+                    round,
+                    tsr,
+                    history,
+                },
+            );
+            deliver(&mut r, 1, R::ack(ReadRound::R1, 1, 2));
+            deliver(&mut r, 2, R::ack(ReadRound::R1, 1, 1));
+            // A repeat. Then the 4th contradictor kills the forgery, its
+            // self-accusation goes with it, the quorum is conflict-free:
+            // READ2 goes out, and write 2 has one supporter — the READ waits
+            // in round 2.
+            deliver(&mut r, 1, R::ack(ReadRound::R1, 1, 1));
+            let read2 = deliver(&mut r, 3, R::ack(ReadRound::R1, 1, 1));
+            assert_eq!(read2.len(), 6, "READ2 to all");
+            assert_eq!(r.candidate_count(), 3, "w0, w1, w2 live; the forgery dead");
+            deliver(&mut r, 2, R::ack(ReadRound::R2, 2, 1));
+            deliver(&mut r, 0, R::ack(ReadRound::R1, 1, 2)); // a repeat
+            deliver(&mut r, 4, R::ack(ReadRound::R2, 2, 2));
+            let got = r.outcome(id).expect("write 2 reached b + 1 supporters");
+            assert_eq!((got.value, got.rounds), (Some(20), 2));
+
+            let judged = JUDGED.with(|j| j.take());
+            assert!(judged.len() >= 3 * 6, "judged too little to mean anything");
+            for ((serial, predicate, c), n) in judged {
+                assert_eq!(
+                    n, 1,
+                    "reply {serial} judged {n} times by {predicate} on {c:?}"
+                );
+            }
+        }
+
+        #[test]
+        fn a_full_history_read_keeps_no_more_than_s_candidate_slots() {
+            let cfg = StorageConfig::optimal(1, 1, 1);
+            let mut r = regular(cfg);
+            for read in 0..2 {
+                let (id, _) = invoke(&mut r);
+                for i in 0..3 {
+                    deliver(&mut r, i, R::ack(ReadRound::R1, 2 * read + 1, 100));
+                }
+                assert_eq!(r.outcome(id).expect("complete").value, Some(1_000));
+                assert!(r.heard.candidates.is_empty());
+                assert!(r.heard.candidates.capacity() <= cfg.s);
+                assert!(r.heard.replies.iter().flatten().all(Option::is_none));
+            }
         }
     }
 }
