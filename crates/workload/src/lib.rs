@@ -43,7 +43,6 @@ pub mod live;
 mod monitor;
 mod runner;
 mod schedule;
-pub mod soak;
 mod sweep;
 
 pub use faults::FaultPlan;

@@ -38,7 +38,8 @@
 //! ```
 //!
 //! See `examples/` for a quickstart, a Byzantine-attack study, the
-//! lower-bound demo, and a networked key-value service on threads; see
+//! lower-bound demo, and the key-value service in one process
+//! (`scaleout`) and across processes (`dist_scaleout`); see
 //! `ARCHITECTURE.md` for the full paper-artifact ↔ module/test/experiment
 //! index.
 
@@ -84,5 +85,3 @@ pub mod workload {
 pub mod net {
     pub use vrr_net::*;
 }
-
-pub mod soak;
