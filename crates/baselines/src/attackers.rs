@@ -43,68 +43,3 @@ pub fn serial_forger<V: Value>(lie_from_nonce: u64, fake: V) -> Box<dyn Automato
         }
     }))
 }
-
-/// An object that inflates its write field on every read reply with a
-/// per-reply *fresh* timestamp, never repeating a claim.
-pub fn restless_forger<V: Value>(fake: V) -> Box<dyn Automaton<LiteMsg<V>>> {
-    let mut counter = 0u64;
-    Box::new(Tamper::rewriting(
-        LiteObject::<V>::new(),
-        move |msg| match msg {
-            LiteMsg::ReadAck { nonce, pw, .. } => {
-                counter += 1;
-                let w = TsVal::new(Timestamp(FORGE_BASE + counter), fake.clone());
-                LiteMsg::ReadAck { nonce, pw, w }
-            }
-            other => other,
-        },
-    ))
-}
-
-/// An object that denies all writes, always reporting `⟨0, ⊥⟩`.
-pub fn denier<V: Value>() -> Box<dyn Automaton<LiteMsg<V>>> {
-    Box::new(Tamper::rewriting(LiteObject::<V>::new(), |msg| match msg {
-        LiteMsg::ReadAck { nonce, .. } => LiteMsg::ReadAck {
-            nonce,
-            pw: TsVal::bottom(),
-            w: TsVal::bottom(),
-        },
-        other => other,
-    }))
-}
-
-#[cfg(test)]
-mod tests {
-    use vrr_core::{StorageConfig, StorageScenario};
-
-    use super::*;
-    use crate::passive::PassiveProtocol;
-
-    fn deploy() -> StorageScenario<u64, PassiveProtocol> {
-        let cfg = StorageConfig::optimal(2, 2, 1); // S = 7
-        StorageScenario::deploy(PassiveProtocol, cfg, 1)
-    }
-
-    #[test]
-    fn denier_cannot_erase_a_write() {
-        let mut sc = deploy();
-        sc.byzantine_object(0, denier::<u64>());
-        sc.byzantine_object(1, denier::<u64>());
-        sc.write(5);
-        assert_eq!(sc.read(0).value, Some(5));
-    }
-
-    #[test]
-    fn restless_forger_claims_never_confirm() {
-        let mut sc = deploy();
-        sc.byzantine_object(0, restless_forger(666u64));
-        sc.write(5);
-        let rd = sc.read(0);
-        assert_eq!(
-            rd.value,
-            Some(5),
-            "fresh fakes each reply never gather support"
-        );
-        assert!(rd.rounds <= 3, "restless forging is self-defeating");
-    }
-}

@@ -32,7 +32,7 @@ mod masking;
 mod passive;
 
 pub use abd::AbdProtocol;
-pub use attackers::{denier, restless_forger, serial_forger};
+pub use attackers::serial_forger;
 pub use lite::{LiteMsg, LiteObject};
 pub use masking::{corroborated, masking_object_count, MaskingProtocol};
 pub use passive::PassiveProtocol;

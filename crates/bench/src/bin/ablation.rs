@@ -161,8 +161,8 @@ fn main() {
         HistoryRetention::KeepAll,
         HistoryRetention::KeepLast(8),
         HistoryRetention::KeepLast(2),
-        HistoryRetention::reader_ack(1),
-        HistoryRetention::reader_ack_capped(1, 8),
+        HistoryRetention::reader_ack(),
+        HistoryRetention::reader_ack_capped(8),
     ] {
         let protocol = ProtocolSpec::from(ProtocolKind::RegularOptimized).with_retention(retention);
         let cfg = StorageConfig::optimal(1, 1, 1);

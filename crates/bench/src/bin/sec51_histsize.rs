@@ -144,7 +144,7 @@ fn main() {
     for writes in [100u64, 400, 1000] {
         for (label, retention) in [
             ("keep-all", HistoryRetention::KeepAll),
-            ("reader-ack", HistoryRetention::reader_ack(1)),
+            ("reader-ack", HistoryRetention::reader_ack()),
         ] {
             let len = probe_steady(retention, writes);
             lens.insert((label, writes), len);

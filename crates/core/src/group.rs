@@ -73,7 +73,7 @@ pub enum ProtocolSpec {
         write_back: bool,
         /// Object-side history retention (extension; the paper keeps all).
         /// `ProtocolKind::RegularOptimized` with
-        /// `HistoryRetention::reader_ack(cfg.readers)` is the bounded-memory
+        /// `HistoryRetention::reader_ack()` is the bounded-memory
         /// production configuration: suffix transfers bound message size,
         /// reader-ack GC bounds object memory.
         retention: HistoryRetention,
@@ -240,39 +240,19 @@ pub struct Deployment {
 /// lives in a different OS process. It sees the object ids spawned
 /// so far (all `S` of them by the time the writer and readers come up);
 /// returning `None` deploys the honest automaton `spec` calls for.
-///
-/// # Panics
-///
-/// Panics if a [`HistoryRetention::ReaderAck`] policy covers fewer readers
-/// than the group has.
 pub fn spawn_group<V: Value>(
     cfg: StorageConfig,
     spec: ProtocolSpec,
     mut spawn: impl FnMut(GroupRole, Box<dyn Automaton<Msg<V>>>) -> ProcessId,
     mut substitute: impl FnMut(GroupRole, &[ProcessId]) -> Option<Box<dyn Automaton<Msg<V>>>>,
 ) -> Deployment {
-    if let ProtocolSpec::Regular {
-        retention: HistoryRetention::ReaderAck { readers, .. },
-        ..
-    } = spec
-    {
-        // A policy covering fewer readers than are deployed would let the
-        // covered readers' acks truncate entries the un-gated readers
-        // still need — exactly the hole the min(acks) floor closes.
-        assert!(
-            readers >= cfg.readers,
-            "ReaderAck must gate on every deployed reader: policy covers \
-             {readers}, deployment has {}",
-            cfg.readers
-        );
-    }
     let mut objects = Vec::with_capacity(cfg.s);
     for i in 0..cfg.s {
         let role = GroupRole::Object(i);
         let automaton = substitute(role, &objects).unwrap_or_else(|| match spec {
             ProtocolSpec::Safe(_) => Box::new(SafeObject::<V>::new()),
             ProtocolSpec::Regular { retention, .. } => {
-                Box::new(RegularObject::<V>::with_retention(retention))
+                Box::new(RegularObject::<V>::with_retention(retention, cfg.readers))
             }
         });
         objects.push(spawn(role, automaton));
@@ -342,23 +322,5 @@ mod tests {
             })
             .collect();
         assert_eq!(names, ["s0", "s1", "s2", "s3", "writer", "r0", "r1"]);
-    }
-
-    #[test]
-    #[should_panic(expected = "ReaderAck must gate on every deployed reader")]
-    fn reader_ack_must_cover_every_reader() {
-        let cfg = StorageConfig::optimal(1, 1, 2);
-        let spec = ProtocolSpec::from(ProtocolKind::RegularOptimized)
-            .with_retention(HistoryRetention::reader_ack(1));
-        let mut next = 0;
-        spawn_group::<u64>(
-            cfg,
-            spec,
-            |_role, _automaton| {
-                next += 1;
-                ProcessId(next - 1)
-            },
-            |_role, _objects| None,
-        );
     }
 }

@@ -58,7 +58,6 @@ pub mod reader;
 pub mod regular;
 pub mod safe;
 mod scenario;
-pub mod server_centric;
 mod types;
 pub mod wire;
 mod writer;

@@ -24,7 +24,8 @@
 //!   ([`RegularReader::acked`], monotone by construction);
 //! * each object folds these into a per-reader ack vector and, under
 //!   [`HistoryRetention::ReaderAck`], drops every history entry strictly
-//!   below `min(acks) − window`, with `window ≥ 1`.
+//!   below `min(acks) − 1`, the minimum taken over every reader the
+//!   group deploys.
 //!
 //! ## Why truncating below the ack floor preserves regularity
 //!
@@ -38,7 +39,7 @@
 //! had already **completed** by then, and every later READ by `r_j` must
 //! return some write `≥ ack_j − 1 ≥ min(acks) − 1`. Both the candidate it
 //! returns and the `b + 1` confirmations it needs live at positions
-//! `≥ min(acks) − 1`, which the `window = 1` floor retains at every
+//! `≥ min(acks) − 1`, which the policy retains at every
 //! correct object. Entries below the floor can only ever be *absent*,
 //! and an absent entry counts toward `invalid(c)`, never toward
 //! `safe(c)` — so truncation can kill forged candidates faster but can
@@ -53,7 +54,7 @@
 //! protection only for live readers.
 //!
 //! Steady state, all readers live: history length is bounded by
-//! `window + (writes admitted between two READs of the slowest reader)` —
+//! `1 + (writes admitted between two READs of the slowest reader)` —
 //! a function of reader concurrency, not run length.
 //!
 //! ```
@@ -62,7 +63,7 @@
 //!
 //! // §5.1 transfers + reader-ack GC: the bounded-memory configuration.
 //! let protocol = ProtocolSpec::from(ProtocolKind::RegularOptimized)
-//!     .with_retention(HistoryRetention::reader_ack(1));
+//!     .with_retention(HistoryRetention::reader_ack());
 //! let cfg = StorageConfig::optimal(1, 1, 1); // S = 4, R = 1
 //! let mut sc = StorageScenario::deploy(protocol, cfg, 7);
 //!

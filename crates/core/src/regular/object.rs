@@ -13,7 +13,7 @@
 //! reader-ack–driven truncation the paper sketches — every `READk`
 //! message piggybacks the highest timestamp its reader has safely
 //! returned, and the object drops entries strictly below
-//! `min(acks) − window`. The safety argument (why this preserves
+//! `min(acks) − 1`. The safety argument (why this preserves
 //! regularity) lives in the [`crate::regular`] module docs.
 //!
 //! The object also answers a reader's write-back ([`Msg::WriteBack`], the
@@ -38,8 +38,8 @@ use crate::types::{HistEntry, History, Timestamp, Value};
 /// * [`ReaderAck`](HistoryRetention::ReaderAck) — the principled policy:
 ///   readers piggyback the highest timestamp they have safely returned
 ///   onto every `READk` message, the object keeps a per-reader ack
-///   vector, and truncates every entry strictly below
-///   `min(acks) − window`. See the safety argument in
+///   vector over every deployed reader, and truncates every entry
+///   strictly below `min(acks) − 1`. See the safety argument in
 ///   [`crate::regular`]: no correct reader can ever again need a
 ///   truncated entry, so reads remain regular.
 /// * [`KeepLast`](HistoryRetention::KeepLast) — the ad-hoc escape hatch:
@@ -56,19 +56,14 @@ pub enum HistoryRetention {
     /// Keep only the `n` highest-timestamp entries (`n ≥ 1`).
     KeepLast(usize),
     /// Reader-ack–driven truncation: drop entries strictly below
-    /// `min(acks over all `readers`) − window`.
+    /// `min(acks) − 1`, the minimum taken over every reader the group
+    /// deploys. A reader that has never completed a read counts as ack 0,
+    /// so nothing is truncated until every reader has returned at least
+    /// once. The one entry kept below the floor is the tight concurrency
+    /// window: a reader that returned timestamp `a` proves only that write
+    /// `a − 1` *completed* before its next read begins (write `a` itself
+    /// may still be in flight).
     ReaderAck {
-        /// Number of reader clients `R` whose acknowledgements gate
-        /// truncation. A reader that has never completed a read counts as
-        /// ack 0, so nothing is truncated until every reader has returned
-        /// at least once.
-        readers: usize,
-        /// Concurrency window: extra entries kept below the ack floor
-        /// (`≥ 1`). A reader that returned timestamp `a` proves only that
-        /// write `a − 1` *completed* before its next read begins (write
-        /// `a` itself may still be in flight), so entries down to
-        /// `min(acks) − 1` must survive; `window = 1` is the tight bound.
-        window: u64,
         /// Optional hard length cap (`KeepLast`-style) applied on top, so
         /// a crashed reader that never acks cannot pin the history
         /// forever. `None` = unbounded staleness protection, bounded
@@ -78,24 +73,15 @@ pub enum HistoryRetention {
 }
 
 impl HistoryRetention {
-    /// The reader-ack GC policy with the tight concurrency window
-    /// (`window = 1`) and no length cap.
-    pub fn reader_ack(readers: usize) -> Self {
-        HistoryRetention::ReaderAck {
-            readers,
-            window: 1,
-            cap: None,
-        }
+    /// The reader-ack GC policy with no length cap.
+    pub fn reader_ack() -> Self {
+        HistoryRetention::ReaderAck { cap: None }
     }
 
     /// [`HistoryRetention::reader_ack`] plus a hard length cap, so a
     /// crashed (never-acking) reader cannot block truncation forever.
-    pub fn reader_ack_capped(readers: usize, cap: usize) -> Self {
-        HistoryRetention::ReaderAck {
-            readers,
-            window: 1,
-            cap: Some(cap),
-        }
+    pub fn reader_ack_capped(cap: usize) -> Self {
+        HistoryRetention::ReaderAck { cap: Some(cap) }
     }
 }
 
@@ -109,38 +95,32 @@ pub struct RegularObject<V> {
     /// reported having returned (extension; feeds `ReaderAck` retention).
     acks: BTreeMap<usize, Timestamp>,
     retention: HistoryRetention,
+    /// The group's reader count `R`: a `ReaderAck` floor is the minimum
+    /// ack over readers `0..R`.
+    readers: usize,
 }
 
 impl<V: Value> RegularObject<V> {
     /// A freshly initialized object (Figure 5 lines 1–3).
     pub fn new() -> Self {
-        Self::with_retention(HistoryRetention::KeepAll)
+        Self::with_retention(HistoryRetention::KeepAll, 1)
     }
 
     /// An object with a history retention policy (extension; see
-    /// [`HistoryRetention`]).
+    /// [`HistoryRetention`]) in a group of `readers` readers.
     ///
     /// # Panics
     ///
     /// Panics if the policy is `KeepLast(0)`, or a `ReaderAck` with
-    /// `readers == 0`, `window == 0`, or `cap == Some(0)`.
-    pub fn with_retention(retention: HistoryRetention) -> Self {
+    /// `readers == 0` or `cap == Some(0)`.
+    pub fn with_retention(retention: HistoryRetention, readers: usize) -> Self {
         match retention {
             HistoryRetention::KeepAll => {}
             HistoryRetention::KeepLast(n) => {
                 assert!(n >= 1, "KeepLast must retain at least one entry");
             }
-            HistoryRetention::ReaderAck {
-                readers,
-                window,
-                cap,
-            } => {
+            HistoryRetention::ReaderAck { cap } => {
                 assert!(readers >= 1, "ReaderAck needs at least one reader");
-                assert!(
-                    window >= 1,
-                    "ReaderAck window must be at least one entry: a reader's \
-                     ack a only proves write a-1 completed"
-                );
                 assert!(
                     cap != Some(0),
                     "ReaderAck cap must retain at least one entry"
@@ -153,6 +133,7 @@ impl<V: Value> RegularObject<V> {
             tsr: BTreeMap::new(),
             acks: BTreeMap::new(),
             retention,
+            readers,
         }
     }
 
@@ -177,10 +158,10 @@ impl<V: Value> RegularObject<V> {
         self.acks.get(&j).copied().unwrap_or(Timestamp::ZERO)
     }
 
-    /// `min(acks)` over the first `readers` reader indices — the highest
-    /// timestamp *every* reader has moved past.
-    fn ack_floor(&self, readers: usize) -> Timestamp {
-        (0..readers)
+    /// `min(acks)` over the group's readers — the highest timestamp
+    /// *every* reader has moved past.
+    fn ack_floor(&self) -> Timestamp {
+        (0..self.readers)
             .map(|j| self.reader_ack(j))
             .min()
             .unwrap_or(Timestamp::ZERO)
@@ -199,13 +180,8 @@ impl<V: Value> RegularObject<V> {
         match self.retention {
             HistoryRetention::KeepAll => {}
             HistoryRetention::KeepLast(n) => self.history.keep_last(n),
-            HistoryRetention::ReaderAck {
-                readers,
-                window,
-                cap,
-            } => {
-                let floor = self.ack_floor(readers);
-                let cut = Timestamp(floor.0.saturating_sub(window));
+            HistoryRetention::ReaderAck { cap } => {
+                let cut = self.ack_floor().prev();
                 if cut > Timestamp::ZERO {
                     self.history.retain_from(cut);
                 }
@@ -497,7 +473,7 @@ mod tests {
 
     #[test]
     fn keep_last_bounds_history() {
-        let mut obj = RegularObject::with_retention(HistoryRetention::KeepLast(3));
+        let mut obj = RegularObject::with_retention(HistoryRetention::KeepLast(3), 1);
         for k in 1..=10u64 {
             step(&mut obj, pw_msg(k, k, tuple(k - 1, k - 1)));
             step(&mut obj, w_msg(k, k));
@@ -512,14 +488,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one entry")]
     fn keep_last_zero_rejected() {
-        let _ = RegularObject::<u64>::with_retention(HistoryRetention::KeepLast(0));
+        let _ = RegularObject::<u64>::with_retention(HistoryRetention::KeepLast(0), 1);
     }
 
     // ---- Reader-ack–driven GC ---------------------------------------------
 
-    /// Object with ack GC for 2 readers, preloaded with writes 1..=n.
+    /// Object with ack GC in a group of `readers` readers, preloaded with
+    /// writes 1..=n.
     fn gc_obj(readers: usize, n: u64) -> RegularObject<u64> {
-        let mut obj = RegularObject::with_retention(HistoryRetention::reader_ack(readers));
+        let mut obj = RegularObject::with_retention(HistoryRetention::reader_ack(), readers);
         for k in 1..=n {
             step(&mut obj, pw_msg(k, k * 10, tuple(k - 1, (k - 1) * 10)));
             step(&mut obj, w_msg(k, k * 10));
@@ -533,7 +510,7 @@ mod tests {
         assert_eq!(obj.history().len(), 11, "entries 0..=10 before any ack");
         step(&mut obj, read_msg(0, 1, None, 8));
         assert_eq!(obj.reader_ack(0), Timestamp(8));
-        // floor = 8, window = 1: entries 7..=10 survive.
+        // floor = 8, one entry below it kept: entries 7..=10 survive.
         assert_eq!(obj.history().len(), 4);
         assert!(obj.history().get(Timestamp(7)).is_some());
         assert!(obj.history().get(Timestamp(6)).is_none());
@@ -586,7 +563,7 @@ mod tests {
 
     #[test]
     fn cap_bounds_history_despite_crashed_reader() {
-        let mut obj = RegularObject::with_retention(HistoryRetention::reader_ack_capped(2, 8));
+        let mut obj = RegularObject::with_retention(HistoryRetention::reader_ack_capped(8), 2);
         for k in 1..=50u64 {
             step(&mut obj, pw_msg(k, k, tuple(k - 1, k - 1)));
             step(&mut obj, w_msg(k, k));
@@ -611,18 +588,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "window must be at least one entry")]
-    fn reader_ack_zero_window_rejected() {
-        let _ = RegularObject::<u64>::with_retention(HistoryRetention::ReaderAck {
-            readers: 1,
-            window: 0,
-            cap: None,
-        });
-    }
-
-    #[test]
     #[should_panic(expected = "at least one reader")]
     fn reader_ack_zero_readers_rejected() {
-        let _ = RegularObject::<u64>::with_retention(HistoryRetention::reader_ack(0));
+        let _ = RegularObject::<u64>::with_retention(HistoryRetention::reader_ack(), 0);
     }
 }

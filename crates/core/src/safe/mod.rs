@@ -11,5 +11,5 @@
 mod object;
 mod reader;
 
-pub use object::{SafeObject, SafeObjectState};
+pub use object::SafeObject;
 pub use reader::{SafeEvidence, SafeReader};

@@ -51,44 +51,12 @@ impl<V: Value> SafeObject<V> {
     pub fn tsr(&self, j: usize) -> u64 {
         self.tsr.get(&j).copied().unwrap_or(0)
     }
-
-    /// Captures the full state (used by the Figure-1 forgery constructions,
-    /// where a malicious object "forges its state to σ").
-    pub fn snapshot(&self) -> SafeObjectState<V> {
-        SafeObjectState {
-            ts: self.ts,
-            pw: self.pw.clone(),
-            w: self.w.clone(),
-            tsr: self.tsr.clone(),
-        }
-    }
-
-    /// Overwrites the full state. Only adversarial harnesses call this.
-    pub fn restore(&mut self, state: SafeObjectState<V>) {
-        self.ts = state.ts;
-        self.pw = state.pw;
-        self.w = state.w;
-        self.tsr = state.tsr;
-    }
 }
 
 impl<V: Value> Default for SafeObject<V> {
     fn default() -> Self {
         Self::new()
     }
-}
-
-/// A snapshot of a [`SafeObject`]'s state (the paper's `σ`).
-#[derive(Clone, Debug)]
-pub struct SafeObjectState<V> {
-    /// Stored write timestamp.
-    pub ts: Timestamp,
-    /// Stored `pw` field.
-    pub pw: TsVal<V>,
-    /// Stored `w` field.
-    pub w: WTuple<V>,
-    /// Stored reader timestamps.
-    pub tsr: BTreeMap<usize, u64>,
 }
 
 impl<V: Value> Automaton<Msg<V>> for SafeObject<V> {
@@ -307,28 +275,6 @@ mod tests {
         assert_eq!(out.len(), 1, "other readers' timestamps must not interfere");
         assert_eq!(obj.tsr(0), 9);
         assert_eq!(obj.tsr(1), 1);
-    }
-
-    #[test]
-    fn snapshot_restore_round_trips() {
-        let mut obj = SafeObject::new();
-        step(&mut obj, pw_msg(3, 7));
-        step(
-            &mut obj,
-            Msg::Read {
-                round: ReadRound::R1,
-                reader: 0,
-                tsr: 2,
-                since: None,
-                ack: Timestamp::ZERO,
-            },
-        );
-        let snap = obj.snapshot();
-        let mut fresh: SafeObject<u64> = SafeObject::new();
-        fresh.restore(snap);
-        assert_eq!(fresh.ts(), Timestamp(3));
-        assert_eq!(fresh.pw().value, Some(7));
-        assert_eq!(fresh.tsr(0), 2);
     }
 
     #[test]

@@ -720,12 +720,11 @@ proptest! {
     #[test]
     fn reads_stay_regular_under_random_truncation_schedules(
         seed in 0u64..1 << 48,
-        window in 1u64..4,
         cap in proptest::option::of(2usize..8),
         optimized in any::<bool>(),
         ops in gc_ops(),
     ) {
-        let retention = HistoryRetention::ReaderAck { readers: 2, window, cap };
+        let retention = HistoryRetention::ReaderAck { cap };
         let kind = if optimized {
             ProtocolKind::RegularOptimized
         } else {
@@ -750,8 +749,8 @@ proptest! {
                     let expect = (written > 0).then_some(written);
                     prop_assert_eq!(
                         rep.value, expect,
-                        "GC broke regularity (window {}, cap {:?}, optimized {})",
-                        window, cap, optimized
+                        "GC broke regularity (cap {:?}, optimized {})",
+                        cap, optimized
                     );
                     prop_assert_eq!(rep.rounds, 2, "GC must not cost rounds");
                 }
@@ -771,12 +770,13 @@ proptest! {
         // Deliver any READ broadcasts still in flight to the slowest
         // object before inspecting histories.
         sc.world_mut().run_until_idle(200_000);
-        let bound = (window as usize + 1).min(cap.unwrap_or(usize::MAX));
+        // The floor entry and the one below it.
+        let bound = 2.min(cap.unwrap_or(usize::MAX));
         for len in sc.history_lens().expect("regular objects keep histories") {
             prop_assert!(
                 len <= bound,
-                "history len {} exceeds bound {} after full acks (window {}, cap {:?})",
-                len, bound, window, cap
+                "history len {} exceeds bound {} after full acks (cap {:?})",
+                len, bound, cap
             );
         }
     }

@@ -196,7 +196,7 @@ fn main() {
     };
     let mut spec = ProtocolSpec::from(kind);
     if retention_reader_ack {
-        spec = spec.with_retention(HistoryRetention::reader_ack(cfg.readers));
+        spec = spec.with_retention(HistoryRetention::reader_ack());
     }
     let mut ncfg = NetNodeConfig::<u64>::new(cfg, spec);
     ncfg.epoch = epoch;

@@ -15,7 +15,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use vrr_core::wire::Wire;
-use vrr_core::{History, ReadReport, WriteReport};
+use vrr_core::{ReadReport, WriteReport};
 
 use crate::frame::{
     encode_frame, Ctl, Envelope, FrameError, FrameReader, Op, Payload, Rsp, CLIENT_NODE,
@@ -398,19 +398,6 @@ impl<V: Wire> NetClient<V> {
             "wanted PeerReset",
             |rsp| match rsp {
                 Rsp::PeerReset { closed } => Some(closed),
-                _ => None,
-            },
-        )
-    }
-
-    /// Round-trips a protocol history through the server (the trace
-    /// serialization probe: the history crosses the wire both ways).
-    pub fn echo_history(&mut self, history: History<V>) -> Result<History<V>, ClientError> {
-        self.expect(
-            Op::EchoHistory { history },
-            "wanted History",
-            |rsp| match rsp {
-                Rsp::History { history } => Some(history),
                 _ => None,
             },
         )

@@ -17,7 +17,7 @@ use std::fmt;
 
 use vrr_core::metrics::Registry;
 use vrr_core::wire::{decode_exact, Wire, WireError};
-use vrr_core::{wire_enum, wire_struct, History, Msg, Timestamp};
+use vrr_core::{wire_enum, wire_struct, Msg, Timestamp};
 
 /// Hard upper bound on a frame body. Regular-protocol histories dominate
 /// real frame sizes and stay far below this; anything larger is a corrupt
@@ -150,12 +150,6 @@ pub enum Op<V> {
         /// Peer node id.
         node: u32,
     },
-    /// Echo a protocol history back — the trace-serialization round-trip
-    /// probe: the history literally crosses the wire twice.
-    EchoHistory {
-        /// The history to echo.
-        history: History<V>,
-    },
     /// Ask the server process to exit cleanly.
     Shutdown,
     /// Blocking `WRITE(key, value)` against the target node's hosted
@@ -249,11 +243,6 @@ pub enum Rsp<V> {
         /// How many connections were closed.
         closed: u32,
     },
-    /// Answer to [`Op::EchoHistory`].
-    History {
-        /// The echoed history.
-        history: History<V>,
-    },
     /// Answer to [`Op::Shutdown`]; the process exits after sending it.
     ShuttingDown,
     /// The request could not be served (wrong node, unknown slot, crashed
@@ -312,6 +301,8 @@ pub enum Rsp<V> {
 
 // The codec, stated once: each line is both directions of one variant
 // (`vrr_core::wire_enum!`). A new request or response is one line here.
+// `Op` and `Rsp` leave tag 6 unassigned, so the tags after it keep their
+// wire numbers.
 
 wire_struct!(Envelope<V> { source, epoch, seq, payload });
 
@@ -330,7 +321,6 @@ wire_enum!(Op<V> {
     3 => CrashPid { pid },
     4 => Metrics,
     5 => ResetPeer { node },
-    6 => EchoHistory { history },
     7 => Shutdown,
     8 => WriteKey { key, value },
     9 => ReadKey { key, reader },
@@ -350,7 +340,6 @@ wire_enum!(Rsp<V> {
     3 => Crashed,
     4 => MetricsText { text },
     5 => PeerReset { closed },
-    6 => History { history },
     7 => ShuttingDown,
     8 => Err { what },
     9 => NoKey,

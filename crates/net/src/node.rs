@@ -27,8 +27,7 @@
 //! - **inline** — [`Payload::Peer`] envelopes are injected with
 //!   `send_external`; the O(1) ops (`Ping`, `ReleaseKey`, `SlotOfKey`,
 //!   `StoreInfo`, `StoreKeys`, `CrashPid`, `CrashShard`, `ResetPeer`,
-//!   `EchoHistory`, `Shutdown`) and every validation error are answered on
-//!   the spot.
+//!   `Shutdown`) and every validation error are answered on the spot.
 //! - **by completion** — `ReadKey` / `WriteKey` / `ReadSlot` / `WriteSlot`
 //!   are *started* ([`vrr_runtime::Cluster::submit`], through
 //!   `ShardedStore::{read_with, try_write_with}` and
@@ -682,7 +681,6 @@ impl<V: Value + Wire> NodeHandler<V> {
             Op::ResetPeer { node } => Some(Rsp::PeerReset {
                 closed: ctx.transport.reset_peer(node),
             }),
-            Op::EchoHistory { history } => Some(Rsp::History { history }),
             Op::Shutdown => {
                 ctx.shutdown.request();
                 Some(Rsp::ShuttingDown)

@@ -24,7 +24,7 @@ fn hosted_store_truncates_histories_under_the_nodes_retention() {
         slots: 2,
     };
     let spec = ProtocolSpec::from(ProtocolKind::RegularOptimized)
-        .with_retention(HistoryRetention::reader_ack_capped(cfg.readers, CAP));
+        .with_retention(HistoryRetention::reader_ack_capped(CAP));
     let ncfg = NetNodeConfig::<u64>::new(cfg, spec);
     let node = NetNode::start(0, &topo, ncfg).expect("store node");
 

@@ -3,18 +3,13 @@
 //! *byte-identical* checker inputs and verdicts — the `Debug` renderings
 //! of the two recorded histories and of the two verdicts are compared as
 //! strings.
-//!
-//! Also probes raw trace serialization: a protocol [`History`] shipped to
-//! a server and echoed back must come home structurally equal.
 
 mod common;
 
-use std::collections::BTreeMap;
-
 use common::Gen;
 use vrr_checker::{check_regularity, Recorder};
-use vrr_core::{HistEntry, History, StorageConfig, Timestamp, TsVal, TsrMatrix, WTuple};
-use vrr_net::{free_addrs, GroupPlacement, NetClient, NetNode, NetNodeConfig, NodeTopology};
+use vrr_core::StorageConfig;
+use vrr_net::{free_addrs, GroupPlacement, NetNode, NetNodeConfig, NodeTopology};
 use vrr_runtime::{NoDelay, ProtocolKind, StorageCluster};
 
 /// One schedule step: `Write` bumps the sequence, `Read(j)` reads at
@@ -116,48 +111,4 @@ fn tcp_and_inproc_traces_are_byte_identical() {
     let (a, b) = (inproc.check(check_regularity), tcp.check(check_regularity));
     assert!(a.is_ok(), "in-proc run not regular: {a:?}");
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
-}
-
-/// Raw protocol state across the wire: a non-trivial `History` echoed
-/// through a server survives both directions of the codec.
-#[test]
-fn history_echoed_through_server_is_equal() {
-    let cfg = StorageConfig::optimal(1, 0, 1);
-    let topo = NodeTopology {
-        addrs: free_addrs(1).expect("reserve port"),
-        placement: GroupPlacement::single(0, cfg),
-        slots: 1,
-    };
-    let node = NetNode::start(
-        0,
-        &topo,
-        NetNodeConfig::<u64>::new(cfg, ProtocolKind::Regular),
-    )
-    .expect("start node");
-
-    let mut history = History::initial();
-    let mut g = Gen(0xEC40);
-    for k in 1..=50u64 {
-        let mut matrix = TsrMatrix::empty();
-        for i in 0..3usize {
-            let row: BTreeMap<usize, u64> = (0..3).map(|j| (j, g.next())).collect();
-            matrix.set_row(i, row);
-        }
-        history.insert(
-            Timestamp(k * 7),
-            HistEntry {
-                pw: TsVal::new(Timestamp(k * 7), g.next()),
-                w: if k.is_multiple_of(3) {
-                    None
-                } else {
-                    Some(WTuple::new(TsVal::new(Timestamp(k * 7), g.next()), matrix))
-                },
-            },
-        );
-    }
-
-    let mut client = NetClient::<u64>::connect(node.addr()).expect("connect");
-    let echoed = client.echo_history(history.clone()).expect("echo");
-    assert_eq!(echoed, history);
-    assert_eq!(format!("{echoed:?}"), format!("{history:?}"));
 }

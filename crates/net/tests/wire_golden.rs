@@ -146,7 +146,6 @@ fn every_variant_keeps_its_bytes_and_every_prefix_is_a_typed_error() {
     t.pin("Op::CrashPid", Op::CrashPid { pid: 9 });
     t.pin("Op::Metrics", Op::Metrics);
     t.pin("Op::ResetPeer", Op::ResetPeer { node: 2 });
-    t.pin("Op::EchoHistory", Op::EchoHistory { history: history() });
     t.pin("Op::Shutdown", Op::Shutdown);
     t.pin("Op::WriteKey", Op::WriteKey { key: key(), value: 7 });
     t.pin("Op::ReadKey", Op::ReadKey { key: key(), reader: 1 });
@@ -166,7 +165,6 @@ fn every_variant_keeps_its_bytes_and_every_prefix_is_a_typed_error() {
     t.pin("Rsp::Crashed", Rsp::Crashed);
     t.pin("Rsp::MetricsText", Rsp::MetricsText { text: "vrr_x 1\n".into() });
     t.pin("Rsp::PeerReset", Rsp::PeerReset { closed: 2 });
-    t.pin("Rsp::History", Rsp::History { history: history() });
     t.pin("Rsp::ShuttingDown", Rsp::ShuttingDown);
     t.pin("Rsp::Err", Rsp::Err { what: "no such slot ⊥".into() });
     t.pin("Rsp::NoKey", Rsp::NoKey);

@@ -156,11 +156,8 @@ fn arb_op(tag: u8, g: &mut Gen) -> Op<u64> {
         5 => Op::ResetPeer {
             node: g.next() as u32,
         },
-        6 => Op::EchoHistory {
-            history: arb_history(g),
-        },
         7 => Op::Shutdown,
-        _ => unreachable!("8 Op variants"),
+        _ => unreachable!("tags 0..=7 but 6"),
     }
 }
 
@@ -188,14 +185,11 @@ fn arb_rsp(tag: u8, g: &mut Gen) -> Rsp<u64> {
         5 => Rsp::PeerReset {
             closed: g.next() as u32,
         },
-        6 => Rsp::History {
-            history: arb_history(g),
-        },
         7 => Rsp::ShuttingDown,
         8 => Rsp::Err {
             what: arb_string(g),
         },
-        _ => unreachable!("9 Rsp variants"),
+        _ => unreachable!("tags 0..=8 but 6"),
     }
 }
 
@@ -261,7 +255,7 @@ proptest! {
     #[test]
     fn client_protocol_frames_roundtrip(seed in any::<u64>()) {
         let mut g = Gen(seed);
-        for tag in 0..8u8 {
+        for tag in [0, 1, 2, 3, 4, 5, 7] {
             let env = Envelope {
                 source: CLIENT_NODE,
                 epoch: 0,
@@ -270,7 +264,7 @@ proptest! {
             };
             assert_framed_roundtrip(&env, &mut g);
         }
-        for tag in 0..9u8 {
+        for tag in [0, 1, 2, 3, 4, 5, 7, 8] {
             let env = Envelope {
                 source: g.next() as u32,
                 epoch: g.next() as u32,
@@ -316,7 +310,7 @@ fn max_size_values_roundtrip() {
     let msg = Msg::ReadAckRegular {
         round: ReadRound::R2,
         tsr: u64::MAX,
-        history: history.clone(),
+        history,
     };
     assert_roundtrip(&msg);
 
@@ -328,9 +322,6 @@ fn max_size_values_roundtrip() {
         ack: Timestamp(u64::MAX),
     };
     assert_roundtrip(&read);
-
-    let rsp = Rsp::<u64>::History { history };
-    assert_roundtrip(&rsp);
 
     let text = Rsp::<u64>::MetricsText {
         text: "métrique\u{1F680}".repeat(2_000),

@@ -713,7 +713,7 @@ mod tests {
     fn reader_ack_gc_bounds_history_per_slot() {
         let cfg = StorageConfig::optimal(1, 1, 1);
         let spec = ProtocolSpec::from(ProtocolKind::RegularOptimized)
-            .with_retention(HistoryRetention::reader_ack(1));
+            .with_retention(HistoryRetention::reader_ack());
         let host = honest(cfg, spec, 2);
         let (hot, cold) = (0, 1);
         for k in 1..=100u64 {
@@ -790,7 +790,7 @@ mod tests {
     fn metrics_snapshot_carries_every_family_and_labels_histories_by_slot() {
         let cfg = StorageConfig::fast(1, 1, 2);
         let spec = ProtocolSpec::from(ProtocolKind::RegularOptimized)
-            .with_retention(HistoryRetention::reader_ack(2));
+            .with_retention(HistoryRetention::reader_ack());
         let host = honest(cfg, spec, 2);
         for k in 1..=4u64 {
             host.write(0, k);

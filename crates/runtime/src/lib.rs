@@ -52,7 +52,7 @@
 //! register groups through [`RegisterHost::spawn`]. Long-running regular
 //! deployments should pair the §5.1 suffix transfers with reader-ack
 //! history GC —
-//! `ProtocolSpec::from(ProtocolKind::RegularOptimized).with_retention(HistoryRetention::reader_ack(cfg.readers))`,
+//! `ProtocolSpec::from(ProtocolKind::RegularOptimized).with_retention(HistoryRetention::reader_ack())`,
 //! see [`ProtocolSpec::with_retention`] and
 //! [`vrr_core::regular::HistoryRetention::reader_ack`]
 //! — so object memory is bounded by reader concurrency instead of run

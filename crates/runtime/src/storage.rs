@@ -38,7 +38,7 @@ impl<V: Value> StorageCluster<V> {
     /// A bare [`ProtocolKind`] is the paper-faithful spec; a
     /// [`ProtocolSpec`] additionally carries history retention
     /// (`ProtocolKind::RegularOptimized` with
-    /// `HistoryRetention::reader_ack(cfg.readers)` is the bounded-memory
+    /// `HistoryRetention::reader_ack()` is the bounded-memory
     /// production configuration) and reader tuning. Over-provision with
     /// [`StorageConfig::fast`] to make the one-round fast path fire.
     pub fn deploy(

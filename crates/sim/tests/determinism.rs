@@ -105,7 +105,7 @@ fn scenario_fingerprint(seed: u64) -> String {
     // plus one partitioned object still leaves a live S − t quorum.
     let cfg = StorageConfig::fast(1, 1, 2);
     let protocol = ProtocolSpec::from(ProtocolKind::RegularOptimized)
-        .with_retention(HistoryRetention::reader_ack_capped(2, 8));
+        .with_retention(HistoryRetention::reader_ack_capped(8));
     let mut sc = StorageScenario::deploy(protocol, cfg, seed);
     sc.world_mut().trace_mut().enable();
 

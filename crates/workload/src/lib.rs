@@ -40,14 +40,12 @@
 mod faults;
 mod keys;
 pub mod live;
-mod monitor;
 mod runner;
 mod schedule;
 mod sweep;
 
 pub use faults::FaultPlan;
 pub use keys::ZipfianKeys;
-pub use monitor::{run_monitored, safe_object_monotonicity, InvariantMonitor, MonitorViolation};
 pub use runner::{LatencyKind, RunOutcome, SimCase};
 pub use schedule::{generate, ClientPlan, PlannedOp, Schedule, ScheduleParams};
 pub use sweep::{grid, hunt, Exposed, SweepPoint};

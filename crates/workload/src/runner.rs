@@ -490,7 +490,7 @@ mod tests {
         for (cfg, byzantine, seeds) in rows {
             for (optimized, gc) in [(false, false), (false, true), (true, false), (true, true)] {
                 let retention = if gc {
-                    HistoryRetention::reader_ack(cfg.readers)
+                    HistoryRetention::reader_ack()
                 } else {
                     HistoryRetention::KeepAll
                 };

@@ -2,35 +2,94 @@
 //! regression tests (the binaries run the full-size sweeps).
 
 use vrr::checker::{check_regularity, check_safety};
-use vrr::core::{ProtocolKind, ProtocolSpec, ReaderTuning, StorageConfig, StorageScenario};
-use vrr::sim::SimTime;
+use vrr::core::safe::SafeObject;
+use vrr::core::{
+    ProtocolKind, ProtocolSpec, ReaderTuning, StorageConfig, StorageScenario, Timestamp,
+};
+use vrr::sim::{LongTail, SimTime};
 use vrr::workload::{FaultPlan, LatencyKind, ScheduleParams, SimCase};
+
+/// Every object's write timestamp `ts` and reader timestamps `tsr(j)`.
+fn safe_object_states(sc: &StorageScenario<u64, ProtocolKind>) -> Vec<(Timestamp, Vec<u64>)> {
+    let readers = sc.dep().cfg.readers;
+    sc.dep()
+        .objects
+        .iter()
+        .map(|&pid| {
+            sc.world().inspect(pid, |o: &SafeObject<u64>| {
+                (o.ts(), (0..readers).map(|j| o.tsr(j)).collect())
+            })
+        })
+        .collect()
+}
+
+/// Asserts that no object's `ts` or `tsr(j)` went down since `last` (the
+/// monotonicity Lemma 1's proof leans on), then records the new values.
+fn assert_monotone(sc: &StorageScenario<u64, ProtocolKind>, last: &mut Vec<(Timestamp, Vec<u64>)>) {
+    let now = safe_object_states(sc);
+    let at = sc.world().now();
+    for (i, (before, after)) in last.iter().zip(&now).enumerate() {
+        assert!(
+            after.0 >= before.0,
+            "object {i} ts regressed {:?} -> {:?} at {at:?}",
+            before.0,
+            after.0
+        );
+        for (j, (b, a)) in before.1.iter().zip(&after.1).enumerate() {
+            assert!(a >= b, "object {i} tsr[{j}] regressed {b} -> {a} at {at:?}");
+        }
+    }
+    *last = now;
+}
 
 #[test]
 fn contended_run_holds_state_invariants_online() {
     // Beyond the end-of-run history checks: the Lemma-1 monotonicity
     // invariants hold at every single event of a contended run.
-    use vrr::workload::{run_monitored, safe_object_monotonicity, InvariantMonitor};
-
     let cfg = StorageConfig::optimal(2, 1, 2);
     let mut sc = StorageScenario::deploy(ProtocolKind::Safe, cfg, 31);
-
-    let mut monitor = InvariantMonitor::new();
-    monitor.add(
-        "safe-object monotonicity",
-        safe_object_monotonicity::<u64>(sc.dep().objects.clone(), cfg.readers),
-    );
-
+    let mut last = safe_object_states(&sc);
     for k in 1..=5u64 {
         let mut w = sc.start_write(k);
         let mut r0 = sc.start_read(0);
         let mut r1 = sc.start_read(1);
-        run_monitored(sc.world_mut(), &mut monitor, 200_000)
-            .unwrap_or_else(|v| panic!("k={k}: {v}"));
-        assert!(sc.poll_write(&mut w).is_some());
-        assert!(sc.poll_read(&mut r0).is_some());
-        assert!(sc.poll_read(&mut r1).is_some());
+        while sc.world_mut().step() {
+            assert_monotone(&sc, &mut last);
+        }
+        assert!(sc.poll_write(&mut w).is_some(), "k={k}");
+        assert!(sc.poll_read(&mut r0).is_some(), "k={k}");
+        assert!(sc.poll_read(&mut r1).is_some(), "k={k}");
     }
+
+    // Back-to-back writes over slow links: a write starts as soon as the
+    // last one returns, so a straggling PW can land after its successor's.
+    sc.world_mut().set_latency(LongTail::new(1, 0.2, 50));
+    for k in 6..=25u64 {
+        let mut w = sc.start_write(k);
+        while sc.poll_write(&mut w).is_none() {
+            assert!(sc.world_mut().step(), "k={k}: the write stalled");
+            assert_monotone(&sc, &mut last);
+        }
+    }
+
+    // Across a partition: the write has no quorum until the scripted heal
+    // at tick 50 fires, then a read follows it.
+    let cfg = StorageConfig::optimal(1, 1, 2);
+    let mut sc = StorageScenario::deploy(ProtocolKind::Safe, cfg, 9);
+    let mut last = safe_object_states(&sc);
+    sc.partition_objects(&[0, 1]);
+    sc.world_mut().heal_at(SimTime::from_ticks(50));
+    let mut w = sc.start_write(5u64);
+    while sc.world_mut().step() {
+        assert_monotone(&sc, &mut last);
+    }
+    assert!(sc.world().now() >= SimTime::from_ticks(50));
+    let mut r = sc.start_read(0);
+    while sc.world_mut().step() {
+        assert_monotone(&sc, &mut last);
+    }
+    assert!(sc.poll_write(&mut w).is_some());
+    assert_eq!(sc.poll_read(&mut r).unwrap().value, Some(5));
 }
 
 #[test]

@@ -145,7 +145,7 @@ fn fast_path_composes_with_reader_ack_gc() {
     // truncates, regularity still holds.
     let cfg = fast_cfg(2);
     let protocol = ProtocolSpec::from(ProtocolKind::RegularOptimized)
-        .with_retention(HistoryRetention::reader_ack(2));
+        .with_retention(HistoryRetention::reader_ack());
     for seed in 0..4u64 {
         let out = SimCase::new(&protocol, cfg)
             .schedule(ScheduleParams::contended(8, 8, 2, seed))
@@ -221,7 +221,7 @@ proptest! {
     ) {
         let cfg = StorageConfig::fast(t, 1, 2);
         let kind = if optimized { ProtocolKind::RegularOptimized } else { ProtocolKind::Regular };
-        let retention = if gc { HistoryRetention::reader_ack(2) } else { HistoryRetention::KeepAll };
+        let retention = if gc { HistoryRetention::reader_ack() } else { HistoryRetention::KeepAll };
         let protocol = ProtocolSpec::from(kind).with_retention(retention);
         let out = SimCase::new(&protocol, cfg)
             .schedule(ScheduleParams {

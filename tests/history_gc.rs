@@ -31,7 +31,7 @@ fn steady_state_memory_is_flat_in_run_length() {
     // steady-state load the history length depends on the read cadence,
     // not on how long the system has been running.
     for kind in [ProtocolKind::Regular, ProtocolKind::RegularOptimized] {
-        let protocol = ProtocolSpec::from(kind).with_retention(HistoryRetention::reader_ack(1));
+        let protocol = ProtocolSpec::from(kind).with_retention(HistoryRetention::reader_ack());
         let cfg = StorageConfig::optimal(1, 1, 1);
         let mut lens = Vec::new();
         for writes in [64u64, 256] {
@@ -71,8 +71,8 @@ fn crashed_reader_pins_the_floor_and_the_cap_unpins_it() {
     // and the live reader's reads remain correct.
     let cfg = StorageConfig::optimal(1, 1, 2); // R = 2
     for (retention, bounded) in [
-        (HistoryRetention::reader_ack(2), false),
-        (HistoryRetention::reader_ack_capped(2, 8), true),
+        (HistoryRetention::reader_ack(), false),
+        (HistoryRetention::reader_ack_capped(8), true),
     ] {
         let protocol = ProtocolSpec::from(ProtocolKind::RegularOptimized).with_retention(retention);
         let mut sc = StorageScenario::deploy(protocol, cfg, 23);
@@ -103,7 +103,7 @@ fn late_reader_catches_up_after_truncation() {
     // 1's first read still finds everything it needs and returns the tip.
     let cfg = StorageConfig::optimal(1, 1, 2);
     let protocol = ProtocolSpec::from(ProtocolKind::RegularOptimized)
-        .with_retention(HistoryRetention::reader_ack(2));
+        .with_retention(HistoryRetention::reader_ack());
     let mut sc = StorageScenario::deploy(protocol, cfg, 29);
     for k in 1..=50u64 {
         sc.write(k);
@@ -131,7 +131,7 @@ fn truncation_liar_cannot_corrupt_gc_reads() {
     // ack-driven GC. Reads must stay correct and 2-round, and the honest
     // objects must still truncate.
     for kind in [ProtocolKind::Regular, ProtocolKind::RegularOptimized] {
-        let protocol = ProtocolSpec::from(kind).with_retention(HistoryRetention::reader_ack(1));
+        let protocol = ProtocolSpec::from(kind).with_retention(HistoryRetention::reader_ack());
         let cfg = StorageConfig::optimal(1, 1, 1);
         let mut sc = StorageScenario::deploy(protocol, cfg, 31);
         sc.attack_object(1, AttackerKind::Truncator, 0xBADu64);
@@ -164,7 +164,7 @@ fn forged_acks_from_byzantine_objects_do_not_exist_but_forged_suffixes_die() {
     // suffix request. Under GC retention those forgeries still die by
     // invalidation: the read returns the genuine tip.
     let protocol = ProtocolSpec::from(ProtocolKind::RegularOptimized)
-        .with_retention(HistoryRetention::reader_ack(1));
+        .with_retention(HistoryRetention::reader_ack());
     let cfg = StorageConfig::optimal(1, 1, 1);
     let mut sc = StorageScenario::deploy(protocol, cfg, 37);
     sc.attack_object(3, AttackerKind::Stale, 0xBADu64);
@@ -187,7 +187,7 @@ fn runtime_cluster_and_sharded_store_run_bounded_memory() {
     // metrics-snapshot gauges the simulator exports.
     let cfg = StorageConfig::optimal(1, 1, 1);
     let spec = ProtocolSpec::from(ProtocolKind::RegularOptimized)
-        .with_retention(HistoryRetention::reader_ack(1));
+        .with_retention(HistoryRetention::reader_ack());
     let storage: StorageCluster<u64> = StorageCluster::deploy(cfg, spec, Box::new(NoDelay));
     for k in 1..=64u64 {
         storage.write(k);
@@ -261,7 +261,7 @@ fn combined_faults_stay_regular_and_capped_in_the_simulator() {
         // S = 5 arms the fast path; three readers, one of which crashes.
         let cfg = StorageConfig::fast(1, 1, 3);
         let protocol = ProtocolSpec::from(ProtocolKind::RegularOptimized)
-            .with_retention(HistoryRetention::reader_ack_capped(cfg.readers, CAP));
+            .with_retention(HistoryRetention::reader_ack_capped(CAP));
         let mut sc = StorageScenario::deploy(protocol, cfg, seed);
         sc.attack_object(4, AttackerKind::Truncator, FORGED);
         let (writer, obj0, rdr0) = (sc.writer(), sc.object(0), sc.reader(0));
@@ -362,7 +362,7 @@ fn combined_faults_stay_regular_and_capped_on_threads() {
         let storage: StorageCluster<u64> = StorageCluster::deploy_with_objects(
             cfg,
             ProtocolSpec::from(ProtocolKind::RegularOptimized)
-                .with_retention(HistoryRetention::reader_ack_capped(cfg.readers, CAP)),
+                .with_retention(HistoryRetention::reader_ack_capped(CAP)),
             Box::new(Jitter(AtomicU64::new(seed))),
             |i| (i == cfg.s - 1).then(|| AttackerKind::Truncator.build_regular(cfg, FORGED)),
         );

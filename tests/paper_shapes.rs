@@ -175,7 +175,7 @@ fn full_histories_grow_while_suffixes_and_gc_stay_flat() {
     let series = |kind, retention| [10, 100, 500].map(|w| history_read_bytes(kind, retention, w));
     let full = series(ProtocolKind::Regular, HistoryRetention::KeepAll);
     let suffix = series(ProtocolKind::RegularOptimized, HistoryRetention::KeepAll);
-    let gcfull = series(ProtocolKind::Regular, HistoryRetention::reader_ack(1));
+    let gcfull = series(ProtocolKind::Regular, HistoryRetention::reader_ack());
 
     assert!(full[0] < full[1] && full[1] < full[2], "full: {full:?}");
     assert!(full[2] >= 3 * full[0], "full: {full:?}");
