@@ -15,12 +15,16 @@
 //! ```
 //!
 //! `--store N` (default 1) is the number of register groups, on one worker
-//! pool of one worker per CPU. Thin clients address them by slot; a node
-//! that hosts every member of the group (no `--place-*` naming another
-//! node) also serves them by key, as a `ShardedStore<Vec<u8>, u64>`, to
-//! remote `StoreRouter`s through `vrr_net::RemoteCluster` (router-member
-//! mode). `--byzantine all:OBJ:KIND:FORGED` substitutes an attacker for the
-//! named object of **every** group. With `--metrics-addr` the process
+//! pool of one worker per CPU. Their front node — the one hosting the
+//! writer and every reader — serves them by key, as a
+//! `ShardedStore<Vec<u8>, u64>`, to remote `StoreRouter`s through
+//! `vrr_net::RemoteCluster` (router-member mode); `--place-objects` may put
+//! the objects on other nodes, and any other node answers keyed ops with an
+//! error naming the rule. Fault injection goes to the object's node: on a
+//! front node `CrashShard` of an object hosted elsewhere answers "not
+//! hosted here", so crash it with `CrashPid` on its own node.
+//! `--byzantine all:OBJ:KIND:FORGED` substitutes an attacker for the named
+//! object of **every** group. With `--metrics-addr` the process
 //! serves its Prometheus snapshot at `GET /metrics`, and prints
 //! `METRICS <addr>` after the `READY` banner.
 //!

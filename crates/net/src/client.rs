@@ -2,12 +2,10 @@
 //! [`crate::frame`] protocol, no reactor involved.
 //!
 //! A [`NetClient`] holds one connection to one server and issues
-//! request/response pairs ([`Op`] → [`Rsp`]) with correlation ids. The
-//! slot-addressed helpers ([`NetClient::write_slot`] /
-//! [`NetClient::read_slot`]) are the client path to a paper-model
-//! deployment whose base objects, writer and readers live in different OS
-//! processes; callers keep their own key→slot table. Keyed operations
-//! against a hosted store go through [`crate::RemoteCluster`].
+//! request/response pairs ([`Op`] → [`Rsp`]) with correlation ids, plus
+//! the metrics and fault-injection helpers. Keyed reads and writes go
+//! through [`crate::RemoteCluster`], which checks `NetClient`s out per
+//! request.
 
 use std::fmt;
 use std::io::{self, Read, Write as IoWrite};
@@ -15,7 +13,6 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use vrr_core::wire::Wire;
-use vrr_core::{ReadReport, WriteReport};
 
 use crate::frame::{
     encode_frame, Ctl, Envelope, FrameError, FrameReader, Op, Payload, Rsp, CLIENT_NODE,
@@ -339,40 +336,6 @@ impl<V: Wire> NetClient<V> {
         self.expect(Op::Ping, "wanted Pong", |rsp| {
             matches!(rsp, Rsp::Pong).then_some(())
         })
-    }
-
-    /// Blocking `WRITE(value)` on register slot `slot`.
-    pub fn write_slot(&mut self, slot: u32, value: V) -> Result<WriteReport, ClientError> {
-        self.expect(
-            Op::WriteSlot { slot, value },
-            "wanted Wrote",
-            |rsp| match rsp {
-                Rsp::Wrote { ts, rounds } => Some(WriteReport { ts, rounds }),
-                _ => None,
-            },
-        )
-    }
-
-    /// Blocking `READ()` at reader `reader` of slot `slot`.
-    pub fn read_slot(&mut self, slot: u32, reader: u32) -> Result<ReadReport<V>, ClientError> {
-        self.expect(
-            Op::ReadSlot { slot, reader },
-            "wanted ReadOk",
-            |rsp| match rsp {
-                Rsp::ReadOk {
-                    value,
-                    ts,
-                    rounds,
-                    fast,
-                } => Some(ReadReport {
-                    value,
-                    ts,
-                    rounds,
-                    fast,
-                }),
-                _ => None,
-            },
-        )
     }
 
     /// Fetches the server's metrics snapshot (Prometheus text encoding).

@@ -120,22 +120,6 @@ pub const CLIENT_NODE: u32 = u32::MAX;
 pub enum Op<V> {
     /// Liveness probe.
     Ping,
-    /// Blocking `WRITE(value)` on the register group of `slot`. The target
-    /// node must host that group's writer.
-    WriteSlot {
-        /// Register-group index.
-        slot: u32,
-        /// The value to write.
-        value: V,
-    },
-    /// Blocking `READ()` at reader `reader` of `slot`'s group. The target
-    /// node must host that reader.
-    ReadSlot {
-        /// Register-group index.
-        slot: u32,
-        /// Reader index within the group.
-        reader: u32,
-    },
     /// Crash the automaton at a global pid hosted by the target node
     /// (fault injection).
     CrashPid {
@@ -153,9 +137,11 @@ pub enum Op<V> {
     /// Ask the server process to exit cleanly.
     Shutdown,
     /// Blocking `WRITE(key, value)` against the target node's hosted
-    /// key-value store (router-member mode). Keys cross the wire as opaque
-    /// bytes — the client encodes its own key type; the server never
-    /// interprets them beyond equality and hashing.
+    /// key-value store (router-member mode). The target must be the
+    /// group's front node, hosting the writer and every reader; the objects
+    /// may live on other nodes. Keys cross the wire as opaque bytes — the
+    /// client encodes its own key type; the server never interprets them
+    /// beyond equality and hashing.
     WriteKey {
         /// The key, in the client's own wire encoding.
         key: Vec<u8>,
@@ -185,7 +171,9 @@ pub enum Op<V> {
         key: Vec<u8>,
     },
     /// Crash base object `object` of shard `slot` in the hosted store
-    /// (fault injection on a remote cluster member).
+    /// (fault injection on a remote cluster member). Only the node hosting
+    /// that object can; others answer [`Rsp::Err`] (use
+    /// [`Op::CrashPid`] on the object's own node).
     CrashShard {
         /// Register-shard slot in the hosted store.
         slot: u32,
@@ -213,14 +201,14 @@ pub enum Op<V> {
 pub enum Rsp<V> {
     /// Answer to [`Op::Ping`].
     Pong,
-    /// Answer to [`Op::WriteSlot`].
+    /// Answer to [`Op::WriteKey`].
     Wrote {
         /// Timestamp the write got.
         ts: Timestamp,
         /// Round-trips used.
         rounds: u32,
     },
-    /// Answer to [`Op::ReadSlot`].
+    /// Answer to [`Op::ReadKey`].
     ReadOk {
         /// The value read (`None` = the initial value `⊥`).
         value: Option<V>,
@@ -301,8 +289,9 @@ pub enum Rsp<V> {
 
 // The codec, stated once: each line is both directions of one variant
 // (`vrr_core::wire_enum!`). A new request or response is one line here.
-// `Op` and `Rsp` leave tag 6 unassigned, so the tags after it keep their
-// wire numbers.
+// Tags of retired variants stay unassigned, so the others keep their wire
+// numbers and a client still sending a retired op gets a typed `BadTag`:
+// `Op` leaves 1, 2 and 6 free, `Rsp` leaves 6.
 
 wire_struct!(Envelope<V> { source, epoch, seq, payload });
 
@@ -316,8 +305,6 @@ wire_enum!(Ctl<V> {
 
 wire_enum!(Op<V> {
     0 => Ping,
-    1 => WriteSlot { slot, value },
-    2 => ReadSlot { slot, reader },
     3 => CrashPid { pid },
     4 => Metrics,
     5 => ResetPeer { node },

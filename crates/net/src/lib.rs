@@ -21,38 +21,41 @@
 //!   [`node::Relay`] stand-ins for remote pids, so `StorageCluster`-style
 //!   workloads run unchanged whether members share a process or not. Its
 //!   key-value store (router-member mode) is a key index over those same
-//!   register groups, served by a node that hosts whole groups.
+//!   register groups, served by a group's *front node* — the node that
+//!   hosts its writer and every reader, wherever the objects live.
 //!   Its request path is completion-driven: the reactor thread starts an
 //!   operation ([`vrr_runtime::Cluster::submit`]) and the worker that
 //!   observes the outcome writes the response — no thread per request.
 //! - [`client`] — [`client::NetClient`]: a blocking thin client
-//!   (slot-addressed write/read, metrics and fault-injection ops).
+//!   (request/response, metrics and fault-injection ops).
 //! - [`remote`] — [`remote::RemoteCluster`]: the keyed client side of a
 //!   hosted store, a `ClusterBackend` a `StoreRouter` can put on its ring.
 //!
 //! The `vrr-server` binary wraps [`node::NetNode`] behind a CLI so
 //! objects, writer and readers can live in separate OS processes; see
-//! `tests/multiprocess.rs` (slot-addressed thin clients) and
-//! `examples/dist_scaleout.rs` at the workspace root (a keyed store behind
-//! a router) for the two ways to drive it. Both hold their servers as
+//! `tests/multiprocess.rs` (a front node whose objects live in two other
+//! processes) and `examples/dist_scaleout.rs` at the workspace root (a
+//! keyed store behind a router). Both hold their servers as
 //! [`ServerProcess`]es: a silent server is an error, not a hang, and a
 //! failing run cannot leave one listening.
 //!
-//! Against a running deployment (say `vrr-server --node … --addrs
-//! 127.0.0.1:7100,127.0.0.1:7101,127.0.0.1:7102 --store 4 …` with the
-//! writer and reader 0 on node 0 and reader 1 on node 2), a thin client
-//! addresses register slots directly and keeps its own key→slot table:
+//! Against a running spread deployment — say three `vrr-server`s started
+//! with `--addrs 127.0.0.1:7100,127.0.0.1:7101,127.0.0.1:7102 --store 4
+//! --place-objects 1,1,2,2 --place-writer 0 --place-readers 0`, one per
+//! `--node` — a client dials the front node, node 0, and reads and writes
+//! by key; every protocol round of those operations crosses the sockets to
+//! the objects on nodes 1 and 2:
 //!
 //! ```no_run
-//! use vrr_net::NetClient;
+//! use vrr_net::{RemoteCluster, RemoteClusterConfig};
+//! use vrr_runtime::ClusterBackend;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! const ALPHA: u32 = 0; // this client's name for register slot 0
-//! let mut node0 = NetClient::<u64>::connect("127.0.0.1:7100".parse()?)?;
-//! let mut node2 = NetClient::<u64>::connect("127.0.0.1:7102".parse()?)?;
-//! node0.write_slot(ALPHA, 7)?;
-//! assert_eq!(node0.read_slot(ALPHA, 0)?.value, Some(7));
-//! assert_eq!(node2.read_slot(ALPHA, 1)?.value, Some(7));
+//! let front: RemoteCluster<String, u64> =
+//!     RemoteCluster::connect("127.0.0.1:7100".parse()?, RemoteClusterConfig::default())?;
+//! let alpha = "alpha".to_string();
+//! front.try_write(alpha.clone(), 7)?;
+//! assert_eq!(front.read(&alpha, 0).and_then(|r| r.value), Some(7));
 //! # Ok(())
 //! # }
 //! ```

@@ -11,12 +11,14 @@
 //! pid 3, where the real object lives.
 //!
 //! The host's slots are also the node's key-value store: a
-//! [`ShardedStore`] indexes keys onto them, so `WriteKey k` and a
-//! `WriteSlot` on `k`'s slot write one register. The index lives in one
-//! process, so only a node hosting every member of the group (a
-//! [`GroupPlacement::single`] topology) serves the key-index ops
-//! (`WriteKey`, `ReadKey`, `ReleaseKey`, `StoreKeys`, `SlotOfKey`); any
-//! other answers them with a typed `Rsp::Err`.
+//! [`ShardedStore`] indexes keys onto them, so `WriteKey k` and
+//! [`NetNode::write_slot`] on `k`'s slot write one register. The index
+//! lives in one process: only the group's *front node* — the node hosting
+//! the writer and every reader — serves the key-index ops (`WriteKey`,
+//! `ReadKey`, `ReleaseKey`, `StoreKeys`, `SlotOfKey`), and any other
+//! answers them with a typed `Rsp::Err`. The objects may live anywhere:
+//! a keyed operation on a front node whose objects sit on other nodes
+//! runs its protocol rounds over the transport.
 //!
 //! # Where a request runs
 //!
@@ -28,10 +30,9 @@
 //!   `send_external`; the O(1) ops (`Ping`, `ReleaseKey`, `SlotOfKey`,
 //!   `StoreInfo`, `StoreKeys`, `CrashPid`, `CrashShard`, `ResetPeer`,
 //!   `Shutdown`) and every validation error are answered on the spot.
-//! - **by completion** — `ReadKey` / `WriteKey` / `ReadSlot` / `WriteSlot`
-//!   are *started* ([`vrr_runtime::Cluster::submit`], through
-//!   `ShardedStore::{read_with, try_write_with}` and
-//!   `RegisterHost::{read_with, write_with}`) and whoever observes the
+//! - **by completion** — `ReadKey` / `WriteKey` are *started*
+//!   ([`vrr_runtime::Cluster::submit`], through
+//!   `ShardedStore::{read_with, try_write_with}`) and whoever observes the
 //!   outcome writes the `Response`. That is the reactor thread itself when
 //!   the register group is idle and all its members are local: `submit`
 //!   runs both rounds on the calling thread — bounded, never waiting — so
@@ -66,11 +67,10 @@ use std::io::{self, BufRead, BufReader};
 use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{unbounded, Receiver, Sender};
 
 use vrr_core::attackers::AttackerKind;
 use vrr_core::metrics::Registry;
@@ -227,9 +227,9 @@ struct ServerCtx<V: Value + Wire> {
     /// over the full global pid space, real automata for the members placed
     /// here and relays for the rest.
     store: ShardedStore<Vec<u8>, V>,
-    /// Whether every member of the group is placed here: only then are
-    /// the key-index ops served.
-    whole: bool,
+    /// Whether this is the group's front node — the writer and every
+    /// reader are placed here: only then are the key-index ops served.
+    front: bool,
     placement: GroupPlacement,
     pid_node: Vec<u32>,
     transport: Arc<TcpTransport<V>>,
@@ -290,7 +290,7 @@ impl<V: Value + Wire> NetNode<V> {
         let (bound, ctx) = Self::bind(node, topo, ncfg)?;
         let addr = bound.addr().expect("listening reactor reports its address");
         let metrics_addr = bound.http_addr();
-        let (inspect_tx, inspect_rx) = unbounded();
+        let (inspect_tx, inspect_rx) = channel();
         let inspection_ctx = ctx.clone();
         let inspection_thread = std::thread::Builder::new()
             .name(format!("vrr-net-inspect-{node}"))
@@ -351,12 +351,12 @@ impl<V: Value + Wire> NetNode<V> {
         );
 
         let place = &topo.placement;
-        let members = place.objects.iter().chain(&place.readers);
+        let front = place.writer == node && place.readers.iter().all(|&n| n == node);
         let ctx = Arc::new(ServerCtx {
             node,
             store: ShardedStore::over(host),
-            whole: members.chain([&place.writer]).all(|&n| n == node),
-            placement: topo.placement.clone(),
+            front,
+            placement: place.clone(),
             pid_node,
             transport,
             shutdown: Shutdown::default(),
@@ -619,7 +619,6 @@ impl<V: Value + Wire> NodeHandler<V> {
     /// answered by its completion, or handed to the inspection thread.
     fn on_request(&mut self, conn: ConnId, id: u64, op: Op<V>) {
         let ctx = &*self.ctx;
-        let host = ctx.store.host();
         let pending = &mut self.pending;
         let inspect = |what| {
             let job = InspectionJob::Request { conn, id, what };
@@ -630,47 +629,10 @@ impl<V: Value + Wire> NodeHandler<V> {
         // sweep or the inspection thread answers.
         let now: Option<Rsp<V>> = match op {
             Op::Ping => Some(Rsp::Pong),
-            Op::WriteSlot { slot, value } => {
-                let slot = slot as usize;
-                if ctx.placement.writer != ctx.node {
-                    Some(Rsp::Err {
-                        what: format!("writer lives on node {}", ctx.placement.writer),
-                    })
-                } else if slot >= host.groups().len() {
-                    Some(Rsp::Err {
-                        what: format!("slot {slot} out of range"),
-                    })
-                } else {
-                    let (reply, entry) = reply_for(&ctx.transport, conn, id);
-                    host.write_with(slot, value, move |result| reply.send(wrote(result)));
-                    track(pending, entry);
-                    None
-                }
-            }
-            Op::ReadSlot { slot, reader } => {
-                let (slot, reader) = (slot as usize, reader as usize);
-                if slot >= host.groups().len() || reader >= host.config().readers {
-                    Some(Rsp::Err {
-                        what: format!("slot {slot} / reader {reader} out of range"),
-                    })
-                } else if ctx.placement.readers[reader] != ctx.node {
-                    Some(Rsp::Err {
-                        what: format!(
-                            "reader {reader} lives on node {}",
-                            ctx.placement.readers[reader]
-                        ),
-                    })
-                } else {
-                    let (reply, entry) = reply_for(&ctx.transport, conn, id);
-                    host.read_with(slot, reader, move |result| reply.send(read_ok(result)));
-                    track(pending, entry);
-                    None
-                }
-            }
             Op::CrashPid { pid } => Some(ctx.crash(pid as usize)),
             Op::CrashShard { slot, object } => {
                 let (slot, object) = (slot as usize, object as usize);
-                let group = host.groups().get(slot);
+                let group = ctx.store.host().groups().get(slot);
                 Some(match group.and_then(|g| g.objects.get(object)) {
                     Some(pid) => ctx.crash(pid.0),
                     None => Rsp::Err {
@@ -825,14 +787,14 @@ impl<V: Value + Wire> ServerCtx<V> {
     }
 
     /// Runs the key-index op `f` against the store, or answers the typed
-    /// error naming the rule when this node hosts only part of the group.
+    /// error naming the rule when this is not the group's front node.
     fn keyed(&self, f: impl FnOnce(&ShardedStore<Vec<u8>, V>) -> Option<Rsp<V>>) -> Option<Rsp<V>> {
-        if self.whole {
+        if self.front {
             return f(&self.store);
         }
         Some(Rsp::Err {
             what: format!(
-                "key-index ops are served only by a node hosting every group member; node {} hosts part of the group",
+                "key-index ops are served only by the node hosting the writer and every reader; node {} lacks some of them",
                 self.node
             ),
         })
@@ -1086,7 +1048,7 @@ mod tests {
         // The handler without its threads: responses pile up, unread, in
         // the bound reactor's command channel.
         let (_bound, ctx) = NetNode::bind(0, &topo, ncfg).expect("bind");
-        let (inspect_tx, _inspect_rx) = unbounded();
+        let (inspect_tx, _inspect_rx) = channel();
         let mut handler = NodeHandler {
             ctx,
             pending: VecDeque::new(),

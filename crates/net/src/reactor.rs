@@ -25,11 +25,11 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use mio::net::{TcpListener, TcpStream};
 use mio::{Events, Interest, Poll, Token, Waker};
 
@@ -300,7 +300,7 @@ pub fn bind(
             .register(l, HTTP_LISTENER, Interest::READABLE)?;
     }
 
-    let (cmd_tx, cmd_rx) = unbounded();
+    let (cmd_tx, cmd_rx) = channel();
     let handle = ReactorHandle {
         id: NEXT_REACTOR.fetch_add(1, Ordering::Relaxed),
         cmd_tx,
@@ -712,7 +712,7 @@ mod tests {
         listen: Option<SocketAddr>,
     ) -> io::Result<(ReactorHandle, Receiver<NetEvent>, Option<SocketAddr>)> {
         let bound = bind(listen, None)?;
-        let (ev_tx, ev_rx) = unbounded();
+        let (ev_tx, ev_rx) = channel();
         let (handle, addr) = (bound.handle(), bound.addr());
         bound.run(Forward(ev_tx))?;
         Ok((handle, ev_rx, addr))

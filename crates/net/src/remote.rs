@@ -1,10 +1,11 @@
 //! [`RemoteCluster`]: a [`ClusterBackend`] whose automata live in another
 //! OS process.
 //!
-//! The client side of router-member mode: a `vrr-server` hosting whole
-//! register groups (writer + objects + readers per shard) serves them as a
-//! `ShardedStore<Vec<u8>, V>`, and a `RemoteCluster` drives it through the keyed
-//! [`Op`] vocabulary over blocking [`NetClient`] connections. A caller
+//! The client side of router-member mode: a `vrr-server` that is the
+//! front node of its register groups (it hosts the writer and every
+//! reader; the objects may live in other processes) serves them as a
+//! `ShardedStore<Vec<u8>, V>`, and a `RemoteCluster` drives it through the
+//! keyed [`Op`] vocabulary over blocking [`NetClient`] connections. A caller
 //! checks an idle connection out for its round trip (dialing one when none
 //! is idle) and returns it when the response is in, so no caller waits for
 //! another caller's request, and there are as many connections as callers

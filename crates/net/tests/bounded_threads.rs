@@ -16,10 +16,10 @@ use std::time::{Duration, Instant};
 use vrr_core::StorageConfig;
 use vrr_net::frame::{decode_body, encode_frame, CLIENT_NODE};
 use vrr_net::{
-    free_addrs, ClientError, Ctl, Envelope, FrameReader, GroupPlacement, NetClient, NetNode,
-    NetNodeConfig, NodeTopology, Op, Payload, Rsp,
+    free_addrs, Ctl, Envelope, FrameReader, GroupPlacement, NetClient, NetNode, NetNodeConfig,
+    NodeTopology, Op, Payload, Rsp,
 };
-use vrr_runtime::{ProtocolKind, OP_TIMEOUT};
+use vrr_runtime::{ClusterBackend, ProtocolKind, OP_TIMEOUT};
 
 /// `Threads:` of `/proc/self/status`.
 fn threads() -> usize {
@@ -126,13 +126,18 @@ fn threads_stay_bounded_timeouts_are_typed_and_drop_joins_everything() {
     }
 
     // --- A crashed client process answers at once. -----------------------
-    // (Slot 3: keys 0..3 are bound to the first three slots.)
-    let reader_pid = node.groups()[3].readers[0];
-    client.write_slot(3, 5).expect("slot write");
+    // (Key 3 binds the fourth slot: keys 0..3 hold the first three.)
+    let rsp = client.request(Op::WriteKey {
+        key: key(3),
+        value: 5,
+    });
+    assert!(matches!(rsp, Ok(Rsp::Wrote { .. })), "{rsp:?}");
+    let slot = node.store().shard_of(&key(3)).expect("key 3 is bound");
+    let reader_pid = node.groups()[slot].readers[0];
     client.crash_pid(reader_pid.0 as u64).expect("crash reader");
     let asked = Instant::now();
-    match client.read_slot(3, 0) {
-        Err(ClientError::Server(what)) => assert!(what.contains("crashed or gone"), "{what}"),
+    match read_key(&mut client, 3) {
+        Rsp::Err { what } => assert!(what.contains("crashed or gone"), "{what}"),
         other => panic!("read at a crashed reader answered {other:?}"),
     }
     assert!(asked.elapsed() < Duration::from_secs(5), "and did not wait");

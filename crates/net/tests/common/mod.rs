@@ -1,14 +1,36 @@
 //! Shared by the `vrr-net` test binaries: the seeded generator their
-//! schedules draw from, the `--addrs` rendering and a fake store node's
-//! side of one connection (each binary compiles this module for itself,
-//! and not every one uses every item).
+//! schedules draw from, the `--addrs` rendering, keyed writes and reads
+//! on one client connection, and a fake store node's side of one
+//! connection (each binary compiles this module for itself, and not every
+//! one uses every item).
 #![allow(dead_code)]
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
+use vrr_core::Timestamp;
 use vrr_net::frame::{decode_body, encode_frame, Ctl, Envelope, FrameReader, Payload};
-use vrr_net::{Op, Rsp};
+use vrr_net::{NetClient, Op, Rsp};
+
+/// `WriteKey` of `value` to `key`: the timestamp it took. Any answer but
+/// `Wrote` fails the test, naming `what`.
+pub fn write_key(client: &mut NetClient<u64>, key: &[u8], value: u64, what: &str) -> Timestamp {
+    let key = key.to_vec();
+    match client.request(Op::WriteKey { key, value }) {
+        Ok(Rsp::Wrote { ts, .. }) => ts,
+        other => panic!("{what}: {other:?}"),
+    }
+}
+
+/// `ReadKey` of `key` at reader 0: the value read. Any answer but `ReadOk`
+/// fails the test, naming `what`.
+pub fn read_key(client: &mut NetClient<u64>, key: &[u8], what: &str) -> Option<u64> {
+    let key = key.to_vec();
+    match client.request(Op::ReadKey { key, reader: 0 }) {
+        Ok(Rsp::ReadOk { value, .. }) => value,
+        other => panic!("{what}: {other:?}"),
+    }
+}
 
 /// Answers one connection as a store-hosting `vrr-server` would, with
 /// `answer(op)` for each request — or hangs up on the first request when

@@ -1,11 +1,14 @@
-//! Two thin clients addressing the *same* reader (or writer) of a slot at
+//! Two thin clients addressing the *same* reader (or writer) of one key at
 //! the same time. The automata admit one operation at a time (§2.2), and
 //! nothing on the wire stops two connections from asking at once — so the
 //! node has to queue them. Before the executor's per-process operation
-//! FIFO, the second `ReadSlot` tripped the reader's well-formedness
-//! assertion inside `invoke`, the worker poisoned the reader, and every
-//! later read of that reader answered `Rsp::Err` forever.
+//! FIFO, the second read tripped the reader's well-formedness assertion
+//! inside `invoke`, the worker poisoned the reader, and every later read of
+//! that reader answered `Rsp::Err` forever.
 
+mod common;
+
+use common::{read_key, write_key};
 use vrr_core::StorageConfig;
 use vrr_net::{free_addrs, GroupPlacement, NetClient, NetNode, NetNodeConfig, NodeTopology};
 use vrr_runtime::ProtocolKind;
@@ -28,40 +31,36 @@ fn one_node() -> NetNode<u64> {
     .expect("start node")
 }
 
+/// The one key both clients address.
+const KEY: &[u8] = b"k";
+
 #[test]
 fn two_clients_reading_one_reader_are_serialized_not_poisoned() {
     let node = one_node();
     let addr = node.addr();
-    NetClient::<u64>::connect(addr)
-        .expect("connect")
-        .write_slot(0, 42)
-        .expect("write");
+    let connect = || NetClient::<u64>::connect(addr).expect("connect");
+    write_key(&mut connect(), KEY, 42, "write");
 
     let start = std::sync::Barrier::new(2);
     std::thread::scope(|scope| {
         for _ in 0..2 {
             scope.spawn(|| {
-                let mut client = NetClient::<u64>::connect(addr).expect("connect");
+                let mut client = connect();
                 start.wait();
                 for i in 0..READS_PER_CLIENT {
-                    let report = client
-                        .read_slot(0, 0)
-                        .unwrap_or_else(|e| panic!("read {i} of reader 0 failed: {e}"));
-                    assert_eq!(report.value, Some(42));
+                    let value = read_key(&mut client, KEY, "a concurrent read");
+                    assert_eq!(value, Some(42), "read {i}");
                 }
             });
         }
     });
 
-    let report = NetClient::<u64>::connect(addr)
-        .expect("connect")
-        .read_slot(0, 0)
-        .expect("reader 0 still serves after the concurrent burst");
-    assert_eq!(report.value, Some(42));
+    let value = read_key(&mut connect(), KEY, "reader 0 after the concurrent burst");
+    assert_eq!(value, Some(42));
 }
 
 #[test]
-fn two_clients_writing_one_slot_are_serialized_not_poisoned() {
+fn two_clients_writing_one_key_are_serialized_not_poisoned() {
     let node = one_node();
     let addr = node.addr();
 
@@ -73,20 +72,23 @@ fn two_clients_writing_one_slot_are_serialized_not_poisoned() {
                 let mut client = NetClient::<u64>::connect(addr).expect("connect");
                 start.wait();
                 for i in 0..WRITES_PER_CLIENT {
-                    client
-                        .write_slot(0, c * WRITES_PER_CLIENT + i)
-                        .unwrap_or_else(|e| panic!("write {i} by client {c} failed: {e}"));
+                    write_key(
+                        &mut client,
+                        KEY,
+                        c * WRITES_PER_CLIENT + i,
+                        "a concurrent write",
+                    );
                 }
             });
         }
     });
 
     let mut client = NetClient::<u64>::connect(addr).expect("connect");
-    let last = client.write_slot(0, 7).expect("the writer still serves");
+    let last = write_key(&mut client, KEY, 7, "the writer after the concurrent burst");
     assert_eq!(
-        last.ts.0,
+        last.0,
         2 * WRITES_PER_CLIENT + 1,
         "every write took a timestamp"
     );
-    assert_eq!(client.read_slot(0, 0).expect("read").value, Some(7));
+    assert_eq!(read_key(&mut client, KEY, "read"), Some(7));
 }

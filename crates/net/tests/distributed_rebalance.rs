@@ -9,14 +9,18 @@
 //!   liar plus a crashed object, under concurrent writers and readers.
 //!   Every per-key history must stay checker-verified regular.
 //! * **Trace differential** — the same seeded sequential schedule driven
-//!   through an all-in-proc router and a remote-backed one must produce
-//!   byte-identical per-key histories and checker reports.
+//!   through an all-in-proc router, a remote-backed one and one whose
+//!   remote cluster is spread over three processes (a front node plus the
+//!   objects in two more) must produce byte-identical per-key histories
+//!   and checker reports.
 //! * **`remove_cluster` vs in-flight writes** — a writer hammering a key
 //!   on the draining cluster races the drain; no write may be lost and
 //!   none may error.
 //! * **Retry + `/metrics`** — `request_with_retry` survives a connection
 //!   reset against a byte-level fake server, and a store-mode server
 //!   answers `GET /metrics` with its Prometheus snapshot over plain HTTP.
+
+mod common;
 
 use std::io::{Read, Write};
 use std::net::SocketAddr;
@@ -42,23 +46,41 @@ const PASSES: u64 = 6;
 /// Per-cluster shard capacity (generous: rebalances consume slots).
 const CAPACITY: usize = 40;
 
-/// Spawns one store-mode `vrr-server` process: a single-node topology
-/// hosting a `ShardedStore<Vec<u8>, u64>` of [`CAPACITY`] shards sized
-/// `(t, b) = (2, 1)`. With `byzantine`, the last object of **every** store
-/// shard runs a Truncator forging [`FORGED`]; with `metrics`, the process
-/// also serves `GET /metrics` on an OS-assigned port.
-fn spawn_store(addr: SocketAddr, byzantine: bool, metrics: bool) -> ServerProcess {
-    let mut args = format!(
-        "--node 0 --addrs {addr} --t 2 --b 1 --readers 1 --kind regular-opt --store {CAPACITY}"
+/// Spawns node `node` of a store-mode `vrr-server` deployment over
+/// `addrs`: a `ShardedStore<Vec<u8>, u64>` of [`CAPACITY`] shards sized
+/// `(t, b) = (2, 1)`, writer and reader on node 0, plus the `extra` flags.
+fn spawn_node(node: u32, addrs: &[SocketAddr], extra: &str) -> ServerProcess {
+    let args = format!(
+        "--node {node} --addrs {} --t 2 --b 1 --readers 1 --kind regular-opt --store {CAPACITY}{extra}",
+        common::addr_list(addrs)
     );
+    ServerProcess::spawn(env!("CARGO_BIN_EXE_vrr-server"), args.split(' ')).expect("vrr-server")
+}
+
+/// Spawns a single-process store. With `byzantine`, the last object of
+/// **every** store shard runs a Truncator forging [`FORGED`]; with
+/// `metrics`, the process also serves `GET /metrics` on an OS-assigned
+/// port.
+fn spawn_store(addr: SocketAddr, byzantine: bool, metrics: bool) -> ServerProcess {
+    let mut extra = String::new();
     if byzantine {
         let last = StorageConfig::optimal(2, 1, 1).s - 1;
-        args += &format!(" --byzantine all:{last}:truncator:{FORGED}");
+        extra += &format!(" --byzantine all:{last}:truncator:{FORGED}");
     }
     if metrics {
-        args += " --metrics-addr 127.0.0.1:0";
+        extra += " --metrics-addr 127.0.0.1:0";
     }
-    ServerProcess::spawn(env!("CARGO_BIN_EXE_vrr-server"), args.split(' ')).expect("vrr-server")
+    spawn_node(0, &[addr], &extra)
+}
+
+/// Spawns the three processes of one spread store: node 0 is the front
+/// node, the six objects live on nodes 1 and 2. Only node 0 serves keys.
+fn spawn_spread() -> Vec<ServerProcess> {
+    let addrs = free_addrs(3).expect("reserve ports");
+    let objects = " --place-objects 1,1,1,2,2,2";
+    (0..3)
+        .map(|node| spawn_node(node, &addrs, objects))
+        .collect()
 }
 
 fn backend(server: &ServerProcess) -> Arc<dyn ClusterBackend<u64, u64>> {
@@ -190,24 +212,30 @@ fn in_proc_and_distributed_traces_are_byte_identical() {
         .map(|&a| spawn_store(a, false, false))
         .collect();
     let remote = router_over(servers.iter().map(backend).collect());
+    // Cluster 0 — the one the schedule drains — behind a front node whose
+    // objects live in two other processes.
+    let spread_servers = spawn_spread();
+    let spread = router_over(vec![backend(&spread_servers[0])]);
 
     // Byte-identical histories AND byte-identical checker reports: the
-    // distributed deployment is observationally indistinguishable from the
-    // in-proc one under a deterministic schedule.
+    // distributed deployments are observationally indistinguishable from
+    // the in-proc one under a deterministic schedule.
     let local = run_rebalance_schedule(&local);
-    let remote = run_rebalance_schedule(&remote);
-    assert_eq!(
-        format!("{:?}", local.histories()),
-        format!("{:?}", remote.histories()),
-        "traces diverge between in-proc and distributed"
-    );
     let verdict = local.check(check_regularity);
-    assert_eq!(
-        format!("{verdict:?}"),
-        format!("{:?}", remote.check(check_regularity)),
-        "checker reports diverge"
-    );
     assert_eq!(verdict, Ok(()), "trace not regular");
+    for (name, router) in [("distributed", remote), ("spread", spread)] {
+        let trace = run_rebalance_schedule(&router);
+        assert_eq!(
+            format!("{:?}", local.histories()),
+            format!("{:?}", trace.histories()),
+            "traces diverge between in-proc and {name}"
+        );
+        assert_eq!(
+            format!("{verdict:?}"),
+            format!("{:?}", trace.check(check_regularity)),
+            "checker reports diverge between in-proc and {name}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 //! The acceptance run: a sharded deployment (`slots > 1`) spread over
-//! three separate `vrr-server` OS processes — writer on one, the base
-//! objects split across the other two, readers on two different nodes —
-//! driven by thin clients through a seeded Byzantine + crash workload.
-//! Every completed read must be checker-verified regular, per slot, and
-//! the fetched metrics must expose the `vrr_net_wire_*` counters.
+//! three separate `vrr-server` OS processes — writer and both readers on
+//! the front node 0, the base objects split across the other two — driven
+//! by a keyed `RemoteCluster` through a seeded Byzantine + crash workload.
+//! No process hosts a whole group, so every protocol round crosses a
+//! socket. Every completed read must be checker-verified regular, per key,
+//! and the fetched metrics must expose the `vrr_net_wire_*` counters.
 
 mod common;
 
@@ -11,7 +12,8 @@ use std::net::SocketAddr;
 
 use common::Gen;
 use vrr_checker::{check_regularity, Recorder};
-use vrr_net::{free_addrs, NetClient, ServerProcess};
+use vrr_net::{free_addrs, NetClient, RemoteCluster, RemoteClusterConfig, ServerProcess};
+use vrr_runtime::ClusterBackend;
 
 const SLOTS: usize = 3;
 /// Group span for `optimal(2, 1, 2)`: 6 objects + writer + 2 readers.
@@ -21,12 +23,12 @@ const SPAN: u64 = 9;
 /// flags on every node): `(t, b) = (2, 1)` so the six objects
 /// tolerate one Byzantine liar plus one crash (the sizing
 /// `tests/scaleout.rs` uses for the same fault mix), objects split
-/// `[1, 1, 1, 2, 2, 2]`, writer on 0, readers on `[0, 2]`; object 0
+/// `[1, 1, 1, 2, 2, 2]`, writer and readers on node 0; object 0
 /// of every slot is a (responsive) Byzantine inflator.
 fn spawn(node: u32, addrs: &[SocketAddr]) -> ServerProcess {
     let args = format!(
         "--node {node} --addrs {} --t 2 --b 1 --readers 2 --kind regular-opt --store {SLOTS} \
-         --place-objects 1,1,1,2,2,2 --place-writer 0 --place-readers 0,2 \
+         --place-objects 1,1,1,2,2,2 --place-writer 0 --place-readers 0,0 \
          --byzantine all:0:inflator:999999",
         common::addr_list(addrs)
     );
@@ -41,49 +43,43 @@ fn sharded_store_across_three_processes_stays_regular() {
         assert_eq!(server.addr, *addr);
     }
 
-    // Writer client at node 0; reader 0 lives on node 0, reader 1 on
-    // node 2 — three processes, none of which hosts a full group.
-    let mut writer = NetClient::<u64>::connect(addrs[0]).expect("connect writer");
-    let mut readers: Vec<NetClient<u64>> = [addrs[0], addrs[2]]
-        .iter()
-        .map(|&a| NetClient::connect(a).expect("connect reader"))
-        .collect();
-    // The fixed key → slot table: key `i` lives in register slot `i`.
-    let keys = ["alpha", "beta", "gamma"];
-    assert_eq!(keys.len(), SLOTS);
+    // The keyed client dials the front node; each key binds one of its
+    // register slots on first write.
+    let front: RemoteCluster<u64, u64> =
+        RemoteCluster::connect(addrs[0], RemoteClusterConfig::default()).expect("connect front");
+    let keys = SLOTS as u64;
 
-    // One register per slot on a shared logical clock: each slot is an
+    // One register per key on a shared logical clock: each key is an
     // independent register, checked independently. Written value = write
     // seq, so a read's value is the seq it observed.
     let rec = Recorder::new(SLOTS);
     let mut seqs = [0u64; SLOTS];
-    let mut write = |slot: usize| {
-        seqs[slot] += 1;
-        let seq = seqs[slot];
-        rec.write(slot, seq, seq, || writer.write_slot(slot as u32, seq))
+    let mut write = |key: u64| {
+        let k = key as usize;
+        seqs[k] += 1;
+        let seq = seqs[k];
+        rec.write(k, seq, seq, || front.try_write(key, seq).expect("write"));
     };
 
     // Write each key once so every read has a value to find.
-    for slot in 0..SLOTS {
-        write(slot).expect("first write");
+    for key in 0..keys {
+        write(key);
     }
 
     let mut g = Gen(0x5EED_CA5E);
-    let mut crash_done = false;
     for i in 0..60 {
-        let slot = g.next() as usize % keys.len();
+        let key = g.next() % keys;
         if g.next().is_multiple_of(2) {
-            write(slot).expect("write");
+            write(key);
         } else {
             let reader = g.next() as usize % 2;
-            rec.read(slot, reader, || {
-                let rep = readers[reader].read_slot(slot as u32, reader as u32);
-                let value = rep.expect("read").value;
+            rec.read(key as usize, reader, || {
+                let value = front.read(&key, reader).expect("bound").value;
                 (value.unwrap_or(0), value)
             });
         }
 
-        if i == 30 && !crash_done {
+        if i == 30 {
             // Mid-workload crash: object 1 of every slot (hosted on
             // node 1, alongside the Byzantine object 0) — one crash on
             // top of the standing liar, within the (t, b) = (2, 1)
@@ -92,13 +88,11 @@ fn sharded_store_across_three_processes_stays_regular() {
             for slot in 0..SLOTS as u64 {
                 ctl.crash_pid(slot * SPAN + 1).expect("crash object 1");
             }
-            crash_done = true;
         }
     }
-    assert!(crash_done);
 
     let result = rec.check(check_regularity);
-    assert!(result.is_ok(), "a slot is not regular: {result:?}");
+    assert!(result.is_ok(), "a key is not regular: {result:?}");
 
     // The wire metrics made it through the client protocol end to end.
     let mut ctl = NetClient::<u64>::connect(addrs[0]).expect("ctl node 0");

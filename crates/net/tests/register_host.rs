@@ -3,15 +3,18 @@
 //! are one register, and host inspection on a node that holds relays for
 //! half its group reports the other half without disturbing the relays.
 
+mod common;
+
 use std::io::ErrorKind;
 
+use common::{read_key, write_key};
 use vrr_core::attackers::AttackerKind;
 use vrr_core::regular::RegularObject;
 use vrr_core::{ProtocolKind, StorageConfig};
 use vrr_net::{
     free_addrs, ByzSpec, GroupPlacement, NetClient, NetNode, NetNodeConfig, NodeTopology, Op, Rsp,
 };
-use vrr_runtime::{Cluster, InvokeError};
+use vrr_runtime::{Cluster, ClusterBackend, InvokeError};
 use vrr_sim::ProcessId;
 
 const KIND: ProtocolKind = ProtocolKind::RegularOptimized;
@@ -99,8 +102,8 @@ fn a_byzantine_spec_names_an_existing_object_or_the_node_refuses_to_start() {
 }
 
 /// The node's keyed store is an index over its own register groups, not a
-/// second set of them: what a key's write leaves, its slot's read finds,
-/// and the other way round.
+/// second set of them: what a key's write over the wire leaves, the node's
+/// in-process read of its slot finds, and the other way round.
 #[test]
 fn a_key_and_its_slot_are_one_register() {
     let cfg = StorageConfig::optimal(1, 1, 1);
@@ -111,22 +114,11 @@ fn a_key_and_its_slot_are_one_register() {
     };
     let node = NetNode::start(0, &topo, NetNodeConfig::<u64>::new(cfg, KIND)).expect("node");
     let mut client = NetClient::<u64>::connect(node.addr()).expect("connect");
-    let key = b"k".to_vec();
-    let rsp = client.request(Op::WriteKey {
-        key: key.clone(),
-        value: 7,
-    });
-    assert!(matches!(rsp, Ok(Rsp::Wrote { .. })), "{rsp:?}");
-    let slot = match client.request(Op::SlotOfKey { key: key.clone() }) {
-        Ok(Rsp::Slot { slot }) => slot,
-        other => panic!("{other:?}"),
-    };
-    assert_eq!(client.read_slot(slot, 0).expect("slot read").value, Some(7));
-    client.write_slot(slot, 8).expect("slot write");
-    match client.request(Op::ReadKey { key, reader: 0 }) {
-        Ok(Rsp::ReadOk { value, .. }) => assert_eq!(value, Some(8)),
-        other => panic!("{other:?}"),
-    }
+    write_key(&mut client, b"k", 7, "key write");
+    let slot = node.store().shard_of(&b"k".to_vec()).expect("bound");
+    assert_eq!(node.read_slot(slot, 0).value, Some(7));
+    node.write_slot(slot, 8);
+    assert_eq!(read_key(&mut client, b"k", "key read"), Some(8));
 }
 
 /// Sizing `StorageConfig` and `ShardedStore` assert against used to reach
@@ -196,14 +188,26 @@ fn host_inspection_on_a_split_deployment_reports_only_locally_hosted_objects() {
     assert_eq!(n0.read_slot(0, 0).value, Some(4));
     assert_eq!(n1.read_slot(0, 1).value, Some(4));
 
-    // A key index over half a group is no index: refused, by the rule's
-    // name. The node's slot ops are still served.
+    // Node 0 lacks reader 1, so it is no front node: every key-index op
+    // is refused, by the rule's name.
     let mut client = NetClient::<u64>::connect(n0.addr()).expect("connect");
-    let key = b"k".to_vec();
-    match client.request(Op::WriteKey { key, value: 5 }) {
-        Ok(Rsp::Err { what }) => assert!(what.contains("every group member"), "{what}"),
-        other => panic!("a split node served a key: {other:?}"),
+    let key = || b"k".to_vec();
+    for op in [
+        Op::WriteKey {
+            key: key(),
+            value: 5,
+        },
+        Op::ReadKey {
+            key: key(),
+            reader: 0,
+        },
+        Op::ReleaseKey { key: key() },
+        Op::StoreKeys,
+        Op::SlotOfKey { key: key() },
+    ] {
+        let rsp = client.request(op).expect("transport");
+        let refused =
+            matches!(&rsp, Rsp::Err { what } if what.contains("the writer and every reader"));
+        assert!(refused, "a node lacking a reader served a key op: {rsp:?}");
     }
-    client.write_slot(0, 5).expect("slot write");
-    assert_eq!(client.read_slot(0, 0).expect("slot read").value, Some(5));
 }

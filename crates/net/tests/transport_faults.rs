@@ -5,8 +5,10 @@
 //! must never hang or panic.
 //!
 //! 1. Byzantine base objects behind TCP — all six [`AttackerKind`]s over
-//!    a two-node deployment (mirrors `tests/fast_path.rs`, but the honest
-//!    and hostile objects talk over localhost sockets, not channels).
+//!    two two-node deployments (mirrors `tests/fast_path.rs`, but the
+//!    honest and hostile objects talk over localhost sockets, not
+//!    channels): one split down the middle and driven slot by slot, one
+//!    whose front node holds no object and is driven by key.
 //! 2. A `vrr-server` OS process killed mid-read and restarted amnesiac
 //!    with a fresh epoch.
 //! 3. Connection resets injected between read rounds while reads are in
@@ -17,15 +19,18 @@ mod common;
 use std::net::SocketAddr;
 use std::time::Duration;
 
-use common::Gen;
+use common::{read_key, write_key, Gen};
 use vrr_checker::{check_regularity, Recorder};
 use vrr_core::attackers::AttackerKind;
 use vrr_core::StorageConfig;
 use vrr_net::{
     free_addrs, ByzSpec, GroupPlacement, NetClient, NetNode, NetNodeConfig, NodeTopology,
-    ServerProcess,
+    RemoteCluster, RemoteClusterConfig, ServerProcess,
 };
-use vrr_runtime::ProtocolKind;
+use vrr_runtime::{ClusterBackend, ProtocolKind};
+
+/// The key the keyed operations address.
+const KEY: &[u8] = b"k";
 
 /// Records one read at reader 0 of the one register under test. Every
 /// test writes value `seq` at write `seq`, so a read's returned value *is*
@@ -39,29 +44,48 @@ fn read(rec: &Recorder<u64>, go: impl FnOnce() -> Option<u64>) {
 }
 
 /// Two in-process `NetNode`s (so messages cross real sockets) hosting one
-/// register group split across them: writer + first ⌈s/2⌉ objects on node
-/// 0, the rest plus the reader on node 1.
-fn two_node_topology(cfg: StorageConfig) -> NodeTopology {
-    let split = cfg.s.div_ceil(2);
+/// register group: the writer on node 0, object `i` on `object_node(i)`
+/// and every reader on `readers`.
+fn two_nodes(cfg: StorageConfig, object_node: impl Fn(usize) -> u32, readers: u32) -> NodeTopology {
     NodeTopology {
         addrs: free_addrs(2).expect("reserve ports"),
         placement: GroupPlacement {
-            objects: (0..cfg.s).map(|i| u32::from(i >= split)).collect(),
+            objects: (0..cfg.s).map(object_node).collect(),
             writer: 0,
-            readers: vec![1; cfg.readers],
+            readers: vec![readers; cfg.readers],
         },
         slots: 1,
     }
 }
 
-/// Fault class 1: every attacker kind, behind TCP. The Byzantine object
-/// lives on node 1 (remote from the writer) so its forgeries cross the
-/// wire like any honest ack.
+/// A seeded mix of 24 writes and reads of one register, recorded.
+fn drive<W>(
+    seed: u64,
+    write: impl Fn(u64) -> W,
+    read_value: impl Fn() -> Option<u64>,
+) -> Recorder<u64> {
+    let (rec, mut seq, mut g) = (Recorder::new(1), 0, Gen(seed));
+    for _ in 0..24 {
+        if g.next().is_multiple_of(2) {
+            seq += 1;
+            rec.write(0, seq, seq, || write(seq));
+        } else {
+            read(&rec, &read_value);
+        }
+    }
+    rec
+}
+
+/// Fault class 1: every attacker kind, behind TCP, on object `S - 1` on
+/// node 1, so its forgeries cross the wire like any honest ack. Two
+/// placements: split (writer and the first ⌈S/2⌉ objects on node 0, the
+/// rest and the reader on node 1), driven by the in-process slot API; and
+/// front (writer and reader on node 0, every object on node 1), driven by
+/// key through a `RemoteCluster`, so every protocol round crosses a socket.
 #[test]
 fn byzantine_objects_over_tcp_stay_regular() {
+    let cfg = StorageConfig::optimal(1, 1, 1);
     for (i, kind) in AttackerKind::ALL.into_iter().enumerate() {
-        let cfg = StorageConfig::optimal(1, 1, 1);
-        let topo = two_node_topology(cfg);
         let mut ncfg = NetNodeConfig::<u64>::new(cfg, ProtocolKind::RegularOptimized);
         ncfg.byzantine = vec![ByzSpec {
             slot: Some(0),
@@ -69,31 +93,38 @@ fn byzantine_objects_over_tcp_stay_regular() {
             kind,
             forged: 999_999,
         }];
-        let n0 = NetNode::start(0, &topo, ncfg.clone()).expect("node 0");
-        let n1 = NetNode::start(1, &topo, ncfg).expect("node 1");
+        let start = |topo: &NodeTopology| {
+            let node = |n| NetNode::start(n, topo, ncfg.clone()).expect("node");
+            (node(0), node(1))
+        };
+        let seed = 0xC0FFEE ^ i as u64;
 
-        let rec = Recorder::new(1);
-        let mut seq = 0;
-        let mut g = Gen(0xC0FFEE ^ i as u64);
-        for _ in 0..24 {
-            if g.next().is_multiple_of(2) {
-                seq += 1;
-                rec.write(0, seq, seq, || n0.write_slot(0, seq));
-            } else {
-                read(&rec, || n1.read_slot(0, 0).value);
-            }
-        }
-
-        let result = rec.check(check_regularity);
-        assert!(
-            result.is_ok(),
-            "attacker {kind:?} broke regularity: {result:?}"
+        let (n0, n1) = start(&two_nodes(cfg, |i| u32::from(i >= cfg.s.div_ceil(2)), 1));
+        let split = drive(
+            seed,
+            |seq| n0.write_slot(0, seq),
+            || n1.read_slot(0, 0).value,
         );
+
+        let (n0, _n1) = start(&two_nodes(cfg, |_| 1, 0));
+        let front: RemoteCluster<u64, u64> =
+            RemoteCluster::connect(n0.addr(), RemoteClusterConfig::default()).expect("connect");
+        let write = |seq| front.try_write(0, seq).expect("keyed write");
+        // A read before the first write finds the key unbound: ⊥.
+        let keyed = drive(seed, write, || front.read(&0, 0).and_then(|r| r.value));
+
+        for (placement, rec) in [("split", split), ("front", keyed)] {
+            let result = rec.check(check_regularity);
+            assert!(
+                result.is_ok(),
+                "{kind:?} broke regularity ({placement}): {result:?}"
+            );
+        }
     }
 }
 
 /// One node of the two-process deployment: objects `[0, 0, 0, 1]`, writer
-/// and reader on node 0.
+/// and reader on node 0, its front node.
 fn spawn(node: u32, addrs: &[SocketAddr], epoch: u32) -> ServerProcess {
     let args = format!(
         "--node {node} --addrs {} --t 1 --b 1 --readers 1 --kind regular-opt \
@@ -107,7 +138,8 @@ fn spawn(node: u32, addrs: &[SocketAddr], epoch: u32) -> ServerProcess {
 /// reads are in flight, then restarted amnesiac with a bumped epoch. One
 /// crashed-then-amnesiac object is within `min(t, b) = 1`, so every read
 /// that completes — during the outage and after the rebirth — must still
-/// be regular.
+/// be regular. The clients are bare `NetClient`s: a `RemoteCluster` would
+/// retry, and a retry could hide a read that failed in the outage.
 #[test]
 fn kill_and_restart_server_mid_read() {
     let addrs = free_addrs(2).expect("reserve ports");
@@ -122,15 +154,13 @@ fn kill_and_restart_server_mid_read() {
     let mut seq = 0;
     let mut write = |phase: &str| {
         seq += 1;
-        rec.write(0, seq, seq, || writer.write_slot(0, seq).expect(phase));
+        rec.write(0, seq, seq, || write_key(&mut writer, KEY, seq, phase));
     };
 
     // Warm up: both nodes alive.
     for _ in 0..4 {
         write("write (healthy)");
-        read(&rec, || {
-            reader.read_slot(0, 0).expect("read (healthy)").value
-        });
+        read(&rec, || read_key(&mut reader, KEY, "read (healthy)"));
     }
 
     // Kill node 1 while a read burst runs on another thread, so the kill
@@ -140,7 +170,7 @@ fn kill_and_restart_server_mid_read() {
         let rec = &rec;
         scope.spawn(move || {
             for _ in 0..12 {
-                read(rec, || reader.read_slot(0, 0).expect("read (outage)").value);
+                read(rec, || read_key(&mut reader, KEY, "read (outage)"));
             }
         });
         std::thread::sleep(Duration::from_millis(30));
@@ -159,9 +189,7 @@ fn kill_and_restart_server_mid_read() {
     let mut reader = NetClient::<u64>::connect(s0.addr).expect("reader client (rebirth)");
     for _ in 0..4 {
         write("write (rebirth)");
-        read(&rec, || {
-            reader.read_slot(0, 0).expect("read (rebirth)").value
-        });
+        read(&rec, || read_key(&mut reader, KEY, "read (rebirth)"));
     }
 
     let result = rec.check(check_regularity);
@@ -181,15 +209,7 @@ fn connection_resets_between_read_rounds_stay_regular() {
     // Node 0: writer, reader, 3 objects (a full quorum, S - t = 3).
     // Node 1: the fourth object, reachable only through resettable conns.
     let cfg = StorageConfig::optimal(1, 1, 1);
-    let topo = NodeTopology {
-        addrs: free_addrs(2).expect("reserve ports"),
-        placement: GroupPlacement {
-            objects: vec![0, 0, 0, 1],
-            writer: 0,
-            readers: vec![0; cfg.readers],
-        },
-        slots: 1,
-    };
+    let topo = two_nodes(cfg, |i| u32::from(i == 3), 0);
     let ncfg = NetNodeConfig::<u64>::new(cfg, ProtocolKind::Regular);
     let n0 = NetNode::start(0, &topo, ncfg.clone()).expect("node 0");
     let _n1 = NetNode::start(1, &topo, ncfg).expect("node 1");

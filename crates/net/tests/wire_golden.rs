@@ -9,7 +9,8 @@
 //! byte for byte and `decode_exact` returns the value. The same list is the
 //! malformed corpus — every strict prefix of every vector is a typed
 //! `Truncated` / `Oversized` / `BadTag`, never a panic and never an `Ok` —
-//! and the first unused tag of each enum is a `BadTag` naming that enum.
+//! and the first unused tag of each enum, and every tag `Op` retired, is a
+//! `BadTag` naming that enum.
 //! A mismatch prints the line as the tree encodes it today; re-pin one only
 //! for a deliberate format change, and say so.
 
@@ -141,8 +142,6 @@ fn every_variant_keeps_its_bytes_and_every_prefix_is_a_typed_error() {
 
     // vrr_net::frame — Op.
     t.pin("Op::Ping", Op::Ping);
-    t.pin("Op::WriteSlot", Op::WriteSlot { slot: 3, value: 7 });
-    t.pin("Op::ReadSlot", Op::ReadSlot { slot: 3, reader: 1 });
     t.pin("Op::CrashPid", Op::CrashPid { pid: 9 });
     t.pin("Op::Metrics", Op::Metrics);
     t.pin("Op::ResetPeer", Op::ResetPeer { node: 2 });
@@ -191,6 +190,11 @@ fn every_variant_keeps_its_bytes_and_every_prefix_is_a_typed_error() {
     t.bad_tag::<Payload>("Payload", &[2]);
     t.bad_tag::<Ctl>("Ctl", &[3]);
     t.bad_tag::<Op>("Op", &[17]);
+    // Op's retired tags (1 and 2 were the slot-addressed write and read): a
+    // client still speaking a retired op gets a typed error, not another op.
+    for retired in [1, 2, 6] {
+        t.bad_tag::<Op>("Op", &[retired]);
+    }
     t.bad_tag::<Rsp>("Rsp", &[17]);
     // One family, one unlabelled series, then the series tag.
     let mut series = 1u32.to_wire_vec();

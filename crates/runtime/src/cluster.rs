@@ -12,8 +12,7 @@
 use std::any::Any;
 use std::fmt;
 use std::marker::PhantomData;
-
-use crossbeam::channel::bounded;
+use std::sync::mpsc::sync_channel;
 
 use vrr_sim::{Automaton, Context, ProcessId};
 
@@ -199,7 +198,7 @@ impl<M: Send + 'static> Cluster<M> {
         f: impl FnOnce(&mut A, &mut Context<'_, M>) -> R + Send + 'static,
     ) -> Result<R, InvokeError> {
         assert!(pid.index() < self.len(), "invoke on unspawned {pid}");
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         let boxed: InvokeFn<M> = Box::new(move |any, ctx| {
             let _ = tx.send(any.downcast_mut::<A>().map(|a| f(a, ctx)));
         });
@@ -366,9 +365,9 @@ impl<M: Send + 'static> fmt::Debug for Cluster<M> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::mpsc::Receiver;
     use std::time::Duration;
 
-    use crossbeam::channel::Receiver;
     use vrr_sim::from_fn;
 
     use super::*;
@@ -391,7 +390,7 @@ mod tests {
     /// every operation is: a submitted op whose start does nothing and
     /// whose poll is the predicate.
     fn total_after(cluster: &Cluster<u64>, counter: ProcessId, seen: u32) -> Receiver<u64> {
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         cluster.submit(
             counter,
             |_c: &mut Counter, _ctx| (),
@@ -591,7 +590,7 @@ mod tests {
         let me = std::thread::current().id();
         for _ in 0..500 {
             std::thread::sleep(Duration::from_millis(10));
-            let (tx, rx) = bounded(1);
+            let (tx, rx) = sync_channel(1);
             cluster.submit(
                 pid,
                 |_a: &mut OneAtATime, _ctx| (),
@@ -618,7 +617,7 @@ mod tests {
         cluster.seal();
         let cluster = Arc::new(cluster);
         let completed = Arc::new(Mutex::new(Vec::new()));
-        let (all_done_tx, all_done_rx) = bounded(1);
+        let (all_done_tx, all_done_rx) = sync_channel(1);
 
         let start = Arc::new(std::sync::Barrier::new(THREADS as usize));
         let submitters: Vec<_> = (0..THREADS)
@@ -683,7 +682,7 @@ mod tests {
         cluster.seal();
 
         // Completion.
-        let (completed_tx, completed_rx) = bounded(1);
+        let (completed_tx, completed_rx) = sync_channel(1);
         let count = counting_done(&fired);
         submit_tagged(&cluster, client, 1, move |result| {
             count(result);
@@ -823,7 +822,7 @@ mod tests {
         submit_tagged(&cluster, client, 2, record(&completed));
         // The kick is itself a submit, so op 1 completes — and its `done`
         // submits — on this thread, under the run lock this thread holds.
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         cluster.submit(
             kicker,
             move |_k: &mut OneAtATime, ctx| ctx.send(client, 1),
@@ -865,7 +864,7 @@ mod tests {
         );
         // Deferred behind nothing — it arrives after the poisoning.
         submit_tagged(&cluster, victim, 7, counting_done(&fired));
-        let (done, waiter) = bounded(1);
+        let (done, waiter) = sync_channel(1);
         submit_tagged(&cluster, healthy, 8, move |result| {
             let _ = done.send(result);
         });
@@ -934,7 +933,7 @@ mod tests {
             let (a, b) = (pids[0], pids[workers]);
             cluster.send_external(a, b, 0);
 
-            let (finished, watchdog) = bounded(1);
+            let (finished, watchdog) = sync_channel(1);
             let drill = std::thread::spawn(move || {
                 let started = std::time::Instant::now();
                 while bounces.load(Ordering::Relaxed) < 1_000 {
@@ -983,11 +982,11 @@ mod tests {
         cluster.seal();
         cluster.send_external(a, b, 0);
 
-        let (finished, watchdog) = bounded(1);
+        let (finished, watchdog) = sync_channel(1);
         let drill = std::thread::spawn(move || {
             for tag in 0..200 {
                 let before = bounces.load(Ordering::Relaxed);
-                let (tx, rx) = bounded(1);
+                let (tx, rx) = sync_channel(1);
                 submit_tagged(&cluster, client, tag, move |result| {
                     let _ = tx.send(result);
                 });
@@ -1038,7 +1037,7 @@ mod tests {
         cluster.seal();
         cluster.send_external(sender, sender, 1);
         for log in [far, near] {
-            let (tx, rx) = bounded(1);
+            let (tx, rx) = sync_channel(1);
             cluster.submit(
                 log,
                 |_l: &mut Log, _ctx| (),
@@ -1081,7 +1080,7 @@ mod tests {
         // The worker is parked, without a deadline: no timer exists yet.
         settle(&cluster, client);
 
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         let asked = std::time::Instant::now();
         cluster.submit(
             client,

@@ -437,13 +437,13 @@ impl<V: Value> RegisterHost<V> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::mpsc::sync_channel;
+
     use vrr_core::attackers::AttackerKind;
     use vrr_core::regular::HistoryRetention;
 
     use vrr_core::Timestamp;
     use vrr_sim::{Context, ProcessId};
-
-    use crossbeam::channel::bounded;
 
     use super::*;
     use crate::link::{LinkAction, LinkPolicy, NoDelay};
@@ -611,7 +611,7 @@ mod tests {
     /// of their completions ran on the calling thread.
     fn reads_completed_here(host: &RegisterHost<u64>, slot: usize, reads: usize) -> usize {
         let me = std::thread::current().id();
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         let here = (0..reads).filter(|_| {
             let tx = tx.clone();
             host.read_with(slot, 0, move |report| {
