@@ -15,13 +15,18 @@ use crate::attackers::AttackerKind;
 use crate::config::StorageConfig;
 use crate::group::{spawn_group, Deployment, ProtocolKind, ProtocolSpec};
 use crate::msg::Msg;
-use crate::reader::{FastPathStats, ReadId, ReadReport};
+use crate::reader::{ReadId, ReadReport};
 use crate::regular::{RegularObject, RegularReader};
 use crate::safe::SafeReader;
 use crate::types::Value;
 use crate::writer::{WriteId, WriteReport, Writer};
 
 /// A simulated register protocol: how to deploy it and drive operations.
+///
+/// What a run observes of its operations comes from their reports:
+/// [`crate::StorageScenario`] meters each one's rounds, latency and — for a
+/// READ — its fast-path hit or fallback, so an implementation exposes no
+/// counters of its own.
 pub trait RegisterProtocol<V: Value> {
     /// The wire message type of this protocol.
     type Msg: SimMessage;
@@ -54,13 +59,6 @@ pub trait RegisterProtocol<V: Value> {
         reader: usize,
         op: u64,
     ) -> Option<ReadReport<V>>;
-
-    /// Aggregated fast-path counters across this deployment's readers, or
-    /// `None` for protocols without a one-round fast path.
-    fn fast_path_stats(&self, dep: &Deployment, world: &World<Self::Msg>) -> Option<FastPathStats> {
-        let _ = (dep, world);
-        None
-    }
 
     /// `(object index, stored history length)` per object, or `None` for
     /// protocols whose objects keep no history (e.g. safe storage). Objects
@@ -164,22 +162,6 @@ impl<V: Value, P: Copy + Into<ProtocolSpec>> RegisterProtocol<V> for P {
                 world.inspect(pid, |r: &RegularReader<V>| r.outcome(id).cloned())
             }
         }
-    }
-
-    fn fast_path_stats(&self, dep: &Deployment, world: &World<Msg<V>>) -> Option<FastPathStats> {
-        let spec: ProtocolSpec = (*self).into();
-        let mut total = FastPathStats::default();
-        for &pid in &dep.readers {
-            let s = match spec {
-                ProtocolSpec::Safe(_) => world.inspect(pid, |r: &SafeReader<V>| r.fast_stats()),
-                ProtocolSpec::Regular { .. } => {
-                    world.inspect(pid, |r: &RegularReader<V>| r.fast_stats())
-                }
-            };
-            total.hits += s.hits;
-            total.fallbacks += s.fallbacks;
-        }
-        Some(total)
     }
 
     fn history_lens(&self, dep: &Deployment, world: &World<Msg<V>>) -> Option<Vec<(usize, usize)>> {

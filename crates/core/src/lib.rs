@@ -69,7 +69,7 @@ pub use group::{
 pub use harness::{RegisterProtocol, RegularProtocol};
 pub use mis::conflict_free_of_size;
 pub use msg::{Msg, ReadRound};
-pub use reader::{FastPathStats, ReadReport, ReaderTuning};
+pub use reader::{ReadReport, ReaderTuning};
 pub use scenario::{ReadOp, StorageScenario, WriteOp};
 pub use types::{
     HistEntry, History, ObjectIndex, ReaderIndex, Timestamp, TsVal, TsrMatrix, Value, WTuple,

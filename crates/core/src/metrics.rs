@@ -2,7 +2,7 @@
 //! [`Registry`], with a deterministic Prometheus text-format encoder.
 //!
 //! Before this module, observability was scattered across ad-hoc structs —
-//! `ExecutorStats` in the runtime, [`FastPathStats`] in the readers, bare
+//! `ExecutorStats` in the runtime, fast-path counters in the readers, bare
 //! `history_lens()` vectors on the storage clients — each with its own
 //! naming and no way to export a single snapshot. Everything now funnels
 //! into one [`Registry`] under one naming convention:
@@ -32,7 +32,8 @@
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
-use crate::reader::FastPathStats;
+use crate::config::StorageConfig;
+use crate::reader::ReadReport;
 use crate::wire::{take_count, Wire, WireError};
 
 /// Canonical metric names — the single `vrr_<subsystem>_<name>` vocabulary
@@ -658,7 +659,33 @@ pub fn record_scenario_stats(sink: &mut Registry, stats: &vrr_sim::FaultStats) {
     sink.counter_add(names::SCENARIO_BYZANTINE, &[], stats.byzantine);
 }
 
-/// Records reader fast-path counters under the `vrr_reader_fast_*` names.
+/// The one-round fast-path counters of a harness's READs, counted from
+/// their reports by the meter that records every READ's rounds and latency
+/// (`StorageScenario`'s, the thread runtime's `RegisterHost`'s).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FastPathStats {
+    /// Reads whose report says [`ReadReport::fast`].
+    pub hits: u64,
+    /// Reads at a sizing where the fast path is armed
+    /// ([`StorageConfig::fast_read_quorum`] is `Some`) whose report does
+    /// not: round 1 lacked the confirmations, or (Atomic) a fast selection
+    /// was written back.
+    pub fallbacks: u64,
+}
+
+impl FastPathStats {
+    /// Counts one completed READ of a group sized `cfg` — the one rule of
+    /// what is a hit and what is a fallback.
+    pub fn count<V>(&mut self, cfg: StorageConfig, report: &ReadReport<V>) {
+        if report.fast {
+            self.hits += 1;
+        } else if cfg.fast_read_quorum().is_some() {
+            self.fallbacks += 1;
+        }
+    }
+}
+
+/// Records fast-path counters under the `vrr_reader_fast_*` names.
 pub fn record_fast_path(sink: &mut Registry, stats: &FastPathStats) {
     sink.counter_add(names::READER_FAST_HITS, &[], stats.hits);
     sink.counter_add(names::READER_FAST_FALLBACKS, &[], stats.fallbacks);

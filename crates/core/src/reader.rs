@@ -152,7 +152,10 @@ pub struct ReadReport<V> {
     /// the paper protocols' fast path (`S ≥ 2t + 2b + 1`; see
     /// [`StorageConfig::fast_read_quorum`]), or a baseline whose read is
     /// single-round by design. Mutants that skip round 2 unsoundly report
-    /// `rounds == 1` with `fast == false`.
+    /// `rounds == 1` with `fast == false`, and so does an Atomic read whose
+    /// fast selection was written back (`rounds == 2`). The harnesses'
+    /// fast-path counters are this flag, counted by
+    /// [`crate::metrics::FastPathStats::count`].
     pub fast: bool,
 }
 
@@ -195,18 +198,6 @@ impl Default for ReaderTuning {
             skip_round2: false,
         }
     }
-}
-
-/// Cumulative one-round fast-path counters of a reader.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FastPathStats {
-    /// Reads that completed in one round via the fast path.
-    pub hits: u64,
-    /// Reads that were *eligible* (sizing above the Proposition 1
-    /// boundary) but lacked the confirmation strength
-    /// at the moment the round-1 quorum closed, and fell back to the full
-    /// two-round protocol.
-    pub fallbacks: u64,
 }
 
 /// What distinguishes Figure 4 from Figure 6: the shape of one object's
@@ -402,7 +393,6 @@ pub struct Reader<V: Value, E: Evidence<V>> {
     heard: Heard<V, E>,
     outcomes: HashMap<ReadId, ReadReport<V>>,
     next_id: u64,
-    fast_stats: FastPathStats,
 }
 
 impl<V: Value, E: Evidence<V>> Reader<V, E> {
@@ -437,7 +427,6 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
             },
             outcomes: HashMap::new(),
             next_id: 0,
-            fast_stats: FastPathStats::default(),
         }
     }
 
@@ -503,11 +492,6 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
     /// Live candidates (`C`), for harness introspection.
     pub fn candidate_count(&self) -> usize {
         self.heard.live().count()
-    }
-
-    /// Cumulative fast-path hit/fallback counters.
-    pub fn fast_stats(&self) -> FastPathStats {
-        self.fast_stats
     }
 
     /// What this reader remembers between READs.
@@ -607,17 +591,11 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
         let confirmed = self
             .heard
             .highest(|c| c.confirmed_by.count_ones() as usize >= need);
-        match confirmed.cloned() {
-            Some(cret) => {
-                self.fast_stats.hits += 1;
-                self.complete(cret, 1, true, ctx);
-                true
-            }
-            None => {
-                self.fast_stats.fallbacks += 1;
-                false
-            }
-        }
+        let Some(cret) = confirmed.cloned() else {
+            return false;
+        };
+        self.complete(cret, 1, true, ctx);
+        true
     }
 
     /// Line 14: complete once the highest live candidate is `safe`, or `C`
@@ -963,8 +941,6 @@ pub(crate) mod tests {
         assert_eq!((got.value, got.ts), (Some(20), Timestamp(2)));
         assert_eq!(got.rounds, 1);
         assert!(got.fast);
-        let stats = r.fast_stats();
-        assert_eq!((stats.hits, stats.fallbacks), (1, 0));
     }
 
     fn fast_path_falls_back_without_restarting_round1<E: Fixture>() {
@@ -977,8 +953,6 @@ pub(crate) mod tests {
         deliver(&mut r, 2, E::ack(ReadRound::R1, 1, 0));
         let sent = deliver(&mut r, 3, E::ack(ReadRound::R1, 1, 0));
         assert_eq!(sent.len(), 5, "fallback broadcasts READ2 to all");
-        let stats = r.fast_stats();
-        assert_eq!((stats.hits, stats.fallbacks), (0, 1));
         // The two-round machinery finishes on the reused round-1 evidence
         // (b+1 = 2 supporters already satisfy line 14 at round-2 entry).
         let got = r.outcome(id).expect("fallback read complete");
@@ -1013,7 +987,6 @@ pub(crate) mod tests {
         assert_eq!((got.value, got.ts), (Some(10), Timestamp(1)));
         assert_eq!(got.rounds, 2);
         assert!(!got.fast);
-        assert_eq!(r.fast_stats(), FastPathStats::default(), "never eligible");
         assert!(r.is_idle());
     }
 
@@ -1056,7 +1029,6 @@ pub(crate) mod tests {
         let got = r.outcome(id).expect("complete");
         assert_eq!(got.value, Some(10));
         assert_eq!((got.rounds, got.fast), (1, false));
-        assert_eq!(r.fast_stats(), FastPathStats::default());
     }
 
     fn write_acks_mean_nothing_to_a_read_that_does_not_write_back<E: Fixture>() {
@@ -1212,7 +1184,6 @@ pub(crate) mod tests {
             acks(&mut r, 0..4, 1);
             let got = r.outcome(id).expect("complete");
             assert_eq!((got.value, got.rounds, got.fast), (Some(10), 2, false));
-            assert_eq!(r.fast_stats().hits, 1);
         }
 
         #[test]

@@ -5,12 +5,13 @@
 //! [`vrr_sim::World`] (messages and the fault script — partitions, heals,
 //! reordering links, timed crashes — on one event queue) and a deployed
 //! [`RegisterProtocol`] (objects, writer, readers) — and meters every
-//! operation's rounds and latency in a [`metrics::Registry`] under the
-//! canonical `vrr_*` names. It adds what only the deployment knows: which
-//! process is object `i`, how to start an operation, what an attacker of
-//! this protocol looks like. Everything else — the clock, the latency
-//! model, link rules, heals, the drivers — is the world's own API, reached
-//! through [`StorageScenario::world`] / [`StorageScenario::world_mut`].
+//! operation's rounds and latency (and each READ's fast-path hit or
+//! fallback) in a [`metrics::Registry`] under the canonical `vrr_*` names.
+//! It adds what only the deployment knows: which process is object `i`,
+//! how to start an operation, what an attacker of this protocol looks like.
+//! Everything else — the clock, the latency model, link rules, heals, the
+//! drivers — is the world's own API, reached through
+//! [`StorageScenario::world`] / [`StorageScenario::world_mut`].
 //!
 //! It is the one way an operation enters a simulated world. The primitive
 //! is non-blocking — [`StorageScenario::start_write`] /
@@ -47,7 +48,7 @@ use crate::attackers::AttackerKind;
 use crate::config::StorageConfig;
 use crate::group::Deployment;
 use crate::harness::RegisterProtocol;
-use crate::metrics::{self, names, Registry};
+use crate::metrics::{self, names, FastPathStats, Registry};
 use crate::reader::ReadReport;
 use crate::types::Value;
 use crate::writer::WriteReport;
@@ -114,6 +115,7 @@ pub struct StorageScenario<V: Value, P: RegisterProtocol<V>> {
     world: World<P::Msg>,
     dep: Deployment,
     ops: Registry,
+    fast: FastPathStats,
     _marker: PhantomData<V>,
 }
 
@@ -129,6 +131,7 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
             world,
             dep,
             ops: Registry::new(),
+            fast: FastPathStats::default(),
             _marker: PhantomData,
         }
     }
@@ -276,7 +279,8 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
     }
 
     /// The READ's report once it completed, `None` while it is in flight;
-    /// records exactly once, like [`StorageScenario::poll_write`].
+    /// records exactly once, like [`StorageScenario::poll_write`], and
+    /// counts the READ as a fast-path hit or fallback.
     pub fn poll_read(&mut self, op: &mut ReadOp) -> Option<ReadReport<V>> {
         let report = self
             .protocol
@@ -284,6 +288,7 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
         if !std::mem::replace(&mut op.recorded, true) {
             let names = (names::READER_ROUNDS, names::READ_LATENCY);
             self.observe_completion(names, report.rounds, op.invoked_at);
+            self.fast.count(self.dep.cfg, &report);
         }
         Some(report)
     }
@@ -372,9 +377,7 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
             &[],
             self.world.held().len() as u64,
         );
-        if let Some(stats) = self.protocol.fast_path_stats(&self.dep, &self.world) {
-            metrics::record_fast_path(&mut reg, &stats);
-        }
+        metrics::record_fast_path(&mut reg, &self.fast);
         if let Some(lens) = self.indexed_history_lens() {
             metrics::record_history_lens(&mut reg, None, None, &lens);
         }

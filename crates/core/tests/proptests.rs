@@ -11,9 +11,8 @@ use vrr_core::regular::{HistoryRetention, RegularObject, RegularReader};
 use vrr_core::safe::{SafeObject, SafeReader};
 use vrr_core::wire::{decode_exact, Wire};
 use vrr_core::{
-    conflict_free_of_size, FastPathStats, HistEntry, History, Msg, ProtocolKind, ProtocolSpec,
-    ReadReport, ReadRound, ReaderTuning, StorageConfig, StorageScenario, Timestamp, TsVal,
-    TsrMatrix, WTuple,
+    conflict_free_of_size, HistEntry, History, Msg, ProtocolKind, ProtocolSpec, ReadReport,
+    ReadRound, ReaderTuning, StorageConfig, StorageScenario, Timestamp, TsVal, TsrMatrix, WTuple,
 };
 use vrr_sim::{Automaton, Context, ProcessId};
 
@@ -280,7 +279,6 @@ struct Reference<E: Evidence<u64>> {
     cache: TsVal<u64>,
     acked: Timestamp,
     outcomes: Vec<Option<ReadReport<u64>>>,
-    fast_stats: FastPathStats,
 }
 
 impl<E: Evidence<u64>> Reference<E> {
@@ -297,7 +295,6 @@ impl<E: Evidence<u64>> Reference<E> {
             cache: TsVal::bottom(),
             acked: Timestamp::ZERO,
             outcomes: Vec::new(),
-            fast_stats: FastPathStats::default(),
         }
     }
 
@@ -413,11 +410,9 @@ impl<E: Evidence<u64>> Reference<E> {
                     .count()
             };
             if let Some(c) = self.highest(|c| exact(c) >= need) {
-                self.fast_stats.hits += 1;
                 self.complete(c, 1, true);
                 return Vec::new();
             }
-            self.fast_stats.fallbacks += 1;
         }
         self.tsr += 1;
         self.op = Some((tsr_fr, true));
@@ -639,12 +634,6 @@ fn differential<E: Evidence<u64>>(
                 n
             );
         }
-        prop_assert_eq!(
-            real.fast_stats(),
-            reference.fast_stats,
-            "fast_stats, at step {}",
-            n
-        );
     }
 }
 

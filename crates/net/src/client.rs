@@ -3,9 +3,10 @@
 //!
 //! A [`NetClient`] holds one connection to one server and issues
 //! request/response pairs ([`Op`] → [`Rsp`]) with correlation ids, plus
-//! the metrics and fault-injection helpers. Keyed reads and writes go
-//! through [`crate::RemoteCluster`], which checks `NetClient`s out per
-//! request.
+//! the metrics and fault-injection helpers ([`NetClient::metrics`] asks for
+//! the node's one registry and renders its text here). Keyed reads and
+//! writes go through [`crate::RemoteCluster`], which checks `NetClient`s
+//! out per request.
 
 use std::fmt;
 use std::io::{self, Read, Write as IoWrite};
@@ -338,10 +339,13 @@ impl<V: Wire> NetClient<V> {
         })
     }
 
-    /// Fetches the server's metrics snapshot (Prometheus text encoding).
+    /// Fetches the node's metrics snapshot ([`Op::StoreMetrics`], no
+    /// cluster label) and renders it in the Prometheus text encoding — the
+    /// text HTTP `GET /metrics` serves.
     pub fn metrics(&mut self) -> Result<String, ClientError> {
-        self.expect(Op::Metrics, "wanted MetricsText", |rsp| match rsp {
-            Rsp::MetricsText { text } => Some(text),
+        let op = Op::StoreMetrics { cluster: None };
+        self.expect(op, "wanted StoreMetrics", |rsp| match rsp {
+            Rsp::StoreMetrics { registry } => Some(registry.to_prometheus()),
             _ => None,
         })
     }

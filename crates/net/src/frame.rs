@@ -126,8 +126,6 @@ pub enum Op<V> {
         /// Global pid to crash.
         pid: u64,
     },
-    /// Fetch the node's metrics snapshot in the Prometheus text encoding.
-    Metrics,
     /// Close every connection the target node holds to peer `node`
     /// (fault injection: a connection reset; undelivered frames are lost).
     ResetPeer {
@@ -185,11 +183,12 @@ pub enum Op<V> {
         /// Register-shard slot in the hosted store.
         slot: u32,
     },
-    /// Capacity/occupancy of the hosted store.
+    /// How many keys the hosted store binds.
     StoreInfo,
-    /// The hosted store's structured metrics snapshot, history gauges
-    /// labelled `cluster="<cluster>"` when given — so a router can merge
-    /// per-cluster snapshots across process boundaries.
+    /// The node's structured metrics snapshot — the hosted store's and the
+    /// transport's counters, what HTTP `GET /metrics` serves — with history
+    /// gauges labelled `cluster="<cluster>"` when given, so a router can
+    /// merge per-cluster snapshots across process boundaries.
     StoreMetrics {
         /// The cluster index to label the snapshot with.
         cluster: Option<u32>,
@@ -221,11 +220,6 @@ pub enum Rsp<V> {
     },
     /// Answer to [`Op::CrashPid`].
     Crashed,
-    /// Answer to [`Op::Metrics`].
-    MetricsText {
-        /// The snapshot in Prometheus text encoding.
-        text: String,
-    },
     /// Answer to [`Op::ResetPeer`].
     PeerReset {
         /// How many connections were closed.
@@ -271,18 +265,14 @@ pub enum Rsp<V> {
     },
     /// Answer to [`Op::StoreInfo`].
     StoreInfo {
-        /// Provisioned shard slots.
-        capacity: u32,
         /// Keys currently bound.
         keys: u32,
-        /// Shard slots never bound (headroom).
-        free_slots: u32,
     },
     /// Answer to [`Op::StoreMetrics`]: the structured registry snapshot
     /// (not Prometheus text), so counters and histograms merge correctly
     /// on the client side.
     StoreMetrics {
-        /// The hosted store's snapshot.
+        /// The node's snapshot.
         registry: Registry,
     },
 }
@@ -291,7 +281,7 @@ pub enum Rsp<V> {
 // (`vrr_core::wire_enum!`). A new request or response is one line here.
 // Tags of retired variants stay unassigned, so the others keep their wire
 // numbers and a client still sending a retired op gets a typed `BadTag`:
-// `Op` leaves 1, 2 and 6 free, `Rsp` leaves 6.
+// `Op` leaves 1, 2, 4 and 6 free, `Rsp` leaves 4 and 6.
 
 wire_struct!(Envelope<V> { source, epoch, seq, payload });
 
@@ -306,7 +296,6 @@ wire_enum!(Ctl<V> {
 wire_enum!(Op<V> {
     0 => Ping,
     3 => CrashPid { pid },
-    4 => Metrics,
     5 => ResetPeer { node },
     7 => Shutdown,
     8 => WriteKey { key, value },
@@ -325,7 +314,6 @@ wire_enum!(Rsp<V> {
     1 => Wrote { ts, rounds },
     2 => ReadOk { value, ts, rounds, fast },
     3 => Crashed,
-    4 => MetricsText { text },
     5 => PeerReset { closed },
     7 => ShuttingDown,
     8 => Err { what },
@@ -335,7 +323,7 @@ wire_enum!(Rsp<V> {
     12 => StoreKeys { keys },
     13 => Slot { slot },
     14 => Lens { lens },
-    15 => StoreInfo { capacity, keys, free_slots },
+    15 => StoreInfo { keys },
     16 => StoreMetrics { registry },
 });
 
@@ -511,14 +499,7 @@ mod tests {
                 Op::ShardHistoryLens { slot: 2 },
                 Rsp::Lens { lens: vec![1, 2] },
             ),
-            (
-                Op::StoreInfo,
-                Rsp::StoreInfo {
-                    capacity: 40,
-                    keys: 16,
-                    free_slots: 20,
-                },
-            ),
+            (Op::StoreInfo, Rsp::StoreInfo { keys: 16 }),
             (
                 Op::StoreMetrics { cluster: Some(1) },
                 Rsp::StoreMetrics { registry },

@@ -27,7 +27,11 @@
 //!   operation ([`vrr_runtime::Cluster::submit`]) and the worker that
 //!   observes the outcome writes the response — no thread per request.
 //! - [`client`] — [`client::NetClient`]: a blocking thin client
-//!   (request/response, metrics and fault-injection ops).
+//!   (request/response, metrics and fault-injection ops). A node's metrics
+//!   leave it one way: one registry — the hosted store's snapshot and the
+//!   transport's counters — answers [`frame::Op::StoreMetrics`] and HTTP
+//!   `GET /metrics` alike, and [`client::NetClient::metrics`] renders it
+//!   as Prometheus text.
 //! - [`remote`] — [`remote::RemoteCluster`]: the keyed client side of a
 //!   hosted store, a `ClusterBackend` a `StoreRouter` can put on its ring.
 //!

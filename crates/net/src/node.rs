@@ -43,12 +43,14 @@
 //!   never the node — so an in-flight operation cannot keep a dropped node
 //!   alive. Two requests for one reader (or writer) queue in the
 //!   executor, in arrival order.
-//! - **inspection thread** — `Metrics`, `StoreMetrics`, `ShardHistoryLens`
-//!   and HTTP `GET /metrics` do blocking `try_invoke`s over many automata
+//! - **inspection thread** — `StoreMetrics`, `ShardHistoryLens` and HTTP
+//!   `GET /metrics` do blocking `try_invoke`s over many automata
 //!   (thousands on a large store); they go, by channel, to one long-lived
-//!   thread. Inspection is tolerant — crashed processes, Byzantine
-//!   substitutes and relays are skipped — so it neither panics nor alters
-//!   the fault schedule of what it looks at.
+//!   thread. `StoreMetrics` and `GET /metrics` serve one registry: the
+//!   hosted store's snapshot and the transport's counters. Inspection is
+//!   tolerant — crashed processes, Byzantine substitutes and relays are
+//!   skipped — so it neither panics nor alters the fault schedule of what
+//!   it looks at.
 //!
 //! An operation that outlives [`vrr_runtime::OP_TIMEOUT`] — more than `t`
 //! objects of its group are gone — is answered with a typed `Rsp::Err` by a
@@ -518,8 +520,6 @@ fn expire(queue: &mut VecDeque<Pending>, now: Instant) -> Vec<(ConnId, u64)> {
 
 /// What the inspection thread is asked to do.
 enum Inspection {
-    /// `Op::Metrics`.
-    Metrics,
     /// `Op::StoreMetrics`.
     StoreMetrics { cluster: Option<u32> },
     /// `Op::ShardHistoryLens`.
@@ -690,11 +690,8 @@ impl<V: Value + Wire> NodeHandler<V> {
                 })
             }),
             Op::StoreInfo => Some(Rsp::StoreInfo {
-                capacity: ctx.store.capacity() as u32,
                 keys: ctx.store.len() as u32,
-                free_slots: ctx.store.free_slots() as u32,
             }),
-            Op::Metrics => inspect(Inspection::Metrics),
             Op::StoreMetrics { cluster } => inspect(Inspection::StoreMetrics { cluster }),
             Op::ShardHistoryLens { slot } => inspect(Inspection::ShardHistoryLens { slot }),
         };
@@ -739,7 +736,7 @@ fn inspection_loop<V: Value + Wire>(ctx: Arc<ServerCtx<V>>, jobs: Receiver<Inspe
                 ctx.transport.send_ctl_on(conn, Ctl::Response { id, rsp });
             }
             InspectionJob::HttpMetrics { conn } => {
-                let rsp = http_response("200 OK", &ctx.metrics().to_prometheus());
+                let rsp = http_response("200 OK", &ctx.metrics(None).to_prometheus());
                 ctx.transport.handle().finish(conn, rsp);
             }
         }
@@ -747,8 +744,12 @@ fn inspection_loop<V: Value + Wire>(ctx: Arc<ServerCtx<V>>, jobs: Receiver<Inspe
 }
 
 impl<V: Value + Wire> ServerCtx<V> {
-    fn metrics(&self) -> Registry {
-        let mut reg = self.store.metrics_snapshot();
+    /// The node's whole registry: the hosted store's snapshot, history
+    /// gauges labelled `cluster="<cluster>"` when given, and the
+    /// transport's counters.
+    fn metrics(&self, cluster: Option<u32>) -> Registry {
+        let cluster = cluster.map(|c| c as usize);
+        let mut reg = self.store.metrics_snapshot_labelled(cluster);
         self.transport.record_metrics(&mut reg);
         reg
     }
@@ -756,11 +757,8 @@ impl<V: Value + Wire> ServerCtx<V> {
     /// Runs one inspection (on the inspection thread: blocking `try_invoke`s).
     fn inspect(&self, what: Inspection) -> Rsp<V> {
         match what {
-            Inspection::Metrics => Rsp::MetricsText {
-                text: self.metrics().to_prometheus(),
-            },
             Inspection::StoreMetrics { cluster } => Rsp::StoreMetrics {
-                registry: (self.store).metrics_snapshot_labelled(cluster.map(|c| c as usize)),
+                registry: self.metrics(cluster),
             },
             Inspection::ShardHistoryLens { slot } if slot as usize >= self.store.capacity() => {
                 Rsp::Err {

@@ -249,7 +249,7 @@ where
 
     fn len(&self) -> usize {
         match self.demand(Op::StoreInfo) {
-            Rsp::StoreInfo { keys, .. } => keys as usize,
+            Rsp::StoreInfo { keys } => keys as usize,
             other => self.unexpected(other),
         }
     }
@@ -264,20 +264,6 @@ where
         }) {
             Rsp::Slot { slot } => Some(slot as usize),
             Rsp::NoKey => None,
-            other => self.unexpected(other),
-        }
-    }
-
-    fn capacity(&self) -> usize {
-        match self.demand(Op::StoreInfo) {
-            Rsp::StoreInfo { capacity, .. } => capacity as usize,
-            other => self.unexpected(other),
-        }
-    }
-
-    fn free_slots(&self) -> usize {
-        match self.demand(Op::StoreInfo) {
-            Rsp::StoreInfo { free_slots, .. } => free_slots as usize,
             other => self.unexpected(other),
         }
     }
@@ -316,9 +302,5 @@ where
         }
         registry.merge(&snapshot);
         registry
-    }
-
-    fn scheme(&self) -> &'static str {
-        "tcp"
     }
 }

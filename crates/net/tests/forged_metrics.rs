@@ -32,11 +32,7 @@ fn forged() -> Registry {
 fn answer(op: Op<u64>) -> Rsp<u64> {
     match op {
         Op::StoreMetrics { .. } => Rsp::StoreMetrics { registry: forged() },
-        _ => Rsp::StoreInfo {
-            capacity: 4,
-            keys: 0,
-            free_slots: 4,
-        },
+        _ => Rsp::StoreInfo { keys: 0 },
     }
 }
 

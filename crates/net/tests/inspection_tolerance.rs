@@ -14,8 +14,8 @@ use vrr_core::metrics::names;
 use vrr_core::regular::RegularObject;
 use vrr_core::{Msg, ProtocolKind, StorageConfig};
 use vrr_net::{
-    free_addrs, ByzSpec, GroupPlacement, NetClient, NetNode, NetNodeConfig, NodeTopology, Op,
-    RemoteCluster, RemoteClusterConfig, Rsp,
+    free_addrs, ByzSpec, GroupPlacement, NetClient, NetNode, NetNodeConfig, NodeTopology,
+    RemoteCluster, RemoteClusterConfig,
 };
 use vrr_runtime::ClusterBackend;
 use vrr_sim::Tamper;
@@ -65,10 +65,7 @@ fn inspection_skips_faulty_objects_and_leaves_the_attacker_byzantine() {
         assert_eq!(gauge, expected, "Op::StoreMetrics, object {object}");
     }
     let mut client = NetClient::<u64>::connect(node.addr()).expect("connect");
-    match client.request(Op::Metrics).expect("Op::Metrics") {
-        Rsp::MetricsText { text } => assert_history_gauges(&text),
-        other => panic!("unexpected {other:?}"),
-    }
+    assert_history_gauges(&client.metrics().expect("NetClient::metrics"));
     let metrics_addr = node.metrics_addr().expect("metrics address");
     let mut stream = std::net::TcpStream::connect(metrics_addr).expect("connect http");
     stream

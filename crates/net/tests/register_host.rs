@@ -9,6 +9,7 @@ use std::io::ErrorKind;
 
 use common::{read_key, write_key};
 use vrr_core::attackers::AttackerKind;
+use vrr_core::metrics::names;
 use vrr_core::regular::RegularObject;
 use vrr_core::{ProtocolKind, StorageConfig};
 use vrr_net::{
@@ -179,14 +180,21 @@ fn host_inspection_on_a_split_deployment_reports_only_locally_hosted_objects() {
     assert_eq!(n0.host().history_lens(0), [(0, 4), (2, 4)]);
     let remote: Vec<usize> = n1.host().history_lens(0).iter().map(|&(i, _)| i).collect();
     assert_eq!(remote, [1, 3]);
-    // Reader 1 is a relay on node 0 and reader 0 one on node 1: both are
-    // skipped, neither is counted or poisoned.
-    assert_eq!(n0.host().fast_path_stats(), Default::default());
 
-    // The relays still relay: both readers complete through them.
+    // Reader 1 is a relay on node 0 and reader 0 one on node 1. The relays
+    // still relay, both readers complete through them, and each node's
+    // snapshot meters the one READ it started: below the Proposition 1
+    // boundary, neither a fast-path hit nor a fallback.
     n0.write_slot(0, 4);
     assert_eq!(n0.read_slot(0, 0).value, Some(4));
     assert_eq!(n1.read_slot(0, 1).value, Some(4));
+    for node in [&n0, &n1] {
+        let snap = node.host().metrics_snapshot_labelled(None);
+        let reads = snap.histogram(names::READER_ROUNDS, &[]).map(|h| h.count());
+        assert_eq!(reads, Some(1));
+        assert_eq!(snap.counter(names::READER_FAST_HITS, &[]), 0);
+        assert_eq!(snap.counter(names::READER_FAST_FALLBACKS, &[]), 0);
+    }
 
     // Node 0 lacks reader 1, so it is no front node: every key-index op
     // is refused, by the rule's name.

@@ -9,8 +9,8 @@
 //! byte for byte and `decode_exact` returns the value. The same list is the
 //! malformed corpus — every strict prefix of every vector is a typed
 //! `Truncated` / `Oversized` / `BadTag`, never a panic and never an `Ok` —
-//! and the first unused tag of each enum, and every tag `Op` retired, is a
-//! `BadTag` naming that enum.
+//! and the first unused tag of each enum, and every tag `Op` and `Rsp`
+//! retired, is a `BadTag` naming that enum.
 //! A mismatch prints the line as the tree encodes it today; re-pin one only
 //! for a deliberate format change, and say so.
 
@@ -143,7 +143,6 @@ fn every_variant_keeps_its_bytes_and_every_prefix_is_a_typed_error() {
     // vrr_net::frame — Op.
     t.pin("Op::Ping", Op::Ping);
     t.pin("Op::CrashPid", Op::CrashPid { pid: 9 });
-    t.pin("Op::Metrics", Op::Metrics);
     t.pin("Op::ResetPeer", Op::ResetPeer { node: 2 });
     t.pin("Op::Shutdown", Op::Shutdown);
     t.pin("Op::WriteKey", Op::WriteKey { key: key(), value: 7 });
@@ -162,7 +161,6 @@ fn every_variant_keeps_its_bytes_and_every_prefix_is_a_typed_error() {
     t.pin("Rsp::Wrote", Rsp::Wrote { ts, rounds: 2 });
     t.pin("Rsp::ReadOk", Rsp::ReadOk { value: Some(7), ts, rounds: 2, fast: true });
     t.pin("Rsp::Crashed", Rsp::Crashed);
-    t.pin("Rsp::MetricsText", Rsp::MetricsText { text: "vrr_x 1\n".into() });
     t.pin("Rsp::PeerReset", Rsp::PeerReset { closed: 2 });
     t.pin("Rsp::ShuttingDown", Rsp::ShuttingDown);
     t.pin("Rsp::Err", Rsp::Err { what: "no such slot ⊥".into() });
@@ -172,7 +170,7 @@ fn every_variant_keeps_its_bytes_and_every_prefix_is_a_typed_error() {
     t.pin("Rsp::StoreKeys", Rsp::StoreKeys { keys: vec![b"a".to_vec(), vec![], b"bc".to_vec()] });
     t.pin("Rsp::Slot", Rsp::Slot { slot: 5 });
     t.pin("Rsp::Lens", Rsp::Lens { lens: vec![1, 2] });
-    t.pin("Rsp::StoreInfo", Rsp::StoreInfo { capacity: 40, keys: 16, free_slots: 20 });
+    t.pin("Rsp::StoreInfo", Rsp::StoreInfo { keys: 16 });
     let registry = one_series(|reg| reg.counter_add(names::WIRE_RETRIES, &[], 3));
     t.pin("Rsp::StoreMetrics", Rsp::StoreMetrics { registry });
 
@@ -190,12 +188,16 @@ fn every_variant_keeps_its_bytes_and_every_prefix_is_a_typed_error() {
     t.bad_tag::<Payload>("Payload", &[2]);
     t.bad_tag::<Ctl>("Ctl", &[3]);
     t.bad_tag::<Op>("Op", &[17]);
-    // Op's retired tags (1 and 2 were the slot-addressed write and read): a
-    // client still speaking a retired op gets a typed error, not another op.
-    for retired in [1, 2, 6] {
+    // Op's retired tags (1 and 2 were the slot-addressed write and read, 4
+    // the text metrics): a client still speaking a retired op gets a typed
+    // error, not another op; so does a retired response.
+    for retired in [1, 2, 4, 6] {
         t.bad_tag::<Op>("Op", &[retired]);
     }
     t.bad_tag::<Rsp>("Rsp", &[17]);
+    for retired in [4, 6] {
+        t.bad_tag::<Rsp>("Rsp", &[retired]);
+    }
     // One family, one unlabelled series, then the series tag.
     let mut series = 1u32.to_wire_vec();
     names::NET_SENT.to_string().encode(&mut series);

@@ -144,12 +144,11 @@ fn arb_op(tag: u8, g: &mut Gen) -> Op<u64> {
     match tag {
         0 => Op::Ping,
         3 => Op::CrashPid { pid: g.next() },
-        4 => Op::Metrics,
         5 => Op::ResetPeer {
             node: g.next() as u32,
         },
         7 => Op::Shutdown,
-        _ => unreachable!("tags 0..=7 but 1, 2 and 6"),
+        _ => unreachable!("tags 0..=7 but 1, 2, 4 and 6"),
     }
 }
 
@@ -171,9 +170,6 @@ fn arb_rsp(tag: u8, g: &mut Gen) -> Rsp<u64> {
             fast: g.below(2) == 0,
         },
         3 => Rsp::Crashed,
-        4 => Rsp::MetricsText {
-            text: arb_string(g),
-        },
         5 => Rsp::PeerReset {
             closed: g.next() as u32,
         },
@@ -181,7 +177,7 @@ fn arb_rsp(tag: u8, g: &mut Gen) -> Rsp<u64> {
         8 => Rsp::Err {
             what: arb_string(g),
         },
-        _ => unreachable!("tags 0..=8 but 6"),
+        _ => unreachable!("tags 0..=8 but 4 and 6"),
     }
 }
 
@@ -247,7 +243,7 @@ proptest! {
     #[test]
     fn client_protocol_frames_roundtrip(seed in any::<u64>()) {
         let mut g = Gen(seed);
-        for tag in [0, 3, 4, 5, 7] {
+        for tag in [0, 3, 5, 7] {
             let env = Envelope {
                 source: CLIENT_NODE,
                 epoch: 0,
@@ -256,7 +252,7 @@ proptest! {
             };
             assert_framed_roundtrip(&env, &mut g);
         }
-        for tag in [0, 1, 2, 3, 4, 5, 7, 8] {
+        for tag in [0, 1, 2, 3, 5, 7, 8] {
             let env = Envelope {
                 source: g.next() as u32,
                 epoch: g.next() as u32,
@@ -315,8 +311,8 @@ fn max_size_values_roundtrip() {
     };
     assert_roundtrip(&read);
 
-    let text = Rsp::<u64>::MetricsText {
-        text: "métrique\u{1F680}".repeat(2_000),
+    let text = Rsp::<u64>::Err {
+        what: "métrique\u{1F680}".repeat(2_000),
     };
     assert_roundtrip(&text);
 }

@@ -64,12 +64,6 @@ pub trait ClusterBackend<K, V: Value>: Send + Sync {
     /// The register slot serving `key`, if bound.
     fn shard_of(&self, key: &K) -> Option<usize>;
 
-    /// Provisioned register slots (bindings ever possible, not live keys).
-    fn capacity(&self) -> usize;
-
-    /// Register slots never bound to any key (capacity headroom).
-    fn free_slots(&self) -> usize;
-
     /// Crashes base object `object` of register slot `slot` (fault
     /// injection).
     fn crash_object(&self, slot: usize, object: usize);
@@ -84,10 +78,6 @@ pub trait ClusterBackend<K, V: Value>: Send + Sync {
     /// when given — so the snapshots of a router's clusters merge into one
     /// [`Registry`] without colliding.
     fn metrics_snapshot_labelled(&self, cluster: Option<usize>) -> Registry;
-
-    /// Where this cluster's automata execute: `"inproc"` for the worker
-    /// pool in this process, `"tcp"` for a `vrr-server` in another one.
-    fn scheme(&self) -> &'static str;
 
     /// Panicking [`ClusterBackend::try_write`] (capacity exhaustion and
     /// transport failure are deployment errors on this path).
@@ -116,7 +106,6 @@ mod tests {
             ShardedStore::deploy(cfg, ProtocolKind::Regular, Box::new(NoDelay), 4);
         let backend: std::sync::Arc<dyn ClusterBackend<String, u64>> = std::sync::Arc::new(store);
         backend.write("alpha".into(), 7);
-        assert_eq!(backend.scheme(), "inproc");
         assert_eq!(backend.len(), 1);
         assert_eq!(backend.read(&"alpha".into(), 0).unwrap().value, Some(7));
         assert!(backend.contains_key(&"alpha".into()));
@@ -124,7 +113,5 @@ mod tests {
         assert!(!backend.history_lens(slot).is_empty());
         assert_eq!(backend.release(&"alpha".into()), Some(slot));
         assert_eq!(backend.read(&"alpha".into(), 0), None);
-        assert_eq!(backend.capacity(), 4);
-        assert_eq!(backend.free_slots(), 3);
     }
 }

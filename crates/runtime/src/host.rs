@@ -24,12 +24,12 @@ use parking_lot::Mutex;
 
 use vrr_sim::Automaton;
 
-use vrr_core::metrics::{self, names, Histogram, Registry};
+use vrr_core::metrics::{self, names, FastPathStats, Histogram, Registry};
 use vrr_core::regular::{RegularObject, RegularReader};
 use vrr_core::safe::SafeReader;
 use vrr_core::{
-    group_span, spawn_group, Deployment, FastPathStats, GroupRole, Msg, ProtocolKind, ProtocolSpec,
-    ReadReport, StorageConfig, Value, WriteReport, Writer,
+    group_span, spawn_group, Deployment, GroupRole, Msg, ProtocolKind, ProtocolSpec, ReadReport,
+    StorageConfig, Value, WriteReport, Writer,
 };
 
 use crate::cluster::{Cluster, NodeGone};
@@ -42,11 +42,11 @@ use crate::sharded::{Padded, Sharded};
 pub const OP_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Rounds and latency histograms of one kind of operation (the host's
-/// READs, or its WRITEs) under their canonical `vrr_*` names, resolved once:
-/// a completion observes into them directly and [`RegisterHost::op_metrics`]
-/// folds them into a [`Registry`].
+/// READs, or its WRITEs) under their canonical `vrr_*` names, resolved once,
+/// and the READs' fast-path counters: a completion records into them
+/// directly and [`RegisterHost::op_metrics`] folds them into a [`Registry`].
 ///
-/// One pair per shard ([`Sharded`]): an operation records into the shard of
+/// One record per shard ([`Sharded`]): an operation records into the shard of
 /// the thread that started it, wherever its completion fires, holding it by
 /// that shard's own `Arc` — so two callers write neither the same histogram
 /// nor the same reference count.
@@ -56,26 +56,40 @@ pub const OP_TIMEOUT: Duration = Duration::from_secs(30);
 /// [`Cluster::submit`] runs it (the simulator records sim ticks under the
 /// same names; the unit is the harness's to define).
 struct OpMeter {
+    /// The names of [`Recorded::rounds`] and [`Recorded::latency`].
     names: [&'static str; 2],
-    /// `[rounds, latency]`, per shard.
-    recorded: Sharded<Arc<Padded<Mutex<[Histogram; 2]>>>>,
+    /// One [`Recorded`] per shard.
+    recorded: Sharded<Arc<Padded<Mutex<Recorded>>>>,
+}
+
+/// What one shard of an [`OpMeter`] recorded.
+struct Recorded {
+    rounds: Histogram,
+    latency: Histogram,
+    /// [`FastPathStats::count`] of every READ report; zero for WRITEs.
+    fast: FastPathStats,
 }
 
 impl OpMeter {
     fn new(rounds_name: &'static str, latency_name: &'static str) -> Self {
-        let names = [rounds_name, latency_name];
         OpMeter {
-            names,
-            recorded: Sharded::new(|| Arc::new(Padded(Mutex::new(names.map(Histogram::named))))),
+            names: [rounds_name, latency_name],
+            recorded: Sharded::new(|| {
+                Arc::new(Padded(Mutex::new(Recorded {
+                    rounds: Histogram::named(rounds_name),
+                    latency: Histogram::named(latency_name),
+                    fast: FastPathStats::default(),
+                })))
+            }),
         }
     }
 
     /// Starts the clock of an operation: the returned completion records
-    /// the report's `rounds` (a [`NodeGone`] records nothing), then calls
-    /// `done`.
+    /// its latency and lets `record` read the report (a [`NodeGone`]
+    /// records nothing), then calls `done`.
     fn timed<R: 'static>(
         &self,
-        rounds: fn(&R) -> u32,
+        record: impl FnOnce(&R, &mut Recorded) + Send + 'static,
         done: impl FnOnce(Result<R, NodeGone>) + Send + 'static,
     ) -> impl FnOnce(Result<R, NodeGone>) + Send + 'static {
         let recorded = Arc::clone(self.recorded.mine());
@@ -84,8 +98,8 @@ impl OpMeter {
             if let Ok(report) = &result {
                 let us = started.elapsed().as_micros() as u64;
                 let mut recorded = recorded.0.lock();
-                recorded[0].observe(u64::from(rounds(report)));
-                recorded[1].observe(us);
+                recorded.latency.observe(us);
+                record(report, &mut recorded);
             }
             done(result);
         }
@@ -94,9 +108,9 @@ impl OpMeter {
     fn fold_into(&self, reg: &mut Registry) {
         for shard in self.recorded.all() {
             let recorded = shard.0.lock();
-            for (name, histogram) in self.names.into_iter().zip(&*recorded) {
-                reg.observe_all(name, &[], histogram);
-            }
+            reg.observe_all(self.names[0], &[], &recorded.rounds);
+            reg.observe_all(self.names[1], &[], &recorded.latency);
+            metrics::record_fast_path(reg, &recorded.fast);
         }
     }
 }
@@ -281,7 +295,12 @@ impl<V: Value> RegisterHost<V> {
             self.groups[slot].writer,
             move |w: &mut Writer<V>, ctx| w.invoke_write(value, ctx),
             |w: &mut Writer<V>, &id| w.take_outcome(id),
-            self.writes.timed(|report| report.rounds, done),
+            self.writes.timed(
+                |report: &WriteReport, rec: &mut Recorded| {
+                    rec.rounds.observe(u64::from(report.rounds));
+                },
+                done,
+            ),
         );
     }
 
@@ -300,7 +319,14 @@ impl<V: Value> RegisterHost<V> {
         done: impl FnOnce(Result<ReadReport<V>, NodeGone>) + Send + 'static,
     ) {
         let reader = self.groups[slot].readers[j];
-        let done = self.reads.timed(|report| report.rounds, done);
+        let cfg = self.cfg;
+        let done = self.reads.timed(
+            move |report: &ReadReport<V>, rec: &mut Recorded| {
+                rec.rounds.observe(u64::from(report.rounds));
+                rec.fast.count(cfg, report);
+            },
+            done,
+        );
         match self.kind {
             ProtocolKind::Safe => self.cluster.submit(
                 reader,
@@ -377,34 +403,11 @@ impl<V: Value> RegisterHost<V> {
             .collect()
     }
 
-    /// Sum of the one-round fast-path counters over every live reader of
-    /// every slot: reads finished in round 1 (`hits`) vs. reads that armed
-    /// the fast path but completed through the two-round protocol
-    /// (`fallbacks`). Both stay zero at optimal resilience, where
-    /// Proposition 1 keeps the fast path disarmed.
-    pub fn fast_path_stats(&self) -> FastPathStats {
-        let mut total = FastPathStats::default();
-        for &pid in self.groups.iter().flat_map(|group| &group.readers) {
-            let stats = match self.kind {
-                ProtocolKind::Safe => self
-                    .cluster
-                    .try_invoke(pid, |r: &mut SafeReader<V>, _ctx| r.fast_stats()),
-                ProtocolKind::Regular | ProtocolKind::RegularOptimized | ProtocolKind::Atomic => {
-                    self.cluster
-                        .try_invoke(pid, |r: &mut RegularReader<V>, _ctx| r.fast_stats())
-                }
-            };
-            if let Ok(s) = stats {
-                total.hits += s.hits;
-                total.fallbacks += s.fallbacks;
-            }
-        }
-        total
-    }
-
     /// The rounds/latency histograms of the operations this host completed
-    /// so far, plus its worker pool's activity counters under their
-    /// canonical `vrr_executor_*` names.
+    /// so far and its READs' fast-path counters (hits, and fallbacks at a
+    /// sizing where the fast path is armed: [`FastPathStats::count`]), plus
+    /// its worker pool's activity counters under their canonical
+    /// `vrr_executor_*` names.
     pub fn op_metrics(&self) -> Registry {
         let executor = self.cluster.stats();
         let mut reg = Registry::new();
@@ -418,15 +421,14 @@ impl<V: Value> RegisterHost<V> {
 
     /// One snapshot of everything observable about the host, under the
     /// same canonical `vrr_*` names ([`vrr_core::metrics::names`]) the
-    /// simulator harness exports: [`RegisterHost::op_metrics`], the
-    /// fast-path counters, and one history-length gauge per inspectable
-    /// object labelled `{object, shard}` with its own index and slot — and
+    /// simulator harness exports: [`RegisterHost::op_metrics`] and one
+    /// history-length gauge per inspectable object labelled
+    /// `{object, shard}` with its own index and slot — and
     /// `cluster="<cluster>"` when given, so the snapshots of a router's
     /// clusters merge without colliding. Encode with
     /// [`vrr_core::metrics::Registry::to_prometheus`].
     pub fn metrics_snapshot_labelled(&self, cluster: Option<usize>) -> Registry {
         let mut reg = self.op_metrics();
-        metrics::record_fast_path(&mut reg, &self.fast_path_stats());
         for slot in 0..self.groups.len() {
             let lens = self.history_lens(slot);
             metrics::record_history_lens(&mut reg, cluster, Some(slot), &lens);
@@ -767,9 +769,14 @@ mod tests {
                     assert!(r.fast, "{kind:?}");
                 }
             }
-            let stats = host.fast_path_stats();
-            assert_eq!(stats.hits, 6, "{kind:?}: summed over both slots");
-            assert_eq!(stats.fallbacks, 0, "{kind:?}");
+            let snap = host.op_metrics();
+            let hits = snap.counter(names::READER_FAST_HITS, &[]);
+            assert_eq!(hits, 6, "{kind:?}: summed over both slots");
+            assert_eq!(
+                snap.counter(names::READER_FAST_FALLBACKS, &[]),
+                0,
+                "{kind:?}"
+            );
         }
     }
 

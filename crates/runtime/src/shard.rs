@@ -206,6 +206,11 @@ impl<K: Eq + Hash + Clone + Send + Sync, V: Value> ShardedStore<K, V> {
         self.host.kind()
     }
 
+    /// Provisioned register slots (bindings ever possible, not live keys).
+    pub fn capacity(&self) -> usize {
+        self.host.groups().len()
+    }
+
     /// Starts `WRITE(key, value)` and returns without waiting; `done`
     /// fires with the report (or [`NodeGone`] if the shard's writer is
     /// crashed) where [`Cluster::submit`] says — on this thread, before the
@@ -303,15 +308,6 @@ impl<K: Eq + Hash + Clone + Send + Sync, V: Value> ClusterBackend<K, V> for Shar
         self.index.read().map.get(key).copied()
     }
 
-    fn capacity(&self) -> usize {
-        self.host.groups().len()
-    }
-
-    /// Retired slots are *not* counted, per the capacity contract.
-    fn free_slots(&self) -> usize {
-        self.capacity() - self.index.read().next_slot
-    }
-
     fn crash_object(&self, slot: usize, idx: usize) {
         self.host.crash_object(slot, idx);
     }
@@ -332,10 +328,6 @@ impl<K: Eq + Hash + Clone + Send + Sync, V: Value> ClusterBackend<K, V> for Shar
     /// with their shard slot.
     fn metrics_snapshot_labelled(&self, cluster: Option<usize>) -> Registry {
         self.host.metrics_snapshot_labelled(cluster)
-    }
-
-    fn scheme(&self) -> &'static str {
-        "inproc"
     }
 }
 

@@ -6,8 +6,7 @@ use vrr_sim::{Automaton, ProcessId};
 
 use vrr_core::metrics::{self, Registry};
 use vrr_core::{
-    FastPathStats, GroupRole, Msg, ProtocolKind, ProtocolSpec, ReadReport, StorageConfig, Value,
-    WriteReport,
+    GroupRole, Msg, ProtocolKind, ProtocolSpec, ReadReport, StorageConfig, Value, WriteReport,
 };
 
 use crate::cluster::Cluster;
@@ -126,14 +125,6 @@ impl<V: Value> StorageCluster<V> {
         lens.into_iter().map(|(_, len)| len).collect()
     }
 
-    /// Sum of the one-round fast-path counters over all live readers: how many
-    /// reads finished in round 1 (`hits`) vs. fell back to the two-round
-    /// protocol (`fallbacks`). Both stay zero at optimal resilience, where
-    /// Proposition 1 keeps the fast path disarmed.
-    pub fn fast_path_stats(&self) -> FastPathStats {
-        self.host.fast_path_stats()
-    }
-
     /// One deterministic-shape snapshot of everything observable about
     /// this deployment, under the same canonical `vrr_*` names
     /// ([`vrr_core::metrics::names`]) the simulator harness exports:
@@ -145,7 +136,6 @@ impl<V: Value> StorageCluster<V> {
     /// with [`vrr_core::metrics::Registry::to_prometheus`].
     pub fn metrics_snapshot(&self) -> Registry {
         let mut reg = self.host.op_metrics();
-        metrics::record_fast_path(&mut reg, &self.host.fast_path_stats());
         metrics::record_history_lens(&mut reg, None, None, &self.host.history_lens(0));
         reg
     }
@@ -171,6 +161,7 @@ mod tests {
 
     use vrr_checker::{check_atomicity, Recorder};
     use vrr_core::attackers::AttackerKind;
+    use vrr_core::metrics::names;
     use vrr_core::regular::{RegularObject, RegularReader};
     use vrr_core::safe::SafeReader;
     use vrr_core::Writer;
@@ -203,7 +194,9 @@ mod tests {
         assert_eq!(r.value, Some(7));
         assert_eq!(r.rounds, 2);
         assert!(!r.fast);
-        assert_eq!(storage.fast_path_stats(), FastPathStats::default());
+        let snap = storage.metrics_snapshot();
+        assert_eq!(snap.counter(names::READER_FAST_HITS, &[]), 0);
+        assert_eq!(snap.counter(names::READER_FAST_FALLBACKS, &[]), 0);
     }
 
     /// Drains every message a finished READ may still have in flight, then

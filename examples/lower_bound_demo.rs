@@ -10,6 +10,7 @@
 use vrr::lowerbound::{
     execute_control, execute_prop1, render_all, BlockPartition, LitePairSpec, ReadRule, Verdict,
 };
+use vrr_core::metrics::names;
 use vrr_core::regular::HistoryRetention;
 use vrr_core::{ReaderTuning, StorageConfig};
 use vrr_runtime::{NoDelay, ProtocolKind, ProtocolSpec, StorageCluster};
@@ -118,18 +119,17 @@ fn main() {
         StorageCluster::deploy(boundary, ProtocolKind::Regular, Box::new(NoDelay));
     sound.write(42);
     let r = sound.read(0);
-    let stats = sound.fast_path_stats();
+    let snap = sound.metrics_snapshot();
+    let hits = snap.counter(names::READER_FAST_HITS, &[]);
+    let fallbacks = snap.counter(names::READER_FAST_FALLBACKS, &[]);
     println!(
         "S = {s} (= 2t+2b), sound fast path:     rounds = {}, fast = {} — it",
         r.rounds, r.fast
     );
-    println!(
-        "      refuses to engage below the boundary (hits = {}, fallbacks = {})",
-        stats.hits, stats.fallbacks
-    );
+    println!("      refuses to engage below the boundary (hits = {hits}, fallbacks = {fallbacks})");
     assert_eq!(r.rounds, 2);
     assert!(!r.fast);
-    assert_eq!((stats.hits, stats.fallbacks), (0, 0));
+    assert_eq!((hits, fallbacks), (0, 0));
 
     let fast_cfg = StorageConfig::fast(t, b, 1); // S = 2t+2b+1
     let fast: StorageCluster<u64> =

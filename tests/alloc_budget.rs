@@ -27,7 +27,9 @@
 //! allocations went: its two per-round reply vectors, now emptied at the
 //! return and reused by the next READ, and the candidate set's `BTreeSet`
 //! node, now a sorted vector that keeps `S` slots between READs: 10.0
-//! (1,163 B).
+//! (1,163 B). With the READ's completion carrying the group's sizing, so
+//! that the meter counts the fast-path outcome the reader no longer
+//! counts: 10.0 (1,187 B).
 //!
 //! A WRITE's bytes are a sawtooth in `OPS`: every write appends one entry
 //! to each object's history, and a doubling vector's reallocations count at

@@ -11,9 +11,10 @@ use proptest::prelude::*;
 
 use vrr::checker::{check_regularity, check_safety};
 use vrr::core::attackers::AttackerKind;
-use vrr::core::metrics::names;
+use vrr::core::metrics::{names, Registry};
 use vrr::core::regular::HistoryRetention;
-use vrr::core::{ProtocolKind, ProtocolSpec, StorageConfig};
+use vrr::core::{ProtocolKind, ProtocolSpec, StorageConfig, StorageScenario};
+use vrr::runtime::{NoDelay, StorageCluster};
 use vrr::sim::SimTime;
 use vrr::workload::{FaultPlan, LatencyKind, ScheduleParams, SimCase};
 
@@ -59,6 +60,30 @@ fn fault_free_reads_complete_in_one_round() {
         );
         assert_eq!(out.metrics.counter(names::READER_FAST_FALLBACKS, &[]), 0);
     }
+}
+
+#[test]
+fn an_atomic_read_writes_a_fast_selection_back_and_is_metered_a_fallback() {
+    // Round 1 confirms the write exactly, so no READ2 goes out — but the
+    // write-back does: the report says two rounds, not fast, and both
+    // harnesses meter what the report says.
+    let cfg = fast_cfg(1);
+    let metered = |snapshot: &Registry| {
+        let hits = snapshot.counter(names::READER_FAST_HITS, &[]);
+        (hits, snapshot.counter(names::READER_FAST_FALLBACKS, &[]))
+    };
+
+    let mut sc = StorageScenario::deploy(ProtocolKind::Atomic, cfg, 3);
+    sc.write(7u64);
+    let got = sc.read(0);
+    assert_eq!((got.value, got.rounds, got.fast), (Some(7), 2, false));
+    assert_eq!(metered(&sc.metrics_snapshot()), (0, 1), "simulator");
+
+    let storage = StorageCluster::deploy(cfg, ProtocolKind::Atomic, Box::new(NoDelay));
+    storage.write(7u64);
+    let got = storage.read(0);
+    assert_eq!((got.value, got.rounds, got.fast), (Some(7), 2, false));
+    assert_eq!(metered(&storage.metrics_snapshot()), (0, 1), "threads");
 }
 
 #[test]
