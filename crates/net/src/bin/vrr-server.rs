@@ -1,28 +1,29 @@
 //! `vrr-server`: one OS process of a multi-process storage deployment.
 //!
 //! Every node of a deployment runs this binary with the *same* topology
-//! flags (`--addrs`, sizing, placement, `--store`) and its own `--node`.
-//! The register value type is `u64`. After the listener is up the process
-//! prints `READY <addr>` on stdout; it exits when a thin client sends the
-//! shutdown op.
+//! flags (`--addrs`, sizing, `--place-objects`, `--store`) and its own
+//! `--node`. The register value type is `u64`. After the listener is up
+//! the process prints `READY <addr>` on stdout; it exits when a thin
+//! client sends the shutdown op.
 //!
 //! ```text
 //! vrr-server --node 0 --addrs 127.0.0.1:7100,127.0.0.1:7101 \
 //!     --t 1 --b 1 --readers 1 [--fast] [--kind regular-opt] [--store 4] \
-//!     [--place-objects 0,0,0,0,0] [--place-writer 1] [--place-readers 1] \
+//!     [--place-objects 0,0,0,1] \
 //!     [--byzantine SLOT|all:OBJ:KIND:FORGED] [--epoch 0] \
 //!     [--retention keep-all|reader-ack] [--metrics-addr HOST:PORT]
 //! ```
 //!
 //! `--store N` (default 1) is the number of register groups, on one worker
-//! pool of one worker per CPU. Their front node — the one hosting the
-//! writer and every reader — serves them by key, as a
+//! pool of one worker per CPU. Node 0 hosts the writer and every reader of
+//! each, and so is their front node: it serves them by key, as a
 //! `ShardedStore<Vec<u8>, u64>`, to remote `StoreRouter`s through
-//! `vrr_net::RemoteCluster` (router-member mode); `--place-objects` may put
-//! the objects on other nodes, and any other node answers keyed ops with an
-//! error naming the rule. Fault injection goes to the object's node: on a
-//! front node `CrashShard` of an object hosted elsewhere answers "not
-//! hosted here", so crash it with `CrashPid` on its own node.
+//! `vrr_net::RemoteCluster` (router-member mode). `--place-objects`
+//! (default: all on node 0) puts object `i` on the `i`-th listed node, and
+//! any node but node 0 answers keyed ops with an error naming the rule.
+//! Fault injection goes to the object's node: on node 0 `CrashShard` of an
+//! object hosted elsewhere answers "not hosted here", so crash it with
+//! `CrashPid` on its own node.
 //! `--byzantine all:OBJ:KIND:FORGED` substitutes an attacker for the named
 //! object of **every** group. With `--metrics-addr` the process
 //! serves its Prometheus snapshot at `GET /metrics`, and prints
@@ -32,9 +33,10 @@
 //! range (`--b` above `--t`, `--readers 0`) — is answered with a
 //! `vrr-server:` line and the usage on stderr and exit code 2, before
 //! anything is bound or spawned. So is a topology `NetNode::start` refuses
-//! (its `InvalidInput`): `--store 0`, `--node` or a placement naming a node
-//! outside `--addrs`, placement lists that do not match the sizing, a
-//! Byzantine spec naming an object the deployment does not have.
+//! (its `InvalidInput`): `--store 0`, `--node` or `--place-objects` naming
+//! a node outside `--addrs`, a `--place-objects` list that does not match
+//! the sizing, a sizing of more than 64 objects, a Byzantine spec naming an
+//! object the deployment does not have.
 
 use std::net::SocketAddr;
 use std::process::exit;
@@ -42,7 +44,7 @@ use std::process::exit;
 use vrr_core::attackers::AttackerKind;
 use vrr_core::regular::HistoryRetention;
 use vrr_core::{ProtocolKind, ProtocolSpec, StorageConfig};
-use vrr_net::{ByzSpec, GroupPlacement, NetNode, NetNodeConfig, NodeTopology};
+use vrr_net::{ByzSpec, NetNode, NetNodeConfig, NodeTopology};
 
 fn usage(err: &str) -> ! {
     eprintln!("vrr-server: {err}");
@@ -50,7 +52,7 @@ fn usage(err: &str) -> ! {
         "usage: vrr-server --node N --addrs HOST:PORT[,HOST:PORT...] \
          [--t N] [--b N] [--readers N] [--fast] \
          [--kind safe|regular|regular-opt] [--store N] \
-         [--place-objects N,N,...] [--place-writer N] [--place-readers N,...] \
+         [--place-objects N,N,...] \
          [--byzantine SLOT|all:OBJ:KIND:FORGED]... [--epoch N] \
          [--retention keep-all|reader-ack] [--metrics-addr HOST:PORT]"
     );
@@ -90,8 +92,6 @@ fn main() {
     let mut kind = ProtocolKind::RegularOptimized;
     let mut store = 1usize;
     let mut place_objects: Option<Vec<u32>> = None;
-    let mut place_writer: Option<u32> = None;
-    let mut place_readers: Option<Vec<u32>> = None;
     let mut byzantine: Vec<ByzSpec<u64>> = Vec::new();
     let mut epoch = 0u32;
     let mut retention_reader_ack = false;
@@ -120,14 +120,6 @@ fn main() {
                 }
             }
             "--place-objects" => place_objects = Some(parse_list(val(), "--place-objects")),
-            "--place-writer" => {
-                place_writer = Some(
-                    val()
-                        .parse()
-                        .unwrap_or_else(|_| usage("bad --place-writer")),
-                )
-            }
-            "--place-readers" => place_readers = Some(parse_list(val(), "--place-readers")),
             "--byzantine" => {
                 let spec = val();
                 let parts: Vec<&str> = spec.split(':').collect();
@@ -188,14 +180,9 @@ fn main() {
     } else {
         StorageConfig::optimal(t, b, readers)
     };
-    let placement = GroupPlacement {
-        objects: place_objects.unwrap_or_else(|| vec![0; cfg.s]),
-        writer: place_writer.unwrap_or(0),
-        readers: place_readers.unwrap_or_else(|| vec![0; cfg.readers]),
-    };
     let topo = NodeTopology {
         addrs,
-        placement,
+        objects: place_objects.unwrap_or_else(|| vec![0; cfg.s]),
         slots: store,
     };
     let mut spec = ProtocolSpec::from(kind);
@@ -210,8 +197,9 @@ fn main() {
     let server = match NetNode::start(node, &topo, ncfg) {
         Ok(s) => s,
         // A topology or spec the deployment cannot honour: `--store 0`,
-        // `--node` or a placement outside `--addrs`, placement lists off
-        // the sizing, a Byzantine spec naming no object.
+        // `--node` or an object placed outside `--addrs`, an object list
+        // off the sizing, over 64 objects, a Byzantine spec naming no
+        // object.
         Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => usage(&e.to_string()),
         Err(e) => {
             eprintln!("vrr-server: failed to start node {node}: {e}");

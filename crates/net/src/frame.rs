@@ -135,11 +135,11 @@ pub enum Op<V> {
     /// Ask the server process to exit cleanly.
     Shutdown,
     /// Blocking `WRITE(key, value)` against the target node's hosted
-    /// key-value store (router-member mode). The target must be the
-    /// group's front node, hosting the writer and every reader; the objects
-    /// may live on other nodes. Keys cross the wire as opaque bytes — the
-    /// client encodes its own key type; the server never interprets them
-    /// beyond equality and hashing.
+    /// key-value store (router-member mode). The target must be node 0, the
+    /// front node hosting the writer and every reader; the objects may live
+    /// on other nodes. Keys cross the wire as opaque bytes — the client
+    /// encodes its own key type; the server never interprets them beyond
+    /// equality and hashing.
     WriteKey {
         /// The key, in the client's own wire encoding.
         key: Vec<u8>,
@@ -177,11 +177,6 @@ pub enum Op<V> {
         slot: u32,
         /// Base-object index within the shard.
         object: u32,
-    },
-    /// The per-object history lengths of shard `slot` in the hosted store.
-    ShardHistoryLens {
-        /// Register-shard slot in the hosted store.
-        slot: u32,
     },
     /// How many keys the hosted store binds.
     StoreInfo,
@@ -258,11 +253,6 @@ pub enum Rsp<V> {
         /// The shard slot serving the key.
         slot: u32,
     },
-    /// Answer to [`Op::ShardHistoryLens`].
-    Lens {
-        /// Per-object stored history lengths.
-        lens: Vec<u64>,
-    },
     /// Answer to [`Op::StoreInfo`].
     StoreInfo {
         /// Keys currently bound.
@@ -281,7 +271,7 @@ pub enum Rsp<V> {
 // (`vrr_core::wire_enum!`). A new request or response is one line here.
 // Tags of retired variants stay unassigned, so the others keep their wire
 // numbers and a client still sending a retired op gets a typed `BadTag`:
-// `Op` leaves 1, 2, 4 and 6 free, `Rsp` leaves 4 and 6.
+// `Op` leaves 1, 2, 4, 6 and 14 free, `Rsp` leaves 4, 6 and 14.
 
 wire_struct!(Envelope<V> { source, epoch, seq, payload });
 
@@ -304,7 +294,6 @@ wire_enum!(Op<V> {
     11 => StoreKeys,
     12 => SlotOfKey { key },
     13 => CrashShard { slot, object },
-    14 => ShardHistoryLens { slot },
     15 => StoreInfo,
     16 => StoreMetrics { cluster },
 });
@@ -322,7 +311,6 @@ wire_enum!(Rsp<V> {
     11 => Released { slot },
     12 => StoreKeys { keys },
     13 => Slot { slot },
-    14 => Lens { lens },
     15 => StoreInfo { keys },
     16 => StoreMetrics { registry },
 });
@@ -495,10 +483,6 @@ mod tests {
                 Rsp::Slot { slot: 5 },
             ),
             (Op::CrashShard { slot: 2, object: 4 }, Rsp::Crashed),
-            (
-                Op::ShardHistoryLens { slot: 2 },
-                Rsp::Lens { lens: vec![1, 2] },
-            ),
             (Op::StoreInfo, Rsp::StoreInfo { keys: 16 }),
             (
                 Op::StoreMetrics { cluster: Some(1) },

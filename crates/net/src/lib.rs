@@ -8,35 +8,34 @@
 //!   ([`vrr_core::wire`]) wrapped in [`frame::Envelope`]s (source node,
 //!   epoch, sequence number) and length-prefixed frames, plus the thin
 //!   client protocol ([`frame::Ctl`] / [`frame::Op`] / [`frame::Rsp`]).
-//! - [`reactor`] — a single-threaded epoll event loop (via the vendored
-//!   `mio` shim) owning every socket: non-blocking accept/connect/read/
-//!   write, per-connection write queues, incremental frame extraction.
-//!   Events go, on the reactor thread, to the [`reactor::Handler`] it was
-//!   started with.
-//! - [`transport`] — [`transport::TcpTransport`]: peer table, `Hello`
-//!   handshakes, reconnect-on-demand, lossy-on-reset delivery.
+//! - a single-threaded epoll event loop (via the vendored `mio` shim)
+//!   owning every socket: non-blocking accept/connect/read/write,
+//!   per-connection write queues, incremental frame extraction; and on it
+//!   the TCP transport: peer table, `Hello` handshakes, reconnect-on-demand,
+//!   lossy-on-reset delivery.
 //! - [`node`] — [`node::NetNode`]: one OS process of a deployment. Spawns
 //!   the full global pid space (a [`vrr_runtime::RegisterHost`], driven by
 //!   the one [`vrr_core::ProtocolSpec`] in [`node::NetNodeConfig`]) with
-//!   [`node::Relay`] stand-ins for remote pids, so `StorageCluster`-style
-//!   workloads run unchanged whether members share a process or not. Its
-//!   key-value store (router-member mode) is a key index over those same
-//!   register groups, served by a group's *front node* — the node that
-//!   hosts its writer and every reader, wherever the objects live.
+//!   relay stand-ins for the pids other nodes host, so `StorageCluster`-style
+//!   workloads run unchanged whether members share a process or not. Node 0
+//!   is every group's *front node*: it hosts the writer and every reader,
+//!   the [`node::NodeTopology`] places only the objects, and the node's
+//!   key-value store (router-member mode) — a key index over those same
+//!   register groups — is served there, wherever the objects live.
 //!   Its request path is completion-driven: the reactor thread starts an
 //!   operation ([`vrr_runtime::Cluster::submit`]) and the worker that
 //!   observes the outcome writes the response — no thread per request.
 //! - [`client`] — [`client::NetClient`]: a blocking thin client
 //!   (request/response, metrics and fault-injection ops). A node's metrics
-//!   leave it one way: one registry — the hosted store's snapshot and the
-//!   transport's counters — answers [`frame::Op::StoreMetrics`] and HTTP
+//!   leave it one way: one registry — the hosted store's snapshot, its
+//!   history-length gauges included, and the transport's counters — answers [`frame::Op::StoreMetrics`] and HTTP
 //!   `GET /metrics` alike, and [`client::NetClient::metrics`] renders it
 //!   as Prometheus text.
 //! - [`remote`] — [`remote::RemoteCluster`]: the keyed client side of a
 //!   hosted store, a `ClusterBackend` a `StoreRouter` can put on its ring.
 //!
-//! The `vrr-server` binary wraps [`node::NetNode`] behind a CLI so
-//! objects, writer and readers can live in separate OS processes; see
+//! The `vrr-server` binary wraps [`node::NetNode`] behind a CLI so the
+//! objects can live in OS processes apart from the front node; see
 //! `tests/multiprocess.rs` (a front node whose objects live in two other
 //! processes) and `examples/dist_scaleout.rs` at the workspace root (a
 //! keyed store behind a router). Both hold their servers as
@@ -45,8 +44,8 @@
 //!
 //! Against a running spread deployment — say three `vrr-server`s started
 //! with `--addrs 127.0.0.1:7100,127.0.0.1:7101,127.0.0.1:7102 --store 4
-//! --place-objects 1,1,2,2 --place-writer 0 --place-readers 0`, one per
-//! `--node` — a client dials the front node, node 0, and reads and writes
+//! --place-objects 1,1,2,2`, one per `--node` — a client dials the front
+//! node, node 0, and reads and writes
 //! by key; every protocol round of those operations crosses the sockets to
 //! the objects on nodes 1 and 2:
 //!
@@ -81,15 +80,11 @@
 pub mod client;
 pub mod frame;
 pub mod node;
-pub mod reactor;
+mod reactor;
 pub mod remote;
-pub mod transport;
+mod transport;
 
 pub use client::{ClientError, NetClient, RetryPolicy};
 pub use frame::{Ctl, Envelope, FrameError, FrameReader, Op, Payload, Rsp, MAX_FRAME_LEN};
-pub use node::{
-    free_addrs, ByzSpec, GroupPlacement, NetNode, NetNodeConfig, NodeTopology, Relay, ServerProcess,
-};
-pub use reactor::{BoundReactor, ConnId, Handler, NetCounters, NetEvent, ReactorHandle};
+pub use node::{free_addrs, ByzSpec, NetNode, NetNodeConfig, NodeTopology, ServerProcess};
 pub use remote::{RemoteCluster, RemoteClusterConfig};
-pub use transport::TcpTransport;

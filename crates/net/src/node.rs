@@ -3,7 +3,7 @@
 //! Closures and automata cannot cross process boundaries, so every node
 //! spawns the **full global pid space** in the canonical order (one
 //! [`vrr_runtime::RegisterHost`] over all slots): real automata for
-//! the pids the node hosts, a [`Relay`] stand-in for every pid hosted
+//! the pids the node hosts, a `Relay` stand-in for every pid hosted
 //! elsewhere. Because pids are dense in spawn order, replaying the same
 //! spawn sequence makes local pid = global pid on every node — a writer
 //! on node 0 sends to object pid 3 exactly as in-proc, the relay at pid 3
@@ -11,14 +11,14 @@
 //! pid 3, where the real object lives.
 //!
 //! The host's slots are also the node's key-value store: a
-//! [`ShardedStore`] indexes keys onto them, so `WriteKey k` and
-//! [`NetNode::write_slot`] on `k`'s slot write one register. The index
-//! lives in one process: only the group's *front node* — the node hosting
-//! the writer and every reader — serves the key-index ops (`WriteKey`,
-//! `ReadKey`, `ReleaseKey`, `StoreKeys`, `SlotOfKey`), and any other
-//! answers them with a typed `Rsp::Err`. The objects may live anywhere:
-//! a keyed operation on a front node whose objects sit on other nodes
-//! runs its protocol rounds over the transport.
+//! [`ShardedStore`] indexes keys onto them, so `WriteKey k` and a host
+//! write of `k`'s slot write one register. Node 0 hosts the writer and
+//! every reader of every group — it is the deployment's *front node* — and
+//! the index lives there: only node 0 serves the key-index ops
+//! (`WriteKey`, `ReadKey`, `ReleaseKey`, `StoreKeys`, `SlotOfKey`), and any
+//! other node answers them with a typed `Rsp::Err`. The topology places
+//! only the objects, anywhere: a keyed operation whose objects sit on other
+//! nodes runs its protocol rounds over the transport.
 //!
 //! # Where a request runs
 //!
@@ -43,11 +43,11 @@
 //!   never the node — so an in-flight operation cannot keep a dropped node
 //!   alive. Two requests for one reader (or writer) queue in the
 //!   executor, in arrival order.
-//! - **inspection thread** — `StoreMetrics`, `ShardHistoryLens` and HTTP
-//!   `GET /metrics` do blocking `try_invoke`s over many automata
-//!   (thousands on a large store); they go, by channel, to one long-lived
-//!   thread. `StoreMetrics` and `GET /metrics` serve one registry: the
-//!   hosted store's snapshot and the transport's counters. Inspection is
+//! - **inspection thread** — `StoreMetrics` and HTTP `GET /metrics` do
+//!   blocking `try_invoke`s over many automata (thousands on a large
+//!   store); they go, by channel, to one long-lived thread, and serve one
+//!   registry: the hosted store's snapshot — history-length gauges
+//!   included — and the transport's counters. Inspection is
 //!   tolerant — crashed processes, Byzantine substitutes and relays are
 //!   skipped — so it neither panics nor alters the fault schedule of what
 //!   it looks at.
@@ -92,16 +92,9 @@ use crate::transport::TcpTransport;
 
 /// Stand-in automaton for a pid hosted by another OS process: anything
 /// delivered to it locally is forwarded over the transport instead.
-pub struct Relay<V> {
+struct Relay<V> {
     me: ProcessId,
     transport: Arc<TcpTransport<V>>,
-}
-
-impl<V> Relay<V> {
-    /// A relay occupying global pid `me`, forwarding over `transport`.
-    pub fn new(me: ProcessId, transport: Arc<TcpTransport<V>>) -> Self {
-        Relay { me, transport }
-    }
 }
 
 impl<V: Value + Wire> Automaton<Msg<V>> for Relay<V> {
@@ -114,47 +107,16 @@ impl<V: Value + Wire> Automaton<Msg<V>> for Relay<V> {
     }
 }
 
-/// Which node hosts each member of a register group. The same placement
-/// applies to every slot.
-#[derive(Clone, Debug)]
-pub struct GroupPlacement {
-    /// Hosting node of object `i`.
-    pub objects: Vec<u32>,
-    /// Hosting node of the writer.
-    pub writer: u32,
-    /// Hosting node of reader `j`.
-    pub readers: Vec<u32>,
-}
-
-impl GroupPlacement {
-    /// Everything on one node (the degenerate single-process layout).
-    pub fn single(node: u32, cfg: StorageConfig) -> Self {
-        GroupPlacement {
-            objects: vec![node; cfg.s],
-            writer: node,
-            readers: vec![node; cfg.readers],
-        }
-    }
-
-    /// The node hosting `role`.
-    pub fn node_of(&self, role: GroupRole) -> u32 {
-        match role {
-            GroupRole::Object(i) => self.objects[i],
-            GroupRole::Writer => self.writer,
-            GroupRole::Reader(j) => self.readers[j],
-        }
-    }
-}
-
-/// The shared shape of a deployment: who listens where, who hosts what,
-/// and how many register groups (slots) exist. Every node of a deployment
-/// must be started from an identical topology.
+/// The shared shape of a deployment: who listens where, which node hosts
+/// each object, and how many register groups (slots) exist. The writer and
+/// every reader of every group live on node 0, the front node. Every node
+/// of a deployment must be started from an identical topology.
 #[derive(Clone, Debug)]
 pub struct NodeTopology {
     /// Listen address of node `i`.
     pub addrs: Vec<SocketAddr>,
-    /// Member placement, identical for every slot.
-    pub placement: GroupPlacement,
+    /// Hosting node of object `i`, identical for every slot.
+    pub objects: Vec<u32>,
     /// Number of register groups.
     pub slots: usize,
 }
@@ -162,11 +124,20 @@ pub struct NodeTopology {
 impl NodeTopology {
     /// Global pid → hosting node, for `slots × group_span` pids in the
     /// canonical spawn order.
-    pub fn pid_node(&self, cfg: StorageConfig) -> Vec<u32> {
+    fn pid_node(&self, cfg: StorageConfig) -> Vec<u32> {
         let span = group_span(cfg);
         (0..self.slots * span)
-            .map(|pid| self.placement.node_of(group_member(cfg, pid % span)))
+            .map(|pid| self.node_of(group_member(cfg, pid % span)))
             .collect()
+    }
+
+    /// The node hosting `role`: node 0, the front node, for the writer
+    /// and every reader.
+    fn node_of(&self, role: GroupRole) -> u32 {
+        match role {
+            GroupRole::Object(i) => self.objects[i],
+            GroupRole::Writer | GroupRole::Reader(_) => 0,
+        }
     }
 }
 
@@ -229,10 +200,6 @@ struct ServerCtx<V: Value + Wire> {
     /// over the full global pid space, real automata for the members placed
     /// here and relays for the rest.
     store: ShardedStore<Vec<u8>, V>,
-    /// Whether this is the group's front node — the writer and every
-    /// reader are placed here: only then are the key-index ops served.
-    front: bool,
-    placement: GroupPlacement,
     pid_node: Vec<u32>,
     transport: Arc<TcpTransport<V>>,
     shutdown: Shutdown,
@@ -282,12 +249,13 @@ impl<V: Value + Wire> NetNode<V> {
     ///
     /// # Errors
     ///
-    /// [`io::ErrorKind::InvalidInput`] if `node` or a placed member is
-    /// outside `topo.addrs`, the placement lists do not match the sizing,
-    /// the topology has no slot, or a Byzantine spec names a slot or an
-    /// object the deployment does not have (it would match nothing and the
-    /// node would silently come up honest); otherwise whatever binding the
-    /// listeners or spawning the threads reports.
+    /// [`io::ErrorKind::InvalidInput`] if `node` or a placed object is
+    /// outside `topo.addrs`, `topo.objects` does not match the sizing, the
+    /// sizing has more than 64 objects, the topology has no slot, or a
+    /// Byzantine spec names a slot or an object the deployment does not
+    /// have (it would match nothing and the node would silently come up
+    /// honest); otherwise whatever binding the listeners or spawning the
+    /// threads reports.
     pub fn start(node: u32, topo: &NodeTopology, ncfg: NetNodeConfig<V>) -> io::Result<Self> {
         let (bound, ctx) = Self::bind(node, topo, ncfg)?;
         let addr = bound.addr().expect("listening reactor reports its address");
@@ -338,9 +306,10 @@ impl<V: Value + Wire> NetNode<V> {
             ncfg.spec,
             topo.slots,
             |slot, role| -> Option<Box<dyn Automaton<Msg<V>>>> {
-                if topo.placement.node_of(role) != node {
-                    let pid = ProcessId(slot * span + role.index(ncfg.cfg));
-                    return Some(Box::new(Relay::new(pid, transport.clone())));
+                if topo.node_of(role) != node {
+                    let me = ProcessId(slot * span + role.index(ncfg.cfg));
+                    let transport = transport.clone();
+                    return Some(Box::new(Relay { me, transport }));
                 }
                 let GroupRole::Object(i) = role else {
                     return None;
@@ -352,13 +321,9 @@ impl<V: Value + Wire> NetNode<V> {
             },
         );
 
-        let place = &topo.placement;
-        let front = place.writer == node && place.readers.iter().all(|&n| n == node);
         let ctx = Arc::new(ServerCtx {
             node,
             store: ShardedStore::over(host),
-            front,
-            placement: place.clone(),
             pid_node,
             transport,
             shutdown: Shutdown::default(),
@@ -390,31 +355,6 @@ impl<V: Value + Wire> NetNode<V> {
     /// relays, which inspection skips).
     pub fn host(&self) -> &RegisterHost<V> {
         self.ctx.store.host()
-    }
-
-    /// Blocking `WRITE(value)` on slot `slot`. The writer must be local.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this node does not host the writer, `slot` is out of
-    /// range, or the write times out.
-    pub fn write_slot(&self, slot: usize, value: V) -> WriteReport {
-        assert_eq!(self.ctx.placement.writer, self.ctx.node, "writer not local");
-        self.host().write(slot, value)
-    }
-
-    /// Blocking `READ()` at local reader `reader` of slot `slot`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this node does not host that reader, indexes are out of
-    /// range, or the read times out.
-    pub fn read_slot(&self, slot: usize, reader: usize) -> ReadReport<V> {
-        assert_eq!(
-            self.ctx.placement.readers[reader], self.ctx.node,
-            "reader not local"
-        );
-        self.host().read(slot, reader)
     }
 
     /// Blocks until a client requests shutdown (the `vrr-server` main
@@ -518,20 +458,12 @@ fn expire(queue: &mut VecDeque<Pending>, now: Instant) -> Vec<(ConnId, u64)> {
     timed_out
 }
 
-/// What the inspection thread is asked to do.
-enum Inspection {
-    /// `Op::StoreMetrics`.
-    StoreMetrics { cluster: Option<u32> },
-    /// `Op::ShardHistoryLens`.
-    ShardHistoryLens { slot: u32 },
-}
-
 enum InspectionJob {
-    /// Answer frame request `id` on `conn`.
-    Request {
+    /// Answer `Op::StoreMetrics` request `id` on `conn`.
+    StoreMetrics {
         conn: ConnId,
         id: u64,
-        what: Inspection,
+        cluster: Option<u32>,
     },
     /// Answer `GET /metrics` on HTTP connection `conn`.
     HttpMetrics { conn: ConnId },
@@ -620,11 +552,6 @@ impl<V: Value + Wire> NodeHandler<V> {
     fn on_request(&mut self, conn: ConnId, id: u64, op: Op<V>) {
         let ctx = &*self.ctx;
         let pending = &mut self.pending;
-        let inspect = |what| {
-            let job = InspectionJob::Request { conn, id, what };
-            let _ = self.inspect_tx.send(job);
-            None
-        };
         // `Some`: answered here and now. `None`: a completion, the deadline
         // sweep or the inspection thread answers.
         let now: Option<Rsp<V>> = match op {
@@ -692,8 +619,11 @@ impl<V: Value + Wire> NodeHandler<V> {
             Op::StoreInfo => Some(Rsp::StoreInfo {
                 keys: ctx.store.len() as u32,
             }),
-            Op::StoreMetrics { cluster } => inspect(Inspection::StoreMetrics { cluster }),
-            Op::ShardHistoryLens { slot } => inspect(Inspection::ShardHistoryLens { slot }),
+            Op::StoreMetrics { cluster } => {
+                let job = InspectionJob::StoreMetrics { conn, id, cluster };
+                let _ = self.inspect_tx.send(job);
+                None
+            }
         };
         if let Some(rsp) = now {
             ctx.transport.send_ctl_on(conn, Ctl::Response { id, rsp });
@@ -731,8 +661,10 @@ fn http_response(status: &str, body: &str) -> Vec<u8> {
 fn inspection_loop<V: Value + Wire>(ctx: Arc<ServerCtx<V>>, jobs: Receiver<InspectionJob>) {
     for job in jobs.iter() {
         match job {
-            InspectionJob::Request { conn, id, what } => {
-                let rsp = ctx.inspect(what);
+            InspectionJob::StoreMetrics { conn, id, cluster } => {
+                let rsp = Rsp::StoreMetrics {
+                    registry: ctx.metrics(cluster),
+                };
                 ctx.transport.send_ctl_on(conn, Ctl::Response { id, rsp });
             }
             InspectionJob::HttpMetrics { conn } => {
@@ -754,25 +686,6 @@ impl<V: Value + Wire> ServerCtx<V> {
         reg
     }
 
-    /// Runs one inspection (on the inspection thread: blocking `try_invoke`s).
-    fn inspect(&self, what: Inspection) -> Rsp<V> {
-        match what {
-            Inspection::StoreMetrics { cluster } => Rsp::StoreMetrics {
-                registry: self.metrics(cluster),
-            },
-            Inspection::ShardHistoryLens { slot } if slot as usize >= self.store.capacity() => {
-                Rsp::Err {
-                    what: format!("shard {slot} out of range"),
-                }
-            }
-            Inspection::ShardHistoryLens { slot } => Rsp::Lens {
-                lens: (self.store.history_lens(slot as usize).into_iter())
-                    .map(|l| l as u64)
-                    .collect(),
-            },
-        }
-    }
-
     /// Crashes global pid `pid` if this node hosts it (fault injection).
     fn crash(&self, pid: usize) -> Rsp<V> {
         if self.pid_node.get(pid) != Some(&self.node) {
@@ -785,14 +698,14 @@ impl<V: Value + Wire> ServerCtx<V> {
     }
 
     /// Runs the key-index op `f` against the store, or answers the typed
-    /// error naming the rule when this is not the group's front node.
+    /// error naming the rule when this is not node 0, the front node.
     fn keyed(&self, f: impl FnOnce(&ShardedStore<Vec<u8>, V>) -> Option<Rsp<V>>) -> Option<Rsp<V>> {
-        if self.front {
+        if self.node == 0 {
             return f(&self.store);
         }
         Some(Rsp::Err {
             what: format!(
-                "key-index ops are served only by the node hosting the writer and every reader; node {} lacks some of them",
+                "key-index ops are served only by node 0, the front node hosting the writer and every reader; this is node {}",
                 self.node
             ),
         })
@@ -800,9 +713,10 @@ impl<V: Value + Wire> ServerCtx<V> {
 }
 
 /// Rejects a topology `start` would index out of (this node outside
-/// `addrs`, placement lists that do not match the sizing) or whose traffic
-/// the transport would drop silently (a member placed on a node outside
-/// `addrs`: operations would hang until `OP_TIMEOUT`); a topology of no
+/// `addrs`, an object list that does not match the sizing) or whose
+/// traffic the transport would drop silently (an object placed on a node
+/// outside `addrs`: operations would hang until `OP_TIMEOUT`); a sizing
+/// the writer cannot address (more than 64 objects); a topology of no
 /// slot, which would serve nothing; and a Byzantine spec that names a slot
 /// or an object the deployment does not have — applied as given it would
 /// match no member, and a fault drill against the node would run
@@ -810,20 +724,22 @@ impl<V: Value + Wire> ServerCtx<V> {
 fn check_specs<V>(node: u32, topo: &NodeTopology, ncfg: &NetNodeConfig<V>) -> io::Result<()> {
     let objects = ncfg.cfg.s;
     let invalid = |what: String| Err(io::Error::new(io::ErrorKind::InvalidInput, what));
-    let (nodes, place) = (topo.addrs.len(), &topo.placement);
-    let hosts = place.objects.iter().chain(&place.readers);
-    let mut hosts = hosts.chain([&place.writer, &node]);
+    let nodes = topo.addrs.len();
+    let mut hosts = topo.objects.iter().chain([&node]);
     if let Some(n) = hosts.find(|&&n| n as usize >= nodes) {
         return invalid(format!(
             "node {n} is outside the topology's {nodes} address(es)"
         ));
     }
-    if place.objects.len() != objects || place.readers.len() != ncfg.cfg.readers {
+    if objects > 64 {
         return invalid(format!(
-            "placement lists {} objects and {} readers: the sizing has {objects} and {}",
-            place.objects.len(),
-            place.readers.len(),
-            ncfg.cfg.readers
+            "the sizing has {objects} objects: a register group has at most 64"
+        ));
+    }
+    if topo.objects.len() != objects {
+        return invalid(format!(
+            "the topology places {} objects: the sizing has {objects}",
+            topo.objects.len()
         ));
     }
     if topo.slots == 0 {
@@ -1039,7 +955,7 @@ mod tests {
         let cfg = StorageConfig::optimal(1, 1, 1); // S = 4, t = 1
         let topo = NodeTopology {
             addrs: free_addrs(1).expect("reserve port"),
-            placement: GroupPlacement::single(0, cfg),
+            objects: vec![0; cfg.s],
             slots: 2,
         };
         let ncfg = NetNodeConfig::<u64>::new(cfg, ProtocolKind::RegularOptimized);

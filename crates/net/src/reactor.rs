@@ -33,7 +33,7 @@ use std::time::Duration;
 use mio::net::{TcpListener, TcpStream};
 use mio::{Events, Interest, Poll, Token, Waker};
 
-use crate::frame::{FrameError, FrameReader};
+use crate::frame::FrameReader;
 
 /// Identifies one TCP connection for the reactor's lifetime. Ids are never
 /// reused, so a stale id after a reconnect cannot alias the new socket.
@@ -90,8 +90,6 @@ pub enum NetEvent {
     Accepted {
         /// The new connection.
         conn: ConnId,
-        /// The peer's address.
-        peer: SocketAddr,
     },
     /// An outbound connect completed; the connection is usable.
     Connected {
@@ -102,8 +100,6 @@ pub enum NetEvent {
     ConnectFailed {
         /// The connection that never came up.
         conn: ConnId,
-        /// Why.
-        error: String,
     },
     /// A complete frame body arrived.
     Frame {
@@ -117,8 +113,6 @@ pub enum NetEvent {
     FrameError {
         /// The connection that was closed.
         conn: ConnId,
-        /// The framing failure.
-        error: FrameError,
     },
     /// The connection is gone (peer reset/close, write error, or a local
     /// [`ReactorHandle::close`]).
@@ -439,7 +433,7 @@ impl<H: Handler> Reactor<H> {
                 None => return,
             };
             match listener.accept() {
-                Ok((stream, peer)) => {
+                Ok((stream, _)) => {
                     let conn = self.next_conn.fetch_add(1, Ordering::Relaxed);
                     let mut c = Conn::new(stream, true, false, http);
                     if self
@@ -454,7 +448,7 @@ impl<H: Handler> Reactor<H> {
                     {
                         self.conns.insert(conn, c);
                         if !http {
-                            self.emit(NetEvent::Accepted { conn, peer });
+                            self.emit(NetEvent::Accepted { conn });
                         }
                     }
                 }
@@ -479,16 +473,10 @@ impl<H: Handler> Reactor<H> {
                     Ok(()) => {
                         self.conns.insert(conn, c);
                     }
-                    Err(e) => self.emit(NetEvent::ConnectFailed {
-                        conn,
-                        error: e.to_string(),
-                    }),
+                    Err(_) => self.emit(NetEvent::ConnectFailed { conn }),
                 }
             }
-            Err(e) => self.emit(NetEvent::ConnectFailed {
-                conn,
-                error: e.to_string(),
-            }),
+            Err(_) => self.emit(NetEvent::ConnectFailed { conn }),
         }
     }
 
@@ -514,19 +502,8 @@ impl<H: Handler> Reactor<H> {
                     c.connected = true;
                     self.emit(NetEvent::Connected { conn });
                 }
-                Ok(Some(e)) => {
-                    self.emit(NetEvent::ConnectFailed {
-                        conn,
-                        error: e.to_string(),
-                    });
-                    self.drop_conn(conn, false);
-                    return;
-                }
-                Err(e) => {
-                    self.emit(NetEvent::ConnectFailed {
-                        conn,
-                        error: e.to_string(),
-                    });
+                Ok(Some(_)) | Err(_) => {
+                    self.emit(NetEvent::ConnectFailed { conn });
                     self.drop_conn(conn, false);
                     return;
                 }
@@ -647,9 +624,9 @@ impl<H: Handler> Reactor<H> {
                     self.emit(NetEvent::Frame { conn, body });
                 }
                 Ok(None) => break,
-                Err(error) => {
+                Err(_) => {
                     self.counters.decode_errors.fetch_add(1, Ordering::Relaxed);
-                    self.emit(NetEvent::FrameError { conn, error });
+                    self.emit(NetEvent::FrameError { conn });
                     self.drop_conn(conn, false);
                     return;
                 }
@@ -782,14 +759,15 @@ mod tests {
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         let mut saw_frame_error = false;
         while std::time::Instant::now() < deadline && !saw_frame_error {
-            if let Ok(NetEvent::FrameError { error, .. }) =
+            if let Ok(NetEvent::FrameError { .. }) =
                 server_rx.recv_timeout(Duration::from_millis(200))
             {
-                assert!(matches!(error, FrameError::Oversized { .. }));
                 saw_frame_error = true;
             }
         }
         assert!(saw_frame_error, "server never reported the framing error");
+        let decode_errors = server.counters().decode_errors.load(Ordering::Relaxed);
+        assert_eq!(decode_errors, 1, "the oversized prefix is counted once");
         // The hostile connection is dead from the client's point of view too
         // (server closed it); a fresh connection still works.
         let good = client.connect(addr);

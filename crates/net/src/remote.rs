@@ -1,15 +1,15 @@
 //! [`RemoteCluster`]: a [`ClusterBackend`] whose automata live in another
 //! OS process.
 //!
-//! The client side of router-member mode: a `vrr-server` that is the
-//! front node of its register groups (it hosts the writer and every
-//! reader; the objects may live in other processes) serves them as a
-//! `ShardedStore<Vec<u8>, V>`, and a `RemoteCluster` drives it through the
-//! keyed [`Op`] vocabulary over blocking [`NetClient`] connections. A caller
-//! checks an idle connection out for its round trip (dialing one when none
-//! is idle) and returns it when the response is in, so no caller waits for
-//! another caller's request, and there are as many connections as callers
-//! were ever in flight at once. A [`vrr_runtime::StoreRouter`] built over
+//! The client side of router-member mode: node 0 of a `vrr-server`
+//! deployment, the front node of its register groups (it hosts the writer
+//! and every reader; the objects may live in other processes), serves them
+//! as a `ShardedStore<Vec<u8>, V>`, and a `RemoteCluster` drives it through
+//! the keyed [`Op`] vocabulary over blocking [`NetClient`] connections. A
+//! caller checks an idle connection out for its round trip (dialing one
+//! when none is idle) and returns it when the response is in, so no caller
+//! waits for another caller's request, and there are as many connections
+//! as callers were ever in flight at once. A [`vrr_runtime::StoreRouter`] built over
 //! `Arc<dyn ClusterBackend<K, V>>` cannot tell the difference — the same
 //! seeded-hash ring spans in-proc worker pools and remote processes, and
 //! the never-expose-intermediate-state rebalance (regular-`READ` copy,
@@ -254,10 +254,6 @@ where
         }
     }
 
-    fn contains_key(&self, key: &K) -> bool {
-        self.shard_of(key).is_some()
-    }
-
     fn shard_of(&self, key: &K) -> Option<usize> {
         match self.demand(Op::SlotOfKey {
             key: key_bytes(key),
@@ -274,13 +270,6 @@ where
             object: object as u32,
         }) {
             Rsp::Crashed => {}
-            other => self.unexpected(other),
-        }
-    }
-
-    fn history_lens(&self, slot: usize) -> Vec<usize> {
-        match self.demand(Op::ShardHistoryLens { slot: slot as u32 }) {
-            Rsp::Lens { lens } => lens.into_iter().map(|l| l as usize).collect(),
             other => self.unexpected(other),
         }
     }

@@ -16,8 +16,8 @@ use std::time::{Duration, Instant};
 use vrr_core::StorageConfig;
 use vrr_net::frame::{decode_body, encode_frame, CLIENT_NODE};
 use vrr_net::{
-    free_addrs, Ctl, Envelope, FrameReader, GroupPlacement, NetClient, NetNode, NetNodeConfig,
-    NodeTopology, Op, Payload, Rsp,
+    free_addrs, Ctl, Envelope, FrameReader, NetClient, NetNode, NetNodeConfig, NodeTopology, Op,
+    Payload, Rsp,
 };
 use vrr_runtime::{ClusterBackend, ProtocolKind, OP_TIMEOUT};
 
@@ -90,7 +90,7 @@ fn threads_stay_bounded_timeouts_are_typed_and_drop_joins_everything() {
 
     let cfg = StorageConfig::optimal(1, 1, 1); // S = 4, t = 1
     let topo = NodeTopology {
-        placement: GroupPlacement::single(0, cfg),
+        objects: vec![0; cfg.s],
         addrs: free_addrs(1).expect("reserve port"),
         slots: 4,
     };

@@ -10,7 +10,7 @@ mod common;
 
 use common::{read_key, write_key};
 use vrr_core::StorageConfig;
-use vrr_net::{free_addrs, GroupPlacement, NetClient, NetNode, NetNodeConfig, NodeTopology};
+use vrr_net::{free_addrs, NetClient, NetNode, NetNodeConfig, NodeTopology};
 use vrr_runtime::ProtocolKind;
 
 const READS_PER_CLIENT: usize = 500;
@@ -19,7 +19,7 @@ const WRITES_PER_CLIENT: u64 = 200;
 fn one_node() -> NetNode<u64> {
     let cfg = StorageConfig::optimal(1, 1, 1);
     let topo = NodeTopology {
-        placement: GroupPlacement::single(0, cfg),
+        objects: vec![0; cfg.s],
         addrs: free_addrs(1).expect("reserve port"),
         slots: 1,
     };

@@ -13,9 +13,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use vrr_core::StorageConfig;
 use vrr_net::frame::{decode_body, encode_frame, Ctl, Envelope, FrameError, FrameReader, Payload};
-use vrr_net::{
-    free_addrs, GroupPlacement, NetClient, NetNode, NetNodeConfig, NodeTopology, MAX_FRAME_LEN,
-};
+use vrr_net::{free_addrs, NetClient, NetNode, NetNodeConfig, NodeTopology, MAX_FRAME_LEN};
 use vrr_runtime::ProtocolKind;
 
 fn hello_frame(node: u32) -> Vec<u8> {
@@ -131,7 +129,7 @@ fn live_node_survives_socket_garbage() {
     let addrs = free_addrs(1).expect("reserve port");
     let cfg = StorageConfig::optimal(1, 0, 1);
     let topo = NodeTopology {
-        placement: GroupPlacement::single(0, cfg),
+        objects: vec![0; cfg.s],
         addrs,
         slots: 1,
     };
@@ -165,8 +163,8 @@ fn live_node_survives_socket_garbage() {
 
     // The polite client still gets full service.
     client.ping().expect("healthy during the attack");
-    node.write_slot(0, 42);
-    let report = node.read_slot(0, 0);
+    node.host().write(0, 42);
+    let report = node.host().read(0, 0);
     assert_eq!(report.value, Some(42));
 
     let text = client.metrics().expect("metrics still served");

@@ -28,7 +28,7 @@ const SPAN: u64 = 9;
 fn spawn(node: u32, addrs: &[SocketAddr]) -> ServerProcess {
     let args = format!(
         "--node {node} --addrs {} --t 2 --b 1 --readers 2 --kind regular-opt --store {SLOTS} \
-         --place-objects 1,1,1,2,2,2 --place-writer 0 --place-readers 0,0 \
+         --place-objects 1,1,1,2,2,2 \
          --byzantine all:0:inflator:999999",
         common::addr_list(addrs)
     );

@@ -14,8 +14,7 @@ use std::time::{Duration, Instant};
 use vrr_core::metrics::names;
 use vrr_core::StorageConfig;
 use vrr_net::{
-    free_addrs, GroupPlacement, NetClient, NetNode, NetNodeConfig, NodeTopology, Op, Rsp,
-    ServerProcess,
+    free_addrs, NetClient, NetNode, NetNodeConfig, NodeTopology, Op, Rsp, ServerProcess,
 };
 use vrr_runtime::{ProtocolKind, OP_TIMEOUT};
 
@@ -57,7 +56,7 @@ fn a_wedged_group_holds_up_nothing_else_and_an_idle_server_wakes_no_worker() {
     let baseline = threads();
     let cfg = StorageConfig::optimal(1, 1, 1); // S = 4, t = 1
     let topo = NodeTopology {
-        placement: GroupPlacement::single(0, cfg),
+        objects: vec![0; cfg.s],
         addrs: free_addrs(1).expect("reserve port"),
         slots: 4,
     };

@@ -12,9 +12,7 @@ use vrr_core::attackers::AttackerKind;
 use vrr_core::metrics::names;
 use vrr_core::regular::RegularObject;
 use vrr_core::{ProtocolKind, StorageConfig};
-use vrr_net::{
-    free_addrs, ByzSpec, GroupPlacement, NetClient, NetNode, NetNodeConfig, NodeTopology, Op, Rsp,
-};
+use vrr_net::{free_addrs, ByzSpec, NetClient, NetNode, NetNodeConfig, NodeTopology, Op, Rsp};
 use vrr_runtime::{Cluster, ClusterBackend, InvokeError};
 use vrr_sim::ProcessId;
 
@@ -44,7 +42,7 @@ fn a_byzantine_spec_names_an_existing_object_or_the_node_refuses_to_start() {
     let cfg = StorageConfig::optimal(1, 1, 1); // S = 4
     let topo = NodeTopology {
         addrs: free_addrs(1).expect("reserve port"),
-        placement: GroupPlacement::single(0, cfg),
+        objects: vec![0; cfg.s],
         slots: 2,
     };
 
@@ -70,11 +68,11 @@ fn a_byzantine_spec_names_an_existing_object_or_the_node_refuses_to_start() {
 
     // A topology the node cannot index (these used to panic) or whose
     // traffic it would drop (operations hung until the timeout): the node
-    // itself outside `addrs`, placement lists off the sizing, a member
+    // itself outside `addrs`, an object list off the sizing, an object
     // placed on a node that has no address.
     let (mut short, mut astray) = (topo.clone(), topo.clone());
-    short.placement.objects.pop();
-    astray.placement.writer = 9;
+    short.objects.pop();
+    astray.objects[1] = 9;
     for (node, topo, offender) in [
         (3, &topo, "node 3"),
         (0, &short, "3 objects"),
@@ -103,28 +101,29 @@ fn a_byzantine_spec_names_an_existing_object_or_the_node_refuses_to_start() {
 }
 
 /// The node's keyed store is an index over its own register groups, not a
-/// second set of them: what a key's write over the wire leaves, the node's
-/// in-process read of its slot finds, and the other way round.
+/// second set of them: what a key's write over the wire leaves, a host read
+/// of its slot finds, and the other way round.
 #[test]
 fn a_key_and_its_slot_are_one_register() {
     let cfg = StorageConfig::optimal(1, 1, 1);
     let topo = NodeTopology {
         addrs: free_addrs(1).expect("reserve port"),
-        placement: GroupPlacement::single(0, cfg),
+        objects: vec![0; cfg.s],
         slots: 2,
     };
     let node = NetNode::start(0, &topo, NetNodeConfig::<u64>::new(cfg, KIND)).expect("node");
     let mut client = NetClient::<u64>::connect(node.addr()).expect("connect");
     write_key(&mut client, b"k", 7, "key write");
     let slot = node.store().shard_of(&b"k".to_vec()).expect("bound");
-    assert_eq!(node.read_slot(slot, 0).value, Some(7));
-    node.write_slot(slot, 8);
+    assert_eq!(node.host().read(slot, 0).value, Some(7));
+    node.host().write(slot, 8);
     assert_eq!(read_key(&mut client, b"k", "key read"), Some(8));
 }
 
-/// Sizing `StorageConfig` and `ShardedStore` assert against used to reach
-/// those assertions: exit code 101 and a panic message where every other
-/// bad flag gets the usage and exit code 2.
+/// Sizing `StorageConfig`, `ShardedStore` and the writer assert against
+/// used to reach those assertions: exit code 101 and a panic message where
+/// every other bad flag gets the usage and exit code 2. `--t 32` is
+/// `S = 66`, past the 64 objects a register group can have.
 #[test]
 fn the_server_refuses_out_of_range_sizing_instead_of_panicking() {
     // From `--store 0` on they are refused by `NetNode::start`, not by
@@ -133,10 +132,11 @@ fn the_server_refuses_out_of_range_sizing_instead_of_panicking() {
         &["--t", "0", "--b", "1"][..],
         &["--readers", "0"],
         &["--store", "0"],
+        &["--t", "32"],
         &["--byzantine", "all:9:mute:0"],
         &["--node", "3"],
         &["--place-objects", "0,0"],
-        &["--place-writer", "9"],
+        &["--place-objects", "0,0,0,9"],
     ] {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_vrr-server"))
             .args(["--node", "0", "--addrs", "127.0.0.1:0"])
@@ -161,18 +161,14 @@ fn host_inspection_on_a_split_deployment_reports_only_locally_hosted_objects() {
     let cfg = StorageConfig::optimal(1, 1, 2);
     let topo = NodeTopology {
         addrs: free_addrs(2).expect("reserve ports"),
-        placement: GroupPlacement {
-            objects: (0..cfg.s).map(|i| u32::from(i % 2 == 1)).collect(),
-            writer: 0,
-            readers: vec![0, 1],
-        },
+        objects: (0..cfg.s).map(|i| u32::from(i % 2 == 1)).collect(),
         slots: 1,
     };
     let ncfg = NetNodeConfig::<u64>::new(cfg, KIND);
     let n0 = NetNode::start(0, &topo, ncfg.clone()).expect("node 0");
     let n1 = NetNode::start(1, &topo, ncfg).expect("node 1");
     for v in 1..=3 {
-        n0.write_slot(0, v);
+        n0.host().write(0, v);
     }
 
     // The initial entry plus three writes, each delivered to the local
@@ -181,24 +177,26 @@ fn host_inspection_on_a_split_deployment_reports_only_locally_hosted_objects() {
     let remote: Vec<usize> = n1.host().history_lens(0).iter().map(|&(i, _)| i).collect();
     assert_eq!(remote, [1, 3]);
 
-    // Reader 1 is a relay on node 0 and reader 0 one on node 1. The relays
-    // still relay, both readers complete through them, and each node's
-    // snapshot meters the one READ it started: below the Proposition 1
-    // boundary, neither a fast-path hit nor a fallback.
-    n0.write_slot(0, 4);
-    assert_eq!(n0.read_slot(0, 0).value, Some(4));
-    assert_eq!(n1.read_slot(0, 1).value, Some(4));
-    for node in [&n0, &n1] {
+    // Both readers sit on node 0 and reach objects 1 and 3 through its
+    // relays. The relays still relay, both reads complete, and node 0's
+    // snapshot meters the two READs it started — node 1 started none:
+    // below the Proposition 1 boundary, neither a fast-path hit nor a
+    // fallback.
+    n0.host().write(0, 4);
+    for j in 0..cfg.readers {
+        assert_eq!(n0.host().read(0, j).value, Some(4), "reader {j}");
+    }
+    for (node, reads) in [(&n0, 2), (&n1, 0)] {
         let snap = node.host().metrics_snapshot_labelled(None);
-        let reads = snap.histogram(names::READER_ROUNDS, &[]).map(|h| h.count());
-        assert_eq!(reads, Some(1));
+        let rounds = snap.histogram(names::READER_ROUNDS, &[]);
+        assert_eq!(rounds.map_or(0, |h| h.count()), reads);
         assert_eq!(snap.counter(names::READER_FAST_HITS, &[]), 0);
         assert_eq!(snap.counter(names::READER_FAST_FALLBACKS, &[]), 0);
     }
 
-    // Node 0 lacks reader 1, so it is no front node: every key-index op
-    // is refused, by the rule's name.
-    let mut client = NetClient::<u64>::connect(n0.addr()).expect("connect");
+    // Node 1 is no front node: every key-index op is refused, by the
+    // rule's name.
+    let mut client = NetClient::<u64>::connect(n1.addr()).expect("connect");
     let key = || b"k".to_vec();
     for op in [
         Op::WriteKey {
@@ -214,8 +212,7 @@ fn host_inspection_on_a_split_deployment_reports_only_locally_hosted_objects() {
         Op::SlotOfKey { key: key() },
     ] {
         let rsp = client.request(op).expect("transport");
-        let refused =
-            matches!(&rsp, Rsp::Err { what } if what.contains("the writer and every reader"));
-        assert!(refused, "a node lacking a reader served a key op: {rsp:?}");
+        let refused = matches!(&rsp, Rsp::Err { what } if what.contains("served only by node 0"));
+        assert!(refused, "node 1 served a key op: {rsp:?}");
     }
 }

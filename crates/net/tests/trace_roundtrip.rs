@@ -9,7 +9,7 @@ mod common;
 use common::Gen;
 use vrr_checker::{check_regularity, Recorder};
 use vrr_core::StorageConfig;
-use vrr_net::{free_addrs, GroupPlacement, NetNode, NetNodeConfig, NodeTopology};
+use vrr_net::{free_addrs, NetNode, NetNodeConfig, NodeTopology};
 use vrr_runtime::{NoDelay, ProtocolKind, StorageCluster};
 
 /// One schedule step: `Write` bumps the sequence, `Read(j)` reads at
@@ -77,29 +77,23 @@ fn tcp_and_inproc_traces_are_byte_identical() {
         |j| storage.read(j).value,
     );
 
-    // Execution B: the same group split across two NetNodes, every
-    // writer→object and reader→object message crossing real sockets.
+    // Execution B: the same group's objects split across two NetNodes,
+    // every message to an odd object crossing real sockets.
     let topo = NodeTopology {
         addrs: free_addrs(2).expect("reserve ports"),
-        placement: GroupPlacement {
-            objects: (0..cfg.s).map(|i| u32::from(i % 2 == 1)).collect(),
-            writer: 0,
-            readers: (0..cfg.readers).map(|j| u32::from(j % 2 == 1)).collect(),
-        },
+        objects: (0..cfg.s).map(|i| u32::from(i % 2 == 1)).collect(),
         slots: 1,
     };
     let ncfg = NetNodeConfig::<u64>::new(cfg, ProtocolKind::RegularOptimized);
     let n0 = NetNode::start(0, &topo, ncfg.clone()).expect("node 0");
-    let n1 = NetNode::start(1, &topo, ncfg).expect("node 1");
+    let _n1 = NetNode::start(1, &topo, ncfg).expect("node 1");
+    let host = n0.host();
     let tcp = replay(
         &steps,
         |v| {
-            n0.write_slot(0, v);
+            host.write(0, v);
         },
-        |j| {
-            let node = if j % 2 == 1 { &n1 } else { &n0 };
-            node.read_slot(0, j).value
-        },
+        |j| host.read(0, j).value,
     );
 
     // Same schedule, same logical clock, fault-free: the recorded

@@ -7,8 +7,9 @@
 //! 1. Byzantine base objects behind TCP — all six [`AttackerKind`]s over
 //!    two two-node deployments (mirrors `tests/fast_path.rs`, but the
 //!    honest and hostile objects talk over localhost sockets, not
-//!    channels): one split down the middle and driven slot by slot, one
-//!    whose front node holds no object and is driven by key.
+//!    channels): one whose objects are split down the middle, driven
+//!    through node 0's host, and one whose front node holds no object,
+//!    driven by key.
 //! 2. A `vrr-server` OS process killed mid-read and restarted amnesiac
 //!    with a fresh epoch.
 //! 3. Connection resets injected between read rounds while reads are in
@@ -24,8 +25,8 @@ use vrr_checker::{check_regularity, Recorder};
 use vrr_core::attackers::AttackerKind;
 use vrr_core::StorageConfig;
 use vrr_net::{
-    free_addrs, ByzSpec, GroupPlacement, NetClient, NetNode, NetNodeConfig, NodeTopology,
-    RemoteCluster, RemoteClusterConfig, ServerProcess,
+    free_addrs, ByzSpec, NetClient, NetNode, NetNodeConfig, NodeTopology, RemoteCluster,
+    RemoteClusterConfig, ServerProcess,
 };
 use vrr_runtime::{ClusterBackend, ProtocolKind};
 
@@ -44,16 +45,12 @@ fn read(rec: &Recorder<u64>, go: impl FnOnce() -> Option<u64>) {
 }
 
 /// Two in-process `NetNode`s (so messages cross real sockets) hosting one
-/// register group: the writer on node 0, object `i` on `object_node(i)`
-/// and every reader on `readers`.
-fn two_nodes(cfg: StorageConfig, object_node: impl Fn(usize) -> u32, readers: u32) -> NodeTopology {
+/// register group: the writer and every reader on node 0, object `i` on
+/// `object_node(i)`.
+fn two_nodes(cfg: StorageConfig, object_node: impl Fn(usize) -> u32) -> NodeTopology {
     NodeTopology {
         addrs: free_addrs(2).expect("reserve ports"),
-        placement: GroupPlacement {
-            objects: (0..cfg.s).map(object_node).collect(),
-            writer: 0,
-            readers: vec![readers; cfg.readers],
-        },
+        objects: (0..cfg.s).map(object_node).collect(),
         slots: 1,
     }
 }
@@ -78,10 +75,10 @@ fn drive<W>(
 
 /// Fault class 1: every attacker kind, behind TCP, on object `S - 1` on
 /// node 1, so its forgeries cross the wire like any honest ack. Two
-/// placements: split (writer and the first ⌈S/2⌉ objects on node 0, the
-/// rest and the reader on node 1), driven by the in-process slot API; and
-/// front (writer and reader on node 0, every object on node 1), driven by
-/// key through a `RemoteCluster`, so every protocol round crosses a socket.
+/// placements, the writer and reader on node 0 in both: split (the first
+/// ⌈S/2⌉ objects on node 0, the rest on node 1), driven through node 0's
+/// host; and front (every object on node 1), driven by key through a
+/// `RemoteCluster`, so every protocol round crosses a socket.
 #[test]
 fn byzantine_objects_over_tcp_stay_regular() {
     let cfg = StorageConfig::optimal(1, 1, 1);
@@ -99,14 +96,11 @@ fn byzantine_objects_over_tcp_stay_regular() {
         };
         let seed = 0xC0FFEE ^ i as u64;
 
-        let (n0, n1) = start(&two_nodes(cfg, |i| u32::from(i >= cfg.s.div_ceil(2)), 1));
-        let split = drive(
-            seed,
-            |seq| n0.write_slot(0, seq),
-            || n1.read_slot(0, 0).value,
-        );
+        let (n0, _n1) = start(&two_nodes(cfg, |i| u32::from(i >= cfg.s.div_ceil(2))));
+        let host = n0.host();
+        let split = drive(seed, |seq| host.write(0, seq), || host.read(0, 0).value);
 
-        let (n0, _n1) = start(&two_nodes(cfg, |_| 1, 0));
+        let (n0, _n1) = start(&two_nodes(cfg, |_| 1));
         let front: RemoteCluster<u64, u64> =
             RemoteCluster::connect(n0.addr(), RemoteClusterConfig::default()).expect("connect");
         let write = |seq| front.try_write(0, seq).expect("keyed write");
@@ -128,7 +122,7 @@ fn byzantine_objects_over_tcp_stay_regular() {
 fn spawn(node: u32, addrs: &[SocketAddr], epoch: u32) -> ServerProcess {
     let args = format!(
         "--node {node} --addrs {} --t 1 --b 1 --readers 1 --kind regular-opt \
-         --place-objects 0,0,0,1 --place-writer 0 --place-readers 0 --epoch {epoch}",
+         --place-objects 0,0,0,1 --epoch {epoch}",
         common::addr_list(addrs)
     );
     ServerProcess::spawn(env!("CARGO_BIN_EXE_vrr-server"), args.split(' ')).expect("vrr-server")
@@ -209,7 +203,7 @@ fn connection_resets_between_read_rounds_stay_regular() {
     // Node 0: writer, reader, 3 objects (a full quorum, S - t = 3).
     // Node 1: the fourth object, reachable only through resettable conns.
     let cfg = StorageConfig::optimal(1, 1, 1);
-    let topo = two_nodes(cfg, |i| u32::from(i == 3), 0);
+    let topo = two_nodes(cfg, |i| u32::from(i == 3));
     let ncfg = NetNodeConfig::<u64>::new(cfg, ProtocolKind::Regular);
     let n0 = NetNode::start(0, &topo, ncfg.clone()).expect("node 0");
     let _n1 = NetNode::start(1, &topo, ncfg).expect("node 1");
@@ -222,9 +216,9 @@ fn connection_resets_between_read_rounds_stay_regular() {
     for i in 0..30 {
         if g.next().is_multiple_of(3) {
             seq += 1;
-            rec.write(0, seq, seq, || n0.write_slot(0, seq));
+            rec.write(0, seq, seq, || n0.host().write(0, seq));
         } else {
-            read(&rec, || n0.read_slot(0, 0).value);
+            read(&rec, || n0.host().read(0, 0).value);
         }
         if i % 4 == 1 {
             // Sever node 0 → node 1 between protocol rounds.

@@ -151,7 +151,6 @@ fn every_variant_keeps_its_bytes_and_every_prefix_is_a_typed_error() {
     t.pin("Op::StoreKeys", Op::StoreKeys);
     t.pin("Op::SlotOfKey", Op::SlotOfKey { key: key() });
     t.pin("Op::CrashShard", Op::CrashShard { slot: 2, object: 4 });
-    t.pin("Op::ShardHistoryLens", Op::ShardHistoryLens { slot: 2 });
     t.pin("Op::StoreInfo", Op::StoreInfo);
     t.pin("Op::StoreMetrics", Op::StoreMetrics { cluster: Some(1) });
 
@@ -169,7 +168,6 @@ fn every_variant_keeps_its_bytes_and_every_prefix_is_a_typed_error() {
     t.pin("Rsp::Released", Rsp::Released { slot: Some(3) });
     t.pin("Rsp::StoreKeys", Rsp::StoreKeys { keys: vec![b"a".to_vec(), vec![], b"bc".to_vec()] });
     t.pin("Rsp::Slot", Rsp::Slot { slot: 5 });
-    t.pin("Rsp::Lens", Rsp::Lens { lens: vec![1, 2] });
     t.pin("Rsp::StoreInfo", Rsp::StoreInfo { keys: 16 });
     let registry = one_series(|reg| reg.counter_add(names::WIRE_RETRIES, &[], 3));
     t.pin("Rsp::StoreMetrics", Rsp::StoreMetrics { registry });
@@ -189,13 +187,14 @@ fn every_variant_keeps_its_bytes_and_every_prefix_is_a_typed_error() {
     t.bad_tag::<Ctl>("Ctl", &[3]);
     t.bad_tag::<Op>("Op", &[17]);
     // Op's retired tags (1 and 2 were the slot-addressed write and read, 4
-    // the text metrics): a client still speaking a retired op gets a typed
-    // error, not another op; so does a retired response.
-    for retired in [1, 2, 4, 6] {
+    // the text metrics, 14 the history lengths): a client still speaking a
+    // retired op gets a typed error, not another op; so does a retired
+    // response.
+    for retired in [1, 2, 4, 6, 14] {
         t.bad_tag::<Op>("Op", &[retired]);
     }
     t.bad_tag::<Rsp>("Rsp", &[17]);
-    for retired in [4, 6] {
+    for retired in [4, 6, 14] {
         t.bad_tag::<Rsp>("Rsp", &[retired]);
     }
     // One family, one unlabelled series, then the series tag.

@@ -13,6 +13,7 @@ use std::collections::BTreeMap;
 
 use common::Gen;
 use proptest::prelude::*;
+use vrr_core::metrics::{names, Registry};
 use vrr_core::wire::{decode_exact, Wire};
 use vrr_core::{HistEntry, History, Msg, ReadRound, Timestamp, TsVal, TsrMatrix, WTuple};
 use vrr_net::frame::{
@@ -140,6 +141,29 @@ fn arb_string(g: &mut Gen) -> String {
         .collect()
 }
 
+fn arb_bytes(g: &mut Gen) -> Vec<u8> {
+    (0..g.below(24)).map(|_| g.next() as u8).collect()
+}
+
+/// A registry of a few counters, gauges and histograms under arbitrary
+/// labels — what `Rsp::StoreMetrics` carries.
+fn arb_registry(g: &mut Gen) -> Registry {
+    let mut reg = Registry::new();
+    for _ in 0..g.below(5) {
+        let (object, shard) = (g.below(8).to_string(), g.below(4).to_string());
+        let labels = [("object", &*object), ("shard", &*shard)];
+        match g.below(3) {
+            0 => reg.counter_add(names::NET_SENT, &labels, g.next() >> 1),
+            1 => reg.gauge_set(names::OBJECT_HISTORY_LEN, &labels, g.next()),
+            _ => reg.observe(names::READER_ROUNDS, &labels, g.below(4)),
+        }
+    }
+    reg
+}
+
+/// The client-protocol op tags: 0..=16 but the retired 1, 2, 4, 6 and 14.
+const OP_TAGS: [u8; 12] = [0, 3, 5, 7, 8, 9, 10, 11, 12, 13, 15, 16];
+
 fn arb_op(tag: u8, g: &mut Gen) -> Op<u64> {
     match tag {
         0 => Op::Ping,
@@ -148,9 +172,31 @@ fn arb_op(tag: u8, g: &mut Gen) -> Op<u64> {
             node: g.next() as u32,
         },
         7 => Op::Shutdown,
-        _ => unreachable!("tags 0..=7 but 1, 2, 4 and 6"),
+        8 => Op::WriteKey {
+            key: arb_bytes(g),
+            value: g.next(),
+        },
+        9 => Op::ReadKey {
+            key: arb_bytes(g),
+            reader: g.next() as u32,
+        },
+        10 => Op::ReleaseKey { key: arb_bytes(g) },
+        11 => Op::StoreKeys,
+        12 => Op::SlotOfKey { key: arb_bytes(g) },
+        13 => Op::CrashShard {
+            slot: g.next() as u32,
+            object: g.next() as u32,
+        },
+        15 => Op::StoreInfo,
+        16 => Op::StoreMetrics {
+            cluster: (g.below(2) == 0).then(|| g.next() as u32),
+        },
+        _ => unreachable!("not in OP_TAGS"),
     }
 }
+
+/// The client-protocol response tags: 0..=16 but the retired 4, 6 and 14.
+const RSP_TAGS: [u8; 14] = [0, 1, 2, 3, 5, 7, 8, 9, 10, 11, 12, 13, 15, 16];
 
 fn arb_rsp(tag: u8, g: &mut Gen) -> Rsp<u64> {
     match tag {
@@ -177,7 +223,26 @@ fn arb_rsp(tag: u8, g: &mut Gen) -> Rsp<u64> {
         8 => Rsp::Err {
             what: arb_string(g),
         },
-        _ => unreachable!("tags 0..=8 but 4 and 6"),
+        9 => Rsp::NoKey,
+        10 => Rsp::OverCapacity {
+            capacity: g.next() as u32,
+        },
+        11 => Rsp::Released {
+            slot: (g.below(2) == 0).then(|| g.next() as u32),
+        },
+        12 => Rsp::StoreKeys {
+            keys: (0..g.below(4)).map(|_| arb_bytes(g)).collect(),
+        },
+        13 => Rsp::Slot {
+            slot: g.next() as u32,
+        },
+        15 => Rsp::StoreInfo {
+            keys: g.next() as u32,
+        },
+        16 => Rsp::StoreMetrics {
+            registry: arb_registry(g),
+        },
+        _ => unreachable!("not in RSP_TAGS"),
     }
 }
 
@@ -243,7 +308,7 @@ proptest! {
     #[test]
     fn client_protocol_frames_roundtrip(seed in any::<u64>()) {
         let mut g = Gen(seed);
-        for tag in [0, 3, 5, 7] {
+        for tag in OP_TAGS {
             let env = Envelope {
                 source: CLIENT_NODE,
                 epoch: 0,
@@ -252,7 +317,7 @@ proptest! {
             };
             assert_framed_roundtrip(&env, &mut g);
         }
-        for tag in [0, 1, 2, 3, 5, 7, 8] {
+        for tag in RSP_TAGS {
             let env = Envelope {
                 source: g.next() as u32,
                 epoch: g.next() as u32,

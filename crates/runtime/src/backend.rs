@@ -23,8 +23,9 @@ use crate::shard::StoreError;
 
 /// One shard-cluster as the router sees it: a capacity-bounded key→register
 /// map with the operations a scale-out deployment needs — write, read,
-/// release (the source half of a rebalance), fault injection, history
-/// inspection and a metrics snapshot.
+/// release (the source half of a rebalance), fault injection and a metrics
+/// snapshot, whose history-length gauges are the one way a cluster's
+/// history lengths reach its callers.
 ///
 /// Implementations must uphold the [`ShardedStore`](crate::ShardedStore)
 /// capacity contract: binding a key consumes a register slot for good,
@@ -58,20 +59,12 @@ pub trait ClusterBackend<K, V: Value>: Send + Sync {
         self.len() == 0
     }
 
-    /// Whether `key` is currently bound.
-    fn contains_key(&self, key: &K) -> bool;
-
     /// The register slot serving `key`, if bound.
     fn shard_of(&self, key: &K) -> Option<usize>;
 
     /// Crashes base object `object` of register slot `slot` (fault
     /// injection).
     fn crash_object(&self, slot: usize, object: usize);
-
-    /// The stored history length of every honest, live regular object in
-    /// slot `slot` (Byzantine-substituted and crashed objects are skipped)
-    /// — the memory-bound observable of the reader-ack GC experiments.
-    fn history_lens(&self, slot: usize) -> Vec<usize>;
 
     /// One snapshot of everything observable about the cluster, with every
     /// history-length gauge additionally labelled `cluster="<cluster>"`
@@ -108,9 +101,7 @@ mod tests {
         backend.write("alpha".into(), 7);
         assert_eq!(backend.len(), 1);
         assert_eq!(backend.read(&"alpha".into(), 0).unwrap().value, Some(7));
-        assert!(backend.contains_key(&"alpha".into()));
         let slot = backend.shard_of(&"alpha".into()).unwrap();
-        assert!(!backend.history_lens(slot).is_empty());
         assert_eq!(backend.release(&"alpha".into()), Some(slot));
         assert_eq!(backend.read(&"alpha".into(), 0), None);
     }

@@ -57,8 +57,8 @@
 //! [`vrr_core::regular::HistoryRetention::reader_ack`]
 //! — so object memory is bounded by reader concurrency instead of run
 //! length; the safety argument lives in the [`vrr_core::regular`] module
-//! docs, and `history_lens` exposes the observable both deployments are
-//! tested on.
+//! docs, and the `vrr_object_history_len` gauges of a metrics snapshot
+//! expose the observable both deployments are tested on.
 //!
 //! Use the simulator for correctness experiments (replayable adversarial
 //! schedules) and this runtime for wall-clock benchmarks and the networked

@@ -564,7 +564,11 @@ mod tests {
             assert_eq!(router.read(&key, 0).unwrap().value, Some(k * 7));
             // Keys live where the ring says they live.
             let cluster = router.cluster_of(&key);
-            assert!(router.cluster_store(cluster).unwrap().contains_key(&key));
+            assert!(router
+                .cluster_store(cluster)
+                .unwrap()
+                .shard_of(&key)
+                .is_some());
         }
     }
 

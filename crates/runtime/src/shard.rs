@@ -300,23 +300,12 @@ impl<K: Eq + Hash + Clone + Send + Sync, V: Value> ClusterBackend<K, V> for Shar
         self.index.read().map.len()
     }
 
-    fn contains_key(&self, key: &K) -> bool {
-        self.index.read().map.contains_key(key)
-    }
-
     fn shard_of(&self, key: &K) -> Option<usize> {
         self.index.read().map.get(key).copied()
     }
 
     fn crash_object(&self, slot: usize, idx: usize) {
         self.host.crash_object(slot, idx);
-    }
-
-    /// In object order; a `ProtocolKind::Safe` store (no histories) reports
-    /// nothing.
-    fn history_lens(&self, slot: usize) -> Vec<usize> {
-        let lens = self.host.history_lens(slot);
-        lens.into_iter().map(|(_, len)| len).collect()
     }
 
     /// Under the same canonical `vrr_*` names

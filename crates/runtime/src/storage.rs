@@ -116,15 +116,6 @@ impl<V: Value> StorageCluster<V> {
         self.host.crash_object(0, idx);
     }
 
-    /// The current history length of every honest, live regular object,
-    /// in object order — the memory-bound observable of the reader-ack GC
-    /// experiments. Byzantine-substituted and crashed objects are skipped;
-    /// a `ProtocolKind::Safe` deployment (no histories) reports nothing.
-    pub fn history_lens(&self) -> Vec<usize> {
-        let lens = self.host.history_lens(0);
-        lens.into_iter().map(|(_, len)| len).collect()
-    }
-
     /// One deterministic-shape snapshot of everything observable about
     /// this deployment, under the same canonical `vrr_*` names
     /// ([`vrr_core::metrics::names`]) the simulator harness exports:

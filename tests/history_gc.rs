@@ -183,8 +183,8 @@ fn forged_acks_from_byzantine_objects_do_not_exist_but_forged_suffixes_die() {
 #[test]
 fn runtime_cluster_and_sharded_store_run_bounded_memory() {
     // The worker-pool deployments: same flat-memory property end to end,
-    // observable both through the direct accessor and the same
-    // metrics-snapshot gauges the simulator exports.
+    // observable through the same metrics-snapshot gauges the simulator
+    // exports — one per honest object of every register.
     let cfg = StorageConfig::optimal(1, 1, 1);
     let spec = ProtocolSpec::from(ProtocolKind::RegularOptimized)
         .with_retention(HistoryRetention::reader_ack());
@@ -193,12 +193,10 @@ fn runtime_cluster_and_sharded_store_run_bounded_memory() {
         storage.write(k);
         assert_eq!(storage.read(0).value, Some(k));
     }
-    assert!(storage.history_lens().into_iter().all(|len| len <= 5));
     let snap = storage.metrics_snapshot();
-    assert!(snap
-        .gauge_values(names::OBJECT_HISTORY_LEN)
-        .into_iter()
-        .all(|len| len <= 5));
+    let lens = snap.gauge_values(names::OBJECT_HISTORY_LEN);
+    assert_eq!(lens.len(), cfg.s);
+    assert!(lens.into_iter().all(|len| len <= 5));
     assert_eq!(
         snap.histogram(names::WRITER_ROUNDS, &[]).unwrap().count(),
         64
@@ -212,14 +210,11 @@ fn runtime_cluster_and_sharded_store_run_bounded_memory() {
         assert_eq!(store.read(&"a", 0).unwrap().value, Some(k));
         assert_eq!(store.read(&"b", 0).unwrap().value, Some(k * 2));
     }
-    for slot in 0..2 {
-        assert!(store.history_lens(slot).into_iter().all(|len| len <= 5));
-    }
-    assert!(store
+    let lens = store
         .metrics_snapshot()
-        .gauge_values(names::OBJECT_HISTORY_LEN)
-        .into_iter()
-        .all(|len| len <= 5));
+        .gauge_values(names::OBJECT_HISTORY_LEN);
+    assert_eq!(lens.len(), 2 * cfg.s);
+    assert!(lens.into_iter().all(|len| len <= 5));
 }
 
 // Length of each combined-fault run, and the seeds it runs at.
