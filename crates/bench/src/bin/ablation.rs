@@ -68,33 +68,33 @@ fn read_cost<P: RegisterProtocol<u64>>(protocol: P, cfg: StorageConfig) -> (u64,
 fn main() {
     // ---- Part A: one mechanism at a time.
     let cases: Vec<(&str, ReaderTuning)> = vec![
-        ("full protocol (Figure 4)", ReaderTuning::default()),
+        ("full protocol (Figure 4)", ReaderTuning::FIGURES),
         (
             "no second round",
             ReaderTuning {
                 skip_round2: true,
-                ..ReaderTuning::default()
+                ..ReaderTuning::FIGURES
             },
         ),
         (
             "safe(c) at 1 confirmation",
             ReaderTuning {
                 safe_threshold: Some(1),
-                ..ReaderTuning::default()
+                ..ReaderTuning::FIGURES
             },
         ),
         (
             "eliminate at 2 reports",
             ReaderTuning {
                 elim_threshold: Some(2),
-                ..ReaderTuning::default()
+                ..ReaderTuning::FIGURES
             },
         ),
         (
             "no conflict filter",
             ReaderTuning {
                 conflict_check: false,
-                ..ReaderTuning::default()
+                ..ReaderTuning::FIGURES
             },
         ),
     ];
@@ -127,7 +127,7 @@ fn main() {
         (
             "safe (2 rounds, reader writes tsr)",
             optimal,
-            read_cost(ProtocolKind::Safe, optimal),
+            read_cost(ProtocolSpec::figures(ProtocolKind::Safe), optimal),
         ),
         (
             "masking (1 round, +b objects)",
@@ -164,7 +164,8 @@ fn main() {
         HistoryRetention::reader_ack(),
         HistoryRetention::reader_ack_capped(8),
     ] {
-        let protocol = ProtocolSpec::from(ProtocolKind::RegularOptimized).with_retention(retention);
+        let protocol =
+            ProtocolSpec::figures(ProtocolKind::RegularOptimized).with_retention(retention);
         let cfg = StorageConfig::optimal(1, 1, 1);
         let mut sc = StorageScenario::deploy(protocol, cfg, 5);
         let writes = 200u64;

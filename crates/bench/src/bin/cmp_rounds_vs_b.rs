@@ -19,7 +19,7 @@ use vrr_baselines::{
 };
 use vrr_bench::Table;
 use vrr_core::attackers::AttackerKind;
-use vrr_core::{ProtocolKind, RegisterProtocol, StorageConfig, StorageScenario};
+use vrr_core::{ProtocolKind, ProtocolSpec, RegisterProtocol, StorageConfig, StorageScenario};
 
 /// One write, one read; returns the read's round count.
 fn measure<P: RegisterProtocol<u64>>(
@@ -71,6 +71,9 @@ fn lite_inflator_attack<P: RegisterProtocol<u64, Msg = vrr_baselines::LiteMsg<u6
 }
 
 fn main() {
+    // The figures' readers: READ2 on every read below S = 2t+2b+1.
+    let safe = ProtocolSpec::figures(ProtocolKind::Safe);
+    let atomic = ProtocolSpec::figures(ProtocolKind::Atomic);
     let mut table = Table::new(&[
         "b",
         "protocol",
@@ -99,8 +102,8 @@ fn main() {
 
         // The paper's safe storage at optimal resilience.
         let cfg = StorageConfig::optimal(t, b, 1);
-        let quiet = measure(ProtocolKind::Safe, cfg, no_attack());
-        let attacked = measure(ProtocolKind::Safe, cfg, inflator_attack(cfg.b));
+        let quiet = measure(safe, cfg, no_attack());
+        let attacked = measure(safe, cfg, inflator_attack(cfg.b));
         table.row_owned(vec![
             b.to_string(),
             "paper §4 (active reader)".into(),
@@ -131,8 +134,8 @@ fn main() {
         // attacker achieves is the two-round fallback — unlike the masking
         // baseline below, nothing is given up when the fast check fails.
         let fcfg = StorageConfig::fast(t, b, 1);
-        let quiet = measure(ProtocolKind::Safe, fcfg, no_attack());
-        let attacked = measure(ProtocolKind::Safe, fcfg, inflator_attack(fcfg.b));
+        let quiet = measure(safe, fcfg, no_attack());
+        let attacked = measure(safe, fcfg, inflator_attack(fcfg.b));
         table.row_owned(vec![
             b.to_string(),
             "paper §4 + fast path (S = 2t+2b+1)".into(),
@@ -160,8 +163,8 @@ fn main() {
         assert_eq!(attacked, 1);
 
         // The atomic extension: stronger semantics, one more round.
-        let quiet = measure(ProtocolKind::Atomic, cfg, no_attack());
-        let attacked = measure(ProtocolKind::Atomic, cfg, inflator_attack(cfg.b));
+        let quiet = measure(atomic, cfg, no_attack());
+        let attacked = measure(atomic, cfg, inflator_attack(cfg.b));
         table.row_owned(vec![
             b.to_string(),
             "atomic write-back (extension)".into(),

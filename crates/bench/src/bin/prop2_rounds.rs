@@ -12,7 +12,7 @@
 //! Run with `cargo run --release -p vrr-bench --bin prop2_rounds`.
 
 use vrr_bench::{f2, Table};
-use vrr_core::{ProtocolKind, RegisterProtocol, StorageConfig};
+use vrr_core::{ProtocolKind, ProtocolSpec, RegisterProtocol, StorageConfig};
 use vrr_workload::{grid, LatencyKind, ScheduleParams, SimCase};
 
 fn main() {
@@ -48,7 +48,7 @@ fn main() {
         let mut agg: BTreeMap<AggKey, AggStats> = BTreeMap::new();
         for p in &points {
             let cfg = StorageConfig::optimal(p.t, p.b, 2);
-            let out = SimCase::new(&protocol, cfg)
+            let out = SimCase::new(&ProtocolSpec::figures(protocol), cfg)
                 .schedule(ScheduleParams::contended(6, 6, 2, p.seed))
                 .faults(p.fault_plan(&cfg, None, vrr_sim::SimTime::from_ticks(30)))
                 .latency(LatencyKind::Uniform(1, 8))

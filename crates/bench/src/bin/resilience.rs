@@ -28,7 +28,7 @@
 use vrr_bench::Table;
 use vrr_checker::check_regularity;
 use vrr_core::attackers::AttackerKind;
-use vrr_core::{ProtocolKind, StorageConfig, StorageScenario};
+use vrr_core::{ProtocolKind, ProtocolSpec, StorageConfig, StorageScenario};
 use vrr_sim::SimTime;
 use vrr_workload::{FaultPlan, LatencyKind, ScheduleParams, SimCase};
 
@@ -40,7 +40,7 @@ struct Outcome {
 
 fn run_boundary_attack(s: usize, t: usize, b: usize) -> Outcome {
     let cfg = StorageConfig::with_objects(s, t, b, 1);
-    let mut sc = StorageScenario::deploy(ProtocolKind::Safe, cfg, 3);
+    let mut sc = StorageScenario::deploy(ProtocolSpec::figures(ProtocolKind::Safe), cfg, 3);
 
     // Deniers: objects 0..b. They ack writes but report σ0 to readers.
     for i in 0..b {
@@ -115,7 +115,7 @@ struct SweepPoint {
 /// fault-free synchronous reads never fall back.
 fn run_fast_sweep_point(s: usize, t: usize, b: usize) -> SweepPoint {
     let cfg = StorageConfig::with_objects(s, t, b, 1);
-    let protocol = ProtocolKind::RegularOptimized;
+    let protocol = ProtocolSpec::figures(ProtocolKind::RegularOptimized);
 
     // Fault-free rounds + ticks in the simulator.
     let mut sc = StorageScenario::deploy(protocol, cfg, 7);
@@ -162,7 +162,7 @@ fn fast_path_sweep() {
     for (t, b) in [(1usize, 1usize), (2, 2)] {
         for s in (2 * t + b + 1)..=(2 * t + 2 * b + 3) {
             let cfg = StorageConfig::with_objects(s, t, b, 1);
-            let fast = cfg.fast_read_quorum().is_some();
+            let fast = cfg.guarantees_one_round_reads();
             let sizing = if s == 2 * t + b + 1 {
                 "2t+b+1  (optimal)".to_string()
             } else if s <= 2 * t + 2 * b {

@@ -33,11 +33,11 @@ struct Probe {
 
 /// Runs `writes` writes, a cache-warming read, then measures one read.
 fn probe(optimized: bool, writes: u64) -> Probe {
-    let protocol = if optimized {
+    let protocol = ProtocolSpec::figures(if optimized {
         ProtocolKind::RegularOptimized
     } else {
         ProtocolKind::Regular
-    };
+    });
     let cfg = StorageConfig::optimal(1, 1, 1); // S = 4
     let mut sc = StorageScenario::deploy(protocol, cfg, 7);
 
@@ -73,7 +73,7 @@ const READ_EVERY: u64 = 8;
 /// writes (so acks keep advancing), then one final read. Reports the
 /// worst object-side history length at the end of the run.
 fn probe_steady(retention: HistoryRetention, writes: u64) -> usize {
-    let protocol = ProtocolSpec::from(ProtocolKind::RegularOptimized).with_retention(retention);
+    let protocol = ProtocolSpec::figures(ProtocolKind::RegularOptimized).with_retention(retention);
     let cfg = StorageConfig::optimal(1, 1, 1); // S = 4, R = 1
     let mut sc = StorageScenario::deploy(protocol, cfg, 13);
 

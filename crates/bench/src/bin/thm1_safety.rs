@@ -28,7 +28,7 @@ fn main() {
     let mut stalls = 0u64;
     for p in &points {
         let cfg = StorageConfig::optimal(p.t, p.b, 2);
-        let out = SimCase::new(&ProtocolKind::Safe, cfg)
+        let out = SimCase::new(&ProtocolSpec::figures(ProtocolKind::Safe), cfg)
             .schedule(ScheduleParams::contended(6, 8, 2, p.seed))
             .faults(p.fault_plan(&cfg, Some(300), SimTime::from_ticks(50)))
             .latency(LatencyKind::LongTail)
@@ -81,7 +81,7 @@ fn main() {
             "safe threshold b (not b+1)",
             ReaderTuning {
                 safe_threshold: Some(1),
-                ..ReaderTuning::default()
+                ..ReaderTuning::FIGURES
             },
             true,
         ),
@@ -89,7 +89,7 @@ fn main() {
             "eliminate at b+1 (not t+b+1)",
             ReaderTuning {
                 elim_threshold: Some(2),
-                ..ReaderTuning::default()
+                ..ReaderTuning::FIGURES
             },
             true,
         ),
@@ -97,7 +97,7 @@ fn main() {
             "skip round 2 (fast read)",
             ReaderTuning {
                 skip_round2: true,
-                ..ReaderTuning::default()
+                ..ReaderTuning::FIGURES
             },
             true,
         ),
@@ -105,7 +105,7 @@ fn main() {
             "no conflict check (liveness-only; Lemma 3 case 2.b)",
             ReaderTuning {
                 conflict_check: false,
-                ..ReaderTuning::default()
+                ..ReaderTuning::FIGURES
             },
             false,
         ),
@@ -114,7 +114,7 @@ fn main() {
             ReaderTuning {
                 conflict_check: false,
                 safe_threshold: Some(1),
-                ..ReaderTuning::default()
+                ..ReaderTuning::FIGURES
             },
             true,
         ),
@@ -123,7 +123,7 @@ fn main() {
             ReaderTuning {
                 skip_round2: true,
                 safe_threshold: Some(1),
-                ..ReaderTuning::default()
+                ..ReaderTuning::FIGURES
             },
             true,
         ),

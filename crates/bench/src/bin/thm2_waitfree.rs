@@ -16,7 +16,7 @@
 
 use vrr_bench::Table;
 use vrr_core::attackers::AttackerKind;
-use vrr_core::{ProtocolKind, StorageConfig, StorageScenario};
+use vrr_core::{ProtocolKind, ProtocolSpec, StorageConfig, StorageScenario};
 use vrr_sim::SimTime;
 use vrr_workload::{generate, grid, FaultPlan, LatencyKind, ScheduleParams, SimCase};
 
@@ -25,7 +25,7 @@ use vrr_workload::{generate, grid, FaultPlan, LatencyKind, ScheduleParams, SimCa
 /// crashed write is concurrent, so both are allowed).
 fn writer_crash_scenario(t: usize, b: usize, seed: u64, crash_after_steps: u64) -> (bool, u32) {
     let cfg = StorageConfig::optimal(t, b, 1);
-    let mut sc = StorageScenario::deploy(ProtocolKind::Safe, cfg, seed);
+    let mut sc = StorageScenario::deploy(ProtocolSpec::figures(ProtocolKind::Safe), cfg, seed);
 
     // A completed write so the register holds 10.
     sc.write(10u64);
@@ -59,7 +59,7 @@ fn main() {
         let schedule = generate(ScheduleParams::contended(5, 6, 2, p.seed));
         let faults = p.fault_plan(&cfg, Some(200), SimTime::from_ticks(40));
         total_ops += schedule.len();
-        let out = SimCase::new(&ProtocolKind::Safe, cfg)
+        let out = SimCase::new(&ProtocolSpec::figures(ProtocolKind::Safe), cfg)
             .with_schedule(schedule)
             .seed(p.seed)
             .faults(faults)
@@ -110,7 +110,7 @@ fn main() {
                 for (i, (_, at)) in faults.crashes.iter_mut().enumerate() {
                     *at = SimTime::from_ticks(10 + 7 * i as u64);
                 }
-                let out = SimCase::new(&ProtocolKind::Safe, cfg)
+                let out = SimCase::new(&ProtocolSpec::figures(ProtocolKind::Safe), cfg)
                     .schedule(ScheduleParams::contended(8, 8, 2, seed))
                     .faults(faults)
                     .latency(LatencyKind::Uniform(1, 20))

@@ -42,7 +42,7 @@ fn main() {
         let mut inversions = 0u64;
         for p in &points {
             let cfg = StorageConfig::optimal(p.t, p.b, 3);
-            let out = SimCase::new(&protocol, cfg)
+            let out = SimCase::new(&ProtocolSpec::figures(protocol), cfg)
                 .schedule(ScheduleParams::contended(8, 6, 3, p.seed))
                 .faults(p.fault_plan(&cfg, Some(300), SimTime::from_ticks(60)))
                 .latency(LatencyKind::LongTail)
@@ -85,21 +85,21 @@ fn main() {
             "safe threshold 1 (not b+1)",
             ReaderTuning {
                 safe_threshold: Some(1),
-                ..ReaderTuning::default()
+                ..ReaderTuning::FIGURES
             },
         ),
         (
             "invalidate at 2 (not t+b+1)",
             ReaderTuning {
                 elim_threshold: Some(2),
-                ..ReaderTuning::default()
+                ..ReaderTuning::FIGURES
             },
         ),
         (
             "skip round 2 (fast read)",
             ReaderTuning {
                 skip_round2: true,
-                ..ReaderTuning::default()
+                ..ReaderTuning::FIGURES
             },
         ),
         (
@@ -107,7 +107,7 @@ fn main() {
             ReaderTuning {
                 skip_round2: true,
                 safe_threshold: Some(1),
-                ..ReaderTuning::default()
+                ..ReaderTuning::FIGURES
             },
         ),
     ];

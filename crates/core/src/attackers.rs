@@ -194,7 +194,7 @@ mod tests {
     const FORGED: u64 = 0xDEAD;
 
     /// Every attacker, against both protocols, with b = 1: writes and reads
-    /// must stay correct and 2-round.
+    /// must stay correct, and reads within Proposition 2's two rounds.
     #[test]
     fn single_attacker_cannot_break_safe_protocol() {
         for kind in AttackerKind::ALL {
@@ -206,7 +206,7 @@ mod tests {
                 sc.write(k * 7);
                 let rd = sc.read(0);
                 assert_eq!(rd.value, Some(k * 7), "attacker {kind:?} corrupted a read");
-                assert_eq!(rd.rounds, 2, "attacker {kind:?} inflated round count");
+                assert!(rd.rounds <= 2, "attacker {kind:?} inflated round count");
             }
         }
     }

@@ -85,47 +85,37 @@ impl StorageConfig {
         self.t + self.b + 1
     }
 
-    /// Round-1 confirmations a sound **one-round fast-path read** needs, or
-    /// `None` where Proposition 1 forbids fast reads (`S ≤ 2t + 2b`).
+    /// Whether every READ not concurrent with a write returns on round 1:
+    /// `S ≥ 2t + 2b + 1`, one object above the Proposition 1 boundary.
     ///
-    /// The count is `2b + 1 + (S − 2t − 2b − 1) = S − 2t`: take the
-    /// `2b + 1` matching replies that guarantee a correct, non-Byzantine
-    /// majority witness, plus one more for every object provisioned beyond
-    /// the `S = 2t + 2b + 1` minimum, so that *any* quorum of `S − t`
-    /// replies a later read collects must intersect the confirming set in
-    /// at least `b + 1` objects — one of them correct.
+    /// There the `S − t − b` correct holders of the last completed write
+    /// put at least `b + 1` exact confirmations into any round-1 quorum,
+    /// and the quorum's at least `t + b + 1` correct members eliminate any
+    /// forged higher tuple before it closes (see the `reader` module docs).
+    /// Below it a READ returns on round 1 only when round 1 happens to
+    /// prove the answer; Proposition 1 says no rule can do better.
     ///
     /// # Examples
-    ///
-    /// Proposition 1 says single-round reads are impossible with
-    /// `S ≤ 2t + 2b` objects, and in particular at optimal resilience
-    /// `S = 2t + b + 1` (since `b ≥ 1`); one object above the boundary the
-    /// fast path engages with a `2b + 1`-strength confirmation rule:
     ///
     /// ```
     /// use vrr_core::StorageConfig;
     ///
-    /// // At and below the Prop. 1 boundary: no fast read, ever.
-    /// assert_eq!(StorageConfig::optimal(1, 1, 1).fast_read_quorum(), None);
-    /// assert_eq!(StorageConfig::with_objects(4, 1, 1, 1).fast_read_quorum(), None);
+    /// // At and below the Prop. 1 boundary S = 2t + 2b: no guarantee.
+    /// assert!(!StorageConfig::optimal(1, 1, 1).guarantees_one_round_reads());
+    /// assert!(!StorageConfig::with_objects(4, 1, 1, 1).guarantees_one_round_reads());
     ///
-    /// // S = 2t + 2b + 1 = 5: fast reads need S - 2t = 2b + 1 = 3 confirmations.
-    /// let fast = StorageConfig::fast(1, 1, 1);
-    /// assert_eq!(fast.s, 5);
-    /// assert_eq!(fast.fast_read_quorum(), Some(3));
-    ///
-    /// // Each extra object raises the bar by one, keeping the intersection
-    /// // argument intact.
-    /// assert_eq!(StorageConfig::with_objects(6, 1, 1, 1).fast_read_quorum(), Some(4));
+    /// // S = 2t + 2b + 1 = 5 and above: guaranteed.
+    /// assert!(StorageConfig::fast(1, 1, 1).guarantees_one_round_reads());
+    /// assert!(StorageConfig::with_objects(6, 1, 1, 1).guarantees_one_round_reads());
     /// ```
-    pub fn fast_read_quorum(&self) -> Option<usize> {
-        (self.s > 2 * self.t + 2 * self.b).then(|| self.s - 2 * self.t)
+    pub fn guarantees_one_round_reads(&self) -> bool {
+        self.s > 2 * self.t + 2 * self.b
     }
 
-    /// The cheapest sizing at which one-round fast-path reads are sound:
+    /// The cheapest sizing at which one-round reads are guaranteed:
     /// `S = 2t + 2b + 1`, one object above the Proposition 1 boundary.
     ///
-    /// Compared to [`StorageConfig::optimal`] this buys the fast path with
+    /// Compared to [`StorageConfig::optimal`] this buys the guarantee with
     /// `b` extra base objects.
     ///
     /// # Panics
@@ -133,7 +123,7 @@ impl StorageConfig {
     /// Panics if `b > t` or `readers == 0`.
     pub fn fast(t: usize, b: usize, readers: usize) -> Self {
         let cfg = Self::with_objects(2 * t + 2 * b + 1, t, b, readers);
-        debug_assert_eq!(cfg.fast_read_quorum(), Some(2 * b + 1));
+        debug_assert!(cfg.guarantees_one_round_reads());
         cfg
     }
 }
@@ -170,32 +160,22 @@ mod tests {
         assert_eq!(cfg.quorum(), 3);
         assert_eq!(cfg.b_plus_1(), 2);
         assert_eq!(cfg.t_plus_b_plus_1(), 3);
-        assert_eq!(cfg.fast_read_quorum(), None, "2t+b+1 = 4 <= 2t+2b = 4");
+        assert!(!cfg.guarantees_one_round_reads(), "2t+b+1 = 4 <= 2t+2b = 4");
     }
 
     #[test]
-    fn fast_read_boundary() {
-        // S = 2t+2b: impossible. S = 2t+2b+1: possible.
-        let at = StorageConfig::with_objects(4, 1, 1, 1);
-        let above = StorageConfig::with_objects(5, 1, 1, 1);
-        assert_eq!(at.fast_read_quorum(), None);
-        assert_eq!(above.fast_read_quorum(), Some(3));
-    }
-
-    #[test]
-    fn fast_quorum_matches_issue_arithmetic() {
-        // The spec formula 2b + 1 + (S - 2t - 2b - 1) must equal S - 2t
-        // wherever the fast path engages.
+    fn one_round_guarantee_starts_one_above_the_boundary() {
+        // S = 2t+2b: impossible (Proposition 1). S = 2t+2b+1: guaranteed,
+        // and so is every larger S.
         for t in 1..5 {
             for b in 1..=t {
-                for s in (2 * t + 2 * b + 1)..(2 * t + 2 * b + 5) {
+                let boundary = 2 * t + 2 * b;
+                let at = StorageConfig::with_objects(boundary, t, b, 1);
+                assert!(!at.guarantees_one_round_reads(), "{at}");
+                assert!(!StorageConfig::optimal(t, b, 1).guarantees_one_round_reads());
+                for s in boundary + 1..boundary + 5 {
                     let cfg = StorageConfig::with_objects(s, t, b, 1);
-                    let spec = 2 * b + 1 + (s - 2 * t - 2 * b - 1);
-                    assert_eq!(cfg.fast_read_quorum(), Some(spec), "{cfg}");
-                    // Strong enough to out-vote the liars, and always
-                    // satisfiable by a fault-free quorum.
-                    assert!(spec >= cfg.b_plus_1());
-                    assert!(spec <= cfg.quorum());
+                    assert!(cfg.guarantees_one_round_reads(), "{cfg}");
                 }
             }
         }
@@ -207,17 +187,7 @@ mod tests {
         assert_eq!(cfg.s, 7);
         assert_eq!(cfg.readers, 3);
         assert!(!cfg.is_optimal());
-        assert_eq!(cfg.fast_read_quorum(), Some(3));
-    }
-
-    #[test]
-    fn optimal_is_impossible_for_fast_reads_iff_b_le_t() {
-        // 2t+b+1 <= 2t+2b  <=>  b >= 1, always true here.
-        for t in 1..5 {
-            for b in 1..=t {
-                assert_eq!(StorageConfig::optimal(t, b, 1).fast_read_quorum(), None);
-            }
-        }
+        assert!(cfg.guarantees_one_round_reads());
     }
 
     #[test]

@@ -44,8 +44,9 @@ pub enum ProtocolKind {
     /// returning it — the ABD write-back over the paper's candidate
     /// machinery, one more round-trip per READ. The paper targets
     /// safe/regular semantics because that is where two rounds are optimal;
-    /// this kind prices what regularity buys: reads return in two rounds
-    /// *because* they may invert under concurrency ([`crate::reader`]).
+    /// this kind prices what regularity buys: reads return in at most two
+    /// rounds *because* they may invert under concurrency
+    /// ([`crate::reader`]).
     Atomic,
 }
 
@@ -54,10 +55,12 @@ pub enum ProtocolKind {
 /// on the variant it applies to), and the one [`ReaderTuning`] both
 /// variants' readers run.
 ///
-/// `ProtocolKind::X.into()` is the paper-faithful default of each variant
-/// (keep-all histories, default tunings). Every reader takes the one-round
-/// fast path wherever [`StorageConfig::fast_read_quorum`] arms it, whatever
-/// its tuning. Deviating tunings are for mutation experiments only.
+/// `ProtocolKind::X.into()` is the deployed default of each variant
+/// (keep-all histories, [`ReaderTuning::default`]): a READ returns on round
+/// 1 whenever round 1 proves its answer, and sends READ2 otherwise.
+/// [`ProtocolSpec::figures`] is the same variant with the figures' reader
+/// ([`ReaderTuning::FIGURES`]), which the paper's tables run. Other tunings
+/// are for mutation experiments only.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ProtocolSpec {
     /// §4 safe storage; every reader runs this tuning.
@@ -123,6 +126,18 @@ impl ProtocolSpec {
             ProtocolKind::RegularOptimized => "regular-opt",
             ProtocolKind::Atomic => "atomic",
         }
+    }
+
+    /// `kind` with the figures' reader ([`ReaderTuning::FIGURES`]): what
+    /// the experiment tables deploy.
+    pub fn figures(kind: ProtocolKind) -> Self {
+        let mut spec = ProtocolSpec::from(kind);
+        match &mut spec {
+            ProtocolSpec::Safe(tuning) | ProtocolSpec::Regular { tuning, .. } => {
+                *tuning = ReaderTuning::FIGURES;
+            }
+        }
+        spec
     }
 
     /// This spec with regular objects running `retention`. Safe objects

@@ -1,13 +1,14 @@
-//! # vrr-core: robust reads at optimal resilience in two rounds
+//! # vrr-core: robust reads at optimal resilience in at most two rounds
 //!
 //! A faithful implementation of the storage protocols of *Guerraoui &
 //! Vukolić, "How Fast Can a Very Robust Read Be?" (PODC 2006)*: wait-free
 //! single-writer multi-reader register emulations over `S = 2t + b + 1`
 //! failure-prone base objects (at most `t` faulty, of which at most `b`
-//! Byzantine), storing unauthenticated data, in which **both READ and WRITE
-//! complete in exactly two communication round-trips** — matching the
-//! paper's lower bound (Proposition 1: with `S ≤ 2t + 2b` objects no READ
-//! can be single-round).
+//! Byzantine), storing unauthenticated data, in which a WRITE takes two
+//! communication round-trips and a READ **at most two** — matching the
+//! paper's lower bound (Proposition 1: with `S ≤ 2t + 2b` objects no read
+//! rule can always return in one round) — and one when its first round
+//! already proves the answer.
 //!
 //! Two consistency levels:
 //!
@@ -22,7 +23,7 @@
 //!   object-side memory — the safety argument is in the [`regular`] module
 //!   docs.
 //!
-//! Both share one writer (Figure 2) and one two-round reader automaton —
+//! Both share one writer (Figure 2) and one reader automaton —
 //! [`reader::Reader`], which Figure 4 and Figure 6 instantiate through an
 //! [`reader::Evidence`] each.
 //!
@@ -42,7 +43,7 @@
 //! assert_eq!(w.rounds, 2);
 //! let r = sc.read(0);
 //! assert_eq!(r.value, Some(7));
-//! assert_eq!(r.rounds, 2);
+//! assert_eq!(r.rounds, 1); // round 1 proved the answer: no READ2 was sent
 //! ```
 
 #![warn(missing_docs)]

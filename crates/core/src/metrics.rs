@@ -32,7 +32,6 @@
 use std::collections::BTreeMap;
 use std::sync::{Mutex, OnceLock};
 
-use crate::config::StorageConfig;
 use crate::reader::ReadReport;
 use crate::wire::{take_count, Wire, WireError};
 
@@ -82,9 +81,11 @@ pub mod names {
     /// Commands executed against node automata — counter.
     pub const EXECUTOR_COMMANDS: &str = "vrr_executor_commands_total";
 
-    /// Reads completed in one round via the sound fast path — counter.
+    /// Reads returned on round 1 with no READ2 sent
+    /// ([`crate::ReadReport::fast`]) — counter.
     pub const READER_FAST_HITS: &str = "vrr_reader_fast_hits_total";
-    /// Fast-path–eligible reads that fell back to two rounds — counter.
+    /// Every other read: it sent READ2, or wrote its round-1 selection
+    /// back — counter.
     pub const READER_FAST_FALLBACKS: &str = "vrr_reader_fast_fallbacks_total";
     /// Rounds per completed READ — histogram (buckets [`ROUND_BUCKETS`]).
     pub const READER_ROUNDS: &str = "vrr_reader_rounds";
@@ -664,22 +665,21 @@ pub fn record_scenario_stats(sink: &mut Registry, stats: &vrr_sim::FaultStats) {
 /// (`StorageScenario`'s, the thread runtime's `RegisterHost`'s).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FastPathStats {
-    /// Reads whose report says [`ReadReport::fast`].
+    /// Reads whose report says [`ReadReport::fast`]: returned on round 1,
+    /// no READ2 sent.
     pub hits: u64,
-    /// Reads at a sizing where the fast path is armed
-    /// ([`StorageConfig::fast_read_quorum`] is `Some`) whose report does
-    /// not: round 1 lacked the confirmations, or (Atomic) a fast selection
-    /// was written back.
+    /// Every other read: it sent READ2, or (Atomic) wrote its round-1
+    /// selection back.
     pub fallbacks: u64,
 }
 
 impl FastPathStats {
-    /// Counts one completed READ of a group sized `cfg` — the one rule of
-    /// what is a hit and what is a fallback.
-    pub fn count<V>(&mut self, cfg: StorageConfig, report: &ReadReport<V>) {
+    /// Counts one completed READ — the one rule of what is a hit and what
+    /// is a fallback.
+    pub fn count<V>(&mut self, report: &ReadReport<V>) {
         if report.fast {
             self.hits += 1;
-        } else if cfg.fast_read_quorum().is_some() {
+        } else {
             self.fallbacks += 1;
         }
     }

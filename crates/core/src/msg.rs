@@ -4,11 +4,12 @@
 //! regular protocol (Figures 5–6): writes are identical, and read ACKs come
 //! in a safe flavour (current `pw`/`w`) and a regular flavour (a history).
 //!
-//! The one-round fast path (armed at `S ≥ 2t + 2b + 1`, see
-//! [`crate::StorageConfig::fast_read_quorum`]) adds **no** message kinds:
-//! a round-1 `READ_ACK` quorum may simply complete the read without the
-//! `READ2` broadcast ever being sent, so objects cannot tell a fast read
-//! from the first round of a two-round one.
+//! The reader's round-1 return (see [`crate::reader`]; guaranteed at
+//! [`crate::StorageConfig::guarantees_one_round_reads`]) adds **no**
+//! message kinds: a round-1 `READ_ACK` quorum that proves the answer
+//! completes the read without the `READ2` broadcast ever being sent, so
+//! objects cannot tell a one-round read from the first round of a
+//! two-round one.
 //!
 //! The atomic extension adds one: [`Msg::WriteBack`], answered with the
 //! `WRITE_ACK` the writer's `W` gets.

@@ -19,9 +19,10 @@
 //! a Byzantine object that forges a candidate "from the future" must claim
 //! some object `s_i` reported a reader timestamp higher than the reader has
 //! issued, which either exposes the forger (conflict with `s_i` in round 1)
-//! or forces `s_i`'s round-2 reply to corroborate the candidate. A READ
-//! takes exactly two round-trips at optimal resilience: the worst case
-//! proved by Proposition 1, achieved by Proposition 2.
+//! or forces `s_i`'s round-2 reply to corroborate the candidate. Two
+//! round-trips are a READ's worst case at optimal resilience — proved
+//! necessary by Proposition 1, achieved by Proposition 2 — and one is
+//! enough when round 1 already proves the answer (below).
 //!
 //! # Figure lines → skeleton steps → evidence methods
 //!
@@ -29,18 +30,18 @@
 //! |---|---|---|---|
 //! | line 1 `conflict(i,k)` | line 1 | `Heard::accused_by` | [`Evidence::nominated`] (round-1 tuples of `k`) |
 //! | line 2 `RespondedWO(c)` | line 2 `invalid(c)` | `Reader::hear` (`contradicted_by`) | [`Evidence::contradicts`] |
-//! | line 3 `safe(c)` | line 3 | `Reader::try_finish` (`supported_by`) | [`Evidence::supports`] |
+//! | line 3 `safe(c)` | line 3 | `Reader::try_return` (`supported_by`) | [`Evidence::supports`] |
 //! | line 4 `highCand(c)` | line 4 | `Heard::highest` | — |
 //! | lines 7–10 invoke, `READ1` | invoke | [`Reader::invoke_read`] | [`Evidence::request_fields`] (`since`, `ack`) |
 //! | line 11 conflict-free quorum | line 11 | `Reader::try_advance` | — |
 //! | lines 12–13 `READ2` | same | `Reader::try_advance` | [`Evidence::request_fields`] |
-//! | line 14 wait | same | `Reader::try_finish` | — |
+//! | line 14 wait | same | `Reader::try_finish` → `Reader::try_return` | — |
 //! | lines 15–16 `C = ∅` | §5.1 cache | `Reader::try_finish` | [`Evidence::on_empty`] |
-//! | lines 18–19 return | return | `Reader::try_finish` | [`Evidence::on_return`] |
+//! | lines 18–19 return | return | `Reader::try_return` → `Reader::complete` | [`Evidence::on_return`] |
 //! | lines 21–24 `READ1_ACK` | lines 17–21 | `on_message` → `Reader::hear` | [`Evidence::open`], [`Evidence::nominated`] |
 //! | lines 25–26 `READ2_ACK` | lines 22–25 | `on_message` → `Reader::hear` | [`Evidence::open`] |
 //! | lines 27–28 eliminate | `invalid` | `Reader::hear` | [`Evidence::contradicts`] |
-//! | — (extension) | — | `Reader::try_fast_finish` (`confirmed_by`) | [`Evidence::confirms`] |
+//! | — (extension) | — | round-1 close: `Reader::try_advance` → `Reader::try_return` (`confirmed_by`) | [`Evidence::confirms`] |
 //! | — | — (extension) | `Reader::complete` → `Phase::WriteBack` → `Reader::on_write_back_ack` | [`Evidence::writes_back`] |
 //!
 //! # How the evidence is kept: each reply judged once, one bit per object
@@ -51,7 +52,7 @@
 //! `u64` per predicate, bit `i` set once some accepted reply of `s_i`
 //! satisfies it: OR-ing the two rounds into one bit *is* the figures'
 //! count, and elimination and `safe(c)` are popcounts. `confirmed_by` (the
-//! fast path's exact count) takes round-1 replies only, `nominated_by`
+//! round-1 return's exact count) takes round-1 replies only, `nominated_by`
 //! records which round-1 replies nominated the tuple, and `accuses` — the
 //! objects `i` with `tsrarray[i][j] > tsrFR` — depends only on the tuple,
 //! `j` and `tsrFR`, so it is computed once, at nomination. Line 11's
@@ -67,31 +68,45 @@
 //! judged against the live candidates when it arrives, and a newly
 //! nominated tuple against every reply accepted so far.
 //!
-//! # The one-round fast path, and why it is sound
+//! # Returning on round 1, and why it is sound
 //!
-//! With `S ≥ 2t + 2b + 1` objects (one above the Proposition 1 boundary)
-//! the read completes at the moment the conflict-free round-1 quorum closes
-//! iff some highest live candidate has `need =`
-//! [`StorageConfig::fast_read_quorum`] `= S − 2t` *exact* round-1
-//! confirmations ([`Evidence::confirms`]: the reply carries the candidate
-//! itself, as `w` or as its `pw` pair — the "or anything newer" leniency of
-//! Figure 4's `safe(c)` is for round 2, where the conflict machinery backs
-//! it up). Checked exactly once; on failure the read proceeds to round 2
-//! reusing every reply already collected (no restart).
+//! When the conflict-free round-1 quorum closes (line 11), the reader
+//! returns a highest live candidate at once, and sends no READ2, if round 1
+//! *exactly* confirmed it ([`Evidence::confirms`], kept in `confirmed_by`:
+//! the reply carries the candidate itself, as `w` or as its `pw` pair) from
+//! `need` objects, `need` being `safe(c)`'s threshold: `b + 1`, or the
+//! ablation override. Otherwise READ2 goes out and the READ goes on as in
+//! the figures, reusing every reply it holds (no restart). The rule is
+//! checked once per READ, at the close. Its soundness is a reduction to the
+//! figures' reader, which at that same step broadcasts READ2 and evaluates
+//! line 14 on the replies it holds, round 1's alone:
 //!
-//! *No phantom:* `need` confirmations contain at least `need − b ≥ b + 1`
-//! correct objects, so the candidate was genuinely written — a forgery
-//! musters at most `b`. *Never stale:* a completed write `w_k` is held by
-//! at least `S − t − b` correct objects, of which at least
-//! `S − 2t − b ≥ b + 1 ≥ 1` sit in this round-1 quorum, and elimination
-//! cannot out-shout them (it needs `t + b + 1` dissenters; at most `t + b`
-//! objects lack `w_k`), so the highest live candidate's timestamp is at
-//! least `k`: the returned value is never older than the last completed
-//! write. Under §5.1 the suffixes start at `cache.ts ≥` every previously
-//! returned timestamp, which only *raises* the floor; an empty candidate
-//! set simply falls back to round 2 and its cache-return rule.
-//! At `S ≤ 2t + 2b` the path refuses to engage and the reader *behaves*
-//! exactly like Figures 4 and 6.
+//! - *The same answer.* Exact confirmation implies [`Evidence::supports`]
+//!   for both evidences (for Figure 6 they are one predicate), so the
+//!   returned tuple is a highest live candidate with `need` supporters:
+//!   one the figures' reader may return at that same instant.
+//! - *The missing READ2* only leaves the objects holding a lower `tsr` for
+//!   this reader. Line 11 flags a matrix that claims a reader timestamp not
+//!   yet issued, so lower object state makes that check stricter against
+//!   liars, and it never accuses an honest object.
+//! - *The missing `ack`.* The reader-ack that READ2 would have carried
+//!   (§5.1's GC) arrives with the next READ's READ1: GC lags one READ and
+//!   never truncates more.
+//! - *Proposition 1 still bites.* In Figure 1's shared view `v1` has only
+//!   `b` supporters, so the rule does not fire, and the reader sends READ2
+//!   exactly where the paper's lower bound says a READ must.
+//!
+//! Whether round 1 *guarantees* the return is a matter of sizing. At
+//! [`StorageConfig::guarantees_one_round_reads`] (`S ≥ 2t + 2b + 1`) every
+//! READ not concurrent with a write returns on round 1: the last completed
+//! write is held by at least `S − t − b` correct objects, so by at least
+//! `S − 2t − b ≥ b + 1` in any round-1 quorum, and the at least
+//! `S − t − b ≥ t + b + 1` correct objects of that quorum contradict any
+//! forged higher tuple, which is therefore dead at the close. Below that
+//! sizing a forger keeps its tuple alive through round 1, and the READ
+//! needs round 2. [`ReaderTuning::FIGURES`], the reader of the paper's
+//! tables, arms the rule only at the guaranteed sizing, and so sends READ2
+//! on every READ below it, as Figures 4 and 6 do.
 //!
 //! # The write-back phase: atomic reads in one more round
 //!
@@ -148,30 +163,32 @@ pub struct ReadReport<V> {
     pub ts: Timestamp,
     /// Communication round-trips used.
     pub rounds: u32,
-    /// Completed in a single round-trip via a *sound* one-round rule —
-    /// the paper protocols' fast path (`S ≥ 2t + 2b + 1`; see
-    /// [`StorageConfig::fast_read_quorum`]), or a baseline whose read is
-    /// single-round by design. Mutants that skip round 2 unsoundly report
-    /// `rounds == 1` with `fast == false`, and so does an Atomic read whose
-    /// fast selection was written back (`rounds == 2`). The harnesses'
-    /// fast-path counters are this flag, counted by
+    /// Returned on round-1 evidence by a *sound* rule — the paper
+    /// protocols' round-1 return (module docs), or a baseline whose read is
+    /// single-round by design — and sent no READ2. Mutants that skip round
+    /// 2 unsoundly report `rounds == 1` with `fast == false` wherever the
+    /// round-1 return did not fire, and an Atomic read whose round-1
+    /// selection was written back reports `rounds == 2` with `fast ==
+    /// false`. The harnesses' fast-path counters are this flag, counted by
     /// [`crate::metrics::FastPathStats::count`].
     pub fast: bool,
 }
 
 /// Ablation knobs of the reader, shared by both protocols.
 ///
-/// The defaults are the paper's Figures 4 and 6. The sound one-round fast
-/// path is not a knob: it disarms itself wherever Proposition 1 applies,
-/// so every reader *behaves* exactly like the figures at `S ≤ 2t + 2b`.
-/// Each knob removes or weakens one load-bearing mechanism; the mutation
+/// The default is Figures 4 and 6 with the round-1 return (module docs):
+/// a READ sends READ2 only when round 1 does not already prove its answer.
+/// [`ReaderTuning::FIGURES`] is the figures' reader the experiment tables
+/// run: it sends READ2 on every READ below `S = 2t + 2b + 1`. Each other
+/// knob removes or weakens one load-bearing mechanism; the mutation
 /// experiments show the consistency checkers catch the resulting
 /// violations, and the `ablation` experiment shows what each mechanism
-/// buys. **Never deviate from [`ReaderTuning::default`] in production
-/// use.**
+/// buys. **Never deviate from [`ReaderTuning::default`] or
+/// [`ReaderTuning::FIGURES`] in production use.**
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ReaderTuning {
-    /// Supporters required by `safe(c)`; `None` = the paper's `b + 1`.
+    /// Supporters required by `safe(c)`, and exact round-1 confirmations
+    /// required by the round-1 return; `None` = the paper's `b + 1`.
     pub safe_threshold: Option<usize>,
     /// Contradictors required to eliminate a candidate (Figure 4 lines
     /// 27–28; what Figure 6 calls `invalid(c)`); `None` = the paper's
@@ -182,11 +199,24 @@ pub struct ReaderTuning {
     /// Skip the second round *unconditionally* and decide on round-1
     /// evidence with the unchanged rules — the **unsound** one-round
     /// *mutant* that Proposition 1 convicts (the lower-bound demo). Not to
-    /// be confused with the sound fast path, which is not a knob: it only
-    /// fires above the Proposition 1 boundary, demands
-    /// [`StorageConfig::fast_read_quorum`] exact confirmations, and
-    /// otherwise falls back to the full second round.
+    /// be confused with the sound round-1 return, which demands exact
+    /// confirmations and otherwise falls back to the full second round.
     pub skip_round2: bool,
+    /// The figures' reader: arm the round-1 return only at
+    /// [`StorageConfig::guarantees_one_round_reads`], so every READ below
+    /// that sizing sends READ2 as Figures 4 and 6 do.
+    pub figures: bool,
+}
+
+impl ReaderTuning {
+    /// The reader of Figures 4 and 6, which the paper's tables run.
+    pub const FIGURES: ReaderTuning = ReaderTuning {
+        safe_threshold: None,
+        elim_threshold: None,
+        conflict_check: true,
+        skip_round2: false,
+        figures: true,
+    };
 }
 
 impl Default for ReaderTuning {
@@ -196,6 +226,7 @@ impl Default for ReaderTuning {
             elim_threshold: None,
             conflict_check: true,
             skip_round2: false,
+            figures: false,
         }
     }
 }
@@ -292,7 +323,8 @@ struct Candidate<V> {
     contradicted_by: u64,
     /// Objects with a reply, in either round, that supports `w`.
     supported_by: u64,
-    /// Objects whose round-1 reply confirms `w` exactly (the fast path).
+    /// Objects whose round-1 reply confirms `w` exactly (the round-1
+    /// return).
     confirmed_by: u64,
     /// Objects whose round-1 reply nominated `w`.
     nominated_by: u64,
@@ -315,10 +347,9 @@ impl<V: Value> Candidate<V> {
         }
     }
 
-    /// Records what object `obj`'s `reply` says about `w`, and whether it
-    /// confirms `w` exactly if `confirm` (a round-1 reply, and a sizing
-    /// where the fast path can fire).
-    fn judge<E: Evidence<V>>(&mut self, obj: usize, reply: &E::Reply, confirm: bool) {
+    /// Records what object `obj`'s `reply` in round `rnd` (0 or 1) says
+    /// about `w`: only a round-1 reply can confirm it.
+    fn judge<E: Evidence<V>>(&mut self, rnd: usize, obj: usize, reply: &E::Reply) {
         let bit = 1 << obj;
         if self.contradicted_by & bit == 0 && E::contradicts(reply, &self.w) {
             self.contradicted_by |= bit;
@@ -326,7 +357,7 @@ impl<V: Value> Candidate<V> {
         if self.supported_by & bit == 0 && E::supports(reply, &self.w) {
             self.supported_by |= bit;
         }
-        if confirm && E::confirms(reply, &self.w) {
+        if rnd == 0 && E::confirms(reply, &self.w) {
             self.confirmed_by |= bit;
         }
     }
@@ -510,7 +541,6 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
             .tuning
             .elim_threshold
             .unwrap_or(self.cfg.t_plus_b_plus_1());
-        let fast = self.cfg.fast_read_quorum().is_some();
         let Heard {
             replies,
             candidates,
@@ -519,7 +549,7 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
             c.dead = c.contradicted_by.count_ones() as usize >= threshold;
         };
         for c in candidates.iter_mut().filter(|c| !c.dead) {
-            c.judge::<E>(obj, &reply, rnd == 0 && fast);
+            c.judge::<E>(rnd, obj, &reply);
             settle(c);
         }
         if rnd == 0 {
@@ -532,11 +562,11 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
                 for (round, slots) in replies.iter().enumerate() {
                     for (o, stored) in slots.iter().enumerate() {
                         if let Some(stored) = stored {
-                            c.judge::<E>(o, stored, round == 0 && fast);
+                            c.judge::<E>(round, o, stored);
                         }
                     }
                 }
-                c.judge::<E>(obj, &reply, fast);
+                c.judge::<E>(0, obj, &reply);
                 settle(&mut c);
                 c
             };
@@ -565,7 +595,13 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
             let conflict = |i, k| accused_by[k] >> i & 1 == 1;
             conflict_free_of_size(members, conflict, self.cfg.quorum())
         };
-        if !ok || self.try_fast_finish(ctx) {
+        if !ok {
+            return;
+        }
+        // The round-1 return (module docs): a highest live candidate that
+        // round 1 confirmed exactly needs no READ2.
+        let armed = !self.tuning.figures || self.cfg.guarantees_one_round_reads();
+        if armed && self.try_return(|c| c.confirmed_by, 1, true, ctx) {
             return;
         }
         // Lines 12–13: inc(tsr'_j); send READ2 to all objects. Under
@@ -578,24 +614,6 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
         if !self.tuning.skip_round2 {
             self.send_read(ReadRound::R2, ctx);
         }
-    }
-
-    /// The sound one-round fast path (module docs): complete now iff some
-    /// highest live candidate has enough exact round-1 confirmations.
-    /// Returns whether the read completed.
-    fn try_fast_finish(&mut self, ctx: &mut Context<'_, Msg<V>>) -> bool {
-        let Some(need) = self.cfg.fast_read_quorum() else {
-            return false; // Proposition 1 territory: refuse to engage.
-        };
-        debug_assert!(self.op.as_ref().is_some_and(|op| op.phase == Phase::Round1));
-        let confirmed = self
-            .heard
-            .highest(|c| c.confirmed_by.count_ones() as usize >= need);
-        let Some(cret) = confirmed.cloned() else {
-            return false;
-        };
-        self.complete(cret, 1, true, ctx);
-        true
     }
 
     /// Line 14: complete once the highest live candidate is `safe`, or `C`
@@ -611,13 +629,27 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
             }
             return;
         }
-        let needed = self.tuning.safe_threshold.unwrap_or(self.cfg.b_plus_1());
-        let safe = self
-            .heard
-            .highest(|c| c.supported_by.count_ones() as usize >= needed);
-        if let Some(cret) = safe.cloned() {
-            self.complete(cret, rounds, false, ctx); // lines 18–19
-        }
+        self.try_return(|c| c.supported_by, rounds, false, ctx); // lines 18–19
+    }
+
+    /// Lines 3–4 and 18–19: completes with the first highest live candidate
+    /// that `need` objects vouch for — `vouched` is `supported_by` for
+    /// `safe(c)`, `confirmed_by` for the round-1 return. Returns whether
+    /// the READ completed (or began its write-back).
+    fn try_return(
+        &mut self,
+        vouched: impl Fn(&Candidate<V>) -> u64,
+        rounds: u32,
+        fast: bool,
+        ctx: &mut Context<'_, Msg<V>>,
+    ) -> bool {
+        let need = self.tuning.safe_threshold.unwrap_or(self.cfg.b_plus_1());
+        let ok = |c: &Candidate<V>| vouched(c).count_ones() as usize >= need;
+        let Some(cret) = self.heard.highest(ok).cloned() else {
+            return false;
+        };
+        self.complete(cret, rounds, fast, ctx);
+        true
     }
 
     /// Returns candidate `cret` — after writing it back (module docs), where
@@ -755,7 +787,7 @@ pub(crate) mod tests {
         tuned(StorageConfig::optimal(1, 1, 1), ReaderTuning::default())
     }
 
-    /// S = 5 = 2t + 2b + 1, t = b = 1: quorum = 4, fast quorum = 3.
+    /// S = 5 = 2t + 2b + 1, t = b = 1: quorum = 4, one round guaranteed.
     fn fast<E: Fixture>() -> Reader<u64, E> {
         tuned(StorageConfig::fast(1, 1, 1), ReaderTuning::default())
     }
@@ -868,11 +900,11 @@ pub(crate) mod tests {
         for i in 0..3 {
             deliver(&mut r, i, E::ack(ReadRound::R1, first_tsr, 1));
         }
-        assert!(r.outcome(id1).is_some());
+        assert!(r.outcome(id1).is_some(), "returned on round 1");
         let (id2, out2) = invoke(&mut r);
         assert_ne!(id1, id2);
         assert!(
-            tsr_of(&out2) > first_tsr + 1,
+            tsr_of(&out2) > first_tsr,
             "tsr must strictly increase across ops"
         );
     }
@@ -918,53 +950,69 @@ pub(crate) mod tests {
         assert!(r.outcome(id).is_none());
         assert!(!r.is_idle());
         // Object 2 answers: the forgery reaches t+b+1 = 3 contradictors and
-        // dies, the conflict evaporates, round 2 opens, and ⊥ (supported
-        // by 3 ≥ b+1) is safe + high.
+        // dies, the conflict evaporates, the quorum closes, and ⊥ (confirmed
+        // by 3 ≥ b+1) is high: round 1 proves it.
         let sent = deliver(&mut r, 2, E::ack(ReadRound::R1, 1, 0));
-        assert!(!sent.is_empty(), "READ2 must have been broadcast");
-        assert_eq!(r.outcome(id).expect("complete").value, None);
+        assert!(sent.is_empty(), "no READ2");
+        let got = r.outcome(id).expect("complete");
+        assert_eq!((got.value, got.rounds), (None, 1));
     }
 
     fn fast_path_completes_in_one_round_when_quorum_agrees<E: Fixture>() {
-        let mut r = fast::<E>();
-        let (id, out) = invoke(&mut r);
-        assert_eq!(out.len(), 5, "READ1 to all");
-        for i in 0..3 {
-            assert!(deliver(&mut r, i, E::ack(ReadRound::R1, 1, 2)).is_empty());
-            assert!(r.outcome(id).is_none());
+        // Above the boundary (S = 5, quorum 4) and at it (S = 4, quorum 3)
+        // alike: the reply that closes a unanimous quorum completes the
+        // read with NO second round.
+        for (mut r, quorum) in [(fast::<E>(), 4), (optimal::<E>(), 3)] {
+            let (id, out) = invoke(&mut r);
+            assert_eq!(out.len(), quorum + 1, "READ1 to all");
+            for i in 0..quorum - 1 {
+                assert!(deliver(&mut r, i, E::ack(ReadRound::R1, 1, 2)).is_empty());
+                assert!(r.outcome(id).is_none());
+            }
+            let sent = deliver(&mut r, quorum - 1, E::ack(ReadRound::R1, 1, 2));
+            assert!(sent.is_empty(), "the round-1 return sends no READ2");
+            let got = r.outcome(id).expect("one-round read complete");
+            assert_eq!((got.value, got.ts), (Some(20), Timestamp(2)));
+            assert_eq!(got.rounds, 1);
+            assert!(got.fast);
         }
-        // Fourth matching reply closes the quorum with 4 >= 3 exact
-        // confirmations: the read completes with NO second round.
-        let sent = deliver(&mut r, 3, E::ack(ReadRound::R1, 1, 2));
-        assert!(sent.is_empty(), "fast path must not broadcast READ2");
-        let got = r.outcome(id).expect("fast read complete");
-        assert_eq!((got.value, got.ts), (Some(20), Timestamp(2)));
-        assert_eq!(got.rounds, 1);
-        assert!(got.fast);
     }
 
     fn fast_path_falls_back_without_restarting_round1<E: Fixture>() {
-        let mut r = fast::<E>();
+        let mut r = optimal::<E>();
         let (id, _) = invoke(&mut r);
-        // Only 2 of the 4 quorum replies confirm write 1 (the others
-        // missed it, e.g. the write is still in flight to them): 2 < 3.
+        // Byzantine object 3 forges ts 99; objects 0 and 1 report write 1.
+        // At the close the forgery is live (2 < t+b+1 = 3 contradictors)
+        // and high with 1 < b+1 = 2 confirmations: round 1 proves nothing.
+        deliver(
+            &mut r,
+            3,
+            E::forged_ack(ReadRound::R1, 1, 1, phantom(99, None)),
+        );
         deliver(&mut r, 0, E::ack(ReadRound::R1, 1, 1));
-        deliver(&mut r, 1, E::ack(ReadRound::R1, 1, 1));
-        deliver(&mut r, 2, E::ack(ReadRound::R1, 1, 0));
-        let sent = deliver(&mut r, 3, E::ack(ReadRound::R1, 1, 0));
-        assert_eq!(sent.len(), 5, "fallback broadcasts READ2 to all");
-        // The two-round machinery finishes on the reused round-1 evidence
-        // (b+1 = 2 supporters already satisfy line 14 at round-2 entry).
+        let sent = deliver(&mut r, 1, E::ack(ReadRound::R1, 1, 1));
+        assert_eq!(sent.len(), 4, "fallback broadcasts READ2 to all");
+        assert!(sent.iter().all(|(_, m)| matches!(
+            m,
+            Msg::Read {
+                round: ReadRound::R2,
+                ..
+            }
+        )));
+        // Object 2's late round-1 reply kills the forgery, and write 1's
+        // three round-1 supporters finish the read: no READ1 is re-sent.
+        let sent = deliver(&mut r, 2, E::ack(ReadRound::R1, 1, 1));
+        assert!(sent.is_empty(), "no restart");
         let got = r.outcome(id).expect("fallback read complete");
         assert_eq!(got.value, Some(10));
         assert_eq!(got.rounds, 2);
         assert!(!got.fast);
     }
 
-    fn fast_path_refuses_at_the_proposition1_boundary<E: Fixture>() {
-        // S = 4 = 2t + 2b: Proposition 1 applies, the fast path must not
-        // engage even on a unanimous round-1 quorum.
-        let mut r = optimal::<E>();
+    fn the_figures_reader_refuses_at_the_proposition1_boundary<E: Fixture>() {
+        // S = 4 = 2t + 2b: Proposition 1 applies, and the figures' reader
+        // sends READ2 even on a unanimous round-1 quorum.
+        let mut r = tuned::<E>(StorageConfig::optimal(1, 1, 1), ReaderTuning::FIGURES);
         let (id, out) = invoke(&mut r);
         assert_eq!(out.len(), 4, "READ1 to all");
         for i in 0..2 {
@@ -1011,13 +1059,13 @@ pub(crate) mod tests {
     }
 
     fn skip_round2_reports_one_unsound_round<E: Fixture>() {
-        // The Proposition 1 mutant, at the sizing it is run at (S = 2t + 2b,
-        // where the sound fast path is disarmed), decides on round-1
-        // evidence and sends no READ2; its single round is not the sound
-        // fast path's.
+        // The Proposition 1 mutant of the figures' reader, at the sizing it
+        // is run at (S = 2t + 2b, where that reader never returns on round
+        // 1), decides on round-1 evidence and sends no READ2; its single
+        // round is not the sound round-1 return's.
         let tuning = ReaderTuning {
             skip_round2: true,
-            ..ReaderTuning::default()
+            ..ReaderTuning::FIGURES
         };
         let mut r = tuned::<E>(StorageConfig::optimal(1, 1, 1), tuning);
         let (id, _) = invoke(&mut r);
@@ -1042,7 +1090,7 @@ pub(crate) mod tests {
             deliver(&mut r, i, E::ack(ReadRound::R1, 1, 1));
         }
         let got = r.outcome(id).expect("complete");
-        assert_eq!((got.value, got.rounds), (Some(10), 2), "no third round");
+        assert_eq!((got.value, got.rounds), (Some(10), 1), "no extra round");
     }
 
     macro_rules! over_both_evidences {
@@ -1067,7 +1115,7 @@ pub(crate) mod tests {
         conflicting_accusation_excludes_forger_from_quorum,
         fast_path_completes_in_one_round_when_quorum_agrees,
         fast_path_falls_back_without_restarting_round1,
-        fast_path_refuses_at_the_proposition1_boundary,
+        the_figures_reader_refuses_at_the_proposition1_boundary,
         forged_high_candidate_cannot_fast_fire,
         skip_round2_reports_one_unsound_round,
         write_acks_mean_nothing_to_a_read_that_does_not_write_back,
@@ -1079,7 +1127,7 @@ pub(crate) mod tests {
     mod write_back {
         use super::*;
         use crate::attackers::AttackerKind;
-        use crate::group::ProtocolKind;
+        use crate::group::{ProtocolKind, ProtocolSpec};
         use crate::regular::RegularReader;
         use crate::scenario::StorageScenario;
 
@@ -1099,7 +1147,7 @@ pub(crate) mod tests {
         }
 
         /// S = 4, t = b = 1: objects 0..=2 reported `w1`, the READ selected
-        /// it at round-2 entry (b + 1 round-1 supporters) and the
+        /// it at the round-1 close (b + 1 exact confirmations) and the
         /// write-back of that very tuple is out.
         fn writing_back() -> (RegularReader<u64>, ReadId) {
             let mut r = reader(StorageConfig::optimal(1, 1, 1), false);
@@ -1108,8 +1156,8 @@ pub(crate) mod tests {
             for i in 0..3 {
                 sent = deliver(&mut r, i, E::forged_ack(ReadRound::R1, 1, 0, w1()));
             }
-            assert_eq!(sent.len(), 8, "READ2 to all, then the write-back to all");
-            for (_, msg) in &sent[4..] {
+            assert_eq!(sent.len(), 4, "no READ2; the write-back to all");
+            for (_, msg) in &sent {
                 assert_eq!(*msg, Msg::WriteBack { w: w1() }, "matrix included");
             }
             assert!(r.outcome(id).is_none(), "not before S − t acknowledged");
@@ -1132,7 +1180,7 @@ pub(crate) mod tests {
             acks(&mut r, 2..3, 1);
             let got = r.outcome(id).expect("S − t acknowledged");
             assert_eq!((got.value, got.ts), (Some(10), Timestamp(1)));
-            assert_eq!((got.rounds, got.fast), (3, false));
+            assert_eq!((got.rounds, got.fast), (2, false));
             assert_eq!(r.acked(), Timestamp(1));
             assert!(r.is_idle());
         }
@@ -1151,7 +1199,8 @@ pub(crate) mod tests {
         fn read_acks_during_the_write_back_change_nothing() {
             let (mut r, id) = writing_back();
             // Object 3's late round-1 reply knows a newer write; round-2
-            // replies trickle in. The selection is made.
+            // replies a Byzantine object guessed trickle in. The selection
+            // is made.
             assert!(deliver(&mut r, 3, E::ack(ReadRound::R1, 1, 2)).is_empty());
             for i in 0..4 {
                 assert!(deliver(&mut r, i, E::ack(ReadRound::R2, 2, 2)).is_empty());
@@ -1159,7 +1208,7 @@ pub(crate) mod tests {
             assert!(r.outcome(id).is_none());
             acks(&mut r, 1..4, 1);
             let got = r.outcome(id).expect("complete");
-            assert_eq!((got.value, got.rounds), (Some(10), 3));
+            assert_eq!((got.value, got.rounds), (Some(10), 2));
         }
 
         #[test]
@@ -1201,7 +1250,7 @@ pub(crate) mod tests {
             let (round, history) = (ReadRound::R1, crate::types::History::empty());
             let empty = Msg::ReadAckRegular {
                 round,
-                tsr: 3,
+                tsr: 2,
                 history,
             };
             let mut sent = Vec::new();
@@ -1214,13 +1263,16 @@ pub(crate) mod tests {
         }
 
         #[test]
-        fn atomic_reads_cost_three_rounds() {
+        fn a_quiet_atomic_read_costs_its_reads_rounds_plus_the_write_back() {
             let cfg = StorageConfig::optimal(1, 1, 2);
-            let mut sc = StorageScenario::deploy(ProtocolKind::Atomic, cfg, 6);
-            sc.write(42u64);
-            let r = sc.read(0);
-            assert_eq!(r.value, Some(42));
-            assert_eq!(r.rounds, 3, "regular's 2 rounds + write-back");
+            let figures = ProtocolSpec::figures(ProtocolKind::Atomic);
+            for (spec, rounds) in [(ProtocolKind::Atomic.into(), 2), (figures, 3)] {
+                let mut sc = StorageScenario::deploy(spec, cfg, 6);
+                sc.write(42u64);
+                let r = sc.read(0);
+                assert_eq!(r.value, Some(42));
+                assert_eq!(r.rounds, rounds, "{spec:?}: READ1 (+ READ2) + write-back");
+            }
         }
 
         #[test]
@@ -1229,7 +1281,7 @@ pub(crate) mod tests {
             let mut sc = StorageScenario::<u64, _>::deploy(ProtocolKind::Atomic, cfg, 6);
             let r = sc.read(0);
             assert_eq!(r.value, None);
-            assert_eq!(r.rounds, 2, "nothing to write back");
+            assert_eq!(r.rounds, 1, "nothing to write back");
         }
 
         #[test]
@@ -1290,7 +1342,7 @@ pub(crate) mod tests {
             sc.world_mut().adversary_mut().hold_link(from, to);
             let r1 = sc.read(0);
             assert_eq!(r1.value, Some(20));
-            assert_eq!(r1.rounds, 3);
+            assert_eq!(r1.rounds, 2, "round 1 confirms the pw; the write-back");
 
             // Read 2 (reader 1): quorum {1,2,3} — object 0 unreachable. In the
             // regular protocol this read returned 10; here the write-back has
@@ -1324,7 +1376,7 @@ pub(crate) mod tests {
                 _ => false,
             });
             let r1 = sc.read(0);
-            assert_eq!((r1.value, r1.rounds), (Some(20), 3));
+            assert_eq!((r1.value, r1.rounds), (Some(20), 2));
 
             // Now write 2's PW arrives at object 2, and object 3 turns out
             // to be the Byzantine one: from here on it denies every write.
@@ -1482,7 +1534,7 @@ pub(crate) mod tests {
             for read in 0..2 {
                 let (id, _) = invoke(&mut r);
                 for i in 0..3 {
-                    deliver(&mut r, i, R::ack(ReadRound::R1, 2 * read + 1, 100));
+                    deliver(&mut r, i, R::ack(ReadRound::R1, read + 1, 100));
                 }
                 assert_eq!(r.outcome(id).expect("complete").value, Some(1_000));
                 assert!(r.heard.candidates.is_empty());

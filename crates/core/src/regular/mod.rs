@@ -6,7 +6,7 @@
 //! and a read succeeding a write returns it or something newer. The §5.1
 //! optimization (suffix histories + reader-side cache) is available through
 //! [`RegularReader::new_optimized`]. The reader automaton is the one
-//! two-round [`crate::reader::Reader`] shared with the safe protocol; this
+//! [`crate::reader::Reader`] shared with the safe protocol; this
 //! module contributes the object (Figure 5) and [`RegularEvidence`],
 //! Figure 6's way of reading one object's history reply.
 //!

@@ -1,7 +1,6 @@
 //! The regular-storage reader: Figure 6, with the optional §5.1
-//! cached-suffix optimization, as an [`Evidence`] for the one two-round
-//! [`Reader`] (the automaton and its documentation live in
-//! [`crate::reader`]).
+//! cached-suffix optimization, as an [`Evidence`] for the one [`Reader`]
+//! (the automaton and its documentation live in [`crate::reader`]).
 //!
 //! A regular object answers `READk` with its *history*, so a reply is a
 //! [`History`], candidates are drawn from its `w` fields, and a candidate
@@ -237,7 +236,7 @@ mod tests {
         let got = r.outcome(id).expect("complete");
         assert_eq!(got.value, Some(30));
         assert_eq!(got.ts, Timestamp(3));
-        assert_eq!(got.rounds, 2);
+        assert_eq!(got.rounds, 1, "round 1 confirms write 3");
     }
 
     #[test]
@@ -328,14 +327,14 @@ mod tests {
         assert_eq!(r.outcome(id1).unwrap().value, Some(20));
 
         // Next read: all objects report empty suffixes (nothing newer).
-        // The first read consumed reader timestamps 1 (round 1) and 2
-        // (round 2), so this read's tsrFR is 3.
+        // The first read returned on round 1 and consumed reader timestamp
+        // 1 only, so this read's tsrFR is 2.
         let (id2, out2) = invoke(&mut r);
         let tsr_fr = match out2[0].1 {
             Msg::Read { tsr, .. } => tsr,
             _ => unreachable!(),
         };
-        assert_eq!(tsr_fr, 3);
+        assert_eq!(tsr_fr, 2);
         for i in 0..3 {
             deliver(&mut r, i, ack(ReadRound::R1, tsr_fr, History::empty()));
         }
@@ -382,15 +381,15 @@ mod tests {
         let mut forged = History::empty();
         let fw = WTuple::new(TsVal::new(Timestamp(1), 666), TsrMatrix::empty());
         forged.insert(Timestamp(1), entry(fw));
-        deliver(&mut r, 3, ack(ReadRound::R1, 3, forged));
+        deliver(&mut r, 3, ack(ReadRound::R1, 2, forged));
         for i in 0..2 {
-            deliver(&mut r, i, ack(ReadRound::R1, 3, History::empty()));
+            deliver(&mut r, i, ack(ReadRound::R1, 2, History::empty()));
         }
         assert!(
             r.outcome(id2).is_none(),
             "forged candidate still live: 2 < t+b+1"
         );
-        deliver(&mut r, 2, ack(ReadRound::R1, 3, History::empty()));
+        deliver(&mut r, 2, ack(ReadRound::R1, 2, History::empty()));
         let got = r.outcome(id2).expect("complete");
         assert_eq!(
             got.value,
@@ -402,7 +401,7 @@ mod tests {
 
     #[test]
     fn optimized_fast_path_updates_cache_ack_and_since() {
-        // S = 5 = 2t+2b+1, t = b = 1: quorum = 4, fast quorum = 3.
+        // S = 5 = 2t+2b+1, t = b = 1: quorum = 4.
         let fast_cfg = StorageConfig::fast(1, 1, 1);
         let mut r =
             RegularReader::<u64>::new_optimized(fast_cfg, 0, (0..5).map(ProcessId).collect());
@@ -428,7 +427,9 @@ mod tests {
 
     #[test]
     fn reads_piggyback_the_highest_returned_timestamp() {
-        let mut r = reader();
+        // The figures' reader, so that every READ has a round 2.
+        let mut r =
+            RegularReader::with_tuning(cfg(), 0, objects(), false, false, ReaderTuning::FIGURES);
         assert_eq!(r.acked(), Timestamp::ZERO);
         let (_, out) = invoke(&mut r);
         assert!(
@@ -487,7 +488,7 @@ mod tests {
         // first answer quorum was different).
         let (id2, _) = invoke(&mut r);
         for i in 0..3 {
-            deliver(&mut r, i, ack(ReadRound::R1, 3, full_history(3)));
+            deliver(&mut r, i, ack(ReadRound::R1, 2, full_history(3)));
         }
         assert_eq!(r.outcome(id2).unwrap().ts, Timestamp(3));
         assert_eq!(r.acked(), Timestamp(5), "high-water mark kept");

@@ -1,5 +1,5 @@
 //! The safe-storage reader: Figure 4 as an [`Evidence`] for the one
-//! two-round [`Reader`] (the automaton and its documentation live in
+//! [`Reader`] (the automaton and its documentation live in
 //! [`crate::reader`]).
 //!
 //! A safe object answers `READk` with its current `pw` and `w` fields, so a

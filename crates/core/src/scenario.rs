@@ -288,7 +288,7 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
         if !std::mem::replace(&mut op.recorded, true) {
             let names = (names::READER_ROUNDS, names::READ_LATENCY);
             self.observe_completion(names, report.rounds, op.invoked_at);
-            self.fast.count(self.dep.cfg, &report);
+            self.fast.count(&report);
         }
         Some(report)
     }
@@ -406,7 +406,7 @@ mod tests {
         assert_eq!((w.ts, w.rounds), (Timestamp(1), 2));
         sc.write(22u64);
         let r = sc.read(0);
-        assert_eq!((r.value, r.rounds), (Some(22), 2));
+        assert_eq!((r.value, r.rounds), (Some(22), 1));
         let snap = sc.metrics_snapshot();
         assert_eq!(
             snap.histogram(names::WRITER_ROUNDS, &[]).unwrap().count(),
@@ -418,8 +418,9 @@ mod tests {
         );
         assert!(snap.histogram(names::READ_LATENCY, &[]).unwrap().sum() > 0);
         assert!(snap.counter(names::NET_SENT, &[]) > 0);
-        // At optimal sizing there is no fast path, but the counters exist.
-        assert_eq!(snap.counter(names::READER_FAST_HITS, &[]), 0);
+        // The quiet read returned on round 1: one hit, no fallback.
+        assert_eq!(snap.counter(names::READER_FAST_HITS, &[]), 1);
+        assert_eq!(snap.counter(names::READER_FAST_FALLBACKS, &[]), 0);
         assert_eq!(snap.gauge_values(names::OBJECT_HISTORY_LEN).len(), cfg.s);
     }
 

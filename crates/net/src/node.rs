@@ -35,7 +35,7 @@
 //!   `ShardedStore::{read_with, try_write_with}`) and whoever observes the
 //!   outcome writes the `Response`. That is the reactor thread itself when
 //!   the register group is idle and all its members are local: `submit`
-//!   runs both rounds on the calling thread — bounded, never waiting — so
+//!   runs every round on the calling thread — bounded, never waiting — so
 //!   the response is queued, as a same-thread command, before the handler
 //!   returns, and no worker is woken. A group that is busy, has members on
 //!   other nodes or is wedged completes later, on a worker thread. The

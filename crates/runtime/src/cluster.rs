@@ -224,7 +224,7 @@ impl<M: Send + 'static> Cluster<M> {
     ///
     /// **Where `done` runs.** If `pid`'s group is idle, the calling thread
     /// runs it — for a bounded number of passes, never waiting — so on an
-    /// immediate link both rounds of a READ or WRITE and its `done` happen
+    /// immediate link every round of a READ or WRITE and its `done` happen
     /// **on the calling thread, before `submit` returns**. Otherwise (the
     /// group is being run by someone else, the link policy delays a
     /// message, a member lives on another node, or the caller is itself a

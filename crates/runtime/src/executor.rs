@@ -17,7 +17,7 @@
 //! thread that ever waits. The other runner is the thread that calls
 //! [`crate::Cluster::submit`]: it puts the operation in the unit's mail and,
 //! if the run lock is free (`try_lock`, never a wait), runs the unit itself,
-//! so both rounds of a READ and its completion happen before `submit`
+//! so every round of a READ and its completion happen before `submit`
 //! returns — no thread hand-off in, none out. If the lock is taken, or work
 //! is left after [`PASSES`] passes, the unit is scheduled on its worker.
 //! Invokes, crashes, external sends, cross-unit messages and due timers

@@ -66,7 +66,8 @@ struct OpMeter {
 struct Recorded {
     rounds: Histogram,
     latency: Histogram,
-    /// [`FastPathStats::count`] of every READ report; zero for WRITEs.
+    /// [`FastPathStats::count`] of every READ report (a hit per READ that
+    /// sent no READ2, a fallback per other READ); zero for WRITEs.
     fast: FastPathStats,
 }
 
@@ -319,11 +320,10 @@ impl<V: Value> RegisterHost<V> {
         done: impl FnOnce(Result<ReadReport<V>, NodeGone>) + Send + 'static,
     ) {
         let reader = self.groups[slot].readers[j];
-        let cfg = self.cfg;
         let done = self.reads.timed(
             move |report: &ReadReport<V>, rec: &mut Recorded| {
                 rec.rounds.observe(u64::from(report.rounds));
-                rec.fast.count(cfg, report);
+                rec.fast.count(report);
             },
             done,
         );
@@ -404,8 +404,9 @@ impl<V: Value> RegisterHost<V> {
     }
 
     /// The rounds/latency histograms of the operations this host completed
-    /// so far and its READs' fast-path counters (hits, and fallbacks at a
-    /// sizing where the fast path is armed: [`FastPathStats::count`]), plus
+    /// so far and its READs' fast-path counters (hits, the READs that
+    /// returned on round 1, and fallbacks, every other READ:
+    /// [`FastPathStats::count`]), plus
     /// its worker pool's activity counters under their canonical
     /// `vrr_executor_*` names.
     pub fn op_metrics(&self) -> Registry {
@@ -705,7 +706,7 @@ mod tests {
         for k in 1..=20u64 {
             host.write(0, k);
             let r = host.read(0, 0);
-            assert_eq!((r.value, r.rounds), (Some(k), 2));
+            assert_eq!((r.value, r.rounds), (Some(k), 1));
         }
         let lens = host.history_lens(0);
         assert_eq!(lens, [(0, 1), (1, 21), (2, 21), (3, 21)]);

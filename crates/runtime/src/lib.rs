@@ -18,7 +18,7 @@
 //! automaton, and fires the caller's completion — an invocation event,
 //! message deliveries and a response event, never a parked thread. The
 //! runner is the **submitting thread** whenever the group is idle, so a
-//! READ's two rounds finish inside `submit` with no thread hand-off at all;
+//! READ's rounds finish inside `submit` with no thread hand-off at all;
 //! the group's home worker is the fallback (see [`Cluster::submit`] for
 //! where the completion runs). A process runs one operation at a time, in
 //! submission order.

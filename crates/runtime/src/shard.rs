@@ -348,7 +348,7 @@ mod tests {
         for k in 0..8u64 {
             let r = store.read(&format!("key-{k}"), 0).expect("written key");
             assert_eq!(r.value, Some(k * 100));
-            assert_eq!(r.rounds, 2);
+            assert_eq!(r.rounds, 1);
         }
         // All shards distinct.
         let slots: std::collections::BTreeSet<usize> = (0..8u64)

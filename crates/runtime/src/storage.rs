@@ -176,18 +176,22 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_stays_disarmed_at_optimal_resilience() {
+    fn at_optimal_resilience_only_the_figures_reader_sends_read2() {
         let cfg = StorageConfig::optimal(1, 1, 1); // S = 2t + 2b: Prop. 1
-        let storage: StorageCluster<u64> =
-            StorageCluster::deploy(cfg, ProtocolKind::RegularOptimized, Box::new(NoDelay));
-        storage.write(7);
-        let r = storage.read(0);
-        assert_eq!(r.value, Some(7));
-        assert_eq!(r.rounds, 2);
-        assert!(!r.fast);
-        let snap = storage.metrics_snapshot();
-        assert_eq!(snap.counter(names::READER_FAST_HITS, &[]), 0);
-        assert_eq!(snap.counter(names::READER_FAST_FALLBACKS, &[]), 0);
+        let kind = ProtocolKind::RegularOptimized;
+        let figures = ProtocolSpec::figures(kind);
+        for (spec, rounds) in [(kind.into(), 1), (figures, 2)] {
+            let storage: StorageCluster<u64> = StorageCluster::deploy(cfg, spec, Box::new(NoDelay));
+            storage.write(7);
+            let r = storage.read(0);
+            assert_eq!(r.value, Some(7));
+            assert_eq!((r.rounds, r.fast), (rounds, rounds == 1), "{spec:?}");
+            let snap = storage.metrics_snapshot();
+            let hits = snap.counter(names::READER_FAST_HITS, &[]);
+            let fallbacks = snap.counter(names::READER_FAST_FALLBACKS, &[]);
+            let want = if rounds == 1 { (1, 0) } else { (0, 1) };
+            assert_eq!((hits, fallbacks), want, "{spec:?}");
+        }
     }
 
     /// Drains every message a finished READ may still have in flight, then
@@ -324,8 +328,8 @@ mod tests {
         let settling = 2 * cfg.s as u64 + 1;
         assert_eq!(
             after.commands - before.commands - settling,
-            1 + 2 * 2 * cfg.s as u64,
-            "one operation command, then 2 rounds x (S READk + S ACK) deliveries"
+            1 + 2 * cfg.s as u64,
+            "one operation command, then one round of S READ1 + S ACK deliveries"
         );
 
         // And once the operation is done the pool parks: no polling.

@@ -2,7 +2,7 @@
 //!
 //! Runs the full attacker catalogue against the paper's safe storage at
 //! optimal resilience and shows every read still returns the true value in
-//! exactly two rounds. Then runs the *same* inflation attack against the
+//! at most two rounds. Then runs the *same* inflation attack against the
 //! crash-only ABD baseline and watches it hand back a phantom value —
 //! the gap the paper's protocols exist to close.
 //!
@@ -40,7 +40,7 @@ fn main() {
             Some(1_000_000),
             "{kind:?} must not corrupt the read"
         );
-        assert_eq!(r.rounds, 2, "{kind:?} must not slow the read");
+        assert!(r.rounds <= 2, "{kind:?} must not slow the read");
         // The snapshot carries the fault script alongside the op stats.
         let snap = sc.metrics_snapshot();
         assert_eq!(

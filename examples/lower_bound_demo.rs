@@ -10,9 +10,10 @@
 use vrr::lowerbound::{
     execute_control, execute_prop1, render_all, BlockPartition, LitePairSpec, ReadRule, Verdict,
 };
-use vrr_core::metrics::names;
+use vrr_core::attackers::AttackerKind;
+use vrr_core::metrics::{names, Registry};
 use vrr_core::regular::HistoryRetention;
-use vrr_core::{ReaderTuning, StorageConfig};
+use vrr_core::{ReadReport, ReaderTuning, StorageConfig, StorageScenario};
 use vrr_runtime::{NoDelay, ProtocolKind, ProtocolSpec, StorageCluster};
 
 fn main() {
@@ -78,69 +79,114 @@ fn main() {
         control.returned_run5.unwrap()
     );
     assert!(control.is_safe());
-    println!("\nConclusion: at S ≤ 2t+2b a read needs a second round-trip — which is");
-    println!("exactly what the paper's §4 algorithm spends, and no more.");
+    println!("\nConclusion: at S ≤ 2t+2b a read needs a second round-trip on this view —");
+    println!("which is exactly what the paper's §4 algorithm spends, and no more.");
 
-    // ── The mutant vs. the sound fast path, side by side ────────────────
+    // ── What the production reader does at the boundary ─────────────────
     //
-    // Two ways to claim a one-round read at the Proposition-1 boundary:
+    // Proposition 1 forbids a read rule that *always* answers in one round
+    // at S = 2t+2b. It does not forbid answering in one round when round 1
+    // already proves the answer. Four readers, side by side:
     //   * `skip_round2` — the UNSOUND mutant: always skip round 2. It is
     //     exactly the read rule the construction above convicts.
-    //   * the SOUND fast path, in every reader: complete in round 1 only when
-    //     `fast_read_quorum()` is `Some`, i.e. only above the boundary.
-    println!("\n── mutant vs. sound fast path at the boundary ──\n");
+    //   * the default reader: returns on round 1 only when `b + 1` round-1
+    //     replies confirm the highest live candidate exactly, and sends
+    //     READ2 otherwise — on Figure 1's view in particular.
+    //   * the figures' reader (`ReaderTuning::FIGURES`, what the paper's
+    //     tables run): sends READ2 on every read below S = 2t+2b+1.
+    //   * either reader one object above the boundary, where one round is
+    //     guaranteed.
+    println!("\n── the production reader at the boundary ──\n");
     let boundary = StorageConfig::with_objects(s, t, b, 1); // S = 2t+2b
-    assert_eq!(boundary.fast_read_quorum(), None);
+    assert!(!boundary.guarantees_one_round_reads());
+    let figures = ProtocolSpec::figures(ProtocolKind::Regular);
 
-    let mutant: StorageCluster<u64> = StorageCluster::deploy(
-        boundary,
-        ProtocolSpec::Regular {
-            optimized: false,
-            write_back: false,
-            retention: HistoryRetention::KeepAll,
-            tuning: ReaderTuning {
-                skip_round2: true,
-                ..ReaderTuning::default()
-            },
+    let mutant = ProtocolSpec::Regular {
+        optimized: false,
+        write_back: false,
+        retention: HistoryRetention::KeepAll,
+        tuning: ReaderTuning {
+            skip_round2: true,
+            ..ReaderTuning::FIGURES
         },
-        Box::new(NoDelay),
-    );
-    mutant.write(42);
-    let r = mutant.read(0);
+    };
+    let (r, _) = quiet_read(boundary, mutant);
     println!(
-        "S = {s} (= 2t+2b), skip_round2 mutant:  rounds = {}, fast = {} — it",
+        "S = {s}, skip_round2 mutant:            rounds = {}, fast = {} — it",
         r.rounds, r.fast
     );
-    println!("      answers in one round here, which is precisely what the runs");
-    println!("      above convict. (Fault-free it happens to be right; adversarially");
+    println!("      answers in one round on every view, which is precisely what the");
+    println!("      runs above convict. (Fault-free it happens to be right; adversarially");
     println!("      it cannot be — see `thm34_regular` for the conviction.)");
+    assert_eq!((r.rounds, r.fast), (1, false));
 
-    let sound: StorageCluster<u64> =
-        StorageCluster::deploy(boundary, ProtocolKind::Regular, Box::new(NoDelay));
-    sound.write(42);
-    let r = sound.read(0);
-    let snap = sound.metrics_snapshot();
-    let hits = snap.counter(names::READER_FAST_HITS, &[]);
-    let fallbacks = snap.counter(names::READER_FAST_FALLBACKS, &[]);
+    let (r, (hits, fallbacks)) = quiet_read(boundary, ProtocolKind::Regular.into());
     println!(
-        "S = {s} (= 2t+2b), sound fast path:     rounds = {}, fast = {} — it",
+        "S = {s}, default reader, quiet:         rounds = {}, fast = {} — round 1",
         r.rounds, r.fast
     );
-    println!("      refuses to engage below the boundary (hits = {hits}, fallbacks = {fallbacks})");
-    assert_eq!(r.rounds, 2);
-    assert!(!r.fast);
-    assert_eq!((hits, fallbacks), (0, 0));
+    println!("      already proves 42 (hits = {hits}, fallbacks = {fallbacks}): no READ2 is sent.");
+    assert_eq!((r.rounds, r.fast, hits, fallbacks), (1, true, 1, 0));
+
+    // Figure 1's view on the simulator (run4: B1 = s2 lies stale): the
+    // write of 42 misses T1 = s0, the read misses T2 = s1, so round 1
+    // hears s0 and s2 deny 42 and only B2 = s3 report it.
+    let mut sc = StorageScenario::deploy(ProtocolKind::Regular, boundary, 1);
+    sc.attack_object(2, AttackerKind::Stale, 0u64);
+    let (writer, reader) = (sc.writer(), sc.reader(0));
+    let (t1, t2) = (sc.object(0), sc.object(1));
+    sc.world_mut().adversary_mut().hold_link(writer, t1);
+    sc.write(42);
+    sc.world_mut().adversary_mut().hold_link(reader, t2);
+    let mut op = sc.start_read(0);
+    sc.world_mut().run_until_idle(100_000);
+    assert!(sc.poll_read(&mut op).is_none(), "the view proves nothing");
+    sc.world_mut().adversary_mut().clear();
+    sc.world_mut().release_all();
+    sc.world_mut().run_until_idle(100_000);
+    let r = sc.poll_read(&mut op).expect("T2 answers");
+    let (hits, fallbacks) = fast_path_counters(&sc.metrics_snapshot());
+    println!(
+        "S = {s}, default reader, Figure 1 view: rounds = {}, fast = {} — 42 has",
+        r.rounds, r.fast
+    );
+    println!("      b = {b} supporter, so round 1 proves nothing and READ2 goes out; the");
+    println!("      read returns once T2 answers (hits = {hits}, fallbacks = {fallbacks}).");
+    assert_eq!((r.value, r.rounds, r.fast), (Some(42), 2, false));
+    assert_eq!((hits, fallbacks), (0, 1));
+
+    let (r, (hits, fallbacks)) = quiet_read(boundary, figures);
+    println!(
+        "S = {s}, figures' reader, quiet:        rounds = {}, fast = {} — it",
+        r.rounds, r.fast
+    );
+    println!("      refuses round 1 below the boundary (hits = {hits}, fallbacks = {fallbacks})");
+    assert_eq!((r.rounds, r.fast, hits, fallbacks), (2, false, 0, 1));
 
     let fast_cfg = StorageConfig::fast(t, b, 1); // S = 2t+2b+1
-    let fast: StorageCluster<u64> =
-        StorageCluster::deploy(fast_cfg, ProtocolKind::Regular, Box::new(NoDelay));
-    fast.write(42);
-    let r = fast.read(0);
+    let (r, _) = quiet_read(fast_cfg, figures);
     println!(
-        "S = {} (= 2t+2b+1), sound fast path:   rounds = {}, fast = {} — one",
+        "S = {}, figures' reader, quiet:        rounds = {}, fast = {} — one",
         fast_cfg.s, r.rounds, r.fast
     );
-    println!("      replica above the boundary buys the one-round read legitimately.");
-    assert_eq!(r.rounds, 1);
-    assert!(r.fast);
+    println!("      replica above the boundary guarantees the one-round read.");
+    assert_eq!((r.rounds, r.fast), (1, true));
+}
+
+/// `WRITE(42)` then one `READ` on a fresh thread-runtime deployment: the
+/// read's report and its `(hits, fallbacks)` fast-path counters.
+fn quiet_read(cfg: StorageConfig, spec: ProtocolSpec) -> (ReadReport<u64>, (u64, u64)) {
+    let storage: StorageCluster<u64> = StorageCluster::deploy(cfg, spec, Box::new(NoDelay));
+    storage.write(42);
+    let r = storage.read(0);
+    assert_eq!(r.value, Some(42));
+    (r, fast_path_counters(&storage.metrics_snapshot()))
+}
+
+/// The `(hits, fallbacks)` fast-path counters of a metrics snapshot.
+fn fast_path_counters(snap: &Registry) -> (u64, u64) {
+    (
+        snap.counter(names::READER_FAST_HITS, &[]),
+        snap.counter(names::READER_FAST_FALLBACKS, &[]),
+    )
 }

@@ -4,10 +4,11 @@
 //! Can a Very Robust Read Be?" (PODC 2006)*: wait-free single-writer
 //! multi-reader register emulations over `S = 2t + b + 1` failure-prone
 //! base objects (at most `t` faulty, of which at most `b` Byzantine),
-//! storing unauthenticated data, in which both READ and WRITE complete in
-//! exactly **two communication round-trips** — provably optimal, since with
-//! `S ≤ 2t + 2b` objects no read can be single-round (Proposition 1,
-//! executable here as [`lowerbound`]).
+//! storing unauthenticated data, in which a WRITE completes in two
+//! communication round-trips and a READ in **at most two** — provably
+//! optimal, since with `S ≤ 2t + 2b` objects no read rule can always
+//! answer in one round (Proposition 1, executable here as [`lowerbound`])
+//! — and in one when its first round already proves the answer.
 //!
 //! This crate is the façade over the workspace:
 //!
@@ -34,7 +35,7 @@
 //! sc.write(7u64);
 //! let read = sc.read(0);
 //! assert_eq!(read.value, Some(7));
-//! assert_eq!(read.rounds, 2); // the optimal worst case — never more
+//! assert_eq!(read.rounds, 1); // round 1 proved the answer; 2 is the worst case
 //! ```
 //!
 //! See `examples/` for a quickstart, a Byzantine-attack study, the

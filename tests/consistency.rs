@@ -109,7 +109,7 @@ fn large_configuration_smoke() {
         .run();
     assert!(out.all_live());
     assert!(check_safety(&out.history).is_ok());
-    assert_eq!(out.max_read_rounds(), 2);
+    assert!(out.max_read_rounds() <= 2, "Proposition 2's worst case");
 }
 
 #[test]
@@ -128,7 +128,7 @@ fn safe_storage_is_safe_across_seeds_and_attackers() {
                 out.stalled_ops
             );
             assert!(check_safety(&out.history).is_ok(), "{kind:?}/{seed}");
-            assert_eq!(out.max_read_rounds(), 2, "{kind:?}/{seed}");
+            assert!(out.max_read_rounds() <= 2, "{kind:?}/{seed}");
         }
     }
 }
@@ -203,6 +203,42 @@ fn mutated_reader_is_caught_by_the_checker() {
         caught,
         "a reader that trusts single confirmations must be catchable"
     );
+}
+
+/// Calibration of the round-1 return: its unsound neighbour — the default
+/// reader returning on `b` exact round-1 confirmations, so `b` liars can
+/// vouch for a phantom — must be caught by the checkers somewhere in the
+/// attacker catalogue.
+#[test]
+fn a_round1_return_on_b_confirmations_is_caught_by_the_checkers() {
+    let cfg = StorageConfig::optimal(1, 1, 2);
+    let tuning = ReaderTuning {
+        safe_threshold: Some(cfg.b),
+        ..ReaderTuning::default()
+    };
+    let regular = ProtocolSpec::Regular {
+        optimized: false,
+        write_back: false,
+        retention: vrr::core::regular::HistoryRetention::KeepAll,
+        tuning,
+    };
+    let (mut safe_caught, mut regular_caught) = (0, 0);
+    for kind in vrr::core::attackers::AttackerKind::ALL {
+        for seed in 0..4u64 {
+            let run = |mutant: &ProtocolSpec| {
+                SimCase::new(mutant, cfg)
+                    .schedule(ScheduleParams::contended(5, 5, 2, seed))
+                    .faults(FaultPlan::maximal(&cfg, kind, SimTime::from_ticks(30)))
+                    .latency(LatencyKind::LongTail)
+                    .run()
+                    .history
+            };
+            safe_caught += usize::from(check_safety(&run(&ProtocolSpec::Safe(tuning))).is_err());
+            regular_caught += usize::from(check_regularity(&run(&regular)).is_err());
+        }
+    }
+    assert!(safe_caught > 0, "check_safety never caught need = b");
+    assert!(regular_caught > 0, "check_regularity never caught need = b");
 }
 
 /// Atomicity is deliberately NOT provided: construct the new/old inversion

@@ -1,8 +1,8 @@
-//! The one-round fast path, end to end: fault-free reads above the
+//! The reader's round-1 return, end to end: fault-free reads above the
 //! Proposition-1 boundary finish in one round; every attacker in the
 //! catalogue can at worst force a fallback to the two-round protocol,
-//! never a wrong value; and below the boundary the fast path refuses to
-//! engage at all.
+//! never a wrong value; and below the boundary a quiet read still sends no
+//! READ2, while the figures' reader sends it on every read.
 //!
 //! All runs go through the [`SimCase`] scenario builder, which supplies
 //! the per-protocol attacker catalogue and a unified metrics snapshot.
@@ -18,10 +18,11 @@ use vrr::runtime::{NoDelay, StorageCluster};
 use vrr::sim::SimTime;
 use vrr::workload::{FaultPlan, LatencyKind, ScheduleParams, SimCase};
 
-/// The smallest fast-path sizing: S = 2t + 2b + 1 with t = b = 1.
+/// The smallest sizing where one-round reads are guaranteed: S = 2t + 2b
+/// + 1 with t = b = 1.
 fn fast_cfg(readers: usize) -> StorageConfig {
     let cfg = StorageConfig::fast(1, 1, readers);
-    assert_eq!(cfg.fast_read_quorum(), Some(3));
+    assert!(cfg.guarantees_one_round_reads());
     cfg
 }
 
@@ -137,29 +138,33 @@ fn every_attacker_forces_at_worst_a_fallback_regular() {
 }
 
 #[test]
-fn below_the_boundary_every_read_takes_two_rounds() {
+fn below_the_boundary_a_quiet_read_sends_no_read2_and_the_figures_reader_does() {
     // At every sizing from optimal (S = 2t + b + 1) up to the boundary
-    // (S = 2t + 2b), the fast path must refuse to engage: even fault-free
-    // sequential reads take two rounds.
+    // (S = 2t + 2b), one-round reads are not guaranteed, but a fault-free
+    // sequential read's round 1 proves its answer: the default reader
+    // returns there. The figures' reader sends READ2 on every read.
     let (t, b) = (2usize, 2usize);
     for s in (2 * t + b + 1)..=(2 * t + 2 * b) {
         let cfg = StorageConfig::with_objects(s, t, b, 2);
-        assert_eq!(cfg.fast_read_quorum(), None, "S = {s}");
-        let protocol = ProtocolKind::RegularOptimized;
-        let out = SimCase::new(&protocol, cfg)
-            .schedule(ScheduleParams::sequential(3, 3, 2, 5))
-            .run();
-        assert!(out.all_live(), "S = {s}");
-        assert!(check_regularity(&out.history).is_ok(), "S = {s}");
-        assert!(
-            out.read_rounds.iter().all(|&r| r == 2),
-            "S = {s}: {:?}",
-            out.read_rounds
-        );
-        // Below the boundary the fast path never even arms: both counters
-        // stay zero (contrast the fallback counter above the boundary).
-        assert_eq!(out.metrics.counter(names::READER_FAST_HITS, &[]), 0);
-        assert_eq!(out.metrics.counter(names::READER_FAST_FALLBACKS, &[]), 0);
+        assert!(!cfg.guarantees_one_round_reads(), "S = {s}");
+        let kind = ProtocolKind::RegularOptimized;
+        for (protocol, rounds) in [(kind.into(), 1), (ProtocolSpec::figures(kind), 2)] {
+            let out = SimCase::new(&protocol, cfg)
+                .schedule(ScheduleParams::sequential(3, 3, 2, 5))
+                .run();
+            assert!(out.all_live(), "S = {s}");
+            assert!(check_regularity(&out.history).is_ok(), "S = {s}");
+            assert!(
+                out.read_rounds.iter().all(|&r| r == rounds),
+                "S = {s}: {:?}",
+                out.read_rounds
+            );
+            let reads = out.read_rounds.len() as u64;
+            let (hits, fallbacks) = if rounds == 1 { (reads, 0) } else { (0, reads) };
+            assert_eq!(out.metrics.counter(names::READER_FAST_HITS, &[]), hits);
+            let metered = out.metrics.counter(names::READER_FAST_FALLBACKS, &[]);
+            assert_eq!(metered, fallbacks);
+        }
     }
 }
 

@@ -41,7 +41,8 @@ fn steady_state_memory_is_flat_in_run_length() {
                 if k % 8 == 0 {
                     let rep = sc.read(0);
                     assert_eq!(rep.value, Some(k));
-                    assert_eq!(rep.rounds, 2, "GC must not cost rounds");
+                    // Round 1 proves a quiet read's answer.
+                    assert_eq!(rep.rounds, 1, "GC must not cost rounds");
                 }
             }
             lens.push(sc.max_history_len());
@@ -113,7 +114,7 @@ fn late_reader_catches_up_after_truncation() {
     }
     let rep = sc.read(1);
     assert_eq!(rep.value, Some(50), "late reader reads the tip");
-    assert_eq!(rep.rounds, 2);
+    assert_eq!(rep.rounds, 1);
     // Its ack now unblocks truncation: one more round of reads from both
     // readers collapses the histories.
     for j in [0usize, 1] {
@@ -128,8 +129,8 @@ fn late_reader_catches_up_after_truncation() {
 fn truncation_liar_cannot_corrupt_gc_reads() {
     // A Byzantine object lies about suffixes (reports empty histories, as
     // if GC had discarded everything) while the honest objects run real
-    // ack-driven GC. Reads must stay correct and 2-round, and the honest
-    // objects must still truncate.
+    // ack-driven GC. Reads must stay correct and within two rounds, and
+    // the honest objects must still truncate.
     for kind in [ProtocolKind::Regular, ProtocolKind::RegularOptimized] {
         let protocol = ProtocolSpec::from(kind).with_retention(HistoryRetention::reader_ack());
         let cfg = StorageConfig::optimal(1, 1, 1);
@@ -140,7 +141,7 @@ fn truncation_liar_cannot_corrupt_gc_reads() {
             if k % 4 == 0 {
                 let rep = sc.read(0);
                 assert_eq!(rep.value, Some(k), "truncation liar corrupted a read");
-                assert_eq!(rep.rounds, 2);
+                assert!(rep.rounds <= 2);
             }
         }
         sc.world_mut().run_until_idle(200_000);
@@ -226,9 +227,9 @@ const CAP: usize = 8;
 const FORGED: u64 = 0xBAD_F00D;
 
 /// What a snapshot must show after `ops` sequential writes and `ops`
-/// sequential reads at fast sizing, `S = 2t + 2b + 1`: every operation in
-/// its rounds and latency histograms, every read either a fast-path hit or
-/// a fallback, and every honest object's history at or below the cap.
+/// sequential reads: every operation in its rounds and latency histograms,
+/// every read either a fast-path hit (no READ2 sent) or a fallback, and
+/// every honest object's history at or below the cap.
 fn assert_ops_metered_and_capped(snap: &Registry, ops: u64) {
     let count = |name| snap.histogram(name, &[]).map_or(0, |h| h.count());
     for name in [
@@ -253,7 +254,8 @@ fn assert_ops_metered_and_capped(snap: &Registry, ops: u64) {
 #[test]
 fn combined_faults_stay_regular_and_capped_in_the_simulator() {
     for seed in COMBINED_SEEDS {
-        // S = 5 arms the fast path; three readers, one of which crashes.
+        // S = 5 guarantees one-round reads; three readers, one of which
+        // crashes.
         let cfg = StorageConfig::fast(1, 1, 3);
         let protocol = ProtocolSpec::from(ProtocolKind::RegularOptimized)
             .with_retention(HistoryRetention::reader_ack_capped(CAP));

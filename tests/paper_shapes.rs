@@ -2,7 +2,10 @@
 //! and rounds per operation, on seeded simulated worlds.
 //!
 //! Every claim here is relational and none is timed — round complexity is
-//! counted. Each operation is charged on a *drained* world: a blocking
+//! counted. The figures' shapes are counted on the figures' reader
+//! ([`ProtocolSpec::figures`]), which sends READ2 on every read below
+//! `S = 2t + 2b + 1`; what the deployed reader saves over it is counted
+//! against it. Each operation is charged on a *drained* world: a blocking
 //! `read`/`write` returns when its quorum closes, with the slowest objects'
 //! acks still in flight, so the world is run to idle before the "before"
 //! counters are taken and again after the operation returns. Otherwise
@@ -61,8 +64,9 @@ fn cycle_msgs<P: RegisterProtocol<u64>>(protocol: P, cfg: StorageConfig) -> u64 
     write(&mut sc, 7).msgs + read(&mut sc, 7).msgs
 }
 
-/// A READ and a WRITE are both two round trips to all `S` objects: `4S`
-/// messages each. Bytes differ only by what a read reply carries.
+/// In the figures, a READ and a WRITE are both two round trips to all `S`
+/// objects: `4S` messages each. Bytes differ only by what a read reply
+/// carries.
 #[test]
 fn reads_cost_what_writes_cost() {
     let cfg = StorageConfig::optimal(1, 1, 1);
@@ -73,7 +77,7 @@ fn reads_cost_what_writes_cost() {
         // removes, so it is allowed a larger factor.
         (ProtocolKind::Regular, 10),
     ] {
-        let mut sc = StorageScenario::deploy(kind, cfg, 5);
+        let mut sc = StorageScenario::deploy(ProtocolSpec::figures(kind), cfg, 5);
         sc.write(1);
         let w = write(&mut sc, 2);
         let r = read(&mut sc, 2);
@@ -85,14 +89,15 @@ fn reads_cost_what_writes_cost() {
     }
 }
 
-/// One object above optimal resilience (`S = 2t + 2b + 1`) saves a whole
-/// round trip: a quiet read is one round of `2S` messages, fewer messages
-/// and bytes than the two-round read at optimal sizing.
+/// One object above optimal resilience (`S = 2t + 2b + 1`) saves the
+/// figures' reader a whole round trip: a quiet read is one round of `2S`
+/// messages, fewer messages and bytes than its two-round read at optimal
+/// sizing.
 #[test]
 fn the_fast_path_saves_a_round() {
     let two_round = {
         let mut sc = StorageScenario::deploy(
-            ProtocolKind::RegularOptimized,
+            ProtocolSpec::figures(ProtocolKind::RegularOptimized),
             StorageConfig::optimal(1, 1, 1),
             5,
         );
@@ -100,7 +105,8 @@ fn the_fast_path_saves_a_round() {
         read(&mut sc, 1)
     };
     let cfg = StorageConfig::fast(1, 1, 1);
-    let mut sc = StorageScenario::deploy(ProtocolKind::RegularOptimized, cfg, 5);
+    let figures = ProtocolSpec::figures(ProtocolKind::RegularOptimized);
+    let mut sc = StorageScenario::deploy(figures, cfg, 5);
     sc.write(1);
     let fast = read(&mut sc, 1);
     assert_eq!((fast.msgs, fast.rounds), (2 * cfg.s as u64, 1), "{fast:?}");
@@ -109,14 +115,17 @@ fn the_fast_path_saves_a_round() {
     assert!(fast.bytes < two_round.bytes, "{fast:?} vs {two_round:?}");
 }
 
-/// More objects, same rounds: a safe READ and WRITE each deliver `4S`, so
-/// one cycle is `8S` and grows with `S`.
+/// More objects, same rounds: in the figures a safe READ and WRITE each
+/// deliver `4S`, so one cycle is `8S` and grows with `S`. The deployed
+/// reader's quiet cycle is `6S`.
 #[test]
 fn fan_out_grows_with_s() {
     for t in [1, 2, 4, 8] {
         let cfg = StorageConfig::optimal(t, 1, 1);
         let s = cfg.s as u64;
-        assert_eq!(cycle_msgs(ProtocolKind::Safe, cfg), 8 * s, "S = {s}");
+        let figures = ProtocolSpec::figures(ProtocolKind::Safe);
+        assert_eq!(cycle_msgs(figures, cfg), 8 * s, "S = {s}");
+        assert_eq!(cycle_msgs(ProtocolKind::Safe, cfg), 6 * s, "S = {s}");
     }
 }
 
@@ -139,7 +148,7 @@ fn two_round_protocols_outweigh_one_round_baselines() {
         ProtocolKind::Regular,
         ProtocolKind::RegularOptimized,
     ] {
-        let two_round = cycle_msgs(kind, opt);
+        let two_round = cycle_msgs(ProtocolSpec::figures(kind), opt);
         assert_eq!(two_round, 8 * opt.s as u64, "{kind:?}");
         for baseline in baselines {
             assert!(
@@ -192,17 +201,19 @@ fn full_histories_grow_while_suffixes_and_gc_stay_flat() {
 }
 
 /// Byzantine objects do not slow a read down: with `b` objects replaced by
-/// any attacker a safe read still takes two rounds and delivers at most the
-/// honest read's `4S` messages (their filtering is local arithmetic).
+/// any attacker the figures' safe read still takes two rounds and delivers
+/// at most the honest read's `4S` messages (their filtering is local
+/// arithmetic).
 #[test]
 fn attackers_cost_a_read_no_extra_round_or_message() {
     let cfg = StorageConfig::optimal(2, 2, 1); // S = 7
     let honest = 4 * cfg.s as u64;
-    let mut sc = StorageScenario::deploy(ProtocolKind::Safe, cfg, 5);
+    let figures = ProtocolSpec::figures(ProtocolKind::Safe);
+    let mut sc = StorageScenario::deploy(figures, cfg, 5);
     sc.write(1);
     assert_eq!(read(&mut sc, 1).msgs, honest);
     for kind in AttackerKind::ALL {
-        let mut sc = StorageScenario::deploy(ProtocolKind::Safe, cfg, 5);
+        let mut sc = StorageScenario::deploy(figures, cfg, 5);
         for i in 0..cfg.b {
             sc.attack_object(i, kind, 0xDEAD);
         }
@@ -211,4 +222,93 @@ fn attackers_cost_a_read_no_extra_round_or_message() {
         assert_eq!(r.rounds, 2, "{kind:?}: {r:?}");
         assert!(r.msgs <= honest, "{kind:?}: {r:?}");
     }
+}
+
+/// The deployed reader sends no READ2 a quiet read will not wait for: at
+/// optimal sizing its read is one round of `2S` messages, where the
+/// figures' reader spends two rounds and `4S`.
+#[test]
+fn a_quiet_read_sends_no_read2() {
+    let cfg = StorageConfig::optimal(1, 1, 1);
+    let s = cfg.s as u64;
+    for kind in [
+        ProtocolKind::Safe,
+        ProtocolKind::Regular,
+        ProtocolKind::RegularOptimized,
+    ] {
+        let mut sc = StorageScenario::deploy(kind, cfg, 5);
+        sc.write(1);
+        let quiet = cost(&mut sc, |sc| {
+            let report = sc.read(0);
+            assert_eq!(report.value, Some(1));
+            assert!(report.fast, "{kind:?}: {report:?}");
+            report.rounds
+        });
+        assert_eq!(
+            (quiet.msgs, quiet.rounds),
+            (2 * s, 1),
+            "{kind:?}: {quiet:?}"
+        );
+
+        let mut sc = StorageScenario::deploy(ProtocolSpec::figures(kind), cfg, 5);
+        sc.write(1);
+        let figures = read(&mut sc, 1);
+        assert_eq!((figures.msgs, figures.rounds), (4 * s, 2), "{kind:?}");
+        assert!(
+            quiet.bytes < figures.bytes,
+            "{kind:?}: {quiet:?} vs {figures:?}"
+        );
+    }
+}
+
+/// A quiet Atomic READ is READ1 plus the write-back: two rounds of `2S`
+/// messages each, against the figures' three rounds and `6S`.
+#[test]
+fn a_quiet_atomic_read_is_read1_plus_the_write_back() {
+    let cfg = StorageConfig::optimal(1, 1, 1);
+    let s = cfg.s as u64;
+    let figures = ProtocolSpec::figures(ProtocolKind::Atomic);
+    for (spec, rounds) in [(ProtocolKind::Atomic.into(), 2), (figures, 3)] {
+        let mut sc = StorageScenario::deploy(spec, cfg, 5);
+        sc.write(1);
+        let r = read(&mut sc, 1);
+        assert_eq!(
+            (r.msgs, r.rounds),
+            (2 * s * u64::from(rounds), rounds),
+            "{spec:?}"
+        );
+    }
+}
+
+/// Proposition 1's view still costs the second round: when round 1 hears
+/// Figure 1's view — the completed write's value `v1` reported by only `b`
+/// objects — the deployed reader sends READ2 and returns in two rounds.
+#[test]
+fn a_read_on_figure_1s_view_sends_read2() {
+    // S = 2t + 2b = 4 (Figure 1's blocks T1 = s0, T2 = s1, B1 = s2, B2 =
+    // s3), run4: B1 lies stale. The write misses T1, the read misses T2.
+    let cfg = StorageConfig::optimal(1, 1, 1);
+    let mut sc = StorageScenario::deploy(ProtocolKind::Regular, cfg, 5);
+    sc.attack_object(2, AttackerKind::Stale, 0u64);
+    let (writer, reader) = (sc.writer(), sc.reader(0));
+    let (t1, t2) = (sc.object(0), sc.object(1));
+    sc.world_mut().adversary_mut().hold_link(writer, t1);
+    sc.write(1);
+    sc.world_mut().adversary_mut().hold_link(reader, t2);
+    let before = sc.world().net_stats();
+    let mut op = sc.start_read(0);
+    sc.world_mut().run_until_idle(DRAIN_LIMIT);
+    assert!(sc.poll_read(&mut op).is_none(), "round 1 proves nothing");
+    // READ1 and READ2 to the four objects; T2 holds both, the other three
+    // acknowledge both.
+    let sent = sc.world().net_stats().sent - before.sent;
+    assert_eq!(sent, 2 * cfg.s as u64 + 2 * 3, "READ2 went out");
+    sc.world_mut().adversary_mut().clear();
+    sc.world_mut().release_all();
+    sc.world_mut().run_until_idle(DRAIN_LIMIT);
+    let report = sc.poll_read(&mut op).expect("T2 answers");
+    assert_eq!(
+        (report.value, report.rounds, report.fast),
+        (Some(1), 2, false)
+    );
 }

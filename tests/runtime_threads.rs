@@ -29,7 +29,8 @@ fn all_variants_round_trip_on_threads() {
             for j in 0..2 {
                 let r = storage.read(j);
                 assert_eq!(r.value, Some(k * 3), "{kind:?} reader {j}");
-                assert_eq!(r.rounds, 2);
+                // Two of any three replies hold the completed write.
+                assert_eq!(r.rounds, 1, "round 1 proves a quiet read");
             }
         }
     }
@@ -46,7 +47,7 @@ fn byzantine_objects_on_threads_are_filtered() {
         storage.write(77);
         let r = storage.read(0);
         assert_eq!(r.value, Some(77), "{attacker:?} corrupted a threaded read");
-        assert_eq!(r.rounds, 2);
+        assert!(r.rounds <= 2, "{attacker:?}: Proposition 2's worst case");
     }
 }
 
@@ -235,7 +236,7 @@ fn sharded_store_serves_64_keys_concurrently() {
     for k in 0..KEYS {
         let r = store.read(&format!("key-{k}"), 0).expect("written key");
         assert_eq!(r.value, Some((k as u64) * 1000 + 3), "key-{k} latest gen");
-        assert_eq!(r.rounds, 2, "reads stay two-round under sharding");
+        assert_eq!(r.rounds, 1, "quiet reads stay one-round under sharding");
     }
 }
 
