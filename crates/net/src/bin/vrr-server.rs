@@ -10,7 +10,7 @@
 //! vrr-server --node 0 --addrs 127.0.0.1:7100,127.0.0.1:7101 \
 //!     --t 1 --b 1 --readers 1 [--fast] [--kind regular-opt] [--store 4] \
 //!     [--place-objects 0,0,0,1] \
-//!     [--byzantine SLOT|all:OBJ:KIND:FORGED] [--epoch 0] \
+//!     [--byzantine SLOT|all:OBJ:KIND:FORGED] \
 //!     [--retention keep-all|reader-ack] [--metrics-addr HOST:PORT]
 //! ```
 //!
@@ -53,7 +53,7 @@ fn usage(err: &str) -> ! {
          [--t N] [--b N] [--readers N] [--fast] \
          [--kind safe|regular|regular-opt] [--store N] \
          [--place-objects N,N,...] \
-         [--byzantine SLOT|all:OBJ:KIND:FORGED]... [--epoch N] \
+         [--byzantine SLOT|all:OBJ:KIND:FORGED]... \
          [--retention keep-all|reader-ack] [--metrics-addr HOST:PORT]"
     );
     exit(2);
@@ -93,7 +93,6 @@ fn main() {
     let mut store = 1usize;
     let mut place_objects: Option<Vec<u32>> = None;
     let mut byzantine: Vec<ByzSpec<u64>> = Vec::new();
-    let mut epoch = 0u32;
     let mut retention_reader_ack = false;
     let mut metrics_addr: Option<SocketAddr> = None;
 
@@ -151,7 +150,6 @@ fn main() {
                         .unwrap_or_else(|_| usage("bad --metrics-addr")),
                 )
             }
-            "--epoch" => epoch = val().parse().unwrap_or_else(|_| usage("bad --epoch")),
             "--retention" => {
                 retention_reader_ack = match val() {
                     "keep-all" => false,
@@ -190,7 +188,6 @@ fn main() {
         spec = spec.with_retention(HistoryRetention::reader_ack());
     }
     let mut ncfg = NetNodeConfig::<u64>::new(cfg, spec);
-    ncfg.epoch = epoch;
     ncfg.byzantine = byzantine;
     ncfg.metrics_addr = metrics_addr;
 

@@ -60,7 +60,8 @@ impl From<WireError> for FrameError {
 pub struct Envelope<V> {
     /// Sending node id (index into the topology's address list).
     pub source: u32,
-    /// Sender incarnation; a restarted process announces a higher epoch.
+    /// Reserved sender incarnation: every sender writes 0 and no receiver
+    /// reads it. It stays so the frame format does not change.
     pub epoch: u32,
     /// Per-sender frame counter.
     pub seq: u64,
@@ -92,7 +93,7 @@ pub enum Ctl<V> {
     Hello {
         /// The sender's node id, or [`CLIENT_NODE`] for thin clients.
         node: u32,
-        /// The sender's incarnation.
+        /// Reserved, like [`Envelope::epoch`]: sent as 0, never read.
         epoch: u32,
     },
     /// A client request; the server answers with the same `id`.

@@ -22,9 +22,10 @@
 //!   the [`node::NodeTopology`] places only the objects, and the node's
 //!   key-value store (router-member mode) — a key index over those same
 //!   register groups — is served there, wherever the objects live.
-//!   Its request path is completion-driven: the reactor thread starts an
-//!   operation ([`vrr_runtime::Cluster::submit`]) and the worker that
-//!   observes the outcome writes the response — no thread per request.
+//!   Its request path is completion-driven: the reactor thread submits
+//!   what reaches an automaton ([`vrr_runtime::Cluster::submit`]) and
+//!   whoever observes the outcome writes the response — no thread per
+//!   request, and none besides the reactor and the worker pool.
 //! - [`client`] — [`client::NetClient`]: a blocking thin client
 //!   (request/response, metrics and fault-injection ops). A node's metrics
 //!   leave it one way: one registry — the hosted store's snapshot, its
@@ -67,10 +68,10 @@
 //!
 //! TCP gives per-connection FIFO, but the transport deliberately does
 //! *not* add end-to-end reliability: frames buffered for a dead peer are
-//! dropped (lossy on reset), and a restarted process comes back amnesiac
-//! with a fresh epoch. Both are inside the fault budget the protocols are
-//! proved against — a reset or restarted base object is indistinguishable
-//! from a crashed-then-silent one, and every operation waits on quorums of
+//! dropped (lossy on reset), and a restarted process comes back amnesiac.
+//! Both are inside the fault budget the protocols are proved against — a
+//! reset or restarted base object is indistinguishable from a
+//! crashed-then-silent one, and every operation waits on quorums of
 //! `S - t` only. The transport-fault test battery in `tests/` checks
 //! exactly this: under kill+restart, connection resets and Byzantine
 //! objects, every completed read is still checker-verified regular.

@@ -24,33 +24,34 @@
 //!
 //! [`NetNode`] hands the reactor a handler, so everything below happens
 //! **on the reactor thread** (decode → classify → act; no event channel,
-//! no thread per request), and nothing on it ever waits:
+//! no thread per request), and nothing on it ever waits. A request is
+//! served one of two ways:
 //!
 //! - **inline** — [`Payload::Peer`] envelopes are injected with
 //!   `send_external`; the O(1) ops (`Ping`, `ReleaseKey`, `SlotOfKey`,
 //!   `StoreInfo`, `StoreKeys`, `CrashPid`, `CrashShard`, `ResetPeer`,
 //!   `Shutdown`) and every validation error are answered on the spot.
-//! - **by completion** — `ReadKey` / `WriteKey` are *started*
-//!   ([`vrr_runtime::Cluster::submit`], through
-//!   `ShardedStore::{read_with, try_write_with}`) and whoever observes the
-//!   outcome writes the `Response`. That is the reactor thread itself when
-//!   the register group is idle and all its members are local: `submit`
-//!   runs every round on the calling thread — bounded, never waiting — so
-//!   the response is queued, as a same-thread command, before the handler
-//!   returns, and no worker is woken. A group that is busy, has members on
-//!   other nodes or is wedged completes later, on a worker thread. The
-//!   completion holds the transport, the connection and the request id —
-//!   never the node — so an in-flight operation cannot keep a dropped node
-//!   alive. Two requests for one reader (or writer) queue in the
-//!   executor, in arrival order.
-//! - **inspection thread** — `StoreMetrics` and HTTP `GET /metrics` do
-//!   blocking `try_invoke`s over many automata (thousands on a large
-//!   store); they go, by channel, to one long-lived thread, and serve one
-//!   registry: the hosted store's snapshot — history-length gauges
-//!   included — and the transport's counters. Inspection is
-//!   tolerant — crashed processes, Byzantine substitutes and relays are
-//!   skipped — so it neither panics nor alters the fault schedule of what
-//!   it looks at.
+//! - **by completion** — everything that reaches an automaton is
+//!   *submitted* ([`vrr_runtime::Cluster::submit`]) and whoever observes
+//!   the outcome writes the response. `ReadKey` / `WriteKey` are one
+//!   operation each (`ShardedStore::{read_with, try_write_with}`);
+//!   `StoreMetrics` and HTTP `GET /metrics` are one inspection per object
+//!   (`RegisterHost::metrics_snapshot_with`), answered from the last to
+//!   complete with one registry: the hosted store's snapshot —
+//!   history-length gauges included — and the transport's counters.
+//!   Inspection is tolerant — crashed processes, Byzantine substitutes and
+//!   relays are skipped, as `Gone` or `WrongType` — so it neither panics
+//!   nor alters the fault schedule of what it looks at, and an object runs
+//!   no operation an inspection could wait behind. The observer is the
+//!   reactor thread itself when the register group is idle and all its
+//!   members are local: `submit` runs every round on the calling thread —
+//!   bounded, never waiting — so the response is queued, as a same-thread
+//!   command, before the handler returns, and no worker is woken. A group
+//!   that is busy, has members on other nodes or is wedged completes
+//!   later, on a worker thread. The completion holds the transport, the
+//!   connection and the request id — never the node — so an in-flight
+//!   operation cannot keep a dropped node alive. Two requests for one
+//!   reader (or writer) queue in the executor, in arrival order.
 //!
 //! An operation that outlives [`vrr_runtime::OP_TIMEOUT`] — more than `t`
 //! objects of its group are gone — is answered with a typed `Rsp::Err` by a
@@ -69,7 +70,6 @@ use std::io::{self, BufRead, BufReader};
 use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -82,7 +82,8 @@ use vrr_core::{
     Value, WriteReport,
 };
 use vrr_runtime::{
-    Cluster, ClusterBackend, NoDelay, NodeGone, RegisterHost, ShardedStore, StoreError, OP_TIMEOUT,
+    Cluster, ClusterBackend, InvokeError, NoDelay, RegisterHost, ShardedStore, StoreError,
+    OP_TIMEOUT,
 };
 use vrr_sim::{Automaton, Context, ProcessId};
 
@@ -166,8 +167,6 @@ pub struct NetNodeConfig<V> {
     /// Protocol variant, history retention and reader tuning of every
     /// register group.
     pub spec: ProtocolSpec,
-    /// This process's incarnation (bump on restart).
-    pub epoch: u32,
     /// Byzantine substitutions for locally hosted objects.
     pub byzantine: Vec<ByzSpec<V>>,
     /// Serve `GET /metrics` (Prometheus text) on this address, off the
@@ -176,14 +175,13 @@ pub struct NetNodeConfig<V> {
 }
 
 impl<V> NetNodeConfig<V> {
-    /// Defaults: epoch 0, no Byzantine objects, no metrics endpoint. A bare
+    /// Defaults: no Byzantine objects, no metrics endpoint. A bare
     /// [`vrr_core::ProtocolKind`] is the paper-faithful spec (keep-all
     /// retention, default tuning).
     pub fn new(cfg: StorageConfig, spec: impl Into<ProtocolSpec>) -> Self {
         NetNodeConfig {
             cfg,
             spec: spec.into(),
-            epoch: 0,
             byzantine: Vec::new(),
             metrics_addr: None,
         }
@@ -232,13 +230,13 @@ impl Shutdown {
 }
 
 /// One running node: its register host (real automata + relays) on one
-/// worker pool, the reactor thread serving it, and the inspection thread.
+/// worker pool and the reactor thread serving it — the node's only
+/// threads.
 pub struct NetNode<V: Value + Wire> {
     ctx: Arc<ServerCtx<V>>,
     addr: SocketAddr,
     metrics_addr: Option<SocketAddr>,
     reactor_thread: Option<JoinHandle<()>>,
-    inspection_thread: Option<JoinHandle<()>>,
 }
 
 impl<V: Value + Wire> NetNode<V> {
@@ -260,15 +258,9 @@ impl<V: Value + Wire> NetNode<V> {
         let (bound, ctx) = Self::bind(node, topo, ncfg)?;
         let addr = bound.addr().expect("listening reactor reports its address");
         let metrics_addr = bound.http_addr();
-        let (inspect_tx, inspect_rx) = channel();
-        let inspection_ctx = ctx.clone();
-        let inspection_thread = std::thread::Builder::new()
-            .name(format!("vrr-net-inspect-{node}"))
-            .spawn(move || inspection_loop(inspection_ctx, inspect_rx))?;
         let reactor_thread = bound.run(NodeHandler {
             ctx: ctx.clone(),
             pending: VecDeque::new(),
-            inspect_tx,
             last_redial: Instant::now(),
         })?;
         Ok(NetNode {
@@ -276,7 +268,6 @@ impl<V: Value + Wire> NetNode<V> {
             addr,
             metrics_addr,
             reactor_thread: Some(reactor_thread),
-            inspection_thread: Some(inspection_thread),
         })
     }
 
@@ -291,13 +282,8 @@ impl<V: Value + Wire> NetNode<V> {
         check_specs(node, topo, &ncfg)?;
         let bound = reactor::bind(Some(topo.addrs[node as usize]), ncfg.metrics_addr)?;
         let pid_node = topo.pid_node(ncfg.cfg);
-        let transport = TcpTransport::<V>::new(
-            node,
-            ncfg.epoch,
-            topo.addrs.clone(),
-            pid_node.clone(),
-            bound.handle(),
-        );
+        let transport =
+            TcpTransport::<V>::new(node, topo.addrs.clone(), pid_node.clone(), bound.handle());
 
         let span = group_span(ncfg.cfg);
         let host = RegisterHost::spawn(
@@ -367,16 +353,13 @@ impl<V: Value + Wire> NetNode<V> {
 }
 
 impl<V: Value + Wire> Drop for NetNode<V> {
-    /// Joins the reactor and inspection threads; the worker pool joins as
-    /// the last reference to the node's state drops right after. Operations
-    /// still in flight complete with `NodeGone` into a closed reactor.
+    /// Joins the reactor thread; the worker pool joins as the last
+    /// reference to the node's state drops right after. Operations still in
+    /// flight complete with `Gone` into a closed reactor.
     fn drop(&mut self) {
         self.ctx.shutdown.request();
         self.ctx.transport.handle().shutdown();
-        // The reactor thread owns the handler, the handler the inspection
-        // thread's only sender: the second join follows from the first.
-        let threads = [self.reactor_thread.take(), self.inspection_thread.take()];
-        for thread in threads.into_iter().flatten() {
+        if let Some(thread) = self.reactor_thread.take() {
             let _ = thread.join();
         }
     }
@@ -458,17 +441,6 @@ fn expire(queue: &mut VecDeque<Pending>, now: Instant) -> Vec<(ConnId, u64)> {
     timed_out
 }
 
-enum InspectionJob {
-    /// Answer `Op::StoreMetrics` request `id` on `conn`.
-    StoreMetrics {
-        conn: ConnId,
-        id: u64,
-        cluster: Option<u32>,
-    },
-    /// Answer `GET /metrics` on HTTP connection `conn`.
-    HttpMetrics { conn: ConnId },
-}
-
 /// The reactor's [`Handler`] for one node: classifies every inbound
 /// envelope and acts on it without waiting (see the module docs).
 struct NodeHandler<V: Value + Wire> {
@@ -476,7 +448,6 @@ struct NodeHandler<V: Value + Wire> {
     /// Client operations still in flight when their start returned, in
     /// arrival (= deadline) order.
     pending: VecDeque<Pending>,
-    inspect_tx: Sender<InspectionJob>,
     last_redial: Instant,
 }
 
@@ -520,7 +491,7 @@ impl<V: Value + Wire> Handler for NodeHandler<V> {
     }
 }
 
-fn wrote<V>(result: Result<WriteReport, NodeGone>) -> Rsp<V> {
+fn wrote<V>(result: Result<WriteReport, InvokeError>) -> Rsp<V> {
     match result {
         Ok(report) => Rsp::Wrote {
             ts: report.ts,
@@ -532,7 +503,7 @@ fn wrote<V>(result: Result<WriteReport, NodeGone>) -> Rsp<V> {
     }
 }
 
-fn read_ok<V>(result: Result<ReadReport<V>, NodeGone>) -> Rsp<V> {
+fn read_ok<V>(result: Result<ReadReport<V>, InvokeError>) -> Rsp<V> {
     match result {
         Ok(report) => Rsp::ReadOk {
             value: report.value,
@@ -547,13 +518,13 @@ fn read_ok<V>(result: Result<ReadReport<V>, NodeGone>) -> Rsp<V> {
 }
 
 impl<V: Value + Wire> NodeHandler<V> {
-    /// Serves one thin-client request: answered here, or started here and
-    /// answered by its completion, or handed to the inspection thread.
+    /// Serves one thin-client request: answered here, or submitted here
+    /// and answered by its completion.
     fn on_request(&mut self, conn: ConnId, id: u64, op: Op<V>) {
         let ctx = &*self.ctx;
         let pending = &mut self.pending;
-        // `Some`: answered here and now. `None`: a completion, the deadline
-        // sweep or the inspection thread answers.
+        // `Some`: answered here and now. `None`: a completion or the
+        // deadline sweep answers.
         let now: Option<Rsp<V>> = match op {
             Op::Ping => Some(Rsp::Pong),
             Op::CrashPid { pid } => Some(ctx.crash(pid as usize)),
@@ -620,8 +591,10 @@ impl<V: Value + Wire> NodeHandler<V> {
                 keys: ctx.store.len() as u32,
             }),
             Op::StoreMetrics { cluster } => {
-                let job = InspectionJob::StoreMetrics { conn, id, cluster };
-                let _ = self.inspect_tx.send(job);
+                ctx.metrics_with(cluster, move |transport, registry| {
+                    let rsp = Rsp::StoreMetrics { registry };
+                    transport.send_ctl_on(conn, Ctl::Response { id, rsp });
+                });
                 None
             }
         };
@@ -631,13 +604,16 @@ impl<V: Value + Wire> NodeHandler<V> {
     }
 
     /// Answers one HTTP request head: `GET /metrics` gets the Prometheus
-    /// snapshot (from the inspection thread), anything else a 404.
+    /// snapshot (by completion, like `StoreMetrics`), anything else a 404.
     fn on_http(&self, conn: ConnId, head: &[u8]) {
         let line = head.split(|&b| b == b'\r').next().unwrap_or(b"");
         let target = line.strip_prefix(b"GET ").unwrap_or(b"");
         let target = target.split(|&b| b == b' ').next().unwrap_or(b"");
         if target == b"/metrics" || target.starts_with(b"/metrics?") {
-            let _ = self.inspect_tx.send(InspectionJob::HttpMetrics { conn });
+            self.ctx.metrics_with(None, move |transport, registry| {
+                let rsp = http_response("200 OK", &registry.to_prometheus());
+                transport.handle().finish(conn, rsp);
+            });
         } else {
             let rsp = http_response("404 Not Found", "try GET /metrics\n");
             self.ctx.transport.handle().finish(conn, rsp);
@@ -655,35 +631,24 @@ fn http_response(status: &str, body: &str) -> Vec<u8> {
     .into_bytes()
 }
 
-/// The inspection thread: serves, one at a time, the requests whose answer
-/// takes blocking `try_invoke`s over many automata. Ends when the reactor
-/// thread — owner of the only sender — does.
-fn inspection_loop<V: Value + Wire>(ctx: Arc<ServerCtx<V>>, jobs: Receiver<InspectionJob>) {
-    for job in jobs.iter() {
-        match job {
-            InspectionJob::StoreMetrics { conn, id, cluster } => {
-                let rsp = Rsp::StoreMetrics {
-                    registry: ctx.metrics(cluster),
-                };
-                ctx.transport.send_ctl_on(conn, Ctl::Response { id, rsp });
-            }
-            InspectionJob::HttpMetrics { conn } => {
-                let rsp = http_response("200 OK", &ctx.metrics(None).to_prometheus());
-                ctx.transport.handle().finish(conn, rsp);
-            }
-        }
-    }
-}
-
 impl<V: Value + Wire> ServerCtx<V> {
-    /// The node's whole registry: the hosted store's snapshot, history
-    /// gauges labelled `cluster="<cluster>"` when given, and the
-    /// transport's counters.
-    fn metrics(&self, cluster: Option<u32>) -> Registry {
+    /// Gathers the node's whole registry by completion — the hosted
+    /// store's snapshot, history gauges labelled `cluster="<cluster>"` when
+    /// given, and the transport's counters — and hands it to `answer` with
+    /// the transport to answer on. Holds the transport, never the node.
+    fn metrics_with(
+        &self,
+        cluster: Option<u32>,
+        answer: impl FnOnce(&TcpTransport<V>, Registry) + Send + 'static,
+    ) {
+        let transport = Arc::clone(&self.transport);
         let cluster = cluster.map(|c| c as usize);
-        let mut reg = self.store.metrics_snapshot_labelled(cluster);
-        self.transport.record_metrics(&mut reg);
-        reg
+        self.store
+            .host()
+            .metrics_snapshot_with(cluster, move |mut reg| {
+                transport.record_metrics(&mut reg);
+                answer(&transport, reg);
+            });
     }
 
     /// Crashes global pid `pid` if this node hosts it (fault injection).
@@ -962,11 +927,9 @@ mod tests {
         // The handler without its threads: responses pile up, unread, in
         // the bound reactor's command channel.
         let (_bound, ctx) = NetNode::bind(0, &topo, ncfg).expect("bind");
-        let (inspect_tx, _inspect_rx) = channel();
         let mut handler = NodeHandler {
             ctx,
             pending: VecDeque::new(),
-            inspect_tx,
             last_redial: Instant::now(),
         };
         let key = |k: u8| vec![k];

@@ -51,7 +51,6 @@ struct PeerTable {
 /// The socket transport for one node of a multi-process deployment.
 pub struct TcpTransport<V> {
     node: u32,
-    epoch: u32,
     addrs: Vec<SocketAddr>,
     /// Global pid → hosting node id.
     pid_node: Vec<u32>,
@@ -67,7 +66,6 @@ impl<V: Wire> TcpTransport<V> {
     /// `addrs[i]`; `pid_node[p]` names the node hosting global pid `p`.
     pub fn new(
         node: u32,
-        epoch: u32,
         addrs: Vec<SocketAddr>,
         pid_node: Vec<u32>,
         handle: ReactorHandle,
@@ -75,7 +73,6 @@ impl<V: Wire> TcpTransport<V> {
         let counters = handle.counters();
         Arc::new(TcpTransport {
             node,
-            epoch,
             addrs: addrs.clone(),
             pid_node,
             handle,
@@ -98,7 +95,7 @@ impl<V: Wire> TcpTransport<V> {
     fn envelope(&self, payload: Payload<V>) -> Vec<u8> {
         encode_frame(&Envelope {
             source: self.node,
-            epoch: self.epoch,
+            epoch: 0,
             seq: self.seq.fetch_add(1, Ordering::Relaxed),
             payload,
         })
@@ -203,23 +200,13 @@ impl<V: Wire> TcpTransport<V> {
         match ev {
             NetEvent::Accepted { conn, .. } => {
                 // Greet the peer; attribution happens when its Hello lands.
-                self.send_ctl_on(
-                    conn,
-                    Ctl::Hello {
-                        node: self.node,
-                        epoch: self.epoch,
-                    },
-                );
+                let node = self.node;
+                self.send_ctl_on(conn, Ctl::Hello { node, epoch: 0 });
                 None
             }
             NetEvent::Connected { conn } => {
-                self.send_ctl_on(
-                    conn,
-                    Ctl::Hello {
-                        node: self.node,
-                        epoch: self.epoch,
-                    },
-                );
+                let node = self.node;
+                self.send_ctl_on(conn, Ctl::Hello { node, epoch: 0 });
                 let mut peers = self.peers.lock();
                 let &target = peers.conn_node.get(&conn)?;
                 let t = target as usize;

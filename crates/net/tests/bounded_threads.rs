@@ -13,6 +13,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
+use vrr_core::metrics::names;
 use vrr_core::StorageConfig;
 use vrr_net::frame::{decode_body, encode_frame, CLIENT_NODE};
 use vrr_net::{
@@ -109,9 +110,9 @@ fn threads_stay_bounded_timeouts_are_typed_and_drop_joins_everything() {
         assert!(matches!(rsp, Rsp::Wrote { .. }), "{rsp:?}");
     }
     let serving = threads();
-    // One worker pool: the reactor, the inspection thread, a worker per CPU.
+    // The reactor and one worker pool of a worker per CPU: nothing else.
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    assert_eq!(serving - baseline, 2 + workers, "the node's own threads");
+    assert_eq!(serving - baseline, 1 + workers, "the node's own threads");
 
     // --- The same threads serve 2 connections and 64. -------------------
     for clients in [2, 64] {
@@ -164,10 +165,19 @@ fn threads_stay_bounded_timeouts_are_typed_and_drop_joins_everything() {
             })
             .collect();
         std::thread::sleep(Duration::from_millis(300));
-        // Meanwhile: other keys are served, by the same threads.
+        // Meanwhile: other keys are served, by the same threads, and so
+        // is an inspection of every object — the wedged group's too.
         for _ in 0..100 {
             assert!(matches!(read_key(&mut client, 1), Rsp::ReadOk { .. }));
             assert!(matches!(read_key(&mut client, 2), Rsp::ReadOk { .. }));
+        }
+        let metrics = client.request(Op::StoreMetrics { cluster: None });
+        match metrics.expect("transport") {
+            Rsp::StoreMetrics { registry } => {
+                let lens = registry.gauge_values(names::OBJECT_HISTORY_LEN);
+                assert_eq!(lens.len(), 4 * cfg.s - 2, "all but the two crashed");
+            }
+            other => panic!("StoreMetrics during a wedge answered {other:?}"),
         }
         assert_eq!(threads() - 2, serving, "a wedged operation parks no thread");
         for handle in wedged {

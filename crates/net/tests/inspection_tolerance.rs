@@ -3,9 +3,12 @@
 //! `RegularObject` downcast: on a Byzantine-substituted object the mismatch
 //! panicked inside the worker, which *poisoned the attacker like a crash*
 //! before the caller panicked in turn — a remote history-length request
-//! turned a Byzantine fault into a crash fault, and the inspection thread survived
-//! only through `catch_unwind`. There is one inspection now, the tolerant
-//! one: substituted and crashed objects are skipped, on every path.
+//! turned a Byzantine fault into a crash fault. An inspection is now a
+//! submission like any operation, answered by completion on the node's
+//! reactor or workers, and every submission checks the automaton's type
+//! before running anything: a mismatch completes with `WrongType` and the
+//! process carries on. Substituted and crashed objects are skipped, on
+//! every path.
 
 use std::io::{Read, Write};
 

@@ -10,8 +10,7 @@
 //!    channels): one whose objects are split down the middle, driven
 //!    through node 0's host, and one whose front node holds no object,
 //!    driven by key.
-//! 2. A `vrr-server` OS process killed mid-read and restarted amnesiac
-//!    with a fresh epoch.
+//! 2. A `vrr-server` OS process killed mid-read and restarted amnesiac.
 //! 3. Connection resets injected between read rounds while reads are in
 //!    flight.
 
@@ -119,17 +118,17 @@ fn byzantine_objects_over_tcp_stay_regular() {
 
 /// One node of the two-process deployment: objects `[0, 0, 0, 1]`, writer
 /// and reader on node 0, its front node.
-fn spawn(node: u32, addrs: &[SocketAddr], epoch: u32) -> ServerProcess {
+fn spawn(node: u32, addrs: &[SocketAddr]) -> ServerProcess {
     let args = format!(
         "--node {node} --addrs {} --t 1 --b 1 --readers 1 --kind regular-opt \
-         --place-objects 0,0,0,1 --epoch {epoch}",
+         --place-objects 0,0,0,1",
         common::addr_list(addrs)
     );
     ServerProcess::spawn(env!("CARGO_BIN_EXE_vrr-server"), args.split(' ')).expect("vrr-server")
 }
 
 /// Fault class 2: node 1 (hosting one of four objects) is killed while
-/// reads are in flight, then restarted amnesiac with a bumped epoch. One
+/// reads are in flight, then restarted amnesiac. One
 /// crashed-then-amnesiac object is within `min(t, b) = 1`, so every read
 /// that completes — during the outage and after the rebirth — must still
 /// be regular. The clients are bare `NetClient`s: a `RemoteCluster` would
@@ -137,8 +136,8 @@ fn spawn(node: u32, addrs: &[SocketAddr], epoch: u32) -> ServerProcess {
 #[test]
 fn kill_and_restart_server_mid_read() {
     let addrs = free_addrs(2).expect("reserve ports");
-    let s0 = spawn(0, &addrs, 0);
-    let mut s1 = spawn(1, &addrs, 0);
+    let s0 = spawn(0, &addrs);
+    let mut s1 = spawn(1, &addrs);
     assert_eq!(s0.addr, addrs[0]);
 
     let mut writer = NetClient::<u64>::connect(s0.addr).expect("writer client");
@@ -176,9 +175,9 @@ fn kill_and_restart_server_mid_read() {
         }
     });
 
-    // Rebirth: same address, empty state, fresh epoch. The original
-    // reader client was consumed by the outage thread; reconnect.
-    let s1b = spawn(1, &addrs, 1);
+    // Rebirth: same address, empty state. The original reader client was
+    // consumed by the outage thread; reconnect.
+    let s1b = spawn(1, &addrs);
     assert_eq!(s1b.addr, addrs[1]);
     let mut reader = NetClient::<u64>::connect(s0.addr).expect("reader client (rebirth)");
     for _ in 0..4 {

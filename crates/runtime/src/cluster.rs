@@ -10,43 +10,41 @@
 //! run lock and the drain / run / flush mechanics.
 
 use std::any::Any;
+use std::cell::Cell;
 use std::fmt;
 use std::marker::PhantomData;
-use std::sync::mpsc::sync_channel;
+use std::sync::Arc;
+use std::thread::Thread;
+use std::time::{Duration, Instant};
+
+use parking_lot::Mutex;
 
 use vrr_sim::{Automaton, Context, ProcessId};
 
-use crate::executor::{ClientOp, Executor, ExecutorStats, InvokeFn, NodeCmd};
+use crate::executor::{ClientOp, Executor, ExecutorStats};
 use crate::link::LinkPolicy;
 
-/// The target process can no longer execute closures — it was crashed
-/// (fault injection), poisoned by a panic, or the cluster is shutting down.
-/// What a [`Cluster::submit`] completion hears instead of an outcome, and
-/// one half of [`InvokeError`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct NodeGone(pub ProcessId);
+/// How long an operation may take before the cluster is declared wedged.
+/// Generous: operations take milliseconds even under delay policies. The
+/// blocking waits panic past it; a completion-driven caller (`vrr-net`'s
+/// node) answers a typed error past it instead.
+pub const OP_TIMEOUT: Duration = Duration::from_secs(30);
 
-impl fmt::Display for NodeGone {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "process {} is crashed or gone", self.0)
-    }
-}
-
-impl std::error::Error for NodeGone {}
-
-/// Why [`Cluster::try_invoke`] did not run its closure.
+/// Why a [`Cluster::submit`] completion carries no outcome — the one error
+/// type of every completion, and of [`Cluster::try_invoke`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum InvokeError {
-    /// The process is crashed or gone.
-    Gone(NodeGone),
-    /// The process is alive, but its automaton is not the type the closure
-    /// takes. Nothing ran and the process carries on — which is what lets
-    /// inspection ask every process of a group and skip the Byzantine
-    /// substitutes and relay stand-ins among them.
+    /// The process can no longer run anything: it was crashed (fault
+    /// injection), poisoned by a panic, or the cluster is shutting down.
+    Gone(ProcessId),
+    /// The process is alive, but its automaton is not the type the
+    /// submission takes. Nothing ran and the process carries on — which is
+    /// what lets inspection ask every process of a group and skip the
+    /// Byzantine substitutes and relay stand-ins among them.
     WrongType {
         /// The process asked.
         pid: ProcessId,
-        /// The automaton type the closure takes.
+        /// The automaton type the submission takes.
         expected: &'static str,
     },
 }
@@ -54,7 +52,7 @@ pub enum InvokeError {
 impl fmt::Display for InvokeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            InvokeError::Gone(gone) => gone.fmt(f),
+            InvokeError::Gone(pid) => write!(f, "process {pid} is crashed or gone"),
             InvokeError::WrongType { pid, expected } => {
                 write!(f, "process {pid} is not a {expected}")
             }
@@ -66,11 +64,10 @@ impl std::error::Error for InvokeError {}
 
 /// A running cluster of automata on a sharded worker pool.
 ///
-/// Spawn processes with [`Cluster::spawn`], connect the mailboxes by
-/// calling [`Cluster::seal`] once all processes exist, then drive clients
-/// with [`Cluster::submit`] — the one operation primitive; `invoke` /
-/// `try_invoke` remain for inspection. Dropping the cluster shuts every
-/// worker down.
+/// Spawn processes with [`Cluster::spawn`], then reach them with
+/// [`Cluster::submit`] — the one command that runs code against an
+/// automaton; [`Cluster::try_invoke`] is a blocking one-shot submission.
+/// Dropping the cluster shuts every worker down.
 ///
 /// # Examples
 ///
@@ -83,11 +80,9 @@ impl std::error::Error for InvokeError {}
 ///     ctx.send(from, n + 1);
 /// }));
 /// # let _ = echo;
-/// cluster.seal();
 /// ```
 pub struct Cluster<M: Send + 'static> {
     executor: Executor<M>,
-    sealed: bool,
 }
 
 impl<M: Send + 'static> Cluster<M> {
@@ -105,7 +100,6 @@ impl<M: Send + 'static> Cluster<M> {
     pub fn with_workers(policy: Box<dyn LinkPolicy<M>>, workers: usize) -> Self {
         Cluster {
             executor: Executor::new(policy, workers),
-            sealed: false,
         }
     }
 
@@ -113,16 +107,10 @@ impl<M: Send + 'static> Cluster<M> {
     /// in spawn order; process `p`'s home is worker `p % workers` — or, on
     /// a cluster handed to [`crate::RegisterHost::spawn`], the worker of its
     /// register group (`(p / group span) % workers`): a group is run by one
-    /// thread at a time, so its rounds never change threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after [`Cluster::seal`].
+    /// thread at a time, so its rounds never change threads. Processes find
+    /// each other through the executor, so one spawned after others have
+    /// started is reached like any other.
     pub fn spawn(&mut self, automaton: Box<dyn Automaton<M>>) -> ProcessId {
-        assert!(
-            !self.sealed,
-            "spawn all processes before sealing the cluster"
-        );
         self.executor.register(automaton)
     }
 
@@ -131,12 +119,6 @@ impl<M: Send + 'static> Cluster<M> {
     /// be empty.
     pub(crate) fn set_group_span(&mut self, span: usize) {
         self.executor.set_group_span(span);
-    }
-
-    /// Marks the topology complete. (Processes discover each other lazily
-    /// through the executor, so this only guards against racy late spawns.)
-    pub fn seal(&mut self) {
-        self.sealed = true;
     }
 
     /// Number of spawned processes.
@@ -161,66 +143,41 @@ impl<M: Send + 'static> Cluster<M> {
         self.executor.stats()
     }
 
-    /// Runs `f` on the concrete automaton of `pid` — a command for its
-    /// worker — with a context whose sends go through the link policy.
-    /// Blocks for the result.
+    /// Runs `f` on the automaton of `pid` and blocks for its result: a
+    /// one-shot [`Cluster::submit`] whose first poll answers, so it waits
+    /// behind `pid`'s operation in progress (an object runs none) and runs
+    /// on the calling thread when `pid`'s group is idle. Never call it from
+    /// a `done`. A mismatched `A` is [`InvokeError::WrongType`]; a crashed
+    /// `pid`, or one poisoned by a panic in `f`, is [`InvokeError::Gone`].
     ///
     /// # Panics
     ///
-    /// Panics — in the caller, leaving the process as it was — if `pid`'s
-    /// automaton is not an `A` or the node is crashed or gone (use
-    /// [`Cluster::try_invoke`] for a recoverable variant).
-    pub fn invoke<A: Automaton<M>, R: Send + 'static>(
-        &self,
-        pid: ProcessId,
-        f: impl FnOnce(&mut A, &mut Context<'_, M>) -> R + Send + 'static,
-    ) -> R {
-        self.try_invoke(pid, f)
-            .unwrap_or_else(|e| panic!("invoke failed: {e}"))
-    }
-
-    /// Like [`Cluster::invoke`], but returns an [`InvokeError`] instead of
-    /// panicking. The automaton's type is checked **before** `f` runs: if
-    /// it is not an `A`, nothing runs, the caller gets
-    /// [`InvokeError::WrongType`] and the process carries on untouched. If
-    /// `pid` was crashed (or the pool is shutting down) the caller gets
-    /// [`InvokeError::Gone`]. A panic inside `f` itself is contained by its
-    /// runner: the target process is poisoned like a crash (the panic is
-    /// reported on stderr) and the caller gets [`InvokeError::Gone`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pid` was never spawned — a programming error, not a
-    /// runtime fault.
+    /// Panics if `pid` was never spawned or no outcome arrives within
+    /// [`OP_TIMEOUT`].
     pub fn try_invoke<A: Automaton<M>, R: Send + 'static>(
         &self,
         pid: ProcessId,
         f: impl FnOnce(&mut A, &mut Context<'_, M>) -> R + Send + 'static,
     ) -> Result<R, InvokeError> {
-        assert!(pid.index() < self.len(), "invoke on unspawned {pid}");
-        let (tx, rx) = sync_channel(1);
-        let boxed: InvokeFn<M> = Box::new(move |any, ctx| {
-            let _ = tx.send(any.downcast_mut::<A>().map(|a| f(a, ctx)));
-        });
-        self.executor.enqueue(pid, NodeCmd::Invoke(boxed));
-        match rx.recv() {
-            Ok(Some(r)) => Ok(r),
-            Ok(None) => Err(InvokeError::WrongType {
-                pid,
-                expected: std::any::type_name::<A>(),
-            }),
-            // A crashed node drops the closure, and with it the only sender.
-            Err(_) => Err(InvokeError::Gone(NodeGone(pid))),
-        }
+        let (done, slot) = op_slot();
+        self.submit(
+            pid,
+            move |a: &mut A, ctx| Cell::new(Some(f(a, ctx))),
+            |_: &mut A, result| result.take(),
+            done,
+        );
+        slot.wait()
     }
 
     /// Submits one client operation on `pid` and returns without waiting —
     /// the completion-driven primitive every blocking read/write is a shim
-    /// over. One mailed command carries the whole operation: whoever runs
-    /// `pid`'s group runs `start` (the invocation event, e.g. `invoke_read`;
-    /// its sends go through the link policy), calls `poll` with what
-    /// `start` returned after each later step of the automaton, and hands
-    /// the first `Some(r)` to `done` (the response event).
+    /// over, and the one command that runs code against an automaton. One
+    /// mailed command carries the whole operation: whoever runs `pid`'s
+    /// group runs `start` (the invocation event, e.g. `invoke_read`; its
+    /// sends go through the link policy), calls `poll` with what `start`
+    /// returned after each later step of the automaton, and hands the first
+    /// `Some(r)` to `done` (the response event). An inspection is an
+    /// operation whose first poll answers.
     ///
     /// **Where `done` runs.** If `pid`'s group is idle, the calling thread
     /// runs it — for a bounded number of passes, never waiting — so on an
@@ -236,13 +193,12 @@ impl<M: Send + 'static> Cluster<M> {
     /// while another is in progress starts when every operation submitted
     /// before it has completed, so the model's well-formedness (§2.2, "a
     /// client invokes one operation at a time") holds whatever the
-    /// callers do. `done` fires exactly once; it receives [`NodeGone`]
-    /// if `pid` is crashed, gets crashed or poisoned (a panic in `start`
-    /// or `poll`) before the operation completes, or the cluster is
-    /// dropped first. Unlike an inspection, an operation aimed at the wrong
-    /// automaton type is a programming error: the `A` downcast mismatch
-    /// panics under the runner's `catch_unwind`, which poisons `pid` and
-    /// fails the completion.
+    /// callers do. `done` fires exactly once. Before `start` runs, the
+    /// automaton's type is checked: if it is not an `A`, nothing runs,
+    /// `done` receives [`InvokeError::WrongType`] and the process carries
+    /// on. `done` receives [`InvokeError::Gone`] if `pid` is crashed, gets
+    /// crashed or poisoned (a panic in `start` or `poll`) before the
+    /// operation completes, or the cluster is dropped first.
     ///
     /// # Panics
     ///
@@ -252,7 +208,7 @@ impl<M: Send + 'static> Cluster<M> {
         pid: ProcessId,
         start: impl FnOnce(&mut A, &mut Context<'_, M>) -> I + Send + 'static,
         poll: impl FnMut(&mut A, &I) -> Option<R> + Send + 'static,
-        done: impl FnOnce(Result<R, NodeGone>) + Send + 'static,
+        done: impl FnOnce(Result<R, InvokeError>) + Send + 'static,
     ) where
         A: Automaton<M>,
         I: Send + 'static,
@@ -270,16 +226,16 @@ impl<M: Send + 'static> Cluster<M> {
         self.executor.submit(pid, Box::new(op));
     }
 
-    /// Crashes `pid`: it stops processing deliveries, invokes and
-    /// operations — the one in progress and those deferred behind it
-    /// complete with [`NodeGone`].
+    /// Crashes `pid`: it stops processing deliveries and operations — the
+    /// one in progress and those deferred behind it complete with
+    /// [`InvokeError::Gone`].
     ///
     /// # Panics
     ///
     /// Panics if `pid` was never spawned.
     pub fn crash(&self, pid: ProcessId) {
         assert!(pid.index() < self.len(), "crash on unspawned {pid}");
-        self.executor.enqueue(pid, NodeCmd::Crash);
+        self.executor.crash(pid);
     }
 
     /// Injects a message from `from` to `to` through the link policy
@@ -294,21 +250,24 @@ impl<M: Send + 'static> Cluster<M> {
 
 /// The typed state of one [`Cluster::submit`] call behind the mailbox's
 /// `dyn ClientOp`.
-struct Submitted<A, I, R, S, P, D: FnOnce(Result<R, NodeGone>)> {
+struct Submitted<A, I, R, S, P, D: FnOnce(Result<R, InvokeError>)> {
     pid: ProcessId,
     start: Option<S>,
-    /// What `start` returned (the invocation id `poll` looks up).
+    /// What `start` returned (the invocation id `poll` looks up); `None`
+    /// after a start that found the wrong automaton and completed.
     id: Option<I>,
     poll: P,
-    /// Taken by whichever of `poll` and `drop` fires it.
+    /// Taken by whichever of `start`, `poll` and `drop` fires it.
     done: Option<D>,
     _automaton: PhantomData<fn(&mut A) -> R>,
 }
 
-fn downcast<A: 'static>(automaton: &mut dyn Any) -> &mut A {
-    automaton
-        .downcast_mut::<A>()
-        .unwrap_or_else(|| panic!("node is not a {}", std::any::type_name::<A>()))
+impl<A, I, R, S, P, D: FnOnce(Result<R, InvokeError>)> Submitted<A, I, R, S, P, D> {
+    fn complete(&mut self, result: Result<R, InvokeError>) {
+        if let Some(done) = self.done.take() {
+            done(result);
+        }
+    }
 }
 
 impl<M, A, I, R, S, P, D> ClientOp<M> for Submitted<A, I, R, S, P, D>
@@ -317,20 +276,27 @@ where
     I: Send,
     S: FnOnce(&mut A, &mut Context<'_, M>) -> I + Send,
     P: FnMut(&mut A, &I) -> Option<R> + Send,
-    D: FnOnce(Result<R, NodeGone>) + Send,
+    D: FnOnce(Result<R, InvokeError>) + Send,
 {
     fn start(&mut self, automaton: &mut dyn Any, ctx: &mut Context<'_, M>) {
         let start = self.start.take().expect("an operation starts once");
-        self.id = Some(start(downcast(automaton), ctx));
+        match automaton.downcast_mut::<A>() {
+            Some(a) => self.id = Some(start(a, ctx)),
+            None => self.complete(Err(InvokeError::WrongType {
+                pid: self.pid,
+                expected: std::any::type_name::<A>(),
+            })),
+        }
     }
 
     fn poll(&mut self, automaton: &mut dyn Any) -> bool {
-        let id = self.id.as_ref().expect("polled after start");
-        match (self.poll)(downcast(automaton), id) {
+        let Some(id) = self.id.as_ref() else {
+            return true; // completed by `start`
+        };
+        let a = automaton.downcast_mut::<A>().expect("started on an A");
+        match (self.poll)(a, id) {
             Some(r) => {
-                if let Some(done) = self.done.take() {
-                    done(Ok(r));
-                }
+                self.complete(Ok(r));
                 true
             }
             None => false,
@@ -338,12 +304,66 @@ where
     }
 }
 
-impl<A, I, R, S, P, D: FnOnce(Result<R, NodeGone>)> Drop for Submitted<A, I, R, S, P, D> {
+impl<A, I, R, S, P, D: FnOnce(Result<R, InvokeError>)> Drop for Submitted<A, I, R, S, P, D> {
     /// Dropped before completing — the process crashed, was poisoned, or
-    /// the cluster is going away: the caller hears `NodeGone`.
+    /// the cluster is going away: the caller hears `Gone`.
     fn drop(&mut self) {
-        if let Some(done) = self.done.take() {
-            done(Err(NodeGone(self.pid)));
+        self.complete(Err(InvokeError::Gone(self.pid)));
+    }
+}
+
+/// Where a blocking caller's submission completes: the outcome, once the
+/// completion from [`op_slot`] stores it, and the caller it unparks.
+pub(crate) struct OpSlot<R> {
+    outcome: Mutex<Option<Result<R, InvokeError>>>,
+    caller: Thread,
+}
+
+/// A completion callback for [`Cluster::submit`] paired with the slot it
+/// fills — the runtime's one blocking wait: every blocking read, write and
+/// inspection waits here. The completion usually fires inside `submit`, on
+/// the caller's own thread, so the caller finds the slot full and never
+/// parks.
+pub(crate) fn op_slot<R: Send + 'static>() -> (
+    impl FnOnce(Result<R, InvokeError>) + Send + 'static,
+    Arc<OpSlot<R>>,
+) {
+    let slot = Arc::new(OpSlot {
+        outcome: Mutex::new(None),
+        caller: std::thread::current(),
+    });
+    let filled = Arc::clone(&slot);
+    let done = move |result| {
+        *filled.outcome.lock() = Some(result);
+        filled.caller.unpark();
+    };
+    (done, slot)
+}
+
+impl<R> OpSlot<R> {
+    /// Blocks the caller for the submission's outcome.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no outcome arrives within [`OP_TIMEOUT`] — for an
+    /// operation with at most `t` faulty objects that is a wait-freedom
+    /// violation.
+    pub(crate) fn wait(&self) -> Result<R, InvokeError> {
+        let mut deadline = None;
+        loop {
+            if let Some(outcome) = self.outcome.lock().take() {
+                return outcome;
+            }
+            // The clock is read only by a caller that has to park.
+            let deadline = *deadline.get_or_insert_with(|| Instant::now() + OP_TIMEOUT);
+            let left = deadline.saturating_duration_since(Instant::now());
+            assert!(
+                !left.is_zero(),
+                "operation must complete (wait-freedom): Timeout"
+            );
+            // Returns on `unpark`, at the deadline or spuriously: the slot
+            // is looked at again either way.
+            std::thread::park_timeout(left);
         }
     }
 }
@@ -365,11 +385,12 @@ impl<M: Send + 'static> fmt::Debug for Cluster<M> {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::mpsc::Receiver;
+    use std::sync::mpsc::{sync_channel, Receiver};
     use std::time::Duration;
 
     use vrr_sim::from_fn;
 
+    use super::InvokeError::{Gone, WrongType};
     use super::*;
     use crate::link::{FixedDelay, NoDelay};
 
@@ -403,7 +424,8 @@ mod tests {
     }
 
     fn seen(cluster: &Cluster<u64>, counter: ProcessId) -> u32 {
-        cluster.invoke(counter, |c: &mut Counter, _ctx| c.seen)
+        let seen = cluster.try_invoke(counter, |c: &mut Counter, _ctx| c.seen);
+        seen.expect("the counter is alive")
     }
 
     #[test]
@@ -413,7 +435,6 @@ mod tests {
         let doubler = cluster.spawn(from_fn(move |from, n: u64, ctx: &mut Context<'_, u64>| {
             ctx.send(from, n * 2);
         }));
-        cluster.seal();
 
         let done = total_after(&cluster, counter, 3);
         for i in 1..=3u64 {
@@ -425,7 +446,7 @@ mod tests {
         assert_eq!(total, 12, "2 + 4 + 6");
     }
 
-    /// A client automaton driven purely by invoke.
+    /// A client automaton driven purely by inspection.
     struct Pinger {
         target: ProcessId,
         sent: u32,
@@ -435,24 +456,26 @@ mod tests {
         fn on_message(&mut self, _from: ProcessId, _msg: u64, _ctx: &mut Context<'_, u64>) {}
     }
 
+    /// An inspection is a one-shot submission: on an idle group the
+    /// calling thread runs it — its sends and what they complete included.
     #[test]
-    fn invoke_runs_in_worker_and_sends() {
-        let mut cluster: Cluster<u64> = Cluster::new(Box::new(NoDelay));
+    fn an_inspection_of_an_idle_group_runs_on_the_calling_thread_and_sends() {
+        let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), 1);
         let counter = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
         let pinger = cluster.spawn(Box::new(Pinger {
             target: counter,
             sent: 0,
         }));
-        cluster.seal();
+        settle::<Pinger>(&cluster, pinger);
 
         let done = total_after(&cluster, counter, 1);
-        let sent_count = cluster.invoke(pinger, |p: &mut Pinger, ctx| {
+        let sent = cluster.try_invoke(pinger, |p: &mut Pinger, ctx| {
             ctx.send(p.target, 41);
             p.sent += 1;
-            p.sent
+            (p.sent, std::thread::current().id())
         });
-        assert_eq!(sent_count, 1, "invoke returns the closure's result");
-        assert_eq!(done.recv_timeout(Duration::from_secs(5)).unwrap(), 41);
+        assert_eq!(sent, Ok((1, std::thread::current().id())), "ran here");
+        assert_eq!(done.try_recv(), Ok(41), "delivered before it returned");
     }
 
     #[test]
@@ -462,7 +485,6 @@ mod tests {
         let forwarder = cluster.spawn(from_fn(move |_from, n: u64, ctx: &mut Context<'_, u64>| {
             ctx.send(counter, n);
         }));
-        cluster.seal();
         cluster.crash(forwarder);
         cluster.send_external(counter, forwarder, 5);
         std::thread::sleep(Duration::from_millis(50));
@@ -474,26 +496,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invoke failed")]
-    fn invoke_on_crashed_node_panics() {
-        let mut cluster: Cluster<u64> = Cluster::new(Box::new(NoDelay));
-        let counter = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
-        cluster.seal();
-        cluster.crash(counter);
-        let _ = cluster.invoke(counter, |c: &mut Counter, _ctx| c.seen);
-    }
-
-    #[test]
     fn panicking_invoke_poisons_only_its_process() {
         // Both processes share the one worker: a panic inside an invoke
         // must not kill the worker thread.
         let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), 1);
         let victim = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
         let healthy = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
-        cluster.seal();
 
-        let gone = cluster.try_invoke(victim, |_c: &mut Counter, _ctx| panic!("invoke blew up"));
-        assert_eq!(gone, Err::<(), _>(InvokeError::Gone(NodeGone(victim))));
+        let blew_up = cluster.try_invoke(victim, |_c: &mut Counter, _ctx| panic!("invoke blew up"));
+        assert_eq!(blew_up, Err::<(), _>(Gone(victim)));
 
         // The worker survived: its other process still delivers and
         // answers invokes; the poisoned one behaves like a crashed node.
@@ -506,32 +517,49 @@ mod tests {
         );
         assert_eq!(
             cluster.try_invoke(victim, |c: &mut Counter, _ctx| c.seen),
-            Err(InvokeError::Gone(NodeGone(victim))),
+            Err(Gone(victim)),
             "poisoned process stays gone even for well-typed invokes"
         );
     }
 
+    /// One type rule for every submission, inspection or operation: a
+    /// mismatch runs nothing, completes with `WrongType` and poisons
+    /// nothing; only a crash makes the process `Gone`.
     #[test]
     fn mistyped_invoke_is_reported_and_leaves_the_process_running() {
         let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), 1);
         let counter = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
-        cluster.seal();
+        let wrong_type = Err(WrongType {
+            pid: counter,
+            expected: std::any::type_name::<Pinger>(),
+        });
 
         let ran = cluster.try_invoke(counter, |_p: &mut Pinger, _ctx| ());
-        assert_eq!(
-            ran,
-            Err(InvokeError::WrongType {
-                pid: counter,
-                expected: std::any::type_name::<Pinger>(),
-            }),
-            "the closure must not run on a Counter"
+        assert_eq!(ran, wrong_type, "the closure must not run on a Counter");
+        let (tx, rx) = sync_channel(1);
+        cluster.submit(
+            counter,
+            |_p: &mut Pinger, _ctx| unreachable!("started on a Counter"),
+            |_p: &mut Pinger, ()| Some(()),
+            move |result| {
+                let _ = tx.send(result);
+            },
         );
+        let completed = rx.recv_timeout(Duration::from_secs(5));
+        assert_eq!(completed, Ok(wrong_type), "a mistyped operation");
         // Nothing was poisoned: the process answers to its real type and
         // still takes deliveries.
         assert_eq!(seen(&cluster, counter), 0);
         let done = total_after(&cluster, counter, 1);
         cluster.send_external(counter, counter, 9);
         assert_eq!(done.recv_timeout(Duration::from_secs(5)).unwrap(), 9);
+
+        cluster.crash(counter);
+        assert_eq!(
+            cluster.try_invoke(counter, |c: &mut Counter, _ctx| c.seen),
+            Err(Gone(counter)),
+            "a crashed process answers every submission Gone"
+        );
     }
 
     /// A client automaton whose operations take one self-addressed message
@@ -573,7 +601,7 @@ mod tests {
         cluster: &Cluster<u64>,
         pid: ProcessId,
         tag: u64,
-        done: impl FnOnce(Result<u64, NodeGone>) + Send + 'static,
+        done: impl FnOnce(Result<u64, InvokeError>) + Send + 'static,
     ) {
         cluster.submit(
             pid,
@@ -583,23 +611,15 @@ mod tests {
         );
     }
 
-    /// Returns once `pid`'s unit is idle and its worker parked: a probe
-    /// operation, submitted after a pause long enough for the worker to
-    /// finish whatever an earlier probe scheduled, ran on this thread.
-    fn settle(cluster: &Cluster<u64>, pid: ProcessId) {
+    /// Returns once `pid`'s unit is idle and its worker parked: an
+    /// inspection, made after a pause long enough for the worker to finish
+    /// whatever an earlier one scheduled, ran on this thread.
+    fn settle<A: Automaton<u64>>(cluster: &Cluster<u64>, pid: ProcessId) {
         let me = std::thread::current().id();
         for _ in 0..500 {
             std::thread::sleep(Duration::from_millis(10));
-            let (tx, rx) = sync_channel(1);
-            cluster.submit(
-                pid,
-                |_a: &mut OneAtATime, _ctx| (),
-                |_a: &mut OneAtATime, ()| Some(()),
-                move |_| {
-                    let _ = tx.send(std::thread::current().id());
-                },
-            );
-            if rx.recv_timeout(Duration::from_secs(5)) == Ok(me) {
+            let ran_on = cluster.try_invoke(pid, |_a: &mut A, _ctx| std::thread::current().id());
+            if ran_on == Ok(me) {
                 return;
             }
         }
@@ -614,7 +634,6 @@ mod tests {
 
         let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), 2);
         let client = cluster.spawn(Box::new(OneAtATime::default()));
-        cluster.seal();
         let cluster = Arc::new(cluster);
         let completed = Arc::new(Mutex::new(Vec::new()));
         let (all_done_tx, all_done_rx) = sync_channel(1);
@@ -647,7 +666,8 @@ mod tests {
             .expect("every submitted op completes");
 
         let completed = completed.lock().unwrap().clone();
-        let begun = cluster.invoke(client, |a: &mut OneAtATime, _ctx| a.begun.clone());
+        let begun = cluster.try_invoke(client, |a: &mut OneAtATime, _ctx| a.begun.clone());
+        let begun = begun.expect("the client is alive");
         assert_eq!(completed, begun, "ops complete in the order they started");
         for t in 0..THREADS {
             let of_thread: Vec<u64> = begun
@@ -665,8 +685,8 @@ mod tests {
 
     /// Counts how often a completion fires and with what.
     fn counting_done(
-        fired: &std::sync::Arc<std::sync::Mutex<Vec<Result<u64, NodeGone>>>>,
-    ) -> impl FnOnce(Result<u64, NodeGone>) + Send + 'static {
+        fired: &std::sync::Arc<std::sync::Mutex<Vec<Result<u64, InvokeError>>>>,
+    ) -> impl FnOnce(Result<u64, InvokeError>) + Send + 'static {
         let fired = fired.clone();
         // Runs on the worker, also from a drop: never panic in here.
         move |result| fired.lock().unwrap_or_else(|e| e.into_inner()).push(result)
@@ -679,7 +699,6 @@ mod tests {
         let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), 1);
         let client = cluster.spawn(Box::new(OneAtATime::default()));
         let stuck = cluster.spawn(Box::new(OneAtATime::default()));
-        cluster.seal();
 
         // Completion.
         let (completed_tx, completed_rx) = sync_channel(1);
@@ -693,35 +712,43 @@ mod tests {
             .expect("op 1 completes");
         // An op that never completes (its poll looks for a tag that never
         // finishes) goes active on `stuck`; a second one is deferred
-        // behind it. The invoke is a barrier: commands are FIFO.
+        // behind it. An inspection of `client`, in the same unit, is a
+        // barrier: the unit's mail is FIFO. (One of `stuck` would wait
+        // behind the op that never completes.)
+        let started = Arc::new(Mutex::new(Vec::new()));
         for tag in [2, 3] {
+            let started = started.clone();
             cluster.submit(
                 stuck,
-                move |a: &mut OneAtATime, ctx| a.begin(tag, ctx),
+                move |a: &mut OneAtATime, ctx| {
+                    started.lock().unwrap().push(tag);
+                    a.begin(tag, ctx)
+                },
                 |a: &mut OneAtATime, _| a.take_finished(u64::MAX),
                 counting_done(&fired),
             );
         }
-        let begun = cluster.invoke(stuck, |a: &mut OneAtATime, _ctx| a.begun.clone());
-        assert_eq!(begun, vec![2], "the second op is deferred, not started");
+        let _ = cluster.try_invoke(client, |_a: &mut OneAtATime, _ctx| ());
+        let started = started.lock().unwrap().clone();
+        assert_eq!(started, [2], "the second op is deferred, not started");
         assert_eq!(*fired.lock().unwrap(), vec![Ok(1)]);
 
-        // Crash while active / while deferred: both hear NodeGone, once.
+        // Crash while active / while deferred: both hear Gone, once.
         cluster.crash(stuck);
         assert_eq!(
             cluster.try_invoke(stuck, |_a: &mut OneAtATime, _ctx| ()),
-            Err(InvokeError::Gone(NodeGone(stuck))),
+            Err(Gone(stuck)),
             "barrier: the crash was processed"
         );
         assert_eq!(
             *fired.lock().unwrap(),
-            vec![Ok(1), Err(NodeGone(stuck)), Err(NodeGone(stuck))]
+            vec![Ok(1), Err(Gone(stuck)), Err(Gone(stuck))]
         );
         // A submit to the crashed process completes immediately.
         submit_tagged(&cluster, stuck, 4, counting_done(&fired));
         let _ = cluster.try_invoke(stuck, |_a: &mut OneAtATime, _ctx| ());
         assert_eq!(fired.lock().unwrap().len(), 4);
-        assert_eq!(fired.lock().unwrap()[3], Err(NodeGone(stuck)));
+        assert_eq!(fired.lock().unwrap()[3], Err(Gone(stuck)));
 
         // Teardown with an op in flight: the drop completes it.
         cluster.submit(
@@ -733,7 +760,7 @@ mod tests {
         drop(cluster);
         let fired = fired.lock().unwrap();
         assert_eq!(fired.len(), 5, "each completion fired exactly once");
-        assert_eq!(fired[4], Err(NodeGone(client)));
+        assert_eq!(fired[4], Err(Gone(client)));
     }
 
     /// A push is followed by running it or by scheduling its unit, never
@@ -746,7 +773,6 @@ mod tests {
         use std::sync::Arc;
         let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), 2);
         let client = cluster.spawn(Box::new(OneAtATime::default()));
-        cluster.seal();
         let completed = Arc::new(AtomicU64::new(0));
         let start = std::sync::Barrier::new(2);
         let submitted: u64 = std::thread::scope(|scope| {
@@ -790,13 +816,12 @@ mod tests {
         let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), 1);
         let client = cluster.spawn(Box::new(OneAtATime::default()));
         let kicker = cluster.spawn(Box::new(OneAtATime::default()));
-        cluster.seal();
         let cluster = Arc::new(cluster);
-        settle(&cluster, client);
+        settle::<OneAtATime>(&cluster, client);
         let completed = Arc::new(Mutex::new(Vec::new()));
         let record = |completed: &Arc<Mutex<Vec<_>>>| {
             let completed = completed.clone();
-            move |result: Result<u64, NodeGone>| {
+            move |result: Result<u64, InvokeError>| {
                 let here = std::thread::current().id();
                 completed.lock().unwrap().push((result.unwrap(), here));
             }
@@ -834,8 +859,8 @@ mod tests {
         rx.recv_timeout(Duration::from_secs(5))
             .expect("no deadlock");
 
-        let begun = cluster.invoke(client, |a: &mut OneAtATime, _ctx| a.begun.clone());
-        assert_eq!(begun, [1, 2, 3], "op 3 overtook the deferred op 2");
+        let begun = cluster.try_invoke(client, |a: &mut OneAtATime, _ctx| a.begun.clone());
+        assert_eq!(begun, Ok(vec![1, 2, 3]), "op 3 overtook the deferred op 2");
         let completed = completed.lock().unwrap();
         let tags: Vec<u64> = completed.iter().map(|&(tag, _)| tag).collect();
         assert_eq!(tags, [1, 2, 3]);
@@ -854,7 +879,6 @@ mod tests {
         let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), 1);
         let victim = cluster.spawn(Box::new(OneAtATime::default()));
         let healthy = cluster.spawn(Box::new(OneAtATime::default()));
-        cluster.seal();
 
         cluster.submit(
             victim,
@@ -875,7 +899,7 @@ mod tests {
         );
         assert_eq!(
             *fired.lock().unwrap(),
-            vec![Err(NodeGone(victim)), Err(NodeGone(victim))]
+            vec![Err(Gone(victim)), Err(Gone(victim))]
         );
     }
 
@@ -884,7 +908,6 @@ mod tests {
     fn submit_on_unspawned_pid_panics() {
         let mut cluster: Cluster<u64> = Cluster::new(Box::new(NoDelay));
         let _ = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
-        cluster.seal();
         let _ = total_after(&cluster, ProcessId(99), 0);
     }
 
@@ -899,7 +922,6 @@ mod tests {
                 }))
             })
             .collect();
-        cluster.seal();
         let done = total_after(&cluster, counter, 32);
         for (i, e) in echoes.iter().enumerate() {
             cluster.send_external(counter, *e, i as u64);
@@ -929,7 +951,6 @@ mod tests {
                 })
                 .collect();
             let third = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
-            cluster.seal();
             let (a, b) = (pids[0], pids[workers]);
             cluster.send_external(a, b, 0);
 
@@ -940,7 +961,7 @@ mod tests {
                     assert!(started.elapsed() < Duration::from_secs(5), "no ping-pong");
                     std::thread::yield_now();
                 }
-                // An invoke gets in ...
+                // An inspection gets in ...
                 assert_eq!(seen(&cluster, third), 0);
                 // ... a crash takes effect (two barriers: one bounce may
                 // still be on its way to the survivor) ...
@@ -979,7 +1000,6 @@ mod tests {
             }))
         });
         let client = cluster.spawn(Box::new(OneAtATime::default()));
-        cluster.seal();
         cluster.send_external(a, b, 0);
 
         let (finished, watchdog) = sync_channel(1);
@@ -1034,7 +1054,6 @@ mod tests {
         for expected in [far, near] {
             assert_eq!(cluster.spawn(Box::new(Log(Vec::new()))), expected);
         }
-        cluster.seal();
         cluster.send_external(sender, sender, 1);
         for log in [far, near] {
             let (tx, rx) = sync_channel(1);
@@ -1056,7 +1075,6 @@ mod tests {
         let mut cluster: Cluster<u64> =
             Cluster::new(Box::new(FixedDelay(Duration::from_millis(30))));
         let counter = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
-        cluster.seal();
         cluster.send_external(counter, counter, 7);
         std::thread::sleep(Duration::from_millis(5));
         assert_eq!(seen(&cluster, counter), 0, "not yet due");
@@ -1076,9 +1094,8 @@ mod tests {
         let delay = Duration::from_millis(30);
         let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(FixedDelay(delay)), 1);
         let client = cluster.spawn(Box::new(OneAtATime::default()));
-        cluster.seal();
         // The worker is parked, without a deadline: no timer exists yet.
-        settle(&cluster, client);
+        settle::<OneAtATime>(&cluster, client);
 
         let (tx, rx) = sync_channel(1);
         let asked = std::time::Instant::now();
@@ -1111,7 +1128,6 @@ mod tests {
         }
         let mut cluster: Cluster<u64> = Cluster::new(Box::new(DropAll));
         let counter = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
-        cluster.seal();
         cluster.send_external(counter, counter, 1);
         std::thread::sleep(Duration::from_millis(30));
         assert_eq!(seen(&cluster, counter), 0);

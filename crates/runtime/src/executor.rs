@@ -20,8 +20,8 @@
 //! so every round of a READ and its completion happen before `submit`
 //! returns — no thread hand-off in, none out. If the lock is taken, or work
 //! is left after [`PASSES`] passes, the unit is scheduled on its worker.
-//! Invokes, crashes, external sends, cross-unit messages and due timers
-//! always go to the worker.
+//! Crashes, external sends, cross-unit messages and due timers always go
+//! to the worker.
 //!
 //! **A pass** ([`Pool::pass`], the one function both runners call) is
 //! *drain → run → flush*. The drain swaps the unit's mail out under the run
@@ -45,15 +45,15 @@
 //! **Fairness:** the mail is drained on every pass, a pass runs only the
 //! local deliveries queued before it began, and a runner gives a unit up
 //! after [`PASSES`] passes, so an endless in-unit ping-pong cannot starve a
-//! crash, an invoke, a submitted operation, another unit or shutdown — nor
-//! keep a submitter. A worker parks only when no unit of its is scheduled —
+//! crash, a submitted operation, another unit or shutdown — nor keep a
+//! submitter. A worker parks only when no unit of its is scheduled —
 //! indefinitely, or until the next timer deadline: an idle pool makes zero
 //! wakeups.
 //!
-//! External stimuli ([`crate::Cluster::send_external`], invokes, submits,
-//! crashes) always enter through the mail, so they are ordered among
-//! themselves per process but **not** against the in-unit deliveries a
-//! runner has queued locally.
+//! External stimuli ([`crate::Cluster::send_external`], submits, crashes)
+//! always enter through the mail, so they are ordered among themselves per
+//! process but **not** against the in-unit deliveries a runner has queued
+//! locally.
 
 use std::any::Any;
 use std::collections::{BTreeMap, VecDeque};
@@ -67,17 +67,15 @@ use vrr_sim::{Automaton, Context, ProcessId};
 use crate::link::{LinkAction, LinkPolicy};
 use crate::sharded::Sharded;
 
-/// A closure run against the concrete automaton by whoever runs its unit.
-pub(crate) type InvokeFn<M> = Box<dyn FnOnce(&mut dyn Any, &mut Context<'_, M>) + Send>;
-
 /// One client operation on one automaton, type-erased for the mail
 /// (built by [`crate::Cluster::submit`]). The implementor owns the
 /// completion callback and fires it exactly once: from `poll` with the
-/// outcome, or from its `Drop` with `NodeGone` when the process is crashed,
-/// poisoned or torn down before the operation completes.
+/// outcome or a type mismatch, or from its `Drop` with `Gone` when the
+/// process is crashed, poisoned or torn down before the operation completes.
 pub(crate) trait ClientOp<M>: Send {
     /// Invokes the operation on the automaton (the paper's invocation
-    /// event); its sends go through `ctx`.
+    /// event); its sends go through `ctx`. An automaton of the wrong type
+    /// runs nothing: the operation completes there and then.
     fn start(&mut self, automaton: &mut dyn Any, ctx: &mut Context<'_, M>);
     /// Checks for the outcome; on completion fires the callback (the
     /// response event) and returns `true`.
@@ -96,13 +94,10 @@ pub(crate) enum NodeCmd<M> {
         /// Payload.
         msg: M,
     },
-    /// Run a closure against the automaton.
-    Invoke(InvokeFn<M>),
     /// Run a client operation to completion: start it now if the process
     /// is idle, else after the operations submitted before it.
     Op(Box<dyn ClientOp<M>>),
-    /// Stop processing: deliveries are skipped, invokes and operations
-    /// answer `NodeGone`.
+    /// Stop processing: deliveries are skipped, operations answer `Gone`.
     Crash,
 }
 
@@ -162,7 +157,7 @@ impl Placement {
 }
 
 /// A command that reaches a unit through its worker — a message that left
-/// its sender's unit, an invoke, a crash: for `to`'s mail now, or for the
+/// its sender's unit, a crash: for `to`'s mail now, or for the
 /// worker's timer heap until `due`.
 struct Routed<M> {
     to: Addr,
@@ -286,8 +281,8 @@ pub struct ExecutorStats {
     pub sweeps: u64,
     /// Times any worker woke from its condvar (including timer deadlines).
     pub wakeups: u64,
-    /// Total commands processed (deliveries, invokes, operations,
-    /// crashes), whichever thread ran them.
+    /// Total commands processed (deliveries, operations — inspections
+    /// included — and crashes), whichever thread ran them.
     pub commands: u64,
 }
 
@@ -305,7 +300,7 @@ struct Cell<M> {
 
 impl<M> Cell<M> {
     /// Stops processing: the active and deferred operations are dropped,
-    /// which completes each of them with `NodeGone`.
+    /// which completes each of them with `Gone`.
     fn crash(&mut self) {
         self.crashed = true;
         self.active = None;
@@ -424,9 +419,9 @@ impl<M: Send + 'static> Executor<M> {
         pid
     }
 
-    /// Mails a control command (invoke/crash) to `pid`, for its worker.
-    pub(crate) fn enqueue(&self, pid: ProcessId, cmd: NodeCmd<M>) {
-        let (to, due) = (self.place.locate(pid), None);
+    /// Mails a crash to `pid`, for its worker.
+    pub(crate) fn crash(&self, pid: ProcessId) {
+        let (to, due, cmd) = (self.place.locate(pid), None, NodeCmd::Crash);
         self.pool.hand(Routed { to, due, cmd });
     }
 
@@ -599,11 +594,11 @@ impl<M: Send + 'static> Pool<M> {
         for (at, cmd) in batch.drain(..).chain(local_cmds) {
             let pid = unit.place.pid(Addr { at, ..unit.home });
             commands += 1;
-            // A panic in automaton/invoke/operation code must not take the
+            // A panic in automaton or operation code must not take the
             // runner down: on a worker every other unit would silently
             // freeze, on a submitter it would unwind into the caller.
             // Contain it to the offending process: poison it like a crash
-            // (deliveries skipped, invokes and operations answer NodeGone).
+            // (deliveries skipped, operations answer `Gone`).
             let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 step(pid, at, cells, cmd, step_outbox);
             }));
@@ -707,20 +702,9 @@ fn step<M: Send + 'static>(
             }
             after_step(pid, cell, outbox);
         }
-        NodeCmd::Invoke(f) => {
-            let Some(cell) = live(cells, at) else {
-                return; // reply channel drops; the caller sees NodeGone
-            };
-            {
-                let mut ctx = Context::new(pid, outbox);
-                let any: &mut dyn Any = &mut *cell.automaton;
-                f(any, &mut ctx);
-            }
-            after_step(pid, cell, outbox);
-        }
         NodeCmd::Op(op) => {
             let Some(cell) = live(cells, at) else {
-                return; // dropping the operation completes it with NodeGone
+                return; // dropping the operation completes it with `Gone`
             };
             cell.deferred.push_back(op);
             if cell.active.is_none() {

@@ -11,14 +11,15 @@
 //! Operations are completion-driven ([`RegisterHost::write_with`] /
 //! [`RegisterHost::read_with`]: one [`Cluster::submit`] command each); the
 //! blocking [`RegisterHost::write`] / [`RegisterHost::read`] wait on a
-//! one-shot slot for the same completion. Inspection follows one rule, the
+//! one-shot slot for the same completion. Inspection is submissions too,
+//! one per object, gathered by completion, and follows one rule, the
 //! simulator's: ask every process, skip what is gone or is not the automaton
 //! asked for — so crashed processes, Byzantine substitutes and relays are
 //! looked past, never poisoned.
 
+use std::ops::Range;
 use std::sync::Arc;
-use std::thread::Thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -32,14 +33,8 @@ use vrr_core::{
     StorageConfig, Value, WriteReport, Writer,
 };
 
-use crate::cluster::{Cluster, NodeGone};
+use crate::cluster::{op_slot, Cluster, InvokeError};
 use crate::sharded::{Padded, Sharded};
-
-/// How long an operation may take before the cluster is declared wedged.
-/// Generous: operations take milliseconds even under delay policies. The
-/// blocking shims panic past it; a completion-driven caller (`vrr-net`'s
-/// node) answers a typed error past it instead.
-pub const OP_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Rounds and latency histograms of one kind of operation (the host's
 /// READs, or its WRITEs) under their canonical `vrr_*` names, resolved once,
@@ -86,13 +81,13 @@ impl OpMeter {
     }
 
     /// Starts the clock of an operation: the returned completion records
-    /// its latency and lets `record` read the report (a [`NodeGone`]
+    /// its latency and lets `record` read the report (an [`InvokeError`]
     /// records nothing), then calls `done`.
     fn timed<R: 'static>(
         &self,
         record: impl FnOnce(&R, &mut Recorded) + Send + 'static,
-        done: impl FnOnce(Result<R, NodeGone>) + Send + 'static,
-    ) -> impl FnOnce(Result<R, NodeGone>) + Send + 'static {
+        done: impl FnOnce(Result<R, InvokeError>) + Send + 'static,
+    ) -> impl FnOnce(Result<R, InvokeError>) + Send + 'static {
         let recorded = Arc::clone(self.recorded.mine());
         let started = Instant::now();
         move |result| {
@@ -113,63 +108,6 @@ impl OpMeter {
             reg.observe_all(self.names[1], &[], &recorded.latency);
             metrics::record_fast_path(reg, &recorded.fast);
         }
-    }
-}
-
-/// Where a blocking caller's operation completes: the outcome, once the
-/// completion from [`op_slot`] stores it, and the caller it unparks.
-struct OpSlot<R> {
-    outcome: Mutex<Option<Result<R, NodeGone>>>,
-    caller: Thread,
-}
-
-/// A completion callback for [`RegisterHost::write_with`] /
-/// [`RegisterHost::read_with`] paired with the slot it fills — how every
-/// blocking read and write in the workspace waits. The completion usually
-/// fires inside `submit`, on the caller's own thread, so the caller finds
-/// the slot full and never parks.
-fn op_slot<R: Send + 'static>() -> (
-    impl FnOnce(Result<R, NodeGone>) + Send + 'static,
-    Arc<OpSlot<R>>,
-) {
-    let slot = Arc::new(OpSlot {
-        outcome: Mutex::new(None),
-        caller: std::thread::current(),
-    });
-    let filled = Arc::clone(&slot);
-    let done = move |result| {
-        *filled.outcome.lock() = Some(result);
-        filled.caller.unpark();
-    };
-    (done, slot)
-}
-
-impl<R> OpSlot<R> {
-    /// Blocks the caller for the operation's outcome.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operation does not complete within [`OP_TIMEOUT`] —
-    /// with at most `t` faulty objects that is a wait-freedom violation —
-    /// or its client process is crashed or gone.
-    fn wait(&self) -> R {
-        let mut deadline = None;
-        let outcome = loop {
-            if let Some(outcome) = self.outcome.lock().take() {
-                break outcome;
-            }
-            // The clock is read only by a caller that has to park.
-            let deadline = *deadline.get_or_insert_with(|| Instant::now() + OP_TIMEOUT);
-            let left = deadline.saturating_duration_since(Instant::now());
-            assert!(
-                !left.is_zero(),
-                "operation must complete (wait-freedom): Timeout"
-            );
-            // Returns on `unpark`, at the deadline or spuriously: the slot
-            // is looked at again either way.
-            std::thread::park_timeout(left);
-        };
-        outcome.unwrap_or_else(|gone| panic!("operation failed: {gone}"))
     }
 }
 
@@ -204,9 +142,9 @@ pub struct RegisterHost<V: Value> {
 }
 
 impl<V: Value> RegisterHost<V> {
-    /// Spawns `slots` register groups running `spec` onto the (empty,
-    /// unsealed) `cluster`, slot by slot in the canonical member order, and
-    /// seals it — so the member at position `p` of slot `s` gets process id
+    /// Spawns `slots` register groups running `spec` onto the (empty)
+    /// `cluster`, slot by slot in the canonical member order — so the
+    /// member at position `p` of slot `s` gets process id
     /// `s * group_span(cfg) + p` on every host started from the same
     /// arguments.
     ///
@@ -246,7 +184,6 @@ impl<V: Value> RegisterHost<V> {
                 )
             })
             .collect();
-        cluster.seal();
         RegisterHost {
             cluster,
             cfg,
@@ -278,8 +215,8 @@ impl<V: Value> RegisterHost<V> {
     }
 
     /// Starts `WRITE(value)` on slot `slot` and returns without waiting;
-    /// `done` fires with the report, or with [`NodeGone`] if the slot's
-    /// writer is crashed — on this thread before the call returns if the
+    /// `done` fires with the report, or with [`InvokeError::Gone`] if the
+    /// slot's writer is crashed — on this thread before the call returns if the
     /// slot is idle, else on a worker (see [`Cluster::submit`] for the full
     /// contract: hold no lock across this call that `done` takes).
     ///
@@ -290,7 +227,7 @@ impl<V: Value> RegisterHost<V> {
         &self,
         slot: usize,
         value: V,
-        done: impl FnOnce(Result<WriteReport, NodeGone>) + Send + 'static,
+        done: impl FnOnce(Result<WriteReport, InvokeError>) + Send + 'static,
     ) {
         self.cluster.submit(
             self.groups[slot].writer,
@@ -306,8 +243,8 @@ impl<V: Value> RegisterHost<V> {
     }
 
     /// Starts `READ()` at reader `j` of slot `slot` and returns without
-    /// waiting; `done` fires with the report, or with [`NodeGone`] if that
-    /// reader is crashed — where [`Cluster::submit`] says: on this thread
+    /// waiting; `done` fires with the report, or with [`InvokeError::Gone`]
+    /// if that reader is crashed — where [`Cluster::submit`] says: on this thread
     /// if the slot is idle.
     ///
     /// # Panics
@@ -317,7 +254,7 @@ impl<V: Value> RegisterHost<V> {
         &self,
         slot: usize,
         j: usize,
-        done: impl FnOnce(Result<ReadReport<V>, NodeGone>) + Send + 'static,
+        done: impl FnOnce(Result<ReadReport<V>, InvokeError>) + Send + 'static,
     ) {
         let reader = self.groups[slot].readers[j];
         let done = self.reads.timed(
@@ -349,25 +286,29 @@ impl<V: Value> RegisterHost<V> {
     ///
     /// # Panics
     ///
-    /// Panics if `slot` is out of range, or the write does not complete
-    /// within [`OP_TIMEOUT`] — with at most `t` faulty objects that is a
-    /// wait-freedom violation.
+    /// Panics if `slot` is out of range, the writer is crashed, or the
+    /// write does not complete within [`crate::OP_TIMEOUT`] — with at most
+    /// `t` faulty objects that is a wait-freedom violation.
     pub fn write(&self, slot: usize, value: V) -> WriteReport {
         let (done, pending) = op_slot();
         self.write_with(slot, value, done);
-        pending.wait()
+        pending
+            .wait()
+            .unwrap_or_else(|e| panic!("operation failed: {e}"))
     }
 
     /// Blocking `READ()` at reader `j` of slot `slot`.
     ///
     /// # Panics
     ///
-    /// Panics if `slot` or `j` is out of range, or the read does not
-    /// complete within [`OP_TIMEOUT`].
+    /// Panics if `slot` or `j` is out of range, the reader is crashed, or
+    /// the read does not complete within [`crate::OP_TIMEOUT`].
     pub fn read(&self, slot: usize, j: usize) -> ReadReport<V> {
         let (done, pending) = op_slot();
         self.read_with(slot, j, done);
-        pending.wait()
+        pending
+            .wait()
+            .unwrap_or_else(|e| panic!("operation failed: {e}"))
     }
 
     /// Crashes object `i` of slot `slot` (fault injection).
@@ -389,18 +330,39 @@ impl<V: Value> RegisterHost<V> {
     ///
     /// Panics if `slot` is out of range.
     pub fn history_lens(&self, slot: usize) -> Vec<(usize, usize)> {
+        let (done, pending) = op_slot();
+        self.history_lens_with(slot..slot + 1, move |mut lens| done(Ok(lens.remove(0))));
+        pending.wait().expect("a fan-in completes with its pieces")
+    }
+
+    /// [`RegisterHost::history_lens`] of every slot in `slots`, by
+    /// completion: one submission per object — answered by the object, or
+    /// skipped as `WrongType` or `Gone` — and `done` once the last has
+    /// completed, by whichever thread lets go of the fan-in last. An object
+    /// runs no operation, so no inspection waits behind one.
+    fn history_lens_with(
+        &self,
+        slots: Range<usize>,
+        done: impl FnOnce(Vec<Vec<(usize, usize)>>) + Send + 'static,
+    ) {
+        let groups = &self.groups[slots];
+        let fan_in = Arc::new(FanIn {
+            found: Mutex::new(vec![None; groups.len() * self.cfg.s]),
+            s: self.cfg.s,
+            done: Mutex::new(Some(done)),
+        });
         if self.kind == ProtocolKind::Safe {
-            return Vec::new(); // no object to find: spare S blocking invokes
+            return; // no object keeps a history: `done` gets empty slots
         }
-        let objects = self.groups[slot].objects.iter().enumerate();
-        objects
-            .filter_map(|(i, &pid)| {
-                let len = self
-                    .cluster
-                    .try_invoke(pid, |o: &mut RegularObject<V>, _ctx| o.history().len());
-                len.ok().map(|len| (i, len))
-            })
-            .collect()
+        for (at, &pid) in groups.iter().flat_map(|g| &g.objects).enumerate() {
+            let fan_in = Arc::clone(&fan_in);
+            self.cluster.submit(
+                pid,
+                |o: &mut RegularObject<V>, _ctx| o.history().len(),
+                |_: &mut RegularObject<V>, &len| Some(len),
+                move |len: Result<usize, InvokeError>| fan_in.found.lock()[at] = len.ok(),
+            );
+        }
     }
 
     /// The rounds/latency histograms of the operations this host completed
@@ -429,18 +391,57 @@ impl<V: Value> RegisterHost<V> {
     /// clusters merge without colliding. Encode with
     /// [`vrr_core::metrics::Registry::to_prometheus`].
     pub fn metrics_snapshot_labelled(&self, cluster: Option<usize>) -> Registry {
+        let (done, pending) = op_slot();
+        self.metrics_snapshot_with(cluster, move |reg| done(Ok(reg)));
+        pending.wait().expect("a fan-in completes with its pieces")
+    }
+
+    /// [`RegisterHost::metrics_snapshot_labelled`] by completion: the
+    /// operation half is taken now, the history gauges are added as the
+    /// objects' inspections complete, and `done` gets the registry from
+    /// the last of them — on this thread, before the call returns, if every
+    /// group is idle. `done` must neither block nor panic.
+    pub fn metrics_snapshot_with(
+        &self,
+        cluster: Option<usize>,
+        done: impl FnOnce(Registry) + Send + 'static,
+    ) {
         let mut reg = self.op_metrics();
-        for slot in 0..self.groups.len() {
-            let lens = self.history_lens(slot);
-            metrics::record_history_lens(&mut reg, cluster, Some(slot), &lens);
+        self.history_lens_with(0..self.groups.len(), move |lens| {
+            for (slot, lens) in lens.iter().enumerate() {
+                metrics::record_history_lens(&mut reg, cluster, Some(slot), lens);
+            }
+            done(reg);
+        });
+    }
+}
+
+/// What the inspections of [`RegisterHost::history_lens_with`] found,
+/// object by object, slot after slot; dropped by the last of them, which
+/// hands `done` the lengths found, slot by slot.
+struct FanIn<D: FnOnce(Vec<Vec<(usize, usize)>>)> {
+    found: Mutex<Vec<Option<usize>>>,
+    /// Objects per slot.
+    s: usize,
+    done: Mutex<Option<D>>,
+}
+
+impl<D: FnOnce(Vec<Vec<(usize, usize)>>)> Drop for FanIn<D> {
+    fn drop(&mut self) {
+        let found = self.found.get_mut().chunks(self.s).map(|slot| {
+            let slot = slot.iter().enumerate();
+            slot.filter_map(|(i, len)| Some((i, (*len)?))).collect()
+        });
+        if let Some(done) = self.done.get_mut().take() {
+            done(found.collect());
         }
-        reg
     }
 }
 
 #[cfg(test)]
 mod tests {
     use std::sync::mpsc::sync_channel;
+    use std::time::Duration;
 
     use vrr_core::attackers::AttackerKind;
     use vrr_core::regular::HistoryRetention;
@@ -450,6 +451,7 @@ mod tests {
 
     use super::*;
     use crate::link::{LinkAction, LinkPolicy, NoDelay};
+    use crate::OP_TIMEOUT;
 
     fn host_with(
         cfg: StorageConfig,
@@ -524,36 +526,55 @@ mod tests {
         let (cluster, len) = (host.cluster(), host.cluster().len());
         let strays = [len, len + group_span(cfg), usize::MAX / 2].map(ProcessId);
         let msg = || Msg::WAck { ts: Timestamp(1) };
-        // From inside every worker (local queue and cross-worker flush) and
-        // from outside.
+        // From inside every group's runner (local queue and cross-worker
+        // flush) and from outside.
         for pid in (0..len).map(ProcessId) {
-            cluster.invoke(pid, move |_: &mut Spy, ctx| {
+            let sent = cluster.try_invoke(pid, move |_: &mut Spy, ctx| {
                 strays.iter().for_each(|&to| ctx.send(to, msg()));
             });
+            assert_eq!(sent, Ok(()));
         }
         strays
             .iter()
             .for_each(|&to| cluster.send_external(ProcessId(0), to, msg()));
         // Two passes: the second is queued behind whatever the flushes that
         // followed the first could have delivered.
-        let seen: Vec<u32> = (0..2 * len)
-            .map(|p| cluster.invoke(ProcessId(p % len), |spy: &mut Spy, _ctx| spy.0))
+        let seen: Vec<_> = (0..2 * len)
+            .map(|p| cluster.try_invoke(ProcessId(p % len), |spy: &mut Spy, _ctx| spy.0))
             .collect();
-        assert_eq!(seen, vec![0; 2 * len]);
+        assert_eq!(seen, vec![Ok(0); 2 * len]);
     }
 
     /// The worker thread `pid` lives on, or `None` if its automaton is not
-    /// an honest member of a regular group. (Inspection is a command for
-    /// the worker: only a `submit` makes its caller run a group.)
+    /// an honest member of a regular group. A submission may run on the
+    /// calling thread, so the probe completes at the first step after its
+    /// start: the delivery of a message no member acts on, which only the
+    /// group's worker makes.
     fn worker_of(host: &RegisterHost<u64>, pid: ProcessId) -> Option<String> {
-        fn here<A>(_: &mut A, _: &mut Context<'_, Msg<u64>>) -> Option<String> {
-            std::thread::current().name().map(str::to_owned)
+        fn probe<A: Automaton<Msg<u64>>>(
+            cluster: &Cluster<Msg<u64>>,
+            pid: ProcessId,
+        ) -> Result<Option<String>, InvokeError> {
+            let (tx, rx) = sync_channel(1);
+            let mut polls = 0;
+            cluster.submit(
+                pid,
+                |_: &mut A, _ctx| (),
+                move |_: &mut A, ()| {
+                    polls += 1;
+                    (polls > 1).then(|| std::thread::current().name().map(str::to_owned))
+                },
+                move |found| {
+                    let _ = tx.send(found);
+                },
+            );
+            cluster.send_external(pid, pid, Msg::WAck { ts: Timestamp(0) });
+            rx.recv_timeout(OP_TIMEOUT).expect("the probe completes")
         }
         let cluster = host.cluster();
-        cluster
-            .try_invoke(pid, here::<RegularObject<u64>>)
-            .or_else(|_| cluster.try_invoke(pid, here::<Writer<u64>>))
-            .or_else(|_| cluster.try_invoke(pid, here::<RegularReader<u64>>))
+        probe::<RegularObject<u64>>(cluster, pid)
+            .or_else(|_| probe::<Writer<u64>>(cluster, pid))
+            .or_else(|_| probe::<RegularReader<u64>>(cluster, pid))
             .ok()
             .flatten()
     }
@@ -871,7 +892,8 @@ mod tests {
             }
             let len = host
                 .cluster()
-                .invoke(pid, |o: &mut RegularObject<u64>, _ctx| o.history().len());
+                .try_invoke(pid, |o: &mut RegularObject<u64>, _ctx| o.history().len())
+                .expect("an honest live object");
             assert_eq!(gauge, Some(len as u64), "object {i}");
         }
         // Looked past, not poisoned: the slot still absorbs the liar as a

@@ -13,15 +13,16 @@
 //! messages park in the home worker's timer heap, so an idle cluster
 //! blocks on condvars — zero wakeups — instead of polling.
 //!
-//! A client operation is one mailed command ([`Cluster::submit`]): its
-//! runner invokes it, polls for the outcome after each step of that
-//! automaton, and fires the caller's completion — an invocation event,
+//! A client operation is one mailed command ([`Cluster::submit`], the one
+//! command that runs code against an automaton): its runner checks the
+//! automaton's type, invokes it, polls for the outcome after each step of
+//! that automaton, and fires the caller's completion — an invocation event,
 //! message deliveries and a response event, never a parked thread. The
 //! runner is the **submitting thread** whenever the group is idle, so a
 //! READ's rounds finish inside `submit` with no thread hand-off at all;
 //! the group's home worker is the fallback (see [`Cluster::submit`] for
 //! where the completion runs). A process runs one operation at a time, in
-//! submission order.
+//! submission order; an inspection is an operation that answers at once.
 //!
 //! **One host, three views.** A [`RegisterHost`] owns a cluster, `slots`
 //! register groups (each with its own writer, base objects and readers)
@@ -31,8 +32,9 @@
 //! blocking [`RegisterHost::read`] / [`RegisterHost::write`] waiting on
 //! the same completion) or inspects histories and fast-path counters —
 //! by one rule: ask every process, skip what is gone or is not the
-//! automaton asked for ([`Cluster::try_invoke`] reports a type mismatch
-//! without running anything). Everything else is a view of it:
+//! automaton asked for (a submission reports a type mismatch as
+//! [`InvokeError::WrongType`] without running anything). Everything else
+//! is a view of it:
 //! [`StorageCluster`], the paper's single register, is slot 0 of a
 //! one-slot host; [`ShardedStore`] is a key→slot index over a
 //! `capacity`-slot host, giving key-value workloads true multi-key
@@ -89,9 +91,9 @@ mod sharded;
 mod storage;
 
 pub use backend::ClusterBackend;
-pub use cluster::{Cluster, InvokeError, NodeGone};
+pub use cluster::{Cluster, InvokeError, OP_TIMEOUT};
 pub use executor::ExecutorStats;
-pub use host::{RegisterHost, OP_TIMEOUT};
+pub use host::RegisterHost;
 pub use link::{FixedDelay, LinkAction, LinkPolicy, NoDelay};
 pub use ring::{stable_hash_64, RingTable, StableHasher};
 pub use scaleout::{RouterConfig, StoreRouter};

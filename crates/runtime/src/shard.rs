@@ -25,7 +25,7 @@ use vrr_core::{
 };
 
 use crate::backend::ClusterBackend;
-use crate::cluster::{Cluster, NodeGone};
+use crate::cluster::{Cluster, InvokeError};
 use crate::host::RegisterHost;
 use crate::link::LinkPolicy;
 
@@ -85,7 +85,7 @@ struct KeyIndex<K> {
 /// # Capacity contract
 ///
 /// Shards are provisioned up front (`capacity`) and bound to keys on first
-/// write, so the id space stays dense and the cluster can seal. `capacity`
+/// write, so the id space is fixed once the store is deployed. `capacity`
 /// bounds the number of **bindings ever made**, not the number of live
 /// keys: [`release`](ClusterBackend::release) retires a binding's shard
 /// rather than recycling it, because handing a register that already holds
@@ -212,15 +212,15 @@ impl<K: Eq + Hash + Clone + Send + Sync, V: Value> ShardedStore<K, V> {
     }
 
     /// Starts `WRITE(key, value)` and returns without waiting; `done`
-    /// fires with the report (or [`NodeGone`] if the shard's writer is
-    /// crashed) where [`Cluster::submit`] says — on this thread, before the
-    /// call returns, if the shard is idle. Capacity exhaustion is reported
+    /// fires with the report (or [`InvokeError::Gone`] if the shard's
+    /// writer is crashed) where [`Cluster::submit`] says — on this thread,
+    /// before the call returns, if the shard is idle. Capacity exhaustion is reported
     /// here, as `Err`, and `done` is then never called.
     pub fn try_write_with(
         &self,
         key: K,
         value: V,
-        done: impl FnOnce(Result<WriteReport, NodeGone>) + Send + 'static,
+        done: impl FnOnce(Result<WriteReport, InvokeError>) + Send + 'static,
     ) -> Result<(), StoreError> {
         self.host.write_with(self.bind(key)?, value, done);
         Ok(())
@@ -252,8 +252,8 @@ impl<K: Eq + Hash + Clone + Send + Sync, V: Value> ShardedStore<K, V> {
 
     /// Starts `READ(key)` at reader index `j` of the key's shard and
     /// returns without waiting; `done` fires with the report (or
-    /// [`NodeGone`] if that reader is crashed) where [`Cluster::submit`]
-    /// says — on this thread if the shard is idle. Returns `false` — and
+    /// [`InvokeError::Gone`] if that reader is crashed) where
+    /// [`Cluster::submit`] says — on this thread if the shard is idle. Returns `false` — and
     /// never calls `done` — if `key` is not bound.
     ///
     /// # Panics
@@ -263,7 +263,7 @@ impl<K: Eq + Hash + Clone + Send + Sync, V: Value> ShardedStore<K, V> {
         &self,
         key: &K,
         j: usize,
-        done: impl FnOnce(Result<ReadReport<V>, NodeGone>) + Send + 'static,
+        done: impl FnOnce(Result<ReadReport<V>, InvokeError>) + Send + 'static,
     ) -> bool {
         let Some(slot) = self.shard_of(key) else {
             return false;

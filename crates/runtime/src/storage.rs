@@ -195,24 +195,25 @@ mod tests {
     }
 
     /// Drains every message a finished READ may still have in flight, then
-    /// returns the counters. Two no-op invokes per object: the first is
+    /// returns the counters. Two no-op inspections per object: the first is
     /// queued behind the READ messages the object already holds, the second
-    /// runs in a later sweep — after the sweep that answered them flushed
-    /// its replies — and the invoke on the reader queues behind those.
-    /// Always the same number of commands, so differences stay exact. (A
-    /// worker publishes a sweep's command count after the sweep, i.e. after
-    /// the last invoke already returned: wait for the counter to stand.)
+    /// runs in a later pass — after the pass that answered them flushed its
+    /// replies — and the inspection of the reader queues behind those. Each
+    /// is one operation command, whichever thread runs it: always the same
+    /// number of commands, so differences stay exact. (A runner publishes a
+    /// pass's command count after the pass, i.e. possibly after the last
+    /// inspection already returned: wait for the counter to stand.)
     fn settled_stats(storage: &StorageCluster<u64>) -> ExecutorStats {
         let cluster = storage.cluster();
+        let reader = storage.host.groups()[0].readers[0];
         for _ in 0..2 {
             for &object in storage.objects() {
-                cluster.invoke(object, |_o: &mut RegularObject<u64>, _ctx| ());
+                let ran = cluster.try_invoke(object, |_o: &mut RegularObject<u64>, _ctx| ());
+                assert_eq!(ran, Ok(()));
             }
         }
-        cluster.invoke(
-            storage.host.groups()[0].readers[0],
-            |_r: &mut RegularReader<u64>, _ctx| (),
-        );
+        let ran = cluster.try_invoke(reader, |_r: &mut RegularReader<u64>, _ctx| ());
+        assert_eq!(ran, Ok(()));
         let mut last = cluster.stats();
         loop {
             std::thread::sleep(Duration::from_millis(10));
@@ -296,20 +297,25 @@ mod tests {
                 assert_eq!(storage.read(0).value, Some(k));
             }
             let cluster = storage.cluster();
-            let written = cluster.invoke(
+            let written = cluster.try_invoke(
                 storage.host.groups()[0].writer,
                 |w: &mut Writer<u64>, _ctx| w.retained_outcomes(),
             );
             let reader = storage.host.groups()[0].readers[0];
             let read = match kind {
-                ProtocolKind::Safe => cluster.invoke(reader, |r: &mut SafeReader<u64>, _ctx| {
-                    r.retained_outcomes()
-                }),
-                _ => cluster.invoke(reader, |r: &mut RegularReader<u64>, _ctx| {
+                ProtocolKind::Safe => cluster
+                    .try_invoke(reader, |r: &mut SafeReader<u64>, _ctx| {
+                        r.retained_outcomes()
+                    }),
+                _ => cluster.try_invoke(reader, |r: &mut RegularReader<u64>, _ctx| {
                     r.retained_outcomes()
                 }),
             };
-            assert_eq!((written, read), (0, 0), "{kind:?} after 10 000 operations");
+            assert_eq!(
+                (written, read),
+                (Ok(0), Ok(0)),
+                "{kind:?} after 10 000 operations"
+            );
         }
     }
 
@@ -323,8 +329,8 @@ mod tests {
         let before = settled_stats(&storage);
         assert_eq!(storage.read(0).value, Some(1));
         let after = settled_stats(&storage);
-        // What `settled_stats` itself enqueues: two invokes per object, one
-        // on the reader.
+        // What `settled_stats` itself submits: two inspections per object,
+        // one of the reader.
         let settling = 2 * cfg.s as u64 + 1;
         assert_eq!(
             after.commands - before.commands - settling,

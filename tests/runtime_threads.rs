@@ -9,8 +9,8 @@ use std::time::{Duration, Instant};
 use vrr::core::attackers::AttackerKind;
 use vrr::core::StorageConfig;
 use vrr::runtime::{
-    Cluster, ClusterBackend, FixedDelay, InvokeError, NoDelay, NodeGone, ProtocolKind,
-    ShardedStore, StorageCluster,
+    Cluster, ClusterBackend, FixedDelay, InvokeError, NoDelay, ProtocolKind, ShardedStore,
+    StorageCluster,
 };
 use vrr::sim::{from_fn, Automaton, Context, ProcessId};
 
@@ -105,7 +105,6 @@ fn worker_pool_stress_512_processes_100k_messages() {
             },
         ));
     }
-    cluster.seal();
     assert_eq!(cluster.len(), N);
     assert_eq!(cluster.workers(), 4);
 
@@ -152,7 +151,6 @@ fn idle_cluster_makes_zero_spurious_wakeups() {
             ctx.send(from, n - 1);
         }
     }));
-    cluster.seal();
     // Do a little real work, then let the pool go quiescent.
     cluster.send_external(a, b, 8);
     std::thread::sleep(Duration::from_millis(150));
@@ -171,8 +169,7 @@ fn idle_cluster_makes_zero_spurious_wakeups() {
     assert_eq!(after.sweeps, before.sweeps, "and must not sweep");
 }
 
-/// `try_invoke` surfaces a crashed node as `Err(Gone(NodeGone))`; `invoke` keeps
-/// the panicking contract for infrastructure errors.
+/// `try_invoke` surfaces a crashed node as `Err(Gone)`.
 #[test]
 fn try_invoke_distinguishes_live_and_crashed_nodes() {
     let cfg = StorageConfig::optimal(1, 1, 1);
@@ -181,7 +178,7 @@ fn try_invoke_distinguishes_live_and_crashed_nodes() {
     storage.write(3);
     let object = storage.objects()[0];
 
-    // Live: try_invoke behaves exactly like invoke.
+    // Live: the closure runs and its result comes back.
     let label = storage
         .cluster()
         .try_invoke(
@@ -191,13 +188,13 @@ fn try_invoke_distinguishes_live_and_crashed_nodes() {
         .expect("live object executes");
     assert_eq!(label, "regular-object");
 
-    // Crashed: the closure is dropped and the caller gets NodeGone.
+    // Crashed: the closure is dropped and the caller gets Gone.
     storage.crash_object(0);
     let gone = storage.cluster().try_invoke(
         object,
         |o: &mut vrr::core::regular::RegularObject<u64>, _ctx| o.label(),
     );
-    assert_eq!(gone, Err(InvokeError::Gone(NodeGone(object))));
+    assert_eq!(gone, Err(InvokeError::Gone(object)));
 
     // The protocol still works around the crash (within budget t = 1).
     storage.write(4);
