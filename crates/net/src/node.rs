@@ -82,8 +82,7 @@ use vrr_core::{
     Value, WriteReport,
 };
 use vrr_runtime::{
-    Cluster, ClusterBackend, InvokeError, NoDelay, RegisterHost, ShardedStore, StoreError,
-    OP_TIMEOUT,
+    Cluster, ClusterBackend, InvokeError, RegisterHost, ShardedStore, StoreError, OP_TIMEOUT,
 };
 use vrr_sim::{Automaton, Context, ProcessId};
 
@@ -287,7 +286,7 @@ impl<V: Value + Wire> NetNode<V> {
 
         let span = group_span(ncfg.cfg);
         let host = RegisterHost::spawn(
-            Cluster::new(Box::new(NoDelay)),
+            Cluster::new(),
             ncfg.cfg,
             ncfg.spec,
             topo.slots,

@@ -34,7 +34,7 @@ use vrr_net::{
     free_addrs, Ctl, FrameReader, NetClient, Op, RemoteCluster, RemoteClusterConfig, RetryPolicy,
     Rsp, ServerProcess,
 };
-use vrr_runtime::{ClusterBackend, NoDelay, ProtocolKind, RouterConfig, ShardedStore, StoreRouter};
+use vrr_runtime::{ClusterBackend, ProtocolKind, RouterConfig, ShardedStore, StoreRouter};
 use vrr_workload::live::{Drill, FORGED};
 
 /// Distinct keys in the drill.
@@ -103,7 +103,6 @@ fn router_over(remotes: Vec<Arc<dyn ClusterBackend<u64, u64>>>) -> StoreRouter<u
         None => Arc::new(ShardedStore::deploy(
             cfg,
             ProtocolKind::RegularOptimized,
-            Box::new(NoDelay),
             CAPACITY,
         )),
     })

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use vrr_core::metrics::{names, Histogram, Registry};
 use vrr_core::StorageConfig;
 use vrr_net::{Op, RemoteCluster, RemoteClusterConfig, RetryPolicy, Rsp};
-use vrr_runtime::{ClusterBackend, NoDelay, ProtocolKind, RouterConfig, ShardedStore, StoreRouter};
+use vrr_runtime::{ClusterBackend, ProtocolKind, RouterConfig, ShardedStore, StoreRouter};
 
 mod common;
 
@@ -40,7 +40,7 @@ fn answer(op: Op<u64>) -> Rsp<u64> {
 fn a_forged_snapshot_is_skipped_series_by_series_and_the_router_stands() {
     let cfg = StorageConfig::optimal(1, 1, 1);
     let kind = ProtocolKind::RegularOptimized;
-    let honest = Arc::new(ShardedStore::deploy(cfg, kind, Box::new(NoDelay), 2));
+    let honest = Arc::new(ShardedStore::deploy(cfg, kind, 2));
     honest.write(1u64, 10u64);
     assert_eq!(honest.read(&1, 0).expect("bound").value, Some(10));
 

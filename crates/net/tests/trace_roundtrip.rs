@@ -10,7 +10,7 @@ use common::Gen;
 use vrr_checker::{check_regularity, Recorder};
 use vrr_core::StorageConfig;
 use vrr_net::{free_addrs, NetNode, NetNodeConfig, NodeTopology};
-use vrr_runtime::{NoDelay, ProtocolKind, StorageCluster};
+use vrr_runtime::{ProtocolKind, StorageCluster};
 
 /// One schedule step: `Write` bumps the sequence, `Read(j)` reads at
 /// reader `j`.
@@ -67,8 +67,7 @@ fn tcp_and_inproc_traces_are_byte_identical() {
     let steps = schedule(0x7_2ACE, 40, cfg.readers);
 
     // Execution A: threads and channels.
-    let storage: StorageCluster<u64> =
-        StorageCluster::deploy(cfg, ProtocolKind::RegularOptimized, Box::new(NoDelay));
+    let storage: StorageCluster<u64> = StorageCluster::deploy(cfg, ProtocolKind::RegularOptimized);
     let inproc = replay(
         &steps,
         |v| {

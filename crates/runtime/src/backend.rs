@@ -88,15 +88,13 @@ pub trait ClusterBackend<K, V: Value>: Send + Sync {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::NoDelay;
     use crate::{ProtocolKind, ShardedStore};
     use vrr_core::StorageConfig;
 
     #[test]
     fn sharded_store_serves_through_the_trait_object() {
         let cfg = StorageConfig::optimal(1, 1, 1);
-        let store: ShardedStore<String, u64> =
-            ShardedStore::deploy(cfg, ProtocolKind::Regular, Box::new(NoDelay), 4);
+        let store: ShardedStore<String, u64> = ShardedStore::deploy(cfg, ProtocolKind::Regular, 4);
         let backend: std::sync::Arc<dyn ClusterBackend<String, u64>> = std::sync::Arc::new(store);
         backend.write("alpha".into(), 7);
         assert_eq!(backend.len(), 1);

@@ -1,13 +1,13 @@
 //! A worker-pool host for `vrr` automata.
 //!
 //! The same deterministic automata that run under the simulator run here
-//! with real (optionally delayed) message passing — the substrate for
-//! wall-clock benchmarks and the networked examples. A register group is a
-//! unit any thread may run, one at a time: the thread that submits an
-//! operation runs the group's steps itself when the group is idle, and a
-//! fixed pool of worker threads runs everything else (and is the only thing
-//! that ever parks); see [`crate::executor`] internals for placement, the
-//! run lock and the drain / run / flush mechanics.
+//! with real message passing, every message delivered at once — the
+//! substrate for wall-clock benchmarks and the networked examples. A
+//! register group is a unit any thread may run, one at a time: the thread
+//! that submits an operation runs the group's steps itself when the group
+//! is idle, and a fixed pool of worker threads runs everything else (and is
+//! the only thing that ever parks); see [`crate::executor`] internals for
+//! placement, the run lock and the drain / run / flush mechanics.
 
 use std::any::Any;
 use std::cell::Cell;
@@ -22,10 +22,9 @@ use parking_lot::Mutex;
 use vrr_sim::{Automaton, Context, ProcessId};
 
 use crate::executor::{ClientOp, Executor, ExecutorStats};
-use crate::link::LinkPolicy;
 
 /// How long an operation may take before the cluster is declared wedged.
-/// Generous: operations take milliseconds even under delay policies. The
+/// Generous: operations take microseconds to milliseconds. The
 /// blocking waits panic past it; a completion-driven caller (`vrr-net`'s
 /// node) answers a typed error past it instead.
 pub const OP_TIMEOUT: Duration = Duration::from_secs(30);
@@ -72,10 +71,10 @@ impl std::error::Error for InvokeError {}
 /// # Examples
 ///
 /// ```
-/// use vrr_runtime::{Cluster, NoDelay};
+/// use vrr_runtime::Cluster;
 /// use vrr_sim::{from_fn, Context, ProcessId};
 ///
-/// let mut cluster: Cluster<u64> = Cluster::new(Box::new(NoDelay));
+/// let mut cluster: Cluster<u64> = Cluster::new();
 /// let echo = cluster.spawn(from_fn(|from, n: u64, ctx: &mut Context<'_, u64>| {
 ///     ctx.send(from, n + 1);
 /// }));
@@ -86,20 +85,19 @@ pub struct Cluster<M: Send + 'static> {
 }
 
 impl<M: Send + 'static> Cluster<M> {
-    /// Creates a cluster whose links obey `policy`, with one worker per
-    /// available CPU.
-    pub fn new(policy: Box<dyn LinkPolicy<M>>) -> Self {
+    /// Creates a cluster with one worker per available CPU.
+    pub fn new() -> Self {
         let workers = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        Self::with_workers(policy, workers)
+        Self::with_workers(workers)
     }
 
     /// Creates a cluster with an explicit worker-pool size (clamped to at
     /// least one).
-    pub fn with_workers(policy: Box<dyn LinkPolicy<M>>, workers: usize) -> Self {
+    pub fn with_workers(workers: usize) -> Self {
         Cluster {
-            executor: Executor::new(policy, workers),
+            executor: Executor::new(workers),
         }
     }
 
@@ -174,20 +172,19 @@ impl<M: Send + 'static> Cluster<M> {
     /// over, and the one command that runs code against an automaton. One
     /// mailed command carries the whole operation: whoever runs `pid`'s
     /// group runs `start` (the invocation event, e.g. `invoke_read`; its
-    /// sends go through the link policy), calls `poll` with what `start`
+    /// sends are delivered at once), calls `poll` with what `start`
     /// returned after each later step of the automaton, and hands the first
     /// `Some(r)` to `done` (the response event). An inspection is an
     /// operation whose first poll answers.
     ///
     /// **Where `done` runs.** If `pid`'s group is idle, the calling thread
-    /// runs it — for a bounded number of passes, never waiting — so on an
-    /// immediate link every round of a READ or WRITE and its `done` happen
-    /// **on the calling thread, before `submit` returns**. Otherwise (the
-    /// group is being run by someone else, the link policy delays a
-    /// message, a member lives on another node, or the caller is itself a
-    /// `done`) a worker thread runs the rest and `done`. Either way `done`
-    /// must neither block nor panic, and the caller must hold no lock
-    /// across `submit` that `done` takes.
+    /// runs it — for a bounded number of passes, never waiting — so every
+    /// round of a READ or WRITE and its `done` happen **on the calling
+    /// thread, before `submit` returns**. Otherwise (the group is being run
+    /// by someone else, a member lives on another node, or the caller is
+    /// itself a `done`) a worker thread runs the rest and `done`. Either
+    /// way `done` must neither block nor panic, and the caller must hold
+    /// no lock across `submit` that `done` takes.
     ///
     /// A process runs one operation at a time: an operation submitted
     /// while another is in progress starts when every operation submitted
@@ -238,7 +235,7 @@ impl<M: Send + 'static> Cluster<M> {
         self.executor.crash(pid);
     }
 
-    /// Injects a message from `from` to `to` through the link policy
+    /// Injects a message from `from` to `to`, mailed to `to`'s worker
     /// (external stimulus, like the simulator's `send_external`). Injected
     /// messages to one process arrive in injection order, but are not
     /// ordered against messages the processes themselves have in flight on
@@ -368,6 +365,13 @@ impl<R> OpSlot<R> {
     }
 }
 
+impl<M: Send + 'static> Default for Cluster<M> {
+    /// [`Cluster::new`].
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl<M: Send + 'static> Drop for Cluster<M> {
     fn drop(&mut self) {
         self.executor.shutdown_and_join();
@@ -392,7 +396,6 @@ mod tests {
 
     use super::InvokeError::{Gone, WrongType};
     use super::*;
-    use crate::link::{FixedDelay, NoDelay};
 
     /// Counts the values it receives.
     struct Counter {
@@ -430,7 +433,7 @@ mod tests {
 
     #[test]
     fn deliver_and_await() {
-        let mut cluster: Cluster<u64> = Cluster::new(Box::new(NoDelay));
+        let mut cluster: Cluster<u64> = Cluster::new();
         let counter = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
         let doubler = cluster.spawn(from_fn(move |from, n: u64, ctx: &mut Context<'_, u64>| {
             ctx.send(from, n * 2);
@@ -460,7 +463,7 @@ mod tests {
     /// calling thread runs it — its sends and what they complete included.
     #[test]
     fn an_inspection_of_an_idle_group_runs_on_the_calling_thread_and_sends() {
-        let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), 1);
+        let mut cluster: Cluster<u64> = Cluster::with_workers(1);
         let counter = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
         let pinger = cluster.spawn(Box::new(Pinger {
             target: counter,
@@ -480,7 +483,7 @@ mod tests {
 
     #[test]
     fn crash_stops_processing() {
-        let mut cluster: Cluster<u64> = Cluster::new(Box::new(NoDelay));
+        let mut cluster: Cluster<u64> = Cluster::new();
         let counter = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
         let forwarder = cluster.spawn(from_fn(move |_from, n: u64, ctx: &mut Context<'_, u64>| {
             ctx.send(counter, n);
@@ -499,7 +502,7 @@ mod tests {
     fn panicking_invoke_poisons_only_its_process() {
         // Both processes share the one worker: a panic inside an invoke
         // must not kill the worker thread.
-        let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), 1);
+        let mut cluster: Cluster<u64> = Cluster::with_workers(1);
         let victim = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
         let healthy = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
 
@@ -527,7 +530,7 @@ mod tests {
     /// nothing; only a crash makes the process `Gone`.
     #[test]
     fn mistyped_invoke_is_reported_and_leaves_the_process_running() {
-        let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), 1);
+        let mut cluster: Cluster<u64> = Cluster::with_workers(1);
         let counter = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
         let wrong_type = Err(WrongType {
             pid: counter,
@@ -632,7 +635,7 @@ mod tests {
         const THREADS: u64 = 8;
         const PER_THREAD: u64 = 200;
 
-        let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), 2);
+        let mut cluster: Cluster<u64> = Cluster::with_workers(2);
         let client = cluster.spawn(Box::new(OneAtATime::default()));
         let cluster = Arc::new(cluster);
         let completed = Arc::new(Mutex::new(Vec::new()));
@@ -696,7 +699,7 @@ mod tests {
     fn done_fires_exactly_once_on_completion_crash_and_teardown() {
         use std::sync::{Arc, Mutex};
         let fired = Arc::new(Mutex::new(Vec::new()));
-        let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), 1);
+        let mut cluster: Cluster<u64> = Cluster::with_workers(1);
         let client = cluster.spawn(Box::new(OneAtATime::default()));
         let stuck = cluster.spawn(Box::new(OneAtATime::default()));
 
@@ -771,7 +774,7 @@ mod tests {
     fn two_threads_submitting_to_one_group_lose_no_completion() {
         use std::sync::atomic::{AtomicU64, Ordering};
         use std::sync::Arc;
-        let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), 2);
+        let mut cluster: Cluster<u64> = Cluster::with_workers(2);
         let client = cluster.spawn(Box::new(OneAtATime::default()));
         let completed = Arc::new(AtomicU64::new(0));
         let start = std::sync::Barrier::new(2);
@@ -813,7 +816,7 @@ mod tests {
     fn a_done_that_submits_to_its_own_group_neither_deadlocks_nor_overtakes() {
         use std::sync::{Arc, Mutex};
         // One worker, no span: the three processes are one unit.
-        let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), 1);
+        let mut cluster: Cluster<u64> = Cluster::with_workers(1);
         let client = cluster.spawn(Box::new(OneAtATime::default()));
         let kicker = cluster.spawn(Box::new(OneAtATime::default()));
         let cluster = Arc::new(cluster);
@@ -876,7 +879,7 @@ mod tests {
         use std::sync::{Arc, Mutex};
         let fired = Arc::new(Mutex::new(Vec::new()));
         // One worker: the victim and the healthy process share it.
-        let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), 1);
+        let mut cluster: Cluster<u64> = Cluster::with_workers(1);
         let victim = cluster.spawn(Box::new(OneAtATime::default()));
         let healthy = cluster.spawn(Box::new(OneAtATime::default()));
 
@@ -906,14 +909,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "submit on unspawned")]
     fn submit_on_unspawned_pid_panics() {
-        let mut cluster: Cluster<u64> = Cluster::new(Box::new(NoDelay));
+        let mut cluster: Cluster<u64> = Cluster::new();
         let _ = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
         let _ = total_after(&cluster, ProcessId(99), 0);
     }
 
     #[test]
     fn single_worker_pool_hosts_many_processes() {
-        let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), 1);
+        let mut cluster: Cluster<u64> = Cluster::with_workers(1);
         let counter = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
         let echoes: Vec<ProcessId> = (0..32)
             .map(|_| {
@@ -938,7 +941,7 @@ mod tests {
         use std::sync::Arc;
         for workers in [1, 2] {
             let bounces = Arc::new(AtomicU64::new(0));
-            let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), workers);
+            let mut cluster: Cluster<u64> = Cluster::with_workers(workers);
             // Raw placement is `pid % workers`: pids 0, `workers` and
             // `2 * workers` all live on worker 0.
             let pids: Vec<ProcessId> = (0..2 * workers)
@@ -991,7 +994,7 @@ mod tests {
         use std::sync::atomic::{AtomicU64, Ordering};
         use std::sync::Arc;
         let bounces = Arc::new(AtomicU64::new(0));
-        let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), 1);
+        let mut cluster: Cluster<u64> = Cluster::with_workers(1);
         let [a, b] = [(); 2].map(|()| {
             let bounces = bounces.clone();
             cluster.spawn(from_fn(move |from, n: u64, ctx: &mut Context<'_, u64>| {
@@ -1038,7 +1041,7 @@ mod tests {
 
     #[test]
     fn links_are_fifo_on_the_local_queue_and_across_workers() {
-        let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), 2);
+        let mut cluster: Cluster<u64> = Cluster::with_workers(2);
         // `pid % 2`: the sender shares worker 0 with `near`; `far` is on
         // worker 1. A burst of ten per step, the next step by self-send.
         let (far, near) = (ProcessId(1), ProcessId(2));
@@ -1068,68 +1071,5 @@ mod tests {
             let got = rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
             assert!(got.into_iter().eq(1..=1_000), "{log} saw a reordered link");
         }
-    }
-
-    #[test]
-    fn delayed_links_deliver_after_delay() {
-        let mut cluster: Cluster<u64> =
-            Cluster::new(Box::new(FixedDelay(Duration::from_millis(30))));
-        let counter = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
-        cluster.send_external(counter, counter, 7);
-        std::thread::sleep(Duration::from_millis(5));
-        assert_eq!(seen(&cluster, counter), 0, "not yet due");
-        let rx = total_after(&cluster, counter, 1);
-        assert_eq!(
-            rx.recv_timeout(Duration::from_secs(2)).unwrap(),
-            7,
-            "delivered after the delay"
-        );
-    }
-
-    /// The worker is not the only thread that parks timers: a delayed send
-    /// made by a helping submitter must re-arm the worker's wait, which was
-    /// without deadline until then.
-    #[test]
-    fn a_delay_produced_on_a_helping_thread_rearms_the_workers_timed_wait() {
-        let delay = Duration::from_millis(30);
-        let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(FixedDelay(delay)), 1);
-        let client = cluster.spawn(Box::new(OneAtATime::default()));
-        // The worker is parked, without a deadline: no timer exists yet.
-        settle::<OneAtATime>(&cluster, client);
-
-        let (tx, rx) = sync_channel(1);
-        let asked = std::time::Instant::now();
-        cluster.submit(
-            client,
-            // Started here, by the submitter: its self-send is the timer.
-            |a: &mut OneAtATime, ctx| (a.begin(1, ctx), std::thread::current().id()),
-            |a: &mut OneAtATime, &(tag, started_on)| a.take_finished(tag).map(|_| started_on),
-            move |started_on| {
-                let worker = std::thread::current().name().map(str::to_owned);
-                let _ = tx.send((started_on, worker));
-            },
-        );
-        let (started_on, completed_on) = rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("the worker slept through a timer a submitter set");
-        assert!(asked.elapsed() >= delay, "the delay was served");
-        assert_eq!(started_on, Ok(std::thread::current().id()));
-        assert_eq!(completed_on.as_deref(), Some("vrr-worker-0"));
-    }
-
-    #[test]
-    fn dropping_policy_loses_messages() {
-        use crate::link::{LinkAction, LinkPolicy};
-        struct DropAll;
-        impl LinkPolicy<u64> for DropAll {
-            fn action(&self, _: ProcessId, _: ProcessId, _: &u64) -> LinkAction {
-                LinkAction::Drop
-            }
-        }
-        let mut cluster: Cluster<u64> = Cluster::new(Box::new(DropAll));
-        let counter = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
-        cluster.send_external(counter, counter, 1);
-        std::thread::sleep(Duration::from_millis(30));
-        assert_eq!(seen(&cluster, counter), 0);
     }
 }

@@ -20,21 +20,18 @@
 //! so every round of a READ and its completion happen before `submit`
 //! returns — no thread hand-off in, none out. If the lock is taken, or work
 //! is left after [`PASSES`] passes, the unit is scheduled on its worker.
-//! Crashes, external sends, cross-unit messages and due timers always go
-//! to the worker.
+//! Crashes, external sends and cross-unit messages always go to the worker.
 //!
 //! **A pass** ([`Pool::pass`], the one function both runners call) is
 //! *drain → run → flush*. The drain swaps the unit's mail out under the run
 //! lock — mail is never taken otherwise — and counts as a *sweep* if it
 //! found any. The run applies the mail in arrival order, then the local run
-//! queue as it stood, each command under `catch_unwind`. The flush puts
-//! every send through the link policy and, per message ruled `Deliver`:
-//! appends it to the local run queue when the destination is in this unit —
-//! no lock, no condvar — and otherwise hands it to the destination's worker,
-//! one lock acquisition and one notification per worker. Every immediate
-//! delivery between a given pair of processes takes exactly one of the two
-//! paths, which keeps links FIFO. Delayed messages live in the destination
-//! worker's timer heap and are mailed when due.
+//! queue as it stood, each command under `catch_unwind`. The flush delivers
+//! every send at once: it appends it to the local run queue when the
+//! destination is in this unit — no lock, no condvar — and otherwise hands
+//! it to the destination's worker, one lock acquisition and one
+//! notification per worker. Every delivery between a given pair of
+//! processes takes exactly one of the two paths, which keeps links FIFO.
 //!
 //! **No lost work:** a push into a unit's mail is always followed, by the
 //! pusher, by running the unit or by scheduling it. A pusher that finds the
@@ -46,9 +43,8 @@
 //! local deliveries queued before it began, and a runner gives a unit up
 //! after [`PASSES`] passes, so an endless in-unit ping-pong cannot starve a
 //! crash, a submitted operation, another unit or shutdown — nor keep a
-//! submitter. A worker parks only when no unit of its is scheduled —
-//! indefinitely, or until the next timer deadline: an idle pool makes zero
-//! wakeups.
+//! submitter. A worker parks only when no unit of its is scheduled, with
+//! no deadline: an idle pool makes zero wakeups.
 //!
 //! External stimuli ([`crate::Cluster::send_external`], submits, crashes)
 //! always enter through the mail, so they are ordered among themselves per
@@ -56,15 +52,13 @@
 //! locally.
 
 use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use vrr_sim::{Automaton, Context, ProcessId};
 
-use crate::link::{LinkAction, LinkPolicy};
 use crate::sharded::Sharded;
 
 /// One client operation on one automaton, type-erased for the mail
@@ -156,17 +150,14 @@ impl Placement {
     }
 }
 
-/// A command that reaches a unit through its worker — a message that left
-/// its sender's unit, a crash: for `to`'s mail now, or for the
-/// worker's timer heap until `due`.
+/// A command that reaches a unit through its worker's schedule — a message
+/// that left its sender's unit, a crash — for `to`'s mail.
 struct Routed<M> {
     to: Addr,
-    due: Option<Instant>,
     cmd: NodeCmd<M>,
 }
 
-/// An in-unit delivery the link policy ruled immediate: `(position of the
-/// destination, sender, payload)`.
+/// An in-unit delivery: `(position of the destination, sender, payload)`.
 type LocalDelivery<M> = (usize, ProcessId, M);
 
 /// The unit of execution (see the module docs): what any thread may run,
@@ -220,8 +211,7 @@ impl<M> Unit<M> {
     }
 }
 
-/// The lock-guarded half of a worker: which of its units have work, and the
-/// timer heap.
+/// The lock-guarded half of a worker: which of its units have work.
 struct Schedule<M> {
     /// The worker's units, by index.
     units: Vec<Arc<Unit<M>>>,
@@ -229,17 +219,13 @@ struct Schedule<M> {
     ready: Vec<usize>,
     /// Whether a unit is already listed in `ready`.
     queued: Vec<bool>,
-    /// Delayed deliveries destined for this worker's units, by due time —
-    /// and, so equal deadlines deliver in schedule order, by arrival.
-    timers: BTreeMap<(Instant, u64), (Addr, NodeCmd<M>)>,
-    timer_seq: u64,
     shutdown: bool,
 }
 
 struct Worker<M> {
     q: Mutex<Schedule<M>>,
     cv: Condvar,
-    /// Returns from `wait`/`wait_timeout`, productive or not.
+    /// Returns from `wait`, productive or not.
     wakeups: AtomicU64,
 }
 
@@ -253,15 +239,12 @@ impl<M> Schedule<M> {
         }
     }
 
-    /// Takes a command for one of the worker's units: mailed now — the
-    /// unit listed as ready — or parked in the timer heap until due (same
-    /// notification duty). What is addressed to a unit never created — a
-    /// process id nobody registered — is dropped.
-    fn accept(&mut self, Routed { to, due, cmd }: Routed<M>) {
-        if let Some(due) = due {
-            self.timers.insert((due, self.timer_seq), (to, cmd));
-            self.timer_seq += 1;
-        } else if let Some(unit) = self.units.get(to.unit) {
+    /// Mails a command to one of the worker's units and lists the unit as
+    /// ready (same notification duty as [`Schedule::mark`]). What is
+    /// addressed to a unit never created — a process id nobody registered —
+    /// is dropped.
+    fn accept(&mut self, Routed { to, cmd }: Routed<M>) {
+        if let Some(unit) = self.units.get(to.unit) {
             relock(&unit.mail).push_back((to.at, cmd));
             self.mark(to.unit);
         }
@@ -279,7 +262,7 @@ pub struct ExecutorStats {
     /// Drains of a group's mail that found at least one command, whichever
     /// thread made them.
     pub sweeps: u64,
-    /// Times any worker woke from its condvar (including timer deadlines).
+    /// Times any worker woke from its condvar.
     pub wakeups: u64,
     /// Total commands processed (deliveries, operations — inspections
     /// included — and crashes), whichever thread ran them.
@@ -308,11 +291,10 @@ impl<M> Cell<M> {
     }
 }
 
-/// What the runners share: the workers' schedules, the link policy (asked
-/// without a lock) and the activity counters (one shard per thread).
+/// What the runners share: the workers' schedules and the activity
+/// counters (one shard per thread).
 struct Pool<M> {
     workers: Vec<Worker<M>>,
-    policy: Box<dyn LinkPolicy<M>>,
     counts: Sharded<Counts>,
 }
 
@@ -336,7 +318,7 @@ pub(crate) struct Executor<M: Send + 'static> {
 }
 
 impl<M: Send + 'static> Executor<M> {
-    pub(crate) fn new(policy: Box<dyn LinkPolicy<M>>, workers: usize) -> Self {
+    pub(crate) fn new(workers: usize) -> Self {
         let workers = workers.max(1);
         let pool = Arc::new(Pool {
             workers: (0..workers)
@@ -345,15 +327,12 @@ impl<M: Send + 'static> Executor<M> {
                         units: Vec::new(),
                         ready: Vec::new(),
                         queued: Vec::new(),
-                        timers: BTreeMap::new(),
-                        timer_seq: 0,
                         shutdown: false,
                     }),
                     cv: Condvar::new(),
                     wakeups: AtomicU64::new(0),
                 })
                 .collect(),
-            policy,
             counts: Sharded::new(Counts::default),
         });
         let threads = (0..workers)
@@ -412,8 +391,8 @@ impl<M: Send + 'static> Executor<M> {
                 q.queued.push(false);
             }
             debug_assert!(to.unit < q.units.len(), "dense registration order");
-            let (due, cmd) = (None, NodeCmd::Start(automaton));
-            q.accept(Routed { to, due, cmd });
+            let cmd = NodeCmd::Start(automaton);
+            q.accept(Routed { to, cmd });
         }
         worker.cv.notify_one();
         pid
@@ -421,8 +400,8 @@ impl<M: Send + 'static> Executor<M> {
 
     /// Mails a crash to `pid`, for its worker.
     pub(crate) fn crash(&self, pid: ProcessId) {
-        let (to, due, cmd) = (self.place.locate(pid), None, NodeCmd::Crash);
-        self.pool.hand(Routed { to, due, cmd });
+        let (to, cmd) = (self.place.locate(pid), NodeCmd::Crash);
+        self.pool.hand(Routed { to, cmd });
     }
 
     /// Mails `op` to `pid` and, if `pid`'s unit is idle, runs the unit on
@@ -447,19 +426,13 @@ impl<M: Send + 'static> Executor<M> {
         }
     }
 
-    /// Routes one message through the link policy (external stimulus; the
+    /// Mails one message to `to` through its worker (external stimulus; the
     /// runners batch their own sends in [`Pool::flush`]). It enters through
     /// `to`'s mail whatever `from` is, so it is not ordered against what
     /// `to`'s runner has queued locally.
     pub(crate) fn route(&self, from: ProcessId, to: ProcessId, msg: M) {
-        let action = self.pool.policy.action(from, to, &msg);
-        let due = match action {
-            LinkAction::Deliver => None,
-            LinkAction::DeliverAfter(d) => Some(Instant::now() + d),
-            LinkAction::Drop => return,
-        };
         let (to, cmd) = (self.place.locate(to), NodeCmd::Deliver { from, msg });
-        self.pool.hand(Routed { to, due, cmd });
+        self.pool.hand(Routed { to, cmd });
     }
 
     pub(crate) fn stats(&self) -> ExecutorStats {
@@ -498,15 +471,6 @@ fn worker_main<M: Send + 'static>(me: usize, pool: &Pool<M>) {
                 if q.shutdown {
                     return;
                 }
-                // Mail due timers to their units (the clock is read only if
-                // there is a timer).
-                while let Some(timer) = q.timers.first_entry() {
-                    if timer.key().0 > Instant::now() {
-                        break;
-                    }
-                    let (to, cmd) = timer.remove();
-                    q.accept(Routed { to, due: None, cmd });
-                }
                 if !q.ready.is_empty() {
                     for unit in q.ready.drain(..) {
                         q.queued[unit] = false;
@@ -514,19 +478,8 @@ fn worker_main<M: Send + 'static>(me: usize, pool: &Pool<M>) {
                     }
                     break;
                 }
-                // Idle: park until notified — or until the next timer is
-                // due, if any. No deadline means no polling at all.
-                guard = match q.timers.keys().next().map(|&(due, _)| due) {
-                    None => worker.cv.wait(guard).unwrap_or_else(|e| e.into_inner()),
-                    Some(due) => {
-                        let timeout = due.saturating_duration_since(Instant::now());
-                        let (guard, _) = worker
-                            .cv
-                            .wait_timeout(guard, timeout)
-                            .unwrap_or_else(|e| e.into_inner());
-                        guard
-                    }
-                };
+                // Idle: park until notified, with no deadline — no polling.
+                guard = worker.cv.wait(guard).unwrap_or_else(|e| e.into_inner());
                 worker.wakeups.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -621,28 +574,22 @@ impl<M: Send + 'static> Pool<M> {
         !run.local.is_empty()
     }
 
-    /// Routes a pass's sends: one policy pass — an immediate delivery to a
-    /// process of `unit` goes straight onto its local run queue — then one
-    /// lock acquisition + one notification per worker that gets the rest.
+    /// Delivers a pass's sends: one to a process of `unit` goes straight
+    /// onto its local run queue, the rest cost one lock acquisition + one
+    /// notification per worker that gets them.
     fn flush(&self, unit: &Unit<M>, run: &mut Run<M>) {
         for (from, to, msg) in run.outbox.drain(..) {
-            let action = self.policy.action(from, to, &msg);
             let to = unit.place.locate(to);
-            let due = match action {
-                LinkAction::Deliver if (Addr { at: 0, ..to }) == unit.home => {
-                    run.local.push((to.at, from, msg));
-                    continue;
-                }
-                LinkAction::Deliver => None,
-                LinkAction::DeliverAfter(d) => Some(Instant::now() + d),
-                LinkAction::Drop => continue,
-            };
-            let cmd = NodeCmd::Deliver { from, msg };
-            run.away.push(Routed { to, due, cmd });
+            if (Addr { at: 0, ..to }) == unit.home {
+                run.local.push((to.at, from, msg));
+            } else {
+                let cmd = NodeCmd::Deliver { from, msg };
+                run.away.push(Routed { to, cmd });
+            }
         }
         // Stable, so a link's messages stay in order. Every destination
         // worker is notified, the unit's own included: the runner may be a
-        // helping thread, and then that worker's wait must be re-armed.
+        // helping thread, and then that worker may be parked.
         run.away.sort_by_key(|routed| routed.to.worker);
         let mut away = run.away.drain(..).peekable();
         while let Some(first) = away.next() {

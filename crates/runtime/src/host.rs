@@ -118,11 +118,11 @@ impl OpMeter {
 ///
 /// ```
 /// use vrr_core::StorageConfig;
-/// use vrr_runtime::{Cluster, NoDelay, ProtocolKind, RegisterHost};
+/// use vrr_runtime::{Cluster, ProtocolKind, RegisterHost};
 ///
 /// let cfg = StorageConfig::optimal(1, 1, 1);
 /// let host: RegisterHost<u64> = RegisterHost::spawn(
-///     Cluster::new(Box::new(NoDelay)),
+///     Cluster::new(),
 ///     cfg,
 ///     ProtocolKind::RegularOptimized.into(),
 ///     2,
@@ -450,7 +450,6 @@ mod tests {
     use vrr_sim::{Context, ProcessId};
 
     use super::*;
-    use crate::link::{LinkAction, LinkPolicy, NoDelay};
     use crate::OP_TIMEOUT;
 
     fn host_with(
@@ -459,7 +458,7 @@ mod tests {
         slots: usize,
         substitute: impl FnMut(usize, GroupRole) -> Option<Box<dyn Automaton<Msg<u64>>>>,
     ) -> RegisterHost<u64> {
-        let cluster = Cluster::new(Box::new(NoDelay));
+        let cluster = Cluster::new();
         RegisterHost::spawn(cluster, cfg, spec.into(), slots, substitute)
     }
 
@@ -511,7 +510,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "needs an empty cluster")]
     fn spawn_refuses_a_cluster_that_already_holds_a_process() {
-        let mut cluster = Cluster::new(Box::new(NoDelay));
+        let mut cluster = Cluster::new();
         cluster.spawn(Box::new(Spy(0)));
         let cfg = StorageConfig::optimal(1, 1, 1);
         RegisterHost::<u64>::spawn(cluster, cfg, ProtocolKind::Safe.into(), 1, |_, _| None);
@@ -520,7 +519,7 @@ mod tests {
     #[test]
     fn a_message_to_a_never_registered_pid_reaches_no_process() {
         let cfg = StorageConfig::optimal(1, 1, 1);
-        let cluster = Cluster::with_workers(Box::new(NoDelay), 3);
+        let cluster = Cluster::with_workers(3);
         let spies = |_slot, _role| Some(Box::new(Spy(0)) as Box<dyn Automaton<Msg<u64>>>);
         let host = RegisterHost::<u64>::spawn(cluster, cfg, ProtocolKind::Safe.into(), 4, spies);
         let (cluster, len) = (host.cluster(), host.cluster().len());
@@ -585,7 +584,7 @@ mod tests {
             StorageConfig::optimal(1, 1, 2),
             StorageConfig::optimal(2, 1, 2),
         ] {
-            let cluster = Cluster::with_workers(Box::new(NoDelay), 4);
+            let cluster = Cluster::with_workers(4);
             let kind = ProtocolKind::RegularOptimized;
             let host = RegisterHost::spawn(cluster, cfg, kind.into(), 8, |slot, role| {
                 (slot == 5 && role == GroupRole::Object(1))
@@ -617,7 +616,7 @@ mod tests {
 
     #[test]
     fn a_read_on_an_idle_host_wakes_one_worker() {
-        let cluster = Cluster::with_workers(Box::new(NoDelay), 4);
+        let cluster = Cluster::with_workers(4);
         let host = one_honest_slot_on(cluster);
         host.write(0, 1);
         let before = host.cluster().stats();
@@ -660,7 +659,7 @@ mod tests {
 
     #[test]
     fn a_read_on_an_idle_host_wakes_no_worker() {
-        let cluster = Cluster::with_workers(Box::new(NoDelay), 4);
+        let cluster = Cluster::with_workers(4);
         let host = one_honest_slot_on(cluster);
         host.write(0, 1);
         settle(&host, 0);
@@ -680,7 +679,7 @@ mod tests {
         // Two workers: slots 0 and 2 share worker 0. The run lock is the
         // group's, not the worker's, so the two submitters never meet.
         let cfg = StorageConfig::optimal(1, 1, 1);
-        let cluster = Cluster::with_workers(Box::new(NoDelay), 2);
+        let cluster = Cluster::with_workers(2);
         let kind = ProtocolKind::RegularOptimized;
         let host = RegisterHost::spawn(cluster, cfg, kind.into(), 3, |_, _| None);
         for slot in [0, 2] {
@@ -701,36 +700,6 @@ mod tests {
                 });
             }
         });
-    }
-
-    /// Cuts one process off: everything to and from it is dropped.
-    struct Isolate(ProcessId);
-
-    impl LinkPolicy<Msg<u64>> for Isolate {
-        fn action(&self, from: ProcessId, to: ProcessId, _: &Msg<u64>) -> LinkAction {
-            if from == self.0 || to == self.0 {
-                LinkAction::Drop
-            } else {
-                LinkAction::Deliver
-            }
-        }
-    }
-
-    #[test]
-    fn the_link_policy_rules_links_inside_a_worker() {
-        // The whole group shares one worker; object 0 (pid 0) is still as
-        // unreachable as the policy says: the register absorbs it as its
-        // one crash, and nothing is ever written to it.
-        // (That a `FixedDelay` is served in full on the same links is
-        // `link_delay_slows_but_does_not_break` in tests/runtime_threads.rs.)
-        let host = one_honest_slot_on(Cluster::new(Box::new(Isolate(ProcessId(0)))));
-        for k in 1..=20u64 {
-            host.write(0, k);
-            let r = host.read(0, 0);
-            assert_eq!((r.value, r.rounds), (Some(k), 1));
-        }
-        let lens = host.history_lens(0);
-        assert_eq!(lens, [(0, 1), (1, 21), (2, 21), (3, 21)]);
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! onto its local run queue and the rest are handed over with one lock
 //! acquisition per destination worker. A fixed pool of worker threads,
 //! each home to the groups of `(pid / span) % workers`, runs what nobody
-//! else does. Link delay and loss are injected by a [`LinkPolicy`]; delayed
-//! messages park in the home worker's timer heap, so an idle cluster
-//! blocks on condvars — zero wakeups — instead of polling.
+//! else does. Every message is delivered at once — delay, loss and
+//! reordering are the simulator's adversary — and an idle worker waits on
+//! its condvar with no deadline: an idle cluster makes zero wakeups.
 //!
 //! A client operation is one mailed command ([`Cluster::submit`], the one
 //! command that runs code against an automaton): its runner checks the
@@ -67,12 +67,12 @@
 //! examples — the protocol code is identical in both.
 //!
 //! ```
-//! use vrr_runtime::{StorageCluster, ProtocolKind, NoDelay};
+//! use vrr_runtime::{StorageCluster, ProtocolKind};
 //! use vrr_core::StorageConfig;
 //!
 //! let cfg = StorageConfig::optimal(1, 1, 1); // S = 4 objects
 //! let storage: StorageCluster<String> =
-//!     StorageCluster::deploy(cfg, ProtocolKind::Regular, Box::new(NoDelay));
+//!     StorageCluster::deploy(cfg, ProtocolKind::Regular);
 //! storage.write("hello".to_string());
 //! assert_eq!(storage.read(0).value.as_deref(), Some("hello"));
 //! ```
@@ -83,7 +83,6 @@ mod backend;
 mod cluster;
 mod executor;
 mod host;
-mod link;
 mod ring;
 mod scaleout;
 mod shard;
@@ -94,9 +93,8 @@ pub use backend::ClusterBackend;
 pub use cluster::{Cluster, InvokeError, OP_TIMEOUT};
 pub use executor::ExecutorStats;
 pub use host::RegisterHost;
-pub use link::{FixedDelay, LinkAction, LinkPolicy, NoDelay};
 pub use ring::{stable_hash_64, RingTable, StableHasher};
 pub use scaleout::{RouterConfig, StoreRouter};
 pub use shard::{ShardedStore, StoreError};
-pub use storage::StorageCluster;
+pub use storage::{NoDelay, StorageCluster};
 pub use vrr_core::{ProtocolKind, ProtocolSpec};

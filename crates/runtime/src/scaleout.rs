@@ -47,7 +47,6 @@ use vrr_core::metrics::{names, Histogram, Registry};
 use vrr_core::{ProtocolSpec, ReadReport, StorageConfig, Value, WriteReport};
 
 use crate::backend::ClusterBackend;
-use crate::link::NoDelay;
 use crate::ring::RingTable;
 use crate::shard::{ShardedStore, StoreError};
 use crate::sharded::Sharded;
@@ -166,7 +165,7 @@ where
 {
     /// Deploys `rc.clusters` shard-clusters, each a [`ShardedStore`] of
     /// `rc.capacity_per_cluster` register shards running `spec` under
-    /// `cfg`, with no artificial link delay.
+    /// `cfg`.
     ///
     /// # Panics
     ///
@@ -175,12 +174,7 @@ where
     pub fn deploy(cfg: StorageConfig, spec: impl Into<ProtocolSpec>, rc: RouterConfig) -> Self {
         let spec = spec.into();
         Self::deploy_with_backends(rc, move |_cluster| {
-            Arc::new(ShardedStore::deploy(
-                cfg,
-                spec,
-                Box::new(NoDelay),
-                rc.capacity_per_cluster,
-            ))
+            Arc::new(ShardedStore::deploy(cfg, spec, rc.capacity_per_cluster))
         })
     }
 
@@ -645,7 +639,7 @@ mod tests {
         let run = |threads: usize| {
             let (cfg, capacity) = (StorageConfig::optimal(1, 1, 3), 8);
             let kind = ProtocolKind::RegularOptimized;
-            let store = Arc::new(ShardedStore::deploy(cfg, kind, Box::new(NoDelay), capacity));
+            let store = Arc::new(ShardedStore::deploy(cfg, kind, capacity));
             let mut backend = Some(store.clone() as Arc<dyn ClusterBackend<u64, u64>>);
             let rc = RouterConfig::new(1, capacity);
             let router = StoreRouter::deploy_with_backends(rc, move |_| backend.take().unwrap());

@@ -27,7 +27,7 @@ use vrr_core::{
 use crate::backend::ClusterBackend;
 use crate::cluster::{Cluster, InvokeError};
 use crate::host::RegisterHost;
-use crate::link::LinkPolicy;
+use crate::storage::NoDelay;
 
 /// A typed error from the non-panicking store operations.
 ///
@@ -100,12 +100,12 @@ struct KeyIndex<K> {
 /// # Examples
 ///
 /// ```
-/// use vrr_runtime::{ClusterBackend, ShardedStore, ProtocolKind, NoDelay};
+/// use vrr_runtime::{ClusterBackend, ShardedStore, ProtocolKind};
 /// use vrr_core::StorageConfig;
 ///
 /// let cfg = StorageConfig::optimal(1, 1, 1);
 /// let store: ShardedStore<&'static str, u64> =
-///     ShardedStore::deploy(cfg, ProtocolKind::RegularOptimized, Box::new(NoDelay), 4);
+///     ShardedStore::deploy(cfg, ProtocolKind::RegularOptimized, 4);
 /// store.write("alpha", 1);
 /// store.write("beta", 2);
 /// assert_eq!(store.read(&"alpha", 0).unwrap().value, Some(1));
@@ -133,18 +133,14 @@ impl<K: Eq + Hash + Clone + Send + Sync, V: Value> ShardedStore<K, V> {
     /// # Panics
     ///
     /// Panics if `capacity == 0`.
-    pub fn deploy(
-        cfg: StorageConfig,
-        spec: impl Into<ProtocolSpec>,
-        policy: Box<dyn LinkPolicy<Msg<V>>>,
-        capacity: usize,
-    ) -> Self {
-        Self::deploy_with_objects(cfg, spec, policy, capacity, |_shard, _i| None)
+    pub fn deploy(cfg: StorageConfig, spec: impl Into<ProtocolSpec>, capacity: usize) -> Self {
+        Self::deploy_with_objects(cfg, spec, NoDelay, capacity, |_shard, _i| None)
     }
 
     /// Like [`ShardedStore::deploy`], but `factory(shard, i)` may
     /// substitute the automaton of object `i` in `shard` — the hook for
-    /// deploying Byzantine objects on selected shards.
+    /// deploying Byzantine objects on selected shards. [`NoDelay`] is a
+    /// shim and ignored.
     ///
     /// # Panics
     ///
@@ -152,12 +148,12 @@ impl<K: Eq + Hash + Clone + Send + Sync, V: Value> ShardedStore<K, V> {
     pub fn deploy_with_objects(
         cfg: StorageConfig,
         spec: impl Into<ProtocolSpec>,
-        policy: Box<dyn LinkPolicy<Msg<V>>>,
+        _link: impl Into<Box<NoDelay>>,
         capacity: usize,
         mut factory: impl FnMut(usize, usize) -> Option<Box<dyn Automaton<Msg<V>>>>,
     ) -> Self {
         Self::over(RegisterHost::spawn(
-            Cluster::new(policy),
+            Cluster::new(),
             cfg,
             spec.into(),
             capacity,
@@ -334,13 +330,11 @@ impl<K: Eq + Hash + Clone + Send + Sync, V: Value> std::fmt::Debug for ShardedSt
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::NoDelay;
 
     #[test]
     fn distinct_keys_use_distinct_shards() {
         let cfg = StorageConfig::optimal(1, 1, 1);
-        let store: ShardedStore<String, u64> =
-            ShardedStore::deploy(cfg, ProtocolKind::Regular, Box::new(NoDelay), 8);
+        let store: ShardedStore<String, u64> = ShardedStore::deploy(cfg, ProtocolKind::Regular, 8);
         for k in 0..8u64 {
             store.write(format!("key-{k}"), k * 100);
         }
@@ -361,7 +355,7 @@ mod tests {
     fn rewrites_to_one_key_stay_on_its_shard() {
         let cfg = StorageConfig::optimal(1, 1, 2);
         let store: ShardedStore<&'static str, u64> =
-            ShardedStore::deploy(cfg, ProtocolKind::RegularOptimized, Box::new(NoDelay), 2);
+            ShardedStore::deploy(cfg, ProtocolKind::RegularOptimized, 2);
         for gen in 1..=5u64 {
             store.write("config", gen);
             for j in 0..2 {
@@ -375,7 +369,7 @@ mod tests {
     fn unwritten_key_reads_none() {
         let cfg = StorageConfig::optimal(1, 1, 1);
         let store: ShardedStore<&'static str, u64> =
-            ShardedStore::deploy(cfg, ProtocolKind::Safe, Box::new(NoDelay), 1);
+            ShardedStore::deploy(cfg, ProtocolKind::Safe, 1);
         assert_eq!(store.read(&"ghost", 0), None);
     }
 
@@ -383,8 +377,7 @@ mod tests {
     #[should_panic(expected = "over capacity")]
     fn capacity_overflow_panics() {
         let cfg = StorageConfig::optimal(1, 1, 1);
-        let store: ShardedStore<u64, u64> =
-            ShardedStore::deploy(cfg, ProtocolKind::Safe, Box::new(NoDelay), 2);
+        let store: ShardedStore<u64, u64> = ShardedStore::deploy(cfg, ProtocolKind::Safe, 2);
         store.write(1, 1);
         store.write(2, 2);
         store.write(3, 3);

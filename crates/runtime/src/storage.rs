@@ -11,19 +11,27 @@ use vrr_core::{
 
 use crate::cluster::Cluster;
 use crate::host::RegisterHost;
-use crate::link::LinkPolicy;
+
+/// **Shim, to be deleted by ROADMAP item 8.** `benchmark/src/deploy.rs`
+/// passes `Box::new(NoDelay)` to [`StorageCluster::deploy_with_objects`]
+/// and [`crate::ShardedStore::deploy_with_objects`], and the benchmark
+/// changes only on its own; both take `NoDelay` or its box and ignore it.
+/// The thread runtime delivers every message at once; delay and loss are
+/// the simulator's.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct NoDelay;
 
 /// A storage deployment on OS threads with a blocking client API.
 ///
 /// # Examples
 ///
 /// ```
-/// use vrr_runtime::{StorageCluster, ProtocolKind, NoDelay};
+/// use vrr_runtime::{StorageCluster, ProtocolKind};
 /// use vrr_core::StorageConfig;
 ///
 /// let cfg = StorageConfig::optimal(1, 1, 1);
 /// let storage: StorageCluster<u64> =
-///     StorageCluster::deploy(cfg, ProtocolKind::Safe, Box::new(NoDelay));
+///     StorageCluster::deploy(cfg, ProtocolKind::Safe);
 /// storage.write(7);
 /// assert_eq!(storage.read(0).value, Some(7));
 /// ```
@@ -33,42 +41,38 @@ pub struct StorageCluster<V: Value> {
 
 impl<V: Value> StorageCluster<V> {
     /// Deploys `cfg.s` object processes, one writer and `cfg.readers`
-    /// readers running `spec` on a worker pool whose links obey `policy`.
+    /// readers running `spec` on a worker pool with one worker per CPU.
     /// A bare [`ProtocolKind`] is the paper-faithful spec; a
     /// [`ProtocolSpec`] additionally carries history retention
     /// (`ProtocolKind::RegularOptimized` with
     /// `HistoryRetention::reader_ack()` is the bounded-memory
     /// production configuration) and reader tuning. Over-provision with
     /// [`StorageConfig::fast`] to make the one-round fast path fire.
-    pub fn deploy(
-        cfg: StorageConfig,
-        spec: impl Into<ProtocolSpec>,
-        policy: Box<dyn LinkPolicy<Msg<V>>>,
-    ) -> Self {
-        Self::deploy_with_objects(cfg, spec, policy, |_i| None)
+    pub fn deploy(cfg: StorageConfig, spec: impl Into<ProtocolSpec>) -> Self {
+        Self::deploy_with_objects(cfg, spec, NoDelay, |_i| None)
     }
 
     /// Like [`StorageCluster::deploy`], but `factory` may substitute the
     /// automaton of any object index — the hook for deploying Byzantine
     /// objects (e.g. from [`vrr_core::attackers`]) on the thread runtime.
     /// Returning `None` deploys the honest object for the protocol.
+    /// [`NoDelay`] is a shim and ignored.
     pub fn deploy_with_objects(
         cfg: StorageConfig,
         spec: impl Into<ProtocolSpec>,
-        policy: Box<dyn LinkPolicy<Msg<V>>>,
+        _link: impl Into<Box<NoDelay>>,
         mut factory: impl FnMut(usize) -> Option<Box<dyn Automaton<Msg<V>>>>,
     ) -> Self {
-        let host =
-            RegisterHost::spawn(
-                Cluster::new(policy),
-                cfg,
-                spec.into(),
-                1,
-                |_slot, role| match role {
-                    GroupRole::Object(i) => factory(i),
-                    GroupRole::Writer | GroupRole::Reader(_) => None,
-                },
-            );
+        let host = RegisterHost::spawn(
+            Cluster::new(),
+            cfg,
+            spec.into(),
+            1,
+            |_slot, role| match role {
+                GroupRole::Object(i) => factory(i),
+                GroupRole::Writer | GroupRole::Reader(_) => None,
+            },
+        );
         StorageCluster { host }
     }
 
@@ -159,13 +163,12 @@ mod tests {
 
     use super::*;
     use crate::executor::ExecutorStats;
-    use crate::link::NoDelay;
 
     #[test]
     fn optimized_regular_on_threads() {
         let cfg = StorageConfig::optimal(1, 1, 1);
         let storage: StorageCluster<u64> =
-            StorageCluster::deploy(cfg, ProtocolKind::RegularOptimized, Box::new(NoDelay));
+            StorageCluster::deploy(cfg, ProtocolKind::RegularOptimized);
         storage.write(5);
         assert_eq!(storage.read(0).value, Some(5));
         storage.write(6);
@@ -181,7 +184,7 @@ mod tests {
         let kind = ProtocolKind::RegularOptimized;
         let figures = ProtocolSpec::figures(kind);
         for (spec, rounds) in [(kind.into(), 1), (figures, 2)] {
-            let storage: StorageCluster<u64> = StorageCluster::deploy(cfg, spec, Box::new(NoDelay));
+            let storage: StorageCluster<u64> = StorageCluster::deploy(cfg, spec);
             storage.write(7);
             let r = storage.read(0);
             assert_eq!(r.value, Some(7));
@@ -233,7 +236,7 @@ mod tests {
         // and poison it for good.
         let cfg = StorageConfig::optimal(1, 1, 1);
         let storage: StorageCluster<u64> =
-            StorageCluster::deploy(cfg, ProtocolKind::RegularOptimized, Box::new(NoDelay));
+            StorageCluster::deploy(cfg, ProtocolKind::RegularOptimized);
         storage.write(9);
         std::thread::scope(|scope| {
             for _ in 0..2 {
@@ -253,12 +256,10 @@ mod tests {
     #[test]
     fn atomic_reads_on_threads_are_atomic_and_take_three_rounds() {
         let cfg = StorageConfig::optimal(2, 1, 2); // S = 6: one liar, one crash
-        let storage: StorageCluster<u64> = StorageCluster::deploy_with_objects(
-            cfg,
-            ProtocolKind::Atomic,
-            Box::new(NoDelay),
-            |i| (i == 0).then(|| AttackerKind::Inflator.build_regular(cfg, 0xBAD)),
-        );
+        let storage: StorageCluster<u64> =
+            StorageCluster::deploy_with_objects(cfg, ProtocolKind::Atomic, NoDelay, |i| {
+                (i == 0).then(|| AttackerKind::Inflator.build_regular(cfg, 0xBAD))
+            });
         storage.crash_object(1);
         let rec = Recorder::new(1);
         let write = |seq: u64| rec.write(0, seq, seq * 10, || storage.write(seq * 10));
@@ -291,7 +292,7 @@ mod tests {
         // server: the runtime takes each outcome as it reports it.
         for kind in [ProtocolKind::Safe, ProtocolKind::RegularOptimized] {
             let cfg = StorageConfig::optimal(1, 1, 1);
-            let storage: StorageCluster<u64> = StorageCluster::deploy(cfg, kind, Box::new(NoDelay));
+            let storage: StorageCluster<u64> = StorageCluster::deploy(cfg, kind);
             for k in 0..5_000u64 {
                 storage.write(k);
                 assert_eq!(storage.read(0).value, Some(k));
@@ -323,7 +324,7 @@ mod tests {
     fn a_submitted_read_costs_one_command_plus_its_deliveries() {
         let cfg = StorageConfig::optimal(1, 1, 1); // S = 4
         let storage: StorageCluster<u64> =
-            StorageCluster::deploy(cfg, ProtocolKind::RegularOptimized, Box::new(NoDelay));
+            StorageCluster::deploy(cfg, ProtocolKind::RegularOptimized);
         storage.write(1);
 
         let before = settled_stats(&storage);

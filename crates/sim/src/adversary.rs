@@ -18,7 +18,7 @@ pub enum Action {
     /// Deliver with the latency model's delay.
     Deliver,
     /// Deliver with the model delay plus `extra` ticks.
-    DeliverAfter(u64),
+    Delay(u64),
     /// Keep in transit until explicitly released (or forever).
     Hold,
     /// Destroy the message. Only sound against *crashed* processes or in

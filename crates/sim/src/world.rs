@@ -381,7 +381,7 @@ impl<M: SimMessage> World<M> {
         self.adversary
             .install(format!("reorder {from:?}→{to:?} p={p}"), move |e| {
                 (e.on_link(from, to) && rng.gen_bool(p))
-                    .then(|| Action::DeliverAfter(rng.gen_range(1u64..=4)))
+                    .then(|| Action::Delay(rng.gen_range(1u64..=4)))
             })
     }
 
@@ -629,7 +629,7 @@ impl<M: SimMessage> World<M> {
                     let at = self.now + delay;
                     self.push_event(at, QueuedKind::Deliver(env));
                 }
-                Action::DeliverAfter(extra) => {
+                Action::Delay(extra) => {
                     let delay = self.latency.delay(&env, &mut self.rng) + extra;
                     let at = self.now + delay;
                     self.push_event(at, QueuedKind::Deliver(env));

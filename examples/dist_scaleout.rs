@@ -36,9 +36,7 @@ use std::sync::Arc;
 use vrr::checker::check_regularity;
 use vrr::core::StorageConfig;
 use vrr::net::{free_addrs, NetClient, Op, RemoteCluster, RemoteClusterConfig, Rsp, ServerProcess};
-use vrr::runtime::{
-    ClusterBackend, NoDelay, ProtocolKind, RouterConfig, ShardedStore, StoreRouter,
-};
+use vrr::runtime::{ClusterBackend, ProtocolKind, RouterConfig, ShardedStore, StoreRouter};
 use vrr::workload::live::{Drill, FORGED};
 
 /// Distinct keys in the drill.
@@ -116,7 +114,6 @@ fn main() {
             None => Arc::new(ShardedStore::deploy(
                 cfg,
                 ProtocolKind::RegularOptimized,
-                Box::new(NoDelay),
                 CAPACITY,
             )),
         },

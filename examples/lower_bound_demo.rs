@@ -14,7 +14,7 @@ use vrr_core::attackers::AttackerKind;
 use vrr_core::metrics::{names, Registry};
 use vrr_core::regular::HistoryRetention;
 use vrr_core::{ReadReport, ReaderTuning, StorageConfig, StorageScenario};
-use vrr_runtime::{NoDelay, ProtocolKind, ProtocolSpec, StorageCluster};
+use vrr_runtime::{ProtocolKind, ProtocolSpec, StorageCluster};
 
 fn main() {
     let (t, b) = (1usize, 1usize);
@@ -176,7 +176,7 @@ fn main() {
 /// `WRITE(42)` then one `READ` on a fresh thread-runtime deployment: the
 /// read's report and its `(hits, fallbacks)` fast-path counters.
 fn quiet_read(cfg: StorageConfig, spec: ProtocolSpec) -> (ReadReport<u64>, (u64, u64)) {
-    let storage: StorageCluster<u64> = StorageCluster::deploy(cfg, spec, Box::new(NoDelay));
+    let storage: StorageCluster<u64> = StorageCluster::deploy(cfg, spec);
     storage.write(42);
     let r = storage.read(0);
     assert_eq!(r.value, Some(42));

@@ -7,7 +7,7 @@
 //! Run with `cargo run --example quickstart`.
 
 use vrr::core::{StorageConfig, StorageScenario};
-use vrr::runtime::{NoDelay, ProtocolKind, StorageCluster};
+use vrr::runtime::{ProtocolKind, StorageCluster};
 
 fn main() {
     // Budget: tolerate t = 2 faulty base objects, of which b = 1 may be
@@ -46,8 +46,7 @@ fn main() {
     assert_eq!(r.value.as_deref(), Some("world"));
 
     // ---- On threads ------------------------------------------------------
-    let storage: StorageCluster<String> =
-        StorageCluster::deploy(cfg, ProtocolKind::Safe, Box::new(NoDelay));
+    let storage: StorageCluster<String> = StorageCluster::deploy(cfg, ProtocolKind::Safe);
     let started = std::time::Instant::now();
     storage.write("hello from threads".to_string());
     let r = storage.read(0);

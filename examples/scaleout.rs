@@ -43,19 +43,14 @@ fn main() {
                 ShardedStore::deploy_with_objects(
                     cfg,
                     ProtocolKind::RegularOptimized,
-                    Box::new(NoDelay),
+                    NoDelay,
                     KEYS as usize,
                     move |_shard, i| {
                         (i == cfg.s - 1).then(|| AttackerKind::Truncator.build_regular(cfg, FORGED))
                     },
                 )
             } else {
-                ShardedStore::deploy(
-                    cfg,
-                    ProtocolKind::RegularOptimized,
-                    Box::new(NoDelay),
-                    KEYS as usize,
-                )
+                ShardedStore::deploy(cfg, ProtocolKind::RegularOptimized, KEYS as usize)
             })
         }));
     println!(

@@ -48,7 +48,7 @@ use std::thread;
 use std::time::Duration;
 
 use vrr::core::{ProtocolKind, StorageConfig};
-use vrr::runtime::{NoDelay, StorageCluster};
+use vrr::runtime::StorageCluster;
 
 struct PerThread;
 
@@ -103,8 +103,7 @@ const OPS: u64 = 200;
 #[test]
 fn reads_and_writes_stay_within_their_allocation_budget() {
     let cfg = StorageConfig::optimal(1, 1, 2); // S = 4, two readers
-    let storage: StorageCluster<u64> =
-        StorageCluster::deploy(cfg, ProtocolKind::RegularOptimized, Box::new(NoDelay));
+    let storage: StorageCluster<u64> = StorageCluster::deploy(cfg, ProtocolKind::RegularOptimized);
     // Write 2's PW acks carry reader 0's timestamps: from here on every
     // tuple's matrix has all its quorum rows populated.
     storage.write(1);

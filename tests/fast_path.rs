@@ -14,7 +14,7 @@ use vrr::core::attackers::AttackerKind;
 use vrr::core::metrics::{names, Registry};
 use vrr::core::regular::HistoryRetention;
 use vrr::core::{ProtocolKind, ProtocolSpec, StorageConfig, StorageScenario};
-use vrr::runtime::{NoDelay, StorageCluster};
+use vrr::runtime::StorageCluster;
 use vrr::sim::SimTime;
 use vrr::workload::{FaultPlan, LatencyKind, ScheduleParams, SimCase};
 
@@ -80,7 +80,7 @@ fn an_atomic_read_writes_a_fast_selection_back_and_is_metered_a_fallback() {
     assert_eq!((got.value, got.rounds, got.fast), (Some(7), 2, false));
     assert_eq!(metered(&sc.metrics_snapshot()), (0, 1), "simulator");
 
-    let storage = StorageCluster::deploy(cfg, ProtocolKind::Atomic, Box::new(NoDelay));
+    let storage = StorageCluster::deploy(cfg, ProtocolKind::Atomic);
     storage.write(7u64);
     let got = storage.read(0);
     assert_eq!((got.value, got.rounds, got.fast), (Some(7), 2, false));

@@ -2,28 +2,23 @@
 //! flat memory under steady-state load in the simulator and on the thread
 //! runtime, the crashed-reader escape hatch, and Byzantine objects lying
 //! about suffixes — with reads staying regular and 2-round throughout.
-//! The last two tests layer every fault at once (a suffix liar,
-//! partitions and heals, reordering or jitter, a crashed reader) over the
-//! length-capped GC, on each harness, and judge the recorded history with
-//! [`check_regularity`].
+//! The last two tests layer the faults at once over the length-capped GC
+//! — a suffix liar and a frozen reader on each harness, plus partitions,
+//! heals and reordering in the simulator — and judge the recorded history
+//! with [`check_regularity`].
 //!
 //! The simulator runs go through the [`StorageScenario`] builder, which
 //! owns the deploy/drive/inspect boilerplate and exports history lengths
 //! through the same metrics snapshot the thread runtime produces.
 
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::time::Duration;
-
 use vrr::checker::{check_regularity, OpHistory, Recorder};
 use vrr::core::attackers::AttackerKind;
 use vrr::core::metrics::{names, Registry};
 use vrr::core::regular::{HistoryRetention, RegularReader};
-use vrr::core::{Msg, StorageConfig, StorageScenario, Timestamp};
+use vrr::core::{StorageConfig, StorageScenario, Timestamp};
 use vrr::runtime::{
-    ClusterBackend, LinkAction, LinkPolicy, NoDelay, ProtocolKind, ProtocolSpec, ShardedStore,
-    StorageCluster,
+    ClusterBackend, NoDelay, ProtocolKind, ProtocolSpec, ShardedStore, StorageCluster,
 };
-use vrr::sim::ProcessId;
 
 #[test]
 fn steady_state_memory_is_flat_in_run_length() {
@@ -189,7 +184,7 @@ fn runtime_cluster_and_sharded_store_run_bounded_memory() {
     let cfg = StorageConfig::optimal(1, 1, 1);
     let spec = ProtocolSpec::from(ProtocolKind::RegularOptimized)
         .with_retention(HistoryRetention::reader_ack());
-    let storage: StorageCluster<u64> = StorageCluster::deploy(cfg, spec, Box::new(NoDelay));
+    let storage: StorageCluster<u64> = StorageCluster::deploy(cfg, spec);
     for k in 1..=64u64 {
         storage.write(k);
         assert_eq!(storage.read(0).value, Some(k));
@@ -203,8 +198,7 @@ fn runtime_cluster_and_sharded_store_run_bounded_memory() {
         64
     );
 
-    let store: ShardedStore<&'static str, u64> =
-        ShardedStore::deploy(cfg, spec, Box::new(NoDelay), 2);
+    let store: ShardedStore<&'static str, u64> = ShardedStore::deploy(cfg, spec, 2);
     for k in 1..=32u64 {
         store.write("a", k);
         store.write("b", k * 2);
@@ -218,7 +212,7 @@ fn runtime_cluster_and_sharded_store_run_bounded_memory() {
     assert!(lens.into_iter().all(|len| len <= 5));
 }
 
-// Length of each combined-fault run, and the seeds it runs at.
+// Length of each combined-fault run, and the seeds the simulator's runs at.
 const COMBINED_ITERS: u64 = 400;
 const COMBINED_SEEDS: [u64; 2] = [42, 2006];
 /// The GC length cap of the combined-fault runs.
@@ -328,61 +322,38 @@ fn combined_faults_stay_regular_and_capped_in_the_simulator() {
     }
 }
 
-/// Delays a deterministic quarter of all messages (by LCG coin) by 200 µs:
-/// enough to reorder deliveries across worker threads without tripping an
-/// operation timeout. The coin is an atomic because every thread that runs
-/// a register group flips it.
-struct Jitter(AtomicU64);
-
-impl LinkPolicy<Msg<u64>> for Jitter {
-    fn action(&self, _from: ProcessId, _to: ProcessId, _msg: &Msg<u64>) -> LinkAction {
-        let step = |s: u64| {
-            s.wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407)
-        };
-        // `fetch_update` hands back the state it replaced, `Ok` or not.
-        let flipped = self.0.fetch_update(Relaxed, Relaxed, |s| Some(step(s)));
-        if (step(flipped.unwrap_or_else(|s| s)) >> 33).is_multiple_of(4) {
-            LinkAction::DeliverAfter(Duration::from_micros(200))
-        } else {
-            LinkAction::Deliver
-        }
-    }
-}
-
 #[test]
 fn combined_faults_stay_regular_and_capped_on_threads() {
-    for seed in COMBINED_SEEDS {
-        // S = 5 with a Truncator at the last index, the whole t = b = 1
-        // budget, under a jittering link policy.
-        let cfg = StorageConfig::fast(1, 1, 2);
-        let storage: StorageCluster<u64> = StorageCluster::deploy_with_objects(
-            cfg,
-            ProtocolSpec::from(ProtocolKind::RegularOptimized)
-                .with_retention(HistoryRetention::reader_ack_capped(CAP)),
-            Box::new(Jitter(AtomicU64::new(seed))),
-            |i| (i == cfg.s - 1).then(|| AttackerKind::Truncator.build_regular(cfg, FORGED)),
-        );
-        let rec = Recorder::new(1);
-        for i in 0..COMBINED_ITERS {
-            let (seq, value) = (i + 1, (i + 1) * 10);
-            rec.write(0, seq, value, || storage.write(value));
-            // Reader 1 falls silent a third of the way in: its ack freezes,
-            // like the simulator's crashed reader's, and only the cap keeps
-            // GC going.
-            let j = if i < COMBINED_ITERS / 3 {
-                (i % 2) as usize
-            } else {
-                0
-            };
-            rec.read(0, j, || {
-                let rep = storage.read(j);
-                assert_eq!(rep.value, Some(value), "seed {seed}, read {i}");
-                (rep.ts.0, rep.value)
-            });
-        }
-        rec.check(check_regularity)
-            .unwrap_or_else(|v| panic!("seed {seed}: {v:?}"));
-        assert_ops_metered_and_capped(&storage.metrics_snapshot(), COMBINED_ITERS);
+    // S = 5 with a Truncator at the last index, the whole t = b = 1 budget.
+    // (Reordering is the simulator test's: the thread runtime delivers
+    // every message at once.)
+    let cfg = StorageConfig::fast(1, 1, 2);
+    let storage: StorageCluster<u64> = StorageCluster::deploy_with_objects(
+        cfg,
+        ProtocolSpec::from(ProtocolKind::RegularOptimized)
+            .with_retention(HistoryRetention::reader_ack_capped(CAP)),
+        NoDelay,
+        |i| (i == cfg.s - 1).then(|| AttackerKind::Truncator.build_regular(cfg, FORGED)),
+    );
+    let rec = Recorder::new(1);
+    for i in 0..COMBINED_ITERS {
+        let (seq, value) = (i + 1, (i + 1) * 10);
+        rec.write(0, seq, value, || storage.write(value));
+        // Reader 1 falls silent a third of the way in: its ack freezes,
+        // like the simulator's crashed reader's, and only the cap keeps GC
+        // going.
+        let j = if i < COMBINED_ITERS / 3 {
+            (i % 2) as usize
+        } else {
+            0
+        };
+        rec.read(0, j, || {
+            let rep = storage.read(j);
+            assert_eq!(rep.value, Some(value), "read {i}");
+            (rep.ts.0, rep.value)
+        });
     }
+    rec.check(check_regularity)
+        .unwrap_or_else(|v| panic!("{v:?}"));
+    assert_ops_metered_and_capped(&storage.metrics_snapshot(), COMBINED_ITERS);
 }

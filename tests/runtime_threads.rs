@@ -7,10 +7,10 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use vrr::core::attackers::AttackerKind;
-use vrr::core::StorageConfig;
+use vrr::core::safe::SafeObject;
+use vrr::core::{Msg, StorageConfig};
 use vrr::runtime::{
-    Cluster, ClusterBackend, FixedDelay, InvokeError, NoDelay, ProtocolKind, ShardedStore,
-    StorageCluster,
+    Cluster, ClusterBackend, InvokeError, NoDelay, ProtocolKind, ShardedStore, StorageCluster,
 };
 use vrr::sim::{from_fn, Automaton, Context, ProcessId};
 
@@ -22,7 +22,7 @@ fn all_variants_round_trip_on_threads() {
         ProtocolKind::RegularOptimized,
     ] {
         let cfg = StorageConfig::optimal(1, 1, 2);
-        let storage: StorageCluster<u64> = StorageCluster::deploy(cfg, kind, Box::new(NoDelay));
+        let storage: StorageCluster<u64> = StorageCluster::deploy(cfg, kind);
         for k in 1..=4u64 {
             let w = storage.write(k * 3);
             assert_eq!(w.rounds, 2);
@@ -41,7 +41,7 @@ fn byzantine_objects_on_threads_are_filtered() {
     let cfg = StorageConfig::optimal(2, 2, 1);
     for attacker in AttackerKind::ALL {
         let storage: StorageCluster<u64> =
-            StorageCluster::deploy_with_objects(cfg, ProtocolKind::Safe, Box::new(NoDelay), |i| {
+            StorageCluster::deploy_with_objects(cfg, ProtocolKind::Safe, NoDelay, |i| {
                 (i < cfg.b).then(|| attacker.build_safe(cfg, 0xDEAD))
             });
         storage.write(77);
@@ -54,8 +54,7 @@ fn byzantine_objects_on_threads_are_filtered() {
 #[test]
 fn crashes_within_budget_are_transparent() {
     let cfg = StorageConfig::optimal(2, 1, 1); // t = 2
-    let storage: StorageCluster<u64> =
-        StorageCluster::deploy(cfg, ProtocolKind::Regular, Box::new(NoDelay));
+    let storage: StorageCluster<u64> = StorageCluster::deploy(cfg, ProtocolKind::Regular);
     storage.write(1);
     storage.crash_object(1);
     storage.write(2);
@@ -64,22 +63,33 @@ fn crashes_within_budget_are_transparent() {
     assert_eq!(storage.read(0).value, Some(3));
 }
 
+/// An honest safe object that takes 2 ms over every message it is
+/// delivered.
+struct SlowObject(SafeObject<u64>);
+
+impl Automaton<Msg<u64>> for SlowObject {
+    fn on_message(&mut self, from: ProcessId, msg: Msg<u64>, ctx: &mut Context<'_, Msg<u64>>) {
+        std::thread::sleep(Duration::from_millis(2));
+        self.0.on_message(from, msg, ctx);
+    }
+}
+
 #[test]
 fn link_delay_slows_but_does_not_break() {
     let cfg = StorageConfig::optimal(1, 1, 1);
-    let storage: StorageCluster<u64> = StorageCluster::deploy(
-        cfg,
-        ProtocolKind::Safe,
-        Box::new(FixedDelay(Duration::from_millis(2))),
-    );
+    let storage: StorageCluster<u64> =
+        StorageCluster::deploy_with_objects(cfg, ProtocolKind::Safe, NoDelay, |_| {
+            Some(Box::new(SlowObject(SafeObject::new())))
+        });
     let t0 = std::time::Instant::now();
     storage.write(5);
     let w_elapsed = t0.elapsed();
     assert_eq!(storage.read(0).value, Some(5));
-    // Two rounds x two link crossings x 2 ms each ≈ at least 8 ms.
+    // Two rounds, each waiting for S - t = 3 object steps of 2 ms, which
+    // the register group runs one at a time: at least 12 ms.
     assert!(
         w_elapsed >= Duration::from_millis(7),
-        "write finished too fast for 2 round-trips over 2 ms links: {w_elapsed:?}"
+        "write finished too fast for 2 rounds over 2 ms objects: {w_elapsed:?}"
     );
 }
 
@@ -92,7 +102,7 @@ fn worker_pool_stress_512_processes_100k_messages() {
     const HOPS: u64 = 200; // 512 tokens x 200 hops = 102_400 deliveries
     let delivered = Arc::new(AtomicU64::new(0));
 
-    let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), 4);
+    let mut cluster: Cluster<u64> = Cluster::with_workers(4);
     for _ in 0..N {
         let delivered = delivered.clone();
         cluster.spawn(from_fn(
@@ -140,7 +150,7 @@ fn worker_pool_stress_512_processes_100k_messages() {
 /// further wakeups.
 #[test]
 fn idle_cluster_makes_zero_spurious_wakeups() {
-    let mut cluster: Cluster<u64> = Cluster::with_workers(Box::new(NoDelay), 2);
+    let mut cluster: Cluster<u64> = Cluster::with_workers(2);
     let a = cluster.spawn(from_fn(|from, n: u64, ctx: &mut Context<'_, u64>| {
         if n > 0 {
             ctx.send(from, n - 1);
@@ -173,8 +183,7 @@ fn idle_cluster_makes_zero_spurious_wakeups() {
 #[test]
 fn try_invoke_distinguishes_live_and_crashed_nodes() {
     let cfg = StorageConfig::optimal(1, 1, 1);
-    let storage: StorageCluster<u64> =
-        StorageCluster::deploy(cfg, ProtocolKind::Regular, Box::new(NoDelay));
+    let storage: StorageCluster<u64> = StorageCluster::deploy(cfg, ProtocolKind::Regular);
     storage.write(3);
     let object = storage.objects()[0];
 
@@ -212,7 +221,6 @@ fn sharded_store_serves_64_keys_concurrently() {
     let store: Arc<ShardedStore<String, u64>> = Arc::new(ShardedStore::deploy(
         cfg,
         ProtocolKind::RegularOptimized,
-        Box::new(NoDelay),
         KEYS,
     ));
 
@@ -245,8 +253,7 @@ fn concurrent_readers_under_churn_stay_consistent() {
     // but the §5.1 reader's cache does (candidates come from the suffix at
     // or above the last returned timestamp).
     let cfg = StorageConfig::optimal(2, 1, 3);
-    let storage: StorageCluster<u64> =
-        StorageCluster::deploy(cfg, ProtocolKind::RegularOptimized, Box::new(NoDelay));
+    let storage: StorageCluster<u64> = StorageCluster::deploy(cfg, ProtocolKind::RegularOptimized);
     std::thread::scope(|scope| {
         let storage = &storage;
         scope.spawn(move || {

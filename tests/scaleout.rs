@@ -123,14 +123,14 @@ fn rebalance_under_crash_and_byzantine_faults_stays_regular() {
                 ShardedStore::deploy_with_objects(
                     cfg,
                     ProtocolKind::RegularOptimized,
-                    Box::new(NoDelay),
+                    NoDelay,
                     40,
                     move |_shard, i| {
                         (i == cfg.s - 1).then(|| AttackerKind::Truncator.build_regular(cfg, FORGED))
                     },
                 )
             } else {
-                ShardedStore::deploy(cfg, ProtocolKind::RegularOptimized, Box::new(NoDelay), 40)
+                ShardedStore::deploy(cfg, ProtocolKind::RegularOptimized, 40)
             })
         },
     );
