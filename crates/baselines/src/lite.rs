@@ -62,14 +62,18 @@ impl<V> LiteMsg<V> {
     }
 }
 
+vrr_core::wire_enum!(LiteMsg<V> {
+    0 => PreWrite { pair },
+    1 => PreWriteAck { ts },
+    2 => Write { pair },
+    3 => WriteAck { ts },
+    4 => Read { nonce },
+    5 => ReadAck { nonce, pw, w },
+});
+
 impl<V: Value> SimMessage for LiteMsg<V> {
     fn wire_size(&self) -> usize {
-        1 + match self {
-            LiteMsg::PreWrite { pair } | LiteMsg::Write { pair } => pair.wire_size(),
-            LiteMsg::PreWriteAck { .. } | LiteMsg::WriteAck { .. } => 8,
-            LiteMsg::Read { .. } => 8,
-            LiteMsg::ReadAck { pw, w, .. } => 8 + pw.wire_size() + w.wire_size(),
-        }
+        vrr_core::wire::encoded_len(self)
     }
 }
 
@@ -138,6 +142,8 @@ impl<V: Value> Automaton<LiteMsg<V>> for LiteObject<V> {
 
 #[cfg(test)]
 mod tests {
+    use vrr_core::wire::{decode_exact, Wire};
+
     use super::*;
 
     fn step(obj: &mut LiteObject<u64>, msg: LiteMsg<u64>) -> Vec<(ProcessId, LiteMsg<u64>)> {
@@ -198,5 +204,26 @@ mod tests {
         }
         assert_eq!(obj.pw, before.pw);
         assert_eq!(obj.w, before.w);
+    }
+
+    #[test]
+    fn every_variant_round_trips_and_costs_its_encoding() {
+        let msgs = [
+            LiteMsg::PreWrite { pair: pair(1, 10) },
+            LiteMsg::PreWriteAck { ts: Timestamp(1) },
+            LiteMsg::Write { pair: pair(2, 20) },
+            LiteMsg::WriteAck { ts: Timestamp(2) },
+            LiteMsg::Read { nonce: 9 },
+            LiteMsg::ReadAck {
+                nonce: 9,
+                pw: pair(2, 20),
+                w: TsVal::bottom(),
+            },
+        ];
+        for m in msgs {
+            let bytes = m.to_wire_vec();
+            assert_eq!(decode_exact::<LiteMsg<u64>>(&bytes), Ok(m.clone()));
+            assert_eq!(m.wire_size(), bytes.len(), "{m:?}");
+        }
     }
 }

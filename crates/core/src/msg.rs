@@ -177,16 +177,7 @@ impl<V: fmt::Debug> fmt::Debug for Msg<V> {
 
 impl<V: Value> SimMessage for Msg<V> {
     fn wire_size(&self) -> usize {
-        // 1 tag byte plus structural payload estimates.
-        1 + match self {
-            Msg::Pw { pw, w, .. } | Msg::W { pw, w, .. } => 8 + pw.wire_size() + w.wire_size(),
-            Msg::PwAck { tsr, .. } => 8 + tsr.len() * 16,
-            Msg::WAck { .. } => 8,
-            Msg::Read { since, .. } => 8 + 8 + 8 + 8 + if since.is_some() { 8 } else { 0 },
-            Msg::ReadAckSafe { pw, w, .. } => 8 + pw.wire_size() + w.wire_size(),
-            Msg::ReadAckRegular { history, .. } => 8 + history.wire_size(),
-            Msg::WriteBack { w } => w.wire_size(),
-        }
+        crate::wire::encoded_len(self)
     }
 }
 

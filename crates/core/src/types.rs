@@ -10,35 +10,23 @@ use std::fmt;
 use std::hash::Hash;
 use std::sync::Arc;
 
+use crate::wire::Wire;
+
 /// Values storable in the register.
 ///
 /// The register is single-writer multi-reader over opaque unauthenticated
-/// data; any equality-comparable owned type works. `wire_size` feeds the
-/// bandwidth accounting of the §5.1 experiments.
-pub trait Value: Clone + Eq + Ord + Hash + fmt::Debug + Send + 'static {
-    /// Estimated serialized size of this value in bytes.
-    fn wire_size(&self) -> usize {
-        std::mem::size_of::<Self>()
-    }
-}
+/// data; any equality-comparable owned type with a [`Wire`] encoding works.
+/// That encoding is what a value costs on a socket and, through the
+/// messages that carry it, in the simulator's byte counts.
+pub trait Value: Clone + Eq + Ord + Hash + fmt::Debug + Send + Wire + 'static {}
 
 impl Value for u64 {}
 impl Value for u32 {}
 impl Value for i64 {}
 impl Value for bool {}
 impl Value for () {}
-
-impl Value for String {
-    fn wire_size(&self) -> usize {
-        self.len()
-    }
-}
-
-impl Value for Vec<u8> {
-    fn wire_size(&self) -> usize {
-        self.len()
-    }
-}
+impl Value for String {}
+impl Value for Vec<u8> {}
 
 /// A write timestamp. The writer issues `1, 2, 3, …`; `0` is the initial
 /// timestamp of the special value `⊥`.
@@ -101,11 +89,6 @@ impl<V: Value> TsVal<V> {
             ts,
             value: Some(value),
         }
-    }
-
-    /// Estimated wire size in bytes.
-    pub fn wire_size(&self) -> usize {
-        8 + self.value.as_ref().map_or(0, Value::wire_size)
     }
 }
 
@@ -192,11 +175,6 @@ impl TsrMatrix {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// Estimated wire size in bytes.
-    pub fn wire_size(&self) -> usize {
-        self.entries.values().map(|row| 8 + row.len() * 16).sum()
-    }
 }
 
 impl PartialOrd for TsrMatrix {
@@ -252,11 +230,6 @@ impl<V: Value> WTuple<V> {
     pub fn ts(&self) -> Timestamp {
         self.tsval.ts
     }
-
-    /// Estimated wire size in bytes.
-    pub fn wire_size(&self) -> usize {
-        self.tsval.wire_size() + self.tsrarray.wire_size()
-    }
 }
 
 impl<V: fmt::Debug> fmt::Debug for WTuple<V> {
@@ -274,13 +247,6 @@ pub struct HistEntry<V> {
     /// The `w` component; `None` is the paper's `nil` (only the `PW` round
     /// of this write has been seen so far).
     pub w: Option<WTuple<V>>,
-}
-
-impl<V: Value> HistEntry<V> {
-    /// Estimated wire size in bytes.
-    pub fn wire_size(&self) -> usize {
-        self.pw.wire_size() + self.w.as_ref().map_or(1, |w| 1 + w.wire_size())
-    }
 }
 
 impl<V: fmt::Debug> fmt::Debug for HistEntry<V> {
@@ -402,11 +368,6 @@ impl<V: Value> History<V> {
             entries: self.entries[self.position(since)..].to_vec(),
         }
     }
-
-    /// Estimated wire size in bytes.
-    pub fn wire_size(&self) -> usize {
-        self.entries.iter().map(|(_, e)| 8 + e.wire_size()).sum()
-    }
 }
 
 impl<V: fmt::Debug> fmt::Debug for History<V> {
@@ -434,13 +395,6 @@ mod tests {
         assert_eq!(bot.ts, Timestamp::ZERO);
         assert!(bot.value.is_none());
         assert!(bot < TsVal::new(Timestamp(1), 0u64));
-    }
-
-    #[test]
-    fn tsval_wire_size_counts_value() {
-        assert_eq!(TsVal::<u64>::bottom().wire_size(), 8);
-        assert_eq!(TsVal::new(Timestamp(1), 7u64).wire_size(), 16);
-        assert_eq!(TsVal::new(Timestamp(1), vec![0u8; 100]).wire_size(), 108);
     }
 
     #[test]

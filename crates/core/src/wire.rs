@@ -1,4 +1,6 @@
-//! Deterministic binary codec for everything `vrr-net` puts on a socket.
+//! Deterministic binary codec for everything `vrr-net` puts on a socket,
+//! and the one measure of a message's size: the simulator charges a message
+//! its [`encoded_len`].
 //!
 //! The format is fixed and versioned by the frame envelope in `vrr-net`, not
 //! self-describing:
@@ -29,6 +31,7 @@
 //! proportionally to a forged length field (collection counts are validated
 //! against the bytes actually present before any allocation).
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -113,6 +116,18 @@ pub trait Wire: Sized {
         self.encode(&mut out);
         out
     }
+}
+
+/// The length of `v`'s encoding — its cost on a socket and in the simulator —
+/// counted in one reused buffer per thread, so a count allocates only while
+/// that buffer grows to the largest value its thread has counted.
+pub fn encoded_len<T: Wire>(v: &T) -> usize {
+    thread_local!(static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) });
+    SCRATCH.with_borrow_mut(|buf| {
+        buf.clear();
+        v.encode(buf);
+        buf.len()
+    })
 }
 
 /// Decodes one value and requires the buffer to be fully consumed.
@@ -393,7 +408,7 @@ impl<K: Wire + Ord, V2: Wire> Wire for BTreeMap<K, V2> {
 /// Decodes `n` key/value pairs whose keys must strictly ascend — the order
 /// every encoder writes a `BTreeMap` in. A repeated or out-of-order key is
 /// [`WireError::Invalid`]: the map it would overwrite into is not the bytes
-/// received, and its `wire_size` would not be theirs.
+/// received, and its [`encoded_len`] would not be theirs.
 fn decode_ascending<K: Ord, V2>(
     buf: &mut &[u8],
     n: usize,

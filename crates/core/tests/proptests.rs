@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use vrr_core::reader::{Evidence, ReadId, Reader};
 use vrr_core::regular::{HistoryRetention, RegularObject, RegularReader};
 use vrr_core::safe::{SafeObject, SafeReader};
-use vrr_core::wire::{decode_exact, Wire};
+use vrr_core::wire::{decode_exact, encoded_len, Wire};
 use vrr_core::{
     conflict_free_of_size, HistEntry, History, Msg, ProtocolKind, ProtocolSpec, ReadReport,
     ReadRound, ReaderTuning, StorageConfig, StorageScenario, Timestamp, TsVal, TsrMatrix, WTuple,
@@ -67,10 +67,10 @@ proptest! {
                 HistOp::Insert { back, v, with_w } => {
                     let pw = TsVal::new(at(back), v);
                     let w = with_w.then(|| WTuple::new(pw.clone(), TsrMatrix::empty()));
-                    let (had, size) = (model.contains_key(&at(back)), h.wire_size());
+                    let (had, size) = (model.contains_key(&at(back)), encoded_len(&h));
                     h.insert(at(back), HistEntry { pw: pw.clone(), w: w.clone() });
                     model.insert(at(back), HistEntry { pw, w });
-                    prop_assert!(had || h.wire_size() > size, "a new entry grows the wire size");
+                    prop_assert!(had || encoded_len(&h) > size, "a new entry grows the encoding");
                 }
                 HistOp::Get { back } => prop_assert_eq!(h.get(at(back)), model.get(&at(back))),
                 HistOp::Suffix { back } => {

@@ -97,7 +97,7 @@ struct Relay<V> {
     transport: Arc<TcpTransport<V>>,
 }
 
-impl<V: Value + Wire> Automaton<Msg<V>> for Relay<V> {
+impl<V: Value> Automaton<Msg<V>> for Relay<V> {
     fn on_message(&mut self, from: ProcessId, msg: Msg<V>, _ctx: &mut Context<'_, Msg<V>>) {
         self.transport.forward(from, self.me, msg);
     }
@@ -191,7 +191,7 @@ impl<V> NetNodeConfig<V> {
 /// demand; this only covers peers that restarted while idle).
 const REDIAL_EVERY: Duration = Duration::from_millis(200);
 
-struct ServerCtx<V: Value + Wire> {
+struct ServerCtx<V: Value> {
     node: u32,
     /// The key index over the node's one register host: every slot group
     /// over the full global pid space, real automata for the members placed
@@ -231,14 +231,14 @@ impl Shutdown {
 /// One running node: its register host (real automata + relays) on one
 /// worker pool and the reactor thread serving it — the node's only
 /// threads.
-pub struct NetNode<V: Value + Wire> {
+pub struct NetNode<V: Value> {
     ctx: Arc<ServerCtx<V>>,
     addr: SocketAddr,
     metrics_addr: Option<SocketAddr>,
     reactor_thread: Option<JoinHandle<()>>,
 }
 
-impl<V: Value + Wire> NetNode<V> {
+impl<V: Value> NetNode<V> {
     /// Starts node `node` of `topo`, binding its listen address (a port-0
     /// address works — see [`NetNode::addr`] for what was actually bound),
     /// spawning the full global pid space, and starting the reactor with
@@ -351,7 +351,7 @@ impl<V: Value + Wire> NetNode<V> {
     }
 }
 
-impl<V: Value + Wire> Drop for NetNode<V> {
+impl<V: Value> Drop for NetNode<V> {
     /// Joins the reactor thread; the worker pool joins as the last
     /// reference to the node's state drops right after. Operations still in
     /// flight complete with `Gone` into a closed reactor.
@@ -442,7 +442,7 @@ fn expire(queue: &mut VecDeque<Pending>, now: Instant) -> Vec<(ConnId, u64)> {
 
 /// The reactor's [`Handler`] for one node: classifies every inbound
 /// envelope and acts on it without waiting (see the module docs).
-struct NodeHandler<V: Value + Wire> {
+struct NodeHandler<V: Value> {
     ctx: Arc<ServerCtx<V>>,
     /// Client operations still in flight when their start returned, in
     /// arrival (= deadline) order.
@@ -450,7 +450,7 @@ struct NodeHandler<V: Value + Wire> {
     last_redial: Instant,
 }
 
-impl<V: Value + Wire> Handler for NodeHandler<V> {
+impl<V: Value> Handler for NodeHandler<V> {
     fn on_event(&mut self, ev: NetEvent) {
         if let NetEvent::HttpRequest { conn, head } = &ev {
             return self.on_http(*conn, head);
@@ -516,7 +516,7 @@ fn read_ok<V>(result: Result<ReadReport<V>, InvokeError>) -> Rsp<V> {
     }
 }
 
-impl<V: Value + Wire> NodeHandler<V> {
+impl<V: Value> NodeHandler<V> {
     /// Serves one thin-client request: answered here, or submitted here
     /// and answered by its completion.
     fn on_request(&mut self, conn: ConnId, id: u64, op: Op<V>) {
@@ -630,7 +630,7 @@ fn http_response(status: &str, body: &str) -> Vec<u8> {
     .into_bytes()
 }
 
-impl<V: Value + Wire> ServerCtx<V> {
+impl<V: Value> ServerCtx<V> {
     /// Gathers the node's whole registry by completion — the hosted
     /// store's snapshot, history gauges labelled `cluster="<cluster>"` when
     /// given, and the transport's counters — and hands it to `answer` with

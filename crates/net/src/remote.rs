@@ -97,7 +97,7 @@ pub struct RemoteCluster<K, V> {
     _marker: PhantomData<fn(K) -> K>,
 }
 
-impl<K, V: Value + Wire> RemoteCluster<K, V> {
+impl<K, V: Value> RemoteCluster<K, V> {
     /// Dials `cfg.connections` connections to the store-hosting server at
     /// `addr` (each dial itself under `cfg.retry`).
     pub fn connect(addr: SocketAddr, cfg: RemoteClusterConfig) -> Result<Self, ClientError> {
@@ -185,7 +185,7 @@ fn key_bytes<K: Wire>(key: &K) -> Vec<u8> {
 impl<K, V> ClusterBackend<K, V> for RemoteCluster<K, V>
 where
     K: Wire + Eq + std::hash::Hash + Clone + Send + Sync,
-    V: Value + Wire,
+    V: Value,
 {
     fn try_write(&self, key: K, value: V) -> Result<WriteReport, StoreError> {
         let op = Op::WriteKey {

@@ -19,6 +19,7 @@ use vrr_core::{HistEntry, History, Msg, ReadRound, Timestamp, TsVal, TsrMatrix, 
 use vrr_net::frame::{
     decode_body, encode_frame, Ctl, Envelope, FrameReader, Op, Payload, Rsp, CLIENT_NODE,
 };
+use vrr_sim::SimMessage;
 
 fn arb_ts(g: &mut Gen) -> Timestamp {
     // Mix tiny, mid and extreme timestamps.
@@ -274,13 +275,15 @@ fn assert_framed_roundtrip(env: &Envelope<u64>, g: &mut Gen) {
 }
 
 proptest! {
-    /// 256 seeds × all 8 protocol-message variants each.
+    /// 256 seeds × all 8 protocol-message variants each; the simulator
+    /// charges each one exactly its encoding's length.
     #[test]
     fn every_msg_variant_roundtrips(seed in any::<u64>()) {
         let mut g = Gen(seed);
         for tag in 0..8u8 {
             let msg = arb_msg(tag, &mut g);
             assert_roundtrip(&msg);
+            prop_assert_eq!(SimMessage::wire_size(&msg), msg.to_wire_vec().len());
         }
     }
 

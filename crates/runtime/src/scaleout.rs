@@ -180,8 +180,8 @@ where
 
     /// The fully general deployment: every cluster is whatever
     /// [`ClusterBackend`] `factory(cluster_index)` returns — in-process
-    /// stores (the hook for per-cluster link policies, history retention,
-    /// or Byzantine object substitution in fault drills), `RemoteCluster`s
+    /// stores (the hook for per-cluster history retention or Byzantine
+    /// object substitution in fault drills), `RemoteCluster`s
     /// speaking to other OS processes, or a mix. The factory is retained
     /// and reused by [`StoreRouter::add_cluster`].
     ///

@@ -61,10 +61,12 @@ impl ProcessStatus {
 /// Messages that can travel through the simulated network.
 ///
 /// `wire_size` lets experiments account for bandwidth (the §5.1 optimization
-/// is about shrinking `READk_ACK` messages); implementations should return an
-/// estimate of the serialized size in bytes.
+/// is about shrinking `READk_ACK` messages): the world adds it to
+/// [`NetStats`](crate::NetStats)' byte counts for every message sent and
+/// delivered. A message with a real encoding returns that encoding's
+/// length, so the simulator counts the bytes a socket would carry.
 pub trait SimMessage: Clone + fmt::Debug + Send + 'static {
-    /// Estimated serialized size in bytes.
+    /// Serialized size in bytes.
     fn wire_size(&self) -> usize;
 }
 
