@@ -4,7 +4,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use vrr_sim::{Automaton, Context, ProcessId, World};
+use vrr_sim::{Automaton, Context, InvokeError, ProcessId, World};
 
 use vrr_core::{
     Deployment, ReadReport, RegisterProtocol, StorageConfig, Timestamp, TsVal, Value, WriteReport,
@@ -61,10 +61,10 @@ pub(crate) struct LiteWriter<V> {
     /// The requests of one WRITE of a pair, in order.
     phases: fn(TsVal<V>) -> Vec<LiteMsg<V>>,
     ts: Timestamp,
-    /// The WRITE in flight: op token, its requests, index of the one open.
-    in_flight: Option<(u64, Vec<LiteMsg<V>>, usize)>,
-    outcomes: HashMap<u64, WriteReport>,
-    next_op: u64,
+    /// The WRITE in flight: its requests, index of the one open.
+    in_flight: Option<(Vec<LiteMsg<V>>, usize)>,
+    /// The report of the last WRITE, until taken.
+    outcome: Option<WriteReport>,
 }
 
 impl<V: Value> LiteWriter<V> {
@@ -75,32 +75,28 @@ impl<V: Value> LiteWriter<V> {
             phases: P::write_phases,
             ts: Timestamp::ZERO,
             in_flight: None,
-            outcomes: HashMap::new(),
-            next_op: 0,
+            outcome: None,
         }
     }
 
     /// Starts `WRITE(value)`; panics if one is in flight.
-    pub fn invoke_write(&mut self, value: V, ctx: &mut Context<'_, LiteMsg<V>>) -> u64 {
+    pub fn invoke_write(&mut self, value: V, ctx: &mut Context<'_, LiteMsg<V>>) {
         assert!(self.in_flight.is_none(), "one WRITE at a time");
-        let op = self.next_op;
-        self.next_op += 1;
         self.ts = self.ts.next();
         let requests = (self.phases)(TsVal::new(self.ts, value));
         self.round.open(requests[0].clone(), ctx);
-        self.in_flight = Some((op, requests, 0));
-        op
+        self.in_flight = Some((requests, 0));
     }
 
-    /// The report for write `op`, if complete.
-    pub fn outcome(&self, op: u64) -> Option<&WriteReport> {
-        self.outcomes.get(&op)
+    /// The report of the WRITE that completed last, if not taken yet.
+    pub fn take_outcome(&mut self) -> Option<WriteReport> {
+        self.outcome.take()
     }
 }
 
 impl<V: Value> Automaton<LiteMsg<V>> for LiteWriter<V> {
     fn on_message(&mut self, from: ProcessId, msg: LiteMsg<V>, ctx: &mut Context<'_, LiteMsg<V>>) {
-        let Some((op, requests, phase)) = self.in_flight.as_mut() else {
+        let Some((requests, phase)) = self.in_flight.as_mut() else {
             return;
         };
         if self.round.count(from, &msg).is_none() || !self.round.complete() {
@@ -110,11 +106,10 @@ impl<V: Value> Automaton<LiteMsg<V>> for LiteWriter<V> {
         match requests.get(*phase) {
             Some(next) => self.round.open(next.clone(), ctx),
             None => {
-                let report = WriteReport {
+                self.outcome = Some(WriteReport {
                     ts: self.ts,
                     rounds: requests.len() as u32,
-                };
-                self.outcomes.insert(*op, report);
+                });
                 self.in_flight = None;
             }
         }
@@ -148,7 +143,6 @@ pub(crate) trait LiteRule<V: Value>: Clone + Send + 'static {
 }
 
 struct ReadOp<V, R> {
-    id: u64,
     /// Rounds opened so far, the one collecting included.
     rounds: u32,
     rule: R,
@@ -163,8 +157,8 @@ pub(crate) struct LiteReader<V, R> {
     rule: R,
     nonce: u64,
     op: Option<ReadOp<V, R>>,
-    outcomes: HashMap<u64, ReadReport<V>>,
-    next_op: u64,
+    /// The report of the last READ, until taken.
+    outcome: Option<ReadReport<V>>,
 }
 
 impl<V: Value, R: LiteRule<V>> LiteReader<V, R> {
@@ -175,30 +169,25 @@ impl<V: Value, R: LiteRule<V>> LiteReader<V, R> {
             rule,
             nonce: 0,
             op: None,
-            outcomes: HashMap::new(),
-            next_op: 0,
+            outcome: None,
         }
     }
 
     /// Starts a READ; panics if one is in flight.
-    pub fn invoke_read(&mut self, ctx: &mut Context<'_, LiteMsg<V>>) -> u64 {
+    pub fn invoke_read(&mut self, ctx: &mut Context<'_, LiteMsg<V>>) {
         assert!(self.op.is_none(), "one READ at a time");
-        let id = self.next_op;
-        self.next_op += 1;
         self.op = Some(ReadOp {
-            id,
             rounds: 1,
             rule: self.rule.clone(),
             write_back: None,
         });
         self.nonce += 1;
         self.round.open(LiteMsg::Read { nonce: self.nonce }, ctx);
-        id
     }
 
-    /// The report for read `op`, if complete.
-    pub fn outcome(&self, op: u64) -> Option<&ReadReport<V>> {
-        self.outcomes.get(&op)
+    /// The report of the READ that completed last, if not taken yet.
+    pub fn take_outcome(&mut self) -> Option<ReadReport<V>> {
+        self.outcome.take()
     }
 }
 
@@ -222,13 +211,12 @@ impl<V: Value, R: LiteRule<V>> Automaton<LiteMsg<V>> for LiteReader<V, R> {
         };
         match verdict {
             Verdict::Return(pair) => {
-                let report = ReadReport {
+                self.outcome = Some(ReadReport {
                     value: pair.value,
                     ts: pair.ts,
                     rounds: op.rounds,
                     fast: op.rounds == 1,
-                };
-                self.outcomes.insert(op.id, report);
+                });
                 self.op = None;
             }
             Verdict::WriteBack(pair) => {
@@ -288,7 +276,7 @@ pub(crate) trait LiteProtocol: Copy {
 
 type Reader<V, P> = LiteReader<V, <P as LiteProtocol>::Rule<V>>;
 
-/// The five driver methods, once. A macro over the three protocol types
+/// The four driver methods, once. A macro over the three protocol types
 /// because a blanket `impl<P: LiteProtocol> RegisterProtocol<V> for P` of
 /// the foreign trait is not ours to write.
 macro_rules! drive_with_the_lite_client {
@@ -309,19 +297,14 @@ macro_rules! drive_with_the_lite_client {
                 dep: &Deployment,
                 world: &mut World<LiteMsg<V>>,
                 value: V,
-            ) -> u64 {
-                world.with_automaton_mut(dep.writer, |w: &mut LiteWriter<V>, ctx| {
-                    w.invoke_write(value, ctx)
-                })
-            }
-
-            fn write_outcome(
-                &self,
-                dep: &Deployment,
-                world: &World<LiteMsg<V>>,
-                op: u64,
-            ) -> Option<WriteReport> {
-                world.inspect(dep.writer, |w: &LiteWriter<V>| w.outcome(op).copied())
+                done: impl FnOnce(Result<WriteReport, InvokeError>) + Send + 'static,
+            ) {
+                world.submit(
+                    dep.writer,
+                    move |w: &mut LiteWriter<V>, ctx| w.invoke_write(value, ctx),
+                    |w: &mut LiteWriter<V>, _| w.take_outcome(),
+                    done,
+                );
             }
 
             fn invoke_read(
@@ -329,22 +312,14 @@ macro_rules! drive_with_the_lite_client {
                 dep: &Deployment,
                 world: &mut World<LiteMsg<V>>,
                 reader: usize,
-            ) -> u64 {
-                world.with_automaton_mut(dep.readers[reader], |r: &mut Reader<V, Self>, ctx| {
-                    r.invoke_read(ctx)
-                })
-            }
-
-            fn read_outcome(
-                &self,
-                dep: &Deployment,
-                world: &World<LiteMsg<V>>,
-                reader: usize,
-                op: u64,
-            ) -> Option<ReadReport<V>> {
-                world.inspect(dep.readers[reader], |r: &Reader<V, Self>| {
-                    r.outcome(op).cloned()
-                })
+                done: impl FnOnce(Result<ReadReport<V>, InvokeError>) + Send + 'static,
+            ) {
+                world.submit(
+                    dep.readers[reader],
+                    |r: &mut Reader<V, Self>, ctx| r.invoke_read(ctx),
+                    |r: &mut Reader<V, Self>, _| r.take_outcome(),
+                    done,
+                );
             }
         }
     )*};
@@ -387,16 +362,35 @@ mod tests {
         assert_eq!(rd.rounds, quiet.read(0).rounds);
     }
 
+    /// A WRITE started on the busy writer waits for the one in progress:
+    /// it is still pending when the first completes, then completes after.
     fn one_write_at_a_time<P: Case>(p: P, s: usize) {
         let mut sc = deploy(p, s);
-        sc.start_write(1);
-        sc.start_write(2);
+        let (mut first, mut second) = (sc.start_write(1), sc.start_write(2));
+        while sc.poll_write(&mut first).is_none() {
+            assert!(sc.world_mut().step());
+        }
+        assert!(
+            sc.poll_write(&mut second).is_none(),
+            "started after the first"
+        );
+        sc.world_mut().run_until_idle(10_000).expect_drained();
+        assert_eq!(sc.poll_write(&mut second).unwrap().ts, Timestamp(2));
     }
 
+    /// Two READs started together at one reader run one after the other.
     fn one_read_at_a_time<P: Case>(p: P, s: usize) {
         let mut sc = deploy(p, s);
-        sc.start_read(0);
-        sc.start_read(0);
+        let (mut first, mut second) = (sc.start_read(0), sc.start_read(0));
+        while sc.poll_read(&mut first).is_none() {
+            assert!(sc.world_mut().step());
+        }
+        assert!(
+            sc.poll_read(&mut second).is_none(),
+            "started after the first"
+        );
+        sc.world_mut().run_until_idle(10_000).expect_drained();
+        assert_eq!(sc.poll_read(&mut second).unwrap().value, None);
     }
 
     type Outbox = Vec<(ProcessId, LiteMsg<u64>)>;
@@ -430,7 +424,7 @@ mod tests {
         mut sent: Outbox,
         noise: Noise,
         previous: &mut Option<LiteMsg<u64>>,
-        rounds: impl Fn(&A) -> Option<u32>,
+        mut rounds: impl FnMut(&mut A) -> Option<u32>,
     ) {
         let (s, quorum) = (objects.len(), objects.len() - T);
         let answer = |objects: &mut [LiteObject<u64>], i: usize, request: &LiteMsg<u64>| {
@@ -471,17 +465,17 @@ mod tests {
         let (mut last_write, mut last_read) = (None, None);
         for value in [7, 8] {
             let mut sent = Vec::new();
-            let op = writer.invoke_write(value, &mut Context::new(CLIENT, &mut sent));
+            writer.invoke_write(value, &mut Context::new(CLIENT, &mut sent));
             carry(
                 &mut writer,
                 &mut objects,
                 sent,
                 noise,
                 &mut last_write,
-                |w| w.outcome(op).map(|report| report.rounds),
+                |w| w.take_outcome().map(|report| report.rounds),
             );
             let mut sent = Vec::new();
-            let op = reader.invoke_read(&mut Context::new(CLIENT, &mut sent));
+            reader.invoke_read(&mut Context::new(CLIENT, &mut sent));
             carry(
                 &mut reader,
                 &mut objects,
@@ -489,7 +483,7 @@ mod tests {
                 noise,
                 &mut last_read,
                 |r| {
-                    let report = r.outcome(op)?;
+                    let report = r.take_outcome()?;
                     assert_eq!(report.value, Some(value));
                     Some(report.rounds)
                 },
@@ -529,9 +523,7 @@ mod tests {
     over_the_three_rules! {
         fresh_read_returns_bottom_in_one_round,
         t_crashes_cost_neither_the_value_nor_a_round,
-        #[should_panic(expected = "one WRITE at a time")]
         one_write_at_a_time,
-        #[should_panic(expected = "one READ at a time")]
         one_read_at_a_time,
         a_repeated_ack_counts_once,
         an_ack_to_an_earlier_request_is_ignored,

@@ -13,7 +13,7 @@ use vrr_baselines::{
 };
 use vrr_checker::OpKind;
 use vrr_core::{Deployment, ReadReport, RegisterProtocol, StorageConfig, WriteReport};
-use vrr_sim::{SimTime, World};
+use vrr_sim::{InvokeError, SimTime, World};
 use vrr_workload::{FaultPlan, LatencyKind, ScheduleParams, SimCase};
 
 const T: usize = 2;
@@ -44,31 +44,24 @@ impl<P: RegisterProtocol<u64, Msg = LiteMsg<u64>>> RegisterProtocol<u64> for For
         dep
     }
 
-    fn invoke_write(&self, dep: &Deployment, world: &mut World<LiteMsg<u64>>, value: u64) -> u64 {
-        self.0.invoke_write(dep, world, value)
-    }
-
-    fn write_outcome(
+    fn invoke_write(
         &self,
         dep: &Deployment,
-        world: &World<LiteMsg<u64>>,
-        op: u64,
-    ) -> Option<WriteReport> {
-        self.0.write_outcome(dep, world, op)
+        world: &mut World<LiteMsg<u64>>,
+        value: u64,
+        done: impl FnOnce(Result<WriteReport, InvokeError>) + Send + 'static,
+    ) {
+        self.0.invoke_write(dep, world, value, done);
     }
 
-    fn invoke_read(&self, dep: &Deployment, world: &mut World<LiteMsg<u64>>, reader: usize) -> u64 {
-        self.0.invoke_read(dep, world, reader)
-    }
-
-    fn read_outcome(
+    fn invoke_read(
         &self,
         dep: &Deployment,
-        world: &World<LiteMsg<u64>>,
+        world: &mut World<LiteMsg<u64>>,
         reader: usize,
-        op: u64,
-    ) -> Option<ReadReport<u64>> {
-        self.0.read_outcome(dep, world, reader, op)
+        done: impl FnOnce(Result<ReadReport<u64>, InvokeError>) + Send + 'static,
+    ) {
+        self.0.invoke_read(dep, world, reader, done);
     }
 }
 

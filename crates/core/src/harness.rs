@@ -4,22 +4,25 @@
 //! spec with its own retention and tuning. (The two operation reports are
 //! what the automata themselves produce: [`ReadReport`], [`WriteReport`].)
 //!
-//! Nothing here drives a world. Operations enter a simulation through
-//! [`crate::StorageScenario`] only, which is written once against the trait
-//! and so runs any implementation: the four kinds here and the ABD /
-//! masking-quorum / passive-reader baselines in `vrr-baselines`.
+//! Nothing here drives a world. An implementation starts an operation as
+//! one [`World::submit`] — the same primitive the thread runtime runs its
+//! operations through — and the operation's `done` receives the report.
+//! Operations enter a simulation through [`crate::StorageScenario`] only,
+//! which is written once against the trait and so runs any
+//! implementation: the four kinds here and the ABD / masking-quorum /
+//! passive-reader baselines in `vrr-baselines`.
 
-use vrr_sim::{Automaton, SimMessage, World};
+use vrr_sim::{Automaton, InvokeError, SimMessage, World};
 
 use crate::attackers::AttackerKind;
 use crate::config::StorageConfig;
 use crate::group::{spawn_group, Deployment, ProtocolKind, ProtocolSpec};
 use crate::msg::Msg;
-use crate::reader::{ReadId, ReadReport};
+use crate::reader::ReadReport;
 use crate::regular::{RegularObject, RegularReader};
 use crate::safe::SafeReader;
 use crate::types::Value;
-use crate::writer::{WriteId, WriteReport, Writer};
+use crate::writer::{WriteReport, Writer};
 
 /// A simulated register protocol: how to deploy it and drive operations.
 ///
@@ -37,28 +40,25 @@ pub trait RegisterProtocol<V: Value> {
     /// Spawns objects, the writer, and readers into `world`.
     fn deploy(&self, cfg: StorageConfig, world: &mut World<Self::Msg>) -> Deployment;
 
-    /// Invokes `WRITE(value)`; returns an opaque op token.
-    fn invoke_write(&self, dep: &Deployment, world: &mut World<Self::Msg>, value: V) -> u64;
-
-    /// The write report, once the op with token `op` completed.
-    fn write_outcome(
+    /// Submits `WRITE(value)` at the writer ([`World::submit`]); `done`
+    /// receives the report when the WRITE completes.
+    fn invoke_write(
         &self,
         dep: &Deployment,
-        world: &World<Self::Msg>,
-        op: u64,
-    ) -> Option<WriteReport>;
+        world: &mut World<Self::Msg>,
+        value: V,
+        done: impl FnOnce(Result<WriteReport, InvokeError>) + Send + 'static,
+    );
 
-    /// Invokes `READ()` at reader `reader`; returns an opaque op token.
-    fn invoke_read(&self, dep: &Deployment, world: &mut World<Self::Msg>, reader: usize) -> u64;
-
-    /// The read report, once the op with token `op` completed.
-    fn read_outcome(
+    /// Submits `READ()` at reader `reader` ([`World::submit`]); `done`
+    /// receives the report when the READ completes.
+    fn invoke_read(
         &self,
         dep: &Deployment,
-        world: &World<Self::Msg>,
+        world: &mut World<Self::Msg>,
         reader: usize,
-        op: u64,
-    ) -> Option<ReadReport<V>>;
+        done: impl FnOnce(Result<ReadReport<V>, InvokeError>) + Send + 'static,
+    );
 
     /// `(object index, stored history length)` per object, or `None` for
     /// protocols whose objects keep no history (e.g. safe storage). Objects
@@ -121,46 +121,42 @@ impl<V: Value, P: Copy + Into<ProtocolSpec>> RegisterProtocol<V> for P {
         )
     }
 
-    fn invoke_write(&self, dep: &Deployment, world: &mut World<Msg<V>>, value: V) -> u64 {
-        world.with_automaton_mut(dep.writer, |w: &mut Writer<V>, ctx| {
-            w.invoke_write(value, ctx).0
-        })
-    }
-
-    fn write_outcome(
+    fn invoke_write(
         &self,
         dep: &Deployment,
-        world: &World<Msg<V>>,
-        op: u64,
-    ) -> Option<WriteReport> {
-        world.inspect(dep.writer, |w: &Writer<V>| w.outcome(WriteId(op)).copied())
+        world: &mut World<Msg<V>>,
+        value: V,
+        done: impl FnOnce(Result<WriteReport, InvokeError>) + Send + 'static,
+    ) {
+        world.submit(
+            dep.writer,
+            move |w: &mut Writer<V>, ctx| w.invoke_write(value, ctx),
+            |w: &mut Writer<V>, _| w.take_outcome(),
+            done,
+        );
     }
 
-    fn invoke_read(&self, dep: &Deployment, world: &mut World<Msg<V>>, reader: usize) -> u64 {
+    fn invoke_read(
+        &self,
+        dep: &Deployment,
+        world: &mut World<Msg<V>>,
+        reader: usize,
+        done: impl FnOnce(Result<ReadReport<V>, InvokeError>) + Send + 'static,
+    ) {
         let pid = dep.readers[reader];
         match (*self).into() {
-            ProtocolSpec::Safe(_) => {
-                world.with_automaton_mut(pid, |r: &mut SafeReader<V>, ctx| r.invoke_read(ctx).0)
-            }
-            ProtocolSpec::Regular { .. } => {
-                world.with_automaton_mut(pid, |r: &mut RegularReader<V>, ctx| r.invoke_read(ctx).0)
-            }
-        }
-    }
-
-    fn read_outcome(
-        &self,
-        dep: &Deployment,
-        world: &World<Msg<V>>,
-        reader: usize,
-        op: u64,
-    ) -> Option<ReadReport<V>> {
-        let (pid, id) = (dep.readers[reader], ReadId(op));
-        match (*self).into() {
-            ProtocolSpec::Safe(_) => world.inspect(pid, |r: &SafeReader<V>| r.outcome(id).cloned()),
-            ProtocolSpec::Regular { .. } => {
-                world.inspect(pid, |r: &RegularReader<V>| r.outcome(id).cloned())
-            }
+            ProtocolSpec::Safe(_) => world.submit(
+                pid,
+                |r: &mut SafeReader<V>, ctx| r.invoke_read(ctx),
+                |r: &mut SafeReader<V>, _| r.take_outcome(),
+                done,
+            ),
+            ProtocolSpec::Regular { .. } => world.submit(
+                pid,
+                |r: &mut RegularReader<V>, ctx| r.invoke_read(ctx),
+                |r: &mut RegularReader<V>, _| r.take_outcome(),
+                done,
+            ),
         }
     }
 

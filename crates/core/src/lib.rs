@@ -75,4 +75,4 @@ pub use scenario::{ReadOp, StorageScenario, WriteOp};
 pub use types::{
     HistEntry, History, ObjectIndex, ReaderIndex, Timestamp, TsVal, TsrMatrix, Value, WTuple,
 };
-pub use writer::{WriteId, WriteReport, Writer};
+pub use writer::{WriteReport, Writer};

@@ -29,8 +29,8 @@
 //! assert!(reg.to_prometheus().contains("vrr_reader_rounds_bucket{le=\"1\"} 1"));
 //! ```
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
 
 use crate::reader::ReadReport;
 use crate::wire::{take_count, Wire, WireError};
@@ -286,10 +286,12 @@ struct Family {
 ///
 /// `BTreeMap`-backed throughout, so iteration — and therefore
 /// [`Registry::to_prometheus`] — is deterministic: a pure function of the
-/// recorded values, independent of recording order across families.
+/// recorded values, independent of recording order across families. A
+/// family recorded here is keyed by its `'static` name, borrowed; one
+/// decoded off the wire owns its name.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Registry {
-    families: BTreeMap<&'static str, Family>,
+    families: BTreeMap<Cow<'static, str>, Family>,
 }
 
 /// The canonical rendering of a label set: name-sorted `k="v"` pairs.
@@ -401,7 +403,7 @@ impl Registry {
     pub fn merge(&mut self, other: &Registry) {
         let mut skipped = 0u64;
         for (name, family) in &other.families {
-            let into = self.families.entry(name).or_default();
+            let into = self.families.entry(name.clone()).or_default();
             for (key, series) in &family.series {
                 let kind = into.series.values().next().map(Series::type_str);
                 let merged = kind.is_none_or(|kind| kind == series.type_str())
@@ -427,7 +429,10 @@ impl Registry {
             let total = self
                 .counter(names::MERGE_SKIPPED, &[])
                 .saturating_add(skipped);
-            let family = self.families.entry(names::MERGE_SKIPPED).or_default();
+            let family = self
+                .families
+                .entry(Cow::Borrowed(names::MERGE_SKIPPED))
+                .or_default();
             family.series.insert(String::new(), Series::Counter(total));
         }
     }
@@ -482,7 +487,7 @@ impl Registry {
         new: impl FnOnce() -> Series,
     ) -> &mut Series {
         assert_name(name);
-        let family = self.families.entry(name).or_default();
+        let family = self.families.entry(Cow::Borrowed(name)).or_default();
         family.series.entry(label_key(labels)).or_insert_with(new)
     }
 
@@ -534,15 +539,12 @@ impl Registry {
 // `RemoteCluster` ships whole registry snapshots across process boundaries
 // so a router can merge per-cluster `vrr_router_*` series structurally
 // (counters add, gauges overwrite) instead of scraping Prometheus text.
-// Family names are `&'static str` in memory, so decoding interns each name
-// in a leak-once table — bounded by the naming convention, a length cap and
-// a table-size cap so a malicious peer cannot leak unbounded memory.
+// A decoded family owns its name, which must follow the naming convention
+// within a length cap: it came from outside.
 
-/// Validates a decoded metric name against the `vrr_*` convention and
-/// interns it, returning the `'static` copy the registry maps require.
-fn intern_metric_name(name: String) -> Result<&'static str, WireError> {
+/// Validates a decoded metric name against the `vrr_*` convention.
+fn metric_name(name: String) -> Result<Cow<'static, str>, WireError> {
     const MAX_NAME_LEN: usize = 128;
-    const MAX_INTERNED: usize = 4_096;
     let well_formed = name.len() <= MAX_NAME_LEN
         && name.starts_with("vrr_")
         && name
@@ -553,23 +555,7 @@ fn intern_metric_name(name: String) -> Result<&'static str, WireError> {
             what: "metric name",
         });
     }
-    static TABLE: OnceLock<Mutex<BTreeMap<String, &'static str>>> = OnceLock::new();
-    let mut table = TABLE
-        .get_or_init(Default::default)
-        .lock()
-        .expect("metric-name intern table poisoned");
-    if let Some(&interned) = table.get(&name) {
-        return Ok(interned);
-    }
-    if table.len() >= MAX_INTERNED {
-        return Err(WireError::Oversized {
-            declared: table.len() as u64 + 1,
-            limit: MAX_INTERNED as u64,
-        });
-    }
-    let interned: &'static str = Box::leak(name.clone().into_boxed_str());
-    table.insert(name, interned);
-    Ok(interned)
+    Ok(Cow::Owned(name))
 }
 
 impl Wire for Histogram {
@@ -623,7 +609,7 @@ impl Wire for Registry {
         let n = take_count(buf, 8)?;
         let mut families = BTreeMap::new();
         for _ in 0..n {
-            let name = intern_metric_name(String::decode(buf)?)?;
+            let name = metric_name(String::decode(buf)?)?;
             let series = BTreeMap::<String, Series>::decode(buf)?;
             if !series.keys().all(|key| is_label_key(key)) {
                 return Err(WireError::Invalid {
@@ -847,8 +833,21 @@ mod tests {
     }
 
     #[test]
+    fn a_registry_of_4_097_names_round_trips() {
+        let mut bytes = Vec::new();
+        4_097u32.encode(&mut bytes);
+        for i in 0..4_097u64 {
+            format!("vrr_test_{i:04}_total").encode(&mut bytes);
+            BTreeMap::from([(String::new(), Series::Counter(i))]).encode(&mut bytes);
+        }
+        let reg: Registry = crate::wire::decode_exact(&bytes).expect("decode");
+        assert_eq!(reg.counter("vrr_test_4096_total", &[]), 4_096);
+        assert_eq!(reg.to_wire_vec(), bytes);
+    }
+
+    #[test]
     fn registry_wire_rejects_malformed_names_and_histograms() {
-        // A name outside the vrr_* convention must not be interned.
+        // A name outside the vrr_* convention must not be decoded.
         let mut bytes = Vec::new();
         1u32.encode(&mut bytes); // one family
         String::from("boom_total").encode(&mut bytes);

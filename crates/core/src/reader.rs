@@ -140,7 +140,6 @@
 //! *older* write and loses regularity, not merely atomicity. The tuple as an
 //! object reported it is the one version no honest history contradicts.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use vrr_sim::{Automaton, Context, ProcessId};
@@ -149,10 +148,6 @@ use crate::config::StorageConfig;
 use crate::mis::conflict_free_of_size;
 use crate::msg::{Msg, ReadRound};
 use crate::types::{Timestamp, TsVal, Value, WTuple};
-
-/// Identifies one READ invocation on a [`Reader`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct ReadId(pub u64);
 
 /// Report for a completed READ.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -304,7 +299,6 @@ enum Phase<V> {
 /// The READ in progress.
 #[derive(Clone, Debug)]
 struct ReadOp<V> {
-    id: ReadId,
     /// `tsrFR`: the reader timestamp of the first round (Figure 4 line 9).
     tsr_fr: u64,
     phase: Phase<V>,
@@ -409,7 +403,9 @@ impl<V: Value, E: Evidence<V>> Heard<V, E> {
 /// [`crate::safe::SafeEvidence`]) and regular (`E =`
 /// [`crate::regular::RegularEvidence`]) protocols; see the module docs.
 ///
-/// Drive with [`Reader::invoke_read`]; poll [`Reader::outcome`].
+/// A driver runs a READ as one submitted operation (`World::submit` in the
+/// simulator, `Cluster::submit` on threads) that starts with
+/// [`Reader::invoke_read`] and polls [`Reader::take_outcome`].
 #[derive(Clone, Debug)]
 pub struct Reader<V: Value, E: Evidence<V>> {
     cfg: StorageConfig,
@@ -422,8 +418,8 @@ pub struct Reader<V: Value, E: Evidence<V>> {
     evidence: E,
     op: Option<ReadOp<V>>,
     heard: Heard<V, E>,
-    outcomes: HashMap<ReadId, ReadReport<V>>,
-    next_id: u64,
+    /// The report of the last READ, until taken.
+    outcome: Option<ReadReport<V>>,
 }
 
 impl<V: Value, E: Evidence<V>> Reader<V, E> {
@@ -456,32 +452,27 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
                 replies: [Vec::new(), Vec::new()],
                 candidates: Vec::new(),
             },
-            outcomes: HashMap::new(),
-            next_id: 0,
+            outcome: None,
         }
     }
 
-    /// Starts a READ (Figure 4 lines 7–10). Returns the invocation id.
+    /// Starts a READ (Figure 4 lines 7–10).
     ///
     /// # Panics
     ///
     /// Panics if a READ by this reader is already in progress (§2.2:
     /// well-formed clients).
-    pub fn invoke_read(&mut self, ctx: &mut Context<'_, Msg<V>>) -> ReadId {
+    pub fn invoke_read(&mut self, ctx: &mut Context<'_, Msg<V>>) {
         assert!(self.op.is_none(), "well-formed reader: one READ at a time");
-        let id = ReadId(self.next_id);
-        self.next_id += 1;
         self.tsr += 1; // line 9: tsrFR := tsr'_j := tsr'_j + 1
         for slots in &mut self.heard.replies {
             slots.resize(self.cfg.s, None); // once: a returned READ leaves S empty slots
         }
         self.op = Some(ReadOp {
-            id,
             tsr_fr: self.tsr,
             phase: Phase::Round1,
         });
         self.send_read(ReadRound::R1, ctx); // line 10
-        id
     }
 
     /// Broadcasts `READk⟨tsr'_j⟩` to all objects.
@@ -497,22 +488,9 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
         ctx.broadcast(self.objects.iter().copied(), msg);
     }
 
-    /// The report of read `id`, if complete.
-    pub fn outcome(&self, id: ReadId) -> Option<&ReadReport<V>> {
-        self.outcomes.get(&id)
-    }
-
-    /// Removes and returns the report of read `id`, if complete — what a
-    /// long-running host polls with, so reports (one cloned value each) do
-    /// not accumulate. `outcome` leaves them in place for the simulator
-    /// harness, which inspects them after the run.
-    pub fn take_outcome(&mut self, id: ReadId) -> Option<ReadReport<V>> {
-        self.outcomes.remove(&id)
-    }
-
-    /// Completed reports not yet taken.
-    pub fn retained_outcomes(&self) -> usize {
-        self.outcomes.len()
+    /// The report of the READ that completed last, if not taken yet.
+    pub fn take_outcome(&mut self) -> Option<ReadReport<V>> {
+        self.outcome.take()
     }
 
     /// Whether no READ is in progress.
@@ -697,7 +675,7 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
     }
 
     fn report(&mut self, tsval: TsVal<V>, rounds: u32, fast: bool) {
-        let op = self.op.take().expect("a READ completes once");
+        assert!(self.op.take().is_some(), "a READ completes once");
         let Heard {
             replies,
             candidates,
@@ -705,15 +683,12 @@ impl<V: Value, E: Evidence<V>> Reader<V, E> {
         replies.iter_mut().for_each(|slots| slots.fill(None));
         candidates.clear();
         candidates.shrink_to(self.cfg.s);
-        self.outcomes.insert(
-            op.id,
-            ReadReport {
-                value: tsval.value,
-                ts: tsval.ts,
-                rounds,
-                fast,
-            },
-        );
+        self.outcome = Some(ReadReport {
+            value: tsval.value,
+            ts: tsval.ts,
+            rounds,
+            fast,
+        });
     }
 }
 
@@ -799,11 +774,10 @@ pub(crate) mod tests {
 
     type Sent = Vec<(ProcessId, Msg<u64>)>;
 
-    pub(crate) fn invoke<E: Evidence<u64>>(r: &mut Reader<u64, E>) -> (ReadId, Sent) {
+    pub(crate) fn invoke<E: Evidence<u64>>(r: &mut Reader<u64, E>) -> Sent {
         let mut out = Vec::new();
-        let mut ctx = Context::new(ProcessId(9), &mut out);
-        let id = r.invoke_read(&mut ctx);
-        (id, out)
+        r.invoke_read(&mut Context::new(ProcessId(9), &mut out));
+        out
     }
 
     pub(crate) fn deliver<E: Evidence<u64>>(
@@ -836,52 +810,52 @@ pub(crate) mod tests {
 
     fn fresh_system_returns_bottom<E: Fixture>() {
         let mut r = optimal::<E>();
-        let (id, _) = invoke(&mut r);
+        invoke(&mut r);
         for i in 0..3 {
             deliver(&mut r, i, E::ack(ReadRound::R1, 1, 0));
         }
-        let got = r.outcome(id).expect("complete");
+        let got = r.take_outcome().expect("complete");
         assert_eq!(got.value, None, "initial value ⊥");
         assert_eq!(got.ts, Timestamp::ZERO);
     }
 
     fn duplicate_wrong_echo_and_stale_acks_are_ignored<E: Fixture>() {
         let mut r = optimal::<E>();
-        let (id1, out1) = invoke(&mut r);
+        let out1 = invoke(&mut r);
         for _ in 0..4 {
             deliver(&mut r, 0, E::ack(ReadRound::R1, 1, 1));
         }
         assert!(
-            r.outcome(id1).is_none(),
+            r.take_outcome().is_none(),
             "one object cannot form a quorum by repeating"
         );
         for i in 1..4 {
             deliver(&mut r, i, E::ack(ReadRound::R1, 77, 1));
         }
-        assert!(r.outcome(id1).is_none(), "wrong echo ignored");
+        assert!(r.take_outcome().is_none(), "wrong echo ignored");
         for i in 1..3 {
             deliver(&mut r, i, E::ack(ReadRound::R1, 1, 1));
         }
-        assert_eq!(r.outcome(id1).expect("complete").value, Some(10));
+        assert_eq!(r.take_outcome().expect("complete").value, Some(10));
 
         // Replays of the first READ's ACKs mean nothing to the second.
-        let (id2, _) = invoke(&mut r);
+        invoke(&mut r);
         for i in 0..4 {
             deliver(&mut r, i, E::ack(ReadRound::R1, tsr_of(&out1), 1));
             deliver(&mut r, i, E::ack(ReadRound::R2, tsr_of(&out1) + 1, 1));
         }
-        assert!(r.outcome(id2).is_none(), "stale echoes ignored");
+        assert!(r.take_outcome().is_none(), "stale echoes ignored");
     }
 
     fn round2_acks_before_round2_are_ignored<E: Fixture>() {
         let mut r = optimal::<E>();
-        let (id, _) = invoke(&mut r);
+        invoke(&mut r);
         // Byzantine objects guess tsrFR + 1 and push round-2 ACKs early.
         for i in 0..3 {
             deliver(&mut r, i, E::ack(ReadRound::R2, 2, 1));
         }
         assert!(
-            r.outcome(id).is_none(),
+            r.take_outcome().is_none(),
             "round-2 ACKs must not bypass round 1"
         );
         assert_eq!(r.candidate_count(), 0, "nor nominate candidates");
@@ -895,14 +869,13 @@ pub(crate) mod tests {
 
     fn sequential_reads_use_fresh_timestamps<E: Fixture>() {
         let mut r = optimal::<E>();
-        let (id1, out1) = invoke(&mut r);
+        let out1 = invoke(&mut r);
         let first_tsr = tsr_of(&out1);
         for i in 0..3 {
             deliver(&mut r, i, E::ack(ReadRound::R1, first_tsr, 1));
         }
-        assert!(r.outcome(id1).is_some(), "returned on round 1");
-        let (id2, out2) = invoke(&mut r);
-        assert_ne!(id1, id2);
+        assert!(r.take_outcome().is_some(), "returned on round 1");
+        let out2 = invoke(&mut r);
         assert!(
             tsr_of(&out2) > first_tsr,
             "tsr must strictly increase across ops"
@@ -911,7 +884,7 @@ pub(crate) mod tests {
 
     fn forged_high_candidate_blocks_until_eliminated<E: Fixture>() {
         let mut r = optimal::<E>();
-        let (id, _) = invoke(&mut r);
+        invoke(&mut r);
         // Object 3 is Byzantine: forges ts 99. Objects 0 and 1 honestly
         // report write 1: quorum {3,0,1} reached, round 2 opens.
         let forged = E::forged_ack(ReadRound::R1, 1, 1, phantom(99, None));
@@ -920,24 +893,24 @@ pub(crate) mod tests {
         deliver(&mut r, 1, E::ack(ReadRound::R1, 1, 1));
         // The forged candidate is high but unsafe (1 supporter < b+1 = 2);
         // the honest candidate is safe but not high: the read must block.
-        assert!(r.outcome(id).is_none());
+        assert!(r.take_outcome().is_none());
         // Honest round-2 replies repeat the honest state; the forgery's
         // contradictors stay at {0, 1} — still blocked.
         deliver(&mut r, 0, E::ack(ReadRound::R2, 2, 1));
         deliver(&mut r, 1, E::ack(ReadRound::R2, 2, 1));
-        assert!(r.outcome(id).is_none());
+        assert!(r.take_outcome().is_none());
         // Object 2's (late round-1) honest reply is the t+b+1 = 3rd object
         // answering without the forged tuple: elimination fires and the
         // honest candidate becomes the high safe candidate.
         deliver(&mut r, 2, E::ack(ReadRound::R1, 1, 1));
-        let got = r.outcome(id).expect("forged candidate eliminated");
+        let got = r.take_outcome().expect("forged candidate eliminated");
         assert_eq!(got.value, Some(10), "falls back to the honest candidate");
         assert_eq!(got.rounds, 2);
     }
 
     fn conflicting_accusation_excludes_forger_from_quorum<E: Fixture>() {
         let mut r = optimal::<E>();
-        let (id, _) = invoke(&mut r);
+        invoke(&mut r);
         // Byzantine object 3 forges a candidate accusing object 0 of having
         // reported reader timestamp 50 > tsrFR = 1.
         let forged = E::forged_ack(ReadRound::R1, 1, 0, phantom(9, Some(0)));
@@ -947,14 +920,14 @@ pub(crate) mod tests {
         // Responders = {0, 1, 3} with conflict(0, 3): the largest
         // conflict-free subset is {0, 1} or {1, 3}, both < quorum = 3 — the
         // read must NOT advance to round 2 yet.
-        assert!(r.outcome(id).is_none());
+        assert!(r.take_outcome().is_none());
         assert!(!r.is_idle());
         // Object 2 answers: the forgery reaches t+b+1 = 3 contradictors and
         // dies, the conflict evaporates, the quorum closes, and ⊥ (confirmed
         // by 3 ≥ b+1) is high: round 1 proves it.
         let sent = deliver(&mut r, 2, E::ack(ReadRound::R1, 1, 0));
         assert!(sent.is_empty(), "no READ2");
-        let got = r.outcome(id).expect("complete");
+        let got = r.take_outcome().expect("complete");
         assert_eq!((got.value, got.rounds), (None, 1));
     }
 
@@ -963,15 +936,15 @@ pub(crate) mod tests {
         // alike: the reply that closes a unanimous quorum completes the
         // read with NO second round.
         for (mut r, quorum) in [(fast::<E>(), 4), (optimal::<E>(), 3)] {
-            let (id, out) = invoke(&mut r);
+            let out = invoke(&mut r);
             assert_eq!(out.len(), quorum + 1, "READ1 to all");
             for i in 0..quorum - 1 {
                 assert!(deliver(&mut r, i, E::ack(ReadRound::R1, 1, 2)).is_empty());
-                assert!(r.outcome(id).is_none());
+                assert!(r.take_outcome().is_none());
             }
             let sent = deliver(&mut r, quorum - 1, E::ack(ReadRound::R1, 1, 2));
             assert!(sent.is_empty(), "the round-1 return sends no READ2");
-            let got = r.outcome(id).expect("one-round read complete");
+            let got = r.take_outcome().expect("one-round read complete");
             assert_eq!((got.value, got.ts), (Some(20), Timestamp(2)));
             assert_eq!(got.rounds, 1);
             assert!(got.fast);
@@ -980,7 +953,7 @@ pub(crate) mod tests {
 
     fn fast_path_falls_back_without_restarting_round1<E: Fixture>() {
         let mut r = optimal::<E>();
-        let (id, _) = invoke(&mut r);
+        invoke(&mut r);
         // Byzantine object 3 forges ts 99; objects 0 and 1 report write 1.
         // At the close the forgery is live (2 < t+b+1 = 3 contradictors)
         // and high with 1 < b+1 = 2 confirmations: round 1 proves nothing.
@@ -1003,7 +976,7 @@ pub(crate) mod tests {
         // three round-1 supporters finish the read: no READ1 is re-sent.
         let sent = deliver(&mut r, 2, E::ack(ReadRound::R1, 1, 1));
         assert!(sent.is_empty(), "no restart");
-        let got = r.outcome(id).expect("fallback read complete");
+        let got = r.take_outcome().expect("fallback read complete");
         assert_eq!(got.value, Some(10));
         assert_eq!(got.rounds, 2);
         assert!(!got.fast);
@@ -1013,11 +986,11 @@ pub(crate) mod tests {
         // S = 4 = 2t + 2b: Proposition 1 applies, and the figures' reader
         // sends READ2 even on a unanimous round-1 quorum.
         let mut r = tuned::<E>(StorageConfig::optimal(1, 1, 1), ReaderTuning::FIGURES);
-        let (id, out) = invoke(&mut r);
+        let out = invoke(&mut r);
         assert_eq!(out.len(), 4, "READ1 to all");
         for i in 0..2 {
             assert!(deliver(&mut r, i, E::ack(ReadRound::R1, 1, 1)).is_empty());
-            assert!(r.outcome(id).is_none());
+            assert!(r.take_outcome().is_none());
         }
         let read2 = deliver(&mut r, 2, E::ack(ReadRound::R1, 1, 1));
         assert_eq!(read2.len(), 4, "READ2 must go out at S <= 2t+2b");
@@ -1031,7 +1004,7 @@ pub(crate) mod tests {
         ));
         // b+1 = 2 round-1 replies already support the candidate, so the
         // wait-until of line 14 is satisfied at round-2 entry.
-        let got = r.outcome(id).expect("complete");
+        let got = r.take_outcome().expect("complete");
         assert_eq!((got.value, got.ts), (Some(10), Timestamp(1)));
         assert_eq!(got.rounds, 2);
         assert!(!got.fast);
@@ -1045,13 +1018,13 @@ pub(crate) mod tests {
         // high among the live candidates, 3 >= 3 exact confirmations —
         // fast-fires instead: on the RIGHT value.
         let mut r = fast::<E>();
-        let (id, _) = invoke(&mut r);
+        invoke(&mut r);
         let forged = E::forged_ack(ReadRound::R1, 1, 1, phantom(99, None));
         deliver(&mut r, 4, forged);
         for i in 0..3 {
             deliver(&mut r, i, E::ack(ReadRound::R1, 1, 1));
         }
-        let got = r.outcome(id).expect("complete");
+        let got = r.take_outcome().expect("complete");
         assert_eq!(got.value, Some(10), "never the forged value");
         assert_eq!(got.ts, Timestamp(1));
         assert_eq!(got.rounds, 1);
@@ -1068,28 +1041,28 @@ pub(crate) mod tests {
             ..ReaderTuning::FIGURES
         };
         let mut r = tuned::<E>(StorageConfig::optimal(1, 1, 1), tuning);
-        let (id, _) = invoke(&mut r);
+        invoke(&mut r);
         for i in 0..2 {
             deliver(&mut r, i, E::ack(ReadRound::R1, 1, 1));
         }
         let sent = deliver(&mut r, 2, E::ack(ReadRound::R1, 1, 1));
         assert!(sent.is_empty(), "no READ2");
-        let got = r.outcome(id).expect("complete");
+        let got = r.take_outcome().expect("complete");
         assert_eq!(got.value, Some(10));
         assert_eq!((got.rounds, got.fast), (1, false));
     }
 
     fn write_acks_mean_nothing_to_a_read_that_does_not_write_back<E: Fixture>() {
         let mut r = optimal::<E>();
-        let (id, _) = invoke(&mut r);
+        invoke(&mut r);
         for i in 0..4 {
             assert!(deliver(&mut r, i, Msg::WAck { ts: Timestamp(1) }).is_empty());
         }
-        assert!(r.outcome(id).is_none());
+        assert!(r.take_outcome().is_none());
         for i in 0..3 {
             deliver(&mut r, i, E::ack(ReadRound::R1, 1, 1));
         }
-        let got = r.outcome(id).expect("complete");
+        let got = r.take_outcome().expect("complete");
         assert_eq!((got.value, got.rounds), (Some(10), 1), "no extra round");
     }
 
@@ -1149,9 +1122,9 @@ pub(crate) mod tests {
         /// S = 4, t = b = 1: objects 0..=2 reported `w1`, the READ selected
         /// it at the round-1 close (b + 1 exact confirmations) and the
         /// write-back of that very tuple is out.
-        fn writing_back() -> (RegularReader<u64>, ReadId) {
+        fn writing_back() -> RegularReader<u64> {
             let mut r = reader(StorageConfig::optimal(1, 1, 1), false);
-            let (id, _) = invoke(&mut r);
+            invoke(&mut r);
             let mut sent = Vec::new();
             for i in 0..3 {
                 sent = deliver(&mut r, i, E::forged_ack(ReadRound::R1, 1, 0, w1()));
@@ -1160,9 +1133,9 @@ pub(crate) mod tests {
             for (_, msg) in &sent {
                 assert_eq!(*msg, Msg::WriteBack { w: w1() }, "matrix included");
             }
-            assert!(r.outcome(id).is_none(), "not before S − t acknowledged");
+            assert!(r.take_outcome().is_none(), "not before S − t acknowledged");
             assert_eq!(r.acked(), Timestamp::ZERO, "on_return fires at the return");
-            (r, id)
+            r
         }
 
         fn acks(r: &mut RegularReader<u64>, from: impl IntoIterator<Item = usize>, ts: u64) {
@@ -1174,11 +1147,11 @@ pub(crate) mod tests {
 
         #[test]
         fn the_read_returns_when_a_quorum_acknowledged_the_write_back() {
-            let (mut r, id) = writing_back();
+            let mut r = writing_back();
             acks(&mut r, 0..2, 1);
-            assert!(r.outcome(id).is_none());
+            assert!(r.take_outcome().is_none());
             acks(&mut r, 2..3, 1);
-            let got = r.outcome(id).expect("S − t acknowledged");
+            let got = r.take_outcome().expect("S − t acknowledged");
             assert_eq!((got.value, got.ts), (Some(10), Timestamp(1)));
             assert_eq!((got.rounds, got.fast), (2, false));
             assert_eq!(r.acked(), Timestamp(1));
@@ -1187,17 +1160,20 @@ pub(crate) mod tests {
 
         #[test]
         fn only_each_object_s_first_ack_for_the_selected_timestamp_counts() {
-            let (mut r, id) = writing_back();
+            let mut r = writing_back();
             acks(&mut r, 0..4, 2);
             acks(&mut r, 0..4, 0);
             acks(&mut r, 7..12, 1); // no such objects
             acks(&mut r, [0, 0, 0, 1, 1], 1);
-            assert!(r.outcome(id).is_none(), "two objects, whatever they repeat");
+            assert!(
+                r.take_outcome().is_none(),
+                "two objects, whatever they repeat"
+            );
         }
 
         #[test]
         fn read_acks_during_the_write_back_change_nothing() {
-            let (mut r, id) = writing_back();
+            let mut r = writing_back();
             // Object 3's late round-1 reply knows a newer write; round-2
             // replies a Byzantine object guessed trickle in. The selection
             // is made.
@@ -1205,16 +1181,16 @@ pub(crate) mod tests {
             for i in 0..4 {
                 assert!(deliver(&mut r, i, E::ack(ReadRound::R2, 2, 2)).is_empty());
             }
-            assert!(r.outcome(id).is_none());
+            assert!(r.take_outcome().is_none());
             acks(&mut r, 1..4, 1);
-            let got = r.outcome(id).expect("complete");
+            let got = r.take_outcome().expect("complete");
             assert_eq!((got.value, got.rounds), (Some(10), 2));
         }
 
         #[test]
         #[should_panic(expected = "one READ at a time")]
         fn invoking_during_the_write_back_panics() {
-            let (mut r, _) = writing_back();
+            let mut r = writing_back();
             invoke(&mut r);
         }
 
@@ -1223,7 +1199,7 @@ pub(crate) mod tests {
             // S = 5: the round-1 quorum confirms write 1 exactly, no READ2
             // goes out — the write-back does, and the read is not `fast`.
             let mut r = reader(StorageConfig::fast(1, 1, 1), false);
-            let (id, _) = invoke(&mut r);
+            invoke(&mut r);
             let mut sent = Vec::new();
             for i in 0..4 {
                 sent = deliver(&mut r, i, E::ack(ReadRound::R1, 1, 1));
@@ -1231,7 +1207,7 @@ pub(crate) mod tests {
             assert_eq!(sent.len(), 5);
             assert!(matches!(sent[0].1, Msg::WriteBack { .. }));
             acks(&mut r, 0..4, 1);
-            let got = r.outcome(id).expect("complete");
+            let got = r.take_outcome().expect("complete");
             assert_eq!((got.value, got.rounds, got.fast), (Some(10), 2, false));
         }
 
@@ -1246,7 +1222,7 @@ pub(crate) mod tests {
                 deliver(&mut r, i, E::ack(ReadRound::R1, 1, 1));
             }
             acks(&mut r, 0..3, 1);
-            let (id, _) = invoke(&mut r);
+            invoke(&mut r);
             let (round, history) = (ReadRound::R1, crate::types::History::empty());
             let empty = Msg::ReadAckRegular {
                 round,
@@ -1258,7 +1234,7 @@ pub(crate) mod tests {
                 sent = deliver(&mut r, i, empty.clone());
             }
             assert_eq!(sent.len(), 4, "READ2 only");
-            let got = r.outcome(id).expect("the cached pair");
+            let got = r.take_outcome().expect("the cached pair");
             assert_eq!((got.value, got.rounds), (Some(10), 2));
         }
 
@@ -1483,7 +1459,7 @@ pub(crate) mod tests {
             // S = 6, t = 2, b = 1: quorum 4, elimination at 4 contradictors,
             // safe at 2 supporters. Object 5 is silent.
             let mut r = regular(StorageConfig::optimal(2, 1, 1));
-            let (id, _) = invoke(&mut r);
+            invoke(&mut r);
             // Object 0 forges ⟨9, 666⟩ accusing itself, and its own entry
             // for it contradicts it (the `pw` disagrees).
             let Msg::ReadAckRegular { mut history, .. } = R::ack(ReadRound::R1, 1, 1) else {
@@ -1514,7 +1490,7 @@ pub(crate) mod tests {
             deliver(&mut r, 2, R::ack(ReadRound::R2, 2, 1));
             deliver(&mut r, 0, R::ack(ReadRound::R1, 1, 2)); // a repeat
             deliver(&mut r, 4, R::ack(ReadRound::R2, 2, 2));
-            let got = r.outcome(id).expect("write 2 reached b + 1 supporters");
+            let got = r.take_outcome().expect("write 2 reached b + 1 supporters");
             assert_eq!((got.value, got.rounds), (Some(20), 2));
 
             let judged = JUDGED.with(|j| j.take());
@@ -1532,11 +1508,11 @@ pub(crate) mod tests {
             let cfg = StorageConfig::optimal(1, 1, 1);
             let mut r = regular(cfg);
             for read in 0..2 {
-                let (id, _) = invoke(&mut r);
+                invoke(&mut r);
                 for i in 0..3 {
                     deliver(&mut r, i, R::ack(ReadRound::R1, read + 1, 100));
                 }
-                assert_eq!(r.outcome(id).expect("complete").value, Some(1_000));
+                assert_eq!(r.take_outcome().expect("complete").value, Some(1_000));
                 assert!(r.heard.candidates.is_empty());
                 assert!(r.heard.candidates.capacity() <= cfg.s);
                 assert!(r.heard.replies.iter().flatten().all(Option::is_none));

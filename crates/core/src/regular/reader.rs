@@ -227,13 +227,13 @@ mod tests {
     #[test]
     fn returns_newest_confirmed_write() {
         let mut r = reader();
-        let (id, out) = invoke(&mut r);
+        let out = invoke(&mut r);
         assert_eq!(out.len(), 4);
         assert!(matches!(out[0].1, Msg::Read { since: None, .. }));
         for i in 0..3 {
             deliver(&mut r, i, ack(ReadRound::R1, 1, full_history(3)));
         }
-        let got = r.outcome(id).expect("complete");
+        let got = r.take_outcome().expect("complete");
         assert_eq!(got.value, Some(30));
         assert_eq!(got.ts, Timestamp(3));
         assert_eq!(got.rounds, 1, "round 1 confirms write 3");
@@ -242,7 +242,7 @@ mod tests {
     #[test]
     fn same_ts_different_tuples_require_full_confirmation() {
         let mut r = reader();
-        let (id, _) = invoke(&mut r);
+        invoke(&mut r);
         // Byzantine object reports write 1 with a tampered matrix.
         let mut tampered_matrix = TsrMatrix::empty();
         tampered_matrix.set_row(1, std::collections::BTreeMap::from([(0usize, 0u64)]));
@@ -252,7 +252,7 @@ mod tests {
         for i in 0..3 {
             deliver(&mut r, i, ack(ReadRound::R1, 1, full_history(1)));
         }
-        let got = r.outcome(id).expect("complete");
+        let got = r.take_outcome().expect("complete");
         // Both tuples have ts 1; only the honest one reaches b+1 = 2
         // confirmations. Value is the same but the returned ts must be 1.
         assert_eq!(got.value, Some(10));
@@ -264,7 +264,7 @@ mod tests {
         // An object that saw only PW of write 2 (w = nil) cannot nominate
         // w2, but its pw does count toward safe(c) for the real w2 tuple.
         let mut r = reader();
-        let (id, _) = invoke(&mut r);
+        invoke(&mut r);
         let w2 = WTuple::new(TsVal::new(Timestamp(2), 20), TsrMatrix::empty());
         // Object 0: full entry for write 2 (nominates w2).
         let mut h0 = full_history(1);
@@ -281,14 +281,14 @@ mod tests {
         deliver(&mut r, 0, ack(ReadRound::R1, 1, h0));
         deliver(&mut r, 1, ack(ReadRound::R1, 1, h12.clone()));
         deliver(&mut r, 2, ack(ReadRound::R1, 1, h12));
-        let got = r.outcome(id).expect("complete");
+        let got = r.take_outcome().expect("complete");
         assert_eq!(got.value, Some(20), "pw confirmations make w2 safe");
     }
 
     #[test]
     fn optimized_reader_sends_since_and_caches() {
         let mut r = RegularReader::new_optimized(cfg(), 0, objects());
-        let (id, out) = invoke(&mut r);
+        let out = invoke(&mut r);
         assert!(
             matches!(
                 out[0].1,
@@ -302,11 +302,11 @@ mod tests {
         for i in 0..3 {
             deliver(&mut r, i, ack(ReadRound::R1, 1, full_history(2)));
         }
-        assert_eq!(r.outcome(id).unwrap().value, Some(20));
+        assert_eq!(r.take_outcome().unwrap().value, Some(20));
         assert_eq!(r.cache().ts, Timestamp(2), "cache updated to returned pair");
 
         // Second read requests the suffix from ts 2.
-        let (_id2, out2) = invoke(&mut r);
+        let out2 = invoke(&mut r);
         assert!(matches!(
             out2[0].1,
             Msg::Read {
@@ -320,16 +320,16 @@ mod tests {
     fn optimized_reader_returns_cache_on_empty_candidates() {
         let mut r = RegularReader::new_optimized(cfg(), 0, objects());
         // Prime the cache with a completed read of write 2.
-        let (id1, _) = invoke(&mut r);
+        invoke(&mut r);
         for i in 0..3 {
             deliver(&mut r, i, ack(ReadRound::R1, 1, full_history(2)));
         }
-        assert_eq!(r.outcome(id1).unwrap().value, Some(20));
+        assert_eq!(r.take_outcome().unwrap().value, Some(20));
 
         // Next read: all objects report empty suffixes (nothing newer).
         // The first read returned on round 1 and consumed reader timestamp
         // 1 only, so this read's tsrFR is 2.
-        let (id2, out2) = invoke(&mut r);
+        let out2 = invoke(&mut r);
         let tsr_fr = match out2[0].1 {
             Msg::Read { tsr, .. } => tsr,
             _ => unreachable!(),
@@ -338,7 +338,7 @@ mod tests {
         for i in 0..3 {
             deliver(&mut r, i, ack(ReadRound::R1, tsr_fr, History::empty()));
         }
-        let got = r.outcome(id2).expect("complete on empty C");
+        let got = r.take_outcome().expect("complete on empty C");
         assert_eq!(got.value, Some(20), "cached value returned");
         assert_eq!(got.ts, Timestamp(2));
     }
@@ -346,7 +346,7 @@ mod tests {
     #[test]
     fn unoptimized_reader_waits_out_empty_histories() {
         let mut r = reader();
-        let (id, _) = invoke(&mut r);
+        invoke(&mut r);
         // Two liars report empty histories, one honest object reports the
         // initial history: round 2 opens but w0 has only 1 confirmation
         // (< b+1 = 2) — the unoptimized reader must keep waiting rather
@@ -354,10 +354,10 @@ mod tests {
         deliver(&mut r, 0, ack(ReadRound::R1, 1, History::empty()));
         deliver(&mut r, 1, ack(ReadRound::R1, 1, History::empty()));
         deliver(&mut r, 2, ack(ReadRound::R1, 1, History::initial()));
-        assert!(r.outcome(id).is_none());
+        assert!(r.take_outcome().is_none());
         // A second honest reply confirms w0: safe(w0) holds, ⊥ returned.
         deliver(&mut r, 3, ack(ReadRound::R1, 1, History::initial()));
-        assert_eq!(r.outcome(id).unwrap().value, None);
+        assert_eq!(r.take_outcome().unwrap().value, None);
     }
 
     #[test]
@@ -368,16 +368,16 @@ mod tests {
         // invalid(c) count reaches t+b+1 and the forgery dies.
         let mut r = RegularReader::new_optimized(cfg(), 0, objects());
         // Warm the cache to ts 2.
-        let (id1, _) = invoke(&mut r);
+        invoke(&mut r);
         for i in 0..3 {
             deliver(&mut r, i, ack(ReadRound::R1, 1, full_history(2)));
         }
-        assert_eq!(r.outcome(id1).unwrap().value, Some(20));
+        assert_eq!(r.take_outcome().unwrap().value, Some(20));
         assert_eq!(r.cache().ts, Timestamp(2));
 
         // Second read: honest objects send empty suffixes; the liar sends
         // a "history" whose only candidate sits below since = 2.
-        let (id2, _) = invoke(&mut r);
+        invoke(&mut r);
         let mut forged = History::empty();
         let fw = WTuple::new(TsVal::new(Timestamp(1), 666), TsrMatrix::empty());
         forged.insert(Timestamp(1), entry(fw));
@@ -386,11 +386,11 @@ mod tests {
             deliver(&mut r, i, ack(ReadRound::R1, 2, History::empty()));
         }
         assert!(
-            r.outcome(id2).is_none(),
+            r.take_outcome().is_none(),
             "forged candidate still live: 2 < t+b+1"
         );
         deliver(&mut r, 2, ack(ReadRound::R1, 2, History::empty()));
-        let got = r.outcome(id2).expect("complete");
+        let got = r.take_outcome().expect("complete");
         assert_eq!(
             got.value,
             Some(20),
@@ -405,17 +405,17 @@ mod tests {
         let fast_cfg = StorageConfig::fast(1, 1, 1);
         let mut r =
             RegularReader::<u64>::new_optimized(fast_cfg, 0, (0..5).map(ProcessId).collect());
-        let (id, _) = invoke(&mut r);
+        invoke(&mut r);
         for i in 0..4 {
             deliver(&mut r, i, ack(ReadRound::R1, 1, full_history(3)));
         }
-        let got = r.outcome(id).expect("complete");
+        let got = r.take_outcome().expect("complete");
         assert_eq!(got.rounds, 1);
         assert!(got.fast);
         assert_eq!(r.cache().ts, Timestamp(3), "cache updated on fast hit");
         assert_eq!(r.acked(), Timestamp(3), "fast hits still drive GC acks");
         // The next read asks for the suffix from the fast-returned pair.
-        let (_, out2) = invoke(&mut r);
+        let out2 = invoke(&mut r);
         assert!(matches!(
             out2[0].1,
             Msg::Read {
@@ -431,7 +431,7 @@ mod tests {
         let mut r =
             RegularReader::with_tuning(cfg(), 0, objects(), false, false, ReaderTuning::FIGURES);
         assert_eq!(r.acked(), Timestamp::ZERO);
-        let (_, out) = invoke(&mut r);
+        let out = invoke(&mut r);
         assert!(
             matches!(
                 out[0].1,
@@ -448,7 +448,7 @@ mod tests {
         assert_eq!(r.acked(), Timestamp(3), "ack tracks the returned ts");
 
         // The next read advertises ack 3 in round 1...
-        let (_, out2) = invoke(&mut r);
+        let out2 = invoke(&mut r);
         assert!(matches!(
             out2[0].1,
             Msg::Read {
@@ -477,20 +477,20 @@ mod tests {
         // written) value; the GC ack must keep the high-water mark, or
         // objects could truncate entries the reader just proved it needs.
         let mut r = reader();
-        let (id1, _) = invoke(&mut r);
+        invoke(&mut r);
         for i in 0..3 {
             deliver(&mut r, i, ack(ReadRound::R1, 1, full_history(5)));
         }
-        assert_eq!(r.outcome(id1).unwrap().ts, Timestamp(5));
+        assert_eq!(r.take_outcome().unwrap().ts, Timestamp(5));
         assert_eq!(r.acked(), Timestamp(5));
 
         // Second read: objects now report only up to write 3 (e.g. the
         // first answer quorum was different).
-        let (id2, _) = invoke(&mut r);
+        invoke(&mut r);
         for i in 0..3 {
             deliver(&mut r, i, ack(ReadRound::R1, 2, full_history(3)));
         }
-        assert_eq!(r.outcome(id2).unwrap().ts, Timestamp(3));
+        assert_eq!(r.take_outcome().unwrap().ts, Timestamp(3));
         assert_eq!(r.acked(), Timestamp(5), "high-water mark kept");
     }
 }

@@ -131,7 +131,7 @@ mod tests {
         // one gathers b+1 support.
         let objects = (0..4).map(ProcessId).collect();
         let mut r = SafeReader::<u64>::new(StorageConfig::optimal(1, 1, 1), 0, objects);
-        let (id, _) = invoke(&mut r);
+        invoke(&mut r);
         let mut forged_matrix = TsrMatrix::empty();
         forged_matrix.set_row(2, BTreeMap::from([(0usize, 0u64)]));
         let forged = Msg::ReadAckSafe {
@@ -144,7 +144,7 @@ mod tests {
         for i in 0..3 {
             deliver(&mut r, i, SafeEvidence::ack(ReadRound::R1, 1, 1));
         }
-        let got = r.outcome(id).expect("complete");
+        let got = r.take_outcome().expect("complete");
         assert_eq!(got.value, Some(10), "only the corroborated tuple is safe");
     }
 

@@ -13,14 +13,18 @@
 //! drivers — is the world's own API, reached through
 //! [`StorageScenario::world`] / [`StorageScenario::world_mut`].
 //!
-//! It is the one way an operation enters a simulated world. The primitive
-//! is non-blocking — [`StorageScenario::start_write`] /
-//! [`StorageScenario::start_read`] return a handle,
-//! [`StorageScenario::poll_write`] / [`StorageScenario::poll_read`] return
-//! the report once the operation completed (recording its rounds and latency
-//! exactly once) — and [`StorageScenario::write`] / [`StorageScenario::read`]
-//! are the blocking shims over it. Schedule runners (`vrr-workload`'s
-//! `SimCase`) keep several handles in flight; tests say what they mean:
+//! It is the one way an operation enters a simulated world, and it enters
+//! the way it does on the thread runtime: as one [`World::submit`], whose
+//! `done` fills the operation's completion slot within the world step that
+//! completed it. [`StorageScenario::start_write`] /
+//! [`StorageScenario::start_read`] submit and return the handle holding
+//! that slot, [`StorageScenario::poll_write`] /
+//! [`StorageScenario::poll_read`] return the report once it landed
+//! (recording its rounds and latency exactly once), and
+//! [`StorageScenario::write`] / [`StorageScenario::read`] are the blocking
+//! shims over them. Schedule runners (`vrr-workload`'s `SimCase`) keep
+//! several handles in flight and look at them when
+//! [`StorageScenario::completions`] moves; tests say what they mean:
 //!
 //! ```
 //! use vrr_core::{ProtocolKind, StorageConfig, StorageScenario};
@@ -41,8 +45,10 @@
 //! dashboards carry over between the simulator and the thread runtime.
 
 use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
-use vrr_sim::{Automaton, ProcessId, SimTime, World};
+use vrr_sim::{Automaton, InvokeError, ProcessId, SimTime, World};
 
 use crate::attackers::AttackerKind;
 use crate::config::StorageConfig;
@@ -59,10 +65,32 @@ use crate::writer::WriteReport;
 /// [`read`]: StorageScenario::read
 const BLOCKING_STEP_LIMIT: u64 = 200_000;
 
+/// Where a submitted operation's completion lands: its `done` fills it.
+type Slot<R> = Arc<Mutex<Option<Result<R, InvokeError>>>>;
+
+/// The report in `slot`, once it landed; panics if the operation failed
+/// (its client was crashed).
+fn landed<R: Clone>(slot: &Slot<R>) -> Option<R> {
+    let outcome = slot.lock().unwrap().clone()?;
+    Some(outcome.unwrap_or_else(|e| panic!("operation failed: {e}")))
+}
+
+/// The `done` that fills `slot` and counts the completion.
+fn fill<R: Send + 'static>(
+    slot: &Slot<R>,
+    count: &Arc<AtomicU64>,
+) -> impl FnOnce(Result<R, InvokeError>) + Send + 'static {
+    let (slot, count) = (slot.clone(), count.clone());
+    move |outcome| {
+        *slot.lock().unwrap() = Some(outcome);
+        count.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 /// A WRITE in flight, from [`StorageScenario::start_write`].
 #[derive(Debug)]
 pub struct WriteOp {
-    token: u64,
+    slot: Slot<WriteReport>,
     invoked_at: SimTime,
     recorded: bool,
 }
@@ -76,14 +104,14 @@ impl WriteOp {
 
 /// A READ in flight, from [`StorageScenario::start_read`].
 #[derive(Debug)]
-pub struct ReadOp {
+pub struct ReadOp<V> {
     reader: usize,
-    token: u64,
+    slot: Slot<ReadReport<V>>,
     invoked_at: SimTime,
     recorded: bool,
 }
 
-impl ReadOp {
+impl<V> ReadOp<V> {
     /// The reader the READ was invoked at.
     pub fn reader(&self) -> usize {
         self.reader
@@ -98,10 +126,12 @@ impl ReadOp {
 /// A deployed register protocol under a scripted, seeded fault scenario.
 ///
 /// See the module-level docs above for the layering. All fault-script methods
-/// chain (`&mut self -> &mut Self`). Operations are started and polled
+/// chain (`&mut self -> &mut Self`). Operations are submitted and polled
 /// ([`start_write`], [`poll_write`], [`start_read`], [`poll_read`]); the
 /// blocking [`write`] and [`read`] drive the world until the operation
-/// completes, firing any scripted events that come due on the way.
+/// completes, firing any scripted events that come due on the way. A
+/// client runs one operation at a time: one started on a busy client waits
+/// for those started before it.
 ///
 /// [`start_write`]: StorageScenario::start_write
 /// [`poll_write`]: StorageScenario::poll_write
@@ -116,6 +146,8 @@ pub struct StorageScenario<V: Value, P: RegisterProtocol<V>> {
     dep: Deployment,
     ops: Registry,
     fast: FastPathStats,
+    /// Completions landed so far, bumped by every operation's `done`.
+    completions: Arc<AtomicU64>,
     _marker: PhantomData<V>,
 }
 
@@ -132,6 +164,7 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
             dep,
             ops: Registry::new(),
             fast: FastPathStats::default(),
+            completions: Arc::default(),
             _marker: PhantomData,
         }
     }
@@ -239,14 +272,14 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
 
     // ---- operations -------------------------------------------------------
 
-    /// Invokes `WRITE(value)` at the writer without driving the world.
+    /// Submits `WRITE(value)` at the writer without driving the world.
     pub fn start_write(&mut self, value: V) -> WriteOp {
-        let invoked_at = self.world.now();
-        let token = self
-            .protocol
-            .invoke_write(&self.dep, &mut self.world, value);
+        let (slot, invoked_at) = (Slot::default(), self.world.now());
+        let done = fill(&slot, &self.completions);
+        self.protocol
+            .invoke_write(&self.dep, &mut self.world, value, done);
         WriteOp {
-            token,
+            slot,
             invoked_at,
             recorded: false,
         }
@@ -255,10 +288,9 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
     /// The WRITE's report once it completed, `None` while it is in flight.
     /// The first completed poll records its rounds and latency (invocation
     /// to now); later polls return the report again and record nothing.
+    /// Panics if the writer was crashed before the WRITE completed.
     pub fn poll_write(&mut self, op: &mut WriteOp) -> Option<WriteReport> {
-        let report = self
-            .protocol
-            .write_outcome(&self.dep, &self.world, op.token)?;
+        let report = landed(&op.slot)?;
         if !std::mem::replace(&mut op.recorded, true) {
             let names = (names::WRITER_ROUNDS, names::WRITE_LATENCY);
             self.observe_completion(names, report.rounds, op.invoked_at);
@@ -266,13 +298,15 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
         Some(report)
     }
 
-    /// Invokes `READ()` at reader `j` without driving the world.
-    pub fn start_read(&mut self, j: usize) -> ReadOp {
-        let invoked_at = self.world.now();
-        let token = self.protocol.invoke_read(&self.dep, &mut self.world, j);
+    /// Submits `READ()` at reader `j` without driving the world.
+    pub fn start_read(&mut self, j: usize) -> ReadOp<V> {
+        let (slot, invoked_at) = (Slot::default(), self.world.now());
+        let done = fill(&slot, &self.completions);
+        self.protocol
+            .invoke_read(&self.dep, &mut self.world, j, done);
         ReadOp {
             reader: j,
-            token,
+            slot,
             invoked_at,
             recorded: false,
         }
@@ -280,17 +314,22 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
 
     /// The READ's report once it completed, `None` while it is in flight;
     /// records exactly once, like [`StorageScenario::poll_write`], and
-    /// counts the READ as a fast-path hit or fallback.
-    pub fn poll_read(&mut self, op: &mut ReadOp) -> Option<ReadReport<V>> {
-        let report = self
-            .protocol
-            .read_outcome(&self.dep, &self.world, op.reader, op.token)?;
+    /// counts the READ as a fast-path hit or fallback. Panics if the reader
+    /// was crashed before the READ completed.
+    pub fn poll_read(&mut self, op: &mut ReadOp<V>) -> Option<ReadReport<V>> {
+        let report = landed(&op.slot)?;
         if !std::mem::replace(&mut op.recorded, true) {
             let names = (names::READER_ROUNDS, names::READ_LATENCY);
             self.observe_completion(names, report.rounds, op.invoked_at);
             self.fast.count(&report);
         }
         Some(report)
+    }
+
+    /// How many operations started here have completed so far — a
+    /// driver with several in flight polls them when this moves.
+    pub fn completions(&self) -> u64 {
+        self.completions.load(Ordering::Relaxed)
     }
 
     /// Records an operation completing now under the `(rounds, latency)`
@@ -315,12 +354,7 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
     /// from a quorum.
     pub fn write(&mut self, value: V) -> WriteReport {
         let mut op = self.start_write(value);
-        let (protocol, dep) = (&self.protocol, &self.dep);
-        let done = self.world.run_until(
-            |w| protocol.write_outcome(dep, w, op.token).is_some(),
-            BLOCKING_STEP_LIMIT,
-        );
-        assert!(done, "WRITE failed to complete (wait-freedom violation?)");
+        self.drive_until(&op.slot, "WRITE");
         self.poll_write(&mut op).expect("just completed")
     }
 
@@ -333,13 +367,16 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
     /// (see [`StorageScenario::write`]).
     pub fn read(&mut self, j: usize) -> ReadReport<V> {
         let mut op = self.start_read(j);
-        let (protocol, dep) = (&self.protocol, &self.dep);
-        let done = self.world.run_until(
-            |w| protocol.read_outcome(dep, w, j, op.token).is_some(),
-            BLOCKING_STEP_LIMIT,
-        );
-        assert!(done, "READ failed to complete (wait-freedom violation?)");
+        self.drive_until(&op.slot, "READ");
         self.poll_read(&mut op).expect("just completed")
+    }
+
+    /// Drives the world until the `what` operation completing into `slot`
+    /// has completed.
+    fn drive_until<R>(&mut self, slot: &Slot<R>, what: &str) {
+        let landed = |_: &World<P::Msg>| slot.lock().unwrap().is_some();
+        let done = self.world.run_until(landed, BLOCKING_STEP_LIMIT);
+        assert!(done, "{what} failed to complete (wait-freedom violation?)");
     }
 
     // ---- observability -------------------------------------------------------

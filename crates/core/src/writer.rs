@@ -11,17 +11,11 @@
 //! Collecting the reader timestamps in `PW` and republishing them in `W` is
 //! what arms the readers' `conflict` predicate against Byzantine objects.
 
-use std::collections::HashMap;
-
 use vrr_sim::{Automaton, Context, ProcessId};
 
 use crate::config::StorageConfig;
 use crate::msg::Msg;
 use crate::types::{Timestamp, TsVal, TsrMatrix, Value, WTuple};
-
-/// Identifies one WRITE invocation on a [`Writer`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct WriteId(pub u64);
 
 /// Report for a completed WRITE.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -36,16 +30,18 @@ pub struct WriteReport {
 #[derive(Clone, Debug)]
 enum Phase {
     Idle,
-    Pw { id: WriteId, acks: u64 },
-    W { id: WriteId, acks: u64 },
+    Pw { acks: u64 },
+    W { acks: u64 },
 }
 
 /// The single writer `w` of the SWMR storage (Figure 2).
 ///
 /// Event-driven port of the pseudocode: `invoke_write` performs lines 3–5,
 /// the `PW_ACK` handler performs lines 6–8 and 11, and the `WRITE_ACK`
-/// handler performs lines 9–10. Completion is observed by polling
-/// [`Writer::outcome`].
+/// handler performs lines 9–10. A driver runs a WRITE as one submitted
+/// operation (`World::submit` in the simulator, `Cluster::submit` on
+/// threads) that starts with `invoke_write` and polls
+/// [`Writer::take_outcome`].
 #[derive(Clone, Debug)]
 pub struct Writer<V> {
     cfg: StorageConfig,
@@ -55,8 +51,8 @@ pub struct Writer<V> {
     w: WTuple<V>,
     current_tsr: TsrMatrix,
     phase: Phase,
-    next_id: u64,
-    outcomes: HashMap<WriteId, WriteReport>,
+    /// The report of the last WRITE, until taken.
+    outcome: Option<WriteReport>,
 }
 
 impl<V: Value> Writer<V> {
@@ -76,25 +72,21 @@ impl<V: Value> Writer<V> {
             w: WTuple::initial(),
             current_tsr: TsrMatrix::empty(),
             phase: Phase::Idle,
-            next_id: 0,
-            outcomes: HashMap::new(),
+            outcome: None,
         }
     }
 
-    /// Starts `WRITE(v)` (Figure 2 lines 3–5). Returns the invocation id.
+    /// Starts `WRITE(v)` (Figure 2 lines 3–5).
     ///
     /// # Panics
     ///
     /// Panics if a WRITE is already in progress: the model has clients
     /// "invoke at most one operation at a time" (§2.2).
-    pub fn invoke_write(&mut self, value: V, ctx: &mut Context<'_, Msg<V>>) -> WriteId {
+    pub fn invoke_write(&mut self, value: V, ctx: &mut Context<'_, Msg<V>>) {
         assert!(
             matches!(self.phase, Phase::Idle),
             "the single writer is well-formed: one WRITE at a time"
         );
-        let id = WriteId(self.next_id);
-        self.next_id += 1;
-
         self.ts = self.ts.next();
         self.current_tsr = TsrMatrix::empty();
         self.pw = TsVal::new(self.ts, value);
@@ -106,26 +98,12 @@ impl<V: Value> Writer<V> {
             w: self.w.clone(),
         };
         ctx.broadcast(self.objects.iter().copied(), msg);
-        self.phase = Phase::Pw { id, acks: 0 };
-        id
+        self.phase = Phase::Pw { acks: 0 };
     }
 
-    /// The outcome of write `id`, if complete.
-    pub fn outcome(&self, id: WriteId) -> Option<&WriteReport> {
-        self.outcomes.get(&id)
-    }
-
-    /// Removes and returns the outcome of write `id`, if complete — what
-    /// a long-running host polls with, so outcomes do not accumulate
-    /// ([`Writer::outcome`] leaves them in place for the simulator
-    /// harness, which inspects them after the run).
-    pub fn take_outcome(&mut self, id: WriteId) -> Option<WriteReport> {
-        self.outcomes.remove(&id)
-    }
-
-    /// Completed outcomes not yet taken.
-    pub fn retained_outcomes(&self) -> usize {
-        self.outcomes.len()
+    /// The report of the WRITE that completed last, if not taken yet.
+    pub fn take_outcome(&mut self) -> Option<WriteReport> {
+        self.outcome.take()
     }
 
     /// Whether no WRITE is in progress.
@@ -149,7 +127,7 @@ impl<V: Value> Automaton<Msg<V>> for Writer<V> {
             Msg::PwAck { ts, tsr } => {
                 // Figure 2 lines 6 + 10–11: the `upon` handler pattern-matches
                 // the current ts, so stale acks are dropped.
-                let Phase::Pw { id, ref mut acks } = self.phase else {
+                let Phase::Pw { ref mut acks } = self.phase else {
                     return;
                 };
                 if ts != self.ts {
@@ -169,12 +147,12 @@ impl<V: Value> Automaton<Msg<V>> for Writer<V> {
                         w: self.w.clone(),
                     };
                     ctx.broadcast(self.objects.iter().copied(), msg);
-                    self.phase = Phase::W { id, acks: 0 };
+                    self.phase = Phase::W { acks: 0 };
                 }
             }
             Msg::WAck { ts } => {
                 // Figure 2 lines 9–10.
-                let Phase::W { id, ref mut acks } = self.phase else {
+                let Phase::W { ref mut acks } = self.phase else {
                     return;
                 };
                 if ts != self.ts {
@@ -182,13 +160,10 @@ impl<V: Value> Automaton<Msg<V>> for Writer<V> {
                 }
                 *acks |= bit;
                 if acks.count_ones() as usize >= self.cfg.quorum() {
-                    self.outcomes.insert(
-                        id,
-                        WriteReport {
-                            ts: self.ts,
-                            rounds: 2,
-                        },
-                    );
+                    self.outcome = Some(WriteReport {
+                        ts: self.ts,
+                        rounds: 2,
+                    });
                     self.phase = Phase::Idle;
                 }
             }
@@ -222,17 +197,16 @@ mod tests {
         out
     }
 
-    fn invoke(w: &mut Writer<u64>, v: u64) -> (WriteId, Vec<(ProcessId, Msg<u64>)>) {
+    fn invoke(w: &mut Writer<u64>, v: u64) -> Vec<(ProcessId, Msg<u64>)> {
         let mut out = Vec::new();
-        let mut ctx = Context::new(ProcessId(10), &mut out);
-        let id = w.invoke_write(v, &mut ctx);
-        (id, out)
+        w.invoke_write(v, &mut Context::new(ProcessId(10), &mut out));
+        out
     }
 
     #[test]
     fn write_broadcasts_pw_then_w_then_completes() {
         let mut w = Writer::new(cfg(), objects());
-        let (id, out) = invoke(&mut w, 42);
+        let out = invoke(&mut w, 42);
         assert_eq!(out.len(), 4, "PW to all objects");
         assert!(matches!(
             out[0].1,
@@ -270,12 +244,12 @@ mod tests {
                 ..
             }
         ));
-        assert!(w.outcome(id).is_none());
+        assert!(w.take_outcome().is_none());
 
         for i in 0..3 {
             drive(&mut w, ProcessId(i), Msg::WAck { ts: Timestamp(1) });
         }
-        let outcome = w.outcome(id).expect("write complete");
+        let outcome = w.take_outcome().expect("write complete");
         assert_eq!(outcome.rounds, 2);
         assert_eq!(outcome.ts, Timestamp(1));
         assert!(w.is_idle());
@@ -284,7 +258,7 @@ mod tests {
     #[test]
     fn w_tuple_snapshots_exactly_the_quorum_tsr_rows() {
         let mut w = Writer::new(cfg(), objects());
-        let (_id, _) = invoke(&mut w, 42);
+        invoke(&mut w, 42);
         // Objects 0, 1, 3 ack with distinct tsr vectors.
         for (i, tsr) in [(0usize, 5u64), (1, 7), (3, 9)] {
             drive(
@@ -308,7 +282,7 @@ mod tests {
     #[test]
     fn duplicate_acks_do_not_advance() {
         let mut w = Writer::new(cfg(), objects());
-        let (_id, _) = invoke(&mut w, 1);
+        invoke(&mut w, 1);
         for _ in 0..5 {
             let sent = drive(
                 &mut w,
@@ -328,7 +302,7 @@ mod tests {
     #[test]
     fn stale_acks_are_ignored() {
         let mut w = Writer::new(cfg(), objects());
-        let (id1, _) = invoke(&mut w, 1);
+        invoke(&mut w, 1);
         for i in 0..3 {
             drive(
                 &mut w,
@@ -342,9 +316,9 @@ mod tests {
         for i in 0..3 {
             drive(&mut w, ProcessId(i), Msg::WAck { ts: Timestamp(1) });
         }
-        assert!(w.outcome(id1).is_some());
+        assert!(w.take_outcome().is_some());
 
-        let (id2, _) = invoke(&mut w, 2);
+        invoke(&mut w, 2);
         // Acks echoing the old timestamp must not advance write 2.
         for i in 0..3 {
             drive(
@@ -356,14 +330,14 @@ mod tests {
                 },
             );
         }
-        assert!(w.outcome(id2).is_none());
+        assert!(w.take_outcome().is_none());
         assert!(!w.is_idle());
     }
 
     #[test]
     fn second_write_carries_previous_w_tuple_in_pw() {
         let mut w = Writer::new(cfg(), objects());
-        let (_, _) = invoke(&mut w, 1);
+        invoke(&mut w, 1);
         for i in 0..3 {
             drive(
                 &mut w,
@@ -377,7 +351,7 @@ mod tests {
         for i in 0..3 {
             drive(&mut w, ProcessId(i), Msg::WAck { ts: Timestamp(1) });
         }
-        let (_, out) = invoke(&mut w, 2);
+        let out = invoke(&mut w, 2);
         match &out[0].1 {
             Msg::Pw { ts, pw, w: prev } => {
                 assert_eq!(*ts, Timestamp(2));
@@ -393,14 +367,14 @@ mod tests {
     #[should_panic(expected = "one WRITE at a time")]
     fn rejects_concurrent_writes() {
         let mut w = Writer::new(cfg(), objects());
-        let (_, _) = invoke(&mut w, 1);
-        let (_, _) = invoke(&mut w, 2);
+        invoke(&mut w, 1);
+        invoke(&mut w, 2);
     }
 
     #[test]
     fn messages_from_unknown_processes_are_ignored() {
         let mut w = Writer::new(cfg(), objects());
-        let (_, _) = invoke(&mut w, 1);
+        invoke(&mut w, 1);
         let sent = drive(
             &mut w,
             ProcessId(99),

@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use proptest::prelude::*;
 
-use vrr_core::reader::{Evidence, ReadId, Reader};
+use vrr_core::reader::{Evidence, Reader};
 use vrr_core::regular::{HistoryRetention, RegularObject, RegularReader};
 use vrr_core::safe::{SafeObject, SafeReader};
 use vrr_core::wire::{decode_exact, encoded_len, Wire};
@@ -278,7 +278,8 @@ struct Reference<E: Evidence<u64>> {
     eliminated: BTreeSet<WTuple<u64>>,
     cache: TsVal<u64>,
     acked: Timestamp,
-    outcomes: Vec<Option<ReadReport<u64>>>,
+    /// The report of the READ that completed last, until taken.
+    outcome: Option<ReadReport<u64>>,
 }
 
 impl<E: Evidence<u64>> Reference<E> {
@@ -294,7 +295,7 @@ impl<E: Evidence<u64>> Reference<E> {
             eliminated: BTreeSet::new(),
             cache: TsVal::bottom(),
             acked: Timestamp::ZERO,
-            outcomes: Vec::new(),
+            outcome: None,
         }
     }
 
@@ -323,7 +324,6 @@ impl<E: Evidence<u64>> Reference<E> {
         self.replies = [vec![None; self.cfg.s], vec![None; self.cfg.s]];
         self.candidates.clear();
         self.eliminated.clear();
-        self.outcomes.push(None);
         self.send(ReadRound::R1)
     }
 
@@ -457,7 +457,7 @@ impl<E: Evidence<u64>> Reference<E> {
     fn report(&mut self, tsval: TsVal<u64>, rounds: u32, fast: bool) {
         self.op = None;
         let (value, ts) = (tsval.value, tsval.ts);
-        *self.outcomes.last_mut().expect("a READ was invoked") = Some(ReadReport {
+        self.outcome = Some(ReadReport {
             value,
             ts,
             rounds,
@@ -627,16 +627,12 @@ fn differential<E: Evidence<u64>>(
             "idle, at step {}",
             n
         );
-        for (read, want) in reference.outcomes.iter().enumerate() {
-            let got = real.outcome(ReadId(read as u64));
-            prop_assert_eq!(
-                got,
-                want.as_ref(),
-                "outcome of read {}, at step {}",
-                read,
-                n
-            );
-        }
+        prop_assert_eq!(
+            real.take_outcome(),
+            reference.outcome.take(),
+            "outcome, at step {}",
+            n
+        );
     }
 }
 

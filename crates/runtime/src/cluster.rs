@@ -9,57 +9,23 @@
 //! the only thing that ever parks); see [`crate::executor`] internals for
 //! placement, the run lock and the drain / run / flush mechanics.
 
-use std::any::Any;
 use std::cell::Cell;
 use std::fmt;
-use std::marker::PhantomData;
 use std::sync::Arc;
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use vrr_sim::{Automaton, Context, ProcessId};
+use vrr_sim::{Automaton, ClientOp, Context, InvokeError, ProcessId};
 
-use crate::executor::{ClientOp, Executor, ExecutorStats};
+use crate::executor::{Executor, ExecutorStats};
 
 /// How long an operation may take before the cluster is declared wedged.
 /// Generous: operations take microseconds to milliseconds. The
 /// blocking waits panic past it; a completion-driven caller (`vrr-net`'s
 /// node) answers a typed error past it instead.
 pub const OP_TIMEOUT: Duration = Duration::from_secs(30);
-
-/// Why a [`Cluster::submit`] completion carries no outcome — the one error
-/// type of every completion, and of [`Cluster::try_invoke`].
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum InvokeError {
-    /// The process can no longer run anything: it was crashed (fault
-    /// injection), poisoned by a panic, or the cluster is shutting down.
-    Gone(ProcessId),
-    /// The process is alive, but its automaton is not the type the
-    /// submission takes. Nothing ran and the process carries on — which is
-    /// what lets inspection ask every process of a group and skip the
-    /// Byzantine substitutes and relay stand-ins among them.
-    WrongType {
-        /// The process asked.
-        pid: ProcessId,
-        /// The automaton type the submission takes.
-        expected: &'static str,
-    },
-}
-
-impl fmt::Display for InvokeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            InvokeError::Gone(pid) => write!(f, "process {pid} is crashed or gone"),
-            InvokeError::WrongType { pid, expected } => {
-                write!(f, "process {pid} is not a {expected}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for InvokeError {}
 
 /// A running cluster of automata on a sharded worker pool.
 ///
@@ -169,13 +135,12 @@ impl<M: Send + 'static> Cluster<M> {
 
     /// Submits one client operation on `pid` and returns without waiting —
     /// the completion-driven primitive every blocking read/write is a shim
-    /// over, and the one command that runs code against an automaton. One
-    /// mailed command carries the whole operation: whoever runs `pid`'s
-    /// group runs `start` (the invocation event, e.g. `invoke_read`; its
-    /// sends are delivered at once), calls `poll` with what `start`
-    /// returned after each later step of the automaton, and hands the first
-    /// `Some(r)` to `done` (the response event). An inspection is an
-    /// operation whose first poll answers.
+    /// over, and the one command that runs code against an automaton,
+    /// under the contract of [`vrr_sim::ClientOp`] (the simulator's
+    /// `World::submit` keeps it too). One mailed command carries the whole
+    /// operation: whoever runs `pid`'s group runs `start` (its sends are
+    /// delivered at once), `poll` and `done`. An inspection is an operation
+    /// whose first poll answers.
     ///
     /// **Where `done` runs.** If `pid`'s group is idle, the calling thread
     /// runs it — for a bounded number of passes, never waiting — so every
@@ -186,14 +151,7 @@ impl<M: Send + 'static> Cluster<M> {
     /// way `done` must neither block nor panic, and the caller must hold
     /// no lock across `submit` that `done` takes.
     ///
-    /// A process runs one operation at a time: an operation submitted
-    /// while another is in progress starts when every operation submitted
-    /// before it has completed, so the model's well-formedness (§2.2, "a
-    /// client invokes one operation at a time") holds whatever the
-    /// callers do. `done` fires exactly once. Before `start` runs, the
-    /// automaton's type is checked: if it is not an `A`, nothing runs,
-    /// `done` receives [`InvokeError::WrongType`] and the process carries
-    /// on. `done` receives [`InvokeError::Gone`] if `pid` is crashed, gets
+    /// `done` receives [`InvokeError::Gone`] if `pid` is crashed, gets
     /// crashed or poisoned (a panic in `start` or `poll`) before the
     /// operation completes, or the cluster is dropped first.
     ///
@@ -212,15 +170,8 @@ impl<M: Send + 'static> Cluster<M> {
         R: 'static,
     {
         assert!(pid.index() < self.len(), "submit on unspawned {pid}");
-        let op = Submitted {
-            pid,
-            start: Some(start),
-            id: None,
-            poll,
-            done: Some(done),
-            _automaton: PhantomData::<fn(&mut A) -> R>,
-        };
-        self.executor.submit(pid, Box::new(op));
+        let op = ClientOp::new(pid, start, poll, done);
+        self.executor.submit(pid, op);
     }
 
     /// Crashes `pid`: it stops processing deliveries and operations — the
@@ -242,70 +193,6 @@ impl<M: Send + 'static> Cluster<M> {
     /// the same link.
     pub fn send_external(&self, from: ProcessId, to: ProcessId, msg: M) {
         self.executor.route(from, to, msg);
-    }
-}
-
-/// The typed state of one [`Cluster::submit`] call behind the mailbox's
-/// `dyn ClientOp`.
-struct Submitted<A, I, R, S, P, D: FnOnce(Result<R, InvokeError>)> {
-    pid: ProcessId,
-    start: Option<S>,
-    /// What `start` returned (the invocation id `poll` looks up); `None`
-    /// after a start that found the wrong automaton and completed.
-    id: Option<I>,
-    poll: P,
-    /// Taken by whichever of `start`, `poll` and `drop` fires it.
-    done: Option<D>,
-    _automaton: PhantomData<fn(&mut A) -> R>,
-}
-
-impl<A, I, R, S, P, D: FnOnce(Result<R, InvokeError>)> Submitted<A, I, R, S, P, D> {
-    fn complete(&mut self, result: Result<R, InvokeError>) {
-        if let Some(done) = self.done.take() {
-            done(result);
-        }
-    }
-}
-
-impl<M, A, I, R, S, P, D> ClientOp<M> for Submitted<A, I, R, S, P, D>
-where
-    A: 'static,
-    I: Send,
-    S: FnOnce(&mut A, &mut Context<'_, M>) -> I + Send,
-    P: FnMut(&mut A, &I) -> Option<R> + Send,
-    D: FnOnce(Result<R, InvokeError>) + Send,
-{
-    fn start(&mut self, automaton: &mut dyn Any, ctx: &mut Context<'_, M>) {
-        let start = self.start.take().expect("an operation starts once");
-        match automaton.downcast_mut::<A>() {
-            Some(a) => self.id = Some(start(a, ctx)),
-            None => self.complete(Err(InvokeError::WrongType {
-                pid: self.pid,
-                expected: std::any::type_name::<A>(),
-            })),
-        }
-    }
-
-    fn poll(&mut self, automaton: &mut dyn Any) -> bool {
-        let Some(id) = self.id.as_ref() else {
-            return true; // completed by `start`
-        };
-        let a = automaton.downcast_mut::<A>().expect("started on an A");
-        match (self.poll)(a, id) {
-            Some(r) => {
-                self.complete(Ok(r));
-                true
-            }
-            None => false,
-        }
-    }
-}
-
-impl<A, I, R, S, P, D: FnOnce(Result<R, InvokeError>)> Drop for Submitted<A, I, R, S, P, D> {
-    /// Dropped before completing — the process crashed, was poisoned, or
-    /// the cluster is going away: the caller hears `Gone`.
-    fn drop(&mut self) {
-        self.complete(Err(InvokeError::Gone(self.pid)));
     }
 }
 
@@ -393,8 +280,8 @@ mod tests {
     use std::time::Duration;
 
     use vrr_sim::from_fn;
+    use vrr_sim::InvokeError::Gone;
 
-    use super::InvokeError::{Gone, WrongType};
     use super::*;
 
     /// Counts the values it receives.
@@ -495,73 +382,6 @@ mod tests {
             seen(&cluster, counter),
             0,
             "a crashed process forwards nothing"
-        );
-    }
-
-    #[test]
-    fn panicking_invoke_poisons_only_its_process() {
-        // Both processes share the one worker: a panic inside an invoke
-        // must not kill the worker thread.
-        let mut cluster: Cluster<u64> = Cluster::with_workers(1);
-        let victim = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
-        let healthy = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
-
-        let blew_up = cluster.try_invoke(victim, |_c: &mut Counter, _ctx| panic!("invoke blew up"));
-        assert_eq!(blew_up, Err::<(), _>(Gone(victim)));
-
-        // The worker survived: its other process still delivers and
-        // answers invokes; the poisoned one behaves like a crashed node.
-        let done = total_after(&cluster, healthy, 1);
-        cluster.send_external(healthy, healthy, 9);
-        assert_eq!(done.recv_timeout(Duration::from_secs(5)).unwrap(), 9);
-        assert_eq!(
-            cluster.try_invoke(healthy, |c: &mut Counter, _ctx| c.seen),
-            Ok(1)
-        );
-        assert_eq!(
-            cluster.try_invoke(victim, |c: &mut Counter, _ctx| c.seen),
-            Err(Gone(victim)),
-            "poisoned process stays gone even for well-typed invokes"
-        );
-    }
-
-    /// One type rule for every submission, inspection or operation: a
-    /// mismatch runs nothing, completes with `WrongType` and poisons
-    /// nothing; only a crash makes the process `Gone`.
-    #[test]
-    fn mistyped_invoke_is_reported_and_leaves_the_process_running() {
-        let mut cluster: Cluster<u64> = Cluster::with_workers(1);
-        let counter = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
-        let wrong_type = Err(WrongType {
-            pid: counter,
-            expected: std::any::type_name::<Pinger>(),
-        });
-
-        let ran = cluster.try_invoke(counter, |_p: &mut Pinger, _ctx| ());
-        assert_eq!(ran, wrong_type, "the closure must not run on a Counter");
-        let (tx, rx) = sync_channel(1);
-        cluster.submit(
-            counter,
-            |_p: &mut Pinger, _ctx| unreachable!("started on a Counter"),
-            |_p: &mut Pinger, ()| Some(()),
-            move |result| {
-                let _ = tx.send(result);
-            },
-        );
-        let completed = rx.recv_timeout(Duration::from_secs(5));
-        assert_eq!(completed, Ok(wrong_type), "a mistyped operation");
-        // Nothing was poisoned: the process answers to its real type and
-        // still takes deliveries.
-        assert_eq!(seen(&cluster, counter), 0);
-        let done = total_after(&cluster, counter, 1);
-        cluster.send_external(counter, counter, 9);
-        assert_eq!(done.recv_timeout(Duration::from_secs(5)).unwrap(), 9);
-
-        cluster.crash(counter);
-        assert_eq!(
-            cluster.try_invoke(counter, |c: &mut Counter, _ctx| c.seen),
-            Err(Gone(counter)),
-            "a crashed process answers every submission Gone"
         );
     }
 

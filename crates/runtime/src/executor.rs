@@ -51,30 +51,14 @@
 //! process but **not** against the in-unit deliveries a runner has queued
 //! locally.
 
-use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 
-use vrr_sim::{Automaton, Context, ProcessId};
+use vrr_sim::{Automaton, ClientOp, Context, OpQueue, ProcessId};
 
 use crate::sharded::Sharded;
-
-/// One client operation on one automaton, type-erased for the mail
-/// (built by [`crate::Cluster::submit`]). The implementor owns the
-/// completion callback and fires it exactly once: from `poll` with the
-/// outcome or a type mismatch, or from its `Drop` with `Gone` when the
-/// process is crashed, poisoned or torn down before the operation completes.
-pub(crate) trait ClientOp<M>: Send {
-    /// Invokes the operation on the automaton (the paper's invocation
-    /// event); its sends go through `ctx`. An automaton of the wrong type
-    /// runs nothing: the operation completes there and then.
-    fn start(&mut self, automaton: &mut dyn Any, ctx: &mut Context<'_, M>);
-    /// Checks for the outcome; on completion fires the callback (the
-    /// response event) and returns `true`.
-    fn poll(&mut self, automaton: &mut dyn Any) -> bool;
-}
 
 /// Commands queued in a unit's mail.
 pub(crate) enum NodeCmd<M> {
@@ -90,7 +74,7 @@ pub(crate) enum NodeCmd<M> {
     },
     /// Run a client operation to completion: start it now if the process
     /// is idle, else after the operations submitted before it.
-    Op(Box<dyn ClientOp<M>>),
+    Op(ClientOp<M>),
     /// Stop processing: deliveries are skipped, operations answer `Gone`.
     Crash,
 }
@@ -272,22 +256,19 @@ pub struct ExecutorStats {
 /// Runner-local state of one registered process.
 struct Cell<M> {
     automaton: Box<dyn Automaton<M>>,
-    /// The one client operation in progress — §2.2 well-formedness ("a
-    /// client invokes one operation at a time") is enforced here, where
-    /// the automaton lives, not by locks around every caller.
-    active: Option<Box<dyn ClientOp<M>>>,
-    /// Operations submitted while `active` was busy, in arrival order.
-    deferred: VecDeque<Box<dyn ClientOp<M>>>,
+    /// The client operations — §2.2 well-formedness ("a client invokes one
+    /// operation at a time") is enforced here, where the automaton lives,
+    /// not by locks around every caller.
+    ops: OpQueue<M>,
     crashed: bool,
 }
 
 impl<M> Cell<M> {
-    /// Stops processing: the active and deferred operations are dropped,
-    /// which completes each of them with `Gone`.
+    /// Stops processing: the operations are dropped, which completes each
+    /// of them with `Gone`.
     fn crash(&mut self) {
         self.crashed = true;
-        self.active = None;
-        self.deferred.clear();
+        self.ops.clear();
     }
 }
 
@@ -407,7 +388,7 @@ impl<M: Send + 'static> Executor<M> {
     /// Mails `op` to `pid` and, if `pid`'s unit is idle, runs the unit on
     /// this thread; a busy unit (or a caller that is itself running one) is
     /// left to the worker.
-    pub(crate) fn submit(&self, pid: ProcessId, op: Box<dyn ClientOp<M>>) {
+    pub(crate) fn submit(&self, pid: ProcessId, op: ClientOp<M>) {
         let to = self.place.locate(pid);
         let unit = &self.units[to.worker][to.unit];
         relock(&unit.mail).push_back((to.at, NodeCmd::Op(op)));
@@ -634,8 +615,7 @@ fn step<M: Send + 'static>(
             }
             cells[at] = Some(Cell {
                 automaton,
-                active: None,
-                deferred: VecDeque::new(),
+                ops: OpQueue::default(),
                 crashed: false,
             });
         }
@@ -643,46 +623,20 @@ fn step<M: Send + 'static>(
             let Some(cell) = live(cells, at) else {
                 return;
             };
-            {
-                let mut ctx = Context::new(pid, outbox);
-                cell.automaton.on_message(from, msg, &mut ctx);
-            }
-            after_step(pid, cell, outbox);
+            cell.automaton
+                .on_message(from, msg, &mut Context::new(pid, outbox));
+            cell.ops.after_step(pid, &mut *cell.automaton, outbox);
         }
         NodeCmd::Op(op) => {
             let Some(cell) = live(cells, at) else {
                 return; // dropping the operation completes it with `Gone`
             };
-            cell.deferred.push_back(op);
-            if cell.active.is_none() {
-                after_step(pid, cell, outbox);
-            }
+            cell.ops.push(op, pid, &mut *cell.automaton, outbox);
         }
         NodeCmd::Crash => {
             if let Some(cell) = live(cells, at) {
                 cell.crash();
             }
         }
-    }
-}
-
-/// Runs after every step of a process: polls the active operation and
-/// starts deferred ones as the process becomes idle.
-fn after_step<M>(pid: ProcessId, cell: &mut Cell<M>, outbox: &mut Vec<(ProcessId, M)>) {
-    loop {
-        if let Some(op) = cell.active.as_mut() {
-            if !op.poll(&mut *cell.automaton) {
-                break;
-            }
-            cell.active = None;
-        }
-        // The operation sits in `active` while it starts, so a panic in
-        // `start` leaves it where the poisoning path finds and fails it.
-        cell.active = cell.deferred.pop_front();
-        let Some(op) = cell.active.as_mut() else {
-            break;
-        };
-        let mut ctx = Context::new(pid, outbox);
-        op.start(&mut *cell.automaton, &mut ctx);
     }
 }

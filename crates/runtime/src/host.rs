@@ -23,7 +23,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use vrr_sim::Automaton;
+use vrr_sim::{Automaton, InvokeError};
 
 use vrr_core::metrics::{self, names, FastPathStats, Histogram, Registry};
 use vrr_core::regular::{RegularObject, RegularReader};
@@ -33,7 +33,7 @@ use vrr_core::{
     StorageConfig, Value, WriteReport, Writer,
 };
 
-use crate::cluster::{op_slot, Cluster, InvokeError};
+use crate::cluster::{op_slot, Cluster};
 use crate::sharded::{Padded, Sharded};
 
 /// Rounds and latency histograms of one kind of operation (the host's
@@ -232,7 +232,7 @@ impl<V: Value> RegisterHost<V> {
         self.cluster.submit(
             self.groups[slot].writer,
             move |w: &mut Writer<V>, ctx| w.invoke_write(value, ctx),
-            |w: &mut Writer<V>, &id| w.take_outcome(id),
+            |w: &mut Writer<V>, _| w.take_outcome(),
             self.writes.timed(
                 |report: &WriteReport, rec: &mut Recorded| {
                     rec.rounds.observe(u64::from(report.rounds));
@@ -268,14 +268,14 @@ impl<V: Value> RegisterHost<V> {
             ProtocolKind::Safe => self.cluster.submit(
                 reader,
                 |r: &mut SafeReader<V>, ctx| r.invoke_read(ctx),
-                |r: &mut SafeReader<V>, &id| r.take_outcome(id),
+                |r: &mut SafeReader<V>, _| r.take_outcome(),
                 done,
             ),
             ProtocolKind::Regular | ProtocolKind::RegularOptimized | ProtocolKind::Atomic => {
                 self.cluster.submit(
                     reader,
                     |r: &mut RegularReader<V>, ctx| r.invoke_read(ctx),
-                    |r: &mut RegularReader<V>, &id| r.take_outcome(id),
+                    |r: &mut RegularReader<V>, _| r.take_outcome(),
                     done,
                 )
             }

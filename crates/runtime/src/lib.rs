@@ -23,6 +23,8 @@
 //! the group's home worker is the fallback (see [`Cluster::submit`] for
 //! where the completion runs). A process runs one operation at a time, in
 //! submission order; an inspection is an operation that answers at once.
+//! The operation and the queue are `vrr-sim`'s ([`vrr_sim::ClientOp`]):
+//! `submit` is the one way to run an operation in both worlds.
 //!
 //! **One host, three views.** A [`RegisterHost`] owns a cluster, `slots`
 //! register groups (each with its own writer, base objects and readers)
@@ -90,7 +92,7 @@ mod sharded;
 mod storage;
 
 pub use backend::ClusterBackend;
-pub use cluster::{Cluster, InvokeError, OP_TIMEOUT};
+pub use cluster::{Cluster, OP_TIMEOUT};
 pub use executor::ExecutorStats;
 pub use host::RegisterHost;
 pub use ring::{stable_hash_64, RingTable, StableHasher};
@@ -98,3 +100,4 @@ pub use scaleout::{RouterConfig, StoreRouter};
 pub use shard::{ShardedStore, StoreError};
 pub use storage::{NoDelay, StorageCluster};
 pub use vrr_core::{ProtocolKind, ProtocolSpec};
+pub use vrr_sim::InvokeError;

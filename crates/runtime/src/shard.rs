@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
 
-use vrr_sim::Automaton;
+use vrr_sim::{Automaton, InvokeError};
 
 use vrr_core::metrics::Registry;
 use vrr_core::{
@@ -25,7 +25,7 @@ use vrr_core::{
 };
 
 use crate::backend::ClusterBackend;
-use crate::cluster::{Cluster, InvokeError};
+use crate::cluster::Cluster;
 use crate::host::RegisterHost;
 use crate::storage::NoDelay;
 

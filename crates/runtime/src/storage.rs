@@ -158,8 +158,6 @@ mod tests {
     use vrr_core::attackers::AttackerKind;
     use vrr_core::metrics::names;
     use vrr_core::regular::{RegularObject, RegularReader};
-    use vrr_core::safe::SafeReader;
-    use vrr_core::Writer;
 
     use super::*;
     use crate::executor::ExecutorStats;
@@ -284,40 +282,6 @@ mod tests {
             }
         });
         rec.check(check_atomicity).expect("atomic on threads");
-    }
-
-    #[test]
-    fn client_automata_retain_no_outcomes() {
-        // One cloned value per READ ever served is a leak in a long-running
-        // server: the runtime takes each outcome as it reports it.
-        for kind in [ProtocolKind::Safe, ProtocolKind::RegularOptimized] {
-            let cfg = StorageConfig::optimal(1, 1, 1);
-            let storage: StorageCluster<u64> = StorageCluster::deploy(cfg, kind);
-            for k in 0..5_000u64 {
-                storage.write(k);
-                assert_eq!(storage.read(0).value, Some(k));
-            }
-            let cluster = storage.cluster();
-            let written = cluster.try_invoke(
-                storage.host.groups()[0].writer,
-                |w: &mut Writer<u64>, _ctx| w.retained_outcomes(),
-            );
-            let reader = storage.host.groups()[0].readers[0];
-            let read = match kind {
-                ProtocolKind::Safe => cluster
-                    .try_invoke(reader, |r: &mut SafeReader<u64>, _ctx| {
-                        r.retained_outcomes()
-                    }),
-                _ => cluster.try_invoke(reader, |r: &mut RegularReader<u64>, _ctx| {
-                    r.retained_outcomes()
-                }),
-            };
-            assert_eq!(
-                (written, read),
-                (Ok(0), Ok(0)),
-                "{kind:?} after 10 000 operations"
-            );
-        }
     }
 
     #[test]

@@ -70,6 +70,11 @@
 //! assert_eq!(world.net_stats().delivered, 2); // the ping at t = 11, its echo at 12
 //! assert_eq!(world.fault_stats().crashes, 1);
 //! ```
+//!
+//! A driver runs an operation on a client automaton with [`World::submit`]
+//! — the one way to run an operation in both worlds: the thread runtime's
+//! `Cluster::submit` keeps the same contract ([`ClientOp`]) on the same
+//! per-process queue ([`OpQueue`]).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -78,6 +83,7 @@ mod adversary;
 mod byzantine;
 mod envelope;
 mod latency;
+mod op;
 mod process;
 mod time;
 mod trace;
@@ -87,6 +93,7 @@ pub use adversary::{Action, Adversary, RuleId};
 pub use byzantine::{from_fn, Mute, Tamper};
 pub use envelope::{Envelope, MsgId};
 pub use latency::{Fixed, LatencyModel, LongTail, Uniform};
+pub use op::{ClientOp, InvokeError, OpQueue};
 pub use process::{Automaton, Context, ProcessId, ProcessStatus, SimMessage};
 pub use time::SimTime;
 pub use trace::{FaultStats, NetStats, Trace, TraceEvent, TraceEventKind};

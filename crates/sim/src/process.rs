@@ -158,8 +158,9 @@ impl<'a, M> Context<'a, M> {
 ///
 /// Implementations must be deterministic functions of their state and inputs:
 /// all correctness experiments rely on replayable runs. `Any` is a supertrait
-/// so drivers can downcast to the concrete automaton type to invoke operations
-/// and inspect results (see [`crate::World::with_automaton_mut`]).
+/// so drivers can downcast to the concrete automaton type: an operation runs
+/// through [`crate::World::submit`] (or the thread runtime's
+/// `Cluster::submit`), and [`crate::World::inspect`] reads state.
 pub trait Automaton<M>: Any + Send {
     /// Called once when the world starts (the paper's `Init` step).
     fn on_start(&mut self, _ctx: &mut Context<'_, M>) {}

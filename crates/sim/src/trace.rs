@@ -62,9 +62,11 @@ impl<M> Trace<M> {
         self.enabled = true;
     }
 
-    pub(crate) fn push(&mut self, at: SimTime, kind: TraceEventKind<M>) {
+    /// Records the event `kind` builds, if enabled: a disabled trace
+    /// builds (and clones) nothing.
+    pub(crate) fn push(&mut self, at: SimTime, kind: impl FnOnce() -> TraceEventKind<M>) {
         if self.enabled {
-            self.events.push(TraceEvent { at, kind });
+            self.events.push(TraceEvent { at, kind: kind() });
         }
     }
 
@@ -137,11 +139,12 @@ impl fmt::Display for NetStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use TraceEventKind::{Crashed, TurnedByzantine};
 
     #[test]
     fn disabled_trace_records_nothing() {
         let mut t: Trace<u8> = Trace::default();
-        t.push(SimTime::ZERO, TraceEventKind::Crashed(ProcessId(1)));
+        t.push(SimTime::ZERO, || Crashed(ProcessId(1)));
         assert!(t.events().is_empty());
     }
 
@@ -149,22 +152,13 @@ mod tests {
     fn enabled_trace_records_in_order() {
         let mut t: Trace<u8> = Trace::default();
         t.enable();
-        t.push(
-            SimTime::from_ticks(1),
-            TraceEventKind::Crashed(ProcessId(1)),
-        );
-        t.push(
-            SimTime::from_ticks(2),
-            TraceEventKind::TurnedByzantine(ProcessId(2)),
-        );
+        t.push(SimTime::from_ticks(1), || Crashed(ProcessId(1)));
+        t.push(SimTime::from_ticks(2), || TurnedByzantine(ProcessId(2)));
         assert_eq!(t.events().len(), 2);
         assert_eq!(t.events()[0].at, SimTime::from_ticks(1));
         t.clear();
         assert!(t.events().is_empty());
-        t.push(
-            SimTime::from_ticks(3),
-            TraceEventKind::Crashed(ProcessId(1)),
-        );
+        t.push(SimTime::from_ticks(3), || Crashed(ProcessId(1)));
         assert_eq!(t.events().len(), 1, "clearing does not stop the recording");
     }
 

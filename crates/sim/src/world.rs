@@ -12,6 +12,7 @@ use rand::{Rng, SeedableRng};
 use crate::adversary::{Action, Adversary, RuleId};
 use crate::envelope::{Envelope, MsgId};
 use crate::latency::{Fixed, LatencyModel};
+use crate::op::{ClientOp, InvokeError, OpQueue};
 use crate::process::{Automaton, Context, ProcessId, ProcessStatus, SimMessage};
 use crate::time::SimTime;
 use crate::trace::{FaultStats, NetStats, Trace, TraceEventKind};
@@ -47,7 +48,8 @@ impl Quiescence {
 #[derive(Debug)]
 enum QueuedKind<M> {
     Start(ProcessId),
-    Deliver(Envelope<M>),
+    /// A message and its size, charged to `bytes_delivered` on delivery.
+    Deliver(Envelope<M>, u64),
     Crash(ProcessId),
     Partition(Vec<Vec<ProcessId>>),
     Heal,
@@ -89,6 +91,7 @@ struct Proc<M> {
     automaton: Box<dyn Automaton<M>>,
     status: ProcessStatus,
     name: String,
+    ops: OpQueue<M>,
 }
 
 /// Whether `env` crosses an island boundary of `islands`. Processes listed
@@ -96,13 +99,6 @@ struct Proc<M> {
 fn crosses<M>(islands: &[Vec<ProcessId>], env: &Envelope<M>) -> bool {
     let island_of = |pid| islands.iter().position(|g| g.contains(&pid));
     island_of(env.from) != island_of(env.to)
-}
-
-fn wrong_type<A>(pid: ProcessId, name: &str) -> ! {
-    panic!(
-        "process {pid:?} ({name}) is not a {}",
-        std::any::type_name::<A>()
-    )
 }
 
 /// A deterministic simulated distributed system.
@@ -248,6 +244,7 @@ impl<M: SimMessage> World<M> {
             automaton,
             status: ProcessStatus::Alive,
             name: name.into(),
+            ops: OpQueue::default(),
         });
         if self.started {
             // Late spawns still get their Init step.
@@ -278,16 +275,19 @@ impl<M: SimMessage> World<M> {
         self.procs[pid.index()].status
     }
 
-    /// Crashes `pid` immediately: it takes no further steps and messages
-    /// addressed to it become dead letters.
+    /// Crashes `pid` immediately: it takes no further steps, messages
+    /// addressed to it become dead letters, and its operation in progress
+    /// and those submitted behind it complete with [`InvokeError::Gone`].
     ///
     /// # Panics
     ///
     /// Panics if `pid` was not spawned in this world.
     pub fn crash(&mut self, pid: ProcessId) {
-        self.procs[pid.index()].status = ProcessStatus::Crashed;
+        let proc = &mut self.procs[pid.index()];
+        proc.status = ProcessStatus::Crashed;
+        proc.ops.clear();
         self.faults.crashes += 1;
-        self.trace.push(self.now, TraceEventKind::Crashed(pid));
+        self.trace.push(self.now, || TraceEventKind::Crashed(pid));
     }
 
     /// Schedules a crash of `pid` at time `at`.
@@ -304,7 +304,8 @@ impl<M: SimMessage> World<M> {
     ///
     /// The paper's malicious processes "can perform arbitrary actions"; here
     /// arbitrary behaviour is whatever `automaton` computes, including
-    /// forging any message content.
+    /// forging any message content. The operations submitted to the
+    /// replaced automaton complete with [`InvokeError::Gone`].
     ///
     /// # Panics
     ///
@@ -313,9 +314,10 @@ impl<M: SimMessage> World<M> {
         let proc = &mut self.procs[pid.index()];
         proc.automaton = automaton;
         proc.status = ProcessStatus::Byzantine;
+        proc.ops.clear();
         self.faults.byzantine += 1;
         self.trace
-            .push(self.now, TraceEventKind::TurnedByzantine(pid));
+            .push(self.now, || TraceEventKind::TurnedByzantine(pid));
     }
 
     /// Partitions the network into islands, immediately.
@@ -385,36 +387,36 @@ impl<M: SimMessage> World<M> {
             })
     }
 
-    /// Runs `f` against the concrete automaton of `pid`, with a [`Context`]
-    /// whose sends enter the network when `f` returns.
-    ///
-    /// This is how drivers invoke operations on client automata.
+    /// Submits one client operation on `pid` — the one way a driver runs
+    /// code against an automaton, under the contract of [`ClientOp`], the
+    /// thread runtime's `Cluster::submit` keeps too. If `pid` is idle,
+    /// `start` runs now and its sends enter the network when it returns;
+    /// `done` fires within the step that completed the operation. `done`
+    /// receives [`InvokeError::Gone`] if `pid` is crashed, or is crashed or
+    /// replaced by [`World::set_byzantine`] before the operation completes.
     ///
     /// # Panics
     ///
-    /// Panics if `pid` is unknown, crashed, or its automaton is not an `A`.
-    pub fn with_automaton_mut<A: Automaton<M>, R>(
+    /// Panics if `pid` was not spawned in this world.
+    pub fn submit<A, I, R>(
         &mut self,
         pid: ProcessId,
-        f: impl FnOnce(&mut A, &mut Context<'_, M>) -> R,
-    ) -> R {
-        assert!(
-            self.procs[pid.index()].status.takes_steps(),
-            "process {pid:?} ({}) has crashed",
-            self.procs[pid.index()].name
-        );
+        start: impl FnOnce(&mut A, &mut Context<'_, M>) -> I + Send + 'static,
+        poll: impl FnMut(&mut A, &I) -> Option<R> + Send + 'static,
+        done: impl FnOnce(Result<R, InvokeError>) + Send + 'static,
+    ) where
+        A: Automaton<M>,
+        I: Send + 'static,
+        R: 'static,
+    {
+        let op = ClientOp::new(pid, start, poll, done);
+        let proc = &mut self.procs[pid.index()];
+        if !proc.status.takes_steps() {
+            return; // dropping `op` completes it with `Gone`
+        }
         let mut outbox = Vec::new();
-        let result = {
-            let proc = &mut self.procs[pid.index()];
-            let automaton: &mut dyn Any = &mut *proc.automaton;
-            let automaton = automaton
-                .downcast_mut::<A>()
-                .unwrap_or_else(|| wrong_type::<A>(pid, &proc.name));
-            let mut ctx = Context::new(pid, &mut outbox);
-            f(automaton, &mut ctx)
-        };
+        proc.ops.push(op, pid, &mut *proc.automaton, &mut outbox);
         self.flush_outbox(pid, outbox);
-        result
     }
 
     /// Read-only access to the concrete automaton of `pid`.
@@ -423,12 +425,13 @@ impl<M: SimMessage> World<M> {
     ///
     /// Panics if `pid` is unknown or its automaton is not an `A`.
     pub fn inspect<A: Automaton<M>, R>(&self, pid: ProcessId, f: impl FnOnce(&A) -> R) -> R {
-        let proc = &self.procs[pid.index()];
-        let automaton: &dyn Any = &*proc.automaton;
-        let automaton = automaton
-            .downcast_ref::<A>()
-            .unwrap_or_else(|| wrong_type::<A>(pid, &proc.name));
-        f(automaton)
+        self.try_inspect(pid, f).unwrap_or_else(|| {
+            let name = &self.procs[pid.index()].name;
+            panic!(
+                "process {pid:?} ({name}) is not a {}",
+                std::any::type_name::<A>()
+            )
+        })
     }
 
     /// Like [`World::inspect`], but returns `None` when the automaton of
@@ -474,8 +477,9 @@ impl<M: SimMessage> World<M> {
                 let delay = self.latency.delay(&env, &mut self.rng);
                 let at = self.now + delay;
                 self.trace
-                    .push(self.now, TraceEventKind::Released(env.clone()));
-                self.push_event(at, QueuedKind::Deliver(env));
+                    .push(self.now, || TraceEventKind::Released(env.clone()));
+                let bytes = env.msg.wire_size() as u64;
+                self.push_event(at, QueuedKind::Deliver(env, bytes));
             } else {
                 kept.push(env);
             }
@@ -499,35 +503,33 @@ impl<M: SimMessage> World<M> {
         self.now = queued.at;
         match queued.kind {
             QueuedKind::Start(pid) => {
-                if self.procs[pid.index()].status.takes_steps() {
+                let proc = &mut self.procs[pid.index()];
+                if proc.status.takes_steps() {
                     let mut outbox = Vec::new();
-                    {
-                        let mut ctx = Context::new(pid, &mut outbox);
-                        self.procs[pid.index()].automaton.on_start(&mut ctx);
-                    }
+                    proc.automaton.on_start(&mut Context::new(pid, &mut outbox));
+                    proc.ops.after_step(pid, &mut *proc.automaton, &mut outbox);
                     self.flush_outbox(pid, outbox);
                 }
             }
             QueuedKind::Crash(pid) => self.crash(pid),
             QueuedKind::Partition(groups) => self.partition(groups),
             QueuedKind::Heal => self.heal_now(),
-            QueuedKind::Deliver(env) => {
+            QueuedKind::Deliver(env, bytes) => {
                 let to = env.to;
                 if !self.procs[to.index()].status.takes_steps() {
                     self.stats.dead_letters += 1;
-                    self.trace.push(self.now, TraceEventKind::DeadLetter(env));
+                    self.trace
+                        .push(self.now, || TraceEventKind::DeadLetter(env));
                 } else {
                     self.stats.delivered += 1;
-                    self.stats.bytes_delivered += env.msg.wire_size() as u64;
+                    self.stats.bytes_delivered += bytes;
                     self.trace
-                        .push(self.now, TraceEventKind::Delivered(env.clone()));
+                        .push(self.now, || TraceEventKind::Delivered(env.clone()));
                     let mut outbox = Vec::new();
-                    {
-                        let mut ctx = Context::new(to, &mut outbox);
-                        self.procs[to.index()]
-                            .automaton
-                            .on_message(env.from, env.msg, &mut ctx);
-                    }
+                    let proc = &mut self.procs[to.index()];
+                    let mut ctx = Context::new(to, &mut outbox);
+                    proc.automaton.on_message(env.from, env.msg, &mut ctx);
+                    proc.ops.after_step(to, &mut *proc.automaton, &mut outbox);
                     self.flush_outbox(to, outbox);
                 }
             }
@@ -616,9 +618,11 @@ impl<M: SimMessage> World<M> {
                 sent_at: self.now,
             };
             self.next_msg_id += 1;
+            let bytes = env.msg.wire_size() as u64;
             self.stats.sent += 1;
-            self.stats.bytes_sent += env.msg.wire_size() as u64;
-            self.trace.push(self.now, TraceEventKind::Sent(env.clone()));
+            self.stats.bytes_sent += bytes;
+            self.trace
+                .push(self.now, || TraceEventKind::Sent(env.clone()));
             let action = match &self.partition {
                 Some(islands) if crosses(islands, &env) => Action::Hold,
                 _ => self.adversary.decide(&env),
@@ -627,21 +631,22 @@ impl<M: SimMessage> World<M> {
                 Action::Deliver => {
                     let delay = self.latency.delay(&env, &mut self.rng);
                     let at = self.now + delay;
-                    self.push_event(at, QueuedKind::Deliver(env));
+                    self.push_event(at, QueuedKind::Deliver(env, bytes));
                 }
                 Action::Delay(extra) => {
                     let delay = self.latency.delay(&env, &mut self.rng) + extra;
                     let at = self.now + delay;
-                    self.push_event(at, QueuedKind::Deliver(env));
+                    self.push_event(at, QueuedKind::Deliver(env, bytes));
                 }
                 Action::Hold => {
                     self.stats.held += 1;
-                    self.trace.push(self.now, TraceEventKind::Held(env.clone()));
+                    self.trace
+                        .push(self.now, || TraceEventKind::Held(env.clone()));
                     self.held.push(env);
                 }
                 Action::Drop => {
                     self.stats.dropped += 1;
-                    self.trace.push(self.now, TraceEventKind::Dropped(env));
+                    self.trace.push(self.now, || TraceEventKind::Dropped(env));
                 }
             }
         }
@@ -663,6 +668,8 @@ impl<M: SimMessage> std::fmt::Debug for World<M> {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
     use crate::byzantine::from_fn;
 
@@ -808,14 +815,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "has crashed")]
-    fn with_automaton_mut_rejects_crashed() {
-        let (mut w, sink, _pong) = two_proc_world(1);
-        w.crash(sink);
-        w.with_automaton_mut(sink, |_s: &mut PongSink, _ctx| {});
-    }
-
-    #[test]
     #[should_panic(expected = "(echo)")]
     fn a_mistyped_inspect_names_the_process() {
         let mut w: World<Msg> = World::new(1);
@@ -823,12 +822,128 @@ mod tests {
         w.inspect(echo, |_: &PongSink| {});
     }
 
+    /// `submit`'s contract, the same as the thread runtime's.
+    mod submit {
+        use std::sync::{Arc, Mutex};
+
+        use super::*;
+
+        type Outcomes = Arc<Mutex<Vec<Result<u32, InvokeError>>>>;
+
+        /// Submits, on `sink`, the operation "ping `pong` with `n`; the
+        /// answer is the next pong `sink` receives", its outcome pushed onto
+        /// `log`.
+        fn ask(w: &mut World<Msg>, sink: ProcessId, pong: ProcessId, n: u32, log: &Outcomes) {
+            let log = log.clone();
+            w.submit(
+                sink,
+                move |s: &mut PongSink, ctx| {
+                    ctx.send(pong, Msg::Ping(n));
+                    s.got.len()
+                },
+                |s: &mut PongSink, &before| s.got.get(before).copied(),
+                move |outcome| log.lock().unwrap().push(outcome),
+            );
+        }
+
+        #[test]
+        fn a_mistyped_submit_runs_nothing_and_the_process_keeps_serving() {
+            let (mut w, sink, pong) = two_proc_world(1);
+            let log = Outcomes::default();
+            ask(&mut w, pong, sink, 1, &log);
+            let outcomes = log.lock().unwrap().clone();
+            let [Err(InvokeError::WrongType { pid, expected })] = outcomes[..] else {
+                panic!("{outcomes:?}");
+            };
+            assert_eq!((pid, expected.ends_with("PongSink")), (pong, true));
+            assert_eq!(w.net_stats().sent, 0, "nothing ran");
+            w.send_external(sink, pong, Msg::Ping(4));
+            w.run_until_idle(100).expect_drained();
+            assert_eq!(got(&w, sink), vec![5]);
+        }
+
+        #[test]
+        fn a_crash_or_a_byzantine_replacement_completes_the_operations_gone() {
+            let (mut w, sink, pong) = two_proc_world(1);
+            let other = w.spawn(Box::new(PongSink { got: Vec::new() }));
+            let log = Outcomes::default();
+            ask(&mut w, other, pong, 1, &log);
+            w.set_byzantine(other, Box::new(crate::Mute));
+            ask(&mut w, sink, pong, 2, &log);
+            ask(&mut w, sink, pong, 3, &log);
+            w.crash(sink);
+            ask(&mut w, sink, pong, 4, &log);
+            w.run_until_idle(100).expect_drained();
+            let gone = |pid| Err(InvokeError::Gone(pid));
+            assert_eq!(
+                *log.lock().unwrap(),
+                [gone(other), gone(sink), gone(sink), gone(sink)]
+            );
+        }
+
+        #[test]
+        fn a_second_operation_waits_for_the_first() {
+            let (mut w, sink, pong) = two_proc_world(1);
+            let log = Outcomes::default();
+            ask(&mut w, sink, pong, 1, &log);
+            ask(&mut w, sink, pong, 10, &log);
+            assert_eq!(w.net_stats().sent, 1, "the second has not started");
+            w.run_until_idle(100).expect_drained();
+            assert_eq!(*log.lock().unwrap(), vec![Ok(2), Ok(11)]);
+            assert_eq!(w.net_stats().sent, 4);
+        }
+    }
+
+    // ---- what a message costs the engine ----------------------------------
+
+    thread_local! {
+        static SIZED: Cell<usize> = const { Cell::new(0) };
+        static CLONED: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// A message that counts its `wire_size` calls and its clones.
+    #[derive(Debug)]
+    struct Counted;
+
+    impl Clone for Counted {
+        fn clone(&self) -> Self {
+            CLONED.set(CLONED.get() + 1);
+            Counted
+        }
+    }
+
+    impl SimMessage for Counted {
+        fn wire_size(&self) -> usize {
+            SIZED.set(SIZED.get() + 1);
+            3
+        }
+    }
+
+    fn counted_pair() -> (World<Counted>, ProcessId, ProcessId) {
+        let mut w = World::new(1);
+        let a = w.spawn(from_fn(|_, _: Counted, _| {}));
+        let b = w.spawn(from_fn(|_, _: Counted, _| {}));
+        w.start();
+        SIZED.set(0);
+        CLONED.set(0);
+        (w, a, b)
+    }
+
     #[test]
-    #[should_panic(expected = "(echo)")]
-    fn a_mistyped_with_automaton_mut_names_the_process() {
-        let mut w: World<Msg> = World::new(1);
-        let echo = w.spawn_named("echo", ponger());
-        w.with_automaton_mut(echo, |_: &mut PongSink, _ctx| {});
+    fn a_message_is_sized_once_and_never_cloned_untraced() {
+        let (mut w, a, b) = counted_pair();
+        w.send_external(a, b, Counted);
+        w.run_until_idle(100).expect_drained();
+        let stats = w.net_stats();
+        assert_eq!((stats.bytes_sent, stats.bytes_delivered), (3, 3));
+        assert_eq!((SIZED.get(), CLONED.get()), (1, 0));
+        // A released message is sized again, and cloned no more.
+        w.adversary_mut().hold_link(a, b);
+        w.send_external(a, b, Counted);
+        w.release_all();
+        w.run_until_idle(100).expect_drained();
+        assert_eq!(w.net_stats().bytes_delivered, 6);
+        assert_eq!((SIZED.get(), CLONED.get()), (3, 0));
     }
 
     #[test]

@@ -260,59 +260,59 @@ impl<'a, P: RegisterProtocol<u64> + Clone> SimCase<'a, P> {
         let mut read_rounds = Vec::new();
 
         // Client index 0 = writer, 1.. = readers.
-        let plans: Vec<&ClientPlan> = std::iter::once(&schedule.writer)
+        let mut clients: Vec<ClientState> = std::iter::once(&schedule.writer)
             .chain(&schedule.readers)
-            .collect();
-        let mut clients: Vec<ClientState> = plans
-            .iter()
-            .map(|_| ClientState {
+            .map(|plan| ClientState {
+                plan,
                 next: 0,
                 active: None,
             })
             .collect();
         let mut write_seq = 0u64;
         let mut steps_used = 0u64;
+        let mut recorded = 0u64;
 
         loop {
-            // Poll completions first (a step may have completed several ops).
+            // Record what the last step completed, if it completed anything:
+            // a completion lands within the step that produced it.
             let now = sc.world().now();
-            for client in clients.iter_mut() {
-                let done = match &mut client.active {
-                    None => continue,
-                    Some(ActiveOp::Write { op, seq }) => sc.poll_write(op).map(|rep| {
-                        write_rounds.push(rep.rounds);
-                        history.push_write(
-                            *seq,
-                            Schedule::value_of_write(*seq),
-                            op.invoked_at().ticks(),
-                            Some(now.ticks()),
-                        );
-                    }),
-                    Some(ActiveOp::Read(op)) => sc.poll_read(op).map(|rep| {
-                        read_rounds.push(rep.rounds);
-                        history.push_read(
-                            op.reader(),
-                            rep.ts.0,
-                            rep.value,
-                            op.invoked_at().ticks(),
-                            Some(now.ticks()),
-                        );
-                    }),
-                };
-                if done.is_some() {
-                    client.active = None;
+            if sc.completions() != recorded {
+                recorded = sc.completions();
+                for client in clients.iter_mut() {
+                    let done = match &mut client.active {
+                        None => continue,
+                        Some(ActiveOp::Write { op, seq }) => sc.poll_write(op).map(|rep| {
+                            write_rounds.push(rep.rounds);
+                            history.push_write(
+                                *seq,
+                                Schedule::value_of_write(*seq),
+                                op.invoked_at().ticks(),
+                                Some(now.ticks()),
+                            );
+                        }),
+                        Some(ActiveOp::Read(op)) => sc.poll_read(op).map(|rep| {
+                            read_rounds.push(rep.rounds);
+                            history.push_read(
+                                op.reader(),
+                                rep.ts.0,
+                                rep.value,
+                                op.invoked_at().ticks(),
+                                Some(now.ticks()),
+                            );
+                        }),
+                    };
+                    if done.is_some() {
+                        client.active = None;
+                    }
                 }
             }
 
             // Invoke due operations on idle clients.
-            for (client, plan) in clients.iter_mut().zip(&plans) {
-                if client.active.is_some() {
-                    continue;
-                }
-                let Some(&(due, op)) = plan.ops.get(client.next) else {
+            for client in &mut clients {
+                let Some(&(due, op)) = client.plan.ops.get(client.next) else {
                     continue;
                 };
-                if due > now {
+                if client.active.is_some() || due > now {
                     continue;
                 }
                 client.next += 1;
@@ -332,9 +332,8 @@ impl<'a, P: RegisterProtocol<u64> + Clone> SimCase<'a, P> {
             let any_active = clients.iter().any(|c| c.active.is_some());
             let next_due: Option<SimTime> = clients
                 .iter()
-                .zip(&plans)
-                .filter(|(c, _)| c.active.is_none())
-                .filter_map(|(c, plan)| plan.ops.get(c.next).map(|&(due, _)| due))
+                .filter(|c| c.active.is_none())
+                .filter_map(|c| c.plan.ops.get(c.next).map(|&(due, _)| due))
                 .min();
 
             if any_active {
@@ -387,7 +386,8 @@ impl<'a, P: RegisterProtocol<u64> + Clone> SimCase<'a, P> {
 }
 
 #[derive(Debug)]
-struct ClientState {
+struct ClientState<'a> {
+    plan: &'a ClientPlan,
     next: usize,
     active: Option<ActiveOp>,
 }
@@ -399,7 +399,7 @@ enum ActiveOp {
         op: WriteOp,
         seq: u64,
     },
-    Read(ReadOp),
+    Read(ReadOp<u64>),
 }
 
 #[cfg(test)]
