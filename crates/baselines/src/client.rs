@@ -393,6 +393,27 @@ mod tests {
         assert_eq!(sc.poll_read(&mut second).unwrap().value, None);
     }
 
+    /// Under the queue, the lite clients still refuse an overlapping
+    /// invocation themselves.
+    fn a_second_invoke_write_panics<P: Case>(_: P, s: usize) {
+        let cfg = StorageConfig::with_objects(s, T, B, 1);
+        let mut writer = LiteWriter::new::<P>(cfg, (0..s).map(ProcessId).collect());
+        let mut sent = Vec::new();
+        for value in [1u64, 2] {
+            writer.invoke_write(value, &mut Context::new(CLIENT, &mut sent));
+        }
+    }
+
+    fn a_second_invoke_read_panics<P: Case>(p: P, s: usize) {
+        let cfg = StorageConfig::with_objects(s, T, B, 1);
+        let objects = (0..s).map(ProcessId).collect();
+        let mut reader = LiteReader::new(cfg, objects, p.rule::<u64>(cfg));
+        let mut sent = Vec::new();
+        for _ in 0..2 {
+            reader.invoke_read(&mut Context::new(CLIENT, &mut sent));
+        }
+    }
+
     type Outbox = Vec<(ProcessId, LiteMsg<u64>)>;
 
     fn step(a: &mut impl Automaton<LiteMsg<u64>>, from: ProcessId, msg: LiteMsg<u64>) -> Outbox {
@@ -525,6 +546,10 @@ mod tests {
         t_crashes_cost_neither_the_value_nor_a_round,
         one_write_at_a_time,
         one_read_at_a_time,
+        #[should_panic(expected = "one WRITE at a time")]
+        a_second_invoke_write_panics,
+        #[should_panic(expected = "one READ at a time")]
+        a_second_invoke_read_panics,
         a_repeated_ack_counts_once,
         an_ack_to_an_earlier_request_is_ignored,
         an_ack_from_a_stranger_is_ignored,

@@ -68,58 +68,33 @@ const BLOCKING_STEP_LIMIT: u64 = 200_000;
 /// Where a submitted operation's completion lands: its `done` fills it.
 type Slot<R> = Arc<Mutex<Option<Result<R, InvokeError>>>>;
 
-/// The report in `slot`, once it landed; panics if the operation failed
-/// (its client was crashed).
-fn landed<R: Clone>(slot: &Slot<R>) -> Option<R> {
-    let outcome = slot.lock().unwrap().clone()?;
-    Some(outcome.unwrap_or_else(|e| panic!("operation failed: {e}")))
-}
-
-/// The `done` that fills `slot` and counts the completion.
-fn fill<R: Send + 'static>(
-    slot: &Slot<R>,
-    count: &Arc<AtomicU64>,
-) -> impl FnOnce(Result<R, InvokeError>) + Send + 'static {
-    let (slot, count) = (slot.clone(), count.clone());
-    move |outcome| {
-        *slot.lock().unwrap() = Some(outcome);
-        count.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// A WRITE in flight, from [`StorageScenario::start_write`].
+/// An operation in flight, from [`StorageScenario::start_write`] or
+/// [`StorageScenario::start_read`]: the slot its `done` fills.
 #[derive(Debug)]
-pub struct WriteOp {
-    slot: Slot<WriteReport>,
+pub struct Op<R> {
+    slot: Slot<R>,
     invoked_at: SimTime,
     recorded: bool,
 }
 
-impl WriteOp {
-    /// When the WRITE was invoked.
+/// A WRITE in flight.
+pub type WriteOp = Op<WriteReport>;
+
+/// A READ in flight.
+pub type ReadOp<V> = Op<ReadReport<V>>;
+
+impl<R: Clone> Op<R> {
+    /// When the operation was invoked.
     pub fn invoked_at(&self) -> SimTime {
         self.invoked_at
     }
-}
 
-/// A READ in flight, from [`StorageScenario::start_read`].
-#[derive(Debug)]
-pub struct ReadOp<V> {
-    reader: usize,
-    slot: Slot<ReadReport<V>>,
-    invoked_at: SimTime,
-    recorded: bool,
-}
-
-impl<V> ReadOp<V> {
-    /// The reader the READ was invoked at.
-    pub fn reader(&self) -> usize {
-        self.reader
-    }
-
-    /// When the READ was invoked.
-    pub fn invoked_at(&self) -> SimTime {
-        self.invoked_at
+    /// The report once it landed, and whether this is its first poll;
+    /// panics if the operation failed (its client was crashed).
+    fn landed(&mut self) -> Option<(R, bool)> {
+        let outcome = self.slot.lock().unwrap().clone()?;
+        let report = outcome.unwrap_or_else(|e| panic!("operation failed: {e}"));
+        Some((report, !std::mem::replace(&mut self.recorded, true)))
     }
 }
 
@@ -274,15 +249,10 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
 
     /// Submits `WRITE(value)` at the writer without driving the world.
     pub fn start_write(&mut self, value: V) -> WriteOp {
-        let (slot, invoked_at) = (Slot::default(), self.world.now());
-        let done = fill(&slot, &self.completions);
+        let (op, done) = self.invoked_now();
         self.protocol
             .invoke_write(&self.dep, &mut self.world, value, done);
-        WriteOp {
-            slot,
-            invoked_at,
-            recorded: false,
-        }
+        op
     }
 
     /// The WRITE's report once it completed, `None` while it is in flight.
@@ -290,8 +260,8 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
     /// to now); later polls return the report again and record nothing.
     /// Panics if the writer was crashed before the WRITE completed.
     pub fn poll_write(&mut self, op: &mut WriteOp) -> Option<WriteReport> {
-        let report = landed(&op.slot)?;
-        if !std::mem::replace(&mut op.recorded, true) {
+        let (report, first) = op.landed()?;
+        if first {
             let names = (names::WRITER_ROUNDS, names::WRITE_LATENCY);
             self.observe_completion(names, report.rounds, op.invoked_at);
         }
@@ -300,16 +270,30 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
 
     /// Submits `READ()` at reader `j` without driving the world.
     pub fn start_read(&mut self, j: usize) -> ReadOp<V> {
-        let (slot, invoked_at) = (Slot::default(), self.world.now());
-        let done = fill(&slot, &self.completions);
+        let (op, done) = self.invoked_now();
         self.protocol
             .invoke_read(&self.dep, &mut self.world, j, done);
-        ReadOp {
-            reader: j,
+        op
+    }
+
+    /// A handle for an operation invoked now, and the `done` that fills
+    /// its slot and counts the completion.
+    fn invoked_now<R: Send + 'static>(
+        &self,
+    ) -> (Op<R>, impl FnOnce(Result<R, InvokeError>) + Send + 'static) {
+        let slot = Slot::default();
+        let (filled, count) = (Arc::clone(&slot), Arc::clone(&self.completions));
+        let done = move |outcome| {
+            *filled.lock().unwrap() = Some(outcome);
+            count.fetch_add(1, Ordering::Relaxed);
+        };
+        let invoked_at = self.world.now();
+        let op = Op {
             slot,
             invoked_at,
             recorded: false,
-        }
+        };
+        (op, done)
     }
 
     /// The READ's report once it completed, `None` while it is in flight;
@@ -317,8 +301,8 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
     /// counts the READ as a fast-path hit or fallback. Panics if the reader
     /// was crashed before the READ completed.
     pub fn poll_read(&mut self, op: &mut ReadOp<V>) -> Option<ReadReport<V>> {
-        let report = landed(&op.slot)?;
-        if !std::mem::replace(&mut op.recorded, true) {
+        let (report, first) = op.landed()?;
+        if first {
             let names = (names::READER_ROUNDS, names::READ_LATENCY);
             self.observe_completion(names, report.rounds, op.invoked_at);
             self.fast.count(&report);

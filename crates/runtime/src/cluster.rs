@@ -280,7 +280,7 @@ mod tests {
     use std::time::Duration;
 
     use vrr_sim::from_fn;
-    use vrr_sim::InvokeError::Gone;
+    use vrr_sim::InvokeError::{Gone, WrongType};
 
     use super::*;
 
@@ -382,6 +382,73 @@ mod tests {
             seen(&cluster, counter),
             0,
             "a crashed process forwards nothing"
+        );
+    }
+
+    #[test]
+    fn panicking_invoke_poisons_only_its_process() {
+        // Both processes share the one worker: a panic inside an invoke
+        // must not kill the worker thread.
+        let mut cluster: Cluster<u64> = Cluster::with_workers(1);
+        let victim = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
+        let healthy = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
+
+        let blew_up = cluster.try_invoke(victim, |_c: &mut Counter, _ctx| panic!("invoke blew up"));
+        assert_eq!(blew_up, Err::<(), _>(Gone(victim)));
+
+        // The worker survived: its other process still delivers and
+        // answers invokes; the poisoned one behaves like a crashed node.
+        let done = total_after(&cluster, healthy, 1);
+        cluster.send_external(healthy, healthy, 9);
+        assert_eq!(done.recv_timeout(Duration::from_secs(5)).unwrap(), 9);
+        assert_eq!(
+            cluster.try_invoke(healthy, |c: &mut Counter, _ctx| c.seen),
+            Ok(1)
+        );
+        assert_eq!(
+            cluster.try_invoke(victim, |c: &mut Counter, _ctx| c.seen),
+            Err(Gone(victim)),
+            "poisoned process stays gone even for well-typed invokes"
+        );
+    }
+
+    /// One type rule for every submission, inspection or operation: a
+    /// mismatch runs nothing, completes with `WrongType` and poisons
+    /// nothing; only a crash makes the process `Gone`.
+    #[test]
+    fn mistyped_invoke_is_reported_and_leaves_the_process_running() {
+        let mut cluster: Cluster<u64> = Cluster::with_workers(1);
+        let counter = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
+        let wrong_type = Err(WrongType {
+            pid: counter,
+            expected: std::any::type_name::<Pinger>(),
+        });
+
+        let ran = cluster.try_invoke(counter, |_p: &mut Pinger, _ctx| ());
+        assert_eq!(ran, wrong_type, "the closure must not run on a Counter");
+        let (tx, rx) = sync_channel(1);
+        cluster.submit(
+            counter,
+            |_p: &mut Pinger, _ctx| unreachable!("started on a Counter"),
+            |_p: &mut Pinger, ()| Some(()),
+            move |result| {
+                let _ = tx.send(result);
+            },
+        );
+        let completed = rx.recv_timeout(Duration::from_secs(5));
+        assert_eq!(completed, Ok(wrong_type), "a mistyped operation");
+        // Nothing was poisoned: the process answers to its real type and
+        // still takes deliveries.
+        assert_eq!(seen(&cluster, counter), 0);
+        let done = total_after(&cluster, counter, 1);
+        cluster.send_external(counter, counter, 9);
+        assert_eq!(done.recv_timeout(Duration::from_secs(5)).unwrap(), 9);
+
+        cluster.crash(counter);
+        assert_eq!(
+            cluster.try_invoke(counter, |c: &mut Counter, _ctx| c.seen),
+            Err(Gone(counter)),
+            "a crashed process answers every submission Gone"
         );
     }
 

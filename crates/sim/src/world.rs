@@ -627,28 +627,24 @@ impl<M: SimMessage> World<M> {
                 Some(islands) if crosses(islands, &env) => Action::Hold,
                 _ => self.adversary.decide(&env),
             };
-            match action {
-                Action::Deliver => {
-                    let delay = self.latency.delay(&env, &mut self.rng);
-                    let at = self.now + delay;
-                    self.push_event(at, QueuedKind::Deliver(env, bytes));
-                }
-                Action::Delay(extra) => {
-                    let delay = self.latency.delay(&env, &mut self.rng) + extra;
-                    let at = self.now + delay;
-                    self.push_event(at, QueuedKind::Deliver(env, bytes));
-                }
+            let extra = match action {
+                Action::Deliver => 0,
+                Action::Delay(extra) => extra,
                 Action::Hold => {
                     self.stats.held += 1;
                     self.trace
                         .push(self.now, || TraceEventKind::Held(env.clone()));
                     self.held.push(env);
+                    continue;
                 }
                 Action::Drop => {
                     self.stats.dropped += 1;
                     self.trace.push(self.now, || TraceEventKind::Dropped(env));
+                    continue;
                 }
-            }
+            };
+            let at = self.now + (self.latency.delay(&env, &mut self.rng) + extra);
+            self.push_event(at, QueuedKind::Deliver(env, bytes));
         }
     }
 }

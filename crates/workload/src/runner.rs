@@ -279,30 +279,20 @@ impl<'a, P: RegisterProtocol<u64> + Clone> SimCase<'a, P> {
             if sc.completions() != recorded {
                 recorded = sc.completions();
                 for client in clients.iter_mut() {
-                    let done = match &mut client.active {
+                    let returned = match &mut client.active {
                         None => continue,
-                        Some(ActiveOp::Write { op, seq }) => sc.poll_write(op).map(|rep| {
+                        Some(ActiveOp::Write(op, _)) => sc.poll_write(op).map(|rep| {
                             write_rounds.push(rep.rounds);
-                            history.push_write(
-                                *seq,
-                                Schedule::value_of_write(*seq),
-                                op.invoked_at().ticks(),
-                                Some(now.ticks()),
-                            );
+                            (0, None)
                         }),
-                        Some(ActiveOp::Read(op)) => sc.poll_read(op).map(|rep| {
+                        Some(ActiveOp::Read(op, _)) => sc.poll_read(op).map(|rep| {
                             read_rounds.push(rep.rounds);
-                            history.push_read(
-                                op.reader(),
-                                rep.ts.0,
-                                rep.value,
-                                op.invoked_at().ticks(),
-                                Some(now.ticks()),
-                            );
+                            (rep.ts.0, rep.value)
                         }),
                     };
-                    if done.is_some() {
-                        client.active = None;
+                    if let Some(returned) = returned {
+                        let op = client.active.take().expect("just polled");
+                        op.record(&mut history, returned, Some(now.ticks()));
                     }
                 }
             }
@@ -320,12 +310,9 @@ impl<'a, P: RegisterProtocol<u64> + Clone> SimCase<'a, P> {
                     PlannedOp::Write { value } => {
                         write_seq += 1;
                         debug_assert_eq!(value, Schedule::value_of_write(write_seq));
-                        ActiveOp::Write {
-                            op: sc.start_write(value),
-                            seq: write_seq,
-                        }
+                        ActiveOp::Write(sc.start_write(value), write_seq)
                     }
-                    PlannedOp::Read { reader } => ActiveOp::Read(sc.start_read(reader)),
+                    PlannedOp::Read { reader } => ActiveOp::Read(sc.start_read(reader), reader),
                 });
             }
 
@@ -358,19 +345,8 @@ impl<'a, P: RegisterProtocol<u64> + Clone> SimCase<'a, P> {
 
         // Anything still active is stalled; record as incomplete.
         let mut stalled_ops = 0;
-        for client in clients {
-            match client.active {
-                None => continue,
-                Some(ActiveOp::Write { op, seq }) => history.push_write(
-                    seq,
-                    Schedule::value_of_write(seq),
-                    op.invoked_at().ticks(),
-                    None,
-                ),
-                Some(ActiveOp::Read(op)) => {
-                    history.push_read(op.reader(), 0, None, op.invoked_at().ticks(), None)
-                }
-            }
+        for op in clients.into_iter().filter_map(|client| client.active) {
+            op.record(&mut history, (0, None), None);
             stalled_ops += 1;
         }
 
@@ -392,14 +368,30 @@ struct ClientState<'a> {
     active: Option<ActiveOp>,
 }
 
+/// An operation in flight and what the history calls it.
 #[derive(Debug)]
 enum ActiveOp {
     /// A WRITE and its sequence number.
-    Write {
-        op: WriteOp,
-        seq: u64,
-    },
-    Read(ReadOp<u64>),
+    Write(WriteOp, u64),
+    /// A READ and its reader.
+    Read(ReadOp<u64>, usize),
+}
+
+impl ActiveOp {
+    /// Records the operation in `history`: completed at `at`, a READ
+    /// having returned `(seq, value)`, or stalled (`at` is `None`).
+    fn record(self, history: &mut OpHistory<u64>, returned: (u64, Option<u64>), at: Option<u64>) {
+        match self {
+            ActiveOp::Write(op, seq) => {
+                let value = Schedule::value_of_write(seq);
+                history.push_write(seq, value, op.invoked_at().ticks(), at);
+            }
+            ActiveOp::Read(op, reader) => {
+                let (seq, value) = returned;
+                history.push_read(reader, seq, value, op.invoked_at().ticks(), at);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
