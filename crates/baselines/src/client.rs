@@ -4,7 +4,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use vrr_sim::{Automaton, Context, InvokeError, ProcessId, World};
+use vrr_sim::{Automaton, ClientOp, Context, InvokeError, ProcessId, World};
 
 use vrr_core::{
     Deployment, ReadReport, RegisterProtocol, StorageConfig, Timestamp, TsVal, Value, WriteReport,
@@ -292,34 +292,32 @@ macro_rules! drive_with_the_lite_client {
                 LiteProtocol::deploy(self, cfg, world)
             }
 
-            fn invoke_write(
+            fn write_op(
                 &self,
                 dep: &Deployment,
-                world: &mut World<LiteMsg<V>>,
                 value: V,
                 done: impl FnOnce(Result<WriteReport, InvokeError>) + Send + 'static,
-            ) {
-                world.submit(
+            ) -> ClientOp<LiteMsg<V>> {
+                ClientOp::new(
                     dep.writer,
                     move |w: &mut LiteWriter<V>, ctx| w.invoke_write(value, ctx),
                     |w: &mut LiteWriter<V>, _| w.take_outcome(),
                     done,
-                );
+                )
             }
 
-            fn invoke_read(
+            fn read_op(
                 &self,
                 dep: &Deployment,
-                world: &mut World<LiteMsg<V>>,
                 reader: usize,
                 done: impl FnOnce(Result<ReadReport<V>, InvokeError>) + Send + 'static,
-            ) {
-                world.submit(
+            ) -> ClientOp<LiteMsg<V>> {
+                ClientOp::new(
                     dep.readers[reader],
                     |r: &mut Reader<V, Self>, ctx| r.invoke_read(ctx),
                     |r: &mut Reader<V, Self>, _| r.take_outcome(),
                     done,
-                );
+                )
             }
         }
     )*};

@@ -13,7 +13,7 @@ use vrr_baselines::{
 };
 use vrr_checker::OpKind;
 use vrr_core::{Deployment, ReadReport, RegisterProtocol, StorageConfig, WriteReport};
-use vrr_sim::{InvokeError, SimTime, World};
+use vrr_sim::{ClientOp, InvokeError, SimTime, World};
 use vrr_workload::{FaultPlan, LatencyKind, ScheduleParams, SimCase};
 
 const T: usize = 2;
@@ -44,24 +44,22 @@ impl<P: RegisterProtocol<u64, Msg = LiteMsg<u64>>> RegisterProtocol<u64> for For
         dep
     }
 
-    fn invoke_write(
+    fn write_op(
         &self,
         dep: &Deployment,
-        world: &mut World<LiteMsg<u64>>,
         value: u64,
         done: impl FnOnce(Result<WriteReport, InvokeError>) + Send + 'static,
-    ) {
-        self.0.invoke_write(dep, world, value, done);
+    ) -> ClientOp<LiteMsg<u64>> {
+        self.0.write_op(dep, value, done)
     }
 
-    fn invoke_read(
+    fn read_op(
         &self,
         dep: &Deployment,
-        world: &mut World<LiteMsg<u64>>,
         reader: usize,
         done: impl FnOnce(Result<ReadReport<u64>, InvokeError>) + Send + 'static,
-    ) {
-        self.0.invoke_read(dep, world, reader, done);
+    ) -> ClientOp<LiteMsg<u64>> {
+        self.0.read_op(dep, reader, done)
     }
 }
 

@@ -1,18 +1,16 @@
-//! What a simulated register protocol is: the [`RegisterProtocol`] trait
-//! and its one impl in this crate, for everything that names a
-//! [`ProtocolSpec`] — a [`ProtocolKind`] (safe, regular, §5.1, atomic) or a
-//! spec with its own retention and tuning. (The two operation reports are
-//! what the automata themselves produce: [`ReadReport`], [`WriteReport`].)
+//! What a register protocol is: the [`RegisterProtocol`] trait and its one
+//! impl in this crate, for everything that names a [`ProtocolSpec`] — a
+//! [`ProtocolKind`] (safe, regular, §5.1, atomic) or a spec with its own
+//! retention and tuning.
 //!
-//! Nothing here drives a world. An implementation starts an operation as
-//! one [`World::submit`] — the same primitive the thread runtime runs its
-//! operations through — and the operation's `done` receives the report.
-//! Operations enter a simulation through [`crate::StorageScenario`] only,
-//! which is written once against the trait and so runs any
-//! implementation: the four kinds here and the ABD / masking-quorum /
-//! passive-reader baselines in `vrr-baselines`.
+//! Nothing here drives a host. An operation is one [`ClientOp`] value whose
+//! `done` receives the report ([`ReadReport`], [`WriteReport`]), and either
+//! host submits it: [`crate::StorageScenario`] to a [`World`] — written once
+//! against the trait, so it runs the four kinds here and the ABD /
+//! masking-quorum / passive-reader baselines of `vrr-baselines` — and
+//! `vrr-runtime`'s `RegisterHost` to a thread cluster.
 
-use vrr_sim::{Automaton, InvokeError, SimMessage, World};
+use vrr_sim::{Automaton, ClientOp, InvokeError, SimMessage, World};
 
 use crate::attackers::AttackerKind;
 use crate::config::StorageConfig;
@@ -24,7 +22,7 @@ use crate::safe::SafeReader;
 use crate::types::Value;
 use crate::writer::{WriteReport, Writer};
 
-/// A simulated register protocol: how to deploy it and drive operations.
+/// A register protocol: how to deploy it and what its operations are.
 ///
 /// What a run observes of its operations comes from their reports:
 /// [`crate::StorageScenario`] meters each one's rounds, latency and — for a
@@ -40,25 +38,23 @@ pub trait RegisterProtocol<V: Value> {
     /// Spawns objects, the writer, and readers into `world`.
     fn deploy(&self, cfg: StorageConfig, world: &mut World<Self::Msg>) -> Deployment;
 
-    /// Submits `WRITE(value)` at the writer ([`World::submit`]); `done`
-    /// receives the report when the WRITE completes.
-    fn invoke_write(
+    /// `WRITE(value)` at the writer of `dep`; `done` receives the report
+    /// when the WRITE completes.
+    fn write_op(
         &self,
         dep: &Deployment,
-        world: &mut World<Self::Msg>,
         value: V,
         done: impl FnOnce(Result<WriteReport, InvokeError>) + Send + 'static,
-    );
+    ) -> ClientOp<Self::Msg>;
 
-    /// Submits `READ()` at reader `reader` ([`World::submit`]); `done`
-    /// receives the report when the READ completes.
-    fn invoke_read(
+    /// `READ()` at reader `reader` of `dep`; `done` receives the report
+    /// when the READ completes.
+    fn read_op(
         &self,
         dep: &Deployment,
-        world: &mut World<Self::Msg>,
         reader: usize,
         done: impl FnOnce(Result<ReadReport<V>, InvokeError>) + Send + 'static,
-    );
+    ) -> ClientOp<Self::Msg>;
 
     /// `(object index, stored history length)` per object, or `None` for
     /// protocols whose objects keep no history (e.g. safe storage). Objects
@@ -121,37 +117,35 @@ impl<V: Value, P: Copy + Into<ProtocolSpec>> RegisterProtocol<V> for P {
         )
     }
 
-    fn invoke_write(
+    fn write_op(
         &self,
         dep: &Deployment,
-        world: &mut World<Msg<V>>,
         value: V,
         done: impl FnOnce(Result<WriteReport, InvokeError>) + Send + 'static,
-    ) {
-        world.submit(
+    ) -> ClientOp<Msg<V>> {
+        ClientOp::new(
             dep.writer,
             move |w: &mut Writer<V>, ctx| w.invoke_write(value, ctx),
             |w: &mut Writer<V>, _| w.take_outcome(),
             done,
-        );
+        )
     }
 
-    fn invoke_read(
+    fn read_op(
         &self,
         dep: &Deployment,
-        world: &mut World<Msg<V>>,
         reader: usize,
         done: impl FnOnce(Result<ReadReport<V>, InvokeError>) + Send + 'static,
-    ) {
+    ) -> ClientOp<Msg<V>> {
         let pid = dep.readers[reader];
         match (*self).into() {
-            ProtocolSpec::Safe(_) => world.submit(
+            ProtocolSpec::Safe(_) => ClientOp::new(
                 pid,
                 |r: &mut SafeReader<V>, ctx| r.invoke_read(ctx),
                 |r: &mut SafeReader<V>, _| r.take_outcome(),
                 done,
             ),
-            ProtocolSpec::Regular { .. } => world.submit(
+            ProtocolSpec::Regular { .. } => ClientOp::new(
                 pid,
                 |r: &mut RegularReader<V>, ctx| r.invoke_read(ctx),
                 |r: &mut RegularReader<V>, _| r.take_outcome(),

@@ -13,14 +13,12 @@
 //! drivers — is the world's own API, reached through
 //! [`StorageScenario::world`] / [`StorageScenario::world_mut`].
 //!
-//! It is the one way an operation enters a simulated world, and it enters
-//! the way it does on the thread runtime: as one [`World::submit`], whose
-//! `done` fills the operation's completion slot within the world step that
-//! completed it. [`StorageScenario::start_write`] /
-//! [`StorageScenario::start_read`] submit and return the handle holding
-//! that slot, [`StorageScenario::poll_write`] /
-//! [`StorageScenario::poll_read`] return the report once it landed
-//! (recording its rounds and latency exactly once), and
+//! It is the one way an operation enters a simulated world, as the same
+//! [`RegisterProtocol::write_op`] / [`RegisterProtocol::read_op`] value
+//! the thread runtime submits, given to [`World::submit`]; its `done` fills
+//! the handle's completion slot within the step that completed it.
+//! `start_*` submit and return the handle, `poll_*` return the report once
+//! it landed (recording its rounds and latency exactly once), and
 //! [`StorageScenario::write`] / [`StorageScenario::read`] are the blocking
 //! shims over them. Schedule runners (`vrr-workload`'s `SimCase`) keep
 //! several handles in flight and look at them when
@@ -100,20 +98,12 @@ impl<R: Clone> Op<R> {
 
 /// A deployed register protocol under a scripted, seeded fault scenario.
 ///
-/// See the module-level docs above for the layering. All fault-script methods
-/// chain (`&mut self -> &mut Self`). Operations are submitted and polled
-/// ([`start_write`], [`poll_write`], [`start_read`], [`poll_read`]); the
-/// blocking [`write`] and [`read`] drive the world until the operation
-/// completes, firing any scripted events that come due on the way. A
-/// client runs one operation at a time: one started on a busy client waits
-/// for those started before it.
-///
-/// [`start_write`]: StorageScenario::start_write
-/// [`poll_write`]: StorageScenario::poll_write
-/// [`start_read`]: StorageScenario::start_read
-/// [`poll_read`]: StorageScenario::poll_read
-/// [`write`]: StorageScenario::write
-/// [`read`]: StorageScenario::read
+/// See the module-level docs above for the layering and the operations.
+/// All fault-script methods chain (`&mut self -> &mut Self`); the blocking
+/// [`StorageScenario::write`] and [`StorageScenario::read`] fire the
+/// scripted events that come due on the way. A client runs one operation
+/// at a time: one started on a busy client waits for those started before
+/// it.
 #[derive(Debug)]
 pub struct StorageScenario<V: Value, P: RegisterProtocol<V>> {
     protocol: P,
@@ -250,8 +240,8 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
     /// Submits `WRITE(value)` at the writer without driving the world.
     pub fn start_write(&mut self, value: V) -> WriteOp {
         let (op, done) = self.invoked_now();
-        self.protocol
-            .invoke_write(&self.dep, &mut self.world, value, done);
+        self.world
+            .submit(self.protocol.write_op(&self.dep, value, done));
         op
     }
 
@@ -271,8 +261,7 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
     /// Submits `READ()` at reader `j` without driving the world.
     pub fn start_read(&mut self, j: usize) -> ReadOp<V> {
         let (op, done) = self.invoked_now();
-        self.protocol
-            .invoke_read(&self.dep, &mut self.world, j, done);
+        self.world.submit(self.protocol.read_op(&self.dep, j, done));
         op
     }
 

@@ -30,13 +30,13 @@
 //! `METRICS <addr>` after the `READY` banner.
 //!
 //! A flag the node cannot honour — unknown, malformed, or sizing out of
-//! range (`--b` above `--t`, `--readers 0`) — is answered with a
-//! `vrr-server:` line and the usage on stderr and exit code 2, before
-//! anything is bound or spawned. So is a topology `NetNode::start` refuses
-//! (its `InvalidInput`): `--store 0`, `--node` or `--place-objects` naming
-//! a node outside `--addrs`, a `--place-objects` list that does not match
-//! the sizing, a sizing of more than 64 objects, a Byzantine spec naming an
-//! object the deployment does not have.
+//! range (`--b` above `--t`, `--readers 0`, more than 64 objects) — is
+//! answered with a `vrr-server:` line and the usage on stderr and exit code
+//! 2, before anything is bound or spawned. So is a topology
+//! `NetNode::start` refuses (its `InvalidInput`): `--store 0`, `--node` or
+//! `--place-objects` naming a node outside `--addrs`, a `--place-objects`
+//! list that does not match the sizing, a Byzantine spec naming an object
+//! the deployment does not have.
 
 use std::net::SocketAddr;
 use std::process::exit;
@@ -172,6 +172,11 @@ fn main() {
     if readers == 0 {
         usage("--readers must be at least 1");
     }
+    // The writer addresses at most 64 objects: `2t + b + 1`, `2t + 2b + 1`
+    // with `--fast`. `t > 31` is refused before `2t` can wrap (`b <= t`).
+    if t > 31 || 2 * t + b * (1 + usize::from(fast)) + 1 > 64 {
+        usage("--t, --b and --fast size the deployment past 64 objects");
+    }
 
     let cfg = if fast {
         StorageConfig::fast(t, b, readers)
@@ -195,8 +200,7 @@ fn main() {
         Ok(s) => s,
         // A topology or spec the deployment cannot honour: `--store 0`,
         // `--node` or an object placed outside `--addrs`, an object list
-        // off the sizing, over 64 objects, a Byzantine spec naming no
-        // object.
+        // off the sizing, a Byzantine spec naming no object.
         Err(e) if e.kind() == std::io::ErrorKind::InvalidInput => usage(&e.to_string()),
         Err(e) => {
             eprintln!("vrr-server: failed to start node {node}: {e}");

@@ -131,8 +131,9 @@ fn the_server_refuses_out_of_range_sizing_instead_of_panicking() {
     for sizing in [
         &["--t", "0", "--b", "1"][..],
         &["--readers", "0"],
-        &["--store", "0"],
         &["--t", "32"],
+        &["--t", "9223372036854775808"],
+        &["--store", "0"],
         &["--byzantine", "all:9:mute:0"],
         &["--node", "3"],
         &["--place-objects", "0,0"],

@@ -124,25 +124,22 @@ impl<M: Send + 'static> Cluster<M> {
         f: impl FnOnce(&mut A, &mut Context<'_, M>) -> R + Send + 'static,
     ) -> Result<R, InvokeError> {
         let (done, slot) = op_slot();
-        self.submit(
+        self.submit(ClientOp::new(
             pid,
             move |a: &mut A, ctx| Cell::new(Some(f(a, ctx))),
             |_: &mut A, result| result.take(),
             done,
-        );
+        ));
         slot.wait()
     }
 
-    /// Submits one client operation on `pid` and returns without waiting —
-    /// the completion-driven primitive every blocking read/write is a shim
-    /// over, and the one command that runs code against an automaton,
-    /// under the contract of [`vrr_sim::ClientOp`] (the simulator's
-    /// `World::submit` keeps it too). One mailed command carries the whole
-    /// operation: whoever runs `pid`'s group runs `start` (its sends are
-    /// delivered at once), `poll` and `done`. An inspection is an operation
-    /// whose first poll answers.
+    /// Submits `op` to its process and returns without waiting — the one
+    /// command that runs code against an automaton, under the contract of
+    /// [`vrr_sim::ClientOp`] (the simulator's `World::submit` takes the
+    /// same value). Whoever runs the process's group runs `start` (its
+    /// sends are delivered at once), `poll` and `done`.
     ///
-    /// **Where `done` runs.** If `pid`'s group is idle, the calling thread
+    /// **Where `done` runs.** If the group is idle, the calling thread
     /// runs it — for a bounded number of passes, never waiting — so every
     /// round of a READ or WRITE and its `done` happen **on the calling
     /// thread, before `submit` returns**. Otherwise (the group is being run
@@ -151,32 +148,22 @@ impl<M: Send + 'static> Cluster<M> {
     /// way `done` must neither block nor panic, and the caller must hold
     /// no lock across `submit` that `done` takes.
     ///
-    /// `done` receives [`InvokeError::Gone`] if `pid` is crashed, gets
-    /// crashed or poisoned (a panic in `start` or `poll`) before the
-    /// operation completes, or the cluster is dropped first.
+    /// A panic in `start` or `poll` poisons the process like a crash, and
+    /// dropping the cluster completes what is left `Gone`.
     ///
     /// # Panics
     ///
-    /// Panics if `pid` was never spawned.
-    pub fn submit<A, I, R>(
-        &self,
-        pid: ProcessId,
-        start: impl FnOnce(&mut A, &mut Context<'_, M>) -> I + Send + 'static,
-        poll: impl FnMut(&mut A, &I) -> Option<R> + Send + 'static,
-        done: impl FnOnce(Result<R, InvokeError>) + Send + 'static,
-    ) where
-        A: Automaton<M>,
-        I: Send + 'static,
-        R: 'static,
-    {
-        assert!(pid.index() < self.len(), "submit on unspawned {pid}");
-        let op = ClientOp::new(pid, start, poll, done);
-        self.executor.submit(pid, op);
+    /// Panics if the process was never spawned; `done` is not called then.
+    pub fn submit(&self, op: ClientOp<M>) {
+        let pid = op.pid();
+        if pid.index() >= self.len() {
+            std::mem::forget(op); // dropped, it would complete `Gone`
+            panic!("submit on unspawned {pid}");
+        }
+        self.executor.submit(op);
     }
 
-    /// Crashes `pid`: it stops processing deliveries and operations — the
-    /// one in progress and those deferred behind it complete with
-    /// [`InvokeError::Gone`].
+    /// Crashes `pid` ([`vrr_sim::Process::crash`]).
     ///
     /// # Panics
     ///
@@ -302,14 +289,14 @@ mod tests {
     /// whose poll is the predicate.
     fn total_after(cluster: &Cluster<u64>, counter: ProcessId, seen: u32) -> Receiver<u64> {
         let (tx, rx) = sync_channel(1);
-        cluster.submit(
+        cluster.submit(ClientOp::new(
             counter,
             |_c: &mut Counter, _ctx| (),
             move |c: &mut Counter, _| (c.seen >= seen).then_some(c.total),
             move |total| {
                 let _ = tx.send(total.expect("the counter is alive"));
             },
-        );
+        ));
         rx
     }
 
@@ -427,14 +414,14 @@ mod tests {
         let ran = cluster.try_invoke(counter, |_p: &mut Pinger, _ctx| ());
         assert_eq!(ran, wrong_type, "the closure must not run on a Counter");
         let (tx, rx) = sync_channel(1);
-        cluster.submit(
+        cluster.submit(ClientOp::new(
             counter,
             |_p: &mut Pinger, _ctx| unreachable!("started on a Counter"),
             |_p: &mut Pinger, ()| Some(()),
             move |result| {
                 let _ = tx.send(result);
             },
-        );
+        ));
         let completed = rx.recv_timeout(Duration::from_secs(5));
         assert_eq!(completed, Ok(wrong_type), "a mistyped operation");
         // Nothing was poisoned: the process answers to its real type and
@@ -493,12 +480,23 @@ mod tests {
         tag: u64,
         done: impl FnOnce(Result<u64, InvokeError>) + Send + 'static,
     ) {
-        cluster.submit(
+        cluster.submit(tagged(pid, tag, tag, done));
+    }
+
+    /// The `OneAtATime` operation tagged `tag`, complete once the client
+    /// finished `until` (`u64::MAX`: never).
+    fn tagged(
+        pid: ProcessId,
+        tag: u64,
+        until: u64,
+        done: impl FnOnce(Result<u64, InvokeError>) + Send + 'static,
+    ) -> ClientOp<u64> {
+        ClientOp::new(
             pid,
             move |a: &mut OneAtATime, ctx| a.begin(tag, ctx),
-            |a: &mut OneAtATime, &tag| a.take_finished(tag),
+            move |a: &mut OneAtATime, _| a.take_finished(until),
             done,
-        );
+        )
     }
 
     /// Returns once `pid`'s unit is idle and its worker parked: an
@@ -608,7 +606,7 @@ mod tests {
         let started = Arc::new(Mutex::new(Vec::new()));
         for tag in [2, 3] {
             let started = started.clone();
-            cluster.submit(
+            cluster.submit(ClientOp::new(
                 stuck,
                 move |a: &mut OneAtATime, ctx| {
                     started.lock().unwrap().push(tag);
@@ -616,7 +614,7 @@ mod tests {
                 },
                 |a: &mut OneAtATime, _| a.take_finished(u64::MAX),
                 counting_done(&fired),
-            );
+            ));
         }
         let _ = cluster.try_invoke(client, |_a: &mut OneAtATime, _ctx| ());
         let started = started.lock().unwrap().clone();
@@ -641,12 +639,7 @@ mod tests {
         assert_eq!(fired.lock().unwrap()[3], Err(Gone(stuck)));
 
         // Teardown with an op in flight: the drop completes it.
-        cluster.submit(
-            client,
-            |a: &mut OneAtATime, ctx| a.begin(5, ctx),
-            |a: &mut OneAtATime, _| a.take_finished(u64::MAX),
-            counting_done(&fired),
-        );
+        cluster.submit(tagged(client, 5, u64::MAX, counting_done(&fired)));
         drop(cluster);
         let fired = fired.lock().unwrap();
         assert_eq!(fired.len(), 5, "each completion fired exactly once");
@@ -720,7 +713,7 @@ mod tests {
         // Op 1 goes active and stays: nothing sends its tag yet. Its `done`
         // submits op 3 to the same process.
         let (again, record_1, record_3) = (cluster.clone(), record(&completed), record(&completed));
-        cluster.submit(
+        cluster.submit(ClientOp::new(
             client,
             |a: &mut OneAtATime, _ctx| {
                 a.busy = Some(1);
@@ -732,20 +725,20 @@ mod tests {
                 record_1(result);
                 submit_tagged(&again, client, 3, record_3);
             },
-        );
+        ));
         // Op 2 is deferred behind it.
         submit_tagged(&cluster, client, 2, record(&completed));
         // The kick is itself a submit, so op 1 completes — and its `done`
         // submits — on this thread, under the run lock this thread holds.
         let (tx, rx) = sync_channel(1);
-        cluster.submit(
+        cluster.submit(ClientOp::new(
             kicker,
             move |_k: &mut OneAtATime, ctx| ctx.send(client, 1),
             |_k: &mut OneAtATime, ()| Some(()),
             move |_| {
                 let _ = tx.send(());
             },
-        );
+        ));
         rx.recv_timeout(Duration::from_secs(5))
             .expect("no deadlock");
 
@@ -770,12 +763,12 @@ mod tests {
         let victim = cluster.spawn(Box::new(OneAtATime::default()));
         let healthy = cluster.spawn(Box::new(OneAtATime::default()));
 
-        cluster.submit(
+        cluster.submit(ClientOp::new(
             victim,
             |_a: &mut OneAtATime, _ctx| -> u64 { panic!("start blew up") },
             |a: &mut OneAtATime, &tag| a.take_finished(tag),
             counting_done(&fired),
-        );
+        ));
         // Deferred behind nothing — it arrives after the poisoning.
         submit_tagged(&cluster, victim, 7, counting_done(&fired));
         let (done, waiter) = sync_channel(1);
@@ -791,6 +784,74 @@ mod tests {
             *fired.lock().unwrap(),
             vec![Err(Gone(victim)), Err(Gone(victim))]
         );
+    }
+
+    /// One step of a script both hosts run.
+    enum Cmd {
+        Submit(ClientOp<u64>),
+        Crash(ProcessId),
+        Send(ProcessId, ProcessId, u64),
+        /// Until the host has taken every step it has work for.
+        Settle,
+    }
+
+    /// The simulator and the cluster step processes through the one
+    /// `vrr_sim::Process`, so one script gives both the same outcomes.
+    #[test]
+    fn the_simulator_and_the_cluster_run_one_script_alike() {
+        use std::sync::{Arc, Mutex};
+        use vrr_sim::World;
+        let (counter, client) = (ProcessId(0), ProcessId(1));
+        let automata = || -> [Box<dyn Automaton<u64>>; 2] {
+            let counter = Counter { total: 0, seen: 0 };
+            [Box::new(counter), Box::new(OneAtATime::default())]
+        };
+        let script = |log| {
+            let op = |pid, tag, until| Cmd::Submit(tagged(pid, tag, until, counting_done(log)));
+            vec![
+                op(counter, 0, 0), // a `Counter` is no `OneAtATime`
+                Cmd::Settle,
+                op(client, 1, 1),
+                op(client, 2, u64::MAX),
+                op(client, 3, 3),
+                Cmd::Settle,
+                Cmd::Crash(client), // the second in flight, the third queued
+                Cmd::Settle,
+                Cmd::Send(counter, client, 4),
+                op(client, 5, 5),
+                Cmd::Settle,
+            ]
+        };
+        let (sim, threads) = (Arc::new(Mutex::new(Vec::new())), Arc::default());
+        let mut world = World::new(1);
+        assert_eq!(automata().map(|a| world.spawn(a)), [counter, client]);
+        world.start();
+        for cmd in script(&sim) {
+            match cmd {
+                Cmd::Submit(op) => world.submit(op),
+                Cmd::Crash(pid) => world.crash(pid),
+                Cmd::Send(from, to, n) => world.send_external(from, to, n),
+                Cmd::Settle => _ = world.run_until_idle(100).expect_drained(),
+            }
+        }
+        let mut cluster = Cluster::with_workers(1);
+        assert_eq!(automata().map(|a| cluster.spawn(a)), [counter, client]);
+        for cmd in script(&threads) {
+            match cmd {
+                Cmd::Submit(op) => cluster.submit(op),
+                Cmd::Crash(pid) => cluster.crash(pid),
+                Cmd::Send(from, to, n) => cluster.send_external(from, to, n),
+                Cmd::Settle => settle::<Counter>(&cluster, counter),
+            }
+        }
+        let expected = std::any::type_name::<OneAtATime>();
+        let mistyped = Err(WrongType {
+            pid: counter,
+            expected,
+        });
+        let gone = Err(Gone(client));
+        assert_eq!(*sim.lock().unwrap(), [mistyped, Ok(1), gone, gone, gone]);
+        assert_eq!(*threads.lock().unwrap(), *sim.lock().unwrap());
     }
 
     #[test]
@@ -947,14 +1008,14 @@ mod tests {
         cluster.send_external(sender, sender, 1);
         for log in [far, near] {
             let (tx, rx) = sync_channel(1);
-            cluster.submit(
+            cluster.submit(ClientOp::new(
                 log,
                 |_l: &mut Log, _ctx| (),
                 |l: &mut Log, _| (l.0.len() >= 1_000).then(|| l.0.clone()),
                 move |got| {
                     let _ = tx.send(got);
                 },
-            );
+            ));
             let got = rx.recv_timeout(Duration::from_secs(5)).unwrap().unwrap();
             assert!(got.into_iter().eq(1..=1_000), "{log} saw a reordered link");
         }

@@ -26,11 +26,11 @@
 //! *drain → run → flush*. The drain swaps the unit's mail out under the run
 //! lock — mail is never taken otherwise — and counts as a *sweep* if it
 //! found any. The run applies the mail in arrival order, then the local run
-//! queue as it stood, each command under `catch_unwind`. The flush delivers
-//! every send at once: it appends it to the local run queue when the
-//! destination is in this unit — no lock, no condvar — and otherwise hands
-//! it to the destination's worker, one lock acquisition and one
-//! notification per worker. Every delivery between a given pair of
+//! queue as it stood, each command to its [`vrr_sim::Process`] under
+//! `catch_unwind`. The flush delivers every send at once: it appends it to
+//! the local run queue when the destination is in this unit — no lock, no
+//! condvar — and otherwise hands it to the destination's worker, one lock
+//! acquisition and one notification per worker. Every delivery between a given pair of
 //! processes takes exactly one of the two paths, which keeps links FIFO.
 //!
 //! **No lost work:** a push into a unit's mail is always followed, by the
@@ -56,15 +56,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 
-use vrr_sim::{Automaton, ClientOp, Context, OpQueue, ProcessId};
+use vrr_sim::{Automaton, ClientOp, Process, ProcessId};
 
 use crate::sharded::Sharded;
 
 /// Commands queued in a unit's mail.
 pub(crate) enum NodeCmd<M> {
-    /// Install the automaton and run its `Init` step. Always the first
-    /// command a process gets (pushed by `register`).
-    Start(Box<dyn Automaton<M>>),
+    /// Install the process (taken out by the runner, so `register` never
+    /// waits for a run lock) and run its `Init` step. Always the first
+    /// command a process gets.
+    Start(Option<Process<M>>),
     /// A message crossing a link.
     Deliver {
         /// Sender.
@@ -125,13 +126,6 @@ impl Placement {
             at: local % self.unit_len,
         }
     }
-
-    /// Inverse of [`Placement::locate`].
-    fn pid(self, addr: Addr) -> ProcessId {
-        let local = addr.unit * self.unit_len + addr.at;
-        let group = local / self.span * self.workers + addr.worker;
-        ProcessId(group * self.span + local % self.span)
-    }
 }
 
 /// A command that reaches a unit through its worker's schedule — a message
@@ -161,7 +155,7 @@ struct Unit<M> {
 /// The run-locked half of a unit.
 struct Run<M> {
     /// Position → process; only the runner ever touches them.
-    cells: Vec<Option<Cell<M>>>,
+    procs: Vec<Option<Process<M>>>,
     /// The local run queue: what the last flush queued for the next pass.
     local: Vec<LocalDelivery<M>>,
     // Reusable buffers, empty between passes.
@@ -183,7 +177,7 @@ impl<M> Unit<M> {
             home,
             mail: Mutex::new(VecDeque::new()),
             run: Mutex::new(Run {
-                cells: Vec::new(),
+                procs: Vec::new(),
                 local: Vec::new(),
                 batch: VecDeque::new(),
                 running: Vec::new(),
@@ -251,25 +245,6 @@ pub struct ExecutorStats {
     /// Total commands processed (deliveries, operations — inspections
     /// included — and crashes), whichever thread ran them.
     pub commands: u64,
-}
-
-/// Runner-local state of one registered process.
-struct Cell<M> {
-    automaton: Box<dyn Automaton<M>>,
-    /// The client operations — §2.2 well-formedness ("a client invokes one
-    /// operation at a time") is enforced here, where the automaton lives,
-    /// not by locks around every caller.
-    ops: OpQueue<M>,
-    crashed: bool,
-}
-
-impl<M> Cell<M> {
-    /// Stops processing: the operations are dropped, which completes each
-    /// of them with `Gone`.
-    fn crash(&mut self) {
-        self.crashed = true;
-        self.ops.clear();
-    }
 }
 
 /// What the runners share: the workers' schedules and the activity
@@ -372,7 +347,7 @@ impl<M: Send + 'static> Executor<M> {
                 q.queued.push(false);
             }
             debug_assert!(to.unit < q.units.len(), "dense registration order");
-            let cmd = NodeCmd::Start(automaton);
+            let cmd = NodeCmd::Start(Some(Process::new(pid, automaton)));
             q.accept(Routed { to, cmd });
         }
         worker.cv.notify_one();
@@ -385,11 +360,11 @@ impl<M: Send + 'static> Executor<M> {
         self.pool.hand(Routed { to, cmd });
     }
 
-    /// Mails `op` to `pid` and, if `pid`'s unit is idle, runs the unit on
-    /// this thread; a busy unit (or a caller that is itself running one) is
-    /// left to the worker.
-    pub(crate) fn submit(&self, pid: ProcessId, op: ClientOp<M>) {
-        let to = self.place.locate(pid);
+    /// Mails `op` to its process and, if the process's unit is idle, runs
+    /// the unit on this thread; a busy unit (or a caller that is itself
+    /// running one) is left to the worker.
+    pub(crate) fn submit(&self, op: ClientOp<M>) {
+        let to = self.place.locate(op.pid());
         let unit = &self.units[to.worker][to.unit];
         relock(&unit.mail).push_back((to.at, NodeCmd::Op(op)));
         let idle = match (!RUNNING.get()).then(|| unit.run.try_lock()) {
@@ -514,7 +489,7 @@ impl<M: Send + 'static> Pool<M> {
         // the run lock held.
         std::mem::swap(&mut run.local, &mut run.running);
         let Run {
-            cells,
+            procs,
             batch,
             running,
             step_outbox,
@@ -525,23 +500,35 @@ impl<M: Send + 'static> Pool<M> {
             .drain(..)
             .map(|(at, from, msg)| (at, NodeCmd::Deliver { from, msg }));
         let mut commands = 0u64;
-        for (at, cmd) in batch.drain(..).chain(local_cmds) {
-            let pid = unit.place.pid(Addr { at, ..unit.home });
+        for (at, mut cmd) in batch.drain(..).chain(local_cmds) {
             commands += 1;
+            if let NodeCmd::Start(process) = &mut cmd {
+                if procs.len() <= at {
+                    procs.resize_with(at + 1, || None);
+                }
+                procs[at] = process.take();
+            }
+            // What is addressed to a position where nothing was registered
+            // is dropped (an operation completes `Gone`).
+            let Some(process) = procs.get_mut(at).and_then(Option::as_mut) else {
+                continue;
+            };
+            let pid = process.pid();
             // A panic in automaton or operation code must not take the
             // runner down: on a worker every other unit would silently
             // freeze, on a submitter it would unwind into the caller.
             // Contain it to the offending process: poison it like a crash
             // (deliveries skipped, operations answer `Gone`).
-            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                step(pid, at, cells, cmd, step_outbox);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match cmd {
+                NodeCmd::Start(_) => process.start(step_outbox),
+                NodeCmd::Deliver { from, msg } => _ = process.deliver(from, msg, step_outbox),
+                NodeCmd::Op(op) => process.submit(op, step_outbox),
+                NodeCmd::Crash => process.crash(),
             }));
             if caught.is_err() {
                 eprintln!("vrr-runtime: process {pid} panicked; poisoning it");
                 step_outbox.clear();
-                if let Some(Some(cell)) = cells.get_mut(at) {
-                    cell.crash();
-                }
+                process.crash();
                 continue;
             }
             outbox.extend(step_outbox.drain(..).map(|(to, msg)| (pid, to, msg)));
@@ -584,59 +571,6 @@ impl<M: Send + 'static> Pool<M> {
                 }
             }
             worker.cv.notify_one();
-        }
-    }
-}
-
-/// The process at position `at`, unless nothing was started there or it is
-/// crashed: whatever is addressed to such a position is dropped.
-fn live<M>(cells: &mut [Option<Cell<M>>], at: usize) -> Option<&mut Cell<M>> {
-    cells.get_mut(at)?.as_mut().filter(|cell| !cell.crashed)
-}
-
-/// Applies one command to the process at position `at` of its unit (global
-/// id `pid`).
-fn step<M: Send + 'static>(
-    pid: ProcessId,
-    at: usize,
-    cells: &mut Vec<Option<Cell<M>>>,
-    cmd: NodeCmd<M>,
-    outbox: &mut Vec<(ProcessId, M)>,
-) {
-    match cmd {
-        NodeCmd::Start(mut automaton) => {
-            // The paper's Init step.
-            {
-                let mut ctx = Context::new(pid, outbox);
-                automaton.on_start(&mut ctx);
-            }
-            if cells.len() <= at {
-                cells.resize_with(at + 1, || None);
-            }
-            cells[at] = Some(Cell {
-                automaton,
-                ops: OpQueue::default(),
-                crashed: false,
-            });
-        }
-        NodeCmd::Deliver { from, msg } => {
-            let Some(cell) = live(cells, at) else {
-                return;
-            };
-            cell.automaton
-                .on_message(from, msg, &mut Context::new(pid, outbox));
-            cell.ops.after_step(pid, &mut *cell.automaton, outbox);
-        }
-        NodeCmd::Op(op) => {
-            let Some(cell) = live(cells, at) else {
-                return; // dropping the operation completes it with `Gone`
-            };
-            cell.ops.push(op, pid, &mut *cell.automaton, outbox);
-        }
-        NodeCmd::Crash => {
-            if let Some(cell) = live(cells, at) {
-                cell.crash();
-            }
         }
     }
 }

@@ -9,9 +9,10 @@
 //! in other OS processes are relay stand-ins.
 //!
 //! Operations are completion-driven ([`RegisterHost::write_with`] /
-//! [`RegisterHost::read_with`]: one [`Cluster::submit`] command each); the
-//! blocking [`RegisterHost::write`] / [`RegisterHost::read`] wait on a
-//! one-shot slot for the same completion. Inspection is submissions too,
+//! [`RegisterHost::read_with`]: one [`Cluster::submit`] each, of the
+//! [`RegisterProtocol::write_op`] / [`RegisterProtocol::read_op`] value the
+//! simulator submits too); the blocking [`RegisterHost::write`] /
+//! [`RegisterHost::read`] wait on a one-shot slot for the same completion. Inspection is submissions too,
 //! one per object, gathered by completion, and follows one rule, the
 //! simulator's: ask every process, skip what is gone or is not the automaton
 //! asked for — so crashed processes, Byzantine substitutes and relays are
@@ -23,14 +24,13 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use vrr_sim::{Automaton, InvokeError};
+use vrr_sim::{Automaton, ClientOp, InvokeError};
 
 use vrr_core::metrics::{self, names, FastPathStats, Histogram, Registry};
-use vrr_core::regular::{RegularObject, RegularReader};
-use vrr_core::safe::SafeReader;
+use vrr_core::regular::RegularObject;
 use vrr_core::{
     group_span, spawn_group, Deployment, GroupRole, Msg, ProtocolKind, ProtocolSpec, ReadReport,
-    StorageConfig, Value, WriteReport, Writer,
+    RegisterProtocol, StorageConfig, Value, WriteReport,
 };
 
 use crate::cluster::{op_slot, Cluster};
@@ -229,17 +229,14 @@ impl<V: Value> RegisterHost<V> {
         value: V,
         done: impl FnOnce(Result<WriteReport, InvokeError>) + Send + 'static,
     ) {
-        self.cluster.submit(
-            self.groups[slot].writer,
-            move |w: &mut Writer<V>, ctx| w.invoke_write(value, ctx),
-            |w: &mut Writer<V>, _| w.take_outcome(),
-            self.writes.timed(
-                |report: &WriteReport, rec: &mut Recorded| {
-                    rec.rounds.observe(u64::from(report.rounds));
-                },
-                done,
-            ),
+        let done = self.writes.timed(
+            |report: &WriteReport, rec: &mut Recorded| {
+                rec.rounds.observe(u64::from(report.rounds));
+            },
+            done,
         );
+        self.cluster
+            .submit(self.kind.write_op(&self.groups[slot], value, done));
     }
 
     /// Starts `READ()` at reader `j` of slot `slot` and returns without
@@ -256,7 +253,6 @@ impl<V: Value> RegisterHost<V> {
         j: usize,
         done: impl FnOnce(Result<ReadReport<V>, InvokeError>) + Send + 'static,
     ) {
-        let reader = self.groups[slot].readers[j];
         let done = self.reads.timed(
             move |report: &ReadReport<V>, rec: &mut Recorded| {
                 rec.rounds.observe(u64::from(report.rounds));
@@ -264,22 +260,8 @@ impl<V: Value> RegisterHost<V> {
             },
             done,
         );
-        match self.kind {
-            ProtocolKind::Safe => self.cluster.submit(
-                reader,
-                |r: &mut SafeReader<V>, ctx| r.invoke_read(ctx),
-                |r: &mut SafeReader<V>, _| r.take_outcome(),
-                done,
-            ),
-            ProtocolKind::Regular | ProtocolKind::RegularOptimized | ProtocolKind::Atomic => {
-                self.cluster.submit(
-                    reader,
-                    |r: &mut RegularReader<V>, ctx| r.invoke_read(ctx),
-                    |r: &mut RegularReader<V>, _| r.take_outcome(),
-                    done,
-                )
-            }
-        }
+        self.cluster
+            .submit(self.kind.read_op(&self.groups[slot], j, done));
     }
 
     /// Blocking `WRITE(value)` on slot `slot`.
@@ -356,12 +338,12 @@ impl<V: Value> RegisterHost<V> {
         }
         for (at, &pid) in groups.iter().flat_map(|g| &g.objects).enumerate() {
             let fan_in = Arc::clone(&fan_in);
-            self.cluster.submit(
+            self.cluster.submit(ClientOp::new(
                 pid,
                 |o: &mut RegularObject<V>, _ctx| o.history().len(),
                 |_: &mut RegularObject<V>, &len| Some(len),
                 move |len: Result<usize, InvokeError>| fan_in.found.lock()[at] = len.ok(),
-            );
+            ));
         }
     }
 
@@ -444,9 +426,8 @@ mod tests {
     use std::time::Duration;
 
     use vrr_core::attackers::AttackerKind;
-    use vrr_core::regular::HistoryRetention;
-
-    use vrr_core::Timestamp;
+    use vrr_core::regular::{HistoryRetention, RegularReader};
+    use vrr_core::{Timestamp, Writer};
     use vrr_sim::{Context, ProcessId};
 
     use super::*;
@@ -556,7 +537,7 @@ mod tests {
         ) -> Result<Option<String>, InvokeError> {
             let (tx, rx) = sync_channel(1);
             let mut polls = 0;
-            cluster.submit(
+            cluster.submit(ClientOp::new(
                 pid,
                 |_: &mut A, _ctx| (),
                 move |_: &mut A, ()| {
@@ -566,7 +547,7 @@ mod tests {
                 move |found| {
                     let _ = tx.send(found);
                 },
-            );
+            ));
             cluster.send_external(pid, pid, Msg::WAck { ts: Timestamp(0) });
             rx.recv_timeout(OP_TIMEOUT).expect("the probe completes")
         }

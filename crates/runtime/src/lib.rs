@@ -13,18 +13,15 @@
 //! reordering are the simulator's adversary — and an idle worker waits on
 //! its condvar with no deadline: an idle cluster makes zero wakeups.
 //!
-//! A client operation is one mailed command ([`Cluster::submit`], the one
-//! command that runs code against an automaton): its runner checks the
-//! automaton's type, invokes it, polls for the outcome after each step of
-//! that automaton, and fires the caller's completion — an invocation event,
-//! message deliveries and a response event, never a parked thread. The
-//! runner is the **submitting thread** whenever the group is idle, so a
-//! READ's rounds finish inside `submit` with no thread hand-off at all;
-//! the group's home worker is the fallback (see [`Cluster::submit`] for
-//! where the completion runs). A process runs one operation at a time, in
-//! submission order; an inspection is an operation that answers at once.
-//! The operation and the queue are `vrr-sim`'s ([`vrr_sim::ClientOp`]):
-//! `submit` is the one way to run an operation in both worlds.
+//! A client operation is one [`vrr_sim::ClientOp`] value, mailed by
+//! [`Cluster::submit`] — the value the simulator submits too, run by the
+//! same [`vrr_sim::Process`], which takes every step in both hosts: an
+//! invocation event, message deliveries and a response event, never a
+//! parked thread. The runner is the **submitting thread** whenever the
+//! group is idle, so a READ's rounds finish inside `submit` with no thread
+//! hand-off at all; the group's home worker is the fallback (see
+//! [`Cluster::submit`] for where the completion runs). An inspection is an
+//! operation that answers at once.
 //!
 //! **One host, three views.** A [`RegisterHost`] owns a cluster, `slots`
 //! register groups (each with its own writer, base objects and readers)

@@ -71,10 +71,10 @@
 //! assert_eq!(world.fault_stats().crashes, 1);
 //! ```
 //!
-//! A driver runs an operation on a client automaton with [`World::submit`]
-//! — the one way to run an operation in both worlds: the thread runtime's
-//! `Cluster::submit` keeps the same contract ([`ClientOp`]) on the same
-//! per-process queue ([`OpQueue`]).
+//! A driver runs an operation on a client automaton by submitting one
+//! [`ClientOp`] — to [`World::submit`] here, to the thread runtime's
+//! `Cluster::submit` there: both hosts only schedule, and a [`Process`]
+//! takes every step of its automaton in both.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -93,8 +93,8 @@ pub use adversary::{Action, Adversary, RuleId};
 pub use byzantine::{from_fn, Mute, Tamper};
 pub use envelope::{Envelope, MsgId};
 pub use latency::{Fixed, LatencyModel, LongTail, Uniform};
-pub use op::{ClientOp, InvokeError, OpQueue};
-pub use process::{Automaton, Context, ProcessId, ProcessStatus, SimMessage};
+pub use op::{ClientOp, InvokeError};
+pub use process::{Automaton, Context, Process, ProcessId, ProcessStatus, SimMessage};
 pub use time::SimTime;
 pub use trace::{FaultStats, NetStats, Trace, TraceEvent, TraceEventKind};
 pub use world::{Quiescence, World};

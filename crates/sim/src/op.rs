@@ -1,8 +1,7 @@
 //! Client operations, as the simulator and the thread runtime both run
-//! them: [`ClientOp`] and a process's [`OpQueue`].
+//! them: [`ClientOp`], queued and stepped by a [`crate::Process`].
 
 use std::any::Any;
-use std::collections::VecDeque;
 use std::fmt;
 use std::marker::PhantomData;
 
@@ -40,23 +39,26 @@ impl fmt::Display for InvokeError {
 
 impl std::error::Error for InvokeError {}
 
-/// One submitted client operation on one automaton, type-erased for a
-/// process's queue — the one way a driver runs code against an automaton,
-/// in the simulator ([`crate::World::submit`]) and on the thread runtime
-/// (`vrr_runtime::Cluster::submit`) alike, under one contract:
+/// One client operation on the automaton of one process — the one way a
+/// driver runs code against an automaton: a value either host takes (the
+/// simulator's [`crate::World::submit`], the thread runtime's
+/// `vrr_runtime::Cluster::submit`), run by its [`crate::Process`] under one
+/// contract:
 ///
 /// - `start` is the invocation event (e.g. `invoke_read`); `poll` is called
 ///   with what it returned after each later step of the process, and its
 ///   first `Some(r)` goes to `done`, the response event, fired exactly once;
-/// - a process runs one operation at a time, in submission order
-///   ([`OpQueue`]), so the model's well-formedness (§2.2, "a client invokes
-///   one operation at a time") holds whatever the drivers do;
+/// - a process runs one operation at a time, in submission order, so §2.2's
+///   well-formedness holds whatever the drivers do;
 /// - an automaton of another type runs nothing: `done` receives
 ///   [`InvokeError::WrongType`] and the process carries on;
 /// - an operation dropped before it completed — its process crashed, was
 ///   replaced or poisoned, or its host went away — completes with
 ///   [`InvokeError::Gone`].
-pub struct ClientOp<M>(Box<Advance<M>>);
+pub struct ClientOp<M> {
+    pid: ProcessId,
+    advance: Box<Advance<M>>,
+}
 
 /// Starts the operation on its first call, polls it on every call; `true`
 /// once it completed.
@@ -64,11 +66,22 @@ type Advance<M> = dyn FnMut(&mut dyn Any, &mut Context<'_, M>) -> bool + Send;
 
 impl<M> fmt::Debug for ClientOp<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("ClientOp")
+        f.debug_tuple("ClientOp").field(&self.pid).finish()
     }
 }
 
 impl<M: 'static> ClientOp<M> {
+    /// The process the operation runs on.
+    pub fn pid(&self) -> ProcessId {
+        self.pid
+    }
+
+    /// Starts the operation on its first call and polls it on every call;
+    /// `true` once it completed.
+    pub(crate) fn advance(&mut self, automaton: &mut dyn Any, ctx: &mut Context<'_, M>) -> bool {
+        (self.advance)(automaton, ctx)
+    }
+
     /// The operation `start` / `poll` / `done` on the automaton of `pid`.
     pub fn new<A, I, R>(
         pid: ProcessId,
@@ -83,7 +96,7 @@ impl<M: 'static> ClientOp<M> {
     {
         let mut done = Completion(pid, Some(done), PhantomData);
         let (mut start, mut id) = (Some(start), None);
-        ClientOp(Box::new(move |automaton, ctx| {
+        let advance = Box::new(move |automaton: &mut dyn Any, ctx: &mut Context<'_, M>| {
             let Some(a) = automaton.downcast_mut::<A>() else {
                 let expected = std::any::type_name::<A>();
                 return done.fire(Err(InvokeError::WrongType { pid, expected }));
@@ -95,7 +108,8 @@ impl<M: 'static> ClientOp<M> {
                 Some(r) => done.fire(Ok(r)),
                 None => false,
             }
-        }))
+        });
+        ClientOp { pid, advance }
     }
 }
 
@@ -114,60 +128,5 @@ impl<R, D: FnOnce(Result<R, InvokeError>)> Completion<R, D> {
 impl<R, D: FnOnce(Result<R, InvokeError>)> Drop for Completion<R, D> {
     fn drop(&mut self) {
         self.fire(Err(InvokeError::Gone(self.0)));
-    }
-}
-
-/// A process's client operations in submission order; the first is the one
-/// in progress. Its host calls [`OpQueue::push`] for a submission,
-/// [`OpQueue::after_step`] after every step of the automaton and
-/// [`OpQueue::clear`] when the process stops.
-#[derive(Debug)]
-pub struct OpQueue<M>(VecDeque<ClientOp<M>>);
-
-impl<M> Default for OpQueue<M> {
-    fn default() -> Self {
-        OpQueue(VecDeque::new())
-    }
-}
-
-impl<M> OpQueue<M> {
-    /// Queues `op` behind the operations submitted before it and starts it
-    /// at once if the process `pid` is idle; the sends of its start go to
-    /// `outbox`.
-    pub fn push(
-        &mut self,
-        op: ClientOp<M>,
-        pid: ProcessId,
-        automaton: &mut dyn Automaton<M>,
-        outbox: &mut Vec<(ProcessId, M)>,
-    ) {
-        self.0.push_back(op);
-        if self.0.len() == 1 {
-            self.after_step(pid, automaton, outbox);
-        }
-    }
-
-    /// Runs after every step of the process `pid`: polls the operation in
-    /// progress and starts the next as the process becomes idle. An
-    /// operation stays queued while it runs, so a panic in it leaves it
-    /// where [`OpQueue::clear`] finds and fails it.
-    pub fn after_step(
-        &mut self,
-        pid: ProcessId,
-        automaton: &mut dyn Automaton<M>,
-        outbox: &mut Vec<(ProcessId, M)>,
-    ) {
-        while let Some(op) = self.0.front_mut() {
-            if !(op.0)(&mut *automaton, &mut Context::new(pid, outbox)) {
-                break;
-            }
-            self.0.pop_front();
-        }
-    }
-
-    /// Drops every operation, which completes each with
-    /// [`InvokeError::Gone`].
-    pub fn clear(&mut self) {
-        self.0.clear();
     }
 }

@@ -4,10 +4,13 @@
 //! of deterministic automata, where `A_p` is the automaton assigned to process
 //! `p`". A step atomically consumes received messages, updates local state and
 //! emits output messages. [`Automaton`] is that notion; [`Context`] is the
-//! paper's `mset_{p,*}` output interface.
+//! paper's `mset_{p,*}` output interface; [`Process`] takes the steps.
 
 use std::any::Any;
+use std::collections::VecDeque;
 use std::fmt;
+
+use crate::op::ClientOp;
 
 /// Identifies a process (client or base object) within a [`crate::World`].
 ///
@@ -82,18 +85,6 @@ macro_rules! impl_sim_message_for_copy {
 
 impl_sim_message_for_copy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, ());
 
-impl SimMessage for String {
-    fn wire_size(&self) -> usize {
-        self.len()
-    }
-}
-
-impl SimMessage for &'static str {
-    fn wire_size(&self) -> usize {
-        self.len()
-    }
-}
-
 /// The interface through which an automaton interacts with the world during
 /// one atomic step.
 ///
@@ -147,20 +138,15 @@ impl<'a, M> Context<'a, M> {
             self.outbox.push((to, msg.clone()));
         }
     }
-
-    /// Number of messages queued so far in this step.
-    pub fn pending(&self) -> usize {
-        self.outbox.len()
-    }
 }
 
 /// A deterministic process automaton (the paper's `A_p`).
 ///
 /// Implementations must be deterministic functions of their state and inputs:
 /// all correctness experiments rely on replayable runs. `Any` is a supertrait
-/// so drivers can downcast to the concrete automaton type: an operation runs
-/// through [`crate::World::submit`] (or the thread runtime's
-/// `Cluster::submit`), and [`crate::World::inspect`] reads state.
+/// so drivers can downcast to the concrete automaton type: a [`ClientOp`]
+/// runs against it, and [`crate::World::inspect`] reads its state. Its
+/// steps are taken by a [`Process`] only.
 pub trait Automaton<M>: Any + Send {
     /// Called once when the world starts (the paper's `Init` step).
     fn on_start(&mut self, _ctx: &mut Context<'_, M>) {}
@@ -171,6 +157,113 @@ pub trait Automaton<M>: Any + Send {
     /// A short human-readable label for traces.
     fn label(&self) -> &'static str {
         "automaton"
+    }
+}
+
+/// One process of a run — its automaton, the client operations submitted
+/// to it (the first is in progress) and its status — and the one code that
+/// steps an automaton, in [`crate::World`] and on the thread runtime alike:
+/// a host only picks the process that takes the next step and carries the
+/// sends the step leaves in `outbox`.
+///
+/// After every step the operation in progress is polled, and the next
+/// starts once it completed (§2.2: "a client invokes one operation at a
+/// time"). An operation stays queued while it runs, so one that panics is
+/// failed by the host's [`Process::crash`].
+pub struct Process<M> {
+    pid: ProcessId,
+    automaton: Box<dyn Automaton<M>>,
+    ops: VecDeque<ClientOp<M>>,
+    status: ProcessStatus,
+}
+
+impl<M> fmt::Debug for Process<M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (pid, status, ops) = (self.pid, self.status, self.ops.len());
+        write!(f, "{pid:?} {status:?}, {ops} ops")
+    }
+}
+
+impl<M: 'static> Process<M> {
+    /// The process `pid`, alive; it takes no step before [`Process::start`].
+    pub fn new(pid: ProcessId, automaton: Box<dyn Automaton<M>>) -> Self {
+        Process {
+            pid,
+            automaton,
+            ops: VecDeque::new(),
+            status: ProcessStatus::Alive,
+        }
+    }
+
+    /// Its id.
+    pub fn pid(&self) -> ProcessId {
+        self.pid
+    }
+
+    /// Its status.
+    pub fn status(&self) -> ProcessStatus {
+        self.status
+    }
+
+    /// Its automaton, if that is an `A`.
+    pub fn automaton<A: Automaton<M>>(&self) -> Option<&A> {
+        (&*self.automaton as &dyn Any).downcast_ref()
+    }
+
+    /// The paper's `Init` step, unless the process is crashed.
+    pub fn start(&mut self, outbox: &mut Vec<(ProcessId, M)>) {
+        if self.status.takes_steps() {
+            self.automaton.on_start(&mut Context::new(self.pid, outbox));
+            self.poll(outbox);
+        }
+    }
+
+    /// The step that consumes `msg` from `from`; `false` if the process is
+    /// crashed and drops it.
+    pub fn deliver(&mut self, from: ProcessId, msg: M, outbox: &mut Vec<(ProcessId, M)>) -> bool {
+        let alive = self.status.takes_steps();
+        if alive {
+            let mut ctx = Context::new(self.pid, outbox);
+            self.automaton.on_message(from, msg, &mut ctx);
+            self.poll(outbox);
+        }
+        alive
+    }
+
+    /// Queues `op` behind the operations submitted before it, starting it
+    /// if the process is idle; a crashed process drops it, which completes
+    /// it with [`crate::InvokeError::Gone`].
+    pub fn submit(&mut self, op: ClientOp<M>, outbox: &mut Vec<(ProcessId, M)>) {
+        debug_assert_eq!(op.pid(), self.pid, "an operation of another process");
+        if self.status.takes_steps() {
+            self.ops.push_back(op);
+            if self.ops.len() == 1 {
+                self.poll(outbox);
+            }
+        }
+    }
+
+    /// Stops the process; its operations complete with
+    /// [`crate::InvokeError::Gone`].
+    pub fn crash(&mut self) {
+        self.status = ProcessStatus::Crashed;
+        self.ops.clear();
+    }
+
+    /// Substitutes a Byzantine automaton; the operations submitted to the
+    /// old one complete with [`crate::InvokeError::Gone`].
+    pub fn replace(&mut self, automaton: Box<dyn Automaton<M>>) {
+        (self.automaton, self.status) = (automaton, ProcessStatus::Byzantine);
+        self.ops.clear();
+    }
+
+    fn poll(&mut self, outbox: &mut Vec<(ProcessId, M)>) {
+        while let Some(op) = self.ops.front_mut() {
+            if !op.advance(&mut *self.automaton, &mut Context::new(self.pid, outbox)) {
+                break;
+            }
+            self.ops.pop_front();
+        }
     }
 }
 
@@ -194,7 +287,6 @@ mod tests {
         assert_eq!(ctx.me(), ProcessId(7));
         ctx.send(ProcessId(1), Ping(10));
         ctx.broadcast([ProcessId(2), ProcessId(3)], Ping(20));
-        assert_eq!(ctx.pending(), 3);
         assert_eq!(
             out,
             vec![

@@ -2,7 +2,6 @@
 //! message passing with crash and Byzantine faults, scripted partitions and
 //! heals, and seeded reordering links — one world, one clock, one queue.
 
-use std::any::Any;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -12,8 +11,8 @@ use rand::{Rng, SeedableRng};
 use crate::adversary::{Action, Adversary, RuleId};
 use crate::envelope::{Envelope, MsgId};
 use crate::latency::{Fixed, LatencyModel};
-use crate::op::{ClientOp, InvokeError, OpQueue};
-use crate::process::{Automaton, Context, ProcessId, ProcessStatus, SimMessage};
+use crate::op::ClientOp;
+use crate::process::{Automaton, Process, ProcessId, ProcessStatus, SimMessage};
 use crate::time::SimTime;
 use crate::trace::{FaultStats, NetStats, Trace, TraceEventKind};
 
@@ -87,13 +86,6 @@ impl<M> Ord for Queued<M> {
     }
 }
 
-struct Proc<M> {
-    automaton: Box<dyn Automaton<M>>,
-    status: ProcessStatus,
-    name: String,
-    ops: OpQueue<M>,
-}
-
 /// Whether `env` crosses an island boundary of `islands`. Processes listed
 /// in no group share one implicit "rest" island.
 fn crosses<M>(islands: &[Vec<ProcessId>], env: &Envelope<M>) -> bool {
@@ -139,7 +131,9 @@ fn crosses<M>(islands: &[Vec<ProcessId>], env: &Envelope<M>) -> bool {
 /// assert_eq!(world.net_stats().delivered, 2); // ping + echo
 /// ```
 pub struct World<M: SimMessage> {
-    procs: Vec<Proc<M>>,
+    procs: Vec<Process<M>>,
+    /// The name of every process, for panics.
+    names: Vec<String>,
     queue: BinaryHeap<Reverse<Queued<M>>>,
     held: Vec<Envelope<M>>,
     adversary: Adversary<M>,
@@ -164,6 +158,7 @@ impl<M: SimMessage> World<M> {
     pub fn new(seed: u64) -> Self {
         World {
             procs: Vec::new(),
+            names: Vec::new(),
             queue: BinaryHeap::new(),
             held: Vec::new(),
             adversary: Adversary::new(),
@@ -240,12 +235,8 @@ impl<M: SimMessage> World<M> {
         automaton: Box<dyn Automaton<M>>,
     ) -> ProcessId {
         let id = ProcessId(self.procs.len());
-        self.procs.push(Proc {
-            automaton,
-            status: ProcessStatus::Alive,
-            name: name.into(),
-            ops: OpQueue::default(),
-        });
+        self.procs.push(Process::new(id, automaton));
+        self.names.push(name.into());
         if self.started {
             // Late spawns still get their Init step.
             self.push_event(self.now, QueuedKind::Start(id));
@@ -272,20 +263,17 @@ impl<M: SimMessage> World<M> {
     ///
     /// Panics if `pid` was not spawned in this world.
     pub fn status(&self, pid: ProcessId) -> ProcessStatus {
-        self.procs[pid.index()].status
+        self.procs[pid.index()].status()
     }
 
-    /// Crashes `pid` immediately: it takes no further steps, messages
-    /// addressed to it become dead letters, and its operation in progress
-    /// and those submitted behind it complete with [`InvokeError::Gone`].
+    /// Crashes `pid` immediately ([`Process::crash`]): messages addressed
+    /// to it become dead letters.
     ///
     /// # Panics
     ///
     /// Panics if `pid` was not spawned in this world.
     pub fn crash(&mut self, pid: ProcessId) {
-        let proc = &mut self.procs[pid.index()];
-        proc.status = ProcessStatus::Crashed;
-        proc.ops.clear();
+        self.procs[pid.index()].crash();
         self.faults.crashes += 1;
         self.trace.push(self.now, || TraceEventKind::Crashed(pid));
     }
@@ -304,17 +292,13 @@ impl<M: SimMessage> World<M> {
     ///
     /// The paper's malicious processes "can perform arbitrary actions"; here
     /// arbitrary behaviour is whatever `automaton` computes, including
-    /// forging any message content. The operations submitted to the
-    /// replaced automaton complete with [`InvokeError::Gone`].
+    /// forging any message content ([`Process::replace`]).
     ///
     /// # Panics
     ///
     /// Panics if `pid` was not spawned in this world.
     pub fn set_byzantine(&mut self, pid: ProcessId, automaton: Box<dyn Automaton<M>>) {
-        let proc = &mut self.procs[pid.index()];
-        proc.automaton = automaton;
-        proc.status = ProcessStatus::Byzantine;
-        proc.ops.clear();
+        self.procs[pid.index()].replace(automaton);
         self.faults.byzantine += 1;
         self.trace
             .push(self.now, || TraceEventKind::TurnedByzantine(pid));
@@ -387,35 +371,22 @@ impl<M: SimMessage> World<M> {
             })
     }
 
-    /// Submits one client operation on `pid` — the one way a driver runs
-    /// code against an automaton, under the contract of [`ClientOp`], the
-    /// thread runtime's `Cluster::submit` keeps too. If `pid` is idle,
-    /// `start` runs now and its sends enter the network when it returns;
-    /// `done` fires within the step that completed the operation. `done`
-    /// receives [`InvokeError::Gone`] if `pid` is crashed, or is crashed or
-    /// replaced by [`World::set_byzantine`] before the operation completes.
+    /// Submits `op` to its process ([`Process::submit`]), under the
+    /// contract of [`ClientOp`]: if the process is idle the operation
+    /// starts now, and its `done` fires within the step that completes it.
     ///
     /// # Panics
     ///
-    /// Panics if `pid` was not spawned in this world.
-    pub fn submit<A, I, R>(
-        &mut self,
-        pid: ProcessId,
-        start: impl FnOnce(&mut A, &mut Context<'_, M>) -> I + Send + 'static,
-        poll: impl FnMut(&mut A, &I) -> Option<R> + Send + 'static,
-        done: impl FnOnce(Result<R, InvokeError>) + Send + 'static,
-    ) where
-        A: Automaton<M>,
-        I: Send + 'static,
-        R: 'static,
-    {
-        let op = ClientOp::new(pid, start, poll, done);
-        let proc = &mut self.procs[pid.index()];
-        if !proc.status.takes_steps() {
-            return; // dropping `op` completes it with `Gone`
-        }
+    /// Panics if the process was not spawned in this world; `done` is not
+    /// called then.
+    pub fn submit(&mut self, op: ClientOp<M>) {
+        let pid = op.pid();
+        let Some(proc) = self.procs.get_mut(pid.index()) else {
+            std::mem::forget(op); // dropped, it would complete `Gone`
+            panic!("submit on unspawned {pid}");
+        };
         let mut outbox = Vec::new();
-        proc.ops.push(op, pid, &mut *proc.automaton, &mut outbox);
+        proc.submit(op, &mut outbox);
         self.flush_outbox(pid, outbox);
     }
 
@@ -426,7 +397,7 @@ impl<M: SimMessage> World<M> {
     /// Panics if `pid` is unknown or its automaton is not an `A`.
     pub fn inspect<A: Automaton<M>, R>(&self, pid: ProcessId, f: impl FnOnce(&A) -> R) -> R {
         self.try_inspect(pid, f).unwrap_or_else(|| {
-            let name = &self.procs[pid.index()].name;
+            let name = &self.names[pid.index()];
             panic!(
                 "process {pid:?} ({name}) is not a {}",
                 std::any::type_name::<A>()
@@ -446,9 +417,7 @@ impl<M: SimMessage> World<M> {
         pid: ProcessId,
         f: impl FnOnce(&A) -> R,
     ) -> Option<R> {
-        let proc = &self.procs[pid.index()];
-        let automaton: &dyn Any = &*proc.automaton;
-        automaton.downcast_ref::<A>().map(f)
+        self.procs[pid.index()].automaton().map(f)
     }
 
     /// Injects a message from outside the system (e.g. a test fixture acting
@@ -503,20 +472,16 @@ impl<M: SimMessage> World<M> {
         self.now = queued.at;
         match queued.kind {
             QueuedKind::Start(pid) => {
-                let proc = &mut self.procs[pid.index()];
-                if proc.status.takes_steps() {
-                    let mut outbox = Vec::new();
-                    proc.automaton.on_start(&mut Context::new(pid, &mut outbox));
-                    proc.ops.after_step(pid, &mut *proc.automaton, &mut outbox);
-                    self.flush_outbox(pid, outbox);
-                }
+                let mut outbox = Vec::new();
+                self.procs[pid.index()].start(&mut outbox);
+                self.flush_outbox(pid, outbox);
             }
             QueuedKind::Crash(pid) => self.crash(pid),
             QueuedKind::Partition(groups) => self.partition(groups),
             QueuedKind::Heal => self.heal_now(),
             QueuedKind::Deliver(env, bytes) => {
                 let to = env.to;
-                if !self.procs[to.index()].status.takes_steps() {
+                if !self.procs[to.index()].status().takes_steps() {
                     self.stats.dead_letters += 1;
                     self.trace
                         .push(self.now, || TraceEventKind::DeadLetter(env));
@@ -526,10 +491,7 @@ impl<M: SimMessage> World<M> {
                     self.trace
                         .push(self.now, || TraceEventKind::Delivered(env.clone()));
                     let mut outbox = Vec::new();
-                    let proc = &mut self.procs[to.index()];
-                    let mut ctx = Context::new(to, &mut outbox);
-                    proc.automaton.on_message(env.from, env.msg, &mut ctx);
-                    proc.ops.after_step(to, &mut *proc.automaton, &mut outbox);
+                    self.procs[to.index()].deliver(env.from, env.msg, &mut outbox);
                     self.flush_outbox(to, outbox);
                 }
             }
@@ -668,6 +630,7 @@ mod tests {
 
     use super::*;
     use crate::byzantine::from_fn;
+    use crate::{Context, InvokeError};
 
     #[derive(Clone, Debug, PartialEq)]
     enum Msg {
@@ -831,7 +794,7 @@ mod tests {
         /// `log`.
         fn ask(w: &mut World<Msg>, sink: ProcessId, pong: ProcessId, n: u32, log: &Outcomes) {
             let log = log.clone();
-            w.submit(
+            w.submit(ClientOp::new(
                 sink,
                 move |s: &mut PongSink, ctx| {
                     ctx.send(pong, Msg::Ping(n));
@@ -839,7 +802,7 @@ mod tests {
                 },
                 |s: &mut PongSink, &before| s.got.get(before).copied(),
                 move |outcome| log.lock().unwrap().push(outcome),
-            );
+            ));
         }
 
         #[test]
@@ -887,6 +850,19 @@ mod tests {
             w.run_until_idle(100).expect_drained();
             assert_eq!(*log.lock().unwrap(), vec![Ok(2), Ok(11)]);
             assert_eq!(w.net_stats().sent, 4);
+        }
+
+        #[test]
+        #[should_panic(expected = "submit on unspawned p9")]
+        fn a_submit_on_an_unspawned_pid_panics_and_runs_no_done() {
+            let (mut w, _, _) = two_proc_world(1);
+            let done = |_: Result<(), InvokeError>| panic!("done ran");
+            w.submit(ClientOp::new(
+                ProcessId(9),
+                |_: &mut PongSink, _| (),
+                |_, _| None,
+                done,
+            ));
         }
     }
 
