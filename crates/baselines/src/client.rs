@@ -4,10 +4,11 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use vrr_sim::{Automaton, ClientOp, Context, InvokeError, ProcessId, World};
+use vrr_sim::{Automaton, ClientOp, Context, InvokeError, ProcessId};
 
 use vrr_core::{
-    Deployment, ReadReport, RegisterProtocol, StorageConfig, Timestamp, TsVal, Value, WriteReport,
+    Deployment, GroupRole, ReadReport, RegisterProtocol, StorageConfig, Timestamp, TsVal, Value,
+    WriteReport,
 };
 
 use crate::lite::{LiteMsg, LiteObject};
@@ -250,28 +251,6 @@ pub(crate) trait LiteProtocol: Copy {
     /// The readers' rule in a deployment sized `cfg`; panics on a sizing
     /// the protocol is unsound at.
     fn rule<V: Value>(&self, cfg: StorageConfig) -> Self::Rule<V>;
-
-    /// `LiteObject`s, one [`LiteWriter`] and `cfg.readers` [`LiteReader`]s.
-    fn deploy<V: Value>(&self, cfg: StorageConfig, world: &mut World<LiteMsg<V>>) -> Deployment {
-        let rule = self.rule::<V>(cfg);
-        let objects: Vec<ProcessId> = (0..cfg.s)
-            .map(|i| world.spawn_named(format!("s{i}"), Box::new(LiteObject::<V>::new())))
-            .collect();
-        let writer = LiteWriter::<V>::new::<Self>(cfg, objects.clone());
-        let writer = world.spawn_named("writer", Box::new(writer));
-        let readers = (0..cfg.readers)
-            .map(|j| {
-                let reader = LiteReader::new(cfg, objects.clone(), rule.clone());
-                world.spawn_named(format!("r{j}"), Box::new(reader))
-            })
-            .collect();
-        Deployment {
-            cfg,
-            objects,
-            writer,
-            readers,
-        }
-    }
 }
 
 type Reader<V, P> = LiteReader<V, <P as LiteProtocol>::Rule<V>>;
@@ -288,8 +267,31 @@ macro_rules! drive_with_the_lite_client {
                 LiteProtocol::name(self)
             }
 
-            fn deploy(&self, cfg: StorageConfig, world: &mut World<LiteMsg<V>>) -> Deployment {
-                LiteProtocol::deploy(self, cfg, world)
+            /// `LiteObject`s, one `LiteWriter` and `cfg.readers`
+            /// `LiteReader`s.
+            fn deploy(
+                &self,
+                cfg: StorageConfig,
+                mut spawn: impl FnMut(GroupRole, Box<dyn Automaton<LiteMsg<V>>>) -> ProcessId,
+            ) -> Deployment {
+                let rule = self.rule::<V>(cfg);
+                let objects: Vec<ProcessId> = (0..cfg.s)
+                    .map(|i| spawn(GroupRole::Object(i), Box::new(LiteObject::<V>::new())))
+                    .collect();
+                let writer = LiteWriter::<V>::new::<Self>(cfg, objects.clone());
+                let writer = spawn(GroupRole::Writer, Box::new(writer));
+                let readers = (0..cfg.readers)
+                    .map(|j| {
+                        let reader = LiteReader::new(cfg, objects.clone(), rule.clone());
+                        spawn(GroupRole::Reader(j), Box::new(reader))
+                    })
+                    .collect();
+                Deployment {
+                    cfg,
+                    objects,
+                    writer,
+                    readers,
+                }
             }
 
             fn write_op(
@@ -364,31 +366,25 @@ mod tests {
     /// it is still pending when the first completes, then completes after.
     fn one_write_at_a_time<P: Case>(p: P, s: usize) {
         let mut sc = deploy(p, s);
-        let (mut first, mut second) = (sc.start_write(1), sc.start_write(2));
-        while sc.poll_write(&mut first).is_none() {
+        let (first, second) = (sc.start_write(1), sc.start_write(2));
+        while first.poll().is_none() {
             assert!(sc.world_mut().step());
         }
-        assert!(
-            sc.poll_write(&mut second).is_none(),
-            "started after the first"
-        );
+        assert!(second.poll().is_none(), "started after the first");
         sc.world_mut().run_until_idle(10_000).expect_drained();
-        assert_eq!(sc.poll_write(&mut second).unwrap().ts, Timestamp(2));
+        assert_eq!(second.poll().unwrap().ts, Timestamp(2));
     }
 
     /// Two READs started together at one reader run one after the other.
     fn one_read_at_a_time<P: Case>(p: P, s: usize) {
         let mut sc = deploy(p, s);
-        let (mut first, mut second) = (sc.start_read(0), sc.start_read(0));
-        while sc.poll_read(&mut first).is_none() {
+        let (first, second) = (sc.start_read(0), sc.start_read(0));
+        while first.poll().is_none() {
             assert!(sc.world_mut().step());
         }
-        assert!(
-            sc.poll_read(&mut second).is_none(),
-            "started after the first"
-        );
+        assert!(second.poll().is_none(), "started after the first");
         sc.world_mut().run_until_idle(10_000).expect_drained();
-        assert_eq!(sc.poll_read(&mut second).unwrap().value, None);
+        assert_eq!(second.poll().unwrap().value, None);
     }
 
     /// Under the queue, the lite clients still refuse an overlapping

@@ -12,8 +12,8 @@ use vrr_baselines::{
     masking_object_count, serial_forger, AbdProtocol, LiteMsg, MaskingProtocol, PassiveProtocol,
 };
 use vrr_checker::OpKind;
-use vrr_core::{Deployment, ReadReport, RegisterProtocol, StorageConfig, WriteReport};
-use vrr_sim::{ClientOp, InvokeError, SimTime, World};
+use vrr_core::{Deployment, GroupRole, ReadReport, RegisterProtocol, StorageConfig, WriteReport};
+use vrr_sim::{Automaton, ClientOp, InvokeError, ProcessId, SimTime};
 use vrr_workload::{FaultPlan, LatencyKind, ScheduleParams, SimCase};
 
 const T: usize = 2;
@@ -33,15 +33,18 @@ impl<P: RegisterProtocol<u64, Msg = LiteMsg<u64>>> RegisterProtocol<u64> for For
         self.0.name()
     }
 
-    fn deploy(&self, cfg: StorageConfig, world: &mut World<LiteMsg<u64>>) -> Deployment {
-        let dep = self.0.deploy(cfg, world);
-        for rank in 1..=cfg.b as u64 {
-            world.set_byzantine(
-                dep.objects[rank as usize - 1],
-                serial_forger(rank, 900 + rank),
-            );
-        }
-        dep
+    fn deploy(
+        &self,
+        cfg: StorageConfig,
+        mut spawn: impl FnMut(GroupRole, Box<dyn Automaton<LiteMsg<u64>>>) -> ProcessId,
+    ) -> Deployment {
+        self.0.deploy(cfg, |role, honest| match role {
+            GroupRole::Object(i) if i < cfg.b => {
+                let rank = i as u64 + 1;
+                spawn(role, serial_forger(rank, 900 + rank))
+            }
+            _ => spawn(role, honest),
+        })
     }
 
     fn write_op(

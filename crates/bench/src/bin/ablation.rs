@@ -36,9 +36,9 @@ fn probe_mutant(tuning: ReaderTuning, attacked: bool) -> (bool, u32, bool) {
     }
     sc.write(5u64);
     // A mutant may block: drive until nothing is left in flight, then ask.
-    let mut op = sc.start_read(0);
+    let op = sc.start_read(0);
     sc.world_mut().run_until_idle(200_000);
-    match sc.poll_read(&mut op) {
+    match op.poll() {
         Some(rep) => (rep.value == Some(5), rep.rounds, true),
         None => (false, 0, false),
     }
@@ -178,7 +178,7 @@ fn main() {
             }
         }
         let rep = sc.read(0);
-        let hist_len = sc.history_lens().expect("regular objects keep histories")[0];
+        let (_, hist_len) = sc.history_lens()[0];
         c.row_owned(vec![
             format!("{retention:?}"),
             writes.to_string(),

@@ -64,7 +64,7 @@ fn run_boundary_attack(s: usize, t: usize, b: usize) -> Outcome {
     for &bb in &set_b {
         sc.world_mut().adversary_mut().hold_link(reader, bb);
     }
-    let mut op = sc.start_read(0);
+    let op = sc.start_read(0);
     sc.world_mut().run_until_idle(500_000);
     let fmt = |rep: Option<vrr_core::ReadReport<u64>>| match rep {
         None => "blocked".to_string(),
@@ -73,7 +73,7 @@ fn run_boundary_attack(s: usize, t: usize, b: usize) -> Outcome {
             Some(v) => format!("returned {v}"),
         },
     };
-    let before = sc.poll_read(&mut op);
+    let before = op.poll();
     let violated_before = matches!(&before, Some(r) if r.value != Some(7));
     let before_release = fmt(before);
 
@@ -81,7 +81,7 @@ fn run_boundary_attack(s: usize, t: usize, b: usize) -> Outcome {
     sc.world_mut().adversary_mut().clear();
     sc.world_mut().release_all();
     sc.world_mut().run_until_idle(500_000);
-    let after = sc.poll_read(&mut op);
+    let after = op.poll();
     let violated_after = matches!(&after, Some(r) if r.value != Some(7));
     let stalled = after.is_none();
     let after_release = fmt(after);

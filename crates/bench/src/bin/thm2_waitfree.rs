@@ -40,9 +40,9 @@ fn writer_crash_scenario(t: usize, b: usize, seed: u64, crash_after_steps: u64) 
 
     // The reader must complete regardless: once nothing is left in
     // flight, a read still pending would never return.
-    let mut op = sc.start_read(0);
+    let op = sc.start_read(0);
     sc.world_mut().run_until_idle(200_000);
-    let Some(rep) = sc.poll_read(&mut op) else {
+    let Some(rep) = op.poll() else {
         return (false, 0);
     };
     let value_ok = rep.value == Some(10) || rep.value == Some(20);

@@ -7,10 +7,10 @@
 //! a [`ProtocolSpec`], and a [`ProtocolKind`] names each variant at the
 //! paper's defaults: there is no other way to say which protocol a
 //! deployment runs. *In which order* they come to life is [`spawn_group`].
-//! Two harnesses consume these: the simulator's
-//! [`RegisterProtocol`](crate::RegisterProtocol) impl (which only
-//! [`StorageScenario`](crate::StorageScenario) drives), and
-//! `vrr-runtime`'s `RegisterHost::spawn` — the one host that
+//! One code deploys them: [`Registers`](crate::Registers), through the
+//! [`RegisterProtocol`](crate::RegisterProtocol) impl — over a simulated
+//! world as [`StorageScenario`](crate::StorageScenario), over a thread
+//! cluster as `vrr-runtime`'s `RegisterHost`, the one host that
 //! `StorageCluster`, `ShardedStore` and `vrr-net`'s `NetNode` (both
 //! hosting modes) are views of. Nothing else knows what a register group
 //! consists of.
@@ -39,9 +39,9 @@ pub enum ProtocolKind {
     Regular,
     /// §5.1 optimized regular storage (suffix histories + reader cache).
     RegularOptimized,
-    /// SWMR **atomic** storage (extension): §5 regular storage whose
-    /// readers write the tuple they selected back to `S − t` objects before
-    /// returning it — the ABD write-back over the paper's candidate
+    /// SWMR **atomic** storage (extension): §5.1 optimized regular storage
+    /// whose readers write the tuple they selected back to `S − t` objects
+    /// before returning it — the ABD write-back over the paper's candidate
     /// machinery, one more round-trip per READ. The paper targets
     /// safe/regular semantics because that is where two rounds are optimal;
     /// this kind prices what regularity buys: reads return in at most two
@@ -91,7 +91,7 @@ impl From<ProtocolKind> for ProtocolSpec {
             ProtocolKind::Safe => ProtocolSpec::Safe(ReaderTuning::default()),
             ProtocolKind::Regular | ProtocolKind::RegularOptimized | ProtocolKind::Atomic => {
                 ProtocolSpec::Regular {
-                    optimized: kind == ProtocolKind::RegularOptimized,
+                    optimized: kind != ProtocolKind::Regular,
                     write_back: kind == ProtocolKind::Atomic,
                     retention: HistoryRetention::KeepAll,
                     tuning: ReaderTuning::default(),
@@ -248,37 +248,31 @@ pub struct Deployment {
 /// Spawns the automata of one register group in the canonical order
 /// ([`GroupRole`]): each member is handed to `spawn`, the host's way of
 /// bringing an automaton to life (a simulator world, a worker-pool
-/// cluster), which returns the id it got.
-///
-/// `substitute` may replace the automaton of any member — the hook for
-/// Byzantine objects and for `vrr-net`'s relay stand-ins when a member
-/// lives in a different OS process. It sees the object ids spawned
-/// so far (all `S` of them by the time the writer and readers come up);
-/// returning `None` deploys the honest automaton `spec` calls for.
+/// cluster), which returns the id it got — or deploys a stand-in of its
+/// own instead: a Byzantine object, `vrr-net`'s relay for a member that
+/// lives in a different OS process.
 pub fn spawn_group<V: Value>(
     cfg: StorageConfig,
     spec: ProtocolSpec,
     mut spawn: impl FnMut(GroupRole, Box<dyn Automaton<Msg<V>>>) -> ProcessId,
-    mut substitute: impl FnMut(GroupRole, &[ProcessId]) -> Option<Box<dyn Automaton<Msg<V>>>>,
 ) -> Deployment {
     let mut objects = Vec::with_capacity(cfg.s);
     for i in 0..cfg.s {
-        let role = GroupRole::Object(i);
-        let automaton = substitute(role, &objects).unwrap_or_else(|| match spec {
+        let automaton: Box<dyn Automaton<Msg<V>>> = match spec {
             ProtocolSpec::Safe(_) => Box::new(SafeObject::<V>::new()),
             ProtocolSpec::Regular { retention, .. } => {
                 Box::new(RegularObject::<V>::with_retention(retention, cfg.readers))
             }
-        });
-        objects.push(spawn(role, automaton));
+        };
+        objects.push(spawn(GroupRole::Object(i), automaton));
     }
-    let automaton = substitute(GroupRole::Writer, &objects)
-        .unwrap_or_else(|| Box::new(Writer::<V>::new(cfg, objects.clone())));
-    let writer = spawn(GroupRole::Writer, automaton);
+    let writer = spawn(
+        GroupRole::Writer,
+        Box::new(Writer::<V>::new(cfg, objects.clone())),
+    );
     let readers = (0..cfg.readers)
         .map(|j| {
-            let role = GroupRole::Reader(j);
-            let automaton = substitute(role, &objects).unwrap_or_else(|| match spec {
+            let automaton: Box<dyn Automaton<Msg<V>>> = match spec {
                 ProtocolSpec::Safe(tuning) => Box::new(SafeReader::<V>::with_tuning(
                     cfg,
                     j,
@@ -298,8 +292,8 @@ pub fn spawn_group<V: Value>(
                     write_back,
                     tuning,
                 )),
-            });
-            spawn(role, automaton)
+            };
+            spawn(GroupRole::Reader(j), automaton)
         })
         .collect();
     Deployment {

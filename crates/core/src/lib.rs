@@ -29,7 +29,8 @@
 //!
 //! The automata are transport-agnostic ([`vrr_sim::Automaton`]) and run both
 //! under the deterministic simulator (`vrr-sim`) and the thread runtime
-//! (`vrr-runtime`).
+//! (`vrr-runtime`), hosted by one [`Registers`]: [`StorageScenario`] over a
+//! simulated world, `vrr-runtime`'s `RegisterHost` over threads.
 //!
 //! ## Quick example (simulated)
 //!
@@ -59,6 +60,7 @@ pub mod reader;
 pub mod regular;
 pub mod safe;
 mod scenario;
+pub mod sharded;
 mod types;
 pub mod wire;
 mod writer;
@@ -67,7 +69,7 @@ pub use config::StorageConfig;
 pub use group::{
     group_member, group_span, spawn_group, Deployment, GroupRole, ProtocolKind, ProtocolSpec,
 };
-pub use harness::{RegisterProtocol, RegularProtocol};
+pub use harness::{Clock, RegisterProtocol, Registers, RegularProtocol};
 pub use mis::conflict_free_of_size;
 pub use msg::{Msg, ReadRound};
 pub use reader::{ReadReport, ReaderTuning};

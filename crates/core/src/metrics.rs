@@ -32,7 +32,6 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use crate::reader::ReadReport;
 use crate::wire::{take_count, Wire, WireError};
 
 /// Canonical metric names — the single `vrr_<subsystem>_<name>` vocabulary
@@ -644,37 +643,6 @@ pub fn record_scenario_stats(sink: &mut Registry, stats: &vrr_sim::FaultStats) {
     sink.counter_add(names::SCENARIO_HEALS, &[], stats.heals);
     sink.counter_add(names::SCENARIO_CRASHES, &[], stats.crashes);
     sink.counter_add(names::SCENARIO_BYZANTINE, &[], stats.byzantine);
-}
-
-/// The one-round fast-path counters of a harness's READs, counted from
-/// their reports by the meter that records every READ's rounds and latency
-/// (`StorageScenario`'s, the thread runtime's `RegisterHost`'s).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct FastPathStats {
-    /// Reads whose report says [`ReadReport::fast`]: returned on round 1,
-    /// no READ2 sent.
-    pub hits: u64,
-    /// Every other read: it sent READ2, or (Atomic) wrote its round-1
-    /// selection back.
-    pub fallbacks: u64,
-}
-
-impl FastPathStats {
-    /// Counts one completed READ — the one rule of what is a hit and what
-    /// is a fallback.
-    pub fn count<V>(&mut self, report: &ReadReport<V>) {
-        if report.fast {
-            self.hits += 1;
-        } else {
-            self.fallbacks += 1;
-        }
-    }
-}
-
-/// Records fast-path counters under the `vrr_reader_fast_*` names.
-pub fn record_fast_path(sink: &mut Registry, stats: &FastPathStats) {
-    sink.counter_add(names::READER_FAST_HITS, &[], stats.hits);
-    sink.counter_add(names::READER_FAST_FALLBACKS, &[], stats.fallbacks);
 }
 
 /// Records `(object index, history length)` pairs as

@@ -164,8 +164,9 @@ pub struct ReadReport<V> {
     /// 2 unsoundly report `rounds == 1` with `fast == false` wherever the
     /// round-1 return did not fire, and an Atomic read whose round-1
     /// selection was written back reports `rounds == 2` with `fast ==
-    /// false`. The harnesses' fast-path counters are this flag, counted by
-    /// [`crate::metrics::FastPathStats::count`].
+    /// false`. The fast-path counters of the one op meter
+    /// ([`crate::Registers`]) count this flag: a hit per `true`, a fallback
+    /// per `false`.
     pub fast: bool,
 }
 
@@ -1294,12 +1295,9 @@ pub(crate) mod tests {
             sc.write(10u64);
             let writer = sc.writer();
             hold(&mut sc, writer, held);
-            let mut w2 = sc.start_write(20u64);
+            let w2 = sc.start_write(20u64);
             sc.world_mut().run_until_idle(100_000);
-            assert!(
-                sc.poll_write(&mut w2).is_none(),
-                "write 2 must be in flight"
-            );
+            assert!(w2.poll().is_none(), "write 2 must be in flight");
             sc
         }
 

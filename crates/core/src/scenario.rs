@@ -1,24 +1,24 @@
 //! A storage-aware scenario harness: one deployed register protocol under a
 //! scripted fault scenario, with every operation metered.
 //!
-//! [`StorageScenario`] glues two layers together — a seeded
-//! [`vrr_sim::World`] (messages and the fault script — partitions, heals,
-//! reordering links, timed crashes — on one event queue) and a deployed
-//! [`RegisterProtocol`] (objects, writer, readers) — and meters every
-//! operation's rounds and latency (and each READ's fast-path hit or
-//! fallback) in a [`metrics::Registry`] under the canonical `vrr_*` names.
-//! It adds what only the deployment knows: which process is object `i`,
-//! how to start an operation, what an attacker of this protocol looks like.
-//! Everything else — the clock, the latency model, link rules, heals, the
-//! drivers — is the world's own API, reached through
+//! [`StorageScenario`] is the one register host, [`Registers`], over a
+//! seeded [`vrr_sim::World`] (messages and the fault script — partitions,
+//! heals, reordering links, timed crashes — on one event queue). It adds
+//! only what a simulated world adds: the fault script by object index,
+//! [`Op`] handles, driving the world until an operation completes, the
+//! completion count, and the world's network and fault gauges in its
+//! metrics snapshot. Everything else — the clock, the latency model, link
+//! rules, heals, the drivers — is the world's own API, reached through
 //! [`StorageScenario::world`] / [`StorageScenario::world_mut`].
 //!
-//! It is the one way an operation enters a simulated world, as the same
-//! [`RegisterProtocol::write_op`] / [`RegisterProtocol::read_op`] value
-//! the thread runtime submits, given to [`World::submit`]; its `done` fills
-//! the handle's completion slot within the step that completed it.
-//! `start_*` submit and return the handle, `poll_*` return the report once
-//! it landed (recording its rounds and latency exactly once), and
+//! It is the one way an operation enters a simulated world: the metered
+//! [`Registers::write_op`] / [`Registers::read_op`] value the thread
+//! runtime submits too, given to [`World::submit`]. Its `done` fills the
+//! handle's slot within the step that completed it, and the meter records
+//! its rounds and latency (sim ticks from invocation to completion) and a
+//! READ's fast-path hit or fallback then, under the canonical `vrr_*`
+//! names, however late a driver polls. `start_*` submit and return the
+//! handle, [`Op::poll`] returns the report once it landed, and
 //! [`StorageScenario::write`] / [`StorageScenario::read`] are the blocking
 //! shims over them. Schedule runners (`vrr-workload`'s `SimCase`) keep
 //! several handles in flight and look at them when
@@ -38,21 +38,20 @@
 //! assert!(snapshot.to_prometheus().contains("vrr_reader_rounds_count 1"));
 //! ```
 //!
-//! The same snapshot shape — identical metric names — is produced by
-//! `vrr-runtime`'s `StorageCluster::metrics_snapshot()`, so assertions and
-//! dashboards carry over between the simulator and the thread runtime.
+//! The thread runtime's `StorageCluster::metrics_snapshot()` comes from the
+//! same meter and inspection, so assertions and dashboards carry over
+//! between the simulator and the thread runtime.
 
-use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use vrr_sim::{Automaton, InvokeError, ProcessId, SimTime, World};
+use vrr_sim::{Automaton, InvokeError, ProcessId, SimClock, SimTime, World};
 
 use crate::attackers::AttackerKind;
 use crate::config::StorageConfig;
 use crate::group::Deployment;
-use crate::harness::RegisterProtocol;
-use crate::metrics::{self, names, FastPathStats, Registry};
+use crate::harness::{RegisterProtocol, Registers};
+use crate::metrics::{self, names, Registry};
 use crate::reader::ReadReport;
 use crate::types::Value;
 use crate::writer::WriteReport;
@@ -66,13 +65,14 @@ const BLOCKING_STEP_LIMIT: u64 = 200_000;
 /// Where a submitted operation's completion lands: its `done` fills it.
 type Slot<R> = Arc<Mutex<Option<Result<R, InvokeError>>>>;
 
+const SLOT_LOCK: &str = "an op's slot is held only to fill or clone it";
+
 /// An operation in flight, from [`StorageScenario::start_write`] or
 /// [`StorageScenario::start_read`]: the slot its `done` fills.
 #[derive(Debug)]
 pub struct Op<R> {
     slot: Slot<R>,
     invoked_at: SimTime,
-    recorded: bool,
 }
 
 /// A WRITE in flight.
@@ -87,12 +87,15 @@ impl<R: Clone> Op<R> {
         self.invoked_at
     }
 
-    /// The report once it landed, and whether this is its first poll;
-    /// panics if the operation failed (its client was crashed).
-    fn landed(&mut self) -> Option<(R, bool)> {
-        let outcome = self.slot.lock().unwrap().clone()?;
-        let report = outcome.unwrap_or_else(|e| panic!("operation failed: {e}"));
-        Some((report, !std::mem::replace(&mut self.recorded, true)))
+    /// The report once the operation completed, `None` while it is in
+    /// flight.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operation failed: its client was crashed first.
+    pub fn poll(&self) -> Option<R> {
+        let outcome = self.slot.lock().expect(SLOT_LOCK).clone()?;
+        Some(outcome.unwrap_or_else(|e| panic!("operation failed: {e}")))
     }
 }
 
@@ -104,16 +107,11 @@ impl<R: Clone> Op<R> {
 /// scripted events that come due on the way. A client runs one operation
 /// at a time: one started on a busy client waits for those started before
 /// it.
-#[derive(Debug)]
 pub struct StorageScenario<V: Value, P: RegisterProtocol<V>> {
-    protocol: P,
+    registers: Registers<V, P, SimClock>,
     world: World<P::Msg>,
-    dep: Deployment,
-    ops: Registry,
-    fast: FastPathStats,
     /// Completions landed so far, bumped by every operation's `done`.
     completions: Arc<AtomicU64>,
-    _marker: PhantomData<V>,
 }
 
 impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
@@ -121,16 +119,14 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
     /// `seed`, and starts it.
     pub fn deploy(protocol: P, cfg: StorageConfig, seed: u64) -> Self {
         let mut world = World::new(seed);
-        let dep = protocol.deploy(cfg, &mut world);
+        let registers = Registers::spawn(protocol, cfg, 1, world.clock(), |_, role, automaton| {
+            world.spawn_named(role.to_string(), automaton)
+        });
         world.start();
         StorageScenario {
-            protocol,
+            registers,
             world,
-            dep,
-            ops: Registry::new(),
-            fast: FastPathStats::default(),
             completions: Arc::default(),
-            _marker: PhantomData,
         }
     }
 
@@ -138,22 +134,22 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
 
     /// The deployment (object/writer/reader process ids).
     pub fn dep(&self) -> &Deployment {
-        &self.dep
+        &self.registers.groups()[0]
     }
 
     /// Process id of base object `idx`.
     pub fn object(&self, idx: usize) -> ProcessId {
-        self.dep.objects[idx]
+        self.dep().objects[idx]
     }
 
     /// Process id of reader `j`.
     pub fn reader(&self, j: usize) -> ProcessId {
-        self.dep.readers[j]
+        self.dep().readers[j]
     }
 
     /// Process id of the writer.
     pub fn writer(&self) -> ProcessId {
-        self.dep.writer
+        self.dep().writer
     }
 
     /// The world, read-only: its clock, counters, trace and automata.
@@ -179,34 +175,34 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
     /// Partitions the given base objects away from everything else,
     /// immediately (see [`World::partition`]).
     pub fn partition_objects(&mut self, idxs: &[usize]) -> &mut Self {
-        let group = idxs.iter().map(|&i| self.dep.objects[i]).collect();
+        let group = idxs.iter().map(|&i| self.object(i)).collect();
         self.world.partition(vec![group]);
         self
     }
 
     /// Schedules a partition of the given base objects for time `at`.
     pub fn partition_objects_at(&mut self, at: SimTime, idxs: &[usize]) -> &mut Self {
-        let group = idxs.iter().map(|&i| self.dep.objects[i]).collect();
+        let group = idxs.iter().map(|&i| self.object(i)).collect();
         self.world.partition_at(at, vec![group]);
         self
     }
 
     /// Crashes base object `idx` immediately.
     pub fn crash_object(&mut self, idx: usize) -> &mut Self {
-        self.world.crash(self.dep.objects[idx]);
+        self.world.crash(self.object(idx));
         self
     }
 
     /// Schedules a crash of base object `idx` at time `at`.
     pub fn crash_object_at(&mut self, idx: usize, at: SimTime) -> &mut Self {
-        self.world.crash_at(self.dep.objects[idx], at);
+        self.world.crash_at(self.object(idx), at);
         self
     }
 
     /// Crashes reader `j` immediately (a reader that stops participating —
     /// the case reader-ack GC's cap exists for).
     pub fn crash_reader(&mut self, j: usize) -> &mut Self {
-        self.world.crash(self.dep.readers[j]);
+        self.world.crash(self.reader(j));
         self
     }
 
@@ -216,7 +212,7 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
         idx: usize,
         automaton: Box<dyn Automaton<P::Msg>>,
     ) -> &mut Self {
-        self.world.set_byzantine(self.dep.objects[idx], automaton);
+        self.world.set_byzantine(self.object(idx), automaton);
         self
     }
 
@@ -228,10 +224,10 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
     /// Panics if the protocol has no attacker catalogue
     /// (see [`RegisterProtocol::corruptor`]).
     pub fn attack_object(&mut self, idx: usize, kind: AttackerKind, forged: V) -> &mut Self {
-        let automaton = self
-            .protocol
-            .corruptor(kind, self.dep.cfg, forged)
-            .unwrap_or_else(|| panic!("{} has no attacker catalogue", self.protocol.name()));
+        let protocol = self.registers.protocol();
+        let automaton = protocol
+            .corruptor(kind, self.registers.config(), forged)
+            .unwrap_or_else(|| panic!("{} has no attacker catalogue", protocol.name()));
         self.byzantine_object(idx, automaton)
     }
 
@@ -240,28 +236,14 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
     /// Submits `WRITE(value)` at the writer without driving the world.
     pub fn start_write(&mut self, value: V) -> WriteOp {
         let (op, done) = self.invoked_now();
-        self.world
-            .submit(self.protocol.write_op(&self.dep, value, done));
+        self.world.submit(self.registers.write_op(0, value, done));
         op
-    }
-
-    /// The WRITE's report once it completed, `None` while it is in flight.
-    /// The first completed poll records its rounds and latency (invocation
-    /// to now); later polls return the report again and record nothing.
-    /// Panics if the writer was crashed before the WRITE completed.
-    pub fn poll_write(&mut self, op: &mut WriteOp) -> Option<WriteReport> {
-        let (report, first) = op.landed()?;
-        if first {
-            let names = (names::WRITER_ROUNDS, names::WRITE_LATENCY);
-            self.observe_completion(names, report.rounds, op.invoked_at);
-        }
-        Some(report)
     }
 
     /// Submits `READ()` at reader `j` without driving the world.
     pub fn start_read(&mut self, j: usize) -> ReadOp<V> {
         let (op, done) = self.invoked_now();
-        self.world.submit(self.protocol.read_op(&self.dep, j, done));
+        self.world.submit(self.registers.read_op(0, j, done));
         op
     }
 
@@ -273,49 +255,17 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
         let slot = Slot::default();
         let (filled, count) = (Arc::clone(&slot), Arc::clone(&self.completions));
         let done = move |outcome| {
-            *filled.lock().unwrap() = Some(outcome);
+            *filled.lock().expect(SLOT_LOCK) = Some(outcome);
             count.fetch_add(1, Ordering::Relaxed);
         };
         let invoked_at = self.world.now();
-        let op = Op {
-            slot,
-            invoked_at,
-            recorded: false,
-        };
-        (op, done)
-    }
-
-    /// The READ's report once it completed, `None` while it is in flight;
-    /// records exactly once, like [`StorageScenario::poll_write`], and
-    /// counts the READ as a fast-path hit or fallback. Panics if the reader
-    /// was crashed before the READ completed.
-    pub fn poll_read(&mut self, op: &mut ReadOp<V>) -> Option<ReadReport<V>> {
-        let (report, first) = op.landed()?;
-        if first {
-            let names = (names::READER_ROUNDS, names::READ_LATENCY);
-            self.observe_completion(names, report.rounds, op.invoked_at);
-            self.fast.count(&report);
-        }
-        Some(report)
+        (Op { slot, invoked_at }, done)
     }
 
     /// How many operations started here have completed so far — a
     /// driver with several in flight polls them when this moves.
     pub fn completions(&self) -> u64 {
         self.completions.load(Ordering::Relaxed)
-    }
-
-    /// Records an operation completing now under the `(rounds, latency)`
-    /// histogram names.
-    fn observe_completion(
-        &mut self,
-        names: (&'static str, &'static str),
-        rounds: u32,
-        invoked_at: SimTime,
-    ) {
-        let latency = self.world.now().ticks() - invoked_at.ticks();
-        self.ops.observe(names.0, &[], u64::from(rounds));
-        self.ops.observe(names.1, &[], latency);
     }
 
     /// Starts `WRITE(value)` and drives the world until it completes.
@@ -326,9 +276,8 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
     /// — a wait-freedom violation unless the fault script cut the writer off
     /// from a quorum.
     pub fn write(&mut self, value: V) -> WriteReport {
-        let mut op = self.start_write(value);
-        self.drive_until(&op.slot, "WRITE");
-        self.poll_write(&mut op).expect("just completed")
+        let op = self.start_write(value);
+        self.drive_until(&op, "WRITE")
     }
 
     /// Starts `READ()` at reader `j` and drives the world until it
@@ -339,58 +288,58 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
     /// Panics if the read does not complete within 200 000 world events
     /// (see [`StorageScenario::write`]).
     pub fn read(&mut self, j: usize) -> ReadReport<V> {
-        let mut op = self.start_read(j);
-        self.drive_until(&op.slot, "READ");
-        self.poll_read(&mut op).expect("just completed")
+        let op = self.start_read(j);
+        self.drive_until(&op, "READ")
     }
 
-    /// Drives the world until the `what` operation completing into `slot`
-    /// has completed.
-    fn drive_until<R>(&mut self, slot: &Slot<R>, what: &str) {
-        let landed = |_: &World<P::Msg>| slot.lock().unwrap().is_some();
+    /// Drives the world until the `what` operation `op` has completed, and
+    /// returns its report.
+    fn drive_until<R: Clone>(&mut self, op: &Op<R>, what: &str) -> R {
+        let landed = |_: &World<P::Msg>| op.slot.lock().expect(SLOT_LOCK).is_some();
         let done = self.world.run_until(landed, BLOCKING_STEP_LIMIT);
         assert!(done, "{what} failed to complete (wait-freedom violation?)");
+        op.poll().expect("just completed")
     }
 
     // ---- observability -------------------------------------------------------
 
-    /// Per-object stored history lengths, if the protocol keeps histories
-    /// (Byzantine-replaced and crashed objects are skipped).
-    pub fn history_lens(&self) -> Option<Vec<usize>> {
-        let lens = self.indexed_history_lens()?;
-        Some(lens.into_iter().map(|(_, len)| len).collect())
+    /// `(object index, stored history length)` of every live object that
+    /// keeps a history, in object order — [`Registers::inspect`], the
+    /// thread host's inspection too: Byzantine-replaced and crashed objects
+    /// are skipped, and a protocol whose objects keep no history (safe
+    /// storage, the baselines) reports an empty list. Every inspection
+    /// completes within its submission: an object runs no operation.
+    pub fn history_lens(&mut self) -> Vec<(usize, usize)> {
+        let (found, lens) = std::sync::mpsc::channel();
+        let world = &mut self.world;
+        let done = move |mut lens: Vec<_>| _ = found.send(lens.remove(0));
+        self.registers.inspect(0..1, |op| world.submit(op), done);
+        lens.recv()
+            .expect("an inspection completes within its submission")
     }
 
-    fn indexed_history_lens(&self) -> Option<Vec<(usize, usize)>> {
-        self.protocol.history_lens(&self.dep, &self.world)
-    }
-
-    /// The largest stored history across this deployment's honest objects
-    /// (0 if the protocol keeps no histories).
-    pub fn max_history_len(&self) -> usize {
+    /// The largest stored history across this deployment's honest, live
+    /// objects (0 if the protocol keeps no histories).
+    pub fn max_history_len(&mut self) -> usize {
         self.history_lens()
-            .map(|lens| lens.into_iter().max().unwrap_or(0))
+            .into_iter()
+            .map(|(_, len)| len)
+            .max()
             .unwrap_or(0)
     }
 
     /// One deterministic snapshot of everything observable about this run:
-    /// operation rounds/latency histograms, network counters, the fault
-    /// script, fast-path counters and per-object history lengths — all
+    /// operation rounds/latency histograms and fast-path counters, network
+    /// counters, the fault script and per-object history lengths — all
     /// under the canonical `vrr_*` names ([`metrics::names`]).
-    pub fn metrics_snapshot(&self) -> Registry {
-        let mut reg = self.ops.clone();
+    pub fn metrics_snapshot(&mut self) -> Registry {
+        let mut reg = self.registers.op_metrics();
         metrics::record_net_stats(&mut reg, &self.world.net_stats());
         metrics::record_scenario_stats(&mut reg, &self.world.fault_stats());
         reg.gauge_set(names::SCENARIO_TIME, &[], self.world.now().ticks());
-        reg.gauge_set(
-            names::SCENARIO_HELD_MSGS,
-            &[],
-            self.world.held().len() as u64,
-        );
-        metrics::record_fast_path(&mut reg, &self.fast);
-        if let Some(lens) = self.indexed_history_lens() {
-            metrics::record_history_lens(&mut reg, None, None, &lens);
-        }
+        let held = self.world.held().len() as u64;
+        reg.gauge_set(names::SCENARIO_HELD_MSGS, &[], held);
+        metrics::record_history_lens(&mut reg, None, None, &self.history_lens());
         reg
     }
 }
@@ -399,10 +348,9 @@ impl<V: Value, P: RegisterProtocol<V>> StorageScenario<V, P> {
 mod tests {
     use super::*;
     use crate::group::ProtocolKind;
-    use crate::regular::RegularObject;
     use crate::types::Timestamp;
 
-    fn reader_rounds_count(sc: &StorageScenario<u64, ProtocolKind>) -> u64 {
+    fn reader_rounds_count(sc: &mut StorageScenario<u64, ProtocolKind>) -> u64 {
         let snap = sc.metrics_snapshot();
         snap.histogram(names::READER_ROUNDS, &[])
             .map_or(0, |h| h.count())
@@ -443,8 +391,8 @@ mod tests {
         assert_eq!(sc.read(0).value, Some(5));
         let snap = sc.metrics_snapshot();
         assert_eq!(snap.counter(names::SCENARIO_BYZANTINE, &[]), 1);
-        // Safe storage keeps no histories.
-        assert!(sc.history_lens().is_none());
+        // Safe storage keeps no histories: no object reports one.
+        assert!(sc.history_lens().is_empty());
     }
 
     #[test]
@@ -486,28 +434,33 @@ mod tests {
     }
 
     #[test]
-    fn a_cut_off_read_polls_none_then_records_exactly_once() {
-        // Fast sizing S = 5: with two objects partitioned away the read
-        // cannot gather S - t = 4 replies.
-        let cfg = StorageConfig::fast(1, 1, 1);
-        let mut sc = StorageScenario::deploy(ProtocolKind::RegularOptimized, cfg, 9);
+    fn a_read_is_metered_once_at_completion_however_late_it_is_polled() {
+        // S = 4: with two objects partitioned away the read cannot gather
+        // S - t = 3 replies.
+        let cfg = StorageConfig::optimal(1, 1, 1);
+        let mut sc = StorageScenario::deploy(ProtocolKind::RegularOptimized, cfg, 7);
         sc.write(1u64);
         sc.partition_objects(&[0, 1]);
-        let mut op = sc.start_read(0);
+        let op = sc.start_read(0);
         sc.world_mut().run_until_idle(100_000);
-        assert!(sc.poll_read(&mut op).is_none(), "no quorum, no report");
-        assert_eq!(
-            reader_rounds_count(&sc),
-            0,
-            "a pending read records nothing"
-        );
+        assert!(op.poll().is_none(), "no quorum, no report");
+        assert_eq!(reader_rounds_count(&mut sc), 0, "a pending read");
 
         sc.world_mut().heal_now();
+        while sc.completions() < 2 {
+            assert!(sc.world_mut().step(), "the read completes");
+        }
+        let completed = sc.world().now();
+        // The driver looks only much later, and twice.
         sc.world_mut().run_until_idle(100_000);
-        assert_eq!(sc.poll_read(&mut op).unwrap().value, Some(1));
-        assert_eq!(reader_rounds_count(&sc), 1);
-        assert_eq!(sc.poll_read(&mut op).unwrap().value, Some(1));
-        assert_eq!(reader_rounds_count(&sc), 1, "a second poll records nothing");
+        sc.world_mut().fast_forward(1_000);
+        assert_eq!(op.poll().unwrap().value, Some(1));
+        assert_eq!(op.poll().unwrap().value, Some(1));
+        let snap = sc.metrics_snapshot();
+        let latency = snap.histogram(names::READ_LATENCY, &[]).unwrap();
+        let metered = (latency.count(), latency.sum());
+        assert_eq!(metered, (1, completed - op.invoked_at()));
+        assert_eq!(reader_rounds_count(&mut sc), 1);
     }
 
     #[test]
@@ -520,11 +473,11 @@ mod tests {
         sc.crash_object(0)
             .byzantine_object(3, Box::new(vrr_sim::Mute));
 
-        let mut w = sc.start_write(5u64);
-        let mut r = sc.start_read(0);
+        let w = sc.start_write(5u64);
+        let r = sc.start_read(0);
         sc.world_mut().run_until_idle(100_000);
-        assert_eq!(sc.poll_write(&mut w).unwrap().rounds, 2);
-        let concurrent = sc.poll_read(&mut r).unwrap().value;
+        assert_eq!(w.poll().unwrap().rounds, 2);
+        let concurrent = r.poll().unwrap().value;
         assert!(concurrent.is_none() || concurrent == Some(5));
         assert_eq!(sc.read(0).value, Some(5));
     }
@@ -536,27 +489,5 @@ mod tests {
         let mut sc = StorageScenario::<u64, _>::deploy(ProtocolKind::RegularOptimized, cfg, 9);
         sc.partition_objects(&[0, 1]);
         sc.read(0);
-    }
-
-    #[test]
-    fn history_len_gauges_are_labelled_by_object_index() {
-        let cfg = StorageConfig::optimal(1, 1, 1); // S = 4
-        let mut sc = StorageScenario::deploy(ProtocolKind::RegularOptimized, cfg, 3);
-        for k in 1..=3u64 {
-            sc.write(k);
-        }
-        sc.attack_object(0, AttackerKind::Truncator, 0xBAD_u64);
-        sc.write(4);
-        assert_eq!(sc.read(0).value, Some(4));
-
-        let snap = sc.metrics_snapshot();
-        let gauge = |i: usize| snap.gauge(names::OBJECT_HISTORY_LEN, &[("object", &i.to_string())]);
-        assert_eq!(gauge(0), None, "the liar's history is not reported");
-        for i in 1..cfg.s {
-            let len = sc
-                .world()
-                .inspect(sc.object(i), |o: &RegularObject<u64>| o.history().len());
-            assert_eq!(gauge(i), Some(len as u64), "object {i}");
-        }
     }
 }

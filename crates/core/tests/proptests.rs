@@ -767,7 +767,7 @@ proptest! {
         sc.world_mut().run_until_idle(200_000);
         // The floor entry and the one below it.
         let bound = 2.min(cap.unwrap_or(usize::MAX));
-        for len in sc.history_lens().expect("regular objects keep histories") {
+        for (_, len) in sc.history_lens() {
             prop_assert!(
                 len <= bound,
                 "history len {} exceeds bound {} after full acks (cap {:?})",

@@ -56,9 +56,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, TryLockError};
 use std::thread::JoinHandle;
 
+use vrr_core::sharded::Sharded;
 use vrr_sim::{Automaton, ClientOp, Process, ProcessId};
-
-use crate::sharded::Sharded;
 
 /// Commands queued in a unit's mail.
 pub(crate) enum NodeCmd<M> {

@@ -1,113 +1,53 @@
 //! The one host of register groups on the thread runtime.
 //!
-//! A [`RegisterHost`] owns a worker-pool [`Cluster`], `slots` register
-//! groups spawned on it through [`vrr_core::spawn_group`], and the meter of
-//! the operations it starts. Everything that deploys the paper's register
-//! on threads is a view of it: [`crate::StorageCluster`] is slot 0 of a
-//! one-slot host, [`crate::ShardedStore`] a key index over a
+//! A [`RegisterHost`] is the one register host, [`Registers`] — `slots`
+//! register groups spawned through [`vrr_core::spawn_group`], the meter of
+//! their operations and the inspection of their histories — over a
+//! worker-pool [`Cluster`], plus what only threads add: the blocking
+//! [`RegisterHost::read`] / [`RegisterHost::write`], crashes by object
+//! index and [`crate::OP_TIMEOUT`]. Everything that deploys the paper's
+//! register on threads is a view of it: [`crate::StorageCluster`] is slot 0
+//! of a one-slot host, [`crate::ShardedStore`] a key index over a
 //! `capacity`-slot host, and `vrr-net`'s node a host whose members placed
 //! in other OS processes are relay stand-ins.
 //!
-//! Operations are completion-driven ([`RegisterHost::write_with`] /
-//! [`RegisterHost::read_with`]: one [`Cluster::submit`] each, of the
-//! [`RegisterProtocol::write_op`] / [`RegisterProtocol::read_op`] value the
-//! simulator submits too); the blocking [`RegisterHost::write`] /
-//! [`RegisterHost::read`] wait on a one-shot slot for the same completion. Inspection is submissions too,
-//! one per object, gathered by completion, and follows one rule, the
-//! simulator's: ask every process, skip what is gone or is not the automaton
-//! asked for — so crashed processes, Byzantine substitutes and relays are
-//! looked past, never poisoned.
+//! Operations are completion-driven: [`RegisterHost::write_with`] /
+//! [`RegisterHost::read_with`] are one [`Cluster::submit`] each, of the
+//! metered [`Registers::write_op`] / [`Registers::read_op`] value the
+//! simulator submits too. The blocking [`RegisterHost::write`] /
+//! [`RegisterHost::read`] wait on a one-shot slot for the same completion.
+//! Inspection is submissions too, one per object, gathered by completion
+//! ([`Registers::inspect`]): ask every process, skip what is gone or is not
+//! the automaton asked for — so crashed processes, Byzantine substitutes
+//! and relays are looked past, never poisoned.
 
-use std::ops::Range;
-use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
+use vrr_sim::{Automaton, InvokeError};
 
-use vrr_sim::{Automaton, ClientOp, InvokeError};
-
-use vrr_core::metrics::{self, names, FastPathStats, Histogram, Registry};
-use vrr_core::regular::RegularObject;
+use vrr_core::metrics::{self, names, Registry};
 use vrr_core::{
-    group_span, spawn_group, Deployment, GroupRole, Msg, ProtocolKind, ProtocolSpec, ReadReport,
-    RegisterProtocol, StorageConfig, Value, WriteReport,
+    group_span, Clock, Deployment, GroupRole, Msg, ProtocolSpec, ReadReport, Registers,
+    StorageConfig, Value, WriteReport,
 };
 
 use crate::cluster::{op_slot, Cluster};
-use crate::sharded::{Padded, Sharded};
 
-/// Rounds and latency histograms of one kind of operation (the host's
-/// READs, or its WRITEs) under their canonical `vrr_*` names, resolved once,
-/// and the READs' fast-path counters: a completion records into them
-/// directly and [`RegisterHost::op_metrics`] folds them into a [`Registry`].
-///
-/// One record per shard ([`Sharded`]): an operation records into the shard of
-/// the thread that started it, wherever its completion fires, holding it by
-/// that shard's own `Arc` — so two callers write neither the same histogram
-/// nor the same reference count.
-///
-/// Latency ticks are wall-clock **microseconds**, measured from the call
-/// that wraps the completion to the completion firing, wherever
-/// [`Cluster::submit`] runs it (the simulator records sim ticks under the
-/// same names; the unit is the harness's to define).
-struct OpMeter {
-    /// The names of [`Recorded::rounds`] and [`Recorded::latency`].
-    names: [&'static str; 2],
-    /// One [`Recorded`] per shard.
-    recorded: Sharded<Arc<Padded<Mutex<Recorded>>>>,
-}
+/// The thread host's op meter clock: wall-clock microseconds, from the call
+/// that builds an operation to its completion, wherever [`Cluster::submit`]
+/// runs it (the simulator meters sim ticks under the same names).
+#[derive(Clone, Copy)]
+struct WallClock;
 
-/// What one shard of an [`OpMeter`] recorded.
-struct Recorded {
-    rounds: Histogram,
-    latency: Histogram,
-    /// [`FastPathStats::count`] of every READ report (a hit per READ that
-    /// sent no READ2, a fallback per other READ); zero for WRITEs.
-    fast: FastPathStats,
-}
+impl Clock for WallClock {
+    type Stamp = Instant;
 
-impl OpMeter {
-    fn new(rounds_name: &'static str, latency_name: &'static str) -> Self {
-        OpMeter {
-            names: [rounds_name, latency_name],
-            recorded: Sharded::new(|| {
-                Arc::new(Padded(Mutex::new(Recorded {
-                    rounds: Histogram::named(rounds_name),
-                    latency: Histogram::named(latency_name),
-                    fast: FastPathStats::default(),
-                })))
-            }),
-        }
+    fn stamp(&self) -> Instant {
+        Instant::now()
     }
 
-    /// Starts the clock of an operation: the returned completion records
-    /// its latency and lets `record` read the report (an [`InvokeError`]
-    /// records nothing), then calls `done`.
-    fn timed<R: 'static>(
-        &self,
-        record: impl FnOnce(&R, &mut Recorded) + Send + 'static,
-        done: impl FnOnce(Result<R, InvokeError>) + Send + 'static,
-    ) -> impl FnOnce(Result<R, InvokeError>) + Send + 'static {
-        let recorded = Arc::clone(self.recorded.mine());
-        let started = Instant::now();
-        move |result| {
-            if let Ok(report) = &result {
-                let us = started.elapsed().as_micros() as u64;
-                let mut recorded = recorded.0.lock();
-                recorded.latency.observe(us);
-                record(report, &mut recorded);
-            }
-            done(result);
-        }
-    }
-
-    fn fold_into(&self, reg: &mut Registry) {
-        for shard in self.recorded.all() {
-            let recorded = shard.0.lock();
-            reg.observe_all(self.names[0], &[], &recorded.rounds);
-            reg.observe_all(self.names[1], &[], &recorded.latency);
-            metrics::record_fast_path(reg, &recorded.fast);
-        }
+    fn ticks_since(&self, stamp: Instant) -> u64 {
+        stamp.elapsed().as_micros() as u64
     }
 }
 
@@ -134,11 +74,7 @@ impl OpMeter {
 /// ```
 pub struct RegisterHost<V: Value> {
     cluster: Cluster<Msg<V>>,
-    cfg: StorageConfig,
-    kind: ProtocolKind,
-    groups: Vec<Deployment>,
-    writes: OpMeter,
-    reads: OpMeter,
+    registers: Registers<V, ProtocolSpec, WallClock>,
 }
 
 impl<V: Value> RegisterHost<V> {
@@ -174,39 +110,20 @@ impl<V: Value> RegisterHost<V> {
             "RegisterHost::spawn needs an empty cluster: slot s must start at pid s * group_span"
         );
         cluster.set_group_span(group_span(cfg));
-        let groups = (0..slots)
-            .map(|slot| {
-                spawn_group(
-                    cfg,
-                    spec,
-                    |_role, automaton| cluster.spawn(automaton),
-                    |role, _objects| substitute(slot, role),
-                )
-            })
-            .collect();
-        RegisterHost {
-            cluster,
-            cfg,
-            kind: spec.kind(),
-            groups,
-            writes: OpMeter::new(names::WRITER_ROUNDS, names::WRITE_LATENCY),
-            reads: OpMeter::new(names::READER_ROUNDS, names::READ_LATENCY),
-        }
+        let registers = Registers::spawn(spec, cfg, slots, WallClock, |slot, role, honest| {
+            cluster.spawn(substitute(slot, role).unwrap_or(honest))
+        });
+        RegisterHost { cluster, registers }
     }
 
     /// The sizing of every group.
     pub fn config(&self) -> StorageConfig {
-        self.cfg
-    }
-
-    /// The protocol variant.
-    pub fn kind(&self) -> ProtocolKind {
-        self.kind
+        self.registers.config()
     }
 
     /// The process ids of every group, slot by slot.
     pub fn groups(&self) -> &[Deployment] {
-        &self.groups
+        self.registers.groups()
     }
 
     /// The underlying cluster (fault injection, raw sends, stats).
@@ -229,14 +146,8 @@ impl<V: Value> RegisterHost<V> {
         value: V,
         done: impl FnOnce(Result<WriteReport, InvokeError>) + Send + 'static,
     ) {
-        let done = self.writes.timed(
-            |report: &WriteReport, rec: &mut Recorded| {
-                rec.rounds.observe(u64::from(report.rounds));
-            },
-            done,
-        );
         self.cluster
-            .submit(self.kind.write_op(&self.groups[slot], value, done));
+            .submit(self.registers.write_op(slot, value, done));
     }
 
     /// Starts `READ()` at reader `j` of slot `slot` and returns without
@@ -253,15 +164,7 @@ impl<V: Value> RegisterHost<V> {
         j: usize,
         done: impl FnOnce(Result<ReadReport<V>, InvokeError>) + Send + 'static,
     ) {
-        let done = self.reads.timed(
-            move |report: &ReadReport<V>, rec: &mut Recorded| {
-                rec.rounds.observe(u64::from(report.rounds));
-                rec.fast.count(report);
-            },
-            done,
-        );
-        self.cluster
-            .submit(self.kind.read_op(&self.groups[slot], j, done));
+        self.cluster.submit(self.registers.read_op(slot, j, done));
     }
 
     /// Blocking `WRITE(value)` on slot `slot`.
@@ -299,65 +202,34 @@ impl<V: Value> RegisterHost<V> {
     ///
     /// Panics if `slot` or `i` is out of range.
     pub fn crash_object(&self, slot: usize, i: usize) {
-        self.cluster.crash(self.groups[slot].objects[i]);
+        self.cluster.crash(self.groups()[slot].objects[i]);
     }
 
-    /// `(object index, history length)` of every live [`RegularObject`] in
-    /// slot `slot`, in object order — the memory-bound observable of the
-    /// reader-ack GC experiments. Whatever else sits at an object's pid is
-    /// skipped: a crashed process, a Byzantine substitute (a liar's
-    /// "history" is meaningless), a relay, a history-less safe object.
+    /// `(object index, history length)` of every live object that keeps a
+    /// history in slot `slot`, in object order ([`Registers::inspect`], the
+    /// simulator's inspection too) — the memory-bound observable of the
+    /// reader-ack GC experiments. Crashed processes, Byzantine substitutes
+    /// and relays are skipped, and a protocol whose objects keep no history
+    /// (safe storage) reports an empty list.
     ///
     /// # Panics
     ///
     /// Panics if `slot` is out of range.
     pub fn history_lens(&self, slot: usize) -> Vec<(usize, usize)> {
         let (done, pending) = op_slot();
-        self.history_lens_with(slot..slot + 1, move |mut lens| done(Ok(lens.remove(0))));
+        let lens = move |mut lens: Vec<_>| done(Ok(lens.remove(0)));
+        self.registers
+            .inspect(slot..slot + 1, |op| self.cluster.submit(op), lens);
         pending.wait().expect("a fan-in completes with its pieces")
     }
 
-    /// [`RegisterHost::history_lens`] of every slot in `slots`, by
-    /// completion: one submission per object — answered by the object, or
-    /// skipped as `WrongType` or `Gone` — and `done` once the last has
-    /// completed, by whichever thread lets go of the fan-in last. An object
-    /// runs no operation, so no inspection waits behind one.
-    fn history_lens_with(
-        &self,
-        slots: Range<usize>,
-        done: impl FnOnce(Vec<Vec<(usize, usize)>>) + Send + 'static,
-    ) {
-        let groups = &self.groups[slots];
-        let fan_in = Arc::new(FanIn {
-            found: Mutex::new(vec![None; groups.len() * self.cfg.s]),
-            s: self.cfg.s,
-            done: Mutex::new(Some(done)),
-        });
-        if self.kind == ProtocolKind::Safe {
-            return; // no object keeps a history: `done` gets empty slots
-        }
-        for (at, &pid) in groups.iter().flat_map(|g| &g.objects).enumerate() {
-            let fan_in = Arc::clone(&fan_in);
-            self.cluster.submit(ClientOp::new(
-                pid,
-                |o: &mut RegularObject<V>, _ctx| o.history().len(),
-                |_: &mut RegularObject<V>, &len| Some(len),
-                move |len: Result<usize, InvokeError>| fan_in.found.lock()[at] = len.ok(),
-            ));
-        }
-    }
-
     /// The rounds/latency histograms of the operations this host completed
-    /// so far and its READs' fast-path counters (hits, the READs that
-    /// returned on round 1, and fallbacks, every other READ:
-    /// [`FastPathStats::count`]), plus
-    /// its worker pool's activity counters under their canonical
+    /// so far and its READs' fast-path counters ([`Registers::op_metrics`]),
+    /// plus its worker pool's activity counters under their canonical
     /// `vrr_executor_*` names.
     pub fn op_metrics(&self) -> Registry {
         let executor = self.cluster.stats();
-        let mut reg = Registry::new();
-        self.writes.fold_into(&mut reg);
-        self.reads.fold_into(&mut reg);
+        let mut reg = self.registers.op_metrics();
         reg.counter_add(names::EXECUTOR_SWEEPS, &[], executor.sweeps);
         reg.counter_add(names::EXECUTOR_WAKEUPS, &[], executor.wakeups);
         reg.counter_add(names::EXECUTOR_COMMANDS, &[], executor.commands);
@@ -389,34 +261,17 @@ impl<V: Value> RegisterHost<V> {
         done: impl FnOnce(Registry) + Send + 'static,
     ) {
         let mut reg = self.op_metrics();
-        self.history_lens_with(0..self.groups.len(), move |lens| {
-            for (slot, lens) in lens.iter().enumerate() {
-                metrics::record_history_lens(&mut reg, cluster, Some(slot), lens);
-            }
-            done(reg);
-        });
-    }
-}
-
-/// What the inspections of [`RegisterHost::history_lens_with`] found,
-/// object by object, slot after slot; dropped by the last of them, which
-/// hands `done` the lengths found, slot by slot.
-struct FanIn<D: FnOnce(Vec<Vec<(usize, usize)>>)> {
-    found: Mutex<Vec<Option<usize>>>,
-    /// Objects per slot.
-    s: usize,
-    done: Mutex<Option<D>>,
-}
-
-impl<D: FnOnce(Vec<Vec<(usize, usize)>>)> Drop for FanIn<D> {
-    fn drop(&mut self) {
-        let found = self.found.get_mut().chunks(self.s).map(|slot| {
-            let slot = slot.iter().enumerate();
-            slot.filter_map(|(i, len)| Some((i, (*len)?))).collect()
-        });
-        if let Some(done) = self.done.get_mut().take() {
-            done(found.collect());
-        }
+        let slots = 0..self.groups().len();
+        self.registers.inspect(
+            slots,
+            |op| self.cluster.submit(op),
+            move |lens| {
+                for (slot, lens) in lens.iter().enumerate() {
+                    metrics::record_history_lens(&mut reg, cluster, Some(slot), lens);
+                }
+                done(reg);
+            },
+        );
     }
 }
 
@@ -426,11 +281,12 @@ mod tests {
     use std::time::Duration;
 
     use vrr_core::attackers::AttackerKind;
-    use vrr_core::regular::{HistoryRetention, RegularReader};
+    use vrr_core::regular::{HistoryRetention, RegularObject, RegularReader};
     use vrr_core::{Timestamp, Writer};
-    use vrr_sim::{Context, ProcessId};
+    use vrr_sim::{ClientOp, Context, ProcessId};
 
     use super::*;
+    use crate::ProtocolKind;
     use crate::OP_TIMEOUT;
 
     fn host_with(
@@ -850,5 +706,74 @@ mod tests {
         // *Byzantine* fault next to the crash.
         host.write(liar_slot, 2);
         assert_eq!(host.read(liar_slot, 0).value, Some(2));
+    }
+
+    /// One register script — a WRITE, READs at two readers, an object
+    /// crash, a Byzantine substitute and a history inspection — run by the
+    /// one register host over a simulated world and over a cluster: equal
+    /// reports, and equal metric families and label sets, whose values
+    /// differ only in latency (sim ticks against microseconds).
+    #[test]
+    fn the_simulator_and_the_cluster_run_one_register_script_alike() {
+        use crate::{NoDelay, StorageCluster};
+        use vrr_core::StorageScenario;
+
+        // S = 6, t = 2, b = 1: a truncation liar and a crash leave S - t.
+        let cfg = StorageConfig::optimal(2, 1, 2);
+        let kind = ProtocolKind::RegularOptimized;
+        let liar = || AttackerKind::Truncator.build_regular(cfg, 0xBAD);
+        let storage =
+            StorageCluster::deploy_with_objects(cfg, kind, NoDelay, |i| (i == 0).then(liar));
+        let mut sc = StorageScenario::deploy(kind, cfg, 7);
+        sc.byzantine_object(0, liar());
+        for step in 1..=7u64 {
+            let j = step as usize % 2;
+            match step {
+                1 | 5 => assert_eq!(sc.write(step), storage.write(step), "step {step}"),
+                4 => {
+                    sc.crash_object(3);
+                    storage.crash_object(3);
+                }
+                _ => {
+                    let read = sc.read(j);
+                    assert_eq!(read.value, Some(if step < 5 { 1 } else { 5 }));
+                    assert_eq!(read, storage.read(j), "step {step}");
+                }
+            }
+        }
+
+        // The inspection: one gauge per honest live object, labelled by
+        // its own index and valued at what the object holds.
+        let snap = sc.metrics_snapshot();
+        for i in 0..cfg.s {
+            let gauge = snap.gauge(names::OBJECT_HISTORY_LEN, &[("object", &i.to_string())]);
+            let held = (i != 0 && i != 3).then(|| {
+                let object = sc.object(i);
+                sc.world()
+                    .inspect(object, |o: &RegularObject<u64>| o.history().len() as u64)
+            });
+            assert_eq!(
+                gauge, held,
+                "object {i}: the liar and the crashed report none"
+            );
+        }
+        // What a host adds of its own (the world's network and fault
+        // gauges, the pool's counters) aside, and latency values stripped:
+        // one text.
+        let own = ["vrr_net_", "vrr_scenario_", "vrr_executor_"];
+        let shared = |text: String| -> Vec<String> {
+            let lines = text.lines().filter(|line| {
+                let name = line.trim_start_matches("# TYPE ");
+                !own.iter().any(|prefix| name.starts_with(prefix))
+            });
+            let lines = lines.map(|line| match line.rsplit_once(' ') {
+                Some((series, _)) if series.contains("_latency_ticks_") => series,
+                _ => line,
+            });
+            lines.map(str::to_owned).collect()
+        };
+        let sim = shared(snap.to_prometheus());
+        assert!(sim.contains(&"vrr_reader_rounds_count 4".to_owned()));
+        assert_eq!(sim, shared(storage.metrics_snapshot().to_prometheus()));
     }
 }

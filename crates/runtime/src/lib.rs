@@ -23,16 +23,14 @@
 //! [`Cluster::submit`] for where the completion runs). An inspection is an
 //! operation that answers at once.
 //!
-//! **One host, three views.** A [`RegisterHost`] owns a cluster, `slots`
-//! register groups (each with its own writer, base objects and readers)
-//! and the meter of the operations it starts; it is the only code that
-//! spawns a group, starts a READ or WRITE
+//! **One host, three views.** A [`RegisterHost`] is the one register
+//! host, [`vrr_core::Registers`] — `slots` register groups (each with its
+//! own writer, base objects and readers), the op meter and the history
+//! inspection the simulator runs too — over a cluster; it is the only code
+//! that spawns a group, starts a READ or WRITE
 //! ([`RegisterHost::read_with`] / [`RegisterHost::write_with`], with
 //! blocking [`RegisterHost::read`] / [`RegisterHost::write`] waiting on
-//! the same completion) or inspects histories and fast-path counters —
-//! by one rule: ask every process, skip what is gone or is not the
-//! automaton asked for (a submission reports a type mismatch as
-//! [`InvokeError::WrongType`] without running anything). Everything else
+//! the same completion) or inspects histories on threads. Everything else
 //! is a view of it:
 //! [`StorageCluster`], the paper's single register, is slot 0 of a
 //! one-slot host; [`ShardedStore`] is a key→slot index over a
@@ -85,7 +83,6 @@ mod host;
 mod ring;
 mod scaleout;
 mod shard;
-mod sharded;
 mod storage;
 
 pub use backend::ClusterBackend;

@@ -44,12 +44,12 @@ use std::time::Instant;
 use parking_lot::{Mutex, RwLock};
 
 use vrr_core::metrics::{names, Histogram, Registry};
+use vrr_core::sharded::Sharded;
 use vrr_core::{ProtocolSpec, ReadReport, StorageConfig, Value, WriteReport};
 
 use crate::backend::ClusterBackend;
 use crate::ring::RingTable;
 use crate::shard::{ShardedStore, StoreError};
-use crate::sharded::Sharded;
 
 /// Sizing and seeding of a [`StoreRouter`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -635,7 +635,7 @@ mod tests {
     #[test]
     fn meters_stay_exact_with_more_threads_than_shards() {
         const THREADS: usize = 24;
-        const { assert!(THREADS > crate::sharded::SHARDS) };
+        const { assert!(THREADS > vrr_core::sharded::SHARDS) };
         let run = |threads: usize| {
             let (cfg, capacity) = (StorageConfig::optimal(1, 1, 3), 8);
             let kind = ProtocolKind::RegularOptimized;

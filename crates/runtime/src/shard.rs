@@ -20,9 +20,7 @@ use std::hash::Hash;
 use vrr_sim::{Automaton, InvokeError};
 
 use vrr_core::metrics::Registry;
-use vrr_core::{
-    GroupRole, Msg, ProtocolKind, ProtocolSpec, ReadReport, StorageConfig, Value, WriteReport,
-};
+use vrr_core::{GroupRole, Msg, ProtocolSpec, ReadReport, StorageConfig, Value, WriteReport};
 
 use crate::backend::ClusterBackend;
 use crate::cluster::Cluster;
@@ -126,8 +124,9 @@ impl<K: Eq + Hash + Clone + Send + Sync, V: Value> ShardedStore<K, V> {
     /// Deploys `capacity` register shards — each `cfg.s` objects, one
     /// writer and `cfg.readers` readers running `spec` — over one shared
     /// cluster with one worker per available CPU. As with
-    /// [`crate::StorageCluster::deploy`], a bare [`ProtocolKind`] is the
-    /// paper-faithful spec; long-running multi-key deployments pass a
+    /// [`crate::StorageCluster::deploy`], a bare
+    /// [`ProtocolKind`](crate::ProtocolKind) is the paper-faithful spec;
+    /// long-running multi-key deployments pass a
     /// [`ProtocolSpec`] with reader-ack retention to bound object memory.
     ///
     /// # Panics
@@ -195,11 +194,6 @@ impl<K: Eq + Hash + Clone + Send + Sync, V: Value> ShardedStore<K, V> {
     /// The per-shard sizing.
     pub fn config(&self) -> StorageConfig {
         self.host.config()
-    }
-
-    /// The protocol variant.
-    pub fn kind(&self) -> ProtocolKind {
-        self.host.kind()
     }
 
     /// Provisioned register slots (bindings ever possible, not live keys).
@@ -304,13 +298,8 @@ impl<K: Eq + Hash + Clone + Send + Sync, V: Value> ClusterBackend<K, V> for Shar
         self.host.crash_object(slot, idx);
     }
 
-    /// Under the same canonical `vrr_*` names
-    /// ([`vrr_core::metrics::names`]) as
-    /// [`crate::StorageCluster::metrics_snapshot`] and the simulator
-    /// harness: operation rounds/latency histograms (latency ticks are
-    /// wall-clock microseconds), worker-pool counters, store-wide
-    /// fast-path counters, and per-object history-length gauges labelled
-    /// with their shard slot.
+    /// [`RegisterHost::metrics_snapshot_labelled`]: history-length gauges
+    /// labelled with their shard slot.
     fn metrics_snapshot_labelled(&self, cluster: Option<usize>) -> Registry {
         self.host.metrics_snapshot_labelled(cluster)
     }
@@ -319,7 +308,6 @@ impl<K: Eq + Hash + Clone + Send + Sync, V: Value> ClusterBackend<K, V> for Shar
 impl<K: Eq + Hash + Clone + Send + Sync, V: Value> std::fmt::Debug for ShardedStore<K, V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedStore")
-            .field("kind", &self.kind())
             .field("cfg", &self.config())
             .field("capacity", &self.capacity())
             .field("keys", &self.len())
@@ -330,6 +318,7 @@ impl<K: Eq + Hash + Clone + Send + Sync, V: Value> std::fmt::Debug for ShardedSt
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ProtocolKind;
 
     #[test]
     fn distinct_keys_use_distinct_shards() {

@@ -5,9 +5,7 @@
 use vrr_sim::{Automaton, ProcessId};
 
 use vrr_core::metrics::{self, Registry};
-use vrr_core::{
-    GroupRole, Msg, ProtocolKind, ProtocolSpec, ReadReport, StorageConfig, Value, WriteReport,
-};
+use vrr_core::{GroupRole, Msg, ProtocolSpec, ReadReport, StorageConfig, Value, WriteReport};
 
 use crate::cluster::Cluster;
 use crate::host::RegisterHost;
@@ -42,8 +40,8 @@ pub struct StorageCluster<V: Value> {
 impl<V: Value> StorageCluster<V> {
     /// Deploys `cfg.s` object processes, one writer and `cfg.readers`
     /// readers running `spec` on a worker pool with one worker per CPU.
-    /// A bare [`ProtocolKind`] is the paper-faithful spec; a
-    /// [`ProtocolSpec`] additionally carries history retention
+    /// A bare [`ProtocolKind`](crate::ProtocolKind) is the paper-faithful
+    /// spec; a [`ProtocolSpec`] additionally carries history retention
     /// (`ProtocolKind::RegularOptimized` with
     /// `HistoryRetention::reader_ack()` is the bounded-memory
     /// production configuration) and reader tuning. Over-provision with
@@ -81,11 +79,6 @@ impl<V: Value> StorageCluster<V> {
         self.host.config()
     }
 
-    /// The protocol variant.
-    pub fn kind(&self) -> ProtocolKind {
-        self.host.kind()
-    }
-
     /// The object process ids (for fault injection).
     pub fn objects(&self) -> &[ProcessId] {
         &self.host.groups()[0].objects
@@ -120,15 +113,9 @@ impl<V: Value> StorageCluster<V> {
         self.host.crash_object(0, idx);
     }
 
-    /// One deterministic-shape snapshot of everything observable about
-    /// this deployment, under the same canonical `vrr_*` names
-    /// ([`vrr_core::metrics::names`]) the simulator harness exports:
-    /// operation rounds/latency histograms (latency ticks are wall-clock
-    /// microseconds here), worker-pool activity counters, fast-path
-    /// counters and per-object history-length gauges labelled `{object}`
-    /// only — there is one register (crashed or Byzantine-substituted
-    /// objects are skipped; the safe protocol keeps no histories). Encode
-    /// with [`vrr_core::metrics::Registry::to_prometheus`].
+    /// [`RegisterHost::op_metrics`] and the history-length gauges of
+    /// [`RegisterHost::history_lens`], labelled `{object}` only: there is
+    /// one register. The simulator's snapshot has the same shape.
     pub fn metrics_snapshot(&self) -> Registry {
         let mut reg = self.host.op_metrics();
         metrics::record_history_lens(&mut reg, None, None, &self.host.history_lens(0));
@@ -144,7 +131,6 @@ impl<V: Value> StorageCluster<V> {
 impl<V: Value> std::fmt::Debug for StorageCluster<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StorageCluster")
-            .field("kind", &self.kind())
             .field("cfg", &self.config())
             .finish()
     }
@@ -161,6 +147,7 @@ mod tests {
 
     use super::*;
     use crate::executor::ExecutorStats;
+    use crate::ProtocolKind;
 
     #[test]
     fn optimized_regular_on_threads() {

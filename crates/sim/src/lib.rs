@@ -95,6 +95,6 @@ pub use envelope::{Envelope, MsgId};
 pub use latency::{Fixed, LatencyModel, LongTail, Uniform};
 pub use op::{ClientOp, InvokeError};
 pub use process::{Automaton, Context, Process, ProcessId, ProcessStatus, SimMessage};
-pub use time::SimTime;
+pub use time::{SimClock, SimTime};
 pub use trace::{FaultStats, NetStats, Trace, TraceEvent, TraceEventKind};
 pub use world::{Quiescence, World};

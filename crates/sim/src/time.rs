@@ -9,6 +9,8 @@
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// A point in logical simulation time, measured in abstract ticks.
 ///
@@ -87,6 +89,23 @@ impl fmt::Debug for SimTime {
 impl fmt::Display for SimTime {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(self, f)
+    }
+}
+
+/// A world's clock as a handle ([`crate::World::clock`]): it reads the
+/// world's current time wherever it is held — in an operation's completion
+/// callback, which runs inside a step and holds no borrow of the world.
+#[derive(Clone, Debug, Default)]
+pub struct SimClock(Arc<AtomicU64>);
+
+impl SimClock {
+    /// The world's current time.
+    pub fn now(&self) -> SimTime {
+        SimTime(self.0.load(Ordering::Relaxed))
+    }
+
+    pub(crate) fn set(&self, t: SimTime) {
+        self.0.store(t.0, Ordering::Relaxed);
     }
 }
 

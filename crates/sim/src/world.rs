@@ -13,7 +13,7 @@ use crate::envelope::{Envelope, MsgId};
 use crate::latency::{Fixed, LatencyModel};
 use crate::op::ClientOp;
 use crate::process::{Automaton, Process, ProcessId, ProcessStatus, SimMessage};
-use crate::time::SimTime;
+use crate::time::{SimClock, SimTime};
 use crate::trace::{FaultStats, NetStats, Trace, TraceEventKind};
 
 /// The outcome of driving a world until no events remain.
@@ -144,7 +144,7 @@ pub struct World<M: SimMessage> {
     seed: u64,
     reorder_links: u64,
     rng: SmallRng,
-    now: SimTime,
+    clock: SimClock,
     seq: u64,
     next_msg_id: u64,
     started: bool,
@@ -167,7 +167,7 @@ impl<M: SimMessage> World<M> {
             seed,
             reorder_links: 0,
             rng: SmallRng::seed_from_u64(seed),
-            now: SimTime::ZERO,
+            clock: SimClock::default(),
             seq: 0,
             next_msg_id: 0,
             started: false,
@@ -209,7 +209,12 @@ impl<M: SimMessage> World<M> {
 
     /// Current simulation time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.clock.now()
+    }
+
+    /// A handle that reads this world's current time from anywhere.
+    pub fn clock(&self) -> SimClock {
+        self.clock.clone()
     }
 
     /// Number of spawned processes.
@@ -239,7 +244,7 @@ impl<M: SimMessage> World<M> {
         self.names.push(name.into());
         if self.started {
             // Late spawns still get their Init step.
-            self.push_event(self.now, QueuedKind::Start(id));
+            self.push_event(self.now(), QueuedKind::Start(id));
         }
         id
     }
@@ -253,7 +258,7 @@ impl<M: SimMessage> World<M> {
         }
         self.started = true;
         for i in 0..self.procs.len() {
-            self.push_event(self.now, QueuedKind::Start(ProcessId(i)));
+            self.push_event(self.now(), QueuedKind::Start(ProcessId(i)));
         }
     }
 
@@ -275,7 +280,7 @@ impl<M: SimMessage> World<M> {
     pub fn crash(&mut self, pid: ProcessId) {
         self.procs[pid.index()].crash();
         self.faults.crashes += 1;
-        self.trace.push(self.now, || TraceEventKind::Crashed(pid));
+        self.trace.push(self.now(), || TraceEventKind::Crashed(pid));
     }
 
     /// Schedules a crash of `pid` at time `at`.
@@ -301,7 +306,7 @@ impl<M: SimMessage> World<M> {
         self.procs[pid.index()].replace(automaton);
         self.faults.byzantine += 1;
         self.trace
-            .push(self.now, || TraceEventKind::TurnedByzantine(pid));
+            .push(self.now(), || TraceEventKind::TurnedByzantine(pid));
     }
 
     /// Partitions the network into islands, immediately.
@@ -396,28 +401,14 @@ impl<M: SimMessage> World<M> {
     ///
     /// Panics if `pid` is unknown or its automaton is not an `A`.
     pub fn inspect<A: Automaton<M>, R>(&self, pid: ProcessId, f: impl FnOnce(&A) -> R) -> R {
-        self.try_inspect(pid, f).unwrap_or_else(|| {
+        let automaton = self.procs[pid.index()].automaton().unwrap_or_else(|| {
             let name = &self.names[pid.index()];
             panic!(
                 "process {pid:?} ({name}) is not a {}",
                 std::any::type_name::<A>()
             )
-        })
-    }
-
-    /// Like [`World::inspect`], but returns `None` when the automaton of
-    /// `pid` is not an `A` (e.g. it was replaced by a Byzantine automaton)
-    /// instead of panicking.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pid` was not spawned in this world.
-    pub fn try_inspect<A: Automaton<M>, R>(
-        &self,
-        pid: ProcessId,
-        f: impl FnOnce(&A) -> R,
-    ) -> Option<R> {
-        self.procs[pid.index()].automaton().map(f)
+        });
+        f(automaton)
     }
 
     /// Injects a message from outside the system (e.g. a test fixture acting
@@ -444,9 +435,9 @@ impl<M: SimMessage> World<M> {
                 released += 1;
                 self.stats.released += 1;
                 let delay = self.latency.delay(&env, &mut self.rng);
-                let at = self.now + delay;
+                let at = self.now() + delay;
                 self.trace
-                    .push(self.now, || TraceEventKind::Released(env.clone()));
+                    .push(self.now(), || TraceEventKind::Released(env.clone()));
                 let bytes = env.msg.wire_size() as u64;
                 self.push_event(at, QueuedKind::Deliver(env, bytes));
             } else {
@@ -468,8 +459,8 @@ impl<M: SimMessage> World<M> {
         let Some(Reverse(queued)) = self.queue.pop() else {
             return false;
         };
-        debug_assert!(queued.at >= self.now, "time went backwards");
-        self.now = queued.at;
+        debug_assert!(queued.at >= self.now(), "time went backwards");
+        self.clock.set(queued.at);
         match queued.kind {
             QueuedKind::Start(pid) => {
                 let mut outbox = Vec::new();
@@ -484,12 +475,12 @@ impl<M: SimMessage> World<M> {
                 if !self.procs[to.index()].status().takes_steps() {
                     self.stats.dead_letters += 1;
                     self.trace
-                        .push(self.now, || TraceEventKind::DeadLetter(env));
+                        .push(self.now(), || TraceEventKind::DeadLetter(env));
                 } else {
                     self.stats.delivered += 1;
                     self.stats.bytes_delivered += bytes;
                     self.trace
-                        .push(self.now, || TraceEventKind::Delivered(env.clone()));
+                        .push(self.now(), || TraceEventKind::Delivered(env.clone()));
                     let mut outbox = Vec::new();
                     self.procs[to.index()].deliver(env.from, env.msg, &mut outbox);
                     self.flush_outbox(to, outbox);
@@ -511,15 +502,15 @@ impl<M: SimMessage> World<M> {
             self.step();
             steps += 1;
         }
-        if self.now < t {
-            self.now = t;
+        if self.now() < t {
+            self.clock.set(t);
         }
         steps
     }
 
     /// Advances the clock by `ticks`: [`World::run_until_time`], relative.
     pub fn fast_forward(&mut self, ticks: u64) -> u64 {
-        self.run_until_time(self.now + ticks)
+        self.run_until_time(self.now() + ticks)
     }
 
     /// Drives the run until the queue drains — every message delivered or
@@ -556,7 +547,7 @@ impl<M: SimMessage> World<M> {
 
     /// Queues a scripted fault for time `at`.
     fn schedule(&mut self, at: SimTime, kind: QueuedKind<M>) {
-        assert!(at >= self.now, "cannot script an event in the past");
+        assert!(at >= self.now(), "cannot script an event in the past");
         self.push_event(at, kind);
     }
 
@@ -577,14 +568,14 @@ impl<M: SimMessage> World<M> {
                 from,
                 to,
                 msg,
-                sent_at: self.now,
+                sent_at: self.now(),
             };
             self.next_msg_id += 1;
             let bytes = env.msg.wire_size() as u64;
             self.stats.sent += 1;
             self.stats.bytes_sent += bytes;
             self.trace
-                .push(self.now, || TraceEventKind::Sent(env.clone()));
+                .push(self.now(), || TraceEventKind::Sent(env.clone()));
             let action = match &self.partition {
                 Some(islands) if crosses(islands, &env) => Action::Hold,
                 _ => self.adversary.decide(&env),
@@ -595,17 +586,17 @@ impl<M: SimMessage> World<M> {
                 Action::Hold => {
                     self.stats.held += 1;
                     self.trace
-                        .push(self.now, || TraceEventKind::Held(env.clone()));
+                        .push(self.now(), || TraceEventKind::Held(env.clone()));
                     self.held.push(env);
                     continue;
                 }
                 Action::Drop => {
                     self.stats.dropped += 1;
-                    self.trace.push(self.now, || TraceEventKind::Dropped(env));
+                    self.trace.push(self.now(), || TraceEventKind::Dropped(env));
                     continue;
                 }
             };
-            let at = self.now + (self.latency.delay(&env, &mut self.rng) + extra);
+            let at = self.now() + (self.latency.delay(&env, &mut self.rng) + extra);
             self.push_event(at, QueuedKind::Deliver(env, bytes));
         }
     }
@@ -614,7 +605,7 @@ impl<M: SimMessage> World<M> {
 impl<M: SimMessage> std::fmt::Debug for World<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("World")
-            .field("now", &self.now)
+            .field("now", &self.now())
             .field("procs", &self.procs.len())
             .field("queued", &self.queue.len())
             .field("held", &self.held.len())

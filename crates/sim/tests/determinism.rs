@@ -131,12 +131,12 @@ fn scenario_fingerprint(seed: u64) -> String {
     sc.world_mut().heal_now();
     sc.world_mut().run_until_idle(200_000);
 
+    let prom = sc.metrics_snapshot().to_prometheus();
     format!(
         "{trace:?}\n{ops}stats={stats:?}\n{prom}",
         trace = sc.world().trace().events(),
         ops = ops,
         stats = sc.world().net_stats(),
-        prom = sc.metrics_snapshot().to_prometheus(),
     )
 }
 

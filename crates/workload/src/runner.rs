@@ -281,11 +281,11 @@ impl<'a, P: RegisterProtocol<u64> + Clone> SimCase<'a, P> {
                 for client in clients.iter_mut() {
                     let returned = match &mut client.active {
                         None => continue,
-                        Some(ActiveOp::Write(op, _)) => sc.poll_write(op).map(|rep| {
+                        Some(ActiveOp::Write(op, _)) => op.poll().map(|rep| {
                             write_rounds.push(rep.rounds);
                             (0, None)
                         }),
-                        Some(ActiveOp::Read(op, _)) => sc.poll_read(op).map(|rep| {
+                        Some(ActiveOp::Read(op, _)) => op.poll().map(|rep| {
                             read_rounds.push(rep.rounds);
                             (rep.ts.0, rep.value)
                         }),
@@ -535,14 +535,14 @@ mod tests {
         let rule = sc.world_mut().adversary_mut().install("hold WB", move |e| {
             (e.from == r0 && matches!(e.msg, Msg::WriteBack { .. })).then_some(Action::Hold)
         });
-        let mut read = sc.start_read(0);
+        let read = sc.start_read(0);
         sc.world_mut().run_until_idle(100_000);
-        assert!(sc.poll_read(&mut read).is_none(), "the write-back is held");
+        assert!(read.poll().is_none(), "the write-back is held");
         sc.write(Schedule::value_of_write(2));
         sc.world_mut().adversary_mut().remove(rule);
         sc.world_mut().release_all();
         sc.world_mut().run_until_idle(100_000);
-        let report = sc.poll_read(&mut read).expect("always acknowledged");
+        let report = read.poll().expect("always acknowledged");
         assert_eq!(report.value, Some(Schedule::value_of_write(1)));
         assert_eq!(report.rounds, 2, "READ1 and the write-back");
     }

@@ -138,13 +138,13 @@ fn main() {
     sc.world_mut().adversary_mut().hold_link(writer, t1);
     sc.write(42);
     sc.world_mut().adversary_mut().hold_link(reader, t2);
-    let mut op = sc.start_read(0);
+    let op = sc.start_read(0);
     sc.world_mut().run_until_idle(100_000);
-    assert!(sc.poll_read(&mut op).is_none(), "the view proves nothing");
+    assert!(op.poll().is_none(), "the view proves nothing");
     sc.world_mut().adversary_mut().clear();
     sc.world_mut().release_all();
     sc.world_mut().run_until_idle(100_000);
-    let r = sc.poll_read(&mut op).expect("T2 answers");
+    let r = op.poll().expect("T2 answers");
     let (hits, fallbacks) = fast_path_counters(&sc.metrics_snapshot());
     println!(
         "S = {s}, default reader, Figure 1 view: rounds = {}, fast = {} — 42 has",

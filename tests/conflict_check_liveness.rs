@@ -153,14 +153,14 @@ where
     // s3..s6 answer honestly. Without the conflict check the read advances
     // to round 2 and s3, s4, s5, s6 bump their reader timestamps to 2;
     // with the check, round 1 stalls (the predicted tuple accuses s3, s4).
-    let mut rd = sc.start_read(0);
+    let rd = sc.start_read(0);
     sc.world_mut().run_until_idle(200_000);
 
     // Step 2: the concurrent write. PW reaches m1, m2, s2 (rows: empty)
     // and s3, s4 (rows: whatever their tsr is — 2 in the mutant run,
     // 1 in the real run). The writer assembles its tuple from exactly
     // those five acks and sends W, which only s2 receives.
-    let mut wr = sc.start_write(V);
+    let wr = sc.start_write(V);
     sc.world_mut().run_until_idle(200_000);
 
     // Step 3: s2 — now holding the genuine tuple — finally hears from the
@@ -182,10 +182,10 @@ where
     sc.world_mut().run_until_idle(200_000);
 
     assert!(
-        sc.poll_write(&mut wr).is_some(),
+        wr.poll().is_some(),
         "the write must complete once messages flow"
     );
-    sc.poll_read(&mut rd).map(|r| r.value)
+    rd.poll().map(|r| r.value)
 }
 
 #[test]

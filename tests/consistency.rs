@@ -50,23 +50,23 @@ fn contended_run_holds_state_invariants_online() {
     let mut sc = StorageScenario::deploy(ProtocolKind::Safe, cfg, 31);
     let mut last = safe_object_states(&sc);
     for k in 1..=5u64 {
-        let mut w = sc.start_write(k);
-        let mut r0 = sc.start_read(0);
-        let mut r1 = sc.start_read(1);
+        let w = sc.start_write(k);
+        let r0 = sc.start_read(0);
+        let r1 = sc.start_read(1);
         while sc.world_mut().step() {
             assert_monotone(&sc, &mut last);
         }
-        assert!(sc.poll_write(&mut w).is_some(), "k={k}");
-        assert!(sc.poll_read(&mut r0).is_some(), "k={k}");
-        assert!(sc.poll_read(&mut r1).is_some(), "k={k}");
+        assert!(w.poll().is_some(), "k={k}");
+        assert!(r0.poll().is_some(), "k={k}");
+        assert!(r1.poll().is_some(), "k={k}");
     }
 
     // Back-to-back writes over slow links: a write starts as soon as the
     // last one returns, so a straggling PW can land after its successor's.
     sc.world_mut().set_latency(LongTail::new(1, 0.2, 50));
     for k in 6..=25u64 {
-        let mut w = sc.start_write(k);
-        while sc.poll_write(&mut w).is_none() {
+        let w = sc.start_write(k);
+        while w.poll().is_none() {
             assert!(sc.world_mut().step(), "k={k}: the write stalled");
             assert_monotone(&sc, &mut last);
         }
@@ -79,17 +79,17 @@ fn contended_run_holds_state_invariants_online() {
     let mut last = safe_object_states(&sc);
     sc.partition_objects(&[0, 1]);
     sc.world_mut().heal_at(SimTime::from_ticks(50));
-    let mut w = sc.start_write(5u64);
+    let w = sc.start_write(5u64);
     while sc.world_mut().step() {
         assert_monotone(&sc, &mut last);
     }
     assert!(sc.world().now() >= SimTime::from_ticks(50));
-    let mut r = sc.start_read(0);
+    let r = sc.start_read(0);
     while sc.world_mut().step() {
         assert_monotone(&sc, &mut last);
     }
-    assert!(sc.poll_write(&mut w).is_some());
-    assert_eq!(sc.poll_read(&mut r).unwrap().value, Some(5));
+    assert!(w.poll().is_some());
+    assert_eq!(r.poll().unwrap().value, Some(5));
 }
 
 #[test]
@@ -264,7 +264,7 @@ fn regular_storage_admits_new_old_inversions() {
     // Write 2: the PW broadcast is already in flight when we install the
     // holds, so PW reaches everyone; the W round (sent later, when the PW
     // acks arrive) reaches only object 0.
-    let mut w2 = sc.start_write(20u64);
+    let w2 = sc.start_write(20u64);
     for i in 1..4 {
         let (from, to) = (sc.writer(), sc.object(i));
         sc.world_mut().adversary_mut().hold_link(from, to);
@@ -284,7 +284,7 @@ fn regular_storage_admits_new_old_inversions() {
     assert!(
         sc.world()
             .inspect(sc.writer(), |w: &Writer<u64>| !w.is_idle())
-            && sc.poll_write(&mut w2).is_none(),
+            && w2.poll().is_none(),
         "write 2 must still be in flight"
     );
 

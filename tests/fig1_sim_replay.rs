@@ -78,19 +78,16 @@ fn the_same_schedule_cannot_fool_the_papers_two_round_read() {
     // While T2's replies are in transit the reader cannot tell the liar's
     // candidate from a concurrent write it missed — so it REFUSES TO
     // ANSWER rather than guess (contrast ABD above, which guessed wrong).
-    let mut op = sc.start_read(0);
+    let op = sc.start_read(0);
     sc.world_mut().run_until_idle(200_000);
-    assert!(
-        sc.poll_read(&mut op).is_none(),
-        "the safe reader must wait, not guess"
-    );
+    assert!(op.poll().is_none(), "the safe reader must wait, not guess");
 
     // Asynchrony ends: T2's replies arrive, the forged candidate is
     // eliminated (t+b+1 objects contradict it), ⊥ is returned.
     sc.world_mut().adversary_mut().remove(slow);
     sc.world_mut().release_all();
     sc.world_mut().run_until_idle(200_000);
-    let rep = sc.poll_read(&mut op).expect("completes once messages flow");
+    let rep = op.poll().expect("completes once messages flow");
     assert_eq!(
         rep.value, None,
         "the forged candidate never reaches b+1 support"

@@ -177,14 +177,15 @@ fn history_read_bytes(kind: ProtocolKind, retention: HistoryRetention, writes: u
 }
 
 /// §5 ships whole histories, so read bytes grow with past writes; the §5.1
-/// suffix read and the full-history read over reader-ack GC objects stay
-/// flat, far below it.
+/// suffix read — also under the deployed Atomic kind's write-back — and the
+/// full-history read over reader-ack GC objects stay flat, far below it.
 #[test]
 fn full_histories_grow_while_suffixes_and_gc_stay_flat() {
     let series = |kind, retention| [10, 100, 500].map(|w| history_read_bytes(kind, retention, w));
     let full = series(ProtocolKind::Regular, HistoryRetention::KeepAll);
     let suffix = series(ProtocolKind::RegularOptimized, HistoryRetention::KeepAll);
     let gcfull = series(ProtocolKind::Regular, HistoryRetention::reader_ack());
+    let atomic = series(ProtocolKind::Atomic, HistoryRetention::KeepAll);
 
     assert!(full[0] < full[1] && full[1] < full[2], "full: {full:?}");
     assert!(full[2] >= 3 * full[0], "full: {full:?}");
@@ -198,6 +199,8 @@ fn full_histories_grow_while_suffixes_and_gc_stay_flat() {
         100 * gcfull[2] <= 35 * full[2],
         "gcfull {gcfull:?} vs full {full:?}"
     );
+    // READ1 with suffix replies, then the write-back of the selected tuple.
+    assert_eq!(atomic, [796; 3], "atomic: {atomic:?}");
 }
 
 /// Byzantine objects do not slow a read down: with `b` objects replaced by
@@ -296,9 +299,9 @@ fn a_read_on_figure_1s_view_sends_read2() {
     sc.write(1);
     sc.world_mut().adversary_mut().hold_link(reader, t2);
     let before = sc.world().net_stats();
-    let mut op = sc.start_read(0);
+    let op = sc.start_read(0);
     sc.world_mut().run_until_idle(DRAIN_LIMIT);
-    assert!(sc.poll_read(&mut op).is_none(), "round 1 proves nothing");
+    assert!(op.poll().is_none(), "round 1 proves nothing");
     // READ1 and READ2 to the four objects; T2 holds both, the other three
     // acknowledge both.
     let sent = sc.world().net_stats().sent - before.sent;
@@ -306,7 +309,7 @@ fn a_read_on_figure_1s_view_sends_read2() {
     sc.world_mut().adversary_mut().clear();
     sc.world_mut().release_all();
     sc.world_mut().run_until_idle(DRAIN_LIMIT);
-    let report = sc.poll_read(&mut op).expect("T2 answers");
+    let report = op.poll().expect("T2 answers");
     assert_eq!(
         (report.value, report.rounds, report.fast),
         (Some(1), 2, false)
