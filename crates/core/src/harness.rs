@@ -100,7 +100,7 @@ pub trait RegisterProtocol<V: Value> {
 
 /// A host's clock as the op meter reads it: sim ticks in a simulated world
 /// ([`SimClock`]), wall-clock microseconds on threads.
-pub trait Clock: Clone + Send + 'static {
+pub trait Clock: Clone + Send + Sync + 'static {
     /// A point in time.
     type Stamp: Copy + Send + 'static;
 
@@ -152,6 +152,13 @@ impl Recorded {
     }
 }
 
+/// One shard of the op meter: what it recorded, and its own handle on the
+/// host's clock, cloned once so that no operation clones a shared one.
+struct MeterShard<C> {
+    clock: C,
+    recorded: Mutex<Recorded>,
+}
+
 /// The register groups a host runs — `slots` deployments of one protocol
 /// at one sizing — with the meter of their operations and the inspection
 /// of their histories, written once for a simulated world and a thread
@@ -163,12 +170,11 @@ pub struct Registers<V: Value, P: RegisterProtocol<V>, C: Clock> {
     protocol: P,
     cfg: StorageConfig,
     groups: Vec<Deployment>,
-    clock: C,
-    /// The op meter: one [`Recorded`] per shard. An operation records into
-    /// the shard of the thread that built it, held by that shard's own
-    /// `Arc`, so two callers share neither a histogram nor a reference
-    /// count.
-    meter: Sharded<Arc<Padded<Mutex<Recorded>>>>,
+    /// The op meter: one [`MeterShard`] per shard. An operation reads the
+    /// clock of, and records into, the shard of the thread that built it,
+    /// held by that shard's own `Arc`, so two callers share neither a
+    /// histogram nor a reference count.
+    meter: Sharded<Arc<Padded<MeterShard<C>>>>,
     _marker: PhantomData<fn() -> V>,
 }
 
@@ -190,13 +196,15 @@ impl<V: Value, P: RegisterProtocol<V>, C: Clock> Registers<V, P, C> {
             protocol,
             cfg,
             groups,
-            clock,
             meter: Sharded::new(|| {
-                let histograms = HISTOGRAMS.map(Histogram::named);
-                Arc::new(Padded(Mutex::new(Recorded {
-                    histograms,
+                let recorded = Recorded {
+                    histograms: HISTOGRAMS.map(Histogram::named),
                     fast: [0; 2],
-                })))
+                };
+                Arc::new(Padded(MeterShard {
+                    clock: clock.clone(),
+                    recorded: Mutex::new(recorded),
+                }))
             }),
             _marker: PhantomData,
         }
@@ -261,12 +269,13 @@ impl<V: Value, P: RegisterProtocol<V>, C: Clock> Registers<V, P, C> {
         record: impl FnOnce(&R, u64, &mut Recorded) + Send + 'static,
         done: impl FnOnce(Result<R, InvokeError>) + Send + 'static,
     ) -> impl FnOnce(Result<R, InvokeError>) + Send + 'static {
-        let recorded = Arc::clone(self.meter.mine());
-        let (clock, invoked) = (self.clock.clone(), self.clock.stamp());
+        let shard = self.meter.mine();
+        let invoked = shard.0.clock.stamp();
+        let shard = Arc::clone(shard);
         move |result| {
             if let Ok(report) = &result {
-                let latency = clock.ticks_since(invoked);
-                let mut recorded = recorded.0.lock().expect(METER_LOCK);
+                let latency = shard.0.clock.ticks_since(invoked);
+                let mut recorded = shard.0.recorded.lock().expect(METER_LOCK);
                 record(report, latency, &mut recorded);
             }
             done(result);
@@ -309,7 +318,7 @@ impl<V: Value, P: RegisterProtocol<V>, C: Clock> Registers<V, P, C> {
     pub fn op_metrics(&self) -> Registry {
         let mut reg = Registry::new();
         for shard in self.meter.all() {
-            let recorded = shard.0.lock().expect(METER_LOCK);
+            let recorded = shard.0.recorded.lock().expect(METER_LOCK);
             for (name, histogram) in HISTOGRAMS.into_iter().zip(&recorded.histograms) {
                 reg.observe_all(name, &[], histogram);
             }

@@ -14,14 +14,16 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use vrr_core::wire::Wire;
+use vrr_runtime::OP_TIMEOUT;
 
 use crate::frame::{
     encode_frame, Ctl, Envelope, FrameError, FrameReader, Op, Payload, Rsp, CLIENT_NODE,
 };
 
-/// How long a client waits for one response before giving up. Matches the
-/// server-side blocking-operation timeout with headroom.
-const REQUEST_TIMEOUT: Duration = Duration::from_secs(40);
+/// How long a client waits for one response before giving up: the node's
+/// [`OP_TIMEOUT`] plus 10 s, so a client outwaits the node's deadline
+/// sweep and hears its typed error.
+const REQUEST_TIMEOUT: Duration = OP_TIMEOUT.saturating_add(Duration::from_secs(10));
 
 /// Bytes read from the socket per `read` call.
 const READ_BUF: usize = 64 * 1024;

@@ -88,4 +88,5 @@ mod transport;
 pub use client::{ClientError, NetClient, RetryPolicy};
 pub use frame::{Ctl, Envelope, FrameError, FrameReader, Op, Payload, Rsp, MAX_FRAME_LEN};
 pub use node::{free_addrs, ByzSpec, NetNode, NetNodeConfig, NodeTopology, ServerProcess};
+pub use reactor::TICK;
 pub use remote::{RemoteCluster, RemoteClusterConfig};

@@ -55,14 +55,16 @@
 //!
 //! An operation that outlives [`vrr_runtime::OP_TIMEOUT`] — more than `t`
 //! objects of its group are gone — is answered with a typed `Rsp::Err` by a
-//! deadline sweep on the reactor tick: the timeout is a constant, so
-//! deadlines are monotone in arrival order and a FIFO is the whole timer
-//! wheel — of the operations still in flight when their start returned;
-//! one already answered by then never enters it. Completion and sweep race
-//! on one flag; exactly one of them answers. (The wedged operation itself,
-//! and those queued behind it on the same automaton, stay parked in the
-//! executor: each costs its closure, no thread.) The same tick redials
-//! `Down` peers.
+//! deadline sweep on the reactor tick. Deadlines, the sweep and the redial
+//! timer read the node's one clock, `node.host().cluster().clock()`, which
+//! a test advances past a deadline instead of waiting the 30 s out. The
+//! timeout is a constant, so deadlines are monotone in arrival order and a
+//! FIFO is the whole timer wheel — of the operations still in flight when
+//! their start returned; one already answered by then never enters it.
+//! Completion and sweep race on one flag; exactly one of them answers. (The
+//! wedged operation itself, and those queued behind it on the same
+//! automaton, stay parked in the executor: each costs its closure, no
+//! thread.) The same tick redials `Down` peers.
 
 use std::collections::VecDeque;
 use std::ffi::OsStr;
@@ -70,7 +72,7 @@ use std::io::{self, BufRead, BufReader};
 use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -199,33 +201,6 @@ struct ServerCtx<V: Value> {
     store: ShardedStore<Vec<u8>, V>,
     pid_node: Vec<u32>,
     transport: Arc<TcpTransport<V>>,
-    shutdown: Shutdown,
-}
-
-/// Set once — by `Op::Shutdown` or by dropping the node — and waited on by
-/// [`NetNode::wait_shutdown`], which sleeps until it is set.
-#[derive(Default)]
-struct Shutdown {
-    requested: Mutex<bool>,
-    set: Condvar,
-}
-
-impl Shutdown {
-    /// A `bool` is valid at every step, so a poisoned lock is taken as is.
-    fn requested(&self) -> MutexGuard<'_, bool> {
-        self.requested
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn request(&self) {
-        *self.requested() = true;
-        self.set.notify_all();
-    }
-
-    fn wait(&self) {
-        drop(self.set.wait_while(self.requested(), |set| !*set));
-    }
 }
 
 /// One running node: its register host (real automata + relays) on one
@@ -258,9 +233,9 @@ impl<V: Value> NetNode<V> {
         let addr = bound.addr().expect("listening reactor reports its address");
         let metrics_addr = bound.http_addr();
         let reactor_thread = bound.run(NodeHandler {
+            last_redial: ctx.store.host().cluster().clock().now(),
             ctx: ctx.clone(),
             pending: VecDeque::new(),
-            last_redial: Instant::now(),
         })?;
         Ok(NetNode {
             ctx,
@@ -311,7 +286,6 @@ impl<V: Value> NetNode<V> {
             store: ShardedStore::over(host),
             pid_node,
             transport,
-            shutdown: Shutdown::default(),
         });
         Ok((bound, ctx))
     }
@@ -342,21 +316,20 @@ impl<V: Value> NetNode<V> {
         self.ctx.store.host()
     }
 
-    /// Blocks until a client requests shutdown (the `vrr-server` main
-    /// loop), then returns after a short grace period so the shutdown
-    /// response can flush.
-    pub fn wait_shutdown(&self) {
-        self.ctx.shutdown.wait();
-        std::thread::sleep(Duration::from_millis(100));
+    /// Blocks until a client's `Op::Shutdown` stopped the reactor, its
+    /// answer flushed first (the `vrr-server` main loop); drops the node.
+    pub fn wait_shutdown(mut self) {
+        if let Some(thread) = self.reactor_thread.take() {
+            let _ = thread.join();
+        }
     }
 }
 
 impl<V: Value> Drop for NetNode<V> {
-    /// Joins the reactor thread; the worker pool joins as the last
-    /// reference to the node's state drops right after. Operations still in
-    /// flight complete with `Gone` into a closed reactor.
+    /// Stops and joins the reactor thread; the worker pool joins as the
+    /// last reference to the node's state drops right after. Operations
+    /// still in flight complete with `Gone` into a closed reactor.
     fn drop(&mut self) {
-        self.ctx.shutdown.request();
         self.ctx.transport.handle().shutdown();
         if let Some(thread) = self.reactor_thread.take() {
             let _ = thread.join();
@@ -393,13 +366,13 @@ struct Pending {
     deadline: Instant,
 }
 
-/// The two ends of one operation about to start: the reply right its
-/// completion takes, and the entry that puts it under the deadline sweep
-/// ([`track`]) once it did start.
-fn reply_for<V>(transport: &Arc<TcpTransport<V>>, conn: ConnId, id: u64) -> (Reply<V>, Pending) {
+/// The two ends of one operation about to start, due [`OP_TIMEOUT`] from
+/// now on the node's clock: the reply right its completion takes, and the
+/// entry that puts it under the deadline sweep ([`track`]) once it started.
+fn reply_for<V: Value>(ctx: &ServerCtx<V>, conn: ConnId, id: u64) -> (Reply<V>, Pending) {
     let answered = Arc::new(AtomicBool::new(false));
     let reply = Reply {
-        transport: transport.clone(),
+        transport: ctx.transport.clone(),
         conn,
         id,
         answered: answered.clone(),
@@ -408,7 +381,7 @@ fn reply_for<V>(transport: &Arc<TcpTransport<V>>, conn: ConnId, id: u64) -> (Rep
         conn,
         id,
         answered,
-        deadline: Instant::now() + OP_TIMEOUT,
+        deadline: ctx.store.host().cluster().clock().now() + OP_TIMEOUT,
     };
     (reply, pending)
 }
@@ -472,7 +445,7 @@ impl<V: Value> Handler for NodeHandler<V> {
     }
 
     fn on_tick(&mut self) {
-        let now = Instant::now();
+        let now = self.ctx.store.host().cluster().clock().now();
         for (conn, id) in expire(&mut self.pending, now) {
             let rsp = Rsp::Err {
                 what: format!(
@@ -541,11 +514,14 @@ impl<V: Value> NodeHandler<V> {
                 closed: ctx.transport.reset_peer(node),
             }),
             Op::Shutdown => {
-                ctx.shutdown.request();
-                Some(Rsp::ShuttingDown)
+                // Queued first, so the reactor flushes it before it stops.
+                let rsp = Rsp::ShuttingDown;
+                ctx.transport.send_ctl_on(conn, Ctl::Response { id, rsp });
+                ctx.transport.handle().shutdown();
+                None
             }
             Op::WriteKey { key, value } => ctx.keyed(|s| {
-                let (reply, entry) = reply_for(&ctx.transport, conn, id);
+                let (reply, entry) = reply_for(ctx, conn, id);
                 match s.try_write_with(key, value, move |result| reply.send(wrote(result))) {
                     Ok(()) => {
                         track(pending, entry);
@@ -565,7 +541,7 @@ impl<V: Value> NodeHandler<V> {
                         what: format!("reader {reader} out of range"),
                     });
                 }
-                let (reply, entry) = reply_for(&ctx.transport, conn, id);
+                let (reply, entry) = reply_for(ctx, conn, id);
                 let done = move |result| reply.send(read_ok(result));
                 if s.read_with(&key, reader as usize, done) {
                     track(pending, entry);
@@ -890,8 +866,9 @@ mod tests {
         flags[1].store(true, Ordering::SeqCst);
         assert_eq!(expire(&mut queue, at(115)), vec![(7, 0)]);
         assert_eq!(queue.len(), 3, "the answered op left the queue silently");
+        // `Reply::send` finds the flag taken: op 0's completion stays silent.
         assert!(
-            flags[0].load(Ordering::SeqCst),
+            flags[0].swap(true, Ordering::SeqCst),
             "the sweep took op 0's reply right"
         );
 
@@ -917,8 +894,9 @@ mod tests {
     fn pending_holds_only_what_is_still_in_flight() {
         use vrr_core::ProtocolKind;
         let cfg = StorageConfig::optimal(1, 1, 1); // S = 4, t = 1
+                                                   // Port 0: a child a concurrent test spawns may hold a freed port.
         let topo = NodeTopology {
-            addrs: free_addrs(1).expect("reserve port"),
+            addrs: vec![([127, 0, 0, 1], 0).into()],
             objects: vec![0; cfg.s],
             slots: 2,
         };
@@ -963,20 +941,9 @@ mod tests {
             1,
             "only the wedged read is in flight"
         );
-        let now = Instant::now();
+        let now = handler.ctx.store.host().cluster().clock().now();
         assert!(expire(&mut handler.pending, now).is_empty());
         assert_eq!(expire(&mut handler.pending, now + OP_TIMEOUT), [(7, 99)]);
         assert!(handler.pending.is_empty());
-    }
-
-    /// Completion and sweep race on one flag: whoever loses stays silent.
-    #[test]
-    fn a_swept_operation_cannot_be_answered_twice() {
-        let t0 = Instant::now();
-        let (pending, answered) = entry(1, t0);
-        let mut queue = VecDeque::from([pending]);
-        assert_eq!(expire(&mut queue, t0), vec![(7, 1)]);
-        // What `Reply::send` checks before writing its response.
-        assert!(answered.swap(true, Ordering::SeqCst), "the completion lost");
     }
 }

@@ -44,8 +44,9 @@ const LISTENER: Token = Token(1);
 const HTTP_LISTENER: Token = Token(2);
 const CONN_BASE: usize = 3;
 
-/// Upper bound on the time between two [`Handler::on_tick`] calls: how
-/// long the reactor sleeps in `poll` when no socket or command wakes it.
+/// Upper bound on the real time between two reactor ticks — a node's
+/// deadline sweeps and redials: how long the reactor sleeps in `poll` when
+/// no socket or command wakes it.
 pub const TICK: Duration = Duration::from_millis(200);
 
 /// Bytes read from a socket per `read` call (one buffer per reactor).

@@ -13,12 +13,13 @@ use std::cell::Cell;
 use std::fmt;
 use std::sync::Arc;
 use std::thread::Thread;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
 use vrr_sim::{Automaton, ClientOp, Context, InvokeError, ProcessId};
 
+use crate::clock::WallClock;
 use crate::executor::{Executor, ExecutorStats};
 
 /// How long an operation may take before the cluster is declared wedged.
@@ -48,6 +49,7 @@ pub const OP_TIMEOUT: Duration = Duration::from_secs(30);
 /// ```
 pub struct Cluster<M: Send + 'static> {
     executor: Executor<M>,
+    clock: WallClock,
 }
 
 impl<M: Send + 'static> Cluster<M> {
@@ -64,7 +66,14 @@ impl<M: Send + 'static> Cluster<M> {
     pub fn with_workers(workers: usize) -> Self {
         Cluster {
             executor: Executor::new(workers),
+            clock: WallClock::default(),
         }
+    }
+
+    /// The clock every deadline and meter of the cluster, its register
+    /// host and a `vrr-net` node over it reads.
+    pub fn clock(&self) -> &WallClock {
+        &self.clock
     }
 
     /// Spawns a process running `automaton`; returns its id. Ids are dense
@@ -130,7 +139,7 @@ impl<M: Send + 'static> Cluster<M> {
             |_: &mut A, result| result.take(),
             done,
         ));
-        slot.wait()
+        slot.wait(&self.clock)
     }
 
     /// Submits `op` to its process and returns without waiting — the one
@@ -216,18 +225,18 @@ impl<R> OpSlot<R> {
     ///
     /// # Panics
     ///
-    /// Panics if no outcome arrives within [`OP_TIMEOUT`] — for an
-    /// operation with at most `t` faulty objects that is a wait-freedom
-    /// violation.
-    pub(crate) fn wait(&self) -> Result<R, InvokeError> {
+    /// Panics if no outcome arrives within [`OP_TIMEOUT`] on `clock`, whose
+    /// advance a parked caller sees when it next wakes — for an operation
+    /// with at most `t` faulty objects that is a wait-freedom violation.
+    pub(crate) fn wait(&self, clock: &WallClock) -> Result<R, InvokeError> {
         let mut deadline = None;
         loop {
             if let Some(outcome) = self.outcome.lock().take() {
                 return outcome;
             }
             // The clock is read only by a caller that has to park.
-            let deadline = *deadline.get_or_insert_with(|| Instant::now() + OP_TIMEOUT);
-            let left = deadline.saturating_duration_since(Instant::now());
+            let deadline = *deadline.get_or_insert_with(|| clock.now() + OP_TIMEOUT);
+            let left = deadline.saturating_duration_since(clock.now());
             assert!(
                 !left.is_zero(),
                 "operation must complete (wait-freedom): Timeout"
@@ -370,6 +379,31 @@ mod tests {
             0,
             "a crashed process forwards nothing"
         );
+    }
+
+    /// A blocking wait — an inspection queued behind an operation that
+    /// never completes — gives up at `OP_TIMEOUT` of the cluster's clock,
+    /// seen at its next wake: no 30 s of real time.
+    #[test]
+    fn a_blocking_wait_times_out_on_the_clusters_clock() {
+        let mut cluster: Cluster<u64> = Cluster::with_workers(1);
+        let counter = cluster.spawn(Box::new(Counter { total: 0, seen: 0 }));
+        let never = |_: &mut Counter, _: &()| None::<()>;
+        cluster.submit(ClientOp::new(counter, |_: &mut Counter, _| (), never, drop));
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| cluster.try_invoke(counter, |c: &mut Counter, _| c.seen));
+            // Until one advance lands after the waiter set its deadline.
+            let gave_up = (0..500).any(|_| {
+                cluster.clock().advance(OP_TIMEOUT);
+                waiter.thread().unpark();
+                std::thread::sleep(Duration::from_millis(10));
+                waiter.is_finished()
+            });
+            assert!(gave_up, "still waiting after 5 s of real time");
+            let panic = waiter.join().expect_err("the wait gives up");
+            let timeout = "operation must complete (wait-freedom): Timeout";
+            assert_eq!(panic.downcast_ref::<&str>(), Some(&timeout));
+        });
     }
 
     #[test]

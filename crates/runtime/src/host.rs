@@ -16,40 +16,24 @@
 //! metered [`Registers::write_op`] / [`Registers::read_op`] value the
 //! simulator submits too. The blocking [`RegisterHost::write`] /
 //! [`RegisterHost::read`] wait on a one-shot slot for the same completion.
+//! The op meter and those waits read the cluster's clock
+//! ([`Cluster::clock`]): the meter in µs from an operation's start to its
+//! completion, the waits up to [`crate::OP_TIMEOUT`].
 //! Inspection is submissions too, one per object, gathered by completion
 //! ([`Registers::inspect`]): ask every process, skip what is gone or is not
 //! the automaton asked for — so crashed processes, Byzantine substitutes
 //! and relays are looked past, never poisoned.
 
-use std::time::Instant;
-
 use vrr_sim::{Automaton, InvokeError};
 
 use vrr_core::metrics::{self, names, Registry};
 use vrr_core::{
-    group_span, Clock, Deployment, GroupRole, Msg, ProtocolSpec, ReadReport, Registers,
-    StorageConfig, Value, WriteReport,
+    group_span, Deployment, GroupRole, Msg, ProtocolSpec, ReadReport, Registers, StorageConfig,
+    Value, WriteReport,
 };
 
+use crate::clock::WallClock;
 use crate::cluster::{op_slot, Cluster};
-
-/// The thread host's op meter clock: wall-clock microseconds, from the call
-/// that builds an operation to its completion, wherever [`Cluster::submit`]
-/// runs it (the simulator meters sim ticks under the same names).
-#[derive(Clone, Copy)]
-struct WallClock;
-
-impl Clock for WallClock {
-    type Stamp = Instant;
-
-    fn stamp(&self) -> Instant {
-        Instant::now()
-    }
-
-    fn ticks_since(&self, stamp: Instant) -> u64 {
-        stamp.elapsed().as_micros() as u64
-    }
-}
 
 /// `slots` register groups — each `cfg.s` objects, one writer and
 /// `cfg.readers` readers — on one worker-pool cluster, addressed by slot.
@@ -110,7 +94,8 @@ impl<V: Value> RegisterHost<V> {
             "RegisterHost::spawn needs an empty cluster: slot s must start at pid s * group_span"
         );
         cluster.set_group_span(group_span(cfg));
-        let registers = Registers::spawn(spec, cfg, slots, WallClock, |slot, role, honest| {
+        let clock = cluster.clock().clone();
+        let registers = Registers::spawn(spec, cfg, slots, clock, |slot, role, honest| {
             cluster.spawn(substitute(slot, role).unwrap_or(honest))
         });
         RegisterHost { cluster, registers }
@@ -178,7 +163,7 @@ impl<V: Value> RegisterHost<V> {
         let (done, pending) = op_slot();
         self.write_with(slot, value, done);
         pending
-            .wait()
+            .wait(self.cluster.clock())
             .unwrap_or_else(|e| panic!("operation failed: {e}"))
     }
 
@@ -192,7 +177,7 @@ impl<V: Value> RegisterHost<V> {
         let (done, pending) = op_slot();
         self.read_with(slot, j, done);
         pending
-            .wait()
+            .wait(self.cluster.clock())
             .unwrap_or_else(|e| panic!("operation failed: {e}"))
     }
 
@@ -220,7 +205,9 @@ impl<V: Value> RegisterHost<V> {
         let lens = move |mut lens: Vec<_>| done(Ok(lens.remove(0)));
         self.registers
             .inspect(slot..slot + 1, |op| self.cluster.submit(op), lens);
-        pending.wait().expect("a fan-in completes with its pieces")
+        pending
+            .wait(self.cluster.clock())
+            .expect("a fan-in completes with its pieces")
     }
 
     /// The rounds/latency histograms of the operations this host completed
@@ -247,7 +234,9 @@ impl<V: Value> RegisterHost<V> {
     pub fn metrics_snapshot_labelled(&self, cluster: Option<usize>) -> Registry {
         let (done, pending) = op_slot();
         self.metrics_snapshot_with(cluster, move |reg| done(Ok(reg)));
-        pending.wait().expect("a fan-in completes with its pieces")
+        pending
+            .wait(self.cluster.clock())
+            .expect("a fan-in completes with its pieces")
     }
 
     /// [`RegisterHost::metrics_snapshot_labelled`] by completion: the

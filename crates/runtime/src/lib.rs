@@ -46,6 +46,11 @@
 //! store hosted by a `vrr-server` in another OS process — one ring spans
 //! heterogeneous backends.
 //!
+//! **One clock.** Every deadline and meter reads a [`WallClock`]: OS time
+//! plus an offset a test advances. A cluster owns one ([`Cluster::clock`],
+//! read by the blocking waits' [`OP_TIMEOUT`], the op meter and `vrr-net`'s
+//! deadline sweep); a [`StoreRouter`] meters its latency on its own.
+//!
 //! Every deploy entry point takes a [`ProtocolSpec`] (a bare
 //! [`ProtocolKind`] converts into the paper-faithful one) and spawns its
 //! register groups through [`RegisterHost::spawn`]. Long-running regular
@@ -77,6 +82,7 @@
 #![warn(missing_docs)]
 
 mod backend;
+mod clock;
 mod cluster;
 mod executor;
 mod host;
@@ -86,6 +92,7 @@ mod shard;
 mod storage;
 
 pub use backend::ClusterBackend;
+pub use clock::WallClock;
 pub use cluster::{Cluster, OP_TIMEOUT};
 pub use executor::ExecutorStats;
 pub use host::RegisterHost;

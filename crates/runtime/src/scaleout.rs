@@ -45,9 +45,10 @@ use parking_lot::{Mutex, RwLock};
 
 use vrr_core::metrics::{names, Histogram, Registry};
 use vrr_core::sharded::Sharded;
-use vrr_core::{ProtocolSpec, ReadReport, StorageConfig, Value, WriteReport};
+use vrr_core::{Clock, ProtocolSpec, ReadReport, StorageConfig, Value, WriteReport};
 
 use crate::backend::ClusterBackend;
+use crate::clock::WallClock;
 use crate::ring::RingTable;
 use crate::shard::{ShardedStore, StoreError};
 
@@ -147,6 +148,8 @@ pub struct StoreRouter<K: Eq + Hash + Clone, V: Value> {
     /// thread's — grown on a cluster's first operation there and summed
     /// into the snapshot.
     latency: Sharded<Mutex<Vec<ClusterLatency>>>,
+    /// The clock the latency histograms read, the router's own.
+    clock: WallClock,
 }
 
 /// One cluster's router-level latency histograms, resolved once so an
@@ -201,6 +204,7 @@ where
             factory: Mutex::new(Box::new(factory)),
             ops: Mutex::new(Registry::new()),
             latency: Sharded::new(|| Mutex::new(Vec::new())),
+            clock: WallClock::default(),
         }
     }
 
@@ -289,7 +293,7 @@ where
         let _guard = self.slot_guards[slot].read();
         let cluster = self.ring.cluster_of_slot(slot);
         let store = self.store(cluster);
-        let started = Instant::now();
+        let started = self.clock.now();
         let report = store.try_write(key, value)?;
         self.record_latency(|l| &mut l.write, cluster, started);
         Ok(report)
@@ -307,7 +311,7 @@ where
         let _guard = self.slot_guards[slot].read();
         let cluster = self.ring.cluster_of_slot(slot);
         let store = self.store(cluster);
-        let started = Instant::now();
+        let started = self.clock.now();
         let report = store.read(key, j)?;
         self.record_latency(|l| &mut l.read, cluster, started);
         Some(report)
@@ -320,7 +324,7 @@ where
         cluster: usize,
         started: Instant,
     ) {
-        let micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let micros = self.clock.ticks_since(started);
         let mut latency = self.latency.mine().lock();
         if latency.len() <= cluster {
             latency.resize_with(cluster + 1, || ClusterLatency {
