@@ -8,8 +8,9 @@
 //!   ([`vrr_core::wire`]) wrapped in [`frame::Envelope`]s (source node,
 //!   epoch, sequence number) and length-prefixed frames, plus the thin
 //!   client protocol ([`frame::Ctl`] / [`frame::Op`] / [`frame::Rsp`]).
-//! - a single-threaded epoll event loop (via the vendored `mio` shim)
-//!   owning every socket: non-blocking accept/connect/read/write,
+//! - an epoll reactor (via the vendored `mio` shim) of one event loop — a
+//!   lane — per CPU, each owning its sockets for good (lane 0 deals the
+//!   accepted connections round-robin): non-blocking accept/connect/read/write,
 //!   per-connection write queues, incremental frame extraction; and on it
 //!   the TCP transport: peer table, `Hello` handshakes, reconnect-on-demand,
 //!   lossy-on-reset delivery.
@@ -22,10 +23,11 @@
 //!   the [`node::NodeTopology`] places only the objects, and the node's
 //!   key-value store (router-member mode) — a key index over those same
 //!   register groups — is served there, wherever the objects live.
-//!   Its request path is completion-driven: the reactor thread submits
-//!   what reaches an automaton ([`vrr_runtime::Cluster::submit`]) and
-//!   whoever observes the outcome writes the response — no thread per
-//!   request, and none besides the reactor and the worker pool.
+//!   Its request path is completion-driven: the lane owning a request's
+//!   connection submits what reaches an automaton
+//!   ([`vrr_runtime::Cluster::submit`]) and whoever observes the outcome
+//!   writes the response — no thread per request, and none besides the
+//!   lanes and the worker pool.
 //! - [`client`] — [`client::NetClient`]: a blocking thin client
 //!   (request/response, metrics and fault-injection ops). A node's metrics
 //!   leave it one way: one registry — the hosted store's snapshot, its

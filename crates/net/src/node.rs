@@ -22,10 +22,13 @@
 //!
 //! # Where a request runs
 //!
-//! [`NetNode`] hands the reactor a handler, so everything below happens
-//! **on the reactor thread** (decode → classify → act; no event channel,
-//! no thread per request), and nothing on it ever waits. A request is
-//! served one of two ways:
+//! [`NetNode`] runs one handler on each of the reactor's lanes — one per
+//! CPU — so everything below happens **on the thread of the lane that owns
+//! the request's connection** (decode → classify → act; no event channel,
+//! no thread per request), and nothing on it ever waits. Lane 0 deals the
+//! accepted connections round-robin, and the kernel's wake affinity tends
+//! to keep each lane beside its caller, so a round trip stays on one CPU.
+//! A request is served one of two ways:
 //!
 //! - **inline** — [`Payload::Peer`] envelopes are injected with
 //!   `send_external`; the O(1) ops (`Ping`, `ReleaseKey`, `SlotOfKey`,
@@ -43,20 +46,23 @@
 //!   relays are skipped, as `Gone` or `WrongType` — so it neither panics
 //!   nor alters the fault schedule of what it looks at, and an object runs
 //!   no operation an inspection could wait behind. The observer is the
-//!   reactor thread itself when the register group is idle and all its
+//!   lane's thread itself when the register group is idle and all its
 //!   members are local: `submit` runs every round on the calling thread —
 //!   bounded, never waiting — so the response is queued, as a same-thread
 //!   command, before the handler returns, and no worker is woken. A group
-//!   that is busy, has members on other nodes or is wedged completes
-//!   later, on a worker thread. The completion holds the transport, the
-//!   connection and the request id — never the node — so an in-flight
-//!   operation cannot keep a dropped node alive. Two requests for one
-//!   reader (or writer) queue in the executor, in arrival order.
+//!   that is busy (another lane may be running it), has members on other
+//!   nodes or is wedged completes later, on a worker thread. The
+//!   completion holds the transport, the connection and the request id —
+//!   never the node — so an in-flight operation cannot keep a dropped node
+//!   alive. Two requests for one reader (or writer) queue in the executor,
+//!   in arrival order. The node's threads are its lanes and its workers,
+//!   whatever the number of connections.
 //!
 //! An operation that outlives [`vrr_runtime::OP_TIMEOUT`] — more than `t`
 //! objects of its group are gone — is answered with a typed `Rsp::Err` by a
-//! deadline sweep on the reactor tick. Deadlines, the sweep and the redial
-//! timer read the node's one clock, `node.host().cluster().clock()`, which
+//! deadline sweep on the tick of the lane that started it; each lane keeps
+//! its own FIFO. Deadlines, the sweeps and the redial timer read the node's
+//! one clock, `node.host().cluster().clock()`, which
 //! a test advances past a deadline instead of waiting the 30 s out. The
 //! timeout is a constant, so deadlines are monotone in arrival order and a
 //! FIFO is the whole timer wheel — of the operations still in flight when
@@ -64,7 +70,8 @@
 //! Completion and sweep race on one flag; exactly one of them answers. (The
 //! wedged operation itself, and those queued behind it on the same
 //! automaton, stay parked in the executor: each costs its closure, no
-//! thread.) The same tick redials `Down` peers.
+//! thread.) Lane 0's tick also redials `Down` peers: every outbound
+//! connection is lane 0's.
 
 use std::collections::VecDeque;
 use std::ffi::OsStr;
@@ -72,7 +79,7 @@ use std::io::{self, BufRead, BufReader};
 use std::net::SocketAddr;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -171,7 +178,7 @@ pub struct NetNodeConfig<V> {
     /// Byzantine substitutions for locally hosted objects.
     pub byzantine: Vec<ByzSpec<V>>,
     /// Serve `GET /metrics` (Prometheus text) on this address, off the
-    /// same epoll reactor as the frame protocol.
+    /// same reactor as the frame protocol, on its lane 0.
     pub metrics_addr: Option<SocketAddr>,
 }
 
@@ -189,7 +196,7 @@ impl<V> NetNodeConfig<V> {
     }
 }
 
-/// How often the reactor tick redials `Down` peers (traffic also dials on
+/// How often lane 0's tick redials `Down` peers (traffic also dials on
 /// demand; this only covers peers that restarted while idle).
 const REDIAL_EVERY: Duration = Duration::from_millis(200);
 
@@ -204,20 +211,20 @@ struct ServerCtx<V: Value> {
 }
 
 /// One running node: its register host (real automata + relays) on one
-/// worker pool and the reactor thread serving it — the node's only
-/// threads.
+/// worker pool and the reactor lanes serving it — the node's only threads.
 pub struct NetNode<V: Value> {
     ctx: Arc<ServerCtx<V>>,
     addr: SocketAddr,
     metrics_addr: Option<SocketAddr>,
-    reactor_thread: Option<JoinHandle<()>>,
+    /// Lane 0's thread, which joins the other lanes when it stops.
+    lanes: Option<JoinHandle<()>>,
 }
 
 impl<V: Value> NetNode<V> {
     /// Starts node `node` of `topo`, binding its listen address (a port-0
     /// address works — see [`NetNode::addr`] for what was actually bound),
-    /// spawning the full global pid space, and starting the reactor with
-    /// this node's request handler.
+    /// spawning the full global pid space, and starting every reactor lane
+    /// with a request handler of its own.
     ///
     /// # Errors
     ///
@@ -232,16 +239,17 @@ impl<V: Value> NetNode<V> {
         let (bound, ctx) = Self::bind(node, topo, ncfg)?;
         let addr = bound.addr().expect("listening reactor reports its address");
         let metrics_addr = bound.http_addr();
-        let reactor_thread = bound.run(NodeHandler {
-            last_redial: ctx.store.host().cluster().clock().now(),
+        let clock = ctx.store.host().cluster().clock();
+        let lanes = bound.run(|lane| NodeHandler {
             ctx: ctx.clone(),
             pending: VecDeque::new(),
+            last_redial: (lane == 0).then(|| clock.now()),
         })?;
         Ok(NetNode {
             ctx,
             addr,
             metrics_addr,
-            reactor_thread: Some(reactor_thread),
+            lanes: Some(lanes),
         })
     }
 
@@ -316,31 +324,31 @@ impl<V: Value> NetNode<V> {
         self.ctx.store.host()
     }
 
-    /// Blocks until a client's `Op::Shutdown` stopped the reactor, its
+    /// Blocks until a client's `Op::Shutdown` stopped every lane, its
     /// answer flushed first (the `vrr-server` main loop); drops the node.
     pub fn wait_shutdown(mut self) {
-        if let Some(thread) = self.reactor_thread.take() {
-            let _ = thread.join();
+        if let Some(lanes) = self.lanes.take() {
+            let _ = lanes.join();
         }
     }
 }
 
 impl<V: Value> Drop for NetNode<V> {
-    /// Stops and joins the reactor thread; the worker pool joins as the
-    /// last reference to the node's state drops right after. Operations
-    /// still in flight complete with `Gone` into a closed reactor.
+    /// Stops and joins every lane; the worker pool joins as the last
+    /// reference to the node's state drops right after. Operations still
+    /// in flight complete with `Gone` into a closed reactor.
     fn drop(&mut self) {
         self.ctx.transport.handle().shutdown();
-        if let Some(thread) = self.reactor_thread.take() {
-            let _ = thread.join();
+        if let Some(lanes) = self.lanes.take() {
+            let _ = lanes.join();
         }
     }
 }
 
 /// The one-shot right to answer request `id` on `conn`. The operation's
-/// completion (wherever [`Cluster::submit`] runs it: the reactor thread
+/// completion (wherever [`Cluster::submit`] runs it: the lane's thread
 /// inside the handler, or a worker later) and the deadline sweep (on the
-/// reactor tick) race on `answered`; whoever flips it sends the response,
+/// lane's tick) race on `answered`; whoever flips it sends the response,
 /// the other stands down. Holds the transport, never the node.
 struct Reply<V> {
     transport: Arc<TcpTransport<V>>,
@@ -413,14 +421,16 @@ fn expire(queue: &mut VecDeque<Pending>, now: Instant) -> Vec<(ConnId, u64)> {
     timed_out
 }
 
-/// The reactor's [`Handler`] for one node: classifies every inbound
-/// envelope and acts on it without waiting (see the module docs).
+/// One reactor lane's [`Handler`] for one node: classifies every inbound
+/// envelope of the lane's connections and acts on it without waiting (see
+/// the module docs).
 struct NodeHandler<V: Value> {
     ctx: Arc<ServerCtx<V>>,
-    /// Client operations still in flight when their start returned, in
-    /// arrival (= deadline) order.
+    /// Client operations of this lane still in flight when their start
+    /// returned, in arrival (= deadline) order.
     pending: VecDeque<Pending>,
-    last_redial: Instant,
+    /// When this lane last redialed: `Some` on lane 0 only.
+    last_redial: Option<Instant>,
 }
 
 impl<V: Value> Handler for NodeHandler<V> {
@@ -456,9 +466,12 @@ impl<V: Value> Handler for NodeHandler<V> {
                 .transport
                 .send_ctl_on(conn, Ctl::Response { id, rsp });
         }
-        if now.duration_since(self.last_redial) >= REDIAL_EVERY {
+        if self
+            .last_redial
+            .is_some_and(|last| now.duration_since(last) >= REDIAL_EVERY)
+        {
             self.ctx.transport.redial_down_peers();
-            self.last_redial = now;
+            self.last_redial = Some(now);
         }
     }
 }
@@ -514,7 +527,7 @@ impl<V: Value> NodeHandler<V> {
                 closed: ctx.transport.reset_peer(node),
             }),
             Op::Shutdown => {
-                // Queued first, so the reactor flushes it before it stops.
+                // Queued first, so this lane flushes it before it stops.
                 let rsp = Rsp::ShuttingDown;
                 ctx.transport.send_ctl_on(conn, Ctl::Response { id, rsp });
                 ctx.transport.handle().shutdown();
@@ -699,10 +712,22 @@ fn check_specs<V>(node: u32, topo: &NodeTopology, ncfg: &NetNodeConfig<V>) -> io
     Ok(())
 }
 
+/// Held while [`free_addrs`]' reservation listeners are open and across
+/// [`ServerProcess::spawn`]'s fork and exec: a child forked while a
+/// reservation is open would hold the reserved port until its exec, and a
+/// bind of that port in between would fail with `AddrInUse`.
+static RESERVING: Mutex<()> = Mutex::new(());
+
+fn reserving() -> MutexGuard<'static, ()> {
+    // It guards no data, so a panic while it was held left nothing broken.
+    RESERVING.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Reserves `n` distinct localhost addresses by briefly binding port-0
 /// listeners (test/example convenience; production deployments pass fixed
-/// addresses).
+/// addresses). No [`ServerProcess`] is spawned while they are bound.
 pub fn free_addrs(n: usize) -> io::Result<Vec<SocketAddr>> {
+    let _reserving = reserving();
     let listeners: Vec<std::net::TcpListener> = (0..n)
         .map(|_| std::net::TcpListener::bind("127.0.0.1:0"))
         .collect::<io::Result<_>>()?;
@@ -741,7 +766,12 @@ impl ServerProcess {
         let mut command = Command::new(bin);
         command.args(args).stdout(Stdio::piped());
         let wants_metrics = command.get_args().any(|a| a == "--metrics-addr");
-        let mut child = command.spawn()?;
+        // `spawn` returns once the child has exec'd: it then holds no
+        // reservation of `free_addrs`.
+        let mut child = {
+            let _reserving = reserving();
+            command.spawn()?
+        };
         // A pipe read has no deadline, so a thread does the reading; it
         // ends with the child (EOF) and is joined in `kill`.
         let pipe = child.stdout.take().expect("piped stdout");
@@ -888,7 +918,7 @@ mod tests {
     }
 
     /// A serial client's operations are answered inside `on_request` — the
-    /// reactor thread runs the idle group itself — and leave nothing behind
+    /// lane's thread runs the idle group itself — and leave nothing behind
     /// for the sweep; a wedged one is the queue's only entry.
     #[test]
     fn pending_holds_only_what_is_still_in_flight() {
@@ -902,12 +932,12 @@ mod tests {
         };
         let ncfg = NetNodeConfig::<u64>::new(cfg, ProtocolKind::RegularOptimized);
         // The handler without its threads: responses pile up, unread, in
-        // the bound reactor's command channel.
+        // a bound lane's command channel.
         let (_bound, ctx) = NetNode::bind(0, &topo, ncfg).expect("bind");
         let mut handler = NodeHandler {
             ctx,
             pending: VecDeque::new(),
-            last_redial: Instant::now(),
+            last_redial: None,
         };
         let key = |k: u8| vec![k];
         let read = |handler: &mut NodeHandler<u64>, id, k| {

@@ -1,17 +1,30 @@
-//! The socket reactor: one thread owning every TCP socket, driven by an
-//! epoll [`mio::Poll`] loop.
+//! The socket reactor: one event loop — a *lane* — per CPU, each a thread
+//! driving its own epoll [`mio::Poll`] over the TCP sockets it owns.
+//!
+//! Lane 0 owns the listeners. It deals each accepted frame connection to
+//! the next lane in turn (`accepted % lanes`, a handoff command on that
+//! lane's queue) and keeps the HTTP connections and every outbound connect.
+//! A connection stays on its lane for good: its events reach that lane's
+//! handler on that lane's thread, and its [`ConnId`] names the lane
+//! (`n * lanes + lane`), so a handle routes a command to it without a
+//! lookup. Connections are dealt, not raced for: loops that all poll the
+//! one listener measured no faster than a single loop (ROADMAP item 3),
+//! while a loop per caller keeps each round trip beside its caller, where
+//! the kernel's wake affinity puts it. The lane count is
+//! [`std::thread::available_parallelism`], the executor's worker rule; on
+//! one CPU the lanes collapse to a single reactor.
 //!
 //! The reactor is deliberately body-agnostic — it moves opaque frame
 //! bodies (`Vec<u8>`) in and out; envelope decoding happens in the
-//! transport layer. What happens on a socket is handed, **on the reactor
-//! thread**, to the [`Handler`] the reactor was started with: no event
+//! transport layer. What happens on a socket is handed, **on the lane's
+//! thread**, to the [`Handler`] the lane was started with: no event
 //! channel, no second thread between a frame and whoever acts on it. A
 //! handler must therefore never block; work that may (inspection over many
-//! automata) is the handler's to hand off. Other threads talk to the
-//! reactor through a command channel, woken by a [`mio::Waker`] — the
-//! handler's own commands skip the wake, they are drained in the same loop
-//! iteration. Once per iteration, and at least every [`TICK`], the handler
-//! also gets [`Handler::on_tick`]: the one periodic timer in the crate.
+//! automata) is the handler's to hand off. Other threads talk to a lane
+//! through its command channel, woken by its [`mio::Waker`] — a lane's own
+//! commands skip the wake, they are drained in the same loop iteration.
+//! Once per iteration, and at least every [`TICK`], each handler also gets
+//! [`Handler::on_tick`]: the one periodic timer in the crate.
 //!
 //! Written to the *edge-triggered* discipline even though the vendored
 //! shim is level-triggered: reads drain to `WouldBlock`, writes go through
@@ -35,8 +48,10 @@ use mio::{Events, Interest, Poll, Token, Waker};
 
 use crate::frame::FrameReader;
 
-/// Identifies one TCP connection for the reactor's lifetime. Ids are never
-/// reused, so a stale id after a reconnect cannot alias the new socket.
+/// Identifies one TCP connection for the reactor's lifetime: `n * lanes +
+/// lane`, where `lane` owns it and `n` counts that lane's connections. Ids
+/// are never reused, so a stale id after a reconnect cannot alias the new
+/// socket.
 pub type ConnId = u64;
 
 const WAKER: Token = Token(0);
@@ -49,25 +64,29 @@ const CONN_BASE: usize = 3;
 /// no socket or command wakes it.
 pub const TICK: Duration = Duration::from_millis(200);
 
-/// Bytes read from a socket per `read` call (one buffer per reactor).
+/// Bytes read from a socket per `read` call (one buffer per lane).
 const READ_BUF: usize = 64 * 1024;
 
 /// Distinguishes reactors within one process, so a handle can tell whether
-/// it is being used from its own reactor's thread.
+/// it is being used from one of its own lanes' threads.
 static NEXT_REACTOR: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
-    /// The id of the reactor running on this thread (0 on other threads).
-    static ON_REACTOR: Cell<u64> = const { Cell::new(0) };
+    /// The reactor id and lane running on this thread (reactor 0 on other
+    /// threads).
+    static ON_LANE: Cell<(u64, usize)> = const { Cell::new((0, 0)) };
 }
 
 /// Largest HTTP request head the metrics listener buffers before giving
 /// up on the connection (a `GET /metrics` fits in a fraction of this).
 const MAX_HTTP_HEAD: usize = 8 * 1024;
 
-/// Monotonically-increasing transport counters, shared between the reactor
-/// thread and metric snapshots.
+/// Monotonically-increasing transport counters of one lane, written by that
+/// lane's thread and read by metric snapshots, which sum the lanes
+/// ([`ReactorHandle::counters`]). Aligned to a line pair of its own, so no
+/// lane writes a cache line another lane's frames write too.
 #[derive(Debug, Default)]
+#[repr(align(128))]
 pub struct NetCounters {
     /// Complete frames written to sockets.
     pub frames_sent: AtomicU64,
@@ -81,6 +100,19 @@ pub struct NetCounters {
     pub reconnects: AtomicU64,
     /// Frames or envelopes that failed to decode.
     pub decode_errors: AtomicU64,
+}
+
+impl NetCounters {
+    fn each(&self) -> [&AtomicU64; 6] {
+        [
+            &self.frames_sent,
+            &self.frames_received,
+            &self.bytes_sent,
+            &self.bytes_received,
+            &self.reconnects,
+            &self.decode_errors,
+        ]
+    }
 }
 
 /// Something that happened on a socket, reported to the reactor's
@@ -133,7 +165,7 @@ pub enum NetEvent {
     },
 }
 
-/// The consumer of a reactor's events, run on the reactor thread.
+/// The consumer of one lane's events, run on the lane's thread.
 pub trait Handler: Send + 'static {
     /// One socket event. Must not block: every other connection waits.
     fn on_event(&mut self, ev: NetEvent);
@@ -144,6 +176,7 @@ pub trait Handler: Send + 'static {
 }
 
 enum Cmd {
+    Adopt { stream: TcpStream, http: bool },
     Connect { conn: ConnId, addr: SocketAddr },
     Send { conn: ConnId, frame: Vec<u8> },
     Finish { conn: ConnId, bytes: Vec<u8> },
@@ -151,23 +184,29 @@ enum Cmd {
     Shutdown,
 }
 
-/// Thread-safe handle for talking to a running reactor.
-#[derive(Clone)]
-pub struct ReactorHandle {
-    /// Which reactor this handle talks to (see `ON_REACTOR`).
-    id: u64,
+/// What every thread shares with one lane.
+struct Lane {
     cmd_tx: Sender<Cmd>,
-    waker: Arc<Waker>,
-    next_conn: Arc<AtomicU64>,
+    waker: Waker,
+    /// The `n` of the lane's next [`ConnId`].
+    next_conn: AtomicU64,
     counters: Arc<NetCounters>,
 }
 
+/// Thread-safe handle for talking to a running reactor.
+#[derive(Clone)]
+pub struct ReactorHandle {
+    /// Which reactor this handle talks to (see `ON_LANE`).
+    id: u64,
+    lanes: Arc<[Lane]>,
+}
+
 impl ReactorHandle {
-    /// Starts an outbound connection; the result arrives later as
+    /// Starts an outbound connection on lane 0; the result arrives later as
     /// [`NetEvent::Connected`] or [`NetEvent::ConnectFailed`].
     pub fn connect(&self, addr: SocketAddr) -> ConnId {
-        let conn = self.next_conn.fetch_add(1, Ordering::Relaxed);
-        self.push(Cmd::Connect { conn, addr });
+        let conn = self.new_conn(0);
+        self.push(0, Cmd::Connect { conn, addr });
         conn
     }
 
@@ -175,36 +214,59 @@ impl ReactorHandle {
     /// unknown connection are silently dropped (the transport learns of
     /// the death via [`NetEvent::Closed`] and rebuffers at its own layer).
     pub fn send(&self, conn: ConnId, frame: Vec<u8>) {
-        self.push(Cmd::Send { conn, frame });
+        self.push(self.lane_of(conn), Cmd::Send { conn, frame });
     }
 
     /// Queues raw `bytes` (no framing) for `conn`, then closes it once
     /// everything flushed — the HTTP response path, where a plain
     /// [`ReactorHandle::close`] would drop the queued body.
     pub fn finish(&self, conn: ConnId, bytes: Vec<u8>) {
-        self.push(Cmd::Finish { conn, bytes });
+        self.push(self.lane_of(conn), Cmd::Finish { conn, bytes });
     }
 
     /// Closes `conn`, dropping anything still queued on it.
     pub fn close(&self, conn: ConnId) {
-        self.push(Cmd::Close { conn });
+        self.push(self.lane_of(conn), Cmd::Close { conn });
     }
 
-    /// Stops the reactor thread; all sockets are dropped.
+    /// Stops every lane; all sockets are dropped. Each lane first drains
+    /// what was queued to it before the call.
     pub fn shutdown(&self) {
-        self.push(Cmd::Shutdown);
+        (0..self.lanes.len()).for_each(|lane| self.push(lane, Cmd::Shutdown));
     }
 
-    /// The shared transport counters.
-    pub fn counters(&self) -> Arc<NetCounters> {
-        self.counters.clone()
+    /// The transport counters, summed over the lanes.
+    pub fn counters(&self) -> NetCounters {
+        let total = NetCounters::default();
+        for lane in self.lanes.iter() {
+            for (sum, count) in total.each().into_iter().zip(lane.counters.each()) {
+                sum.fetch_add(count.load(Ordering::Relaxed), Ordering::Relaxed);
+            }
+        }
+        total
     }
 
-    fn push(&self, cmd: Cmd) {
-        // The reactor drains commands after the handler calls of the same
+    /// The counters of the lane owning `conn`: where an event on `conn` is
+    /// counted.
+    pub fn counters_of(&self, conn: ConnId) -> &NetCounters {
+        &self.lanes[self.lane_of(conn)].counters
+    }
+
+    fn lane_of(&self, conn: ConnId) -> usize {
+        (conn % self.lanes.len() as u64) as usize
+    }
+
+    fn new_conn(&self, lane: usize) -> ConnId {
+        let n = self.lanes[lane].next_conn.fetch_add(1, Ordering::Relaxed);
+        n * self.lanes.len() as u64 + lane as u64
+    }
+
+    fn push(&self, lane: usize, cmd: Cmd) {
+        // A lane drains commands after the handler calls of the same
         // iteration: from its own thread the wake is a wasted syscall pair.
-        if self.cmd_tx.send(cmd).is_ok() && ON_REACTOR.with(Cell::get) != self.id {
-            let _ = self.waker.wake();
+        let to = &self.lanes[lane];
+        if to.cmd_tx.send(cmd).is_ok() && ON_LANE.with(Cell::get) != (self.id, lane) {
+            let _ = to.waker.wake();
         }
     }
 }
@@ -246,22 +308,22 @@ impl Conn {
     }
 }
 
-/// A reactor whose listeners are bound but whose thread is not running
-/// yet: the gap in which the caller builds the [`Handler`] — which usually
-/// needs the [`ReactorHandle`] — before [`BoundReactor::run`].
+/// A reactor whose listeners are bound but whose lanes are not running
+/// yet: the gap in which the caller builds the [`Handler`]s — which usually
+/// need the [`ReactorHandle`] — before [`BoundReactor::run`].
 pub struct BoundReactor {
-    poll: Poll,
+    /// Each lane's poll and command queue, lane 0 first.
+    loops: Vec<(Poll, Receiver<Cmd>)>,
     listener: Option<TcpListener>,
     http_listener: Option<TcpListener>,
-    cmd_rx: Receiver<Cmd>,
     handle: ReactorHandle,
     addr: Option<SocketAddr>,
     http_addr: Option<SocketAddr>,
 }
 
-/// Binds a reactor. With `listen = Some(addr)` it accepts inbound frame
-/// connections; `http_listen` additionally binds a raw-byte HTTP listener
-/// on the same epoll loop, whose connections emit
+/// Binds a reactor of one lane per CPU. With `listen = Some(addr)` it
+/// accepts inbound frame connections; `http_listen` additionally binds a
+/// raw-byte HTTP listener on lane 0, whose connections emit
 /// [`NetEvent::HttpRequest`] instead of frames and are answered with
 /// [`ReactorHandle::finish`]. Port-0 addresses work: see
 /// [`BoundReactor::addr`] / [`BoundReactor::http_addr`].
@@ -269,8 +331,22 @@ pub fn bind(
     listen: Option<SocketAddr>,
     http_listen: Option<SocketAddr>,
 ) -> io::Result<BoundReactor> {
-    let poll = Poll::new()?;
-    let waker = Arc::new(Waker::new(poll.registry(), WAKER)?);
+    let lanes = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let mut loops = Vec::with_capacity(lanes);
+    let mut links = Vec::with_capacity(lanes);
+    for _ in 0..lanes {
+        let poll = Poll::new()?;
+        let waker = Waker::new(poll.registry(), WAKER)?;
+        let (cmd_tx, cmd_rx) = channel();
+        links.push(Lane {
+            cmd_tx,
+            waker,
+            next_conn: AtomicU64::new(0),
+            counters: Arc::default(),
+        });
+        loops.push((poll, cmd_rx));
+    }
+    let registry = loops[0].0.registry();
     let mut listener = match listen {
         Some(addr) => Some(TcpListener::bind(addr)?),
         None => None,
@@ -280,7 +356,7 @@ pub fn bind(
         None => None,
     };
     if let Some(l) = listener.as_mut() {
-        poll.registry().register(l, LISTENER, Interest::READABLE)?;
+        registry.register(l, LISTENER, Interest::READABLE)?;
     }
     let mut http_listener = match http_listen {
         Some(addr) => Some(TcpListener::bind(addr)?),
@@ -291,23 +367,17 @@ pub fn bind(
         None => None,
     };
     if let Some(l) = http_listener.as_mut() {
-        poll.registry()
-            .register(l, HTTP_LISTENER, Interest::READABLE)?;
+        registry.register(l, HTTP_LISTENER, Interest::READABLE)?;
     }
 
-    let (cmd_tx, cmd_rx) = channel();
     let handle = ReactorHandle {
         id: NEXT_REACTOR.fetch_add(1, Ordering::Relaxed),
-        cmd_tx,
-        waker,
-        next_conn: Arc::new(AtomicU64::new(0)),
-        counters: Arc::new(NetCounters::default()),
+        lanes: links.into(),
     };
     Ok(BoundReactor {
-        poll,
+        loops,
         listener,
         http_listener,
-        cmd_rx,
         handle,
         addr,
         http_addr,
@@ -315,7 +385,7 @@ pub fn bind(
 }
 
 impl BoundReactor {
-    /// The handle other threads (and the handler) command the reactor by.
+    /// The handle other threads (and the handlers) command the reactor by.
     pub fn handle(&self) -> ReactorHandle {
         self.handle.clone()
     }
@@ -330,39 +400,76 @@ impl BoundReactor {
         self.http_addr
     }
 
-    /// Starts the reactor thread, handing every event to `handler` on it.
-    /// The thread ends — dropping `handler` — on
-    /// [`ReactorHandle::shutdown`]; join the returned handle to wait for
-    /// that.
-    pub fn run<H: Handler>(self, handler: H) -> io::Result<JoinHandle<()>> {
-        let reactor = Reactor {
-            id: self.handle.id,
-            poll: self.poll,
-            waker: self.handle.waker,
-            listener: self.listener,
-            http_listener: self.http_listener,
-            conns: HashMap::new(),
-            cmd_rx: self.cmd_rx,
-            next_conn: self.handle.next_conn,
-            counters: self.handle.counters,
-            read_buf: vec![0; READ_BUF],
-            handler,
-        };
-        std::thread::Builder::new()
-            .name("vrr-net-reactor".into())
-            .spawn(move || reactor.run())
+    /// Starts every lane's thread, handing lane `i`'s events to
+    /// `handler(i)` on it. The lanes end — dropping their handlers — on
+    /// [`ReactorHandle::shutdown`], or all of them once any one stops; join
+    /// the returned handle, lane 0's thread, to wait for every lane.
+    pub fn run<H: Handler>(
+        self,
+        mut handler: impl FnMut(usize) -> H,
+    ) -> io::Result<JoinHandle<()>> {
+        let BoundReactor {
+            loops,
+            mut listener,
+            mut http_listener,
+            handle,
+            ..
+        } = self;
+        let mut threads = Vec::new();
+        // Lane 0 last: it joins the others when it stops.
+        for (lane, (poll, cmd_rx)) in loops.into_iter().enumerate().rev() {
+            let (listener, http_listener, others) = match lane {
+                0 => (
+                    listener.take(),
+                    http_listener.take(),
+                    std::mem::take(&mut threads),
+                ),
+                _ => (None, None, Vec::new()),
+            };
+            let reactor = Reactor {
+                lane,
+                handle: handle.clone(),
+                poll,
+                cmd_rx,
+                listener,
+                http_listener,
+                accepted: 0,
+                others,
+                conns: HashMap::new(),
+                counters: handle.lanes[lane].counters.clone(),
+                read_buf: vec![0; READ_BUF],
+                handler: handler(lane),
+            };
+            let spawned = std::thread::Builder::new()
+                .name(format!("vrr-net-lane-{lane}"))
+                .spawn(move || reactor.run());
+            match spawned {
+                Ok(thread) => threads.push(thread),
+                Err(e) => {
+                    // The reactor goes down with the lane that has no
+                    // thread; the lanes already running stop with it.
+                    handle.shutdown();
+                    return Err(e);
+                }
+            }
+        }
+        Ok(threads.pop().expect("lane 0 runs"))
     }
 }
 
 struct Reactor<H> {
-    id: u64,
+    lane: usize,
+    handle: ReactorHandle,
     poll: Poll,
-    waker: Arc<Waker>,
+    cmd_rx: Receiver<Cmd>,
+    /// Lane 0's listeners; `None` on every other lane.
     listener: Option<TcpListener>,
     http_listener: Option<TcpListener>,
+    /// Frame connections lane 0 has dealt so far.
+    accepted: usize,
+    /// On lane 0, the other lanes' threads, joined when it stops.
+    others: Vec<JoinHandle<()>>,
     conns: HashMap<ConnId, Conn>,
-    cmd_rx: Receiver<Cmd>,
-    next_conn: Arc<AtomicU64>,
     counters: Arc<NetCounters>,
     /// The one socket read buffer, reused by every readable event.
     read_buf: Vec<u8>,
@@ -371,7 +478,18 @@ struct Reactor<H> {
 
 impl<H: Handler> Reactor<H> {
     fn run(mut self) {
-        ON_REACTOR.with(|id| id.set(self.id));
+        ON_LANE.with(|on| on.set((self.handle.id, self.lane)));
+        self.serve();
+        // Whatever stopped this lane stops them all.
+        self.handle.shutdown();
+        for lane in self.others.drain(..) {
+            if let Err(panic) = lane.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    }
+
+    fn serve(&mut self) {
         let mut events = Events::with_capacity(128);
         let mut ready: Vec<(ConnId, bool, bool)> = Vec::new();
         loop {
@@ -380,7 +498,7 @@ impl<H: Handler> Reactor<H> {
             }
             for ev in &events {
                 match ev.token() {
-                    WAKER => self.waker.drain(),
+                    WAKER => self.handle.lanes[self.lane].waker.drain(),
                     LISTENER => self.accept_all(false),
                     HTTP_LISTENER => self.accept_all(true),
                     Token(t) => ready.push((
@@ -404,6 +522,7 @@ impl<H: Handler> Reactor<H> {
             // queued above goes out before the next sleep.
             while let Ok(cmd) = self.cmd_rx.try_recv() {
                 match cmd {
+                    Cmd::Adopt { stream, http } => self.adopt(stream, http),
                     Cmd::Connect { conn, addr } => self.start_connect(conn, addr),
                     Cmd::Send { conn, frame } => self.queue_frame(conn, frame),
                     Cmd::Finish { conn, bytes } => {
@@ -423,6 +542,8 @@ impl<H: Handler> Reactor<H> {
         self.handler.on_event(ev);
     }
 
+    /// Accepts every pending connection on lane 0's listener and hands
+    /// each to its lane: HTTP ones to lane 0, frame ones dealt round-robin.
     fn accept_all(&mut self, http: bool) {
         loop {
             let listener = match if http {
@@ -434,28 +555,33 @@ impl<H: Handler> Reactor<H> {
                 None => return,
             };
             match listener.accept() {
+                Ok((stream, _)) if http => self.handle.push(0, Cmd::Adopt { stream, http }),
                 Ok((stream, _)) => {
-                    let conn = self.next_conn.fetch_add(1, Ordering::Relaxed);
-                    let mut c = Conn::new(stream, true, false, http);
-                    if self
-                        .poll
-                        .registry()
-                        .register(
-                            &mut c.stream,
-                            Token(conn as usize + CONN_BASE),
-                            Interest::READABLE,
-                        )
-                        .is_ok()
-                    {
-                        self.conns.insert(conn, c);
-                        if !http {
-                            self.emit(NetEvent::Accepted { conn });
-                        }
-                    }
+                    let lane = self.accepted % self.handle.lanes.len();
+                    self.accepted += 1;
+                    self.handle.push(lane, Cmd::Adopt { stream, http });
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return,
+            }
+        }
+    }
+
+    /// Takes an accepted connection on as this lane's own.
+    fn adopt(&mut self, stream: TcpStream, http: bool) {
+        let conn = self.handle.new_conn(self.lane);
+        let mut c = Conn::new(stream, true, false, http);
+        let token = Token(conn as usize + CONN_BASE);
+        if self
+            .poll
+            .registry()
+            .register(&mut c.stream, token, Interest::READABLE)
+            .is_ok()
+        {
+            self.conns.insert(conn, c);
+            if !http {
+                self.emit(NetEvent::Accepted { conn });
             }
         }
     }
@@ -675,25 +801,43 @@ impl<H: Handler> Reactor<H> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::thread::ThreadId;
 
-    /// A handler that only forwards: the tests below observe the reactor's
-    /// events from their own thread.
-    struct Forward(Sender<NetEvent>);
+    /// A handler that only forwards, naming the lane thread it ran on: the
+    /// tests below observe the reactor's events from their own thread.
+    #[derive(Clone)]
+    struct Forward(Sender<(ThreadId, NetEvent)>);
 
     impl Handler for Forward {
         fn on_event(&mut self, ev: NetEvent) {
-            let _ = self.0.send(ev);
+            let _ = self.0.send((std::thread::current().id(), ev));
         }
     }
 
+    type EventRx = Receiver<(ThreadId, NetEvent)>;
+
     fn spawn(
         listen: Option<SocketAddr>,
-    ) -> io::Result<(ReactorHandle, Receiver<NetEvent>, Option<SocketAddr>)> {
+    ) -> io::Result<(ReactorHandle, EventRx, Option<SocketAddr>)> {
         let bound = bind(listen, None)?;
         let (ev_tx, ev_rx) = channel();
         let (handle, addr) = (bound.handle(), bound.addr());
-        bound.run(Forward(ev_tx))?;
+        let forward = Forward(ev_tx);
+        bound.run(|_| forward.clone())?;
         Ok((handle, ev_rx, addr))
+    }
+
+    fn frame(body: &[u8]) -> Vec<u8> {
+        let mut f = (body.len() as u32).to_le_bytes().to_vec();
+        f.extend_from_slice(body);
+        f
+    }
+
+    /// The next event within 5 s.
+    fn next(events: &EventRx) -> (ThreadId, NetEvent) {
+        events
+            .recv_timeout(Duration::from_secs(5))
+            .expect("an event within 5 s")
     }
 
     /// Two reactors exchange a frame over localhost and tear down cleanly.
@@ -704,17 +848,13 @@ mod tests {
         let (client, client_rx, _) = spawn(None).unwrap();
 
         let conn = client.connect(addr);
-        client.send(conn, {
-            let mut f = (5u32).to_le_bytes().to_vec();
-            f.extend_from_slice(b"hello");
-            f
-        });
+        client.send(conn, frame(b"hello"));
 
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         let mut got = None;
         let mut server_conn = None;
         while std::time::Instant::now() < deadline && got.is_none() {
-            if let Ok(ev) = server_rx.recv_timeout(Duration::from_millis(200)) {
+            if let Ok((_, ev)) = server_rx.recv_timeout(Duration::from_millis(200)) {
                 match ev {
                     NetEvent::Accepted { conn, .. } => server_conn = Some(conn),
                     NetEvent::Frame { body, .. } => got = Some(body),
@@ -725,15 +865,10 @@ mod tests {
         assert_eq!(got.as_deref(), Some(&b"hello"[..]));
 
         // Reply on the accepted connection.
-        let sc = server_conn.unwrap();
-        server.send(sc, {
-            let mut f = (3u32).to_le_bytes().to_vec();
-            f.extend_from_slice(b"ack");
-            f
-        });
+        server.send(server_conn.unwrap(), frame(b"ack"));
         let mut reply = None;
         while std::time::Instant::now() < deadline && reply.is_none() {
-            if let Ok(NetEvent::Frame { body, .. }) =
+            if let Ok((_, NetEvent::Frame { body, .. })) =
                 client_rx.recv_timeout(Duration::from_millis(200))
             {
                 reply = Some(body);
@@ -760,7 +895,7 @@ mod tests {
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
         let mut saw_frame_error = false;
         while std::time::Instant::now() < deadline && !saw_frame_error {
-            if let Ok(NetEvent::FrameError { .. }) =
+            if let Ok((_, NetEvent::FrameError { .. })) =
                 server_rx.recv_timeout(Duration::from_millis(200))
             {
                 saw_frame_error = true;
@@ -772,14 +907,10 @@ mod tests {
         // The hostile connection is dead from the client's point of view too
         // (server closed it); a fresh connection still works.
         let good = client.connect(addr);
-        client.send(good, {
-            let mut f = (2u32).to_le_bytes().to_vec();
-            f.extend_from_slice(b"ok");
-            f
-        });
+        client.send(good, frame(b"ok"));
         let mut got = false;
         while std::time::Instant::now() < deadline && !got {
-            if let Ok(NetEvent::Frame { body, .. }) =
+            if let Ok((_, NetEvent::Frame { body, .. })) =
                 server_rx.recv_timeout(Duration::from_millis(200))
             {
                 assert_eq!(body, b"ok");
@@ -789,6 +920,82 @@ mod tests {
         assert!(got, "server stopped serving after hostile frame");
         let _ = client_rx;
         client.shutdown();
+        server.shutdown();
+    }
+
+    /// Lane 0 deals connections accepted back to back to distinct lanes,
+    /// and every event of a connection — accept, frame, close — reaches
+    /// the handler on the one thread of the lane its id names.
+    #[test]
+    fn accepted_connections_are_dealt_to_distinct_lanes_and_stay_on_one() {
+        let (server, events, addr) = spawn(Some("127.0.0.1:0".parse().unwrap())).unwrap();
+        for i in 0..2u8 {
+            let mut sock = std::net::TcpStream::connect(addr.unwrap()).expect("connect");
+            sock.write_all(&frame(&[i])).expect("send");
+        }
+        let mut threads = HashMap::new();
+        let mut dialed = [None; 2];
+        let mut closed = 0;
+        while closed < 2 {
+            let (thread, ev) = next(&events);
+            let conn = match ev {
+                NetEvent::Accepted { conn } => conn,
+                NetEvent::Frame { conn, body } => *dialed[body[0] as usize].insert(conn),
+                NetEvent::Closed { conn } => {
+                    closed += 1;
+                    conn
+                }
+                other => panic!("unexpected {other:?}"),
+            };
+            let first = *threads.entry(conn).or_insert(thread);
+            assert_eq!(first, thread, "connection {conn} changed thread");
+        }
+        let [a, b] = dialed.map(|conn| conn.expect("both frames arrived"));
+        let lanes = server.lanes.len();
+        assert_eq!((server.lane_of(a), server.lane_of(b)), (0, 1 % lanes));
+        assert_eq!(threads[&a] != threads[&b], lanes > 1);
+        server.shutdown();
+    }
+
+    /// A frame queued from a thread that is no lane's — as a worker's
+    /// completion is — wakes the lane owning the connection: it reaches
+    /// the peer within a fraction of `TICK`, which a wake sent to another
+    /// lane would stall it for.
+    #[test]
+    fn a_send_from_a_foreign_thread_wakes_the_owning_lane() {
+        let (server, events, addr) = spawn(Some("127.0.0.1:0".parse().unwrap())).unwrap();
+        let lanes = server.lanes.len();
+        let socks: Vec<_> = (0..lanes)
+            .map(|_| std::net::TcpStream::connect(addr.unwrap()).expect("connect"))
+            .collect();
+        let mut conns = Vec::new();
+        while conns.len() < lanes {
+            if let (_, NetEvent::Accepted { conn }) = next(&events) {
+                conns.push(conn);
+            }
+        }
+        // The last one dialed is the last lane's.
+        let last = lanes - 1;
+        let conn = *conns
+            .iter()
+            .find(|&&c| server.lane_of(c) == last)
+            .expect("dealt");
+        let mut sock = &socks[last];
+        sock.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+
+        let started = std::time::Instant::now();
+        for i in 0..10u8 {
+            server.send(conn, frame(&[i]));
+            let mut got = [0u8; 5];
+            sock.read_exact(&mut got).expect("the frame arrives");
+            assert_eq!(got, &frame(&[i])[..]);
+        }
+        let took = started.elapsed();
+        assert!(
+            took < TICK,
+            "10 sends took {took:?}: a lane slept through its wake"
+        );
         server.shutdown();
     }
 }

@@ -21,7 +21,7 @@ use vrr_core::Msg;
 use vrr_sim::ProcessId;
 
 use crate::frame::{decode_body, encode_frame, Ctl, Envelope, Payload};
-use crate::reactor::{ConnId, NetCounters, NetEvent, ReactorHandle};
+use crate::reactor::{ConnId, NetEvent, ReactorHandle};
 
 /// Cap on frames buffered for a peer whose connection is still coming up.
 /// Beyond it the oldest frames drop — bounded memory under a dead peer.
@@ -57,7 +57,6 @@ pub struct TcpTransport<V> {
     handle: ReactorHandle,
     peers: Mutex<PeerTable>,
     seq: AtomicU64,
-    counters: Arc<NetCounters>,
     _marker: std::marker::PhantomData<fn() -> V>,
 }
 
@@ -70,7 +69,6 @@ impl<V: Wire> TcpTransport<V> {
         pid_node: Vec<u32>,
         handle: ReactorHandle,
     ) -> Arc<Self> {
-        let counters = handle.counters();
         Arc::new(TcpTransport {
             node,
             addrs: addrs.clone(),
@@ -82,7 +80,6 @@ impl<V: Wire> TcpTransport<V> {
                 conn_node: HashMap::new(),
             }),
             seq: AtomicU64::new(0),
-            counters,
             _marker: std::marker::PhantomData,
         })
     }
@@ -150,8 +147,8 @@ impl<V: Wire> TcpTransport<V> {
         self.handle.send(conn, frame);
     }
 
-    /// Redials every peer currently `Down` (the node's reactor tick; new
-    /// traffic also dials on demand).
+    /// Redials every peer currently `Down` (the tick of the node's lane 0;
+    /// new traffic also dials on demand).
     pub fn redial_down_peers(&self) {
         let mut peers = self.peers.lock();
         for target in 0..self.addrs.len() {
@@ -193,9 +190,10 @@ impl<V: Wire> TcpTransport<V> {
     }
 
     /// Feeds one reactor event through the transport's connection
-    /// bookkeeping (on the reactor thread). `Hello`s end here; any other
-    /// envelope comes back as the payload it decoded to, with the
-    /// connection it arrived on, for the node's handler to act on.
+    /// bookkeeping (on the thread of the lane owning the connection).
+    /// `Hello`s end here; any other envelope comes back as the payload it
+    /// decoded to, with the connection it arrived on, for the node's
+    /// handler to act on.
     pub fn handle_event(&self, ev: NetEvent) -> Option<(ConnId, Payload<V>)> {
         match ev {
             NetEvent::Accepted { conn, .. } => {
@@ -214,7 +212,8 @@ impl<V: Wire> TcpTransport<V> {
                     PeerState::Connecting { conn: c, pending } if c == conn => {
                         peers.state[t] = PeerState::Up { conn };
                         if peers.was_up[t] {
-                            self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
+                            let counters = self.handle.counters_of(conn);
+                            counters.reconnects.fetch_add(1, Ordering::Relaxed);
                         }
                         peers.was_up[t] = true;
                         drop(peers);
@@ -251,7 +250,8 @@ impl<V: Wire> TcpTransport<V> {
                     // Framing was fine but the envelope is garbage: count
                     // it and drop the connection — a peer speaking the
                     // wrong protocol cannot be trusted.
-                    self.counters.decode_errors.fetch_add(1, Ordering::Relaxed);
+                    let counters = self.handle.counters_of(conn);
+                    counters.decode_errors.fetch_add(1, Ordering::Relaxed);
                     self.handle.close(conn);
                     self.forget_conn(conn);
                     None
@@ -270,7 +270,8 @@ impl<V: Wire> TcpTransport<V> {
             if matches!(peers.state[node as usize], PeerState::Down) {
                 peers.state[node as usize] = PeerState::Up { conn };
                 if peers.was_up[node as usize] {
-                    self.counters.reconnects.fetch_add(1, Ordering::Relaxed);
+                    let counters = self.handle.counters_of(conn);
+                    counters.reconnects.fetch_add(1, Ordering::Relaxed);
                 }
                 peers.was_up[node as usize] = true;
             }
@@ -293,9 +294,10 @@ impl<V: Wire> TcpTransport<V> {
         }
     }
 
-    /// Folds the transport's counters into `sink` for a metrics snapshot.
+    /// Folds the transport's counters, summed over the reactor's lanes,
+    /// into `sink` for a metrics snapshot.
     pub fn record_metrics(&self, sink: &mut Registry) {
-        let c = &self.counters;
+        let c = self.handle.counters();
         for (name, counter) in [
             (names::WIRE_FRAMES_SENT, &c.frames_sent),
             (names::WIRE_FRAMES_RECEIVED, &c.frames_received),

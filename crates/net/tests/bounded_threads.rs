@@ -1,12 +1,13 @@
-//! The node's resource contract, end to end: a fixed set of threads
-//! whatever the number of connections; a reactor that runs the register
-//! groups its requests land on and never waits for one — with a group
-//! wedged and READs parked on it, everything else is answered at once, by
-//! the same threads; a typed error — not a parked thread, not a panic — for
-//! an operation that cannot complete, at `OP_TIMEOUT` of the node's clock;
-//! and a clean join of every thread on drop even with an operation in
-//! flight. Then, on an idle `vrr-server`: a READ wakes no worker, and a
-//! shutdown is answered before the process exits on its own.
+//! The node's resource contract, end to end: a fixed set of threads — a
+//! reactor lane and a worker per CPU — whatever the number of connections;
+//! lanes that run the register groups their requests land on and never
+//! wait for one — with a group wedged and READs parked on it, everything
+//! else is answered at once, by the same threads; a typed error — not a
+//! parked thread, not a panic — for an operation that cannot complete, at
+//! `OP_TIMEOUT` of the node's clock; and a clean join of every thread, each
+//! lane's included, on drop even with an operation in flight. Then, on an
+//! idle `vrr-server`: a READ wakes no worker, and a shutdown sent over a
+//! connection of lane 1 is answered before the process exits on its own.
 //!
 //! One `#[test]` on purpose: it counts the process's threads through
 //! `/proc/self/status`, which a concurrently running sibling test would
@@ -163,9 +164,14 @@ fn threads_stay_bounded_nothing_waits_on_a_wedge_timeouts_are_typed_and_drop_joi
     let mut client = NetClient::<u64>::connect(addr).expect("connect");
     (0..3).for_each(|k| write_key(&mut client, k));
     let serving = threads();
-    // The reactor and one worker pool of a worker per CPU: nothing else.
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    assert_eq!(serving - baseline, 1 + workers, "the node's own threads");
+    // A reactor lane and a worker per CPU: nothing else.
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let (lanes, workers) = (cpus, cpus);
+    assert_eq!(
+        serving - baseline,
+        lanes + workers,
+        "the node's own threads"
+    );
 
     // --- The same threads serve 2 connections and 64. -------------------
     for clients in [2, 64] {
@@ -208,7 +214,7 @@ fn threads_stay_bounded_nothing_waits_on_a_wedge_timeouts_are_typed_and_drop_joi
     let first = next_answer(&mut raw, &mut frames, FIVE_S);
     assert_eq!(first, Some((3, Rsp::Pong)), "a READ answered");
 
-    // Meanwhile: the reactor started those READs itself, found them stuck
+    // Meanwhile: a lane started those READs itself, found them stuck
     // after its bounded passes and moved on — other keys are served at
     // once, by the same threads, and so is an inspection of every object,
     // the wedged group's too.
@@ -217,7 +223,7 @@ fn threads_stay_bounded_nothing_waits_on_a_wedge_timeouts_are_typed_and_drop_joi
         assert_eq!(client.request(Op::Ping).expect("io"), Rsp::Pong);
         assert!(matches!(read_key(&mut client, 1), Rsp::ReadOk { .. }));
         let took = sent.elapsed().as_millis();
-        assert!(took < 50, "the reactor waited {took} ms");
+        assert!(took < 50, "a lane waited {took} ms");
         assert!(matches!(read_key(&mut client, 2), Rsp::ReadOk { .. }));
     }
     let lens = store_metrics(&mut client).gauge_values(names::OBJECT_HISTORY_LEN);
@@ -258,7 +264,7 @@ fn threads_stay_bounded_nothing_waits_on_a_wedge_timeouts_are_typed_and_drop_joi
         "dropping the node left threads behind"
     );
 
-    // --- An idle vrr-server: the reactor is the only thread a READ needs. -
+    // --- An idle vrr-server: a lane is the only thread a READ needs. -----
     let addrs = free_addrs(1).expect("reserve port");
     let args = format!("--node 0 --addrs {} --store 2", addrs[0]);
     let mut server = ServerProcess::spawn(env!("CARGO_BIN_EXE_vrr-server"), args.split(' '))
@@ -282,6 +288,11 @@ fn threads_stay_bounded_nothing_waits_on_a_wedge_timeouts_are_typed_and_drop_joi
     );
 
     // --- A shutdown is answered, then the process exits on its own. ------
-    client.shutdown_server().expect("the shutdown is answered");
+    // The node dealt `client`'s connection to lane 0 and deals the next to
+    // lane 1 (lane 0 again on one CPU): that lane answers before it stops.
+    let mut on_lane_1 = NetClient::<u64>::connect(server.addr).expect("connect");
+    on_lane_1
+        .shutdown_server()
+        .expect("the shutdown is answered");
     server.wait();
 }
