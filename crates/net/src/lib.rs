@@ -9,8 +9,9 @@
 //!   epoch, sequence number) and length-prefixed frames, plus the thin
 //!   client protocol ([`frame::Ctl`] / [`frame::Op`] / [`frame::Rsp`]).
 //! - an epoll reactor (via the vendored `mio` shim) of one event loop — a
-//!   lane — per CPU, each owning its sockets for good (lane 0 deals the
-//!   accepted connections round-robin): non-blocking accept/connect/read/write,
+//!   lane — per CPU, each pinned to its CPU and owning its sockets for good
+//!   (lane 0 deals an accepted connection to the lane on the CPU it was
+//!   dialed from, [`cpu`]): non-blocking accept/connect/read/write,
 //!   per-connection write queues, incremental frame extraction; and on it
 //!   the TCP transport: peer table, `Hello` handshakes, reconnect-on-demand,
 //!   lossy-on-reset delivery.
@@ -81,6 +82,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod cpu;
 pub mod frame;
 pub mod node;
 mod reactor;

@@ -25,10 +25,12 @@
 //! [`NetNode`] runs one handler on each of the reactor's lanes — one per
 //! CPU — so everything below happens **on the thread of the lane that owns
 //! the request's connection** (decode → classify → act; no event channel,
-//! no thread per request), and nothing on it ever waits. Lane 0 deals the
-//! accepted connections round-robin, and the kernel's wake affinity tends
-//! to keep each lane beside its caller, so a round trip stays on one CPU.
-//! A request is served one of two ways:
+//! no thread per request), and nothing on it ever waits. Each lane is
+//! pinned to a CPU of its own and lane 0 deals an accepted connection to
+//! the lane on the CPU it was dialed from, so a caller that stays on its
+//! CPU — a `RemoteCluster` caller takes the connection dialed from there —
+//! has its round trip served on that CPU. A request is served one of two
+//! ways:
 //!
 //! - **inline** — [`Payload::Peer`] envelopes are injected with
 //!   `send_external`; the O(1) ops (`Ping`, `ReleaseKey`, `SlotOfKey`,

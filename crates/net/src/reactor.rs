@@ -1,18 +1,24 @@
 //! The socket reactor: one event loop — a *lane* — per CPU, each a thread
 //! driving its own epoll [`mio::Poll`] over the TCP sockets it owns.
 //!
-//! Lane 0 owns the listeners. It deals each accepted frame connection to
-//! the next lane in turn (`accepted % lanes`, a handoff command on that
-//! lane's queue) and keeps the HTTP connections and every outbound connect.
-//! A connection stays on its lane for good: its events reach that lane's
-//! handler on that lane's thread, and its [`ConnId`] names the lane
-//! (`n * lanes + lane`), so a handle routes a command to it without a
-//! lookup. Connections are dealt, not raced for: loops that all poll the
-//! one listener measured no faster than a single loop (ROADMAP item 3),
-//! while a loop per caller keeps each round trip beside its caller, where
-//! the kernel's wake affinity puts it. The lane count is
+//! Lane `i` pins its thread to the `i`-th CPU the process may run on, and
+//! lane 0 owns the listeners. It deals each accepted frame connection to
+//! the lane pinned on the CPU the connection arrived on (`SO_INCOMING_CPU`,
+//! [`crate::cpu`]; on loopback, the CPU of the thread that dialed it), or,
+//! when that CPU is unknown or has no lane, to the next lane in turn
+//! (`accepted % lanes`) — a handoff command on that lane's queue — and
+//! keeps the HTTP connections and every outbound connect. A connection
+//! stays on its lane for good: its events reach that lane's handler on
+//! that lane's thread, and its [`ConnId`] names the lane (`n * lanes +
+//! lane`), so a handle routes a command to it without a lookup.
+//! Connections are dealt, not raced for: loops that all poll the one
+//! listener measured no faster than a single loop (ROADMAP item 3). A
+//! caller that stays on the CPU it dialed from — a [`crate::RemoteCluster`]
+//! caller checks out the connection dialed from its CPU — has each round
+//! trip served on that CPU, by the lane pinned there. The lane count is
 //! [`std::thread::available_parallelism`], the executor's worker rule; on
-//! one CPU the lanes collapse to a single reactor.
+//! one CPU the lanes collapse to a single reactor, pinned nowhere, and
+//! where a lane cannot pin itself connections go to it in turn only.
 //!
 //! The reactor is deliberately body-agnostic — it moves opaque frame
 //! bodies (`Vec<u8>`) in and out; envelope decoding happens in the
@@ -46,6 +52,7 @@ use std::time::Duration;
 use mio::net::{TcpListener, TcpStream};
 use mio::{Events, Interest, Poll, Token, Waker};
 
+use crate::cpu;
 use crate::frame::FrameReader;
 
 /// Identifies one TCP connection for the reactor's lifetime: `n * lanes +
@@ -415,16 +422,21 @@ impl BoundReactor {
             handle,
             ..
         } = self;
+        let cpus = lane_cpus(loops.len());
+        let mut pinned = vec![None; loops.len()];
+        let (report, reports) = channel();
         let mut threads = Vec::new();
-        // Lane 0 last: it joins the others when it stops.
+        // Lane 0 last: it joins the others when it stops, and deals by the
+        // CPUs they pinned themselves to.
         for (lane, (poll, cmd_rx)) in loops.into_iter().enumerate().rev() {
-            let (listener, http_listener, others) = match lane {
+            let (listener, http_listener, others, deals_by) = match lane {
                 0 => (
                     listener.take(),
                     http_listener.take(),
                     std::mem::take(&mut threads),
+                    std::mem::take(&mut pinned),
                 ),
-                _ => (None, None, Vec::new()),
+                _ => (None, None, Vec::new(), Vec::new()),
             };
             let reactor = Reactor {
                 lane,
@@ -434,17 +446,23 @@ impl BoundReactor {
                 listener,
                 http_listener,
                 accepted: 0,
+                pinned: deals_by,
                 others,
                 conns: HashMap::new(),
                 counters: handle.lanes[lane].counters.clone(),
                 read_buf: vec![0; READ_BUF],
                 handler: handler(lane),
             };
+            let (cpu, report) = (cpus.get(lane).copied(), report.clone());
             let spawned = std::thread::Builder::new()
                 .name(format!("vrr-net-lane-{lane}"))
-                .spawn(move || reactor.run());
+                .spawn(move || reactor.run(cpu, report));
             match spawned {
-                Ok(thread) => threads.push(thread),
+                Ok(thread) if lane == 0 => threads.push(thread),
+                Ok(thread) => {
+                    threads.push(thread);
+                    pinned[lane] = reports.recv().ok().flatten();
+                }
                 Err(e) => {
                     // The reactor goes down with the lane that has no
                     // thread; the lanes already running stop with it.
@@ -457,6 +475,23 @@ impl BoundReactor {
     }
 }
 
+/// The CPU lane `i` pins itself to: the `i`-th the process may run on. A
+/// lone lane pins nowhere.
+fn lane_cpus(lanes: usize) -> Vec<usize> {
+    match lanes {
+        0 | 1 => Vec::new(),
+        _ => cpu::allowed().into_iter().take(lanes).collect(),
+    }
+}
+
+/// The lane a frame connection that arrived on CPU `arrived` goes to, as
+/// the `accepted`-th: the one `pinned` on that CPU, else the next in turn.
+fn lane_for(arrived: Option<usize>, pinned: &[Option<usize>], accepted: usize) -> usize {
+    arrived
+        .and_then(|cpu| pinned.iter().position(|&on| on == Some(cpu)))
+        .unwrap_or(accepted % pinned.len())
+}
+
 struct Reactor<H> {
     lane: usize,
     handle: ReactorHandle,
@@ -467,6 +502,9 @@ struct Reactor<H> {
     http_listener: Option<TcpListener>,
     /// Frame connections lane 0 has dealt so far.
     accepted: usize,
+    /// On lane 0, the CPU each lane pinned itself to (`None`: it did not),
+    /// by which it deals; empty on every other lane.
+    pinned: Vec<Option<usize>>,
     /// On lane 0, the other lanes' threads, joined when it stops.
     others: Vec<JoinHandle<()>>,
     conns: HashMap<ConnId, Conn>,
@@ -477,7 +515,16 @@ struct Reactor<H> {
 }
 
 impl<H: Handler> Reactor<H> {
-    fn run(mut self) {
+    /// Pins this thread to `cpu`, reports where it is pinned (lane 0 keeps
+    /// it), then serves.
+    fn run(mut self, cpu: Option<usize>, report: Sender<Option<usize>>) {
+        let cpu = cpu.filter(|&cpu| cpu::pin(cpu));
+        match self.lane {
+            0 => self.pinned[0] = cpu,
+            _ => {
+                let _ = report.send(cpu);
+            }
+        }
         ON_LANE.with(|on| on.set((self.handle.id, self.lane)));
         self.serve();
         // Whatever stopped this lane stops them all.
@@ -543,7 +590,8 @@ impl<H: Handler> Reactor<H> {
     }
 
     /// Accepts every pending connection on lane 0's listener and hands
-    /// each to its lane: HTTP ones to lane 0, frame ones dealt round-robin.
+    /// each to its lane: HTTP ones to lane 0, frame ones to the lane on the
+    /// CPU they arrived on.
     fn accept_all(&mut self, http: bool) {
         loop {
             let listener = match if http {
@@ -557,7 +605,7 @@ impl<H: Handler> Reactor<H> {
             match listener.accept() {
                 Ok((stream, _)) if http => self.handle.push(0, Cmd::Adopt { stream, http }),
                 Ok((stream, _)) => {
-                    let lane = self.accepted % self.handle.lanes.len();
+                    let lane = lane_for(cpu::incoming(&stream), &self.pinned, self.accepted);
                     self.accepted += 1;
                     self.handle.push(lane, Cmd::Adopt { stream, http });
                 }
@@ -803,18 +851,23 @@ mod tests {
     use super::*;
     use std::thread::ThreadId;
 
-    /// A handler that only forwards, naming the lane thread it ran on: the
-    /// tests below observe the reactor's events from their own thread.
+    /// Where a handler ran: its thread, and the CPU under it.
+    type Ran = (ThreadId, Option<usize>);
+
+    /// A handler that only forwards, naming where it ran: the tests below
+    /// observe the reactor's events from their own thread.
     #[derive(Clone)]
-    struct Forward(Sender<(ThreadId, NetEvent)>);
+    struct Forward(Sender<(Ran, NetEvent)>);
 
     impl Handler for Forward {
         fn on_event(&mut self, ev: NetEvent) {
-            let _ = self.0.send((std::thread::current().id(), ev));
+            let _ = self
+                .0
+                .send(((std::thread::current().id(), cpu::current()), ev));
         }
     }
 
-    type EventRx = Receiver<(ThreadId, NetEvent)>;
+    type EventRx = Receiver<(Ran, NetEvent)>;
 
     fn spawn(
         listen: Option<SocketAddr>,
@@ -833,8 +886,31 @@ mod tests {
         f
     }
 
+    /// What `step` returns, run on a thread pinned to `cpu` (unpinned when
+    /// `None`). A connection is dealt by the CPU its last packet came from
+    /// when accepted: one dialed in `step` and written to or closed before
+    /// the accept must be so there too.
+    fn from_cpu<R: Send + 'static>(
+        cpu: Option<usize>,
+        step: impl FnOnce() -> R + Send + 'static,
+    ) -> R {
+        let pinned = move || {
+            if let Some(cpu) = cpu {
+                assert!(cpu::pin(cpu), "pinned to CPU {cpu}");
+            }
+            step()
+        };
+        std::thread::spawn(pinned)
+            .join()
+            .expect("the pinned thread")
+    }
+
+    fn dial(addr: Option<SocketAddr>) -> std::net::TcpStream {
+        std::net::TcpStream::connect(addr.expect("listening")).expect("connect")
+    }
+
     /// The next event within 5 s.
-    fn next(events: &EventRx) -> (ThreadId, NetEvent) {
+    fn next(events: &EventRx) -> (Ran, NetEvent) {
         events
             .recv_timeout(Duration::from_secs(5))
             .expect("an event within 5 s")
@@ -923,21 +999,38 @@ mod tests {
         server.shutdown();
     }
 
-    /// Lane 0 deals connections accepted back to back to distinct lanes,
-    /// and every event of a connection — accept, frame, close — reaches
-    /// the handler on the one thread of the lane its id names.
+    /// The CPU → lane rule: the lane pinned on the CPU a connection
+    /// arrived on; an unknown CPU, or one no lane is pinned on, deals in
+    /// turn.
+    #[test]
+    fn a_connection_goes_to_the_lane_on_its_cpu_else_in_turn() {
+        let pinned = [Some(2), Some(5), None];
+        assert_eq!(lane_for(Some(5), &pinned, 0), 1);
+        assert_eq!(lane_for(Some(2), &pinned, 4), 0);
+        assert_eq!(lane_for(Some(3), &pinned, 4), 1, "no lane on CPU 3");
+        assert_eq!(lane_for(None, &pinned, 5), 2, "CPU unknown");
+        assert_eq!(lane_for(Some(0), &[None], 7), 0, "a lone unpinned lane");
+    }
+
+    /// Lane 0 deals each connection to the lane pinned on the CPU it was
+    /// dialed from — here dialed last lane first, which dealing in turn
+    /// gets wrong — and every event of a connection — accept, frame, close
+    /// — reaches the handler on that lane's one thread, on that CPU.
     #[test]
     fn accepted_connections_are_dealt_to_distinct_lanes_and_stay_on_one() {
         let (server, events, addr) = spawn(Some("127.0.0.1:0".parse().unwrap())).unwrap();
-        for i in 0..2u8 {
-            let mut sock = std::net::TcpStream::connect(addr.unwrap()).expect("connect");
-            sock.write_all(&frame(&[i])).expect("send");
+        let lanes = server.lanes.len();
+        let cpus = lane_cpus(lanes);
+        for lane in (0..lanes).rev() {
+            // Dialed, written to and closed from that CPU.
+            let send = move || dial(addr).write_all(&frame(&[lane as u8]));
+            from_cpu(cpus.get(lane).copied(), send).expect("send");
         }
-        let mut threads = HashMap::new();
-        let mut dialed = [None; 2];
+        let mut ran = HashMap::new();
+        let mut dialed = vec![None; lanes];
         let mut closed = 0;
-        while closed < 2 {
-            let (thread, ev) = next(&events);
+        while closed < lanes {
+            let (at, ev) = next(&events);
             let conn = match ev {
                 NetEvent::Accepted { conn } => conn,
                 NetEvent::Frame { conn, body } => *dialed[body[0] as usize].insert(conn),
@@ -947,13 +1040,18 @@ mod tests {
                 }
                 other => panic!("unexpected {other:?}"),
             };
-            let first = *threads.entry(conn).or_insert(thread);
-            assert_eq!(first, thread, "connection {conn} changed thread");
+            let first = *ran.entry(conn).or_insert(at);
+            assert_eq!(first, at, "connection {conn} changed thread or CPU");
         }
-        let [a, b] = dialed.map(|conn| conn.expect("both frames arrived"));
-        let lanes = server.lanes.len();
-        assert_eq!((server.lane_of(a), server.lane_of(b)), (0, 1 % lanes));
-        assert_eq!(threads[&a] != threads[&b], lanes > 1);
+        for (lane, conn) in dialed.into_iter().enumerate() {
+            let conn = conn.expect("every frame arrived");
+            assert_eq!(server.lane_of(conn), lane, "dialed from lane {lane}'s CPU");
+            if let Some(&cpu) = cpus.get(lane) {
+                assert_eq!(ran[&conn].1, Some(cpu), "lane {lane} runs on its CPU");
+            }
+        }
+        let threads: std::collections::HashSet<_> = ran.values().map(|at| at.0).collect();
+        assert_eq!(threads.len(), lanes, "a thread per lane");
         server.shutdown();
     }
 
@@ -964,23 +1062,15 @@ mod tests {
     #[test]
     fn a_send_from_a_foreign_thread_wakes_the_owning_lane() {
         let (server, events, addr) = spawn(Some("127.0.0.1:0".parse().unwrap())).unwrap();
-        let lanes = server.lanes.len();
-        let socks: Vec<_> = (0..lanes)
-            .map(|_| std::net::TcpStream::connect(addr.unwrap()).expect("connect"))
-            .collect();
-        let mut conns = Vec::new();
-        while conns.len() < lanes {
+        let last = server.lanes.len() - 1;
+        // Dialed from the last lane's CPU, the connection is that lane's.
+        let mut sock = from_cpu(lane_cpus(last + 1).get(last).copied(), move || dial(addr));
+        let conn = loop {
             if let (_, NetEvent::Accepted { conn }) = next(&events) {
-                conns.push(conn);
+                break conn;
             }
-        }
-        // The last one dialed is the last lane's.
-        let last = lanes - 1;
-        let conn = *conns
-            .iter()
-            .find(|&&c| server.lane_of(c) == last)
-            .expect("dealt");
-        let mut sock = &socks[last];
+        };
+        assert_eq!(server.lane_of(conn), last);
         sock.set_read_timeout(Some(Duration::from_secs(5)))
             .expect("timeout");
 

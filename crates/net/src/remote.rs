@@ -6,10 +6,13 @@
 //! and every reader; the objects may live in other processes), serves them
 //! as a `ShardedStore<Vec<u8>, V>`, and a `RemoteCluster` drives it through
 //! the keyed [`Op`] vocabulary over blocking [`NetClient`] connections. A
-//! caller checks an idle connection out for its round trip (dialing one
-//! when none is idle) and returns it when the response is in, so no caller
-//! waits for another caller's request, and there are as many connections
-//! as callers were ever in flight at once. A [`vrr_runtime::StoreRouter`] built over
+//! caller checks out, for its round trip, an idle connection dialed from
+//! the CPU it is running on (dialing one from there when none is idle),
+//! and returns it when the response is in. So no caller waits for another
+//! caller's request, each CPU has as many connections as callers were ever
+//! in flight on it at once, and a round trip stays on the caller's CPU:
+//! the server deals a connection to the reactor lane pinned on the CPU it
+//! was dialed from ([`crate::cpu`]). A [`vrr_runtime::StoreRouter`] built over
 //! `Arc<dyn ClusterBackend<K, V>>` cannot tell the difference — the same
 //! seeded-hash ring spans in-proc worker pools and remote processes, and
 //! the never-expose-intermediate-state rebalance (regular-`READ` copy,
@@ -45,14 +48,16 @@ use vrr_core::{ReadReport, Value, WriteReport};
 use vrr_runtime::{ClusterBackend, StoreError};
 
 use crate::client::{ClientError, NetClient, RetryPolicy};
+use crate::cpu;
 use crate::frame::{Op, Rsp};
 
 /// Initial connections and retry budget for a [`RemoteCluster`].
 #[derive(Clone, Debug)]
 pub struct RemoteClusterConfig {
-    /// TCP connections dialed up front, so a dead server fails at
-    /// [`RemoteCluster::connect`]. Not a bound: a caller that finds none
-    /// idle dials another. Kept because the benchmark passes it.
+    /// TCP connections dialed up front, from the CPU the caller of
+    /// [`RemoteCluster::connect`] runs on, so a dead server fails there.
+    /// Not a bound: a caller that finds none idle dialed from its own CPU
+    /// dials another. Kept because the benchmark passes it.
     pub connections: usize,
     /// Retry/backoff budget applied to every request and to the initial
     /// dials.
@@ -87,9 +92,9 @@ impl Default for RemoteClusterConfig {
 /// ```
 pub struct RemoteCluster<K, V> {
     addr: SocketAddr,
-    /// Connections no caller holds; the lock is held for a `pop` or a
-    /// `push`, never across a round trip.
-    idle: Mutex<Vec<NetClient<V>>>,
+    /// Connections no caller holds, each with the CPU it was dialed from;
+    /// the lock is held for a take or a `push`, never across a round trip.
+    idle: Mutex<Vec<(Option<usize>, NetClient<V>)>>,
     /// Requests re-sent after a connection failure, over every connection
     /// this cluster has used (dropped ones included).
     retries: AtomicU64,
@@ -102,7 +107,7 @@ impl<K, V: Value> RemoteCluster<K, V> {
     /// `addr` (each dial itself under `cfg.retry`).
     pub fn connect(addr: SocketAddr, cfg: RemoteClusterConfig) -> Result<Self, ClientError> {
         let idle = (0..cfg.connections.max(1))
-            .map(|_| NetClient::connect_with_retry(addr, &cfg.retry))
+            .map(|_| NetClient::connect_with_retry(addr, &cfg.retry).map(|c| (cpu::current(), c)))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(RemoteCluster {
             addr,
@@ -123,20 +128,26 @@ impl<K, V: Value> RemoteCluster<K, V> {
         self.retries.load(Ordering::Relaxed)
     }
 
-    /// The idle list. A `pop` or `push` cannot leave it half-done, so a
+    /// The idle list. A take or `push` cannot leave it half-done, so a
     /// panic elsewhere while it was held poisons nothing worth refusing.
-    fn idle(&self) -> MutexGuard<'_, Vec<NetClient<V>>> {
+    fn idle(&self) -> MutexGuard<'_, Vec<(Option<usize>, NetClient<V>)>> {
         self.idle.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// One request under the retry budget, on an idle connection checked
-    /// out for the round trip (or one dialed now, when none is idle). The
-    /// connection goes back only if a response came back.
+    /// One request under the retry budget, on an idle connection dialed
+    /// from the caller's CPU, checked out for the round trip (or one dialed
+    /// now, when there is none). Another CPU's connection is never taken.
+    /// The connection goes back only if a response came back.
     fn request(&self, op: &Op<V>) -> Result<Rsp<V>, ClientError>
     where
         V: Clone,
     {
-        let idle = self.idle().pop();
+        let cpu = cpu::current();
+        let idle = {
+            let mut idle = self.idle();
+            let mine = idle.iter().rposition(|(dialed_on, _)| *dialed_on == cpu);
+            mine.map(|i| idle.swap_remove(i).1)
+        };
         let mut client = match idle {
             Some(client) => client,
             None => NetClient::connect_with_retry(self.addr, &self.retry)?,
@@ -146,7 +157,7 @@ impl<K, V: Value> RemoteCluster<K, V> {
         self.retries
             .fetch_add(client.retry_count() - before, Ordering::Relaxed);
         if rsp.is_ok() {
-            self.idle().push(client);
+            self.idle().push((cpu, client));
         }
         rsp
     }

@@ -7,7 +7,8 @@
 //! `OP_TIMEOUT` of the node's clock; and a clean join of every thread, each
 //! lane's included, on drop even with an operation in flight. Then, on an
 //! idle `vrr-server`: a READ wakes no worker, and a shutdown sent over a
-//! connection of lane 1 is answered before the process exits on its own.
+//! connection of lane 1 (dialed from lane 1's CPU) is answered before the
+//! process exits on its own.
 //!
 //! One `#[test]` on purpose: it counts the process's threads through
 //! `/proc/self/status`, which a concurrently running sibling test would
@@ -29,6 +30,8 @@ use vrr_net::{
     Payload, Rsp, ServerProcess, TICK,
 };
 use vrr_runtime::{ClusterBackend, ProtocolKind, OP_TIMEOUT};
+
+mod common;
 
 /// `Threads:` of `/proc/self/status`.
 fn threads() -> usize {
@@ -288,9 +291,12 @@ fn threads_stay_bounded_nothing_waits_on_a_wedge_timeouts_are_typed_and_drop_joi
     );
 
     // --- A shutdown is answered, then the process exits on its own. ------
-    // The node dealt `client`'s connection to lane 0 and deals the next to
-    // lane 1 (lane 0 again on one CPU): that lane answers before it stops.
-    let mut on_lane_1 = NetClient::<u64>::connect(server.addr).expect("connect");
+    // Dialed from the second CPU, the connection is lane 1's (lane 0's on
+    // one CPU): that lane answers before it stops.
+    let cpus = vrr_net::cpu::allowed();
+    let second = cpus[1 % cpus.len()];
+    let dial = || NetClient::<u64>::connect(server.addr).expect("connect");
+    let mut on_lane_1 = common::on_cpu(second, dial);
     on_lane_1
         .shutdown_server()
         .expect("the shutdown is answered");

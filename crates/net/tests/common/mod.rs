@@ -1,12 +1,14 @@
 //! Shared by the `vrr-net` test binaries: the seeded generator their
 //! schedules draw from, the `--addrs` rendering, keyed writes and reads
-//! on one client connection, and a fake store node's side of one
-//! connection (each binary compiles this module for itself, and not every
-//! one uses every item).
+//! on one client connection, a fake store node's side of one connection,
+//! and running a step on a thread pinned to one CPU (each binary compiles
+//! this module for itself, and not every one uses every item).
 #![allow(dead_code)]
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
+
+use std::panic::resume_unwind;
 
 use vrr_core::Timestamp;
 use vrr_net::frame::{decode_body, encode_frame, Ctl, Envelope, FrameReader, Payload};
@@ -60,6 +62,22 @@ pub fn serve(mut stream: TcpStream, hang_up: bool, answer: impl Fn(Op<u64>) -> R
             Ok(n) => reader.extend(&buf[..n]),
         }
     }
+}
+
+/// What `step` returns, run on a thread pinned to `cpu`. Threads `step`
+/// spawns are pinned there too; a `RemoteCluster` it connects dials from
+/// `cpu`, and a caller of it there takes those connections.
+pub fn on_cpu<R: Send>(cpu: usize, step: impl FnOnce() -> R + Send) -> R {
+    let pinned = || {
+        assert!(vrr_net::cpu::pin(cpu), "pinned to CPU {cpu}");
+        step()
+    };
+    std::thread::scope(|s| s.spawn(pinned).join()).unwrap_or_else(|panic| resume_unwind(panic))
+}
+
+/// The first CPU this process may run on.
+pub fn first_cpu() -> usize {
+    vrr_net::cpu::allowed()[0]
 }
 
 /// SplitMix64: deterministic schedules and structures per seed.

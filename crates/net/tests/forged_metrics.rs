@@ -46,31 +46,35 @@ fn a_forged_snapshot_is_skipped_series_by_series_and_the_router_stands() {
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("address");
-    std::thread::scope(|scope| {
-        // The lying node: it hangs up on its first connection and serves the
-        // client's redial until the client goes away.
-        scope.spawn(|| {
-            for hang_up in [true, false] {
-                common::serve(listener.accept().expect("accept").0, hang_up, answer);
-            }
-        });
-        let mut retry = RetryPolicy::with_seed(1);
-        retry.base = std::time::Duration::from_millis(1);
-        let lying = RemoteCluster::connect(addr, RemoteClusterConfig::new(1, retry));
-        let lying = Arc::new(lying.expect("connect"));
-        let mut backends: Vec<Arc<dyn ClusterBackend<u64, u64>>> = vec![lying.clone(), honest];
-        let router = StoreRouter::deploy_with_backends(RouterConfig::new(2, 2), move |_| {
-            backends.pop().expect("two clusters")
-        });
+    // On one CPU: the snapshot takes the connection dialed from there,
+    // the one the lying node hangs up on.
+    common::on_cpu(common::first_cpu(), || {
+        std::thread::scope(|scope| {
+            // The lying node: it hangs up on its first connection and serves the
+            // client's redial until the client goes away.
+            scope.spawn(|| {
+                for hang_up in [true, false] {
+                    common::serve(listener.accept().expect("accept").0, hang_up, answer);
+                }
+            });
+            let mut retry = RetryPolicy::with_seed(1);
+            retry.base = std::time::Duration::from_millis(1);
+            let lying = RemoteCluster::connect(addr, RemoteClusterConfig::new(1, retry));
+            let lying = Arc::new(lying.expect("connect"));
+            let mut backends: Vec<Arc<dyn ClusterBackend<u64, u64>>> = vec![lying.clone(), honest];
+            let router = StoreRouter::deploy_with_backends(RouterConfig::new(2, 2), move |_| {
+                backends.pop().expect("two clusters")
+            });
 
-        let snapshot = router.metrics_snapshot();
-        assert_eq!(lying.retries(), 1, "the hang-up cost one retry");
-        let tcp = [("scheme", "tcp")];
-        assert_eq!(snapshot.counter(names::WIRE_RETRIES, &tcp), 1);
-        assert_eq!(snapshot.gauge(names::WIRE_RETRIES, &tcp), None);
-        let latency = snapshot.histogram(names::READ_LATENCY, &[]).expect("read");
-        assert_eq!(latency.count(), 1, "the honest cluster's read, alone");
-        assert_eq!(snapshot.counter(names::MERGE_SKIPPED, &[]), 2);
-        assert_eq!(snapshot.gauge(names::ROUTER_CLUSTERS, &[]), Some(2));
+            let snapshot = router.metrics_snapshot();
+            assert_eq!(lying.retries(), 1, "the hang-up cost one retry");
+            let tcp = [("scheme", "tcp")];
+            assert_eq!(snapshot.counter(names::WIRE_RETRIES, &tcp), 1);
+            assert_eq!(snapshot.gauge(names::WIRE_RETRIES, &tcp), None);
+            let latency = snapshot.histogram(names::READ_LATENCY, &[]).expect("read");
+            assert_eq!(latency.count(), 1, "the honest cluster's read, alone");
+            assert_eq!(snapshot.counter(names::MERGE_SKIPPED, &[]), 2);
+            assert_eq!(snapshot.gauge(names::ROUTER_CLUSTERS, &[]), Some(2));
+        })
     });
 }
