@@ -1,33 +1,47 @@
-//! Which CPU a thread runs on, and which CPU a connection arrived on: what
-//! keeps a remote round trip on one CPU. Each reactor lane pins itself to
-//! one CPU of the process's allowed set, lane 0 deals an accepted
-//! connection to the lane on the CPU it arrived on, and a
-//! [`crate::RemoteCluster`] caller checks out the connection dialed from
-//! its own CPU. On loopback the kernel takes a packet in on the CPU of the
-//! thread that sent it, so a connection dialed and written to from one CPU
-//! arrives on it, and caller and lane share that CPU.
+//! Which CPU a thread runs on, and a listener tagged with one: what keeps
+//! a remote round trip on one CPU. Each reactor lane pins itself to one
+//! CPU of the process's allowed set and accepts on a [`listener`] of its
+//! own tagged with that CPU; the lanes' listeners share one port, and the
+//! kernel hands a connection to the listener tagged with the CPU its `SYN`
+//! came in on. On loopback the kernel takes a packet in on the CPU of the
+//! thread that sent it, so a connection lands on the lane of the CPU it
+//! was dialed from, and a [`crate::RemoteCluster`] caller, which checks
+//! out the connection dialed from its own CPU, shares that CPU with the
+//! lane serving it.
 //!
 //! The C library `std` already links provides the calls; declaring them
-//! here, as the vendored `mio` declares epoll, avoids a `libc` crate. Every
-//! function reports failure as "unknown" (empty, `false`, `None`), where the
-//! callers fall back to what they did without CPUs.
+//! here, as the vendored `mio` declares epoll, avoids a `libc` crate. The
+//! CPU queries report failure as "unknown" (empty, `false`, `None`), where
+//! the callers fall back to what they did without CPUs.
 
-use std::os::fd::AsRawFd;
+use std::io;
+use std::net::{SocketAddr, TcpListener};
+use std::os::fd::{FromRawFd, OwnedFd};
 use std::os::raw::{c_int, c_void};
 
 /// `cpu_set_t`: one bit per CPU, 1,024 CPUs.
 type CpuSet = [u64; 16];
 
 const SET_BITS: usize = 1024;
+const AF_INET: u16 = 2;
+const AF_INET6: u16 = 10;
+/// `SOCK_STREAM | SOCK_CLOEXEC`.
+const STREAM: c_int = 1 | 0o2000000;
 const SOL_SOCKET: c_int = 1;
+const SO_REUSEADDR: c_int = 2;
+const SO_REUSEPORT: c_int = 15;
 const SO_INCOMING_CPU: c_int = 49;
+/// `std::net::TcpListener::bind`'s backlog.
+const BACKLOG: c_int = 128;
 
 extern "C" {
     fn sched_getaffinity(pid: c_int, size: usize, mask: *mut CpuSet) -> c_int;
     fn sched_setaffinity(pid: c_int, size: usize, mask: *const CpuSet) -> c_int;
     fn sched_getcpu() -> c_int;
-    fn getsockopt(fd: c_int, level: c_int, name: c_int, value: *mut c_void, len: *mut u32)
-        -> c_int;
+    fn socket(domain: c_int, kind: c_int, protocol: c_int) -> c_int;
+    fn setsockopt(fd: c_int, level: c_int, name: c_int, value: *const c_void, len: u32) -> c_int;
+    fn bind(fd: c_int, addr: *const c_void, len: u32) -> c_int;
+    fn listen(fd: c_int, backlog: c_int) -> c_int;
 }
 
 /// The CPUs the calling thread may run on, ascending (empty if the kernel
@@ -62,25 +76,59 @@ pub fn current() -> Option<usize> {
     usize::try_from(unsafe { sched_getcpu() }).ok()
 }
 
-/// The CPU the kernel took `socket`'s last packet in on
-/// (`SO_INCOMING_CPU`). On a loopback connection just accepted, that is the
-/// CPU of the thread that dialed it.
-pub fn incoming(socket: &impl AsRawFd) -> Option<usize> {
-    let (mut cpu, mut len): (c_int, u32) = (-1, size_of::<c_int>() as u32);
-    // SAFETY: `cpu` is a writable `c_int` and `len` holds its size, as the
-    // option's value needs; an invalid descriptor only fails the call.
-    let rc = unsafe {
-        getsockopt(
-            socket.as_raw_fd(),
-            SOL_SOCKET,
-            SO_INCOMING_CPU,
-            (&mut cpu as *mut c_int).cast(),
-            &mut len,
-        )
-    };
-    if rc == 0 {
-        usize::try_from(cpu).ok()
-    } else {
-        None
+/// A blocking listener on `addr` that shares the port with every other
+/// listener of this user bound with `SO_REUSEPORT`, tagged with `cpu`
+/// (`SO_INCOMING_CPU`): the kernel hands it the connections whose `SYN`
+/// came in on that CPU, and one by hash of those whose CPU no listener of
+/// the port carries. `addr` needs a concrete port. `SO_REUSEPORT` lets the
+/// listener join a port another listener of this user holds, so a caller
+/// that must not share one binds it plainly first, as the reactor does.
+pub fn listener(addr: SocketAddr, cpu: Option<usize>) -> io::Result<TcpListener> {
+    let family = if addr.is_ipv4() { AF_INET } else { AF_INET6 };
+    let (raw, len) = sockaddr(family, addr);
+    // SAFETY: takes only integers; the descriptor it returns is new.
+    let fd = check(unsafe { socket(family.into(), STREAM, 0) })?;
+    // SAFETY: `fd` is open and owned by nothing else.
+    let owned = unsafe { OwnedFd::from_raw_fd(fd) };
+    set(fd, SO_REUSEADDR, 1)?;
+    set(fd, SO_REUSEPORT, 1)?;
+    // SAFETY: `raw` holds a `sockaddr_in`/`sockaddr_in6` of `len` bytes.
+    check(unsafe { bind(fd, raw.as_ptr().cast(), len) })?;
+    if let Some(cpu) = cpu {
+        set(fd, SO_INCOMING_CPU, cpu as c_int)?;
     }
+    // SAFETY: takes only integers.
+    check(unsafe { listen(fd, BACKLOG) })?;
+    Ok(TcpListener::from(owned))
+}
+
+/// `addr` as the kernel's `sockaddr_in` (16 bytes) or `sockaddr_in6` (28).
+fn sockaddr(family: u16, addr: SocketAddr) -> ([u8; 28], u32) {
+    let mut raw = [0; 28];
+    raw[..2].copy_from_slice(&family.to_ne_bytes());
+    raw[2..4].copy_from_slice(&addr.port().to_be_bytes());
+    match addr {
+        SocketAddr::V4(v4) => {
+            raw[4..8].copy_from_slice(&v4.ip().octets());
+            (raw, 16)
+        }
+        SocketAddr::V6(v6) => {
+            raw[4..8].copy_from_slice(&v6.flowinfo().to_ne_bytes());
+            raw[8..24].copy_from_slice(&v6.ip().octets());
+            raw[24..].copy_from_slice(&v6.scope_id().to_ne_bytes());
+            (raw, 28)
+        }
+    }
+}
+
+fn set(fd: c_int, name: c_int, value: c_int) -> io::Result<()> {
+    let len = size_of::<c_int>() as u32;
+    // SAFETY: `value` is a readable `c_int` and `len` its size; an invalid
+    // descriptor only fails the call.
+    check(unsafe { setsockopt(fd, SOL_SOCKET, name, (&value as *const c_int).cast(), len) })
+        .map(drop)
+}
+
+fn check(rc: c_int) -> io::Result<c_int> {
+    (rc >= 0).then_some(rc).ok_or_else(io::Error::last_os_error)
 }

@@ -10,8 +10,8 @@
 //!   client protocol ([`frame::Ctl`] / [`frame::Op`] / [`frame::Rsp`]).
 //! - an epoll reactor (via the vendored `mio` shim) of one event loop — a
 //!   lane — per CPU, each pinned to its CPU and owning its sockets for good
-//!   (lane 0 deals an accepted connection to the lane on the CPU it was
-//!   dialed from, [`cpu`]): non-blocking accept/connect/read/write,
+//!   (the kernel hands a connection to the lane on the CPU it was dialed
+//!   from, [`cpu`]): non-blocking accept/connect/read/write,
 //!   per-connection write queues, incremental frame extraction; and on it
 //!   the TCP transport: peer table, `Hello` handshakes, reconnect-on-demand,
 //!   lossy-on-reset delivery.

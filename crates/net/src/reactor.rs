@@ -1,24 +1,24 @@
 //! The socket reactor: one event loop — a *lane* — per CPU, each a thread
 //! driving its own epoll [`mio::Poll`] over the TCP sockets it owns.
 //!
-//! Lane `i` pins its thread to the `i`-th CPU the process may run on, and
-//! lane 0 owns the listeners. It deals each accepted frame connection to
-//! the lane pinned on the CPU the connection arrived on (`SO_INCOMING_CPU`,
-//! [`crate::cpu`]; on loopback, the CPU of the thread that dialed it), or,
-//! when that CPU is unknown or has no lane, to the next lane in turn
-//! (`accepted % lanes`) — a handoff command on that lane's queue — and
-//! keeps the HTTP connections and every outbound connect. A connection
-//! stays on its lane for good: its events reach that lane's handler on
-//! that lane's thread, and its [`ConnId`] names the lane (`n * lanes +
-//! lane`), so a handle routes a command to it without a lookup.
-//! Connections are dealt, not raced for: loops that all poll the one
-//! listener measured no faster than a single loop (ROADMAP item 3). A
-//! caller that stays on the CPU it dialed from — a [`crate::RemoteCluster`]
-//! caller checks out the connection dialed from its CPU — has each round
-//! trip served on that CPU, by the lane pinned there. The lane count is
-//! [`std::thread::available_parallelism`], the executor's worker rule; on
-//! one CPU the lanes collapse to a single reactor, pinned nowhere, and
-//! where a lane cannot pin itself connections go to it in turn only.
+//! Lane `i` pins its thread to the `i`-th CPU the process may run on and
+//! accepts on a frame listener of its own, tagged with that CPU
+//! ([`crate::cpu::listener`]): the lanes share the reactor's port, and the
+//! kernel hands each connection, at its `SYN`, to the lane tagged with the
+//! CPU it was dialed from, or by hash when no lane carries that CPU. Lane
+//! 0 also keeps the HTTP connections and every outbound connect. A
+//! connection stays on the lane that accepted it for good: its events
+//! reach that lane's handler on that lane's thread, and its [`ConnId`]
+//! names the lane (`n * lanes + lane`), so a handle routes a command to it
+//! without a lookup. Connections are dealt, not raced for: loops that all
+//! poll one listener measured no faster than a single loop (ROADMAP item
+//! 3). A caller that stays on the CPU it dialed from — a
+//! [`crate::RemoteCluster`] caller checks out the connection dialed from
+//! its CPU — has each round trip served on that CPU, by the lane pinned
+//! there. The lane count is [`std::thread::available_parallelism`], the
+//! executor's worker rule; on one CPU the lanes collapse to a single
+//! reactor, pinned nowhere, and a lane that cannot pin itself still
+//! accepts its CPU's connections.
 //!
 //! The reactor is deliberately body-agnostic — it moves opaque frame
 //! bodies (`Vec<u8>`) in and out; envelope decoding happens in the
@@ -183,7 +183,6 @@ pub trait Handler: Send + 'static {
 }
 
 enum Cmd {
-    Adopt { stream: TcpStream, http: bool },
     Connect { conn: ConnId, addr: SocketAddr },
     Send { conn: ConnId, frame: Vec<u8> },
     Finish { conn: ConnId, bytes: Vec<u8> },
@@ -319,29 +318,36 @@ impl Conn {
 /// yet: the gap in which the caller builds the [`Handler`]s — which usually
 /// need the [`ReactorHandle`] — before [`BoundReactor::run`].
 pub struct BoundReactor {
-    /// Each lane's poll and command queue, lane 0 first.
-    loops: Vec<(Poll, Receiver<Cmd>)>,
-    listener: Option<TcpListener>,
+    /// Each lane's poll, command queue and frame listener, lane 0 first.
+    loops: Vec<(Poll, Receiver<Cmd>, Option<TcpListener>)>,
+    /// The CPU each lane pins itself to, lane 0 first.
+    cpus: Vec<usize>,
     http_listener: Option<TcpListener>,
     handle: ReactorHandle,
     addr: Option<SocketAddr>,
-    http_addr: Option<SocketAddr>,
 }
 
-/// Binds a reactor of one lane per CPU. With `listen = Some(addr)` it
-/// accepts inbound frame connections; `http_listen` additionally binds a
-/// raw-byte HTTP listener on lane 0, whose connections emit
-/// [`NetEvent::HttpRequest`] instead of frames and are answered with
-/// [`ReactorHandle::finish`]. Port-0 addresses work: see
-/// [`BoundReactor::addr`] / [`BoundReactor::http_addr`].
+/// Binds a reactor of one lane per CPU. With `listen = Some(addr)` every
+/// lane accepts inbound frame connections on `addr`, which no other socket
+/// may hold; `http_listen` additionally binds a raw-byte HTTP listener on
+/// lane 0, whose connections emit [`NetEvent::HttpRequest`] instead of
+/// frames and are answered with [`ReactorHandle::finish`]. Port-0 addresses
+/// work: see [`BoundReactor::addr`] / [`BoundReactor::http_addr`].
 pub fn bind(
     listen: Option<SocketAddr>,
     http_listen: Option<SocketAddr>,
 ) -> io::Result<BoundReactor> {
     let lanes = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let cpus = lane_cpus(lanes);
+    // A plain bind first refuses a port another socket listens on, which
+    // `SO_REUSEPORT` alone would let a listener of this user join, and
+    // turns port 0 into the one port every lane listens on.
+    let addr = listen
+        .map(|addr| std::net::TcpListener::bind(addr)?.local_addr())
+        .transpose()?;
     let mut loops = Vec::with_capacity(lanes);
     let mut links = Vec::with_capacity(lanes);
-    for _ in 0..lanes {
+    for lane in 0..lanes {
         let poll = Poll::new()?;
         let waker = Waker::new(poll.registry(), WAKER)?;
         let (cmd_tx, cmd_rx) = channel();
@@ -351,31 +357,16 @@ pub fn bind(
             next_conn: AtomicU64::new(0),
             counters: Arc::default(),
         });
-        loops.push((poll, cmd_rx));
+        let listener = addr.map(|addr| {
+            let listener = cpu::listener(addr, cpus.get(lane).copied())?;
+            listener.set_nonblocking(true)?;
+            registered(&poll, LISTENER, TcpListener::from_std(listener))
+        });
+        loops.push((poll, cmd_rx, listener.transpose()?));
     }
-    let registry = loops[0].0.registry();
-    let mut listener = match listen {
-        Some(addr) => Some(TcpListener::bind(addr)?),
-        None => None,
-    };
-    let addr = match &listener {
-        Some(l) => Some(l.local_addr()?),
-        None => None,
-    };
-    if let Some(l) = listener.as_mut() {
-        registry.register(l, LISTENER, Interest::READABLE)?;
-    }
-    let mut http_listener = match http_listen {
-        Some(addr) => Some(TcpListener::bind(addr)?),
-        None => None,
-    };
-    let http_addr = match &http_listener {
-        Some(l) => Some(l.local_addr()?),
-        None => None,
-    };
-    if let Some(l) = http_listener.as_mut() {
-        registry.register(l, HTTP_LISTENER, Interest::READABLE)?;
-    }
+    let http_listener = http_listen
+        .map(|addr| registered(&loops[0].0, HTTP_LISTENER, TcpListener::bind(addr)?))
+        .transpose()?;
 
     let handle = ReactorHandle {
         id: NEXT_REACTOR.fetch_add(1, Ordering::Relaxed),
@@ -383,12 +374,18 @@ pub fn bind(
     };
     Ok(BoundReactor {
         loops,
-        listener,
+        cpus,
         http_listener,
         handle,
         addr,
-        http_addr,
     })
+}
+
+/// `listener`, registered on `poll` under `token`.
+fn registered(poll: &Poll, token: Token, mut listener: TcpListener) -> io::Result<TcpListener> {
+    poll.registry()
+        .register(&mut listener, token, Interest::READABLE)?;
+    Ok(listener)
 }
 
 impl BoundReactor {
@@ -404,7 +401,7 @@ impl BoundReactor {
 
     /// The actually-bound HTTP listener address, if one was requested.
     pub fn http_addr(&self) -> Option<SocketAddr> {
-        self.http_addr
+        self.http_listener.as_ref()?.local_addr().ok()
     }
 
     /// Starts every lane's thread, handing lane `i`'s events to
@@ -417,26 +414,17 @@ impl BoundReactor {
     ) -> io::Result<JoinHandle<()>> {
         let BoundReactor {
             loops,
-            mut listener,
+            cpus,
             mut http_listener,
             handle,
             ..
         } = self;
-        let cpus = lane_cpus(loops.len());
-        let mut pinned = vec![None; loops.len()];
-        let (report, reports) = channel();
         let mut threads = Vec::new();
-        // Lane 0 last: it joins the others when it stops, and deals by the
-        // CPUs they pinned themselves to.
-        for (lane, (poll, cmd_rx)) in loops.into_iter().enumerate().rev() {
-            let (listener, http_listener, others, deals_by) = match lane {
-                0 => (
-                    listener.take(),
-                    http_listener.take(),
-                    std::mem::take(&mut threads),
-                    std::mem::take(&mut pinned),
-                ),
-                _ => (None, None, Vec::new(), Vec::new()),
+        // Lane 0 last: it joins the others when it stops.
+        for (lane, (poll, cmd_rx, listener)) in loops.into_iter().enumerate().rev() {
+            let (http_listener, others) = match lane {
+                0 => (http_listener.take(), std::mem::take(&mut threads)),
+                _ => (None, Vec::new()),
             };
             let reactor = Reactor {
                 lane,
@@ -445,24 +433,18 @@ impl BoundReactor {
                 cmd_rx,
                 listener,
                 http_listener,
-                accepted: 0,
-                pinned: deals_by,
                 others,
                 conns: HashMap::new(),
                 counters: handle.lanes[lane].counters.clone(),
                 read_buf: vec![0; READ_BUF],
                 handler: handler(lane),
             };
-            let (cpu, report) = (cpus.get(lane).copied(), report.clone());
+            let cpu = cpus.get(lane).copied();
             let spawned = std::thread::Builder::new()
                 .name(format!("vrr-net-lane-{lane}"))
-                .spawn(move || reactor.run(cpu, report));
+                .spawn(move || reactor.run(cpu));
             match spawned {
-                Ok(thread) if lane == 0 => threads.push(thread),
-                Ok(thread) => {
-                    threads.push(thread);
-                    pinned[lane] = reports.recv().ok().flatten();
-                }
+                Ok(thread) => threads.push(thread),
                 Err(e) => {
                     // The reactor goes down with the lane that has no
                     // thread; the lanes already running stop with it.
@@ -484,27 +466,14 @@ fn lane_cpus(lanes: usize) -> Vec<usize> {
     }
 }
 
-/// The lane a frame connection that arrived on CPU `arrived` goes to, as
-/// the `accepted`-th: the one `pinned` on that CPU, else the next in turn.
-fn lane_for(arrived: Option<usize>, pinned: &[Option<usize>], accepted: usize) -> usize {
-    arrived
-        .and_then(|cpu| pinned.iter().position(|&on| on == Some(cpu)))
-        .unwrap_or(accepted % pinned.len())
-}
-
 struct Reactor<H> {
     lane: usize,
     handle: ReactorHandle,
     poll: Poll,
     cmd_rx: Receiver<Cmd>,
-    /// Lane 0's listeners; `None` on every other lane.
+    /// The lane's frame listener, and lane 0's HTTP listener.
     listener: Option<TcpListener>,
     http_listener: Option<TcpListener>,
-    /// Frame connections lane 0 has dealt so far.
-    accepted: usize,
-    /// On lane 0, the CPU each lane pinned itself to (`None`: it did not),
-    /// by which it deals; empty on every other lane.
-    pinned: Vec<Option<usize>>,
     /// On lane 0, the other lanes' threads, joined when it stops.
     others: Vec<JoinHandle<()>>,
     conns: HashMap<ConnId, Conn>,
@@ -515,15 +484,11 @@ struct Reactor<H> {
 }
 
 impl<H: Handler> Reactor<H> {
-    /// Pins this thread to `cpu`, reports where it is pinned (lane 0 keeps
-    /// it), then serves.
-    fn run(mut self, cpu: Option<usize>, report: Sender<Option<usize>>) {
-        let cpu = cpu.filter(|&cpu| cpu::pin(cpu));
-        match self.lane {
-            0 => self.pinned[0] = cpu,
-            _ => {
-                let _ = report.send(cpu);
-            }
+    /// Pins this thread to `cpu`, then serves; a lane that cannot be pinned
+    /// serves where it runs, and its listener keeps the tag.
+    fn run(mut self, cpu: Option<usize>) {
+        if let Some(cpu) = cpu {
+            cpu::pin(cpu);
         }
         ON_LANE.with(|on| on.set((self.handle.id, self.lane)));
         self.serve();
@@ -569,7 +534,6 @@ impl<H: Handler> Reactor<H> {
             // queued above goes out before the next sleep.
             while let Ok(cmd) = self.cmd_rx.try_recv() {
                 match cmd {
-                    Cmd::Adopt { stream, http } => self.adopt(stream, http),
                     Cmd::Connect { conn, addr } => self.start_connect(conn, addr),
                     Cmd::Send { conn, frame } => self.queue_frame(conn, frame),
                     Cmd::Finish { conn, bytes } => {
@@ -589,26 +553,18 @@ impl<H: Handler> Reactor<H> {
         self.handler.on_event(ev);
     }
 
-    /// Accepts every pending connection on lane 0's listener and hands
-    /// each to its lane: HTTP ones to lane 0, frame ones to the lane on the
-    /// CPU they arrived on.
+    /// Accepts every pending connection on one of this lane's listeners
+    /// and takes each on as the lane's own.
     fn accept_all(&mut self, http: bool) {
         loop {
-            let listener = match if http {
+            let listener = if http {
                 &self.http_listener
             } else {
                 &self.listener
-            } {
-                Some(l) => l,
-                None => return,
             };
+            let Some(listener) = listener else { return };
             match listener.accept() {
-                Ok((stream, _)) if http => self.handle.push(0, Cmd::Adopt { stream, http }),
-                Ok((stream, _)) => {
-                    let lane = lane_for(cpu::incoming(&stream), &self.pinned, self.accepted);
-                    self.accepted += 1;
-                    self.handle.push(lane, Cmd::Adopt { stream, http });
-                }
+                Ok((stream, _)) => self.adopt(stream, http),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return,
@@ -616,7 +572,6 @@ impl<H: Handler> Reactor<H> {
         }
     }
 
-    /// Takes an accepted connection on as this lane's own.
     fn adopt(&mut self, stream: TcpStream, http: bool) {
         let conn = self.handle.new_conn(self.lane);
         let mut c = Conn::new(stream, true, false, http);
@@ -849,10 +804,18 @@ impl<H: Handler> Reactor<H> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::RwLock;
     use std::thread::ThreadId;
 
     /// Where a handler ran: its thread, and the CPU under it.
     type Ran = (ThreadId, Option<usize>);
+
+    /// A frame body on which [`Forward`] parks its lane, after forwarding
+    /// it, until [`PARKED`] is free for reading.
+    const PARK: &[u8] = b"park";
+
+    /// Held for writing by a test while the lanes it parked stay parked.
+    static PARKED: RwLock<()> = RwLock::new(());
 
     /// A handler that only forwards, naming where it ran: the tests below
     /// observe the reactor's events from their own thread.
@@ -861,9 +824,13 @@ mod tests {
 
     impl Handler for Forward {
         fn on_event(&mut self, ev: NetEvent) {
+            let park = matches!(&ev, NetEvent::Frame { body, .. } if body == PARK);
             let _ = self
                 .0
                 .send(((std::thread::current().id(), cpu::current()), ev));
+            if park {
+                drop(PARKED.read());
+            }
         }
     }
 
@@ -887,9 +854,7 @@ mod tests {
     }
 
     /// What `step` returns, run on a thread pinned to `cpu` (unpinned when
-    /// `None`). A connection is dealt by the CPU its last packet came from
-    /// when accepted: one dialed in `step` and written to or closed before
-    /// the accept must be so there too.
+    /// `None`).
     fn from_cpu<R: Send + 'static>(
         cpu: Option<usize>,
         step: impl FnOnce() -> R + Send + 'static,
@@ -999,33 +964,51 @@ mod tests {
         server.shutdown();
     }
 
-    /// The CPU → lane rule: the lane pinned on the CPU a connection
-    /// arrived on; an unknown CPU, or one no lane is pinned on, deals in
-    /// turn.
+    /// A port a reactor listens on is refused to a second one, though both
+    /// set `SO_REUSEPORT` on their lanes' listeners.
     #[test]
-    fn a_connection_goes_to_the_lane_on_its_cpu_else_in_turn() {
-        let pinned = [Some(2), Some(5), None];
-        assert_eq!(lane_for(Some(5), &pinned, 0), 1);
-        assert_eq!(lane_for(Some(2), &pinned, 4), 0);
-        assert_eq!(lane_for(Some(3), &pinned, 4), 1, "no lane on CPU 3");
-        assert_eq!(lane_for(None, &pinned, 5), 2, "CPU unknown");
-        assert_eq!(lane_for(Some(0), &[None], 7), 0, "a lone unpinned lane");
+    fn a_port_another_reactor_listens_on_is_refused() {
+        let first = bind(Some("127.0.0.1:0".parse().unwrap()), None).unwrap();
+        let second = bind(first.addr(), None).err().map(|e| e.kind());
+        assert_eq!(second, Some(io::ErrorKind::AddrInUse));
     }
 
-    /// Lane 0 deals each connection to the lane pinned on the CPU it was
-    /// dialed from — here dialed last lane first, which dealing in turn
-    /// gets wrong — and every event of a connection — accept, frame, close
-    /// — reaches the handler on that lane's one thread, on that CPU.
+    /// Each connection goes to the lane pinned on the CPU it was dialed
+    /// from, even when written to and closed from another lane's CPU
+    /// while every lane is parked and can accept nothing, and every event
+    /// of a connection — accept, frame, close — reaches the handler on
+    /// that lane's one thread, on that CPU.
     #[test]
     fn accepted_connections_are_dealt_to_distinct_lanes_and_stay_on_one() {
         let (server, events, addr) = spawn(Some("127.0.0.1:0".parse().unwrap())).unwrap();
         let lanes = server.lanes.len();
         let cpus = lane_cpus(lanes);
+        let cpu_of = |lane: usize| cpus.get(lane % lanes).copied();
+        let parked = PARKED.write().expect("the park");
+        // Each lane parks on a marker sent over a connection dialed from its
+        // CPU, lane 0 last, and accepts nothing more until the release.
+        let mut parkers = Vec::new();
         for lane in (0..lanes).rev() {
-            // Dialed, written to and closed from that CPU.
-            let send = move || dial(addr).write_all(&frame(&[lane as u8]));
-            from_cpu(cpus.get(lane).copied(), send).expect("send");
+            let park = move || {
+                let mut sock = dial(addr);
+                sock.write_all(&frame(PARK)).map(|()| sock)
+            };
+            parkers.push(from_cpu(cpu_of(lane), park).expect("park"));
+            let conn = loop {
+                if let (_, NetEvent::Frame { conn, .. }) = next(&events) {
+                    break conn;
+                }
+            };
+            assert_eq!(server.lane_of(conn), lane, "lane {lane} parked");
         }
+        // Each dialed from lane k's CPU, then written to and closed from
+        // the next lane's before any lane could accept it.
+        for lane in 0..lanes {
+            let sock = from_cpu(cpu_of(lane), move || dial(addr));
+            let send = move || (&sock).write_all(&frame(&[lane as u8]));
+            from_cpu(cpu_of(lane + 1), send).expect("send");
+        }
+        drop(parked);
         let mut ran = HashMap::new();
         let mut dialed = vec![None; lanes];
         let mut closed = 0;
@@ -1046,12 +1029,13 @@ mod tests {
         for (lane, conn) in dialed.into_iter().enumerate() {
             let conn = conn.expect("every frame arrived");
             assert_eq!(server.lane_of(conn), lane, "dialed from lane {lane}'s CPU");
-            if let Some(&cpu) = cpus.get(lane) {
+            if let Some(cpu) = cpu_of(lane) {
                 assert_eq!(ran[&conn].1, Some(cpu), "lane {lane} runs on its CPU");
             }
         }
         let threads: std::collections::HashSet<_> = ran.values().map(|at| at.0).collect();
         assert_eq!(threads.len(), lanes, "a thread per lane");
+        drop(parkers);
         server.shutdown();
     }
 

@@ -11,8 +11,8 @@
 //! and returns it when the response is in. So no caller waits for another
 //! caller's request, each CPU has as many connections as callers were ever
 //! in flight on it at once, and a round trip stays on the caller's CPU:
-//! the server deals a connection to the reactor lane pinned on the CPU it
-//! was dialed from ([`crate::cpu`]). A [`vrr_runtime::StoreRouter`] built over
+//! the kernel hands a connection to the server's reactor lane pinned on the
+//! CPU it was dialed from ([`crate::cpu`]). A [`vrr_runtime::StoreRouter`] built over
 //! `Arc<dyn ClusterBackend<K, V>>` cannot tell the difference — the same
 //! seeded-hash ring spans in-proc worker pools and remote processes, and
 //! the never-expose-intermediate-state rebalance (regular-`READ` copy,

@@ -25,7 +25,7 @@ mod common;
 /// How long a caller may take that waits for nobody.
 const WATCHDOG: Duration = Duration::from_secs(5);
 
-/// The fake node's answers, on a connection that arrived on any CPU: every
+/// The fake node's answers, on a connection accepted on any CPU: every
 /// read returns `7`, every write lands, every snapshot is empty.
 fn answer(_arrived: Option<usize>, op: Op<u64>) -> Rsp<u64> {
     match op {
@@ -45,41 +45,52 @@ fn answer(_arrived: Option<usize>, op: Op<u64>) -> Rsp<u64> {
     }
 }
 
-/// Runs `body` against a fake store node on a fresh port that serves
-/// connection `i` on a thread of its own through `common::serve`, hanging
-/// up on its first request when `hang_up(i)`, and answering each request
-/// with `answer(arrived, op)`, `arrived` the CPU the connection arrived on
-/// when accepted. Returns what `body` returned and how many connections the
-/// node accepted. Every node thread is joined first, so `body` must close
-/// what it dialed.
+/// Runs `body` against a fake store node on a fresh port that listens as
+/// the reactor's lanes do — one listener per allowed CPU, tagged with it
+/// (`cpu::listener`), each with an acceptor of its own — and serves the
+/// `i`-th connection accepted on a thread of its own through
+/// `common::serve`, hanging up on its first request when `hang_up(i)`, and
+/// answering each request with `answer(arrived, op)`, `arrived` the CPU of
+/// the listener that accepted the connection. Returns what `body` returned
+/// and how many connections the node accepted. Every node thread is joined
+/// first, so `body` must close what it dialed.
 fn with_node<R>(
     hang_up: fn(usize) -> bool,
     answer: impl Fn(Option<usize>, Op<u64>) -> Rsp<u64> + Sync,
     body: impl FnOnce(SocketAddr) -> R,
 ) -> (R, usize) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().expect("address");
-    let (done, answer) = (&AtomicBool::new(false), &answer);
+    let port = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = port.local_addr().expect("address");
+    drop(port);
+    let cpus = cpu::allowed();
+    let (done, accepted, answer) = (&AtomicBool::new(false), &AtomicUsize::new(0), &answer);
     std::thread::scope(|scope| {
-        let acceptor = scope.spawn(move || {
-            let mut accepted = 0;
-            loop {
-                let (stream, _) = listener.accept().expect("accept");
-                if done.load(Ordering::SeqCst) {
-                    return accepted;
-                }
-                let (hang_up, arrived) = (hang_up(accepted), cpu::incoming(&stream));
-                accepted += 1;
-                scope.spawn(move || common::serve(stream, hang_up, |op| answer(arrived, op)));
-            }
-        });
-        // A panic in `body` must still stop the acceptor, or the scope
+        let acceptors: Vec<_> = cpus
+            .iter()
+            .map(|&on| {
+                let listener = cpu::listener(addr, Some(on)).expect("listen");
+                scope.spawn(move || loop {
+                    let (stream, _) = listener.accept().expect("accept");
+                    if done.load(Ordering::SeqCst) {
+                        return;
+                    }
+                    let hang_up = hang_up(accepted.fetch_add(1, Ordering::SeqCst));
+                    scope.spawn(move || common::serve(stream, hang_up, |op| answer(Some(on), op)));
+                })
+            })
+            .collect();
+        // A panic in `body` must still stop the acceptors, or the scope
         // never ends.
         let ran = catch_unwind(AssertUnwindSafe(|| body(addr)));
         done.store(true, Ordering::SeqCst);
-        TcpStream::connect(addr).expect("wake the acceptor");
-        let accepted = acceptor.join().expect("the acceptor");
-        (ran.unwrap_or_else(|panic| resume_unwind(panic)), accepted)
+        for (&on, acceptor) in cpus.iter().zip(acceptors) {
+            common::on_cpu(on, || TcpStream::connect(addr)).expect("wake the acceptor");
+            acceptor.join().expect("the acceptor");
+        }
+        (
+            ran.unwrap_or_else(|panic| resume_unwind(panic)),
+            accepted.load(Ordering::SeqCst),
+        )
     })
 }
 
@@ -162,8 +173,8 @@ fn a_connection_that_failed_is_not_handed_out_again() {
 
 /// Two callers pinned to distinct CPUs, 200 reads each, at once: every
 /// read goes out on a connection dialed from its caller's CPU (the key
-/// read names the caller's CPU; the node compares it with the CPU the
-/// connection arrived on), and the CPU without an up-front connection
+/// read names the caller's CPU; the node compares it with the CPU of the
+/// listener that accepted the connection), and the CPU without an up-front connection
 /// dials exactly one.
 #[test]
 fn a_caller_takes_only_a_connection_dialed_from_its_cpu() {
