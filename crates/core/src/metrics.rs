@@ -107,15 +107,8 @@ pub mod names {
     /// gauge, labelled `cluster`. The per-cluster values must sum to the
     /// store's total key count at every snapshot.
     pub const ROUTER_KEYS: &str = "vrr_router_keys";
-    /// Ring slots currently routed to one shard-cluster — gauge, labelled
-    /// `cluster`.
-    pub const ROUTER_RING_SLOTS: &str = "vrr_router_ring_slots";
-    /// Live shard-clusters behind the router — gauge.
+    /// Shard-clusters behind the router — gauge.
     pub const ROUTER_CLUSTERS: &str = "vrr_router_clusters";
-    /// Keys copied to a new shard-cluster by rebalances — counter.
-    pub const ROUTER_REBALANCED_KEYS: &str = "vrr_router_rebalanced_keys_total";
-    /// Ring-slot moves performed by rebalances — counter.
-    pub const ROUTER_SLOT_MOVES: &str = "vrr_router_slot_moves_total";
     /// Router-level READ latency — histogram, labelled `cluster`
     /// (wall-clock microseconds; buckets [`LATENCY_BUCKETS`]).
     pub const ROUTER_READ_LATENCY: &str = "vrr_router_read_latency_ticks";

@@ -30,7 +30,7 @@ const READ_BUF: usize = 64 * 1024;
 
 /// Bounded retry with exponential backoff and seeded jitter — the policy
 /// [`NetClient::request_with_retry`] and `RemoteCluster` apply when a
-/// connection drops mid-rebalance. The jitter stream is a pure function of
+/// connection drops mid-request. The jitter stream is a pure function of
 /// `seed`, so tests replaying a policy observe identical delays.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {

@@ -155,15 +155,6 @@ pub enum Op<V> {
         /// Reader index within the key's shard.
         reader: u32,
     },
-    /// Unbind `key` from the hosted store, retiring its shard slot — the
-    /// source-side half of a router rebalance.
-    ReleaseKey {
-        /// The key, in the client's own wire encoding.
-        key: Vec<u8>,
-    },
-    /// Enumerate every key currently bound in the hosted store (what a
-    /// drain must move).
-    StoreKeys,
     /// The shard slot serving `key` in the hosted store, if bound.
     SlotOfKey {
         /// The key, in the client's own wire encoding.
@@ -239,16 +230,6 @@ pub enum Rsp<V> {
         /// The hosted store's provisioned shard count.
         capacity: u32,
     },
-    /// Answer to [`Op::ReleaseKey`].
-    Released {
-        /// The retired slot, or `None` if the key was not bound.
-        slot: Option<u32>,
-    },
-    /// Answer to [`Op::StoreKeys`].
-    StoreKeys {
-        /// Every bound key, in the client's own wire encoding (unordered).
-        keys: Vec<Vec<u8>>,
-    },
     /// Answer to [`Op::SlotOfKey`] for a bound key.
     Slot {
         /// The shard slot serving the key.
@@ -272,7 +253,8 @@ pub enum Rsp<V> {
 // (`vrr_core::wire_enum!`). A new request or response is one line here.
 // Tags of retired variants stay unassigned, so the others keep their wire
 // numbers and a client still sending a retired op gets a typed `BadTag`:
-// `Op` leaves 1, 2, 4, 6 and 14 free, `Rsp` leaves 4, 6 and 14.
+// `Op` leaves 1, 2, 4, 6, 10, 11 and 14 free, `Rsp` leaves 4, 6, 11, 12
+// and 14.
 
 wire_struct!(Envelope<V> { source, epoch, seq, payload });
 
@@ -291,8 +273,6 @@ wire_enum!(Op<V> {
     7 => Shutdown,
     8 => WriteKey { key, value },
     9 => ReadKey { key, reader },
-    10 => ReleaseKey { key },
-    11 => StoreKeys,
     12 => SlotOfKey { key },
     13 => CrashShard { slot, object },
     15 => StoreInfo,
@@ -309,8 +289,6 @@ wire_enum!(Rsp<V> {
     8 => Err { what },
     9 => NoKey,
     10 => OverCapacity { capacity },
-    11 => Released { slot },
-    12 => StoreKeys { keys },
     13 => Slot { slot },
     15 => StoreInfo { keys },
     16 => StoreMetrics { registry },
@@ -464,18 +442,6 @@ mod tests {
                     reader: 1,
                 },
                 Rsp::NoKey,
-            ),
-            (
-                Op::ReleaseKey {
-                    key: b"alpha".to_vec(),
-                },
-                Rsp::Released { slot: Some(3) },
-            ),
-            (
-                Op::StoreKeys,
-                Rsp::StoreKeys {
-                    keys: vec![b"a".to_vec(), b"b".to_vec()],
-                },
             ),
             (
                 Op::SlotOfKey {

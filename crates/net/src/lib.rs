@@ -36,7 +36,7 @@
 //!   `GET /metrics` alike, and [`client::NetClient::metrics`] renders it
 //!   as Prometheus text.
 //! - [`remote`] — [`remote::RemoteCluster`]: the keyed client side of a
-//!   hosted store, a `ClusterBackend` a `StoreRouter` can put on its ring.
+//!   hosted store, a `ClusterBackend` a `StoreRouter` can route to.
 //!
 //! The `vrr-server` binary wraps [`node::NetNode`] behind a CLI so the
 //! objects can live in OS processes apart from the front node; see

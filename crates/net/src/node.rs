@@ -15,10 +15,10 @@
 //! write of `k`'s slot write one register. Node 0 hosts the writer and
 //! every reader of every group — it is the deployment's *front node* — and
 //! the index lives there: only node 0 serves the key-index ops
-//! (`WriteKey`, `ReadKey`, `ReleaseKey`, `StoreKeys`, `SlotOfKey`), and any
-//! other node answers them with a typed `Rsp::Err`. The topology places
-//! only the objects, anywhere: a keyed operation whose objects sit on other
-//! nodes runs its protocol rounds over the transport.
+//! (`WriteKey`, `ReadKey`, `SlotOfKey`), and any other node answers them
+//! with a typed `Rsp::Err`. The topology places only the objects,
+//! anywhere: a keyed operation whose objects sit on other nodes runs its
+//! protocol rounds over the transport.
 //!
 //! # Where a request runs
 //!
@@ -33,9 +33,9 @@
 //! A request is served one of two ways:
 //!
 //! - **inline** — [`Payload::Peer`] envelopes are injected with
-//!   `send_external`; the O(1) ops (`Ping`, `ReleaseKey`, `SlotOfKey`,
-//!   `StoreInfo`, `StoreKeys`, `CrashPid`, `CrashShard`, `ResetPeer`,
-//!   `Shutdown`) and every validation error are answered on the spot.
+//!   `send_external`; the O(1) ops (`Ping`, `SlotOfKey`, `StoreInfo`,
+//!   `CrashPid`, `CrashShard`, `ResetPeer`, `Shutdown`) and every
+//!   validation error are answered on the spot.
 //! - **by completion** — everything that reaches an automaton is
 //!   *submitted* ([`vrr_runtime::Cluster::submit`]) and whoever observes
 //!   the outcome writes the response. `ReadKey` / `WriteKey` are one
@@ -565,12 +565,6 @@ impl<V: Value> NodeHandler<V> {
                     Some(Rsp::NoKey)
                 }
             }),
-            Op::ReleaseKey { key } => ctx.keyed(|s| {
-                Some(Rsp::Released {
-                    slot: s.release(&key).map(|slot| slot as u32),
-                })
-            }),
-            Op::StoreKeys => ctx.keyed(|s| Some(Rsp::StoreKeys { keys: s.keys() })),
             Op::SlotOfKey { key } => ctx.keyed(|s| {
                 Some(match s.shard_of(&key) {
                     Some(slot) => Rsp::Slot { slot: slot as u32 },

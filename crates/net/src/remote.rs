@@ -14,14 +14,11 @@
 //! the kernel hands a connection to the server's reactor lane pinned on the
 //! CPU it was dialed from ([`crate::cpu`]). A [`vrr_runtime::StoreRouter`] built over
 //! `Arc<dyn ClusterBackend<K, V>>` cannot tell the difference — the same
-//! seeded-hash ring spans in-proc worker pools and remote processes, and
-//! the never-expose-intermediate-state rebalance (regular-`READ` copy,
-//! write into the destination, release the source, repoint the ring) works
-//! unchanged across process boundaries.
+//! seeded-hash router spans in-proc worker pools and remote processes.
 //!
 //! Keys cross the wire in the client's own [`Wire`] encoding as opaque
 //! bytes; the server never interprets them beyond equality and hashing, so
-//! a heterogeneous ring does not need the key type compiled into the
+//! a heterogeneous router does not need the key type compiled into the
 //! server binary.
 //!
 //! ## Failure semantics
@@ -43,7 +40,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use vrr_core::metrics::{names, Registry};
-use vrr_core::wire::{decode_exact, Wire};
+use vrr_core::wire::Wire;
 use vrr_core::{ReadReport, Value, WriteReport};
 use vrr_runtime::{ClusterBackend, StoreError};
 
@@ -235,25 +232,6 @@ where
                 fast,
             }),
             Rsp::NoKey => None,
-            other => self.unexpected(other),
-        }
-    }
-
-    fn release(&self, key: &K) -> Option<usize> {
-        match self.demand(Op::ReleaseKey {
-            key: key_bytes(key),
-        }) {
-            Rsp::Released { slot } => slot.map(|s| s as usize),
-            other => self.unexpected(other),
-        }
-    }
-
-    fn keys(&self) -> Vec<K> {
-        match self.demand(Op::StoreKeys) {
-            Rsp::StoreKeys { keys } => keys
-                .iter()
-                .map(|bytes| decode_exact::<K>(bytes).expect("server echoes our own key encoding"))
-                .collect(),
             other => self.unexpected(other),
         }
     }

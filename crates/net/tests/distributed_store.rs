@@ -1,21 +1,19 @@
-//! The distributed acceptance drill: a `StoreRouter` whose ring spans
-//! `RemoteCluster`s in separate `vrr-server` OS processes.
+//! The distributed acceptance drill: a `StoreRouter` whose clusters
+//! include `RemoteCluster`s in separate `vrr-server` OS processes.
 //!
-//! Four families:
+//! Three families:
 //!
-//! * **Rebalance under faults, distributed** — the PR 7 drill rerun with
-//!   the faulty cluster in another OS process: add a cluster, then drain a
-//!   remote cluster whose every register group hosts a Truncator suffix
-//!   liar plus a crashed object, under concurrent writers and readers.
+//! * **Storm under faults, distributed** — the in-proc storm of
+//!   `tests/scaleout.rs` over a heterogeneous router: a remote cluster
+//!   whose every register group hosts a Truncator suffix liar, a clean
+//!   remote cluster and an in-proc pool. Mid-storm, one more object of
+//!   the faulty cluster crashes, injected across the process boundary.
 //!   Every per-key history must stay checker-verified regular.
 //! * **Trace differential** — the same seeded sequential schedule driven
 //!   through an all-in-proc router, a remote-backed one and one whose
 //!   remote cluster is spread over three processes (a front node plus the
 //!   objects in two more) must produce byte-identical per-key histories
 //!   and checker reports.
-//! * **`remove_cluster` vs in-flight writes** — a writer hammering a key
-//!   on the draining cluster races the drain; no write may be lost and
-//!   none may error.
 //! * **Retry + `/metrics`** — `request_with_retry` survives a connection
 //!   reset against a byte-level fake server, and a store-mode server
 //!   answers `GET /metrics` with its Prometheus snapshot over plain HTTP.
@@ -25,7 +23,6 @@ mod common;
 use std::io::{Read, Write};
 use std::net::SocketAddr;
 use std::sync::Arc;
-use std::time::Duration;
 
 use vrr_checker::{check_regularity, Recorder};
 use vrr_core::StorageConfig;
@@ -35,7 +32,7 @@ use vrr_net::{
     Rsp, ServerProcess,
 };
 use vrr_runtime::{ClusterBackend, ProtocolKind, RouterConfig, ShardedStore, StoreRouter};
-use vrr_workload::live::{Drill, FORGED};
+use vrr_workload::live::{value_of, Drill, FORGED};
 
 /// Distinct keys in the drill.
 const KEYS: u64 = 16;
@@ -43,8 +40,8 @@ const KEYS: u64 = 16;
 const ROUNDS: u64 = 5;
 /// Read passes over the whole key space per reader thread.
 const PASSES: u64 = 6;
-/// Per-cluster shard capacity (generous: rebalances consume slots).
-const CAPACITY: usize = 40;
+/// Per-cluster shard capacity: every key could route to one cluster.
+const CAPACITY: usize = KEYS as usize;
 
 /// Spawns node `node` of a store-mode `vrr-server` deployment over
 /// `addrs`: a `ShardedStore<Vec<u8>, u64>` of [`CAPACITY`] shards sized
@@ -90,13 +87,14 @@ fn backend(server: &ServerProcess) -> Arc<dyn ClusterBackend<u64, u64>> {
     Arc::new(remote)
 }
 
-/// A two-cluster router over the given backends; a cluster without one —
-/// and every cluster added later — is an in-proc pool.
-fn router_over(remotes: Vec<Arc<dyn ClusterBackend<u64, u64>>>) -> StoreRouter<u64, u64> {
+/// A router of `clusters` clusters: the given backends first, then
+/// in-proc pools.
+fn router_over(
+    clusters: usize,
+    remotes: Vec<Arc<dyn ClusterBackend<u64, u64>>>,
+) -> StoreRouter<u64, u64> {
     let cfg = StorageConfig::optimal(2, 1, 1);
-    let rc = RouterConfig::new(2, CAPACITY)
-        .with_ring_slots(16)
-        .with_seed(2006);
+    let rc = RouterConfig::new(clusters, CAPACITY).with_seed(2006);
     let mut remotes = remotes.into_iter();
     StoreRouter::deploy_with_backends(rc, move |_cluster| match remotes.next() {
         Some(remote) => remote,
@@ -121,61 +119,46 @@ fn drill_over(router: &StoreRouter<u64, u64>, keys: u64) -> Drill<'_> {
 }
 
 // ---------------------------------------------------------------------------
-// Family 1: the distributed rebalance drill (3 OS processes).
+// Family 1: the distributed storm under faults (3 OS processes).
 // ---------------------------------------------------------------------------
 
 #[test]
-fn distributed_rebalance_with_drained_remote_cluster_stays_regular() {
+fn distributed_storm_with_a_faulty_remote_cluster_stays_regular() {
     let addrs = free_addrs(2).expect("reserve ports");
-    // Cluster 0 (to be drained): every shard hosts a Truncator liar.
+    // Cluster 0: every shard hosts a Truncator liar.
     let faulty = spawn_store(addrs[0], true, false);
-    // Cluster 1: clean remote store. Test process + 2 servers = 3 OS
-    // processes.
+    // Cluster 1: clean remote store; cluster 2: an in-proc pool. Test
+    // process + 2 servers = 3 OS processes.
     let clean = spawn_store(addrs[1], false, false);
-    let router = router_over(vec![backend(&faulty), backend(&clean)]);
+    let router = router_over(3, vec![backend(&faulty), backend(&clean)]);
 
     // Bind every key (write round 1) before the storm.
     let drill = drill_over(&router, KEYS);
     drill.bind();
 
-    // Crash one more object (beyond the liar) in a group of the remote
-    // faulty cluster — fault injection across the process boundary.
+    // The object to crash (beyond the liar): one in a group of the remote
+    // faulty cluster.
     let victim = (0..KEYS)
         .find(|k| router.cluster_of(k) == 0)
         .expect("some key routes to cluster 0");
-    let store0 = router.cluster_store(0).expect("cluster 0 is live");
+    let store0 = router.cluster_store(0).expect("cluster 0");
     let slot = store0.shard_of(&victim).expect("victim bound in cluster 0");
-    store0.crash_object(slot, 0);
 
     // Two writers on disjoint key halves, two readers sweeping; on this
-    // thread, live topology changes while the storm runs — grow to 3
-    // clusters (in-proc: the ring is now heterogeneous), then drain and
-    // retire the remote faulty cluster 0.
+    // thread, the crash — across the process boundary — once half the
+    // storm's writes are done.
     drill.storm(2..=ROUNDS, PASSES, || {
-        std::thread::sleep(Duration::from_millis(20));
-        let added = router.add_cluster();
-        assert_eq!(added, 2);
-        std::thread::sleep(Duration::from_millis(20));
-        let moved = router.remove_cluster(0);
-        assert!(moved > 0, "cluster 0 held keys to drain");
+        drill.await_writes(KEYS + KEYS * (ROUNDS - 1) / 2);
+        store0.crash_object(slot, 0);
     });
 
     // Zero checker-verified regularity violations, per key.
-    assert_eq!(drill.rec.check(check_regularity), Ok(()), "under rebalance");
+    assert_eq!(drill.rec.check(check_regularity), Ok(()), "under faults");
 
-    // Every key survived the drain, none still routes to the retired
-    // remote cluster, and no read ever saw the forged value.
+    // Every key reads its last write: never the forged value.
     for key in 0..KEYS {
-        let rep = router.read(&key, 0).expect("key survived rebalance");
-        assert_ne!(rep.value, Some(FORGED));
-        assert_ne!(router.cluster_of(&key), 0);
-    }
-
-    // The drained process is still alive and answers: its store is empty.
-    let mut probe = NetClient::<u64>::connect(faulty.addr).expect("probe drained server");
-    match probe.request(Op::StoreInfo).expect("store info") {
-        Rsp::StoreInfo { keys } => assert_eq!(keys, 0, "drained store still holds keys"),
-        other => panic!("unexpected {other:?}"),
+        let rep = router.read(&key, 0).expect("key bound");
+        assert_eq!(rep.value, Some(value_of(key, ROUNDS)));
     }
     drop(clean);
 }
@@ -185,44 +168,36 @@ fn distributed_rebalance_with_drained_remote_cluster_stays_regular() {
 // ---------------------------------------------------------------------------
 
 /// Runs the deterministic sequential schedule — three write/read rounds
-/// over 8 keys with a mid-schedule add+drain rebalance — and returns the
-/// recording. Identical inputs must yield identical histories on any
-/// conforming backend.
-fn run_rebalance_schedule(router: &StoreRouter<u64, u64>) -> Recorder<u64> {
+/// over 8 keys — and returns the recording. Identical inputs must yield
+/// identical histories on any conforming backend.
+fn run_schedule(router: &StoreRouter<u64, u64>) -> Recorder<u64> {
     let drill = drill_over(router, 8);
-    drill.schedule(1..=3, |round| {
-        if round == 2 {
-            // The rebalance happens inside the schedule, so the copy +
-            // dst-write + release machinery itself is part of the trace.
-            assert_eq!(router.add_cluster(), 2);
-            assert!(router.remove_cluster(0) > 0);
-        }
-    });
+    drill.schedule(1..=3, |_| ());
     drill.rec
 }
 
 #[test]
 fn in_proc_and_distributed_traces_are_byte_identical() {
-    let local = router_over(Vec::new());
+    let local = router_over(2, Vec::new());
     let addrs = free_addrs(2).expect("reserve ports");
     let servers: Vec<ServerProcess> = addrs
         .iter()
         .map(|&a| spawn_store(a, false, false))
         .collect();
-    let remote = router_over(servers.iter().map(backend).collect());
-    // Cluster 0 — the one the schedule drains — behind a front node whose
-    // objects live in two other processes.
+    let remote = router_over(2, servers.iter().map(backend).collect());
+    // Cluster 0 behind a front node whose objects live in two other
+    // processes; cluster 1 in-proc.
     let spread_servers = spawn_spread();
-    let spread = router_over(vec![backend(&spread_servers[0])]);
+    let spread = router_over(2, vec![backend(&spread_servers[0])]);
 
     // Byte-identical histories AND byte-identical checker reports: the
     // distributed deployments are observationally indistinguishable from
     // the in-proc one under a deterministic schedule.
-    let local = run_rebalance_schedule(&local);
+    let local = run_schedule(&local);
     let verdict = local.check(check_regularity);
     assert_eq!(verdict, Ok(()), "trace not regular");
     for (name, router) in [("distributed", remote), ("spread", spread)] {
-        let trace = run_rebalance_schedule(&router);
+        let trace = run_schedule(&router);
         assert_eq!(
             format!("{:?}", local.histories()),
             format!("{:?}", trace.histories()),
@@ -237,38 +212,7 @@ fn in_proc_and_distributed_traces_are_byte_identical() {
 }
 
 // ---------------------------------------------------------------------------
-// Family 3: remove_cluster racing in-flight remote writes.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn remove_cluster_racing_in_flight_remote_writes_loses_nothing() {
-    let addrs = free_addrs(2).expect("reserve ports");
-    let servers: Vec<ServerProcess> = addrs
-        .iter()
-        .map(|&a| spawn_store(a, false, false))
-        .collect();
-    let router = router_over(servers.iter().map(backend).collect());
-
-    let drill = drill_over(&router, KEYS);
-    drill.bind();
-    let victim = (0..KEYS)
-        .find(|k| router.cluster_of(k) == 0)
-        .expect("some key routes to cluster 0");
-
-    // Writes to the moving key must never error and never be lost,
-    // whichever side of the slot move each one lands on: the victim reads
-    // back its last write, every other key its first.
-    const BURST: u64 = 30;
-    drill.drain_race(victim, 2..=BURST, || {
-        std::thread::sleep(Duration::from_millis(5));
-        assert!(router.remove_cluster(0) > 0);
-    });
-    assert_eq!(drill.rec.check(check_regularity), Ok(()), "write lost");
-    assert_ne!(router.cluster_of(&victim), 0);
-}
-
-// ---------------------------------------------------------------------------
-// Family 4: bounded retry against resets, and the HTTP metrics endpoint.
+// Family 3: bounded retry against resets, and the HTTP metrics endpoint.
 // ---------------------------------------------------------------------------
 
 /// A byte-level fake server: drops the first connection after accepting it

@@ -208,8 +208,6 @@ fn host_inspection_on_a_split_deployment_reports_only_locally_hosted_objects() {
             key: key(),
             reader: 0,
         },
-        Op::ReleaseKey { key: key() },
-        Op::StoreKeys,
         Op::SlotOfKey { key: key() },
     ] {
         let rsp = client.request(op).expect("transport");

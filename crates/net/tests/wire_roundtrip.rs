@@ -162,8 +162,9 @@ fn arb_registry(g: &mut Gen) -> Registry {
     reg
 }
 
-/// The client-protocol op tags: 0..=16 but the retired 1, 2, 4, 6 and 14.
-const OP_TAGS: [u8; 12] = [0, 3, 5, 7, 8, 9, 10, 11, 12, 13, 15, 16];
+/// The client-protocol op tags: 0..=16 but the retired 1, 2, 4, 6, 10, 11
+/// and 14.
+const OP_TAGS: [u8; 10] = [0, 3, 5, 7, 8, 9, 12, 13, 15, 16];
 
 fn arb_op(tag: u8, g: &mut Gen) -> Op<u64> {
     match tag {
@@ -181,8 +182,6 @@ fn arb_op(tag: u8, g: &mut Gen) -> Op<u64> {
             key: arb_bytes(g),
             reader: g.next() as u32,
         },
-        10 => Op::ReleaseKey { key: arb_bytes(g) },
-        11 => Op::StoreKeys,
         12 => Op::SlotOfKey { key: arb_bytes(g) },
         13 => Op::CrashShard {
             slot: g.next() as u32,
@@ -196,8 +195,9 @@ fn arb_op(tag: u8, g: &mut Gen) -> Op<u64> {
     }
 }
 
-/// The client-protocol response tags: 0..=16 but the retired 4, 6 and 14.
-const RSP_TAGS: [u8; 14] = [0, 1, 2, 3, 5, 7, 8, 9, 10, 11, 12, 13, 15, 16];
+/// The client-protocol response tags: 0..=16 but the retired 4, 6, 11, 12
+/// and 14.
+const RSP_TAGS: [u8; 12] = [0, 1, 2, 3, 5, 7, 8, 9, 10, 13, 15, 16];
 
 fn arb_rsp(tag: u8, g: &mut Gen) -> Rsp<u64> {
     match tag {
@@ -227,12 +227,6 @@ fn arb_rsp(tag: u8, g: &mut Gen) -> Rsp<u64> {
         9 => Rsp::NoKey,
         10 => Rsp::OverCapacity {
             capacity: g.next() as u32,
-        },
-        11 => Rsp::Released {
-            slot: (g.below(2) == 0).then(|| g.next() as u32),
-        },
-        12 => Rsp::StoreKeys {
-            keys: (0..g.below(4)).map(|_| arb_bytes(g)).collect(),
         },
         13 => Rsp::Slot {
             slot: g.next() as u32,

@@ -5,12 +5,9 @@
 //! in-process worker pool and implements the trait directly — its key
 //! operations *are* the trait's methods; `vrr-net`'s `RemoteCluster` drives
 //! the same operations over TCP against a store hosted by a `vrr-server`
-//! in another OS process. A router routes
-//! keys by seeded hash and never looks past this trait, so one ring can
-//! span heterogeneous backends — some clusters local, some remote — and the
-//! never-expose-intermediate-state rebalance (regular-`READ` copy, write
-//! into the destination, release the source, repoint the ring) works
-//! unchanged across process boundaries.
+//! in another OS process. A router routes keys by seeded hash and never
+//! looks past this trait, so one router can span heterogeneous backends —
+//! some clusters local, some remote.
 //!
 //! The trait is object-safe on purpose: routers hold
 //! `Arc<dyn ClusterBackend<K, V>>` and remain oblivious to where a
@@ -23,17 +20,14 @@ use crate::shard::StoreError;
 
 /// One shard-cluster as the router sees it: a capacity-bounded key→register
 /// map with the operations a scale-out deployment needs — write, read,
-/// release (the source half of a rebalance), fault injection and a metrics
-/// snapshot, whose history-length gauges are the one way a cluster's
-/// history lengths reach its callers.
+/// fault injection and a metrics snapshot, whose history-length gauges are
+/// the one way a cluster's history lengths reach its callers.
 ///
 /// Implementations must uphold the [`ShardedStore`](crate::ShardedStore)
-/// capacity contract: binding a key consumes a register slot for good,
-/// [`release`] retires the slot rather than recycling it, and a bound key
-/// keeps the paper's SWMR semantics (writes to one key serialize; reads are
-/// regular under the cluster's `(t, b)` fault budget).
-///
-/// [`release`]: ClusterBackend::release
+/// capacity contract: a key is bound to a register slot of its own on its
+/// first write and keeps it, at most `capacity` keys are bound, and a bound
+/// key keeps the paper's SWMR semantics (writes to one key serialize; reads
+/// are regular under the cluster's `(t, b)` fault budget).
 pub trait ClusterBackend<K, V: Value>: Send + Sync {
     /// Blocking `WRITE(key, value)`; binds `key` on first use, reporting
     /// capacity exhaustion (and, for remote backends, unrecoverable
@@ -43,13 +37,6 @@ pub trait ClusterBackend<K, V: Value>: Send + Sync {
     /// Blocking `READ(key)` at reader index `reader`, or `None` if `key`
     /// is not bound here.
     fn read(&self, key: &K, reader: usize) -> Option<ReadReport<V>>;
-
-    /// Unbinds `key`, retiring its register slot (never recycled).
-    /// Returns the retired slot, or `None` if the key was not bound.
-    fn release(&self, key: &K) -> Option<usize>;
-
-    /// Every currently-bound key (unordered) — what a rebalance must move.
-    fn keys(&self) -> Vec<K>;
 
     /// Number of keys currently bound.
     fn len(&self) -> usize;
@@ -99,8 +86,7 @@ mod tests {
         backend.write("alpha".into(), 7);
         assert_eq!(backend.len(), 1);
         assert_eq!(backend.read(&"alpha".into(), 0).unwrap().value, Some(7));
-        let slot = backend.shard_of(&"alpha".into()).unwrap();
-        assert_eq!(backend.release(&"alpha".into()), Some(slot));
-        assert_eq!(backend.read(&"alpha".into(), 0), None);
+        assert!(backend.shard_of(&"alpha".into()).is_some());
+        assert_eq!(backend.read(&"beta".into(), 0), None);
     }
 }

@@ -38,12 +38,11 @@
 //! parallelism; `vrr-net`'s node is a host whose members placed in other
 //! OS processes are relay stand-ins. One level up,
 //! [`StoreRouter`] partitions the key space across *multiple independent*
-//! clusters through a seeded-hash [`RingTable`] — deterministic,
-//! directory-free routing with live cluster add/remove (rebalance stays
-//! regular while absorbing crash + Byzantine faults per register group).
-//! A router's cluster is anything implementing [`ClusterBackend`]: the
-//! in-process [`ShardedStore`], or `vrr-net`'s `RemoteCluster` driving a
-//! store hosted by a `vrr-server` in another OS process — one ring spans
+//! clusters, fixed at deploy, by seeded hash ([`stable_hash_64`]) —
+//! deterministic, directory-free routing that takes no lock. A router's
+//! cluster is anything implementing [`ClusterBackend`]: the in-process
+//! [`ShardedStore`], or `vrr-net`'s `RemoteCluster` driving a store hosted
+//! by a `vrr-server` in another OS process — one router spans
 //! heterogeneous backends.
 //!
 //! **One clock.** Every deadline and meter reads a [`WallClock`]: OS time
@@ -96,7 +95,7 @@ pub use clock::WallClock;
 pub use cluster::{Cluster, OP_TIMEOUT};
 pub use executor::ExecutorStats;
 pub use host::RegisterHost;
-pub use ring::{stable_hash_64, RingTable, StableHasher};
+pub use ring::{stable_hash_64, StableHasher};
 pub use scaleout::{RouterConfig, StoreRouter};
 pub use shard::{ShardedStore, StoreError};
 pub use storage::{NoDelay, StorageCluster};

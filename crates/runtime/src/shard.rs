@@ -38,9 +38,8 @@ use crate::storage::NoDelay;
 /// through the bounded retry/backoff budget — as [`StoreError::Backend`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum StoreError {
-    /// Every provisioned register shard is already bound (or was bound and
-    /// later retired); the new key cannot be served. See the capacity
-    /// contract on [`ShardedStore`].
+    /// Every provisioned register shard is already bound to a key; the new
+    /// key cannot be served. See the capacity contract on [`ShardedStore`].
     OverCapacity {
         /// The store's provisioned shard count.
         capacity: usize,
@@ -66,30 +65,15 @@ impl fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
-/// The key→shard bindings, behind one read-mostly lock: the per-operation
-/// hot path takes only the shared side; the exclusive side is touched once
-/// per key lifetime (first bind, release).
-struct KeyIndex<K> {
-    map: HashMap<K, usize>,
-    /// Next never-used shard slot. Slots are **single-use**: releasing a
-    /// key retires its slot instead of recycling it (see the capacity
-    /// contract on [`ShardedStore`]).
-    next_slot: usize,
-}
-
 /// A multi-key register store: each key is served by its own register
 /// shard (writer + objects + readers) on one shared worker-pool cluster.
 ///
 /// # Capacity contract
 ///
 /// Shards are provisioned up front (`capacity`) and bound to keys on first
-/// write, so the id space is fixed once the store is deployed. `capacity`
-/// bounds the number of **bindings ever made**, not the number of live
-/// keys: [`release`](ClusterBackend::release) retires a binding's shard
-/// rather than recycling it, because handing a register that already holds
-/// one key's history to a different key would let a read concurrent with
-/// the new key's first write return the *old key's* value (a cross-key
-/// regularity leak). Once all `capacity` slots are consumed,
+/// write, so the id space is fixed once the store is deployed. A key keeps
+/// its shard for the store's lifetime, so `capacity` bounds the number of
+/// keys: once all `capacity` shards are bound,
 /// [`try_write`](ClusterBackend::try_write) for a new key returns
 /// [`StoreError::OverCapacity`] (and [`write`](ClusterBackend::write), the
 /// panicking wrapper, panics). Reads of never-written keys return `None`
@@ -114,10 +98,10 @@ pub struct ShardedStore<K: Eq + Hash, V: Value> {
     /// One slot per shard.
     host: RegisterHost<V>,
     /// key → shard slot, assigned on first write. Read-mostly: every
-    /// operation takes the shared side; only first-binds and releases take
-    /// the exclusive side, so the routing step of concurrent operations on
+    /// operation takes the shared side; only a first bind takes the
+    /// exclusive side, so the routing step of concurrent operations on
     /// distinct keys never serializes.
-    index: RwLock<KeyIndex<K>>,
+    index: RwLock<HashMap<K, usize>>,
 }
 
 impl<K: Eq + Hash + Clone + Send + Sync, V: Value> ShardedStore<K, V> {
@@ -178,10 +162,7 @@ impl<K: Eq + Hash + Clone + Send + Sync, V: Value> ShardedStore<K, V> {
         );
         ShardedStore {
             host,
-            index: RwLock::new(KeyIndex {
-                map: HashMap::new(),
-                next_slot: 0,
-            }),
+            index: RwLock::new(HashMap::new()),
         }
     }
 
@@ -196,7 +177,7 @@ impl<K: Eq + Hash + Clone + Send + Sync, V: Value> ShardedStore<K, V> {
         self.host.config()
     }
 
-    /// Provisioned register slots (bindings ever possible, not live keys).
+    /// Provisioned register slots: the most keys the store can bind.
     pub fn capacity(&self) -> usize {
         self.host.groups().len()
     }
@@ -216,8 +197,8 @@ impl<K: Eq + Hash + Clone + Send + Sync, V: Value> ShardedStore<K, V> {
         Ok(())
     }
 
-    /// The slot serving `key`, binding it to the next never-used one on
-    /// first use. Read-mostly: an already-bound key takes only the shared
+    /// The slot serving `key`, binding it to the next unbound one on first
+    /// use. Read-mostly: an already-bound key takes only the shared
     /// side of the index lock; binding a new key takes the exclusive side
     /// once in the key's lifetime.
     fn bind(&self, key: K) -> Result<usize, StoreError> {
@@ -227,16 +208,14 @@ impl<K: Eq + Hash + Clone + Send + Sync, V: Value> ShardedStore<K, V> {
         let mut index = self.index.write();
         // Re-check under the exclusive lock: a racing writer of the same
         // new key may have bound it between our two lockings.
-        if let Some(&slot) = index.map.get(&key) {
+        if let Some(&slot) = index.get(&key) {
             return Ok(slot);
         }
-        let capacity = self.capacity();
-        if index.next_slot >= capacity {
+        let (slot, capacity) = (index.len(), self.capacity());
+        if slot >= capacity {
             return Err(StoreError::OverCapacity { capacity });
         }
-        let slot = index.next_slot;
-        index.next_slot += 1;
-        index.map.insert(key, slot);
+        index.insert(key, slot);
         Ok(slot)
     }
 
@@ -278,20 +257,12 @@ impl<K: Eq + Hash + Clone + Send + Sync, V: Value> ClusterBackend<K, V> for Shar
         self.shard_of(key).map(|slot| self.host.read(slot, j))
     }
 
-    fn release(&self, key: &K) -> Option<usize> {
-        self.index.write().map.remove(key)
-    }
-
-    fn keys(&self) -> Vec<K> {
-        self.index.read().map.keys().cloned().collect()
-    }
-
     fn len(&self) -> usize {
-        self.index.read().map.len()
+        self.index.read().len()
     }
 
     fn shard_of(&self, key: &K) -> Option<usize> {
-        self.index.read().map.get(key).copied()
+        self.index.read().get(key).copied()
     }
 
     fn crash_object(&self, slot: usize, idx: usize) {

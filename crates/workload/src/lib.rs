@@ -18,7 +18,7 @@
 //! Two drivers, one per world, the same [`vrr_checker::OpHistory`] out:
 //! [`SimCase`] stamps operations with simulator ticks; on threads and
 //! sockets, [`live`] runs keyed drills (a concurrent storm, a sequential
-//! schedule, a write burst racing a drain) against any store reachable
+//! schedule) against any store reachable
 //! through a `write(key, value)` and a `read(key)` closure, stamped with
 //! the logical ticks of a [`vrr_checker::Recorder`].
 //!

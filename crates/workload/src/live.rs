@@ -3,16 +3,18 @@
 //!
 //! A [`Drill`] reaches the store through two closures, `write(key, value)`
 //! and `read(key)`, so the same drill runs over an in-proc `StoreRouter`, a
-//! ring of `vrr-server` processes or a test's `HashMap`. Keys are
+//! router of `vrr-server` processes or a test's `HashMap`. Keys are
 //! `0..keys`, one recorder register each, and write round `r` of `key`
 //! writes [`value_of`]`(key, r)`: the read side recovers the write's
-//! sequence number from the value alone, because protocol timestamps
-//! restart when a rebalance re-homes a register. A value no round wrote
-//! ([`FORGED`]) decodes to a sequence number no write has, which the
-//! checker reports as a phantom. The closures panic on an operation that
+//! sequence number from the value alone, so a drill needs nothing of the
+//! store but values (a `HashMap` has no protocol timestamps). A value no
+//! round wrote ([`FORGED`]) decodes to a sequence number no write has,
+//! which the checker reports as a phantom. The closures panic on an operation that
 //! fails; the drills let that panic through.
 
 use std::ops::RangeInclusive;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 use vrr_checker::Recorder;
 
@@ -31,6 +33,8 @@ pub struct Drill<'a> {
     /// One register per key.
     pub rec: Recorder<u64>,
     keys: u64,
+    /// Writes completed so far.
+    written: AtomicU64,
     write: Box<dyn Fn(u64, u64) + Sync + 'a>,
     read: Box<dyn Fn(u64) -> Option<u64> + Sync + 'a>,
 }
@@ -46,6 +50,7 @@ impl<'a> Drill<'a> {
         Drill {
             rec: Recorder::new(keys as usize),
             keys,
+            written: AtomicU64::new(0),
             write: Box::new(write),
             read: Box::new(read),
         }
@@ -55,6 +60,7 @@ impl<'a> Drill<'a> {
         let value = value_of(key, round);
         self.rec
             .write(key as usize, round, value, || (self.write)(key, value));
+        self.written.fetch_add(1, Ordering::Release);
     }
 
     fn read(&self, key: u64, reader: usize) {
@@ -71,8 +77,8 @@ impl<'a> Drill<'a> {
 
     /// Two writers on disjoint key halves (each key keeps a single writer)
     /// and two readers sweeping the key space `passes` times, while
-    /// `meanwhile` runs on the calling thread — the live `add_cluster` /
-    /// `remove_cluster`.
+    /// `meanwhile` runs on the calling thread — the faults injected
+    /// mid-storm.
     pub fn storm(&self, rounds: RangeInclusive<u64>, passes: u64, meanwhile: impl FnOnce()) {
         std::thread::scope(|scope| {
             for w in 0..2 {
@@ -96,6 +102,16 @@ impl<'a> Drill<'a> {
         });
     }
 
+    /// Waits until `n` of the drill's writes have completed — so a storm's
+    /// `meanwhile` lands mid-storm — or 60 s have passed (a writer that
+    /// panicked completes no more).
+    pub fn await_writes(&self, n: u64) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while self.written.load(Ordering::Acquire) < n && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+    }
+
     /// Sequential rounds: write every key, call `between(round)`, read
     /// every key. Deterministic — the same store behaviour yields the same
     /// histories, tick for tick.
@@ -105,20 +121,6 @@ impl<'a> Drill<'a> {
             between(round);
             (0..self.keys).for_each(|key| self.read(key, 0));
         }
-    }
-
-    /// A burst of writes to `key` racing `meanwhile` — the drain of the
-    /// cluster holding it — then one read of `key` and of every other key:
-    /// a write the race lost shows as a stale read.
-    pub fn drain_race(&self, key: u64, burst: RangeInclusive<u64>, meanwhile: impl FnOnce()) {
-        std::thread::scope(|scope| {
-            scope.spawn(move || burst.for_each(|round| self.write(key, round)));
-            meanwhile();
-        });
-        self.read(key, 0);
-        (0..self.keys)
-            .filter(|k| *k != key)
-            .for_each(|k| self.read(k, 0));
     }
 }
 
@@ -174,15 +176,15 @@ mod tests {
         let store = losing_from(1000, false);
         let drill = store.drill();
         drill.bind();
-        drill.storm(2..=4, 3, || ());
+        // Half-way: the 6 binds and 9 of the storm's 18 writes.
+        drill.storm(2..=4, 3, || drill.await_writes(15));
         drill.schedule(5..=6, |_| ());
-        drill.drain_race(2, 7..=9, || ());
         assert_eq!(drill.rec.check(check_regularity), Ok(()));
-        // Writes: bind + 3 storm + 2 schedule rounds (+ a burst of 3);
-        // reads: 2 x 3 storm + 2 schedule sweeps + the final one.
+        // Writes: bind + 3 storm + 2 schedule rounds; reads: 2 x 3 storm +
+        // 2 schedule sweeps.
         let histories = drill.rec.histories();
         let ops: Vec<usize> = histories.iter().map(|h| h.ops().len()).collect();
-        assert_eq!(ops, [15, 15, 18, 15, 15, 15]);
+        assert_eq!(ops, [14; 6]);
     }
 
     #[test]
@@ -201,13 +203,6 @@ mod tests {
         let store = losing_from(2, false);
         let drill = store.drill();
         drill.schedule(1..=2, |_| ());
-        stale_at_key_3(drill);
-
-        // Only the last write of the burst goes missing.
-        let store = losing_from(9, false);
-        let drill = store.drill();
-        drill.bind();
-        drill.drain_race(3, 2..=9, || ());
         stale_at_key_3(drill);
     }
 }
